@@ -74,6 +74,11 @@ pub const DUR_SNAPSHOT: u32 = 35;
 /// `Database.catalog`: table/index definitions. Held only for short
 /// clone/update critical sections, but DDL paths take it before touching kv.
 pub const ENGINE_CATALOG: u32 = 40;
+/// `Database.write_plans`: compiled writes by statement text. A leaf of
+/// the engine: taken for one map lookup or insert with nothing else held
+/// (the catalog generation is read, and a plan compiled, before it), so it
+/// could nest inside `ENGINE_CATALOG` but never around it or a kv round.
+pub const ENGINE_WRITE_PLANS: u32 = 42;
 
 // ---- predictor shared-model store ----
 

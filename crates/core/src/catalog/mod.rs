@@ -53,11 +53,20 @@ pub struct Catalog {
     indexes: Vec<Arc<IndexDef>>,
     table_names: BTreeMap<String, TableId>,
     index_names: BTreeMap<String, IndexId>,
+    /// Bumped by every mutation; see [`Catalog::generation`].
+    generation: u64,
 }
 
 impl Catalog {
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// How many definitions have been registered so far. Anything derived
+    /// from a catalog (the engine's cached write plans) records the
+    /// generation it was built at and is stale once this has moved on.
+    pub fn generation(&self) -> u64 {
+        self.generation
     }
 
     /// Register a table, validating constraints against its columns.
@@ -71,6 +80,7 @@ impl Catalog {
         def.id = id;
         self.table_names.insert(key, id);
         self.tables.push(Arc::new(def));
+        self.generation += 1;
         Ok(id)
     }
 
@@ -95,6 +105,7 @@ impl Catalog {
         def.id = id;
         self.index_names.insert(key, id);
         self.indexes.push(Arc::new(def));
+        self.generation += 1;
         Ok(id)
     }
 
@@ -181,6 +192,24 @@ mod tests {
         let b = cat.create_index(mk("idx_b")).unwrap();
         assert_eq!(a, b, "same shape resolves to same index");
         assert_eq!(cat.indexes_for_table(t).len(), 1);
+    }
+
+    #[test]
+    fn generation_counts_mutations_only() {
+        let mut cat = Catalog::new();
+        assert_eq!(cat.generation(), 0);
+        let t = cat.create_table(users()).unwrap();
+        assert_eq!(cat.generation(), 1);
+        assert!(cat.create_table(users()).is_err());
+        let mk = |name: &str| IndexDef::on_columns(name, t, &[("home_town", Default::default())]);
+        cat.create_index(mk("idx_a")).unwrap();
+        assert_eq!(cat.generation(), 2);
+        cat.create_index(mk("idx_b")).unwrap();
+        assert_eq!(
+            cat.generation(),
+            2,
+            "an idempotent re-create changes nothing"
+        );
     }
 
     #[test]

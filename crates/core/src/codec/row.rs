@@ -70,32 +70,43 @@ fn read_varint(bytes: &[u8], pos: &mut usize) -> Result<u64, RowCodecError> {
 
 /// Append one value.
 pub fn encode_value(out: &mut Vec<u8>, value: &Value) {
+    encode_value_ref(out, ValueRef::of(value));
+}
+
+/// [`encode_value`] over a borrowed [`ValueRef`] (no `Value` materialized).
+pub fn encode_value_ref(out: &mut Vec<u8>, value: ValueRef<'_>) {
     match value {
-        Value::Null => out.push(T_NULL),
-        Value::Int(v) => {
+        ValueRef::Null => out.push(T_NULL),
+        ValueRef::Int(v) => {
             out.push(T_INT);
             out.extend_from_slice(&v.to_le_bytes());
         }
-        Value::BigInt(v) => {
+        ValueRef::BigInt(v) => {
             out.push(T_BIGINT);
             out.extend_from_slice(&v.to_le_bytes());
         }
-        Value::Varchar(s) => {
+        ValueRef::Varchar(s) => {
             out.push(T_VARCHAR);
             write_varint(out, s.len() as u64);
             out.extend_from_slice(s.as_bytes());
         }
-        Value::Bool(false) => out.push(T_BOOL_FALSE),
-        Value::Bool(true) => out.push(T_BOOL_TRUE),
-        Value::Timestamp(v) => {
+        ValueRef::Bool(false) => out.push(T_BOOL_FALSE),
+        ValueRef::Bool(true) => out.push(T_BOOL_TRUE),
+        ValueRef::Timestamp(v) => {
             out.push(T_TIMESTAMP);
             out.extend_from_slice(&v.to_le_bytes());
         }
-        Value::Double(v) => {
+        ValueRef::Double(v) => {
             out.push(T_DOUBLE);
             out.extend_from_slice(&v.to_le_bytes());
         }
     }
+}
+
+/// Append a tuple encoding's arity prefix (what [`encode_tuple`] starts
+/// with).
+pub fn encode_arity(out: &mut Vec<u8>, arity: usize) {
+    write_varint(out, arity as u64);
 }
 
 fn decode_value(bytes: &[u8], pos: &mut usize) -> Result<Value, RowCodecError> {
@@ -134,7 +145,7 @@ fn decode_value(bytes: &[u8], pos: &mut usize) -> Result<Value, RowCodecError> {
 /// Serialize a whole tuple: varint arity followed by tagged values.
 pub fn encode_tuple(tuple: &Tuple) -> Vec<u8> {
     let mut out = Vec::with_capacity(tuple.encoded_len());
-    write_varint(&mut out, tuple.len() as u64);
+    encode_arity(&mut out, tuple.len());
     for v in tuple.values() {
         encode_value(&mut out, v);
     }

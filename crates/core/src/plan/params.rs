@@ -123,10 +123,57 @@ impl Params {
     }
 
     pub fn get(&self, index: usize) -> Option<&ParamValue> {
-        self.values.get(index).and_then(|v| v.as_ref())
+        self.view().get(index)
     }
 
     pub fn scalar(&self, index: usize, name: &str) -> Result<&Value, ParamError> {
+        self.view().scalar(index, name)
+    }
+
+    pub fn collection(
+        &self,
+        index: usize,
+        name: &str,
+        max: Option<u64>,
+    ) -> Result<&[Value], ParamError> {
+        self.view().collection(index, name, max)
+    }
+
+    /// The borrowed view the executors read bindings through.
+    pub fn view(&self) -> ParamsRef<'_> {
+        ParamsRef::Sparse(&self.values)
+    }
+
+    pub fn len(&self) -> usize {
+        self.values.len()
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.values.is_empty()
+    }
+}
+
+/// Borrowed parameter bindings — what plan evaluation and the write path
+/// resolve `<param>` references against. A [`Params`] lends its (possibly
+/// gapped) positions; a decoded request lends its parameter list as it
+/// stands, so serving a statement never copies the values it was sent.
+#[derive(Debug, Clone, Copy)]
+pub enum ParamsRef<'a> {
+    /// Positional bindings where a position may be unbound.
+    Sparse(&'a [Option<ParamValue>]),
+    /// Every position bound, in order.
+    Dense(&'a [ParamValue]),
+}
+
+impl<'a> ParamsRef<'a> {
+    pub fn get(self, index: usize) -> Option<&'a ParamValue> {
+        match self {
+            ParamsRef::Sparse(values) => values.get(index).and_then(|v| v.as_ref()),
+            ParamsRef::Dense(values) => values.get(index),
+        }
+    }
+
+    pub fn scalar(self, index: usize, name: &str) -> Result<&'a Value, ParamError> {
         let pv = self.get(index).ok_or_else(|| ParamError::Missing {
             index,
             name: name.to_string(),
@@ -138,11 +185,11 @@ impl Params {
     }
 
     pub fn collection(
-        &self,
+        self,
         index: usize,
         name: &str,
         max: Option<u64>,
-    ) -> Result<&[Value], ParamError> {
+    ) -> Result<&'a [Value], ParamError> {
         let pv = self.get(index).ok_or_else(|| ParamError::Missing {
             index,
             name: name.to_string(),
@@ -165,13 +212,24 @@ impl Params {
         }
         Ok(vs)
     }
+}
 
-    pub fn len(&self) -> usize {
-        self.values.len()
+impl<'a> From<&'a Params> for ParamsRef<'a> {
+    fn from(params: &'a Params) -> Self {
+        params.view()
     }
+}
 
-    pub fn is_empty(&self) -> bool {
-        self.values.is_empty()
+/// `Params::set` chains hand back `&mut Params`; callers pass that along.
+impl<'a> From<&'a mut Params> for ParamsRef<'a> {
+    fn from(params: &'a mut Params) -> Self {
+        params.view()
+    }
+}
+
+impl<'a> From<&'a [ParamValue]> for ParamsRef<'a> {
+    fn from(values: &'a [ParamValue]) -> Self {
+        ParamsRef::Dense(values)
     }
 }
 
@@ -202,5 +260,24 @@ mod tests {
         let p = Params::from_values([Value::Int(1), Value::Int(2)]);
         assert_eq!(p.len(), 2);
         assert_eq!(p.scalar(1, "b").unwrap(), &Value::Int(2));
+    }
+
+    #[test]
+    fn dense_view_reads_a_parameter_list_in_place() {
+        let list = vec![
+            ParamValue::Scalar(Value::Int(7)),
+            ParamValue::Collection(vec![Value::Int(1)]),
+        ];
+        let view = ParamsRef::from(list.as_slice());
+        assert_eq!(view.scalar(0, "a").unwrap(), &Value::Int(7));
+        assert_eq!(view.collection(1, "xs", None).unwrap(), &[Value::Int(1)]);
+        assert!(matches!(
+            view.scalar(1, "xs"),
+            Err(ParamError::ExpectedScalar { .. })
+        ));
+        assert!(matches!(
+            view.scalar(2, "zz"),
+            Err(ParamError::Missing { index: 2, .. })
+        ));
     }
 }

@@ -5,7 +5,7 @@
 //! global field order remap predicates with [`BoundPredicate::remap`] before
 //! execution.
 
-use super::params::{ParamError, Params};
+use super::params::{ParamError, ParamsRef};
 use super::schema::FieldId;
 use crate::ast::{CompareOp, Param};
 use crate::text;
@@ -22,7 +22,7 @@ pub enum Operand {
 
 impl Operand {
     /// Resolve to a concrete value using the runtime parameter bindings.
-    pub fn resolve<'a>(&'a self, params: &'a Params) -> Result<&'a Value, ParamError> {
+    pub fn resolve<'a>(&'a self, params: ParamsRef<'a>) -> Result<&'a Value, ParamError> {
         match self {
             Operand::Literal(v) => Ok(v),
             Operand::Param(p) => params.scalar(p.index, &p.name),
@@ -62,7 +62,7 @@ impl InOperand {
         }
     }
 
-    pub fn resolve<'a>(&'a self, params: &'a Params) -> Result<&'a [Value], ParamError> {
+    pub fn resolve<'a>(&'a self, params: ParamsRef<'a>) -> Result<&'a [Value], ParamError> {
         match self {
             InOperand::Values(vs) => Ok(vs),
             InOperand::Param(p) => params.collection(p.index, &p.name, p.max_cardinality),
@@ -179,7 +179,7 @@ impl BoundPredicate {
     /// Evaluate against a tuple whose positions correspond to this
     /// predicate's field ids. SQL three-valued logic is collapsed to
     /// `false` for NULL comparisons (sufficient for PIQL's conjunctions).
-    pub fn eval(&self, tuple: &Tuple, params: &Params) -> Result<bool, ParamError> {
+    pub fn eval(&self, tuple: &Tuple, params: ParamsRef<'_>) -> Result<bool, ParamError> {
         Ok(match self {
             BoundPredicate::Compare { field, op, operand } => {
                 let left = &tuple[*field];
@@ -229,7 +229,7 @@ impl BoundPredicate {
     pub fn eval_all(
         preds: &[BoundPredicate],
         tuple: &Tuple,
-        params: &Params,
+        params: ParamsRef<'_>,
     ) -> Result<bool, ParamError> {
         for p in preds {
             if !p.eval(tuple, params)? {
@@ -263,6 +263,7 @@ impl fmt::Display for BoundPredicate {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::plan::params::Params;
     use crate::tuple;
 
     fn params() -> Params {
@@ -283,8 +284,8 @@ mod tests {
                 max_cardinality: None,
             }),
         };
-        assert!(pred.eval(&tuple!["bob"], &params()).unwrap());
-        assert!(!pred.eval(&tuple!["alice"], &params()).unwrap());
+        assert!(pred.eval(&tuple!["bob"], params().view()).unwrap());
+        assert!(!pred.eval(&tuple!["alice"], params().view()).unwrap());
     }
 
     #[test]
@@ -295,7 +296,7 @@ mod tests {
             operand: Operand::Literal(Value::Int(1)),
         };
         assert!(!pred
-            .eval(&Tuple::new(vec![Value::Null]), &params())
+            .eval(&Tuple::new(vec![Value::Null]), params().view())
             .unwrap());
     }
 
@@ -309,13 +310,13 @@ mod tests {
                 max_cardinality: Some(10),
             }),
         };
-        assert!(pred.eval(&tuple![3], &params()).unwrap());
-        assert!(!pred.eval(&tuple![2], &params()).unwrap());
+        assert!(pred.eval(&tuple![3], params().view()).unwrap());
+        assert!(!pred.eval(&tuple![2], params().view()).unwrap());
         let isnull = BoundPredicate::IsNull {
             field: 0,
             negated: true,
         };
-        assert!(isnull.eval(&tuple![2], &params()).unwrap());
+        assert!(isnull.eval(&tuple![2], params().view()).unwrap());
     }
 
     #[test]
@@ -325,10 +326,12 @@ mod tests {
             operand: Operand::Literal(Value::Varchar("Wrath".into())),
         };
         assert!(pred
-            .eval(&tuple!["The Grapes of Wrath"], &params())
+            .eval(&tuple!["The Grapes of Wrath"], params().view())
             .unwrap());
-        assert!(!pred.eval(&tuple!["Wrathful Tales No"], &params()).unwrap());
-        assert!(!pred.eval(&tuple!["peaceful"], &params()).unwrap());
+        assert!(!pred
+            .eval(&tuple!["Wrathful Tales No"], params().view())
+            .unwrap());
+        assert!(!pred.eval(&tuple!["peaceful"], params().view()).unwrap());
     }
 
     #[test]

@@ -117,14 +117,21 @@ impl Value {
     ///
     /// Returns `None` when the value does not conform.
     pub fn coerce(&self, ty: DataType) -> Option<Value> {
+        self.coerce_ref(ty).map(ValueRef::to_value)
+    }
+
+    /// [`Value::coerce`] without the copy: the canonical form as a borrowed
+    /// view, which is all an encoder needs (the write path encodes rows and
+    /// keys straight from request parameters through this).
+    pub fn coerce_ref(&self, ty: DataType) -> Option<ValueRef<'_>> {
         if !self.conforms_to(ty) {
             return None;
         }
         Some(match (self, ty) {
-            (Value::Int(v), DataType::BigInt) => Value::BigInt(*v as i64),
-            (Value::Int(v), DataType::Timestamp) => Value::Timestamp(*v as i64),
-            (Value::BigInt(v), DataType::Timestamp) => Value::Timestamp(*v),
-            _ => self.clone(),
+            (Value::Int(v), DataType::BigInt) => ValueRef::BigInt(*v as i64),
+            (Value::Int(v), DataType::Timestamp) => ValueRef::Timestamp(*v as i64),
+            (Value::BigInt(v), DataType::Timestamp) => ValueRef::Timestamp(*v),
+            _ => ValueRef::of(self),
         })
     }
 
@@ -164,13 +171,7 @@ impl Value {
 
     /// Approximate encoded size in bytes (used for β estimates and stats).
     pub fn encoded_len(&self) -> usize {
-        match self {
-            Value::Null => 1,
-            Value::Int(_) => 5,
-            Value::BigInt(_) | Value::Timestamp(_) | Value::Double(_) => 9,
-            Value::Varchar(s) => s.len() + 3,
-            Value::Bool(_) => 2,
-        }
+        ValueRef::of(self).encoded_len()
     }
 
     /// Extract a string slice, if this is a `Varchar`.
@@ -235,6 +236,19 @@ impl<'a> ValueRef<'a> {
             Value::Bool(b) => ValueRef::Bool(*b),
             Value::Timestamp(v) => ValueRef::Timestamp(*v),
             Value::Double(d) => ValueRef::Double(*d),
+        }
+    }
+
+    /// Approximate encoded size in bytes: exact for a key component
+    /// without NUL bytes, a byte or two generous for a row value — what
+    /// encoders reserve before writing.
+    pub fn encoded_len(self) -> usize {
+        match self {
+            ValueRef::Null => 1,
+            ValueRef::Int(_) => 5,
+            ValueRef::BigInt(_) | ValueRef::Timestamp(_) | ValueRef::Double(_) => 9,
+            ValueRef::Varchar(s) => s.len() + 3,
+            ValueRef::Bool(_) => 2,
         }
     }
 

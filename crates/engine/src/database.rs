@@ -6,22 +6,33 @@
 //! executes plans against the shared key/value store. It keeps no
 //! per-request state — sessions are externally owned, so many simulated
 //! application servers can share one `Database` handle.
+//!
+//! Writes are compiled too: `execute_dml` looks the statement text up in a
+//! cache of [`WritePlan`]s and runs the plan. A plan records the catalog
+//! generation it was built at; every catalog mutation moves the generation
+//! on, so the first execution after a `CREATE INDEX` — declared, or
+//! derived by a SELECT `prepare` — rebuilds the plan and maintains the new
+//! index.
 
 use crate::cursor::Cursor;
 use crate::exec::{ExecCtx, ExecError, ExecStrategy, QueryResult};
+use crate::keys;
+use crate::plan::{table_write, WritePlan};
 use crate::reference::ReferenceExecutor;
-use crate::write::{WriteError, Writer};
+use crate::write::{ConstraintProbe, IndexWrite, InputRow, TableWrite, WriteError, Writer};
 use piql_analysis::ordered::RwLock;
 use piql_analysis::rank;
-use piql_core::ast::{ScalarExpr, Statement};
+use piql_core::ast::Statement;
 use piql_core::catalog::{Catalog, IndexDef, TableDef};
 use piql_core::opt::{Compiled, OptError, Optimizer};
 use piql_core::parser::{parse, ParseError};
-use piql_core::plan::params::Params;
+use piql_core::plan::params::ParamsRef;
 use piql_core::tuple::Tuple;
 use piql_core::value::Value;
 use piql_kv::{KvStore, Session, SimCluster};
+use std::collections::HashMap;
 use std::fmt;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Top-level database errors.
@@ -84,6 +95,23 @@ pub struct Prepared {
     pub columns: Vec<String>,
 }
 
+/// Most write plans kept at once. Parameterised statements are a handful
+/// of texts; a client that inlines literals makes every text new, and past
+/// this many the cache starts over rather than grow with the data.
+pub const WRITE_PLAN_CACHE_CAP: usize = 256;
+
+/// Counters of the write-plan cache (see [`Database::write_plan_stats`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct WritePlanStats {
+    /// Plans cached right now.
+    pub cached: u64,
+    /// Plans compiled: first sight of a text, plus rebuilds after the
+    /// catalog moved on.
+    pub compiles: u64,
+    /// Plans dropped to keep the cache within [`WRITE_PLAN_CACHE_CAP`].
+    pub evictions: u64,
+}
+
 /// The PIQL database engine, generic over its key/value backend: the
 /// deterministic [`SimCluster`] for experiments (the default) or any other
 /// [`KvStore`] — e.g. `piql_kv::LiveCluster` for wall-clock serving.
@@ -91,6 +119,11 @@ pub struct Database<S: KvStore = SimCluster> {
     cluster: Arc<S>,
     catalog: RwLock<Catalog>,
     optimizer: Optimizer,
+    /// Compiled writes by statement text. Held only to look a text up or
+    /// to file a plan — never while compiling and never across a kv round.
+    write_plans: RwLock<HashMap<Box<str>, Arc<WritePlan>>>,
+    plan_compiles: AtomicU64,
+    plan_evictions: AtomicU64,
 }
 
 impl<S: KvStore> Database<S> {
@@ -99,6 +132,13 @@ impl<S: KvStore> Database<S> {
             cluster,
             catalog: RwLock::new(rank::ENGINE_CATALOG, "engine.catalog", Catalog::new()),
             optimizer: Optimizer::scale_independent(),
+            write_plans: RwLock::new(
+                rank::ENGINE_WRITE_PLANS,
+                "engine.write_plans",
+                HashMap::new(),
+            ),
+            plan_compiles: AtomicU64::new(0),
+            plan_evictions: AtomicU64::new(0),
         }
     }
 
@@ -192,13 +232,14 @@ impl<S: KvStore> Database<S> {
     }
 
     fn create_index_and_backfill(&self, table: &TableDef, def: IndexDef) -> Result<(), DbError> {
+        // registering the index moves the catalog generation on, so every
+        // write that starts once this returns maintains it
         let id = self.catalog.write().create_index(def)?;
-        let catalog = self.catalog.read().clone();
-        let idx = catalog.index_by_id(id).clone();
+        let idx = self.catalog.read().index_by_id(id).clone();
         // make the namespace exist, then backfill from existing records
-        let _ = self.store().namespace(&Catalog::index_namespace(&idx));
-        let writer = Writer::new(self.store(), &catalog);
-        writer.backfill_index(table, &idx)?;
+        let index = IndexWrite::resolve(self.store(), table, &idx)?;
+        let primary = self.store().namespace(&Catalog::table_namespace(table));
+        Writer::new(self.store()).backfill_index(table, primary, &index)?;
         Ok(())
     }
 
@@ -251,27 +292,28 @@ impl<S: KvStore> Database<S> {
         })
     }
 
-    /// Execute a prepared query.
-    pub fn execute(
+    /// Execute a prepared query. Parameters are anything that lends a
+    /// [`ParamsRef`]: a `&Params`, or a request's parameter list as decoded.
+    pub fn execute<'p>(
         &self,
         session: &mut Session,
         prepared: &Prepared,
-        params: &Params,
+        params: impl Into<ParamsRef<'p>>,
     ) -> Result<QueryResult, DbError> {
         self.execute_with(session, prepared, params, ExecStrategy::Parallel, None)
     }
 
     /// Execute with an explicit strategy and optional pagination cursor.
-    pub fn execute_with(
+    pub fn execute_with<'p>(
         &self,
         session: &mut Session,
         prepared: &Prepared,
-        params: &Params,
+        params: impl Into<ParamsRef<'p>>,
         strategy: ExecStrategy,
         cursor: Option<&Cursor>,
     ) -> Result<QueryResult, DbError> {
         let catalog = self.catalog.read().clone();
-        let mut ctx = ExecCtx::new(self.store(), session, &catalog, params, strategy);
+        let mut ctx = ExecCtx::new(self.store(), session, &catalog, params.into(), strategy);
         ctx.produce_cursor = prepared.compiled.page_size.is_some();
         ctx.resume = cursor.map(|c| c.state.clone());
         let rows = ctx.eval(&prepared.compiled.physical);
@@ -291,11 +333,11 @@ impl<S: KvStore> Database<S> {
     }
 
     /// One-shot: prepare + execute.
-    pub fn query(
+    pub fn query<'p>(
         &self,
         session: &mut Session,
         sql: &str,
-        params: &Params,
+        params: impl Into<ParamsRef<'p>>,
     ) -> Result<QueryResult, DbError> {
         let prepared = self.prepare(sql)?;
         self.execute(session, &prepared, params)
@@ -303,76 +345,65 @@ impl<S: KvStore> Database<S> {
 
     // ---------------------------------------------------------------- DML
 
-    /// Execute an INSERT/UPDATE/DELETE statement.
-    pub fn execute_dml(
+    /// Execute an INSERT/UPDATE/DELETE statement: look its compiled plan up
+    /// by text (compiling on first sight) and run it.
+    pub fn execute_dml<'p>(
         &self,
         session: &mut Session,
         sql: &str,
-        params: &Params,
+        params: impl Into<ParamsRef<'p>>,
     ) -> Result<(), DbError> {
-        let catalog = self.catalog.read().clone();
-        let writer = Writer::new(self.store(), &catalog);
-        let resolve = |e: &ScalarExpr| -> Result<Value, DbError> {
-            match e {
-                ScalarExpr::Literal(v) => Ok(v.clone()),
-                ScalarExpr::Param(p) => Ok(params
-                    .scalar(p.index, &p.name)
-                    .map_err(|e| DbError::Exec(ExecError::Param(e)))?
-                    .clone()),
-                ScalarExpr::Column(_) => Err(DbError::Unsupported(
-                    "column references in DML values".into(),
-                )),
+        let plan = self.write_plan(sql)?;
+        self.execute_write(session, &plan, params)
+    }
+
+    /// Run a compiled write.
+    pub fn execute_write<'p>(
+        &self,
+        session: &mut Session,
+        plan: &WritePlan,
+        params: impl Into<ParamsRef<'p>>,
+    ) -> Result<(), DbError> {
+        Ok(plan.execute(self.store(), session, params.into())?)
+    }
+
+    /// The compiled plan of a DML text, current with the catalog: from the
+    /// cache when the text has been seen since the last catalog mutation,
+    /// compiled (and cached) otherwise. A text that does not compile is an
+    /// error every time and is never cached.
+    pub fn write_plan(&self, sql: &str) -> Result<Arc<WritePlan>, DbError> {
+        let generation = self.catalog.read().generation();
+        if let Some(plan) = self.write_plans.read().get(sql) {
+            if plan.generation() == generation {
+                return Ok(plan.clone());
             }
-        };
-        match parse(sql)? {
-            Statement::Insert(stmt) => {
-                let table = self.table_def(&stmt.table)?;
-                let values: Vec<Value> =
-                    stmt.values.iter().map(&resolve).collect::<Result<_, _>>()?;
-                let row = if stmt.columns.is_empty() {
-                    Tuple::new(values)
-                } else {
-                    if stmt.columns.len() != values.len() {
-                        return Err(DbError::Write(WriteError::RowShape(
-                            "column list and VALUES arity differ".into(),
-                        )));
-                    }
-                    let mut row = vec![Value::Null; table.columns.len()];
-                    for (col, v) in stmt.columns.iter().zip(values) {
-                        let c = table.column_id(col).ok_or_else(|| {
-                            DbError::Catalog(piql_core::catalog::CatalogError::UnknownColumn {
-                                table: table.name.clone(),
-                                column: col.clone(),
-                            })
-                        })?;
-                        row[c] = v;
-                    }
-                    Tuple::new(row)
-                };
-                writer.insert(session, &table, &row)?;
-                Ok(())
-            }
-            Statement::Update(stmt) => {
-                let table = self.table_def(&stmt.table)?;
-                let pk_values = extract_pk_filter(&table, &stmt.filter, params)?;
-                let assignments: Vec<(String, Value)> = stmt
-                    .assignments
-                    .iter()
-                    .map(|(c, e)| Ok::<_, DbError>((c.clone(), resolve(e)?)))
-                    .collect::<Result<_, _>>()?;
-                writer.update(session, &table, &pk_values, &assignments)?;
-                Ok(())
-            }
-            Statement::Delete(stmt) => {
-                let table = self.table_def(&stmt.table)?;
-                let pk_values = extract_pk_filter(&table, &stmt.filter, params)?;
-                writer.delete(session, &table, &pk_values)?;
-                Ok(())
-            }
-            _ => Err(DbError::Unsupported(
-                "execute_dml expects INSERT, UPDATE, or DELETE".into(),
-            )),
         }
+        let catalog = self.catalog();
+        let plan = Arc::new(WritePlan::build(self.store(), &catalog, &parse(sql)?)?);
+        self.plan_compiles.fetch_add(1, Ordering::Relaxed);
+        let mut cache = self.write_plans.write();
+        if cache.len() >= WRITE_PLAN_CACHE_CAP && !cache.contains_key(sql) {
+            self.plan_evictions
+                .fetch_add(cache.len() as u64, Ordering::Relaxed);
+            cache.clear();
+        }
+        cache.insert(sql.into(), plan.clone());
+        Ok(plan)
+    }
+
+    /// Occupancy and traffic of the write-plan cache.
+    pub fn write_plan_stats(&self) -> WritePlanStats {
+        WritePlanStats {
+            cached: self.write_plans.read().len() as u64,
+            compiles: self.plan_compiles.load(Ordering::Relaxed),
+            evictions: self.plan_evictions.load(Ordering::Relaxed),
+        }
+    }
+
+    /// A table's write-side resolution against the catalog as it stands
+    /// (the programmatic and bulk entry points resolve per call).
+    fn table_write(&self, table: &str) -> Result<TableWrite, DbError> {
+        table_write(self.store(), &self.catalog(), table)
     }
 
     /// Programmatic single-row insert.
@@ -382,10 +413,10 @@ impl<S: KvStore> Database<S> {
         table: &str,
         row: Tuple,
     ) -> Result<(), DbError> {
-        let table = self.table_def(table)?;
-        let catalog = self.catalog.read().clone();
-        let writer = Writer::new(self.store(), &catalog);
-        writer.insert(session, &table, &row)?;
+        let target = self.table_write(table)?;
+        let constraints = ConstraintProbe::resolve_all(&target)?;
+        let row = InputRow::new(&target.table, &row)?;
+        Writer::new(self.store()).insert(session, &target, &constraints, &row)?;
         Ok(())
     }
 
@@ -396,19 +427,16 @@ impl<S: KvStore> Database<S> {
         table: &str,
         pk_values: &[Value],
     ) -> Result<bool, DbError> {
-        let table = self.table_def(table)?;
-        let catalog = self.catalog.read().clone();
-        let writer = Writer::new(self.store(), &catalog);
-        Ok(writer.delete(session, &table, pk_values)?)
+        let target = self.table_write(table)?;
+        let pk = keys::primary_key_from_values(pk_values).map_err(WriteError::from)?;
+        Ok(Writer::new(self.store()).delete(session, &target, pk)?)
     }
 
     /// Garbage-collect dangling secondary-index entries of a table (§7.2).
     /// Returns the number of entries collected.
     pub fn gc_indexes(&self, session: &mut Session, table: &str) -> Result<u64, DbError> {
-        let table = self.table_def(table)?;
-        let catalog = self.catalog.read().clone();
-        let writer = Writer::new(self.store(), &catalog);
-        Ok(writer.gc_indexes(session, &table)?)
+        let target = self.table_write(table)?;
+        Ok(Writer::new(self.store()).gc_indexes(session, &target)?)
     }
 
     /// Untimed bulk load (experiment setup); maintains index entries.
@@ -417,83 +445,19 @@ impl<S: KvStore> Database<S> {
         table: &str,
         rows: impl IntoIterator<Item = Tuple>,
     ) -> Result<u64, DbError> {
-        let table = self.table_def(table)?;
-        let catalog = self.catalog.read().clone();
-        let writer = Writer::new(self.store(), &catalog);
-        Ok(writer.bulk_load(&table, rows)?)
+        let target = self.table_write(table)?;
+        Ok(Writer::new(self.store()).bulk_load(&target, rows)?)
     }
 
     /// Run a SELECT through the naive reference executor (testing oracle).
-    pub fn reference_query(&self, sql: &str, params: &Params) -> Result<Vec<Tuple>, DbError> {
+    pub fn reference_query<'p>(
+        &self,
+        sql: &str,
+        params: impl Into<ParamsRef<'p>>,
+    ) -> Result<Vec<Tuple>, DbError> {
         let stmt = piql_core::parser::parse_select(sql)?;
         let catalog = self.catalog.read().clone();
         let r = ReferenceExecutor::new(self.store(), &catalog);
-        r.run(&stmt, params).map_err(DbError::Exec)
+        r.run(&stmt, params.into()).map_err(DbError::Exec)
     }
-
-    fn table_def(&self, name: &str) -> Result<Arc<TableDef>, DbError> {
-        self.catalog.read().table(name).cloned().ok_or_else(|| {
-            DbError::Catalog(piql_core::catalog::CatalogError::UnknownTable(
-                name.to_string(),
-            ))
-        })
-    }
-}
-
-/// Extract primary-key values from a conjunction of `pk_col = value`
-/// predicates — the only WHERE shape UPDATE/DELETE support (every write is
-/// a bounded single-record operation).
-fn extract_pk_filter(
-    table: &TableDef,
-    filter: &[piql_core::ast::Predicate],
-    params: &Params,
-) -> Result<Vec<Value>, DbError> {
-    use piql_core::ast::{CompareOp, Predicate};
-    let mut by_col: std::collections::BTreeMap<usize, Value> = Default::default();
-    for pred in filter {
-        match pred {
-            Predicate::Compare {
-                left,
-                op: CompareOp::Eq,
-                right,
-            } => {
-                let col = table.column_id(&left.column).ok_or_else(|| {
-                    DbError::Catalog(piql_core::catalog::CatalogError::UnknownColumn {
-                        table: table.name.clone(),
-                        column: left.column.clone(),
-                    })
-                })?;
-                let v = match right {
-                    ScalarExpr::Literal(v) => v.clone(),
-                    ScalarExpr::Param(p) => params
-                        .scalar(p.index, &p.name)
-                        .map_err(|e| DbError::Exec(ExecError::Param(e)))?
-                        .clone(),
-                    ScalarExpr::Column(_) => {
-                        return Err(DbError::Unsupported(
-                            "column = column predicates in DML".into(),
-                        ))
-                    }
-                };
-                by_col.insert(col, v);
-            }
-            _ => {
-                return Err(DbError::Unsupported(
-                    "UPDATE/DELETE require `pk = value` equality predicates".into(),
-                ))
-            }
-        }
-    }
-    table
-        .primary_key_ids()
-        .iter()
-        .map(|c| {
-            by_col.get(c).cloned().ok_or_else(|| {
-                DbError::Unsupported(format!(
-                    "UPDATE/DELETE must pin the full primary key of '{}'",
-                    table.name
-                ))
-            })
-        })
-        .collect()
 }

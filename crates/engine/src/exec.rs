@@ -23,7 +23,7 @@ use piql_core::ast::AggFunc;
 use piql_core::catalog::{Catalog, IndexDef, TableDef};
 use piql_core::codec::key::{prefix_upper_bound, Dir};
 use piql_core::opt::UNBOUNDED_SCAN_BATCH;
-use piql_core::plan::params::{ParamError, Params};
+use piql_core::plan::params::{ParamError, ParamsRef};
 use piql_core::plan::physical::{
     IndexRef, KeySource, PhysAggregate, PhysicalPlan, RangeSpec, ScanLimit, ScanSpec,
     SortedJoinSpec,
@@ -114,7 +114,7 @@ pub struct ExecCtx<'a> {
     pub store: &'a dyn KvStore,
     pub session: &'a mut Session,
     pub catalog: &'a Catalog,
-    pub params: &'a Params,
+    pub params: ParamsRef<'a>,
     pub strategy: ExecStrategy,
     /// Resume point (pagination).
     pub resume: Option<CursorState>,
@@ -130,7 +130,7 @@ impl<'a> ExecCtx<'a> {
         store: &'a dyn KvStore,
         session: &'a mut Session,
         catalog: &'a Catalog,
-        params: &'a Params,
+        params: ParamsRef<'a>,
         strategy: ExecStrategy,
     ) -> Self {
         ExecCtx {

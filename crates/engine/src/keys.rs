@@ -5,11 +5,12 @@
 //! (`encode(declared parts ++ pk) -> ()`), with `TOKEN(col)` parts expanded
 //! to one entry per token of the column's text (§7.3).
 
-use piql_core::catalog::{IndexDef, IndexKind, TableDef};
+use piql_core::catalog::{ColumnId, IndexDef, IndexKind, TableDef};
 use piql_core::codec::key::{self, Dir};
+use piql_core::codec::row as row_codec;
 use piql_core::text;
 use piql_core::tuple::Tuple;
-use piql_core::value::Value;
+use piql_core::value::{Value, ValueRef};
 use std::fmt;
 
 /// Engine-level errors around key/row handling.
@@ -36,25 +37,139 @@ impl From<key::KeyCodecError> for KeyError {
     }
 }
 
+/// A row the encoders below read column by column, each value already in
+/// the canonical form of its column's type. A stored [`Tuple`] is one; the
+/// write path's sources validate and coerce request values on the way out
+/// (so a row is encoded straight from what the client sent, with no
+/// intermediate copy), which is why reading a column can fail.
+pub trait RowSource {
+    type Error: From<KeyError>;
+    fn value(&self, col: ColumnId) -> Result<ValueRef<'_>, Self::Error>;
+}
+
+impl RowSource for Tuple {
+    type Error = KeyError;
+    fn value(&self, col: ColumnId) -> Result<ValueRef<'_>, KeyError> {
+        Ok(ValueRef::of(&self[col]))
+    }
+}
+
+/// One component of a stored key, resolved to a column position.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct KeyPart {
+    pub col: ColumnId,
+    pub dir: Dir,
+    /// `TOKEN(col)`: one entry per token of the column's text.
+    pub token: bool,
+}
+
+/// The full stored key layout of `index` (declared parts, then the primary
+/// key columns not already present) with column names resolved.
+pub fn index_key_parts(table: &TableDef, index: &IndexDef) -> Result<Vec<KeyPart>, KeyError> {
+    index
+        .full_key_parts(table)
+        .iter()
+        .map(|part| {
+            let name = part.kind.column_name();
+            let col = table
+                .column_id(name)
+                .ok_or_else(|| KeyError::RowShape(format!("unknown column {name}")))?;
+            Ok(KeyPart {
+                col,
+                dir: part.dir,
+                token: matches!(part.kind, IndexKind::Token(_)),
+            })
+        })
+        .collect()
+}
+
+/// Primary-key bytes of `row`, given the key's column positions.
+pub fn primary_key_from<R: RowSource>(
+    table: &TableDef,
+    pk: &[ColumnId],
+    row: &R,
+) -> Result<Vec<u8>, R::Error> {
+    let mut len = 0;
+    for &c in pk {
+        let v = row.value(c)?;
+        if v == ValueRef::Null {
+            return Err(
+                KeyError::RowShape(format!("primary key of {} contains NULL", table.name)).into(),
+            );
+        }
+        len += v.encoded_len();
+    }
+    let mut out = Vec::with_capacity(len);
+    for &c in pk {
+        key::encode_component_ref(&mut out, row.value(c)?, Dir::Asc).map_err(KeyError::from)?;
+    }
+    Ok(out)
+}
+
 /// Primary-key bytes of a row.
 pub fn primary_key_of_row(table: &TableDef, row: &Tuple) -> Result<Vec<u8>, KeyError> {
-    let vals: Vec<Value> = table
-        .primary_key_ids()
-        .iter()
-        .map(|&c| row[c].clone())
-        .collect();
-    if vals.iter().any(Value::is_null) {
-        return Err(KeyError::RowShape(format!(
-            "primary key of {} contains NULL",
-            table.name
-        )));
-    }
-    Ok(key::encode_key_asc(&vals)?)
+    primary_key_from(table, &table.primary_key_ids(), row)
 }
 
 /// Primary-key bytes from explicit values (probe side).
 pub fn primary_key_from_values(values: &[Value]) -> Result<Vec<u8>, KeyError> {
     Ok(key::encode_key_asc(values)?)
+}
+
+/// Hand every index-entry key of `row` under the key layout `parts` to
+/// `emit` (several when a TOKEN part expands, none when it has no tokens).
+pub fn entry_keys<R: RowSource>(
+    parts: &[KeyPart],
+    row: &R,
+    mut emit: impl FnMut(Vec<u8>),
+) -> Result<(), R::Error> {
+    if !parts.iter().any(|p| p.token) {
+        // the common shape: exactly one entry, sized before it is written
+        let mut len = 0;
+        for part in parts {
+            len += row.value(part.col)?.encoded_len();
+        }
+        let mut out = Vec::with_capacity(len);
+        for part in parts {
+            key::encode_component_ref(&mut out, row.value(part.col)?, part.dir)
+                .map_err(KeyError::from)?;
+        }
+        emit(out);
+        return Ok(());
+    }
+    // token expansion: cartesian over token parts (in practice one)
+    let mut variants: Vec<Vec<u8>> = vec![Vec::new()];
+    for part in parts {
+        let value = row.value(part.col)?;
+        if !part.token {
+            for buf in &mut variants {
+                key::encode_component_ref(buf, value, part.dir).map_err(KeyError::from)?;
+            }
+            continue;
+        }
+        let texts = match value {
+            ValueRef::Varchar(s) => text::tokenize(s),
+            _ => Vec::new(),
+        };
+        if texts.is_empty() {
+            // no tokens -> no entries for this row
+            return Ok(());
+        }
+        let mut expanded = Vec::with_capacity(variants.len() * texts.len());
+        for buf in &variants {
+            for tok in &texts {
+                let mut b = buf.clone();
+                key::encode_component_ref(&mut b, ValueRef::Varchar(tok), part.dir)
+                    .map_err(KeyError::from)?;
+                expanded.push(b);
+            }
+        }
+        variants = expanded;
+    }
+    variants.sort();
+    variants.dedup();
+    variants.into_iter().for_each(emit);
+    Ok(())
 }
 
 /// All index-entry keys of a row under `index` (several when a TOKEN part
@@ -64,43 +179,9 @@ pub fn index_entry_keys(
     index: &IndexDef,
     row: &Tuple,
 ) -> Result<Vec<Vec<u8>>, KeyError> {
-    let parts = index.full_key_parts(table);
-    // token expansion: cartesian over token parts (in practice one)
-    let mut variants: Vec<Vec<u8>> = vec![Vec::new()];
-    for part in &parts {
-        let col = table.column_id(part.kind.column_name()).ok_or_else(|| {
-            KeyError::RowShape(format!("unknown column {}", part.kind.column_name()))
-        })?;
-        match &part.kind {
-            IndexKind::Column(_) => {
-                for buf in &mut variants {
-                    key::encode_component(buf, &row[col], part.dir)?;
-                }
-            }
-            IndexKind::Token(_) => {
-                let texts = match row[col].as_str() {
-                    Some(s) => text::tokenize(s),
-                    None => Vec::new(),
-                };
-                if texts.is_empty() {
-                    // no tokens -> no entries for this row
-                    return Ok(Vec::new());
-                }
-                let mut expanded = Vec::with_capacity(variants.len() * texts.len());
-                for buf in &variants {
-                    for tok in &texts {
-                        let mut b = buf.clone();
-                        key::encode_component(&mut b, &Value::Varchar(tok.clone()), part.dir)?;
-                        expanded.push(b);
-                    }
-                }
-                variants = expanded;
-            }
-        }
-    }
-    variants.sort();
-    variants.dedup();
-    Ok(variants)
+    let mut out = Vec::new();
+    entry_keys(&index_key_parts(table, index)?, row, |k| out.push(k))?;
+    Ok(out)
 }
 
 /// Append one probe component with the part's direction.
@@ -111,8 +192,7 @@ pub fn encode_probe_component(buf: &mut Vec<u8>, value: &Value, dir: Dir) -> Res
 
 /// Decode a full-row tuple from a primary-index entry's value bytes.
 pub fn decode_row(table: &TableDef, bytes: &[u8]) -> Result<Tuple, KeyError> {
-    let t =
-        piql_core::codec::row::decode_tuple(bytes).map_err(|e| KeyError::Codec(e.to_string()))?;
+    let t = row_codec::decode_tuple(bytes).map_err(|e| KeyError::Codec(e.to_string()))?;
     if t.len() != table.columns.len() {
         return Err(KeyError::RowShape(format!(
             "row for {} has {} values, expected {}",
@@ -126,7 +206,22 @@ pub fn decode_row(table: &TableDef, bytes: &[u8]) -> Result<Tuple, KeyError> {
 
 /// Encode a full-row tuple.
 pub fn encode_row(row: &Tuple) -> Vec<u8> {
-    piql_core::codec::row::encode_tuple(row)
+    row_codec::encode_tuple(row)
+}
+
+/// The record bytes of an `arity`-column row — what [`encode_row`] makes of
+/// the same values, with the same reservation.
+pub fn encode_row_from<R: RowSource>(row: &R, arity: usize) -> Result<Vec<u8>, R::Error> {
+    let mut len = 2;
+    for c in 0..arity {
+        len += row.value(c)?.encoded_len();
+    }
+    let mut out = Vec::with_capacity(len);
+    row_codec::encode_arity(&mut out, arity);
+    for c in 0..arity {
+        row_codec::encode_value_ref(&mut out, row.value(c)?);
+    }
+    Ok(out)
 }
 
 /// Reconstruct a (partial) full-arity row from a covering index entry key.
@@ -272,6 +367,7 @@ mod tests {
         ]);
         let bytes = encode_row(&row);
         assert_eq!(decode_row(&t, &bytes).unwrap(), row);
+        assert_eq!(encode_row_from(&row, row.len()).unwrap(), bytes);
         assert!(decode_row(&t, &encode_row(&Tuple::new(vec![Value::Int(1)]))).is_err());
     }
 }

@@ -5,18 +5,21 @@
 //! (Lazy / Simple / Parallel, §8.5), serializable client-side pagination
 //! cursors (§4.1), and a write path that maintains secondary indexes and
 //! enforces cardinality/uniqueness constraints on an eventually consistent
-//! store (§7.2). The [`Database`] facade ties the compiler from `piql-core`
-//! to the simulated cluster from `piql-kv`.
+//! store (§7.2), driven by write plans compiled once per statement text.
+//! The [`Database`] facade ties the compiler from `piql-core` to the
+//! simulated cluster from `piql-kv`.
 
 pub mod cursor;
 pub mod database;
 pub mod exec;
 pub mod keys;
+pub mod plan;
 pub mod reference;
 pub mod write;
 
 pub use cursor::{Cursor, CursorState};
-pub use database::{Database, DbError, Prepared};
+pub use database::{Database, DbError, Prepared, WritePlanStats, WRITE_PLAN_CACHE_CAP};
 pub use exec::{ExecCtx, ExecError, ExecStrategy, QueryResult};
+pub use plan::{WriteBound, WritePlan};
 pub use reference::ReferenceExecutor;
 pub use write::{WriteError, Writer};

@@ -12,7 +12,7 @@ use crate::keys;
 use piql_core::ast::SelectStmt;
 use piql_core::catalog::{Catalog, TableId};
 use piql_core::plan::logical::LogicalPlan;
-use piql_core::plan::params::Params;
+use piql_core::plan::params::ParamsRef;
 use piql_core::plan::{bind, BoundPredicate, RelationSource};
 use piql_core::tuple::Tuple;
 use piql_kv::{KvRequest, KvStore, Session};
@@ -29,7 +29,7 @@ impl<'a> ReferenceExecutor<'a> {
     }
 
     /// Run a SELECT to completion, returning projected rows.
-    pub fn run(&self, stmt: &SelectStmt, params: &Params) -> Result<Vec<Tuple>, ExecError> {
+    pub fn run(&self, stmt: &SelectStmt, params: ParamsRef<'_>) -> Result<Vec<Tuple>, ExecError> {
         let bq = bind(self.catalog, stmt)
             .map_err(|e| ExecError::Internal(format!("reference bind: {e}")))?;
         let schema = &bq.schema;
@@ -82,7 +82,7 @@ impl<'a> ReferenceExecutor<'a> {
 
 struct RefEval<'a, 'b> {
     exec: &'a ReferenceExecutor<'b>,
-    params: &'a Params,
+    params: ParamsRef<'a>,
     schema: &'a piql_core::plan::QuerySchema,
 }
 

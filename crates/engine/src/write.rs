@@ -12,14 +12,22 @@
 //!   exceeds the limit, undo the insert and fail. Concurrent inserts may
 //!   transiently overshoot (the paper accepts this).
 //! * **Uniqueness**: the record put is a test-and-set expecting absence.
+//!
+//! Nothing here consults the catalog or a namespace name per request: a
+//! [`TableWrite`] is the table's write-side resolution — namespaces, key
+//! layouts, constraint probes — done once (by a cached
+//! [`WritePlan`](crate::plan::WritePlan), or per call by the programmatic
+//! and bulk entry points), and rows arrive as a [`RowSource`] that the
+//! encoders read in place.
 
 use crate::exec::ExecError;
-use crate::keys;
-use piql_core::catalog::{CardinalityConstraint, Catalog, IndexDef, TableDef};
-use piql_core::codec::key::prefix_upper_bound;
+use crate::keys::{self, KeyPart, RowSource};
+use piql_core::catalog::{CardinalityConstraint, Catalog, ColumnId, IndexDef, IndexKind, TableDef};
+use piql_core::codec::key::{encode_component_ref, prefix_upper_bound, Dir};
+use piql_core::plan::params::ParamError;
 use piql_core::tuple::Tuple;
-use piql_core::value::Value;
-use piql_kv::{KvRequest, KvResponse, KvStore, NsId, Session};
+use piql_core::value::{DataType, Value, ValueRef};
+use piql_kv::{KvRequest, KvResponse, KvStore, NsId, ResponseMismatch, Session};
 use std::fmt;
 use std::sync::Arc;
 
@@ -76,232 +84,532 @@ impl From<ExecError> for WriteError {
     }
 }
 
-/// First response of a round, or a malformed-round error when the backend
-/// answered with the wrong arity.
-fn take_first(resp: &mut Vec<piql_kv::KvResponse>) -> Result<piql_kv::KvResponse, WriteError> {
-    if resp.is_empty() {
-        return Err(WriteError::Exec(
-            "malformed round: backend returned no responses".into(),
-        ));
+impl From<ParamError> for WriteError {
+    fn from(e: ParamError) -> Self {
+        WriteError::Exec(e.to_string())
     }
-    Ok(resp.remove(0))
 }
+
+impl From<ResponseMismatch> for WriteError {
+    fn from(e: ResponseMismatch) -> Self {
+        WriteError::Exec(e.to_string())
+    }
+}
+
+/// One secondary index as the write path sees it.
+#[derive(Debug, Clone)]
+pub struct IndexWrite {
+    pub ns: NsId,
+    pub def: Arc<IndexDef>,
+    /// The full stored key layout, columns resolved.
+    pub parts: Vec<KeyPart>,
+}
+
+impl IndexWrite {
+    pub fn resolve(
+        store: &dyn KvStore,
+        table: &TableDef,
+        def: &Arc<IndexDef>,
+    ) -> Result<Self, WriteError> {
+        Ok(IndexWrite {
+            ns: store.namespace(&Catalog::index_namespace(def)),
+            def: def.clone(),
+            parts: keys::index_key_parts(table, def)?,
+        })
+    }
+
+    /// Most entries one row can have here: one, times the most tokens a
+    /// `TOKEN(col)` part can expand to.
+    pub fn max_entries(&self, table: &TableDef) -> u64 {
+        self.parts
+            .iter()
+            .filter(|p| p.token)
+            .map(|p| max_tokens(table, p.col))
+            .product()
+    }
+}
+
+/// Most tokens a value of column `col` can hold: tokens are non-empty and
+/// separated by at least one byte, so a `VARCHAR(n)` fits `⌈n/2⌉`.
+pub(crate) fn max_tokens(table: &TableDef, col: ColumnId) -> u64 {
+    match table.columns[col].ty {
+        DataType::Varchar(n) => u64::from(n).div_ceil(2).max(1),
+        _ => 1,
+    }
+}
+
+/// Everything the write path needs to know about one table, resolved from
+/// a catalog once: where its records and index entries live and how their
+/// keys are laid out.
+#[derive(Debug, Clone)]
+pub struct TableWrite {
+    pub table: Arc<TableDef>,
+    pub primary: NsId,
+    /// Primary-key column positions, in key order.
+    pub pk: Vec<ColumnId>,
+    pub indexes: Vec<IndexWrite>,
+}
+
+impl TableWrite {
+    pub fn resolve(
+        store: &dyn KvStore,
+        catalog: &Catalog,
+        table: &Arc<TableDef>,
+    ) -> Result<Self, WriteError> {
+        let indexes = catalog
+            .indexes()
+            .filter(|i| i.table == table.id)
+            .map(|i| IndexWrite::resolve(store, table, i))
+            .collect::<Result<_, _>>()?;
+        Ok(TableWrite {
+            primary: store.namespace(&Catalog::table_namespace(table)),
+            pk: table.primary_key_ids(),
+            table: table.clone(),
+            indexes,
+        })
+    }
+
+    /// Upper bound on the index entries of one row, over all indexes.
+    pub fn max_entries(&self) -> u64 {
+        self.indexes
+            .iter()
+            .map(|i| i.max_entries(&self.table))
+            .sum()
+    }
+
+    /// Hand every index entry of `row` to `emit` as `(namespace, key)`.
+    fn each_entry<R: RowSource>(
+        &self,
+        row: &R,
+        mut emit: impl FnMut(NsId, Vec<u8>),
+    ) -> Result<(), R::Error> {
+        for idx in &self.indexes {
+            keys::entry_keys(&idx.parts, row, |key| emit(idx.ns, key))?;
+        }
+        Ok(())
+    }
+}
+
+/// How one `CARDINALITY LIMIT` is counted after an insert: the range whose
+/// size is the number of rows sharing the new row's constraint values.
+/// Requires the constraint columns to be a prefix of the primary key or of
+/// some secondary index (the *enforcement index*, which
+/// [`crate::database::Database`] auto-creates at table definition time).
+#[derive(Debug, Clone)]
+pub struct ConstraintProbe {
+    pub limit: u64,
+    /// The constraint's column list, as error messages spell it.
+    pub columns: String,
+    ns: NsId,
+    kind: ProbeKind,
+}
+
+#[derive(Debug, Clone)]
+enum ProbeKind {
+    /// Count the key prefix made of these columns' values.
+    Prefix(Vec<(ColumnId, Dir)>),
+    /// `TOKEN(col)`: count the token index's prefix for every token of
+    /// the new value; the worst token decides.
+    Token(ColumnId),
+}
+
+impl ConstraintProbe {
+    /// Probes for every constraint of `target`'s table, in declaration
+    /// order.
+    pub fn resolve_all(target: &TableWrite) -> Result<Vec<ConstraintProbe>, WriteError> {
+        target
+            .table
+            .cardinality_constraints
+            .iter()
+            .map(|cc| Self::resolve(target, cc))
+            .collect()
+    }
+
+    fn resolve(target: &TableWrite, cc: &CardinalityConstraint) -> Result<Self, WriteError> {
+        let table = &target.table;
+        let column = |name: &str| table.column_id(name).expect("validated");
+        let no_index = |what: String| {
+            WriteError::Exec(format!(
+                "no enforcement index for CARDINALITY LIMIT ({what}) on '{}'",
+                table.name
+            ))
+        };
+        let (ns, kind) = if let Some(col) = cc.token_column() {
+            let idx = target
+                .indexes
+                .iter()
+                .find(|i| {
+                    i.def.key.first().is_some_and(|p| {
+                        p.kind.is_token() && p.kind.column_name().eq_ignore_ascii_case(col)
+                    })
+                })
+                .ok_or_else(|| no_index(format!("TOKEN({col})")))?;
+            (idx.ns, ProbeKind::Token(column(col)))
+        } else if cc.columns.len() <= table.primary_key.len()
+            && cc
+                .columns
+                .iter()
+                .zip(&table.primary_key)
+                .all(|(a, b)| a.eq_ignore_ascii_case(b))
+        {
+            let cols = cc.columns.iter().map(|c| (column(c), Dir::Asc)).collect();
+            (target.primary, ProbeKind::Prefix(cols))
+        } else {
+            // an index whose leading parts are the constraint columns
+            let idx = target
+                .indexes
+                .iter()
+                .find(|i| {
+                    i.def.key.len() >= cc.columns.len()
+                        && i.def.key.iter().zip(&cc.columns).all(|(part, col)| {
+                            matches!(&part.kind, IndexKind::Column(c) if c.eq_ignore_ascii_case(col))
+                        })
+                })
+                .ok_or_else(|| no_index(cc.columns.join(", ")))?;
+            let cols = cc
+                .columns
+                .iter()
+                .zip(&idx.parts)
+                .map(|(c, part)| (column(c), part.dir))
+                .collect();
+            (idx.ns, ProbeKind::Prefix(cols))
+        };
+        Ok(ConstraintProbe {
+            limit: cc.limit,
+            columns: cc.columns.join(", "),
+            ns,
+            kind,
+        })
+    }
+
+    /// Most count requests (one round) this probe issues for one row.
+    pub fn max_requests(&self, table: &TableDef) -> u64 {
+        match &self.kind {
+            ProbeKind::Prefix(_) => 1,
+            ProbeKind::Token(col) => max_tokens(table, *col),
+        }
+    }
+
+    /// Count rows sharing `row`'s values on the constraint columns.
+    fn count<R>(
+        &self,
+        store: &dyn KvStore,
+        session: &mut Session,
+        row: &R,
+    ) -> Result<u64, WriteError>
+    where
+        R: RowSource<Error = WriteError>,
+    {
+        let count_prefix = |prefix: Vec<u8>| KvRequest::CountRange {
+            ns: self.ns,
+            end: prefix_upper_bound(&prefix),
+            start: prefix,
+        };
+        match &self.kind {
+            ProbeKind::Prefix(cols) => {
+                let mut prefix = Vec::new();
+                for &(col, dir) in cols {
+                    encode_component_ref(&mut prefix, row.value(col)?, dir)
+                        .map_err(keys::KeyError::from)?;
+                }
+                Ok(store.execute_one(session, count_prefix(prefix)).count()?)
+            }
+            ProbeKind::Token(col) => {
+                let tokens = match row.value(*col)? {
+                    ValueRef::Varchar(s) => piql_core::text::tokenize(s),
+                    _ => Vec::new(),
+                };
+                let mut round = Round::default();
+                for token in &tokens {
+                    let mut prefix = Vec::new();
+                    encode_component_ref(&mut prefix, ValueRef::Varchar(token), Dir::Asc)
+                        .map_err(keys::KeyError::from)?;
+                    round.push(count_prefix(prefix));
+                }
+                let mut worst = 0;
+                for response in round.issue(store, session) {
+                    worst = worst.max(response.count()?);
+                }
+                Ok(worst)
+            }
+        }
+    }
+}
+
+/// The requests of one round, collected without allocating until there is
+/// a second one: most rounds of the write path carry exactly one request,
+/// and [`KvStore::execute_one`] serves those without boxing either side.
+#[derive(Default)]
+enum Round {
+    #[default]
+    Empty,
+    One(KvRequest),
+    Many(Vec<KvRequest>),
+}
+
+impl Round {
+    fn push(&mut self, req: KvRequest) {
+        *self = match std::mem::take(self) {
+            Round::Empty => Round::One(req),
+            Round::One(first) => Round::Many(vec![first, req]),
+            Round::Many(mut reqs) => {
+                reqs.push(req);
+                Round::Many(reqs)
+            }
+        };
+    }
+
+    /// Issue the round (nothing at all when it is empty).
+    fn issue(self, store: &dyn KvStore, session: &mut Session) -> Vec<KvResponse> {
+        match self {
+            Round::Empty => Vec::new(),
+            Round::One(req) => vec![store.execute_one(session, req)],
+            Round::Many(reqs) => store.execute_round(session, reqs),
+        }
+    }
+
+    /// [`Round::issue`] for rounds whose responses carry nothing (puts and
+    /// deletes).
+    fn send(self, store: &dyn KvStore, session: &mut Session) {
+        match self {
+            Round::Empty => {}
+            Round::One(req) => {
+                store.execute_one(session, req);
+            }
+            Round::Many(reqs) => {
+                store.execute_round(session, reqs);
+            }
+        }
+    }
+}
+
+/// Column `col`'s value for a row about to be stored: `value` checked
+/// against the column's nullability and type, in the type's canonical
+/// form.
+pub(crate) fn conform<'v>(
+    table: &TableDef,
+    col: ColumnId,
+    value: &'v Value,
+) -> Result<ValueRef<'v>, WriteError> {
+    let column = &table.columns[col];
+    if value.is_null() && !column.nullable {
+        return Err(WriteError::RowShape(format!(
+            "column '{}' of table '{}' is NOT NULL",
+            column.name, table.name
+        )));
+    }
+    value.coerce_ref(column.ty).ok_or_else(|| {
+        WriteError::RowShape(format!(
+            "value {value} does not fit column '{}' {}",
+            column.name, column.ty
+        ))
+    })
+}
+
+/// A full row for `table` has one value per column.
+pub(crate) fn check_arity(table: &TableDef, values: usize) -> Result<(), WriteError> {
+    if values == table.columns.len() {
+        return Ok(());
+    }
+    Err(WriteError::RowShape(format!(
+        "table '{}' expects {} values, got {values}",
+        table.name,
+        table.columns.len(),
+    )))
+}
+
+/// A caller-supplied full row, validated and coerced as it is read.
+pub struct InputRow<'a> {
+    table: &'a TableDef,
+    row: &'a Tuple,
+}
+
+impl<'a> InputRow<'a> {
+    pub fn new(table: &'a TableDef, row: &'a Tuple) -> Result<Self, WriteError> {
+        check_arity(table, row.len())?;
+        Ok(InputRow { table, row })
+    }
+}
+
+impl RowSource for InputRow<'_> {
+    type Error = WriteError;
+    fn value(&self, col: ColumnId) -> Result<ValueRef<'_>, WriteError> {
+        conform(self.table, col, &self.row[col])
+    }
+}
+
+/// Optimistic attempts an UPDATE makes before giving up on a contended row.
+pub(crate) const UPDATE_ATTEMPTS: u64 = 8;
 
 /// The write-path engine.
 pub struct Writer<'a> {
     pub store: &'a dyn KvStore,
-    pub catalog: &'a Catalog,
 }
 
 impl<'a> Writer<'a> {
-    pub fn new(store: &'a dyn KvStore, catalog: &'a Catalog) -> Self {
-        Writer { store, catalog }
-    }
-
-    fn primary_ns(&self, table: &TableDef) -> NsId {
-        self.store.namespace(&Catalog::table_namespace(table))
-    }
-
-    fn index_ns(&self, index: &IndexDef) -> NsId {
-        self.store.namespace(&Catalog::index_namespace(index))
-    }
-
-    /// Validate and coerce a full row for `table`.
-    pub fn conform_row(table: &TableDef, row: &Tuple) -> Result<Tuple, WriteError> {
-        if row.len() != table.columns.len() {
-            return Err(WriteError::RowShape(format!(
-                "table '{}' expects {} values, got {}",
-                table.name,
-                table.columns.len(),
-                row.len()
-            )));
-        }
-        let mut vals = Vec::with_capacity(row.len());
-        for (col, v) in table.columns.iter().zip(row.values()) {
-            if v.is_null() && !col.nullable {
-                return Err(WriteError::RowShape(format!(
-                    "column '{}' of table '{}' is NOT NULL",
-                    col.name, table.name
-                )));
-            }
-            let cv = v.coerce(col.ty).ok_or_else(|| {
-                WriteError::RowShape(format!(
-                    "value {v} does not fit column '{}' {}",
-                    col.name, col.ty
-                ))
-            })?;
-            vals.push(cv);
-        }
-        Ok(Tuple::new(vals))
+    pub fn new(store: &'a dyn KvStore) -> Self {
+        Writer { store }
     }
 
     /// Insert one row, maintaining all secondary indexes and constraints.
-    pub fn insert(
+    pub fn insert<R>(
         &self,
         session: &mut Session,
-        table: &TableDef,
-        row: &Tuple,
-    ) -> Result<(), WriteError> {
-        let row = Self::conform_row(table, row)?;
-        let pk = keys::primary_key_of_row(table, &row)?;
-        let row_bytes = keys::encode_row(&row);
-        let primary = self.primary_ns(table);
-        let indexes = self.catalog.indexes_for_table(table.id);
+        target: &TableWrite,
+        constraints: &[ConstraintProbe],
+        row: &R,
+    ) -> Result<(), WriteError>
+    where
+        R: RowSource<Error = WriteError>,
+    {
+        let table = &target.table;
+        // reading every column first validates the whole row, in column
+        // order, before anything is written
+        let row_bytes = keys::encode_row_from(row, table.columns.len())?;
+        let pk = keys::primary_key_from(table, &target.pk, row)?;
 
         // 1. secondary index entries first (one parallel round)
-        let mut index_puts = Vec::new();
-        for idx in &indexes {
-            let ns = self.index_ns(idx);
-            for key in keys::index_entry_keys(table, idx, &row)? {
-                index_puts.push(KvRequest::Put {
-                    ns,
-                    key,
-                    value: Vec::new(),
-                });
-            }
-        }
-        if !index_puts.is_empty() {
-            self.store.execute_round(session, index_puts.clone());
-        }
+        let mut puts = Round::default();
+        target.each_entry(row, |ns, key| {
+            puts.push(KvRequest::Put {
+                ns,
+                key,
+                value: Vec::new(),
+            })
+        })?;
+        puts.send(self.store, session);
 
         // 2. the record, with a test-and-set enforcing pk uniqueness
-        let resp = self.store.execute_round(
+        let response = self.store.execute_one(
             session,
-            vec![KvRequest::TestAndSet {
-                ns: primary,
-                key: pk.clone(),
+            KvRequest::TestAndSet {
+                ns: target.primary,
+                key: pk,
                 expect: None,
                 value: Some(row_bytes),
-            }],
+            },
         );
-        if let Some(KvResponse::TasResult { success: false, .. }) = resp.first() {
-            // undo the index entries we just wrote
-            self.delete_index_entries(session, table, &row)?;
+        let (inserted, stored) = response.tas()?;
+        if !inserted {
+            // Undo the entries just written — except those the stored row
+            // derives too. Index keys end in the primary key, so where the
+            // duplicate's indexed columns equal the live row's the keys
+            // *are* the live row's entries, and deleting them would leave
+            // a record its index cannot find.
+            let live = stored.map(|b| keys::decode_row(table, b)).transpose()?;
+            let mut keep = Vec::new();
+            if let Some(live) = &live {
+                target.each_entry(live, |ns, key| keep.push((ns, key)))?;
+            }
+            let mut undo = Round::default();
+            target.each_entry(row, |ns, key| {
+                let entry = (ns, key);
+                if !keep.contains(&entry) {
+                    undo.push(KvRequest::Delete {
+                        ns: entry.0,
+                        key: entry.1,
+                    });
+                }
+            })?;
+            undo.send(self.store, session);
             return Err(WriteError::DuplicateKey {
                 table: table.name.clone(),
             });
         }
 
         // 3. cardinality enforcement: count after insert, undo on overflow
-        for cc in &table.cardinality_constraints {
-            let count = self.constraint_count(session, table, cc, &row)?;
-            if count > cc.limit {
-                self.delete_index_entries(session, table, &row)?;
-                self.store.execute_round(
+        for probe in constraints {
+            if probe.count(self.store, session, row)? > probe.limit {
+                self.delete_index_entries(session, target, row)?;
+                self.store.execute_one(
                     session,
-                    vec![KvRequest::Delete {
-                        ns: primary,
-                        key: pk.clone(),
-                    }],
+                    KvRequest::Delete {
+                        ns: target.primary,
+                        key: keys::primary_key_from(table, &target.pk, row)?,
+                    },
                 );
                 return Err(WriteError::CardinalityExceeded {
                     table: table.name.clone(),
-                    constraint: cc.columns.join(", "),
-                    limit: cc.limit,
+                    constraint: probe.columns.clone(),
+                    limit: probe.limit,
                 });
             }
         }
         Ok(())
     }
 
-    /// Update a row identified by its primary-key values. Assignments may
-    /// not touch pk columns.
+    /// Update the row stored under primary key `pk`: `assign` edits a copy
+    /// of the stored row (it may not touch pk columns), which is then
+    /// validated like an inserted one.
     pub fn update(
         &self,
         session: &mut Session,
-        table: &TableDef,
-        pk_values: &[Value],
-        assignments: &[(String, Value)],
+        target: &TableWrite,
+        pk: &[u8],
+        assign: &dyn Fn(&mut Tuple) -> Result<(), WriteError>,
     ) -> Result<(), WriteError> {
-        for (col, _) in assignments {
-            if table
-                .primary_key
-                .iter()
-                .any(|p| p.eq_ignore_ascii_case(col))
-            {
-                return Err(WriteError::RowShape(format!(
-                    "cannot update primary-key column '{col}'"
-                )));
-            }
-        }
-        let primary = self.primary_ns(table);
-        let pk = keys::primary_key_from_values(pk_values)?;
+        let table = &target.table;
         // optimistic TAS loop against concurrent writers
-        for _attempt in 0..8 {
-            let resp = self.store.execute_round(
-                session,
-                vec![KvRequest::Get {
-                    ns: primary,
-                    key: pk.clone(),
-                }],
-            );
-            let old_bytes = match resp.first() {
-                Some(KvResponse::Value(Some(b))) => b.clone(),
-                _ => {
-                    return Err(WriteError::NotFound {
-                        table: table.name.clone(),
-                    })
-                }
+        for _attempt in 0..UPDATE_ATTEMPTS {
+            let stored = self
+                .store
+                .execute_one(
+                    session,
+                    KvRequest::Get {
+                        ns: target.primary,
+                        key: pk.to_vec(),
+                    },
+                )
+                .into_value()?;
+            let Some(old_bytes) = stored else {
+                return Err(WriteError::NotFound {
+                    table: table.name.clone(),
+                });
             };
             let old_row = keys::decode_row(table, &old_bytes)?;
             let mut new_row = old_row.clone();
-            for (col, val) in assignments {
-                let c = table.column_id(col).ok_or_else(|| {
-                    WriteError::RowShape(format!(
-                        "unknown column '{col}' in table '{}'",
-                        table.name
-                    ))
-                })?;
-                new_row.set(c, val.clone());
-            }
-            let new_row = Self::conform_row(table, &new_row)?;
-            let new_bytes = keys::encode_row(&new_row);
+            assign(&mut new_row)?;
+            let new_row = InputRow::new(table, &new_row)?;
+            let new_bytes = keys::encode_row_from(&new_row, table.columns.len())?;
 
             // 1. fresh index entries
-            let indexes = self.catalog.indexes_for_table(table.id);
-            let mut adds = Vec::new();
-            let mut stale = Vec::new();
-            for idx in &indexes {
-                let ns = self.index_ns(idx);
-                let old_keys = keys::index_entry_keys(table, idx, &old_row)?;
-                let new_keys = keys::index_entry_keys(table, idx, &new_row)?;
-                for k in &new_keys {
-                    if !old_keys.contains(k) {
-                        adds.push(KvRequest::Put {
-                            ns,
-                            key: k.clone(),
-                            value: Vec::new(),
+            let mut old_keys = Vec::new();
+            target.each_entry(&old_row, |ns, key| old_keys.push((ns, key)))?;
+            let mut new_keys = Vec::new();
+            target.each_entry(&new_row, |ns, key| new_keys.push((ns, key)))?;
+            let mut adds = Round::default();
+            for entry in &new_keys {
+                if !old_keys.contains(entry) {
+                    adds.push(KvRequest::Put {
+                        ns: entry.0,
+                        key: entry.1.clone(),
+                        value: Vec::new(),
+                    });
+                }
+            }
+            adds.send(self.store, session);
+            // 2. the record, conditionally
+            let response = self.store.execute_one(
+                session,
+                KvRequest::TestAndSet {
+                    ns: target.primary,
+                    key: pk.to_vec(),
+                    expect: Some(old_bytes),
+                    value: Some(new_bytes),
+                },
+            );
+            if response.tas()?.0 {
+                // 3. stale entries last
+                let mut stale = Round::default();
+                for entry in old_keys {
+                    if !new_keys.contains(&entry) {
+                        stale.push(KvRequest::Delete {
+                            ns: entry.0,
+                            key: entry.1,
                         });
                     }
                 }
-                for k in old_keys {
-                    if !new_keys.contains(&k) {
-                        stale.push(KvRequest::Delete { ns, key: k });
-                    }
-                }
-            }
-            if !adds.is_empty() {
-                self.store.execute_round(session, adds);
-            }
-            // 2. the record, conditionally
-            let resp = self.store.execute_round(
-                session,
-                vec![KvRequest::TestAndSet {
-                    ns: primary,
-                    key: pk.clone(),
-                    expect: Some(old_bytes),
-                    value: Some(new_bytes),
-                }],
-            );
-            let success = matches!(
-                resp.first(),
-                Some(KvResponse::TasResult { success: true, .. })
-            );
-            if success {
-                // 3. stale entries last
-                if !stale.is_empty() {
-                    self.store.execute_round(session, stale);
-                }
+                stale.send(self.store, session);
                 return Ok(());
             }
             // lost the race: the adds we made are dangling (GC-able); retry
@@ -312,36 +620,37 @@ impl<'a> Writer<'a> {
         )))
     }
 
-    /// Delete a row by primary key. Returns whether a row existed.
+    /// Delete the row stored under primary key `pk`. Returns whether a row
+    /// existed.
     pub fn delete(
         &self,
         session: &mut Session,
-        table: &TableDef,
-        pk_values: &[Value],
+        target: &TableWrite,
+        pk: Vec<u8>,
     ) -> Result<bool, WriteError> {
-        let primary = self.primary_ns(table);
-        let pk = keys::primary_key_from_values(pk_values)?;
-        let resp = self.store.execute_round(
-            session,
-            vec![KvRequest::Get {
-                ns: primary,
-                key: pk.clone(),
-            }],
-        );
-        let old_bytes = match resp.first() {
-            Some(KvResponse::Value(Some(b))) => b.clone(),
-            _ => return Ok(false),
+        let stored = self
+            .store
+            .execute_one(
+                session,
+                KvRequest::Get {
+                    ns: target.primary,
+                    key: pk.clone(),
+                },
+            )
+            .into_value()?;
+        let Some(old_bytes) = stored else {
+            return Ok(false);
         };
-        let old_row = keys::decode_row(table, &old_bytes)?;
+        let old_row = keys::decode_row(&target.table, &old_bytes)?;
         // record first, then index entries (dangling entries are safe)
-        self.store.execute_round(
+        self.store.execute_one(
             session,
-            vec![KvRequest::Delete {
-                ns: primary,
+            KvRequest::Delete {
+                ns: target.primary,
                 key: pk,
-            }],
+            },
         );
-        self.delete_index_entries(session, table, &old_row)?;
+        self.delete_index_entries(session, target, &old_row)?;
         Ok(true)
     }
 
@@ -349,28 +658,17 @@ impl<'a> Writer<'a> {
     /// written too; constraints are trusted, not checked.
     pub fn bulk_load(
         &self,
-        table: &TableDef,
+        target: &TableWrite,
         rows: impl IntoIterator<Item = Tuple>,
     ) -> Result<u64, WriteError> {
-        let primary = self.primary_ns(table);
-        let indexes = self.catalog.indexes_for_table(table.id);
-        let index_ns: Vec<(Arc<IndexDef>, NsId)> = indexes
-            .into_iter()
-            .map(|i| {
-                let ns = self.index_ns(&i);
-                (i, ns)
-            })
-            .collect();
+        let table = &target.table;
         let mut n = 0;
         for row in rows {
-            let row = Self::conform_row(table, &row)?;
-            let pk = keys::primary_key_of_row(table, &row)?;
-            self.store.bulk_put(primary, pk, keys::encode_row(&row));
-            for (idx, ns) in &index_ns {
-                for key in keys::index_entry_keys(table, idx, &row)? {
-                    self.store.bulk_put(*ns, key, Vec::new());
-                }
-            }
+            let row = InputRow::new(table, &row)?;
+            let pk = keys::primary_key_from(table, &target.pk, &row)?;
+            let bytes = keys::encode_row_from(&row, table.columns.len())?;
+            self.store.bulk_put(target.primary, pk, bytes);
+            target.each_entry(&row, |ns, key| self.store.bulk_put(ns, key, Vec::new()))?;
             n += 1;
         }
         Ok(n)
@@ -380,57 +678,58 @@ impl<'a> Writer<'a> {
     /// ordered write path can leave index entries whose record no longer
     /// exists (or no longer matches) after a crash mid-update. Readers skip
     /// them; this sweep removes them. Returns the number collected.
-    pub fn gc_indexes(&self, session: &mut Session, table: &TableDef) -> Result<u64, WriteError> {
-        let primary = self.primary_ns(table);
+    pub fn gc_indexes(
+        &self,
+        session: &mut Session,
+        target: &TableWrite,
+    ) -> Result<u64, WriteError> {
+        let table = &target.table;
         let mut collected = 0u64;
-        for idx in self.catalog.indexes_for_table(table.id) {
-            let ns = self.index_ns(&idx);
+        for idx in &target.indexes {
             let mut start: Vec<u8> = Vec::new();
             loop {
-                let mut resp = self.store.execute_round(
-                    session,
-                    vec![KvRequest::GetRange {
-                        ns,
-                        start: start.clone(),
-                        end: None,
-                        limit: Some(512),
-                        reverse: false,
-                    }],
-                );
-                let entries = take_first(&mut resp)?
-                    .into_entries()
-                    .map_err(|e| WriteError::Exec(e.to_string()))?;
+                let entries = self
+                    .store
+                    .execute_one(
+                        session,
+                        KvRequest::GetRange {
+                            ns: idx.ns,
+                            start: start.clone(),
+                            end: None,
+                            limit: Some(512),
+                            reverse: false,
+                        },
+                    )
+                    .into_entries()?;
                 let len = entries.len();
                 if len == 0 {
                     break;
                 }
                 // fetch the referenced records in one parallel round
-                let mut pk_keys = Vec::with_capacity(entries.len());
+                let mut gets = Vec::with_capacity(len);
                 for (k, _) in &entries {
-                    let pk_vals = keys::pk_values_from_index_key(table, &idx, k)?;
-                    pk_keys.push(keys::primary_key_from_values(&pk_vals)?);
+                    let pk_vals = keys::pk_values_from_index_key(table, &idx.def, k)?;
+                    gets.push(KvRequest::Get {
+                        ns: target.primary,
+                        key: keys::primary_key_from_values(&pk_vals)?,
+                    });
                 }
-                let gets: Vec<KvRequest> = pk_keys
-                    .iter()
-                    .map(|key| KvRequest::Get {
-                        ns: primary,
-                        key: key.clone(),
-                    })
-                    .collect();
                 let rows = self.store.execute_round(session, gets);
                 let mut dels = Vec::new();
                 for ((entry_key, _), row) in entries.iter().zip(rows) {
-                    let dangling = match row {
-                        KvResponse::Value(Some(bytes)) => {
+                    let dangling = match row.into_value()? {
+                        Some(bytes) => {
                             // entry must still be derivable from the record
                             let rec = keys::decode_row(table, &bytes)?;
-                            !keys::index_entry_keys(table, &idx, &rec)?.contains(entry_key)
+                            let mut derived = false;
+                            keys::entry_keys(&idx.parts, &rec, |k| derived |= k == *entry_key)?;
+                            !derived
                         }
-                        _ => true, // record gone entirely
+                        None => true, // record gone entirely
                     };
                     if dangling {
                         dels.push(KvRequest::Delete {
-                            ns,
+                            ns: idx.ns,
                             key: entry_key.clone(),
                         });
                     }
@@ -439,7 +738,7 @@ impl<'a> Writer<'a> {
                 if !dels.is_empty() {
                     self.store.execute_round(session, dels);
                 }
-                start = entries.last().unwrap().0.clone();
+                start = entries.last().expect("non-empty page").0.clone();
                 start.push(0);
                 if len < 512 {
                     break;
@@ -449,35 +748,38 @@ impl<'a> Writer<'a> {
         Ok(collected)
     }
 
-    /// Build (backfill) one index from the table's current records —
-    /// offline index construction for compiler-derived indexes.
-    pub fn backfill_index(&self, table: &TableDef, index: &IndexDef) -> Result<u64, WriteError> {
-        let primary = self.primary_ns(table);
-        let ns = self.index_ns(index);
+    /// Build (backfill) one index from the records currently in `primary`
+    /// — offline index construction for compiler-derived indexes.
+    pub fn backfill_index(
+        &self,
+        table: &TableDef,
+        primary: NsId,
+        index: &IndexWrite,
+    ) -> Result<u64, WriteError> {
         let mut session = Session::new();
         let mut start: Vec<u8> = Vec::new();
         let mut n = 0;
         loop {
-            let mut resp = self.store.execute_round(
-                &mut session,
-                vec![KvRequest::GetRange {
-                    ns: primary,
-                    start: start.clone(),
-                    end: None,
-                    limit: Some(1024),
-                    reverse: false,
-                }],
-            );
-            let entries = take_first(&mut resp)?
-                .into_entries()
-                .map_err(|e| WriteError::Exec(e.to_string()))?;
+            let entries = self
+                .store
+                .execute_one(
+                    &mut session,
+                    KvRequest::GetRange {
+                        ns: primary,
+                        start: start.clone(),
+                        end: None,
+                        limit: Some(1024),
+                        reverse: false,
+                    },
+                )
+                .into_entries()?;
             let len = entries.len();
             for (k, v) in &entries {
                 let row = keys::decode_row(table, v)?;
-                for key in keys::index_entry_keys(table, index, &row)? {
-                    self.store.bulk_put(ns, key, Vec::new());
+                keys::entry_keys(&index.parts, &row, |key| {
+                    self.store.bulk_put(index.ns, key, Vec::new());
                     n += 1;
-                }
+                })?;
                 start = k.clone();
                 start.push(0);
             }
@@ -488,145 +790,19 @@ impl<'a> Writer<'a> {
         Ok(n)
     }
 
-    fn delete_index_entries(
+    fn delete_index_entries<R>(
         &self,
         session: &mut Session,
-        table: &TableDef,
-        row: &Tuple,
-    ) -> Result<(), WriteError> {
-        let mut dels = Vec::new();
-        for idx in self.catalog.indexes_for_table(table.id) {
-            let ns = self.index_ns(&idx);
-            for key in keys::index_entry_keys(table, &idx, row)? {
-                dels.push(KvRequest::Delete { ns, key });
-            }
-        }
-        if !dels.is_empty() {
-            self.store.execute_round(session, dels);
-        }
+        target: &TableWrite,
+        row: &R,
+    ) -> Result<(), WriteError>
+    where
+        R: RowSource,
+        WriteError: From<R::Error>,
+    {
+        let mut dels = Round::default();
+        target.each_entry(row, |ns, key| dels.push(KvRequest::Delete { ns, key }))?;
+        dels.send(self.store, session);
         Ok(())
-    }
-
-    /// Count rows sharing this row's values on the constraint columns.
-    /// Requires the constraint columns to be a prefix of the primary key or
-    /// of some secondary index (the *enforcement index*, which
-    /// [`crate::database::Database`] auto-creates at table definition time).
-    fn constraint_count(
-        &self,
-        session: &mut Session,
-        table: &TableDef,
-        cc: &CardinalityConstraint,
-        row: &Tuple,
-    ) -> Result<u64, WriteError> {
-        // TOKEN(col) constraints: count the token index prefix for every
-        // token of the new value; report the worst token.
-        if let Some(col) = cc.token_column() {
-            let c = table.column_id(col).expect("validated");
-            let tokens = match row[c].as_str() {
-                Some(s) => piql_core::text::tokenize(s),
-                None => Vec::new(),
-            };
-            if tokens.is_empty() {
-                return Ok(0);
-            }
-            let idx = self
-                .catalog
-                .indexes_for_table(table.id)
-                .into_iter()
-                .find(|i| {
-                    i.key
-                        .first()
-                        .map(|p| {
-                            p.kind.is_token() && p.kind.column_name().eq_ignore_ascii_case(col)
-                        })
-                        .unwrap_or(false)
-                })
-                .ok_or_else(|| {
-                    WriteError::Exec(format!(
-                        "no enforcement index for CARDINALITY LIMIT (TOKEN({col})) on '{}'",
-                        table.name
-                    ))
-                })?;
-            let ns = self.index_ns(&idx);
-            let counts: Vec<KvRequest> = tokens
-                .iter()
-                .map(|t| {
-                    let mut p = Vec::new();
-                    keys::encode_probe_component(
-                        &mut p,
-                        &Value::Varchar(t.clone()),
-                        Default::default(),
-                    )
-                    .expect("varchar is key-compatible");
-                    let end = prefix_upper_bound(&p);
-                    KvRequest::CountRange { ns, start: p, end }
-                })
-                .collect();
-            let resps = self.store.execute_round(session, counts);
-            let mut worst = 0;
-            for r in &resps {
-                worst = worst.max(r.count().map_err(|e| WriteError::Exec(e.to_string()))?);
-            }
-            return Ok(worst);
-        }
-
-        let vals: Vec<Value> = cc
-            .columns
-            .iter()
-            .map(|c| row[table.column_id(c).expect("validated")].clone())
-            .collect();
-
-        // primary prefix?
-        let pk_prefix_ok = cc.columns.len() <= table.primary_key.len()
-            && cc
-                .columns
-                .iter()
-                .zip(&table.primary_key)
-                .all(|(a, b)| a.eq_ignore_ascii_case(b));
-        let (ns, prefix) = if pk_prefix_ok {
-            let mut p = Vec::new();
-            for v in &vals {
-                keys::encode_probe_component(&mut p, v, Default::default())?;
-            }
-            (self.primary_ns(table), p)
-        } else {
-            // find an index whose leading parts are the constraint columns
-            let idx = self
-                .catalog
-                .indexes_for_table(table.id)
-                .into_iter()
-                .find(|i| {
-                    i.key.len() >= cc.columns.len()
-                        && i.key.iter().zip(&cc.columns).all(|(part, col)| {
-                            !part.kind.is_token()
-                                && part.kind.column_name().eq_ignore_ascii_case(col)
-                        })
-                })
-                .ok_or_else(|| {
-                    WriteError::Exec(format!(
-                        "no enforcement index for CARDINALITY LIMIT ({}) on '{}'",
-                        cc.columns.join(", "),
-                        table.name
-                    ))
-                })?;
-            let dirs = idx.full_key_dirs(table);
-            let mut p = Vec::new();
-            for (i, v) in vals.iter().enumerate() {
-                keys::encode_probe_component(&mut p, v, dirs[i])?;
-            }
-            (self.index_ns(&idx), p)
-        };
-        let end = prefix_upper_bound(&prefix);
-        let mut resp = self.store.execute_round(
-            session,
-            vec![KvRequest::CountRange {
-                ns,
-                start: prefix,
-                end,
-            }],
-        );
-        take_first(&mut resp)?
-            .count()
-            .map_err(|e| WriteError::Exec(e.to_string()))
     }
 }

@@ -5,7 +5,7 @@ use piql_core::plan::params::Params;
 use piql_core::tuple;
 use piql_core::value::Value;
 use piql_engine::{Cursor, Database, DbError, ExecStrategy, WriteError};
-use piql_kv::{ClusterConfig, Session, SimCluster};
+use piql_kv::{ClusterConfig, KvStore, LiveCluster, LiveConfig, Session, SimCluster};
 use std::sync::Arc;
 
 const SCADR_DDL: &[&str] = &[
@@ -467,4 +467,138 @@ fn update_preserves_unchanged_index_entries() {
     assert!(rows
         .iter()
         .any(|r| r[2] == Value::Varchar("edited contents".into())));
+}
+
+/// §7.2's ordering promises a record is never unreachable through its
+/// indexes. Index keys end in the primary key, so a duplicate insert whose
+/// indexed columns equal the stored row's writes — and must not "undo" —
+/// the live row's own entries.
+fn rejected_duplicate_leaves_the_live_row_indexed<S: KvStore>(db: &Database<S>, backend: &str) {
+    for ddl in SCADR_DDL {
+        db.execute_ddl(ddl).unwrap();
+    }
+    db.execute_ddl("CREATE INDEX users_by_town ON users (home_town)")
+        .unwrap();
+    db.bulk_load(
+        "users",
+        (0..5).map(|i| tuple![format!("user{i:04}").as_str(), "Berkeley"]),
+    )
+    .unwrap();
+    let by_town = "SELECT * FROM users WHERE home_town = <t> LIMIT 20";
+    let in_town = |session: &mut Session, town: &str| {
+        let params = Params::from_values([Value::Varchar(town.into())]);
+        db.query(session, by_town, &params).unwrap().rows.len()
+    };
+    let mut session = Session::new();
+    assert_eq!(in_town(&mut session, "Berkeley"), 5, "{backend}");
+
+    // same indexed value as the live row: its entry must survive
+    let err = db
+        .insert_row(&mut session, "users", tuple!["user0000", "Berkeley"])
+        .unwrap_err();
+    assert!(
+        matches!(err, DbError::Write(WriteError::DuplicateKey { .. })),
+        "{backend}: {err}"
+    );
+    assert_eq!(in_town(&mut session, "Berkeley"), 5, "{backend}");
+
+    // a different indexed value: the entry written for it is undone
+    let err = db
+        .execute_dml(
+            &mut session,
+            "INSERT INTO users (username, home_town) VALUES (<u>, <t>)",
+            &Params::from_values([
+                Value::Varchar("user0001".into()),
+                Value::Varchar("Oakland".into()),
+            ]),
+        )
+        .unwrap_err();
+    assert!(
+        matches!(err, DbError::Write(WriteError::DuplicateKey { .. })),
+        "{backend}: {err}"
+    );
+    assert_eq!(in_town(&mut session, "Oakland"), 0, "{backend}");
+    assert_eq!(in_town(&mut session, "Berkeley"), 5, "{backend}");
+    assert_eq!(
+        db.gc_indexes(&mut session, "users").unwrap(),
+        0,
+        "{backend}: nothing left dangling"
+    );
+}
+
+#[test]
+fn rejected_duplicate_insert_leaves_the_live_row_indexed() {
+    rejected_duplicate_leaves_the_live_row_indexed(
+        &Database::new(Arc::new(SimCluster::new(ClusterConfig::instant(3)))),
+        "sim",
+    );
+    rejected_duplicate_leaves_the_live_row_indexed(
+        &Database::new(Arc::new(LiveCluster::new(LiveConfig::default()))),
+        "live",
+    );
+}
+
+#[test]
+fn cached_write_plan_is_rebuilt_when_the_catalog_moves_on() {
+    let db = scadr_db(3);
+    populate(&db, 3, 0, 0);
+    let insert = "INSERT INTO users (username, home_town) VALUES (<u>, <t>)";
+    let add = |session: &mut Session, user: &str| {
+        let params =
+            Params::from_values([Value::Varchar(user.into()), Value::Varchar("Albany".into())]);
+        db.execute_dml(session, insert, &params).unwrap();
+    };
+    let mut session = Session::new();
+    add(&mut session, "before-1");
+    add(&mut session, "before-2");
+    let stats = db.write_plan_stats();
+    assert_eq!(
+        (stats.cached, stats.compiles),
+        (1, 1),
+        "one text, one compile"
+    );
+    let first = db.write_plan(insert).unwrap();
+
+    // an index a SELECT prepare derives, then a declared one
+    let by_town = db
+        .prepare("SELECT * FROM users WHERE home_town = <t> LIMIT 20")
+        .unwrap();
+    add(&mut session, "after-derived-index");
+    let second = db.write_plan(insert).unwrap();
+    assert!(second.generation() > first.generation());
+    let albany = Params::from_values([Value::Varchar("Albany".into())]);
+    assert_eq!(
+        db.execute(&mut session, &by_town, &albany)
+            .unwrap()
+            .rows
+            .len(),
+        3,
+        "backfilled rows and the one inserted through the rebuilt plan"
+    );
+    db.execute_ddl("CREATE INDEX users_town_desc ON users (home_town DESC)")
+        .unwrap();
+    add(&mut session, "after-declared-index");
+    let entries = db.store().execute_round(
+        &mut session,
+        vec![piql_kv::KvRequest::CountRange {
+            ns: db.store().namespace("i/users_town_desc"),
+            start: Vec::new(),
+            end: None,
+        }],
+    );
+    assert_eq!(entries[0].expect_count(), 3 + 4, "every user, old and new");
+    assert_eq!(
+        db.write_plan_stats().compiles,
+        3,
+        "one rebuild per mutation"
+    );
+
+    // a text that does not compile is an error every time, never a plan
+    for _ in 0..2 {
+        let err = db
+            .execute_dml(&mut session, "INSERT INTO nope VALUES (1)", &Params::new())
+            .unwrap_err();
+        assert_eq!(err.to_string(), "unknown table 'nope'");
+    }
+    assert_eq!(db.write_plan_stats().cached, 1);
 }

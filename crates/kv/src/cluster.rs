@@ -153,6 +153,18 @@ pub trait KvStore: Send + Sync {
     ///   least that many physical requests (replica fan-out and partition
     ///   or shard visits inflate the physical count) to the session stats.
     fn execute_round(&self, session: &mut Session, round: RequestRound) -> Vec<KvResponse>;
+    /// Issue a round of exactly one request — the shape of every step of
+    /// the write path except index maintenance. Same contract, accounting
+    /// and sampling as `execute_round(session, vec![req])`, which is what
+    /// the default does, so a backend or wrapper that does not override
+    /// this stays correct; one that does can skip the two single-element
+    /// vectors. A backend that answers the round with no response yields
+    /// [`KvResponse::Done`], which the typed accessors then reject.
+    fn execute_one(&self, session: &mut Session, req: KvRequest) -> KvResponse {
+        self.execute_round(session, vec![req])
+            .pop()
+            .unwrap_or(KvResponse::Done)
+    }
     /// Allocation-free point read: look `key` up in `ns` and append the
     /// stored value to `out`, with the same session-clock, stats, and
     /// latency-sample accounting as a one-request `GetRange` round that

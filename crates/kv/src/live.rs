@@ -254,29 +254,31 @@ impl ShardSet {
 
     fn test_and_set(
         &self,
-        key: &[u8],
+        key: Vec<u8>,
         expect: Option<&[u8]>,
         value: Option<Vec<u8>>,
         wal: Option<&WalHook>,
     ) -> (bool, Option<Vec<u8>>) {
-        let idx = self.shard_of(key);
+        let idx = self.shard_of(&key);
         self.touch(idx);
         let mut shard = self.shards[idx].write();
-        let current = shard.get(key).cloned();
-        if current.as_deref() != expect {
-            return (false, current);
+        let stored = shard.get(&key);
+        if stored.map(Vec::as_slice) != expect {
+            return (false, stored.cloned());
         }
         // only the *effect* of a successful TAS is logged — replay applies
         // it as a plain put/delete without re-checking the expectation
         if let Some(hook) = wal {
-            hook.log(key, value.as_deref());
+            hook.log(&key, value.as_deref());
         }
+        // the response reports the value now stored, so this copy is the
+        // one the contract requires; the key moves into the shard
         match value.clone() {
             Some(v) => {
-                shard.insert(key.to_vec(), v);
+                shard.insert(key, v);
             }
             None => {
-                shard.remove(key);
+                shard.remove(&key);
             }
         }
         (true, value)
@@ -478,7 +480,7 @@ impl LiveNamespace {
 
     fn test_and_set(
         &self,
-        key: &[u8],
+        key: Vec<u8>,
         expect: Option<&[u8]>,
         value: Option<Vec<u8>>,
     ) -> (bool, Option<Vec<u8>>) {
@@ -751,15 +753,65 @@ impl LiveCluster {
     }
 }
 
+impl LiveCluster {
+    /// Everything a round does once its requests have been served: the
+    /// durability barrier, the latency sample, and the session accounting.
+    fn complete_round(
+        &self,
+        session: &mut Session,
+        started: u64,
+        logical: u64,
+        physical: u64,
+        has_write: bool,
+    ) {
+        // durability barrier: a round containing writes is only
+        // acknowledged once its appended records are on stable storage.
+        // Inside the timed window on purpose — commit latency is real
+        // write latency and must show up in the sampled round time.
+        if has_write {
+            let sink = self.wal.read().clone();
+            if let Some(sink) = sink {
+                if !sink.commit() {
+                    // the log died: these writes exist in memory only.
+                    // Latch the degradation so the serving layer can fail
+                    // (or flag) write acknowledgements instead of silently
+                    // serving a store that no longer survives a restart.
+                    self.wal_degraded.store(true, Ordering::Release);
+                }
+            }
+        }
+        // advance to wall-clock completion (monotonic per session even if
+        // the session was created before this cluster's epoch)
+        let completed = self.now_micros();
+        // tagged rounds feed the online-training sink: one sample per
+        // round, at the round's wall-clock latency — fan-out included,
+        // which is exactly the operator random variable Θ the §6.1 models
+        // are histograms of
+        if let Some(tag) = session.op_tag {
+            self.sink.record(OpSample {
+                tag,
+                micros: completed.saturating_sub(started),
+            });
+        }
+        session.now = session.now.max(completed);
+        session.stats.rounds += 1;
+        session.stats.logical_requests += logical;
+        session.stats.physical_requests += physical;
+        self.stats.rounds.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
 /// Serve one request against its namespace. Free-standing (not `&self`) so
-/// rounds can scatter it across pool threads; returns the response, the
+/// rounds can scatter it across pool threads. Takes the request **by
+/// value**: a round owns its requests, so the keys and payloads of writes
+/// move into the shard instead of being copied. Returns the response, the
 /// physical (per-shard) operation count, and the payload bytes of any
 /// entries shipped back (so the round join can update session stats
 /// without re-walking the entries).
 fn execute_request(
     data: &LiveNamespace,
     stats: &LiveStats,
-    req: &KvRequest,
+    req: KvRequest,
     delay_us: u64,
 ) -> (KvResponse, u64, u64) {
     if delay_us > 0 {
@@ -768,7 +820,7 @@ fn execute_request(
     stats.ops.fetch_add(1, Ordering::Relaxed);
     let (response, physical, entry_bytes) = match req {
         KvRequest::Get { key, .. } => {
-            let value = data.get(key);
+            let value = data.get(&key);
             stats.reads.fetch_add(1, Ordering::Relaxed);
             stats.bytes_read.fetch_add(
                 value.as_ref().map_or(0, |v| v.len() as u64),
@@ -781,19 +833,19 @@ fn execute_request(
             stats
                 .bytes_written
                 .fetch_add(value.len() as u64, Ordering::Relaxed);
-            data.put(key.clone(), Some(value.clone()));
+            data.put(key, Some(value));
             (KvResponse::Done, 1, 0)
         }
         KvRequest::Delete { key, .. } => {
             stats.writes.fetch_add(1, Ordering::Relaxed);
-            data.put(key.clone(), None);
+            data.put(key, None);
             (KvResponse::Done, 1, 0)
         }
         KvRequest::TestAndSet {
             key, expect, value, ..
         } => {
             stats.writes.fetch_add(1, Ordering::Relaxed);
-            let (success, current) = data.test_and_set(key, expect.as_deref(), value.clone());
+            let (success, current) = data.test_and_set(key, expect.as_deref(), value);
             (KvResponse::TasResult { success, current }, 1, 0)
         }
         KvRequest::GetRange {
@@ -803,7 +855,7 @@ fn execute_request(
             reverse,
             ..
         } => {
-            let (entries, visited) = data.range(start, end.as_deref(), *limit, *reverse);
+            let (entries, visited) = data.range(&start, end.as_deref(), limit, reverse);
             let bytes: u64 = entries
                 .iter()
                 .map(|(k, v)| (k.len() + v.len()) as u64)
@@ -817,7 +869,7 @@ fn execute_request(
         }
         KvRequest::CountRange { start, end, .. } => {
             stats.reads.fetch_add(1, Ordering::Relaxed);
-            let (total, visited) = data.count_range(start, end.as_deref());
+            let (total, visited) = data.count_range(&start, end.as_deref());
             (KvResponse::Count(total), visited.max(1), 0)
         }
     };
@@ -861,9 +913,17 @@ impl KvStore for LiveCluster {
         let has_write = round.iter().any(KvRequest::is_write);
         let started = self.now_micros();
         let delay_us = self.request_delay_us.load(Ordering::Relaxed);
-        let results: Vec<(KvResponse, u64, u64)> = if round.len() >= 2
-            && self.pool.worker_count() > 0
-        {
+        let mut physical = 0u64;
+        let mut responses = Vec::with_capacity(round.len());
+        let mut join = |(response, phys, entry_bytes): (KvResponse, u64, u64)| {
+            physical += phys;
+            if let KvResponse::Entries(e) = &response {
+                session.stats.entries += e.len() as u64;
+                session.stats.bytes += entry_bytes;
+            }
+            responses.push(response);
+        };
+        if round.len() >= 2 && self.pool.worker_count() > 0 {
             // resolve namespaces on the calling thread (cheap; keeps tasks
             // 'static), then scatter
             let tasks: Vec<_> = round
@@ -871,61 +931,38 @@ impl KvStore for LiveCluster {
                 .map(|req| {
                     let data = self.ns_data(req.ns());
                     let stats = self.stats.clone();
-                    move || execute_request(&data, &stats, &req, delay_us)
+                    move || execute_request(&data, &stats, req, delay_us)
                 })
                 .collect();
-            self.pool.scatter(tasks)
+            self.pool.scatter(tasks).into_iter().for_each(&mut join);
         } else {
-            round
-                .into_iter()
-                .map(|req| execute_request(&self.ns_data(req.ns()), &self.stats, &req, delay_us))
-                .collect()
-        };
-        let mut physical = 0u64;
-        let mut responses = Vec::with_capacity(results.len());
-        for (response, phys, entry_bytes) in results {
-            physical += phys;
-            if let KvResponse::Entries(e) = &response {
-                session.stats.entries += e.len() as u64;
-                session.stats.bytes += entry_bytes;
-            }
-            responses.push(response);
-        }
-        // durability barrier: a round containing writes is only
-        // acknowledged once its appended records are on stable storage.
-        // Inside the timed window on purpose — commit latency is real
-        // write latency and must show up in the sampled round time.
-        if has_write {
-            let sink = self.wal.read().clone();
-            if let Some(sink) = sink {
-                if !sink.commit() {
-                    // the log died: these writes exist in memory only.
-                    // Latch the degradation so the serving layer can fail
-                    // (or flag) write acknowledgements instead of silently
-                    // serving a store that no longer survives a restart.
-                    self.wal_degraded.store(true, Ordering::Release);
-                }
+            for req in round {
+                join(execute_request(
+                    &self.ns_data(req.ns()),
+                    &self.stats,
+                    req,
+                    delay_us,
+                ));
             }
         }
-        // advance to wall-clock completion (monotonic per session even if
-        // the session was created before this cluster's epoch)
-        let completed = self.now_micros();
-        // tagged rounds feed the online-training sink: one sample per
-        // round, at the round's wall-clock latency — fan-out included,
-        // which is exactly the operator random variable Θ the §6.1 models
-        // are histograms of
-        if let Some(tag) = session.op_tag {
-            self.sink.record(OpSample {
-                tag,
-                micros: completed.saturating_sub(started),
-            });
-        }
-        session.now = session.now.max(completed);
-        session.stats.rounds += 1;
-        session.stats.logical_requests += logical;
-        session.stats.physical_requests += physical;
-        self.stats.rounds.fetch_add(1, Ordering::Relaxed);
+        self.complete_round(session, started, logical, physical, has_write);
         responses
+    }
+
+    /// A round of one, served on the calling thread with neither the
+    /// request nor the response boxed into a vector.
+    fn execute_one(&self, session: &mut Session, req: KvRequest) -> KvResponse {
+        let has_write = req.is_write();
+        let started = self.now_micros();
+        let delay_us = self.request_delay_us.load(Ordering::Relaxed);
+        let (response, physical, entry_bytes) =
+            execute_request(&self.ns_data(req.ns()), &self.stats, req, delay_us);
+        if let KvResponse::Entries(e) = &response {
+            session.stats.entries += e.len() as u64;
+            session.stats.bytes += entry_bytes;
+        }
+        self.complete_round(session, started, 1, physical, has_write);
+        response
     }
 
     /// Single-key fast path: equivalent to a one-request `GetRange` round

@@ -372,6 +372,146 @@ fn test_and_set_conformance() {
     }
 }
 
+/// `execute_one` is a round of one: on every backend — whether it
+/// overrides the method or inherits the default — each request variant
+/// answers, and is accounted, exactly as `execute_round(vec![req])`.
+#[test]
+fn execute_one_conforms_to_a_round_of_one() {
+    for (name, store) in backends() {
+        let (via_round, via_one) = (store.namespace("round"), store.namespace("one"));
+        let script = |ns| {
+            vec![
+                KvRequest::Put {
+                    ns,
+                    key: b"k".to_vec(),
+                    value: b"v".to_vec(),
+                },
+                KvRequest::Get {
+                    ns,
+                    key: b"k".to_vec(),
+                },
+                KvRequest::TestAndSet {
+                    ns,
+                    key: b"k".to_vec(),
+                    expect: None,
+                    value: Some(b"w".to_vec()),
+                },
+                KvRequest::TestAndSet {
+                    ns,
+                    key: b"fresh".to_vec(),
+                    expect: None,
+                    value: Some(b"w".to_vec()),
+                },
+                KvRequest::GetRange {
+                    ns,
+                    start: vec![],
+                    end: None,
+                    limit: None,
+                    reverse: false,
+                },
+                KvRequest::CountRange {
+                    ns,
+                    start: vec![],
+                    end: None,
+                },
+                KvRequest::Delete {
+                    ns,
+                    key: b"k".to_vec(),
+                },
+                KvRequest::Get {
+                    ns,
+                    key: b"k".to_vec(),
+                },
+            ]
+        };
+        let (mut s_round, mut s_one) = (Session::new(), Session::new());
+        for (by_round, by_one) in script(via_round).into_iter().zip(script(via_one)) {
+            let what = format!("{name}: {by_round:?}");
+            let expected = one(store.as_ref(), &mut s_round, by_round);
+            assert_eq!(store.execute_one(&mut s_one, by_one), expected, "{what}");
+            assert_eq!(s_one.stats.rounds, s_round.stats.rounds, "{what}");
+            assert_eq!(
+                s_one.stats.logical_requests, s_round.stats.logical_requests,
+                "{what}"
+            );
+            assert_eq!(
+                s_one.stats.physical_requests, s_round.stats.physical_requests,
+                "{what}"
+            );
+            assert_eq!(s_one.stats.entries, s_round.stats.entries, "{what}");
+            assert_eq!(s_one.stats.bytes, s_round.stats.bytes, "{what}");
+        }
+    }
+}
+
+/// The store side of the engine's rejected duplicate insert (§7.2): the
+/// index entry goes in first, the expect-absent test-and-set then fails —
+/// and must hand back the stored record byte for byte while changing
+/// nothing, because the engine decides from it which index entries belong
+/// to the live row and may not be undone.
+#[test]
+fn failed_test_and_set_reports_the_live_record_and_changes_nothing() {
+    for (name, store) in backends() {
+        let (records, index) = (store.namespace("t/rec"), store.namespace("i/rec"));
+        let mut s = Session::new();
+        store.bulk_put(records, b"pk".to_vec(), b"live row".to_vec());
+        store.bulk_put(index, b"town+pk".to_vec(), Vec::new());
+        // the duplicate's index entry is the live row's own entry
+        store.execute_one(
+            &mut s,
+            KvRequest::Put {
+                ns: index,
+                key: b"town+pk".to_vec(),
+                value: Vec::new(),
+            },
+        );
+        let r = store.execute_one(
+            &mut s,
+            KvRequest::TestAndSet {
+                ns: records,
+                key: b"pk".to_vec(),
+                expect: None,
+                value: Some(b"duplicate".to_vec()),
+            },
+        );
+        assert_eq!(
+            r.tas().unwrap(),
+            (false, Some(b"live row".as_slice())),
+            "{name}"
+        );
+        let after = store.execute_round(
+            &mut s,
+            vec![
+                KvRequest::Get {
+                    ns: records,
+                    key: b"pk".to_vec(),
+                },
+                KvRequest::CountRange {
+                    ns: records,
+                    start: vec![],
+                    end: None,
+                },
+                KvRequest::CountRange {
+                    ns: index,
+                    start: vec![],
+                    end: None,
+                },
+            ],
+        );
+        assert_eq!(
+            after[0].expect_value(),
+            Some(b"live row".as_slice()),
+            "{name}"
+        );
+        assert_eq!(after[1].expect_count(), 1, "{name}");
+        assert_eq!(
+            after[2].expect_count(),
+            1,
+            "{name}: the entry is still there"
+        );
+    }
+}
+
 #[test]
 fn rounds_answer_positionally_and_advance_the_clock() {
     for (name, store) in backends() {

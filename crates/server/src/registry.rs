@@ -38,6 +38,7 @@ use piql_analysis::rank;
 use piql_core::ast::{RowBound, SelectStmt};
 use piql_core::catalog::Catalog;
 use piql_core::opt::{InsightReport, OptError, Optimizer};
+use piql_core::plan::params::ParamsRef;
 use piql_core::plan::physical::{PhysicalPlan, ScanLimit};
 use piql_core::plan::pred::Operand;
 use piql_core::value::Value;
@@ -434,6 +435,11 @@ pub struct RegistryCounters {
     pub rejected_slo: AtomicU64,
     pub rejected_unbounded: AtomicU64,
     pub executed: AtomicU64,
+    /// `dml` statements the engine applied / refused (a refusal is any
+    /// error: duplicate key, constraint overflow, a text that does not
+    /// compile, an unbound parameter).
+    pub dml_executed: AtomicU64,
+    pub dml_errors: AtomicU64,
     /// Executions served by the allocation-free binary point-read path
     /// (a subset of `executed`; see `server::BinaryConn`).
     pub fast_point_reads: AtomicU64,
@@ -905,11 +911,11 @@ impl<S: KvStore> StatementRegistry<S> {
     /// Execute a registered statement, recording wall-clock latency under
     /// the statement's interaction kind. Equivalent to
     /// [`StatementRegistry::execute_governed`] with the shed flag dropped.
-    pub fn execute(
+    pub fn execute<'p>(
         &self,
         session: &mut Session,
         name: &str,
-        params: &piql_core::plan::params::Params,
+        params: impl Into<ParamsRef<'p>>,
         cursor: Option<&Cursor>,
     ) -> Result<QueryResult, RegistryError> {
         self.execute_governed(session, name, params, cursor)
@@ -920,11 +926,11 @@ impl<S: KvStore> StatementRegistry<S> {
     /// budget. The budget permit is held (RAII) for the whole execution —
     /// it releases on success, error, and panic-unwind alike, so in-flight
     /// accounting cannot leak across disconnects.
-    pub fn execute_governed(
+    pub fn execute_governed<'p>(
         &self,
         session: &mut Session,
         name: &str,
-        params: &piql_core::plan::params::Params,
+        params: impl Into<ParamsRef<'p>>,
         cursor: Option<&Cursor>,
     ) -> Result<ExecOutcome, RegistryError> {
         let statement = self
@@ -981,15 +987,19 @@ impl<S: KvStore> StatementRegistry<S> {
 
     /// Execute a DML statement (writes are always single-record bounded
     /// operations, so they need no admission decision).
-    pub fn execute_dml(
+    pub fn execute_dml<'p>(
         &self,
         session: &mut Session,
         sql: &str,
-        params: &piql_core::plan::params::Params,
+        params: impl Into<ParamsRef<'p>>,
     ) -> Result<(), RegistryError> {
-        self.db
-            .execute_dml(session, sql, params)
-            .map_err(RegistryError::Db)
+        let result = self.db.execute_dml(session, sql, params);
+        let counter = match result {
+            Ok(()) => &self.counters.dml_executed,
+            Err(_) => &self.counters.dml_errors,
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        result.map_err(RegistryError::Db)
     }
 
     /// Recompute the backend's data placement from current contents (the

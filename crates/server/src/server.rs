@@ -65,7 +65,6 @@ use piql_analysis::ordered::{Condvar, Mutex};
 use piql_analysis::rank;
 use piql_core::codec::key::{encode_component_ref, Dir};
 use piql_core::codec::row::RowReader;
-use piql_core::plan::params::Params;
 use piql_engine::Database;
 use piql_kv::{KvStore, LiveCluster, LiveOpKind, NsBalance, OpTag, RoundPool, Session};
 use piql_predict::SloPredictor;
@@ -1020,8 +1019,7 @@ pub fn handle_request<S: KvStore>(
             cursor,
         } => run_execute(session, registry, name, params, Some(cursor)),
         Request::Dml { sql, params } => {
-            let p = build_params(params);
-            match registry.execute_dml(session, sql, &p) {
+            match registry.execute_dml(session, sql, params.as_slice()) {
                 // a dead WAL voids the durability guarantee: the write
                 // applied in memory, but acknowledging it as a success
                 // would silently promise durability the store can no
@@ -1176,6 +1174,26 @@ fn durability_to_json(health: &piql_durability::DurabilityHealth) -> Json {
     ])
 }
 
+/// The `writes` object of a `stats` response (PROTOCOL.md §4.6): `dml`
+/// outcomes and the engine's write-plan cache.
+fn writes_to_json<S: KvStore>(registry: &StatementRegistry<S>) -> Json {
+    let c = &registry.counters;
+    let plans = registry.db().write_plan_stats();
+    Json::obj([
+        (
+            "dml_executed",
+            Json::Int(c.dml_executed.load(Ordering::Relaxed) as i64),
+        ),
+        (
+            "dml_errors",
+            Json::Int(c.dml_errors.load(Ordering::Relaxed) as i64),
+        ),
+        ("write_plans", Json::Int(plans.cached as i64)),
+        ("write_plan_compiles", Json::Int(plans.compiles as i64)),
+        ("write_plan_evictions", Json::Int(plans.evictions as i64)),
+    ])
+}
+
 /// Per-namespace shard balance as the wire object (`stats` and the
 /// `rebalance` verb both ship it).
 fn balance_to_json(balance: &[NsBalance]) -> Json {
@@ -1245,14 +1263,6 @@ fn overload_to_json<S: KvStore>(registry: &StatementRegistry<S>) -> Json {
     ])
 }
 
-fn build_params(values: &[piql_core::plan::params::ParamValue]) -> Params {
-    let mut p = Params::new();
-    for (i, v) in values.iter().enumerate() {
-        p.set(i, v.clone());
-    }
-    p
-}
-
 fn run_execute<S: KvStore>(
     session: &mut Session,
     registry: &StatementRegistry<S>,
@@ -1260,8 +1270,7 @@ fn run_execute<S: KvStore>(
     params: &[piql_core::plan::params::ParamValue],
     cursor: Option<&piql_engine::Cursor>,
 ) -> Json {
-    let p = build_params(params);
-    match registry.execute_governed(session, name, &p, cursor) {
+    match registry.execute_governed(session, name, params, cursor) {
         Ok(outcome) => {
             let mut fields = vec![
                 (
@@ -1384,6 +1393,7 @@ fn stats_response<S: KvStore>(registry: &StatementRegistry<S>) -> Json {
             "exec_errors",
             Json::Int(c.exec_errors.load(Ordering::Relaxed) as i64),
         ),
+        ("writes", writes_to_json(registry)),
         (
             "revalidations",
             Json::Int(c.revalidations.load(Ordering::Relaxed) as i64),

@@ -1,6 +1,8 @@
-//! The hot-path acceptance test: after warm-up, a binary point read —
+//! The hot-path acceptance tests: after warm-up, a binary point read —
 //! decode → registry lookup → `point_get` → encode — performs **zero**
-//! heap allocations on the serving thread.
+//! heap allocations on the serving thread, and a binary `dml` INSERT
+//! performs only the ones it cannot do without (the decoded request, the
+//! keys and record it hands to the store, its response).
 //!
 //! A counting `#[global_allocator]` (per-thread counter, so the cluster's
 //! pool workers don't pollute the measurement) wraps the system
@@ -9,6 +11,7 @@
 //! (4096 samples) and the cluster's `LiveSampleSink` (65,536 samples,
 //! dropped-not-grown once full) — hence the 72k warm requests.
 
+use piql_core::value::Value;
 use piql_engine::Database;
 use piql_kv::{LiveCluster, LiveConfig};
 use piql_server::testkit::linear_predictor;
@@ -112,7 +115,7 @@ fn warm_binary_point_reads_do_not_allocate() {
                     id: None,
                     request: Request::Execute {
                         name: "point".into(),
-                        params: vec![piql_core::value::Value::Varchar(name).into()],
+                        params: vec![Value::Varchar(name).into()],
                         cursor: None,
                     },
                 },
@@ -146,4 +149,117 @@ fn warm_binary_point_reads_do_not_allocate() {
         .fast_point_reads
         .load(std::sync::atomic::Ordering::Relaxed);
     assert_eq!(fast as usize, WARM_REQUESTS + MEASURED_REQUESTS);
+}
+
+/// Allocations a warm binary INSERT into `thoughts` may make on the
+/// serving thread — what is left after compiling the write once: 4 to
+/// decode the request (text, parameter list, two strings), 2 for what the
+/// store keeps (primary key, record), 1 for the copy of the record the
+/// test-and-set reports back, 2 for the response tree, and a fraction for
+/// the store's tree nodes (9.16 measured). Each secondary index adds its
+/// entry's key and its own tree's fraction (10.31 with one). A parse, a
+/// catalog clone or a payload copy creeping back in adds at least one.
+const INSERT_ALLOC_BUDGET: f64 = 9.5;
+const INSERT_ALLOC_BUDGET_ONE_INDEX: f64 = 10.75;
+
+#[test]
+#[cfg_attr(
+    feature = "lock-order",
+    ignore = "lock-order tracking allocates by design"
+)]
+fn warm_binary_inserts_stay_within_their_allocation_budget() {
+    let cluster = Arc::new(LiveCluster::new(LiveConfig::default()));
+    let db = Arc::new(Database::new(cluster));
+    let config = ScadrConfig {
+        users_per_node: 20,
+        thoughts_per_user: 5,
+        subscriptions_per_user: 4,
+        ..Default::default()
+    };
+    scadr::setup(&db, &config, 2).unwrap();
+    let registry = Arc::new(StatementRegistry::new(
+        db,
+        linear_predictor(200, 100, 2),
+        SloConfig {
+            slo_ms: 1e9,
+            interval_confidence: 1.0,
+            allow_degrade: false,
+        },
+    ));
+
+    const WARM: usize = 2_000;
+    const MEASURED: usize = 2_000;
+    let wire = BinaryWire;
+    let post_thought = scadr::queries(&config).post_thought;
+    let mut next = 0usize;
+    let mut frames = |n: usize| -> Vec<Vec<u8>> {
+        (0..n)
+            .map(|_| {
+                next += 1;
+                let mut frame = Vec::new();
+                wire.encode_envelope(
+                    &Envelope {
+                        id: None,
+                        request: Request::Dml {
+                            sql: post_thought.clone(),
+                            params: vec![
+                                Value::Varchar(scadr::username(next % 40)).into(),
+                                Value::Timestamp(2_000_000_000_000_000 + next as i64).into(),
+                                Value::Varchar(format!("thought number {next}")).into(),
+                            ],
+                        },
+                    },
+                    &mut frame,
+                );
+                frame.split_off(4)
+            })
+            .collect()
+    };
+
+    let mut conn = BinaryConn::new(registry.clone());
+    let mut allocs_per_insert = |frames: Vec<Vec<u8>>| {
+        for frame in &frames[..WARM] {
+            conn.handle_frame(frame);
+            conn.clear_output();
+        }
+        let before = allocs_on_this_thread();
+        for frame in &frames[WARM..] {
+            conn.handle_frame(frame);
+            conn.clear_output();
+        }
+        (allocs_on_this_thread() - before) as f64 / MEASURED as f64
+    };
+
+    // SCADr's reads use the primary key, so `thoughts` has no secondary
+    // index: this is the benchmark's `post_v3` statement
+    let plain = allocs_per_insert(frames(WARM + MEASURED));
+    registry
+        .db()
+        .execute_ddl("CREATE INDEX thoughts_by_text ON thoughts (text)")
+        .unwrap();
+    let indexed = allocs_per_insert(frames(WARM + MEASURED));
+    println!("allocations per warm binary insert: {plain:.3}, with one index {indexed:.3}");
+    assert!(
+        plain <= INSERT_ALLOC_BUDGET,
+        "a warm insert made {plain:.2} allocations, budget {INSERT_ALLOC_BUDGET}"
+    );
+    assert!(
+        indexed <= INSERT_ALLOC_BUDGET_ONE_INDEX,
+        "with one index: {indexed:.2} allocations, budget {INSERT_ALLOC_BUDGET_ONE_INDEX}"
+    );
+
+    let writes = registry.db().write_plan_stats();
+    assert_eq!(
+        writes.compiles, 2,
+        "one text, compiled once per catalog generation"
+    );
+    let executed = registry
+        .counters
+        .dml_executed
+        .load(std::sync::atomic::Ordering::Relaxed);
+    assert_eq!(
+        executed as usize,
+        2 * (WARM + MEASURED),
+        "every insert applied"
+    );
 }

@@ -224,3 +224,89 @@ fn malformed_lines_answer_errors_without_killing_the_connection() {
     let page = client.execute("find", &uname_param(3), None).unwrap();
     assert_eq!(page.rows.len(), 1);
 }
+
+/// A `CREATE INDEX` lands while sessions keep inserting through one cached
+/// INSERT text. Every insert that *starts after* the DDL has returned must
+/// maintain the new index: the catalog generation moved on before the DDL
+/// returned, so the cached plan is rebuilt before it can skip the index.
+/// (Inserts already in flight during the backfill are the window the
+/// write path has always had; they are not counted here.)
+#[test]
+fn inserts_started_after_create_index_maintain_it() {
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+    const THREADS: usize = 4;
+    const BEFORE: usize = 25;
+    const AFTER: usize = 40;
+    let (db, server) = start_server();
+    let addr = server.local_addr();
+    let index_created = Arc::new(AtomicBool::new(false));
+    let warmed_up = Arc::new(AtomicUsize::new(0));
+
+    let threads: Vec<_> = (0..THREADS)
+        .map(|t| {
+            let index_created = index_created.clone();
+            let warmed_up = warmed_up.clone();
+            std::thread::spawn(move || {
+                let mut client = if t % 2 == 0 {
+                    Client::connect(addr).unwrap()
+                } else {
+                    Client::connect_binary(addr).unwrap()
+                };
+                // texts of inserts that began once the index existed
+                let mut after = Vec::new();
+                let mut k = 0usize;
+                while after.len() < AFTER {
+                    let started_after = index_created.load(Ordering::SeqCst);
+                    let text = format!("stress-{t}-{k}");
+                    client
+                        .dml(
+                            "INSERT INTO thoughts (owner, timestamp, text) \
+                             VALUES (<u>, <ts>, <txt>)",
+                            &[
+                                Value::Varchar(scadr::username(t)).into(),
+                                Value::Timestamp(3_000_000_000_000 + (t * 1_000_000 + k) as i64)
+                                    .into(),
+                                Value::Varchar(text.clone()).into(),
+                            ],
+                        )
+                        .unwrap();
+                    k += 1;
+                    if started_after {
+                        after.push(text);
+                    } else if k == BEFORE {
+                        warmed_up.fetch_add(1, Ordering::SeqCst);
+                    }
+                }
+                after
+            })
+        })
+        .collect();
+
+    // every session has the INSERT's plan cached and is mid-stream
+    while warmed_up.load(Ordering::SeqCst) < THREADS {
+        std::thread::yield_now();
+    }
+    db.execute_ddl("CREATE INDEX thoughts_by_text ON thoughts (text)")
+        .unwrap();
+    index_created.store(true, Ordering::SeqCst);
+
+    let after: Vec<String> = threads
+        .into_iter()
+        .flat_map(|t| t.join().expect("no inserter panicked"))
+        .collect();
+    assert_eq!(after.len(), THREADS * AFTER);
+    let mut client = Client::connect(addr).unwrap();
+    client
+        .prepare("by_text", "SELECT * FROM thoughts WHERE text = <t> LIMIT 2")
+        .unwrap();
+    for text in after {
+        let page = client
+            .execute("by_text", &[Value::Varchar(text.clone()).into()], None)
+            .unwrap();
+        assert_eq!(
+            page.rows.len(),
+            1,
+            "'{text}' is reachable through the index"
+        );
+    }
+}

@@ -335,6 +335,22 @@ pub fn setup<S: KvStore>(
     Ok((n_customers, n_items, n_orders))
 }
 
+/// The four INSERT shapes of a Buy Request (the updating part of the mix).
+pub const INSERT_CART: &str = "INSERT INTO shopping_cart (sc_id, sc_time) VALUES (<cart>, <now>)";
+pub const INSERT_CART_LINE: &str = "INSERT INTO shopping_cart_line (scl_sc_id, scl_i_id, scl_qty) \
+     VALUES (<cart>, <item>, <qty>)";
+pub const INSERT_ORDER: &str =
+    "INSERT INTO orders (o_id, o_c_uname, o_date_time, o_total, o_status) \
+     VALUES (<o>, <uname>, <now>, 99.5, 'PENDING')";
+pub const INSERT_ORDER_LINE: &str = "INSERT INTO order_line (ol_o_id, ol_id, ol_i_id, ol_qty) \
+     VALUES (<o>, <l>, <item>, 1)";
+pub const BUY_REQUEST_INSERTS: [&str; 4] = [
+    INSERT_CART,
+    INSERT_CART_LINE,
+    INSERT_ORDER,
+    INSERT_ORDER_LINE,
+];
+
 /// The nine Table-1 queries.
 #[derive(Debug)]
 pub struct TpcwQueries {
@@ -606,11 +622,7 @@ impl Workload for TpcwWorkload {
                 let mut p = Params::new();
                 p.set(0, Value::Int(cart));
                 p.set(1, Value::Timestamp(session.now as i64));
-                match db.execute_dml(
-                    session,
-                    "INSERT INTO shopping_cart (sc_id, sc_time) VALUES (<cart>, <now>)",
-                    &p,
-                ) {
+                match db.execute_dml(session, INSERT_CART, &p) {
                     Ok(()) => break,
                     Err(DbError::Write(piql_engine::WriteError::DuplicateKey { .. }))
                         if attempt < 7 => {}
@@ -629,12 +641,7 @@ impl Workload for TpcwWorkload {
                 p.set(0, Value::Int(cart));
                 p.set(1, Value::Int(item));
                 p.set(2, Value::Int(rng.gen_range(1..4)));
-                db.execute_dml(
-                    session,
-                    "INSERT INTO shopping_cart_line (scl_sc_id, scl_i_id, scl_qty) \
-                     VALUES (<cart>, <item>, <qty>)",
-                    &p,
-                )?;
+                db.execute_dml(session, INSERT_CART_LINE, &p)?;
             }
             let mut p = Params::new();
             p.set(0, Value::Int(cart));
@@ -647,12 +654,7 @@ impl Workload for TpcwWorkload {
                 p.set(0, Value::Int(order));
                 p.set(1, Value::Varchar(uname.clone()));
                 p.set(2, Value::Timestamp(session.now as i64));
-                match db.execute_dml(
-                    session,
-                    "INSERT INTO orders (o_id, o_c_uname, o_date_time, o_total, o_status) \
-                     VALUES (<o>, <uname>, <now>, 99.5, 'PENDING')",
-                    &p,
-                ) {
+                match db.execute_dml(session, INSERT_ORDER, &p) {
                     Ok(()) => break,
                     Err(DbError::Write(piql_engine::WriteError::DuplicateKey { .. }))
                         if attempt < 7 => {}
@@ -664,12 +666,7 @@ impl Workload for TpcwWorkload {
                 p.set(0, Value::Int(order));
                 p.set(1, Value::Int(l as i32));
                 p.set(2, Value::Int(*item));
-                db.execute_dml(
-                    session,
-                    "INSERT INTO order_line (ol_o_id, ol_id, ol_i_id, ol_qty) \
-                     VALUES (<o>, <l>, <item>, 1)",
-                    &p,
-                )?;
+                db.execute_dml(session, INSERT_ORDER_LINE, &p)?;
             }
             Ok(KIND_BUY_REQUEST)
         }
