@@ -84,19 +84,25 @@ fn read_bytes(buf: &[u8], pos: &mut usize) -> Result<Vec<u8>, CursorError> {
 impl Cursor {
     /// Serialize for shipping to the client.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = vec![VERSION];
+        let mut out = Vec::new();
+        self.write_to(&mut out);
+        out
+    }
+
+    /// Append the serialization [`Cursor::to_bytes`] returns to `out`.
+    pub fn write_to(&self, out: &mut Vec<u8>) {
+        out.push(VERSION);
         match &self.state {
             CursorState::ScanAfter { last_key } => {
                 out.push(TAG_SCAN);
-                write_bytes(&mut out, last_key);
+                write_bytes(out, last_key);
             }
             CursorState::SortedJoinAfter { suffix, full_key } => {
                 out.push(TAG_SORTED);
-                write_bytes(&mut out, suffix);
-                write_bytes(&mut out, full_key);
+                write_bytes(out, suffix);
+                write_bytes(out, full_key);
             }
         }
-        out
     }
 
     /// Deserialize a client-provided cursor.

@@ -15,7 +15,7 @@
 //! index.
 
 use crate::cursor::Cursor;
-use crate::exec::{ExecCtx, ExecError, ExecStrategy, QueryResult};
+use crate::exec::{ExecCtx, ExecError, ExecStrategy, QueryResult, RemoteOp};
 use crate::keys;
 use crate::plan::{table_write, WritePlan};
 use crate::reference::ReferenceExecutor;
@@ -87,12 +87,38 @@ impl From<WriteError> for DbError {
     }
 }
 
-/// A compiled, index-provisioned, executable query.
+/// A compiled, index-provisioned, executable query — the read-side twin of
+/// a [`WritePlan`]: besides the plan, what each of its remote operators
+/// reads, resolved once against the catalog and the store, so an execution
+/// consults neither. Definitions are append-only and namespaces keep their
+/// ids, so a `Prepared` stays valid for the life of its database.
 #[derive(Debug, Clone)]
 pub struct Prepared {
     pub compiled: Compiled,
     /// Output column names.
     pub columns: Vec<String>,
+    remote: Vec<RemoteOp>,
+}
+
+impl Prepared {
+    fn resolve(
+        store: &dyn KvStore,
+        catalog: &Catalog,
+        compiled: Compiled,
+    ) -> Result<Self, DbError> {
+        let remote =
+            RemoteOp::resolve_all(store, catalog, &compiled.physical).map_err(ExecError::Key)?;
+        Ok(Prepared {
+            columns: compiled.output.iter().map(|o| o.name.clone()).collect(),
+            compiled,
+            remote,
+        })
+    }
+
+    /// The plan's remote operators as resolved, in execution order.
+    pub fn remote_ops(&self) -> &[RemoteOp] {
+        &self.remote
+    }
 }
 
 /// Most write plans kept at once. Parameterised statements are a handful
@@ -273,10 +299,7 @@ impl<S: KvStore> Database<S> {
         let catalog = self.catalog.read().clone();
         let compiled = optimizer.compile(&catalog, stmt)?;
         if compiled.required_indexes.is_empty() {
-            return Ok(Prepared {
-                columns: compiled.output.iter().map(|o| o.name.clone()).collect(),
-                compiled,
-            });
+            return Prepared::resolve(self.store(), &catalog, compiled);
         }
         // provision derived indexes, then recompile against the updated
         // catalog so the plan references the registered definitions
@@ -286,10 +309,7 @@ impl<S: KvStore> Database<S> {
         }
         let catalog = self.catalog.read().clone();
         let compiled = optimizer.compile(&catalog, stmt)?;
-        Ok(Prepared {
-            columns: compiled.output.iter().map(|o| o.name.clone()).collect(),
-            compiled,
-        })
+        Prepared::resolve(self.store(), &catalog, compiled)
     }
 
     /// Execute a prepared query. Parameters are anything that lends a
@@ -312,10 +332,15 @@ impl<S: KvStore> Database<S> {
         strategy: ExecStrategy,
         cursor: Option<&Cursor>,
     ) -> Result<QueryResult, DbError> {
-        let catalog = self.catalog.read().clone();
-        let mut ctx = ExecCtx::new(self.store(), session, &catalog, params.into(), strategy);
+        let mut ctx = ExecCtx::new(
+            self.store(),
+            session,
+            &prepared.remote,
+            params.into(),
+            strategy,
+        );
         ctx.produce_cursor = prepared.compiled.page_size.is_some();
-        ctx.resume = cursor.map(|c| c.state.clone());
+        ctx.resume = cursor.map(|c| &c.state);
         let rows = ctx.eval(&prepared.compiled.physical);
         // never leak an operator tag past this query (an error return mid-
         // operator would otherwise mis-attribute the session's next rounds)

@@ -18,20 +18,22 @@
 //! overlap on the live path, not just round batching.
 
 use crate::cursor::{Cursor, CursorState};
-use crate::keys;
+use crate::keys::{self, KeyPart};
 use piql_core::ast::AggFunc;
-use piql_core::catalog::{Catalog, IndexDef, TableDef};
-use piql_core::codec::key::{prefix_upper_bound, Dir};
+use piql_core::catalog::{Catalog, ColumnId, IndexDef, TableDef, TableId};
+use piql_core::codec::key::{self, prefix_upper_bound, Dir};
 use piql_core::opt::UNBOUNDED_SCAN_BATCH;
 use piql_core::plan::params::{ParamError, ParamsRef};
 use piql_core::plan::physical::{
-    IndexRef, KeySource, PhysAggregate, PhysicalPlan, RangeSpec, ScanLimit, ScanSpec,
+    KeySource, PhysAggregate, PhysicalPlan, RangeBound, RangeSpec, ScanLimit, ScanSpec,
     SortedJoinSpec,
 };
-use piql_core::plan::{BoundPredicate, Operand};
+use piql_core::plan::BoundPredicate;
 use piql_core::tuple::Tuple;
-use piql_core::value::Value;
-use piql_kv::{KvRequest, KvResponse, KvStore, LiveOpKind, NsId, OpTag, ResponseMismatch, Session};
+use piql_core::value::{DataType, Value, ValueRef};
+use piql_kv::{
+    KvEntry, KvRequest, KvResponse, KvStore, LiveOpKind, NsId, OpTag, ResponseMismatch, Session,
+};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
@@ -109,15 +111,112 @@ pub struct QueryResult {
     pub cursor: Option<Cursor>,
 }
 
+/// What one remote operator reads, resolved once when its plan is prepared
+/// — the read-side twin of [`TableWrite`](crate::write::TableWrite): the
+/// table, its namespaces, and the layout of the stored key the operator
+/// probes. Definitions are append-only and a namespace keeps its id for
+/// the life of its store, so nothing here goes stale and every execution
+/// of the plan shares it: no catalog, no namespace name, no per-operator
+/// layout derivation on the request path.
+#[derive(Debug, Clone)]
+pub struct RemoteOp {
+    pub table: Arc<TableDef>,
+    /// Namespace the operator's requests address: the index's, or the
+    /// table's primary namespace for a primary-index read.
+    pub ns: NsId,
+    /// The table's primary namespace, which a non-covering read
+    /// dereferences into.
+    pub primary: NsId,
+    /// Primary-key column positions, in key order.
+    pub pk: Vec<ColumnId>,
+    /// Whether `ns` holds a secondary index (entries carry only the key).
+    pub secondary: bool,
+    /// Layout of the full stored key the operator reads.
+    pub parts: Vec<KeyPart>,
+    /// `parts`' directions and value types, as the key codec takes them.
+    pub dirs: Vec<Dir>,
+    pub types: Vec<DataType>,
+    /// The first probe component is matched as a search token (§7.3).
+    pub token: bool,
+}
+
+impl RemoteOp {
+    fn resolve(
+        store: &dyn KvStore,
+        catalog: &Catalog,
+        table: TableId,
+        index: Option<&IndexDef>,
+    ) -> Result<RemoteOp, keys::KeyError> {
+        let table = catalog.table_by_id(table).clone();
+        let primary = store.namespace(&Catalog::table_namespace(&table));
+        let pk = table.primary_key_ids();
+        let (ns, parts) = match index {
+            None => {
+                let parts = pk.iter().map(|&col| KeyPart {
+                    col,
+                    dir: Dir::Asc,
+                    token: false,
+                });
+                (primary, parts.collect())
+            }
+            Some(idx) => (
+                store.namespace(&Catalog::index_namespace(idx)),
+                keys::index_key_parts(&table, idx)?,
+            ),
+        };
+        Ok(RemoteOp {
+            ns,
+            primary,
+            pk,
+            secondary: index.is_some(),
+            dirs: parts.iter().map(|p| p.dir).collect(),
+            types: keys::key_types(&table, &parts),
+            token: index.is_some_and(IndexDef::has_token_part),
+            parts,
+            table,
+        })
+    }
+
+    /// Resolve every remote operator of `plan`, in execution order
+    /// ([`PhysicalPlan::remote_ops`]) — the order [`ExecCtx::eval`] reaches
+    /// them in.
+    pub fn resolve_all(
+        store: &dyn KvStore,
+        catalog: &Catalog,
+        plan: &PhysicalPlan,
+    ) -> Result<Vec<RemoteOp>, keys::KeyError> {
+        plan.remote_ops()
+            .into_iter()
+            .map(|op| match op {
+                PhysicalPlan::IndexScan {
+                    spec: ScanSpec { index, .. },
+                    ..
+                }
+                | PhysicalPlan::SortedIndexJoin {
+                    spec: SortedJoinSpec { index, .. },
+                    ..
+                } => Self::resolve(store, catalog, index.table, index.secondary.as_ref()),
+                PhysicalPlan::IndexFKJoin { table, .. } => {
+                    Self::resolve(store, catalog, *table, None)
+                }
+                _ => Err(keys::KeyError::RowShape(
+                    "a local operator among the remote ones".into(),
+                )),
+            })
+            .collect()
+    }
+}
+
 /// The execution context threaded through operator evaluation.
 pub struct ExecCtx<'a> {
     pub store: &'a dyn KvStore,
     pub session: &'a mut Session,
-    pub catalog: &'a Catalog,
+    /// The plan's remote operators still to run, in execution order.
+    ops: std::slice::Iter<'a, RemoteOp>,
     pub params: ParamsRef<'a>,
     pub strategy: ExecStrategy,
     /// Resume point (pagination).
-    pub resume: Option<CursorState>,
+    pub resume: Option<&'a CursorState>,
     /// New resume point produced by the root remote operator.
     pub next_cursor: Option<CursorState>,
     /// Ask the root remote operator to record a resume point even on the
@@ -126,17 +225,19 @@ pub struct ExecCtx<'a> {
 }
 
 impl<'a> ExecCtx<'a> {
+    /// A context for one evaluation of the plan `ops` was resolved from
+    /// ([`RemoteOp::resolve_all`]).
     pub fn new(
         store: &'a dyn KvStore,
         session: &'a mut Session,
-        catalog: &'a Catalog,
+        ops: &'a [RemoteOp],
         params: ParamsRef<'a>,
         strategy: ExecStrategy,
     ) -> Self {
         ExecCtx {
             store,
             session,
-            catalog,
+            ops: ops.iter(),
             params,
             strategy,
             resume: None,
@@ -145,23 +246,11 @@ impl<'a> ExecCtx<'a> {
         }
     }
 
-    fn table(&self, index: &IndexRef) -> Arc<TableDef> {
-        self.catalog.table_by_id(index.table).clone()
-    }
-
-    fn ns_of_index(&self, table: &TableDef, index: &IndexRef) -> NsId {
-        match &index.secondary {
-            None => self.store.namespace(&Catalog::table_namespace(table)),
-            Some(idx) => self.store.namespace(&Catalog::index_namespace(idx)),
-        }
-    }
-
-    fn primary_ns(&self, table: &TableDef) -> NsId {
-        self.store.namespace(&Catalog::table_namespace(table))
-    }
-
-    fn resolve(&self, op: &Operand) -> Result<Value, ExecError> {
-        Ok(op.resolve(self.params)?.clone())
+    /// The resolution of the remote operator evaluation has just reached.
+    fn next_op(&mut self) -> Result<&'a RemoteOp, ExecError> {
+        self.ops.next().ok_or_else(|| {
+            ExecError::Internal("plan has a remote operator that was not resolved".into())
+        })
     }
 
     /// Tag the session with the remote operator about to issue rounds, so
@@ -189,20 +278,24 @@ impl<'a> ExecCtx<'a> {
                     .collection(param.index, &param.name, Some(*max))?;
                 Ok(values.iter().map(|v| Tuple::new(vec![v.clone()])).collect())
             }
-            PhysicalPlan::IndexScan { spec, .. } => self.eval_scan(spec),
+            PhysicalPlan::IndexScan { spec, .. } => {
+                let op = self.next_op()?;
+                self.eval_scan(op, spec)
+            }
             PhysicalPlan::IndexFKJoin {
                 child,
                 key,
-                table,
                 row_bytes,
                 ..
             } => {
                 let children = self.eval(child)?;
-                self.eval_fk_join(children, *table, key, *row_bytes)
+                let op = self.next_op()?;
+                self.eval_fk_join(op, children, key, *row_bytes)
             }
             PhysicalPlan::SortedIndexJoin { child, spec, .. } => {
                 let children = self.eval(child)?;
-                self.eval_sorted_join(children, spec)
+                let op = self.next_op()?;
+                self.eval_sorted_join(op, children, spec)
             }
             PhysicalPlan::LocalSelection {
                 child, predicates, ..
@@ -228,10 +321,7 @@ impl<'a> ExecCtx<'a> {
             }
             PhysicalPlan::LocalProject { child, columns, .. } => {
                 let rows = self.eval(child)?;
-                Ok(rows
-                    .into_iter()
-                    .map(|r| Tuple::new(columns.iter().map(|(p, _)| r[*p].clone()).collect()))
-                    .collect())
+                Ok(project_rows(rows, columns))
             }
             PhysicalPlan::LocalAggregate {
                 child,
@@ -247,52 +337,36 @@ impl<'a> ExecCtx<'a> {
 
     // ------------------------------------------------------------- scans
 
-    fn eval_scan(&mut self, spec: &ScanSpec) -> Result<Vec<Tuple>, ExecError> {
-        let table = self.table(&spec.index);
-        let ns = self.ns_of_index(&table, &spec.index);
-
-        // probe prefix
-        let (prefix, range_dir) = self.scan_prefix(&table, spec)?;
-        let range = self.resolve_range(spec.range.as_ref())?;
-        let (mut start, mut end) = range_to_bytes(&prefix, &range, range_dir);
+    fn eval_scan(&mut self, op: &RemoteOp, spec: &ScanSpec) -> Result<Vec<Tuple>, ExecError> {
+        let params = self.params;
+        let prefix = Self::probe_prefix(op, spec.eq_prefix.iter().map(|o| o.resolve(params)))?;
+        let range_dir = op
+            .dirs
+            .get(spec.eq_prefix.len())
+            .copied()
+            .unwrap_or(Dir::Asc);
+        let (mut start, mut end) = self.range_bounds(prefix, spec.range.as_ref(), range_dir)?;
 
         // pagination resume
-        if let Some(CursorState::ScanAfter { last_key }) = self.resume.clone() {
+        if let Some(CursorState::ScanAfter { last_key }) = self.resume {
             if spec.reverse {
-                end = Some(last_key);
+                end = Some(last_key.clone());
             } else {
-                let mut s = last_key;
-                s.push(0);
-                start = s;
+                start.clone_from(last_key);
+                start.push(0);
             }
         }
 
-        let scan_alpha = match &spec.limit {
-            ScanLimit::Bounded { count, .. } => *count,
-            ScanLimit::Unbounded { estimate } => *estimate,
-        };
-        self.tag_op(LiveOpKind::IndexScan, scan_alpha, 1, spec.row_bytes);
-        let mut entries: Vec<(Vec<u8>, Vec<u8>)> = Vec::new();
-        match (&spec.limit, self.strategy) {
+        self.tag_op(
+            LiveOpKind::IndexScan,
+            spec.limit.count_or_estimate(),
+            1,
+            spec.row_bytes,
+        );
+        let ns = op.ns;
+        let entries = match (&spec.limit, self.strategy) {
             (ScanLimit::Bounded { count, .. }, ExecStrategy::Lazy) => {
-                // tuple-at-a-time
-                while (entries.len() as u64) < *count {
-                    let resp = self.round_one(KvRequest::GetRange {
-                        ns,
-                        start: start.clone(),
-                        end: end.clone(),
-                        limit: Some(1),
-                        reverse: spec.reverse,
-                    });
-                    let batch = resp.into_entries()?;
-                    match batch.into_iter().next() {
-                        Some((k, v)) => {
-                            advance_bounds(&mut start, &mut end, &k, spec.reverse);
-                            entries.push((k, v));
-                        }
-                        None => break,
-                    }
-                }
+                self.fetch_one_by_one(ns, start, end, spec.reverse, *count)?
             }
             (ScanLimit::Bounded { count, .. }, _) => {
                 // the §7.1 prefetch: one request fetches the whole hint
@@ -303,7 +377,7 @@ impl<'a> ExecCtx<'a> {
                     limit: Some(*count),
                     reverse: spec.reverse,
                 });
-                entries = resp.into_entries()?;
+                resp.into_entries()?
             }
             (ScanLimit::Unbounded { .. }, strategy) => {
                 // cost-based plans page until exhausted
@@ -311,6 +385,7 @@ impl<'a> ExecCtx<'a> {
                     ExecStrategy::Lazy => 1,
                     _ => UNBOUNDED_SCAN_BATCH,
                 };
+                let mut entries: Vec<KvEntry> = Vec::new();
                 loop {
                     let resp = self.round_one(KvRequest::GetRange {
                         ns,
@@ -326,51 +401,77 @@ impl<'a> ExecCtx<'a> {
                     }
                     entries.extend(chunk);
                     if n < batch {
-                        break;
+                        break entries;
                     }
                 }
             }
-        }
-
+        };
         self.clear_op_tag();
 
         // cursor for the next page
-        if self.resume.is_some() || self.next_cursor_wanted() {
+        if self.resume.is_some() || self.produce_cursor {
             self.next_cursor = entries.last().map(|(k, _)| CursorState::ScanAfter {
                 last_key: k.clone(),
             });
         }
 
-        self.materialize(&table, &spec.index, entries, spec.deref, spec.row_bytes)
-            .map(|rows| rows.into_iter().map(|(_, t)| t).collect())
+        let mut rows = Vec::with_capacity(entries.len());
+        self.materialize(op, entries, spec.deref, spec.row_bytes, |_, row| {
+            rows.push(row)
+        })?;
+        Ok(rows)
     }
 
-    /// Whether the caller asked us to produce a cursor (set by execute()).
-    fn next_cursor_wanted(&self) -> bool {
-        self.produce_cursor
+    /// The Lazy strategy's range read: up to `count` entries of
+    /// `[start, end)`, one entry per request, one request per round.
+    fn fetch_one_by_one(
+        &mut self,
+        ns: NsId,
+        mut start: Vec<u8>,
+        mut end: Option<Vec<u8>>,
+        reverse: bool,
+        count: u64,
+    ) -> Result<Vec<KvEntry>, ExecError> {
+        let mut got = Vec::new();
+        while (got.len() as u64) < count {
+            let resp = self.round_one(KvRequest::GetRange {
+                ns,
+                start: start.clone(),
+                end: end.clone(),
+                limit: Some(1),
+                reverse,
+            });
+            match resp.into_entries()?.into_iter().next() {
+                Some((k, v)) => {
+                    advance_bounds(&mut start, &mut end, &k, reverse);
+                    got.push((k, v));
+                }
+                None => break,
+            }
+        }
+        Ok(got)
     }
 
     // ------------------------------------------------------------- joins
 
     fn eval_fk_join(
         &mut self,
+        op: &RemoteOp,
         children: Vec<Tuple>,
-        table_id: piql_core::catalog::TableId,
         key: &[KeySource],
         row_bytes: u64,
     ) -> Result<Vec<Tuple>, ExecError> {
-        let table = self.catalog.table_by_id(table_id).clone();
-        let ns = self.primary_ns(&table);
         let mut probe_keys = Vec::with_capacity(children.len());
         for child in &children {
-            let vals: Vec<Value> = key
-                .iter()
-                .map(|ks| match ks {
-                    KeySource::Const(op) => self.resolve(op),
-                    KeySource::ChildField(p) => Ok(child[*p].clone()),
-                })
-                .collect::<Result<_, _>>()?;
-            probe_keys.push(keys::primary_key_from_values(&vals)?);
+            let mut probe = Vec::new();
+            for ks in key {
+                let value = match ks {
+                    KeySource::Const(operand) => operand.resolve(self.params)?,
+                    KeySource::ChildField(p) => &child[*p],
+                };
+                keys::encode_probe_component(&mut probe, value, Dir::Asc)?;
+            }
+            probe_keys.push(probe);
         }
         self.tag_op(
             LiveOpKind::IndexFKJoin,
@@ -378,13 +479,15 @@ impl<'a> ExecCtx<'a> {
             1,
             row_bytes,
         );
-        let responses = self.issue_gets(ns, probe_keys)?;
+        let responses = self.issue_gets(op.primary, probe_keys)?;
         self.clear_op_tag();
         let mut out = Vec::with_capacity(children.len());
         for (child, resp) in children.into_iter().zip(responses) {
             if let KvResponse::Value(Some(bytes)) = resp {
-                let row = keys::decode_row(&table, &bytes)?;
-                out.push(child.concat(&row));
+                // a child probes once, so its values move into the output
+                let mut values = child.into_values();
+                values.extend(keys::decode_row(&op.table, &bytes)?.into_values());
+                out.push(Tuple::new(values));
             }
             // missing row: dangling reference -> inner join drops it
         }
@@ -393,41 +496,15 @@ impl<'a> ExecCtx<'a> {
 
     fn eval_sorted_join(
         &mut self,
+        op: &RemoteOp,
         children: Vec<Tuple>,
         spec: &SortedJoinSpec,
     ) -> Result<Vec<Tuple>, ExecError> {
-        let table = self.table(&spec.index);
-        let ns = self.ns_of_index(&table, &spec.index);
-
-        // per-child probe prefixes
-        let mut prefixes = Vec::with_capacity(children.len());
-        for child in &children {
-            let mut prefix = Vec::new();
-            let parts_dirs = self.index_dirs(&table, &spec.index);
-            for (i, ks) in spec.prefix.iter().enumerate() {
-                let v = match ks {
-                    KeySource::Const(op) => {
-                        let val = self.resolve(op)?;
-                        // token probes encode the canonical token
-                        if i == 0 && self.index_has_token(&spec.index) {
-                            match val.as_str().and_then(piql_core::text::search_token) {
-                                Some(tok) => Value::Varchar(tok),
-                                None => val,
-                            }
-                        } else {
-                            val
-                        }
-                    }
-                    KeySource::ChildField(p) => child[*p].clone(),
-                };
-                keys::encode_probe_component(&mut prefix, &v, parts_dirs[i])?;
-            }
-            prefixes.push(prefix);
-        }
-
         // resume state
-        let resume = match self.resume.clone() {
-            Some(CursorState::SortedJoinAfter { suffix, full_key }) => Some((suffix, full_key)),
+        let resume = match self.resume {
+            Some(CursorState::SortedJoinAfter { suffix, full_key }) => {
+                Some((suffix.as_slice(), full_key.as_slice()))
+            }
             Some(CursorState::ScanAfter { .. }) => {
                 return Err(ExecError::Cursor(
                     "cursor does not match this query's plan".into(),
@@ -436,41 +513,52 @@ impl<'a> ExecCtx<'a> {
             None => None,
         };
 
+        // one bounded range per child: its probe prefix, narrowed to the
+        // cursor position when resuming
+        let params = self.params;
+        let mut prefix_lens = Vec::with_capacity(children.len());
+        let mut requests = Vec::with_capacity(children.len());
+        for child in &children {
+            let prefix = Self::probe_prefix(
+                op,
+                spec.prefix.iter().map(|ks| match ks {
+                    KeySource::Const(operand) => operand.resolve(params),
+                    KeySource::ChildField(p) => Ok(&child[*p]),
+                }),
+            )?;
+            prefix_lens.push(prefix.len());
+            let mut end = prefix_upper_bound(&prefix);
+            let mut start = prefix;
+            if let Some((suffix, _)) = resume {
+                // conservative: include the cursor position, filter below
+                let mut at = start.clone();
+                at.extend_from_slice(suffix);
+                if spec.reverse {
+                    end = prefix_upper_bound(&at).or(end);
+                } else {
+                    start = at;
+                }
+            }
+            requests.push(KvRequest::GetRange {
+                ns: op.ns,
+                start,
+                end,
+                limit: Some(spec.per_key),
+                reverse: spec.reverse,
+            });
+        }
+
         // fetch up to per_key entries per probe
-        let mut per_child_entries: Vec<Vec<(Vec<u8>, Vec<u8>)>> = Vec::new();
-        let requests: Vec<KvRequest> = prefixes
-            .iter()
-            .map(|prefix| {
-                let (mut start, mut end) = (prefix.clone(), prefix_upper_bound(prefix));
-                if let Some((suffix, _)) = &resume {
-                    // conservative: include the cursor position, filter below
-                    let mut at = prefix.clone();
-                    at.extend_from_slice(suffix);
-                    if spec.reverse {
-                        end = prefix_upper_bound(&at).or(end);
-                    } else {
-                        start = at;
-                    }
-                }
-                KvRequest::GetRange {
-                    ns,
-                    start,
-                    end,
-                    limit: Some(spec.per_key),
-                    reverse: spec.reverse,
-                }
-            })
-            .collect();
         self.tag_op(
             LiveOpKind::SortedIndexJoin,
-            prefixes.len() as u64,
+            requests.len() as u64,
             spec.per_key,
             spec.row_bytes,
         );
+        let mut per_child_entries: Vec<Vec<KvEntry>> = Vec::with_capacity(requests.len());
         match self.strategy {
             ExecStrategy::Parallel => {
-                let responses = self.round(requests);
-                for resp in responses {
+                for resp in self.round(requests) {
                     per_child_entries.push(resp.into_entries()?);
                 }
             }
@@ -482,76 +570,67 @@ impl<'a> ExecCtx<'a> {
             }
             ExecStrategy::Lazy => {
                 // per probe: one entry per request
-                for (req, prefix) in requests.into_iter().zip(&prefixes) {
+                for req in requests {
                     let KvRequest::GetRange {
                         ns,
-                        mut start,
-                        mut end,
+                        start,
+                        end,
                         reverse,
                         ..
                     } = req
                     else {
                         unreachable!()
                     };
-                    let mut got = Vec::new();
-                    while (got.len() as u64) < spec.per_key {
-                        let resp = self.round_one(KvRequest::GetRange {
-                            ns,
-                            start: start.clone(),
-                            end: end.clone(),
-                            limit: Some(1),
-                            reverse,
-                        });
-                        let batch = resp.into_entries()?;
-                        match batch.into_iter().next() {
-                            Some((k, v)) => {
-                                advance_bounds(&mut start, &mut end, &k, reverse);
-                                got.push((k, v));
-                            }
-                            None => break,
-                        }
-                    }
-                    let _ = prefix;
-                    per_child_entries.push(got);
+                    per_child_entries.push(self.fetch_one_by_one(
+                        ns,
+                        start,
+                        end,
+                        reverse,
+                        spec.per_key,
+                    )?);
                 }
             }
         }
         self.clear_op_tag();
 
-        // merge: tag entries with (suffix, full key) and k-way merge
+        // merge: order entries by the key bytes after their probe prefix
+        // (the sort columns + pk, already direction-encoded by the index
+        // codec), forward or reverse; ties by full key
         struct Item {
             child_idx: usize,
-            suffix: Vec<u8>,
+            /// Where the suffix starts in `key`.
+            prefix_len: usize,
             key: Vec<u8>,
             value: Vec<u8>,
         }
-        let mut items: Vec<Item> = Vec::new();
-        for (ci, entries) in per_child_entries.into_iter().enumerate() {
-            let plen = prefixes[ci].len();
-            for (k, v) in entries {
-                let suffix = k[plen.min(k.len())..].to_vec();
+        impl Item {
+            fn position(&self) -> (&[u8], &[u8]) {
+                (&self.key[self.prefix_len..], &self.key)
+            }
+        }
+        let mut items: Vec<Item> = Vec::with_capacity(per_child_entries.iter().map(Vec::len).sum());
+        for (child_idx, entries) in per_child_entries.into_iter().enumerate() {
+            for (key, value) in entries {
                 items.push(Item {
-                    child_idx: ci,
-                    suffix,
-                    key: k,
-                    value: v,
+                    child_idx,
+                    prefix_len: prefix_lens[child_idx].min(key.len()),
+                    key,
+                    value,
                 });
             }
         }
-        // emission order: by suffix bytes (already direction-encoded by the
-        // index codec), forward or reverse; ties by full key
         if spec.reverse {
-            items.sort_by(|a, b| b.suffix.cmp(&a.suffix).then(b.key.cmp(&a.key)));
+            items.sort_by(|a, b| b.position().cmp(&a.position()));
         } else {
-            items.sort_by(|a, b| a.suffix.cmp(&b.suffix).then(a.key.cmp(&b.key)));
+            items.sort_by(|a, b| a.position().cmp(&b.position()));
         }
         // resume filter: drop everything at or before the cursor position
-        if let Some((cs, ck)) = &resume {
+        if let Some(cursor) = resume {
             items.retain(|it| {
                 let cmp = if spec.reverse {
-                    (cs.as_slice(), ck.as_slice()).cmp(&(it.suffix.as_slice(), it.key.as_slice()))
+                    cursor.cmp(&it.position())
                 } else {
-                    (it.suffix.as_slice(), it.key.as_slice()).cmp(&(cs.as_slice(), ck.as_slice()))
+                    it.position().cmp(&cursor)
                 };
                 cmp == std::cmp::Ordering::Greater
             });
@@ -561,132 +640,173 @@ impl<'a> ExecCtx<'a> {
         }
 
         // cursor
-        if self.resume.is_some() || self.next_cursor_wanted() {
-            self.next_cursor = items.last().map(|it| CursorState::SortedJoinAfter {
-                suffix: it.suffix.clone(),
-                full_key: it.key.clone(),
+        if self.resume.is_some() || self.produce_cursor {
+            self.next_cursor = items.last().map(|it| {
+                let (suffix, full_key) = it.position();
+                CursorState::SortedJoinAfter {
+                    suffix: suffix.to_vec(),
+                    full_key: full_key.to_vec(),
+                }
             });
         }
 
         // materialize right rows (deref when needed), attach child tuples
-        let entries: Vec<(Vec<u8>, Vec<u8>)> = items
-            .iter()
-            .map(|it| (it.key.clone(), it.value.clone()))
-            .collect();
-        let rows = self.materialize(&table, &spec.index, entries, spec.deref, spec.row_bytes)?;
-        let mut out = Vec::with_capacity(rows.len());
-        for (it, (_, right)) in items.iter().zip(rows) {
-            out.push(children[it.child_idx].concat(&right));
+        let mut child_of = Vec::with_capacity(items.len());
+        let mut entries = Vec::with_capacity(items.len());
+        for it in items {
+            child_of.push(it.child_idx);
+            entries.push((it.key, it.value));
         }
+        let mut out = Vec::with_capacity(entries.len());
+        self.materialize(op, entries, spec.deref, spec.row_bytes, |i, right| {
+            // a child can match many entries, so its values are copied
+            let left = &children[child_of[i]];
+            let mut values = Vec::with_capacity(left.len() + right.len());
+            values.extend_from_slice(left.values());
+            values.extend(right.into_values());
+            out.push(Tuple::new(values));
+        })?;
         Ok(out)
     }
 
     // ------------------------------------------------------------- shared
 
-    /// Build the scan's probe prefix and return the direction of the key
-    /// part a range (if any) applies to.
-    fn scan_prefix(&self, table: &TableDef, spec: &ScanSpec) -> Result<(Vec<u8>, Dir), ExecError> {
-        let dirs = self.index_dirs(table, &spec.index);
+    /// Encode a probe prefix: one component per value, over the leading
+    /// key parts of `op`'s index.
+    fn probe_prefix<'v>(
+        op: &RemoteOp,
+        values: impl Iterator<Item = Result<&'v Value, ParamError>>,
+    ) -> Result<Vec<u8>, ExecError> {
         let mut prefix = Vec::new();
-        for (i, op) in spec.eq_prefix.iter().enumerate() {
-            let v = self.resolve(op)?;
-            let v = if i == 0 && self.index_has_token(&spec.index) {
-                match v.as_str().and_then(piql_core::text::search_token) {
-                    Some(tok) => Value::Varchar(tok),
-                    None => v,
-                }
+        for (i, value) in values.enumerate() {
+            let value = value?;
+            let dir = op.dirs.get(i).copied().ok_or_else(|| {
+                ExecError::Internal("probe prefix is longer than the index key".into())
+            })?;
+            // token probes encode the canonical token
+            let token = if i == 0 && op.token {
+                value.as_str().and_then(piql_core::text::search_token)
             } else {
-                v
+                None
             };
-            keys::encode_probe_component(&mut prefix, &v, dirs[i])?;
+            match &token {
+                Some(token) => {
+                    key::encode_component_ref(&mut prefix, ValueRef::Varchar(token), dir)
+                        .map_err(keys::KeyError::from)?
+                }
+                None => keys::encode_probe_component(&mut prefix, value, dir)?,
+            }
         }
-        let range_dir = dirs.get(spec.eq_prefix.len()).copied().unwrap_or(Dir::Asc);
-        Ok((prefix, range_dir))
+        Ok(prefix)
     }
 
-    fn index_dirs(&self, table: &TableDef, index: &IndexRef) -> Vec<Dir> {
-        match &index.secondary {
-            None => vec![Dir::Asc; table.primary_key.len()],
-            Some(idx) => idx.full_key_dirs(table),
-        }
-    }
-
-    fn index_has_token(&self, index: &IndexRef) -> bool {
-        index
-            .secondary
-            .as_ref()
-            .map(IndexDef::has_token_part)
-            .unwrap_or(false)
-    }
-
-    fn resolve_range(&self, range: Option<&RangeSpec>) -> Result<ResolvedRange, ExecError> {
-        let Some(r) = range else {
-            return Ok(ResolvedRange::default());
+    /// Byte-space `[start, end)` of a scan: everything under `prefix`,
+    /// narrowed by a range over the key part that follows it, whose
+    /// direction is `dir`.
+    fn range_bounds(
+        &self,
+        prefix: Vec<u8>,
+        range: Option<&RangeSpec>,
+        dir: Dir,
+    ) -> Result<(Vec<u8>, Option<Vec<u8>>), ExecError> {
+        let (low, high) = match range {
+            Some(r) => (r.low.as_ref(), r.high.as_ref()),
+            None => (None, None),
         };
-        let conv = |b: &Option<piql_core::plan::physical::RangeBound>| -> Result<_, ExecError> {
-            Ok(match b {
-                Some(rb) => Some((self.resolve(&rb.operand)?, rb.inclusive)),
-                None => None,
-            })
+        // under Desc encoding, the value-space low bound becomes the
+        // byte-space high bound and vice versa
+        let (byte_low, byte_high) = match dir {
+            Dir::Asc => (low, high),
+            Dir::Desc => (high, low),
         };
-        Ok(ResolvedRange {
-            low: conv(&r.low)?,
-            high: conv(&r.high)?,
-        })
+        let enc = |bound: &RangeBound| -> Result<Vec<u8>, ExecError> {
+            let mut k = prefix.clone();
+            keys::encode_probe_component(&mut k, bound.operand.resolve(self.params)?, dir)?;
+            Ok(k)
+        };
+        let end = match byte_high {
+            None => prefix_upper_bound(&prefix),
+            Some(bound) => {
+                let k = enc(bound)?;
+                if bound.inclusive {
+                    prefix_upper_bound(&k)
+                } else {
+                    Some(k)
+                }
+            }
+        };
+        let start = match byte_low {
+            None => prefix,
+            Some(bound) => {
+                let k = enc(bound)?;
+                if bound.inclusive {
+                    k
+                } else {
+                    prefix_upper_bound(&k).unwrap_or(k)
+                }
+            }
+        };
+        Ok((start, end))
     }
 
     /// Turn index entries into full-arity right rows, dereferencing through
-    /// the primary namespace when the index is not covering.
+    /// the primary namespace when the index is not covering. Each row is
+    /// handed to `emit` with the position of the entry it came from;
+    /// entries whose record is gone or has moved on are skipped.
     fn materialize(
         &mut self,
-        table: &TableDef,
-        index: &IndexRef,
-        entries: Vec<(Vec<u8>, Vec<u8>)>,
+        op: &RemoteOp,
+        entries: Vec<KvEntry>,
         deref: bool,
         row_bytes: u64,
-    ) -> Result<Vec<(Vec<u8>, Tuple)>, ExecError> {
-        match &index.secondary {
-            None => entries
-                .into_iter()
-                .map(|(k, v)| Ok((k, keys::decode_row(table, &v)?)))
-                .collect(),
-            Some(idx) if !deref => entries
-                .into_iter()
-                .map(|(k, _)| {
-                    let row = keys::row_from_index_key(table, idx, &k)?;
-                    Ok((k, row))
-                })
-                .collect(),
-            Some(idx) => {
-                let primary = self.primary_ns(table);
-                let mut pk_keys = Vec::with_capacity(entries.len());
-                for (k, _) in &entries {
-                    let pk_vals = keys::pk_values_from_index_key(table, idx, k)?;
-                    pk_keys.push(keys::primary_key_from_values(&pk_vals)?);
-                }
-                // non-covering index dereference: modeled (and therefore
-                // sampled) as an IndexFKJoin of the fetched entries — the
-                // same shape `plan_thetas` predicts for it
-                self.tag_op(LiveOpKind::IndexFKJoin, pk_keys.len() as u64, 1, row_bytes);
-                let responses = self.issue_gets(primary, pk_keys)?;
-                self.clear_op_tag();
-                let mut out = Vec::with_capacity(entries.len());
-                for ((k, _), resp) in entries.into_iter().zip(responses) {
-                    if let KvResponse::Value(Some(bytes)) = resp {
-                        let row = keys::decode_row(table, &bytes)?;
-                        // the §7.2 write order can leave entries whose
-                        // record moved on (crash between record update and
-                        // stale-entry deletion); re-verify the entry is
-                        // still derivable from the record before emitting
-                        if keys::index_entry_keys(table, idx, &row)?.contains(&k) {
-                            out.push((k, row));
-                        }
-                    }
-                    // missing: dangling index entry awaiting GC (§7.2); skip
-                }
-                Ok(out)
+        mut emit: impl FnMut(usize, Tuple),
+    ) -> Result<(), ExecError> {
+        let table = &op.table;
+        if !op.secondary {
+            for (i, (_, v)) in entries.into_iter().enumerate() {
+                emit(i, keys::decode_row(table, &v)?);
             }
+            return Ok(());
         }
+        let row_from_key =
+            |k: &[u8]| keys::row_from_key(table.columns.len(), &op.parts, &op.types, &op.dirs, k);
+        if !deref {
+            for (i, (k, _)) in entries.into_iter().enumerate() {
+                emit(i, row_from_key(&k)?);
+            }
+            return Ok(());
+        }
+        let mut pk_keys = Vec::with_capacity(entries.len());
+        for (k, _) in &entries {
+            let row = row_from_key(k)?;
+            let mut pk = Vec::new();
+            for &col in &op.pk {
+                keys::encode_probe_component(&mut pk, &row[col], Dir::Asc)?;
+            }
+            pk_keys.push(pk);
+        }
+        // non-covering index dereference: modeled (and therefore
+        // sampled) as an IndexFKJoin of the fetched entries — the
+        // same shape `plan_thetas` predicts for it
+        self.tag_op(LiveOpKind::IndexFKJoin, pk_keys.len() as u64, 1, row_bytes);
+        let responses = self.issue_gets(op.primary, pk_keys)?;
+        self.clear_op_tag();
+        for (i, ((k, _), resp)) in entries.into_iter().zip(responses).enumerate() {
+            if let KvResponse::Value(Some(bytes)) = resp {
+                let row = keys::decode_row(table, &bytes)?;
+                // the §7.2 write order can leave entries whose
+                // record moved on (crash between record update and
+                // stale-entry deletion); re-verify the entry is
+                // still derivable from the record before emitting
+                let mut derivable = false;
+                keys::entry_keys(&op.parts, &row, |key| derivable |= key == k)?;
+                if derivable {
+                    emit(i, row);
+                }
+            }
+            // missing: dangling index entry awaiting GC (§7.2); skip
+        }
+        Ok(())
     }
 
     /// Issue a batch of gets per the strategy.
@@ -712,54 +832,30 @@ impl<'a> ExecCtx<'a> {
     }
 
     fn round_one(&mut self, request: KvRequest) -> KvResponse {
-        self.round(vec![request]).remove(0)
+        self.store.execute_one(self.session, request)
     }
 }
 
-/// Resolved scan range in value space.
-#[derive(Debug, Default, Clone)]
-struct ResolvedRange {
-    low: Option<(Value, bool)>,
-    high: Option<(Value, bool)>,
-}
-
-/// Convert a value-space range into byte-space `[start, end)` under the key
-/// part's direction.
-fn range_to_bytes(prefix: &[u8], range: &ResolvedRange, dir: Dir) -> (Vec<u8>, Option<Vec<u8>>) {
-    // under Desc encoding, the value-space low bound becomes the byte-space
-    // high bound and vice versa
-    let (byte_low, byte_high) = match dir {
-        Dir::Asc => (range.low.clone(), range.high.clone()),
-        Dir::Desc => (range.high.clone(), range.low.clone()),
-    };
-    let enc = |v: &Value| {
-        let mut k = prefix.to_vec();
-        piql_core::codec::key::encode_component(&mut k, v, dir).expect("key-compatible value");
-        k
-    };
-    let start = match &byte_low {
-        None => prefix.to_vec(),
-        Some((v, inclusive)) => {
-            let k = enc(v);
-            if *inclusive {
-                k
-            } else {
-                prefix_upper_bound(&k).unwrap_or(k)
+/// `LocalProject`: each row reduced to `columns`' source positions. Rows
+/// are consumed, so when the positions ascend (`t.*`, any subset in table
+/// order, the identity) values are moved down inside the row's own buffer
+/// and nothing is copied.
+fn project_rows(rows: Vec<Tuple>, columns: &[(usize, String)]) -> Vec<Tuple> {
+    let ascending = columns.windows(2).all(|w| w[0].0 < w[1].0);
+    rows.into_iter()
+        .map(|row| {
+            if !ascending {
+                return Tuple::new(columns.iter().map(|(p, _)| row[*p].clone()).collect());
             }
-        }
-    };
-    let end = match &byte_high {
-        None => prefix_upper_bound(prefix),
-        Some((v, inclusive)) => {
-            let k = enc(v);
-            if *inclusive {
-                prefix_upper_bound(&k)
-            } else {
-                Some(k)
+            let mut values = row.into_values();
+            for (to, (from, _)) in columns.iter().enumerate() {
+                // `to <= from`, and every later source lies beyond `from`
+                values.swap(to, *from);
             }
-        }
-    };
-    (start, end)
+            values.truncate(columns.len());
+            Tuple::new(values)
+        })
+        .collect()
 }
 
 /// After consuming entry `k`, tighten the bounds for the next fetch.

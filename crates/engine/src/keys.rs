@@ -10,7 +10,7 @@ use piql_core::codec::key::{self, Dir};
 use piql_core::codec::row as row_codec;
 use piql_core::text;
 use piql_core::tuple::Tuple;
-use piql_core::value::{Value, ValueRef};
+use piql_core::value::{DataType, Value, ValueRef};
 use std::fmt;
 
 /// Engine-level errors around key/row handling.
@@ -186,6 +186,8 @@ pub fn index_entry_keys(
 
 /// Append one probe component with the part's direction.
 pub fn encode_probe_component(buf: &mut Vec<u8>, value: &Value, dir: Dir) -> Result<(), KeyError> {
+    // sized before it is written: a one-component key is one allocation
+    buf.reserve(value.encoded_len());
     key::encode_component(buf, value, dir)?;
     Ok(())
 }
@@ -224,27 +226,58 @@ pub fn encode_row_from<R: RowSource>(row: &R, arity: usize) -> Result<Vec<u8>, R
     Ok(out)
 }
 
-/// Reconstruct a (partial) full-arity row from a covering index entry key.
-/// Columns not present in the key come back as NULL; the planner only
-/// allows covering scans when every needed column is in the key.
+/// The value types of a stored key laid out as `parts`, as
+/// [`key::decode_key`] takes them. A token part holds the token text.
+pub fn key_types(table: &TableDef, parts: &[KeyPart]) -> Vec<DataType> {
+    parts
+        .iter()
+        .map(|part| {
+            if part.token {
+                DataType::Varchar(64)
+            } else {
+                table.columns[part.col].ty
+            }
+        })
+        .collect()
+}
+
+/// Reconstruct a (partial) `arity`-column row from the bytes of a key laid
+/// out as `parts` (with their `types` and `dirs`, resolved once by the
+/// caller). Columns not present in the key come back as NULL; the planner
+/// only allows covering scans when every needed column is in the key.
+pub fn row_from_key(
+    arity: usize,
+    parts: &[KeyPart],
+    types: &[DataType],
+    dirs: &[Dir],
+    key_bytes: &[u8],
+) -> Result<Tuple, KeyError> {
+    let (values, _) = key::decode_key(key_bytes, types, dirs)?;
+    let mut row = vec![Value::Null; arity];
+    for (part, value) in parts.iter().zip(values) {
+        if !part.token {
+            row[part.col] = value;
+        }
+    }
+    Ok(Tuple::new(row))
+}
+
+/// [`row_from_key`] for an index entry key, resolving the layout from the
+/// definitions.
 pub fn row_from_index_key(
     table: &TableDef,
     index: &IndexDef,
     key_bytes: &[u8],
 ) -> Result<Tuple, KeyError> {
-    let parts = index.full_key_parts(table);
-    let types = index.full_key_types(table);
-    let dirs = index.full_key_dirs(table);
-    let (values, _) = key::decode_key(key_bytes, &types, &dirs)?;
-    let mut row = vec![Value::Null; table.columns.len()];
-    for ((part, ty), value) in parts.iter().zip(&types).zip(values) {
-        let _ = ty;
-        if let IndexKind::Column(name) = &part.kind {
-            let col = table.column_id(name).expect("validated");
-            row[col] = value;
-        }
-    }
-    Ok(Tuple::new(row))
+    let parts = index_key_parts(table, index)?;
+    let dirs: Vec<Dir> = parts.iter().map(|p| p.dir).collect();
+    row_from_key(
+        table.columns.len(),
+        &parts,
+        &key_types(table, &parts),
+        &dirs,
+        key_bytes,
+    )
 }
 
 /// Extract the primary-key values from an index entry key (the trailing
@@ -266,7 +299,6 @@ pub fn pk_values_from_index_key(
 mod tests {
     use super::*;
     use piql_core::catalog::{IndexKeyPart, TableId};
-    use piql_core::value::DataType;
 
     fn thoughts() -> TableDef {
         let mut t = TableDef::builder("thoughts")

@@ -5,7 +5,7 @@ use piql_core::plan::params::Params;
 use piql_core::tuple;
 use piql_core::value::Value;
 use piql_engine::{Cursor, Database, DbError, ExecStrategy, WriteError};
-use piql_kv::{ClusterConfig, KvStore, LiveCluster, LiveConfig, Session, SimCluster};
+use piql_kv::{ClusterConfig, KvRequest, KvStore, LiveCluster, LiveConfig, Session, SimCluster};
 use std::sync::Arc;
 
 const SCADR_DDL: &[&str] = &[
@@ -45,7 +45,7 @@ fn scadr_db(nodes: usize) -> Database {
 
 /// Deterministic small SCADr population: `n_users` users, each following
 /// users (u+1..u+follows), each posting `posts` thoughts.
-fn populate(db: &Database, n_users: usize, follows: usize, posts: usize) {
+fn populate<S: KvStore>(db: &Database<S>, n_users: usize, follows: usize, posts: usize) {
     let uname = |i: usize| format!("user{i:04}");
     db.bulk_load(
         "users",
@@ -601,4 +601,147 @@ fn cached_write_plan_is_rebuilt_when_the_catalog_moves_on() {
         assert_eq!(err.to_string(), "unknown table 'nope'");
     }
     assert_eq!(db.write_plan_stats().cached, 1);
+}
+
+/// A `Prepared` carries what its plan reads, resolved when it was made.
+/// Nothing that happens to the database afterwards — a new table, an index
+/// another statement's `prepare` derives, a rebalance — may make it read
+/// anything other than what a fresh `prepare` of the same text reads.
+fn early_prepared_reads_what_a_fresh_one_reads<S: KvStore>(db: &Database<S>, backend: &str) {
+    for ddl in SCADR_DDL {
+        db.execute_ddl(ddl).unwrap();
+    }
+    populate(db, 12, 6, 5);
+    let texts = [
+        "SELECT * FROM users WHERE username = <uname>",
+        "SELECT u.* FROM subscriptions s JOIN users u \
+         WHERE u.username = s.target AND s.owner = <uname>",
+        THOUGHTSTREAM,
+        // a derived secondary index, dereferenced; and one read covered
+        "SELECT * FROM subscriptions WHERE target = <uname> LIMIT 20",
+        "SELECT owner, target FROM subscriptions WHERE target = <uname> LIMIT 20",
+    ];
+    let prepare_all = || texts.map(|sql| db.prepare(sql).unwrap());
+    let params = Params::from_values([Value::Varchar("user0003".into())]);
+    let run = |prepared: &[piql_engine::Prepared]| {
+        let mut session = Session::new();
+        let rows = prepared
+            .iter()
+            .map(|p| db.execute(&mut session, p, &params).unwrap().rows)
+            .collect::<Vec<_>>();
+        (rows, session.stats.logical_requests, session.stats.rounds)
+    };
+    let early = prepare_all();
+    let before = run(&early);
+    assert!(before.0.iter().all(|rows| !rows.is_empty()), "{backend}");
+
+    // the catalog and the placement move on under the early plans
+    db.execute_ddl("CREATE TABLE later (id INT NOT NULL, note VARCHAR(20), PRIMARY KEY (id))")
+        .unwrap();
+    db.prepare("SELECT * FROM thoughts WHERE timestamp = <ts> LIMIT 5")
+        .unwrap();
+    db.prepare("SELECT * FROM later WHERE note = <n> LIMIT 5")
+        .unwrap();
+    db.cluster().rebalance();
+    assert_eq!(
+        run(&early),
+        before,
+        "{backend}: same rows for the same work"
+    );
+    assert_eq!(run(&prepare_all()), before, "{backend}: as a fresh prepare");
+
+    // and a row written after all that is seen by both
+    let mut session = Session::new();
+    db.insert_row(
+        &mut session,
+        "subscriptions",
+        tuple!["user0004", "user0003", true],
+    )
+    .unwrap();
+    let after = run(&early);
+    assert_eq!(after.0[3].len(), before.0[3].len() + 1, "{backend}");
+    assert_eq!(run(&prepare_all()), after, "{backend}");
+}
+
+#[test]
+fn prepared_reads_survive_catalog_and_placement_changes() {
+    early_prepared_reads_what_a_fresh_one_reads(
+        &Database::new(Arc::new(SimCluster::new(ClusterConfig::instant(3)))),
+        "sim",
+    );
+    early_prepared_reads_what_a_fresh_one_reads(
+        &Database::new(Arc::new(LiveCluster::new(LiveConfig::default()))),
+        "live",
+    );
+}
+
+#[test]
+fn sorted_join_keeps_rows_with_their_children_past_a_dangling_entry() {
+    // a merge over a dereferenced index: when an entry's record is gone,
+    // the rows after it must still be joined to the child that probed them
+    let db = scadr_db(3);
+    db.execute_ddl(
+        "CREATE TABLE posts (id INT NOT NULL, author VARCHAR(32) NOT NULL, \
+         score INT NOT NULL, body VARCHAR(40), PRIMARY KEY (id))",
+    )
+    .unwrap();
+    populate(&db, 4, 3, 0);
+    db.bulk_load(
+        "posts",
+        (0..12).map(|i| {
+            tuple![
+                i,
+                format!("user{:04}", i % 4).as_str(),
+                100 - i,
+                format!("post {i}").as_str()
+            ]
+        }),
+    )
+    .unwrap();
+    let sql = "SELECT s.target, posts.* FROM subscriptions s JOIN posts \
+               WHERE posts.author = s.target AND s.owner = <uname> \
+               ORDER BY posts.score DESC LIMIT 8";
+    let prepared = db.prepare(sql).unwrap();
+    let params = Params::from_values([Value::Varchar("user0000".into())]);
+    let mut session = Session::new();
+    let full = db.execute(&mut session, &prepared, &params).unwrap().rows;
+    assert_eq!(full.len(), 8);
+    assert!(full.iter().all(|row| row[0] == row[2]), "target = author");
+
+    // remove the best post's record behind the index's back
+    let best = full[0][1].clone();
+    let posts = db.store().namespace("t/posts");
+    let key = piql_engine::keys::primary_key_from_values(std::slice::from_ref(&best)).unwrap();
+    db.store()
+        .execute_round(&mut session, vec![KvRequest::Delete { ns: posts, key }]);
+    let rows = db.execute(&mut session, &prepared, &params).unwrap().rows;
+    assert_eq!(rows.len(), 7, "the dangling entry is skipped");
+    assert!(rows.iter().all(|row| row[1] != best));
+    assert!(
+        rows.iter().all(|row| row[0] == row[2]),
+        "every row still joined to the child whose probe found it: {rows:?}"
+    );
+}
+
+#[test]
+fn a_range_bound_that_cannot_be_a_key_is_an_error_not_a_panic() {
+    let db = scadr_db(2);
+    populate(&db, 3, 1, 4);
+    let prepared = db
+        .prepare("SELECT * FROM thoughts WHERE owner = <o> AND timestamp > <ts> LIMIT 5")
+        .unwrap();
+    let mut session = Session::new();
+    let run = |session: &mut Session, ts: Value| {
+        let params = Params::from_values([Value::Varchar("user0001".into()), ts]);
+        db.execute(session, &prepared, &params)
+    };
+    assert_eq!(
+        run(&mut session, Value::Timestamp(0)).unwrap().rows.len(),
+        4
+    );
+    let err = run(&mut session, Value::Double(0.5)).unwrap_err();
+    assert!(
+        err.to_string().contains("not allowed in index keys"),
+        "{err}"
+    );
 }

@@ -32,7 +32,7 @@
 //! are *byte-identical* to the generic encoder's (pinned by tests).
 
 use crate::json::Json;
-use crate::protocol::{Envelope, ProtoError, Request, RequestId};
+use crate::protocol::{write_cursor_hex, Envelope, ProtoError, Reply, Request, RequestId};
 use crate::wire::Wire;
 use piql_core::plan::params::ParamValue;
 use piql_core::value::ValueRef;
@@ -310,21 +310,41 @@ pub(crate) fn put_json(out: &mut Vec<u8>, j: &Json) {
     }
 }
 
-// ------------------------------------------------- fast-path emission
+// ------------------------------------------------------- row emission
 //
-// The server's allocation-free point-read path (`server::BinaryConn`)
-// composes its response frame from these emitters instead of building a
-// [`Json`] tree. Their output is pinned byte-identical to
-// `put_json(&ok_response([("rows", ..), ("cursor", Null)]))` by tests —
-// any drift would make fast and general responses distinguishable.
+// The one row encoder: [`Wire::encode_reply`] and the server's
+// allocation-free point-read path (`server::BinaryConn`) both compose
+// `execute` responses from these emitters instead of building a [`Json`]
+// tree. Their output is pinned byte-identical to
+// `put_json(&reply.into_json())` by tests — any drift would make streamed
+// and tree-built responses distinguishable.
 
-/// The fast `execute` response body up to and including the rows array's
-/// element count. `BTreeMap` key order puts `cursor` < `ok` < `rows`.
-pub(crate) fn put_fast_ok_header(out: &mut Vec<u8>, rows: u32) {
+/// An `execute` response body up to and including the rows array's
+/// element count. `BTreeMap` key order puts `cursor` < `degraded` < `ok`
+/// < `rows`; the cursor travels as the hex string its JSON twin carries.
+pub(crate) fn put_rows_header(
+    out: &mut Vec<u8>,
+    cursor: Option<&Cursor>,
+    degraded: bool,
+    rows: u32,
+) {
     out.push(J_OBJ);
-    put_u32(out, 3);
+    put_u32(out, 3 + u32::from(degraded));
     put_str(out, "cursor");
-    out.push(J_NULL);
+    match cursor {
+        None => out.push(J_NULL),
+        Some(cursor) => {
+            // a string's length prefix is a frame's: reserved, then patched
+            out.push(J_STR);
+            let mark = begin_frame(out);
+            write_cursor_hex(cursor, out);
+            finish_frame(out, mark);
+        }
+    }
+    if degraded {
+        put_str(out, "degraded");
+        out.push(J_TRUE);
+    }
     put_str(out, "ok");
     out.push(J_TRUE);
     put_str(out, "rows");
@@ -379,6 +399,38 @@ pub(crate) fn put_row_value(out: &mut Vec<u8>, v: ValueRef<'_>) {
             out.push(J_FLOAT);
             out.extend_from_slice(&d.to_le_bytes());
         }
+    }
+}
+
+/// Append one reply exactly as `put_json(&reply.into_json())` emits it.
+fn put_reply(out: &mut Vec<u8>, reply: &Reply) {
+    match reply {
+        Reply::Rows {
+            rows,
+            cursor,
+            degraded,
+        } => {
+            put_rows_header(out, cursor.as_ref(), *degraded, rows.len() as u32);
+            for row in rows {
+                put_row_header(out, row.len() as u32);
+                for v in row.values() {
+                    put_row_value(out, ValueRef::of(v));
+                }
+            }
+        }
+        Reply::Batch(replies) => {
+            out.push(J_OBJ);
+            put_u32(out, 2);
+            put_str(out, "ok");
+            out.push(J_TRUE);
+            put_str(out, "results");
+            out.push(J_ARR);
+            put_u32(out, replies.len() as u32);
+            for sub in replies {
+                put_reply(out, sub);
+            }
+        }
+        Reply::Doc(doc) => put_json(out, doc),
     }
 }
 
@@ -742,6 +794,14 @@ impl Wire for BinaryWire {
         finish_frame(out, mark);
     }
 
+    fn encode_reply(&self, id: Option<&RequestId>, reply: &Reply, out: &mut Vec<u8>) {
+        let mark = begin_frame(out);
+        out.push(OP_RESPONSE);
+        put_id(out, id);
+        put_reply(out, reply);
+        finish_frame(out, mark);
+    }
+
     fn read_frame(&self, reader: &mut dyn BufRead, buf: &mut Vec<u8>) -> io::Result<bool> {
         let mut len_bytes = [0u8; 4];
         let mut filled = 0usize;
@@ -994,7 +1054,7 @@ mod tests {
             put_json(&mut generic, &generic_doc);
 
             let mut fast = Vec::new();
-            put_fast_ok_header(&mut fast, rows.len() as u32);
+            put_rows_header(&mut fast, None, false, rows.len() as u32);
             for row in &rows {
                 put_row_header(&mut fast, row.len() as u32);
                 for v in row {

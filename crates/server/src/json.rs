@@ -8,6 +8,7 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
+use std::io::Write;
 
 /// A JSON document. Objects use a `BTreeMap` so serialization is
 /// deterministic — the differential tests compare protocol bytes.
@@ -79,75 +80,113 @@ impl Json {
         }
     }
 
-    fn write(&self, out: &mut String) {
+    /// Append the compact serialization (no whitespace, object keys in
+    /// map order) to `out`. Everything written is UTF-8.
+    pub fn write_to(&self, out: &mut Vec<u8>) {
         match self {
-            Json::Null => out.push_str("null"),
-            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::Int(i) => out.push_str(&i.to_string()),
-            Json::Float(f) => {
-                if f.is_finite() {
-                    let s = format!("{f}");
-                    out.push_str(&s);
-                    // keep floats distinguishable from ints on re-parse
-                    if !s.contains(['.', 'e', 'E']) {
-                        out.push_str(".0");
-                    }
-                } else {
-                    // JSON has no Inf/NaN; encode as null like serde_json
-                    out.push_str("null");
-                }
-            }
+            Json::Null => out.extend_from_slice(b"null"),
+            Json::Bool(b) => write_bool(*b, out),
+            Json::Int(i) => write_int(*i, out),
+            Json::Float(f) => write_float(*f, out),
             Json::Str(s) => write_escaped(s, out),
-            Json::Arr(items) => {
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    item.write(out);
-                }
-                out.push(']');
-            }
+            Json::Arr(items) => write_array(items, out, Json::write_to),
             Json::Obj(fields) => {
-                out.push('{');
+                out.push(b'{');
                 for (i, (k, v)) in fields.iter().enumerate() {
                     if i > 0 {
-                        out.push(',');
+                        out.push(b',');
                     }
                     write_escaped(k, out);
-                    out.push(':');
-                    v.write(out);
+                    out.push(b':');
+                    v.write_to(out);
                 }
-                out.push('}');
+                out.push(b'}');
             }
         }
     }
 }
 
-fn write_escaped(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
+// The scalar writers are shared with the response encoder, which prints
+// rows straight from tuples (`protocol::write_reply`): one definition of
+// how a number or a string looks on the wire. They format into the buffer
+// they are given; none allocates.
+
+pub(crate) const HEX_DIGITS: &[u8; 16] = b"0123456789abcdef";
+
+/// Append `items` between brackets, comma-separated.
+pub(crate) fn write_array<T>(items: &[T], out: &mut Vec<u8>, write: impl Fn(&T, &mut Vec<u8>)) {
+    out.push(b'[');
+    for (i, item) in items.iter().enumerate() {
+        if i > 0 {
+            out.push(b',');
         }
+        write(item, out);
     }
-    out.push('"');
+    out.push(b']');
+}
+
+pub(crate) fn write_bool(b: bool, out: &mut Vec<u8>) {
+    out.extend_from_slice(if b { b"true" } else { b"false" });
+}
+
+pub(crate) fn write_int(i: i64, out: &mut Vec<u8>) {
+    // writing into a `Vec` cannot fail
+    let _ = write!(out, "{i}");
+}
+
+pub(crate) fn write_float(f: f64, out: &mut Vec<u8>) {
+    if !f.is_finite() {
+        // JSON has no Inf/NaN; encode as null like serde_json
+        return out.extend_from_slice(b"null");
+    }
+    let start = out.len();
+    let _ = write!(out, "{f}");
+    // keep floats distinguishable from ints on re-parse
+    if !out[start..].iter().any(|b| matches!(b, b'.' | b'e' | b'E')) {
+        out.extend_from_slice(b".0");
+    }
+}
+
+pub(crate) fn write_escaped(s: &str, out: &mut Vec<u8>) {
+    out.push(b'"');
+    let bytes = s.as_bytes();
+    // start of the run of bytes that need no escape and are copied whole
+    let mut run = 0;
+    for (i, &b) in bytes.iter().enumerate() {
+        let short: Option<&[u8]> = match b {
+            b'"' => Some(b"\\\""),
+            b'\\' => Some(b"\\\\"),
+            b'\n' => Some(b"\\n"),
+            b'\r' => Some(b"\\r"),
+            b'\t' => Some(b"\\t"),
+            // the other control characters have no short form
+            0..=0x1F => None,
+            _ => continue,
+        };
+        out.extend_from_slice(&bytes[run..i]);
+        match short {
+            Some(escape) => out.extend_from_slice(escape),
+            None => out.extend_from_slice(&[
+                b'\\',
+                b'u',
+                b'0',
+                b'0',
+                HEX_DIGITS[usize::from(b >> 4)],
+                HEX_DIGITS[usize::from(b & 0xF)],
+            ]),
+        }
+        run = i + 1;
+    }
+    out.extend_from_slice(&bytes[run..]);
+    out.push(b'"');
 }
 
 /// Serializes compactly (no whitespace), deterministically.
 impl fmt::Display for Json {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let mut out = String::new();
-        self.write(&mut out);
-        f.write_str(&out)
+        let mut out = Vec::new();
+        self.write_to(&mut out);
+        f.write_str(std::str::from_utf8(&out).map_err(|_| fmt::Error)?)
     }
 }
 
@@ -267,20 +306,55 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
     }
 }
 
+/// Offset of the unescaped quote that closes a string whose body is
+/// `rest` (its length when there is none): the decoded text is never
+/// longer than this.
+fn closing_quote(rest: &[u8]) -> usize {
+    let mut at = 0;
+    while let Some(&b) = rest.get(at) {
+        match b {
+            b'"' => return at,
+            b'\\' => at += 2,
+            _ => at += 1,
+        }
+    }
+    rest.len()
+}
+
 fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, JsonError> {
     if bytes.get(*pos) != Some(&b'"') {
         return Err(err(*pos, "expected string"));
     }
     *pos += 1;
+    // allocated once, when the first run is copied in
     let mut out = String::new();
     loop {
+        // the run up to the next quote or backslash is copied whole; every
+        // exit is an error, never a panic, even on truncated input
+        let rest = bytes.get(*pos..).unwrap_or_default();
+        let run_len = rest
+            .iter()
+            .position(|&b| b == b'"' || b == b'\\')
+            .unwrap_or(rest.len());
+        let run = rest
+            .get(..run_len)
+            .and_then(|run| std::str::from_utf8(run).ok())
+            .ok_or_else(|| err(*pos, "invalid utf-8"))?;
+        if out.capacity() == 0 {
+            out.reserve_exact(match rest.get(run_len) {
+                Some(b'\\') => closing_quote(rest),
+                _ => run_len,
+            });
+        }
+        out.push_str(run);
+        *pos += run_len;
         match bytes.get(*pos) {
             None => return Err(err(*pos, "unterminated string")),
             Some(b'"') => {
                 *pos += 1;
                 return Ok(out);
             }
-            Some(b'\\') => {
+            Some(_) => {
                 *pos += 1;
                 match bytes.get(*pos) {
                     Some(b'"') => out.push('"'),
@@ -323,20 +397,6 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, JsonError> {
                     _ => return Err(err(*pos, "bad escape")),
                 }
                 *pos += 1;
-            }
-            Some(_) => {
-                // consume one UTF-8 scalar; every exit is an error, never a
-                // panic, even on truncated or invalid input
-                let rest = bytes
-                    .get(*pos..)
-                    .and_then(|b| std::str::from_utf8(b).ok())
-                    .ok_or_else(|| err(*pos, "invalid utf-8"))?;
-                let c = rest
-                    .chars()
-                    .next()
-                    .ok_or_else(|| err(*pos, "unterminated string"))?;
-                out.push(c);
-                *pos += c.len_utf8();
             }
         }
     }

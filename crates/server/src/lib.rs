@@ -55,7 +55,7 @@ pub use budget::{BudgetDecision, BudgetPermit, BudgetPolicy, BudgetSnapshot, Ten
 pub use client::{decode_page, Client, ClientError, Page, Pipeline};
 pub use durable::{open_durable, DurableOptions, DurableStack, Readmission, SnapshotDaemon};
 pub use json::{Json, JsonError};
-pub use protocol::{Envelope, ProtoError, Request, RequestId};
+pub use protocol::{Envelope, ProtoError, Reply, Request, RequestId};
 pub use registry::{
     Admission, DriftAction, DriftEvent, DurabilityControl, ExecOutcome, FastKeyPart, FastPointPlan,
     OverloadConfig, RegisteredStatement, RegistryCounters, RegistryError, RevalidationSummary,

@@ -31,11 +31,15 @@
 //! bare JSON number would erase. Pagination cursors travel as hex so a
 //! client can reconnect to any server and resume (§4.1 of the paper).
 
-use crate::json::{Json, JsonError};
+use crate::json::{
+    write_array, write_bool, write_escaped, write_float, write_int, Json, JsonError, HEX_DIGITS,
+};
 use piql_core::plan::params::ParamValue;
+use piql_core::tuple::Tuple;
 use piql_core::value::Value;
 use piql_engine::Cursor;
 use std::fmt;
+use std::ops::Bound::{Excluded, Unbounded};
 
 /// Protocol-level failures (distinct from query errors, which travel in
 /// `{"ok":false,"error":...}` responses).
@@ -296,17 +300,40 @@ pub fn cursor_to_json(cursor: &Option<Cursor>) -> Json {
 }
 
 pub fn hex_encode(bytes: &[u8]) -> String {
-    bytes.iter().map(|b| format!("{b:02x}")).collect()
+    let mut out = String::with_capacity(bytes.len() * 2);
+    for &b in bytes {
+        out.push(char::from(HEX_DIGITS[usize::from(b >> 4)]));
+        out.push(char::from(HEX_DIGITS[usize::from(b & 0xF)]));
+    }
+    out
 }
 
 pub fn hex_decode(s: &str) -> Option<Vec<u8>> {
-    if !s.len().is_multiple_of(2) {
+    let digit = |d: u8| char::from(d).to_digit(16);
+    let digits = s.as_bytes();
+    if !digits.len().is_multiple_of(2) {
         return None;
     }
-    (0..s.len())
-        .step_by(2)
-        .map(|i| u8::from_str_radix(s.get(i..i + 2)?, 16).ok())
-        .collect()
+    let mut out = Vec::with_capacity(digits.len() / 2);
+    for pair in digits.chunks_exact(2) {
+        out.push((digit(pair[0])? << 4 | digit(pair[1])?) as u8);
+    }
+    Some(out)
+}
+
+/// Append the wire form of `cursor` — the hex digits of its bytes, what
+/// [`cursor_to_json`] puts in a string — to `out`: the bytes are written
+/// where the digits go and spread out in place, last byte first.
+pub(crate) fn write_cursor_hex(cursor: &Cursor, out: &mut Vec<u8>) {
+    let at = out.len();
+    cursor.write_to(out);
+    let n = out.len() - at;
+    out.resize(at + 2 * n, 0);
+    for i in (0..n).rev() {
+        let b = out[at + i];
+        out[at + 2 * i] = HEX_DIGITS[usize::from(b >> 4)];
+        out[at + 2 * i + 1] = HEX_DIGITS[usize::from(b & 0xF)];
+    }
 }
 
 /// Parse one request line, id included.
@@ -550,6 +577,177 @@ pub fn budget_exceeded_response(tenant: &str) -> Json {
     ])
 }
 
+/// What a request is answered with. Rows stay the executor's tuples until
+/// a codec writes them into its connection's buffer
+/// ([`Wire::encode_reply`](crate::wire::Wire::encode_reply)); every other
+/// answer, and every error, is a small document.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Reply {
+    /// A successful `execute` / `cursor-next`.
+    Rows {
+        rows: Vec<Tuple>,
+        cursor: Option<Cursor>,
+        /// Overload control served the statement's degraded plan.
+        degraded: bool,
+    },
+    /// A `batch`: one reply per sub-request, positionally.
+    Batch(Vec<Reply>),
+    /// Any other verb's answer, and every error.
+    Doc(Json),
+}
+
+impl Reply {
+    /// The response envelope as a tree — what both codecs' `encode_reply`
+    /// write, for callers that want a document instead of bytes.
+    pub fn into_json(self) -> Json {
+        match self {
+            Reply::Rows {
+                rows,
+                cursor,
+                degraded,
+            } => {
+                let rows = rows.iter().map(|t| row_to_json(t.values())).collect();
+                let mut fields = vec![
+                    ("rows", Json::Arr(rows)),
+                    ("cursor", cursor_to_json(&cursor)),
+                ];
+                // a shed admission served the degraded plan: tell the
+                // client its result was truncated by overload control
+                if degraded {
+                    fields.push(("degraded", Json::Bool(true)));
+                }
+                ok_response(fields)
+            }
+            Reply::Batch(replies) => {
+                let results = replies.into_iter().map(Reply::into_json).collect();
+                ok_response([("results", Json::Arr(results))])
+            }
+            Reply::Doc(doc) => doc,
+        }
+    }
+}
+
+// ------------------------------------------------------- streamed responses
+//
+// The JSON codec's response encoder: the text `reply.into_json()` prints
+// as, with `id` attached, written without the tree. Object keys go out in
+// the order a `BTreeMap` holds them, which for the fixed envelopes is
+// spelled out below. Pinned byte for byte against the tree's printer by
+// `tests/reply_props.rs`.
+
+fn write_id(id: &RequestId, out: &mut Vec<u8>) {
+    match id {
+        RequestId::Int(i) => write_int(*i, out),
+        RequestId::Str(s) => write_escaped(s, out),
+    }
+}
+
+/// One column value as `value_to_json` tags it.
+fn write_value(v: &Value, out: &mut Vec<u8>) {
+    match v {
+        Value::Null => return out.extend_from_slice(b"null"),
+        Value::Int(i) => {
+            out.extend_from_slice(b"{\"int\":");
+            write_int(i64::from(*i), out);
+        }
+        Value::BigInt(i) => {
+            out.extend_from_slice(b"{\"big\":");
+            write_int(*i, out);
+        }
+        Value::Varchar(s) => {
+            out.extend_from_slice(b"{\"str\":");
+            write_escaped(s, out);
+        }
+        Value::Bool(b) => {
+            out.extend_from_slice(b"{\"bool\":");
+            write_bool(*b, out);
+        }
+        Value::Timestamp(t) => {
+            out.extend_from_slice(b"{\"ts\":");
+            write_int(*t, out);
+        }
+        Value::Double(d) => {
+            out.extend_from_slice(b"{\"f\":");
+            write_float(*d, out);
+        }
+    }
+    out.push(b'}');
+}
+
+/// Append `doc` with `id` attached: for an object, `id` goes where a map
+/// holding it would print it (and replaces a field of that name, as
+/// [`attach_id`] would); anything else prints as it is.
+pub(crate) fn write_doc(id: Option<&RequestId>, doc: &Json, out: &mut Vec<u8>) {
+    let (Json::Obj(fields), Some(id)) = (doc, id) else {
+        return doc.write_to(out);
+    };
+    let field = |(k, v): (&String, &Json), out: &mut Vec<u8>| {
+        write_escaped(k, out);
+        out.push(b':');
+        v.write_to(out);
+    };
+    out.push(b'{');
+    for entry in fields.range::<str, _>((Unbounded, Excluded("id"))) {
+        field(entry, out);
+        out.push(b',');
+    }
+    out.extend_from_slice(b"\"id\":");
+    write_id(id, out);
+    for entry in fields.range::<str, _>((Excluded("id"), Unbounded)) {
+        out.push(b',');
+        field(entry, out);
+    }
+    out.push(b'}');
+}
+
+/// Append `reply` as one response object carrying `id`.
+pub(crate) fn write_reply(id: Option<&RequestId>, reply: &Reply, out: &mut Vec<u8>) {
+    let id_field = |out: &mut Vec<u8>| {
+        if let Some(id) = id {
+            out.extend_from_slice(b"\"id\":");
+            write_id(id, out);
+            out.push(b',');
+        }
+    };
+    match reply {
+        Reply::Rows {
+            rows,
+            cursor,
+            degraded,
+        } => {
+            // cursor < degraded < id < ok < rows
+            out.extend_from_slice(b"{\"cursor\":");
+            match cursor {
+                Some(cursor) => {
+                    out.push(b'"');
+                    write_cursor_hex(cursor, out);
+                    out.push(b'"');
+                }
+                None => out.extend_from_slice(b"null"),
+            }
+            if *degraded {
+                out.extend_from_slice(b",\"degraded\":true");
+            }
+            out.push(b',');
+            id_field(out);
+            out.extend_from_slice(b"\"ok\":true,\"rows\":");
+            write_array(rows, out, |row, out| {
+                write_array(row.values(), out, write_value)
+            });
+            out.push(b'}');
+        }
+        Reply::Batch(replies) => {
+            // id < ok < results
+            out.push(b'{');
+            id_field(out);
+            out.extend_from_slice(b"\"ok\":true,\"results\":");
+            write_array(replies, out, |sub, out| write_reply(None, sub, out));
+            out.push(b'}');
+        }
+        Reply::Doc(doc) => write_doc(id, doc, out),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -762,6 +960,7 @@ mod tests {
         );
         assert!(hex_decode("abc").is_none());
         assert!(hex_decode("zz").is_none());
+        assert!(hex_decode("+f").is_none(), "digits only, no sign");
         assert!(parse_request("{\"cmd\":\"nope\"}").is_err());
         assert!(parse_request("not json").is_err());
     }

@@ -36,7 +36,6 @@ use crate::budget::{BudgetDecision, BudgetPolicy, TenantBudget};
 use piql_analysis::ordered::{Mutex, RwLock};
 use piql_analysis::rank;
 use piql_core::ast::{RowBound, SelectStmt};
-use piql_core::catalog::Catalog;
 use piql_core::opt::{InsightReport, OptError, Optimizer};
 use piql_core::plan::params::ParamsRef;
 use piql_core::plan::physical::{PhysicalPlan, ScanLimit};
@@ -260,13 +259,10 @@ pub struct FastPointPlan {
     pub arity: usize,
 }
 
-/// Extract the fast point-read plan from a freshly prepared statement, if
-/// it qualifies. Resolves the namespace id eagerly (idempotent; the
-/// general path creates the same namespace on first execution anyway).
-fn fast_point_plan<S: KvStore>(
-    db: &Database<S>,
-    prepared: &Prepared,
-) -> Option<Arc<FastPointPlan>> {
+/// The fast point-read plan of a prepared statement, if it qualifies: a
+/// view of what `prepare` already resolved (the scan's namespace and
+/// table) plus the probe key's sources.
+fn fast_point_plan(prepared: &Prepared) -> Option<Arc<FastPointPlan>> {
     let compiled = &prepared.compiled;
     if compiled.page_size.is_some() {
         return None;
@@ -295,13 +291,16 @@ fn fast_point_plan<S: KvStore>(
     if *count == 0 {
         return None;
     }
-    let catalog = db.catalog();
-    let table = catalog.table_by_id(spec.index.table);
-    if spec.eq_prefix.len() != table.primary_key.len() {
+    // the scan is the plan's only remote operator
+    let [scan] = prepared.remote_ops() else {
+        return None;
+    };
+    if spec.eq_prefix.len() != scan.pk.len() {
         return None;
     }
     // a peeled projection must cover the whole row, not a prefix of it
-    if projected.is_some_and(|n| n != table.columns.len()) {
+    let arity = scan.table.columns.len();
+    if projected.is_some_and(|n| n != arity) {
         return None;
     }
     let parts = spec
@@ -312,13 +311,12 @@ fn fast_point_plan<S: KvStore>(
             Operand::Param(p) => FastKeyPart::Param(p.index),
         })
         .collect();
-    let ns = db.store().namespace(&Catalog::table_namespace(table));
     Some(Arc::new(FastPointPlan {
-        ns,
+        ns: scan.ns,
         parts,
         alpha_c: (*count).min(u32::MAX as u64) as u32,
         beta: spec.row_bytes.min(u32::MAX as u64) as u32,
-        arity: table.columns.len(),
+        arity,
     }))
 }
 
@@ -860,7 +858,7 @@ impl<S: KvStore> StatementRegistry<S> {
         limit: Option<u64>,
     ) {
         let last_predicted_p99_ms = admission.predicted_p99_ms().unwrap_or(0.0);
-        let fast_point = fast_point_plan(&self.db, &prepared);
+        let fast_point = fast_point_plan(&prepared);
         // tenant budget + shed plan resolve before the statements write
         // lock: both take their own locks and must not nest inside it
         let budget = self.budget_for(tenant_of(name));
@@ -1216,7 +1214,7 @@ impl<S: KvStore> StatementRegistry<S> {
         state.admission = new_admission;
         state.last_predicted_p99_ms = p99;
         if let Some((new_prepared, new_limit, new_p99, new_shed)) = swap {
-            state.fast_point = fast_point_plan(&self.db, &new_prepared);
+            state.fast_point = fast_point_plan(&new_prepared);
             state.prepared = new_prepared;
             state.limit = new_limit;
             state.last_predicted_p99_ms = new_p99;

@@ -54,8 +54,8 @@ use crate::binary::{self, BinaryWire, OP_EXECUTE, OP_RESPONSE};
 use crate::budget::BudgetDecision;
 use crate::json::Json;
 use crate::protocol::{
-    budget_exceeded_response, cursor_to_json, err_response, ok_response, parse_request,
-    row_to_json, Envelope, Request, RequestId,
+    budget_exceeded_response, err_response, ok_response, parse_request, Envelope, Reply, Request,
+    RequestId,
 };
 use crate::registry::{
     Admission, FastKeyPart, RegistryError, Revalidator, SloConfig, StatementRegistry,
@@ -365,10 +365,11 @@ struct ConnState<S: KvStore> {
     registry: Arc<StatementRegistry<S>>,
     dispatch: Arc<RoundPool>,
     /// Completed responses travel to the writer half over this channel as
-    /// `(correlation id, body)` — encoding (and id attachment) is the
-    /// writer's [`Wire`]'s job, so the lanes are codec-generic. The writer
-    /// exits once every holder of this state is done.
-    tx: mpsc::Sender<(Option<RequestId>, Json)>,
+    /// `(correlation id, reply)` — rows still the executor's tuples;
+    /// encoding (and id attachment) is the writer's [`Wire`]'s job, so the
+    /// lanes are codec-generic. The writer exits once every holder of this
+    /// state is done.
+    tx: mpsc::Sender<(Option<RequestId>, Reply)>,
     serial: Mutex<SerialLane>,
     /// Sessions for concurrently handled (`id`-carrying) requests: popped
     /// per request, pushed back after, created on demand. Bounded by the
@@ -449,7 +450,7 @@ impl<S: KvStore + 'static> ConnState<S> {
                 }
             };
             let response = match job {
-                SerialJob::Respond(json) => json,
+                SerialJob::Respond(json) => Reply::Doc(json),
                 SerialJob::Handle(request) => run_handler(&request, &mut session, &self.registry),
             };
             self.serial.lock().session = Some(session);
@@ -477,19 +478,18 @@ impl<S: KvStore + 'static> ConnState<S> {
     }
 }
 
-/// [`handle_request`] with panic containment: a handler panic (an engine
-/// bug, not client-reachable input — those answer errors) becomes an
-/// error response instead of wedging the connection's lane or killing a
-/// pool worker.
+/// [`respond`] with panic containment: a handler panic (an engine bug, not
+/// client-reachable input — those answer errors) becomes an error response
+/// instead of wedging the connection's lane or killing a pool worker.
 fn run_handler<S: KvStore>(
     request: &Request,
     session: &mut Session,
     registry: &StatementRegistry<S>,
-) -> Json {
+) -> Reply {
     std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        handle_request(request, session, registry)
+        respond(request, session, registry)
     }))
-    .unwrap_or_else(|_| err_response("internal error: request handler panicked"))
+    .unwrap_or_else(|_| Reply::Doc(err_response("internal error: request handler panicked")))
 }
 
 /// Serve one client until EOF. Sniffs the codec from the first byte —
@@ -545,7 +545,7 @@ fn serve_lanes<S: KvStore + 'static, W: Wire + Copy + Send + 'static>(
     wire: W,
     max_in_flight: usize,
 ) -> io::Result<()> {
-    let (tx, rx) = mpsc::channel::<(Option<RequestId>, Json)>();
+    let (tx, rx) = mpsc::channel::<(Option<RequestId>, Reply)>();
     let alive = Arc::new(AtomicBool::new(true));
     // cap 0 = unlimited: no window is even allocated, the lanes behave
     // exactly as before the backpressure control existed
@@ -603,7 +603,7 @@ fn serve_lanes<S: KvStore + 'static, W: Wire + Copy + Send + 'static>(
                         // completion; uncorrelatable ones keep their slot
                         // in the ordered lane
                         Some(id) => {
-                            let _ = state.tx.send((Some(id), response));
+                            let _ = state.tx.send((Some(id), Reply::Doc(response)));
                         }
                         None => state.enqueue_serial(SerialJob::Respond(response)),
                     }
@@ -627,7 +627,7 @@ fn serve_lanes<S: KvStore + 'static, W: Wire + Copy + Send + 'static>(
 /// discarded.
 fn write_loop<W: Wire>(
     stream: TcpStream,
-    rx: mpsc::Receiver<(Option<RequestId>, Json)>,
+    rx: mpsc::Receiver<(Option<RequestId>, Reply)>,
     alive: &AtomicBool,
     wire: W,
     inflight: Option<Arc<InFlight>>,
@@ -636,10 +636,10 @@ fn write_loop<W: Wire>(
     let mut buf = Vec::new();
     let write_one = |writer: &mut BufWriter<TcpStream>,
                      buf: &mut Vec<u8>,
-                     (id, response): (Option<RequestId>, Json)|
+                     (id, reply): (Option<RequestId>, Reply)|
      -> io::Result<()> {
         buf.clear();
-        wire.encode_response(id.as_ref(), &response, buf);
+        wire.encode_reply(id.as_ref(), &reply, buf);
         writer.write_all(buf)
     };
     // every response written releases one backpressure slot, even when it
@@ -735,7 +735,7 @@ fn serve_binary<S: KvStore + 'static>(
 /// frame is byte-identical to the general path's, and *any* irregularity
 /// (unknown statement, collection params, explicit cursor, trailing
 /// bytes, unsupported backend, corrupt row) rewinds the output and reruns
-/// the frame through the general decode → [`handle_request`] → encode
+/// the frame through the general decode → [`respond`] → encode
 /// path, which defines the behavior.
 pub struct BinaryConn<S: KvStore + 'static> {
     registry: Arc<StatementRegistry<S>>,
@@ -853,14 +853,14 @@ impl<S: KvStore + 'static> BinaryConn<S> {
             if arity != plan.arity {
                 return None;
             }
-            binary::put_fast_ok_header(&mut self.out, 1);
+            binary::put_rows_header(&mut self.out, None, false, 1);
             binary::put_row_header(&mut self.out, arity as u32);
             for _ in 0..arity {
                 binary::put_row_value(&mut self.out, row.next_value().ok()?);
             }
             row.finish().ok()?;
         } else {
-            binary::put_fast_ok_header(&mut self.out, 0);
+            binary::put_rows_header(&mut self.out, None, false, 0);
         }
         binary::finish_frame(&mut self.out, fmark);
 
@@ -884,8 +884,8 @@ impl<S: KvStore + 'static> BinaryConn<S> {
         let wire = BinaryWire;
         match wire.decode_envelope(frame) {
             Ok(env) => {
-                let response = run_handler(&env.request, &mut self.session, &self.registry);
-                wire.encode_response(env.id.as_ref(), &response, &mut self.out);
+                let reply = run_handler(&env.request, &mut self.session, &self.registry);
+                wire.encode_reply(env.id.as_ref(), &reply, &mut self.out);
             }
             Err(e) => {
                 let id = wire.extract_id(frame);
@@ -909,115 +909,47 @@ pub fn handle_line<S: KvStore>(
     handle_request(&request, session, registry)
 }
 
-/// Answer one parsed [`Request`] on `session`. Batches recurse: each
-/// sub-request is answered in place, sequentially on the same session
-/// (so a `dml` is visible to the `execute` after it), and a sub-error
-/// becomes an `{"ok":false,...}` entry instead of aborting the rest.
+/// Answer one parsed [`Request`] on `session` with the response envelope
+/// as a tree: [`respond`] for embedders that do their own transport.
 pub fn handle_request<S: KvStore>(
     request: &Request,
     session: &mut Session,
     registry: &StatementRegistry<S>,
 ) -> Json {
-    match request {
-        Request::Prepare { name, sql } => match registry.register(name, sql) {
-            Ok(admission) => {
-                let mut fields = vec![("status", Json::str(admission.verdict()))];
-                match &admission {
-                    Admission::Admitted { predicted_p99_ms } => {
-                        fields.push(("predicted_p99_ms", Json::Float(*predicted_p99_ms)));
-                    }
-                    Admission::Degraded {
-                        predicted_p99_ms,
-                        original_limit,
-                        limit,
-                    } => {
-                        fields.push(("predicted_p99_ms", Json::Float(*predicted_p99_ms)));
-                        fields.push(("original_limit", Json::Int(*original_limit as i64)));
-                        fields.push(("limit", Json::Int(*limit as i64)));
-                    }
-                    Admission::RejectedSlo { predicted_p99_ms } => {
-                        fields.push(("predicted_p99_ms", Json::Float(*predicted_p99_ms)));
-                    }
-                    Admission::RejectedUnbounded { report } => {
-                        // the legacy flat string, plus the structured
-                        // diagnosis (problem / relation / suggestions) the
-                        // Insight Assistant computed all along — clients no
-                        // longer have to screen-scrape the report text
-                        fields.push(("report", Json::str(report.to_string())));
-                        fields.push(("problem", Json::str(report.problem.clone())));
-                        fields.push((
-                            "relation",
-                            match &report.relation {
-                                Some(rel) => Json::str(rel.clone()),
-                                None => Json::Null,
-                            },
-                        ));
-                        fields.push((
-                            "suggestions",
-                            Json::Arr(
-                                report
-                                    .suggestions
-                                    .iter()
-                                    .map(|s| Json::str(s.to_string()))
-                                    .collect(),
-                            ),
-                        ));
-                    }
-                    // registration never flags (flags come from sweeps)
-                    Admission::Flagged {
-                        predicted_p99_ms,
-                        diagnostics,
-                    } => {
-                        fields.push(("predicted_p99_ms", Json::Float(*predicted_p99_ms)));
-                        fields.push(("diagnostics", diagnostics_to_json(diagnostics)));
-                    }
-                }
-                if admission.is_admitted() {
-                    // Admission and this lookup are not atomic: a rival
-                    // prepare of the same name that lands on a rejection
-                    // path uninstalls the entry (see `register`), so the
-                    // statement can already be gone. That is an answerable
-                    // race, not a panic a client gets to trigger.
-                    let Some(statement) = registry.get(name) else {
-                        return err_response(format!(
-                            "statement '{name}' was removed by a concurrent prepare/unprepare"
-                        ));
-                    };
-                    let prepared = statement.prepared();
-                    fields.push((
-                        "columns",
-                        Json::Arr(
-                            prepared
-                                .columns
-                                .iter()
-                                .map(|c| Json::str(c.clone()))
-                                .collect(),
-                        ),
-                    ));
-                    let bounds = &prepared.compiled.bounds;
-                    fields.push((
-                        "bounds",
-                        Json::obj([
-                            ("requests", Json::Int(bounds.requests as i64)),
-                            ("rounds", Json::Int(bounds.rounds as i64)),
-                            ("tuples", Json::Int(bounds.tuples as i64)),
-                        ]),
-                    ));
-                }
-                ok_response(fields)
-            }
-            Err(e) => err_response(e.to_string()),
-        },
+    respond(request, session, registry).into_json()
+}
+
+/// Answer one parsed [`Request`] on `session`. Rows are handed on as the
+/// executor produced them; every other verb, and every error, answers a
+/// document. Batches recurse: each sub-request is answered in place,
+/// sequentially on the same session (so a `dml` is visible to the
+/// `execute` after it), and a sub-error becomes an `{"ok":false,...}`
+/// entry instead of aborting the rest.
+pub fn respond<S: KvStore>(
+    request: &Request,
+    session: &mut Session,
+    registry: &StatementRegistry<S>,
+) -> Reply {
+    Reply::Doc(match request {
         Request::Execute {
             name,
             params,
             cursor,
-        } => run_execute(session, registry, name, params, cursor.as_ref()),
+        } => return run_execute(session, registry, name, params, cursor.as_ref()),
         Request::CursorNext {
             name,
             params,
             cursor,
-        } => run_execute(session, registry, name, params, Some(cursor)),
+        } => return run_execute(session, registry, name, params, Some(cursor)),
+        Request::Batch { requests } => {
+            return Reply::Batch(
+                requests
+                    .iter()
+                    .map(|sub| respond(sub, session, registry))
+                    .collect(),
+            )
+        }
+        Request::Prepare { name, sql } => prepare_response(registry, name, sql),
         Request::Dml { sql, params } => {
             match registry.execute_dml(session, sql, params.as_slice()) {
                 // a dead WAL voids the durability guarantee: the write
@@ -1076,13 +1008,100 @@ pub fn handle_request<S: KvStore>(
         Request::Explain { name, sql } => {
             explain_response(registry, name.as_deref(), sql.as_deref())
         }
-        Request::Batch { requests } => {
-            let results: Vec<Json> = requests
-                .iter()
-                .map(|sub| handle_request(sub, session, registry))
-                .collect();
-            ok_response([("results", Json::Arr(results))])
+    })
+}
+
+/// The `prepare` verb: register the statement and report the admission
+/// verdict with the plan facts a client sizes its pages by.
+fn prepare_response<S: KvStore>(registry: &StatementRegistry<S>, name: &str, sql: &str) -> Json {
+    match registry.register(name, sql) {
+        Ok(admission) => {
+            let mut fields = vec![("status", Json::str(admission.verdict()))];
+            match &admission {
+                Admission::Admitted { predicted_p99_ms } => {
+                    fields.push(("predicted_p99_ms", Json::Float(*predicted_p99_ms)));
+                }
+                Admission::Degraded {
+                    predicted_p99_ms,
+                    original_limit,
+                    limit,
+                } => {
+                    fields.push(("predicted_p99_ms", Json::Float(*predicted_p99_ms)));
+                    fields.push(("original_limit", Json::Int(*original_limit as i64)));
+                    fields.push(("limit", Json::Int(*limit as i64)));
+                }
+                Admission::RejectedSlo { predicted_p99_ms } => {
+                    fields.push(("predicted_p99_ms", Json::Float(*predicted_p99_ms)));
+                }
+                Admission::RejectedUnbounded { report } => {
+                    // the legacy flat string, plus the structured
+                    // diagnosis (problem / relation / suggestions) the
+                    // Insight Assistant computed all along — clients no
+                    // longer have to screen-scrape the report text
+                    fields.push(("report", Json::str(report.to_string())));
+                    fields.push(("problem", Json::str(report.problem.clone())));
+                    fields.push((
+                        "relation",
+                        match &report.relation {
+                            Some(rel) => Json::str(rel.clone()),
+                            None => Json::Null,
+                        },
+                    ));
+                    fields.push((
+                        "suggestions",
+                        Json::Arr(
+                            report
+                                .suggestions
+                                .iter()
+                                .map(|s| Json::str(s.to_string()))
+                                .collect(),
+                        ),
+                    ));
+                }
+                // registration never flags (flags come from sweeps)
+                Admission::Flagged {
+                    predicted_p99_ms,
+                    diagnostics,
+                } => {
+                    fields.push(("predicted_p99_ms", Json::Float(*predicted_p99_ms)));
+                    fields.push(("diagnostics", diagnostics_to_json(diagnostics)));
+                }
+            }
+            if admission.is_admitted() {
+                // Admission and this lookup are not atomic: a rival
+                // prepare of the same name that lands on a rejection
+                // path uninstalls the entry (see `register`), so the
+                // statement can already be gone. That is an answerable
+                // race, not a panic a client gets to trigger.
+                let Some(statement) = registry.get(name) else {
+                    return err_response(format!(
+                        "statement '{name}' was removed by a concurrent prepare/unprepare"
+                    ));
+                };
+                let prepared = statement.prepared();
+                fields.push((
+                    "columns",
+                    Json::Arr(
+                        prepared
+                            .columns
+                            .iter()
+                            .map(|c| Json::str(c.clone()))
+                            .collect(),
+                    ),
+                ));
+                let bounds = &prepared.compiled.bounds;
+                fields.push((
+                    "bounds",
+                    Json::obj([
+                        ("requests", Json::Int(bounds.requests as i64)),
+                        ("rounds", Json::Int(bounds.rounds as i64)),
+                        ("tuples", Json::Int(bounds.tuples as i64)),
+                    ]),
+                ));
+            }
+            ok_response(fields)
         }
+        Err(e) => err_response(e.to_string()),
     }
 }
 
@@ -1269,32 +1288,17 @@ fn run_execute<S: KvStore>(
     name: &str,
     params: &[piql_core::plan::params::ParamValue],
     cursor: Option<&piql_engine::Cursor>,
-) -> Json {
+) -> Reply {
     match registry.execute_governed(session, name, params, cursor) {
-        Ok(outcome) => {
-            let mut fields = vec![
-                (
-                    "rows",
-                    Json::Arr(
-                        outcome
-                            .result
-                            .rows
-                            .iter()
-                            .map(|t| row_to_json(t.values()))
-                            .collect(),
-                    ),
-                ),
-                ("cursor", cursor_to_json(&outcome.result.cursor)),
-            ];
-            // a shed admission served the degraded plan: tell the client
-            // its result was truncated by overload control
-            if outcome.shed {
-                fields.push(("degraded", Json::Bool(true)));
-            }
-            ok_response(fields)
+        Ok(outcome) => Reply::Rows {
+            rows: outcome.result.rows,
+            cursor: outcome.result.cursor,
+            degraded: outcome.shed,
+        },
+        Err(RegistryError::BudgetExceeded { tenant }) => {
+            Reply::Doc(budget_exceeded_response(&tenant))
         }
-        Err(RegistryError::BudgetExceeded { tenant }) => budget_exceeded_response(&tenant),
-        Err(e) => err_response(e.to_string()),
+        Err(e) => Reply::Doc(err_response(e.to_string())),
     }
 }
 

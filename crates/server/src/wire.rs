@@ -17,7 +17,8 @@
 
 use crate::json::Json;
 use crate::protocol::{
-    attach_id, envelope_to_line, extract_id, parse_envelope, Envelope, ProtoError, RequestId,
+    envelope_to_line, extract_id, parse_envelope, write_doc, write_reply, Envelope, ProtoError,
+    Reply, RequestId,
 };
 use std::io::{self, BufRead};
 
@@ -36,6 +37,12 @@ pub trait Wire: Send + Sync {
     /// codec's job (JSON attaches it in-body, binary carries it in the
     /// frame header).
     fn encode_response(&self, id: Option<&RequestId>, response: &Json, out: &mut Vec<u8>);
+
+    /// Append one framed response carrying `id` to `out`, rows written
+    /// straight from the executor's tuples — the bytes
+    /// [`Wire::encode_response`] makes of `reply.into_json()`, without the
+    /// tree. This is how every answer leaves a server.
+    fn encode_reply(&self, id: Option<&RequestId>, reply: &Reply, out: &mut Vec<u8>);
 
     /// Read the next frame into `buf` (cleared first; its capacity is
     /// reused across calls — the read path of a warm connection performs
@@ -75,14 +82,12 @@ impl Wire for JsonWire {
     }
 
     fn encode_response(&self, id: Option<&RequestId>, response: &Json, out: &mut Vec<u8>) {
-        match id {
-            Some(id) => {
-                let mut tagged = response.clone();
-                attach_id(&mut tagged, id);
-                out.extend_from_slice(tagged.to_string().as_bytes());
-            }
-            None => out.extend_from_slice(response.to_string().as_bytes()),
-        }
+        write_doc(id, response, out);
+        out.push(b'\n');
+    }
+
+    fn encode_reply(&self, id: Option<&RequestId>, reply: &Reply, out: &mut Vec<u8>) {
+        write_reply(id, reply, out);
         out.push(b'\n');
     }
 

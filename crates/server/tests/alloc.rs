@@ -1,25 +1,34 @@
 //! The hot-path acceptance tests: after warm-up, a binary point read —
 //! decode → registry lookup → `point_get` → encode — performs **zero**
-//! heap allocations on the serving thread, and a binary `dml` INSERT
-//! performs only the ones it cannot do without (the decoded request, the
-//! keys and record it hands to the store, its response).
+//! heap allocations on the serving thread, a binary `dml` INSERT performs
+//! only the ones it cannot do without (the decoded request, the keys and
+//! record it hands to the store, its response), and a JSON page view
+//! allocates for its rows, stage by stage, and not for the layers between.
 //!
-//! A counting `#[global_allocator]` (per-thread counter, so the cluster's
-//! pool workers don't pollute the measurement) wraps the system
-//! allocator. The warm-up must saturate every lazily-grown buffer that
-//! legitimately allocates early: the per-statement `RunMetrics` ring
-//! (4096 samples) and the cluster's `LiveSampleSink` (65,536 samples,
-//! dropped-not-grown once full) — hence the 72k warm requests.
+//! A counting `#[global_allocator]` wraps the system allocator, counting
+//! per thread (so the cluster's pool workers don't pollute the
+//! single-request measurements) and for the whole process (a read's
+//! parallel rounds run partly on those workers; the tests take turns, so
+//! the process count is the measured test's own). The warm-up must
+//! saturate every lazily-grown buffer that legitimately allocates early:
+//! the per-statement `RunMetrics` ring (4096 samples) and the cluster's
+//! `LiveSampleSink` (65,536 samples, dropped-not-grown once full) — hence
+//! the 72k warm requests.
 
+use piql_core::plan::params::ParamValue;
 use piql_core::value::Value;
 use piql_engine::Database;
-use piql_kv::{LiveCluster, LiveConfig};
+use piql_kv::{LiveCluster, LiveConfig, Session};
+use piql_server::server::respond;
 use piql_server::testkit::linear_predictor;
-use piql_server::{BinaryConn, BinaryWire, Envelope, Request, SloConfig, StatementRegistry, Wire};
+use piql_server::{
+    BinaryConn, BinaryWire, Envelope, JsonWire, Request, SloConfig, StatementRegistry, Wire,
+};
 use piql_workloads::scadr::{self, ScadrConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 struct CountingAlloc;
 
@@ -27,13 +36,31 @@ thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
 }
 
+static PROCESS_ALLOCS: AtomicU64 = AtomicU64::new(0);
+
 fn bump() {
     // `try_with`: TLS may already be torn down during thread exit
     let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+    PROCESS_ALLOCS.fetch_add(1, Ordering::Relaxed);
 }
 
 fn allocs_on_this_thread() -> u64 {
     ALLOCS.with(Cell::get)
+}
+
+/// What `f` returns, and the allocations it caused on any thread. Its
+/// rounds are joined before it returns, so the workers' share has been
+/// counted by then.
+fn process_allocs<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let before = PROCESS_ALLOCS.load(Ordering::Relaxed);
+    let value = f();
+    (value, PROCESS_ALLOCS.load(Ordering::Relaxed) - before)
+}
+
+/// One test measures at a time: the process-wide count has no owner.
+fn one_at_a_time() -> MutexGuard<'static, ()> {
+    static TURN: Mutex<()> = Mutex::new(());
+    TURN.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
 unsafe impl GlobalAlloc for CountingAlloc {
@@ -70,6 +97,7 @@ const MEASURED_REQUESTS: usize = 2_000;
     ignore = "lock-order tracking allocates by design"
 )]
 fn warm_binary_point_reads_do_not_allocate() {
+    let _turn = one_at_a_time();
     let cluster = Arc::new(LiveCluster::new(LiveConfig::default()));
     let db = Arc::new(Database::new(cluster));
     scadr::setup(
@@ -168,6 +196,7 @@ const INSERT_ALLOC_BUDGET_ONE_INDEX: f64 = 10.75;
     ignore = "lock-order tracking allocates by design"
 )]
 fn warm_binary_inserts_stay_within_their_allocation_budget() {
+    let _turn = one_at_a_time();
     let cluster = Arc::new(LiveCluster::new(LiveConfig::default()));
     let db = Arc::new(Database::new(cluster));
     let config = ScadrConfig {
@@ -262,4 +291,165 @@ fn warm_binary_inserts_stay_within_their_allocation_budget() {
         2 * (WARM + MEASURED),
         "every insert applied"
     );
+}
+
+/// Allocations per stage of one warm JSON page view — a `batch` of the
+/// four SCADr reads for a user with 10 subscriptions and 10 thoughts,
+/// answering 1 + 10 + 10 + 10 rows — counted over the whole process.
+/// What is left is what the rows need: the decoded request (63, the only
+/// stage that still builds a tree), the entries the store hands back and
+/// the values decoded out of them (627: the four executions, and a vector
+/// of four replies), nothing for the response. At 25fd9a5 the same three
+/// stages made 67, 1444 (1027 executing, the rest building the response
+/// tree) and 347. A fanned-out round adds up to five more, depending on
+/// which pool threads look for work while it runs; a catalog clone, a
+/// per-row copy between operators or a response tree creeping back in adds
+/// ten or more to a statement.
+const DECODE_ENVELOPE_CEILING: f64 = 64.0;
+const RESPOND_CEILING: f64 = 645.0;
+const ENCODE_REPLY_CEILING: f64 = 0.0;
+/// Per execution of `find_user`, `users_followed`, `recent_thoughts`,
+/// `thoughtstream` through `execute_governed` (measured 14, 144–149,
+/// 60.4, 407–410; at 25fd9a5: 31, 270, 103.4, 623).
+const EXECUTE_CEILINGS: [f64; 4] = [15.0, 152.0, 62.0, 414.0];
+
+#[test]
+#[cfg_attr(
+    feature = "lock-order",
+    ignore = "lock-order tracking allocates by design"
+)]
+fn warm_json_page_views_allocate_for_rows_not_for_layers() {
+    let _turn = one_at_a_time();
+    let cluster = Arc::new(LiveCluster::new(LiveConfig::default()));
+    let db = Arc::new(Database::new(cluster));
+    let config = ScadrConfig {
+        users_per_node: 40,
+        thoughts_per_user: 10,
+        subscriptions_per_user: 10,
+        ..Default::default()
+    };
+    scadr::setup(&db, &config, 1).unwrap();
+    let registry = Arc::new(StatementRegistry::new(
+        db,
+        linear_predictor(200, 100, 2),
+        SloConfig {
+            slo_ms: 1e9,
+            interval_confidence: 1.0,
+            allow_degrade: false,
+        },
+    ));
+    let q = scadr::queries(&config);
+    let names = [
+        "find_user",
+        "users_followed",
+        "recent_thoughts",
+        "thoughtstream",
+    ];
+    for (name, sql) in names.iter().zip([
+        &q.find_user,
+        &q.users_followed,
+        &q.recent_thoughts,
+        &q.thoughtstream,
+    ]) {
+        assert!(registry.register(name, sql).unwrap().is_admitted());
+    }
+
+    const USERS: usize = 40;
+    const WARM: usize = 400;
+    const MEASURED: usize = 400;
+    let wire = JsonWire;
+    let user = |i: usize| {
+        vec![ParamValue::Scalar(Value::Varchar(scadr::username(
+            i % USERS,
+        )))]
+    };
+    let frames: Vec<Vec<u8>> = (0..USERS)
+        .map(|i| {
+            let requests = names.iter().map(|name| Request::Execute {
+                name: name.to_string(),
+                params: user(i),
+                cursor: None,
+            });
+            let mut line = Vec::new();
+            wire.encode_envelope(
+                &Envelope {
+                    id: Some((i as i64).into()),
+                    request: Request::Batch {
+                        requests: requests.collect(),
+                    },
+                },
+                &mut line,
+            );
+            line.pop(); // the newline: frames arrive without their framing
+            line
+        })
+        .collect();
+
+    let mut session = Session::new();
+    let mut out = Vec::new();
+    let (mut decode, mut handle, mut encode) = (0, 0, 0);
+    for i in 0..WARM + MEASURED {
+        let frame = &frames[i % USERS];
+        let (envelope, decoded) = process_allocs(|| wire.decode_envelope(frame).unwrap());
+        let (reply, handled) =
+            process_allocs(|| respond(&envelope.request, &mut session, &registry));
+        out.clear();
+        let ((), encoded) =
+            process_allocs(|| wire.encode_reply(envelope.id.as_ref(), &reply, &mut out));
+        if i >= WARM {
+            decode += decoded;
+            handle += handled;
+            encode += encoded;
+        }
+        if i == 0 {
+            // what is being measured is the page view the comment describes
+            let (_, body) = wire.decode_response(&out[..out.len() - 1]).unwrap();
+            let rows: Vec<usize> = body
+                .get("results")
+                .unwrap()
+                .as_arr()
+                .unwrap()
+                .iter()
+                .map(|r| r.get("rows").unwrap().as_arr().unwrap().len())
+                .collect();
+            assert_eq!(rows, [1, 10, 10, 10]);
+        }
+    }
+    let per_request = |n: u64| n as f64 / MEASURED as f64;
+    let (decode, handle, encode) = (
+        per_request(decode),
+        per_request(handle),
+        per_request(encode),
+    );
+
+    let mut executes = [0.0; 4];
+    for (slot, name) in executes.iter_mut().zip(names) {
+        let total: u64 = (0..MEASURED)
+            .map(|i| {
+                let params = user(i);
+                let (result, made) = process_allocs(|| {
+                    registry.execute_governed(&mut session, name, params.as_slice(), None)
+                });
+                assert!(result.is_ok());
+                made
+            })
+            .sum();
+        *slot = per_request(total);
+    }
+    println!(
+        "allocations per warm JSON page view: decode_envelope {decode:.2}, respond {handle:.2}, \
+         encode_reply {encode:.2}; per execute_governed {names:?} = {executes:.2?}"
+    );
+    assert!(
+        decode <= DECODE_ENVELOPE_CEILING,
+        "decode_envelope: {decode:.2}"
+    );
+    assert!(handle <= RESPOND_CEILING, "respond: {handle:.2}");
+    assert!(encode <= ENCODE_REPLY_CEILING, "encode_reply: {encode:.2}");
+    for ((name, made), ceiling) in names.iter().zip(executes).zip(EXECUTE_CEILINGS) {
+        assert!(
+            made <= ceiling,
+            "{name}: {made:.2} allocations, ceiling {ceiling}"
+        );
+    }
 }

@@ -234,8 +234,33 @@ fn restart_preserves_data_statements_and_predictions() {
     assert_eq!(paginate_recent(&second, 1), pages_before_1);
     assert_eq!(paginate_recent(&second, 2), pages_before_2);
 
-    // and the recovered stack is live: new durable writes are accepted
+    // the recovered statements run from plans resolved at boot against
+    // the recovered store — namespaces and all — and read what a plan
+    // prepared now reads (`recent` came back degraded: a prefix of it)
     let mut session = Session::new();
+    for statement in second.registry.list() {
+        let recovered = statement.prepared();
+        let fresh = second.db.prepare(&statement.sql).unwrap();
+        assert_eq!(recovered.remote_ops().len(), fresh.remote_ops().len());
+        for (at_boot, now) in recovered.remote_ops().iter().zip(fresh.remote_ops()) {
+            assert_eq!((at_boot.ns, at_boot.primary), (now.ns, now.primary));
+        }
+        let params = user_params(2);
+        let served = second
+            .db
+            .execute(&mut session, &recovered, &params)
+            .unwrap();
+        let full = second.db.execute(&mut session, &fresh, &params).unwrap();
+        assert!(!served.rows.is_empty(), "{}", statement.name);
+        assert_eq!(
+            served.rows,
+            full.rows[..served.rows.len()],
+            "{}",
+            statement.name
+        );
+    }
+
+    // and the recovered stack is live: new durable writes are accepted
     post_thought(&second, &mut session, 3, 4_000_000_000, "after recovery");
     let rows: usize = paginate_recent(&second, 3).iter().map(Vec::len).sum();
     assert!(rows > 0);

@@ -213,6 +213,20 @@ fn drift_redegrades_then_relaxes_bounded_statement() {
     let result = reg.execute(&mut session, "recent", &params, None).unwrap();
     assert!(result.rows.len() as u64 <= limit);
 
+    // the plan the sweep swapped in, and the shed plan compiled beside it,
+    // are resolved like the one they replace: same namespace, and their
+    // rows are the head of the original plan's
+    let db = reg.db();
+    let full = db.execute(&mut session, &prepared, &params).unwrap().rows;
+    assert_eq!(result.rows, full[..result.rows.len()]);
+    let swapped = [Some(statement.prepared()), statement.shed_prepared()];
+    for plan in swapped.into_iter().flatten() {
+        assert_eq!(plan.remote_ops()[0].ns, prepared.remote_ops()[0].ns);
+        let rows = db.execute(&mut session, &plan, &params).unwrap().rows;
+        assert!(!rows.is_empty() && rows.len() as u64 <= limit);
+        assert_eq!(rows, full[..rows.len()]);
+    }
+
     // drift clears: fast samples for every α; after 3 rotations the slow
     // interval ages out and the sweep relaxes back to the original LIMIT
     for _ in 0..3 {
