@@ -274,10 +274,6 @@ impl ModelMutex {
         self.holder = None;
     }
 
-    pub fn held_by(&self, tid: usize) -> bool {
-        self.holder == Some(tid)
-    }
-
     pub fn is_held(&self) -> bool {
         self.holder.is_some()
     }
@@ -335,9 +331,5 @@ impl ModelCondvar {
         } else {
             false
         }
-    }
-
-    pub fn is_waiting(&self, tid: usize) -> bool {
-        self.waiters.iter().any(|&(t, _)| t == tid)
     }
 }

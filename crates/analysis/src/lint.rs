@@ -42,12 +42,12 @@ pub const RULE_REQUEST_UNWRAP: &str = "request-unwrap";
 pub const RULE_DURABILITY_UNWRAP: &str = "durability-unwrap";
 pub const RULE_UNDOCUMENTED_UNSAFE: &str = concat!("undocumented-", "unsafe");
 
-/// Server sources on the request-handling path (relative to `crates/`).
+/// Sources on the request-handling path (relative to `crates/`).
 pub const REQUEST_PATH_FILES: &[&str] = &[
     "server/src/server.rs",
     "server/src/protocol.rs",
     "server/src/binary.rs",
-    "server/src/json.rs",
+    "core/src/json.rs",
     "server/src/wire.rs",
     "server/src/registry.rs",
     "server/src/budget.rs",

@@ -393,28 +393,25 @@ impl Model for WalRotationModel {
 }
 
 // ---------------------------------------------------------------------------
-// PR 10: RoundPool shutdown vs. the worker's steal gap
+// PR 10: RoundPool shutdown vs. a parking worker
 // ---------------------------------------------------------------------------
 
 /// The RoundPool shutdown handshake (`crates/kv/src/pool.rs`).
 ///
-/// An idle worker's loop has an *unlocked gap*: it checks `shutdown` under
-/// the queue lock, releases the lock to attempt a cross-round steal, then
-/// re-locks and parks on `task_ready`. `Drop` sets `shutdown` and calls
-/// `notify_all`, then joins every worker.
+/// An idle worker takes the queue lock, checks `shutdown`, and parks on
+/// `task_ready` — all in one critical section. `Drop` sets `shutdown` and
+/// calls `notify_all`, then joins every worker.
 ///
 /// The historical bug: `Drop` stored the flag without holding the queue
-/// lock and the worker did not re-check it after the steal gap. If the
-/// store + notify landed inside the gap (or between the worker's check
-/// and its park), the notification found no waiter, the worker parked
-/// forever, and `Drop`'s join hung the dropping thread. The fix is both
-/// sides of the handshake: the flag is stored while holding the queue
-/// lock, and the worker re-checks it under that lock immediately before
-/// parking.
+/// lock. If the store + notify landed between the worker's check and its
+/// park, the notification found no waiter, the worker parked forever, and
+/// `Drop`'s join hung the dropping thread. The fix: the flag is stored
+/// while holding the queue lock, so it cannot change between a worker's
+/// check and its park.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct PoolShutdownModel {
-    /// `true` = current code (store under the queue lock + re-check before
-    /// parking); `false` = the pre-PR 10 shutdown path.
+    /// `true` = current code (store under the queue lock); `false` = the
+    /// pre-PR 10 shutdown path.
     pub fix_enabled: bool,
     queue_mutex: ModelMutex,
     task_ready: ModelCondvar,
@@ -448,50 +445,29 @@ impl PoolShutdownModel {
                 self.worker_pc = 1;
                 Step::Ran
             }
-            // Queue empty (this model has no tasks): the loop-top shutdown
-            // check, under the lock.
+            // Queue empty (this model has no tasks): read the flag. The
+            // read and the park below are separate steps because the flag
+            // is an atomic, not data the lock owns — only a store that
+            // takes the lock is kept out from between them.
             1 => {
                 if self.shutdown {
                     self.queue_mutex.release(0);
                     self.worker_exited = true;
-                    self.worker_pc = 6;
+                    self.worker_pc = 4;
                 } else {
-                    // Enter the steal gap: release the lock.
-                    self.queue_mutex.release(0);
                     self.worker_pc = 2;
                 }
                 Step::Ran
             }
-            // The steal attempt, outside any lock (no rounds registered:
-            // it finds nothing).
+            // Park: atomically enter the wait and release the lock.
             2 => {
+                self.task_ready.enter_wait(0);
+                self.queue_mutex.release(0);
                 self.worker_pc = 3;
                 Step::Ran
             }
-            // Re-acquire the queue lock after the gap.
-            3 => {
-                if !self.queue_mutex.acquire(0) {
-                    return Step::Blocked;
-                }
-                self.worker_pc = 4;
-                Step::Ran
-            }
-            // About to park. The fix re-checks shutdown here, under the
-            // lock; the old code went straight into the wait.
-            4 => {
-                if self.fix_enabled && self.shutdown {
-                    self.queue_mutex.release(0);
-                    self.worker_exited = true;
-                    self.worker_pc = 6;
-                } else {
-                    self.task_ready.enter_wait(0);
-                    self.queue_mutex.release(0);
-                    self.worker_pc = 5;
-                }
-                Step::Ran
-            }
             // Parked: wake only on a delivered signal, then loop.
-            5 => {
+            3 => {
                 if !self.task_ready.take_signal(0) {
                     return Step::Blocked;
                 }

@@ -146,8 +146,6 @@ pub const WAL_COMMITTER: u32 = 86;
 
 /// `PoolShared.queue`: the submitted-task queue.
 pub const POOL_QUEUE: u32 = 90;
-/// `PoolShared.rounds`: weak registry of active rounds for work stealing.
-pub const POOL_ROUNDS: u32 = 92;
 /// `RoundState.pending`: a round's not-yet-claimed task list.
 pub const POOL_ROUND_PENDING: u32 = 94;
 /// `RoundState.inner`: a round's completion counters.

@@ -8,10 +8,10 @@
 //! contract the Performance Insight Assistant's `InsightReport` makes for
 //! rejected queries, extended to admitted-but-infeasible ones.
 
-use crate::json::JsonVal;
-use crate::tree::{derivation_tree, DerivationNode};
+use crate::tree::{derivation_tree, ms, DerivationNode};
 use piql_core::ast::{RowBound, SelectStmt};
 use piql_core::catalog::Catalog;
+use piql_core::json::Json;
 use piql_core::opt::{Compiled, InsightReport, OptError, Optimizer};
 use piql_core::parser::parse_select;
 use piql_predict::{Heatmap, SloPredictor, ALPHA_GRID};
@@ -77,25 +77,25 @@ pub struct Diagnostic {
 }
 
 impl Diagnostic {
-    pub fn to_json(&self) -> JsonVal {
-        let opt = |o: &Option<String>| match o {
-            Some(s) => JsonVal::str(s),
-            None => JsonVal::Null,
-        };
-        JsonVal::Obj(vec![
-            ("severity".into(), JsonVal::str(self.severity.label())),
-            ("code".into(), JsonVal::str(&self.code)),
-            ("message".into(), JsonVal::str(&self.message)),
-            ("operator".into(), opt(&self.operator)),
-            ("dominant_term".into(), opt(&self.dominant_term)),
-            ("clause".into(), opt(&self.clause)),
-            ("line".into(), JsonVal::Int(self.line as u64)),
+    pub fn to_json(&self) -> Json {
+        Json::obj([
+            ("severity", Json::str(self.severity.label())),
+            ("code", Json::str(&self.code)),
+            ("message", Json::str(&self.message)),
+            ("operator", opt_str(&self.operator)),
+            ("dominant_term", opt_str(&self.dominant_term)),
+            ("clause", opt_str(&self.clause)),
+            ("line", Json::uint(self.line)),
             (
-                "suggestions".into(),
-                JsonVal::Arr(self.suggestions.iter().map(JsonVal::str).collect()),
+                "suggestions",
+                Json::Arr(self.suggestions.iter().map(Json::str).collect()),
             ),
         ])
     }
+}
+
+fn opt_str(o: &Option<String>) -> Json {
+    o.as_ref().map_or(Json::Null, Json::str)
 }
 
 /// The audit verdict for one statement.
@@ -159,43 +159,33 @@ pub struct StatementAudit {
 }
 
 impl StatementAudit {
-    pub fn to_json(&self) -> JsonVal {
-        let opt = |o: &Option<String>| match o {
-            Some(s) => JsonVal::str(s),
-            None => JsonVal::Null,
-        };
+    pub fn to_json(&self) -> Json {
         let mut fields = vec![
-            ("name".into(), JsonVal::str(&self.name)),
-            ("sql".into(), JsonVal::str(&self.sql)),
-            ("line".into(), JsonVal::Int(self.line as u64)),
-            ("slo_ms".into(), JsonVal::ms(self.slo.slo_ms)),
-            ("confidence".into(), JsonVal::ms(self.slo.confidence)),
-            ("outcome".into(), JsonVal::str(self.outcome.label())),
+            ("name", Json::str(&self.name)),
+            ("sql", Json::str(&self.sql)),
+            ("line", Json::uint(self.line)),
+            ("slo_ms", ms(self.slo.slo_ms)),
+            ("confidence", ms(self.slo.confidence)),
+            ("outcome", Json::str(self.outcome.label())),
         ];
         fields.push((
-            "predicted_p99_ms".into(),
-            match self.outcome.predicted_p99_ms() {
-                Some(p) => JsonVal::ms(p),
-                None => JsonVal::Null,
-            },
+            "predicted_p99_ms",
+            self.outcome.predicted_p99_ms().map_or(Json::Null, ms),
         ));
         if let Outcome::Invalid { error } = &self.outcome {
-            fields.push(("error".into(), JsonVal::str(error)));
+            fields.push(("error", Json::str(error)));
         }
-        fields.push(("class".into(), opt(&self.class)));
-        fields.push(("class_derivation".into(), opt(&self.class_derivation)));
+        fields.push(("class", opt_str(&self.class)));
+        fields.push(("class_derivation", opt_str(&self.class_derivation)));
         fields.push((
-            "derivation_tree".into(),
-            match &self.tree {
-                Some(t) => t.to_json(),
-                None => JsonVal::Null,
-            },
+            "derivation_tree",
+            self.tree.as_ref().map_or(Json::Null, |t| t.to_json()),
         ));
         fields.push((
-            "diagnostics".into(),
-            JsonVal::Arr(self.diagnostics.iter().map(|d| d.to_json()).collect()),
+            "diagnostics",
+            Json::Arr(self.diagnostics.iter().map(|d| d.to_json()).collect()),
         ));
-        JsonVal::Obj(fields)
+        Json::obj(fields)
     }
 }
 

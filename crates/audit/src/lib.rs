@@ -23,7 +23,6 @@
 //!   diagnostics.
 
 pub mod audit;
-pub mod json;
 pub mod model;
 pub mod report;
 pub mod tree;
@@ -32,7 +31,6 @@ pub mod workload;
 pub use audit::{
     audit_compiled, audit_statement, Diagnostic, Outcome, Severity, SloSpec, StatementAudit,
 };
-pub use json::JsonVal;
 pub use model::LinearModelSpec;
 pub use report::{audit_workload, WorkloadReport};
 pub use tree::{derivation_tree, BoundInfo, CostTerm, DerivationNode, NodeBounds};

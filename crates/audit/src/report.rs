@@ -1,9 +1,9 @@
 //! Whole-workload audits and report rendering (human + JSON).
 
 use crate::audit::{audit_statement, Severity, StatementAudit};
-use crate::json::JsonVal;
 use crate::tree::DerivationNode;
 use crate::workload::Workload;
+use piql_core::json::Json;
 use piql_predict::SloPredictor;
 use std::fmt::Write as _;
 
@@ -55,42 +55,31 @@ impl WorkloadReport {
             .collect()
     }
 
-    pub fn to_json(&self) -> JsonVal {
-        let count = |pred: &dyn Fn(&StatementAudit) -> bool| {
-            JsonVal::Int(self.statements.iter().filter(|s| pred(s)).count() as u64)
+    pub fn to_json(&self) -> Json {
+        let count = |label: &str| {
+            let n = self
+                .statements
+                .iter()
+                .filter(|s| s.outcome.label() == label);
+            Json::uint(n.count())
         };
-        JsonVal::Obj(vec![
-            ("workload".into(), JsonVal::str(&self.source)),
+        Json::obj([
+            ("workload", Json::str(&self.source)),
             (
-                "summary".into(),
-                JsonVal::Obj(vec![
-                    (
-                        "statements".into(),
-                        JsonVal::Int(self.statements.len() as u64),
-                    ),
-                    ("gating".into(), JsonVal::Int(self.gating().len() as u64)),
-                    (
-                        "feasible".into(),
-                        count(&|s| s.outcome.label() == "feasible"),
-                    ),
-                    (
-                        "marginal".into(),
-                        count(&|s| s.outcome.label() == "marginal"),
-                    ),
-                    (
-                        "infeasible".into(),
-                        count(&|s| s.outcome.label() == "infeasible"),
-                    ),
-                    (
-                        "unbounded".into(),
-                        count(&|s| s.outcome.label() == "unbounded"),
-                    ),
-                    ("invalid".into(), count(&|s| s.outcome.label() == "invalid")),
+                "summary",
+                Json::obj([
+                    ("statements", Json::uint(self.statements.len())),
+                    ("gating", Json::uint(self.gating().len())),
+                    ("feasible", count("feasible")),
+                    ("marginal", count("marginal")),
+                    ("infeasible", count("infeasible")),
+                    ("unbounded", count("unbounded")),
+                    ("invalid", count("invalid")),
                 ]),
             ),
             (
-                "statements".into(),
-                JsonVal::Arr(self.statements.iter().map(|s| s.to_json()).collect()),
+                "statements",
+                Json::Arr(self.statements.iter().map(|s| s.to_json()).collect()),
             ),
         ])
     }

@@ -8,7 +8,7 @@
 //! on, and (when a model snapshot is available) the operator's predicted
 //! share of the plan's latency.
 
-use crate::json::JsonVal;
+use piql_core::json::Json;
 use piql_core::opt::Compiled;
 use piql_core::plan::physical::{PhysicalPlan, ScanLimit};
 use piql_core::plan::Provenance;
@@ -143,69 +143,74 @@ impl DerivationNode {
         }
     }
 
-    pub fn to_json(&self) -> JsonVal {
+    pub fn to_json(&self) -> Json {
         let mut fields = vec![
-            ("operator".to_string(), JsonVal::str(&self.operator)),
-            ("detail".to_string(), JsonVal::str(&self.detail)),
-            ("remote".to_string(), JsonVal::Bool(self.remote)),
+            ("operator", Json::str(&self.operator)),
+            ("detail", Json::str(&self.detail)),
+            ("remote", Json::Bool(self.remote)),
         ];
         if let Some(idx) = self.op_index {
-            fields.push(("op_index".into(), JsonVal::Int(idx as u64)));
+            fields.push(("op_index", Json::uint(idx)));
         }
         fields.push((
-            "bounds".into(),
-            JsonVal::Obj(vec![
-                ("requests".into(), JsonVal::Int(self.bounds.requests)),
-                ("rounds".into(), JsonVal::Int(self.bounds.rounds)),
-                ("tuples".into(), JsonVal::Int(self.bounds.tuples)),
-                ("bytes".into(), JsonVal::Int(self.bounds.bytes)),
+            "bounds",
+            Json::obj([
+                ("requests", Json::uint(self.bounds.requests)),
+                ("rounds", Json::uint(self.bounds.rounds)),
+                ("tuples", Json::uint(self.bounds.tuples)),
+                ("bytes", Json::uint(self.bounds.bytes)),
             ]),
         ));
         if let Some(b) = &self.bound {
             fields.push((
-                "bound".into(),
-                JsonVal::Obj(vec![
-                    ("count".into(), JsonVal::Int(b.count)),
-                    ("kind".into(), JsonVal::str(&b.kind)),
-                    ("provenance".into(), JsonVal::str(&b.provenance)),
-                    ("source_clause".into(), JsonVal::str(&b.source_clause)),
+                "bound",
+                Json::obj([
+                    ("count", Json::uint(b.count)),
+                    ("kind", Json::str(&b.kind)),
+                    ("provenance", Json::str(&b.provenance)),
+                    ("source_clause", Json::str(&b.source_clause)),
                 ]),
             ));
         }
         if let Some(est) = self.estimate {
-            fields.push(("estimate".into(), JsonVal::Int(est)));
+            fields.push(("estimate", Json::uint(est)));
         }
         if !self.cost_terms.is_empty() {
             fields.push((
-                "cost_terms".into(),
-                JsonVal::Arr(
+                "cost_terms",
+                Json::Arr(
                     self.cost_terms
                         .iter()
                         .map(|t| {
-                            JsonVal::Obj(vec![
-                                ("op".into(), JsonVal::str(&t.op)),
-                                ("alpha_c".into(), JsonVal::Int(t.alpha_c as u64)),
-                                ("alpha_j".into(), JsonVal::Int(t.alpha_j as u64)),
-                                ("beta".into(), JsonVal::Int(t.beta as u64)),
-                                ("mean_ms".into(), JsonVal::ms(t.mean_ms)),
-                                ("p99_ms".into(), JsonVal::ms(t.p99_ms)),
-                                ("share".into(), JsonVal::ms(t.share)),
-                                ("dominant".into(), JsonVal::Bool(t.dominant)),
+                            Json::obj([
+                                ("op", Json::str(&t.op)),
+                                ("alpha_c", Json::uint(t.alpha_c)),
+                                ("alpha_j", Json::uint(t.alpha_j)),
+                                ("beta", Json::uint(t.beta)),
+                                ("mean_ms", ms(t.mean_ms)),
+                                ("p99_ms", ms(t.p99_ms)),
+                                ("share", ms(t.share)),
+                                ("dominant", Json::Bool(t.dominant)),
                             ])
                         })
                         .collect(),
                 ),
             ));
         }
-        fields.push(("dominant".into(), JsonVal::Bool(self.dominant)));
+        fields.push(("dominant", Json::Bool(self.dominant)));
         if !self.children.is_empty() {
             fields.push((
-                "children".into(),
-                JsonVal::Arr(self.children.iter().map(|c| c.to_json()).collect()),
+                "children",
+                Json::Arr(self.children.iter().map(|c| c.to_json()).collect()),
             ));
         }
-        JsonVal::Obj(fields)
+        Json::obj(fields)
     }
+}
+
+/// A float rounded to 3 decimals so reports are stable across platforms.
+pub(crate) fn ms(x: f64) -> Json {
+    Json::Float((x * 1000.0).round() / 1000.0)
 }
 
 /// Build the derivation tree for a compiled plan. `attributions` comes from

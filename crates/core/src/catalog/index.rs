@@ -144,11 +144,6 @@ impl IndexDef {
             .collect()
     }
 
-    /// Sort directions of the full stored key.
-    pub fn full_key_dirs(&self, table: &TableDef) -> Vec<Dir> {
-        self.full_key_parts(table).iter().map(|p| p.dir).collect()
-    }
-
     /// Whether any key part is a token expansion.
     pub fn has_token_part(&self) -> bool {
         self.key.iter().any(|p| p.kind.is_token())

@@ -56,10 +56,6 @@ impl Statistics {
     pub fn table(&self, table: TableId) -> Option<&TableStats> {
         self.tables.get(&table)
     }
-
-    pub fn table_mut(&mut self, table: TableId) -> &mut TableStats {
-        self.tables.entry(table).or_default()
-    }
 }
 
 #[cfg(test)]

@@ -5,6 +5,10 @@
 //! protocol needs. Integers are kept distinct from floats ([`Json::Int`] vs
 //! [`Json::Float`]) because `Value::Timestamp`/`Value::BigInt` payloads
 //! exceed the 2^53 range where f64 round-trips i64 exactly.
+//!
+//! It lives in `piql-core`, below every crate that speaks JSON: the
+//! auditor's reports, the server's protocol (`piql_server::json` is this
+//! module) and the scenario reports all build the one tree.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -35,6 +39,13 @@ impl Json {
 
     pub fn str(s: impl Into<String>) -> Json {
         Json::Str(s.into())
+    }
+
+    /// An unsigned count (`u64`, `usize`, `u32`) as an integer, saturating
+    /// at `i64::MAX` — the largest integer the wire carries — instead of
+    /// wrapping negative.
+    pub fn uint(n: impl TryInto<i64>) -> Json {
+        Json::Int(n.try_into().unwrap_or(i64::MAX))
     }
 
     pub fn get(&self, key: &str) -> Option<&Json> {
@@ -106,15 +117,15 @@ impl Json {
     }
 }
 
-// The scalar writers are shared with the response encoder, which prints
-// rows straight from tuples (`protocol::write_reply`): one definition of
-// how a number or a string looks on the wire. They format into the buffer
-// they are given; none allocates.
+// The scalar writers are shared with the server's response encoder, which
+// prints rows straight from tuples (`protocol::write_reply`): one definition
+// of how a number or a string looks on the wire. They format into the
+// buffer they are given; none allocates.
 
-pub(crate) const HEX_DIGITS: &[u8; 16] = b"0123456789abcdef";
+pub const HEX_DIGITS: &[u8; 16] = b"0123456789abcdef";
 
 /// Append `items` between brackets, comma-separated.
-pub(crate) fn write_array<T>(items: &[T], out: &mut Vec<u8>, write: impl Fn(&T, &mut Vec<u8>)) {
+pub fn write_array<T>(items: &[T], out: &mut Vec<u8>, write: impl Fn(&T, &mut Vec<u8>)) {
     out.push(b'[');
     for (i, item) in items.iter().enumerate() {
         if i > 0 {
@@ -125,16 +136,16 @@ pub(crate) fn write_array<T>(items: &[T], out: &mut Vec<u8>, write: impl Fn(&T, 
     out.push(b']');
 }
 
-pub(crate) fn write_bool(b: bool, out: &mut Vec<u8>) {
+pub fn write_bool(b: bool, out: &mut Vec<u8>) {
     out.extend_from_slice(if b { b"true" } else { b"false" });
 }
 
-pub(crate) fn write_int(i: i64, out: &mut Vec<u8>) {
+pub fn write_int(i: i64, out: &mut Vec<u8>) {
     // writing into a `Vec` cannot fail
     let _ = write!(out, "{i}");
 }
 
-pub(crate) fn write_float(f: f64, out: &mut Vec<u8>) {
+pub fn write_float(f: f64, out: &mut Vec<u8>) {
     if !f.is_finite() {
         // JSON has no Inf/NaN; encode as null like serde_json
         return out.extend_from_slice(b"null");
@@ -147,7 +158,7 @@ pub(crate) fn write_float(f: f64, out: &mut Vec<u8>) {
     }
 }
 
-pub(crate) fn write_escaped(s: &str, out: &mut Vec<u8>) {
+pub fn write_escaped(s: &str, out: &mut Vec<u8>) {
     out.push(b'"');
     let bytes = s.as_bytes();
     // start of the run of bytes that need no escape and are copied whole
@@ -467,6 +478,19 @@ mod tests {
         // i64 beyond 2^53 must round-trip exactly
         let big = 9_007_199_254_740_993i64;
         assert_eq!(parse(&Json::Int(big).to_string()).unwrap(), Json::Int(big));
+    }
+
+    #[test]
+    fn uint_saturates_instead_of_wrapping() {
+        assert_eq!(Json::uint(7u32), Json::Int(7));
+        assert_eq!(Json::uint(7usize), Json::Int(7));
+        assert_eq!(Json::uint(i64::MAX as u64), Json::Int(i64::MAX));
+        assert_eq!(Json::uint(i64::MAX as u64 + 1), Json::Int(i64::MAX));
+        assert_eq!(Json::uint(u64::MAX), Json::Int(i64::MAX));
+        // and what it prints parses back: the old bridge printed the u64
+        // and lost the whole document to a failed i64 parse
+        let printed = Json::uint(u64::MAX).to_string();
+        assert_eq!(parse(&printed).unwrap(), Json::Int(i64::MAX));
     }
 
     #[test]

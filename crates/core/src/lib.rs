@@ -14,6 +14,7 @@
 pub mod ast;
 pub mod catalog;
 pub mod codec;
+pub mod json;
 pub mod opt;
 pub mod parser;
 pub mod plan;

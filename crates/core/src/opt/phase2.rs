@@ -469,10 +469,10 @@ impl<'a> Phase2<'a> {
             count.div_ceil(UNBOUNDED_SCAN_BATCH).max(1)
         };
         let bounds = OpBounds {
-            requests: range_requests + if deref { count } else { 0 },
-            rounds: range_requests + deref as u64,
+            requests: range_requests.saturating_add(if deref { count } else { 0 }),
+            rounds: range_requests.saturating_add(deref as u64),
             tuples: count,
-            bytes: count * row_bytes,
+            bytes: count.saturating_mul(row_bytes),
         };
         let spec = ScanSpec {
             index: IndexRef {
@@ -552,7 +552,7 @@ impl<'a> Phase2<'a> {
             requests: child_bounds.tuples,
             rounds: 1,
             tuples: child_bounds.tuples,
-            bytes: child_bounds.tuples * row_bytes,
+            bytes: child_bounds.tuples.saturating_mul(row_bytes),
         };
         let mut layout = child.layout.clone();
         layout.extend(self.schema.relation(leg.rel).fields());
@@ -720,10 +720,12 @@ impl<'a> Phase2<'a> {
         let fetched = child_bounds.tuples.saturating_mul(per_key);
         let emitted = emit_limit.map(|e| e.min(fetched)).unwrap_or(fetched);
         let bounds = OpBounds {
-            requests: child_bounds.tuples + if deref { fetched } else { 0 },
+            requests: child_bounds
+                .tuples
+                .saturating_add(if deref { fetched } else { 0 }),
             rounds: 1 + deref as u64,
             tuples: emitted,
-            bytes: fetched * row_bytes,
+            bytes: fetched.saturating_mul(row_bytes),
         };
         let spec = SortedJoinSpec {
             index: IndexRef {

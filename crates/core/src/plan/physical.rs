@@ -329,9 +329,9 @@ impl PhysicalPlan {
                 walk(c, req, rnd, by);
             }
             let b = p.bounds();
-            *req += b.requests;
-            *rnd += b.rounds;
-            *by += b.bytes;
+            *req = req.saturating_add(b.requests);
+            *rnd = rnd.saturating_add(b.rounds);
+            *by = by.saturating_add(b.bytes);
         }
         walk(self, &mut requests, &mut rounds, &mut bytes);
         QueryBounds {

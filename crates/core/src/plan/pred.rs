@@ -28,13 +28,6 @@ impl Operand {
             Operand::Param(p) => params.scalar(p.index, &p.name),
         }
     }
-
-    pub fn as_param(&self) -> Option<&Param> {
-        match self {
-            Operand::Param(p) => Some(p),
-            Operand::Literal(_) => None,
-        }
-    }
 }
 
 impl fmt::Display for Operand {
@@ -54,14 +47,6 @@ pub enum InOperand {
 }
 
 impl InOperand {
-    /// Static bound on the collection size, if one exists.
-    pub fn max_len(&self) -> Option<u64> {
-        match self {
-            InOperand::Values(vs) => Some(vs.len() as u64),
-            InOperand::Param(p) => p.max_cardinality,
-        }
-    }
-
     pub fn resolve<'a>(&'a self, params: ParamsRef<'a>) -> Result<&'a [Value], ParamError> {
         match self {
             InOperand::Values(vs) => Ok(vs),

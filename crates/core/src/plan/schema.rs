@@ -195,12 +195,6 @@ impl QuerySchema {
     pub fn rel_of(&self, field: FieldId) -> RelId {
         self.fields[field].rel_id
     }
-
-    /// Table-local column position of a field (panics for synthetic fields
-    /// used where a base column is required — the binder prevents this).
-    pub fn column_of(&self, field: FieldId) -> usize {
-        self.fields[field].column.expect("base-table field")
-    }
 }
 
 /// Shared handle used across plan nodes.

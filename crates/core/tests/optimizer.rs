@@ -380,3 +380,62 @@ fn explain_renders_all_three_stages() {
     assert!(text.contains("SortedIndexJoin"));
     assert!(text.contains("CARDINALITY LIMIT 100 (owner)"));
 }
+
+#[test]
+fn bounds_never_decrease_as_the_limit_grows() {
+    // Every OpBounds sum and product saturates: a larger LIMIT can only
+    // raise (or hold) each operator's bound and the whole plan's, up to
+    // and including the largest LIMIT the parser accepts. An unchecked
+    // `count * row_bytes` used to panic in debug builds and wrap to a
+    // small, false bound in release.
+    let cat = scadr_catalog();
+    let opt = Optimizer::scale_independent();
+    let shapes = [
+        // primary-key range scan
+        "SELECT * FROM thoughts WHERE owner = <u> ORDER BY timestamp DESC LIMIT {}",
+        // secondary (derived) index scan with dereference
+        "SELECT * FROM users WHERE home_town = <t> LIMIT {}",
+        // sorted join under a cardinality-bounded scan
+        "SELECT thoughts.* FROM subscriptions s JOIN thoughts \
+         WHERE thoughts.owner = s.target AND s.owner = <u> \
+         ORDER BY thoughts.timestamp DESC LIMIT {}",
+        // FK join over a limited scan
+        "SELECT * FROM thoughts t JOIN users u \
+         WHERE t.owner = u.username AND t.owner = <u> LIMIT {}",
+    ];
+    let limits = [1, 10, 50, 51, 501, 1_000_000, 1 << 32, i64::MAX as u64];
+    for shape in shapes {
+        let mut previous: Option<(Vec<[u64; 4]>, [u64; 4])> = None;
+        for limit in limits {
+            let sql = shape.replace("{}", &limit.to_string());
+            let c = opt
+                .compile(&cat, &parse_select(&sql).unwrap())
+                .unwrap_or_else(|e| panic!("{sql}: {e}"));
+            let mut ops = Vec::new();
+            let mut node = Some(&c.physical);
+            while let Some(p) = node {
+                let b = p.bounds();
+                ops.push([b.requests, b.rounds, b.tuples, b.bytes]);
+                node = p.child();
+            }
+            let total = [
+                c.bounds.requests,
+                c.bounds.rounds,
+                c.bounds.tuples,
+                c.bounds.bytes,
+            ];
+            if let Some((prev_ops, prev_total)) = &previous {
+                assert_eq!(prev_ops.len(), ops.len(), "plan shape changed: {sql}");
+                for (before, after) in prev_ops.iter().zip(&ops) {
+                    for (b, a) in before.iter().zip(after) {
+                        assert!(a >= b, "a bound fell from {b} to {a} at {sql}");
+                    }
+                }
+                for (b, a) in prev_total.iter().zip(&total) {
+                    assert!(a >= b, "a plan bound fell from {b} to {a} at {sql}");
+                }
+            }
+            previous = Some((ops, total));
+        }
+    }
+}

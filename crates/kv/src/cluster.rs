@@ -268,10 +268,6 @@ impl SimCluster {
         }
     }
 
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
-    }
-
     fn ns_data(&self, ns: NsId) -> Arc<Namespace> {
         self.namespaces.read()[ns.0 as usize].clone()
     }
@@ -457,17 +453,6 @@ impl SimCluster {
     pub fn compact(&self, horizon: Micros) {
         for ns in self.namespaces.read().iter() {
             ns.compact(horizon);
-        }
-    }
-
-    /// Per-node (ops, busy µs, queue µs) counters.
-    pub fn node_stats(&self) -> Vec<(u64, u64, u64)> {
-        self.nodes.iter().map(|n| n.stats()).collect()
-    }
-
-    pub fn reset_node_counters(&self) {
-        for n in &self.nodes {
-            n.reset_counters();
         }
     }
 }

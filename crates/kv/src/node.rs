@@ -112,14 +112,6 @@ impl StorageNode {
         let st = self.state.lock();
         (st.ops_served, st.busy_us, st.queue_us)
     }
-
-    /// Reset timing state (between measurement intervals), keeping the rng.
-    pub fn reset_counters(&self) {
-        let mut st = self.state.lock();
-        st.ops_served = 0;
-        st.busy_us = 0;
-        st.queue_us = 0;
-    }
 }
 
 #[cfg(test)]

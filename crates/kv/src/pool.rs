@@ -23,23 +23,14 @@
 //! 4. **Panic containment.** A panicking task is caught on whichever
 //!    thread ran it and re-raised on the round's calling thread at join,
 //!    so workers survive and unrelated sessions are unaffected.
-//! 5. **Cross-round work stealing.** Helpers are capped at the pool
-//!    width, so a thread can go idle while *another* round still has
-//!    unclaimed tasks: a worker that finds the queue empty, or a caller
-//!    blocked in join on its round's slow tail, claims one task from any
-//!    registered in-flight round instead of sleeping. A stolen task can
-//!    outlive the thief's own round, but rounds are built from statically
-//!    bounded requests (the paper's premise), so the donated latency is
-//!    bounded by one request.
 
 use piql_analysis::ordered::{Condvar, Mutex};
 use piql_analysis::rank;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Weak};
+use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
 
 type Task = Box<dyn FnOnce() + Send + 'static>;
 type PanicPayload = Box<dyn std::any::Any + Send + 'static>;
@@ -53,47 +44,10 @@ pub struct PoolStats {
     pub worker_tasks: AtomicU64,
 }
 
-/// An in-flight round that can donate unstarted tasks to idle threads.
-trait StealSource: Send + Sync {
-    /// Claim and run one unstarted task; `false` if none remained.
-    fn steal_one(&self, as_worker: bool) -> bool;
-}
-
 struct PoolShared {
     queue: Mutex<VecDeque<Task>>,
     task_ready: Condvar,
     shutdown: AtomicBool,
-    /// Every in-flight round, weakly: the registry must not keep a
-    /// finished round's results alive. Dead entries are pruned lazily on
-    /// registration and steal attempts.
-    rounds: Mutex<Vec<Weak<dyn StealSource>>>,
-    /// Tasks claimed by steals (reporting only; see
-    /// [`RoundPool::stolen_tasks`]).
-    stolen: AtomicU64,
-}
-
-impl PoolShared {
-    fn register_round(&self, source: &Arc<dyn StealSource>) {
-        let mut rounds = self.rounds.lock();
-        rounds.retain(|w| w.strong_count() > 0);
-        rounds.push(Arc::downgrade(source));
-    }
-
-    /// Claim and run one unstarted task from any registered round.
-    /// Collects candidates under the registry lock but runs the task
-    /// outside it, so a long task never blocks registration.
-    fn steal_one(&self, as_worker: bool) -> bool {
-        let sources: Vec<Arc<dyn StealSource>> = {
-            let mut rounds = self.rounds.lock();
-            rounds.retain(|w| w.strong_count() > 0);
-            rounds.iter().filter_map(|w| w.upgrade()).collect()
-        };
-        let stole = sources.iter().any(|s| s.steal_one(as_worker));
-        if stole {
-            self.stolen.fetch_add(1, Ordering::Relaxed);
-        }
-        stole
-    }
 }
 
 /// A fixed-size worker pool scattering rounds of closures.
@@ -111,8 +65,6 @@ impl RoundPool {
             queue: Mutex::new(rank::POOL_QUEUE, "pool.queue", VecDeque::new()),
             task_ready: Condvar::new(),
             shutdown: AtomicBool::new(false),
-            rounds: Mutex::new(rank::POOL_ROUNDS, "pool.rounds", Vec::new()),
-            stolen: AtomicU64::new(0),
         });
         let workers = (0..threads)
             .map(|i| {
@@ -182,10 +134,6 @@ impl RoundPool {
         }
         self.stats.fanned_rounds.fetch_add(1, Ordering::Relaxed);
         let state = Arc::new(RoundState::new(fns));
-        // Advertise the round to idle threads before any helper can race
-        // ahead of the registration.
-        self.shared
-            .register_round(&(state.clone() as Arc<dyn StealSource>));
         // One helper per task beyond the caller's own, capped at the pool
         // width; a helper that arrives after the round drained just returns.
         let helpers = (n - 1).min(self.workers.len());
@@ -194,17 +142,11 @@ impl RoundPool {
             self.submit(Box::new(move || state.drain(true)));
         }
         state.drain(false);
-        let (results, worker_tasks) = state.join(&self.shared);
+        let (results, worker_tasks) = state.join();
         self.stats
             .worker_tasks
             .fetch_add(worker_tasks, Ordering::Relaxed);
         results
-    }
-
-    /// Tasks that idle threads claimed from *other* rounds (see module
-    /// docs, constraint 5).
-    pub fn stolen_tasks(&self) -> u64 {
-        self.shared.stolen.load(Ordering::Relaxed)
     }
 }
 
@@ -219,13 +161,13 @@ pub fn default_pool_threads() -> usize {
 
 impl Drop for RoundPool {
     fn drop(&mut self) {
-        // Store the flag while holding the queue lock: a worker that is
-        // about to wait either holds the lock right now (its re-check of
-        // `shutdown` below happens after this store, so it sees it and
-        // returns) or is already parked in `wait` (so `notify_all` reaches
-        // it). Storing outside the lock loses the race where a worker
-        // checks `shutdown`, then the store + notify land before it parks
-        // — the notify wakes nobody and `join` blocks forever.
+        // Store the flag while holding the queue lock: a worker checks
+        // `shutdown` and parks in one critical section, so it either has
+        // not checked yet (and will see the store) or is already parked in
+        // `wait` (so `notify_all` reaches it). Storing outside the lock
+        // loses the race where a worker checks `shutdown`, then the store
+        // + notify land before it parks — the notify wakes nobody and
+        // `join` blocks forever.
         {
             let _queue = self.shared.queue.lock();
             self.shared.shutdown.store(true, Ordering::SeqCst);
@@ -253,30 +195,12 @@ fn worker_loop(shared: &PoolShared) {
                     }
                     break task;
                 }
+                // The flag is stored under this lock (see `Drop`), so
+                // between this check and the park no shutdown can slip in.
                 if shared.shutdown.load(Ordering::SeqCst) {
                     return;
                 }
-                // Queue empty: before sleeping, donate this thread to any
-                // in-flight round with unclaimed tasks (its helper quota
-                // is capped at the pool width and may be oversubscribed).
-                drop(queue);
-                let stole = shared.steal_one(true);
-                queue = shared.queue.lock();
-                if !stole {
-                    // Re-check shutdown before parking: the flag is set
-                    // under the queue lock, so a store that happened in
-                    // the unlocked steal gap (whose notify_all found no
-                    // waiter) is visible here — without this check that
-                    // shutdown would be lost and Drop's join would hang.
-                    if shared.shutdown.load(Ordering::SeqCst) {
-                        return;
-                    }
-                    // Nothing stealable either; re-checks the queue at
-                    // the loop top after waking. A round registered in
-                    // the unlocked gap always submits ≥1 helper task, so
-                    // its notify cannot be lost to this wait.
-                    queue = shared.task_ready.wait(queue);
-                }
+                queue = shared.task_ready.wait(queue);
             }
         };
         task();
@@ -324,54 +248,35 @@ where
         }
     }
 
-    /// Claim and run one unstarted task; `false` if none remained.
-    fn run_one(&self, as_worker: bool) -> bool {
-        let claimed = self.pending.lock().pop_front();
-        let Some((slot, f)) = claimed else {
-            return false;
-        };
-        let result = catch_unwind(AssertUnwindSafe(f));
-        let mut inner = self.inner.lock();
-        match result {
-            Ok(value) => inner.slots[slot] = Some(value),
-            Err(payload) => inner.panic = Some(payload),
-        }
-        inner.remaining -= 1;
-        if as_worker {
-            inner.worker_tasks += 1;
-        }
-        if inner.remaining == 0 {
-            self.done.notify_all();
-        }
-        true
-    }
-
     /// Claim and run unstarted tasks until none remain.
     fn drain(&self, as_worker: bool) {
-        while self.run_one(as_worker) {}
+        loop {
+            let claimed = self.pending.lock().pop_front();
+            let Some((slot, f)) = claimed else {
+                return;
+            };
+            let result = catch_unwind(AssertUnwindSafe(f));
+            let mut inner = self.inner.lock();
+            match result {
+                Ok(value) => inner.slots[slot] = Some(value),
+                Err(payload) => inner.panic = Some(payload),
+            }
+            inner.remaining -= 1;
+            if as_worker {
+                inner.worker_tasks += 1;
+            }
+            if inner.remaining == 0 {
+                self.done.notify_all();
+            }
+        }
     }
 
     /// Wait for every task (including ones claimed by workers) and take the
     /// ordered results; re-raises a task panic on this thread.
-    ///
-    /// While waiting on this round's slow tail the caller donates its
-    /// thread to other in-flight rounds (module docs, constraint 5): each
-    /// steal attempt runs between short completion-signal waits, so the
-    /// caller still returns promptly when its own round settles.
-    fn join(&self, pool: &PoolShared) -> (Vec<T>, u64) {
+    fn join(&self) -> (Vec<T>, u64) {
         let mut inner = self.inner.lock();
         while inner.remaining > 0 {
-            drop(inner);
-            if !pool.steal_one(false) {
-                inner = self.inner.lock();
-                if inner.remaining == 0 {
-                    break;
-                }
-                let (guard, _) = self.done.wait_timeout(inner, Duration::from_millis(1));
-                inner = guard;
-                continue;
-            }
-            inner = self.inner.lock();
+            inner = self.done.wait(inner);
         }
         if let Some(payload) = inner.panic.take() {
             drop(inner);
@@ -384,16 +289,6 @@ where
             .map(|slot| slot.take().expect("every slot filled"))
             .collect();
         (out, worker_tasks)
-    }
-}
-
-impl<T, F> StealSource for RoundState<T, F>
-where
-    F: FnOnce() -> T + Send,
-    T: Send,
-{
-    fn steal_one(&self, as_worker: bool) -> bool {
-        self.run_one(as_worker)
     }
 }
 
@@ -498,44 +393,64 @@ mod tests {
     }
 
     #[test]
-    fn join_waiters_steal_from_concurrent_rounds() {
-        // One worker. Round A's caller finishes its 20 ms task and then
-        // join-waits on the 600 ms task the worker claimed. Round B (six
-        // 60 ms tasks) starts concurrently with no worker free: alone,
-        // B's caller would run all six sequentially (360 ms). A's waiting
-        // caller must steal from B, splitting the round across two
-        // threads (~180 ms).
+    fn round_completes_while_every_worker_is_held_by_another_round() {
+        // Constraint 2 under saturation, with no help from anyone: one
+        // worker, and round A's two tasks hold both it and A's caller
+        // until released. Round B starts with no worker free and must
+        // complete on its caller alone.
+        use std::sync::mpsc;
         let pool = Arc::new(RoundPool::new(1));
+        let (started_tx, started_rx) = mpsc::channel();
+        let (release_txs, release_rxs): (Vec<_>, Vec<_>) =
+            (0..2).map(|_| mpsc::channel::<()>()).unzip();
         let p = pool.clone();
         let a = std::thread::spawn(move || {
-            p.scatter(vec![
-                Box::new(|| std::thread::sleep(Duration::from_millis(20)))
-                    as Box<dyn FnOnce() + Send>,
-                Box::new(|| std::thread::sleep(Duration::from_millis(600))),
-            ]);
+            let fns: Vec<_> = release_rxs
+                .into_iter()
+                .map(|release| {
+                    let started = started_tx.clone();
+                    move || {
+                        started.send(()).unwrap();
+                        release.recv().unwrap();
+                    }
+                })
+                .collect();
+            p.scatter(fns);
         });
-        // let A reach its join wait
-        std::thread::sleep(Duration::from_millis(60));
-        let t0 = Instant::now();
-        let fns: Vec<_> = (0..6)
-            .map(|_| || std::thread::sleep(Duration::from_millis(60)))
-            .collect();
-        pool.scatter(fns);
-        let elapsed = t0.elapsed();
-        assert!(
-            elapsed < Duration::from_millis(300),
-            "concurrent round must beat its serial time (360 ms): {elapsed:?}"
+        // both of A's tasks running = the caller and the only worker are held
+        for _ in 0..2 {
+            started_rx
+                .recv_timeout(Duration::from_secs(30))
+                .expect("round A never occupied the worker");
+        }
+        let (done_tx, done_rx) = mpsc::channel();
+        let p = pool.clone();
+        let b = std::thread::spawn(move || {
+            let fns: Vec<_> = (0..6).map(|i| move || i * 2).collect();
+            done_tx.send(p.scatter(fns)).unwrap();
+        });
+        let out = done_rx
+            .recv_timeout(Duration::from_secs(30))
+            .expect("round B waited for a worker instead of running on its caller");
+        assert_eq!(out, (0..6).map(|i| i * 2).collect::<Vec<_>>());
+        assert_eq!(
+            pool.stats.worker_tasks.load(Ordering::Relaxed),
+            0,
+            "the held worker cannot have run any of B's tasks"
         );
+        for release in release_txs {
+            release.send(()).unwrap();
+        }
         a.join().unwrap();
-        assert!(pool.stolen_tasks() > 0, "steals must be what made it fast");
+        b.join().unwrap();
+        assert_eq!(pool.stats.worker_tasks.load(Ordering::Relaxed), 1);
     }
 
     #[test]
     fn drop_never_hangs_on_shutdown_race() {
         // Regression (found as a wedged tier-1 run on a 1-core host): the
-        // shutdown flag used to be stored outside the queue lock and
-        // workers did not re-check it between the steal gap and parking,
-        // so a drop racing a worker's park could strand the worker on
+        // shutdown flag used to be stored outside the queue lock, so a
+        // drop racing a worker's park could strand the worker on
         // `task_ready` forever and hang `join`. Hammer the
         // create/scatter/drop cycle under a watchdog; the exhaustive
         // schedule proof is `piql_analysis::models::PoolShutdownModel`.

@@ -153,7 +153,15 @@ impl ModelStore {
                     && k.alpha_j >= snapped.alpha_j.min(*ALPHA_GRID.last().unwrap())
             })
             .map(|(_, h)| h)
-            .or_else(|| map.iter().find(|(k, _)| k.op == key.op).map(|(_, h)| h))
+            // nothing stored is as large as the plan: saturate at the most
+            // expensive trained point of the operator (an extrapolation,
+            // but never a cheaper answer than any smaller plan gets)
+            .or_else(|| {
+                map.iter()
+                    .filter(|(k, _)| k.op == key.op)
+                    .max_by_key(|(k, _)| (u64::from(k.alpha_c) * u64::from(k.alpha_j), k.beta))
+                    .map(|(_, h)| h)
+            })
     }
 
     /// A copy of this store with `newest` appended as the most recent
@@ -254,5 +262,30 @@ mod tests {
         assert!(store.lookup(1, q).is_none(), "other interval untouched");
         assert_eq!(store.lookup_overall(q).unwrap().count(), 10);
         assert_eq!(store.total_samples(), 10);
+    }
+
+    #[test]
+    fn beyond_the_lattice_falls_back_to_the_dearest_trained_point() {
+        // a store that has only seen small joins (the normal state of a
+        // live store after rotation) must not answer a larger plan with
+        // the cheapest histogram it holds
+        let mut store = ModelStore::new(1);
+        let join = |alpha_c, alpha_j| ModelKey {
+            op: OpKind::SortedIndexJoin,
+            alpha_c,
+            alpha_j,
+            beta: 40,
+        };
+        store.record(0, join(1, 1), MILLIS);
+        store.record(0, join(100, 10), 100 * MILLIS);
+        store.record(0, join(100, 50), 500 * MILLIS);
+        store.record(0, join(10, 50), 50 * MILLIS);
+        for beyond in [join(100, 51), join(500, 500), join(u32::MAX, u32::MAX)] {
+            let p99 = |key| {
+                let h: &LatencyHistogram = store.lookup(0, key).expect("op is trained");
+                h.to_distribution().quantile_ms(0.99)
+            };
+            assert_eq!(p99(beyond), p99(join(100, 50)), "{beyond:?}");
+        }
     }
 }

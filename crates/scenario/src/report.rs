@@ -53,21 +53,21 @@ impl TenantReport {
     pub fn to_json(&self) -> Json {
         Json::obj([
             ("tenant", Json::str(self.tenant.clone())),
-            ("connections", Json::Int(self.connections as i64)),
-            ("sent", Json::Int(self.sent as i64)),
-            ("ok", Json::Int(self.ok as i64)),
-            ("degraded", Json::Int(self.degraded as i64)),
-            ("rejected", Json::Int(self.rejected as i64)),
-            ("errors", Json::Int(self.errors as i64)),
-            ("acked_writes", Json::Int(self.acked_writes as i64)),
-            ("verified_writes", Json::Int(self.verified_writes as i64)),
-            ("lost_writes", Json::Int(self.lost_writes as i64)),
+            ("connections", Json::uint(self.connections)),
+            ("sent", Json::uint(self.sent)),
+            ("ok", Json::uint(self.ok)),
+            ("degraded", Json::uint(self.degraded)),
+            ("rejected", Json::uint(self.rejected)),
+            ("errors", Json::uint(self.errors)),
+            ("acked_writes", Json::uint(self.acked_writes)),
+            ("verified_writes", Json::uint(self.verified_writes)),
+            ("lost_writes", Json::uint(self.lost_writes)),
             ("p50_ms", Json::Float(self.p50_ms)),
             ("p99_ms", Json::Float(self.p99_ms)),
             ("slo_ms", Json::Float(self.slo_ms)),
-            ("crowd_sent", Json::Int(self.crowd_sent as i64)),
-            ("crowd_ok", Json::Int(self.crowd_ok as i64)),
-            ("crowd_rejected", Json::Int(self.crowd_rejected as i64)),
+            ("crowd_sent", Json::uint(self.crowd_sent)),
+            ("crowd_ok", Json::uint(self.crowd_ok)),
+            ("crowd_rejected", Json::uint(self.crowd_rejected)),
         ])
     }
 }
@@ -85,13 +85,10 @@ pub struct ServerOverload {
 impl ServerOverload {
     pub fn to_json(&self) -> Json {
         Json::obj([
-            (
-                "backpressure_stalls",
-                Json::Int(self.backpressure_stalls as i64),
-            ),
-            ("budget_rejected", Json::Int(self.budget_rejected as i64)),
-            ("budget_shed", Json::Int(self.budget_shed as i64)),
-            ("auto_rebalances", Json::Int(self.auto_rebalances as i64)),
+            ("backpressure_stalls", Json::uint(self.backpressure_stalls)),
+            ("budget_rejected", Json::uint(self.budget_rejected)),
+            ("budget_shed", Json::uint(self.budget_shed)),
+            ("auto_rebalances", Json::uint(self.auto_rebalances)),
         ])
     }
 }
@@ -121,13 +118,6 @@ impl ScenarioReport {
         self.tenants.iter().map(|t| t.sent).sum()
     }
 
-    pub fn total_rejected(&self) -> u64 {
-        self.tenants
-            .iter()
-            .map(|t| t.rejected + t.crowd_rejected)
-            .sum()
-    }
-
     pub fn total_lost_writes(&self) -> u64 {
         self.tenants.iter().map(|t| t.lost_writes).sum()
     }
@@ -143,13 +133,13 @@ impl ScenarioReport {
     /// The report as a single JSON object (what benches embed).
     pub fn to_json_obj(&self) -> Json {
         Json::obj([
-            ("seed", Json::Int(self.seed as i64)),
+            ("seed", Json::uint(self.seed)),
             ("controls_enabled", Json::Bool(self.controls_enabled)),
             (
                 "fingerprint",
                 Json::str(format!("{:016x}", self.fingerprint)),
             ),
-            ("elapsed_ms", Json::Int(self.elapsed_ms as i64)),
+            ("elapsed_ms", Json::uint(self.elapsed_ms)),
             (
                 "tenants",
                 Json::Arr(self.tenants.iter().map(TenantReport::to_json).collect()),

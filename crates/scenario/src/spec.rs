@@ -163,11 +163,3 @@ impl Default for ScenarioSpec {
         }
     }
 }
-
-impl ScenarioSpec {
-    /// Total steady-state connections across tenants (excludes flash
-    /// crowds).
-    pub fn total_connections(&self) -> usize {
-        self.tenants.iter().map(|t| t.connections).sum()
-    }
-}

@@ -43,7 +43,6 @@ pub mod binary;
 pub mod budget;
 pub mod client;
 pub mod durable;
-pub mod json;
 pub mod protocol;
 pub mod registry;
 pub mod server;
@@ -64,4 +63,5 @@ pub use registry::{
 pub use server::{BinaryConn, PiqlServer, ServerTuning};
 pub use wire::{JsonWire, Wire};
 
+pub use piql_core::json;
 pub use piql_kv::{LiveCluster, LiveConfig};

@@ -627,11 +627,6 @@ impl<S: KvStore> StatementRegistry<S> {
         }
     }
 
-    /// The current overload-control configuration.
-    pub fn overload_config(&self) -> OverloadConfig {
-        self.overload.lock().clone()
-    }
-
     /// Explicitly configure (and pin) one tenant's budget.
     pub fn set_tenant_budget(&self, tenant: &str, capacity: Option<u32>, policy: BudgetPolicy) {
         self.budget_for(tenant).configure(capacity, policy);

@@ -111,10 +111,6 @@ pub struct PiqlServer<S: KvStore + 'static = LiveCluster> {
     /// Periodic admission re-validation (see
     /// [`PiqlServer::enable_revalidation`]); stopped when the server drops.
     revalidator: Option<Revalidator>,
-    /// The server-wide request-handling pool: pipelined (`id`-carrying)
-    /// requests and the per-connection strictly ordered lanes all run on
-    /// these workers.
-    dispatch: Arc<RoundPool>,
 }
 
 impl<S: KvStore + 'static> PiqlServer<S> {
@@ -166,6 +162,9 @@ impl<S: KvStore + 'static> PiqlServer<S> {
         tuning: ServerTuning,
     ) -> io::Result<Self> {
         let max_in_flight = tuning.max_in_flight_per_conn;
+        // The server-wide request-handling pool: pipelined (`id`-carrying)
+        // requests and the per-connection strictly ordered lanes all run on
+        // these workers. The accept thread and every connection share it.
         let dispatch = Arc::new(RoundPool::new(tuning.dispatch_threads));
         let listener = TcpListener::bind(addr)?;
         let local_addr = listener.local_addr()?;
@@ -178,7 +177,6 @@ impl<S: KvStore + 'static> PiqlServer<S> {
         ));
         let accept_thread = {
             let registry = registry.clone();
-            let dispatch = dispatch.clone();
             let shutdown = shutdown.clone();
             let connections = connections.clone();
             let streams = streams.clone();
@@ -227,7 +225,6 @@ impl<S: KvStore + 'static> PiqlServer<S> {
             connections,
             streams,
             revalidator: None,
-            dispatch,
         })
     }
 
@@ -250,12 +247,6 @@ impl<S: KvStore + 'static> PiqlServer<S> {
     /// Connections accepted since start.
     pub fn connection_count(&self) -> u64 {
         self.connections.load(Ordering::Relaxed)
-    }
-
-    /// The request-handling dispatch pool (for observability; its
-    /// `PoolStats` are reporting-only).
-    pub fn dispatch_pool(&self) -> &Arc<RoundPool> {
-        &self.dispatch
     }
 }
 
@@ -968,15 +959,15 @@ pub fn respond<S: KvStore>(
         Request::Revalidate => {
             let summary = registry.revalidate();
             ok_response([
-                ("sweep", Json::Int(summary.sweep as i64)),
-                ("samples_folded", Json::Int(summary.samples_folded as i64)),
+                ("sweep", Json::uint(summary.sweep)),
+                ("samples_folded", Json::uint(summary.samples_folded)),
                 ("models_rotated", Json::Bool(summary.models_rotated)),
-                ("statements", Json::Int(summary.statements as i64)),
-                ("steady", Json::Int(summary.steady as i64)),
-                ("redegraded", Json::Int(summary.redegraded as i64)),
-                ("relaxed", Json::Int(summary.relaxed as i64)),
-                ("flagged", Json::Int(summary.flagged as i64)),
-                ("recovered", Json::Int(summary.recovered as i64)),
+                ("statements", Json::uint(summary.statements)),
+                ("steady", Json::uint(summary.steady)),
+                ("redegraded", Json::uint(summary.redegraded)),
+                ("relaxed", Json::uint(summary.relaxed)),
+                ("flagged", Json::uint(summary.flagged)),
+                ("recovered", Json::uint(summary.recovered)),
             ])
         }
         Request::Rebalance => {
@@ -984,7 +975,7 @@ pub fn respond<S: KvStore>(
             ok_response([
                 (
                     "rebalances",
-                    Json::Int(registry.counters.rebalances.load(Ordering::Relaxed) as i64),
+                    Json::uint(registry.counters.rebalances.load(Ordering::Relaxed)),
                 ),
                 ("shard_balance", balance_to_json(&balance)),
             ])
@@ -992,12 +983,12 @@ pub fn respond<S: KvStore>(
         Request::Snapshot => match registry.durability() {
             Some(control) => match control.checkpoint() {
                 Ok(summary) => ok_response([
-                    ("generation", Json::Int(summary.generation as i64)),
-                    ("entries", Json::Int(summary.entries as i64)),
-                    ("bytes", Json::Int(summary.bytes as i64)),
+                    ("generation", Json::uint(summary.generation)),
+                    ("entries", Json::uint(summary.entries)),
+                    ("bytes", Json::uint(summary.bytes)),
                     (
                         "compacted_wal_bytes",
-                        Json::Int(summary.compacted_wal_bytes as i64),
+                        Json::uint(summary.compacted_wal_bytes),
                     ),
                     ("duration_ms", Json::Float(summary.duration_ms)),
                 ]),
@@ -1027,8 +1018,8 @@ fn prepare_response<S: KvStore>(registry: &StatementRegistry<S>, name: &str, sql
                     limit,
                 } => {
                     fields.push(("predicted_p99_ms", Json::Float(*predicted_p99_ms)));
-                    fields.push(("original_limit", Json::Int(*original_limit as i64)));
-                    fields.push(("limit", Json::Int(*limit as i64)));
+                    fields.push(("original_limit", Json::uint(*original_limit)));
+                    fields.push(("limit", Json::uint(*limit)));
                 }
                 Admission::RejectedSlo { predicted_p99_ms } => {
                     fields.push(("predicted_p99_ms", Json::Float(*predicted_p99_ms)));
@@ -1093,9 +1084,9 @@ fn prepare_response<S: KvStore>(registry: &StatementRegistry<S>, name: &str, sql
                 fields.push((
                     "bounds",
                     Json::obj([
-                        ("requests", Json::Int(bounds.requests as i64)),
-                        ("rounds", Json::Int(bounds.rounds as i64)),
-                        ("tuples", Json::Int(bounds.tuples as i64)),
+                        ("requests", Json::uint(bounds.requests)),
+                        ("rounds", Json::uint(bounds.rounds)),
+                        ("tuples", Json::uint(bounds.tuples)),
                     ]),
                 ));
             }
@@ -1136,44 +1127,30 @@ fn explain_response<S: KvStore>(
         // `handle_request` directly still get an answer, not a panic
         _ => return err_response("explain requires exactly one of 'name' or 'sql'"),
     };
-    ok_response([("explain", audit_to_json(&audit.to_json()))])
-}
-
-/// Re-parse an audit-crate JSON rendering into the server's [`Json`] tree
-/// — the audit report shape has exactly one source of truth (the audit
-/// crate), and both codecs encode the same tree from it. The audit
-/// crate's renderer emits strict JSON, so the parse is total in practice;
-/// a failure degrades to `Null` rather than panicking on the request path.
-fn audit_to_json(doc: &piql_audit::JsonVal) -> Json {
-    crate::json::parse(&doc.to_string()).unwrap_or(Json::Null)
+    ok_response([("explain", audit.to_json())])
 }
 
 /// Structured auditor diagnostics as a wire array (`prepare` responses for
 /// flagged re-registrations and the per-statement `stats` block).
 fn diagnostics_to_json(diagnostics: &[piql_audit::Diagnostic]) -> Json {
-    Json::Arr(
-        diagnostics
-            .iter()
-            .map(|d| audit_to_json(&d.to_json()))
-            .collect(),
-    )
+    Json::Arr(diagnostics.iter().map(|d| d.to_json()).collect())
 }
 
 /// The `durability` object of a `stats` response (PROTOCOL.md §4.6).
 fn durability_to_json(health: &piql_durability::DurabilityHealth) -> Json {
     let r = &health.recovery;
     Json::obj([
-        ("generation", Json::Int(health.generation as i64)),
+        ("generation", Json::uint(health.generation)),
         ("policy", Json::str(health.policy)),
         ("wal_dead", Json::Bool(health.dead)),
-        ("wal_bytes", Json::Int(health.wal_bytes as i64)),
-        ("wal_records", Json::Int(health.wal_records as i64)),
-        ("commits", Json::Int(health.commits as i64)),
-        ("fsyncs", Json::Int(health.fsyncs as i64)),
+        ("wal_bytes", Json::uint(health.wal_bytes)),
+        ("wal_records", Json::uint(health.wal_records)),
+        ("commits", Json::uint(health.commits)),
+        ("fsyncs", Json::uint(health.fsyncs)),
         (
             "last_snapshot_age_ms",
             match health.last_snapshot_age_ms {
-                Some(ms) => Json::Int(ms as i64),
+                Some(ms) => Json::uint(ms),
                 None => Json::Null,
             },
         ),
@@ -1181,12 +1158,12 @@ fn durability_to_json(health: &piql_durability::DurabilityHealth) -> Json {
             "recovery",
             Json::obj([
                 ("snapshot_loaded", Json::Bool(r.snapshot_loaded)),
-                ("snapshot_entries", Json::Int(r.snapshot_entries as i64)),
-                ("wal_records", Json::Int(r.wal_records as i64)),
+                ("snapshot_entries", Json::uint(r.snapshot_entries)),
+                ("wal_records", Json::uint(r.wal_records)),
                 ("wal_tail", Json::str(r.wal_tail.clone())),
-                ("truncated_bytes", Json::Int(r.truncated_bytes as i64)),
-                ("statements", Json::Int(r.statements as i64)),
-                ("ddl", Json::Int(r.ddl as i64)),
+                ("truncated_bytes", Json::uint(r.truncated_bytes)),
+                ("statements", Json::uint(r.statements)),
+                ("ddl", Json::uint(r.ddl)),
                 ("duration_ms", Json::Float(r.duration_ms)),
             ]),
         ),
@@ -1201,15 +1178,15 @@ fn writes_to_json<S: KvStore>(registry: &StatementRegistry<S>) -> Json {
     Json::obj([
         (
             "dml_executed",
-            Json::Int(c.dml_executed.load(Ordering::Relaxed) as i64),
+            Json::uint(c.dml_executed.load(Ordering::Relaxed)),
         ),
         (
             "dml_errors",
-            Json::Int(c.dml_errors.load(Ordering::Relaxed) as i64),
+            Json::uint(c.dml_errors.load(Ordering::Relaxed)),
         ),
-        ("write_plans", Json::Int(plans.cached as i64)),
-        ("write_plan_compiles", Json::Int(plans.compiles as i64)),
-        ("write_plan_evictions", Json::Int(plans.evictions as i64)),
+        ("write_plans", Json::uint(plans.cached)),
+        ("write_plan_compiles", Json::uint(plans.compiles)),
+        ("write_plan_evictions", Json::uint(plans.evictions)),
     ])
 }
 
@@ -1222,8 +1199,8 @@ fn balance_to_json(balance: &[NsBalance]) -> Json {
             .map(|b| {
                 Json::obj([
                     ("namespace", Json::str(b.name.clone())),
-                    ("shards", Json::Int(b.shards as i64)),
-                    ("entries", Json::Int(b.total_entries() as i64)),
+                    ("shards", Json::uint(b.shards)),
+                    ("entries", Json::uint(b.total_entries())),
                     ("max_entry_share", Json::Float(b.max_entry_share())),
                     ("max_op_share", Json::Float(b.max_op_share())),
                 ])
@@ -1247,36 +1224,36 @@ fn overload_to_json<S: KvStore>(registry: &StatementRegistry<S>) -> Json {
                 (
                     "capacity",
                     match snap.capacity {
-                        Some(cap) => Json::Int(cap as i64),
+                        Some(cap) => Json::uint(cap),
                         None => Json::Null,
                     },
                 ),
                 ("policy", Json::str(snap.policy)),
-                ("in_flight", Json::Int(snap.in_flight as i64)),
-                ("admitted", Json::Int(snap.admitted as i64)),
-                ("rejected", Json::Int(snap.rejected as i64)),
-                ("queued", Json::Int(snap.queued as i64)),
-                ("queue_timeouts", Json::Int(snap.queue_timeouts as i64)),
-                ("shed", Json::Int(snap.shed as i64)),
+                ("in_flight", Json::uint(snap.in_flight)),
+                ("admitted", Json::uint(snap.admitted)),
+                ("rejected", Json::uint(snap.rejected)),
+                ("queued", Json::uint(snap.queued)),
+                ("queue_timeouts", Json::uint(snap.queue_timeouts)),
+                ("shed", Json::uint(snap.shed)),
             ])
         })
         .collect();
     Json::obj([
         (
             "backpressure_stalls",
-            Json::Int(c.backpressure_stalls.load(Ordering::Relaxed) as i64),
+            Json::uint(c.backpressure_stalls.load(Ordering::Relaxed)),
         ),
         (
             "budget_rejected",
-            Json::Int(c.budget_rejected.load(Ordering::Relaxed) as i64),
+            Json::uint(c.budget_rejected.load(Ordering::Relaxed)),
         ),
         (
             "budget_shed",
-            Json::Int(c.budget_shed.load(Ordering::Relaxed) as i64),
+            Json::uint(c.budget_shed.load(Ordering::Relaxed)),
         ),
         (
             "auto_rebalances",
-            Json::Int(c.auto_rebalances.load(Ordering::Relaxed) as i64),
+            Json::uint(c.auto_rebalances.load(Ordering::Relaxed)),
         ),
         ("tenants", Json::Arr(tenants)),
     ])
@@ -1323,7 +1300,7 @@ fn stats_response<S: KvStore>(registry: &StatementRegistry<S>) -> Json {
                 ("kind", Json::str(s.kind_name())),
                 (
                     "executions",
-                    Json::Int(s.executions.load(Ordering::Relaxed) as i64),
+                    Json::uint(s.executions.load(Ordering::Relaxed)),
                 ),
                 // observed quantiles next to the refreshed prediction: the
                 // pair the feedback loop exists to keep honest
@@ -1337,8 +1314,8 @@ fn stats_response<S: KvStore>(registry: &StatementRegistry<S>) -> Json {
                 ..
             } = &admission
             {
-                fields.push(("original_limit", Json::Int(*original_limit as i64)));
-                fields.push(("limit", Json::Int(*limit as i64)));
+                fields.push(("original_limit", Json::uint(*original_limit)));
+                fields.push(("limit", Json::uint(*limit)));
             }
             // a flagged statement ships the auditor's structured
             // explanation of the violation, not just the number
@@ -1356,7 +1333,7 @@ fn stats_response<S: KvStore>(registry: &StatementRegistry<S>) -> Json {
                             .iter()
                             .map(|d| {
                                 Json::obj([
-                                    ("sweep", Json::Int(d.sweep as i64)),
+                                    ("sweep", Json::uint(d.sweep)),
                                     ("predicted_p99_ms", Json::Float(d.predicted_p99_ms)),
                                     ("action", Json::str(d.action.name())),
                                 ])
@@ -1369,62 +1346,53 @@ fn stats_response<S: KvStore>(registry: &StatementRegistry<S>) -> Json {
         })
         .collect();
     let mut response = ok_response([
-        (
-            "admitted",
-            Json::Int(c.admitted.load(Ordering::Relaxed) as i64),
-        ),
-        (
-            "degraded",
-            Json::Int(c.degraded.load(Ordering::Relaxed) as i64),
-        ),
+        ("admitted", Json::uint(c.admitted.load(Ordering::Relaxed))),
+        ("degraded", Json::uint(c.degraded.load(Ordering::Relaxed))),
         (
             "rejected_slo",
-            Json::Int(c.rejected_slo.load(Ordering::Relaxed) as i64),
+            Json::uint(c.rejected_slo.load(Ordering::Relaxed)),
         ),
         (
             "rejected_unbounded",
-            Json::Int(c.rejected_unbounded.load(Ordering::Relaxed) as i64),
+            Json::uint(c.rejected_unbounded.load(Ordering::Relaxed)),
         ),
-        (
-            "executed",
-            Json::Int(c.executed.load(Ordering::Relaxed) as i64),
-        ),
+        ("executed", Json::uint(c.executed.load(Ordering::Relaxed))),
         (
             "fast_point_reads",
-            Json::Int(c.fast_point_reads.load(Ordering::Relaxed) as i64),
+            Json::uint(c.fast_point_reads.load(Ordering::Relaxed)),
         ),
         (
             "exec_errors",
-            Json::Int(c.exec_errors.load(Ordering::Relaxed) as i64),
+            Json::uint(c.exec_errors.load(Ordering::Relaxed)),
         ),
         ("writes", writes_to_json(registry)),
         (
             "revalidations",
-            Json::Int(c.revalidations.load(Ordering::Relaxed) as i64),
+            Json::uint(c.revalidations.load(Ordering::Relaxed)),
         ),
         (
             "samples_folded",
-            Json::Int(c.samples_folded.load(Ordering::Relaxed) as i64),
+            Json::uint(c.samples_folded.load(Ordering::Relaxed)),
         ),
         (
             "drift_redegraded",
-            Json::Int(c.drift_redegraded.load(Ordering::Relaxed) as i64),
+            Json::uint(c.drift_redegraded.load(Ordering::Relaxed)),
         ),
         (
             "drift_relaxed",
-            Json::Int(c.drift_relaxed.load(Ordering::Relaxed) as i64),
+            Json::uint(c.drift_relaxed.load(Ordering::Relaxed)),
         ),
         (
             "drift_flagged",
-            Json::Int(c.drift_flagged.load(Ordering::Relaxed) as i64),
+            Json::uint(c.drift_flagged.load(Ordering::Relaxed)),
         ),
         (
             "drift_recovered",
-            Json::Int(c.drift_recovered.load(Ordering::Relaxed) as i64),
+            Json::uint(c.drift_recovered.load(Ordering::Relaxed)),
         ),
         (
             "rebalances",
-            Json::Int(c.rebalances.load(Ordering::Relaxed) as i64),
+            Json::uint(c.rebalances.load(Ordering::Relaxed)),
         ),
         (
             "shard_balance",

@@ -204,3 +204,158 @@ fn rejected_prepare_carries_the_structured_insight_over_both_codecs() {
         "suggestions are plain strings: {a}"
     );
 }
+
+#[test]
+fn cli_report_and_protocol_explain_are_the_same_value() {
+    // The audit CLI prints `report.to_json()`; the `explain` verb ships
+    // `audit.to_json()` — one builder, one tree, so the statement entry of
+    // a workload report equals the protocol's answer for the same SQL.
+    let db = scadr_db();
+    let slo = SloConfig {
+        slo_ms: 50.0,
+        interval_confidence: 1.0,
+        allow_degrade: true,
+    };
+    let workload = piql_audit::Workload {
+        catalog: db.catalog(),
+        entries: [THOUGHTSTREAM, UNBOUNDED]
+            .iter()
+            .map(|sql| piql_audit::WorkloadEntry {
+                name: "candidate".into(),
+                sql: sql.to_string(),
+                line: 0,
+                slo: piql_audit::SloSpec {
+                    slo_ms: slo.slo_ms,
+                    confidence: slo.interval_confidence,
+                },
+            })
+            .collect(),
+        ddl_count: 0,
+    };
+    let report =
+        piql_audit::audit_workload("scadr.piql", &workload, &linear_predictor(200, 100, 2))
+            .to_json();
+    let statements = get(&report, "statements").as_arr().unwrap();
+
+    let server = PiqlServer::start(db, linear_predictor(200, 100, 2), slo, "127.0.0.1:0").unwrap();
+    let mut v2 = Client::connect(server.local_addr()).unwrap();
+    let mut v3 = Client::connect_binary(server.local_addr()).unwrap();
+    for (cli, sql) in statements.iter().zip([THOUGHTSTREAM, UNBOUNDED]) {
+        assert_eq!(cli, &v2.explain_sql(sql).unwrap(), "{sql}");
+        assert_eq!(cli, &v3.explain_sql(sql).unwrap(), "{sql}");
+    }
+}
+
+#[test]
+fn a_saturated_bound_is_still_a_document() {
+    // LIMIT 2^63-1 (the largest the parser accepts): the byte bound
+    // saturates at u64::MAX, which used to overflow (a handler panic in
+    // debug builds, a wrapped bound in release) and, printed as
+    // 18446744073709551615, turned the whole `explain` into `null`.
+    // Integers on the wire saturate at 2^63-1 instead.
+    const HUGE: &str = "SELECT * FROM thoughts WHERE owner = <u> \
+         ORDER BY timestamp DESC LIMIT 9223372036854775807";
+    let db = scadr_db();
+    // the CLI's path
+    let audit = piql_audit::audit_statement(
+        &db.catalog(),
+        &linear_predictor(200, 100, 2),
+        "huge",
+        HUGE,
+        piql_audit::SloSpec::default(),
+    );
+    let cli = audit.to_json();
+    let scan_bounds = |doc: &Json| {
+        let scan = &get(get(doc, "derivation_tree"), "children")
+            .as_arr()
+            .unwrap()[0];
+        assert_eq!(str_field(scan, "operator"), "IndexScan", "{doc}");
+        get(scan, "bounds").clone()
+    };
+    assert_eq!(get(&scan_bounds(&cli), "tuples"), &Json::Int(i64::MAX));
+    assert_eq!(get(&scan_bounds(&cli), "bytes"), &Json::Int(i64::MAX));
+
+    let server = PiqlServer::start(
+        db,
+        linear_predictor(200, 100, 2),
+        SloConfig {
+            slo_ms: 1e9,
+            interval_confidence: 1.0,
+            allow_degrade: false,
+        },
+        "127.0.0.1:0",
+    )
+    .unwrap();
+    let mut v2 = Client::connect(server.local_addr()).unwrap();
+    let mut v3 = Client::connect_binary(server.local_addr()).unwrap();
+    let verdict = v2.prepare("huge", HUGE).unwrap();
+    assert_eq!(str_field(&verdict, "status"), "admitted", "{verdict}");
+    assert_eq!(
+        get(get(&verdict, "bounds"), "tuples"),
+        &Json::Int(i64::MAX),
+        "prepare prints the bound, not its wrap to a negative: {verdict}"
+    );
+    assert_eq!(verdict, v3.prepare("huge", HUGE).unwrap());
+    for doc in [
+        v2.explain("huge").unwrap(),
+        v3.explain("huge").unwrap(),
+        v2.explain_sql(HUGE).unwrap(),
+        v3.explain_sql(HUGE).unwrap(),
+    ] {
+        assert_eq!(scan_bounds(&doc), scan_bounds(&cli), "{doc}");
+    }
+}
+
+#[test]
+fn predictions_never_fall_as_the_limit_grows() {
+    // SortedIndexJoin is trained to αj = 50. Beyond the lattice the
+    // model store used to answer with the *cheapest* point it held, so
+    // LIMIT 51 predicted 13 ms where LIMIT 50 predicted 638 ms — and
+    // was admitted. It now saturates at the dearest trained point.
+    let db = scadr_db();
+    let predictor = linear_predictor(200, 100, 2);
+    let server = PiqlServer::start(
+        db.clone(),
+        linear_predictor(200, 100, 2),
+        SloConfig {
+            slo_ms: 500.0,
+            interval_confidence: 1.0,
+            allow_degrade: false,
+        },
+        "127.0.0.1:0",
+    )
+    .unwrap();
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    let limits = [
+        10,
+        25,
+        50,
+        51,
+        500,
+        501,
+        1_000_000,
+        1 << 32,
+        i64::MAX as u64,
+    ];
+    let mut previous = 0.0;
+    for limit in limits {
+        let sql = THOUGHTSTREAM.replace("LIMIT 10", &format!("LIMIT {limit}"));
+        let direct = predictor
+            .predict(&db.prepare(&sql).unwrap().compiled)
+            .max_p99_ms;
+        let verdict = client.prepare(&format!("stream_{limit}"), &sql).unwrap();
+        assert_eq!(
+            get(&verdict, "predicted_p99_ms").as_f64(),
+            Some(direct),
+            "prepare reports the predictor's number: {verdict}"
+        );
+        assert!(
+            direct >= previous,
+            "LIMIT {limit} predicts {direct} ms, below a smaller LIMIT's {previous} ms"
+        );
+        if limit > 50 {
+            assert_eq!(str_field(&verdict, "status"), "rejected-slo", "{verdict}");
+        }
+        previous = direct;
+    }
+}
