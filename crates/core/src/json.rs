@@ -10,6 +10,7 @@
 //! auditor's reports, the server's protocol (`piql_server::json` is this
 //! module) and the scenario reports all build the one tree.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::io::Write;
@@ -217,14 +218,228 @@ impl fmt::Display for JsonError {
 impl std::error::Error for JsonError {}
 
 pub fn parse(input: &str) -> Result<Json, JsonError> {
-    let bytes = input.as_bytes();
-    let mut pos = 0;
-    let value = parse_value(bytes, &mut pos)?;
-    skip_ws(bytes, &mut pos);
-    if pos != bytes.len() {
-        return Err(err(pos, "trailing garbage"));
-    }
+    let mut scanner = Scanner::new(input);
+    let value = scanner.tree()?;
+    scanner.finish()?;
     Ok(value)
+}
+
+/// Arrays and objects may be open this many deep, in a JSON text and in a
+/// binary response document alike: a short hostile message could otherwise
+/// nest until the reader's stack overflows.
+pub const MAX_JSON_DEPTH: usize = 96;
+
+/// A value that is neither an array nor an object, as [`Scanner::scalar`]
+/// reads it. A string borrows from the text unless it holds an escape.
+#[derive(Debug, PartialEq)]
+pub enum Scalar<'a> {
+    Null,
+    Bool(bool),
+    Int(i64),
+    Float(f64),
+    Str(Cow<'a, str>),
+}
+
+/// A cursor over a JSON text that reads it in place: the next key of an
+/// object, the next item of an array, a scalar, or a whole value skipped —
+/// checked exactly as [`parse`] checks it (which is built on this), with
+/// nothing allocated but the text of a string that holds an escape. A
+/// caller that knows which fields it wants walks the text once and builds
+/// its own type, no tree in between.
+///
+/// ```
+/// use piql_core::json::{Scalar, Scanner};
+/// let mut s = Scanner::new(r#"{"skipped":[1,{"x":null}],"n":7}"#);
+/// s.begin_object().unwrap();
+/// let mut n = None;
+/// while let Some(key) = s.next_key().unwrap() {
+///     match &*key {
+///         "n" => n = Some(s.scalar().unwrap()),
+///         _ => s.skip_value().unwrap(),
+///     }
+/// }
+/// s.finish().unwrap();
+/// assert_eq!(n, Some(Scalar::Int(7)));
+/// ```
+#[derive(Debug)]
+pub struct Scanner<'a> {
+    bytes: &'a [u8],
+    pos: usize,
+    /// Arrays and objects entered and not yet left.
+    depth: usize,
+    /// An array or object was entered and nothing in it read yet: what
+    /// comes next is its first member (or its end), not a comma.
+    fresh: bool,
+}
+
+impl<'a> Scanner<'a> {
+    pub fn new(text: &'a str) -> Self {
+        Scanner::at(text, 0)
+    }
+
+    /// A scanner that starts at byte `pos` of `text` — a value's offset as
+    /// [`Scanner::pos`] reported it on an earlier walk.
+    pub fn at(text: &'a str, pos: usize) -> Self {
+        Scanner {
+            bytes: text.as_bytes(),
+            pos,
+            depth: 0,
+            fresh: false,
+        }
+    }
+
+    /// Offset of the next unread byte.
+    pub fn pos(&self) -> usize {
+        self.pos
+    }
+
+    /// The first byte of the value that comes next (whitespace skipped):
+    /// `{`, `[`, `"`, or the first byte of a literal or number.
+    pub fn peek(&mut self) -> Option<u8> {
+        skip_ws(self.bytes, &mut self.pos);
+        self.bytes.get(self.pos).copied()
+    }
+
+    /// Read the value that comes next, which is not an array or object.
+    pub fn scalar(&mut self) -> Result<Scalar<'a>, JsonError> {
+        let first = self.peek();
+        let (bytes, pos) = (self.bytes, &mut self.pos);
+        match first {
+            None => Err(err(*pos, "unexpected end of input")),
+            Some(b'n') => expect(bytes, pos, "null").map(|_| Scalar::Null),
+            Some(b't') => expect(bytes, pos, "true").map(|_| Scalar::Bool(true)),
+            Some(b'f') => expect(bytes, pos, "false").map(|_| Scalar::Bool(false)),
+            Some(b'"') => parse_string(bytes, pos).map(Scalar::Str),
+            Some(_) => parse_number(bytes, pos),
+        }
+    }
+
+    /// Enter the object that comes next; [`Scanner::next_key`] walks it.
+    pub fn begin_object(&mut self) -> Result<(), JsonError> {
+        self.enter(b'{', "expected '{'")
+    }
+
+    /// Enter the array that comes next; [`Scanner::next_item`] walks it.
+    pub fn begin_array(&mut self) -> Result<(), JsonError> {
+        self.enter(b'[', "expected '['")
+    }
+
+    fn enter(&mut self, open: u8, otherwise: &str) -> Result<(), JsonError> {
+        if self.peek() != Some(open) {
+            return Err(err(self.pos, otherwise));
+        }
+        if self.depth == MAX_JSON_DEPTH {
+            return Err(err(
+                self.pos,
+                format!("nested deeper than {MAX_JSON_DEPTH} levels"),
+            ));
+        }
+        self.pos += 1;
+        self.depth += 1;
+        self.fresh = true;
+        Ok(())
+    }
+
+    fn leave(&mut self) {
+        self.pos += 1;
+        self.depth = self.depth.saturating_sub(1);
+        self.fresh = false;
+    }
+
+    /// Whether the array or object being walked has another member, its
+    /// separating comma consumed; at `close` the container is left.
+    fn next_member(&mut self, close: u8, otherwise: &str) -> Result<bool, JsonError> {
+        match (self.peek(), self.fresh) {
+            (Some(b), _) if b == close => {
+                self.leave();
+                return Ok(false);
+            }
+            (_, true) => self.fresh = false,
+            (Some(b','), false) => self.pos += 1,
+            (_, false) => return Err(err(self.pos, otherwise)),
+        }
+        Ok(true)
+    }
+
+    /// Inside an object, once the value of the previous key has been read
+    /// or skipped: the next key, its colon consumed, or `None` at the
+    /// object's end, which this leaves.
+    pub fn next_key(&mut self) -> Result<Option<Cow<'a, str>>, JsonError> {
+        if !self.next_member(b'}', "expected ',' or '}'")? {
+            return Ok(None);
+        }
+        skip_ws(self.bytes, &mut self.pos);
+        let key = parse_string(self.bytes, &mut self.pos)?;
+        skip_ws(self.bytes, &mut self.pos);
+        expect(self.bytes, &mut self.pos, ":")?;
+        Ok(Some(key))
+    }
+
+    /// Inside an array, once the previous item has been read or skipped:
+    /// whether another item follows. At the array's end this leaves it.
+    pub fn next_item(&mut self) -> Result<bool, JsonError> {
+        self.next_member(b']', "expected ',' or ']'")
+    }
+
+    /// Read past the value that comes next, whatever it is.
+    pub fn skip_value(&mut self) -> Result<(), JsonError> {
+        match self.peek() {
+            Some(b'{') => {
+                self.begin_object()?;
+                while self.next_key()?.is_some() {
+                    self.skip_value()?;
+                }
+            }
+            Some(b'[') => {
+                self.begin_array()?;
+                while self.next_item()? {
+                    self.skip_value()?;
+                }
+            }
+            _ => {
+                self.scalar()?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Read the value that comes next into a tree.
+    pub fn tree(&mut self) -> Result<Json, JsonError> {
+        Ok(match self.peek() {
+            Some(b'{') => {
+                self.begin_object()?;
+                let mut fields = BTreeMap::new();
+                while let Some(key) = self.next_key()? {
+                    let value = self.tree()?;
+                    fields.insert(key.into_owned(), value);
+                }
+                Json::Obj(fields)
+            }
+            Some(b'[') => {
+                self.begin_array()?;
+                let mut items = Vec::new();
+                while self.next_item()? {
+                    items.push(self.tree()?);
+                }
+                Json::Arr(items)
+            }
+            _ => match self.scalar()? {
+                Scalar::Null => Json::Null,
+                Scalar::Bool(b) => Json::Bool(b),
+                Scalar::Int(i) => Json::Int(i),
+                Scalar::Float(f) => Json::Float(f),
+                Scalar::Str(s) => Json::Str(s.into_owned()),
+            },
+        })
+    }
+
+    /// Nothing but whitespace may follow the value a text holds.
+    pub fn finish(&mut self) -> Result<(), JsonError> {
+        match self.peek() {
+            None => Ok(()),
+            Some(_) => Err(err(self.pos, "trailing garbage")),
+        }
+    }
 }
 
 fn err(at: usize, message: impl Into<String>) -> JsonError {
@@ -258,65 +473,6 @@ fn expect(bytes: &[u8], pos: &mut usize, token: &str) -> Result<(), JsonError> {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
-    skip_ws(bytes, pos);
-    match bytes.get(*pos) {
-        None => Err(err(*pos, "unexpected end of input")),
-        Some(b'n') => expect(bytes, pos, "null").map(|_| Json::Null),
-        Some(b't') => expect(bytes, pos, "true").map(|_| Json::Bool(true)),
-        Some(b'f') => expect(bytes, pos, "false").map(|_| Json::Bool(false)),
-        Some(b'"') => parse_string(bytes, pos).map(Json::Str),
-        Some(b'[') => {
-            *pos += 1;
-            let mut items = Vec::new();
-            skip_ws(bytes, pos);
-            if bytes.get(*pos) == Some(&b']') {
-                *pos += 1;
-                return Ok(Json::Arr(items));
-            }
-            loop {
-                items.push(parse_value(bytes, pos)?);
-                skip_ws(bytes, pos);
-                match bytes.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b']') => {
-                        *pos += 1;
-                        return Ok(Json::Arr(items));
-                    }
-                    _ => return Err(err(*pos, "expected ',' or ']'")),
-                }
-            }
-        }
-        Some(b'{') => {
-            *pos += 1;
-            let mut fields = BTreeMap::new();
-            skip_ws(bytes, pos);
-            if bytes.get(*pos) == Some(&b'}') {
-                *pos += 1;
-                return Ok(Json::Obj(fields));
-            }
-            loop {
-                skip_ws(bytes, pos);
-                let key = parse_string(bytes, pos)?;
-                skip_ws(bytes, pos);
-                expect(bytes, pos, ":")?;
-                let value = parse_value(bytes, pos)?;
-                fields.insert(key, value);
-                skip_ws(bytes, pos);
-                match bytes.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b'}') => {
-                        *pos += 1;
-                        return Ok(Json::Obj(fields));
-                    }
-                    _ => return Err(err(*pos, "expected ',' or '}'")),
-                }
-            }
-        }
-        Some(_) => parse_number(bytes, pos),
-    }
-}
-
 /// Offset of the unescaped quote that closes a string whose body is
 /// `rest` (its length when there is none): the decoded text is never
 /// longer than this.
@@ -332,12 +488,14 @@ fn closing_quote(rest: &[u8]) -> usize {
     rest.len()
 }
 
-fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, JsonError> {
+/// The string at `pos`: borrowed from the text when it holds no escape,
+/// else decoded into one allocation.
+fn parse_string<'a>(bytes: &'a [u8], pos: &mut usize) -> Result<Cow<'a, str>, JsonError> {
     if bytes.get(*pos) != Some(&b'"') {
         return Err(err(*pos, "expected string"));
     }
     *pos += 1;
-    // allocated once, when the first run is copied in
+    // allocated once, when the first escape is met
     let mut out = String::new();
     loop {
         // the run up to the next quote or backslash is copied whole; every
@@ -351,21 +509,22 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, JsonError> {
             .get(..run_len)
             .and_then(|run| std::str::from_utf8(run).ok())
             .ok_or_else(|| err(*pos, "invalid utf-8"))?;
-        if out.capacity() == 0 {
-            out.reserve_exact(match rest.get(run_len) {
-                Some(b'\\') => closing_quote(rest),
-                _ => run_len,
-            });
-        }
-        out.push_str(run);
         *pos += run_len;
         match bytes.get(*pos) {
             None => return Err(err(*pos, "unterminated string")),
             Some(b'"') => {
                 *pos += 1;
-                return Ok(out);
+                if out.capacity() == 0 {
+                    return Ok(Cow::Borrowed(run));
+                }
+                out.push_str(run);
+                return Ok(Cow::Owned(out));
             }
             Some(_) => {
+                if out.capacity() == 0 {
+                    out.reserve_exact(closing_quote(rest));
+                }
+                out.push_str(run);
                 *pos += 1;
                 match bytes.get(*pos) {
                     Some(b'"') => out.push('"'),
@@ -413,7 +572,7 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, JsonError> {
     }
 }
 
-fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
+fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Scalar<'static>, JsonError> {
     let start = *pos;
     if bytes.get(*pos) == Some(&b'-') {
         *pos += 1;
@@ -435,11 +594,11 @@ fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
     }
     if is_float {
         text.parse::<f64>()
-            .map(Json::Float)
+            .map(Scalar::Float)
             .map_err(|_| err(start, "bad number"))
     } else {
         text.parse::<i64>()
-            .map(Json::Int)
+            .map(Scalar::Int)
             .map_err(|_| err(start, "bad number"))
     }
 }
@@ -500,6 +659,98 @@ mod tests {
         assert!(parse("{").is_err());
         assert!(parse("[1,]").is_err());
         assert!(parse("12 34").is_err());
+    }
+
+    #[test]
+    fn nesting_is_capped_instead_of_overflowing_the_stack() {
+        // on a small stack: the parser used to recurse once per bracket,
+        // and 10,000 of them overflowed a 2 MB thread in a release build
+        let on_a_small_stack = std::thread::Builder::new()
+            .stack_size(256 << 10)
+            .spawn(|| {
+                for (open, innermost, close) in [("[", "", "]"), ("{\"k\":", "1", "}")] {
+                    let nested = |depth: usize| {
+                        format!("{}{innermost}{}", open.repeat(depth), close.repeat(depth))
+                    };
+                    assert!(parse(&nested(MAX_JSON_DEPTH)).is_ok());
+                    for depth in [MAX_JSON_DEPTH + 1, 1_000_000] {
+                        let error = parse(&nested(depth)).unwrap_err();
+                        // the offset of the bracket that goes too deep
+                        assert_eq!(error.at, open.len() * MAX_JSON_DEPTH);
+                        assert_eq!(error.message, "nested deeper than 96 levels");
+                        // never closed: the same error, not "unexpected end"
+                        let open_only = open.repeat(depth);
+                        assert_eq!(parse(&open_only).unwrap_err(), error);
+                        let skipped = Scanner::new(&open_only).skip_value();
+                        assert_eq!(skipped.unwrap_err(), error);
+                    }
+                }
+            })
+            .unwrap();
+        on_a_small_stack.join().unwrap();
+        // siblings do not add up: the cap is on what is open at once
+        let deep = format!("{}{}", "[".repeat(95), "]".repeat(95));
+        assert!(parse(&format!("[{}]", vec![deep; 50].join(","))).is_ok());
+    }
+
+    #[test]
+    fn scanner_reads_in_place_what_parse_builds() {
+        let text = r#" { "a" : [1, 2.5, "x\ny", null, true], "b": {"c": "plain"}, "a": -7 } "#;
+        let mut s = Scanner::new(text);
+        s.begin_object().unwrap();
+        assert_eq!(s.next_key().unwrap().as_deref(), Some("a"));
+        let array_at = s.pos();
+        s.begin_array().unwrap();
+        let mut items = Vec::new();
+        while s.next_item().unwrap() {
+            items.push(s.scalar().unwrap());
+        }
+        assert_eq!(
+            items,
+            [
+                Scalar::Int(1),
+                Scalar::Float(2.5),
+                Scalar::Str("x\ny".into()),
+                Scalar::Null,
+                Scalar::Bool(true),
+            ]
+        );
+        // a string borrows from the text unless it holds an escape
+        assert!(matches!(&items[2], Scalar::Str(Cow::Owned(_))));
+        assert_eq!(s.next_key().unwrap().as_deref(), Some("b"));
+        s.begin_object().unwrap();
+        assert_eq!(s.next_key().unwrap().as_deref(), Some("c"));
+        assert!(matches!(
+            s.scalar().unwrap(),
+            Scalar::Str(Cow::Borrowed("plain"))
+        ));
+        assert_eq!(s.next_key().unwrap(), None);
+        assert_eq!(s.next_key().unwrap().as_deref(), Some("a"));
+        s.skip_value().unwrap();
+        assert_eq!(s.next_key().unwrap(), None);
+        s.finish().unwrap();
+
+        // a recorded offset reads again, as a tree if asked
+        assert_eq!(
+            Scanner::at(text, array_at).tree().unwrap(),
+            parse(r#"[1,2.5,"x\ny",null,true]"#).unwrap()
+        );
+        // skipping checks what parsing checks, and says the same
+        for bad in [
+            "[1,]",
+            "{\"a\" 1}",
+            "{\"a\":1,}",
+            "[1 2]",
+            "{\"a\":tru}",
+            "[\"\\x\"]",
+            "",
+            "[1e999999999999999999999]x",
+            "123456789012345678901234567890",
+        ] {
+            let mut s = Scanner::new(bad);
+            let skipped = s.skip_value().and_then(|()| s.finish());
+            assert_eq!(skipped.err(), parse(bad).err(), "{bad:?}");
+        }
     }
 
     #[test]

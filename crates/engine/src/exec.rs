@@ -32,7 +32,7 @@ use piql_core::plan::BoundPredicate;
 use piql_core::tuple::Tuple;
 use piql_core::value::{DataType, Value, ValueRef};
 use piql_kv::{
-    KvEntry, KvRequest, KvResponse, KvStore, LiveOpKind, NsId, OpTag, ResponseMismatch, Session,
+    Entries, KvRequest, KvResponse, KvStore, LiveOpKind, NsId, OpTag, ResponseMismatch, Session,
 };
 use std::collections::BTreeMap;
 use std::fmt;
@@ -347,11 +347,17 @@ impl<'a> ExecCtx<'a> {
             .unwrap_or(Dir::Asc);
         let (mut start, mut end) = self.range_bounds(prefix, spec.range.as_ref(), range_dir)?;
 
-        // pagination resume
+        // pagination resume. A cursor only ever narrows the scan: one
+        // replayed under other parameters lies outside `[start, end)` and
+        // must not widen it to rows the predicate excludes (past the far
+        // bound it leaves an inverted interval, which the store answers
+        // empty)
         if let Some(CursorState::ScanAfter { last_key }) = self.resume {
             if spec.reverse {
-                end = Some(last_key.clone());
-            } else {
+                if end.as_ref().is_none_or(|end| last_key < end) {
+                    end = Some(last_key.clone());
+                }
+            } else if *last_key >= start {
                 start.clone_from(last_key);
                 start.push(0);
             }
@@ -377,7 +383,7 @@ impl<'a> ExecCtx<'a> {
                     limit: Some(*count),
                     reverse: spec.reverse,
                 });
-                resp.into_entries()?
+                resp.into_block()?
             }
             (ScanLimit::Unbounded { .. }, strategy) => {
                 // cost-based plans page until exhausted
@@ -385,7 +391,7 @@ impl<'a> ExecCtx<'a> {
                     ExecStrategy::Lazy => 1,
                     _ => UNBOUNDED_SCAN_BATCH,
                 };
-                let mut entries: Vec<KvEntry> = Vec::new();
+                let mut entries = Entries::new();
                 loop {
                     let resp = self.round_one(KvRequest::GetRange {
                         ns,
@@ -394,12 +400,12 @@ impl<'a> ExecCtx<'a> {
                         limit: Some(batch),
                         reverse: spec.reverse,
                     });
-                    let chunk = resp.into_entries()?;
+                    let chunk = resp.into_block()?;
                     let n = chunk.len() as u64;
                     if let Some((k, _)) = chunk.last() {
                         advance_bounds(&mut start, &mut end, k, spec.reverse);
                     }
-                    entries.extend(chunk);
+                    entries.append(chunk);
                     if n < batch {
                         break entries;
                     }
@@ -411,12 +417,12 @@ impl<'a> ExecCtx<'a> {
         // cursor for the next page
         if self.resume.is_some() || self.produce_cursor {
             self.next_cursor = entries.last().map(|(k, _)| CursorState::ScanAfter {
-                last_key: k.clone(),
+                last_key: k.to_vec(),
             });
         }
 
         let mut rows = Vec::with_capacity(entries.len());
-        self.materialize(op, entries, spec.deref, spec.row_bytes, |_, row| {
+        self.materialize(op, entries.iter(), spec.deref, spec.row_bytes, |_, row| {
             rows.push(row)
         })?;
         Ok(rows)
@@ -431,8 +437,8 @@ impl<'a> ExecCtx<'a> {
         mut end: Option<Vec<u8>>,
         reverse: bool,
         count: u64,
-    ) -> Result<Vec<KvEntry>, ExecError> {
-        let mut got = Vec::new();
+    ) -> Result<Entries, ExecError> {
+        let mut got = Entries::new();
         while (got.len() as u64) < count {
             let resp = self.round_one(KvRequest::GetRange {
                 ns,
@@ -441,13 +447,12 @@ impl<'a> ExecCtx<'a> {
                 limit: Some(1),
                 reverse,
             });
-            match resp.into_entries()?.into_iter().next() {
-                Some((k, v)) => {
-                    advance_bounds(&mut start, &mut end, &k, reverse);
-                    got.push((k, v));
-                }
+            let one = resp.into_block()?;
+            match one.last() {
+                Some((k, _)) => advance_bounds(&mut start, &mut end, k, reverse),
                 None => break,
             }
+            got.append(one);
         }
         Ok(got)
     }
@@ -555,17 +560,17 @@ impl<'a> ExecCtx<'a> {
             spec.per_key,
             spec.row_bytes,
         );
-        let mut per_child_entries: Vec<Vec<KvEntry>> = Vec::with_capacity(requests.len());
+        let mut per_child: Vec<Entries> = Vec::with_capacity(requests.len());
         match self.strategy {
             ExecStrategy::Parallel => {
                 for resp in self.round(requests) {
-                    per_child_entries.push(resp.into_entries()?);
+                    per_child.push(resp.into_block()?);
                 }
             }
             ExecStrategy::Simple => {
                 for req in requests {
                     let resp = self.round_one(req);
-                    per_child_entries.push(resp.into_entries()?);
+                    per_child.push(resp.into_block()?);
                 }
             }
             ExecStrategy::Lazy => {
@@ -581,13 +586,7 @@ impl<'a> ExecCtx<'a> {
                     else {
                         unreachable!()
                     };
-                    per_child_entries.push(self.fetch_one_by_one(
-                        ns,
-                        start,
-                        end,
-                        reverse,
-                        spec.per_key,
-                    )?);
+                    per_child.push(self.fetch_one_by_one(ns, start, end, reverse, spec.per_key)?);
                 }
             }
         }
@@ -595,42 +594,30 @@ impl<'a> ExecCtx<'a> {
 
         // merge: order entries by the key bytes after their probe prefix
         // (the sort columns + pk, already direction-encoded by the index
-        // codec), forward or reverse; ties by full key
-        struct Item {
-            child_idx: usize,
-            /// Where the suffix starts in `key`.
-            prefix_len: usize,
-            key: Vec<u8>,
-            value: Vec<u8>,
-        }
-        impl Item {
-            fn position(&self) -> (&[u8], &[u8]) {
-                (&self.key[self.prefix_len..], &self.key)
-            }
-        }
-        let mut items: Vec<Item> = Vec::with_capacity(per_child_entries.iter().map(Vec::len).sum());
-        for (child_idx, entries) in per_child_entries.into_iter().enumerate() {
-            for (key, value) in entries {
-                items.push(Item {
-                    child_idx,
-                    prefix_len: prefix_lens[child_idx].min(key.len()),
-                    key,
-                    value,
-                });
-            }
+        // codec), forward or reverse; ties by full key. The entries stay in
+        // their blocks; what is sorted is (child, entry) index pairs.
+        let entry = |&(child, i): &(usize, usize)| per_child[child].get(i);
+        let position = |at: &(usize, usize)| {
+            let key = entry(at).0;
+            (&key[prefix_lens[at.0].min(key.len())..], key)
+        };
+        let mut items: Vec<(usize, usize)> =
+            Vec::with_capacity(per_child.iter().map(Entries::len).sum());
+        for (child, entries) in per_child.iter().enumerate() {
+            items.extend((0..entries.len()).map(|i| (child, i)));
         }
         if spec.reverse {
-            items.sort_by(|a, b| b.position().cmp(&a.position()));
+            items.sort_by(|a, b| position(b).cmp(&position(a)));
         } else {
-            items.sort_by(|a, b| a.position().cmp(&b.position()));
+            items.sort_by(|a, b| position(a).cmp(&position(b)));
         }
         // resume filter: drop everything at or before the cursor position
         if let Some(cursor) = resume {
             items.retain(|it| {
                 let cmp = if spec.reverse {
-                    cursor.cmp(&it.position())
+                    cursor.cmp(&position(it))
                 } else {
-                    it.position().cmp(&cursor)
+                    position(it).cmp(&cursor)
                 };
                 cmp == std::cmp::Ordering::Greater
             });
@@ -642,7 +629,7 @@ impl<'a> ExecCtx<'a> {
         // cursor
         if self.resume.is_some() || self.produce_cursor {
             self.next_cursor = items.last().map(|it| {
-                let (suffix, full_key) = it.position();
+                let (suffix, full_key) = position(it);
                 CursorState::SortedJoinAfter {
                     suffix: suffix.to_vec(),
                     full_key: full_key.to_vec(),
@@ -651,16 +638,11 @@ impl<'a> ExecCtx<'a> {
         }
 
         // materialize right rows (deref when needed), attach child tuples
-        let mut child_of = Vec::with_capacity(items.len());
-        let mut entries = Vec::with_capacity(items.len());
-        for it in items {
-            child_of.push(it.child_idx);
-            entries.push((it.key, it.value));
-        }
-        let mut out = Vec::with_capacity(entries.len());
-        self.materialize(op, entries, spec.deref, spec.row_bytes, |i, right| {
+        let mut out = Vec::with_capacity(items.len());
+        let merged = items.iter().map(entry);
+        self.materialize(op, merged, spec.deref, spec.row_bytes, |i, right| {
             // a child can match many entries, so its values are copied
-            let left = &children[child_of[i]];
+            let left = &children[items[i].0];
             let mut values = Vec::with_capacity(left.len() + right.len());
             values.extend_from_slice(left.values());
             values.extend(right.into_values());
@@ -750,34 +732,35 @@ impl<'a> ExecCtx<'a> {
     }
 
     /// Turn index entries into full-arity right rows, dereferencing through
-    /// the primary namespace when the index is not covering. Each row is
-    /// handed to `emit` with the position of the entry it came from;
-    /// entries whose record is gone or has moved on are skipped.
-    fn materialize(
+    /// the primary namespace when the index is not covering. The entries
+    /// are read where the store's answer holds them. Each row is handed to
+    /// `emit` with the position of the entry it came from; entries whose
+    /// record is gone or has moved on are skipped.
+    fn materialize<'e>(
         &mut self,
         op: &RemoteOp,
-        entries: Vec<KvEntry>,
+        entries: impl ExactSizeIterator<Item = (&'e [u8], &'e [u8])> + Clone,
         deref: bool,
         row_bytes: u64,
         mut emit: impl FnMut(usize, Tuple),
     ) -> Result<(), ExecError> {
         let table = &op.table;
         if !op.secondary {
-            for (i, (_, v)) in entries.into_iter().enumerate() {
-                emit(i, keys::decode_row(table, &v)?);
+            for (i, (_, v)) in entries.enumerate() {
+                emit(i, keys::decode_row(table, v)?);
             }
             return Ok(());
         }
         let row_from_key =
             |k: &[u8]| keys::row_from_key(table.columns.len(), &op.parts, &op.types, &op.dirs, k);
         if !deref {
-            for (i, (k, _)) in entries.into_iter().enumerate() {
-                emit(i, row_from_key(&k)?);
+            for (i, (k, _)) in entries.enumerate() {
+                emit(i, row_from_key(k)?);
             }
             return Ok(());
         }
         let mut pk_keys = Vec::with_capacity(entries.len());
-        for (k, _) in &entries {
+        for (k, _) in entries.clone() {
             let row = row_from_key(k)?;
             let mut pk = Vec::new();
             for &col in &op.pk {
@@ -791,7 +774,7 @@ impl<'a> ExecCtx<'a> {
         self.tag_op(LiveOpKind::IndexFKJoin, pk_keys.len() as u64, 1, row_bytes);
         let responses = self.issue_gets(op.primary, pk_keys)?;
         self.clear_op_tag();
-        for (i, ((k, _), resp)) in entries.into_iter().zip(responses).enumerate() {
+        for (i, ((k, _), resp)) in entries.zip(responses).enumerate() {
             if let KvResponse::Value(Some(bytes)) = resp {
                 let row = keys::decode_row(table, &bytes)?;
                 // the §7.2 write order can leave entries whose

@@ -64,15 +64,16 @@ impl<'a> ReferenceExecutor<'a> {
                 .ok_or_else(|| {
                     ExecError::Internal("malformed round: backend returned no responses".into())
                 })?
-                .entries()?
-                .to_vec();
-            let n = entries.len();
-            for (k, v) in entries {
-                rows.push(keys::decode_row(table, &v)?);
-                start = k;
+                .entries()?;
+            for (_, v) in entries {
+                rows.push(keys::decode_row(table, v)?);
+            }
+            if let Some((k, _)) = entries.last() {
+                start.clear();
+                start.extend_from_slice(k);
                 start.push(0);
             }
-            if n < 1024 {
+            if entries.len() < 1024 {
                 break;
             }
         }

@@ -700,11 +700,11 @@ impl<'a> Writer<'a> {
                             reverse: false,
                         },
                     )
-                    .into_entries()?;
+                    .into_block()?;
                 let len = entries.len();
-                if len == 0 {
+                let Some((last_key, _)) = entries.last() else {
                     break;
-                }
+                };
                 // fetch the referenced records in one parallel round
                 let mut gets = Vec::with_capacity(len);
                 for (k, _) in &entries {
@@ -722,7 +722,7 @@ impl<'a> Writer<'a> {
                             // entry must still be derivable from the record
                             let rec = keys::decode_row(table, &bytes)?;
                             let mut derived = false;
-                            keys::entry_keys(&idx.parts, &rec, |k| derived |= k == *entry_key)?;
+                            keys::entry_keys(&idx.parts, &rec, |k| derived |= k == entry_key)?;
                             !derived
                         }
                         None => true, // record gone entirely
@@ -730,7 +730,7 @@ impl<'a> Writer<'a> {
                     if dangling {
                         dels.push(KvRequest::Delete {
                             ns: idx.ns,
-                            key: entry_key.clone(),
+                            key: entry_key.to_vec(),
                         });
                     }
                 }
@@ -738,7 +738,8 @@ impl<'a> Writer<'a> {
                 if !dels.is_empty() {
                     self.store.execute_round(session, dels);
                 }
-                start = entries.last().expect("non-empty page").0.clone();
+                start.clear();
+                start.extend_from_slice(last_key);
                 start.push(0);
                 if len < 512 {
                     break;
@@ -772,18 +773,20 @@ impl<'a> Writer<'a> {
                         reverse: false,
                     },
                 )
-                .into_entries()?;
-            let len = entries.len();
-            for (k, v) in &entries {
+                .into_block()?;
+            for (_, v) in &entries {
                 let row = keys::decode_row(table, v)?;
                 keys::entry_keys(&index.parts, &row, |key| {
                     self.store.bulk_put(index.ns, key, Vec::new());
                     n += 1;
                 })?;
-                start = k.clone();
+            }
+            if let Some((k, _)) = entries.last() {
+                start.clear();
+                start.extend_from_slice(k);
                 start.push(0);
             }
-            if len < 1024 {
+            if entries.len() < 1024 {
                 break;
             }
         }

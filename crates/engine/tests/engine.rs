@@ -745,3 +745,93 @@ fn a_range_bound_that_cannot_be_a_key_is_an_error_not_a_panic() {
         "{err}"
     );
 }
+
+/// Intervals that hold nothing, as a client can make them: a range
+/// predicate whose bounds cross, and a pagination cursor replayed under
+/// another key. The ordered maps under both stores panic on an inverted
+/// range ("range start is greater than range end"), so these used to take
+/// the handler down — holding a shard's read lock, for an embedder.
+fn empty_intervals_answer_empty_pages<S: KvStore>(db: &Database<S>, backend: &str) {
+    for ddl in SCADR_DDL {
+        db.execute_ddl(ddl).unwrap();
+    }
+    populate(db, 6, 2, 9);
+    let strategies = [
+        ExecStrategy::Lazy,
+        ExecStrategy::Simple,
+        ExecStrategy::Parallel,
+    ];
+
+    let crossed = "SELECT * FROM thoughts WHERE owner = <o> \
+                   AND timestamp > <lo> AND timestamp < <hi> LIMIT 5";
+    let prepared = db.prepare(crossed).unwrap();
+    let owner = Value::Varchar("user0003".into());
+    for (lo, hi, expected) in [(10, 5, 0), (10, 10, 0), (0, i64::MAX, 5)] {
+        let params =
+            Params::from_values([owner.clone(), Value::Timestamp(lo), Value::Timestamp(hi)]);
+        let reference = db.reference_query(crossed, &params).unwrap();
+        assert_eq!(reference.len(), expected, "{backend}: ({lo}, {hi})");
+        for strategy in strategies {
+            let mut session = Session::new();
+            let rows = db
+                .execute_with(&mut session, &prepared, &params, strategy, None)
+                .unwrap()
+                .rows;
+            assert_eq!(rows, reference, "{backend} {strategy:?}: ({lo}, {hi})");
+        }
+    }
+
+    for order in ["", "ORDER BY timestamp DESC "] {
+        let paged = format!("SELECT * FROM thoughts WHERE owner = <o> {order}PAGINATE 2");
+        let prepared = db.prepare(&paged).unwrap();
+        let page = |owner: &str, strategy, cursor: Option<&Cursor>| {
+            let params = Params::from_values([Value::Varchar(owner.into())]);
+            let mut session = Session::new();
+            db.execute_with(&mut session, &prepared, &params, strategy, cursor)
+                .unwrap()
+        };
+        for strategy in strategies {
+            let what = format!("{backend} {strategy:?} {order:?}");
+            let first = page("user0003", strategy, None);
+            assert_eq!(first.rows.len(), 2, "{what}");
+            let cursor = first.cursor.expect("a first page of two has a second");
+            // under its own parameters the cursor resumes
+            let second = page("user0003", strategy, Some(&cursor));
+            assert_eq!(second.rows.len(), 2, "{what}");
+            assert_ne!(second.rows, first.rows, "{what}");
+            // under others it lies outside the scan, on one side or the
+            // other: nothing, or the scan from its top — never rows of an
+            // owner the predicate excludes
+            for other in ["user0001", "user0005"] {
+                let foreign = page(other, strategy, Some(&cursor));
+                let own = page(other, strategy, None);
+                assert!(
+                    foreign.rows.is_empty() || foreign.rows == own.rows,
+                    "{what}: {other} resumed with user0003's cursor: {:?}",
+                    foreign.rows
+                );
+            }
+            // user0003's position is past all of user0001's keys going up,
+            // and before all of user0005's going down
+            let beyond = if order.is_empty() {
+                "user0001"
+            } else {
+                "user0005"
+            };
+            let foreign = page(beyond, strategy, Some(&cursor));
+            assert!(foreign.rows.is_empty(), "{what}: {:?}", foreign.rows);
+        }
+    }
+}
+
+#[test]
+fn empty_and_inverted_intervals_are_empty_pages_not_panics() {
+    empty_intervals_answer_empty_pages(
+        &Database::new(Arc::new(SimCluster::new(ClusterConfig::instant(3)))),
+        "sim",
+    );
+    empty_intervals_answer_empty_pages(
+        &Database::new(Arc::new(LiveCluster::new(LiveConfig::default()))),
+        "live",
+    );
+}

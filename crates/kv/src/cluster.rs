@@ -16,7 +16,7 @@
 
 use crate::latency::{InterferenceConfig, LatencyConfig};
 use crate::node::StorageNode;
-use crate::op::{KvRequest, KvResponse, NsId, RequestRound};
+use crate::op::{Entries, KvRequest, KvResponse, NsId, RequestRound};
 use crate::partition::{NsPlacement, PartitionMap};
 use crate::session::Session;
 use crate::stats::ClusterStats;
@@ -401,32 +401,25 @@ impl SimCluster {
                 if *reverse {
                     parts.reverse();
                 }
-                let mut out: Vec<(Vec<u8>, Vec<u8>)> = Vec::new();
+                let mut out = Entries::new();
                 let mut t = start;
                 let want = limit.unwrap_or(u64::MAX);
-                for (visit, part) in parts.iter().enumerate() {
+                for part in parts {
                     if out.len() as u64 >= want {
                         break;
                     }
                     // continuation to the next partition is sequential
-                    let (node, horizon) = self.read_replica(&placement, *part, t);
+                    let (node, horizon) = self.read_replica(&placement, part, t);
                     // fetch only this partition's slice of the range
-                    let (p_lo, p_hi) = partition_bounds(&placement, *part, lo, end.as_deref());
-                    let remaining = want - out.len() as u64;
-                    let entries =
-                        data.range(&p_lo, p_hi.as_deref(), Some(remaining), *reverse, horizon);
-                    let bytes: u64 = entries
-                        .iter()
-                        .map(|(k, v)| (k.len() + v.len()) as u64)
-                        .sum();
-                    let adm = self.nodes[node].admit(t, req, entries.len() as u64, bytes);
+                    let (p_lo, p_hi) = partition_bounds(&placement, part, lo, end.as_deref());
+                    let (had, had_bytes) = (out.len(), out.payload_len());
+                    let remaining = want - had as u64;
+                    data.range(p_lo, p_hi, Some(remaining), *reverse, horizon, &mut out);
+                    let bytes = (out.payload_len() - had_bytes) as u64;
+                    let adm = self.nodes[node].admit(t, req, (out.len() - had) as u64, bytes);
                     t = adm.done;
                     *physical += 1;
                     self.stats.record_read(bytes);
-                    out.extend(entries);
-                    // after the first visit, an empty tail partition still
-                    // costs a visit — keep scanning only while unfilled
-                    let _ = visit;
                 }
                 (KvResponse::Entries(out), t)
             }
@@ -437,7 +430,7 @@ impl SimCluster {
                 for part in parts {
                     let (node, horizon) = self.read_replica(&placement, part, start);
                     let (p_lo, p_hi) = partition_bounds(&placement, part, lo, end.as_deref());
-                    let c = data.count_range(&p_lo, p_hi.as_deref(), horizon);
+                    let c = data.count_range(p_lo, p_hi, horizon);
                     let adm = self.nodes[node].admit(start, req, c, 0);
                     done = done.max(adm.done); // counts proceed in parallel
                     *physical += 1;
@@ -458,27 +451,23 @@ impl SimCluster {
 }
 
 /// Clip `[lo, hi)` to one partition's bounds.
-fn partition_bounds(
-    placement: &NsPlacement,
+fn partition_bounds<'a>(
+    placement: &'a NsPlacement,
     part: usize,
-    lo: &[u8],
-    hi: Option<&[u8]>,
-) -> (Vec<u8>, Option<Vec<u8>>) {
-    let part_lo = if part == 0 {
-        None
-    } else {
-        placement.splits.get(part - 1).cloned()
-    };
-    let part_hi = placement.splits.get(part).cloned();
+    lo: &'a [u8],
+    hi: Option<&'a [u8]>,
+) -> (&'a [u8], Option<&'a [u8]>) {
+    let part_lo = part
+        .checked_sub(1)
+        .and_then(|below| placement.splits.get(below));
     let eff_lo = match part_lo {
         Some(pl) if pl.as_slice() > lo => pl,
-        _ => lo.to_vec(),
+        _ => lo,
     };
-    let eff_hi = match (part_hi, hi) {
-        (Some(ph), Some(h)) => Some(if ph.as_slice() < h { ph } else { h.to_vec() }),
-        (Some(ph), None) => Some(ph),
-        (None, Some(h)) => Some(h.to_vec()),
-        (None, None) => None,
+    let eff_hi = match (placement.splits.get(part), hi) {
+        (Some(ph), Some(h)) => Some(ph.as_slice().min(h)),
+        (Some(ph), None) => Some(ph.as_slice()),
+        (None, hi) => hi,
     };
     (eff_lo, eff_hi)
 }
@@ -525,10 +514,7 @@ impl KvStore for SimCluster {
             latest = latest.max(done);
             if let KvResponse::Entries(e) = &resp {
                 session.stats.entries += e.len() as u64;
-                session.stats.bytes += e
-                    .iter()
-                    .map(|(k, v)| (k.len() + v.len()) as u64)
-                    .sum::<u64>();
+                session.stats.bytes += e.payload_len() as u64;
             }
             responses.push(resp);
         }
@@ -628,7 +614,7 @@ mod tests {
                 reverse: false,
             }],
         );
-        let entries = r[0].expect_entries();
+        let entries = r[0].expect_entries().to_vec();
         assert_eq!(entries.len(), 80);
         assert!(entries.windows(2).all(|w| w[0].0 < w[1].0));
         assert!(
@@ -671,7 +657,7 @@ mod tests {
                 reverse: true,
             }],
         );
-        let entries = r[0].expect_entries();
+        let entries = r[0].expect_entries().to_vec();
         assert_eq!(entries.len(), 10);
         assert_eq!(entries[0].0, vec![49]);
         assert!(entries.windows(2).all(|w| w[0].0 > w[1].0));

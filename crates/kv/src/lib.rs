@@ -20,6 +20,16 @@
 //!   online model training, and runtime latency injection for drift
 //!   tests.
 //!
+//! A range request is answered with one [`Entries`] block: every key and
+//! value of the answer back to back in one buffer, their ends in another.
+//! Both backends count what they are about to return while they hold the
+//! map, make room for exactly that, and copy once — two allocations
+//! whatever the answer holds, searched with the request's own bounds — and
+//! both answer an empty or inverted interval with nothing instead of
+//! panicking in `BTreeMap::range`. The engine reads keys and values where
+//! they lie; [`KvResponse::into_entries`] converts to owned pairs for tests
+//! and probes.
+//!
 //! Request rounds fan out over a shared [`RoundPool`] — a fixed-width
 //! worker pool whose callers participate in their own round's queue (so
 //! saturation degrades to sequential execution, never deadlock) and
@@ -44,7 +54,7 @@ pub mod wal;
 pub use cluster::{ClusterConfig, KvStore, NsBalance, SimCluster};
 pub use latency::{InterferenceConfig, LatencyConfig};
 pub use live::{LiveCluster, LiveConfig, LiveStatsSnapshot};
-pub use op::{KvEntry, KvRequest, KvResponse, NsId, RequestRound, ResponseMismatch};
+pub use op::{Entries, KvEntry, KvRequest, KvResponse, NsId, RequestRound, ResponseMismatch};
 pub use pool::{PoolStats, RoundPool};
 pub use sample::{LiveOpKind, LiveSampleSink, OpSample, OpTag};
 pub use session::{Session, SessionStats};

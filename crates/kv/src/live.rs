@@ -39,15 +39,15 @@
 //!   issue **zero** storage requests.
 
 use crate::cluster::{KvStore, NsBalance};
-use crate::op::{KvEntry, KvRequest, KvResponse, NsId, RequestRound};
+use crate::op::{Entries, KvEntry, KvRequest, KvResponse, NsId, RequestRound};
 use crate::pool::{default_pool_threads, RoundPool};
 use crate::sample::{LiveSampleSink, OpSample};
 use crate::session::Session;
+use crate::store::byte_range;
 use crate::wal::WalSink;
 use piql_analysis::ordered::RwLock;
 use piql_analysis::rank;
 use std::collections::BTreeMap;
-use std::ops::Bound;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -286,44 +286,39 @@ impl ShardSet {
 
     /// Scan `[start, end)`; also reports the number of shards visited (each
     /// visit is one physical operation, like a partition visit in
-    /// `SimCluster`).
+    /// `SimCluster`). The answer is sized while each shard is held: its
+    /// entries are counted, room for exactly those is made, and they are
+    /// copied once. An empty or inverted interval is answered by the shard
+    /// `start` routes to, with nothing.
     fn range(
         &self,
         start: &[u8],
         end: Option<&[u8]>,
         limit: Option<u64>,
         reverse: bool,
-    ) -> (Vec<KvEntry>, u64) {
-        let want = limit.unwrap_or(u64::MAX) as usize;
-        let lo = Bound::Included(start.to_vec());
-        let hi = match end {
-            Some(e) => Bound::Excluded(e.to_vec()),
-            None => Bound::Unbounded,
-        };
-        let mut out: Vec<KvEntry> = Vec::new();
+    ) -> (Entries, u64) {
+        let want = usize::try_from(limit.unwrap_or(u64::MAX)).unwrap_or(usize::MAX);
+        let mut out = Entries::new();
         let mut visited = 0u64;
-        let shards = self.shards_for_range(start, end);
-        let mut visit = |out: &mut Vec<KvEntry>, idx: usize| {
+        let Some(bounds) = byte_range(start, end) else {
+            self.touch(self.shard_of(start));
+            return (out, 1);
+        };
+        let mut visit = |out: &mut Entries, idx: usize| {
             visited += 1;
             self.touch(idx);
             let shard = self.shards[idx].read();
-            let iter = shard.range::<Vec<u8>, _>((lo.clone(), hi.clone()));
+            let found = shard
+                .range::<[u8], _>(bounds)
+                .map(|(k, v)| (k.as_slice(), v.as_slice()));
+            let room = want - out.len();
             if reverse {
-                for (k, v) in iter.rev() {
-                    if out.len() >= want {
-                        break;
-                    }
-                    out.push((k.clone(), v.clone()));
-                }
+                out.extend_exact(found.rev().take(room));
             } else {
-                for (k, v) in iter {
-                    if out.len() >= want {
-                        break;
-                    }
-                    out.push((k.clone(), v.clone()));
-                }
+                out.extend_exact(found.take(room));
             }
         };
+        let shards = self.shards_for_range(start, end);
         if reverse {
             for idx in shards.rev() {
                 if out.len() >= want {
@@ -344,10 +339,9 @@ impl ShardSet {
 
     /// Count `[start, end)`; also reports shards visited.
     fn count_range(&self, start: &[u8], end: Option<&[u8]>) -> (u64, u64) {
-        let lo = Bound::Included(start.to_vec());
-        let hi = match end {
-            Some(e) => Bound::Excluded(e.to_vec()),
-            None => Bound::Unbounded,
+        let Some(bounds) = byte_range(start, end) else {
+            self.touch(self.shard_of(start));
+            return (0, 1);
         };
         let mut visited = 0u64;
         let total = self
@@ -355,10 +349,7 @@ impl ShardSet {
             .map(|idx| {
                 visited += 1;
                 self.touch(idx);
-                self.shards[idx]
-                    .read()
-                    .range::<Vec<u8>, _>((lo.clone(), hi.clone()))
-                    .count() as u64
+                self.shards[idx].read().range::<[u8], _>(bounds).count() as u64
             })
             .sum();
         (total, visited)
@@ -495,7 +486,7 @@ impl LiveNamespace {
         end: Option<&[u8]>,
         limit: Option<u64>,
         reverse: bool,
-    ) -> (Vec<KvEntry>, u64) {
+    ) -> (Entries, u64) {
         self.load().range(start, end, limit, reverse)
     }
 
@@ -804,21 +795,19 @@ impl LiveCluster {
 /// Serve one request against its namespace. Free-standing (not `&self`) so
 /// rounds can scatter it across pool threads. Takes the request **by
 /// value**: a round owns its requests, so the keys and payloads of writes
-/// move into the shard instead of being copied. Returns the response, the
-/// physical (per-shard) operation count, and the payload bytes of any
-/// entries shipped back (so the round join can update session stats
-/// without re-walking the entries).
+/// move into the shard instead of being copied. Returns the response and
+/// the physical (per-shard) operation count.
 fn execute_request(
     data: &LiveNamespace,
     stats: &LiveStats,
     req: KvRequest,
     delay_us: u64,
-) -> (KvResponse, u64, u64) {
+) -> (KvResponse, u64) {
     if delay_us > 0 {
         std::thread::sleep(std::time::Duration::from_micros(delay_us));
     }
     stats.ops.fetch_add(1, Ordering::Relaxed);
-    let (response, physical, entry_bytes) = match req {
+    let (response, physical) = match req {
         KvRequest::Get { key, .. } => {
             let value = data.get(&key);
             stats.reads.fetch_add(1, Ordering::Relaxed);
@@ -826,7 +815,7 @@ fn execute_request(
                 value.as_ref().map_or(0, |v| v.len() as u64),
                 Ordering::Relaxed,
             );
-            (KvResponse::Value(value), 1, 0)
+            (KvResponse::Value(value), 1)
         }
         KvRequest::Put { key, value, .. } => {
             stats.writes.fetch_add(1, Ordering::Relaxed);
@@ -834,19 +823,19 @@ fn execute_request(
                 .bytes_written
                 .fetch_add(value.len() as u64, Ordering::Relaxed);
             data.put(key, Some(value));
-            (KvResponse::Done, 1, 0)
+            (KvResponse::Done, 1)
         }
         KvRequest::Delete { key, .. } => {
             stats.writes.fetch_add(1, Ordering::Relaxed);
             data.put(key, None);
-            (KvResponse::Done, 1, 0)
+            (KvResponse::Done, 1)
         }
         KvRequest::TestAndSet {
             key, expect, value, ..
         } => {
             stats.writes.fetch_add(1, Ordering::Relaxed);
             let (success, current) = data.test_and_set(key, expect.as_deref(), value);
-            (KvResponse::TasResult { success, current }, 1, 0)
+            (KvResponse::TasResult { success, current }, 1)
         }
         KvRequest::GetRange {
             start,
@@ -856,25 +845,22 @@ fn execute_request(
             ..
         } => {
             let (entries, visited) = data.range(&start, end.as_deref(), limit, reverse);
-            let bytes: u64 = entries
-                .iter()
-                .map(|(k, v)| (k.len() + v.len()) as u64)
-                .sum();
+            let bytes = entries.payload_len() as u64;
             stats.reads.fetch_add(1, Ordering::Relaxed);
             stats.bytes_read.fetch_add(bytes, Ordering::Relaxed);
             stats
                 .entries_returned
                 .fetch_add(entries.len() as u64, Ordering::Relaxed);
-            (KvResponse::Entries(entries), visited.max(1), bytes)
+            (KvResponse::Entries(entries), visited.max(1))
         }
         KvRequest::CountRange { start, end, .. } => {
             stats.reads.fetch_add(1, Ordering::Relaxed);
             let (total, visited) = data.count_range(&start, end.as_deref());
-            (KvResponse::Count(total), visited.max(1), 0)
+            (KvResponse::Count(total), visited.max(1))
         }
     };
     stats.physical_ops.fetch_add(physical, Ordering::Relaxed);
-    (response, physical, entry_bytes)
+    (response, physical)
 }
 
 impl KvStore for LiveCluster {
@@ -915,11 +901,11 @@ impl KvStore for LiveCluster {
         let delay_us = self.request_delay_us.load(Ordering::Relaxed);
         let mut physical = 0u64;
         let mut responses = Vec::with_capacity(round.len());
-        let mut join = |(response, phys, entry_bytes): (KvResponse, u64, u64)| {
+        let mut join = |(response, phys): (KvResponse, u64)| {
             physical += phys;
             if let KvResponse::Entries(e) = &response {
                 session.stats.entries += e.len() as u64;
-                session.stats.bytes += entry_bytes;
+                session.stats.bytes += e.payload_len() as u64;
             }
             responses.push(response);
         };
@@ -955,11 +941,11 @@ impl KvStore for LiveCluster {
         let has_write = req.is_write();
         let started = self.now_micros();
         let delay_us = self.request_delay_us.load(Ordering::Relaxed);
-        let (response, physical, entry_bytes) =
+        let (response, physical) =
             execute_request(&self.ns_data(req.ns()), &self.stats, req, delay_us);
         if let KvResponse::Entries(e) = &response {
             session.stats.entries += e.len() as u64;
-            session.stats.bytes += entry_bytes;
+            session.stats.bytes += e.payload_len() as u64;
         }
         self.complete_round(session, started, 1, physical, has_write);
         response
@@ -1125,7 +1111,7 @@ mod tests {
                 reverse: false,
             }],
         );
-        let entries = r[0].expect_entries();
+        let entries = r[0].expect_entries().to_vec();
         assert_eq!(entries.len(), 240);
         assert!(entries.windows(2).all(|w| w[0].0 < w[1].0));
         let r = c.execute_round(
@@ -1138,7 +1124,7 @@ mod tests {
                 reverse: true,
             }],
         );
-        let entries = r[0].expect_entries();
+        let entries = r[0].expect_entries().to_vec();
         assert_eq!(entries.len(), 7);
         assert_eq!(entries[0].0, vec![255, 1]);
         assert!(entries.windows(2).all(|w| w[0].0 > w[1].0));
@@ -1367,7 +1353,7 @@ mod tests {
                 reverse: false,
             }],
         );
-        assert_eq!(r[0].expect_entries(), expected.as_slice());
+        assert_eq!(r[0].expect_entries().to_vec(), expected);
     }
 
     #[test]

@@ -73,8 +73,155 @@ impl KvRequest {
     }
 }
 
-/// One `(key, value)` entry shipped back by a range scan.
+/// One `(key, value)` entry as an owned pair — what bulk loads, exports and
+/// tests trade in. Range answers travel as [`Entries`].
 pub type KvEntry = (Vec<u8>, Vec<u8>);
+
+/// The entries of one range answer, in scan order, packed: every key and
+/// value back to back in one byte buffer, and where each ends in one
+/// offsets vector. A backend fills it while it holds the shard — two
+/// allocations whatever the number of entries — and the engine reads keys
+/// and values where they lie.
+#[derive(Clone, Default, PartialEq, Eq)]
+pub struct Entries {
+    /// `key0 value0 key1 value1 …`, nothing between them.
+    payload: Vec<u8>,
+    /// Per entry, where its key and its value end in `payload`.
+    ends: Vec<[usize; 2]>,
+}
+
+impl Entries {
+    pub fn new() -> Self {
+        Entries::default()
+    }
+
+    pub fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.ends.is_empty()
+    }
+
+    /// Key and value bytes shipped — the `bytes` figure of session and
+    /// cluster stats.
+    pub fn payload_len(&self) -> usize {
+        self.payload.len()
+    }
+
+    /// Entry `i` as `(key, value)`. Panics when `i >= len()`, like a slice.
+    pub fn get(&self, i: usize) -> (&[u8], &[u8]) {
+        let start = match i {
+            0 => 0,
+            _ => self.ends[i - 1][1],
+        };
+        let [key_end, value_end] = self.ends[i];
+        (
+            &self.payload[start..key_end],
+            &self.payload[key_end..value_end],
+        )
+    }
+
+    pub fn last(&self) -> Option<(&[u8], &[u8])> {
+        self.len().checked_sub(1).map(|i| self.get(i))
+    }
+
+    pub fn iter(&self) -> EntriesIter<'_> {
+        EntriesIter {
+            entries: self,
+            range: 0..self.len(),
+        }
+    }
+
+    /// Append `entries`, sized exactly: they are counted and summed on a
+    /// first pass, room for just that is reserved, and a second pass
+    /// copies — one allocation per buffer whatever the number of entries,
+    /// and no capacity beyond what is used. Backends call this while they
+    /// hold the map the iterator walks.
+    pub fn extend_exact<'e>(
+        &mut self,
+        entries: impl Iterator<Item = (&'e [u8], &'e [u8])> + Clone,
+    ) {
+        let (n, payload) = entries.clone().fold((0, 0), |(n, bytes), (k, v)| {
+            (n + 1, bytes + k.len() + v.len())
+        });
+        self.ends.reserve_exact(n);
+        self.payload.reserve_exact(payload);
+        for (k, v) in entries {
+            self.push(k, v);
+        }
+    }
+
+    pub fn push(&mut self, key: &[u8], value: &[u8]) {
+        self.payload.extend_from_slice(key);
+        let key_end = self.payload.len();
+        self.payload.extend_from_slice(value);
+        self.ends.push([key_end, self.payload.len()]);
+    }
+
+    /// Move `other`'s entries behind these. Appending to an empty block
+    /// takes `other`'s buffers as they are.
+    pub fn append(&mut self, other: Entries) {
+        if self.is_empty() {
+            *self = other;
+            return;
+        }
+        let base = self.payload.len();
+        self.payload.extend_from_slice(&other.payload);
+        self.ends
+            .extend(other.ends.iter().map(|[k, v]| [base + k, base + v]));
+    }
+
+    /// The entries as owned pairs.
+    pub fn to_vec(&self) -> Vec<KvEntry> {
+        self.iter().map(|(k, v)| (k.to_vec(), v.to_vec())).collect()
+    }
+}
+
+impl From<Vec<KvEntry>> for Entries {
+    fn from(owned: Vec<KvEntry>) -> Self {
+        let mut out = Entries::new();
+        out.extend_exact(owned.iter().map(|(k, v)| (k.as_slice(), v.as_slice())));
+        out
+    }
+}
+
+impl<'a> IntoIterator for &'a Entries {
+    type Item = (&'a [u8], &'a [u8]);
+    type IntoIter = EntriesIter<'a>;
+
+    fn into_iter(self) -> EntriesIter<'a> {
+        self.iter()
+    }
+}
+
+/// Prints as the list of pairs it holds.
+impl std::fmt::Debug for Entries {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+/// Borrowing iterator over an [`Entries`] block.
+#[derive(Debug, Clone)]
+pub struct EntriesIter<'a> {
+    entries: &'a Entries,
+    range: std::ops::Range<usize>,
+}
+
+impl<'a> Iterator for EntriesIter<'a> {
+    type Item = (&'a [u8], &'a [u8]);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        self.range.next().map(|i| self.entries.get(i))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.range.size_hint()
+    }
+}
+
+impl ExactSizeIterator for EntriesIter<'_> {}
 
 /// One response, positionally matching the request.
 #[derive(Debug, Clone, PartialEq)]
@@ -82,7 +229,7 @@ pub enum KvResponse {
     /// Get: the value, if present.
     Value(Option<Vec<u8>>),
     /// GetRange: entries in scan order.
-    Entries(Vec<(Vec<u8>, Vec<u8>)>),
+    Entries(Entries),
     /// CountRange.
     Count(u64),
     /// TestAndSet: whether the swap applied, and the value now stored.
@@ -152,19 +299,26 @@ impl KvResponse {
     }
 
     /// GetRange: the entries.
-    pub fn entries(&self) -> Result<&[KvEntry], ResponseMismatch> {
+    pub fn entries(&self) -> Result<&Entries, ResponseMismatch> {
         match self {
             KvResponse::Entries(e) => Ok(e),
             other => Err(other.mismatch("Entries")),
         }
     }
 
-    /// Consuming form of [`KvResponse::entries`].
-    pub fn into_entries(self) -> Result<Vec<KvEntry>, ResponseMismatch> {
+    /// Consuming form of [`KvResponse::entries`]: the block itself.
+    pub fn into_block(self) -> Result<Entries, ResponseMismatch> {
         match self {
             KvResponse::Entries(e) => Ok(e),
             other => Err(other.mismatch("Entries")),
         }
+    }
+
+    /// GetRange: the entries converted to owned pairs — an allocation per
+    /// key and per value, for tests and probes; product paths read
+    /// [`KvResponse::entries`] in place.
+    pub fn into_entries(self) -> Result<Vec<KvEntry>, ResponseMismatch> {
+        self.entries().map(Entries::to_vec)
     }
 
     /// CountRange: the count.
@@ -190,7 +344,7 @@ impl KvResponse {
     }
 
     /// See [`KvResponse::expect_value`].
-    pub fn expect_entries(&self) -> &[(Vec<u8>, Vec<u8>)] {
+    pub fn expect_entries(&self) -> &Entries {
         self.entries().unwrap_or_else(|e| panic!("{e}"))
     }
 
@@ -230,7 +384,7 @@ mod tests {
         assert_eq!(tas.tas().unwrap(), (true, None));
         assert!(tas.value().is_err());
         assert_eq!(
-            KvResponse::Entries(vec![(vec![1], vec![2])])
+            KvResponse::Entries(vec![(vec![1], vec![2])].into())
                 .into_entries()
                 .unwrap(),
             vec![(vec![1], vec![2])]

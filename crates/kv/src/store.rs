@@ -11,6 +11,7 @@
 //! exactly the read-your-writes anomaly an asynchronously replicated store
 //! exhibits.
 
+use crate::op::Entries;
 use crate::time::Micros;
 use piql_analysis::ordered::RwLock;
 use piql_analysis::rank;
@@ -37,6 +38,23 @@ impl Versioned {
                 _ => None,
             }
         }
+    }
+}
+
+/// Range bounds over borrowed key bytes, as `BTreeMap::range::<[u8], _>`
+/// takes them.
+pub(crate) type ByteRange<'a> = (Bound<&'a [u8]>, Bound<&'a [u8]>);
+
+/// `[start, end)` as bounds an ordered map can search with the caller's
+/// slices, or `None` when the interval is empty or inverted — which
+/// `BTreeMap::range` would panic on, and which a client can ask for (a
+/// range predicate with `low >= high`, a cursor replayed under another
+/// key).
+pub(crate) fn byte_range<'a>(start: &'a [u8], end: Option<&'a [u8]>) -> Option<ByteRange<'a>> {
+    match end {
+        Some(end) if start >= end => None,
+        Some(end) => Some((Bound::Included(start), Bound::Excluded(end))),
+        None => Some((Bound::Included(start), Bound::Unbounded)),
     }
 }
 
@@ -123,8 +141,8 @@ impl Namespace {
         (true, value)
     }
 
-    /// Scan `[start, end)` (or reversed), returning up to `limit` visible
-    /// entries.
+    /// Scan `[start, end)` (or reversed), appending up to `limit` visible
+    /// entries to `out`. An empty or inverted interval holds nothing.
     pub fn range(
         &self,
         start: &[u8],
@@ -132,46 +150,30 @@ impl Namespace {
         limit: Option<u64>,
         reverse: bool,
         horizon: Micros,
-    ) -> Vec<(Vec<u8>, Vec<u8>)> {
-        let map = self.entries.read();
-        let lo = Bound::Included(start.to_vec());
-        let hi = match end {
-            Some(e) => Bound::Excluded(e.to_vec()),
-            None => Bound::Unbounded,
+        out: &mut Entries,
+    ) {
+        let Some(bounds) = byte_range(start, end) else {
+            return;
         };
-        let limit = limit.unwrap_or(u64::MAX) as usize;
-        let mut out = Vec::new();
-        let iter = map.range::<Vec<u8>, _>((lo, hi));
+        let limit = usize::try_from(limit.unwrap_or(u64::MAX)).unwrap_or(usize::MAX);
+        let map = self.entries.read();
+        let visible = map
+            .range::<[u8], _>(bounds)
+            .filter_map(|(k, v)| Some((k.as_slice(), v.visible_at(horizon)?)));
         if reverse {
-            for (k, v) in iter.rev() {
-                if let Some(data) = v.visible_at(horizon) {
-                    out.push((k.clone(), data.to_vec()));
-                    if out.len() >= limit {
-                        break;
-                    }
-                }
-            }
+            out.extend_exact(visible.rev().take(limit));
         } else {
-            for (k, v) in iter {
-                if let Some(data) = v.visible_at(horizon) {
-                    out.push((k.clone(), data.to_vec()));
-                    if out.len() >= limit {
-                        break;
-                    }
-                }
-            }
+            out.extend_exact(visible.take(limit));
         }
-        out
     }
 
     pub fn count_range(&self, start: &[u8], end: Option<&[u8]>, horizon: Micros) -> u64 {
-        let map = self.entries.read();
-        let lo = Bound::Included(start.to_vec());
-        let hi = match end {
-            Some(e) => Bound::Excluded(e.to_vec()),
-            None => Bound::Unbounded,
+        let Some(bounds) = byte_range(start, end) else {
+            return 0;
         };
-        map.range::<Vec<u8>, _>((lo, hi))
+        self.entries
+            .read()
+            .range::<[u8], _>(bounds)
             .filter(|(_, v)| v.visible_at(horizon).is_some())
             .count() as u64
     }
@@ -261,14 +263,30 @@ mod tests {
         for i in 0..10u8 {
             ns.put(vec![i], Some(vec![i]), 0);
         }
-        let fwd = ns.range(&[2], Some(&[7]), None, false, 0);
+        let mut fwd = Entries::new();
+        ns.range(&[2], Some(&[7]), None, false, 0, &mut fwd);
         assert_eq!(fwd.len(), 5);
-        assert_eq!(fwd[0].0, vec![2]);
-        let rev = ns.range(&[2], Some(&[7]), Some(2), true, 0);
-        assert_eq!(rev.len(), 2);
-        assert_eq!(rev[0].0, vec![6]);
-        assert_eq!(rev[1].0, vec![5]);
+        assert_eq!(fwd.get(0).0, [2]);
+        let mut rev = Entries::new();
+        ns.range(&[2], Some(&[7]), Some(2), true, 0, &mut rev);
+        assert_eq!(rev.to_vec(), [(vec![6], vec![6]), (vec![5], vec![5])]);
         assert_eq!(ns.count_range(&[0], None, 0), 10);
+    }
+
+    #[test]
+    fn empty_and_inverted_intervals_hold_nothing() {
+        let ns = Namespace::new();
+        for i in 0..10u8 {
+            ns.put(vec![i], Some(vec![i]), 0);
+        }
+        for (start, end) in [([5], [5]), ([7], [2])] {
+            for reverse in [false, true] {
+                let mut out = Entries::new();
+                ns.range(&start, Some(&end), None, reverse, 0, &mut out);
+                assert!(out.is_empty());
+            }
+            assert_eq!(ns.count_range(&start, Some(&end), 0), 0);
+        }
     }
 
     #[test]

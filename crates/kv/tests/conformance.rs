@@ -283,6 +283,84 @@ fn range_semantics_forward_reverse_limit_bounds() {
     }
 }
 
+/// A client can ask for an interval that holds nothing — a range predicate
+/// with `low >= high`, a cursor replayed under another key — and the
+/// ordered map underneath panics on one (`BTreeMap::range`: "range start
+/// is greater than range end"). Every backend answers it empty, as one
+/// visit, forward, reverse and counted; so it does a limit of zero.
+#[test]
+fn empty_and_inverted_intervals_answer_nothing() {
+    for (name, store) in backends() {
+        let ns = store.namespace("ranges");
+        let mut s = Session::new();
+        for i in 0u8..=255 {
+            store.bulk_put(ns, vec![i, 0xAA], vec![i]);
+        }
+        store.rebalance();
+        // equal bounds, inverted inside one shard, inverted across shards,
+        // and inverted around the empty key
+        let intervals: [(&[u8], &[u8]); 4] = [
+            (&[100], &[100]),
+            (&[101], &[100, 0xAA]),
+            (&[250], &[3]),
+            (&[7], &[]),
+        ];
+        for (start, end) in intervals {
+            let what = format!("{name}: [{start:?}, {end:?})");
+            for reverse in [false, true] {
+                s.reset_stats();
+                let r = one(
+                    store.as_ref(),
+                    &mut s,
+                    KvRequest::GetRange {
+                        ns,
+                        start: start.to_vec(),
+                        end: Some(end.to_vec()),
+                        limit: Some(5),
+                        reverse,
+                    },
+                );
+                assert!(r.expect_entries().is_empty(), "{what} reverse={reverse}");
+                assert_eq!(
+                    (
+                        s.stats.logical_requests,
+                        s.stats.physical_requests,
+                        s.stats.entries
+                    ),
+                    (1, 1, 0),
+                    "{what} reverse={reverse}: one request, one visit"
+                );
+            }
+            s.reset_stats();
+            let r = one(
+                store.as_ref(),
+                &mut s,
+                KvRequest::CountRange {
+                    ns,
+                    start: start.to_vec(),
+                    end: Some(end.to_vec()),
+                },
+            );
+            assert_eq!(r.expect_count(), 0, "{what}");
+            assert_eq!(s.stats.physical_requests, 1, "{what}");
+        }
+        for reverse in [false, true] {
+            let r = one(
+                store.as_ref(),
+                &mut s,
+                KvRequest::GetRange {
+                    ns,
+                    start: vec![10],
+                    end: Some(vec![200]),
+                    limit: Some(0),
+                    reverse,
+                },
+            );
+            assert!(r.expect_entries().is_empty(), "{name}: limit 0");
+        }
+    }
+}
+
 #[test]
 fn test_and_set_conformance() {
     for (name, store) in backends() {

@@ -31,7 +31,7 @@
 //! twin, and the server's allocation-free fast path can emit frames that
 //! are *byte-identical* to the generic encoder's (pinned by tests).
 
-use crate::json::Json;
+use crate::json::{Json, MAX_JSON_DEPTH};
 use crate::protocol::{write_cursor_hex, Envelope, ProtoError, Reply, Request, RequestId};
 use crate::wire::Wire;
 use piql_core::plan::params::ParamValue;
@@ -94,10 +94,6 @@ const J_FLOAT: u8 = 4;
 const J_STR: u8 = 5;
 const J_ARR: u8 = 6;
 const J_OBJ: u8 = 7;
-
-/// Response documents deeper than this are refused (a hostile frame could
-/// otherwise nest arrays until the decoder's stack overflows).
-const MAX_JSON_DEPTH: u32 = 96;
 
 // ---------------------------------------------------------------- writing
 
@@ -697,11 +693,14 @@ fn read_body(cur: &mut Cur<'_>, opcode: u8, nested: bool) -> Result<Request, Pro
     })
 }
 
-fn read_json(cur: &mut Cur<'_>, depth: u32) -> Result<Json, ProtoError> {
-    if depth > MAX_JSON_DEPTH {
+/// `depth` is the number of arrays and objects open around the value;
+/// response documents may nest [`MAX_JSON_DEPTH`] deep, like JSON texts.
+fn read_json(cur: &mut Cur<'_>, depth: usize) -> Result<Json, ProtoError> {
+    let tag = cur.u8()?;
+    if matches!(tag, J_ARR | J_OBJ) && depth == MAX_JSON_DEPTH {
         return Err(ProtoError::Malformed("response nested too deeply".into()));
     }
-    Ok(match cur.u8()? {
+    Ok(match tag {
         J_NULL => Json::Null,
         J_FALSE => Json::Bool(false),
         J_TRUE => Json::Bool(true),

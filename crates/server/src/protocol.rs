@@ -32,12 +32,14 @@
 //! client can reconnect to any server and resume (§4.1 of the paper).
 
 use crate::json::{
-    write_array, write_bool, write_escaped, write_float, write_int, Json, JsonError, HEX_DIGITS,
+    write_array, write_bool, write_escaped, write_float, write_int, Json, JsonError, Scalar,
+    Scanner, HEX_DIGITS,
 };
 use piql_core::plan::params::ParamValue;
 use piql_core::tuple::Tuple;
 use piql_core::value::Value;
 use piql_engine::Cursor;
+use std::borrow::Cow;
 use std::fmt;
 use std::ops::Bound::{Excluded, Unbounded};
 
@@ -208,6 +210,27 @@ pub fn value_to_json(v: &Value) -> Json {
     }
 }
 
+/// The value a tag makes of the scalar under it, `None` when the tag is
+/// unknown or sits over the wrong type: the one table of §3.1's tags, for
+/// the decoder of trees ([`value_from_json`]) and the decoder of request
+/// lines alike.
+fn tagged(tag: &str, inner: Scalar<'_>) -> Option<Value> {
+    match (tag, inner) {
+        ("int", Scalar::Int(i)) => i32::try_from(i).ok().map(Value::Int),
+        ("big", Scalar::Int(i)) => Some(Value::BigInt(i)),
+        ("str", Scalar::Str(text)) => Some(Value::Varchar(text.into_owned())),
+        ("bool", Scalar::Bool(b)) => Some(Value::Bool(b)),
+        ("ts", Scalar::Int(t)) => Some(Value::Timestamp(t)),
+        // JSON has no Inf/NaN: the encoder writes {"f":null} for
+        // non-finite doubles, which decodes to NaN (lossy but
+        // round-trippable rather than a page-breaking error)
+        ("f", Scalar::Null) => Some(Value::Double(f64::NAN)),
+        ("f", Scalar::Float(f)) => Some(Value::Double(f)),
+        ("f", Scalar::Int(i)) => Some(Value::Double(i as f64)),
+        _ => None,
+    }
+}
+
 /// Decode one tagged object back to a [`Value`].
 pub fn value_from_json(j: &Json) -> Result<Value, ProtoError> {
     let malformed = || ProtoError::Malformed(format!("bad value: {}", j));
@@ -221,19 +244,15 @@ pub fn value_from_json(j: &Json) -> Result<Value, ProtoError> {
             let (Some((tag, inner)), None) = (fields.next(), fields.next()) else {
                 return Err(malformed());
             };
-            match (tag.as_str(), inner) {
-                ("int", Json::Int(i)) => i32::try_from(*i).map(Value::Int).map_err(|_| malformed()),
-                ("big", Json::Int(i)) => Ok(Value::BigInt(*i)),
-                ("str", Json::Str(s)) => Ok(Value::Varchar(s.clone())),
-                ("bool", Json::Bool(b)) => Ok(Value::Bool(*b)),
-                ("ts", Json::Int(t)) => Ok(Value::Timestamp(*t)),
-                // JSON has no Inf/NaN: the encoder writes {"f":null} for
-                // non-finite doubles, which decodes to NaN (lossy but
-                // round-trippable rather than a page-breaking error)
-                ("f", Json::Null) => Ok(Value::Double(f64::NAN)),
-                ("f", j) => j.as_f64().map(Value::Double).ok_or_else(malformed),
-                _ => Err(malformed()),
-            }
+            let inner = match inner {
+                Json::Null => Scalar::Null,
+                Json::Bool(b) => Scalar::Bool(*b),
+                Json::Int(i) => Scalar::Int(*i),
+                Json::Float(f) => Scalar::Float(*f),
+                Json::Str(s) => Scalar::Str(Cow::Borrowed(s)),
+                Json::Arr(_) | Json::Obj(_) => return Err(malformed()),
+            };
+            tagged(tag, inner).ok_or_else(malformed)
         }
         _ => Err(malformed()),
     }
@@ -261,34 +280,6 @@ pub fn param_from_json(j: &Json) -> Result<ParamValue, ProtoError> {
                 .collect::<Result<_, _>>()?,
         )),
         other => value_from_json(other).map(ParamValue::Scalar),
-    }
-}
-
-fn params_from_json(j: Option<&Json>) -> Result<Vec<ParamValue>, ProtoError> {
-    match j {
-        None => Ok(Vec::new()),
-        Some(Json::Arr(items)) => items.iter().map(param_from_json).collect(),
-        Some(other) => Err(ProtoError::Malformed(format!(
-            "params must be an array, got {}",
-            other
-        ))),
-    }
-}
-
-fn cursor_from_json(j: Option<&Json>) -> Result<Option<Cursor>, ProtoError> {
-    match j {
-        None | Some(Json::Null) => Ok(None),
-        Some(Json::Str(hex)) => {
-            let bytes =
-                hex_decode(hex).ok_or_else(|| ProtoError::Malformed("cursor is not hex".into()))?;
-            Cursor::from_bytes(&bytes)
-                .map(Some)
-                .map_err(|e| ProtoError::Malformed(e.to_string()))
-        }
-        Some(other) => Err(ProtoError::Malformed(format!(
-            "cursor must be a hex string, got {}",
-            other
-        ))),
     }
 }
 
@@ -337,15 +328,23 @@ pub(crate) fn write_cursor_hex(cursor: &Cursor, out: &mut Vec<u8>) {
 }
 
 /// Parse one request line, id included.
+///
+/// The line becomes a [`Request`] without a tree in between. It is walked
+/// twice by a [`Scanner`]: once whole, so that a syntax error anywhere in
+/// it is the first thing reported (as when the line was parsed into a tree
+/// first), noting where the fields a request can carry start; then each
+/// field its command needs is read where it lies, straight into the types
+/// the request keeps. A message that quotes an offending value prints it
+/// as the tree would have (`got {"a":1}`, keys sorted), by parsing just
+/// that value — on the error path only.
 pub fn parse_envelope(line: &str) -> Result<Envelope, ProtoError> {
-    let j = crate::json::parse(line.trim())?;
-    let id = match j.get("id") {
-        None | Some(Json::Null) => None,
-        Some(other) => Some(RequestId::from_json(other)?),
-    };
+    let line = line.trim();
+    let fields = scan_line(line)?;
     Ok(Envelope {
-        id,
-        request: request_from_json(&j, false)?,
+        id: present(line, fields.id)
+            .map(|at| read_id(line, at))
+            .transpose()?,
+        request: read_request(line, &fields, false)?,
     })
 }
 
@@ -359,70 +358,256 @@ pub fn parse_request(line: &str) -> Result<Request, ProtoError> {
 /// if the line is valid JSON carrying a valid `id`, the error response
 /// can still echo it so a pipelining client can correlate the failure.
 pub fn extract_id(line: &str) -> Option<RequestId> {
-    let j = crate::json::parse(line.trim()).ok()?;
-    RequestId::from_json(j.get("id")?).ok()
+    let line = line.trim();
+    read_id(line, scan_line(line).ok()?.id?).ok()
 }
 
-/// Decode one request object. `nested` is true inside a `batch`, where
-/// further batches (and per-sub-request ids) are malformed.
-fn request_from_json(j: &Json, nested: bool) -> Result<Request, ProtoError> {
-    let cmd = j
-        .get("cmd")
-        .and_then(Json::as_str)
-        .ok_or_else(|| ProtoError::Malformed("missing 'cmd'".into()))?;
-    let name = |j: &Json| -> Result<String, ProtoError> {
-        j.get("name")
-            .and_then(Json::as_str)
-            .map(str::to_string)
-            .ok_or_else(|| ProtoError::Malformed("missing 'name'".into()))
+/// Where the value of each field a request object can carry starts in its
+/// line. A field that appears twice is read where it appears last, as a
+/// map would have kept it.
+#[derive(Default)]
+struct Fields {
+    cmd: Option<usize>,
+    id: Option<usize>,
+    name: Option<usize>,
+    sql: Option<usize>,
+    params: Option<usize>,
+    cursor: Option<usize>,
+    requests: Option<usize>,
+}
+
+/// Walk the whole of the value that comes next, noting its fields if it is
+/// an object. Anything else is read past: it has no fields, and so no
+/// `cmd`.
+fn scan_fields(s: &mut Scanner<'_>) -> Result<Fields, JsonError> {
+    let mut fields = Fields::default();
+    if s.peek() != Some(b'{') {
+        s.skip_value()?;
+        return Ok(fields);
+    }
+    s.begin_object()?;
+    while let Some(key) = s.next_key()? {
+        let at = Some(s.pos());
+        match &*key {
+            "cmd" => fields.cmd = at,
+            "id" => fields.id = at,
+            "name" => fields.name = at,
+            "sql" => fields.sql = at,
+            "params" => fields.params = at,
+            "cursor" => fields.cursor = at,
+            "requests" => fields.requests = at,
+            _ => {}
+        }
+        s.skip_value()?;
+    }
+    Ok(fields)
+}
+
+/// [`scan_fields`] over a whole line, which holds one value and nothing
+/// after it.
+fn scan_line(line: &str) -> Result<Fields, JsonError> {
+    let mut s = Scanner::new(line);
+    let fields = scan_fields(&mut s)?;
+    s.finish()?;
+    Ok(fields)
+}
+
+/// The value at `at`, printed as the tree prints it — what an error
+/// message quotes.
+fn quoted(line: &str, at: usize) -> Result<Json, JsonError> {
+    Scanner::at(line, at).tree()
+}
+
+/// Where a field's value starts, if the field is there and not `null` —
+/// which in an `id`, a `cursor` or an `explain` target means absent.
+fn present(line: &str, at: Option<usize>) -> Option<usize> {
+    // the line passed `scan_line`, so only `null` starts with an `n`
+    at.filter(|&at| Scanner::at(line, at).peek() != Some(b'n'))
+}
+
+/// The string at `at`; `None` when there is no value there or it is
+/// anything else.
+fn read_str(line: &str, at: Option<usize>) -> Result<Option<Cow<'_, str>>, JsonError> {
+    let Some(at) = at else {
+        return Ok(None);
     };
-    match cmd {
+    let mut s = Scanner::at(line, at);
+    if s.peek() != Some(b'"') {
+        return Ok(None);
+    }
+    Ok(match s.scalar()? {
+        Scalar::Str(text) => Some(text),
+        _ => None,
+    })
+}
+
+/// A field that must be present and a string (`what` names it).
+fn required_str(line: &str, at: Option<usize>, what: &str) -> Result<String, ProtoError> {
+    read_str(line, at)?
+        .map(Cow::into_owned)
+        .ok_or_else(|| ProtoError::Malformed(format!("missing '{what}'")))
+}
+
+/// A scanner inside the array at `at`, past its bracket; `None` when the
+/// value there is not an array.
+fn enter_array(line: &str, at: usize) -> Option<Scanner<'_>> {
+    let mut s = Scanner::at(line, at);
+    (s.peek() == Some(b'[') && s.begin_array().is_ok()).then_some(s)
+}
+
+/// Only integers and strings are valid ids — see [`RequestId::from_json`],
+/// whose message this repeats.
+fn read_id(line: &str, at: usize) -> Result<RequestId, ProtoError> {
+    let mut s = Scanner::at(line, at);
+    if !matches!(s.peek(), Some(b'{' | b'[')) {
+        match s.scalar()? {
+            Scalar::Int(i) => return Ok(RequestId::Int(i)),
+            Scalar::Str(text) => return Ok(RequestId::Str(text.into_owned())),
+            _ => {}
+        }
+    }
+    RequestId::from_json(&quoted(line, at)?)
+}
+
+/// One tagged value (see [`value_from_json`], whose rules and message
+/// these are): `null`, or an object of exactly one known tag over a scalar
+/// of the type the tag names.
+fn read_value(line: &str, s: &mut Scanner<'_>) -> Result<Value, ProtoError> {
+    let at = s.pos();
+    match read_tagged(s)? {
+        Some(value) => Ok(value),
+        None => Err(ProtoError::Malformed(format!(
+            "bad value: {}",
+            quoted(line, at)?
+        ))),
+    }
+}
+
+/// `None` for anything that is not a value; the scanner is then left
+/// wherever the reading stopped.
+fn read_tagged(s: &mut Scanner<'_>) -> Result<Option<Value>, JsonError> {
+    match s.peek() {
+        Some(b'{') => {}
+        Some(b'[') => return Ok(None),
+        _ => return Ok(matches!(s.scalar()?, Scalar::Null).then_some(Value::Null)),
+    }
+    s.begin_object()?;
+    // a tag that repeats keeps its last value, as in a map; a second tag
+    // makes this an object of two fields
+    let mut field: Option<(Cow<'_, str>, Option<Scalar<'_>>)> = None;
+    while let Some(tag) = s.next_key()? {
+        if field.as_ref().is_some_and(|(seen, _)| *seen != tag) {
+            return Ok(None);
+        }
+        let inner = match s.peek() {
+            Some(b'{' | b'[') => {
+                s.skip_value()?;
+                None
+            }
+            _ => Some(s.scalar()?),
+        };
+        field = Some((tag, inner));
+    }
+    Ok(match field {
+        Some((tag, Some(inner))) => tagged(&tag, inner),
+        _ => None,
+    })
+}
+
+/// The `params` array: a scalar travels as a tagged value, a collection as
+/// an array of them. Absent means none.
+fn read_params(line: &str, at: Option<usize>) -> Result<Vec<ParamValue>, ProtoError> {
+    let Some(at) = at else {
+        return Ok(Vec::new());
+    };
+    let Some(mut s) = enter_array(line, at) else {
+        return Err(ProtoError::Malformed(format!(
+            "params must be an array, got {}",
+            quoted(line, at)?
+        )));
+    };
+    let mut params = Vec::new();
+    while s.next_item()? {
+        params.push(if s.peek() == Some(b'[') {
+            let mut values = Vec::new();
+            s.begin_array()?;
+            while s.next_item()? {
+                values.push(read_value(line, &mut s)?);
+            }
+            ParamValue::Collection(values)
+        } else {
+            ParamValue::Scalar(read_value(line, &mut s)?)
+        });
+    }
+    Ok(params)
+}
+
+/// The `cursor` field: absent or `null` for none, else hex.
+fn read_cursor(line: &str, at: Option<usize>) -> Result<Option<Cursor>, ProtoError> {
+    let Some(at) = present(line, at) else {
+        return Ok(None);
+    };
+    let Some(hex) = read_str(line, Some(at))? else {
+        return Err(ProtoError::Malformed(format!(
+            "cursor must be a hex string, got {}",
+            quoted(line, at)?
+        )));
+    };
+    let bytes =
+        hex_decode(&hex).ok_or_else(|| ProtoError::Malformed("cursor is not hex".into()))?;
+    Cursor::from_bytes(&bytes)
+        .map(Some)
+        .map_err(|e| ProtoError::Malformed(e.to_string()))
+}
+
+/// Build the request whose fields were found at `fields`. `nested` is true
+/// inside a `batch`, where further batches (and per-sub-request ids) are
+/// malformed.
+fn read_request(line: &str, fields: &Fields, nested: bool) -> Result<Request, ProtoError> {
+    let cmd =
+        read_str(line, fields.cmd)?.ok_or_else(|| ProtoError::Malformed("missing 'cmd'".into()))?;
+    match &*cmd {
         "prepare" => Ok(Request::Prepare {
-            name: name(j)?,
-            sql: j
-                .get("sql")
-                .and_then(Json::as_str)
-                .ok_or_else(|| ProtoError::Malformed("missing 'sql'".into()))?
-                .to_string(),
+            name: required_str(line, fields.name, "name")?,
+            sql: required_str(line, fields.sql, "sql")?,
         }),
         "execute" => Ok(Request::Execute {
-            name: name(j)?,
-            params: params_from_json(j.get("params"))?,
-            cursor: cursor_from_json(j.get("cursor"))?,
+            name: required_str(line, fields.name, "name")?,
+            params: read_params(line, fields.params)?,
+            cursor: read_cursor(line, fields.cursor)?,
         }),
         "cursor-next" => {
-            let cursor = cursor_from_json(j.get("cursor"))?
+            let cursor = read_cursor(line, fields.cursor)?
                 .ok_or_else(|| ProtoError::Malformed("cursor-next requires a 'cursor'".into()))?;
             Ok(Request::CursorNext {
-                name: name(j)?,
-                params: params_from_json(j.get("params"))?,
+                name: required_str(line, fields.name, "name")?,
+                params: read_params(line, fields.params)?,
                 cursor,
             })
         }
         "dml" => Ok(Request::Dml {
-            sql: j
-                .get("sql")
-                .and_then(Json::as_str)
-                .ok_or_else(|| ProtoError::Malformed("missing 'sql'".into()))?
-                .to_string(),
-            params: params_from_json(j.get("params"))?,
+            sql: required_str(line, fields.sql, "sql")?,
+            params: read_params(line, fields.params)?,
         }),
         "stats" => Ok(Request::Stats),
         "revalidate" => Ok(Request::Revalidate),
         "rebalance" => Ok(Request::Rebalance),
         "snapshot" => Ok(Request::Snapshot),
         "explain" => {
-            let field = |key: &str| -> Result<Option<String>, ProtoError> {
-                match j.get(key) {
-                    None | Some(Json::Null) => Ok(None),
-                    Some(Json::Str(s)) => Ok(Some(s.clone())),
-                    Some(other) => Err(ProtoError::Malformed(format!(
-                        "'{key}' must be a string, got {other}"
+            let field = |key: &str, at: Option<usize>| -> Result<Option<String>, ProtoError> {
+                let Some(at) = present(line, at) else {
+                    return Ok(None);
+                };
+                match read_str(line, Some(at))? {
+                    Some(text) => Ok(Some(text.into_owned())),
+                    None => Err(ProtoError::Malformed(format!(
+                        "'{key}' must be a string, got {}",
+                        quoted(line, at)?
                     ))),
                 }
             };
-            let name = field("name")?;
-            let sql = field("sql")?;
+            let name = field("name", fields.name)?;
+            let sql = field("sql", fields.sql)?;
             if name.is_some() == sql.is_some() {
                 return Err(ProtoError::Malformed(
                     "explain requires exactly one of 'name' or 'sql'".into(),
@@ -434,22 +619,21 @@ fn request_from_json(j: &Json, nested: bool) -> Result<Request, ProtoError> {
             if nested {
                 return Err(ProtoError::Malformed("batch cannot contain a batch".into()));
             }
-            let items = j
-                .get("requests")
-                .and_then(Json::as_arr)
+            let mut s = fields
+                .requests
+                .and_then(|at| enter_array(line, at))
                 .ok_or_else(|| ProtoError::Malformed("batch requires a 'requests' array".into()))?;
-            let requests = items
-                .iter()
-                .map(|sub| {
-                    // mirror the envelope rule: `"id":null` means absent
-                    if sub.get("id").is_some_and(|j| *j != Json::Null) {
-                        return Err(ProtoError::Malformed(
-                            "batch sub-requests are positional and must not carry 'id'".into(),
-                        ));
-                    }
-                    request_from_json(sub, true)
-                })
-                .collect::<Result<Vec<_>, _>>()?;
+            let mut requests = Vec::new();
+            while s.next_item()? {
+                let sub = scan_fields(&mut s)?;
+                // mirror the envelope rule: `"id":null` means absent
+                if present(line, sub.id).is_some() {
+                    return Err(ProtoError::Malformed(
+                        "batch sub-requests are positional and must not carry 'id'".into(),
+                    ));
+                }
+                requests.push(read_request(line, &sub, true)?);
+            }
             Ok(Request::Batch { requests })
         }
         other => Err(ProtoError::Malformed(format!("unknown cmd '{other}'"))),

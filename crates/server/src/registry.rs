@@ -442,6 +442,11 @@ pub struct RegistryCounters {
     /// (a subset of `executed`; see `server::BinaryConn`).
     pub fast_point_reads: AtomicU64,
     pub exec_errors: AtomicU64,
+    /// Requests whose handler panicked and were answered the internal
+    /// error instead (see `server::run_handler`). Anything but zero is a
+    /// bug to find: a client-reachable input is meant to get a typed
+    /// answer.
+    pub handler_panics: AtomicU64,
     /// Data-placement rebalances performed via the `rebalance` verb.
     pub rebalances: AtomicU64,
     /// Re-validation sweeps completed.

@@ -469,9 +469,12 @@ impl<S: KvStore + 'static> ConnState<S> {
     }
 }
 
-/// [`respond`] with panic containment: a handler panic (an engine bug, not
-/// client-reachable input — those answer errors) becomes an error response
-/// instead of wedging the connection's lane or killing a pool worker.
+/// [`respond`] with panic containment: a handler panic becomes an error
+/// response instead of wedging the connection's lane or killing a pool
+/// worker. Every input a client can send is meant to get a typed answer,
+/// so a panic here is a bug — and one a client has reached before (an
+/// inverted range used to panic the store) — which is why each is counted
+/// in `stats.handler_panics` rather than only contained.
 fn run_handler<S: KvStore>(
     request: &Request,
     session: &mut Session,
@@ -480,7 +483,13 @@ fn run_handler<S: KvStore>(
     std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         respond(request, session, registry)
     }))
-    .unwrap_or_else(|_| Reply::Doc(err_response("internal error: request handler panicked")))
+    .unwrap_or_else(|_| {
+        registry
+            .counters
+            .handler_panics
+            .fetch_add(1, Ordering::Relaxed);
+        Reply::Doc(err_response("internal error: request handler panicked"))
+    })
 }
 
 /// Serve one client until EOF. Sniffs the codec from the first byte —
@@ -1364,6 +1373,10 @@ fn stats_response<S: KvStore>(registry: &StatementRegistry<S>) -> Json {
         (
             "exec_errors",
             Json::uint(c.exec_errors.load(Ordering::Relaxed)),
+        ),
+        (
+            "handler_panics",
+            Json::uint(c.handler_panics.load(Ordering::Relaxed)),
         ),
         ("writes", writes_to_json(registry)),
         (

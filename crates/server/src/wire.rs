@@ -15,12 +15,13 @@
 //! complete framed messages (newline / length prefix included) so a writer
 //! can batch many responses into one buffer and flush once.
 
+use crate::binary::MAX_FRAME;
 use crate::json::Json;
 use crate::protocol::{
     envelope_to_line, extract_id, parse_envelope, write_doc, write_reply, Envelope, ProtoError,
     Reply, RequestId,
 };
-use std::io::{self, BufRead};
+use std::io::{self, BufRead, Read};
 
 /// One wire encoding of the protocol. Implementations are stateless (any
 /// per-connection scratch lives in the caller), so a single instance can
@@ -94,9 +95,18 @@ impl Wire for JsonWire {
     fn read_frame(&self, reader: &mut dyn BufRead, buf: &mut Vec<u8>) -> io::Result<bool> {
         loop {
             buf.clear();
-            let n = reader.read_until(b'\n', buf)?;
+            // one byte past the cap tells a line that fits from one that
+            // has not ended yet
+            let mut capped = (&mut *reader).take(MAX_FRAME as u64 + 1);
+            let n = capped.read_until(b'\n', buf)?;
             if n == 0 {
                 return Ok(false);
+            }
+            if n > MAX_FRAME && buf.last() != Some(&b'\n') {
+                return Err(io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    format!("line exceeds the {MAX_FRAME}-byte cap"),
+                ));
             }
             while matches!(buf.last(), Some(b'\n' | b'\r')) {
                 buf.pop();
@@ -134,7 +144,7 @@ impl Wire for JsonWire {
 mod tests {
     use super::*;
     use crate::protocol::Request;
-    use std::io::BufReader;
+    use std::io::{self, BufReader};
 
     #[test]
     fn json_wire_frames_match_line_protocol() {
@@ -173,6 +183,17 @@ mod tests {
         let (id, j) = wire.decode_response(&out[..out.len() - 1]).unwrap();
         assert_eq!(id, Some(RequestId::Int(3)));
         assert_eq!(j.get("ok").and_then(Json::as_bool), Some(true));
+    }
+
+    #[test]
+    fn json_read_frame_refuses_a_line_that_never_ends() {
+        // the contract says oversized frames are errors; an endless line
+        // used to grow the buffer until the process ran out of memory
+        let mut reader = BufReader::new(io::repeat(b'x'));
+        let mut frame = Vec::new();
+        let error = JsonWire.read_frame(&mut reader, &mut frame).unwrap_err();
+        assert_eq!(error.kind(), io::ErrorKind::InvalidData);
+        assert!(error.to_string().contains("cap"), "{error}");
     }
 
     #[test]

@@ -296,22 +296,24 @@ fn warm_binary_inserts_stay_within_their_allocation_budget() {
 /// Allocations per stage of one warm JSON page view — a `batch` of the
 /// four SCADr reads for a user with 10 subscriptions and 10 thoughts,
 /// answering 1 + 10 + 10 + 10 rows — counted over the whole process.
-/// What is left is what the rows need: the decoded request (63, the only
-/// stage that still builds a tree), the entries the store hands back and
-/// the values decoded out of them (627: the four executions, and a vector
-/// of four replies), nothing for the response. At 25fd9a5 the same three
-/// stages made 67, 1444 (1027 executing, the rest building the response
-/// tree) and 347. A fanned-out round adds up to five more, depending on
-/// which pool threads look for work while it runs; a catalog clone, a
-/// per-row copy between operators or a response tree creeping back in adds
-/// ten or more to a statement.
-const DECODE_ENVELOPE_CEILING: f64 = 64.0;
-const RESPOND_CEILING: f64 = 645.0;
+/// What is left is what the rows need: the `Request` that is kept (13 —
+/// the line is read in place, no tree), the values decoded out of the
+/// store's answers, which arrive as packed blocks of two buffers each
+/// whatever they hold (314.9: the four executions, and a vector of four
+/// replies), nothing for the response. At b5395dc the same three stages
+/// made 63 (a `Json` tree per line), 627 (a clone per fetched key and
+/// value, two copies of each range bound per shard visited) and 0; at
+/// 25fd9a5, 67, 1444 and 347. A tree per line adds fifty to the first, an
+/// owned entry or a bound copy creeping back adds two per entry fetched
+/// (121 a page view) or per visit to the second, a per-row copy between
+/// operators or a response tree ten or more to a statement.
+const DECODE_ENVELOPE_CEILING: f64 = 14.0;
+const RESPOND_CEILING: f64 = 320.0;
 const ENCODE_REPLY_CEILING: f64 = 0.0;
 /// Per execution of `find_user`, `users_followed`, `recent_thoughts`,
-/// `thoughtstream` through `execute_governed` (measured 14, 144–149,
-/// 60.4, 407–410; at 25fd9a5: 31, 270, 103.4, 623).
-const EXECUTE_CEILINGS: [f64; 4] = [15.0, 152.0, 62.0, 414.0];
+/// `thoughtstream` through `execute_governed` (measured 9, 118.4, 35.4,
+/// 151.1; at b5395dc: 14, 144–149, 60.4, 407–410).
+const EXECUTE_CEILINGS: [f64; 4] = [10.0, 122.0, 37.0, 155.0];
 
 #[test]
 #[cfg_attr(

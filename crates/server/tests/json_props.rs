@@ -3,14 +3,22 @@
 //! on truncated / mangled inputs — a hostile or cut-off line must
 //! surface `JsonError`, never kill a connection handler — and the
 //! request-envelope layer: arbitrary ids echo through serialize→parse,
-//! and batches of arbitrary requests round-trip positionally.
+//! batches of arbitrary requests round-trip positionally, and the request
+//! decoder — which reads a line in place, without a tree — gives every
+//! line, well-formed or not, the answer the tree-walking decoder it
+//! replaced gave (kept here as the oracle).
 
 use piql_core::plan::params::ParamValue;
 use piql_core::value::Value;
+use piql_engine::{Cursor, CursorState};
 use piql_server::json::{parse, Json};
-use piql_server::protocol::{attach_id, envelope_to_line, ok_response, parse_envelope};
+use piql_server::protocol::{
+    attach_id, cursor_to_json, envelope_to_line, extract_id, hex_decode, ok_response,
+    param_to_json, parse_envelope, request_to_line, ProtoError,
+};
 use piql_server::{Envelope, Request, RequestId};
 use proptest::prelude::*;
+use proptest::strategy::BoxedStrategy;
 
 /// Strings mixing ASCII, escapes-required chars, control chars, wide BMP
 /// chars, and (sometimes) an astral char that needs a surrogate pair in
@@ -109,6 +117,519 @@ fn sub_request() -> impl Strategy<Value = Request> {
         Just(Request::Revalidate),
         Just(Request::Rebalance),
     ]
+}
+
+// ------------------------------------------------------------------ oracle
+//
+// How a request line was decoded before the in-place decoder: parse the
+// whole line into a tree, then walk the tree. Moved here from
+// `protocol.rs` unchanged (with the value decoders as they were, so that
+// nothing but the tree parser is shared with what is tested);
+// `parse_envelope` must agree with it on every input — the same
+// `Envelope`, or an error with the same message.
+
+fn oracle_envelope(line: &str) -> Result<Envelope, ProtoError> {
+    let j = parse(line.trim())?;
+    let id = match j.get("id") {
+        None | Some(Json::Null) => None,
+        Some(other) => Some(RequestId::from_json(other)?),
+    };
+    Ok(Envelope {
+        id,
+        request: request_from_json(&j, false)?,
+    })
+}
+
+fn oracle_extract_id(line: &str) -> Option<RequestId> {
+    let j = parse(line.trim()).ok()?;
+    RequestId::from_json(j.get("id")?).ok()
+}
+
+fn value_from_json(j: &Json) -> Result<Value, ProtoError> {
+    let malformed = || ProtoError::Malformed(format!("bad value: {}", j));
+    match j {
+        Json::Null => Ok(Value::Null),
+        Json::Obj(m) => {
+            let mut fields = m.iter();
+            let (Some((tag, inner)), None) = (fields.next(), fields.next()) else {
+                return Err(malformed());
+            };
+            match (tag.as_str(), inner) {
+                ("int", Json::Int(i)) => i32::try_from(*i).map(Value::Int).map_err(|_| malformed()),
+                ("big", Json::Int(i)) => Ok(Value::BigInt(*i)),
+                ("str", Json::Str(s)) => Ok(Value::Varchar(s.clone())),
+                ("bool", Json::Bool(b)) => Ok(Value::Bool(*b)),
+                ("ts", Json::Int(t)) => Ok(Value::Timestamp(*t)),
+                ("f", Json::Null) => Ok(Value::Double(f64::NAN)),
+                ("f", j) => j.as_f64().map(Value::Double).ok_or_else(malformed),
+                _ => Err(malformed()),
+            }
+        }
+        _ => Err(malformed()),
+    }
+}
+
+fn param_from_json(j: &Json) -> Result<ParamValue, ProtoError> {
+    match j {
+        Json::Arr(items) => Ok(ParamValue::Collection(
+            items
+                .iter()
+                .map(value_from_json)
+                .collect::<Result<_, _>>()?,
+        )),
+        other => value_from_json(other).map(ParamValue::Scalar),
+    }
+}
+
+fn params_from_json(j: Option<&Json>) -> Result<Vec<ParamValue>, ProtoError> {
+    match j {
+        None => Ok(Vec::new()),
+        Some(Json::Arr(items)) => items.iter().map(param_from_json).collect(),
+        Some(other) => Err(ProtoError::Malformed(format!(
+            "params must be an array, got {}",
+            other
+        ))),
+    }
+}
+
+fn cursor_from_json(j: Option<&Json>) -> Result<Option<Cursor>, ProtoError> {
+    match j {
+        None | Some(Json::Null) => Ok(None),
+        Some(Json::Str(hex)) => {
+            let bytes =
+                hex_decode(hex).ok_or_else(|| ProtoError::Malformed("cursor is not hex".into()))?;
+            Cursor::from_bytes(&bytes)
+                .map(Some)
+                .map_err(|e| ProtoError::Malformed(e.to_string()))
+        }
+        Some(other) => Err(ProtoError::Malformed(format!(
+            "cursor must be a hex string, got {}",
+            other
+        ))),
+    }
+}
+
+/// Decode one request object. `nested` is true inside a `batch`, where
+/// further batches (and per-sub-request ids) are malformed.
+fn request_from_json(j: &Json, nested: bool) -> Result<Request, ProtoError> {
+    let cmd = j
+        .get("cmd")
+        .and_then(Json::as_str)
+        .ok_or_else(|| ProtoError::Malformed("missing 'cmd'".into()))?;
+    let name = |j: &Json| -> Result<String, ProtoError> {
+        j.get("name")
+            .and_then(Json::as_str)
+            .map(str::to_string)
+            .ok_or_else(|| ProtoError::Malformed("missing 'name'".into()))
+    };
+    match cmd {
+        "prepare" => Ok(Request::Prepare {
+            name: name(j)?,
+            sql: j
+                .get("sql")
+                .and_then(Json::as_str)
+                .ok_or_else(|| ProtoError::Malformed("missing 'sql'".into()))?
+                .to_string(),
+        }),
+        "execute" => Ok(Request::Execute {
+            name: name(j)?,
+            params: params_from_json(j.get("params"))?,
+            cursor: cursor_from_json(j.get("cursor"))?,
+        }),
+        "cursor-next" => {
+            let cursor = cursor_from_json(j.get("cursor"))?
+                .ok_or_else(|| ProtoError::Malformed("cursor-next requires a 'cursor'".into()))?;
+            Ok(Request::CursorNext {
+                name: name(j)?,
+                params: params_from_json(j.get("params"))?,
+                cursor,
+            })
+        }
+        "dml" => Ok(Request::Dml {
+            sql: j
+                .get("sql")
+                .and_then(Json::as_str)
+                .ok_or_else(|| ProtoError::Malformed("missing 'sql'".into()))?
+                .to_string(),
+            params: params_from_json(j.get("params"))?,
+        }),
+        "stats" => Ok(Request::Stats),
+        "revalidate" => Ok(Request::Revalidate),
+        "rebalance" => Ok(Request::Rebalance),
+        "snapshot" => Ok(Request::Snapshot),
+        "explain" => {
+            let field = |key: &str| -> Result<Option<String>, ProtoError> {
+                match j.get(key) {
+                    None | Some(Json::Null) => Ok(None),
+                    Some(Json::Str(s)) => Ok(Some(s.clone())),
+                    Some(other) => Err(ProtoError::Malformed(format!(
+                        "'{key}' must be a string, got {other}"
+                    ))),
+                }
+            };
+            let name = field("name")?;
+            let sql = field("sql")?;
+            if name.is_some() == sql.is_some() {
+                return Err(ProtoError::Malformed(
+                    "explain requires exactly one of 'name' or 'sql'".into(),
+                ));
+            }
+            Ok(Request::Explain { name, sql })
+        }
+        "batch" => {
+            if nested {
+                return Err(ProtoError::Malformed("batch cannot contain a batch".into()));
+            }
+            let items = j
+                .get("requests")
+                .and_then(Json::as_arr)
+                .ok_or_else(|| ProtoError::Malformed("batch requires a 'requests' array".into()))?;
+            let requests = items
+                .iter()
+                .map(|sub| {
+                    // mirror the envelope rule: `"id":null` means absent
+                    if sub.get("id").is_some_and(|j| *j != Json::Null) {
+                        return Err(ProtoError::Malformed(
+                            "batch sub-requests are positional and must not carry 'id'".into(),
+                        ));
+                    }
+                    request_from_json(sub, true)
+                })
+                .collect::<Result<Vec<_>, _>>()?;
+            Ok(Request::Batch { requests })
+        }
+        other => Err(ProtoError::Malformed(format!("unknown cmd '{other}'"))),
+    }
+}
+
+/// What a decoder answered, in a form that compares: the envelope (through
+/// `Debug`, under which a NaN parameter equals itself) or the error text a
+/// client would be sent.
+fn answer(decoded: Result<Envelope, ProtoError>) -> Result<String, String> {
+    decoded
+        .map(|envelope| format!("{envelope:?}"))
+        .map_err(|error| error.to_string())
+}
+
+// ------------------------------------------------- request-line generators
+
+fn cursor() -> impl Strategy<Value = Cursor> {
+    let bytes = || prop::collection::vec(any::<u8>(), 0..12);
+    prop_oneof![
+        bytes().prop_map(|last_key| CursorState::ScanAfter { last_key }),
+        (bytes(), bytes())
+            .prop_map(|(suffix, full_key)| CursorState::SortedJoinAfter { suffix, full_key }),
+    ]
+    .prop_map(|state| Cursor { state })
+}
+
+/// A cursor as it travels in a line: a string of hex digits.
+fn hex_cursor() -> impl Strategy<Value = String> {
+    cursor().prop_map(|c| cursor_to_json(&Some(c)).to_string())
+}
+
+/// Any request a client can send, batches and cursors included.
+fn any_request() -> impl Strategy<Value = Request> {
+    let params = || prop::collection::vec(param(), 0..4);
+    prop_oneof![
+        sub_request(),
+        (string_content(), params(), cursor()).prop_map(|(name, params, cursor)| {
+            Request::Execute {
+                name,
+                params,
+                cursor: Some(cursor),
+            }
+        }),
+        (string_content(), params(), cursor()).prop_map(|(name, params, cursor)| {
+            Request::CursorNext {
+                name,
+                params,
+                cursor,
+            }
+        }),
+        (string_content(), any::<bool>()).prop_map(|(text, by_name)| Request::Explain {
+            name: by_name.then(|| text.clone()),
+            sql: (!by_name).then_some(text),
+        }),
+        Just(Request::Snapshot),
+        prop::collection::vec(sub_request(), 0..4).prop_map(|requests| Request::Batch { requests }),
+    ]
+}
+
+/// Texts picked by hand for the corners of the decoder: tags that repeat,
+/// disagree or sit over the wrong type, numbers at the edge of their type,
+/// cursors that are not hex or not cursors, sub-requests that break the
+/// batch rules, and things that are not JSON at all.
+const ODDITIES: &[&str] = &[
+    r#"{"int":1,"int":2}"#,
+    r#"{"int":1,"str":"x"}"#,
+    r#"{"str":"a","str":"b\n"}"#,
+    r#"{"int":2147483647}"#,
+    r#"{"int":2147483648}"#,
+    r#"{"int":1.0}"#,
+    r#"{"f":null}"#,
+    r#"{"f":3}"#,
+    r#"{"f":"x"}"#,
+    r#"{"f":[1]}"#,
+    r#"{"big":{"a":1}}"#,
+    r#"{"bool":0}"#,
+    r#"{"ts":9223372036854775807}"#,
+    r#"{"nope":1}"#,
+    r#"{"\u0069nt":5}"#,
+    r#"{}"#,
+    r#"[]"#,
+    r#"[[]]"#,
+    r#"[[{"int":1},null],{"str":"s"}]"#,
+    r#"[[[{"int":1}]]]"#,
+    r#"[{"int":1},7]"#,
+    r#""zz""#,
+    r#""0""#,
+    r#""00""#,
+    r#""0100""#,
+    r#""00030102ff""#,
+    r#"{"cmd":"batch","requests":[]}"#,
+    r#"{"cmd":"stats","id":1}"#,
+    r#"{"cmd":"stats","id":null}"#,
+    r#"{"cmd":"execute","name":"q","params":[{}]}"#,
+    r#"{"cmd":"stats"},"#,
+    "null",
+    "true",
+    "7",
+    "-7",
+    "1.5",
+    "1e5",
+    "-0",
+    "1.0e",
+    "01",
+    "9223372036854775808",
+    "tru",
+    "\"unterminated",
+    "\"bad \\x escape\"",
+];
+
+fn oddity() -> impl Strategy<Value = String> {
+    (0..ODDITIES.len()).prop_map(|i| ODDITIES[i].to_string())
+}
+
+fn array_of(item: impl Strategy<Value = String>) -> impl Strategy<Value = String> {
+    prop::collection::vec(item, 0..4).prop_map(|items| format!("[{}]", items.join(",")))
+}
+
+/// The text of one JSON value of any shape, or of something nearly one.
+fn fragment() -> impl Strategy<Value = String> {
+    prop_oneof![
+        oddity(),
+        document().prop_map(|doc| doc.to_string()),
+        param().prop_map(|p| param_to_json(&p).to_string()),
+        hex_cursor(),
+    ]
+}
+
+/// A field of a request object as `(key, value text)`: mostly a value of
+/// the kind its key calls for, sometimes anything at all. Keys are
+/// spelled plainly or with an escape; `x` is a stranger.
+fn field(
+    requests: impl Strategy<Value = String> + 'static,
+) -> impl Strategy<Value = (String, String)> {
+    const COMMANDS: &[&str] = &[
+        "prepare",
+        "execute",
+        "execute",
+        "cursor-next",
+        "dml",
+        "stats",
+        "explain",
+        "batch",
+        "batch",
+        "snapshot",
+        "nope",
+        r"ex\u0065cute",
+    ];
+    const KEYS: &[&str] = &[
+        "cmd", "id", "name", "sql", "params", "cursor", "requests", "x",
+    ];
+    let quoted = |texts: &'static [&'static str]| {
+        (0..texts.len()).prop_map(move |i| format!("\"{}\"", texts[i]))
+    };
+    let text = || string_content().prop_map(|s| Json::Str(s).to_string());
+    let value = || {
+        prop_oneof![
+            param().prop_map(|p| param_to_json(&p).to_string()),
+            param().prop_map(|p| param_to_json(&p).to_string()),
+            oddity(),
+        ]
+    };
+    // three times in four what the key calls for
+    fn known<S: Strategy<Value = String> + 'static>(
+        key: &str,
+        value: impl Fn() -> S,
+    ) -> (Just<String>, BoxedStrategy<String>) {
+        (
+            Just(key.to_string()),
+            prop_oneof![value(), value(), value(), fragment()].boxed(),
+        )
+    }
+    prop_oneof![
+        known("cmd", || quoted(COMMANDS)),
+        known(r"c\u006dd", || quoted(COMMANDS)),
+        known("id", || request_id()
+            .prop_map(|id| id.to_json().to_string())),
+        known("name", text),
+        known("name", text),
+        known("sql", text),
+        known("params", || array_of(value())),
+        known("params", || array_of(value())),
+        known(r"par\u0061ms", || array_of(value())),
+        known("cursor", hex_cursor),
+        (
+            Just("requests".to_string()),
+            prop_oneof![requests, fragment()].boxed()
+        ),
+        (
+            quoted(KEYS).prop_map(|key| key.trim_matches('"').to_string()),
+            fragment().boxed()
+        ),
+    ]
+}
+
+/// A request-shaped object assembled field by field — a command and a
+/// name to get past the first checks (unless a repeat, which counts
+/// instead, spoils them), then known keys, a stranger, repeats — with
+/// whitespace wherever JSON allows it.
+fn object(field: impl Strategy<Value = (String, String)>) -> impl Strategy<Value = String> {
+    const COMMANDS: &[&str] = &[
+        "execute",
+        "cursor-next",
+        "dml",
+        "explain",
+        "batch",
+        "prepare",
+    ];
+    const SPACE: &[&str] = &["", "", "", " ", "\t", " \r\n "];
+    let space = || (0..SPACE.len()).prop_map(|i| SPACE[i]);
+    let spaced = (field, space(), space()).prop_map(|((key, value), before, after)| {
+        format!("{before}\"{key}\"{after}:{before}{value}{after}")
+    });
+    (
+        0..COMMANDS.len(),
+        prop::collection::vec(spaced, 0..8),
+        space(),
+    )
+        .prop_map(|(cmd, fields, space)| {
+            format!(
+                "{space}{{\"name\":\"q\",\"cmd\":\"{}\"{}{}}}{space}",
+                COMMANDS[cmd],
+                if fields.is_empty() { "" } else { "," },
+                fields.join(",")
+            )
+        })
+}
+
+fn wild_line() -> impl Strategy<Value = String> {
+    let sub_request = prop_oneof![
+        object(field(Just("[]".to_string()))),
+        sub_request().prop_map(|r| request_to_line(&r)),
+        oddity(),
+    ];
+    object(field(array_of(sub_request)))
+}
+
+/// One edit of `line` at a character boundary: cut short there, or a
+/// character dropped, doubled, or swapped for a piece of JSON syntax.
+fn mutated(line: &str, at: prop::sample::Index, edit: u8) -> String {
+    const SYNTAX: &[&str] = &[
+        "\"", "\\", "{", "}", "[", "]", ",", ":", "0", "e", " ", "null",
+    ];
+    let boundaries: Vec<usize> = line.char_indices().map(|(i, _)| i).collect();
+    let Some(&start) = boundaries.get(at.index(boundaries.len().max(1))) else {
+        return line.to_string();
+    };
+    let end = start + line[start..].chars().next().map_or(0, char::len_utf8);
+    let (head, this, tail) = (&line[..start], &line[start..end], &line[end..]);
+    match edit % 16 {
+        0..=2 => head.to_string(),
+        3..=5 => format!("{head}{tail}"),
+        6 | 7 => format!("{head}{this}{this}{tail}"),
+        n => format!("{head}{}{tail}", SYNTAX[usize::from(n) % SYNTAX.len()]),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2048))]
+
+    /// Every request round-trips through the in-place decoder, and the
+    /// oracle reads the same thing out of the same line.
+    #[test]
+    fn decoder_agrees_with_the_oracle_on_requests(
+        tagged in any::<bool>(),
+        id in request_id(),
+        request in any_request(),
+    ) {
+        let env = Envelope { id: tagged.then_some(id), request };
+        let line = envelope_to_line(&env);
+        prop_assert_eq!(answer(parse_envelope(&line)), Ok(format!("{env:?}")), "line: {}", line);
+        prop_assert_eq!(answer(oracle_envelope(&line)), Ok(format!("{env:?}")), "line: {}", line);
+        prop_assert_eq!(extract_id(&line), env.id);
+    }
+
+    /// One edit away from a valid request — truncated, a character lost,
+    /// doubled or replaced — the two decoders still say the same: the same
+    /// request, or the same error text, and the same recovered id.
+    #[test]
+    fn decoder_agrees_with_the_oracle_on_damaged_requests(
+        id in request_id(),
+        request in any_request(),
+        at in any::<prop::sample::Index>(),
+        edit in any::<u8>(),
+    ) {
+        let line = envelope_to_line(&Envelope { id: Some(id), request });
+        let line = mutated(&line, at, edit);
+        prop_assert_eq!(
+            answer(parse_envelope(&line)),
+            answer(oracle_envelope(&line)),
+            "line: {}", line
+        );
+        prop_assert_eq!(extract_id(&line), oracle_extract_id(&line), "line: {}", line);
+    }
+
+    /// Lines put together from the decoder's vocabulary with no regard for
+    /// its rules: wrong types under known keys, repeated and escaped keys,
+    /// tags that clash, broken numbers — and one more edit on top of some.
+    #[test]
+    fn decoder_agrees_with_the_oracle_on_wild_lines(
+        line in wild_line(),
+        damaged in any::<bool>(),
+        at in any::<prop::sample::Index>(),
+        edit in any::<u8>(),
+    ) {
+        let line = if damaged { mutated(&line, at, edit) } else { line };
+        prop_assert_eq!(
+            answer(parse_envelope(&line)),
+            answer(oracle_envelope(&line)),
+            "line: {}", line
+        );
+        prop_assert_eq!(extract_id(&line), oracle_extract_id(&line), "line: {}", line);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    /// The decoder of trees, which clients read rows with, takes its tags
+    /// from the table the line decoder uses; it still answers as it did.
+    #[test]
+    fn tree_value_decoder_agrees_with_the_oracle(text in fragment()) {
+        if let Ok(tree) = parse(&text) {
+            let shown = |decoded: Result<Value, ProtoError>| {
+                decoded.map(|v| format!("{v:?}")).map_err(|e| e.to_string())
+            };
+            prop_assert_eq!(
+                shown(piql_server::protocol::value_from_json(&tree)),
+                shown(value_from_json(&tree)),
+                "text: {}", text
+            );
+        }
+    }
 }
 
 proptest! {

@@ -6,13 +6,14 @@
 use piql_core::plan::params::ParamValue;
 use piql_core::value::Value;
 use piql_engine::Database;
-use piql_kv::{LiveCluster, LiveConfig};
+use piql_kv::{KvRequest, KvResponse, KvStore, LiveCluster, LiveConfig, NsBalance, NsId, Session};
 use piql_server::testkit::linear_predictor;
-use piql_server::{Client, Json, PiqlServer, SloConfig};
+use piql_server::{Client, Json, PiqlServer, Request, SloConfig};
 use piql_workloads::scadr::{self, ScadrConfig};
 use piql_workloads::tpcw::{self, TpcwConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 fn permissive_slo() -> SloConfig {
@@ -152,6 +153,200 @@ fn malformed_lines_get_error_responses_not_disconnects() {
     // the connection still works
     let stats = client.stats().unwrap();
     assert!(stats.get("admitted").is_some());
+}
+
+/// Intervals that hold nothing — crossed range bounds, a cursor replayed
+/// under another user — are empty pages on both codecs. They used to
+/// panic the store under the handler ("range start is greater than range
+/// end") and come back as "internal error: request handler panicked".
+#[test]
+fn empty_intervals_and_foreign_cursors_answer_empty_pages() {
+    let (_db, server) = start_scadr_server();
+    let addr = server.local_addr();
+    let clients = [
+        ("json", Client::connect(addr).unwrap()),
+        ("binary", Client::connect_binary(addr).unwrap()),
+    ];
+    for (codec, mut client) in clients {
+        client
+            .prepare(
+                "between",
+                "SELECT * FROM thoughts WHERE owner = <o> \
+                 AND timestamp > <lo> AND timestamp < <hi> LIMIT 5",
+            )
+            .unwrap();
+        client
+            .prepare(
+                "paged",
+                "SELECT * FROM thoughts WHERE owner = <u> PAGINATE 2",
+            )
+            .unwrap();
+        let between = |lo: i64, hi: i64| {
+            let mut params = uname_param(3);
+            params.push(Value::Timestamp(lo).into());
+            params.push(Value::Timestamp(hi).into());
+            params
+        };
+        let full = client
+            .execute("between", &between(0, i64::MAX), None)
+            .unwrap();
+        assert_eq!(full.rows.len(), 5, "{codec}");
+        for (lo, hi) in [(10, 5), (10, 10)] {
+            let page = client.execute("between", &between(lo, hi), None).unwrap();
+            assert!(page.rows.is_empty(), "{codec}: ({lo}, {hi})");
+        }
+
+        let first = client.execute("paged", &uname_param(3), None).unwrap();
+        assert_eq!(first.rows.len(), 2, "{codec}");
+        let cursor = first.cursor.expect("more pages");
+        let foreign = client
+            .cursor_next("paged", &uname_param(1), cursor.clone())
+            .unwrap();
+        assert!(foreign.rows.is_empty(), "{codec}: {:?}", foreign.rows);
+        // under its own user the same cursor still resumes
+        let second = client
+            .cursor_next("paged", &uname_param(3), cursor)
+            .unwrap();
+        assert_eq!(second.rows.len(), 2, "{codec}");
+
+        let stats = client.stats().unwrap();
+        assert_eq!(
+            stats.get("handler_panics").and_then(Json::as_i64),
+            Some(0),
+            "{codec}"
+        );
+    }
+}
+
+/// One short line used to kill the whole process: the JSON parser recursed
+/// once per `[` with no cap, and 50,000 of them overflow a connection
+/// thread's stack (SIGABRT — every connection and the WAL committer go
+/// with it). Nesting is capped at 96 levels like a v3 frame's documents:
+/// the line gets an error, and the same connection and the next client are
+/// served.
+#[test]
+fn a_deeply_nested_line_is_an_error_not_a_dead_server() {
+    use std::io::Write;
+    let (_db, server) = start_scadr_server();
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    let mut raw = client.raw_stream().unwrap();
+    for line in [
+        "[".repeat(50_000),
+        // correlatable in principle, but the id lies behind the nesting
+        format!("{{\"x\":{},\"id\":7}}", "[".repeat(50_000)),
+        "{\"a\":".repeat(50_000),
+    ] {
+        raw.write_all(line.as_bytes()).unwrap();
+        raw.write_all(b"\n").unwrap();
+        raw.flush().unwrap();
+        let response = client.raw_read_line().unwrap();
+        assert_eq!(response.get("ok").and_then(Json::as_bool), Some(false));
+        let error = response.get("error").and_then(Json::as_str).unwrap();
+        assert!(error.contains("nested deeper than 96 levels"), "{error}");
+    }
+    // 96 levels are fine as JSON (and then not a request)
+    let line = format!("{}{}", "[".repeat(96), "]".repeat(96));
+    raw.write_all(line.as_bytes()).unwrap();
+    raw.write_all(b"\n").unwrap();
+    raw.flush().unwrap();
+    let response = client.raw_read_line().unwrap();
+    assert_eq!(
+        response.get("error").and_then(Json::as_str),
+        Some("malformed request: missing 'cmd'")
+    );
+
+    // the same connection, and a second client, are still served
+    assert!(client.stats().unwrap().get("admitted").is_some());
+    let mut second = Client::connect(server.local_addr()).unwrap();
+    assert!(second.stats().unwrap().get("admitted").is_some());
+}
+
+/// A store whose rounds panic once armed — what an engine or backend bug
+/// looks like from the handler.
+struct FaultyStore {
+    inner: LiveCluster,
+    armed: AtomicBool,
+}
+
+impl KvStore for FaultyStore {
+    fn namespace(&self, name: &str) -> NsId {
+        self.inner.namespace(name)
+    }
+    fn execute_round(&self, session: &mut Session, round: Vec<KvRequest>) -> Vec<KvResponse> {
+        assert!(
+            !self.armed.load(Ordering::SeqCst),
+            "injected store fault (this panic is the test's)"
+        );
+        self.inner.execute_round(session, round)
+    }
+    fn bulk_put(&self, ns: NsId, key: Vec<u8>, value: Vec<u8>) {
+        self.inner.bulk_put(ns, key, value)
+    }
+    fn balance(&self) -> Vec<NsBalance> {
+        self.inner.balance()
+    }
+}
+
+/// A handler panic is contained — the client gets the internal-error
+/// answer and the connection lives — and it is counted: `handler_panics`
+/// in `stats` is how an operator learns that a request reached a bug.
+#[test]
+fn contained_handler_panics_are_counted_in_stats() {
+    let store = Arc::new(FaultyStore {
+        inner: LiveCluster::new(LiveConfig::default()),
+        armed: AtomicBool::new(false),
+    });
+    let db = Arc::new(Database::new(store.clone()));
+    let config = ScadrConfig {
+        users_per_node: 5,
+        thoughts_per_user: 3,
+        subscriptions_per_user: 2,
+        ..Default::default()
+    };
+    scadr::setup(&db, &config, 1).unwrap();
+    let server = PiqlServer::start(
+        db,
+        linear_predictor(200, 100, 2),
+        permissive_slo(),
+        "127.0.0.1:0",
+    )
+    .unwrap();
+    let addr = server.local_addr();
+    let mut json = Client::connect(addr).unwrap();
+    let mut binary = Client::connect_binary(addr).unwrap();
+    json.prepare(
+        "recent",
+        "SELECT * FROM thoughts WHERE owner = <u> ORDER BY timestamp DESC LIMIT 3",
+    )
+    .unwrap();
+    let execute = Request::Execute {
+        name: "recent".into(),
+        params: uname_param(2),
+        cursor: None,
+    };
+    let panics = |client: &mut Client| {
+        let stats = client.stats().unwrap();
+        stats.get("handler_panics").and_then(Json::as_i64)
+    };
+    assert_eq!(panics(&mut json), Some(0));
+
+    store.armed.store(true, Ordering::SeqCst);
+    for client in [&mut json, &mut binary] {
+        let answer = client.request_raw(&execute).unwrap();
+        assert_eq!(answer.get("ok").and_then(Json::as_bool), Some(false));
+        assert_eq!(
+            answer.get("error").and_then(Json::as_str),
+            Some("internal error: request handler panicked")
+        );
+    }
+    store.armed.store(false, Ordering::SeqCst);
+
+    // both connections still serve, and both saw both panics counted
+    for client in [&mut json, &mut binary] {
+        assert_eq!(panics(client), Some(2));
+        let page = client.execute("recent", &uname_param(2), None).unwrap();
+        assert_eq!(page.rows.len(), 3);
+    }
 }
 
 /// The acceptance criterion: ≥8 concurrent client threads against
