@@ -23,6 +23,10 @@
 //! - **`undocumented-unsafe`** — every `unsafe` block/fn needs a
 //!   `// SAFETY:` comment on the same line or within the three lines
 //!   above. Scope: `crates/*/src/**`.
+//! - **`orphan-rank`** — every `pub const` of the rank table
+//!   (`analysis/src/rank.rs`) must be named by code in some other file
+//!   under `crates/*/src/**`. A rank no lock is built with documents a lock
+//!   that no longer exists, and misleads whoever places the next one.
 //!
 //! Suppress a finding with `// lint:allow(<rule>)` on the offending line
 //! or the line directly above, ideally with a justification after it.
@@ -41,6 +45,7 @@ pub const RULE_RAW_LOCK: &str = "raw-lock";
 pub const RULE_REQUEST_UNWRAP: &str = "request-unwrap";
 pub const RULE_DURABILITY_UNWRAP: &str = "durability-unwrap";
 pub const RULE_UNDOCUMENTED_UNSAFE: &str = concat!("undocumented-", "unsafe");
+pub const RULE_ORPHAN_RANK: &str = "orphan-rank";
 
 /// Sources on the request-handling path (relative to `crates/`).
 pub const REQUEST_PATH_FILES: &[&str] = &[
@@ -121,13 +126,47 @@ pub fn lint_workspace(root: &Path) -> io::Result<Report> {
     files.sort();
 
     let mut report = Report::default();
+    let mut sources = Vec::with_capacity(files.len());
     for file in files {
         let rel = file.strip_prefix(root).unwrap_or(&file).to_path_buf();
         let text = fs::read_to_string(&file)?;
         report.files_scanned += 1;
         lint_file(&rel, &text, &mut report.findings);
+        sources.push((rel, text));
+    }
+    let rank_table = Path::new("crates/analysis/src/rank.rs");
+    if let Some(at) = sources.iter().position(|(rel, _)| rel == rank_table) {
+        let (rel, table) = sources.swap_remove(at);
+        let users: Vec<&str> = sources.iter().map(|(_, text)| text.as_str()).collect();
+        lint_orphan_ranks(&rel, &table, &users, &mut report.findings);
     }
     Ok(report)
+}
+
+/// The `orphan-rank` rule: flag each `pub const` in the rank table's text
+/// that the code (comments stripped) of no file in `users` names. Exposed
+/// for tests.
+pub fn lint_orphan_ranks(rel: &Path, table: &str, users: &[&str], out: &mut Vec<Finding>) {
+    let names = |text: &str, name: &str| {
+        text.lines()
+            .map(|line| line.split("//").next().unwrap_or(line))
+            .flat_map(|code| code.split(|c: char| !c.is_alphanumeric() && c != '_'))
+            .any(|word| word == name)
+    };
+    for (i, raw) in table.lines().enumerate() {
+        let declared = raw.trim().strip_prefix("pub const ");
+        let Some(name) = declared.and_then(|rest| rest.split(':').next()) else {
+            continue;
+        };
+        if !users.iter().any(|text| names(text, name)) {
+            out.push(Finding {
+                file: rel.to_path_buf(),
+                line: i + 1,
+                rule: RULE_ORPHAN_RANK,
+                excerpt: raw.to_string(),
+            });
+        }
+    }
 }
 
 fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {

@@ -29,10 +29,6 @@
 
 /// `Server` accept loop's registry of live connection streams.
 pub const SERVER_STREAMS: u32 = 5;
-/// `ConnState.serial`: the per-connection serial execution lane.
-pub const SERVER_SERIAL: u32 = 6;
-/// `ConnState.idle_sessions`: pooled sessions for tagged dispatch.
-pub const SERVER_IDLE_SESSIONS: u32 = 7;
 /// `InFlight.state`: a connection's backpressure window (decoded-but-not-
 /// yet-written request count). Taken with nothing else held by both the
 /// reader (acquire/stall) and the writer (release/poison).

@@ -4,7 +4,7 @@
 
 use std::path::{Path, PathBuf};
 
-use piql_analysis::lint::{lint_file, lint_workspace, Finding};
+use piql_analysis::lint::{lint_file, lint_orphan_ranks, lint_workspace, Finding};
 
 #[test]
 fn workspace_is_lint_clean() {
@@ -122,4 +122,21 @@ fn undocumented_unsafe_requires_safety_comment() {
     let documented =
         format!("// SAFETY: ptr is valid for reads, checked above.\n{kw} {{ ptr.read() }}\n");
     assert!(run("crates/kv/src/example.rs", &documented).is_empty());
+}
+
+#[test]
+fn a_rank_no_other_source_names_is_flagged() {
+    let table = "/// A lock.\npub const KV_SHARD: u32 = 60;\n\
+                 /// A lock that was deleted.\npub const SERVER_GONE: u32 = 6;\n";
+    let users = [
+        "let m = Mutex::new(rank::KV_SHARD, \"kv.shard\", ());",
+        // a mention in a comment, or inside a longer name, names nothing
+        "// SERVER_GONE used to guard the lane\nlet x = NOT_SERVER_GONE_EITHER;",
+    ];
+    let mut found = Vec::new();
+    lint_orphan_ranks(Path::new("rank.rs"), table, &users, &mut found);
+    assert_eq!(found.len(), 1, "{found:?}");
+    assert_eq!(found[0].rule, "orphan-rank");
+    assert_eq!(found[0].line, 4);
+    assert!(found[0].excerpt.contains("SERVER_GONE"));
 }

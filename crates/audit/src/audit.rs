@@ -9,12 +9,13 @@
 //! rejected queries, extended to admitted-but-infeasible ones.
 
 use crate::tree::{derivation_tree, ms, DerivationNode};
-use piql_core::ast::{RowBound, SelectStmt};
+use piql_core::ast::SelectStmt;
 use piql_core::catalog::Catalog;
 use piql_core::json::Json;
 use piql_core::opt::{Compiled, InsightReport, OptError, Optimizer};
 use piql_core::parser::parse_select;
-use piql_predict::{Heatmap, SloPredictor, ALPHA_GRID};
+use piql_predict::advisor::suggest_limit;
+use piql_predict::SloPredictor;
 
 /// The SLO a statement is audited against.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -314,8 +315,12 @@ fn finish_compiled(
     let (operator, dominant_term, clause) = describe_dominant(&tree);
 
     if !prediction.meets_slo(slo.slo_ms, slo.confidence) {
+        // the registry's degradation probe, as a suggestion instead of an
+        // admission decision
         let feasible_limit = probe.and_then(|(catalog, optimizer, stmt)| {
-            suggest_feasible_limit(predictor, catalog, optimizer, stmt, slo)
+            suggest_limit(predictor, stmt.bound?.count(), slo.slo_ms, |limit| {
+                optimizer.compile(catalog, &stmt.rebound(limit)).ok()
+            })
         });
         let mut suggestions = Vec::new();
         if let Some((limit, probe_p99)) = feasible_limit {
@@ -476,68 +481,6 @@ fn cardinality_node(tree: &DerivationNode) -> Option<&DerivationNode> {
         }
     });
     found
-}
-
-/// Probe smaller LIMIT/PAGINATE bounds with the §6.4 heatmap advisor:
-/// the largest bound whose prediction still meets the SLO, with its p99.
-/// Mirrors the server registry's degradation probe, as a suggestion
-/// instead of an admission decision.
-fn suggest_feasible_limit(
-    predictor: &SloPredictor,
-    catalog: &Catalog,
-    optimizer: &Optimizer,
-    stmt: &SelectStmt,
-    slo: SloSpec,
-) -> Option<(u64, f64)> {
-    let below = stmt.bound?.count();
-    let mut candidates: Vec<u64> = ALPHA_GRID
-        .iter()
-        .map(|&a| a as u64)
-        .filter(|&a| a < below)
-        .collect();
-    candidates.sort_unstable();
-    candidates.dedup();
-    if candidates.is_empty() {
-        return None;
-    }
-    // probe compiles can only fail on optimizer bugs (a smaller bound of a
-    // query that already compiled); drop the probe rather than panic
-    let mut compiled_ok = true;
-    let heatmap = Heatmap::build(
-        predictor,
-        "result limit",
-        "-",
-        candidates,
-        vec![0],
-        |limit, _| match optimizer.compile(catalog, &rebound(stmt, limit)) {
-            Ok(c) => c,
-            Err(_) => {
-                compiled_ok = false;
-                // a harmless stand-in; the flag discards the whole probe
-                optimizer
-                    .compile(catalog, stmt)
-                    .expect("statement compiled before probing")
-            }
-        },
-    );
-    if !compiled_ok {
-        return None;
-    }
-    let limit = heatmap.suggest_row_limit(0, slo.slo_ms)?;
-    let probe = predictor
-        .predict(&optimizer.compile(catalog, &rebound(stmt, limit)).ok()?)
-        .max_p99_ms;
-    Some((limit, probe))
-}
-
-/// `stmt` with its LIMIT/PAGINATE count swapped (kind preserved).
-fn rebound(stmt: &SelectStmt, limit: u64) -> SelectStmt {
-    let mut s = stmt.clone();
-    s.bound = Some(match stmt.bound {
-        Some(RowBound::Paginate(_)) => RowBound::Paginate(limit),
-        _ => RowBound::Limit(limit),
-    });
-    s
 }
 
 /// The diagnostic for a not-scale-independent rejection: the unbounded

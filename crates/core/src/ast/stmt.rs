@@ -134,6 +134,19 @@ pub struct SelectStmt {
     pub bound: Option<RowBound>,
 }
 
+impl SelectStmt {
+    /// This statement with its LIMIT/PAGINATE count replaced by `limit`
+    /// (kind preserved; an unbounded statement gains a LIMIT).
+    pub fn rebound(&self, limit: u64) -> SelectStmt {
+        let mut out = self.clone();
+        out.bound = Some(match self.bound {
+            Some(RowBound::Paginate(_)) => RowBound::Paginate(limit),
+            _ => RowBound::Limit(limit),
+        });
+        out
+    }
+}
+
 /// `INSERT INTO t [(cols)] VALUES (exprs)`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct InsertStmt {

@@ -17,7 +17,7 @@
 use crate::latency::{InterferenceConfig, LatencyConfig};
 use crate::node::StorageNode;
 use crate::op::{Entries, KvRequest, KvResponse, NsId, RequestRound};
-use crate::partition::{NsPlacement, PartitionMap};
+use crate::partition::{NsPlacement, PartitionMap, SplitPoints};
 use crate::session::Session;
 use crate::stats::ClusterStats;
 use crate::store::Namespace;
@@ -289,8 +289,8 @@ impl SimCluster {
         for (name, ns) in names.iter() {
             let data = self.ns_data(*ns);
             let parts = (self.config.nodes * self.config.partitions_per_node).max(1);
-            let splits = data.quantile_keys(parts);
-            let n_parts = splits.len() + 1;
+            let splits = data.split_points(parts);
+            let n_parts = splits.parts();
             // offset spreads different namespaces' partition #0 across nodes
             let offset = name.bytes().fold(0usize, |acc, b| {
                 acc.wrapping_mul(31).wrapping_add(b as usize)
@@ -340,7 +340,7 @@ impl SimCluster {
         let placement = self.placement.get(ns);
         match req {
             KvRequest::Get { key, .. } => {
-                let part = placement.partition_of(key);
+                let part = placement.splits.part_of(key);
                 let (node, horizon) = self.read_replica(&placement, part, start);
                 let value = data.get(key, horizon);
                 let bytes = value.as_ref().map(|v| v.len() as u64).unwrap_or(0);
@@ -354,7 +354,7 @@ impl SimCluster {
                     KvRequest::Put { value, .. } => Some(value.clone()),
                     _ => None,
                 };
-                let part = placement.partition_of(key);
+                let part = placement.splits.part_of(key);
                 let replicas = &placement.replicas[part.min(placement.replicas.len() - 1)];
                 let bytes = value.as_ref().map(|v| v.len() as u64).unwrap_or(0);
                 let mut done = start;
@@ -376,7 +376,7 @@ impl SimCluster {
                 key, expect, value, ..
             } => {
                 // coordinated by the primary; replicas updated in parallel
-                let part = placement.partition_of(key);
+                let part = placement.splits.part_of(key);
                 let replicas = &placement.replicas[part.min(placement.replicas.len() - 1)];
                 let bytes = value.as_ref().map(|v| v.len() as u64).unwrap_or(0);
                 let mut done = start;
@@ -397,7 +397,10 @@ impl SimCluster {
                 reverse,
                 ..
             } => {
-                let mut parts = placement.partitions_for_range(lo, end.as_deref());
+                let mut parts: Vec<usize> = placement
+                    .splits
+                    .parts_for_range(lo, end.as_deref())
+                    .collect();
                 if *reverse {
                     parts.reverse();
                 }
@@ -411,7 +414,7 @@ impl SimCluster {
                     // continuation to the next partition is sequential
                     let (node, horizon) = self.read_replica(&placement, part, t);
                     // fetch only this partition's slice of the range
-                    let (p_lo, p_hi) = partition_bounds(&placement, part, lo, end.as_deref());
+                    let (p_lo, p_hi) = placement.splits.clip(part, lo, end.as_deref());
                     let (had, had_bytes) = (out.len(), out.payload_len());
                     let remaining = want - had as u64;
                     data.range(p_lo, p_hi, Some(remaining), *reverse, horizon, &mut out);
@@ -424,12 +427,12 @@ impl SimCluster {
                 (KvResponse::Entries(out), t)
             }
             KvRequest::CountRange { start: lo, end, .. } => {
-                let parts = placement.partitions_for_range(lo, end.as_deref());
+                let parts = placement.splits.parts_for_range(lo, end.as_deref());
                 let mut total = 0u64;
                 let mut done = start;
                 for part in parts {
                     let (node, horizon) = self.read_replica(&placement, part, start);
-                    let (p_lo, p_hi) = partition_bounds(&placement, part, lo, end.as_deref());
+                    let (p_lo, p_hi) = placement.splits.clip(part, lo, end.as_deref());
                     let c = data.count_range(p_lo, p_hi, horizon);
                     let adm = self.nodes[node].admit(start, req, c, 0);
                     done = done.max(adm.done); // counts proceed in parallel
@@ -448,28 +451,6 @@ impl SimCluster {
             ns.compact(horizon);
         }
     }
-}
-
-/// Clip `[lo, hi)` to one partition's bounds.
-fn partition_bounds<'a>(
-    placement: &'a NsPlacement,
-    part: usize,
-    lo: &'a [u8],
-    hi: Option<&'a [u8]>,
-) -> (&'a [u8], Option<&'a [u8]>) {
-    let part_lo = part
-        .checked_sub(1)
-        .and_then(|below| placement.splits.get(below));
-    let eff_lo = match part_lo {
-        Some(pl) if pl.as_slice() > lo => pl,
-        _ => lo,
-    };
-    let eff_hi = match (placement.splits.get(part), hi) {
-        (Some(ph), Some(h)) => Some(ph.as_slice().min(h)),
-        (Some(ph), None) => Some(ph.as_slice()),
-        (None, hi) => hi,
-    };
-    (eff_lo, eff_hi)
 }
 
 impl KvStore for SimCluster {
@@ -494,7 +475,7 @@ impl KvStore for SimCluster {
         self.placement.set(
             id,
             NsPlacement {
-                splits: Vec::new(),
+                splits: SplitPoints::default(),
                 replicas,
             },
         );

@@ -40,9 +40,10 @@
 
 use crate::cluster::{KvStore, NsBalance};
 use crate::op::{Entries, KvEntry, KvRequest, KvResponse, NsId, RequestRound};
+use crate::partition::SplitPoints;
 use crate::pool::{default_pool_threads, RoundPool};
 use crate::sample::{LiveSampleSink, OpSample};
-use crate::session::Session;
+use crate::session::{Session, SessionStats};
 use crate::store::byte_range;
 use crate::wal::WalSink;
 use piql_analysis::ordered::RwLock;
@@ -137,10 +138,9 @@ impl WalHook {
 }
 
 /// One immutable routing generation of a namespace: explicit split points
-/// and the shard maps they route to. Shard `i` covers
-/// `[splits[i-1], splits[i])` with sentinel bounds at the ends — the same
-/// convention as the simulator's [`crate::partition::NsPlacement`], so a
-/// key routes by binary search instead of leading-byte arithmetic.
+/// and the shard maps they route to — the same [`SplitPoints`] the
+/// simulator's partitions route by, so a key or an interval visits the
+/// same parts on both stores.
 ///
 /// A generation's *layout* never changes; [`LiveNamespace::rebalance`]
 /// builds a fresh generation off to the side and atomically publishes it.
@@ -148,8 +148,8 @@ impl WalHook {
 /// a retired generation still holds every key it held at swap time —
 /// readers that loaded it mid-swap never observe a missing key.
 struct ShardSet {
-    /// Ascending split keys; `shards.len() == splits.len() + 1`.
-    splits: Vec<Vec<u8>>,
+    /// `shards.len() == splits.parts()`.
+    splits: SplitPoints,
     shards: Vec<RwLock<BTreeMap<Vec<u8>, Vec<u8>>>>,
     /// Storage operations served per shard by this generation — the skew
     /// signal [`NsBalance`] reports; starts at zero when a rebalance
@@ -158,8 +158,8 @@ struct ShardSet {
 }
 
 impl ShardSet {
-    fn from_maps(splits: Vec<Vec<u8>>, maps: Vec<BTreeMap<Vec<u8>, Vec<u8>>>) -> Self {
-        debug_assert_eq!(maps.len(), splits.len() + 1);
+    fn from_maps(splits: SplitPoints, maps: Vec<BTreeMap<Vec<u8>, Vec<u8>>>) -> Self {
+        debug_assert_eq!(maps.len(), splits.parts());
         let ops = (0..maps.len()).map(|_| AtomicU64::new(0)).collect();
         ShardSet {
             splits,
@@ -183,44 +183,21 @@ impl ShardSet {
         // permanently empty shards between duplicates
         splits.dedup();
         let maps = (0..splits.len() + 1).map(|_| BTreeMap::new()).collect();
-        ShardSet::from_maps(splits, maps)
+        ShardSet::from_maps(SplitPoints::new(splits), maps)
     }
 
     /// A new generation with the given split points, holding a copy of
     /// `source`'s entries routed by the *new* splits. Caller must hold the
     /// namespace's table write lock so `source` is frozen.
-    fn resharded(splits: Vec<Vec<u8>>, source: &ShardSet) -> Self {
+    fn resharded(splits: SplitPoints, source: &ShardSet) -> Self {
         let mut maps: Vec<BTreeMap<Vec<u8>, Vec<u8>>> =
-            (0..splits.len() + 1).map(|_| BTreeMap::new()).collect();
+            (0..splits.parts()).map(|_| BTreeMap::new()).collect();
         for shard in &source.shards {
             for (k, v) in shard.read().iter() {
-                let idx = splits.partition_point(|s| s.as_slice() <= k.as_slice());
-                maps[idx].insert(k.clone(), v.clone());
+                maps[splits.part_of(k)].insert(k.clone(), v.clone());
             }
         }
         ShardSet::from_maps(splits, maps)
-    }
-
-    /// The shard owning `key` (split keys belong to the right shard, like
-    /// `NsPlacement::partition_of`).
-    fn shard_of(&self, key: &[u8]) -> usize {
-        self.splits.partition_point(|s| s.as_slice() <= key)
-    }
-
-    /// Shard indices overlapping `[start, end)`, ascending. An exclusive
-    /// `end` that equals a split point does *not* visit the shard to its
-    /// right — no key `< end` can live there.
-    fn shards_for_range(
-        &self,
-        start: &[u8],
-        end: Option<&[u8]>,
-    ) -> std::ops::RangeInclusive<usize> {
-        let lo = self.shard_of(start);
-        let hi = match end {
-            Some(e) => self.splits.partition_point(|s| s.as_slice() < e),
-            None => self.shards.len() - 1,
-        };
-        lo..=hi.max(lo)
     }
 
     fn touch(&self, idx: usize) {
@@ -228,13 +205,13 @@ impl ShardSet {
     }
 
     fn get(&self, key: &[u8]) -> Option<Vec<u8>> {
-        let idx = self.shard_of(key);
+        let idx = self.splits.part_of(key);
         self.touch(idx);
         self.shards[idx].read().get(key).cloned()
     }
 
     fn put(&self, key: Vec<u8>, value: Option<Vec<u8>>, wal: Option<&WalHook>) {
-        let idx = self.shard_of(&key);
+        let idx = self.splits.part_of(&key);
         self.touch(idx);
         let mut shard = self.shards[idx].write();
         // append while holding the shard lock so the log observes per-key
@@ -259,7 +236,7 @@ impl ShardSet {
         value: Option<Vec<u8>>,
         wal: Option<&WalHook>,
     ) -> (bool, Option<Vec<u8>>) {
-        let idx = self.shard_of(&key);
+        let idx = self.splits.part_of(&key);
         self.touch(idx);
         let mut shard = self.shards[idx].write();
         let stored = shard.get(&key);
@@ -301,7 +278,7 @@ impl ShardSet {
         let mut out = Entries::new();
         let mut visited = 0u64;
         let Some(bounds) = byte_range(start, end) else {
-            self.touch(self.shard_of(start));
+            self.touch(self.splits.part_of(start));
             return (out, 1);
         };
         let mut visit = |out: &mut Entries, idx: usize| {
@@ -318,7 +295,7 @@ impl ShardSet {
                 out.extend_exact(found.take(room));
             }
         };
-        let shards = self.shards_for_range(start, end);
+        let shards = self.splits.parts_for_range(start, end);
         if reverse {
             for idx in shards.rev() {
                 if out.len() >= want {
@@ -340,12 +317,13 @@ impl ShardSet {
     /// Count `[start, end)`; also reports shards visited.
     fn count_range(&self, start: &[u8], end: Option<&[u8]>) -> (u64, u64) {
         let Some(bounds) = byte_range(start, end) else {
-            self.touch(self.shard_of(start));
+            self.touch(self.splits.part_of(start));
             return (0, 1);
         };
         let mut visited = 0u64;
         let total = self
-            .shards_for_range(start, end)
+            .splits
+            .parts_for_range(start, end)
             .map(|idx| {
                 visited += 1;
                 self.touch(idx);
@@ -381,18 +359,12 @@ impl ShardSet {
         out
     }
 
-    /// Split points at key-distribution quantiles — the same job the
-    /// simulator's Director does via `Namespace::quantile_keys`, over a
-    /// strided sample when the namespace is large. Shards are contiguous
-    /// ranges, so visiting them in index order yields globally sorted keys.
-    fn quantile_splits(&self, parts: usize) -> Vec<Vec<u8>> {
-        if parts <= 1 {
-            return Vec::new();
-        }
+    /// Split points at key-distribution quantiles — the Director's job,
+    /// learned by the same pick as the simulator's, over a strided sample
+    /// when the namespace is large. Shards are contiguous ranges, so
+    /// visiting them in index order yields globally sorted keys.
+    fn quantile_splits(&self, parts: usize) -> SplitPoints {
         let total = self.len();
-        if total == 0 {
-            return Vec::new();
-        }
         let stride = total.div_ceil(SPLIT_SAMPLE_CAP).max(1);
         let mut sample: Vec<Vec<u8>> = Vec::with_capacity(total.div_ceil(stride));
         let mut i = 0usize;
@@ -404,17 +376,7 @@ impl ShardSet {
                 i += 1;
             }
         }
-        let step = sample.len() / parts;
-        if step == 0 {
-            return Vec::new();
-        }
-        let mut splits = Vec::with_capacity(parts - 1);
-        for (j, k) in sample.into_iter().enumerate() {
-            if j > 0 && j.is_multiple_of(step) && splits.len() < parts - 1 {
-                splits.push(k);
-            }
-        }
-        splits
+        SplitPoints::at_quantiles(sample.into_iter(), parts)
     }
 }
 
@@ -744,15 +706,35 @@ impl LiveCluster {
     }
 }
 
+/// Add one served request — its response and shard visits — to what its
+/// round books on the session ([`LiveCluster::complete_round`]).
+fn tally(round: &mut SessionStats, response: &KvResponse, physical: u64) {
+    round.logical_requests += 1;
+    round.physical_requests += physical;
+    if let KvResponse::Entries(e) = response {
+        round.entries += e.len() as u64;
+        round.bytes += e.payload_len() as u64;
+    }
+}
+
+/// The injected per-request service time. Always slept *inside* a round's
+/// timed window, so the sampled latency is what a slow store would show.
+fn inject_delay(delay_us: u64) {
+    if delay_us > 0 {
+        std::thread::sleep(std::time::Duration::from_micros(delay_us));
+    }
+}
+
 impl LiveCluster {
     /// Everything a round does once its requests have been served: the
     /// durability barrier, the latency sample, and the session accounting.
+    /// The one epilogue of `execute_round`, `execute_one` and `point_get`;
+    /// `round` is what its requests asked and got back (see [`tally`]).
     fn complete_round(
         &self,
         session: &mut Session,
         started: u64,
-        logical: u64,
-        physical: u64,
+        round: SessionStats,
         has_write: bool,
     ) {
         // durability barrier: a round containing writes is only
@@ -786,8 +768,10 @@ impl LiveCluster {
         }
         session.now = session.now.max(completed);
         session.stats.rounds += 1;
-        session.stats.logical_requests += logical;
-        session.stats.physical_requests += physical;
+        session.stats.logical_requests += round.logical_requests;
+        session.stats.physical_requests += round.physical_requests;
+        session.stats.entries += round.entries;
+        session.stats.bytes += round.bytes;
         self.stats.rounds.fetch_add(1, Ordering::Relaxed);
     }
 }
@@ -803,9 +787,7 @@ fn execute_request(
     req: KvRequest,
     delay_us: u64,
 ) -> (KvResponse, u64) {
-    if delay_us > 0 {
-        std::thread::sleep(std::time::Duration::from_micros(delay_us));
-    }
+    inject_delay(delay_us);
     stats.ops.fetch_add(1, Ordering::Relaxed);
     let (response, physical) = match req {
         KvRequest::Get { key, .. } => {
@@ -895,18 +877,13 @@ impl KvStore for LiveCluster {
         if round.is_empty() {
             return Vec::new();
         }
-        let logical = round.len() as u64;
         let has_write = round.iter().any(KvRequest::is_write);
         let started = self.now_micros();
         let delay_us = self.request_delay_us.load(Ordering::Relaxed);
-        let mut physical = 0u64;
+        let mut booked = SessionStats::default();
         let mut responses = Vec::with_capacity(round.len());
-        let mut join = |(response, phys): (KvResponse, u64)| {
-            physical += phys;
-            if let KvResponse::Entries(e) = &response {
-                session.stats.entries += e.len() as u64;
-                session.stats.bytes += e.payload_len() as u64;
-            }
+        let mut join = |(response, physical): (KvResponse, u64)| {
+            tally(&mut booked, &response, physical);
             responses.push(response);
         };
         if round.len() >= 2 && self.pool.worker_count() > 0 {
@@ -931,7 +908,7 @@ impl KvStore for LiveCluster {
                 ));
             }
         }
-        self.complete_round(session, started, logical, physical, has_write);
+        self.complete_round(session, started, booked, has_write);
         responses
     }
 
@@ -943,19 +920,17 @@ impl KvStore for LiveCluster {
         let delay_us = self.request_delay_us.load(Ordering::Relaxed);
         let (response, physical) =
             execute_request(&self.ns_data(req.ns()), &self.stats, req, delay_us);
-        if let KvResponse::Entries(e) = &response {
-            session.stats.entries += e.len() as u64;
-            session.stats.bytes += e.payload_len() as u64;
-        }
-        self.complete_round(session, started, 1, physical, has_write);
+        let mut booked = SessionStats::default();
+        tally(&mut booked, &response, physical);
+        self.complete_round(session, started, booked, has_write);
         response
     }
 
     /// Single-key fast path: equivalent to a one-request `GetRange` round
-    /// (same counters, same sampled latency, same session accounting), but
-    /// appending the value into a caller-owned buffer instead of returning
-    /// freshly allocated entries — in steady state this performs no heap
-    /// allocation at all.
+    /// (same counters, same sampled latency — injected service time
+    /// included — same session accounting), but appending the value into a
+    /// caller-owned buffer instead of returning freshly allocated entries —
+    /// in steady state this performs no heap allocation at all.
     fn point_get(
         &self,
         session: &mut Session,
@@ -963,50 +938,33 @@ impl KvStore for LiveCluster {
         key: &[u8],
         out: &mut Vec<u8>,
     ) -> Option<bool> {
-        let delay_us = self.request_delay_us.load(Ordering::Relaxed);
-        if delay_us > 0 {
-            std::thread::sleep(std::time::Duration::from_micros(delay_us));
-        }
         let started = self.now_micros();
-        let data = self.ns_data(ns);
-        let table = data.load();
-        let idx = table.shard_of(key);
+        inject_delay(self.request_delay_us.load(Ordering::Relaxed));
+        let table = self.ns_data(ns).load();
+        let idx = table.splits.part_of(key);
         table.touch(idx);
-        let mut entry_bytes = 0u64;
-        let found = {
-            let shard = table.shards[idx].read();
-            match shard.get(key) {
-                Some(v) => {
-                    entry_bytes = (key.len() + v.len()) as u64;
-                    out.extend_from_slice(v);
-                    true
-                }
-                None => false,
-            }
+        let entry_bytes = table.shards[idx].read().get(key).map(|v| {
+            out.extend_from_slice(v);
+            (key.len() + v.len()) as u64
+        });
+        let found = entry_bytes.is_some();
+        let booked = SessionStats {
+            logical_requests: 1,
+            physical_requests: 1,
+            entries: found as u64,
+            bytes: entry_bytes.unwrap_or(0),
+            ..SessionStats::default()
         };
         self.stats.ops.fetch_add(1, Ordering::Relaxed);
         self.stats.reads.fetch_add(1, Ordering::Relaxed);
         self.stats.physical_ops.fetch_add(1, Ordering::Relaxed);
-        self.stats.rounds.fetch_add(1, Ordering::Relaxed);
         self.stats
             .bytes_read
-            .fetch_add(entry_bytes, Ordering::Relaxed);
+            .fetch_add(booked.bytes, Ordering::Relaxed);
         self.stats
             .entries_returned
-            .fetch_add(found as u64, Ordering::Relaxed);
-        let completed = self.now_micros();
-        if let Some(tag) = session.op_tag {
-            self.sink.record(OpSample {
-                tag,
-                micros: completed.saturating_sub(started),
-            });
-        }
-        session.now = session.now.max(completed);
-        session.stats.rounds += 1;
-        session.stats.logical_requests += 1;
-        session.stats.physical_requests += 1;
-        session.stats.entries += found as u64;
-        session.stats.bytes += entry_bytes;
+            .fetch_add(booked.entries, Ordering::Relaxed);
+        self.complete_round(session, started, booked, false);
         Some(found)
     }
 
@@ -1412,6 +1370,48 @@ mod tests {
         assert!(out.is_empty());
         assert_eq!(s.stats.entries, 1);
         assert_eq!(s.stats.rounds, 2);
+    }
+
+    #[test]
+    fn point_get_sample_includes_the_injected_service_time() {
+        use crate::sample::{LiveOpKind, OpTag};
+        let c = LiveCluster::new(LiveConfig {
+            request_delay_us: 5_000,
+            ..LiveConfig::default()
+        });
+        let ns = c.namespace("pg");
+        c.bulk_put(ns, b"hit".to_vec(), b"value".to_vec());
+        let mut s = Session::new();
+        // `beta` tells the two lanes' samples apart after the drain
+        let tag = |beta| {
+            Some(OpTag {
+                op: LiveOpKind::IndexScan,
+                alpha_c: 1,
+                alpha_j: 1,
+                beta,
+            })
+        };
+        s.op_tag = tag(1);
+        assert_eq!(c.point_get(&mut s, ns, b"hit", &mut Vec::new()), Some(true));
+        s.op_tag = tag(2);
+        c.execute_one(
+            &mut s,
+            KvRequest::GetRange {
+                ns,
+                start: b"hit".to_vec(),
+                end: None,
+                limit: Some(1),
+                reverse: false,
+            },
+        );
+        let samples = c.drain_samples();
+        let micros = |beta| samples.iter().find(|s| s.tag.beta == beta).unwrap().micros;
+        let (fast, general) = (micros(1), micros(2));
+        assert!(fast >= 5_000, "the store took 5 ms; sampled {fast} us");
+        assert!(
+            fast <= 2 * general && general <= 2 * fast,
+            "one read, two lanes: {fast} us vs {general} us"
+        );
     }
 
     #[test]

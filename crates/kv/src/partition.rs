@@ -11,14 +11,95 @@ use piql_analysis::ordered::RwLock;
 use piql_analysis::rank;
 use std::collections::BTreeMap;
 
+/// Ascending split keys cutting one keyspace into `parts()` contiguous
+/// ranges: part `i` covers `[splits[i-1], splits[i])`, with sentinel
+/// bounds at the ends, so a split key belongs to the part on its right.
+/// The simulator's partitions and `LiveCluster`'s shards both route by
+/// this type, so they cannot disagree on what a request visits.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct SplitPoints(Vec<Vec<u8>>);
+
+impl SplitPoints {
+    /// `splits` must be strictly ascending.
+    pub fn new(splits: Vec<Vec<u8>>) -> Self {
+        debug_assert!(splits.windows(2).all(|w| w[0] < w[1]));
+        SplitPoints(splits)
+    }
+
+    /// Split points at the quantiles of `sorted` — keys in ascending
+    /// order, or an evenly strided sample of them: up to `parts - 1` keys
+    /// evenly spaced by position (none from fewer keys than parts).
+    pub fn at_quantiles<K: AsRef<[u8]>>(
+        sorted: impl ExactSizeIterator<Item = K>,
+        parts: usize,
+    ) -> Self {
+        let step = sorted.len() / parts.max(1);
+        if parts <= 1 || step == 0 {
+            return SplitPoints::default();
+        }
+        SplitPoints(
+            sorted
+                .step_by(step)
+                .skip(1)
+                .take(parts - 1)
+                .map(|k| k.as_ref().to_vec())
+                .collect(),
+        )
+    }
+
+    pub fn parts(&self) -> usize {
+        self.0.len() + 1
+    }
+
+    /// The part owning `key`.
+    pub fn part_of(&self, key: &[u8]) -> usize {
+        self.0.partition_point(|s| s.as_slice() <= key)
+    }
+
+    /// The parts a scan of `[start, end)` (`None` = unbounded) visits,
+    /// ascending: every part that can hold a key of the interval — so not
+    /// the part to the right of an `end` that equals a split point — and,
+    /// for an empty or inverted interval, just the part `start` routes to.
+    pub fn parts_for_range(
+        &self,
+        start: &[u8],
+        end: Option<&[u8]>,
+    ) -> std::ops::RangeInclusive<usize> {
+        let first = self.part_of(start);
+        let last = match end {
+            Some(e) => self.0.partition_point(|s| s.as_slice() < e),
+            None => self.0.len(),
+        };
+        first..=last.max(first)
+    }
+
+    /// `[lo, hi)` clipped to `part`'s own bounds.
+    pub(crate) fn clip<'a>(
+        &'a self,
+        part: usize,
+        lo: &'a [u8],
+        hi: Option<&'a [u8]>,
+    ) -> (&'a [u8], Option<&'a [u8]>) {
+        let part_lo = part.checked_sub(1).and_then(|below| self.0.get(below));
+        let eff_lo = match part_lo {
+            Some(pl) if pl.as_slice() > lo => pl,
+            _ => lo,
+        };
+        let eff_hi = match (self.0.get(part), hi) {
+            (Some(ph), Some(h)) => Some(ph.as_slice().min(h)),
+            (Some(ph), None) => Some(ph.as_slice()),
+            (None, hi) => hi,
+        };
+        (eff_lo, eff_hi)
+    }
+}
+
 /// Placement of one namespace.
 #[derive(Debug, Clone, Default)]
 pub struct NsPlacement {
-    /// Ascending split keys; partition `i` covers
-    /// `[splits[i-1], splits[i])` with sentinel bounds at the ends.
-    pub splits: Vec<Vec<u8>>,
+    pub splits: SplitPoints,
     /// `replicas[i]` = node ids serving partition `i`
-    /// (`splits.len() + 1` entries).
+    /// (`splits.parts()` entries).
     pub replicas: Vec<Vec<usize>>,
 }
 
@@ -26,43 +107,9 @@ impl NsPlacement {
     /// Single partition on the given replica set.
     pub fn single(replicas: Vec<usize>) -> Self {
         NsPlacement {
-            splits: Vec::new(),
+            splits: SplitPoints::default(),
             replicas: vec![replicas],
         }
-    }
-
-    pub fn partitions(&self) -> usize {
-        self.replicas.len()
-    }
-
-    /// Partition index owning `key`.
-    pub fn partition_of(&self, key: &[u8]) -> usize {
-        self.splits.partition_point(|s| s.as_slice() <= key)
-    }
-
-    /// Partition indexes intersecting `[start, end)` (`None` = unbounded),
-    /// in scan order.
-    pub fn partitions_for_range(&self, start: &[u8], end: Option<&[u8]>) -> Vec<usize> {
-        let first = self.partition_of(start);
-        let last = match end {
-            // end is exclusive; a range ending exactly at a split does not
-            // touch the next partition
-            Some(e) => {
-                let mut p = self.splits.partition_point(|s| s.as_slice() < e);
-                if p > 0
-                    && self
-                        .splits
-                        .get(p - 1)
-                        .map(|s| s.as_slice() == e)
-                        .unwrap_or(false)
-                {
-                    p -= 1;
-                }
-                p.min(self.partitions() - 1).max(first)
-            }
-            None => self.partitions() - 1,
-        };
-        (first..=last).collect()
     }
 }
 
@@ -119,34 +166,31 @@ impl PartitionMap {
 mod tests {
     use super::*;
 
-    fn placement() -> NsPlacement {
-        NsPlacement {
-            splits: vec![b"g".to_vec(), b"p".to_vec()],
-            replicas: vec![vec![0, 1], vec![1, 2], vec![2, 0]],
-        }
+    fn splits() -> SplitPoints {
+        SplitPoints::new(vec![b"g".to_vec(), b"p".to_vec()])
     }
 
     #[test]
     fn key_routing() {
-        let p = placement();
-        assert_eq!(p.partition_of(b"a"), 0);
-        assert_eq!(p.partition_of(b"g"), 1, "split key belongs to the right");
-        assert_eq!(p.partition_of(b"m"), 1);
-        assert_eq!(p.partition_of(b"z"), 2);
+        let p = splits();
+        assert_eq!(p.part_of(b"a"), 0);
+        assert_eq!(p.part_of(b"g"), 1, "split key belongs to the right");
+        assert_eq!(p.part_of(b"m"), 1);
+        assert_eq!(p.part_of(b"z"), 2);
     }
 
     #[test]
     fn range_routing() {
-        let p = placement();
-        assert_eq!(p.partitions_for_range(b"a", Some(b"c")), vec![0]);
-        assert_eq!(p.partitions_for_range(b"a", Some(b"m")), vec![0, 1]);
-        assert_eq!(p.partitions_for_range(b"a", None), vec![0, 1, 2]);
+        let p = splits();
+        assert_eq!(p.parts_for_range(b"a", Some(b"c")), 0..=0);
+        assert_eq!(p.parts_for_range(b"a", Some(b"m")), 0..=1);
+        assert_eq!(p.parts_for_range(b"a", None), 0..=2);
         assert_eq!(
-            p.partitions_for_range(b"a", Some(b"g")),
-            vec![0],
+            p.parts_for_range(b"a", Some(b"g")),
+            0..=0,
             "exclusive end at split stays left"
         );
-        assert_eq!(p.partitions_for_range(b"h", Some(b"z")), vec![1, 2]);
+        assert_eq!(p.parts_for_range(b"h", Some(b"z")), 1..=2);
     }
 
     #[test]
@@ -164,6 +208,6 @@ mod tests {
     #[test]
     fn default_placement_for_unknown_ns() {
         let map = PartitionMap::new();
-        assert_eq!(map.get(NsId(9)).partitions(), 1);
+        assert_eq!(map.get(NsId(9)).replicas.len(), 1);
     }
 }

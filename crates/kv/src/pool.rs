@@ -173,8 +173,15 @@ impl Drop for RoundPool {
             self.shared.shutdown.store(true, Ordering::SeqCst);
         }
         self.shared.task_ready.notify_all();
+        // The last handle may be released by a task on this very pool (one
+        // that owns an `Arc<RoundPool>`). Joining oneself fails with
+        // EDEADLK, which std turns into a panic, so that worker is not
+        // joined: it sees the flag when its task returns, and exits.
+        let me = std::thread::current().id();
         for handle in self.workers.drain(..) {
-            let _ = handle.join();
+            if handle.thread().id() != me {
+                let _ = handle.join();
+            }
         }
     }
 }
@@ -444,6 +451,27 @@ mod tests {
         a.join().unwrap();
         b.join().unwrap();
         assert_eq!(pool.stats.worker_tasks.load(Ordering::Relaxed), 1);
+    }
+
+    #[test]
+    fn last_handle_can_be_dropped_by_a_task_on_the_pool() {
+        use std::sync::mpsc;
+        let pool = Arc::new(RoundPool::new(2));
+        let (go_tx, go_rx) = mpsc::channel::<()>();
+        let (done_tx, done_rx) = mpsc::channel();
+        let held = pool.clone();
+        pool.spawn(move || {
+            go_rx.recv().unwrap();
+            // the test's handle is gone: this drop runs `RoundPool::drop`
+            // on one of the pool's own workers
+            drop(held);
+            done_tx.send(()).unwrap();
+        });
+        drop(pool);
+        go_tx.send(()).unwrap();
+        done_rx
+            .recv_timeout(Duration::from_secs(30))
+            .expect("dropping the pool on its own worker must return, not panic");
     }
 
     #[test]

@@ -12,6 +12,7 @@
 //! exhibits.
 
 use crate::op::Entries;
+use crate::partition::SplitPoints;
 use crate::time::Micros;
 use piql_analysis::ordered::RwLock;
 use piql_analysis::rank;
@@ -186,25 +187,9 @@ impl Namespace {
         self.entries.read().is_empty()
     }
 
-    /// Keys at the given quantile positions — used to compute partition
-    /// split points.
-    pub fn quantile_keys(&self, parts: usize) -> Vec<Vec<u8>> {
-        let map = self.entries.read();
-        let n = map.len();
-        if parts <= 1 || n == 0 {
-            return Vec::new();
-        }
-        let mut splits = Vec::with_capacity(parts - 1);
-        let step = n / parts;
-        if step == 0 {
-            return Vec::new();
-        }
-        for (i, (k, _)) in map.iter().enumerate() {
-            if i > 0 && i % step == 0 && splits.len() < parts - 1 {
-                splits.push(k.clone());
-            }
-        }
-        splits
+    /// Partition split points at the quantiles of the keys held now.
+    pub fn split_points(&self, parts: usize) -> SplitPoints {
+        SplitPoints::at_quantiles(self.entries.read().keys(), parts)
     }
 
     /// Drop tombstones and old versions older than `horizon` (GC).
@@ -295,9 +280,10 @@ mod tests {
         for i in 0..100u8 {
             ns.put(vec![i], Some(vec![i]), 5);
         }
-        let splits = ns.quantile_keys(4);
-        assert_eq!(splits.len(), 3);
-        assert!(splits[0] < splits[1] && splits[1] < splits[2]);
+        assert_eq!(
+            ns.split_points(4),
+            SplitPoints::new(vec![vec![25], vec![50], vec![75]])
+        );
         ns.put(vec![5], None, 10);
         ns.compact(20);
         assert_eq!(ns.len(), 99, "tombstone collected");

@@ -898,6 +898,43 @@ fn boundary_aligned_range_costs_equal_physical_ops_on_sim_and_live() {
         per_store_phys[1], 4,
         "two visits per boundary-aligned two-shard range"
     );
+
+    // ...and so must any other interval: bounds on, beside and between
+    // the learned splits, open-ended, empty and inverted, scanned both
+    // ways, limited and counted
+    let bounds: Vec<Vec<u8>> = [0u8, 63, 64, 65, 100, 127, 128, 191, 192, 193, 255]
+        .into_iter()
+        .flat_map(|b| [vec![b], vec![b, 0]])
+        .chain([vec![]])
+        .collect();
+    let ends = bounds.iter().cloned().map(Some).chain([None]);
+    for (start, end) in ends.flat_map(|e| bounds.iter().map(move |s| (s.clone(), e.clone()))) {
+        let costs = stores.map(|store| {
+            let ns = store.namespace("edge");
+            let mut s = Session::new();
+            let range = |limit, reverse| KvRequest::GetRange {
+                ns,
+                start: start.clone(),
+                end: end.clone(),
+                limit,
+                reverse,
+            };
+            let count = KvRequest::CountRange {
+                ns,
+                start: start.clone(),
+                end: end.clone(),
+            };
+            [range(None, false), range(Some(70), true), count].map(|req| {
+                let before = s.stats.physical_requests;
+                store.execute_round(&mut s, vec![req]);
+                s.stats.physical_requests - before
+            })
+        });
+        assert_eq!(
+            costs[0], costs[1],
+            "Sim vs Live visits (scan, limited reverse scan, count) of [{start:?}, {end:?})"
+        );
+    }
 }
 
 #[test]

@@ -201,7 +201,15 @@ fn conn_worker(
         };
         out.sent += 1;
         let t0 = Instant::now();
-        match client.request_raw(&request) {
+        // Sent tagged (a pipeline of depth one): what a flash crowd
+        // exhausts is the dispatch pool, and an id-less request, run on
+        // its own connection's thread, would never meet the crowd.
+        let mut pipeline = client.pipeline();
+        pipeline.queue(&request);
+        let answer = pipeline
+            .flush()
+            .map(|mut answers| answers.pop().expect("one answer per queued request"));
+        match answer {
             Ok(resp) => {
                 let us = t0.elapsed().as_micros() as u64;
                 if resp.get("ok").and_then(Json::as_bool) == Some(true) {

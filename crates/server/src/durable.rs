@@ -106,18 +106,7 @@ impl DurableStack {
     /// Take a checkpoint now: rotate the WAL, export the full state, and
     /// compact the log behind it.
     pub fn snapshot(&self) -> io::Result<SnapshotSummary> {
-        let cluster = self.cluster.clone();
-        let models = self.models.clone();
-        self.durability.snapshot_with(move || {
-            // reads happen after the WAL rotation (snapshot_with invokes
-            // this closure post-rotation), which is what makes the fuzzy
-            // snapshot + tail-replay combination converge
-            let (store, rotations) = models.snapshot_with_rotations();
-            SnapshotInputs {
-                namespaces: cluster.export_namespaces(),
-                models: Some((rotations, store.interval_maps().to_vec())),
-            }
-        })
+        checkpoint(&self.cluster, &self.models, &self.durability)
     }
 
     /// Crash simulation for tests: discard buffered (unacknowledged)
@@ -149,16 +138,28 @@ impl DurabilityControl for StackControl {
     }
 
     fn checkpoint(&self) -> io::Result<SnapshotSummary> {
-        let cluster = self.cluster.clone();
-        let models = self.models.clone();
-        self.durability.snapshot_with(move || {
-            let (store, rotations) = models.snapshot_with_rotations();
-            SnapshotInputs {
-                namespaces: cluster.export_namespaces(),
-                models: Some((rotations, store.interval_maps().to_vec())),
-            }
-        })
+        checkpoint(&self.cluster, &self.models, &self.durability)
     }
+}
+
+/// Checkpoint the stack's state — every namespace and the model intervals
+/// — whoever asks: the embedder, the `snapshot` verb, the
+/// [`SnapshotDaemon`].
+fn checkpoint(
+    cluster: &LiveCluster,
+    models: &SharedModelStore,
+    durability: &Durability,
+) -> io::Result<SnapshotSummary> {
+    durability.snapshot_with(|| {
+        // reads happen after the WAL rotation (snapshot_with invokes
+        // this closure post-rotation), which is what makes the fuzzy
+        // snapshot + tail-replay combination converge
+        let (store, rotations) = models.snapshot_with_rotations();
+        SnapshotInputs {
+            namespaces: cluster.export_namespaces(),
+            models: Some((rotations, store.interval_maps().to_vec())),
+        }
+    })
 }
 
 impl StatementJournal for Durability {
@@ -290,16 +291,7 @@ impl SnapshotDaemon {
                         if durability.is_dead() || !durability.wants_snapshot() {
                             continue;
                         }
-                        let cluster = cluster.clone();
-                        let models = models.clone();
-                        let result = durability.snapshot_with(move || {
-                            let (store, rotations) = models.snapshot_with_rotations();
-                            SnapshotInputs {
-                                namespaces: cluster.export_namespaces(),
-                                models: Some((rotations, store.interval_maps().to_vec())),
-                            }
-                        });
-                        if let Err(e) = result {
+                        if let Err(e) = checkpoint(&cluster, &models, &durability) {
                             eprintln!("piql-snapshot: checkpoint failed: {e}");
                         }
                     }

@@ -17,12 +17,14 @@
 //! * [`PiqlServer`] — a multi-threaded TCP front-end speaking the
 //!   newline-delimited JSON protocol specified in `PROTOCOL.md`
 //!   (`prepare` / `execute` / `cursor-next` / `dml` / `batch` / `stats` /
-//!   `revalidate` / `rebalance`), **pipelined**: each connection is a
-//!   reader that decodes lines continuously plus a writer that streams
-//!   completed responses back, with `id`-tagged requests handled
-//!   concurrently on a dispatch pool and answered in completion order
-//!   (id-less requests keep strict one-at-a-time ordering). Pagination
-//!   cursors are serialized, client-held state that survives reconnects.
+//!   `revalidate` / `rebalance`), **pipelined**, with two venues behind
+//!   one request handler: an id-less request (and every binary frame) is
+//!   answered by the connection's own thread, one at a time — all that
+//!   "in arrival order" takes — while `id`-tagged requests are handled
+//!   concurrently on a server-wide dispatch pool and answered in
+//!   completion order; a writer thread per JSON connection streams
+//!   responses back. Pagination cursors are serialized, client-held state
+//!   that survives reconnects.
 //! * [`Client`] — a small blocking client for that protocol, with a
 //!   [`Pipeline`] handle and [`Client::execute_batch`] for amortizing a
 //!   page-view's N statements into ~1 round trip.

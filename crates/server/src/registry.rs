@@ -35,7 +35,7 @@
 use crate::budget::{BudgetDecision, BudgetPolicy, TenantBudget};
 use piql_analysis::ordered::{Mutex, RwLock};
 use piql_analysis::rank;
-use piql_core::ast::{RowBound, SelectStmt};
+use piql_core::ast::SelectStmt;
 use piql_core::opt::{InsightReport, OptError, Optimizer};
 use piql_core::plan::params::ParamsRef;
 use piql_core::plan::physical::{PhysicalPlan, ScanLimit};
@@ -43,7 +43,8 @@ use piql_core::plan::pred::Operand;
 use piql_core::value::Value;
 use piql_engine::{Cursor, Database, DbError, ExecStrategy, Prepared, QueryResult};
 use piql_kv::{KvStore, LiveCluster, LiveOpKind, NsId, Session};
-use piql_predict::{Heatmap, SharedModelStore, SloPredictor, ALPHA_GRID};
+use piql_predict::advisor::suggest_limit;
+use piql_predict::{SharedModelStore, SloPredictor, ALPHA_GRID};
 use piql_workloads::RunMetrics;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -743,7 +744,7 @@ impl<S: KvStore> StatementRegistry<S> {
                 if let Some(limit) =
                     self.suggest_degraded_limit(&predictor, &catalog, &stmt, bound.count())
                 {
-                    let degraded = rebound(&stmt, limit);
+                    let degraded = stmt.rebound(limit);
                     let prepared = self.db.prepare_stmt(&degraded)?;
                     let kind = root_remote_kind(&prepared.compiled.physical);
                     let admission = Admission::Degraded {
@@ -773,8 +774,8 @@ impl<S: KvStore> StatementRegistry<S> {
         })
     }
 
-    /// Probe smaller bounds with the §6.4 heatmap advisor. Pure compiles
-    /// only — still zero storage operations.
+    /// Probe smaller bounds with the §6.4 advisor. Pure compiles only —
+    /// still zero storage operations.
     fn suggest_degraded_limit(
         &self,
         predictor: &SloPredictor,
@@ -782,35 +783,10 @@ impl<S: KvStore> StatementRegistry<S> {
         stmt: &SelectStmt,
         below: u64,
     ) -> Option<u64> {
-        let mut candidates: Vec<u64> = ALPHA_GRID
-            .iter()
-            .map(|&a| a as u64)
-            .filter(|&a| a < below)
-            .collect();
-        candidates.sort_unstable();
-        candidates.dedup();
-        if candidates.is_empty() {
-            return None;
-        }
-        let heatmap = Heatmap::build(
-            predictor,
-            "result limit",
-            "-",
-            candidates,
-            vec![0],
-            |limit, _| {
-                let probe = rebound(stmt, limit);
-                self.optimizer
-                    .compile(catalog, &probe)
-                    // Rebinding an admitted statement to a smaller LIMIT
-                    // is a strict restriction of a plan that already
-                    // compiled; failure is a compiler bug, not
-                    // client-reachable input.
-                    // lint:allow(request-unwrap)
-                    .expect("smaller bound of a bounded query must compile")
-            },
-        );
-        heatmap.suggest_row_limit(0, self.slo.slo_ms)
+        suggest_limit(predictor, below, self.slo.slo_ms, |limit| {
+            self.optimizer.compile(catalog, &stmt.rebound(limit)).ok()
+        })
+        .map(|(limit, _)| limit)
     }
 
     /// Pre-compile the shed plan: the statement rebound to the tightest
@@ -824,7 +800,7 @@ impl<S: KvStore> StatementRegistry<S> {
             return None;
         }
         self.db
-            .prepare_stmt(&rebound(stmt, tightest))
+            .prepare_stmt(&stmt.rebound(tightest))
             .ok()
             .map(Arc::new)
     }
@@ -1178,7 +1154,7 @@ impl<S: KvStore> StatementRegistry<S> {
                 diagnostics: flag_diagnostics(predictor, statement, &prepared, &self.slo),
             };
             match (tighter, original_limit) {
-                (Some(l), Some(o)) => match self.db.prepare_stmt(&rebound(&statement.stmt, l)) {
+                (Some(l), Some(o)) => match self.db.prepare_stmt(&statement.stmt.rebound(l)) {
                     Ok(tightened) => {
                         let new_p99 = predictor.predict(&tightened.compiled).max_p99_ms;
                         (
@@ -1274,16 +1250,6 @@ fn flag_diagnostics(
         },
     )
     .diagnostics
-}
-
-/// `stmt` with its row bound replaced by `limit` (kind-preserving).
-fn rebound(stmt: &SelectStmt, limit: u64) -> SelectStmt {
-    let mut out = stmt.clone();
-    out.bound = Some(match stmt.bound {
-        Some(RowBound::Paginate(_)) => RowBound::Paginate(limit),
-        _ => RowBound::Limit(limit),
-    });
-    out
 }
 
 /// The root-most remote operator — the statement's interaction kind for

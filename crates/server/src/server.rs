@@ -6,35 +6,39 @@
 //! [`binary::MAGIC`] preamble — no JSON line can start with `0xB3`, so
 //! sniffing is unambiguous).
 //!
-//! A JSON connection is split into two halves (the wire contract they
-//! implement is PROTOCOL.md §5):
+//! A request runs in one of two venues, behind one handler ([`respond`])
+//! (the wire contract is PROTOCOL.md §5):
 //!
-//! * a **reader** (the connection's own thread) that decodes request
-//!   lines continuously — it never executes anything, so a slow query
-//!   can't stop later lines from being decoded and dispatched, and
-//! * a **writer** thread that serializes completed responses back,
-//!   flushing only when no further response is immediately ready, so a
-//!   pipelined burst coalesces into few syscalls instead of one
-//!   flush-per-response.
+//! * **Ordered work runs where it arrives.** A JSON request without an
+//!   `id` is answered by the connection's own thread — the *reader*, which
+//!   decodes request lines — on a [`Session`] that thread owns: id-less
+//!   answers leave in arrival order because one thread produced them,
+//!   byte-for-byte the pre-pipelining behavior. While the reader executes,
+//!   its connection's later lines wait undecoded. That is fine: the work
+//!   is what this client asked to have done in order, a tagged line had no
+//!   promise of overtaking it, and no other connection is involved — a
+//!   request parked on a slow store or a tenant budget holds no worker
+//!   that others need.
+//! * **Tagged work runs on the pool.** A JSON request carrying an `id`
+//!   goes to the server-wide dispatch [`RoundPool`], is handled
+//!   **concurrently** on a fresh session and answered in *completion
+//!   order* (the id is how the client correlates). The pool bounds how
+//!   many tagged requests the whole server handles at once; ordered work
+//!   is bounded by the connection count, and both by the tenant budget
+//!   inside `execute_governed`.
 //!
-//! Between them, request handling runs on a server-wide dispatch
-//! [`RoundPool`] in two lanes:
-//!
-//! * requests carrying an `id` are handled **concurrently** and answered
-//!   in *completion order* (the id is how the client correlates); each
-//!   in-flight request borrows a [`Session`] from the connection's idle
-//!   pool;
-//! * requests without an `id` run **one at a time, in arrival order, on
-//!   the connection's primary session** — byte-for-byte the pre-pipelining
-//!   behavior, so legacy clients observe nothing new.
+//! Each JSON connection also has a **writer** thread that serializes
+//! completed responses back, flushing only when no further response is
+//! immediately ready, so a pipelined burst coalesces into few syscalls —
+//! and so that no thread doing work ever blocks on a slow socket.
 //!
 //! All state a client needs to resume — registered statement names and
 //! pagination cursors — lives either in the shared registry or in the
 //! cursor the client holds, so reconnecting to the same (or another)
 //! server continues cleanly.
 //!
-//! A **binary** (v3) connection is one strictly ordered lane run inline
-//! on its own thread by a [`BinaryConn`]: decode → route → respond with
+//! A **binary** (v3) connection is the ordered venue alone, run inline on
+//! its own thread by a [`BinaryConn`]: decode → route → respond with
 //! per-connection scratch buffers, so the warm point-read path — a
 //! registered statement whose plan is a full-primary-key lookup (see
 //! `FastPointPlan`) — performs **zero heap allocations** per request
@@ -46,16 +50,14 @@
 //! Threads only *block*; storage parallelism comes from the backing
 //! cluster. On a `LiveCluster`, every session's request rounds fan out
 //! over the cluster's one shared `RoundPool` (sized by
-//! `LiveConfig::pool_threads`), and request handling shares the one
-//! dispatch pool — N concurrent connections add queueing, not thread
-//! stampede.
+//! `LiveConfig::pool_threads`).
 
 use crate::binary::{self, BinaryWire, OP_EXECUTE, OP_RESPONSE};
 use crate::budget::BudgetDecision;
 use crate::json::Json;
 use crate::protocol::{
-    budget_exceeded_response, err_response, ok_response, parse_request, Envelope, Reply, Request,
-    RequestId,
+    budget_exceeded_response, err_response, ok_response, parse_request, Envelope, ProtoError,
+    Reply, Request, RequestId,
 };
 use crate::registry::{
     Admission, FastKeyPart, RegistryError, Revalidator, SloConfig, StatementRegistry,
@@ -68,7 +70,6 @@ use piql_core::codec::row::RowReader;
 use piql_engine::Database;
 use piql_kv::{KvStore, LiveCluster, LiveOpKind, NsBalance, OpTag, RoundPool, Session};
 use piql_predict::SloPredictor;
-use std::collections::VecDeque;
 use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -78,8 +79,8 @@ use std::thread::JoinHandle;
 /// Server-level knobs beyond the registry's own configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct ServerTuning {
-    /// Width of the server-wide request-handling pool. `0` degrades every
-    /// connection to inline (strictly sequential) handling.
+    /// Width of the server-wide pool for `id`-tagged requests. `0` degrades
+    /// every connection to inline (strictly sequential) handling.
     pub dispatch_threads: usize,
     /// Per-connection backpressure: the reader lane stops decoding once
     /// this many requests are decoded but not yet written back. `0`
@@ -162,9 +163,9 @@ impl<S: KvStore + 'static> PiqlServer<S> {
         tuning: ServerTuning,
     ) -> io::Result<Self> {
         let max_in_flight = tuning.max_in_flight_per_conn;
-        // The server-wide request-handling pool: pipelined (`id`-carrying)
-        // requests and the per-connection strictly ordered lanes all run on
-        // these workers. The accept thread and every connection share it.
+        // The server-wide request-handling pool: every pipelined
+        // (`id`-carrying) JSON request runs on these workers. The accept
+        // thread and every connection's reader share it.
         let dispatch = Arc::new(RoundPool::new(tuning.dispatch_threads));
         let listener = TcpListener::bind(addr)?;
         let local_addr = listener.local_addr()?;
@@ -284,8 +285,8 @@ impl<S: KvStore + 'static> Drop for PiqlServer<S> {
 /// One JSON connection's backpressure window: how many requests are
 /// decoded but not yet written back. The reader acquires a slot per frame
 /// *before* dispatching it; the writer releases one per response written.
-/// Every frame produces exactly one response through the writer (handled,
-/// decode-errored, or serial-lane answered), so the accounting balances.
+/// Every frame produces exactly one response through the writer (handled
+/// in either venue, or decode-errored), so the accounting balances.
 /// When the window is full the reader parks — TCP flow control then
 /// pushes back on the client — instead of decoding an unbounded backlog
 /// into the dispatch pool.
@@ -350,125 +351,6 @@ impl InFlight {
     }
 }
 
-/// Shared state of one connection's in-flight requests (the reader, the
-/// writer, and every dispatched handler task hold an `Arc` of this).
-struct ConnState<S: KvStore> {
-    registry: Arc<StatementRegistry<S>>,
-    dispatch: Arc<RoundPool>,
-    /// Completed responses travel to the writer half over this channel as
-    /// `(correlation id, reply)` — rows still the executor's tuples;
-    /// encoding (and id attachment) is the writer's [`Wire`]'s job, so the
-    /// lanes are codec-generic. The writer exits once every holder of this
-    /// state is done.
-    tx: mpsc::Sender<(Option<RequestId>, Reply)>,
-    serial: Mutex<SerialLane>,
-    /// Sessions for concurrently handled (`id`-carrying) requests: popped
-    /// per request, pushed back after, created on demand. Bounded by the
-    /// dispatch pool width — a session is only out while its request runs.
-    idle_sessions: Mutex<Vec<Session>>,
-}
-
-/// Ordered-lane jobs one drainer task runs before re-queueing itself at
-/// the back of the dispatch pool — keeps a flooding id-less connection
-/// from pinning a server-wide worker indefinitely and starving every
-/// other connection.
-const SERIAL_DRAIN_BATCH: usize = 32;
-
-/// The id-less lane: jobs run one at a time, in arrival order, on the
-/// connection's primary session — exactly the pre-pipelining semantics
-/// legacy clients rely on.
-struct SerialLane {
-    queue: VecDeque<SerialJob>,
-    /// Whether a drainer task currently owns the lane.
-    draining: bool,
-    /// The primary session, taken by the active drainer while it runs a
-    /// job so enqueueing never blocks behind an executing query.
-    session: Option<Session>,
-}
-
-enum SerialJob {
-    /// Answer verbatim (parse errors keep their slot in the order).
-    Respond(Json),
-    Handle(Request),
-}
-
-impl<S: KvStore + 'static> ConnState<S> {
-    /// Append to the ordered lane, waking a drainer if none owns it.
-    fn enqueue_serial(self: &Arc<Self>, job: SerialJob) {
-        let start_drainer = {
-            let mut lane = self.serial.lock();
-            lane.queue.push_back(job);
-            if lane.draining {
-                false
-            } else {
-                lane.draining = true;
-                true
-            }
-        };
-        if start_drainer {
-            let state = self.clone();
-            self.dispatch.spawn(move || state.drain_serial());
-        }
-    }
-
-    /// Run ordered-lane jobs FIFO. At most one drainer owns the lane at a
-    /// time (the `draining` flag), so responses are produced — and
-    /// therefore written — in arrival order. After [`SERIAL_DRAIN_BATCH`]
-    /// jobs the drainer re-queues itself behind other connections' work
-    /// instead of pinning its worker until the queue goes empty.
-    fn drain_serial(self: &Arc<Self>) {
-        for _ in 0..SERIAL_DRAIN_BATCH {
-            let (job, mut session) = {
-                let mut lane = self.serial.lock();
-                match lane.queue.pop_front() {
-                    Some(job) => {
-                        let Some(session) = lane.session.take() else {
-                            // Defensively tolerate a lost lane invariant
-                            // (the single drainer owns the session): put
-                            // the job back and let the next enqueue
-                            // restart the drain, rather than panic the
-                            // worker a client request is riding on.
-                            lane.queue.push_front(job);
-                            lane.draining = false;
-                            return;
-                        };
-                        (job, session)
-                    }
-                    None => {
-                        lane.draining = false;
-                        return;
-                    }
-                }
-            };
-            let response = match job {
-                SerialJob::Respond(json) => Reply::Doc(json),
-                SerialJob::Handle(request) => run_handler(&request, &mut session, &self.registry),
-            };
-            self.serial.lock().session = Some(session);
-            // a send error means the client hung up; keep draining so the
-            // lane empties and the state can drop
-            let _ = self.tx.send((None, response));
-        }
-        // batch exhausted with work (possibly) remaining: yield the worker
-        // and continue at the back of the dispatch queue. `draining` stays
-        // true — this continuation still owns the lane.
-        let state = self.clone();
-        self.dispatch.spawn(move || state.drain_serial());
-    }
-
-    /// Hand an `id`-carrying request to the dispatch pool; its response is
-    /// sent whenever it completes, id attached.
-    fn dispatch_tagged(self: &Arc<Self>, id: RequestId, request: Request) {
-        let state = self.clone();
-        self.dispatch.spawn(move || {
-            let mut session = state.idle_sessions.lock().pop().unwrap_or_default();
-            let response = run_handler(&request, &mut session, &state.registry);
-            state.idle_sessions.lock().push(session);
-            let _ = state.tx.send((Some(id), response));
-        });
-    }
-}
-
 /// [`respond`] with panic containment: a handler panic becomes an error
 /// response instead of wedging the connection's lane or killing a pool
 /// worker. Every input a client can send is meant to get a typed answer,
@@ -490,6 +372,27 @@ fn run_handler<S: KvStore>(
             .fetch_add(1, Ordering::Relaxed);
         Reply::Doc(err_response("internal error: request handler panicked"))
     })
+}
+
+/// The ordered venue, on either codec: answer one frame on the calling
+/// thread's `session` — the request it decoded to, or the decode error in
+/// its place in the arrival order, echoing whatever id can still be
+/// recovered (the stream stays alive, and a pipelining client can
+/// correlate the failure).
+fn answer_here<S: KvStore>(
+    wire: &impl Wire,
+    frame: &[u8],
+    decoded: Result<Envelope, ProtoError>,
+    session: &mut Session,
+    registry: &StatementRegistry<S>,
+) -> (Option<RequestId>, Reply) {
+    match decoded {
+        Ok(env) => (env.id, run_handler(&env.request, session, registry)),
+        Err(e) => (
+            wire.extract_id(frame),
+            Reply::Doc(err_response(e.to_string())),
+        ),
+    }
 }
 
 /// Serve one client until EOF. Sniffs the codec from the first byte —
@@ -534,9 +437,9 @@ fn serve_connection<S: KvStore + 'static>(
 /// The pipelined reader/writer lanes over any [`Wire`]. Every request
 /// frame gets exactly one response frame; protocol errors are answered
 /// (not fatal) so a client bug cannot wedge the connection out from under
-/// its own pipeline. This thread is the *reader*: it only decodes and
-/// dispatches (see the module docs for the lane semantics), then joins
-/// the writer — which drains every in-flight response — before returning.
+/// its own pipeline. This thread is the *reader*: it decodes each frame
+/// and picks its venue (see the module docs), then joins the writer —
+/// which drains every in-flight response — before returning.
 fn serve_lanes<S: KvStore + 'static, W: Wire + Copy + Send + 'static>(
     mut reader: BufReader<TcpStream>,
     write_half: TcpStream,
@@ -545,6 +448,9 @@ fn serve_lanes<S: KvStore + 'static, W: Wire + Copy + Send + 'static>(
     wire: W,
     max_in_flight: usize,
 ) -> io::Result<()> {
+    // completed responses travel to the writer as `(correlation id,
+    // reply)` — rows still the executor's tuples; encoding (and id
+    // attachment) is the writer's [`Wire`]'s job
     let (tx, rx) = mpsc::channel::<(Option<RequestId>, Reply)>();
     let alive = Arc::new(AtomicBool::new(true));
     // cap 0 = unlimited: no window is even allocated, the lanes behave
@@ -557,21 +463,8 @@ fn serve_lanes<S: KvStore + 'static, W: Wire + Copy + Send + 'static>(
             .name("piql-conn-writer".into())
             .spawn(move || write_loop(write_half, rx, &alive, wire, inflight))?
     };
-    let state = Arc::new(ConnState {
-        registry,
-        dispatch,
-        tx,
-        serial: Mutex::new(
-            rank::SERVER_SERIAL,
-            "server.conn.serial",
-            SerialLane {
-                queue: VecDeque::new(),
-                draining: false,
-                session: Some(Session::new()),
-            },
-        ),
-        idle_sessions: Mutex::new(rank::SERVER_IDLE_SESSIONS, "server.conn.idle", Vec::new()),
-    });
+    // the ordered venue's session
+    let mut session = Session::new();
     let read_result: io::Result<()> = (|| {
         let mut frame = Vec::new();
         while wire.read_frame(&mut reader, &mut frame)? {
@@ -584,29 +477,28 @@ fn serve_lanes<S: KvStore + 'static, W: Wire + Copy + Send + 'static>(
             // full window means the client outran the server — TCP stops
             // reading new bytes while we park, pushing back upstream)
             if let Some(window) = &inflight {
-                if !window.acquire(&state.registry.counters.backpressure_stalls) {
+                if !window.acquire(&registry.counters.backpressure_stalls) {
                     break;
                 }
             }
             match wire.decode_envelope(&frame) {
+                // on a session of its own: a session is a clock and
+                // counters, `sync_session` sets the clock at every
+                // execute and nothing reads it after the request
                 Ok(Envelope {
                     id: Some(id),
                     request,
-                }) => state.dispatch_tagged(id, request),
-                Ok(Envelope { id: None, request }) => {
-                    state.enqueue_serial(SerialJob::Handle(request))
+                }) => {
+                    let (registry, tx) = (registry.clone(), tx.clone());
+                    dispatch.spawn(move || {
+                        let reply = run_handler(&request, &mut Session::new(), &registry);
+                        let _ = tx.send((Some(id), reply));
+                    });
                 }
-                Err(e) => {
-                    let response = err_response(e.to_string());
-                    match wire.extract_id(&frame) {
-                        // a correlatable error answers like any tagged
-                        // completion; uncorrelatable ones keep their slot
-                        // in the ordered lane
-                        Some(id) => {
-                            let _ = state.tx.send((Some(id), Reply::Doc(response)));
-                        }
-                        None => state.enqueue_serial(SerialJob::Respond(response)),
-                    }
+                // a send error means the writer is gone; the `alive`
+                // check ends the loop at the next frame
+                ordered => {
+                    let _ = tx.send(answer_here(&wire, &frame, ordered, &mut session, &registry));
                 }
             }
         }
@@ -614,7 +506,7 @@ fn serve_lanes<S: KvStore + 'static, W: Wire + Copy + Send + 'static>(
     })();
     // the writer exits once the last sender drops — i.e. after every
     // dispatched task for this connection has completed and answered
-    drop(state);
+    drop(tx);
     let _ = writer_thread.join();
     read_result
 }
@@ -800,12 +692,6 @@ impl<S: KvStore + 'static> BinaryConn<S> {
         if !statement.budget().is_unlimited() {
             return None;
         }
-        // counts the admission; on the unlimited path this is two atomic
-        // ops and allocates nothing
-        let _permit = match statement.budget().admit() {
-            BudgetDecision::Go(permit) => permit,
-            _ => return None,
-        };
         if !binary::scan_scalar_params(&mut cur, &mut self.param_offsets).ok()? {
             return None;
         }
@@ -828,6 +714,13 @@ impl<S: KvStore + 'static> BinaryConn<S> {
             encode_component_ref(&mut self.key_buf, value, Dir::Asc).ok()?;
         }
 
+        // admitted last: a frame that bailed out above is admitted by
+        // the general path, once. On the unlimited path this is two
+        // atomic ops and allocates nothing
+        let _permit = match statement.budget().admit() {
+            BudgetDecision::Go(permit) => permit,
+            _ => return None,
+        };
         let store = self.registry.db().store();
         store.sync_session(&mut self.session);
         let start = self.session.begin();
@@ -877,21 +770,12 @@ impl<S: KvStore + 'static> BinaryConn<S> {
     }
 
     /// The general path: full decode → the shared request router → generic
-    /// encode. Mirrors the JSON lane's malformed-input rule — a decode
-    /// error is answered (echoing the header id when it parses) and the
-    /// stream stays alive.
+    /// encode, a decode error answered in place ([`answer_here`]).
     fn handle_general(&mut self, frame: &[u8]) {
         let wire = BinaryWire;
-        match wire.decode_envelope(frame) {
-            Ok(env) => {
-                let reply = run_handler(&env.request, &mut self.session, &self.registry);
-                wire.encode_reply(env.id.as_ref(), &reply, &mut self.out);
-            }
-            Err(e) => {
-                let id = wire.extract_id(frame);
-                wire.encode_response(id.as_ref(), &err_response(e.to_string()), &mut self.out);
-            }
-        }
+        let decoded = wire.decode_envelope(frame);
+        let (id, reply) = answer_here(&wire, frame, decoded, &mut self.session, &self.registry);
+        wire.encode_reply(id.as_ref(), &reply, &mut self.out);
     }
 }
 

@@ -188,6 +188,85 @@ fn fast_point_response_is_byte_identical_to_general_path() {
     assert_eq!(statement.executions.load(Ordering::Relaxed), 2 * n);
 }
 
+/// A frame the fast lane starts on and then hands to the general path —
+/// a collection where the key's scalar goes, an explicit cursor — is one
+/// execution: the tenant's budget admits it once, and the answer is the
+/// general path's, byte for byte.
+#[test]
+fn a_frame_the_fast_lane_declines_is_admitted_once() {
+    use piql_engine::{Cursor, CursorState};
+    let registry = Arc::new(StatementRegistry::new(
+        scadr_db(),
+        linear_predictor(200, 100, 2),
+        permissive_slo(),
+    ));
+    registry.register("acme.point", POINT).unwrap();
+    let statement = registry.get("acme.point").unwrap();
+    assert!(statement.fast_point().is_some());
+    let admitted = || statement.budget().snapshot().admitted;
+
+    let user = Value::Varchar(scadr::username(4));
+    let declined = [
+        (
+            vec![ParamValue::Collection(vec![user.clone()])],
+            None,
+            "collection parameter",
+        ),
+        (
+            vec![user.clone().into()],
+            Some(Cursor {
+                state: CursorState::ScanAfter { last_key: vec![0] },
+            }),
+            "explicit cursor",
+        ),
+    ];
+    let wire = BinaryWire;
+    let mut conn = BinaryConn::new(registry.clone());
+    for (params, cursor, what) in declined {
+        let env = Envelope {
+            id: Some(RequestId::Int(5)),
+            request: Request::Execute {
+                name: "acme.point".into(),
+                params,
+                cursor,
+            },
+        };
+        let mut frame = Vec::new();
+        wire.encode_envelope(&env, &mut frame);
+        let before = admitted();
+        conn.handle_frame(&frame[4..]);
+        assert_eq!(admitted() - before, 1, "{what}: one frame, one admission");
+
+        let response = handle_request(&env.request, &mut Session::new(), &registry);
+        let mut expected = Vec::new();
+        wire.encode_response(env.id.as_ref(), &response, &mut expected);
+        assert_eq!(conn.output(), &expected[..], "{what}");
+        conn.clear_output();
+    }
+    assert_eq!(
+        registry.counters.fast_point_reads.load(Ordering::Relaxed),
+        0
+    );
+    // the frame the fast lane does serve is admitted once as well
+    let env = Envelope {
+        id: None,
+        request: Request::Execute {
+            name: "acme.point".into(),
+            params: vec![user.into()],
+            cursor: None,
+        },
+    };
+    let mut frame = Vec::new();
+    wire.encode_envelope(&env, &mut frame);
+    let before = admitted();
+    conn.handle_frame(&frame[4..]);
+    assert_eq!(admitted() - before, 1);
+    assert_eq!(
+        registry.counters.fast_point_reads.load(Ordering::Relaxed),
+        1
+    );
+}
+
 #[test]
 fn malformed_binary_payload_echoes_header_id() {
     let server = start_server();

@@ -28,6 +28,10 @@ fn permissive_slo() -> SloConfig {
 }
 
 fn start_server() -> (Arc<LiveCluster>, PiqlServer) {
+    start_server_with_dispatch(8)
+}
+
+fn start_server_with_dispatch(dispatch_threads: usize) -> (Arc<LiveCluster>, PiqlServer) {
     let cluster = Arc::new(LiveCluster::new(LiveConfig::default()));
     let db = Arc::new(Database::new(cluster.clone()));
     let config = ScadrConfig {
@@ -42,7 +46,8 @@ fn start_server() -> (Arc<LiveCluster>, PiqlServer) {
         linear_predictor(200, 100, 2),
         permissive_slo(),
     ));
-    let server = PiqlServer::start_with_dispatch(registry, "127.0.0.1:0", 8).unwrap();
+    let server =
+        PiqlServer::start_with_dispatch(registry, "127.0.0.1:0", dispatch_threads).unwrap();
     (cluster, server)
 }
 
@@ -129,6 +134,97 @@ fn untagged_requests_stay_in_arrival_order() {
     let second = client.raw_read_line().unwrap();
     assert!(second.get("statements").is_some());
     cluster.set_request_delay_us(0);
+
+    // and a long burst written at once is answered line for line
+    let order: Vec<usize> = (0..100).map(|k| (k * 7) % 40).collect();
+    let wire: String = order
+        .iter()
+        .map(|&i| request_to_line(&execute_req("find", i)) + "\n")
+        .collect();
+    raw.write_all(wire.as_bytes()).unwrap();
+    raw.flush().unwrap();
+    for &i in &order {
+        let response = client.raw_read_line().unwrap();
+        let page = decode_page(&response).unwrap();
+        assert_eq!(
+            page.rows[0].get(0),
+            Some(&Value::Varchar(scadr::username(i))),
+            "in arrival order throughout a 100-line burst"
+        );
+    }
+}
+
+/// The ordered lane runs on its connection's own thread, not on the
+/// dispatch pool: an id-less request parked on its tenant's budget holds
+/// up nobody but its own connection. One dispatch worker; connection A's
+/// id-less `execute` queues behind a zero-capacity budget; connection B's
+/// tagged `stats` must be answered while A waits.
+#[test]
+fn a_parked_untagged_request_does_not_hold_a_dispatch_worker() {
+    use piql_server::BudgetPolicy;
+    use std::time::Duration;
+    const BOUND: Duration = Duration::from_secs(20);
+
+    let (_cluster, server) = start_server_with_dispatch(1);
+    let registry = server.registry().clone();
+    let mut a = Client::connect(server.local_addr()).unwrap();
+    let mut b = Client::connect(server.local_addr()).unwrap();
+    a.prepare("acme.find", "SELECT * FROM users WHERE username = <u>")
+        .unwrap();
+    registry.set_tenant_budget(
+        "acme",
+        Some(0),
+        BudgetPolicy::Queue {
+            max_wait: 3 * BOUND,
+        },
+    );
+    let mut a_raw = a.raw_stream().unwrap();
+    let mut b_raw = b.raw_stream().unwrap();
+    // the timeouts only bound a failure: nothing below waits one out
+    a_raw.set_read_timeout(Some(BOUND)).unwrap();
+    b_raw.set_read_timeout(Some(BOUND)).unwrap();
+
+    // A: a `stats` and the `execute` behind it, in one write. Once the
+    // `stats` answer is here, whatever runs A's ordered lane has moved on
+    // to the `execute` — and parks in `admit()`, since nothing can be
+    // admitted at capacity 0.
+    let lines = [
+        request_to_line(&Request::Stats),
+        request_to_line(&execute_req("acme.find", 3)),
+    ];
+    a_raw
+        .write_all(format!("{}\n{}\n", lines[0], lines[1]).as_bytes())
+        .unwrap();
+    a_raw.flush().unwrap();
+    assert!(a.raw_read_line().unwrap().get("statements").is_some());
+
+    // B: a tagged request needs the only dispatch worker
+    let tagged = envelope_to_line(&Envelope {
+        id: Some(RequestId::Int(1)),
+        request: Request::Stats,
+    });
+    b_raw.write_all(format!("{tagged}\n").as_bytes()).unwrap();
+    b_raw.flush().unwrap();
+    let answer = b
+        .raw_read_line()
+        .expect("B went unanswered: A's parked request is holding the dispatch worker");
+    assert_eq!(answer.get("id").and_then(Json::as_i64), Some(1));
+    let acme = |stats: &Json, field: &str| {
+        let tenants = stats.get("overload").and_then(|o| o.get("tenants"));
+        let budget = tenants
+            .and_then(Json::as_arr)
+            .unwrap()
+            .iter()
+            .find(|t| t.get("tenant").and_then(Json::as_str) == Some("acme"));
+        budget.and_then(|t| t.get(field)).and_then(Json::as_i64)
+    };
+    assert_eq!(acme(&answer, "admitted"), Some(0), "A is still waiting");
+
+    // lifting the budget lets A through — admitted off the queue
+    registry.set_tenant_budget("acme", None, BudgetPolicy::Reject);
+    let page = decode_page(&a.raw_read_line().unwrap()).unwrap();
+    assert_eq!(page.rows.len(), 1);
+    assert_eq!(acme(&b.stats().unwrap(), "queued"), Some(1));
 }
 
 /// A batch runs its sub-requests sequentially on one session — a `dml`
@@ -303,38 +399,6 @@ fn mixed_lanes_answer_every_request_once() {
         .map(|i| (100 + i as i64, scadr::username(20 + i as usize)))
         .collect();
     assert_eq!(tagged_seen, expected_tagged);
-}
-
-/// 100 id-less requests pipelined at once cross the serial drainer's
-/// re-queue boundary (32 jobs per batch) several times — order must hold
-/// across drainer continuations.
-#[test]
-fn long_untagged_pipelines_stay_ordered_across_drain_batches() {
-    let (_cluster, server) = start_server();
-    let mut client = Client::connect(server.local_addr()).unwrap();
-    client
-        .prepare("find", "SELECT * FROM users WHERE username = <u>")
-        .unwrap();
-
-    let mut raw = client.raw_stream().unwrap();
-    let mut wire = String::new();
-    let order: Vec<usize> = (0..100).map(|k| (k * 7) % 40).collect();
-    for &i in &order {
-        wire.push_str(&request_to_line(&execute_req("find", i)));
-        wire.push('\n');
-    }
-    raw.write_all(wire.as_bytes()).unwrap();
-    raw.flush().unwrap();
-
-    for &i in &order {
-        let response = client.raw_read_line().unwrap();
-        let page = decode_page(&response).unwrap();
-        assert_eq!(
-            page.rows[0].get(0),
-            Some(&Value::Varchar(scadr::username(i))),
-            "in-order across drainer re-queues"
-        );
-    }
 }
 
 /// `handle_line`/`handle_request` (the embedder API) answer batches too.

@@ -12,6 +12,7 @@ use piql_predict::plan_thetas;
 use piql_server::testkit::linear_predictor;
 use piql_server::{Admission, Client, DriftAction, PiqlServer, SloConfig, StatementRegistry};
 use piql_workloads::scadr::{self, ScadrConfig};
+use std::net::SocketAddr;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
@@ -49,13 +50,20 @@ fn registry(db: Arc<Database<LiveCluster>>, slo_ms: f64) -> Arc<StatementRegistr
 /// flagged by a `revalidate` sweep after injected latency drift — over
 /// TCP, same server process throughout — and `stats` reports the refreshed
 /// prediction alongside the observed quantiles. When the drift clears and
-/// the slow interval rotates out, the statement recovers.
+/// the slow interval rotates out, the statement recovers. Over either
+/// codec: the binary fast lane must train the models with the store's
+/// service time exactly as the general path does.
 #[test]
 fn drift_flags_statement_over_tcp_without_restart() {
+    drift_flags_statement_over(Client::connect);
+    drift_flags_statement_over(Client::connect_binary);
+}
+
+fn drift_flags_statement_over(connect: fn(SocketAddr) -> std::io::Result<Client>) {
     let (cluster, db) = scadr_db();
     let reg = registry(db, 20.0);
     let server = PiqlServer::start_with_registry(reg.clone(), "127.0.0.1:0").unwrap();
-    let mut client = Client::connect(server.local_addr()).unwrap();
+    let mut client = connect(server.local_addr()).unwrap();
 
     let prep = client.prepare("find_user", FIND_USER).unwrap();
     assert_eq!(

@@ -220,6 +220,34 @@ fn malformed_lines_answer_errors_without_killing_the_connection() {
         );
     }
 
+    // a line that cannot even be correlated keeps its place in the
+    // arrival order: written between two id-less requests, its error is
+    // answered between their pages
+    let find = |i| {
+        request_to_line(&Request::Execute {
+            name: "find".into(),
+            params: uname_param(i),
+            cursor: None,
+        })
+    };
+    raw.write_all(format!("{}\n{{}}\n{}\n", find(1), find(2)).as_bytes())
+        .unwrap();
+    raw.flush().unwrap();
+    let username = |response: &Json| {
+        let page = piql_server::decode_page(response).unwrap();
+        page.rows[0].get(0).cloned()
+    };
+    let answers: Vec<Json> = (0..3).map(|_| client.raw_read_line().unwrap()).collect();
+    assert_eq!(
+        username(&answers[0]),
+        Some(Value::Varchar(scadr::username(1)))
+    );
+    assert_eq!(answers[1].get("ok").and_then(Json::as_bool), Some(false));
+    assert_eq!(
+        username(&answers[2]),
+        Some(Value::Varchar(scadr::username(2)))
+    );
+
     // the same connection still serves real queries afterwards
     let page = client.execute("find", &uname_param(3), None).unwrap();
     assert_eq!(page.rows.len(), 1);
