@@ -1,7 +1,8 @@
 //! Workspace lint gate: `cargo run -p piql-analysis --bin lint [root]`.
 //!
-//! Scans `crates/*/src/**` for raw lock construction, request-path
-//! unwraps, and undocumented `unsafe`. Exits non-zero on any finding.
+//! Runs every rule of [`piql_analysis::lint`] over `crates/*/src/**` (the
+//! rest of the repository is read as users of what those sources define).
+//! Exits non-zero on any finding.
 
 use std::path::PathBuf;
 use std::process::ExitCode;

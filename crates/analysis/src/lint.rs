@@ -27,6 +27,11 @@
 //!   (`analysis/src/rank.rs`) must be named by code in some other file
 //!   under `crates/*/src/**`. A rank no lock is built with documents a lock
 //!   that no longer exists, and misleads whoever places the next one.
+//! - **`orphan-fn`** — a `pub fn` under `crates/*/src/**` must be named by
+//!   code somewhere else in the repository: another line of any `.rs` file
+//!   outside `target/` (tests, benches, examples and `perfbench/` all count,
+//!   and so does any other item of the same name — the rule can only
+//!   under-report). What `dead_code` cannot see across a crate boundary.
 //!
 //! Suppress a finding with `// lint:allow(<rule>)` on the offending line
 //! or the line directly above, ideally with a justification after it.
@@ -36,6 +41,7 @@
 //! The pattern constants below are assembled with `concat!` so this file's
 //! own source never contains the contiguous tokens it hunts for.
 
+use std::collections::HashMap;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -46,6 +52,7 @@ pub const RULE_REQUEST_UNWRAP: &str = "request-unwrap";
 pub const RULE_DURABILITY_UNWRAP: &str = "durability-unwrap";
 pub const RULE_UNDOCUMENTED_UNSAFE: &str = concat!("undocumented-", "unsafe");
 pub const RULE_ORPHAN_RANK: &str = "orphan-rank";
+pub const RULE_ORPHAN_FN: &str = "orphan-fn";
 
 /// Sources on the request-handling path (relative to `crates/`).
 pub const REQUEST_PATH_FILES: &[&str] = &[
@@ -113,27 +120,29 @@ pub struct Report {
     pub files_scanned: usize,
 }
 
-/// Lint every `crates/*/src/**/*.rs` file under `root`.
+/// Lint every `crates/*/src/**/*.rs` file under `root`; every other `.rs`
+/// file under `root` is read as a possible user of what those define.
 pub fn lint_workspace(root: &Path) -> io::Result<Report> {
     let mut files = Vec::new();
-    let crates_dir = root.join("crates");
-    for entry in fs::read_dir(&crates_dir)? {
-        let src = entry?.path().join("src");
-        if src.is_dir() {
-            collect_rs_files(&src, &mut files)?;
-        }
-    }
+    collect_rs_files(root, &mut files)?;
     files.sort();
 
     let mut report = Report::default();
-    let mut sources = Vec::with_capacity(files.len());
+    let mut sources = Vec::new();
+    let mut users = Vec::new();
     for file in files {
         let rel = file.strip_prefix(root).unwrap_or(&file).to_path_buf();
         let text = fs::read_to_string(&file)?;
-        report.files_scanned += 1;
-        lint_file(&rel, &text, &mut report.findings);
-        sources.push((rel, text));
+        let mut parts = rel.components().map(|c| c.as_os_str());
+        if parts.next() == Some("crates".as_ref()) && parts.nth(1) == Some("src".as_ref()) {
+            report.files_scanned += 1;
+            lint_file(&rel, &text, &mut report.findings);
+            sources.push((rel, text));
+        } else {
+            users.push(text);
+        }
     }
+    lint_orphan_fns(&sources, &users, &mut report.findings);
     let rank_table = Path::new("crates/analysis/src/rank.rs");
     if let Some(at) = sources.iter().position(|(rel, _)| rel == rank_table) {
         let (rel, table) = sources.swap_remove(at);
@@ -147,18 +156,12 @@ pub fn lint_workspace(root: &Path) -> io::Result<Report> {
 /// that the code (comments stripped) of no file in `users` names. Exposed
 /// for tests.
 pub fn lint_orphan_ranks(rel: &Path, table: &str, users: &[&str], out: &mut Vec<Finding>) {
-    let names = |text: &str, name: &str| {
-        text.lines()
-            .map(|line| line.split("//").next().unwrap_or(line))
-            .flat_map(|code| code.split(|c: char| !c.is_alphanumeric() && c != '_'))
-            .any(|word| word == name)
-    };
     for (i, raw) in table.lines().enumerate() {
         let declared = raw.trim().strip_prefix("pub const ");
         let Some(name) = declared.and_then(|rest| rest.split(':').next()) else {
             continue;
         };
-        if !users.iter().any(|text| names(text, name)) {
+        if !users.iter().any(|text| code_words(text).any(|w| w == name)) {
             out.push(Finding {
                 file: rel.to_path_buf(),
                 line: i + 1,
@@ -169,9 +172,78 @@ pub fn lint_orphan_ranks(rel: &Path, table: &str, users: &[&str], out: &mut Vec<
     }
 }
 
+/// The identifiers of `text`'s code, comments stripped.
+fn code_words(text: &str) -> impl Iterator<Item = &str> {
+    text.lines()
+        .map(|line| line.split("//").next().unwrap_or(line))
+        .flat_map(|code| code.split(|c: char| !c.is_alphanumeric() && c != '_'))
+        .filter(|word| !word.is_empty())
+}
+
+/// The `orphan-fn` rule: flag each `pub fn` in `sources` (test modules
+/// excluded) whose name the code of `sources` and `users` spells exactly
+/// once — its own definition. Exposed for tests.
+pub fn lint_orphan_fns(sources: &[(PathBuf, String)], users: &[String], out: &mut Vec<Finding>) {
+    let mut uses: HashMap<&str, usize> = HashMap::new();
+    for text in sources.iter().map(|(_, text)| text).chain(users) {
+        for word in code_words(text) {
+            *uses.entry(word).or_default() += 1;
+        }
+    }
+    for (rel, text) in sources {
+        let lines: Vec<&str> = text.lines().collect();
+        for (i, raw) in lines.iter().enumerate() {
+            if starts_test_module(&lines, i) {
+                break;
+            }
+            let declared = raw.trim().strip_prefix("pub ");
+            let declared = declared.map(|rest| rest.strip_prefix("const ").unwrap_or(rest));
+            let Some(name) = declared
+                .and_then(|rest| rest.strip_prefix("fn "))
+                .and_then(|rest| code_words(rest).next())
+            else {
+                continue;
+            };
+            if uses.get(name).copied().unwrap_or(0) <= 1 && !allowed(&lines, i, RULE_ORPHAN_FN) {
+                out.push(Finding {
+                    file: rel.clone(),
+                    line: i + 1,
+                    rule: RULE_ORPHAN_FN,
+                    excerpt: raw.to_string(),
+                });
+            }
+        }
+    }
+}
+
+/// Whether line `i` carries, or sits directly under, `lint:allow(<rule>)`.
+fn allowed(lines: &[&str], i: usize, rule: &str) -> bool {
+    let tag = format!("lint:allow({rule})");
+    lines[i].contains(&tag) || (i > 0 && lines[i - 1].contains(&tag))
+}
+
+/// Whether line `i` opens the file's `#[cfg(test)] mod …` (repo convention
+/// keeps test modules last, so the rules stop reading there).
+fn starts_test_module(lines: &[&str], i: usize) -> bool {
+    lines[i].trim() == "#[cfg(test)]"
+        && lines[i + 1..]
+            .iter()
+            .map(|l| l.trim())
+            .find(|l| !l.is_empty() && !l.starts_with("#["))
+            .is_some_and(|l| l.starts_with("mod ") || l.starts_with("pub mod "))
+}
+
+/// Every `.rs` file under `dir`, build output and hidden directories aside.
 fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
     for entry in fs::read_dir(dir)? {
         let path = entry?.path();
+        let skipped = path
+            .file_name()
+            .and_then(|name| name.to_str())
+            .is_some_and(|name| name == "target" || name.starts_with('.'));
+        if skipped {
+            continue;
+        }
         if path.is_dir() {
             collect_rs_files(&path, out)?;
         } else if path.extension().is_some_and(|e| e == "rs") {
@@ -195,24 +267,12 @@ pub fn lint_file(rel: &Path, text: &str, out: &mut Vec<Finding>) {
     let mut i = 0;
     while i < lines.len() {
         let raw = lines[i];
-        let trimmed = raw.trim();
 
-        // Skip `#[cfg(test)] mod …` to end of file (repo convention keeps
-        // test modules last).
-        if trimmed == "#[cfg(test)]" {
-            let next = lines[i + 1..]
-                .iter()
-                .map(|l| l.trim())
-                .find(|l| !l.is_empty() && !l.starts_with("#["));
-            if next.is_some_and(|l| l.starts_with("mod ") || l.starts_with("pub mod ")) {
-                break;
-            }
+        if starts_test_module(&lines, i) {
+            break;
         }
 
-        let allowed = |rule: &str| {
-            let tag = format!("lint:allow({rule})");
-            raw.contains(&tag) || (i > 0 && lines[i - 1].contains(&tag))
-        };
+        let allowed = |rule: &str| allowed(&lines, i, rule);
         // Comment-stripped view for code-pattern rules.
         let code = raw.split("//").next().unwrap_or(raw);
 

@@ -4,7 +4,7 @@
 
 use std::path::{Path, PathBuf};
 
-use piql_analysis::lint::{lint_file, lint_orphan_ranks, lint_workspace, Finding};
+use piql_analysis::lint::{lint_file, lint_orphan_fns, lint_orphan_ranks, lint_workspace, Finding};
 
 #[test]
 fn workspace_is_lint_clean() {
@@ -139,4 +139,38 @@ fn a_rank_no_other_source_names_is_flagged() {
     assert_eq!(found[0].rule, "orphan-rank");
     assert_eq!(found[0].line, 4);
     assert!(found[0].excerpt.contains("SERVER_GONE"));
+}
+
+#[test]
+fn a_pub_fn_nothing_else_names_is_flagged() {
+    let source = "\
+impl Pool {
+    /// Doc comments may name [`Pool::sized_for_host`]; they use nothing.
+    pub fn sized_for_host() -> Self {
+        Self::new(4)
+    }
+    pub fn new(threads: usize) -> Self {
+        Pool { threads }
+    }
+    pub const fn width(&self) -> usize {
+        self.threads
+    }
+    // lint:allow(orphan-fn): called from generated code
+    pub fn hook() {}
+    fn private_and_unused() {}
+}
+#[cfg(test)]
+mod tests {
+    pub fn helper() {}
+}
+";
+    let sources = [(PathBuf::from("crates/kv/src/pool.rs"), source.to_string())];
+    // a test elsewhere in the repository is a user; a comment is not
+    let users = ["assert_eq!(pool.width(), 4); // not sized_for_host".to_string()];
+    let mut found = Vec::new();
+    lint_orphan_fns(&sources, &users, &mut found);
+    assert_eq!(found.len(), 1, "{found:?}");
+    assert_eq!(found[0].rule, "orphan-fn");
+    assert_eq!(found[0].line, 3);
+    assert!(found[0].excerpt.contains("sized_for_host"));
 }

@@ -4,15 +4,11 @@
 //! the §6.1 operator models from live observation. Instead it fabricates a
 //! [`ModelStore`] from a linear cost model — an operator touching `r` rows
 //! costs `base_us + per_row_us * r` microseconds (±25% spread so the
-//! histograms are not degenerate) — mirroring the deterministic stores the
-//! server's test harnesses use. A real deployment would instead point the
-//! auditor at an exported snapshot of its live store.
+//! histograms are not degenerate) — the same [`ModelStore::linear`] lattice
+//! the server's test harnesses use. A real deployment would instead point
+//! the auditor at an exported snapshot of its live store.
 
-use piql_predict::{ModelKey, ModelStore, OpKind, ALPHA_GRID, BETA_GRID};
-
-/// α_j values fabricated for SortedIndexJoin keys; a subset of
-/// [`ALPHA_GRID`] so ceil-lookups land on exact entries.
-const ALPHA_J_GRID: &[u32] = &[1, 5, 10, 25, 50];
+use piql_predict::ModelStore;
 
 /// Parameters of the synthetic linear cost model.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -63,41 +59,16 @@ impl LinearModelSpec {
         })
     }
 
-    /// Fabricate the store.
+    /// Fabricate the store ([`ModelStore::linear`]).
     pub fn build(&self) -> ModelStore {
-        let mut store = ModelStore::new(self.intervals);
-        for interval in 0..self.intervals {
-            for &beta in BETA_GRID {
-                for &alpha_c in ALPHA_GRID {
-                    for (op, alpha_js) in [
-                        (OpKind::IndexScan, &[1u32][..]),
-                        (OpKind::IndexFKJoin, &[1u32][..]),
-                        (OpKind::SortedIndexJoin, ALPHA_J_GRID),
-                    ] {
-                        for &alpha_j in alpha_js {
-                            let key = ModelKey {
-                                op,
-                                alpha_c,
-                                alpha_j,
-                                beta,
-                            };
-                            let rows = alpha_c as u64 * alpha_j as u64;
-                            let us = self.base_us + self.per_row_us * rows;
-                            store.record(interval, key, us);
-                            store.record(interval, key, us + us / 10);
-                            store.record(interval, key, us + us / 4);
-                        }
-                    }
-                }
-            }
-        }
-        store
+        ModelStore::linear(self.base_us, self.per_row_us, self.intervals)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use piql_predict::{ModelKey, OpKind};
 
     #[test]
     fn parse_accepts_defaults_and_rejects_junk() {

@@ -12,7 +12,7 @@ use piql_core::json::Json;
 use piql_core::opt::Compiled;
 use piql_core::plan::physical::{PhysicalPlan, ScanLimit};
 use piql_core::plan::Provenance;
-use piql_predict::ThetaAttribution;
+use piql_predict::{ModelKey, ThetaAttribution};
 
 /// Static per-operator op-count bounds (a plain-data copy of the plan's
 /// `OpBounds`).
@@ -52,12 +52,9 @@ impl BoundInfo {
 /// it models.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CostTerm {
-    /// Model operator kind (`IndexScan` / `IndexFKJoin` / `SortedIndexJoin`;
-    /// a deref round shows up as an extra `IndexFKJoin` term on its scan).
-    pub op: String,
-    pub alpha_c: u32,
-    pub alpha_j: u32,
-    pub beta: u32,
+    /// The §6.1 key the term was predicted at (a deref round shows up as
+    /// an extra `IndexFKJoin` term on its scan).
+    pub key: ModelKey,
     pub mean_ms: f64,
     pub p99_ms: f64,
     /// Fraction of the plan's predicted mean latency, in `[0, 1]`.
@@ -69,10 +66,7 @@ pub struct CostTerm {
 impl CostTerm {
     fn from_attribution(a: &ThetaAttribution, dominant: bool) -> CostTerm {
         CostTerm {
-            op: a.key.op.name().to_string(),
-            alpha_c: a.key.alpha_c,
-            alpha_j: a.key.alpha_j,
-            beta: a.key.beta,
+            key: a.key,
             mean_ms: a.mean_ms,
             p99_ms: a.p99_ms,
             share: a.share,
@@ -82,10 +76,13 @@ impl CostTerm {
 
     /// `IndexScan(αc=100, αj=1, β=160)` — how diagnostics name the term.
     pub fn describe(&self) -> String {
-        format!(
-            "{}(αc={}, αj={}, β={})",
-            self.op, self.alpha_c, self.alpha_j, self.beta
-        )
+        let ModelKey {
+            op,
+            alpha_c,
+            alpha_j,
+            beta,
+        } = self.key;
+        format!("{}(αc={alpha_c}, αj={alpha_j}, β={beta})", op.name())
     }
 }
 
@@ -183,10 +180,10 @@ impl DerivationNode {
                         .iter()
                         .map(|t| {
                             Json::obj([
-                                ("op", Json::str(&t.op)),
-                                ("alpha_c", Json::uint(t.alpha_c)),
-                                ("alpha_j", Json::uint(t.alpha_j)),
-                                ("beta", Json::uint(t.beta)),
+                                ("op", Json::str(t.key.op.name())),
+                                ("alpha_c", Json::uint(t.key.alpha_c)),
+                                ("alpha_j", Json::uint(t.key.alpha_j)),
+                                ("beta", Json::uint(t.key.beta)),
                                 ("mean_ms", ms(t.mean_ms)),
                                 ("p99_ms", ms(t.p99_ms)),
                                 ("share", ms(t.share)),

@@ -117,17 +117,6 @@ impl CompareOp {
                 | (CompareOp::Ge, Greater | Equal)
         )
     }
-
-    /// The operator with its operands swapped (`a < b` ⇔ `b > a`).
-    pub fn flipped(self) -> CompareOp {
-        match self {
-            CompareOp::Lt => CompareOp::Gt,
-            CompareOp::Le => CompareOp::Ge,
-            CompareOp::Gt => CompareOp::Lt,
-            CompareOp::Ge => CompareOp::Le,
-            other => other,
-        }
-    }
 }
 
 impl fmt::Display for CompareOp {
@@ -183,18 +172,6 @@ impl Predicate {
             | Predicate::IsNull { column, .. } => vec![column],
         }
     }
-
-    /// Whether this is an equality between two columns (a join predicate).
-    pub fn as_column_equality(&self) -> Option<(&ColumnRef, &ColumnRef)> {
-        match self {
-            Predicate::Compare {
-                left,
-                op: CompareOp::Eq,
-                right: ScalarExpr::Column(right),
-            } => Some((left, right)),
-            _ => None,
-        }
-    }
 }
 
 impl fmt::Display for Predicate {
@@ -236,22 +213,6 @@ mod tests {
         assert!(CompareOp::Le.matches(Less));
         assert!(!CompareOp::Lt.matches(Equal));
         assert!(CompareOp::Ne.matches(Greater));
-    }
-
-    #[test]
-    fn join_predicate_detection() {
-        let p = Predicate::Compare {
-            left: ColumnRef::new(Some("t"), "owner"),
-            op: CompareOp::Eq,
-            right: ScalarExpr::Column(ColumnRef::new(Some("s"), "target")),
-        };
-        assert!(p.as_column_equality().is_some());
-        let q = Predicate::Compare {
-            left: ColumnRef::bare("owner"),
-            op: CompareOp::Eq,
-            right: ScalarExpr::Literal(Value::Int(1)),
-        };
-        assert!(q.as_column_equality().is_none());
     }
 
     #[test]

@@ -31,15 +31,6 @@ pub enum Dir {
     Desc,
 }
 
-impl Dir {
-    pub fn reversed(self) -> Dir {
-        match self {
-            Dir::Asc => Dir::Desc,
-            Dir::Desc => Dir::Asc,
-        }
-    }
-}
-
 impl fmt::Display for Dir {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {

@@ -42,15 +42,6 @@ impl QueryClass {
         matches!(self, QueryClass::Constant | QueryClass::Bounded)
     }
 
-    pub fn roman(self) -> &'static str {
-        match self {
-            QueryClass::Constant => "I",
-            QueryClass::Bounded => "II",
-            QueryClass::Linear => "III",
-            QueryClass::SuperLinear => "IV",
-        }
-    }
-
     /// Why the class was assigned, in terms of the evidence
     /// [`QueryClass::from_analysis`] consumed — the derivation line audit
     /// reports attach to the root of the bound tree.
@@ -101,6 +92,5 @@ mod tests {
         assert_eq!(QueryClass::from_analysis(2, false), QueryClass::SuperLinear);
         assert!(QueryClass::Bounded.is_scale_independent());
         assert!(!QueryClass::Linear.is_scale_independent());
-        assert_eq!(QueryClass::SuperLinear.roman(), "IV");
     }
 }

@@ -306,17 +306,30 @@ impl PhysicalPlan {
             if let Some(c) = p.child() {
                 walk(c, out);
             }
-            if matches!(
-                p,
-                PhysicalPlan::IndexScan { .. }
-                    | PhysicalPlan::IndexFKJoin { .. }
-                    | PhysicalPlan::SortedIndexJoin { .. }
-            ) {
+            if p.theta().is_some() {
                 out.push(p);
             }
         }
         walk(self, &mut ops);
         ops
+    }
+
+    /// The §6.1 coordinates `(α_c, α_j, β)` a remote operator is modeled
+    /// at, as the plan bounds them: what its Θ is predicted from and what
+    /// its prepared form is tagged with. `None` for a local operator.
+    pub fn theta(&self) -> Option<(u64, u64, u64)> {
+        match self {
+            PhysicalPlan::IndexScan { spec, .. } => {
+                Some((spec.limit.count_or_estimate(), 1, spec.row_bytes))
+            }
+            PhysicalPlan::IndexFKJoin {
+                child, row_bytes, ..
+            } => Some((child.bounds().tuples, 1, *row_bytes)),
+            PhysicalPlan::SortedIndexJoin { child, spec, .. } => {
+                Some((child.bounds().tuples, spec.per_key, spec.row_bytes))
+            }
+            _ => None,
+        }
     }
 
     /// Sum the per-operator bounds into whole-query totals.

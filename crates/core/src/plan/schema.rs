@@ -11,7 +11,6 @@ use crate::ast::{ColumnRef, Param};
 use crate::catalog::{Catalog, TableId};
 use crate::value::DataType;
 use std::fmt;
-use std::sync::Arc;
 
 /// Index into [`QuerySchema::fields`].
 pub type FieldId = usize;
@@ -196,9 +195,6 @@ impl QuerySchema {
         self.fields[field].rel_id
     }
 }
-
-/// Shared handle used across plan nodes.
-pub type SchemaRef = Arc<QuerySchema>;
 
 #[cfg(test)]
 mod tests {

@@ -74,27 +74,49 @@ impl fmt::Display for RecordError {
     }
 }
 
-// -- primitive encoders ---------------------------------------------------
+// -- primitive encoders (the snapshot body is written with the same ones) --
 
-fn put_u32(out: &mut Vec<u8>, v: u32) {
+pub(crate) fn put_u32(out: &mut Vec<u8>, v: u32) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
-fn put_u64(out: &mut Vec<u8>, v: u64) {
+pub(crate) fn put_u64(out: &mut Vec<u8>, v: u64) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
-fn put_bytes(out: &mut Vec<u8>, b: &[u8]) {
+pub(crate) fn put_bytes(out: &mut Vec<u8>, b: &[u8]) {
     put_u32(out, b.len() as u32);
     out.extend_from_slice(b);
 }
 
-struct Cursor<'a> {
+/// One model interval: a `u32` count, then per histogram its key (op byte
+/// [`OpKind::index`], α_c, α_j, β) and its `(bin, count)` pairs.
+pub(crate) fn put_interval(out: &mut Vec<u8>, interval: &[SparseHistogram]) {
+    put_u32(out, interval.len() as u32);
+    for (key, bins) in interval {
+        out.push(key.op.index() as u8);
+        put_u32(out, key.alpha_c);
+        put_u32(out, key.alpha_j);
+        put_u32(out, key.beta);
+        put_u32(out, bins.len() as u32);
+        for (bin, count) in bins {
+            put_u32(out, *bin);
+            put_u64(out, *count);
+        }
+    }
+}
+
+/// A bounds-checked reader over one payload or snapshot body.
+pub(crate) struct Cursor<'a> {
     buf: &'a [u8],
     at: usize,
 }
 
 impl<'a> Cursor<'a> {
+    pub(crate) fn new(buf: &'a [u8]) -> Self {
+        Cursor { buf, at: 0 }
+    }
+
     fn take(&mut self, n: usize) -> Result<&'a [u8], RecordError> {
         if self.buf.len() - self.at < n {
             return Err(RecordError::Truncated);
@@ -104,11 +126,11 @@ impl<'a> Cursor<'a> {
         Ok(s)
     }
 
-    fn u8(&mut self) -> Result<u8, RecordError> {
+    pub(crate) fn u8(&mut self) -> Result<u8, RecordError> {
         Ok(self.take(1)?[0])
     }
 
-    fn u32(&mut self) -> Result<u32, RecordError> {
+    pub(crate) fn u32(&mut self) -> Result<u32, RecordError> {
         let bytes = self
             .take(4)?
             .try_into()
@@ -116,7 +138,7 @@ impl<'a> Cursor<'a> {
         Ok(u32::from_le_bytes(bytes))
     }
 
-    fn u64(&mut self) -> Result<u64, RecordError> {
+    pub(crate) fn u64(&mut self) -> Result<u64, RecordError> {
         let bytes = self
             .take(8)?
             .try_into()
@@ -124,34 +146,41 @@ impl<'a> Cursor<'a> {
         Ok(u64::from_le_bytes(bytes))
     }
 
-    fn bytes(&mut self) -> Result<Vec<u8>, RecordError> {
+    pub(crate) fn bytes(&mut self) -> Result<Vec<u8>, RecordError> {
         let n = self.u32()? as usize;
         Ok(self.take(n)?.to_vec())
     }
 
-    fn string(&mut self) -> Result<String, RecordError> {
+    pub(crate) fn string(&mut self) -> Result<String, RecordError> {
         String::from_utf8(self.bytes()?).map_err(|_| RecordError::BadString)
     }
 
-    fn done(&self) -> bool {
+    /// What [`put_interval`] wrote. Counts come from the bytes, so they
+    /// size nothing beyond a clamp: a lying count runs out of input.
+    pub(crate) fn interval(&mut self) -> Result<Vec<SparseHistogram>, RecordError> {
+        let n = self.u32()? as usize;
+        let mut interval = Vec::with_capacity(n.min(4_096));
+        for _ in 0..n {
+            let op = self.u8()?;
+            let op = OpKind::from_index(op.into()).ok_or(RecordError::UnknownTag(op))?;
+            let key = ModelKey {
+                op,
+                alpha_c: self.u32()?,
+                alpha_j: self.u32()?,
+                beta: self.u32()?,
+            };
+            let n_bins = self.u32()? as usize;
+            let mut bins = Vec::with_capacity(n_bins.min(8_192));
+            for _ in 0..n_bins {
+                bins.push((self.u32()?, self.u64()?));
+            }
+            interval.push((key, bins));
+        }
+        Ok(interval)
+    }
+
+    pub(crate) fn done(&self) -> bool {
         self.at == self.buf.len()
-    }
-}
-
-fn op_tag(op: OpKind) -> u8 {
-    match op {
-        OpKind::IndexScan => 0,
-        OpKind::IndexFKJoin => 1,
-        OpKind::SortedIndexJoin => 2,
-    }
-}
-
-fn op_from_tag(t: u8) -> Result<OpKind, RecordError> {
-    match t {
-        0 => Ok(OpKind::IndexScan),
-        1 => Ok(OpKind::IndexFKJoin),
-        2 => Ok(OpKind::SortedIndexJoin),
-        other => Err(RecordError::UnknownTag(other)),
     }
 }
 
@@ -192,18 +221,7 @@ impl WalRecord {
             WalRecord::ModelInterval { seq, interval } => {
                 out.push(TAG_MODEL_INTERVAL);
                 put_u64(&mut out, *seq);
-                put_u32(&mut out, interval.len() as u32);
-                for (key, bins) in interval {
-                    out.push(op_tag(key.op));
-                    put_u32(&mut out, key.alpha_c);
-                    put_u32(&mut out, key.alpha_j);
-                    put_u32(&mut out, key.beta);
-                    put_u32(&mut out, bins.len() as u32);
-                    for (bin, count) in bins {
-                        put_u32(&mut out, *bin);
-                        put_u64(&mut out, *count);
-                    }
-                }
+                put_interval(&mut out, interval);
             }
         }
         out
@@ -212,10 +230,7 @@ impl WalRecord {
     /// Decode a payload produced by [`WalRecord::encode`]. Trailing bytes
     /// are an error: a frame holds exactly one record.
     pub fn decode(payload: &[u8]) -> Result<WalRecord, RecordError> {
-        let mut c = Cursor {
-            buf: payload,
-            at: 0,
-        };
+        let mut c = Cursor::new(payload);
         let rec = match c.u8()? {
             TAG_NS_CREATE => WalRecord::NsCreate {
                 ns: c.u32()?,
@@ -236,27 +251,10 @@ impl WalRecord {
                 sql: c.string()?,
             },
             TAG_STMT_DROP => WalRecord::StatementDrop { name: c.string()? },
-            TAG_MODEL_INTERVAL => {
-                let seq = c.u64()?;
-                let n = c.u32()? as usize;
-                let mut interval = Vec::with_capacity(n.min(4_096));
-                for _ in 0..n {
-                    let op = op_from_tag(c.u8()?)?;
-                    let key = ModelKey {
-                        op,
-                        alpha_c: c.u32()?,
-                        alpha_j: c.u32()?,
-                        beta: c.u32()?,
-                    };
-                    let n_bins = c.u32()? as usize;
-                    let mut bins = Vec::with_capacity(n_bins.min(8_192));
-                    for _ in 0..n_bins {
-                        bins.push((c.u32()?, c.u64()?));
-                    }
-                    interval.push((key, bins));
-                }
-                WalRecord::ModelInterval { seq, interval }
-            }
+            TAG_MODEL_INTERVAL => WalRecord::ModelInterval {
+                seq: c.u64()?,
+                interval: c.interval()?,
+            },
             other => return Err(RecordError::UnknownTag(other)),
         };
         if !c.done() {
@@ -364,6 +362,37 @@ mod tests {
             let payload = rec.encode();
             assert_eq!(WalRecord::decode(&payload).unwrap(), rec);
         }
+    }
+
+    #[test]
+    fn model_interval_payload_is_the_bytes_older_builds_wrote() {
+        // generated by the build at 2bf91e6, before both formats shared one
+        // interval codec: a log written then must replay now, and a log
+        // written now must read back then
+        const GOLDEN: &str =
+            "072a0000000000000002000000006400000001000000280000000100000002000000070000000000\
+            0000020a00000005000000a000000003000000000000000300000000000000110000000100000000\
+            000000a00f00000900000000000000";
+        let key = |op, alpha_c, alpha_j, beta| ModelKey {
+            op,
+            alpha_c,
+            alpha_j,
+            beta,
+        };
+        let rec = WalRecord::ModelInterval {
+            seq: 42,
+            interval: vec![
+                (key(OpKind::IndexScan, 100, 1, 40), vec![(2, 7)]),
+                (
+                    key(OpKind::SortedIndexJoin, 10, 5, 160),
+                    vec![(0, 3), (17, 1), (4_000, 9)],
+                ),
+            ],
+        };
+        let payload = rec.encode();
+        let hex: String = payload.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(hex, GOLDEN);
+        assert_eq!(WalRecord::decode(&payload).unwrap(), rec);
     }
 
     #[test]

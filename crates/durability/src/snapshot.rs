@@ -6,9 +6,10 @@
 //! leaves the previous generation's snapshot untouched and the manifest
 //! still pointing at it.
 
-use crate::record::{crc32, SparseHistogram};
+use crate::record::{
+    crc32, put_bytes, put_interval, put_u32, put_u64, Cursor, RecordError, SparseHistogram,
+};
 use piql_kv::KvEntry;
-use piql_predict::{ModelKey, OpKind};
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Write};
 use std::path::Path;
@@ -40,87 +41,17 @@ pub struct ModelCheckpoint {
     pub intervals: Vec<Vec<SparseHistogram>>,
 }
 
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
+fn invalid(msg: &'static str) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, msg)
 }
 
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_bytes(out: &mut Vec<u8>, b: &[u8]) {
-    put_u32(out, b.len() as u32);
-    out.extend_from_slice(b);
-}
-
-fn op_tag(op: OpKind) -> u8 {
-    match op {
-        OpKind::IndexScan => 0,
-        OpKind::IndexFKJoin => 1,
-        OpKind::SortedIndexJoin => 2,
-    }
-}
-
-fn short_body(_: std::array::TryFromSliceError) -> io::Error {
-    io::Error::new(
-        io::ErrorKind::InvalidData,
-        "snapshot body shorter than its fields",
-    )
-}
-
-struct Cursor<'a> {
-    buf: &'a [u8],
-    at: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn take(&mut self, n: usize) -> io::Result<&'a [u8]> {
-        if self.buf.len() - self.at < n {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "snapshot body shorter than its fields",
-            ));
-        }
-        let s = &self.buf[self.at..self.at + n];
-        self.at += n;
-        Ok(s)
-    }
-
-    fn u8(&mut self) -> io::Result<u8> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> io::Result<u32> {
-        let bytes = self.take(4)?.try_into().map_err(short_body)?;
-        Ok(u32::from_le_bytes(bytes))
-    }
-
-    fn u64(&mut self) -> io::Result<u64> {
-        let bytes = self.take(8)?.try_into().map_err(short_body)?;
-        Ok(u64::from_le_bytes(bytes))
-    }
-
-    fn bytes(&mut self) -> io::Result<Vec<u8>> {
-        let n = self.u32()? as usize;
-        Ok(self.take(n)?.to_vec())
-    }
-
-    fn string(&mut self) -> io::Result<String> {
-        String::from_utf8(self.bytes()?)
-            .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "snapshot string not UTF-8"))
-    }
-}
-
-fn op_from_tag(t: u8) -> io::Result<OpKind> {
-    match t {
-        0 => Ok(OpKind::IndexScan),
-        1 => Ok(OpKind::IndexFKJoin),
-        2 => Ok(OpKind::SortedIndexJoin),
-        _ => Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "snapshot op tag out of range",
-        )),
-    }
+/// The shared cursor's decode failures, in this format's words.
+fn snap_err(e: RecordError) -> io::Error {
+    invalid(match e {
+        RecordError::Truncated => "snapshot body shorter than its fields",
+        RecordError::BadString => "snapshot string not UTF-8",
+        RecordError::UnknownTag(_) => "snapshot op tag out of range",
+    })
 }
 
 fn encode_body(state: &SnapshotState) -> Vec<u8> {
@@ -150,18 +81,7 @@ fn encode_body(state: &SnapshotState) -> Vec<u8> {
             put_u64(&mut out, checkpoint.seq);
             put_u32(&mut out, checkpoint.intervals.len() as u32);
             for interval in &checkpoint.intervals {
-                put_u32(&mut out, interval.len() as u32);
-                for (key, bins) in interval {
-                    out.push(op_tag(key.op));
-                    put_u32(&mut out, key.alpha_c);
-                    put_u32(&mut out, key.alpha_j);
-                    put_u32(&mut out, key.beta);
-                    put_u32(&mut out, bins.len() as u32);
-                    for (bin, count) in bins {
-                        put_u32(&mut out, *bin);
-                        put_u64(&mut out, *count);
-                    }
-                }
+                put_interval(&mut out, interval);
             }
         }
     }
@@ -169,7 +89,15 @@ fn encode_body(state: &SnapshotState) -> Vec<u8> {
 }
 
 fn decode_body(body: &[u8]) -> io::Result<SnapshotState> {
-    let mut c = Cursor { buf: body, at: 0 };
+    let mut c = Cursor::new(body);
+    let state = decode_fields(&mut c).map_err(snap_err)?;
+    if !c.done() {
+        return Err(invalid("snapshot body has trailing bytes"));
+    }
+    Ok(state)
+}
+
+fn decode_fields(c: &mut Cursor<'_>) -> Result<SnapshotState, RecordError> {
     let n_ns = c.u32()? as usize;
     let mut namespaces = Vec::with_capacity(n_ns.min(1 << 16));
     for _ in 0..n_ns {
@@ -202,34 +130,11 @@ fn decode_body(body: &[u8]) -> io::Result<SnapshotState> {
             let n_intervals = c.u32()? as usize;
             let mut intervals = Vec::with_capacity(n_intervals.min(1 << 10));
             for _ in 0..n_intervals {
-                let n_keys = c.u32()? as usize;
-                let mut interval: Vec<SparseHistogram> = Vec::with_capacity(n_keys.min(1 << 16));
-                for _ in 0..n_keys {
-                    let op = op_from_tag(c.u8()?)?;
-                    let key = ModelKey {
-                        op,
-                        alpha_c: c.u32()?,
-                        alpha_j: c.u32()?,
-                        beta: c.u32()?,
-                    };
-                    let n_bins = c.u32()? as usize;
-                    let mut bins = Vec::with_capacity(n_bins.min(1 << 13));
-                    for _ in 0..n_bins {
-                        bins.push((c.u32()?, c.u64()?));
-                    }
-                    interval.push((key, bins));
-                }
-                intervals.push(interval);
+                intervals.push(c.interval()?);
             }
             Some(ModelCheckpoint { seq, intervals })
         }
     };
-    if c.at != body.len() {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "snapshot body has trailing bytes",
-        ));
-    }
     Ok(SnapshotState {
         namespaces,
         ddl,
@@ -266,21 +171,11 @@ pub fn read_snapshot(path: &Path) -> io::Result<SnapshotState> {
     let mut data = Vec::new();
     File::open(path)?.read_to_end(&mut data)?;
     if data.len() < MAGIC.len() + 4 || &data[..MAGIC.len()] != MAGIC {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "not a piql snapshot file",
-        ));
+        return Err(invalid("not a piql snapshot file"));
     }
-    let body = &data[MAGIC.len()..data.len() - 4];
-    let stored = data[data.len() - 4..]
-        .try_into()
-        .map(u32::from_le_bytes)
-        .map_err(short_body)?;
-    if crc32(body) != stored {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "snapshot checksum mismatch",
-        ));
+    let (body, stored) = data[MAGIC.len()..].split_at(data.len() - MAGIC.len() - 4);
+    if crc32(body) != Cursor::new(stored).u32().map_err(snap_err)? {
+        return Err(invalid("snapshot checksum mismatch"));
     }
     decode_body(body)
 }
@@ -288,6 +183,7 @@ pub fn read_snapshot(path: &Path) -> io::Result<SnapshotState> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use piql_predict::{ModelKey, OpKind};
 
     fn sample() -> SnapshotState {
         SnapshotState {
@@ -324,6 +220,36 @@ mod tests {
         assert_eq!(read_snapshot(&path).unwrap(), state);
         // no temp file left behind
         assert!(!path.with_extension("tmp").exists());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn snapshot_file_is_the_bytes_older_builds_wrote() {
+        // generated by the build at 2bf91e6 (see the WAL's golden record):
+        // magic, body with a two-interval model checkpoint, CRC
+        const GOLDEN: &str =
+            "5049514c534e50310200000007000000743a75736572730100000000000000020000006b31020000\
+            0076310c000000693a75736572733a6e616d65000000000000000001000000270000004352454154\
+            45205441424c452075736572732028696420494e54205052494d415259204b455929010000000100\
+            0000712200000053454c454354202a2046524f4d207573657273205748455245206964203d203c69\
+            3e0107000000000000000200000001000000011900000001000000a000000002000000020000000a\
+            000000000000002800000002000000000000000000000011593073";
+        let mut state = sample();
+        state
+            .models
+            .as_mut()
+            .expect("sample has a checkpoint")
+            .intervals
+            .push(vec![]);
+        let dir = std::env::temp_dir().join(format!("piql-snapgold-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("snapshot-1.snap");
+        write_snapshot(&path, &state).unwrap();
+        let written = std::fs::read(&path).unwrap();
+        let hex: String = written.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(hex, GOLDEN);
+        assert_eq!(read_snapshot(&path).unwrap(), state);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -32,7 +32,7 @@ use piql_core::plan::BoundPredicate;
 use piql_core::tuple::Tuple;
 use piql_core::value::{DataType, Value, ValueRef};
 use piql_kv::{
-    Entries, KvRequest, KvResponse, KvStore, LiveOpKind, NsId, OpTag, ResponseMismatch, Session,
+    Entries, KvRequest, KvResponse, KvStore, ModelKey, NsId, OpKind, ResponseMismatch, Session,
 };
 use std::collections::BTreeMap;
 use std::fmt;
@@ -138,6 +138,11 @@ pub struct RemoteOp {
     pub types: Vec<DataType>,
     /// The first probe component is matched as a search token (§7.3).
     pub token: bool,
+    /// The §6.1 key the plan bounds the operator at
+    /// ([`PhysicalPlan::theta`]) — the one `piql_predict::plan_thetas`
+    /// predicts it at. A scan's rounds are sampled under it as is; a join
+    /// tags the child cardinality it observed instead of the bound.
+    pub key: ModelKey,
 }
 
 impl RemoteOp {
@@ -146,6 +151,7 @@ impl RemoteOp {
         catalog: &Catalog,
         table: TableId,
         index: Option<&IndexDef>,
+        key: ModelKey,
     ) -> Result<RemoteOp, keys::KeyError> {
         let table = catalog.table_by_id(table).clone();
         let primary = store.namespace(&Catalog::table_namespace(&table));
@@ -174,6 +180,7 @@ impl RemoteOp {
             token: index.is_some_and(IndexDef::has_token_part),
             parts,
             table,
+            key,
         })
     }
 
@@ -187,21 +194,32 @@ impl RemoteOp {
     ) -> Result<Vec<RemoteOp>, keys::KeyError> {
         plan.remote_ops()
             .into_iter()
-            .map(|op| match op {
-                PhysicalPlan::IndexScan {
-                    spec: ScanSpec { index, .. },
-                    ..
-                }
-                | PhysicalPlan::SortedIndexJoin {
-                    spec: SortedJoinSpec { index, .. },
-                    ..
-                } => Self::resolve(store, catalog, index.table, index.secondary.as_ref()),
-                PhysicalPlan::IndexFKJoin { table, .. } => {
-                    Self::resolve(store, catalog, *table, None)
-                }
-                _ => Err(keys::KeyError::RowShape(
-                    "a local operator among the remote ones".into(),
-                )),
+            .map(|op| {
+                let (kind, table, index, (alpha_c, alpha_j, beta)) = match (op, op.theta()) {
+                    (PhysicalPlan::IndexScan { spec, .. }, Some(theta)) => {
+                        let at = &spec.index;
+                        (OpKind::IndexScan, at.table, at.secondary.as_ref(), theta)
+                    }
+                    (PhysicalPlan::SortedIndexJoin { spec, .. }, Some(theta)) => {
+                        let at = &spec.index;
+                        (
+                            OpKind::SortedIndexJoin,
+                            at.table,
+                            at.secondary.as_ref(),
+                            theta,
+                        )
+                    }
+                    (PhysicalPlan::IndexFKJoin { table, .. }, Some(theta)) => {
+                        (OpKind::IndexFKJoin, *table, None, theta)
+                    }
+                    _ => {
+                        return Err(keys::KeyError::RowShape(
+                            "a local operator among the remote ones".into(),
+                        ))
+                    }
+                };
+                let key = ModelKey::new(kind, alpha_c, alpha_j, beta);
+                Self::resolve(store, catalog, table, index, key)
             })
             .collect()
     }
@@ -256,13 +274,8 @@ impl<'a> ExecCtx<'a> {
     /// Tag the session with the remote operator about to issue rounds, so
     /// wall-clock backends can attribute round latencies to the §6.1 model
     /// key (op kind, α_c, α_j, β) for online training.
-    fn tag_op(&mut self, op: LiveOpKind, alpha_c: u64, alpha_j: u64, beta: u64) {
-        self.session.op_tag = Some(OpTag {
-            op,
-            alpha_c: alpha_c.min(u32::MAX as u64) as u32,
-            alpha_j: alpha_j.min(u32::MAX as u64) as u32,
-            beta: beta.min(u32::MAX as u64) as u32,
-        });
+    fn tag_op(&mut self, op: OpKind, alpha_c: u64, alpha_j: u64, beta: u64) {
+        self.session.op_tag = Some(ModelKey::new(op, alpha_c, alpha_j, beta));
     }
 
     fn clear_op_tag(&mut self) {
@@ -363,12 +376,7 @@ impl<'a> ExecCtx<'a> {
             }
         }
 
-        self.tag_op(
-            LiveOpKind::IndexScan,
-            spec.limit.count_or_estimate(),
-            1,
-            spec.row_bytes,
-        );
+        self.session.op_tag = Some(op.key);
         let ns = op.ns;
         let entries = match (&spec.limit, self.strategy) {
             (ScanLimit::Bounded { count, .. }, ExecStrategy::Lazy) => {
@@ -478,12 +486,7 @@ impl<'a> ExecCtx<'a> {
             }
             probe_keys.push(probe);
         }
-        self.tag_op(
-            LiveOpKind::IndexFKJoin,
-            probe_keys.len() as u64,
-            1,
-            row_bytes,
-        );
+        self.tag_op(OpKind::IndexFKJoin, probe_keys.len() as u64, 1, row_bytes);
         let responses = self.issue_gets(op.primary, probe_keys)?;
         self.clear_op_tag();
         let mut out = Vec::with_capacity(children.len());
@@ -555,7 +558,7 @@ impl<'a> ExecCtx<'a> {
 
         // fetch up to per_key entries per probe
         self.tag_op(
-            LiveOpKind::SortedIndexJoin,
+            OpKind::SortedIndexJoin,
             requests.len() as u64,
             spec.per_key,
             spec.row_bytes,
@@ -771,7 +774,7 @@ impl<'a> ExecCtx<'a> {
         // non-covering index dereference: modeled (and therefore
         // sampled) as an IndexFKJoin of the fetched entries — the
         // same shape `plan_thetas` predicts for it
-        self.tag_op(LiveOpKind::IndexFKJoin, pk_keys.len() as u64, 1, row_bytes);
+        self.tag_op(OpKind::IndexFKJoin, pk_keys.len() as u64, 1, row_bytes);
         let responses = self.issue_gets(op.primary, pk_keys)?;
         self.clear_op_tag();
         for (i, ((k, _), resp)) in entries.zip(responses).enumerate() {

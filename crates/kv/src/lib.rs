@@ -56,7 +56,7 @@ pub use latency::{InterferenceConfig, LatencyConfig};
 pub use live::{LiveCluster, LiveConfig, LiveStatsSnapshot};
 pub use op::{Entries, KvEntry, KvRequest, KvResponse, NsId, RequestRound, ResponseMismatch};
 pub use pool::{PoolStats, RoundPool};
-pub use sample::{LiveOpKind, LiveSampleSink, OpSample, OpTag};
+pub use sample::{LiveSampleSink, ModelKey, OpKind, OpSample};
 pub use session::{Session, SessionStats};
-pub use time::{as_millis_f64, Micros, MILLIS, SECONDS};
+pub use time::{Micros, MILLIS, SECONDS};
 pub use wal::WalSink;

@@ -492,9 +492,7 @@ pub struct LiveCluster {
     namespaces: RwLock<Vec<Arc<LiveNamespace>>>,
     names: RwLock<BTreeMap<String, NsId>>,
     epoch: Instant,
-    /// The fan-out pool. Shared by every session of this cluster; may also
-    /// be shared across clusters via [`LiveCluster::with_pool`], so one
-    /// process never runs more storage workers than it asked for.
+    /// The fan-out pool, shared by every session of this cluster.
     pool: Arc<RoundPool>,
     /// Runtime-adjustable copy of `config.request_delay_us`.
     request_delay_us: AtomicU64,
@@ -516,21 +514,13 @@ impl Default for LiveCluster {
 
 impl LiveCluster {
     pub fn new(config: LiveConfig) -> Self {
-        let pool = Arc::new(RoundPool::new(config.pool_threads));
-        Self::with_pool(config, pool)
-    }
-
-    /// Build a cluster executing its rounds on an externally owned pool —
-    /// the hook for co-hosting several clusters (or other round sources)
-    /// behind one bounded set of storage workers.
-    pub fn with_pool(config: LiveConfig, pool: Arc<RoundPool>) -> Self {
         LiveCluster {
+            pool: Arc::new(RoundPool::new(config.pool_threads)),
             request_delay_us: AtomicU64::new(config.request_delay_us),
             config,
             namespaces: RwLock::new(rank::KV_NAMESPACES, "kv.namespaces", Vec::new()),
             names: RwLock::new(rank::KV_NAMES, "kv.names", BTreeMap::new()),
             epoch: Instant::now(),
-            pool,
             sink: LiveSampleSink::default(),
             wal: RwLock::new(rank::KV_CLUSTER_WAL, "kv.cluster.wal", None),
             wal_degraded: AtomicBool::new(false),
@@ -598,8 +588,7 @@ impl LiveCluster {
         &self.sink
     }
 
-    /// The round fan-out pool (for sharing via [`LiveCluster::with_pool`]
-    /// and for observability).
+    /// The round fan-out pool (observability).
     pub fn pool(&self) -> &Arc<RoundPool> {
         &self.pool
     }
@@ -1374,7 +1363,7 @@ mod tests {
 
     #[test]
     fn point_get_sample_includes_the_injected_service_time() {
-        use crate::sample::{LiveOpKind, OpTag};
+        use crate::sample::{ModelKey, OpKind};
         let c = LiveCluster::new(LiveConfig {
             request_delay_us: 5_000,
             ..LiveConfig::default()
@@ -1383,14 +1372,7 @@ mod tests {
         c.bulk_put(ns, b"hit".to_vec(), b"value".to_vec());
         let mut s = Session::new();
         // `beta` tells the two lanes' samples apart after the drain
-        let tag = |beta| {
-            Some(OpTag {
-                op: LiveOpKind::IndexScan,
-                alpha_c: 1,
-                alpha_j: 1,
-                beta,
-            })
-        };
+        let tag = |beta| Some(ModelKey::new(OpKind::IndexScan, 1, 1, beta));
         s.op_tag = tag(1);
         assert_eq!(c.point_get(&mut s, ns, b"hit", &mut Vec::new()), Some(true));
         s.op_tag = tag(2);

@@ -82,14 +82,6 @@ impl RoundPool {
         }
     }
 
-    /// A pool sized to the machine: one worker per available core, with a
-    /// floor of 4 (round tasks mostly *wait* — on shard locks or storage
-    /// I/O — so overlap pays even on small hosts) and a cap of 16 (rounds
-    /// are short; more threads only add contention).
-    pub fn default_for_host() -> Self {
-        Self::new(default_pool_threads())
-    }
-
     pub fn worker_count(&self) -> usize {
         self.workers.len()
     }
@@ -150,8 +142,10 @@ impl RoundPool {
     }
 }
 
-/// The default worker count for host-sized pools (see
-/// [`RoundPool::default_for_host`]).
+/// The default worker count for host-sized pools: one worker per
+/// available core, with a floor of 4 (round tasks mostly *wait* — on shard
+/// locks or storage I/O — so overlap pays even on small hosts) and a cap of
+/// 16 (rounds are short; more threads only add contention).
 pub fn default_pool_threads() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())

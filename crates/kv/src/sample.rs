@@ -2,14 +2,18 @@
 //! training (§6.1 applied to the serving store instead of a training
 //! cluster).
 //!
-//! The execution engine tags its session with an [`OpTag`] describing the
-//! remote operator it is currently running (kind plus the model's
-//! cardinality parameters); [`LiveCluster`](crate::LiveCluster) measures
-//! every tagged round on the wall clock and pushes one [`OpSample`] per
-//! round into its [`LiveSampleSink`]. A periodic consumer (the server's
-//! `Revalidator`) drains the sink and folds the samples into the SLO
-//! prediction models, closing the loop between the store the service
-//! actually runs on and the admission decisions made against it.
+//! The execution engine tags its session with the [`ModelKey`] of the
+//! remote operator it is currently running;
+//! [`LiveCluster`](crate::LiveCluster) measures every tagged round on the
+//! wall clock and pushes one [`OpSample`] per round into its
+//! [`LiveSampleSink`]. A periodic consumer (the server's `Revalidator`)
+//! drains the sink and folds the samples into the SLO prediction models,
+//! closing the loop between the store the service actually runs on and the
+//! admission decisions made against it.
+//!
+//! [`ModelKey`] is the one statement of the §6.1 coordinate: the plan's
+//! prediction, the session's tag, the sample, the model store's index and
+//! both durable formats all carry this type (the predictor re-exports it).
 //!
 //! The sink is deliberately cheap on the hot path: samples are striped over
 //! a handful of short-critical-section buffers, capacity is bounded (a
@@ -21,56 +25,75 @@ use piql_analysis::ordered::Mutex;
 use piql_analysis::rank;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
-/// Remote-operator kinds as the storage layer sees them — the same
-/// vocabulary as the paper's three modeled operators (§6.1). The predictor
-/// maps these onto its `OpKind`; the engine picks the tag from the plan
-/// node it is executing.
+/// The three remote operators the model covers (§6.1 ignores local
+/// operators: key/value-store latency dominates interactive queries).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum LiveOpKind {
-    /// One bounded range read of α entries.
-    IndexScan,
-    /// α_c parallel primary-key gets.
-    IndexFKJoin,
-    /// α_c parallel bounded range reads of α_j entries each.
-    SortedIndexJoin,
+pub enum OpKind {
+    /// Θ(α, β): one bounded range read of α entries of β bytes.
+    IndexScan = 0,
+    /// Θ(αc, β): αc parallel primary-key gets.
+    IndexFKJoin = 1,
+    /// Θ(αc, αj, β): αc parallel bounded range reads of αj entries each.
+    SortedIndexJoin = 2,
 }
 
-impl LiveOpKind {
-    /// Stable index (also the `RunMetrics` interaction-kind label index
-    /// the server records per statement).
+impl OpKind {
+    /// The operator's stable number (its discriminant): the `RunMetrics`
+    /// interaction-kind label the server records per statement, and the op
+    /// byte of both durable formats.
     pub fn index(self) -> usize {
-        match self {
-            LiveOpKind::IndexScan => 0,
-            LiveOpKind::IndexFKJoin => 1,
-            LiveOpKind::SortedIndexJoin => 2,
-        }
+        self as usize
+    }
+
+    /// The operator numbered `index`, if there is one.
+    pub fn from_index(index: usize) -> Option<OpKind> {
+        [Self::IndexScan, Self::IndexFKJoin, Self::SortedIndexJoin]
+            .into_iter()
+            .find(|op| op.index() == index)
     }
 
     pub fn name(self) -> &'static str {
         match self {
-            LiveOpKind::IndexScan => "IndexScan",
-            LiveOpKind::IndexFKJoin => "IndexFKJoin",
-            LiveOpKind::SortedIndexJoin => "SortedIndexJoin",
+            OpKind::IndexScan => "IndexScan",
+            OpKind::IndexFKJoin => "IndexFKJoin",
+            OpKind::SortedIndexJoin => "SortedIndexJoin",
         }
     }
 }
 
-/// The operator context a session carries while one remote operator's
-/// rounds execute: the operator kind and the model parameters Θ is indexed
-/// by (child cardinality α_c, per-key fan-out α_j, tuple bytes β).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct OpTag {
-    pub op: LiveOpKind,
+/// The coordinate an operator's model Θ is indexed by (§6.1) — predicted
+/// at, tagged on the session while the operator's rounds execute, sampled
+/// under, stored under and logged under.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct ModelKey {
+    pub op: OpKind,
+    /// Child-side cardinality (scan: the limit hint; joins: child tuples).
     pub alpha_c: u32,
+    /// Per-key fan-out (1 except SortedIndexJoin).
     pub alpha_j: u32,
+    /// Tuple size in bytes.
     pub beta: u32,
 }
 
-/// One observed operator execution: the tag (op kind + cardinality bucket
-/// parameters) and the round's wall-clock latency in microseconds.
+impl ModelKey {
+    /// The key at plan-side (`u64`) coordinates, saturating: a bound past
+    /// `u32::MAX` is beyond every lattice anyway.
+    pub fn new(op: OpKind, alpha_c: u64, alpha_j: u64, beta: u64) -> ModelKey {
+        let clamp = |x: u64| x.min(u32::MAX as u64) as u32;
+        ModelKey {
+            op,
+            alpha_c: clamp(alpha_c),
+            alpha_j: clamp(alpha_j),
+            beta: clamp(beta),
+        }
+    }
+}
+
+/// One observed operator execution: the key the session was tagged with
+/// and the round's wall-clock latency in microseconds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OpSample {
-    pub tag: OpTag,
+    pub tag: ModelKey,
     pub micros: Micros,
 }
 
@@ -154,12 +177,7 @@ mod tests {
 
     fn sample(us: Micros) -> OpSample {
         OpSample {
-            tag: OpTag {
-                op: LiveOpKind::IndexScan,
-                alpha_c: 10,
-                alpha_j: 1,
-                beta: 40,
-            },
+            tag: ModelKey::new(OpKind::IndexScan, 10, 1, 40),
             micros: us,
         }
     }

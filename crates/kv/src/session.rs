@@ -1,6 +1,6 @@
 //! Client sessions: the virtual clock plus per-session accounting.
 
-use crate::sample::OpTag;
+use crate::sample::ModelKey;
 use crate::time::Micros;
 
 /// Per-session operation counters.
@@ -30,7 +30,7 @@ pub struct Session {
     /// engine around an operator's rounds. Wall-clock backends use it to
     /// tag latency samples for online model training; `None` (writes, bulk
     /// work, untagged callers) records nothing.
-    pub op_tag: Option<OpTag>,
+    pub op_tag: Option<ModelKey>,
 }
 
 impl Session {

@@ -11,18 +11,12 @@ pub type Micros = u64;
 pub const MILLIS: Micros = 1_000;
 pub const SECONDS: Micros = 1_000_000;
 
-/// Convert to fractional milliseconds for reporting.
-pub fn as_millis_f64(us: Micros) -> f64 {
-    us as f64 / 1_000.0
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn conversions() {
-        assert_eq!(as_millis_f64(1500), 1.5);
         assert_eq!(2 * SECONDS, 2_000_000);
         assert_eq!(3 * MILLIS, 3_000);
     }

@@ -4,8 +4,7 @@
 //! Millisecond resolution is enough for interactive SLOs, so a histogram is
 //! ~a few thousand u32 bins ("a kilobyte or two", §6.1). Serial plan
 //! composition convolves probability masses (§6.2: summing independent
-//! random variables); parallel sections combine by the distribution of the
-//! max.
+//! random variables).
 
 use piql_kv::{Micros, MILLIS};
 
@@ -185,30 +184,6 @@ impl Distribution {
         Distribution { pmf }
     }
 
-    /// Max of independent variables (parallel plan sections, §6.2):
-    /// `P(max <= x) = P(a <= x) * P(b <= x)`.
-    pub fn max_with(&self, other: &Distribution) -> Distribution {
-        let bins: std::collections::BTreeSet<usize> =
-            self.pmf.iter().chain(&other.pmf).map(|&(b, _)| b).collect();
-        let cdf_at = |d: &Distribution, x: usize| -> f64 {
-            d.pmf
-                .iter()
-                .take_while(|&&(b, _)| b <= x)
-                .map(|&(_, p)| p)
-                .sum()
-        };
-        let mut pmf = Vec::new();
-        let mut prev = 0.0;
-        for &b in &bins {
-            let cdf = cdf_at(self, b) * cdf_at(other, b);
-            if cdf > prev {
-                pmf.push((b, cdf - prev));
-                prev = cdf;
-            }
-        }
-        Distribution { pmf }
-    }
-
     /// The q-quantile in ms.
     pub fn quantile_ms(&self, q: f64) -> f64 {
         let q = q.clamp(0.0, 1.0);
@@ -267,16 +242,6 @@ mod tests {
         assert!(d2.quantile_ms(0.01) >= 3.0);
         assert!(d2.quantile_ms(1.0) <= 8.0);
         assert!((d2.mean_ms() - 5.0).abs() < 1.1);
-    }
-
-    #[test]
-    fn max_of_independent_variables() {
-        let a = hist(&[1, 10]).to_distribution();
-        let b = hist(&[1, 10]).to_distribution();
-        let m = a.max_with(&b);
-        // P(max = ~1ms) = 0.25
-        assert!((m.quantile_ms(0.2) - 2.0).abs() < 1.0);
-        assert!((m.quantile_ms(0.9) - 11.0).abs() < 1.0);
     }
 
     #[test]

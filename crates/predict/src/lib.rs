@@ -16,9 +16,7 @@ pub mod train;
 
 pub use advisor::Heatmap;
 pub use histogram::{Distribution, LatencyHistogram};
-pub use model::{ModelKey, ModelStore, OpKind, ALPHA_GRID, BETA_GRID};
-pub use predict::{
-    plan_thetas, plan_thetas_indexed, OpTheta, QueryPrediction, SloPredictor, ThetaAttribution,
-};
+pub use model::{snapped, ModelKey, ModelStore, OpKind, ALPHA_GRID, BETA_GRID};
+pub use predict::{plan_thetas, QueryPrediction, SloPredictor, ThetaAttribution};
 pub use shared::{RotationObserver, SharedModelStore};
 pub use train::{train, TrainConfig};

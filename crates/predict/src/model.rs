@@ -3,50 +3,8 @@
 
 use crate::histogram::LatencyHistogram;
 use piql_kv::Micros;
+pub use piql_kv::{ModelKey, OpKind};
 use std::collections::BTreeMap;
-
-/// The three remote operators the model covers (§6.1 ignores local
-/// operators: key/value-store latency dominates interactive queries).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum OpKind {
-    /// Θ(α, β): one bounded range read of α entries of β bytes.
-    IndexScan,
-    /// Θ(αc, β): αc parallel primary-key gets.
-    IndexFKJoin,
-    /// Θ(αc, αj, β): αc parallel bounded range reads of αj entries each.
-    SortedIndexJoin,
-}
-
-impl OpKind {
-    pub fn name(self) -> &'static str {
-        match self {
-            OpKind::IndexScan => "IndexScan",
-            OpKind::IndexFKJoin => "IndexFKJoin",
-            OpKind::SortedIndexJoin => "SortedIndexJoin",
-        }
-    }
-
-    /// Map the storage layer's live-sample vocabulary onto the model's.
-    pub fn from_live(op: piql_kv::LiveOpKind) -> OpKind {
-        match op {
-            piql_kv::LiveOpKind::IndexScan => OpKind::IndexScan,
-            piql_kv::LiveOpKind::IndexFKJoin => OpKind::IndexFKJoin,
-            piql_kv::LiveOpKind::SortedIndexJoin => OpKind::SortedIndexJoin,
-        }
-    }
-}
-
-/// A model grid point.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct ModelKey {
-    pub op: OpKind,
-    /// Child-side cardinality (scan: the limit hint; joins: child tuples).
-    pub alpha_c: u32,
-    /// Per-key fan-out (1 except SortedIndexJoin).
-    pub alpha_j: u32,
-    /// Tuple size in bytes.
-    pub beta: u32,
-}
 
 /// Default training grids (the paper pre-computes histograms for a lattice
 /// of α and β values and looks up the closest while still larger, §6.1).
@@ -54,6 +12,10 @@ pub const ALPHA_GRID: &[u32] = &[
     1, 2, 5, 10, 25, 50, 100, 150, 200, 250, 300, 350, 400, 450, 500,
 ];
 pub const BETA_GRID: &[u32] = &[40, 160, 640, 2560];
+
+/// α_j values [`ModelStore::linear`] fabricates for SortedIndexJoin keys; a
+/// subset of [`ALPHA_GRID`] so ceil-lookups land on exact entries.
+const ALPHA_J_GRID: &[u32] = &[1, 5, 10, 25, 50];
 
 /// Smallest grid value ≥ x (saturating at the top, which keeps predictions
 /// conservative for in-range values and best-effort beyond).
@@ -66,28 +28,15 @@ pub fn grid_ceil(grid: &[u32], x: u64) -> u32 {
     *grid.last().expect("nonempty grid")
 }
 
-impl ModelKey {
-    /// Snap to the training lattice (ceil in every parameter — the same
-    /// rounding lookups use, so recorded live samples and later lookups
-    /// meet at the same grid point).
-    pub fn snapped(self) -> ModelKey {
-        ModelKey {
-            op: self.op,
-            alpha_c: grid_ceil(ALPHA_GRID, self.alpha_c as u64),
-            alpha_j: grid_ceil(ALPHA_GRID, self.alpha_j as u64),
-            beta: grid_ceil(BETA_GRID, self.beta as u64),
-        }
-    }
-
-    /// The grid point a live operator sample belongs to.
-    pub fn from_tag(tag: &piql_kv::OpTag) -> ModelKey {
-        ModelKey {
-            op: OpKind::from_live(tag.op),
-            alpha_c: tag.alpha_c,
-            alpha_j: tag.alpha_j,
-            beta: tag.beta,
-        }
-        .snapped()
+/// Snap to the training lattice (ceil in every parameter — the same
+/// rounding lookups use, so recorded live samples and later lookups meet at
+/// the same grid point).
+pub fn snapped(key: ModelKey) -> ModelKey {
+    ModelKey {
+        op: key.op,
+        alpha_c: grid_ceil(ALPHA_GRID, key.alpha_c as u64),
+        alpha_j: grid_ceil(ALPHA_GRID, key.alpha_j as u64),
+        beta: grid_ceil(BETA_GRID, key.beta as u64),
     }
 }
 
@@ -141,27 +90,35 @@ impl ModelStore {
         map: &BTreeMap<ModelKey, LatencyHistogram>,
         key: ModelKey,
     ) -> Option<&LatencyHistogram> {
-        let snapped = key.snapped();
-        if let Some(h) = map.get(&snapped) {
+        let at = snapped(key);
+        if let Some(h) = map.get(&at) {
             return Some(h);
         }
-        // fall back to the nearest stored key with same op and params >= snapped
-        map.iter()
-            .find(|(k, _)| {
-                k.op == key.op
-                    && k.alpha_c >= snapped.alpha_c.min(*ALPHA_GRID.last().unwrap())
-                    && k.alpha_j >= snapped.alpha_j.min(*ALPHA_GRID.last().unwrap())
-            })
-            .map(|(_, h)| h)
-            // nothing stored is as large as the plan: saturate at the most
-            // expensive trained point of the operator (an extrapolation,
-            // but never a cheaper answer than any smaller plan gets)
+        let stored = || map.iter().filter(|(k, _)| k.op == key.op);
+        let coords = |k: &ModelKey| [k.alpha_c, k.alpha_j, k.beta];
+        let covers = |big: [u32; 3], small: [u32; 3]| big.iter().zip(small).all(|(b, s)| *b >= s);
+        // never under: the dearest of the nearest stored point at or above
+        // the lattice point in every parameter — or, where nothing covers
+        // it, the largest trained point of the operator (an extrapolation)
+        // — and of every stored point the plan dominates: a sparse store
+        // need not be monotone, and a larger plan never gets a cheaper
+        // answer than a smaller one the store has seen
+        let above = stored()
+            .find(|(k, _)| covers(coords(k), coords(&at)))
             .or_else(|| {
-                map.iter()
-                    .filter(|(k, _)| k.op == key.op)
-                    .max_by_key(|(k, _)| (u64::from(k.alpha_c) * u64::from(k.alpha_j), k.beta))
-                    .map(|(_, h)| h)
-            })
+                stored().max_by_key(|(k, _)| (u64::from(k.alpha_c) * u64::from(k.alpha_j), k.beta))
+            });
+        let reach = [
+            key.alpha_c.max(at.alpha_c),
+            key.alpha_j.max(at.alpha_j),
+            key.beta.max(at.beta),
+        ];
+        stored()
+            .filter(|(k, _)| covers(reach, coords(k)))
+            .chain(above)
+            .map(|(_, h)| (h.quantile_ms(0.99), h))
+            .max_by(|(a, _), (b, _)| a.total_cmp(b))
+            .map(|(_, h)| h)
     }
 
     /// A copy of this store with `newest` appended as the most recent
@@ -178,16 +135,7 @@ impl ModelStore {
             .cloned()
             .collect();
         intervals.push(newest);
-        let mut overall: BTreeMap<ModelKey, LatencyHistogram> = BTreeMap::new();
-        for interval in &intervals {
-            for (key, hist) in interval {
-                overall
-                    .entry(*key)
-                    .or_insert_with(LatencyHistogram::standard)
-                    .merge(hist);
-            }
-        }
-        ModelStore { intervals, overall }
+        ModelStore::from_intervals(intervals)
     }
 
     /// The per-interval histogram maps, oldest first — the durable form of
@@ -211,6 +159,42 @@ impl ModelStore {
             }
         }
         ModelStore { intervals, overall }
+    }
+
+    /// A fabricated store over the whole training lattice from a linear
+    /// cost model: an operator touching `r = α_c·α_j` rows is recorded at
+    /// `base_us + per_row_us * r` microseconds (+10% and +25% beside it, so
+    /// the histograms are not degenerate), identically in every interval.
+    /// Predictions over it are exact functions of a plan's bounds — what
+    /// the offline auditor and the server's harnesses both stand on.
+    pub fn linear(base_us: u64, per_row_us: u64, intervals: usize) -> ModelStore {
+        let mut store = ModelStore::new(intervals);
+        for interval in 0..intervals {
+            for &beta in BETA_GRID {
+                for &alpha_c in ALPHA_GRID {
+                    for (op, alpha_js) in [
+                        (OpKind::IndexScan, &[1u32][..]),
+                        (OpKind::IndexFKJoin, &[1u32][..]),
+                        (OpKind::SortedIndexJoin, ALPHA_J_GRID),
+                    ] {
+                        for &alpha_j in alpha_js {
+                            let key = ModelKey {
+                                op,
+                                alpha_c,
+                                alpha_j,
+                                beta,
+                            };
+                            let rows = alpha_c as u64 * alpha_j as u64;
+                            let us = base_us + per_row_us * rows;
+                            store.record(interval, key, us);
+                            store.record(interval, key, us + us / 10);
+                            store.record(interval, key, us + us / 4);
+                        }
+                    }
+                }
+            }
+        }
+        store
     }
 
     /// Total recorded samples (sanity checks / reporting).
@@ -265,6 +249,33 @@ mod tests {
     }
 
     #[test]
+    fn a_wider_tuple_is_never_predicted_below_a_narrower_plan_the_store_has_seen() {
+        // what rotation leaves behind: two scans observed, at different
+        // tuple sizes — neither is the lattice point of 100 rows of 2,560 B
+        let mut store = ModelStore::new(1);
+        let scan = |alpha_c, beta| ModelKey {
+            op: OpKind::IndexScan,
+            alpha_c,
+            alpha_j: 1,
+            beta,
+        };
+        store.record(0, scan(100, 40), 2 * MILLIS);
+        store.record(0, scan(50, 2560), 80 * MILLIS);
+        let p99 = |key| {
+            store
+                .lookup(0, key)
+                .expect("op is trained")
+                .quantile_ms(0.99)
+        };
+        assert_eq!(p99(scan(50, 2560)), 81.0, "an exact hit is its own answer");
+        assert_eq!(p99(scan(100, 40)), 3.0);
+        // twice the rows of the 81 ms observation, at the same width
+        assert_eq!(p99(scan(100, 2560)), 81.0, "not the β = 40 histogram");
+        // a stored point the plan does not dominate does not raise it
+        assert_eq!(p99(scan(64, 160)), 3.0);
+    }
+
+    #[test]
     fn beyond_the_lattice_falls_back_to_the_dearest_trained_point() {
         // a store that has only seen small joins (the normal state of a
         // live store after rotation) must not answer a larger plan with
@@ -286,6 +297,43 @@ mod tests {
                 h.to_distribution().quantile_ms(0.99)
             };
             assert_eq!(p99(beyond), p99(join(100, 50)), "{beyond:?}");
+        }
+    }
+
+    #[test]
+    fn an_uncovered_plan_that_dominates_a_cheap_point_still_gets_the_largest_trained_one() {
+        let p99 = |store: &ModelStore, key| {
+            store
+                .lookup(0, key)
+                .expect("op is trained")
+                .quantile_ms(0.99)
+        };
+        let join = |alpha_c, alpha_j, beta| ModelKey {
+            op: OpKind::SortedIndexJoin,
+            alpha_c,
+            alpha_j,
+            beta,
+        };
+        // the sparse store of the test above: (10, 51) dominates (10, 50)
+        // at 51 ms and nothing covers it — the 500 ms point answers, not
+        // the dominated one
+        let mut sparse = ModelStore::new(1);
+        sparse.record(0, join(1, 1, 40), MILLIS);
+        sparse.record(0, join(100, 10, 40), 100 * MILLIS);
+        sparse.record(0, join(100, 50, 40), 500 * MILLIS);
+        sparse.record(0, join(10, 50, 40), 50 * MILLIS);
+        assert_eq!(
+            p99(&sparse, join(10, 51, 40)),
+            p99(&sparse, join(100, 50, 40))
+        );
+        // the full fabricated lattice stops at α_j = 50: a join of 51..=100
+        // rows per key snaps to α_j = 100, which is not stored, and must not
+        // be priced as the 50-per-key join it dominates
+        let lattice = ModelStore::linear(200, 100, 1);
+        let top = p99(&lattice, join(500, 50, 2560));
+        for per_key in [51, 100] {
+            assert_eq!(p99(&lattice, join(10, per_key, 40)), top, "{per_key}");
+            assert!(p99(&lattice, join(10, per_key, 40)) > p99(&lattice, join(10, 50, 40)));
         }
     }
 }

@@ -9,115 +9,45 @@
 use crate::histogram::Distribution;
 use crate::model::{ModelKey, ModelStore, OpKind};
 use piql_core::opt::Compiled;
-use piql_core::plan::physical::{PhysicalPlan, ScanLimit};
-
-/// One operator's model parameters extracted from the plan.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct OpTheta {
-    pub key: ModelKey,
-}
+use piql_core::plan::physical::PhysicalPlan;
 
 /// The remote-operator chain of a plan as model keys, including the extra
 /// dereference rounds of non-covering secondary-index reads (modeled as an
 /// [`OpKind::IndexFKJoin`] of the fetched entries, which is exactly what
 /// the executor issues).
-pub fn plan_thetas(compiled: &Compiled) -> Vec<OpTheta> {
-    plan_thetas_indexed(compiled)
+pub fn plan_thetas(compiled: &Compiled) -> Vec<ModelKey> {
+    indexed_thetas(compiled)
         .into_iter()
-        .map(|(_, t)| t)
+        .map(|(_, key)| key)
         .collect()
 }
 
-/// Like [`plan_thetas`], but each theta is tagged with the index of the
-/// remote operator (in [`PhysicalPlan::remote_ops`] order) it models — a
-/// deref theta shares its scan's index. This is the join key the audit
-/// subsystem uses to attach cost terms to bound-derivation tree nodes.
-pub fn plan_thetas_indexed(compiled: &Compiled) -> Vec<(usize, OpTheta)> {
+/// [`plan_thetas`], each key with the index of the remote operator (in
+/// [`PhysicalPlan::remote_ops`] order) it models — a deref term shares its
+/// scan's index. This is the join key the audit subsystem uses to attach
+/// cost terms to bound-derivation tree nodes. An operator's own key is the
+/// one its prepared form carries (`piql_engine::RemoteOp::key`): both are
+/// [`PhysicalPlan::theta`] through [`ModelKey::new`].
+fn indexed_thetas(compiled: &Compiled) -> Vec<(usize, ModelKey)> {
     let mut out = Vec::new();
     for (idx, op) in compiled.physical.remote_ops().into_iter().enumerate() {
-        collect_op_thetas(idx, op, &mut out);
+        let (kind, deref, (alpha_c, alpha_j, beta)) = match (op, op.theta()) {
+            (PhysicalPlan::IndexScan { spec, .. }, Some(theta)) => {
+                (OpKind::IndexScan, spec.deref, theta)
+            }
+            (PhysicalPlan::IndexFKJoin { .. }, Some(theta)) => (OpKind::IndexFKJoin, false, theta),
+            (PhysicalPlan::SortedIndexJoin { spec, .. }, Some(theta)) => {
+                (OpKind::SortedIndexJoin, spec.deref, theta)
+            }
+            _ => continue,
+        };
+        out.push((idx, ModelKey::new(kind, alpha_c, alpha_j, beta)));
+        if deref {
+            let fetched = alpha_c.saturating_mul(alpha_j);
+            out.push((idx, ModelKey::new(OpKind::IndexFKJoin, fetched, 1, beta)));
+        }
     }
     out
-}
-
-fn collect_op_thetas(idx: usize, op: &PhysicalPlan, out: &mut Vec<(usize, OpTheta)>) {
-    match op {
-        PhysicalPlan::IndexScan { spec, .. } => {
-            let alpha = match &spec.limit {
-                ScanLimit::Bounded { count, .. } => *count,
-                ScanLimit::Unbounded { estimate } => *estimate,
-            };
-            out.push((
-                idx,
-                OpTheta {
-                    key: ModelKey {
-                        op: OpKind::IndexScan,
-                        alpha_c: alpha.min(u32::MAX as u64) as u32,
-                        alpha_j: 1,
-                        beta: spec.row_bytes.min(u32::MAX as u64) as u32,
-                    },
-                },
-            ));
-            if spec.deref {
-                out.push((
-                    idx,
-                    OpTheta {
-                        key: ModelKey {
-                            op: OpKind::IndexFKJoin,
-                            alpha_c: alpha.min(u32::MAX as u64) as u32,
-                            alpha_j: 1,
-                            beta: spec.row_bytes.min(u32::MAX as u64) as u32,
-                        },
-                    },
-                ));
-            }
-        }
-        PhysicalPlan::IndexFKJoin {
-            child, row_bytes, ..
-        } => {
-            let alpha_c = child.bounds().tuples.min(u32::MAX as u64) as u32;
-            out.push((
-                idx,
-                OpTheta {
-                    key: ModelKey {
-                        op: OpKind::IndexFKJoin,
-                        alpha_c,
-                        alpha_j: 1,
-                        beta: (*row_bytes).min(u32::MAX as u64) as u32,
-                    },
-                },
-            ));
-        }
-        PhysicalPlan::SortedIndexJoin { child, spec, .. } => {
-            let alpha_c = child.bounds().tuples.min(u32::MAX as u64) as u32;
-            let alpha_j = spec.per_key.min(u32::MAX as u64) as u32;
-            out.push((
-                idx,
-                OpTheta {
-                    key: ModelKey {
-                        op: OpKind::SortedIndexJoin,
-                        alpha_c,
-                        alpha_j,
-                        beta: spec.row_bytes.min(u32::MAX as u64) as u32,
-                    },
-                },
-            ));
-            if spec.deref {
-                out.push((
-                    idx,
-                    OpTheta {
-                        key: ModelKey {
-                            op: OpKind::IndexFKJoin,
-                            alpha_c: alpha_c.saturating_mul(alpha_j),
-                            alpha_j: 1,
-                            beta: spec.row_bytes.min(u32::MAX as u64) as u32,
-                        },
-                    },
-                ));
-            }
-        }
-        _ => {}
-    }
 }
 
 /// One operator term's contribution to a plan's predicted latency
@@ -233,10 +163,10 @@ impl SloPredictor {
     /// decomposition of the predicted total mean; p99 is reported per
     /// term for context but does not decompose additively).
     pub fn attribute(&self, compiled: &Compiled) -> Vec<ThetaAttribution> {
-        let mut out: Vec<ThetaAttribution> = plan_thetas_indexed(compiled)
+        let mut out: Vec<ThetaAttribution> = indexed_thetas(compiled)
             .into_iter()
-            .map(|(op_index, theta)| {
-                let (mean_ms, p99_ms) = match self.models.lookup_overall(theta.key) {
+            .map(|(op_index, key)| {
+                let (mean_ms, p99_ms) = match self.models.lookup_overall(key) {
                     Some(h) => {
                         let d = h.to_distribution();
                         (d.mean_ms(), d.quantile_ms(0.99))
@@ -245,7 +175,7 @@ impl SloPredictor {
                 };
                 ThetaAttribution {
                     op_index,
-                    key: theta.key,
+                    key,
                     mean_ms,
                     p99_ms,
                     share: 0.0,
@@ -270,12 +200,12 @@ impl SloPredictor {
     }
 
     /// Convolve the operator distributions of one interval (`None` = pooled).
-    fn compose(&self, thetas: &[OpTheta], interval: Option<usize>) -> Option<Distribution> {
+    fn compose(&self, thetas: &[ModelKey], interval: Option<usize>) -> Option<Distribution> {
         let mut acc: Option<Distribution> = None;
-        for t in thetas {
+        for &key in thetas {
             let hist = match interval {
-                Some(i) => self.models.lookup(i, t.key)?,
-                None => self.models.lookup_overall(t.key)?,
+                Some(i) => self.models.lookup(i, key)?,
+                None => self.models.lookup_overall(key)?,
             };
             let d = hist.to_distribution();
             acc = Some(match acc {
@@ -337,11 +267,11 @@ mod tests {
         let compiled = compile_thoughtstream();
         let thetas = plan_thetas(&compiled);
         assert_eq!(thetas.len(), 2);
-        assert_eq!(thetas[0].key.op, OpKind::IndexScan);
-        assert_eq!(thetas[0].key.alpha_c, 100);
-        assert_eq!(thetas[1].key.op, OpKind::SortedIndexJoin);
-        assert_eq!(thetas[1].key.alpha_c, 100);
-        assert_eq!(thetas[1].key.alpha_j, 10);
+        assert_eq!(thetas[0].op, OpKind::IndexScan);
+        assert_eq!(thetas[0].alpha_c, 100);
+        assert_eq!(thetas[1].op, OpKind::SortedIndexJoin);
+        assert_eq!(thetas[1].alpha_c, 100);
+        assert_eq!(thetas[1].alpha_j, 10);
     }
 
     #[test]

@@ -20,7 +20,7 @@
 //! predictions track the store the service actually runs on.
 
 use crate::histogram::LatencyHistogram;
-use crate::model::{ModelKey, ModelStore};
+use crate::model::{snapped, ModelKey, ModelStore};
 use crate::predict::SloPredictor;
 use piql_analysis::ordered::{Mutex, RwLock};
 use piql_analysis::rank;
@@ -108,7 +108,7 @@ impl SharedModelStore {
     pub fn record_live(&self, key: ModelKey, latency: Micros) {
         let mut live = self.live.lock();
         live.histograms
-            .entry(key.snapped())
+            .entry(snapped(key))
             .or_insert_with(LatencyHistogram::standard)
             .record(latency);
         live.samples += 1;
@@ -123,7 +123,7 @@ impl SharedModelStore {
         let mut live = self.live.lock();
         for s in samples {
             live.histograms
-                .entry(ModelKey::from_tag(&s.tag))
+                .entry(snapped(s.tag))
                 .or_insert_with(LatencyHistogram::standard)
                 .record(s.micros);
             live.samples += 1;

@@ -115,12 +115,12 @@ fn ingest_while_predicting_is_consistent() {
 
 #[test]
 fn drained_kv_samples_land_on_grid_points() {
-    use piql_kv::{LiveOpKind, OpSample, OpTag};
+    use piql_kv::OpSample;
     let shared = SharedModelStore::new(ModelStore::new(2));
     let samples: Vec<OpSample> = (0..10)
         .map(|i| OpSample {
-            tag: OpTag {
-                op: LiveOpKind::SortedIndexJoin,
+            tag: ModelKey {
+                op: OpKind::SortedIndexJoin,
                 alpha_c: 97, // snaps to 100
                 alpha_j: 9,  // snaps to 10
                 beta: 100,   // snaps to 160

@@ -201,7 +201,6 @@ fn opcode_of(req: &Request) -> u8 {
     match req {
         Request::Prepare { .. } => OP_PREPARE,
         Request::Execute { .. } => OP_EXECUTE,
-        Request::CursorNext { .. } => OP_CURSOR_NEXT,
         Request::Dml { .. } => OP_DML,
         Request::Stats => OP_STATS,
         Request::Revalidate => OP_REVALIDATE,
@@ -238,15 +237,6 @@ fn put_body(out: &mut Vec<u8>, req: &Request) {
             put_str(out, name);
             put_params(out, params);
             put_cursor(out, cursor.as_ref());
-        }
-        Request::CursorNext {
-            name,
-            params,
-            cursor,
-        } => {
-            put_str(out, name);
-            put_params(out, params);
-            put_cursor(out, Some(cursor));
         }
         Request::Dml { sql, params } => {
             put_str(out, sql);
@@ -648,10 +638,10 @@ fn read_body(cur: &mut Cur<'_>, opcode: u8, nested: bool) -> Result<Request, Pro
             let params = read_params(cur)?;
             let cursor = read_cursor(cur)?
                 .ok_or_else(|| ProtoError::Malformed("cursor-next requires a 'cursor'".into()))?;
-            Request::CursorNext {
+            Request::Execute {
                 name,
                 params,
-                cursor,
+                cursor: Some(cursor),
             }
         }
         OP_DML => Request::Dml {
@@ -941,6 +931,39 @@ mod tests {
             wire.encode_envelope(&back, &mut b);
             assert_eq!(a, b);
         }
+    }
+
+    #[test]
+    fn cursor_next_frames_decode_as_execute_with_the_cursor() {
+        // the frames a client built at 2bf91e6 sends for `cursor_next`
+        // (length prefix stripped), untagged and tagged -7
+        let unhex = |hex: &str| -> Vec<u8> {
+            (0..hex.len())
+                .step_by(2)
+                .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).unwrap())
+                .collect()
+        };
+        let resumed = Request::Execute {
+            name: "q1".into(),
+            params: vec![ParamValue::Scalar(Value::Int(3))],
+            cursor: Some(piql_engine::Cursor {
+                state: piql_engine::CursorState::ScanAfter {
+                    last_key: vec![1, 2, 255],
+                },
+            }),
+        };
+        let wire = BinaryWire;
+        let frame = unhex("03000200000071310100000000010300000001060000000101030102ff");
+        let env = wire.decode_envelope(&frame).unwrap();
+        assert_eq!((env.id, env.request), (None, resumed.clone()));
+        let frame =
+            unhex("0301f9ffffffffffffff0200000071310100000000010300000001060000000101030102ff");
+        let env = wire.decode_envelope(&frame).unwrap();
+        assert_eq!((env.id, env.request), (Some(RequestId::Int(-7)), resumed));
+        // what tells the opcode from `execute`: its cursor is not optional
+        let frame = unhex("03000200000071310000000000");
+        let err = wire.decode_envelope(&frame).unwrap_err().to_string();
+        assert!(err.contains("cursor-next requires a 'cursor'"), "{err}");
     }
 
     #[test]

@@ -227,12 +227,7 @@ impl Client {
         params: &[ParamValue],
         cursor: Cursor,
     ) -> Result<Page, ClientError> {
-        let response = self.request(&Request::CursorNext {
-            name: name.to_string(),
-            params: params.to_vec(),
-            cursor,
-        })?;
-        decode_page(&response)
+        self.execute(name, params, Some(cursor))
     }
 
     pub fn dml(&mut self, sql: &str, params: &[ParamValue]) -> Result<(), ClientError> {

@@ -32,7 +32,9 @@
 //! appends under the shard write lock and blocks acknowledgement on the
 //! group-commit watermark.
 
-use crate::registry::{DurabilityControl, SloConfig, StatementJournal, StatementRegistry};
+use crate::registry::{
+    DurabilityControl, Periodic, SloConfig, StatementJournal, StatementRegistry,
+};
 use piql_durability::{
     Durability, DurabilityConfig, DurabilityHealth, RecoveryReport, SnapshotInputs,
     SnapshotSummary, SyncPolicy,
@@ -42,7 +44,6 @@ use piql_kv::{LiveCluster, LiveConfig};
 use piql_predict::{SharedModelStore, SloPredictor};
 use std::io;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -259,58 +260,23 @@ pub fn open_durable(
 /// log size and recovery time. Dropping it stops the checks (joining the
 /// thread); an in-flight checkpoint finishes first.
 pub struct SnapshotDaemon {
-    shutdown: Arc<AtomicBool>,
-    handle: Option<std::thread::JoinHandle<()>>,
+    _thread: Periodic,
 }
 
 impl SnapshotDaemon {
     pub fn spawn(stack: &DurableStack, check_period: Duration) -> SnapshotDaemon {
-        let shutdown = Arc::new(AtomicBool::new(false));
         let cluster = stack.cluster.clone();
         let models = stack.models.clone();
         let durability = stack.durability.clone();
-        let handle = {
-            let shutdown = shutdown.clone();
-            std::thread::Builder::new()
-                .name("piql-snapshot".into())
-                .spawn(move || {
-                    let tick = check_period
-                        .min(Duration::from_millis(20))
-                        .max(Duration::from_millis(1));
-                    let mut slept = Duration::ZERO;
-                    loop {
-                        std::thread::sleep(tick);
-                        if shutdown.load(Ordering::SeqCst) {
-                            return;
-                        }
-                        slept += tick;
-                        if slept < check_period {
-                            continue;
-                        }
-                        slept = Duration::ZERO;
-                        if durability.is_dead() || !durability.wants_snapshot() {
-                            continue;
-                        }
-                        if let Err(e) = checkpoint(&cluster, &models, &durability) {
-                            eprintln!("piql-snapshot: checkpoint failed: {e}");
-                        }
-                    }
-                })
-                // lint:allow(durability-unwrap): daemon startup, not replay
-                .expect("spawn snapshot daemon thread")
-        };
         SnapshotDaemon {
-            shutdown,
-            handle: Some(handle),
-        }
-    }
-}
-
-impl Drop for SnapshotDaemon {
-    fn drop(&mut self) {
-        self.shutdown.store(true, Ordering::SeqCst);
-        if let Some(handle) = self.handle.take() {
-            let _ = handle.join();
+            _thread: Periodic::spawn("piql-snapshot", check_period, move || {
+                if durability.is_dead() || !durability.wants_snapshot() {
+                    return;
+                }
+                if let Err(e) = checkpoint(&cluster, &models, &durability) {
+                    eprintln!("piql-snapshot: checkpoint failed: {e}");
+                }
+            }),
         }
     }
 }

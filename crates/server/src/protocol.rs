@@ -146,12 +146,6 @@ pub enum Request {
         params: Vec<ParamValue>,
         cursor: Option<Cursor>,
     },
-    /// `execute` that *requires* a cursor (resuming pagination).
-    CursorNext {
-        name: String,
-        params: Vec<ParamValue>,
-        cursor: Cursor,
-    },
     Dml {
         sql: String,
         params: Vec<ParamValue>,
@@ -576,13 +570,14 @@ fn read_request(line: &str, fields: &Fields, nested: bool) -> Result<Request, Pr
             params: read_params(line, fields.params)?,
             cursor: read_cursor(line, fields.cursor)?,
         }),
+        // `execute` that *requires* a cursor (resuming pagination)
         "cursor-next" => {
             let cursor = read_cursor(line, fields.cursor)?
                 .ok_or_else(|| ProtoError::Malformed("cursor-next requires a 'cursor'".into()))?;
-            Ok(Request::CursorNext {
+            Ok(Request::Execute {
                 name: required_str(line, fields.name, "name")?,
                 params: read_params(line, fields.params)?,
-                cursor,
+                cursor: Some(cursor),
             })
         }
         "dml" => Ok(Request::Dml {
@@ -660,19 +655,6 @@ pub fn request_to_json(req: &Request) -> Json {
                 Json::Arr(params.iter().map(param_to_json).collect()),
             ),
             ("cursor", cursor_to_json(cursor)),
-        ]),
-        Request::CursorNext {
-            name,
-            params,
-            cursor,
-        } => Json::obj([
-            ("cmd", Json::str("cursor-next")),
-            ("name", Json::str(name.clone())),
-            (
-                "params",
-                Json::Arr(params.iter().map(param_to_json).collect()),
-            ),
-            ("cursor", cursor_to_json(&Some(cursor.clone()))),
         ]),
         Request::Dml { sql, params } => Json::obj([
             ("cmd", Json::str("dml")),
@@ -955,6 +937,38 @@ mod tests {
         }
     }
 
+    fn resume_point() -> Cursor {
+        Cursor {
+            state: CursorState::ScanAfter {
+                last_key: vec![1, 2, 255],
+            },
+        }
+    }
+
+    #[test]
+    fn cursor_next_lines_decode_as_execute_with_the_cursor() {
+        // the lines a client built at 2bf91e6 sends for `cursor_next`
+        let resumed = Request::Execute {
+            name: "q1".into(),
+            params: vec![Value::Int(3).into()],
+            cursor: Some(resume_point()),
+        };
+        let line =
+            r#"{"cmd":"cursor-next","cursor":"0101030102ff","name":"q1","params":[{"int":3}]}"#;
+        assert_eq!(parse_request(line).unwrap(), resumed);
+        let tagged = r#"{"cmd":"cursor-next","cursor":"0101030102ff","id":-7,"name":"q1","params":[{"int":3}]}"#;
+        let env = parse_envelope(tagged).unwrap();
+        assert_eq!((env.id, env.request), (Some(RequestId::Int(-7)), resumed));
+        // what tells the verb from `execute`: its cursor is not optional
+        for line in [
+            r#"{"cmd":"cursor-next","name":"q1","params":[]}"#,
+            r#"{"cmd":"cursor-next","cursor":null,"name":"q1","params":[]}"#,
+        ] {
+            let err = parse_request(line).unwrap_err().to_string();
+            assert!(err.contains("cursor-next requires a 'cursor'"), "{err}");
+        }
+    }
+
     #[test]
     fn requests_roundtrip() {
         let reqs = [
@@ -967,14 +981,10 @@ mod tests {
                 params: vec![Value::Int(3).into(), Value::Varchar("x".into()).into()],
                 cursor: None,
             },
-            Request::CursorNext {
+            Request::Execute {
                 name: "q1".into(),
                 params: vec![],
-                cursor: Cursor {
-                    state: CursorState::ScanAfter {
-                        last_key: vec![1, 2, 255],
-                    },
-                },
+                cursor: Some(resume_point()),
             },
             Request::Dml {
                 sql: "INSERT INTO t VALUES (<a>)".into(),

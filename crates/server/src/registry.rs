@@ -42,7 +42,7 @@ use piql_core::plan::physical::{PhysicalPlan, ScanLimit};
 use piql_core::plan::pred::Operand;
 use piql_core::value::Value;
 use piql_engine::{Cursor, Database, DbError, ExecStrategy, Prepared, QueryResult};
-use piql_kv::{KvStore, LiveCluster, LiveOpKind, NsId, Session};
+use piql_kv::{KvStore, LiveCluster, Micros, ModelKey, NsId, OpKind, Session};
 use piql_predict::advisor::suggest_limit;
 use piql_predict::{SharedModelStore, SloPredictor, ALPHA_GRID};
 use piql_workloads::RunMetrics;
@@ -61,6 +61,16 @@ pub struct SloConfig {
     pub interval_confidence: f64,
     /// Degrade over-SLO statements to a smaller LIMIT instead of rejecting.
     pub allow_degrade: bool,
+}
+
+/// The auditor reads the same objective under its own field names.
+impl From<&SloConfig> for piql_audit::SloSpec {
+    fn from(slo: &SloConfig) -> Self {
+        piql_audit::SloSpec {
+            slo_ms: slo.slo_ms,
+            confidence: slo.interval_confidence,
+        }
+    }
 }
 
 impl Default for SloConfig {
@@ -251,10 +261,10 @@ pub struct FastPointPlan {
     /// Key components in primary-key order (all `Dir::Asc` — primary
     /// indexes have no explicit directions).
     pub parts: Vec<FastKeyPart>,
-    /// The plan's bounded entry count (α_c of the scan's op tag).
-    pub alpha_c: u32,
-    /// The plan's per-tuple byte bound (β of the scan's op tag).
-    pub beta: u32,
+    /// The scan's §6.1 key as prepared ([`piql_engine::RemoteOp::key`]):
+    /// the lane samples its read under the key the general plan's scan
+    /// carries, so the live model trains on both identically.
+    pub tag: ModelKey,
     /// Full-row arity — stored rows that decode to a different arity fall
     /// back to the general path (which reports the shape error).
     pub arity: usize,
@@ -315,8 +325,7 @@ fn fast_point_plan(prepared: &Prepared) -> Option<Arc<FastPointPlan>> {
     Some(Arc::new(FastPointPlan {
         ns: scan.ns,
         parts,
-        alpha_c: (*count).min(u32::MAX as u64) as u32,
-        beta: spec.row_bytes.min(u32::MAX as u64) as u32,
+        tag: scan.key,
         arity,
     }))
 }
@@ -351,8 +360,8 @@ pub struct RegisteredStatement {
     /// Interaction kind recorded per sample (the root remote operator),
     /// so per-kind quantiles over `stats` mean what
     /// `RunMetrics::quantile_ms_of` promises. Samples carry
-    /// [`LiveOpKind::index`], stats print [`LiveOpKind::name`].
-    pub kind: LiveOpKind,
+    /// [`OpKind::index`], stats print [`OpKind::name`].
+    pub kind: OpKind,
     state: RwLock<StatementState>,
     /// The admission budget of the tenant this statement belongs to
     /// (resolved from the name prefix at install time).
@@ -367,6 +376,17 @@ pub struct RegisteredStatement {
 impl RegisteredStatement {
     pub fn quantile_ms(&self, q: f64) -> f64 {
         self.metrics.lock().quantile_ms(q)
+    }
+
+    /// Book one completed execution that began at `start` and took
+    /// `latency`: the statement's count, its latency sample, the service's
+    /// `executed` — the epilogue of every lane that executes a statement.
+    pub(crate) fn observe(&self, counters: &RegistryCounters, start: Micros, latency: Micros) {
+        self.executions.fetch_add(1, Ordering::Relaxed);
+        self.metrics
+            .lock()
+            .record(start, latency, self.kind.index());
+        counters.executed.fetch_add(1, Ordering::Relaxed);
     }
 
     /// The current execution plan (atomic with the admission it belongs to).
@@ -718,13 +738,11 @@ impl<S: KvStore> StatementRegistry<S> {
         let prediction = predictor.predict(&compiled);
         let p99 = prediction.max_p99_ms;
         if prediction.meets_slo(self.slo.slo_ms, self.slo.interval_confidence) {
-            let kind = root_remote_kind(&compiled.physical);
             let prepared = self.db.prepare_stmt(&stmt)?;
             self.install(
                 name,
                 sql,
                 stmt.clone(),
-                kind,
                 prepared,
                 Admission::Admitted {
                     predicted_p99_ms: p99,
@@ -746,7 +764,6 @@ impl<S: KvStore> StatementRegistry<S> {
                 {
                     let degraded = stmt.rebound(limit);
                     let prepared = self.db.prepare_stmt(&degraded)?;
-                    let kind = root_remote_kind(&prepared.compiled.physical);
                     let admission = Admission::Degraded {
                         predicted_p99_ms: predictor.predict(&prepared.compiled).max_p99_ms,
                         original_limit: bound.count(),
@@ -756,7 +773,6 @@ impl<S: KvStore> StatementRegistry<S> {
                         name,
                         sql,
                         stmt.clone(),
-                        kind,
                         prepared,
                         admission.clone(),
                         Some(limit),
@@ -822,13 +838,11 @@ impl<S: KvStore> StatementRegistry<S> {
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn install(
         &self,
         name: &str,
         sql: &str,
         stmt: SelectStmt,
-        kind: LiveOpKind,
         prepared: Prepared,
         admission: Admission,
         limit: Option<u64>,
@@ -843,7 +857,11 @@ impl<S: KvStore> StatementRegistry<S> {
             name: name.to_string(),
             sql: sql.to_string(),
             stmt,
-            kind,
+            // the root-most remote operator runs last
+            kind: prepared
+                .remote_ops()
+                .last()
+                .map_or(OpKind::IndexScan, |op| op.key.op),
             state: RwLock::new(
                 rank::STATEMENT_STATE,
                 "registry.statement.state",
@@ -943,13 +961,7 @@ impl<S: KvStore> StatementRegistry<S> {
                 .execute_with(session, &prepared, params, ExecStrategy::Parallel, cursor);
         match result {
             Ok(r) => {
-                let latency = session.elapsed_since(start);
-                statement.executions.fetch_add(1, Ordering::Relaxed);
-                statement
-                    .metrics
-                    .lock()
-                    .record(start, latency, statement.kind.index());
-                self.counters.executed.fetch_add(1, Ordering::Relaxed);
+                statement.observe(&self.counters, start, session.elapsed_since(start));
                 Ok(ExecOutcome { result: r, shed })
             }
             Err(e) => {
@@ -1244,34 +1256,16 @@ fn flag_diagnostics(
         &statement.name,
         &statement.sql,
         &prepared.compiled,
-        piql_audit::SloSpec {
-            slo_ms: slo.slo_ms,
-            confidence: slo.interval_confidence,
-        },
+        slo.into(),
     )
     .diagnostics
-}
-
-/// The root-most remote operator — the statement's interaction kind for
-/// per-kind latency reporting.
-fn root_remote_kind(plan: &PhysicalPlan) -> LiveOpKind {
-    fn walk(plan: &PhysicalPlan) -> Option<LiveOpKind> {
-        match plan {
-            PhysicalPlan::IndexScan { .. } => Some(LiveOpKind::IndexScan),
-            PhysicalPlan::IndexFKJoin { .. } => Some(LiveOpKind::IndexFKJoin),
-            PhysicalPlan::SortedIndexJoin { .. } => Some(LiveOpKind::SortedIndexJoin),
-            other => other.child().and_then(walk),
-        }
-    }
-    walk(plan).unwrap_or(LiveOpKind::IndexScan)
 }
 
 /// A background thread that runs [`StatementRegistry::revalidate`] every
 /// `period` — the always-on half of the feedback loop. Dropping it stops
 /// the sweeps (joining the thread).
 pub struct Revalidator {
-    shutdown: Arc<AtomicBool>,
-    handle: Option<std::thread::JoinHandle<()>>,
+    _thread: Periodic,
 }
 
 impl Revalidator {
@@ -1279,11 +1273,32 @@ impl Revalidator {
         registry: Arc<StatementRegistry<S>>,
         period: Duration,
     ) -> Revalidator {
+        Revalidator {
+            _thread: Periodic::spawn("piql-revalidate", period, move || {
+                registry.revalidate();
+            }),
+        }
+    }
+}
+
+/// A control-plane thread that runs `work` every `period`. Dropping it
+/// stops the schedule (joining the thread); work in flight finishes first.
+pub(crate) struct Periodic {
+    shutdown: Arc<AtomicBool>,
+    handle: Option<std::thread::JoinHandle<()>>,
+}
+
+impl Periodic {
+    pub(crate) fn spawn(
+        name: &str,
+        period: Duration,
+        mut work: impl FnMut() + Send + 'static,
+    ) -> Periodic {
         let shutdown = Arc::new(AtomicBool::new(false));
         let handle = {
             let shutdown = shutdown.clone();
             std::thread::Builder::new()
-                .name("piql-revalidate".into())
+                .name(name.into())
                 .spawn(move || {
                     // sleep in short ticks so shutdown never waits a period
                     let tick = period
@@ -1298,22 +1313,22 @@ impl Revalidator {
                         slept += tick;
                         if slept >= period {
                             slept = Duration::ZERO;
-                            registry.revalidate();
+                            work();
                         }
                     }
                 })
                 // Construction-time spawn, before any request is accepted.
                 // lint:allow(request-unwrap)
-                .expect("spawn revalidator thread")
+                .expect("spawn periodic control-plane thread")
         };
-        Revalidator {
+        Periodic {
             shutdown,
             handle: Some(handle),
         }
     }
 }
 
-impl Drop for Revalidator {
+impl Drop for Periodic {
     fn drop(&mut self) {
         self.shutdown.store(true, Ordering::SeqCst);
         if let Some(handle) = self.handle.take() {

@@ -68,7 +68,7 @@ use piql_analysis::rank;
 use piql_core::codec::key::{encode_component_ref, Dir};
 use piql_core::codec::row::RowReader;
 use piql_engine::Database;
-use piql_kv::{KvStore, LiveCluster, LiveOpKind, NsBalance, OpTag, RoundPool, Session};
+use piql_kv::{KvStore, LiveCluster, NsBalance, RoundPool, Session};
 use piql_predict::SloPredictor;
 use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
@@ -133,26 +133,7 @@ impl<S: KvStore + 'static> PiqlServer<S> {
         registry: Arc<StatementRegistry<S>>,
         addr: &str,
     ) -> io::Result<Self> {
-        Self::start_with_dispatch(registry, addr, piql_kv::pool::default_pool_threads())
-    }
-
-    /// [`PiqlServer::start_with_registry`] with an explicit dispatch-pool
-    /// width — the number of requests the whole server handles
-    /// concurrently. `0` degrades every connection to inline (strictly
-    /// sequential) handling.
-    pub fn start_with_dispatch(
-        registry: Arc<StatementRegistry<S>>,
-        addr: &str,
-        dispatch_threads: usize,
-    ) -> io::Result<Self> {
-        Self::start_tuned(
-            registry,
-            addr,
-            ServerTuning {
-                dispatch_threads,
-                max_in_flight_per_conn: 0,
-            },
-        )
+        Self::start_tuned(registry, addr, ServerTuning::default())
     }
 
     /// [`PiqlServer::start_with_registry`] with the full [`ServerTuning`]
@@ -724,14 +705,7 @@ impl<S: KvStore + 'static> BinaryConn<S> {
         let store = self.registry.db().store();
         store.sync_session(&mut self.session);
         let start = self.session.begin();
-        // same op tag the general plan's scan would carry, so the live
-        // model trains on fast-path samples identically
-        self.session.op_tag = Some(OpTag {
-            op: LiveOpKind::IndexScan,
-            alpha_c: plan.alpha_c,
-            alpha_j: 1,
-            beta: plan.beta,
-        });
+        self.session.op_tag = Some(plan.tag);
         self.val_buf.clear();
         let found = store.point_get(&mut self.session, plan.ns, &self.key_buf, &mut self.val_buf);
         self.session.op_tag = None;
@@ -757,14 +731,8 @@ impl<S: KvStore + 'static> BinaryConn<S> {
         }
         binary::finish_frame(&mut self.out, fmark);
 
-        let latency = self.session.elapsed_since(start);
-        statement.executions.fetch_add(1, Ordering::Relaxed);
-        statement
-            .metrics
-            .lock()
-            .record(start, latency, statement.kind.index());
         let counters = &self.registry.counters;
-        counters.executed.fetch_add(1, Ordering::Relaxed);
+        statement.observe(counters, start, self.session.elapsed_since(start));
         counters.fast_point_reads.fetch_add(1, Ordering::Relaxed);
         Some(())
     }
@@ -820,11 +788,6 @@ pub fn respond<S: KvStore>(
             params,
             cursor,
         } => return run_execute(session, registry, name, params, cursor.as_ref()),
-        Request::CursorNext {
-            name,
-            params,
-            cursor,
-        } => return run_execute(session, registry, name, params, Some(cursor)),
         Request::Batch { requests } => {
             return Reply::Batch(
                 requests
@@ -1000,10 +963,7 @@ fn explain_response<S: KvStore>(
     sql: Option<&str>,
 ) -> Json {
     let predictor = registry.models().predictor();
-    let slo = piql_audit::SloSpec {
-        slo_ms: registry.slo().slo_ms,
-        confidence: registry.slo().interval_confidence,
-    };
+    let slo = registry.slo().into();
     let audit = match (name, sql) {
         (Some(name), None) => {
             let Some(statement) = registry.get(name) else {

@@ -2,18 +2,14 @@
 //!
 //! A real deployment trains the §6.1 operator models by observing its
 //! store (see `piql_predict::train`). Tests, examples, and benches need
-//! something faster and fully predictable, so this module fabricates a
-//! [`ModelStore`] from a linear cost model: an operator touching `r` rows
+//! something faster and fully predictable, so this module hands out the
+//! fabricated [`ModelStore::linear`] lattice: an operator touching `r` rows
 //! is recorded as `base_us + per_row_us * r` (with a small spread so the
 //! histograms are not degenerate). The resulting admission decisions are
 //! then exact functions of a query's compiled bounds — which is the
 //! property the success-tolerance tests pin down.
 
-use piql_predict::{ModelStore, OpKind, SloPredictor, ALPHA_GRID, BETA_GRID};
-
-/// α_j values fabricated for SortedIndexJoin keys. A subset of
-/// [`ALPHA_GRID`] so the store's ceil-lookup lands on exact entries.
-const ALPHA_J_GRID: &[u32] = &[1, 5, 10, 25, 50];
+use piql_predict::{ModelStore, SloPredictor};
 
 /// Build a [`SloPredictor`] whose predicted latency for an operator
 /// touching `r` rows is `base_us + per_row_us * r` microseconds (±25%
@@ -24,38 +20,13 @@ pub fn linear_predictor(base_us: u64, per_row_us: u64, intervals: usize) -> SloP
 
 /// The underlying store of [`linear_predictor`].
 pub fn linear_model_store(base_us: u64, per_row_us: u64, intervals: usize) -> ModelStore {
-    let mut store = ModelStore::new(intervals);
-    for interval in 0..intervals {
-        for &beta in BETA_GRID {
-            for &alpha_c in ALPHA_GRID {
-                for (op, alpha_js) in [
-                    (OpKind::IndexScan, &[1u32][..]),
-                    (OpKind::IndexFKJoin, &[1u32][..]),
-                    (OpKind::SortedIndexJoin, ALPHA_J_GRID),
-                ] {
-                    for &alpha_j in alpha_js {
-                        let key = piql_predict::ModelKey {
-                            op,
-                            alpha_c,
-                            alpha_j,
-                            beta,
-                        };
-                        let rows = alpha_c as u64 * alpha_j as u64;
-                        let us = base_us + per_row_us * rows;
-                        store.record(interval, key, us);
-                        store.record(interval, key, us + us / 10);
-                        store.record(interval, key, us + us / 4);
-                    }
-                }
-            }
-        }
-    }
-    store
+    ModelStore::linear(base_us, per_row_us, intervals)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use piql_predict::OpKind;
 
     #[test]
     fn fabricated_store_scales_linearly_with_rows() {

@@ -294,6 +294,65 @@ fn malformed_binary_payload_echoes_header_id() {
     assert_eq!(page.rows.len(), 1);
 }
 
+/// The `cursor-next` verb still answers over a socket on both codecs,
+/// though [`Client::cursor_next`] no longer sends it: the request a
+/// 2bf91e6 client wrote — `execute` with the verb swapped — gets the page
+/// `execute` with the same cursor gets.
+#[test]
+fn a_raw_cursor_next_answers_the_page_execute_with_the_cursor_does() {
+    use piql_server::JsonWire;
+    let server = start_server();
+    let addr = server.local_addr();
+    let mut v2 = Client::connect(addr).unwrap();
+    v2.prepare(
+        "stream",
+        "SELECT * FROM thoughts WHERE owner = <u> ORDER BY timestamp DESC PAGINATE 4",
+    )
+    .unwrap();
+    let first = v2.execute("stream", &uname_param(5), None).unwrap();
+    let resume = Request::Execute {
+        name: "stream".into(),
+        params: uname_param(5),
+        cursor: first.cursor,
+    };
+    let envelope = Envelope {
+        id: Some(RequestId::Int(9)),
+        request: resume.clone(),
+    };
+
+    let mut line = Vec::new();
+    JsonWire.encode_envelope(&envelope, &mut line);
+    let line = String::from_utf8(line).unwrap().replacen(
+        r#""cmd":"execute""#,
+        r#""cmd":"cursor-next""#,
+        1,
+    );
+    assert!(line.contains(r#""cmd":"cursor-next""#), "{line}");
+    let mut frame = Vec::new();
+    BinaryWire.encode_envelope(&envelope, &mut frame);
+    assert_eq!(frame[4], piql_server::binary::OP_EXECUTE);
+    frame[4] = piql_server::binary::OP_CURSOR_NEXT;
+
+    let v3 = Client::connect_binary(addr).unwrap();
+    for (mut client, raw) in [(v2, line.into_bytes()), (v3, frame)] {
+        let codec = client.wire_version();
+        let mut w = client.raw_stream().unwrap();
+        w.write_all(&raw).unwrap();
+        w.flush().unwrap();
+        let answer = client.raw_read_line().unwrap();
+        assert_eq!(answer.get("id"), Some(&Json::Int(9)), "v{codec}");
+        let page = piql_server::decode_page(&answer).unwrap();
+        assert_eq!(page.rows.len(), 4, "v{codec}");
+        assert_ne!(page.rows, first.rows, "v{codec}: the second page");
+        let executed = client.request(&resume).unwrap();
+        assert_eq!(
+            page,
+            piql_server::decode_page(&executed).unwrap(),
+            "v{codec}"
+        );
+    }
+}
+
 #[test]
 fn binary_pipeline_reassembles_positionally() {
     let server = start_server();
@@ -335,4 +394,66 @@ fn binary_client_fails_cleanly_against_a_v2_only_endpoint() {
     assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
     assert!(err.to_string().contains("does not speak v3"), "{err}");
     fake_v2.join().unwrap();
+}
+
+/// Every lane that executes a statement books it the same way: one more
+/// `stats.executed`, one more of the statement's `executions`, one more
+/// latency sample — and the fast lane alone adds a `fast_point_reads`.
+#[test]
+fn every_lane_books_an_execution_once() {
+    let server = start_server();
+    let addr = server.local_addr();
+    let mut v3 = Client::connect_binary(addr).unwrap();
+    let mut v2 = Client::connect(addr).unwrap();
+    v2.prepare("point", POINT).unwrap();
+    v2.prepare(
+        "stream",
+        "SELECT * FROM thoughts WHERE owner = <u> ORDER BY timestamp DESC LIMIT 3",
+    )
+    .unwrap();
+    let registry = server.registry();
+    assert!(registry.get("point").unwrap().fast_point().is_some());
+    assert!(registry.get("stream").unwrap().fast_point().is_none());
+
+    let booked = |name: &str| {
+        let statement = registry.get(name).unwrap();
+        let samples = statement.metrics.lock().count() as u64;
+        let c = &registry.counters;
+        [
+            c.executed.load(Ordering::Relaxed),
+            statement.executions.load(Ordering::Relaxed),
+            samples,
+            c.fast_point_reads.load(Ordering::Relaxed),
+        ]
+    };
+    // (lane, statement, fast_point_reads it adds, one execute over it)
+    type Lane = (
+        &'static str,
+        &'static str,
+        u64,
+        fn(&mut Client, &mut Client),
+    );
+    let lanes: [Lane; 4] = [
+        ("binary fast lane", "point", 1, |v3, _| {
+            v3.execute("point", &uname_param(3), None).unwrap();
+        }),
+        ("binary general lane", "stream", 0, |v3, _| {
+            v3.execute("stream", &uname_param(3), None).unwrap();
+        }),
+        ("JSON tagged", "point", 0, |_, v2| {
+            let mut pipeline = v2.pipeline();
+            pipeline.queue_execute("point", &uname_param(3));
+            assert_eq!(pipeline.flush().unwrap().len(), 1);
+        }),
+        ("JSON id-less", "point", 0, |_, v2| {
+            v2.execute("point", &uname_param(3), None).unwrap();
+        }),
+    ];
+    for (lane, name, fast, execute) in lanes {
+        let before = booked(name);
+        execute(&mut v3, &mut v2);
+        let after = booked(name);
+        let moved: Vec<u64> = after.iter().zip(before).map(|(a, b)| a - b).collect();
+        assert_eq!(moved, [1, 1, 1, fast], "{lane}");
+    }
 }

@@ -239,10 +239,10 @@ fn request_from_json(j: &Json, nested: bool) -> Result<Request, ProtoError> {
         "cursor-next" => {
             let cursor = cursor_from_json(j.get("cursor"))?
                 .ok_or_else(|| ProtoError::Malformed("cursor-next requires a 'cursor'".into()))?;
-            Ok(Request::CursorNext {
+            Ok(Request::Execute {
                 name: name(j)?,
                 params: params_from_json(j.get("params"))?,
-                cursor,
+                cursor: Some(cursor),
             })
         }
         "dml" => Ok(Request::Dml {
@@ -338,13 +338,6 @@ fn any_request() -> impl Strategy<Value = Request> {
                 name,
                 params,
                 cursor: Some(cursor),
-            }
-        }),
-        (string_content(), params(), cursor()).prop_map(|(name, params, cursor)| {
-            Request::CursorNext {
-                name,
-                params,
-                cursor,
             }
         }),
         (string_content(), any::<bool>()).prop_map(|(text, by_name)| Request::Explain {
@@ -570,6 +563,26 @@ proptest! {
         prop_assert_eq!(answer(parse_envelope(&line)), Ok(format!("{env:?}")), "line: {}", line);
         prop_assert_eq!(answer(oracle_envelope(&line)), Ok(format!("{env:?}")), "line: {}", line);
         prop_assert_eq!(extract_id(&line), env.id);
+    }
+
+    /// `cursor-next` is `execute` with the cursor spelled as mandatory: the
+    /// line an older client sends for it decodes, in both decoders, to the
+    /// `execute` it means.
+    #[test]
+    fn cursor_next_lines_are_execute_with_the_cursor(
+        tagged in any::<bool>(),
+        id in request_id(),
+        name in string_content(),
+        params in prop::collection::vec(param(), 0..4),
+        cursor in cursor(),
+    ) {
+        let request = Request::Execute { name, params, cursor: Some(cursor) };
+        let env = Envelope { id: tagged.then_some(id), request };
+        // keys print in order, so the verb is the line's first field
+        let line = envelope_to_line(&env).replacen(r#"{"cmd":"execute""#, r#"{"cmd":"cursor-next""#, 1);
+        prop_assert!(line.starts_with(r#"{"cmd":"cursor-next""#), "line: {}", line);
+        prop_assert_eq!(answer(parse_envelope(&line)), Ok(format!("{env:?}")), "line: {}", line);
+        prop_assert_eq!(answer(oracle_envelope(&line)), Ok(format!("{env:?}")), "line: {}", line);
     }
 
     /// One edit away from a valid request — truncated, a character lost,

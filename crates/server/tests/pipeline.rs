@@ -12,7 +12,7 @@ use piql_kv::{LiveCluster, LiveConfig, Session};
 use piql_server::protocol::{envelope_to_line, request_to_line};
 use piql_server::testkit::linear_predictor;
 use piql_server::{
-    decode_page, Client, Envelope, Json, PiqlServer, Request, RequestId, SloConfig,
+    decode_page, Client, Envelope, Json, PiqlServer, Request, RequestId, ServerTuning, SloConfig,
     StatementRegistry,
 };
 use piql_workloads::scadr::{self, ScadrConfig};
@@ -46,8 +46,11 @@ fn start_server_with_dispatch(dispatch_threads: usize) -> (Arc<LiveCluster>, Piq
         linear_predictor(200, 100, 2),
         permissive_slo(),
     ));
-    let server =
-        PiqlServer::start_with_dispatch(registry, "127.0.0.1:0", dispatch_threads).unwrap();
+    let tuning = ServerTuning {
+        dispatch_threads,
+        ..ServerTuning::default()
+    };
+    let server = PiqlServer::start_tuned(registry, "127.0.0.1:0", tuning).unwrap();
     (cluster, server)
 }
 

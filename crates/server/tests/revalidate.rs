@@ -7,7 +7,7 @@
 use piql_core::plan::params::{ParamValue, Params};
 use piql_core::value::Value;
 use piql_engine::Database;
-use piql_kv::{KvStore, LiveCluster, LiveConfig, LiveOpKind, Session};
+use piql_kv::{KvStore, LiveCluster, LiveConfig, OpKind, Session};
 use piql_predict::plan_thetas;
 use piql_server::testkit::linear_predictor;
 use piql_server::{Admission, Client, DriftAction, PiqlServer, SloConfig, StatementRegistry};
@@ -172,7 +172,7 @@ fn drift_redegrades_then_relaxes_bounded_statement() {
     let prepared = reg.get("recent").unwrap().prepared();
     let thetas = plan_thetas(&prepared.compiled);
     assert_eq!(thetas.len(), 1, "primary-index scan only: {thetas:?}");
-    let scan_key = thetas[0].key;
+    let scan_key = thetas[0];
     assert_eq!(scan_key.alpha_c, 100);
 
     // live drift hits only large fan-outs: α ≥ 100 explodes to 200 ms,
@@ -274,11 +274,11 @@ fn execution_samples_carry_the_statement_kind() {
 
     let find_user = reg.get("find_user").unwrap();
     let thoughtstream = reg.get("thoughtstream").unwrap();
-    assert_eq!(find_user.kind, LiveOpKind::IndexScan, "root op");
+    assert_eq!(find_user.kind, OpKind::IndexScan, "root op");
     assert_eq!(find_user.kind_name(), "IndexScan");
     assert_eq!(
         thoughtstream.kind,
-        LiveOpKind::SortedIndexJoin,
+        OpKind::SortedIndexJoin,
         "root op is the SortedIndexJoin"
     );
     assert_eq!(thoughtstream.kind_name(), "SortedIndexJoin");

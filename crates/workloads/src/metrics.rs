@@ -87,28 +87,13 @@ impl RunMetrics {
 
     /// Pooled latency quantile in milliseconds.
     pub fn quantile_ms(&self, q: f64) -> f64 {
-        let mut lat: Vec<Micros> = self.measured().map(|s| s.latency).collect();
-        if lat.is_empty() {
-            return 0.0;
-        }
-        lat.sort_unstable();
-        let idx = ((q.clamp(0.0, 1.0) * lat.len() as f64).ceil() as usize).clamp(1, lat.len()) - 1;
-        lat[idx] as f64 / 1_000.0
+        nearest_rank_ms(self.measured().map(|s| s.latency).collect(), q)
     }
 
     /// Pooled quantile for one interaction kind.
     pub fn quantile_ms_of(&self, kind: usize, q: f64) -> f64 {
-        let mut lat: Vec<Micros> = self
-            .measured()
-            .filter(|s| s.kind == kind)
-            .map(|s| s.latency)
-            .collect();
-        if lat.is_empty() {
-            return 0.0;
-        }
-        lat.sort_unstable();
-        let idx = ((q.clamp(0.0, 1.0) * lat.len() as f64).ceil() as usize).clamp(1, lat.len()) - 1;
-        lat[idx] as f64 / 1_000.0
+        let of_kind = self.measured().filter(|s| s.kind == kind);
+        nearest_rank_ms(of_kind.map(|s| s.latency).collect(), q)
     }
 
     /// Per-interval quantiles over the measurement window (Figure 5(c)).
@@ -133,14 +118,7 @@ impl RunMetrics {
             return Vec::new();
         };
         (0..=last)
-            .map(|i| match buckets.get_mut(&i) {
-                Some(lat) => {
-                    lat.sort_unstable();
-                    let idx = ((q * lat.len() as f64).ceil() as usize).clamp(1, lat.len()) - 1;
-                    lat[idx] as f64 / 1_000.0
-                }
-                None => 0.0,
-            })
+            .map(|i| nearest_rank_ms(buckets.remove(&i).unwrap_or_default(), q))
             .collect()
     }
 
@@ -154,6 +132,18 @@ impl RunMetrics {
     pub fn count(&self) -> usize {
         self.measured().count()
     }
+}
+
+/// The nearest-rank `q`-quantile of `latencies`, in milliseconds; `0.0` for
+/// an empty set (the convention every quantile here reports).
+fn nearest_rank_ms(mut latencies: Vec<Micros>, q: f64) -> f64 {
+    if latencies.is_empty() {
+        return 0.0;
+    }
+    latencies.sort_unstable();
+    let n = latencies.len();
+    let rank = ((q.clamp(0.0, 1.0) * n as f64).ceil() as usize).clamp(1, n);
+    latencies[rank - 1] as f64 / 1_000.0
 }
 
 /// Least-squares linear fit; returns (slope, intercept, r²). The paper

@@ -82,7 +82,7 @@ fn thoughtstream_prediction_composes_two_operators() {
     let prepared = db.prepare(&q.thoughtstream).unwrap();
     let thetas = piql_predict::plan_thetas(&prepared.compiled);
     assert_eq!(thetas.len(), 2, "scan ∗ sorted-join, as in §6.2");
-    assert_eq!(thetas[0].key.op, piql_predict::OpKind::IndexScan);
-    assert_eq!(thetas[1].key.op, piql_predict::OpKind::SortedIndexJoin);
-    assert_eq!(thetas[1].key.alpha_j as u64, scadr.page_size);
+    assert_eq!(thetas[0].op, piql_predict::OpKind::IndexScan);
+    assert_eq!(thetas[1].op, piql_predict::OpKind::SortedIndexJoin);
+    assert_eq!(thetas[1].alpha_j as u64, scadr.page_size);
 }

@@ -173,4 +173,51 @@ proptest! {
         prop_assert!(r.rows.len() as u64 <= prepared.compiled.bounds.tuples);
         prop_assert_eq!(r.rows.len(), n.min(page as usize));
     }
+
+    /// §6.1's "never under", for a store of any shape: a plan whose own
+    /// lattice point holds no histogram is never predicted below a stored
+    /// point of its operator that it dominates in every coordinate.
+    #[test]
+    fn model_fallback_never_answers_below_a_dominated_stored_point(
+        stored in prop::collection::vec(
+            ((0usize..3, 0usize..6, 0usize..4, 0usize..4), 1u64..400),
+            1..10,
+        ),
+        query in (0usize..3, 1u32..700, 1u32..700, 1u32..3_000),
+    ) {
+        use piql_predict::{snapped, ModelKey, ModelStore, OpKind, BETA_GRID};
+        // a spread of the lattice: small, middling and its far corner
+        const ALPHAS: [u32; 6] = [1, 10, 50, 100, 250, 500];
+        let op = |i| OpKind::from_index(i).expect("three operators");
+        let mut store = ModelStore::new(1);
+        for &((o, c, j, b), ms) in &stored {
+            let key = ModelKey {
+                op: op(o),
+                alpha_c: ALPHAS[c],
+                alpha_j: ALPHAS[j],
+                beta: BETA_GRID[b],
+            };
+            store.record(0, key, ms * 1_000);
+        }
+        let (o, alpha_c, alpha_j, beta) = query;
+        let query = ModelKey { op: op(o), alpha_c, alpha_j, beta };
+        let p99 = |key| store.lookup(0, key).map(|h| h.quantile_ms(0.99));
+        let keys = store.keys();
+        if keys.contains(&snapped(query)) {
+            // an exact hit answers its own histogram
+            prop_assert_eq!(p99(query), p99(snapped(query)));
+        } else {
+            for k in keys.iter().filter(|k| {
+                k.op == query.op
+                    && k.alpha_c <= alpha_c
+                    && k.alpha_j <= alpha_j
+                    && k.beta <= beta
+            }) {
+                prop_assert!(
+                    p99(query) >= p99(*k),
+                    "{query:?} -> {:?}, but {k:?} -> {:?}", p99(query), p99(*k)
+                );
+            }
+        }
+    }
 }
