@@ -14,7 +14,7 @@ use piql_core::catalog::Catalog;
 use piql_core::json::Json;
 use piql_core::opt::{Compiled, InsightReport, OptError, Optimizer};
 use piql_core::parser::parse_select;
-use piql_predict::advisor::suggest_limit;
+use piql_predict::advisor::{fit, Fit};
 use piql_predict::SloPredictor;
 
 /// The SLO a statement is audited against.
@@ -309,21 +309,34 @@ fn finish_compiled(
 
     let attributions = predictor.attribute(compiled);
     let tree = derivation_tree(compiled, &attributions);
-    let prediction = predictor.predict(compiled);
-    let p99 = prediction.max_p99_ms;
-
     let (operator, dominant_term, clause) = describe_dominant(&tree);
 
-    if !prediction.meets_slo(slo.slo_ms, slo.confidence) {
-        // the registry's degradation probe, as a suggestion instead of an
-        // admission decision
-        let feasible_limit = probe.and_then(|(catalog, optimizer, stmt)| {
-            suggest_limit(predictor, stmt.bound?.count(), slo.slo_ms, |limit| {
-                optimizer.compile(catalog, &stmt.rebound(limit)).ok()
-            })
-        });
+    // the registry's own decision (same test, same probe), read as a
+    // verdict and a suggestion instead of an admission
+    let below = probe.and_then(|(_, _, stmt)| stmt.bound);
+    let found = fit(
+        predictor,
+        slo.slo_ms,
+        slo.confidence,
+        compiled,
+        below.map(|b| b.count()),
+        |limit| {
+            let (catalog, optimizer, stmt) = probe?;
+            optimizer.compile(catalog, &stmt.rebound(limit)).ok()
+        },
+    );
+    let prediction = found.written();
+    // the number the verdict rests on: the interval p99 the SLO's
+    // confidence asks to meet (the max interval at confidence 1)
+    let p99 = prediction.p99_quantile_ms(slo.confidence);
+
+    if !matches!(found, Fit::AsWritten(_)) {
         let mut suggestions = Vec::new();
-        if let Some((limit, probe_p99)) = feasible_limit {
+        if let Fit::Degraded {
+            limit, prediction, ..
+        } = &found
+        {
+            let probe_p99 = prediction.p99_quantile_ms(slo.confidence);
             let verb = if compiled.page_size.is_some() {
                 "PAGINATE"
             } else {
@@ -349,10 +362,11 @@ fn finish_compiled(
             code: "slo-infeasible".into(),
             message: format!(
                 "statement `{}` is predicted to violate its {:.0} ms SLO: \
-                 max interval p99 = {p99:.1} ms (violation risk {:.0}%); \
+                 max interval p99 = {:.1} ms (violation risk {:.0}%); \
                  {operator} dominates via {dominant_term}",
                 audit.name,
                 slo.slo_ms,
+                prediction.max_p99_ms,
                 prediction.violation_risk(slo.slo_ms) * 100.0,
             ),
             operator: Some(operator),

@@ -6,7 +6,7 @@
 use piql_audit::{audit_statement, LinearModelSpec, Outcome, SloSpec};
 use piql_core::catalog::{Catalog, TableDef};
 use piql_core::value::DataType;
-use piql_predict::SloPredictor;
+use piql_predict::{ModelKey, ModelStore, OpKind, SloPredictor, ALPHA_GRID, BETA_GRID};
 use proptest::prelude::*;
 
 fn catalog() -> Catalog {
@@ -127,5 +127,112 @@ proptest! {
 
         // the JSON rendering is total too
         let _ = audit.to_json().to_string();
+    }
+
+    /// Below confidence 1 the auditor still says one thing: its verdict,
+    /// its "marginal" and the headroom it prints all rest on the interval
+    /// p99 the SLO test compares, so a statement that meets is never told
+    /// it has negative headroom, and the bound it suggests is one it would
+    /// itself call feasible.
+    #[test]
+    fn verdict_headroom_and_suggestion_agree_at_any_confidence(
+        n in 1usize..6,
+        k_seed in 0usize..6,
+        points in prop::collection::vec((0usize..6, 0usize..8, any::<bool>()), 0..40),
+        limit in 0usize..8,
+    ) {
+        let mut models = ModelStore::new(n);
+        for (interval, alpha, slow) in points {
+            record_scan(&mut models, interval % n, ALPHA_GRID[alpha], if slow { 200 } else { 18 });
+        }
+        let predictor = SloPredictor::new(models);
+        let slo = SloSpec { slo_ms: 20.0, confidence: (k_seed % n + 1) as f64 / n as f64 };
+        let audit = audit_statement(&catalog(), &predictor, "recent", &recent(ALPHA_GRID[limit]), slo);
+        for d in &audit.diagnostics {
+            for s in &d.suggestions {
+                prop_assert!(!s.contains("only -"), "negative headroom: {}", s);
+            }
+        }
+        match &audit.outcome {
+            Outcome::Feasible { predicted_p99_ms } | Outcome::Marginal { predicted_p99_ms } => {
+                prop_assert!(*predicted_p99_ms <= slo.slo_ms, "{:?}", audit.outcome);
+            }
+            Outcome::Infeasible { .. } => {
+                if let Some(suggested) = suggested_limit(&audit) {
+                    let again = audit_statement(&catalog(), &predictor, "recent", &recent(suggested), slo);
+                    prop_assert!(!again.outcome.gating(), "LIMIT {} was suggested: {:?}", suggested, again.outcome);
+                }
+            }
+            other => prop_assert!(false, "{:?}", other),
+        }
+    }
+}
+
+fn recent(limit: u32) -> String {
+    format!("SELECT * FROM thoughts WHERE owner = <u> ORDER BY ts DESC LIMIT {limit}")
+}
+
+/// `ms` for a scan of `alpha` rows during `interval`, at every tuple size.
+fn record_scan(models: &mut ModelStore, interval: usize, alpha: u32, ms: u64) {
+    for &beta in BETA_GRID {
+        let key = ModelKey {
+            op: OpKind::IndexScan,
+            alpha_c: alpha,
+            alpha_j: 1,
+            beta,
+        };
+        for _ in 0..20 {
+            models.record(interval, key, ms * 1_000);
+        }
+    }
+}
+
+/// The bound the advisor's frontier suggestion names, if it made one.
+fn suggested_limit(audit: &piql_audit::StatementAudit) -> Option<u32> {
+    let suggestion = audit
+        .diagnostics
+        .iter()
+        .flat_map(|d| &d.suggestions)
+        .find(|s| s.contains("feasible frontier"))?;
+    let (_, rest) = suggestion.split_once("≤ ")?;
+    rest.split_whitespace().next()?.parse().ok()
+}
+
+/// The case by name: 4 intervals, SLO 20 ms, confidence 0.75; α = 100 is
+/// slow in two intervals, α = 50 in one.
+#[test]
+fn the_auditor_does_not_contradict_itself_below_confidence_one() {
+    let mut models = ModelStore::linear(200, 100, 4);
+    record_scan(&mut models, 0, 100, 200);
+    record_scan(&mut models, 1, 100, 200);
+    record_scan(&mut models, 0, 50, 200);
+    let predictor = SloPredictor::new(models);
+    let slo = SloSpec {
+        slo_ms: 20.0,
+        confidence: 0.75,
+    };
+
+    let hundred = audit_statement(&catalog(), &predictor, "recent", &recent(100), slo);
+    assert!(
+        matches!(hundred.outcome, Outcome::Infeasible { .. }),
+        "{:?}",
+        hundred.outcome
+    );
+    assert_eq!(
+        suggested_limit(&hundred),
+        Some(50),
+        "parent suggested LIMIT ≤ 25: its probe wanted every interval of LIMIT 50 under the SLO"
+    );
+
+    let fifty = audit_statement(&catalog(), &predictor, "recent", &recent(50), slo);
+    match fifty.outcome {
+        Outcome::Feasible { predicted_p99_ms } => assert!(
+            predicted_p99_ms < 10.0,
+            "three of four intervals sit near 6.5 ms, got {predicted_p99_ms}"
+        ),
+        other => panic!(
+            "parent: Marginal at the slow interval's 31.0 ms, \"only -55% SLO headroom \
+             remains\"; got {other:?}"
+        ),
     }
 }

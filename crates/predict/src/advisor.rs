@@ -3,32 +3,80 @@
 //! maximize functionality while meeting the SLO.
 
 use crate::model::ALPHA_GRID;
-use crate::predict::SloPredictor;
+use crate::predict::{QueryPrediction, SloPredictor};
 use piql_core::opt::Compiled;
 
-/// The §6.4 degradation probe: the largest advisor-grid result bound
-/// below `below` whose predicted p99 meets `slo_ms`, with that prediction.
+/// The §6.2–§6.4 decision for one statement: what [`fit`] found.
+#[derive(Debug, Clone)]
+pub enum Fit {
+    /// The statement meets the SLO as written.
+    AsWritten(QueryPrediction),
+    /// Over the SLO as written (`written`); `limit` is the largest
+    /// advisor-grid bound below its own that meets, with its `prediction`.
+    Degraded {
+        written: QueryPrediction,
+        limit: u64,
+        prediction: QueryPrediction,
+    },
+    /// Over the SLO as written, and no smaller bound was found that meets
+    /// (or none may be offered).
+    Infeasible(QueryPrediction),
+}
+
+impl Fit {
+    /// The prediction for the statement as written.
+    pub fn written(&self) -> &QueryPrediction {
+        match self {
+            Fit::AsWritten(written) | Fit::Degraded { written, .. } | Fit::Infeasible(written) => {
+                written
+            }
+        }
+    }
+}
+
+/// The one place a statement is decided against an SLO: predict its plan
+/// per interval (§6.2), call it compliant when `confidence` of them meet
+/// `slo_ms` ([`QueryPrediction::meets_slo`], §6.3), otherwise offer the
+/// largest bound that is compliant *by the same test* (§6.4). Registration,
+/// every re-validation sweep and the static auditor call this and differ
+/// only in what [`Fit::Infeasible`] means (reject, flag, gate).
+///
+/// `written` is the plan as written; `below` its own result bound when a
+/// smaller one may be offered (`None`: it has none, or degrading is off).
 /// `compile` plans the statement re-bounded to one candidate
 /// (`SelectStmt::rebound`) — pure compiles, zero storage operations,
 /// largest candidate first (the grid ascends) and no further than the
 /// answer. A candidate that fails to compile (an optimizer bug: a larger
 /// bound compiled) voids the probe — no admission or suggestion rests on
 /// one.
-pub fn suggest_limit(
+pub fn fit(
     predictor: &SloPredictor,
-    below: u64,
     slo_ms: f64,
+    confidence: f64,
+    written: &Compiled,
+    below: Option<u64>,
     mut compile: impl FnMut(u64) -> Option<Compiled>,
-) -> Option<(u64, f64)> {
+) -> Fit {
+    let written = predictor.predict(written);
+    if written.meets_slo(slo_ms, confidence) {
+        return Fit::AsWritten(written);
+    }
     for limit in ALPHA_GRID.iter().rev().map(|&a| u64::from(a)) {
-        if limit < below {
-            let p99 = predictor.predict(&compile(limit)?).max_p99_ms;
-            if p99 <= slo_ms {
-                return Some((limit, p99));
+        if below.is_some_and(|own| limit < own) {
+            let Some(candidate) = compile(limit) else {
+                break;
+            };
+            let prediction = predictor.predict(&candidate);
+            if prediction.meets_slo(slo_ms, confidence) {
+                return Fit::Degraded {
+                    written,
+                    limit,
+                    prediction,
+                };
             }
         }
     }
-    None
+    Fit::Infeasible(written)
 }
 
 /// A predicted-p99 heatmap over two cardinality parameters (Figure 6:
@@ -145,7 +193,7 @@ mod tests {
     }
 
     #[test]
-    fn limit_probe_takes_the_largest_feasible_grid_bound_or_nothing() {
+    fn fit_takes_the_statement_as_written_or_the_largest_feasible_grid_bound_or_nothing() {
         use crate::model::{ModelKey, ModelStore, OpKind, BETA_GRID};
         use piql_core::catalog::{Catalog, TableDef};
         use piql_core::opt::Optimizer;
@@ -180,15 +228,38 @@ mod tests {
         let optimizer = Optimizer::scale_independent();
         let compile = |limit| optimizer.compile(&catalog, &stmt.rebound(limit)).ok();
 
-        let (limit, p99) = suggest_limit(&predictor, 100, 30.0, compile).unwrap();
-        assert_eq!(limit, 25, "50 ms is over, 25 ms is the largest under");
-        assert!((25.0..=30.0).contains(&p99), "{p99}");
-        // nothing on the grid below the current bound, or nothing feasible
-        assert_eq!(suggest_limit(&predictor, 1, 30.0, compile), None);
-        assert_eq!(suggest_limit(&predictor, 100, 0.5, compile), None);
+        let written = optimizer.compile(&catalog, &stmt).unwrap();
+        let probe = |slo_ms, below, compile: &dyn Fn(u64) -> Option<Compiled>| {
+            fit(&predictor, slo_ms, 1.0, &written, below, compile)
+        };
+
+        match probe(30.0, Some(100), &compile) {
+            Fit::Degraded {
+                written,
+                limit,
+                prediction,
+            } => {
+                assert_eq!(limit, 25, "50 ms is over, 25 ms is the largest under");
+                let p99 = prediction.max_p99_ms;
+                assert!((25.0..=30.0).contains(&p99), "{p99}");
+                assert!(written.max_p99_ms >= 100.0, "{}", written.max_p99_ms);
+            }
+            other => panic!("expected a degraded fit, got {other:?}"),
+        }
+        assert!(matches!(
+            probe(150.0, Some(100), &compile),
+            Fit::AsWritten(_)
+        ));
+        // nothing to offer (no bound, or degrading is off), nothing on the
+        // grid below the bound, or nothing feasible
+        for (slo_ms, below) in [(30.0, None), (30.0, Some(1)), (0.5, Some(100))] {
+            let found = probe(slo_ms, below, &compile);
+            assert!(matches!(found, Fit::Infeasible(_)), "{found:?}");
+        }
         // a candidate that does not compile voids the probe
         let flaky = |limit| if limit == 50 { None } else { compile(limit) };
-        assert_eq!(suggest_limit(&predictor, 100, 30.0, flaky), None);
+        let found = probe(30.0, Some(100), &flaky);
+        assert!(matches!(found, Fit::Infeasible(_)), "{found:?}");
     }
 
     #[test]

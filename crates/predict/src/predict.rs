@@ -81,16 +81,24 @@ pub struct QueryPrediction {
 }
 
 impl QueryPrediction {
+    /// How many intervals must meet an SLO for `confidence` of them to:
+    /// the smallest count `k` with `k / n ≥ confidence`. Decided on the
+    /// counts themselves, so k-of-n is exact (`1.0 - 0.9` is not `0.1`).
+    fn quorum(&self, confidence: f64) -> usize {
+        let n = self.p99_per_interval_ms.len();
+        (0..n)
+            .find(|&k| k as f64 / n as f64 >= confidence)
+            .unwrap_or(n)
+    }
+
     /// The q-quantile of the per-interval p99 distribution (e.g. 0.9 →
-    /// "the p99 stays below this in 90% of intervals").
+    /// "the p99 stays below this in 90% of intervals") — the number
+    /// [`QueryPrediction::meets_slo`] compares with the SLO at confidence
+    /// `q`; 0 when no interval has to meet (`q = 0`, or no intervals).
     pub fn p99_quantile_ms(&self, q: f64) -> f64 {
-        if self.p99_per_interval_ms.is_empty() {
-            return 0.0;
-        }
         let mut xs = self.p99_per_interval_ms.clone();
         xs.sort_by(|a, b| a.total_cmp(b));
-        let idx = ((q.clamp(0.0, 1.0) * xs.len() as f64).ceil() as usize).clamp(1, xs.len()) - 1;
-        xs[idx]
+        self.quorum(q).checked_sub(1).map_or(0.0, |idx| xs[idx])
     }
 
     /// Fraction of intervals whose predicted p99 exceeds `slo_ms` — the
@@ -109,9 +117,15 @@ impl QueryPrediction {
 
     /// Whether the query is predicted to meet "`pct` of queries in each
     /// interval under `slo_ms`" for at least `interval_confidence` of
-    /// intervals.
+    /// intervals — the one comparison of a prediction with an SLO (§6.3);
+    /// admission, re-validation and the auditor all decide through it.
     pub fn meets_slo(&self, slo_ms: f64, interval_confidence: f64) -> bool {
-        self.violation_risk(slo_ms) <= 1.0 - interval_confidence
+        let meeting = self
+            .p99_per_interval_ms
+            .iter()
+            .filter(|&&p| p <= slo_ms)
+            .count();
+        meeting >= self.quorum(interval_confidence)
     }
 }
 
@@ -309,5 +323,52 @@ mod tests {
         assert!(pred.meets_slo(100.0, 0.75));
         assert!(!pred.meets_slo(100.0, 0.9));
         assert!(pred.meets_slo(1_000.0, 1.0));
+    }
+    /// A prediction with `over` of `n` intervals at 30 ms and the rest at
+    /// 10 ms.
+    fn intervals(n: usize, over: usize) -> QueryPrediction {
+        let p99s: Vec<f64> = (0..n).map(|i| if i < over { 30.0 } else { 10.0 }).collect();
+        QueryPrediction {
+            max_p99_ms: p99s.iter().cloned().fold(0.0, f64::max),
+            p99_per_interval_ms: p99s,
+            overall: Distribution::point(0),
+        }
+    }
+
+    #[test]
+    fn nine_of_ten_intervals_meet_at_the_default_confidence() {
+        // parent: `violation_risk = 0.1 <= 1.0 - 0.9 = 0.09999999999999998`
+        // is false — "tolerate 10% volatile intervals" tolerated none of ten
+        let pred = intervals(10, 1);
+        assert!((pred.violation_risk(20.0) - 0.1).abs() < 1e-12);
+        assert!(pred.meets_slo(20.0, 0.9), "parent answered false");
+        assert!(!intervals(10, 2).meets_slo(20.0, 0.9));
+    }
+
+    #[test]
+    fn k_of_n_is_exact_and_the_quantile_is_the_number_compared() {
+        for n in 1..=32usize {
+            for k in 0..=n {
+                let confidence = k as f64 / n as f64;
+                let pred = intervals(n, n - k);
+                assert!(
+                    pred.meets_slo(20.0, confidence),
+                    "{k} of {n} intervals meet, confidence {confidence}"
+                );
+                assert!(pred.p99_quantile_ms(confidence) <= 20.0, "{k}/{n}");
+                if k > 0 {
+                    let worse = intervals(n, n - k + 1);
+                    assert!(
+                        !worse.meets_slo(20.0, confidence),
+                        "{} of {n} intervals meet, confidence {confidence}",
+                        k - 1
+                    );
+                    assert_eq!(worse.p99_quantile_ms(confidence), 30.0, "{k}/{n}");
+                    assert_eq!(pred.p99_quantile_ms(confidence), 10.0, "{k}/{n}");
+                }
+            }
+        }
+        assert_eq!(intervals(4, 4).p99_quantile_ms(1.0), 30.0, "1.0 is the max");
+        assert_eq!(intervals(0, 0).p99_quantile_ms(0.9), 0.0, "no intervals");
     }
 }

@@ -23,27 +23,30 @@
 //! observed latency (see `piql_kv::sample`); [`StatementRegistry::revalidate`]
 //! — driven periodically by a [`Revalidator`] thread or on demand via the
 //! protocol's `revalidate` verb — drains those samples into the shared
-//! [`SharedModelStore`], then re-predicts every registered statement
+//! [`SharedModelStore`], then re-runs the admission decision — the same
+//! [`fit`] registration makes, from each statement's original bound —
 //! against the refreshed models and updates its [`Admission`] in place:
 //! statements that drifted over the SLO are **re-degraded** to a tighter
 //! advisor-chosen bound or **flagged** (kept executable — yanking running
 //! statements would turn drift into an outage — but marked, with the drift
 //! history exposed over `stats`); statements whose store got faster are
-//! relaxed back toward their original bound. Admission therefore tracks
-//! the store the service actually runs on, interval by interval.
+//! relaxed to the largest bound that meets again. After any sweep an
+//! unflagged statement holds what a fresh `prepare` of its text would get,
+//! so admission tracks the store the service actually runs on, interval by
+//! interval, and not the road a statement took.
 
 use crate::budget::{BudgetDecision, BudgetPolicy, TenantBudget};
 use piql_analysis::ordered::{Mutex, RwLock};
 use piql_analysis::rank;
 use piql_core::ast::SelectStmt;
-use piql_core::opt::{InsightReport, OptError, Optimizer};
+use piql_core::opt::{Compiled, InsightReport, OptError, Optimizer};
 use piql_core::plan::params::ParamsRef;
 use piql_core::plan::physical::{PhysicalPlan, ScanLimit};
 use piql_core::plan::pred::Operand;
 use piql_core::value::Value;
 use piql_engine::{Cursor, Database, DbError, ExecStrategy, Prepared, QueryResult};
 use piql_kv::{KvStore, LiveCluster, Micros, ModelKey, NsId, OpKind, Session};
-use piql_predict::advisor::suggest_limit;
+use piql_predict::advisor::{fit, Fit};
 use piql_predict::{SharedModelStore, SloPredictor, ALPHA_GRID};
 use piql_workloads::RunMetrics;
 use std::collections::BTreeMap;
@@ -330,23 +333,28 @@ fn fast_point_plan(prepared: &Prepared) -> Option<Arc<FastPointPlan>> {
     }))
 }
 
+/// What an admission decision installs: the plan prepared at the decided
+/// bound and everything derived from it ([`StatementRegistry::plan`]).
+#[derive(Debug, Clone)]
+struct InstalledPlan {
+    prepared: Arc<Prepared>,
+    /// Pre-resolved point-read plan when `prepared` qualifies.
+    fast_point: Option<Arc<FastPointPlan>>,
+    /// Row bound `prepared` enforces (`None`: no bound to degrade).
+    limit: Option<u64>,
+    /// Pre-compiled shed plan (tightest advisor bound) served when the
+    /// tenant's budget admits under the `Shed` policy; `None` when the
+    /// statement has no tighter bound.
+    shed: Option<Arc<Prepared>>,
+}
+
 /// The mutable half of a registered statement, swapped under one lock so
 /// executors always see a (plan, admission) pair that belongs together.
 #[derive(Debug)]
 struct StatementState {
-    prepared: Arc<Prepared>,
-    /// Pre-resolved point-read plan when `prepared` qualifies (kept in
-    /// lockstep with every plan swap).
-    fast_point: Option<Arc<FastPointPlan>>,
+    plan: InstalledPlan,
+    /// The verdict, carrying the latest re-validated prediction for `plan`.
     admission: Admission,
-    /// Row bound the current plan enforces (`None`: no bound to degrade).
-    limit: Option<u64>,
-    /// Pre-compiled shed plan (tightest advisor bound) served when the
-    /// tenant's budget admits under the `Shed` policy. Kept in lockstep
-    /// with plan swaps; `None` when the statement has no tighter bound.
-    shed: Option<Arc<Prepared>>,
-    /// Latest re-validated prediction for the current plan, ms.
-    last_predicted_p99_ms: f64,
     drift: Vec<DriftEvent>,
 }
 
@@ -391,7 +399,7 @@ impl RegisteredStatement {
 
     /// The current execution plan (atomic with the admission it belongs to).
     pub fn prepared(&self) -> Arc<Prepared> {
-        self.state.read().prepared.clone()
+        self.state.read().plan.prepared.clone()
     }
 
     /// The current admission verdict.
@@ -403,13 +411,17 @@ impl RegisteredStatement {
     /// (atomic with [`RegisteredStatement::prepared`] — plan swaps replace
     /// both under the same lock).
     pub fn fast_point(&self) -> Option<Arc<FastPointPlan>> {
-        self.state.read().fast_point.clone()
+        self.state.read().plan.fast_point.clone()
     }
 
     /// Latest re-validated prediction for the current plan, ms (the
     /// registration-time prediction until the first sweep).
     pub fn last_predicted_p99_ms(&self) -> f64 {
-        self.state.read().last_predicted_p99_ms
+        self.state
+            .read()
+            .admission
+            .predicted_p99_ms()
+            .unwrap_or(0.0)
     }
 
     /// Recent drift history, oldest first.
@@ -437,7 +449,7 @@ impl RegisteredStatement {
 
     /// The pre-compiled shed (degraded) plan, when one exists.
     pub fn shed_prepared(&self) -> Option<Arc<Prepared>> {
-        self.state.read().shed.clone()
+        self.state.read().plan.shed.clone()
     }
 
     /// The root remote operator's name (the `kind` label in words).
@@ -710,11 +722,12 @@ impl<S: KvStore> StatementRegistry<S> {
         &self.models
     }
 
-    /// Register `sql` under `name`. Returns the admission verdict; only
-    /// admitted/degraded statements become executable. Re-registering a
-    /// name replaces it — a rejected re-registration *unregisters* the
-    /// name, so a client can never execute different SQL than it last
-    /// prepared.
+    /// Register `sql` under `name`. Returns the admission verdict ([`fit`],
+    /// with "infeasible" a rejection); only admitted/degraded statements
+    /// become executable. Re-registering a name replaces it — a rejected
+    /// re-registration *unregisters* the name, so a client can never
+    /// execute different SQL than it last prepared. An `Err` (the text does
+    /// not parse, bind or provision) is no verdict: the name stays as it was.
     pub fn register(&self, name: &str, sql: &str) -> Result<Admission, RegistryError> {
         let stmt = piql_core::parser::parse_select(sql)
             .map_err(|e| RegistryError::Db(DbError::Parse(e)))?;
@@ -734,81 +747,68 @@ impl<S: KvStore> StatementRegistry<S> {
             Err(e) => return Err(RegistryError::Db(DbError::Compile(e))),
         };
 
-        // Phase 2 — SLO prediction (§6.2/6.3) on the compiled plan.
-        let prediction = predictor.predict(&compiled);
-        let p99 = prediction.max_p99_ms;
-        if prediction.meets_slo(self.slo.slo_ms, self.slo.interval_confidence) {
-            let prepared = self.db.prepare_stmt(&stmt)?;
-            self.install(
-                name,
-                sql,
-                stmt.clone(),
-                prepared,
-                Admission::Admitted {
-                    predicted_p99_ms: p99,
-                },
-                stmt.bound.map(|b| b.count()),
-            );
-            self.counters.admitted.fetch_add(1, Ordering::Relaxed);
-            return Ok(Admission::Admitted {
-                predicted_p99_ms: p99,
+        // Phase 2 — the decision (§6.2–6.4) on the compiled plan. Still pure.
+        let found = self.fit(&predictor, &catalog, &stmt, &compiled);
+        let Some((limit, admission)) = admit(&found, &stmt) else {
+            self.counters.rejected_slo.fetch_add(1, Ordering::Relaxed);
+            self.uninstall(name);
+            return Ok(Admission::RejectedSlo {
+                predicted_p99_ms: found.written().max_p99_ms,
             });
-        }
+        };
 
-        // Phase 3 — advisor-guided degradation (§6.4): find the largest
-        // LIMIT/PAGINATE whose prediction still meets the SLO.
-        if self.slo.allow_degrade {
-            if let Some(bound) = stmt.bound {
-                if let Some(limit) =
-                    self.suggest_degraded_limit(&predictor, &catalog, &stmt, bound.count())
-                {
-                    let degraded = stmt.rebound(limit);
-                    let prepared = self.db.prepare_stmt(&degraded)?;
-                    let admission = Admission::Degraded {
-                        predicted_p99_ms: predictor.predict(&prepared.compiled).max_p99_ms,
-                        original_limit: bound.count(),
-                        limit,
-                    };
-                    self.install(
-                        name,
-                        sql,
-                        stmt.clone(),
-                        prepared,
-                        admission.clone(),
-                        Some(limit),
-                    );
-                    self.counters.degraded.fetch_add(1, Ordering::Relaxed);
-                    return Ok(admission);
-                }
-            }
-        }
-
-        self.counters.rejected_slo.fetch_add(1, Ordering::Relaxed);
-        self.uninstall(name);
-        Ok(Admission::RejectedSlo {
-            predicted_p99_ms: p99,
-        })
+        // Phase 3 — only a statement that will run touches storage.
+        let plan = self.plan(&stmt, limit)?;
+        let counter = match admission {
+            Admission::Degraded { .. } => &self.counters.degraded,
+            _ => &self.counters.admitted,
+        };
+        self.install(name, sql, stmt, plan, admission.clone());
+        counter.fetch_add(1, Ordering::Relaxed);
+        Ok(admission)
     }
 
-    /// Probe smaller bounds with the §6.4 advisor. Pure compiles only —
-    /// still zero storage operations.
-    fn suggest_degraded_limit(
+    /// [`fit`] under this service's SLO: `written` is `stmt`'s plan as
+    /// written, candidates are pure compiles of `stmt` re-bounded.
+    fn fit(
         &self,
         predictor: &SloPredictor,
         catalog: &piql_core::catalog::Catalog,
         stmt: &SelectStmt,
-        below: u64,
-    ) -> Option<u64> {
-        suggest_limit(predictor, below, self.slo.slo_ms, |limit| {
-            self.optimizer.compile(catalog, &stmt.rebound(limit)).ok()
+        written: &Compiled,
+    ) -> Fit {
+        let below = stmt.bound.filter(|_| self.slo.allow_degrade);
+        fit(
+            predictor,
+            self.slo.slo_ms,
+            self.slo.interval_confidence,
+            written,
+            below.map(|b| b.count()),
+            |limit| self.optimizer.compile(catalog, &stmt.rebound(limit)).ok(),
+        )
+    }
+
+    /// Build what a decision installs: `stmt` prepared at `limit` (its own
+    /// bound, or the degraded one) with the plans derived from it. May touch
+    /// storage (index provisioning) — never under the statement state lock.
+    fn plan(&self, stmt: &SelectStmt, limit: Option<u64>) -> Result<InstalledPlan, DbError> {
+        let prepared = match limit {
+            Some(l) if Some(l) != stmt.bound.map(|b| b.count()) => {
+                self.db.prepare_stmt(&stmt.rebound(l))?
+            }
+            _ => self.db.prepare_stmt(stmt)?,
+        };
+        Ok(InstalledPlan {
+            fast_point: fast_point_plan(&prepared),
+            prepared: Arc::new(prepared),
+            limit,
+            shed: self.build_shed(stmt, limit),
         })
-        .map(|(limit, _)| limit)
     }
 
     /// Pre-compile the shed plan: the statement rebound to the tightest
     /// advisor grid bound, when that is strictly tighter than the current
-    /// plan's bound. Pure control-plane work — runs at install and in the
-    /// sweep's decide phase, never under the statement state lock.
+    /// plan's bound.
     fn build_shed(&self, stmt: &SelectStmt, limit: Option<u64>) -> Option<Arc<Prepared>> {
         let current = limit?;
         let tightest = ALPHA_GRID.iter().map(|&a| a as u64).min()?;
@@ -843,22 +843,19 @@ impl<S: KvStore> StatementRegistry<S> {
         name: &str,
         sql: &str,
         stmt: SelectStmt,
-        prepared: Prepared,
+        plan: InstalledPlan,
         admission: Admission,
-        limit: Option<u64>,
     ) {
-        let last_predicted_p99_ms = admission.predicted_p99_ms().unwrap_or(0.0);
-        let fast_point = fast_point_plan(&prepared);
-        // tenant budget + shed plan resolve before the statements write
-        // lock: both take their own locks and must not nest inside it
+        // the tenant budget resolves before the statements write lock: it
+        // takes its own lock and must not nest inside it
         let budget = self.budget_for(tenant_of(name));
-        let shed = self.build_shed(&stmt, limit);
         let statement = Arc::new(RegisteredStatement {
             name: name.to_string(),
             sql: sql.to_string(),
             stmt,
             // the root-most remote operator runs last
-            kind: prepared
+            kind: plan
+                .prepared
                 .remote_ops()
                 .last()
                 .map_or(OpKind::IndexScan, |op| op.key.op),
@@ -866,12 +863,8 @@ impl<S: KvStore> StatementRegistry<S> {
                 rank::STATEMENT_STATE,
                 "registry.statement.state",
                 StatementState {
-                    prepared: Arc::new(prepared),
-                    fast_point,
+                    plan,
                     admission,
-                    limit,
-                    shed,
-                    last_predicted_p99_ms,
                     drift: Vec::new(),
                 },
             ),
@@ -1003,8 +996,11 @@ impl<S: KvStore> StatementRegistry<S> {
 
     /// One re-validation sweep: drain live latency samples from the
     /// backend, fold them into the shared models (each sweep closes one
-    /// observation interval), then re-predict every registered statement
-    /// against the refreshed snapshot and update its admission in place.
+    /// observation interval), then re-run the admission decision for every
+    /// registered statement against the refreshed snapshot. Afterwards each
+    /// holds the verdict and bound [`StatementRegistry::register`] would
+    /// answer for its text on that snapshot — except that a rejection is
+    /// [`Admission::Flagged`], the installed plan kept.
     pub fn revalidate(&self) -> RevalidationSummary {
         // one sweep at a time: a client-forced `revalidate` verb must not
         // interleave with the background Revalidator's tick (both would
@@ -1064,6 +1060,9 @@ impl<S: KvStore> StatementRegistry<S> {
         self.sweeps.load(Ordering::Relaxed)
     }
 
+    /// Re-run the admission decision for one statement: the [`fit`] a fresh
+    /// [`StatementRegistry::register`] would run, from its *original* bound,
+    /// wherever the installed one got to.
     fn revalidate_statement(
         &self,
         statement: &Arc<RegisteredStatement>,
@@ -1076,189 +1075,111 @@ impl<S: KvStore> StatementRegistry<S> {
         // write lock or every sweep would stall this statement's executors
         // (which read-lock the state to clone the plan). Sweeps are
         // serialized by `sweep_lock`, so no other writer races the apply.
-        let (prepared, admission, limit) = {
+        let (installed, old) = {
             let state = statement.state.read();
-            (state.prepared.clone(), state.admission.clone(), state.limit)
+            (state.plan.clone(), state.admission.clone())
         };
-        let prediction = predictor.predict(&prepared.compiled);
-        let p99 = prediction.max_p99_ms;
-        let meets = prediction.meets_slo(self.slo.slo_ms, self.slo.interval_confidence);
-        let original_limit = statement.stmt.bound.map(|b| b.count());
-        let was_flagged = matches!(admission, Admission::Flagged { .. });
-        let was_degraded = matches!(admission, Admission::Degraded { .. });
-
-        // (action, new admission, plan swap) — the swap carries the newly
-        // prepared plan, its bound, its prediction, and the matching
-        // pre-compiled shed plan
-        type Swap = Option<(Arc<Prepared>, Option<u64>, f64, Option<Arc<Prepared>>)>;
-        let (action, new_admission, swap): (DriftAction, Admission, Swap) = if meets {
-            if was_flagged {
-                // a flagged statement meets the SLO again: restore the
-                // verdict its current plan shape implies
-                let restored = match (limit, original_limit) {
-                    (Some(l), Some(o)) if l < o => Admission::Degraded {
-                        predicted_p99_ms: p99,
-                        original_limit: o,
-                        limit: l,
-                    },
-                    _ => Admission::Admitted {
-                        predicted_p99_ms: p99,
-                    },
-                };
-                (DriftAction::Recovered, restored, None)
-            } else if let (true, Some(l), Some(o)) = (was_degraded, limit, original_limit) {
-                if l < o {
-                    // a degraded statement under a faster store: try
-                    // restoring the original bound (pure compile + predict)
-                    match self.try_relax(&catalog, statement, predictor) {
-                        Some((restored, restored_p99)) => (
-                            DriftAction::Relaxed,
-                            Admission::Admitted {
-                                predicted_p99_ms: restored_p99,
-                            },
-                            Some((
-                                Arc::new(restored),
-                                Some(o),
-                                restored_p99,
-                                self.build_shed(&statement.stmt, Some(o)),
-                            )),
-                        ),
-                        None => (
-                            DriftAction::Steady,
-                            Admission::Degraded {
-                                predicted_p99_ms: p99,
-                                original_limit: o,
-                                limit: l,
-                            },
-                            None,
-                        ),
-                    }
-                } else {
-                    (
-                        DriftAction::Steady,
-                        Admission::Admitted {
-                            predicted_p99_ms: p99,
-                        },
-                        None,
-                    )
-                }
-            } else {
-                (
-                    DriftAction::Steady,
-                    Admission::Admitted {
-                        predicted_p99_ms: p99,
-                    },
-                    None,
-                )
-            }
+        let running = &installed.prepared.compiled;
+        let stmt = &statement.stmt;
+        // the installed plan answers for its own bound: an undegraded
+        // statement is re-decided without a compile
+        let found = if installed.limit == stmt.bound.map(|b| b.count()) {
+            self.fit(predictor, &catalog, stmt, running)
         } else {
-            // the current plan drifted over the SLO: tighten if the advisor
-            // finds a feasible smaller bound, otherwise flag
-            let tighter = if self.slo.allow_degrade {
-                limit.and_then(|current| {
-                    self.suggest_degraded_limit(predictor, &catalog, &statement.stmt, current)
-                })
-            } else {
-                None
-            };
-            let flagged = Admission::Flagged {
-                predicted_p99_ms: p99,
-                diagnostics: flag_diagnostics(predictor, statement, &prepared, &self.slo),
-            };
-            match (tighter, original_limit) {
-                (Some(l), Some(o)) => match self.db.prepare_stmt(&statement.stmt.rebound(l)) {
-                    Ok(tightened) => {
-                        let new_p99 = predictor.predict(&tightened.compiled).max_p99_ms;
-                        (
-                            DriftAction::Redegraded,
-                            Admission::Degraded {
-                                predicted_p99_ms: new_p99,
-                                original_limit: o,
-                                limit: l,
-                            },
-                            Some((
-                                Arc::new(tightened),
-                                Some(l),
-                                new_p99,
-                                self.build_shed(&statement.stmt, Some(l)),
-                            )),
-                        )
-                    }
-                    Err(_) => (DriftAction::Flagged, flagged, None),
-                },
-                _ => {
-                    let action = if was_flagged {
-                        DriftAction::Steady
-                    } else {
-                        DriftAction::Flagged
-                    };
-                    (action, flagged, None)
-                }
+            match self.optimizer.compile(&catalog, stmt) {
+                Ok(written) => self.fit(predictor, &catalog, stmt, &written),
+                Err(_) => Fit::Infeasible(predictor.predict(running)),
             }
         };
+        // a bound that moved needs its plan (one that cannot be had: a flag)
+        let mut moved = None;
+        let decided = admit(&found, stmt).and_then(|(limit, admission)| {
+            if limit != installed.limit {
+                moved = Some(self.plan(stmt, limit).ok()?);
+            }
+            Some((limit, admission))
+        });
+        let (action, admission) = transition(&old, installed.limit, decided, || {
+            let audit = piql_audit::audit_compiled(
+                predictor,
+                &statement.name,
+                &statement.sql,
+                running,
+                (&self.slo).into(),
+            );
+            Admission::Flagged {
+                predicted_p99_ms: predictor.predict(running).max_p99_ms,
+                diagnostics: audit.diagnostics,
+            }
+        });
 
         // apply: brief write lock, no compiles inside
         let mut state = statement.state.write();
-        state.admission = new_admission;
-        state.last_predicted_p99_ms = p99;
-        if let Some((new_prepared, new_limit, new_p99, new_shed)) = swap {
-            state.fast_point = fast_point_plan(&new_prepared);
-            state.prepared = new_prepared;
-            state.limit = new_limit;
-            state.last_predicted_p99_ms = new_p99;
-            state.shed = new_shed;
+        if let Some(plan) = moved {
+            state.plan = plan;
         }
-        let recorded_p99 = state.last_predicted_p99_ms;
         state.drift.push(DriftEvent {
             sweep,
-            predicted_p99_ms: recorded_p99,
+            predicted_p99_ms: admission.predicted_p99_ms().unwrap_or(0.0),
             action,
         });
+        state.admission = admission;
         if state.drift.len() > DRIFT_HISTORY {
             let excess = state.drift.len() - DRIFT_HISTORY;
             state.drift.drain(..excess);
         }
         action
     }
+}
 
-    /// Compile + predict the statement at its original bound; `Some` iff
-    /// that meets the SLO (pure compile — zero storage operations unless
-    /// the plan's indexes vanished, which `prepare_stmt` would recreate).
-    fn try_relax(
-        &self,
-        catalog: &piql_core::catalog::Catalog,
-        statement: &RegisteredStatement,
-        predictor: &SloPredictor,
-    ) -> Option<(Prepared, f64)> {
-        let compiled = self.optimizer.compile(catalog, &statement.stmt).ok()?;
-        let prediction = predictor.predict(&compiled);
-        if !prediction.meets_slo(self.slo.slo_ms, self.slo.interval_confidence) {
-            return None;
-        }
-        let prepared = self.db.prepare_stmt(&statement.stmt).ok()?;
-        Some((prepared, prediction.max_p99_ms))
+/// The bound and verdict a feasible [`Fit`] of `stmt` installs; `None` for
+/// [`Fit::Infeasible`], which registration rejects and a sweep flags.
+fn admit(found: &Fit, stmt: &SelectStmt) -> Option<(Option<u64>, Admission)> {
+    let original = stmt.bound.map(|b| b.count());
+    match found {
+        Fit::AsWritten(written) => Some((
+            original,
+            Admission::Admitted {
+                predicted_p99_ms: written.max_p99_ms,
+            },
+        )),
+        Fit::Degraded {
+            limit, prediction, ..
+        } => Some((
+            Some(*limit),
+            Admission::Degraded {
+                predicted_p99_ms: prediction.max_p99_ms,
+                original_limit: original?,
+                limit: *limit,
+            },
+        )),
+        Fit::Infeasible(_) => None,
     }
 }
 
-/// The structured payload of a [`Admission::Flagged`] verdict: run the
-/// static auditor over the statement's *current* plan (pure — attribution
-/// and prediction only, no storage operations) and keep its diagnostics,
-/// so a flag names the offending operator and the dominating cost term
-/// instead of just a number.
-fn flag_diagnostics(
-    predictor: &SloPredictor,
-    statement: &RegisteredStatement,
-    prepared: &Prepared,
-    slo: &SloConfig,
-) -> Vec<piql_audit::Diagnostic> {
-    piql_audit::audit_compiled(
-        predictor,
-        &statement.name,
-        &statement.sql,
-        &prepared.compiled,
-        slo.into(),
-    )
-    .diagnostics
+/// Name what a sweep's decision did to a statement whose verdict was `old`
+/// at bound `installed`. `decided` is what registration would install now
+/// ([`admit`]); `None`, its rejection, is a flag (`flag` builds it).
+fn transition(
+    old: &Admission,
+    installed: Option<u64>,
+    decided: Option<(Option<u64>, Admission)>,
+    flag: impl FnOnce() -> Admission,
+) -> (DriftAction, Admission) {
+    let flagged = matches!(old, Admission::Flagged { .. });
+    match decided {
+        None if flagged => (DriftAction::Steady, flag()),
+        None => (DriftAction::Flagged, flag()),
+        Some((limit, admission)) => {
+            let action = match limit.cmp(&installed) {
+                std::cmp::Ordering::Less => DriftAction::Redegraded,
+                std::cmp::Ordering::Greater => DriftAction::Relaxed,
+                std::cmp::Ordering::Equal if flagged => DriftAction::Recovered,
+                std::cmp::Ordering::Equal => DriftAction::Steady,
+            };
+            (action, admission)
+        }
+    }
 }
 
 /// A background thread that runs [`StatementRegistry::revalidate`] every
@@ -1334,5 +1255,133 @@ impl Drop for Periodic {
         if let Some(handle) = self.handle.take() {
             let _ = handle.join();
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const O: u64 = 100;
+
+    fn admitted() -> Admission {
+        Admission::Admitted {
+            predicted_p99_ms: 1.0,
+        }
+    }
+
+    fn degraded(limit: u64) -> Admission {
+        Admission::Degraded {
+            predicted_p99_ms: 1.0,
+            original_limit: O,
+            limit,
+        }
+    }
+
+    fn flagged() -> Admission {
+        Admission::Flagged {
+            predicted_p99_ms: 9.0,
+            diagnostics: Vec::new(),
+        }
+    }
+
+    /// What registration would install at `limit` of a `LIMIT 100`
+    /// statement — the shape [`admit`] hands to [`transition`].
+    fn install(limit: u64) -> Option<(Option<u64>, Admission)> {
+        let admission = if limit == O {
+            admitted()
+        } else {
+            degraded(limit)
+        };
+        Some((Some(limit), admission))
+    }
+
+    /// Every cell of (what the statement was) × (what the decision is now):
+    /// the action is named by where the bound went, the verdict is the one
+    /// registration would answer, and only a rejection keeps a flag.
+    #[test]
+    fn transition_names_every_cell_of_the_table() {
+        use DriftAction::*;
+        // (old verdict, installed bound) — admitted, degraded,
+        // flagged at the original bound, flagged while degraded
+        let rows = [
+            (admitted(), O),
+            (degraded(25), 25),
+            (flagged(), O),
+            (flagged(), 25),
+        ];
+        // decision → the action per row; `None` = no such cell (the bound
+        // cannot move above the original)
+        let columns = [
+            // meets as written
+            (
+                install(O),
+                [Some(Steady), Some(Relaxed), Some(Recovered), Some(Relaxed)],
+            ),
+            // degraded lower than installed
+            (
+                install(10),
+                [
+                    Some(Redegraded),
+                    Some(Redegraded),
+                    Some(Redegraded),
+                    Some(Redegraded),
+                ],
+            ),
+            // degraded higher than installed
+            (install(50), [None, Some(Relaxed), None, Some(Relaxed)]),
+            // the installed bound again
+            (install(25), [None, Some(Steady), None, Some(Recovered)]),
+            // infeasible: flag once, keep the flag (and the plan) after
+            (
+                None,
+                [Some(Flagged), Some(Flagged), Some(Steady), Some(Steady)],
+            ),
+        ];
+        for (decided, actions) in columns {
+            for ((old, installed), expected) in rows.iter().zip(actions) {
+                let Some(expected) = expected else { continue };
+                let (action, admission) =
+                    transition(old, Some(*installed), decided.clone(), flagged);
+                let cell = format!("{} at {installed} → {decided:?}", old.verdict());
+                assert_eq!(action, expected, "{cell}");
+                match &decided {
+                    Some((_, verdict)) => assert_eq!(&admission, verdict, "{cell}"),
+                    None => assert_eq!(admission, flagged(), "{cell}"),
+                }
+            }
+        }
+        // a statement with no bound to move: steady, flagged, recovered
+        let unbounded = Some((None, admitted()));
+        for (old, decided, expected) in [
+            (admitted(), unbounded.clone(), Steady),
+            (flagged(), unbounded, Recovered),
+            (admitted(), None, Flagged),
+        ] {
+            assert_eq!(transition(&old, None, decided, flagged).0, expected);
+        }
+    }
+
+    /// [`admit`] is where a [`Fit`] becomes a bound and a verdict.
+    #[test]
+    fn admit_maps_a_fit_to_what_registration_installs() {
+        let stmt = piql_core::parser::parse_select("SELECT * FROM t WHERE k = <k> LIMIT 100")
+            .expect("parses");
+        let prediction = |p99: f64| piql_predict::QueryPrediction {
+            p99_per_interval_ms: vec![p99],
+            max_p99_ms: p99,
+            overall: piql_predict::Distribution::point(0),
+        };
+        assert_eq!(
+            admit(&Fit::AsWritten(prediction(1.0)), &stmt),
+            Some((Some(O), admitted()))
+        );
+        let found = Fit::Degraded {
+            written: prediction(9.0),
+            limit: 25,
+            prediction: prediction(1.0),
+        };
+        assert_eq!(admit(&found, &stmt), Some((Some(25), degraded(25))));
+        assert_eq!(admit(&Fit::Infeasible(prediction(9.0)), &stmt), None);
     }
 }

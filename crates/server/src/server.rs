@@ -864,56 +864,10 @@ fn prepare_response<S: KvStore>(registry: &StatementRegistry<S>, name: &str, sql
     match registry.register(name, sql) {
         Ok(admission) => {
             let mut fields = vec![("status", Json::str(admission.verdict()))];
-            match &admission {
-                Admission::Admitted { predicted_p99_ms } => {
-                    fields.push(("predicted_p99_ms", Json::Float(*predicted_p99_ms)));
-                }
-                Admission::Degraded {
-                    predicted_p99_ms,
-                    original_limit,
-                    limit,
-                } => {
-                    fields.push(("predicted_p99_ms", Json::Float(*predicted_p99_ms)));
-                    fields.push(("original_limit", Json::uint(*original_limit)));
-                    fields.push(("limit", Json::uint(*limit)));
-                }
-                Admission::RejectedSlo { predicted_p99_ms } => {
-                    fields.push(("predicted_p99_ms", Json::Float(*predicted_p99_ms)));
-                }
-                Admission::RejectedUnbounded { report } => {
-                    // the legacy flat string, plus the structured
-                    // diagnosis (problem / relation / suggestions) the
-                    // Insight Assistant computed all along — clients no
-                    // longer have to screen-scrape the report text
-                    fields.push(("report", Json::str(report.to_string())));
-                    fields.push(("problem", Json::str(report.problem.clone())));
-                    fields.push((
-                        "relation",
-                        match &report.relation {
-                            Some(rel) => Json::str(rel.clone()),
-                            None => Json::Null,
-                        },
-                    ));
-                    fields.push((
-                        "suggestions",
-                        Json::Arr(
-                            report
-                                .suggestions
-                                .iter()
-                                .map(|s| Json::str(s.to_string()))
-                                .collect(),
-                        ),
-                    ));
-                }
-                // registration never flags (flags come from sweeps)
-                Admission::Flagged {
-                    predicted_p99_ms,
-                    diagnostics,
-                } => {
-                    fields.push(("predicted_p99_ms", Json::Float(*predicted_p99_ms)));
-                    fields.push(("diagnostics", diagnostics_to_json(diagnostics)));
-                }
+            if let Some(p99) = admission.predicted_p99_ms() {
+                fields.push(("predicted_p99_ms", Json::Float(p99)));
             }
+            admission_detail(&admission, &mut fields);
             if admission.is_admitted() {
                 // Admission and this lookup are not atomic: a rival
                 // prepare of the same name that lands on a rejection
@@ -952,6 +906,57 @@ fn prepare_response<S: KvStore>(registry: &StatementRegistry<S>, name: &str, sql
     }
 }
 
+/// What a verdict carries beyond its name and prediction, as response
+/// fields — the one rendering of an [`Admission`], shared by `prepare` and
+/// the per-statement block of `stats`.
+fn admission_detail(admission: &Admission, fields: &mut Vec<(&'static str, Json)>) {
+    match admission {
+        Admission::Admitted { .. } | Admission::RejectedSlo { .. } => {}
+        Admission::Degraded {
+            original_limit,
+            limit,
+            ..
+        } => {
+            fields.push(("original_limit", Json::uint(*original_limit)));
+            fields.push(("limit", Json::uint(*limit)));
+        }
+        Admission::RejectedUnbounded { report } => {
+            // the legacy flat string, plus the structured diagnosis
+            // (problem / relation / suggestions) the Insight Assistant
+            // computed all along — clients no longer have to screen-scrape
+            // the report text
+            fields.push(("report", Json::str(report.to_string())));
+            fields.push(("problem", Json::str(report.problem.clone())));
+            fields.push((
+                "relation",
+                match &report.relation {
+                    Some(rel) => Json::str(rel.clone()),
+                    None => Json::Null,
+                },
+            ));
+            fields.push((
+                "suggestions",
+                Json::Arr(
+                    report
+                        .suggestions
+                        .iter()
+                        .map(|s| Json::str(s.to_string()))
+                        .collect(),
+                ),
+            ));
+        }
+        // a flagged statement ships the auditor's structured explanation
+        // of the violation, not just the number (flags come from sweeps:
+        // registration never answers one)
+        Admission::Flagged { diagnostics, .. } => {
+            if !diagnostics.is_empty() {
+                let diagnostics = diagnostics.iter().map(|d| d.to_json()).collect();
+                fields.push(("diagnostics", Json::Arr(diagnostics)));
+            }
+        }
+    }
+}
+
 /// The `explain` verb: run the static auditor over a prepared statement
 /// (by `name`, auditing the plan *as currently installed* — degraded
 /// bounds and all) or a candidate statement (by `sql`, compiled against
@@ -981,12 +986,6 @@ fn explain_response<S: KvStore>(
         _ => return err_response("explain requires exactly one of 'name' or 'sql'"),
     };
     ok_response([("explain", audit.to_json())])
-}
-
-/// Structured auditor diagnostics as a wire array (`prepare` responses for
-/// flagged re-registrations and the per-statement `stats` block).
-fn diagnostics_to_json(diagnostics: &[piql_audit::Diagnostic]) -> Json {
-    Json::Arr(diagnostics.iter().map(|d| d.to_json()).collect())
 }
 
 /// The `durability` object of a `stats` response (PROTOCOL.md §4.6).
@@ -1161,22 +1160,7 @@ fn stats_response<S: KvStore>(registry: &StatementRegistry<S>) -> Json {
                 ("p99_ms", Json::Float(s.quantile_ms(0.99))),
                 ("predicted_p99_ms", Json::Float(s.last_predicted_p99_ms())),
             ];
-            if let Admission::Degraded {
-                original_limit,
-                limit,
-                ..
-            } = &admission
-            {
-                fields.push(("original_limit", Json::uint(*original_limit)));
-                fields.push(("limit", Json::uint(*limit)));
-            }
-            // a flagged statement ships the auditor's structured
-            // explanation of the violation, not just the number
-            if let Admission::Flagged { diagnostics, .. } = &admission {
-                if !diagnostics.is_empty() {
-                    fields.push(("diagnostics", diagnostics_to_json(diagnostics)));
-                }
-            }
+            admission_detail(&admission, &mut fields);
             let drift = s.recent_drift(STATS_DRIFT_INTERVALS);
             if !drift.is_empty() {
                 fields.push((

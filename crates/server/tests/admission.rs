@@ -252,3 +252,142 @@ fn latency_metrics_exclude_backend_uptime_and_client_think_time() {
         "recorded max latency {p_max}ms includes uptime or think time"
     );
 }
+
+/// A re-registration that answers `Err` — the text does not parse, bind or
+/// provision — is not a verdict: the name keeps the statement it had.
+#[test]
+fn failed_reregistration_leaves_the_old_statement_as_it_was() {
+    let (_cluster, db) = scadr_db(100);
+    let reg = registry(db, 80.0, true);
+    reg.register("q", "SELECT * FROM users WHERE username = <u>")
+        .unwrap();
+    let before = reg.get("q").unwrap();
+    for bad in [
+        "SELEKT nonsense !!!",
+        "SELECT * FROM no_such_table WHERE k = <k>",
+        "SELECT no_such_column FROM users WHERE username = <u>",
+    ] {
+        assert!(reg.register("q", bad).is_err(), "{bad}");
+        let after = reg.get("q").expect("still registered");
+        assert!(Arc::ptr_eq(&before, &after), "{bad} replaced the statement");
+        assert_eq!(after.sql, "SELECT * FROM users WHERE username = <u>");
+    }
+    let mut session = Session::new();
+    let mut params = piql_core::plan::params::Params::new();
+    params.set(0, piql_core::value::Value::Varchar(scadr::username(3)));
+    assert_eq!(
+        reg.execute(&mut session, "q", &params, None)
+            .unwrap()
+            .rows
+            .len(),
+        1
+    );
+}
+
+mod monotone {
+    use super::*;
+    use piql_predict::{ModelKey, ModelStore, OpKind, SloPredictor, ALPHA_GRID, BETA_GRID};
+    use proptest::prelude::*;
+
+    /// The bound `LIMIT limit` of the recent-thoughts scan is installed
+    /// with (0: rejected), at SLO 20 ms and the given confidence.
+    fn installed(
+        db: &Arc<Database<LiveCluster>>,
+        models: &ModelStore,
+        confidence: f64,
+        limit: u32,
+    ) -> u64 {
+        let reg = StatementRegistry::new(
+            db.clone(),
+            SloPredictor::new(models.clone()),
+            SloConfig {
+                slo_ms: 20.0,
+                interval_confidence: confidence,
+                allow_degrade: true,
+            },
+        );
+        let sql = format!(
+            "SELECT * FROM thoughts WHERE owner = <u> ORDER BY timestamp DESC LIMIT {limit}"
+        );
+        match reg.register("recent", &sql).unwrap() {
+            Admission::Admitted { .. } => u64::from(limit),
+            Admission::Degraded { limit, .. } => limit,
+            Admission::RejectedSlo { .. } => 0,
+            other => panic!("LIMIT {limit}: {other:?}"),
+        }
+    }
+
+    /// `ms` for a scan of `alpha` rows during `interval`, at every tuple
+    /// size.
+    fn record(models: &mut ModelStore, interval: usize, alpha: u32, ms: u64) {
+        for &beta in BETA_GRID {
+            let key = ModelKey {
+                op: OpKind::IndexScan,
+                alpha_c: alpha,
+                alpha_j: 1,
+                beta,
+            };
+            for _ in 0..20 {
+                models.record(interval, key, ms * 1_000);
+            }
+        }
+    }
+
+    /// The case by name: 4 intervals, SLO 20 ms, confidence 0.75; α = 100
+    /// is slow in two intervals, α = 50 in one.
+    #[test]
+    fn limit_100_at_confidence_three_quarters_installs_50() {
+        let (_cluster, db) = scadr_db(100);
+        let mut models = ModelStore::linear(200, 100, 4);
+        record(&mut models, 0, 100, 200);
+        record(&mut models, 1, 100, 200);
+        record(&mut models, 0, 50, 200);
+        assert_eq!(
+            installed(&db, &models, 0.75, 50),
+            50,
+            "three of four intervals of LIMIT 50 meet: admitted as written"
+        );
+        assert_eq!(
+            installed(&db, &models, 0.75, 100),
+            50,
+            "asking for 100 yields the 50 that asking for 50 yields (parent: 25 \
+             — its probe demanded every interval of LIMIT 50 under the SLO)"
+        );
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// Asking for more never yields less, and a bound admitted as
+        /// written is never skipped by a probe from above — over sparse
+        /// random stores, interval counts and confidences k/n.
+        #[test]
+        fn asking_for_more_never_yields_less(
+            n in 1usize..6,
+            k_seed in 0usize..6,
+            points in prop::collection::vec((0usize..6, 0usize..8, any::<bool>()), 0..40),
+        ) {
+            let (_cluster, db) = scadr_db(100);
+            let grid = &ALPHA_GRID[..8]; // 1 ..= 150
+            let mut models = ModelStore::new(n);
+            for (interval, alpha, slow) in points {
+                record(&mut models, interval % n, grid[alpha], if slow { 200 } else { 1 });
+            }
+            let confidence = (k_seed % n + 1) as f64 / n as f64;
+            let bounds: Vec<u64> = grid
+                .iter()
+                .map(|&limit| installed(&db, &models, confidence, limit))
+                .collect();
+            for (i, (&a, &got_a)) in grid.iter().zip(&bounds).enumerate() {
+                prop_assert!(got_a <= u64::from(a));
+                for (&b, &got_b) in grid.iter().zip(&bounds).skip(i + 1) {
+                    prop_assert!(
+                        got_a <= got_b,
+                        "LIMIT {} installs {} but LIMIT {} installs {} (confidence {})",
+                        a, got_a, b, got_b, confidence
+                    );
+                }
+            }
+        }
+    }
+}

@@ -359,3 +359,72 @@ fn predictions_never_fall_as_the_limit_grows() {
         previous = direct;
     }
 }
+
+/// The gate and the server cannot disagree: every statement of the two
+/// workloads CI audits gets, from `prepare` on a database with the
+/// workload's schema under the statement's SLO and the CLI's default
+/// model, the verdict the offline auditor's outcome stands for — and where
+/// the server degrades, it installs the bound the auditor suggested. Both
+/// read one `piql_predict::advisor::fit`.
+#[test]
+fn gate_and_server_cannot_disagree() {
+    use piql_audit::{audit_statement, LinearModelSpec, Outcome};
+    use piql_server::{Admission, StatementRegistry};
+
+    let predictor = || piql_predict::SloPredictor::new(LinearModelSpec::default().build());
+    for text in [
+        include_str!("../../../examples/workloads/feasible.piql"),
+        include_str!("../../../examples/workloads/infeasible.piql"),
+    ] {
+        let workload = piql_audit::parse_workload(text).unwrap();
+        let db = Arc::new(Database::new(Arc::new(LiveCluster::new(
+            LiveConfig::default(),
+        ))));
+        for table in workload.catalog.tables() {
+            db.create_table(table.as_ref().clone()).unwrap();
+        }
+        for entry in &workload.entries {
+            // one registry per SLO in force
+            let registry = StatementRegistry::new(
+                db.clone(),
+                predictor(),
+                SloConfig {
+                    slo_ms: entry.slo.slo_ms,
+                    interval_confidence: entry.slo.confidence,
+                    allow_degrade: true,
+                },
+            );
+            let audit = audit_statement(
+                &db.catalog(),
+                &predictor(),
+                &entry.name,
+                &entry.sql,
+                entry.slo,
+            );
+            let suggested = audit
+                .diagnostics
+                .iter()
+                .flat_map(|d| &d.suggestions)
+                .find_map(|s| s.split_once("frontier suggests ")?.1.split_once("≤ "))
+                .and_then(|(_, rest)| rest.split_whitespace().next()?.parse::<u64>().ok());
+            let verdict = registry.register(&entry.name, &entry.sql).unwrap();
+            let agree = match (&audit.outcome, &verdict) {
+                (
+                    Outcome::Feasible { .. } | Outcome::Marginal { .. },
+                    Admission::Admitted { .. },
+                ) => true,
+                (Outcome::Infeasible { .. }, Admission::Degraded { limit, .. }) => {
+                    suggested == Some(*limit)
+                }
+                (Outcome::Infeasible { .. }, Admission::RejectedSlo { .. }) => suggested.is_none(),
+                (Outcome::Unbounded, Admission::RejectedUnbounded { .. }) => true,
+                _ => false,
+            };
+            assert!(
+                agree,
+                "`{}`: the gate says {:?} (suggesting {suggested:?}), the server {verdict:?}",
+                entry.name, audit.outcome
+            );
+        }
+    }
+}

@@ -383,3 +383,164 @@ fn live_execution_fills_and_sweep_drains_the_sink() {
         summary.samples_folded
     );
 }
+
+/// Record one live interval's worth of samples for `base`'s operator at
+/// every grid α (`vary` picks which of the key's two α it is): `slow_ms`
+/// where `slow(α)`, 1 ms elsewhere.
+fn record_drift(
+    reg: &StatementRegistry<LiveCluster>,
+    base: piql_predict::ModelKey,
+    vary: fn(piql_predict::ModelKey, u32) -> piql_predict::ModelKey,
+    slow_ms: u64,
+    slow: impl Fn(u32) -> bool,
+) {
+    for &alpha in piql_predict::ALPHA_GRID {
+        let micros = if slow(alpha) { slow_ms * 1_000 } else { 1_000 };
+        for _ in 0..20 {
+            reg.models().record_live(vary(base, alpha), micros);
+        }
+    }
+}
+
+fn vary_alpha_c(key: piql_predict::ModelKey, alpha_c: u32) -> piql_predict::ModelKey {
+    piql_predict::ModelKey { alpha_c, ..key }
+}
+
+fn vary_alpha_j(key: piql_predict::ModelKey, alpha_j: u32) -> piql_predict::ModelKey {
+    piql_predict::ModelKey { alpha_j, ..key }
+}
+
+/// The verdict a fresh `prepare` of `sql` gets on `reg`'s database, SLO
+/// and *current* model snapshot.
+fn fresh_prepare(reg: &StatementRegistry<LiveCluster>, name: &str, sql: &str) -> Admission {
+    StatementRegistry::with_models(reg.db().clone(), reg.models().clone(), reg.slo().clone())
+        .register(name, sql)
+        .unwrap()
+}
+
+/// A sweep is a re-registration: the verdict does not depend on the road
+/// the statement took to it. The store makes α ≥ 50 slow for one interval
+/// and only α ≥ 100 slow after — once the slow α = 50 interval ages out,
+/// the feedback loop must hand out the page a fresh `prepare` would.
+#[test]
+fn a_sweep_is_a_reregistration_not_a_walk_from_the_installed_bound() {
+    let (_cluster, db) = scadr_db();
+    let reg = registry(db, 20.0);
+    let verdict = reg.register("recent", RECENT_THOUGHTS).unwrap();
+    assert!(matches!(verdict, Admission::Admitted { .. }), "{verdict:?}");
+    let scan_key = plan_thetas(&reg.get("recent").unwrap().prepared().compiled)[0];
+    let limit_of = |admission: &Admission| match admission {
+        Admission::Degraded { limit, .. } => *limit,
+        other => panic!("expected a degraded statement, got {other:?}"),
+    };
+
+    record_drift(&reg, scan_key, vary_alpha_c, 200, |alpha| alpha >= 50);
+    assert_eq!(reg.revalidate().redegraded, 1);
+    let statement = reg.get("recent").unwrap();
+    assert_eq!(limit_of(&statement.admission()), 25);
+
+    let mut actions = Vec::new();
+    for _ in 0..4 {
+        record_drift(&reg, scan_key, vary_alpha_c, 200, |alpha| alpha >= 100);
+        reg.revalidate();
+        actions.push(statement.drift_history().last().unwrap().action);
+    }
+    let fresh = fresh_prepare(&reg, "recent", RECENT_THOUGHTS);
+    assert_eq!(limit_of(&fresh), 50, "a fresh prepare pages by 50");
+    assert_eq!(
+        statement.admission(),
+        fresh,
+        "the swept statement holds what a fresh prepare gets (parent: steady \
+         at LIMIT 25 for all four sweeps — relax only ever asked about 100)"
+    );
+    // the slow α = 50 interval leaves the 3-interval ring on the third
+    // of these sweeps
+    use DriftAction::{Relaxed, Steady};
+    assert_eq!(actions, [Steady, Steady, Relaxed, Steady]);
+    // and the relaxed bound is the one enforced
+    let mut session = Session::new();
+    let mut params = Params::new();
+    params.set(0, Value::Varchar(scadr::username(1)));
+    let rows = reg.execute(&mut session, "recent", &params, None).unwrap();
+    assert!(rows.rows.len() <= 50);
+}
+
+mod props {
+    use super::*;
+    use proptest::prelude::*;
+
+    const THOUGHTSTREAM: &str = "SELECT thoughts.* FROM subscriptions s JOIN thoughts \
+         WHERE thoughts.owner = s.target AND s.owner = <u> AND s.approved = true \
+         ORDER BY thoughts.timestamp DESC LIMIT 10";
+    const PAGE: &str =
+        "SELECT * FROM thoughts WHERE owner = <u> ORDER BY timestamp DESC PAGINATE 50";
+    const STATEMENTS: [(&str, &str); 4] = [
+        ("find_user", FIND_USER),
+        ("recent", RECENT_THOUGHTS),
+        ("page", PAGE),
+        ("stream", THOUGHTSTREAM),
+    ];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// The invariant the single decision buys: after any sweep, every
+        /// statement that is not flagged holds exactly the verdict, bound
+        /// and prediction a fresh `prepare` of its text gets on the same
+        /// snapshot — and a flag is exactly that prepare's rejection.
+        #[test]
+        fn after_any_sweep_a_statement_is_what_a_fresh_prepare_would_get(
+            steps in prop::collection::vec(
+                (0usize..3, 0usize..9, any::<bool>(), 1usize..5),
+                1..6,
+            )
+        ) {
+            let (_cluster, db) = scadr_db();
+            let reg = registry(db, 150.0);
+            for (name, sql) in STATEMENTS {
+                let verdict = reg.register(name, sql).unwrap();
+                prop_assert!(matches!(verdict, Admission::Admitted { .. }), "{name}: {verdict:?}");
+            }
+            let thetas = |name: &str| plan_thetas(&reg.get(name).unwrap().prepared().compiled);
+            let scan_key = thetas("recent")[0];
+            let join_key = *thetas("stream").last().unwrap();
+            prop_assert_eq!(join_key.op, OpKind::SortedIndexJoin);
+
+            // each step holds one drift shape for `sweeps` intervals, so that
+            // older shapes age out of the 3-interval ring under it
+            let steps = steps.into_iter().flat_map(|(target, threshold, slowness, sweeps)| {
+                std::iter::repeat_n((target, threshold, slowness), sweeps)
+            });
+            for (target, threshold, slowness) in steps {
+                // which α turn slow this interval: from 1 up to 200 — above
+                // every bound here, so nothing a statement can ask about
+                let slow = |alpha: u32| alpha >= piql_predict::ALPHA_GRID[threshold];
+                let slow_ms = if slowness { 1_000 } else { 200 };
+                if target != 1 {
+                    record_drift(&reg, scan_key, vary_alpha_c, slow_ms, slow);
+                }
+                if target != 0 {
+                    record_drift(&reg, join_key, vary_alpha_j, slow_ms, slow);
+                }
+                reg.revalidate();
+                for (name, sql) in STATEMENTS {
+                    let held = reg.get(name).unwrap().admission();
+                    let fresh = fresh_prepare(&reg, name, sql);
+                    if let Admission::Flagged { .. } = held {
+                        prop_assert!(
+                            matches!(fresh, Admission::RejectedSlo { .. }),
+                            "{name} is flagged but a fresh prepare answers {fresh:?}"
+                        );
+                    } else {
+                        prop_assert_eq!(
+                            &held, &fresh,
+                            "{} after sweep {} (parent: a degraded statement only \
+                             relaxed to its original bound and only tightened from \
+                             its installed one)", name, reg.sweep_count()
+                        );
+                    }
+                }
+            }
+        }
+    }
+}
