@@ -9,11 +9,12 @@
 //!   directly. Raw locks dodge the rank table, so an inversion through one
 //!   is invisible to `lock-order` builds. Scope: `crates/*/src/**`, minus
 //!   the wrapper module itself.
-//! - **`request-unwrap`** — no `.unwrap()` / `.expect()` in server
-//!   request-handling sources. A panic there tears down a connection (or
-//!   the whole serve loop) for a condition a client can trigger; return a
-//!   protocol error instead. Scope: the request-path files listed in
-//!   [`REQUEST_PATH_FILES`], non-test code.
+//! - **`request-unwrap`** — no `.unwrap()` / `.expect()` in
+//!   request-handling sources: the server's, and the executor and result
+//!   block every `execute` runs through. A panic there tears down a
+//!   connection (or the whole serve loop) for a condition a client can
+//!   trigger; return a protocol error instead. Scope: the request-path
+//!   files listed in [`REQUEST_PATH_FILES`], non-test code.
 //! - **`durability-unwrap`** — no `.unwrap()` / `.expect()` in the
 //!   durability replay/recovery sources. Replay runs at boot over
 //!   whatever bytes survived the crash; a panic there turns a torn tail
@@ -63,6 +64,8 @@ pub const REQUEST_PATH_FILES: &[&str] = &[
     "server/src/wire.rs",
     "server/src/registry.rs",
     "server/src/budget.rs",
+    "engine/src/exec.rs",
+    "core/src/rows.rs",
 ];
 
 /// Durability sources on the replay/recovery path (relative to `crates/`).

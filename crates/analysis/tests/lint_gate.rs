@@ -68,6 +68,14 @@ fn request_path_unwraps_are_flagged_only_on_request_files() {
     assert_eq!(found[0].line, 2);
     // Same text outside the request path: no finding.
     assert!(run("crates/kv/src/pool.rs", text).is_empty());
+    // The executor and the result block are on the path: every `execute`
+    // runs through them.
+    for rel in ["crates/engine/src/exec.rs", "crates/core/src/rows.rs"] {
+        let found = run(rel, text);
+        assert_eq!(found.len(), 1, "{rel} should be flagged");
+        assert_eq!(found[0].rule, "request-unwrap");
+    }
+    assert!(run("crates/engine/src/write.rs", text).is_empty());
 }
 
 #[test]

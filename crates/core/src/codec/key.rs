@@ -131,7 +131,93 @@ pub fn encode_key_asc(values: &[Value]) -> Result<Vec<u8>, KeyCodecError> {
     encode_key(values, &[])
 }
 
-/// Decode `types.len()` components from `bytes`.
+/// A streaming reader over one encoded key: yields each component as a
+/// borrowed [`ValueRef`] instead of materializing `Value`s — the key-side
+/// twin of [`RowReader`](super::row::RowReader). A string is un-escaped
+/// into `scratch`, which one reader after another can share, so decoding
+/// the keys of a whole range answer allocates for the longest string, once.
+pub struct KeyReader<'a> {
+    bytes: &'a [u8],
+    pos: usize,
+    scratch: &'a mut Vec<u8>,
+}
+
+impl<'a> KeyReader<'a> {
+    pub fn new(bytes: &'a [u8], scratch: &'a mut Vec<u8>) -> Self {
+        KeyReader {
+            bytes,
+            pos: 0,
+            scratch,
+        }
+    }
+
+    /// Bytes consumed so far (callers decoding a key prefix use the
+    /// remainder).
+    pub fn position(&self) -> usize {
+        self.pos
+    }
+
+    /// Decode the next component, stored as a `ty` in direction `dir`.
+    pub fn next_value(&mut self, ty: DataType, dir: Dir) -> Result<ValueRef<'_>, KeyCodecError> {
+        let flip = |b: u8| if dir == Dir::Desc { !b } else { b };
+        let tag = flip(self.take::<1>("missing tag")?[0]);
+        if tag == TAG_NULL {
+            return Ok(ValueRef::Null);
+        }
+        if tag != TAG_VALUE {
+            return Err(KeyCodecError::Corrupt("bad tag"));
+        }
+        Ok(match ty {
+            DataType::Int => {
+                let raw = self.take::<4>("short int")?.map(flip);
+                ValueRef::Int((u32::from_be_bytes(raw) ^ 0x8000_0000) as i32)
+            }
+            DataType::BigInt | DataType::Timestamp => {
+                let raw = self.take::<8>("short bigint")?.map(flip);
+                let v = (u64::from_be_bytes(raw) ^ 0x8000_0000_0000_0000) as i64;
+                if ty == DataType::Timestamp {
+                    ValueRef::Timestamp(v)
+                } else {
+                    ValueRef::BigInt(v)
+                }
+            }
+            DataType::Bool => ValueRef::Bool(flip(self.take::<1>("short bool")?[0]) != 0),
+            DataType::Varchar(_) => {
+                self.scratch.clear();
+                loop {
+                    let b = flip(self.take::<1>("unterminated string")?[0]);
+                    if b != 0x00 {
+                        self.scratch.push(b);
+                        continue;
+                    }
+                    match flip(self.take::<1>("dangling escape")?[0]) {
+                        0xFF => self.scratch.push(0x00),
+                        TAG_VALUE => break,
+                        _ => return Err(KeyCodecError::Corrupt("bad escape")),
+                    }
+                }
+                ValueRef::Varchar(
+                    std::str::from_utf8(self.scratch)
+                        .map_err(|_| KeyCodecError::Corrupt("invalid utf-8"))?,
+                )
+            }
+            DataType::Double => return Err(KeyCodecError::UnsupportedType(DataType::Double)),
+        })
+    }
+
+    fn take<const N: usize>(&mut self, missing: &'static str) -> Result<[u8; N], KeyCodecError> {
+        let raw = self
+            .bytes
+            .get(self.pos..self.pos + N)
+            .and_then(|raw| <[u8; N]>::try_from(raw).ok())
+            .ok_or(KeyCodecError::Corrupt(missing))?;
+        self.pos += N;
+        Ok(raw)
+    }
+}
+
+/// Decode `types.len()` components from `bytes`: what a [`KeyReader`]
+/// yields, owned.
 ///
 /// Returns the values and the number of bytes consumed (callers decoding a
 /// key prefix use the remainder).
@@ -140,92 +226,14 @@ pub fn decode_key(
     types: &[DataType],
     dirs: &[Dir],
 ) -> Result<(Vec<Value>, usize), KeyCodecError> {
-    let mut pos = 0usize;
+    let mut scratch = Vec::new();
+    let mut reader = KeyReader::new(bytes, &mut scratch);
     let mut values = Vec::with_capacity(types.len());
     for (i, ty) in types.iter().enumerate() {
         let dir = dirs.get(i).copied().unwrap_or(Dir::Asc);
-        let flip = |b: u8| if dir == Dir::Desc { !b } else { b };
-        let tag = flip(
-            *bytes
-                .get(pos)
-                .ok_or(KeyCodecError::Corrupt("missing tag"))?,
-        );
-        pos += 1;
-        if tag == TAG_NULL {
-            values.push(Value::Null);
-            continue;
-        }
-        if tag != TAG_VALUE {
-            return Err(KeyCodecError::Corrupt("bad tag"));
-        }
-        match ty {
-            DataType::Int => {
-                let end = pos + 4;
-                let raw = bytes
-                    .get(pos..end)
-                    .ok_or(KeyCodecError::Corrupt("short int"))?;
-                let mut buf = [0u8; 4];
-                for (d, s) in buf.iter_mut().zip(raw) {
-                    *d = flip(*s);
-                }
-                values.push(Value::Int((u32::from_be_bytes(buf) ^ 0x8000_0000) as i32));
-                pos = end;
-            }
-            DataType::BigInt | DataType::Timestamp => {
-                let end = pos + 8;
-                let raw = bytes
-                    .get(pos..end)
-                    .ok_or(KeyCodecError::Corrupt("short bigint"))?;
-                let mut buf = [0u8; 8];
-                for (d, s) in buf.iter_mut().zip(raw) {
-                    *d = flip(*s);
-                }
-                let v = (u64::from_be_bytes(buf) ^ 0x8000_0000_0000_0000) as i64;
-                values.push(if *ty == DataType::Timestamp {
-                    Value::Timestamp(v)
-                } else {
-                    Value::BigInt(v)
-                });
-                pos = end;
-            }
-            DataType::Bool => {
-                let b = flip(*bytes.get(pos).ok_or(KeyCodecError::Corrupt("short bool"))?);
-                values.push(Value::Bool(b != 0));
-                pos += 1;
-            }
-            DataType::Varchar(_) => {
-                let mut s = Vec::new();
-                loop {
-                    let b = flip(
-                        *bytes
-                            .get(pos)
-                            .ok_or(KeyCodecError::Corrupt("unterminated string"))?,
-                    );
-                    pos += 1;
-                    if b != 0x00 {
-                        s.push(b);
-                        continue;
-                    }
-                    let next = flip(
-                        *bytes
-                            .get(pos)
-                            .ok_or(KeyCodecError::Corrupt("dangling escape"))?,
-                    );
-                    pos += 1;
-                    match next {
-                        0xFF => s.push(0x00),
-                        TAG_VALUE => break,
-                        _ => return Err(KeyCodecError::Corrupt("bad escape")),
-                    }
-                }
-                let s =
-                    String::from_utf8(s).map_err(|_| KeyCodecError::Corrupt("invalid utf-8"))?;
-                values.push(Value::Varchar(s));
-            }
-            DataType::Double => return Err(KeyCodecError::UnsupportedType(DataType::Double)),
-        }
+        values.push(reader.next_value(*ty, dir)?.to_value());
     }
-    Ok((values, pos))
+    Ok((values, reader.position()))
 }
 
 /// Smallest byte string strictly greater than every key having `prefix` as a

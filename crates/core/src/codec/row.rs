@@ -109,39 +109,6 @@ pub fn encode_arity(out: &mut Vec<u8>, arity: usize) {
     write_varint(out, arity as u64);
 }
 
-fn decode_value(bytes: &[u8], pos: &mut usize) -> Result<Value, RowCodecError> {
-    let tag = *bytes
-        .get(*pos)
-        .ok_or(RowCodecError::Corrupt("missing tag"))?;
-    *pos += 1;
-    let take = |pos: &mut usize, n: usize| -> Result<&[u8], RowCodecError> {
-        let s = bytes
-            .get(*pos..*pos + n)
-            .ok_or(RowCodecError::Corrupt("truncated value"))?;
-        *pos += n;
-        Ok(s)
-    };
-    Ok(match tag {
-        T_NULL => Value::Null,
-        T_INT => Value::Int(i32::from_le_bytes(take(pos, 4)?.try_into().unwrap())),
-        T_BIGINT => Value::BigInt(i64::from_le_bytes(take(pos, 8)?.try_into().unwrap())),
-        T_VARCHAR => {
-            let len = read_varint(bytes, pos)? as usize;
-            let raw = take(pos, len)?;
-            Value::Varchar(
-                std::str::from_utf8(raw)
-                    .map_err(|_| RowCodecError::Corrupt("invalid utf-8"))?
-                    .to_string(),
-            )
-        }
-        T_BOOL_FALSE => Value::Bool(false),
-        T_BOOL_TRUE => Value::Bool(true),
-        T_TIMESTAMP => Value::Timestamp(i64::from_le_bytes(take(pos, 8)?.try_into().unwrap())),
-        T_DOUBLE => Value::Double(f64::from_le_bytes(take(pos, 8)?.try_into().unwrap())),
-        _ => return Err(RowCodecError::Corrupt("unknown tag")),
-    })
-}
-
 /// Serialize a whole tuple: varint arity followed by tagged values.
 pub fn encode_tuple(tuple: &Tuple) -> Vec<u8> {
     let mut out = Vec::with_capacity(tuple.encoded_len());
@@ -152,20 +119,15 @@ pub fn encode_tuple(tuple: &Tuple) -> Vec<u8> {
     out
 }
 
-/// Deserialize a tuple produced by [`encode_tuple`].
+/// Deserialize a tuple produced by [`encode_tuple`]: what a [`RowReader`]
+/// yields, owned.
 pub fn decode_tuple(bytes: &[u8]) -> Result<Tuple, RowCodecError> {
-    let mut pos = 0usize;
-    let arity = read_varint(bytes, &mut pos)? as usize;
-    if arity > bytes.len() {
-        return Err(RowCodecError::Corrupt("implausible arity"));
-    }
+    let (mut reader, arity) = RowReader::new(bytes)?;
     let mut values = Vec::with_capacity(arity);
     for _ in 0..arity {
-        values.push(decode_value(bytes, &mut pos)?);
+        values.push(reader.next_value()?.to_value());
     }
-    if pos != bytes.len() {
-        return Err(RowCodecError::Corrupt("trailing bytes"));
-    }
+    reader.finish()?;
     Ok(Tuple::new(values))
 }
 

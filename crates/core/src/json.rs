@@ -126,9 +126,13 @@ impl Json {
 pub const HEX_DIGITS: &[u8; 16] = b"0123456789abcdef";
 
 /// Append `items` between brackets, comma-separated.
-pub fn write_array<T>(items: &[T], out: &mut Vec<u8>, write: impl Fn(&T, &mut Vec<u8>)) {
+pub fn write_array<I: IntoIterator>(
+    items: I,
+    out: &mut Vec<u8>,
+    write: impl Fn(I::Item, &mut Vec<u8>),
+) {
     out.push(b'[');
-    for (i, item) in items.iter().enumerate() {
+    for (i, item) in items.into_iter().enumerate() {
         if i > 0 {
             out.push(b',');
         }

@@ -18,6 +18,7 @@ pub mod json;
 pub mod opt;
 pub mod parser;
 pub mod plan;
+pub mod rows;
 pub mod text;
 pub mod tuple;
 pub mod value;
@@ -25,5 +26,6 @@ pub mod value;
 pub use catalog::Catalog;
 pub use opt::{Compiled, Objective, OptError, Optimizer, QueryClass};
 pub use parser::{parse, parse_select, ParseError};
+pub use rows::{Row, RowRef, Rows, RowsBuilder, RowsError};
 pub use tuple::Tuple;
 pub use value::{DataType, Value, ValueRef};

@@ -8,9 +8,9 @@
 use super::params::{ParamError, ParamsRef};
 use super::schema::FieldId;
 use crate::ast::{CompareOp, Param};
+use crate::rows::Row;
 use crate::text;
-use crate::tuple::Tuple;
-use crate::value::Value;
+use crate::value::{Value, ValueRef};
 use std::fmt;
 
 /// A scalar operand whose value is known at bind time or at execution time.
@@ -161,33 +161,25 @@ impl BoundPredicate {
         }
     }
 
-    /// Evaluate against a tuple whose positions correspond to this
+    /// Evaluate against a row whose positions correspond to this
     /// predicate's field ids. SQL three-valued logic is collapsed to
     /// `false` for NULL comparisons (sufficient for PIQL's conjunctions).
-    pub fn eval(&self, tuple: &Tuple, params: ParamsRef<'_>) -> Result<bool, ParamError> {
+    pub fn eval(&self, row: &impl Row, params: ParamsRef<'_>) -> Result<bool, ParamError> {
+        let compare = |op: &CompareOp, left: ValueRef<'_>, right: ValueRef<'_>| {
+            !left.is_null() && !right.is_null() && op.matches(left.total_cmp(right))
+        };
         Ok(match self {
-            BoundPredicate::Compare { field, op, operand } => {
-                let left = &tuple[*field];
-                let right = operand.resolve(params)?;
-                if left.is_null() || right.is_null() {
-                    false
-                } else {
-                    op.matches(left.total_cmp(right))
-                }
-            }
+            BoundPredicate::Compare { field, op, operand } => compare(
+                op,
+                row.value(*field),
+                ValueRef::of(operand.resolve(params)?),
+            ),
             BoundPredicate::FieldCompare { left, op, right } => {
-                let l = &tuple[*left];
-                let r = &tuple[*right];
-                if l.is_null() || r.is_null() {
-                    false
-                } else {
-                    op.matches(l.total_cmp(r))
-                }
+                compare(op, row.value(*left), row.value(*right))
             }
             BoundPredicate::TokenMatch { field, operand } => {
-                let text_val = &tuple[*field];
                 let pat = operand.resolve(params)?;
-                match (text_val.as_str(), pat.as_str()) {
+                match (row.value(*field).as_str(), pat.as_str()) {
                     (Some(t), Some(p)) => match text::search_token(p) {
                         Some(tok) => text::contains_token(t, &tok),
                         None => false,
@@ -196,28 +188,25 @@ impl BoundPredicate {
                 }
             }
             BoundPredicate::In { field, operand } => {
-                let needle = &tuple[*field];
-                if needle.is_null() {
-                    false
-                } else {
-                    operand
+                let needle = row.value(*field);
+                !needle.is_null()
+                    && operand
                         .resolve(params)?
                         .iter()
-                        .any(|v| needle.total_cmp(v) == std::cmp::Ordering::Equal)
-                }
+                        .any(|v| needle.total_cmp(ValueRef::of(v)) == std::cmp::Ordering::Equal)
             }
-            BoundPredicate::IsNull { field, negated } => tuple[*field].is_null() != *negated,
+            BoundPredicate::IsNull { field, negated } => row.value(*field).is_null() != *negated,
         })
     }
 
     /// Evaluate a conjunction.
     pub fn eval_all(
         preds: &[BoundPredicate],
-        tuple: &Tuple,
+        row: &impl Row,
         params: ParamsRef<'_>,
     ) -> Result<bool, ParamError> {
         for p in preds {
-            if !p.eval(tuple, params)? {
+            if !p.eval(row, params)? {
                 return Ok(false);
             }
         }
@@ -250,6 +239,7 @@ mod tests {
     use super::*;
     use crate::plan::params::Params;
     use crate::tuple;
+    use crate::tuple::Tuple;
 
     fn params() -> Params {
         let mut p = Params::new();

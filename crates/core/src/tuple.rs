@@ -43,21 +43,6 @@ impl Tuple {
         self.values.push(value);
     }
 
-    /// Concatenate two tuples (used by join operators: left ++ right).
-    pub fn concat(&self, other: &Tuple) -> Tuple {
-        let mut values = Vec::with_capacity(self.values.len() + other.values.len());
-        values.extend_from_slice(&self.values);
-        values.extend_from_slice(&other.values);
-        Tuple { values }
-    }
-
-    /// Project a subset of positions into a new tuple.
-    pub fn project(&self, positions: &[usize]) -> Tuple {
-        Tuple {
-            values: positions.iter().map(|&p| self.values[p].clone()).collect(),
-        }
-    }
-
     /// Approximate encoded size in bytes.
     pub fn encoded_len(&self) -> usize {
         self.values.iter().map(Value::encoded_len).sum::<usize>() + 2
@@ -100,15 +85,6 @@ macro_rules! tuple {
 
 #[cfg(test)]
 mod tests {
-
-    #[test]
-    fn concat_and_project() {
-        let a = tuple![1, "x"];
-        let b = tuple![true];
-        let c = a.concat(&b);
-        assert_eq!(c.len(), 3);
-        assert_eq!(c.project(&[2, 0]), tuple![true, 1]);
-    }
 
     #[test]
     fn display_renders_values() {

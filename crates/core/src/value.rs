@@ -140,33 +140,10 @@ impl Value {
     }
 
     /// Total order within one logical type; cross-type comparisons order by
-    /// a fixed type rank so sorting heterogeneous data never panics.
+    /// a fixed type rank so sorting heterogeneous data never panics. The
+    /// order itself is [`ValueRef::total_cmp`].
     pub fn total_cmp(&self, other: &Value) -> Ordering {
-        use Value::*;
-        fn rank(v: &Value) -> u8 {
-            match v {
-                Null => 0,
-                Bool(_) => 1,
-                Int(_) | BigInt(_) | Timestamp(_) => 2,
-                Double(_) => 3,
-                Varchar(_) => 4,
-            }
-        }
-        match (self, other) {
-            (Null, Null) => Ordering::Equal,
-            (Int(a), Int(b)) => a.cmp(b),
-            (BigInt(a), BigInt(b)) => a.cmp(b),
-            (Timestamp(a), Timestamp(b)) => a.cmp(b),
-            (Int(a), BigInt(b)) => (*a as i64).cmp(b),
-            (BigInt(a), Int(b)) => a.cmp(&(*b as i64)),
-            (Int(a), Timestamp(b)) => (*a as i64).cmp(b),
-            (Timestamp(a), Int(b)) => a.cmp(&(*b as i64)),
-            (BigInt(a), Timestamp(b)) | (Timestamp(a), BigInt(b)) => a.cmp(b),
-            (Varchar(a), Varchar(b)) => a.cmp(b),
-            (Bool(a), Bool(b)) => a.cmp(b),
-            (Double(a), Double(b)) => a.total_cmp(b),
-            (a, b) => rank(a).cmp(&rank(b)),
-        }
+        ValueRef::of(self).total_cmp(ValueRef::of(other))
     }
 
     /// Approximate encoded size in bytes (used for β estimates and stats).
@@ -194,15 +171,6 @@ impl Value {
     pub fn as_bool(&self) -> Option<bool> {
         match self {
             Value::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Value::Double(v) => Some(*v),
-            Value::Int(v) => Some(*v as f64),
-            Value::BigInt(v) => Some(*v as f64),
             _ => None,
         }
     }
@@ -236,6 +204,48 @@ impl<'a> ValueRef<'a> {
             Value::Bool(b) => ValueRef::Bool(*b),
             Value::Timestamp(v) => ValueRef::Timestamp(*v),
             Value::Double(d) => ValueRef::Double(*d),
+        }
+    }
+
+    pub fn is_null(self) -> bool {
+        matches!(self, ValueRef::Null)
+    }
+
+    /// The string, if this is a `Varchar`.
+    pub fn as_str(self) -> Option<&'a str> {
+        match self {
+            ValueRef::Varchar(s) => Some(s),
+            _ => None,
+        }
+    }
+
+    /// Total order within one logical type; cross-type comparisons order by
+    /// a fixed type rank so sorting heterogeneous data never panics.
+    pub fn total_cmp(self, other: ValueRef<'_>) -> Ordering {
+        use ValueRef::*;
+        fn rank(v: ValueRef<'_>) -> u8 {
+            match v {
+                Null => 0,
+                Bool(_) => 1,
+                Int(_) | BigInt(_) | Timestamp(_) => 2,
+                Double(_) => 3,
+                Varchar(_) => 4,
+            }
+        }
+        match (self, other) {
+            (Null, Null) => Ordering::Equal,
+            (Int(a), Int(b)) => a.cmp(&b),
+            (BigInt(a), BigInt(b)) => a.cmp(&b),
+            (Timestamp(a), Timestamp(b)) => a.cmp(&b),
+            (Int(a), BigInt(b)) => (a as i64).cmp(&b),
+            (BigInt(a), Int(b)) => a.cmp(&(b as i64)),
+            (Int(a), Timestamp(b)) => (a as i64).cmp(&b),
+            (Timestamp(a), Int(b)) => a.cmp(&(b as i64)),
+            (BigInt(a), Timestamp(b)) | (Timestamp(a), BigInt(b)) => a.cmp(&b),
+            (Varchar(a), Varchar(b)) => a.cmp(b),
+            (Bool(a), Bool(b)) => a.cmp(&b),
+            (Double(a), Double(b)) => a.total_cmp(&b),
+            (a, b) => rank(a).cmp(&rank(b)),
         }
     }
 

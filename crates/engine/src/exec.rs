@@ -1,8 +1,10 @@
 //! The PIQL execution engine (§7).
 //!
-//! Operators are evaluated bottom-up over materialized (bounded!) tuple
-//! batches; what varies is how remote operators turn their work into
-//! key/value-store rounds. The three strategies of §8.5:
+//! Operators are evaluated bottom-up over materialized (bounded!) batches,
+//! each one packed [`Rows`] block — stored rows are decoded straight into
+//! it, joins widen it, local operators move its cells; what varies is how
+//! remote operators turn their work into key/value-store rounds. The three
+//! strategies of §8.5:
 //!
 //! * **Lazy** — one entry per request, one request per round (a traditional
 //!   iterator pulling tuple-at-a-time through a high-latency store);
@@ -22,6 +24,7 @@ use crate::keys::{self, KeyPart};
 use piql_core::ast::AggFunc;
 use piql_core::catalog::{Catalog, ColumnId, IndexDef, TableDef, TableId};
 use piql_core::codec::key::{self, prefix_upper_bound, Dir};
+use piql_core::codec::row as row_codec;
 use piql_core::opt::UNBOUNDED_SCAN_BATCH;
 use piql_core::plan::params::{ParamError, ParamsRef};
 use piql_core::plan::physical::{
@@ -29,11 +32,12 @@ use piql_core::plan::physical::{
     SortedJoinSpec,
 };
 use piql_core::plan::BoundPredicate;
-use piql_core::tuple::Tuple;
+use piql_core::rows::{Row, Rows, RowsBuilder, RowsError};
 use piql_core::value::{DataType, Value, ValueRef};
 use piql_kv::{
     Entries, KvRequest, KvResponse, KvStore, ModelKey, NsId, OpKind, ResponseMismatch, Session,
 };
+use std::cmp::Ordering;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
@@ -102,10 +106,20 @@ impl From<ResponseMismatch> for ExecError {
     }
 }
 
+impl From<RowsError> for ExecError {
+    fn from(e: RowsError) -> Self {
+        ExecError::Internal(e.to_string())
+    }
+}
+
 /// Result of one query (or one page of a paginated query).
 #[derive(Debug, Clone, PartialEq)]
 pub struct QueryResult {
-    pub rows: Vec<Tuple>,
+    /// The rows as the executor's root operator left them: one packed
+    /// block, which the wire codecs print from in place. `rows.len()`,
+    /// `rows.iter()` and `rows.first()` read it; `rows.to_tuples()` gives
+    /// owned [`Tuple`](piql_core::tuple::Tuple)s.
+    pub rows: Rows,
     /// Cursor to fetch the next page (paginated queries only; `None` when
     /// exhausted).
     pub cursor: Option<Cursor>,
@@ -283,13 +297,20 @@ impl<'a> ExecCtx<'a> {
     }
 
     /// Evaluate a plan to completion.
-    pub fn eval(&mut self, plan: &PhysicalPlan) -> Result<Vec<Tuple>, ExecError> {
+    pub fn eval(&mut self, plan: &PhysicalPlan) -> Result<Rows, ExecError> {
         match plan {
             PhysicalPlan::ParamSource { param, max, .. } => {
                 let values = self
                     .params
                     .collection(param.index, &param.name, Some(*max))?;
-                Ok(values.iter().map(|v| Tuple::new(vec![v.clone()])).collect())
+                let text = values.iter().filter_map(Value::as_str).map(str::len).sum();
+                let mut out = Rows::builder(1);
+                out.reserve(values.len(), text);
+                for v in values {
+                    out.push(ValueRef::of(v))?;
+                    out.end_row()?;
+                }
+                Ok(out.finish())
             }
             PhysicalPlan::IndexScan { spec, .. } => {
                 let op = self.next_op()?;
@@ -313,18 +334,14 @@ impl<'a> ExecCtx<'a> {
             PhysicalPlan::LocalSelection {
                 child, predicates, ..
             } => {
-                let rows = self.eval(child)?;
-                let mut out = Vec::with_capacity(rows.len());
-                for row in rows {
-                    if BoundPredicate::eval_all(predicates, &row, self.params)? {
-                        out.push(row);
-                    }
-                }
-                Ok(out)
+                let mut rows = self.eval(child)?;
+                let params = self.params;
+                rows.try_retain(|row| BoundPredicate::eval_all(predicates, &row, params))?;
+                Ok(rows)
             }
             PhysicalPlan::LocalSort { child, keys, .. } => {
                 let mut rows = self.eval(child)?;
-                sort_rows(&mut rows, keys);
+                rows.sort_by(|a, b| compare_rows(&a, &b, keys));
                 Ok(rows)
             }
             PhysicalPlan::LocalStop { child, count, .. } => {
@@ -333,8 +350,9 @@ impl<'a> ExecCtx<'a> {
                 Ok(rows)
             }
             PhysicalPlan::LocalProject { child, columns, .. } => {
-                let rows = self.eval(child)?;
-                Ok(project_rows(rows, columns))
+                let mut rows = self.eval(child)?;
+                rows.project(columns.iter().map(|(position, _)| *position))?;
+                Ok(rows)
             }
             PhysicalPlan::LocalAggregate {
                 child,
@@ -343,16 +361,21 @@ impl<'a> ExecCtx<'a> {
                 ..
             } => {
                 let rows = self.eval(child)?;
-                Ok(aggregate_rows(rows, group_by, aggs))
+                Ok(aggregate_rows(&rows, group_by, aggs)?)
             }
         }
     }
 
     // ------------------------------------------------------------- scans
 
-    fn eval_scan(&mut self, op: &RemoteOp, spec: &ScanSpec) -> Result<Vec<Tuple>, ExecError> {
+    fn eval_scan(&mut self, op: &RemoteOp, spec: &ScanSpec) -> Result<Rows, ExecError> {
         let params = self.params;
-        let prefix = Self::probe_prefix(op, spec.eq_prefix.iter().map(|o| o.resolve(params)))?;
+        let prefix = Self::probe_prefix(
+            op,
+            spec.eq_prefix
+                .iter()
+                .map(|o| o.resolve(params).map(ValueRef::of)),
+        )?;
         let range_dir = op
             .dirs
             .get(spec.eq_prefix.len())
@@ -429,11 +452,12 @@ impl<'a> ExecCtx<'a> {
             });
         }
 
-        let mut rows = Vec::with_capacity(entries.len());
-        self.materialize(op, entries.iter(), spec.deref, spec.row_bytes, |_, row| {
-            rows.push(row)
+        let mut rows = Rows::builder(op.table.columns.len());
+        let (deref, row_bytes) = (spec.deref, spec.row_bytes);
+        self.materialize(op, entries.iter(), deref, row_bytes, &mut rows, |_, _| {
+            Ok(())
         })?;
-        Ok(rows)
+        Ok(rows.finish())
     }
 
     /// The Lazy strategy's range read: up to `count` entries of
@@ -470,17 +494,17 @@ impl<'a> ExecCtx<'a> {
     fn eval_fk_join(
         &mut self,
         op: &RemoteOp,
-        children: Vec<Tuple>,
+        children: Rows,
         key: &[KeySource],
         row_bytes: u64,
-    ) -> Result<Vec<Tuple>, ExecError> {
+    ) -> Result<Rows, ExecError> {
         let mut probe_keys = Vec::with_capacity(children.len());
         for child in &children {
             let mut probe = Vec::new();
             for ks in key {
                 let value = match ks {
-                    KeySource::Const(operand) => operand.resolve(self.params)?,
-                    KeySource::ChildField(p) => &child[*p],
+                    KeySource::Const(operand) => ValueRef::of(operand.resolve(self.params)?),
+                    KeySource::ChildField(p) => child.value(*p),
                 };
                 keys::encode_probe_component(&mut probe, value, Dir::Asc)?;
             }
@@ -489,25 +513,26 @@ impl<'a> ExecCtx<'a> {
         self.tag_op(OpKind::IndexFKJoin, probe_keys.len() as u64, 1, row_bytes);
         let responses = self.issue_gets(op.primary, probe_keys)?;
         self.clear_op_tag();
-        let mut out = Vec::with_capacity(children.len());
-        for (child, resp) in children.into_iter().zip(responses) {
+        let mut out = children.widen(op.table.columns.len());
+        let (found, bytes) = found_rows(&responses);
+        out.reserve(found, bytes);
+        for (child, resp) in responses.iter().enumerate() {
             if let KvResponse::Value(Some(bytes)) = resp {
-                // a child probes once, so its values move into the output
-                let mut values = child.into_values();
-                values.extend(keys::decode_row(&op.table, &bytes)?.into_values());
-                out.push(Tuple::new(values));
+                out.push_left(child)?;
+                keys::decode_row_into(&mut out, &op.table, bytes)?;
+                out.end_row()?;
             }
             // missing row: dangling reference -> inner join drops it
         }
-        Ok(out)
+        Ok(out.finish())
     }
 
     fn eval_sorted_join(
         &mut self,
         op: &RemoteOp,
-        children: Vec<Tuple>,
+        children: Rows,
         spec: &SortedJoinSpec,
-    ) -> Result<Vec<Tuple>, ExecError> {
+    ) -> Result<Rows, ExecError> {
         // resume state
         let resume = match self.resume {
             Some(CursorState::SortedJoinAfter { suffix, full_key }) => {
@@ -530,8 +555,8 @@ impl<'a> ExecCtx<'a> {
             let prefix = Self::probe_prefix(
                 op,
                 spec.prefix.iter().map(|ks| match ks {
-                    KeySource::Const(operand) => operand.resolve(params),
-                    KeySource::ChildField(p) => Ok(&child[*p]),
+                    KeySource::Const(operand) => operand.resolve(params).map(ValueRef::of),
+                    KeySource::ChildField(p) => Ok(child.value(*p)),
                 }),
             )?;
             prefix_lens.push(prefix.len());
@@ -587,7 +612,9 @@ impl<'a> ExecCtx<'a> {
                         ..
                     } = req
                     else {
-                        unreachable!()
+                        return Err(ExecError::Internal(
+                            "a sorted join probes with range requests only".into(),
+                        ));
                     };
                     per_child.push(self.fetch_one_by_one(ns, start, end, reverse, spec.per_key)?);
                 }
@@ -640,18 +667,13 @@ impl<'a> ExecCtx<'a> {
             });
         }
 
-        // materialize right rows (deref when needed), attach child tuples
-        let mut out = Vec::with_capacity(items.len());
+        // materialize right rows (deref when needed), each behind the
+        // cells of the child that probed for it
+        let mut out = children.widen(op.table.columns.len());
         let merged = items.iter().map(entry);
-        self.materialize(op, merged, spec.deref, spec.row_bytes, |i, right| {
-            // a child can match many entries, so its values are copied
-            let left = &children[items[i].0];
-            let mut values = Vec::with_capacity(left.len() + right.len());
-            values.extend_from_slice(left.values());
-            values.extend(right.into_values());
-            out.push(Tuple::new(values));
-        })?;
-        Ok(out)
+        let left = |out: &mut RowsBuilder, i: usize| out.push_left(items[i].0);
+        self.materialize(op, merged, spec.deref, spec.row_bytes, &mut out, left)?;
+        Ok(out.finish())
     }
 
     // ------------------------------------------------------------- shared
@@ -660,7 +682,7 @@ impl<'a> ExecCtx<'a> {
     /// key parts of `op`'s index.
     fn probe_prefix<'v>(
         op: &RemoteOp,
-        values: impl Iterator<Item = Result<&'v Value, ParamError>>,
+        values: impl Iterator<Item = Result<ValueRef<'v>, ParamError>>,
     ) -> Result<Vec<u8>, ExecError> {
         let mut prefix = Vec::new();
         for (i, value) in values.enumerate() {
@@ -706,7 +728,8 @@ impl<'a> ExecCtx<'a> {
         };
         let enc = |bound: &RangeBound| -> Result<Vec<u8>, ExecError> {
             let mut k = prefix.clone();
-            keys::encode_probe_component(&mut k, bound.operand.resolve(self.params)?, dir)?;
+            let value = ValueRef::of(bound.operand.resolve(self.params)?);
+            keys::encode_probe_component(&mut k, value, dir)?;
             Ok(k)
         };
         let end = match byte_high {
@@ -734,40 +757,59 @@ impl<'a> ExecCtx<'a> {
         Ok((start, end))
     }
 
-    /// Turn index entries into full-arity right rows, dereferencing through
-    /// the primary namespace when the index is not covering. The entries
-    /// are read where the store's answer holds them. Each row is handed to
-    /// `emit` with the position of the entry it came from; entries whose
-    /// record is gone or has moved on are skipped.
+    /// Turn index entries into full-arity right rows appended to `out`,
+    /// dereferencing through the primary namespace when the index is not
+    /// covering. The entries are read where the store's answer holds them,
+    /// and each stored row (or covering key) is decoded straight into the
+    /// block, which is sized from the bytes actually fetched. `left` begins
+    /// the row of the entry at the position it is given (a join pushes the
+    /// probing child's cells); entries whose record is gone or has moved
+    /// on are skipped.
     fn materialize<'e>(
         &mut self,
         op: &RemoteOp,
         entries: impl ExactSizeIterator<Item = (&'e [u8], &'e [u8])> + Clone,
         deref: bool,
         row_bytes: u64,
-        mut emit: impl FnMut(usize, Tuple),
+        out: &mut RowsBuilder,
+        mut left: impl FnMut(&mut RowsBuilder, usize) -> Result<(), RowsError>,
     ) -> Result<(), ExecError> {
         let table = &op.table;
         if !op.secondary {
+            out.reserve(entries.len(), entries.clone().map(|(_, v)| v.len()).sum());
             for (i, (_, v)) in entries.enumerate() {
-                emit(i, keys::decode_row(table, v)?);
+                left(out, i)?;
+                keys::decode_row_into(out, table, v)?;
+                out.end_row()?;
             }
             return Ok(());
         }
-        let row_from_key =
-            |k: &[u8]| keys::row_from_key(table.columns.len(), &op.parts, &op.types, &op.dirs, k);
+        let key_bytes = entries.clone().map(|(k, _)| k.len()).sum();
+        let mut scratch = Vec::new();
+        let mut row_from_key = |out: &mut RowsBuilder, k: &[u8]| {
+            let arity = table.columns.len();
+            keys::row_from_key_into(out, arity, &op.parts, &op.types, &op.dirs, k, &mut scratch)
+        };
         if !deref {
+            out.reserve(entries.len(), key_bytes);
             for (i, (k, _)) in entries.enumerate() {
-                emit(i, row_from_key(k)?);
+                left(out, i)?;
+                row_from_key(out, k)?;
+                out.end_row()?;
             }
             return Ok(());
+        }
+        let mut from_keys = Rows::builder(table.columns.len());
+        from_keys.reserve(entries.len(), key_bytes);
+        for (k, _) in entries.clone() {
+            row_from_key(&mut from_keys, k)?;
+            from_keys.end_row()?;
         }
         let mut pk_keys = Vec::with_capacity(entries.len());
-        for (k, _) in entries.clone() {
-            let row = row_from_key(k)?;
+        for row in &from_keys.finish() {
             let mut pk = Vec::new();
             for &col in &op.pk {
-                keys::encode_probe_component(&mut pk, &row[col], Dir::Asc)?;
+                keys::encode_probe_component(&mut pk, row.value(col), Dir::Asc)?;
             }
             pk_keys.push(pk);
         }
@@ -777,17 +819,22 @@ impl<'a> ExecCtx<'a> {
         self.tag_op(OpKind::IndexFKJoin, pk_keys.len() as u64, 1, row_bytes);
         let responses = self.issue_gets(op.primary, pk_keys)?;
         self.clear_op_tag();
-        for (i, ((k, _), resp)) in entries.zip(responses).enumerate() {
+        let (found, bytes) = found_rows(&responses);
+        out.reserve(found, bytes);
+        for (i, ((k, _), resp)) in entries.zip(&responses).enumerate() {
             if let KvResponse::Value(Some(bytes)) = resp {
-                let row = keys::decode_row(table, &bytes)?;
+                left(out, i)?;
+                keys::decode_row_into(out, table, bytes)?;
                 // the §7.2 write order can leave entries whose
                 // record moved on (crash between record update and
                 // stale-entry deletion); re-verify the entry is
                 // still derivable from the record before emitting
                 let mut derivable = false;
-                keys::entry_keys(&op.parts, &row, |key| derivable |= key == k)?;
+                keys::entry_keys(&op.parts, &out.pending(), |key| derivable |= key == k)?;
                 if derivable {
-                    emit(i, row);
+                    out.end_row()?;
+                } else {
+                    out.drop_row();
                 }
             }
             // missing: dangling index entry awaiting GC (§7.2); skip
@@ -822,26 +869,15 @@ impl<'a> ExecCtx<'a> {
     }
 }
 
-/// `LocalProject`: each row reduced to `columns`' source positions. Rows
-/// are consumed, so when the positions ascend (`t.*`, any subset in table
-/// order, the identity) values are moved down inside the row's own buffer
-/// and nothing is copied.
-fn project_rows(rows: Vec<Tuple>, columns: &[(usize, String)]) -> Vec<Tuple> {
-    let ascending = columns.windows(2).all(|w| w[0].0 < w[1].0);
-    rows.into_iter()
-        .map(|row| {
-            if !ascending {
-                return Tuple::new(columns.iter().map(|(p, _)| row[*p].clone()).collect());
-            }
-            let mut values = row.into_values();
-            for (to, (from, _)) in columns.iter().enumerate() {
-                // `to <= from`, and every later source lies beyond `from`
-                values.swap(to, *from);
-            }
-            values.truncate(columns.len());
-            Tuple::new(values)
+/// How many of `responses` found their record, and those records' bytes:
+/// what a block about to hold them reserves.
+fn found_rows(responses: &[KvResponse]) -> (usize, usize) {
+    responses
+        .iter()
+        .fold((0, 0), |(rows, bytes), resp| match resp {
+            KvResponse::Value(Some(record)) => (rows + 1, bytes + record.len()),
+            _ => (rows, bytes),
         })
-        .collect()
 }
 
 /// After consuming entry `k`, tighten the bounds for the next fetch.
@@ -855,81 +891,89 @@ fn advance_bounds(start: &mut Vec<u8>, end: &mut Option<Vec<u8>>, k: &[u8], reve
     }
 }
 
-/// Stable multi-key sort honoring per-key direction.
-pub fn sort_rows(rows: &mut [Tuple], keys: &[(usize, Dir)]) {
-    rows.sort_by(|a, b| {
-        for (pos, dir) in keys {
-            let ord = a[*pos].total_cmp(&b[*pos]);
-            let ord = if *dir == Dir::Desc {
-                ord.reverse()
-            } else {
-                ord
-            };
-            if ord != std::cmp::Ordering::Equal {
-                return ord;
-            }
+/// Multi-key row order honoring per-key direction: what `LocalSort` (and
+/// the reference executor's sort) order rows by.
+pub fn compare_rows(a: &impl Row, b: &impl Row, keys: &[(usize, Dir)]) -> Ordering {
+    for (pos, dir) in keys {
+        let ord = a.value(*pos).total_cmp(b.value(*pos));
+        let ord = if *dir == Dir::Desc {
+            ord.reverse()
+        } else {
+            ord
+        };
+        if ord != Ordering::Equal {
+            return ord;
         }
-        std::cmp::Ordering::Equal
-    });
+    }
+    Ordering::Equal
 }
 
 /// Group-by + aggregates over a bounded input (§7.1: computed client-side).
-pub fn aggregate_rows(rows: Vec<Tuple>, group_by: &[usize], aggs: &[PhysAggregate]) -> Vec<Tuple> {
+///
+/// `SUM` and `AVG` over an integral column (`INT`, `BIGINT`, `TIMESTAMP`)
+/// accumulate in an `i128`, which no bounded input can overflow, so the sum
+/// is exact: `SUM` answers it as a `BIGINT`, saturating at the `i64` range,
+/// and `AVG` divides it. A `DOUBLE` column accumulates in `f64`.
+pub fn aggregate_rows(
+    rows: &Rows,
+    group_by: &[usize],
+    aggs: &[PhysAggregate],
+) -> Result<Rows, RowsError> {
     #[derive(Default, Clone)]
     struct Acc {
         count: u64,
-        sum: f64,
-        sum_is_float: bool,
+        int_sum: i128,
+        float_sum: f64,
+        is_float: bool,
         min: Option<Value>,
         max: Option<Value>,
     }
     let mut groups: BTreeMap<Vec<u8>, (Vec<Value>, Vec<Acc>)> = BTreeMap::new();
-    for row in &rows {
-        let key_vals: Vec<Value> = group_by.iter().map(|&p| row[p].clone()).collect();
-        let key = piql_core::codec::row::encode_tuple(&Tuple::new(key_vals.clone()));
-        let entry = groups
-            .entry(key)
-            .or_insert_with(|| (key_vals, vec![Acc::default(); aggs.len()]));
-        for (acc, agg) in entry.1.iter_mut().zip(aggs) {
-            let val = agg.arg.map(|p| &row[p]);
+    for row in rows {
+        // groups come out in the order of their values' row encoding
+        let mut key = Vec::new();
+        row_codec::encode_arity(&mut key, group_by.len());
+        for &p in group_by {
+            row_codec::encode_value_ref(&mut key, row.value(p));
+        }
+        let (_, accs) = groups.entry(key).or_insert_with(|| {
+            let key_vals = group_by.iter().map(|&p| row.value(p).to_value());
+            (key_vals.collect(), vec![Acc::default(); aggs.len()])
+        });
+        for (acc, agg) in accs.iter_mut().zip(aggs) {
+            let val = agg.arg.map(|p| row.value(p));
             match agg.func {
-                AggFunc::Count => {
-                    if agg.arg.is_none() || !val.unwrap().is_null() {
+                AggFunc::Count => match val {
+                    Some(ValueRef::Null) => {}
+                    _ => acc.count += 1,
+                },
+                AggFunc::Sum | AggFunc::Avg => match val {
+                    Some(ValueRef::Int(v)) => {
+                        acc.int_sum += i128::from(v);
                         acc.count += 1;
                     }
-                }
-                AggFunc::Sum | AggFunc::Avg => {
-                    if let Some(v) = val {
-                        if let Some(f) = v.as_f64() {
-                            acc.sum += f;
-                            acc.count += 1;
-                            acc.sum_is_float = matches!(v, Value::Double(_));
-                        }
+                    Some(ValueRef::BigInt(v) | ValueRef::Timestamp(v)) => {
+                        acc.int_sum += i128::from(v);
+                        acc.count += 1;
                     }
-                }
-                AggFunc::Min => {
-                    if let Some(v) = val {
-                        if !v.is_null()
-                            && acc
-                                .min
-                                .as_ref()
-                                .map(|m| v.total_cmp(m) == std::cmp::Ordering::Less)
-                                .unwrap_or(true)
-                        {
-                            acc.min = Some(v.clone());
-                        }
+                    Some(ValueRef::Double(v)) => {
+                        acc.float_sum += v;
+                        acc.is_float = true;
+                        acc.count += 1;
                     }
-                }
-                AggFunc::Max => {
-                    if let Some(v) = val {
-                        if !v.is_null()
-                            && acc
-                                .max
-                                .as_ref()
-                                .map(|m| v.total_cmp(m) == std::cmp::Ordering::Greater)
-                                .unwrap_or(true)
+                    _ => {}
+                },
+                AggFunc::Min | AggFunc::Max => {
+                    let (best, wanted) = match agg.func {
+                        AggFunc::Min => (&mut acc.min, Ordering::Less),
+                        _ => (&mut acc.max, Ordering::Greater),
+                    };
+                    if let Some(v) = val.filter(|v| !v.is_null()) {
+                        if best
+                            .as_ref()
+                            .is_none_or(|m| v.total_cmp(ValueRef::of(m)) == wanted)
                         {
-                            acc.max = Some(v.clone());
+                            *best = Some(v.to_value());
                         }
                     }
                 }
@@ -938,43 +982,29 @@ pub fn aggregate_rows(rows: Vec<Tuple>, group_by: &[usize], aggs: &[PhysAggregat
     }
     // empty input with no grouping: one row of "zero" aggregates
     if groups.is_empty() && group_by.is_empty() {
-        let vals: Vec<Value> = aggs
-            .iter()
-            .map(|a| match a.func {
-                AggFunc::Count => Value::BigInt(0),
-                _ => Value::Null,
-            })
-            .collect();
-        return vec![Tuple::new(vals)];
+        groups.insert(Vec::new(), (Vec::new(), vec![Acc::default(); aggs.len()]));
     }
-    groups
-        .into_values()
-        .map(|(mut key_vals, accs)| {
-            for (acc, agg) in accs.iter().zip(aggs) {
-                let v = match agg.func {
-                    AggFunc::Count => Value::BigInt(acc.count as i64),
-                    AggFunc::Sum => {
-                        if acc.count == 0 {
-                            Value::Null
-                        } else if acc.sum_is_float {
-                            Value::Double(acc.sum)
-                        } else {
-                            Value::BigInt(acc.sum as i64)
-                        }
-                    }
-                    AggFunc::Avg => {
-                        if acc.count == 0 {
-                            Value::Null
-                        } else {
-                            Value::Double(acc.sum / acc.count as f64)
-                        }
-                    }
-                    AggFunc::Min => acc.min.clone().unwrap_or(Value::Null),
-                    AggFunc::Max => acc.max.clone().unwrap_or(Value::Null),
-                };
-                key_vals.push(v);
-            }
-            Tuple::new(key_vals)
-        })
-        .collect()
+    let mut out = Rows::builder(group_by.len() + aggs.len());
+    for (key_vals, accs) in groups.values() {
+        for v in key_vals {
+            out.push(ValueRef::of(v))?;
+        }
+        for (acc, agg) in accs.iter().zip(aggs) {
+            let sum = acc.float_sum + acc.int_sum as f64;
+            out.push(match agg.func {
+                AggFunc::Count => ValueRef::BigInt(acc.count as i64),
+                AggFunc::Sum | AggFunc::Avg if acc.count == 0 => ValueRef::Null,
+                AggFunc::Sum if acc.is_float => ValueRef::Double(sum),
+                AggFunc::Sum => {
+                    let clamped = acc.int_sum.clamp(i64::MIN.into(), i64::MAX.into());
+                    ValueRef::BigInt(clamped as i64)
+                }
+                AggFunc::Avg => ValueRef::Double(sum / acc.count as f64),
+                AggFunc::Min => acc.min.as_ref().map_or(ValueRef::Null, ValueRef::of),
+                AggFunc::Max => acc.max.as_ref().map_or(ValueRef::Null, ValueRef::of),
+            })?;
+        }
+        out.end_row()?;
+    }
+    Ok(out.finish())
 }

@@ -7,7 +7,8 @@
 
 use piql_core::catalog::{ColumnId, IndexDef, IndexKind, TableDef};
 use piql_core::codec::key::{self, Dir};
-use piql_core::codec::row as row_codec;
+use piql_core::codec::row::{self as row_codec, RowReader};
+use piql_core::rows::{Row, RowRef, RowsBuilder, RowsError};
 use piql_core::text;
 use piql_core::tuple::Tuple;
 use piql_core::value::{DataType, Value, ValueRef};
@@ -37,11 +38,24 @@ impl From<key::KeyCodecError> for KeyError {
     }
 }
 
+impl From<row_codec::RowCodecError> for KeyError {
+    fn from(e: row_codec::RowCodecError) -> Self {
+        KeyError::Codec(e.to_string())
+    }
+}
+
+impl From<RowsError> for KeyError {
+    fn from(e: RowsError) -> Self {
+        KeyError::RowShape(e.to_string())
+    }
+}
+
 /// A row the encoders below read column by column, each value already in
-/// the canonical form of its column's type. A stored [`Tuple`] is one; the
-/// write path's sources validate and coerce request values on the way out
-/// (so a row is encoded straight from what the client sent, with no
-/// intermediate copy), which is why reading a column can fail.
+/// the canonical form of its column's type. A stored [`Tuple`] is one, and
+/// so is a [`RowRef`] into an executor's block; the write path's sources
+/// validate and coerce request values on the way out (so a row is encoded
+/// straight from what the client sent, with no intermediate copy), which
+/// is why reading a column can fail.
 pub trait RowSource {
     type Error: From<KeyError>;
     fn value(&self, col: ColumnId) -> Result<ValueRef<'_>, Self::Error>;
@@ -51,6 +65,13 @@ impl RowSource for Tuple {
     type Error = KeyError;
     fn value(&self, col: ColumnId) -> Result<ValueRef<'_>, KeyError> {
         Ok(ValueRef::of(&self[col]))
+    }
+}
+
+impl RowSource for RowRef<'_> {
+    type Error = KeyError;
+    fn value(&self, col: ColumnId) -> Result<ValueRef<'_>, KeyError> {
+        Ok(Row::value(self, col))
     }
 }
 
@@ -185,25 +206,73 @@ pub fn index_entry_keys(
 }
 
 /// Append one probe component with the part's direction.
-pub fn encode_probe_component(buf: &mut Vec<u8>, value: &Value, dir: Dir) -> Result<(), KeyError> {
+pub fn encode_probe_component(
+    buf: &mut Vec<u8>,
+    value: ValueRef<'_>,
+    dir: Dir,
+) -> Result<(), KeyError> {
     // sized before it is written: a one-component key is one allocation
     buf.reserve(value.encoded_len());
-    key::encode_component(buf, value, dir)?;
+    key::encode_component_ref(buf, value, dir)?;
+    Ok(())
+}
+
+/// Whether a stored row of `arity` values is a full row of `table`.
+fn check_arity(table: &TableDef, arity: usize) -> Result<(), KeyError> {
+    if arity != table.columns.len() {
+        return Err(KeyError::RowShape(format!(
+            "row for {} has {} values, expected {}",
+            table.name,
+            arity,
+            table.columns.len()
+        )));
+    }
     Ok(())
 }
 
 /// Decode a full-row tuple from a primary-index entry's value bytes.
 pub fn decode_row(table: &TableDef, bytes: &[u8]) -> Result<Tuple, KeyError> {
-    let t = row_codec::decode_tuple(bytes).map_err(|e| KeyError::Codec(e.to_string()))?;
-    if t.len() != table.columns.len() {
-        return Err(KeyError::RowShape(format!(
-            "row for {} has {} values, expected {}",
-            table.name,
-            t.len(),
-            table.columns.len()
-        )));
-    }
+    let t = row_codec::decode_tuple(bytes)?;
+    check_arity(table, t.len())?;
     Ok(t)
+}
+
+/// [`decode_row`] straight into the pending row of `out`: nothing is
+/// allocated, a string is copied once, into the block's text.
+pub fn decode_row_into(
+    out: &mut RowsBuilder,
+    table: &TableDef,
+    bytes: &[u8],
+) -> Result<(), KeyError> {
+    let (mut reader, arity) = RowReader::new(bytes)?;
+    check_arity(table, arity)?;
+    for _ in 0..arity {
+        out.push(reader.next_value()?)?;
+    }
+    Ok(reader.finish()?)
+}
+
+/// [`row_from_key`] straight into the pending row of `out`: the key's
+/// components land at their columns' positions, NULL elsewhere. Strings
+/// pass through `scratch` (see [`key::KeyReader`]).
+pub fn row_from_key_into(
+    out: &mut RowsBuilder,
+    arity: usize,
+    parts: &[KeyPart],
+    types: &[DataType],
+    dirs: &[Dir],
+    key_bytes: &[u8],
+    scratch: &mut Vec<u8>,
+) -> Result<(), KeyError> {
+    out.push_nulls(arity);
+    let mut reader = key::KeyReader::new(key_bytes, scratch);
+    for ((part, ty), dir) in parts.iter().zip(types).zip(dirs) {
+        let value = reader.next_value(*ty, *dir)?;
+        if !part.token {
+            out.set(part.col, value)?;
+        }
+    }
+    Ok(())
 }
 
 /// Encode a full-row tuple.

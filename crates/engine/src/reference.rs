@@ -7,13 +7,14 @@
 //! for anything but tests: it is exactly the Class-III/IV behaviour PIQL
 //! exists to prevent.
 
-use crate::exec::{sort_rows, ExecError};
+use crate::exec::{aggregate_rows, compare_rows, ExecError};
 use crate::keys;
 use piql_core::ast::SelectStmt;
 use piql_core::catalog::{Catalog, TableId};
 use piql_core::plan::logical::LogicalPlan;
 use piql_core::plan::params::ParamsRef;
 use piql_core::plan::{bind, BoundPredicate, RelationSource};
+use piql_core::rows::Rows;
 use piql_core::tuple::Tuple;
 use piql_kv::{KvRequest, KvStore, Session};
 
@@ -150,7 +151,7 @@ impl RefEval<'_, '_> {
                 let mut rows = self.eval(input)?;
                 let keys: Vec<(usize, piql_core::codec::key::Dir)> =
                     keys.iter().map(|(f, d)| (*f, *d)).collect();
-                sort_rows(&mut rows, &keys);
+                rows.sort_by(|a, b| compare_rows(a, b, &keys));
                 Ok(rows)
             }
             LogicalPlan::Stop { input, stop } => {
@@ -182,7 +183,7 @@ impl RefEval<'_, '_> {
                         alias: a.alias.clone(),
                     })
                     .collect();
-                Ok(crate::exec::aggregate_rows(rows, group_by, &phys))
+                Ok(aggregate_rows(&Rows::from(rows), group_by, &phys)?.to_tuples())
             }
         }
     }

@@ -96,10 +96,15 @@ fn thoughtstream_matches_reference() {
     let result = db.execute(&mut session, &prepared, &params).unwrap();
     let expected = db.reference_query(THOUGHTSTREAM, &params).unwrap();
     assert_eq!(result.rows.len(), 10);
-    assert_eq!(result.rows, expected, "optimized plan == naive semantics");
+    assert_eq!(
+        result.rows.to_tuples(),
+        expected,
+        "optimized plan == naive semantics"
+    );
     // ordered by timestamp desc
     assert!(result
         .rows
+        .to_tuples()
         .windows(2)
         .all(|w| w[0][1].as_i64() >= w[1][1].as_i64()));
 }
@@ -318,7 +323,7 @@ fn token_search_finds_rows_after_updates() {
     params.set(0, Value::Varchar("istanbul".into()));
     let r = db.query(&mut session, sql, &params).unwrap();
     assert_eq!(r.rows.len(), 1);
-    assert_eq!(r.rows[0][0], Value::Varchar("user0002".into()));
+    assert_eq!(r.rows.to_tuples()[0][0], Value::Varchar("user0002".into()));
 }
 
 #[test]
@@ -419,7 +424,7 @@ fn in_rewrite_executes_as_bounded_lookups() {
         v.sort_by_key(|t| format!("{t}"));
         v
     };
-    assert_eq!(sorted(r.rows), sorted(expected));
+    assert_eq!(sorted(r.rows.to_tuples()), sorted(expected));
     assert!(session.stats.logical_requests <= 8, "bounded by MAX 8");
 
     // exceeding the declared MAX is an error, not a truncation
@@ -443,7 +448,91 @@ fn aggregates_group_bounded_results() {
     params.set(0, Value::Varchar("user0002".into()));
     let mut session = Session::new();
     let r = db.query(&mut session, sql, &params).unwrap();
-    assert_eq!(r.rows, vec![tuple!["user0002", Value::BigInt(4)]]);
+    assert_eq!(
+        r.rows.to_tuples(),
+        vec![tuple!["user0002", Value::BigInt(4)]]
+    );
+}
+
+/// `SUM` and `AVG` are exact over integral columns. Accumulated in `f64`
+/// (as they were), `SUM(amount)` over 9007199254740993 and 0 answered
+/// 9007199254740992, and `SUM`/`AVG` of timestamps answered NULL.
+/// Expectations are worked out by hand: the reference executor shares
+/// the aggregation.
+#[test]
+fn aggregates_are_exact_over_integral_columns() {
+    let db = Database::new(Arc::new(SimCluster::new(ClusterConfig::instant(2))));
+    db.execute_ddl(
+        "CREATE TABLE ledger ( \
+           acct VARCHAR(16) NOT NULL, \
+           seq INT NOT NULL, \
+           amount BIGINT, \
+           at TIMESTAMP, \
+           memo VARCHAR(16), \
+           PRIMARY KEY (acct, seq), \
+           CARDINALITY LIMIT 10 (acct) )",
+    )
+    .unwrap();
+    let entry = |acct: &str, seq: i32, amount: i64, at: i64, memo: Option<&str>| {
+        let memo = memo.map_or(Value::Null, Value::from);
+        tuple![acct, seq, amount, Value::Timestamp(at), memo]
+    };
+    db.bulk_load(
+        "ledger",
+        [
+            entry("big", 1, 9_007_199_254_740_993, 1_000, Some("rent")),
+            entry("big", 2, 0, 3_000, None),
+            entry("small", 1, 1, 10, Some("b")),
+            entry("small", 2, 2, 20, None),
+            entry("small", 3, 4, 30, Some("a")),
+        ],
+    )
+    .unwrap();
+    let answer = |sql: &str, acct: &str| {
+        let params = Params::from_values([Value::Varchar(acct.into())]);
+        let rows = db.query(&mut Session::new(), sql, &params).unwrap().rows;
+        assert_eq!(rows.len(), 1, "{sql}");
+        rows.to_tuples().remove(0).into_values()
+    };
+
+    let sums = "SELECT SUM(amount) AS total, MAX(amount) AS most, SUM(at) AS ats, AVG(at) AS mid \
+                FROM ledger WHERE acct = <a>";
+    assert_eq!(
+        answer(sums, "big"),
+        [
+            Value::BigInt(9_007_199_254_740_993),
+            Value::BigInt(9_007_199_254_740_993),
+            Value::BigInt(4_000),
+            Value::Double(2_000.0),
+        ],
+        "SUM(amount), MAX(amount), SUM(at), AVG(at)"
+    );
+
+    let rest = "SELECT AVG(seq) AS s, AVG(amount) AS a, MIN(memo) AS lo, MAX(memo) AS hi, \
+                COUNT(memo) AS memos, COUNT(*) AS n FROM ledger WHERE acct = <a>";
+    assert_eq!(
+        answer(rest, "small"),
+        [
+            Value::Double(2.0),
+            Value::Double(7.0 / 3.0),
+            "a".into(),
+            "b".into(),
+            Value::BigInt(2),
+            Value::BigInt(3),
+        ]
+    );
+    // nothing to aggregate, no grouping: counts of zero, NULL for the rest
+    assert_eq!(
+        answer(rest, "nobody"),
+        [
+            Value::Null,
+            Value::Null,
+            Value::Null,
+            Value::Null,
+            Value::BigInt(0),
+            Value::BigInt(0),
+        ]
+    );
 }
 
 #[test]
@@ -704,7 +793,11 @@ fn sorted_join_keeps_rows_with_their_children_past_a_dangling_entry() {
     let prepared = db.prepare(sql).unwrap();
     let params = Params::from_values([Value::Varchar("user0000".into())]);
     let mut session = Session::new();
-    let full = db.execute(&mut session, &prepared, &params).unwrap().rows;
+    let full = db
+        .execute(&mut session, &prepared, &params)
+        .unwrap()
+        .rows
+        .to_tuples();
     assert_eq!(full.len(), 8);
     assert!(full.iter().all(|row| row[0] == row[2]), "target = author");
 
@@ -714,7 +807,11 @@ fn sorted_join_keeps_rows_with_their_children_past_a_dangling_entry() {
     let key = piql_engine::keys::primary_key_from_values(std::slice::from_ref(&best)).unwrap();
     db.store()
         .execute_round(&mut session, vec![KvRequest::Delete { ns: posts, key }]);
-    let rows = db.execute(&mut session, &prepared, &params).unwrap().rows;
+    let rows = db
+        .execute(&mut session, &prepared, &params)
+        .unwrap()
+        .rows
+        .to_tuples();
     assert_eq!(rows.len(), 7, "the dangling entry is skipped");
     assert!(rows.iter().all(|row| row[1] != best));
     assert!(
@@ -776,7 +873,8 @@ fn empty_intervals_answer_empty_pages<S: KvStore>(db: &Database<S>, backend: &st
             let rows = db
                 .execute_with(&mut session, &prepared, &params, strategy, None)
                 .unwrap()
-                .rows;
+                .rows
+                .to_tuples();
             assert_eq!(rows, reference, "{backend} {strategy:?}: ({lo}, {hi})");
         }
     }

@@ -4,10 +4,11 @@
 use piql_core::ast::AggFunc;
 use piql_core::codec::key::Dir;
 use piql_core::plan::physical::PhysAggregate;
+use piql_core::rows::Rows;
 use piql_core::tuple;
 use piql_core::tuple::Tuple;
 use piql_core::value::Value;
-use piql_engine::exec::{aggregate_rows, sort_rows};
+use piql_engine::exec::{aggregate_rows, compare_rows};
 
 fn agg(func: AggFunc, arg: Option<usize>) -> PhysAggregate {
     PhysAggregate {
@@ -17,17 +18,23 @@ fn agg(func: AggFunc, arg: Option<usize>) -> PhysAggregate {
     }
 }
 
+fn aggregate(rows: Vec<Tuple>, group_by: &[usize], aggs: &[PhysAggregate]) -> Vec<Tuple> {
+    aggregate_rows(&Rows::from(rows), group_by, aggs)
+        .unwrap()
+        .to_tuples()
+}
+
 #[test]
 fn sort_is_stable_multi_key_with_directions() {
-    let mut rows = vec![
+    let mut rows = Rows::from(vec![
         tuple!["b", 2, "first"],
         tuple!["a", 2, "second"],
         tuple!["a", 1, "third"],
         tuple!["b", 2, "fourth"],
-    ];
-    sort_rows(&mut rows, &[(0, Dir::Asc), (1, Dir::Desc)]);
+    ]);
+    rows.sort_by(|a, b| compare_rows(&a, &b, &[(0, Dir::Asc), (1, Dir::Desc)]));
     assert_eq!(
-        rows,
+        rows.to_tuples(),
         vec![
             tuple!["a", 2, "second"],
             tuple!["a", 1, "third"],
@@ -45,7 +52,7 @@ fn aggregates_over_groups() {
         tuple!["b", 5],
         Tuple::new(vec![Value::Varchar("b".into()), Value::Null]),
     ];
-    let out = aggregate_rows(
+    let out = aggregate(
         rows,
         &[0],
         &[
@@ -75,14 +82,14 @@ fn aggregates_over_groups() {
 
 #[test]
 fn global_aggregate_on_empty_input_yields_zero_count() {
-    let out = aggregate_rows(
+    let out = aggregate(
         Vec::new(),
         &[],
         &[agg(AggFunc::Count, None), agg(AggFunc::Sum, Some(0))],
     );
     assert_eq!(out, vec![Tuple::new(vec![Value::BigInt(0), Value::Null])]);
     // grouped aggregate on empty input yields no rows
-    let out = aggregate_rows(Vec::new(), &[0], &[agg(AggFunc::Count, None)]);
+    let out = aggregate(Vec::new(), &[0], &[agg(AggFunc::Count, None)]);
     assert!(out.is_empty());
 }
 
@@ -92,6 +99,6 @@ fn double_sums_stay_double() {
         Tuple::new(vec![Value::Double(1.5)]),
         Tuple::new(vec![Value::Double(2.25)]),
     ];
-    let out = aggregate_rows(rows, &[], &[agg(AggFunc::Sum, Some(0))]);
+    let out = aggregate(rows, &[], &[agg(AggFunc::Sum, Some(0))]);
     assert_eq!(out[0][0], Value::Double(3.75));
 }

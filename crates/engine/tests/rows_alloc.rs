@@ -1,0 +1,231 @@
+//! What a result set costs in allocations: the executor decodes stored
+//! rows straight into one packed [`Rows`] block — a cell vector and a text
+//! buffer, sized from what the store answered — so a primary scan
+//! allocates the same whether it returns one row or a hundred, and a join
+//! adds a constant for its output block, not a vector per row, a `String`
+//! per field or a copy of the left row per match. What still grows with
+//! the rows is what the store is asked and answers: a probe key and a
+//! fetched record per get.
+//!
+//! A counting `#[global_allocator]` needs a binary of its own, hence this
+//! file (the pattern of `crates/kv/tests/range_alloc.rs`); it counts per
+//! thread, and the store runs its rounds on the calling thread
+//! (`pool_threads: 0`).
+//!
+//! [`Rows`]: piql_core::rows::Rows
+
+use piql_core::plan::params::Params;
+use piql_core::tuple;
+use piql_core::value::Value;
+use piql_engine::{keys, Database, Prepared};
+use piql_kv::{KvRequest, LiveCluster, LiveConfig, Session};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::sync::Arc;
+
+struct CountingAlloc;
+
+thread_local! {
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn bump() {
+    // `try_with`: TLS may already be torn down during thread exit
+    let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+}
+
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        bump();
+        // SAFETY: the caller's contract is `System.alloc`'s own
+        unsafe { System.alloc(layout) }
+    }
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        bump();
+        // SAFETY: as above
+        unsafe { System.alloc_zeroed(layout) }
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        bump();
+        // SAFETY: as above
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: as above
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static COUNTER: CountingAlloc = CountingAlloc;
+
+/// What `f` returns, and the allocations it made on this thread.
+fn counted<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let before = ALLOCS.with(Cell::get);
+    let value = f();
+    (value, ALLOCS.with(Cell::get) - before)
+}
+
+const SIZES: [usize; 3] = [1, 10, 100];
+
+const DDL: &[&str] = &[
+    "CREATE TABLE users ( \
+       username VARCHAR(32) NOT NULL, \
+       home_town VARCHAR(64), \
+       PRIMARY KEY (username) )",
+    "CREATE TABLE subscriptions ( \
+       owner VARCHAR(32) NOT NULL, \
+       target VARCHAR(32) NOT NULL, \
+       approved BOOL, \
+       PRIMARY KEY (owner, target), \
+       FOREIGN KEY (target) REFERENCES users, \
+       FOREIGN KEY (owner) REFERENCES users, \
+       CARDINALITY LIMIT 100 (owner) )",
+    "CREATE TABLE thoughts ( \
+       owner VARCHAR(32) NOT NULL, \
+       timestamp TIMESTAMP NOT NULL, \
+       text VARCHAR(140), \
+       PRIMARY KEY (owner, timestamp), \
+       FOREIGN KEY (owner) REFERENCES users )",
+];
+
+fn followee(i: usize) -> String {
+    format!("followee{i:03}")
+}
+
+/// For each `n` of [`SIZES`]: `reader{n}` follows `followee000..n`;
+/// `author{n}a` and `author{n}b` have `n` thoughts each, and `fan{n}`
+/// follows those two.
+fn database() -> Database<LiveCluster> {
+    let db = Database::new(Arc::new(LiveCluster::new(LiveConfig {
+        shards_per_namespace: 1,
+        pool_threads: 0,
+        request_delay_us: 0,
+    })));
+    for ddl in DDL {
+        db.execute_ddl(ddl).unwrap();
+    }
+    let mut users: Vec<String> = (0..100).map(followee).collect();
+    let mut follows = Vec::new();
+    let mut thoughts = Vec::new();
+    for n in SIZES {
+        let (reader, fan) = (format!("reader{n}"), format!("fan{n}"));
+        follows.extend((0..n).map(|i| (reader.clone(), followee(i))));
+        for half in ["a", "b"] {
+            let author = format!("author{n}{half}");
+            follows.push((fan.clone(), author.clone()));
+            thoughts.extend((0..n).map(|t| (author.clone(), t)));
+            users.push(author);
+        }
+        users.extend([reader, fan]);
+    }
+    db.bulk_load(
+        "users",
+        users.iter().map(|u| tuple![u.as_str(), "Berkeley"]),
+    )
+    .unwrap();
+    db.bulk_load(
+        "subscriptions",
+        follows
+            .iter()
+            .map(|(owner, target)| tuple![owner.as_str(), target.as_str(), true]),
+    )
+    .unwrap();
+    db.bulk_load(
+        "thoughts",
+        thoughts.iter().map(|(owner, t)| {
+            let text = format!("thought {t} of {owner}");
+            tuple![
+                owner.as_str(),
+                Value::Timestamp(1_000 + *t as i64),
+                text.as_str()
+            ]
+        }),
+    )
+    .unwrap();
+    db
+}
+
+/// Allocations of one warm execution of `prepared` for `user`, which must
+/// answer `rows` rows.
+fn execution(db: &Database<LiveCluster>, prepared: &Prepared, user: &str, rows: usize) -> u64 {
+    let params = Params::from_values([Value::Varchar(user.into())]);
+    let mut session = Session::new();
+    // warm: the first round of a thread may set up thread-local state
+    db.execute(&mut session, prepared, &params).unwrap();
+    let (result, made) = counted(|| db.execute(&mut session, prepared, &params).unwrap());
+    assert_eq!(result.rows.len(), rows, "{user}");
+    made
+}
+
+#[test]
+// Rank tracking in `lock-order` builds keeps per-thread held-lock state,
+// which allocates by design.
+#[cfg_attr(
+    feature = "lock-order",
+    ignore = "lock-order tracking allocates by design"
+)]
+fn a_result_set_allocates_per_operator_not_per_row() {
+    let db = database();
+
+    // a primary scan: the range answer's two buffers, the block's two
+    let scan = db
+        .prepare("SELECT * FROM thoughts WHERE owner = <o> ORDER BY timestamp DESC LIMIT 100")
+        .unwrap();
+    let scans = SIZES.map(|n| execution(&db, &scan, &format!("author{n}a"), n));
+    assert!(
+        scans.iter().all(|&made| made == scans[0]),
+        "1, 10 and 100 rows must cost the same: {scans:?}"
+    );
+    assert!(scans[0] <= 8, "{scans:?}");
+
+    // a sorted join, two probes: what each probe matches is merged and
+    // decoded behind its child's cells into one block
+    let stream = db
+        .prepare(
+            "SELECT s.owner, thoughts.* FROM subscriptions s JOIN thoughts \
+             WHERE thoughts.owner = s.target AND s.owner = <o> \
+             ORDER BY thoughts.timestamp DESC LIMIT 200",
+        )
+        .unwrap();
+    let streams = SIZES.map(|n| execution(&db, &stream, &format!("fan{n}"), 2 * n));
+    assert!(
+        streams.iter().all(|&made| made == streams[0]),
+        "2, 20 and 200 rows from two probes must cost the same: {streams:?}"
+    );
+
+    // an FK join: one get per child, so what grows with the rows is what a
+    // round of that many gets costs — a probe key and a fetched record
+    // each — and the join itself adds a constant
+    let followed = db
+        .prepare(
+            "SELECT s.owner, u.* FROM subscriptions s JOIN users u \
+             WHERE u.username = s.target AND s.owner = <o>",
+        )
+        .unwrap();
+    let users = db.store().namespace("t/users");
+    let names: Vec<Value> = (0..100).map(|i| Value::Varchar(followee(i))).collect();
+    let beyond_its_gets = SIZES.map(|n| {
+        let join = execution(&db, &followed, &format!("reader{n}"), n);
+        let mut session = Session::new();
+        let (_, gets) = counted(|| {
+            let round = names[..n].iter().map(|name| KvRequest::Get {
+                ns: users,
+                key: keys::primary_key_from_values(std::slice::from_ref(name)).unwrap(),
+            });
+            db.store().execute_round(&mut session, round.collect())
+        });
+        join - gets
+    });
+    assert!(
+        beyond_its_gets
+            .iter()
+            .all(|&made| made == beyond_its_gets[0]),
+        "joining 1, 10 and 100 rows must cost the same beyond their gets: {beyond_its_gets:?}"
+    );
+    assert!(beyond_its_gets[0] <= 12, "{beyond_its_gets:?}");
+    println!(
+        "allocations per execution: scan {scans:?}, sorted join {streams:?}, \
+         FK join beyond its gets {beyond_its_gets:?}"
+    );
+}

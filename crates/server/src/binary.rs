@@ -399,8 +399,8 @@ fn put_reply(out: &mut Vec<u8>, reply: &Reply) {
             put_rows_header(out, cursor.as_ref(), *degraded, rows.len() as u32);
             for row in rows {
                 put_row_header(out, row.len() as u32);
-                for v in row.values() {
-                    put_row_value(out, ValueRef::of(v));
+                for v in row.iter() {
+                    put_row_value(out, v);
                 }
             }
         }

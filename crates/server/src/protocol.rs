@@ -36,8 +36,8 @@ use crate::json::{
     Scanner, HEX_DIGITS,
 };
 use piql_core::plan::params::ParamValue;
-use piql_core::tuple::Tuple;
-use piql_core::value::Value;
+use piql_core::rows::{RowRef, Rows};
+use piql_core::value::{Value, ValueRef};
 use piql_engine::Cursor;
 use std::borrow::Cow;
 use std::fmt;
@@ -193,14 +193,18 @@ pub enum Request {
 
 /// Encode one [`Value`] as a tagged object.
 pub fn value_to_json(v: &Value) -> Json {
+    value_ref_to_json(ValueRef::of(v))
+}
+
+fn value_ref_to_json(v: ValueRef<'_>) -> Json {
     match v {
-        Value::Null => Json::Null,
-        Value::Int(i) => Json::obj([("int", Json::Int(*i as i64))]),
-        Value::BigInt(i) => Json::obj([("big", Json::Int(*i))]),
-        Value::Varchar(s) => Json::obj([("str", Json::str(s.clone()))]),
-        Value::Bool(b) => Json::obj([("bool", Json::Bool(*b))]),
-        Value::Timestamp(t) => Json::obj([("ts", Json::Int(*t))]),
-        Value::Double(d) => Json::obj([("f", Json::Float(*d))]),
+        ValueRef::Null => Json::Null,
+        ValueRef::Int(i) => Json::obj([("int", Json::Int(i64::from(i)))]),
+        ValueRef::BigInt(i) => Json::obj([("big", Json::Int(i))]),
+        ValueRef::Varchar(s) => Json::obj([("str", Json::str(s))]),
+        ValueRef::Bool(b) => Json::obj([("bool", Json::Bool(b))]),
+        ValueRef::Timestamp(t) => Json::obj([("ts", Json::Int(t))]),
+        ValueRef::Double(d) => Json::obj([("f", Json::Float(d))]),
     }
 }
 
@@ -743,15 +747,15 @@ pub fn budget_exceeded_response(tenant: &str) -> Json {
     ])
 }
 
-/// What a request is answered with. Rows stay the executor's tuples until
-/// a codec writes them into its connection's buffer
+/// What a request is answered with. Rows stay the executor's block until
+/// a codec prints them from it into its connection's buffer
 /// ([`Wire::encode_reply`](crate::wire::Wire::encode_reply)); every other
 /// answer, and every error, is a small document.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Reply {
     /// A successful `execute` / `cursor-next`.
     Rows {
-        rows: Vec<Tuple>,
+        rows: Rows,
         cursor: Option<Cursor>,
         /// Overload control served the statement's degraded plan.
         degraded: bool,
@@ -772,7 +776,9 @@ impl Reply {
                 cursor,
                 degraded,
             } => {
-                let rows = rows.iter().map(|t| row_to_json(t.values())).collect();
+                let row_to_json =
+                    |row: RowRef<'_>| Json::Arr(row.iter().map(value_ref_to_json).collect());
+                let rows = rows.iter().map(row_to_json).collect();
                 let mut fields = vec![
                     ("rows", Json::Arr(rows)),
                     ("cursor", cursor_to_json(&cursor)),
@@ -809,32 +815,32 @@ fn write_id(id: &RequestId, out: &mut Vec<u8>) {
 }
 
 /// One column value as `value_to_json` tags it.
-fn write_value(v: &Value, out: &mut Vec<u8>) {
+fn write_value(v: ValueRef<'_>, out: &mut Vec<u8>) {
     match v {
-        Value::Null => return out.extend_from_slice(b"null"),
-        Value::Int(i) => {
+        ValueRef::Null => return out.extend_from_slice(b"null"),
+        ValueRef::Int(i) => {
             out.extend_from_slice(b"{\"int\":");
-            write_int(i64::from(*i), out);
+            write_int(i64::from(i), out);
         }
-        Value::BigInt(i) => {
+        ValueRef::BigInt(i) => {
             out.extend_from_slice(b"{\"big\":");
-            write_int(*i, out);
+            write_int(i, out);
         }
-        Value::Varchar(s) => {
+        ValueRef::Varchar(s) => {
             out.extend_from_slice(b"{\"str\":");
             write_escaped(s, out);
         }
-        Value::Bool(b) => {
+        ValueRef::Bool(b) => {
             out.extend_from_slice(b"{\"bool\":");
-            write_bool(*b, out);
+            write_bool(b, out);
         }
-        Value::Timestamp(t) => {
+        ValueRef::Timestamp(t) => {
             out.extend_from_slice(b"{\"ts\":");
-            write_int(*t, out);
+            write_int(t, out);
         }
-        Value::Double(d) => {
+        ValueRef::Double(d) => {
             out.extend_from_slice(b"{\"f\":");
-            write_float(*d, out);
+            write_float(d, out);
         }
     }
     out.push(b'}');
@@ -898,7 +904,7 @@ pub(crate) fn write_reply(id: Option<&RequestId>, reply: &Reply, out: &mut Vec<u
             id_field(out);
             out.extend_from_slice(b"\"ok\":true,\"rows\":");
             write_array(rows, out, |row, out| {
-                write_array(row.values(), out, write_value)
+                write_array(row.iter(), out, write_value)
             });
             out.push(b'}');
         }

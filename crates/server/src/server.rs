@@ -430,7 +430,7 @@ fn serve_lanes<S: KvStore + 'static, W: Wire + Copy + Send + 'static>(
     max_in_flight: usize,
 ) -> io::Result<()> {
     // completed responses travel to the writer as `(correlation id,
-    // reply)` — rows still the executor's tuples; encoding (and id
+    // reply)` — rows still the executor's block; encoding (and id
     // attachment) is the writer's [`Wire`]'s job
     let (tx, rx) = mpsc::channel::<(Option<RequestId>, Reply)>();
     let alive = Arc::new(AtomicBool::new(true));

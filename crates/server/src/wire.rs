@@ -40,7 +40,7 @@ pub trait Wire: Send + Sync {
     fn encode_response(&self, id: Option<&RequestId>, response: &Json, out: &mut Vec<u8>);
 
     /// Append one framed response carrying `id` to `out`, rows written
-    /// straight from the executor's tuples — the bytes
+    /// straight from the executor's block — the bytes
     /// [`Wire::encode_response`] makes of `reply.into_json()`, without the
     /// tree. This is how every answer leaves a server.
     fn encode_reply(&self, id: Option<&RequestId>, reply: &Reply, out: &mut Vec<u8>);

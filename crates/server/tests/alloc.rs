@@ -3,7 +3,8 @@
 //! heap allocations on the serving thread, a binary `dml` INSERT performs
 //! only the ones it cannot do without (the decoded request, the keys and
 //! record it hands to the store, its response), and a JSON page view
-//! allocates for its rows, stage by stage, and not for the layers between.
+//! allocates for what it asks the store and per result block, stage by
+//! stage, and not per row or for the layers between.
 //!
 //! A counting `#[global_allocator]` wraps the system allocator, counting
 //! per thread (so the cluster's pool workers don't pollute the
@@ -296,24 +297,29 @@ fn warm_binary_inserts_stay_within_their_allocation_budget() {
 /// Allocations per stage of one warm JSON page view — a `batch` of the
 /// four SCADr reads for a user with 10 subscriptions and 10 thoughts,
 /// answering 1 + 10 + 10 + 10 rows — counted over the whole process.
-/// What is left is what the rows need: the `Request` that is kept (13 —
-/// the line is read in place, no tree), the values decoded out of the
-/// store's answers, which arrive as packed blocks of two buffers each
-/// whatever they hold (314.9: the four executions, and a vector of four
-/// replies), nothing for the response. At b5395dc the same three stages
-/// made 63 (a `Json` tree per line), 627 (a clone per fetched key and
-/// value, two copies of each range bound per shard visited) and 0; at
-/// 25fd9a5, 67, 1444 and 347. A tree per line adds fifty to the first, an
-/// owned entry or a bound copy creeping back adds two per entry fetched
-/// (121 a page view) or per visit to the second, a per-row copy between
-/// operators or a response tree ten or more to a statement.
+/// What is left is what the store is asked and answers: the `Request` that
+/// is kept (13 — the line is read in place, no tree); the probe keys, the
+/// range answers (packed blocks of two buffers each whatever they hold),
+/// a record per get and the round fan-out, plus two buffers per result
+/// block — rows are decoded straight into one packed `Rows` per operator,
+/// no vector per row, no `String` per field, no left row copied per join
+/// output (115.9: the four executions, and a vector of four replies);
+/// nothing for the response, which both codecs print from the blocks. At
+/// f7a4128 the same three stages made 13, 314.9 (a `Vec<Value>` per row
+/// and a `String` per field: 164 of them in `decode_row` alone) and 0; at
+/// b5395dc 63, 627 and 0; at 25fd9a5, 67, 1444 and 347. A tree per line
+/// adds fifty to the first, an owned entry or a bound copy creeping back
+/// adds two per entry fetched (121 a page view) or per visit to the
+/// second, a per-row or per-field allocation between store and socket
+/// ten or more to a statement.
 const DECODE_ENVELOPE_CEILING: f64 = 14.0;
-const RESPOND_CEILING: f64 = 320.0;
+const RESPOND_CEILING: f64 = 120.0;
 const ENCODE_REPLY_CEILING: f64 = 0.0;
 /// Per execution of `find_user`, `users_followed`, `recent_thoughts`,
-/// `thoughtstream` through `execute_governed` (measured 9, 118.4, 35.4,
-/// 151.1; at b5395dc: 14, 144–149, 60.4, 407–410).
-const EXECUTE_CEILINGS: [f64; 4] = [10.0, 122.0, 37.0, 155.0];
+/// `thoughtstream` through `execute_governed` (measured 6, 40.4, 6.4,
+/// 62.1; at f7a4128: 9, 118.4, 35.4, 151.1; at b5395dc: 14, 144–149, 60.4,
+/// 407–410).
+const EXECUTE_CEILINGS: [f64; 4] = [7.0, 42.0, 8.0, 64.0];
 
 #[test]
 #[cfg_attr(

@@ -144,6 +144,7 @@ fn table1_queries_differential_tcp_vs_direct() {
         let direct_rows_json = Json::Arr(
             direct
                 .rows
+                .to_tuples()
                 .iter()
                 .map(|t| row_to_json(t.values()))
                 .collect(),

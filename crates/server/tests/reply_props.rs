@@ -1,11 +1,12 @@
 //! The streamed response encoders against the tree's: for arbitrary
-//! replies, `Wire::encode_reply` — which writes rows straight from tuples
-//! and never builds a `Json` — emits byte for byte what
+//! replies, `Wire::encode_reply` — which writes rows straight from their
+//! block and never builds a `Json` — emits byte for byte what
 //! `Wire::encode_response` makes of `reply.into_json()`, on both codecs,
 //! and what it emits decodes back. This is what lets the server answer
 //! through `encode_reply` while `handle_request`, the clients and the
 //! differential tests keep speaking trees.
 
+use piql_core::rows::Rows;
 use piql_core::tuple::Tuple;
 use piql_core::value::Value;
 use piql_engine::{Cursor, CursorState};
@@ -71,10 +72,18 @@ fn statement_reply() -> impl Strategy<Value = Reply> {
             string_content().prop_map(Json::Str),
         ]
     };
-    let rows = prop::collection::vec(
-        prop::collection::vec(value(), 0..6).prop_map(Tuple::new),
-        0..5,
-    );
+    // one arity per reply: rows are drawn at the widest and cut to it
+    let rows = (
+        0usize..6,
+        prop::collection::vec(prop::collection::vec(value(), 5), 0..5),
+    )
+        .prop_map(|(arity, rows)| {
+            let cut = |mut row: Vec<Value>| {
+                row.truncate(arity);
+                Tuple::new(row)
+            };
+            Rows::from(rows.into_iter().map(cut).collect::<Vec<_>>())
+        });
     prop_oneof![
         (rows, cursor(), any::<bool>()).prop_map(|(rows, cursor, degraded)| Reply::Rows {
             rows,

@@ -86,7 +86,7 @@ fn paginate_recent(stack: &DurableStack, user: usize) -> Vec<Vec<piql_core::tupl
             .registry
             .execute(&mut session, "recent", &params, cursor.as_ref())
             .expect("execute recent");
-        pages.push(result.rows);
+        pages.push(result.rows.to_tuples());
         match result.cursor {
             Some(c) => cursor = Some(c),
             None => return pages,
@@ -253,8 +253,8 @@ fn restart_preserves_data_statements_and_predictions() {
         let full = second.db.execute(&mut session, &fresh, &params).unwrap();
         assert!(!served.rows.is_empty(), "{}", statement.name);
         assert_eq!(
-            served.rows,
-            full.rows[..served.rows.len()],
+            served.rows.to_tuples(),
+            full.rows.to_tuples()[..served.rows.len()],
             "{}",
             statement.name
         );
@@ -382,6 +382,7 @@ fn no_acknowledged_write_is_lost_across_a_crash() {
             .unwrap();
         let present: std::collections::BTreeSet<i64> = result
             .rows
+            .to_tuples()
             .iter()
             .filter_map(|row| match row.get(1) {
                 Some(Value::Timestamp(ts)) => Some(*ts - 5_000_000_000),

@@ -225,12 +225,20 @@ fn drift_redegrades_then_relaxes_bounded_statement() {
     // are resolved like the one they replace: same namespace, and their
     // rows are the head of the original plan's
     let db = reg.db();
-    let full = db.execute(&mut session, &prepared, &params).unwrap().rows;
-    assert_eq!(result.rows, full[..result.rows.len()]);
+    let full = db
+        .execute(&mut session, &prepared, &params)
+        .unwrap()
+        .rows
+        .to_tuples();
+    assert_eq!(result.rows.to_tuples(), full[..result.rows.len()]);
     let swapped = [Some(statement.prepared()), statement.shed_prepared()];
     for plan in swapped.into_iter().flatten() {
         assert_eq!(plan.remote_ops()[0].ns, prepared.remote_ops()[0].ns);
-        let rows = db.execute(&mut session, &plan, &params).unwrap().rows;
+        let rows = db
+            .execute(&mut session, &plan, &params)
+            .unwrap()
+            .rows
+            .to_tuples();
         assert!(!rows.is_empty() && rows.len() as u64 <= limit);
         assert_eq!(rows, full[..rows.len()]);
     }

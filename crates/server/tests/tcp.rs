@@ -92,7 +92,10 @@ fn cursors_survive_reconnects() {
         let mut params = piql_core::plan::params::Params::new();
         params.set(0, Value::Varchar(scadr::username(7)));
         let mut session = piql_kv::Session::new();
-        db.execute(&mut session, &prepared, &params).unwrap().rows
+        db.execute(&mut session, &prepared, &params)
+            .unwrap()
+            .rows
+            .to_tuples()
     };
     assert_eq!(rows.len(), 11);
     assert_eq!(rows, direct);

@@ -606,9 +606,9 @@ impl Workload for TpcwWorkload {
                 strategy,
                 None,
             )?;
-            if let Some(order) = r.rows.first() {
+            if let Some(order_id) = r.rows.first().and_then(|order| order.get(0)) {
                 let mut p = Params::new();
-                p.set(0, order[0].clone());
+                p.set(0, order_id.to_value());
                 db.execute_with(session, &q.order_display_lines, &p, strategy, None)?;
             }
             Ok(KIND_ORDER_DISPLAY)

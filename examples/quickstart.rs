@@ -103,7 +103,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!(
         "page 2: {} rows; first row: {}",
         page2.rows.len(),
-        page2.rows[0]
+        page2.rows.to_tuples()[0]
     );
 
     // A query the compiler refuses — with an explanation and a fix.

@@ -146,7 +146,7 @@ fn lagged_replicas_serve_stale_then_converge() {
         let r = db.execute(&mut session, &prepared, &Params::new()).unwrap();
         match r.rows.len() {
             0 => saw_stale = true,
-            1 => assert_eq!(r.rows[0][1], Value::Varchar("v1".into())),
+            1 => assert_eq!(r.rows.to_tuples()[0][1], Value::Varchar("v1".into())),
             n => panic!("impossible row count {n}"),
         }
     }
@@ -290,9 +290,9 @@ fn cursors_resume_on_a_different_application_server() {
     // no overlaps, strictly descending across the whole traversal
     let all: Vec<i64> = page1
         .rows
-        .iter()
-        .chain(&page2.rows)
-        .chain(&page3.rows)
+        .into_iter()
+        .chain(page2.rows)
+        .chain(page3.rows)
         .map(|r| r[1].as_i64().unwrap())
         .collect();
     assert_eq!(all.len(), 23);

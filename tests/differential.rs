@@ -131,7 +131,7 @@ proptest! {
                     r.rows.len(),
                     prepared.compiled.bounds.tuples
                 );
-                results.push(r.rows);
+                results.push(r.rows.to_tuples());
             }
             prop_assert_eq!(&results[0], &results[1], "lazy vs simple: {}", sql);
             prop_assert_eq!(&results[1], &results[2], "simple vs parallel: {}", sql);
