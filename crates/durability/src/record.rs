@@ -266,7 +266,9 @@ impl WalRecord {
 
 /// Drained-interval map → sparse wire form (sorted: `BTreeMap` order).
 pub fn encode_interval(map: &BTreeMap<ModelKey, LatencyHistogram>) -> Vec<SparseHistogram> {
-    map.iter().map(|(k, h)| (*k, h.nonzero_bins())).collect()
+    map.iter()
+        .map(|(k, h)| (*k, h.nonzero_bins().to_vec()))
+        .collect()
 }
 
 /// Sparse wire form → interval map, for [`piql_predict::ModelStore`]

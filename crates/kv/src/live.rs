@@ -21,7 +21,10 @@
 //!   Director the simulator models — and atomically swaps the re-sharded
 //!   namespace in behind an `Arc`'d routing table. Readers route through
 //!   the snapshot they loaded; writers briefly serialize on the swap;
-//!   concurrent sessions never observe a missing key.
+//!   concurrent sessions never observe a missing key. A store re-sharded
+//!   online does not need twice its data to do it: the entries **move**
+//!   into the new generation when no reader holds the old one, and are
+//!   **copied** only when one does (so that reader still finds them).
 //! * A round's requests **fan out over a shared worker pool**
 //!   ([`RoundPool`]) and the round completes at the slowest request — the
 //!   same round semantics `SimCluster` models in virtual time (§4, Fig.
@@ -144,9 +147,10 @@ impl WalHook {
 ///
 /// A generation's *layout* never changes; [`LiveNamespace::rebalance`]
 /// builds a fresh generation off to the side and atomically publishes it.
-/// Shard *contents* do change (writers mutate the current generation), so
-/// a retired generation still holds every key it held at swap time —
-/// readers that loaded it mid-swap never observe a missing key.
+/// Shard *contents* do change (writers mutate the current generation). A
+/// retired generation some reader still holds keeps every key it held at
+/// swap time — that reader never observes a missing key; one nobody holds
+/// gives its entries up to its successor.
 struct ShardSet {
     /// `shards.len() == splits.parts()`.
     splits: SplitPoints,
@@ -186,18 +190,32 @@ impl ShardSet {
         ShardSet::from_maps(SplitPoints::new(splits), maps)
     }
 
-    /// A new generation with the given split points, holding a copy of
-    /// `source`'s entries routed by the *new* splits. Caller must hold the
-    /// namespace's table write lock so `source` is frozen.
-    fn resharded(splits: SplitPoints, source: &ShardSet) -> Self {
-        let mut maps: Vec<BTreeMap<Vec<u8>, Vec<u8>>> =
-            (0..splits.parts()).map(|_| BTreeMap::new()).collect();
-        for shard in &source.shards {
-            for (k, v) in shard.read().iter() {
-                maps[splits.part_of(k)].insert(k.clone(), v.clone());
-            }
-        }
-        ShardSet::from_maps(splits, maps)
+    /// A generation holding `maps`' entries — the retiring generation's
+    /// shards, in index order — re-split at the quantiles of their keys:
+    /// the Director's job, learned by the same pick as the simulator's,
+    /// over a strided sample when the namespace is large. Shards are
+    /// contiguous ranges, so the entries arrive in global key order and
+    /// each new shard is bulk-built from the sorted run its split points
+    /// give it: every key and value moves, none is copied.
+    fn regrouped(maps: Vec<BTreeMap<Vec<u8>, Vec<u8>>>, parts: usize) -> Self {
+        let total: usize = maps.iter().map(BTreeMap::len).sum();
+        let stride = total.div_ceil(SPLIT_SAMPLE_CAP).max(1);
+        let mut sample: Vec<&[u8]> = Vec::with_capacity(total.div_ceil(stride));
+        sample.extend(
+            maps.iter()
+                .flat_map(BTreeMap::keys)
+                .step_by(stride)
+                .map(Vec::as_slice),
+        );
+        let splits = SplitPoints::at_quantiles(sample.into_iter(), parts);
+        let mut entries = maps.into_iter().flatten().peekable();
+        let shards = (0..splits.parts())
+            .map(|part| {
+                std::iter::from_fn(|| entries.next_if(|(key, _)| splits.part_of(key) == part))
+                    .collect()
+            })
+            .collect();
+        ShardSet::from_maps(splits, shards)
     }
 
     fn touch(&self, idx: usize) {
@@ -358,26 +376,6 @@ impl ShardSet {
         }
         out
     }
-
-    /// Split points at key-distribution quantiles — the Director's job,
-    /// learned by the same pick as the simulator's, over a strided sample
-    /// when the namespace is large. Shards are contiguous ranges, so
-    /// visiting them in index order yields globally sorted keys.
-    fn quantile_splits(&self, parts: usize) -> SplitPoints {
-        let total = self.len();
-        let stride = total.div_ceil(SPLIT_SAMPLE_CAP).max(1);
-        let mut sample: Vec<Vec<u8>> = Vec::with_capacity(total.div_ceil(stride));
-        let mut i = 0usize;
-        for shard in &self.shards {
-            for k in shard.read().keys() {
-                if i.is_multiple_of(stride) {
-                    sample.push(k.clone());
-                }
-                i += 1;
-            }
-        }
-        SplitPoints::at_quantiles(sample.into_iter(), parts)
-    }
 }
 
 /// One namespace: an `Arc`-swapped routing table over the current
@@ -387,11 +385,18 @@ impl ShardSet {
 ///
 /// * **Readers** clone the `Arc` under a momentary table read lock and
 ///   route through the snapshot they loaded — long scans never block a
-///   swap, and a retired generation keeps its data until the last reader
-///   drops it.
+///   swap, and a retired generation a reader holds keeps its data until
+///   that reader drops it.
 /// * **Writers** hold the table read lock *across* their shard mutation,
 ///   so the swap (which takes the write lock) serializes with in-flight
-///   writes: no write can land in a generation after it has been copied.
+///   writes: no write can land in a generation after its entries left.
+/// * **A rebalance** takes the table write lock, so the retiring
+///   generation is frozen, and asks `Arc::get_mut` whether anyone else
+///   holds it. Nobody can start to — a new reference is only taken under
+///   the read lock — so the answer stands until the swap: **moved** when
+///   unshared (the retired generation is left empty, and nothing can ever
+///   read it), **copied** when a reader holds it (that reader keeps
+///   finding every key).
 struct LiveNamespace {
     table: RwLock<Arc<ShardSet>>,
     /// Attached WAL hook, if the cluster is durable. Read on every write
@@ -471,18 +476,22 @@ impl LiveNamespace {
     }
 
     /// Re-split this namespace at learned quantiles of its current keys
-    /// and atomically publish the re-sharded generation.
+    /// and atomically publish the re-sharded generation, built from the
+    /// retiring one's entries — moved or copied, see the struct doc.
     fn rebalance(&self, parts: usize) {
-        // sample split points from the published snapshot — no lock held
-        let splits = self.load().quantile_splits(parts.max(1));
-        // Build the new generation off to the side, then publish. Taking
-        // the table write lock first (a) waits out every in-flight writer
-        // and (b) blocks new ones, so the copy sees a frozen store and no
-        // write can land in the retired generation after it was copied.
-        // Readers are unaffected: they route through whichever generation
-        // they loaded.
         let mut table = self.table.write();
-        *table = Arc::new(ShardSet::resharded(splits, &table));
+        let maps = match Arc::get_mut(&mut table) {
+            // the shard locks are uncontended: nobody else holds this set
+            Some(retired) => (retired.shards.iter())
+                .map(|shard| std::mem::take(&mut *shard.write()))
+                .collect(),
+            None => table
+                .shards
+                .iter()
+                .map(|shard| shard.read().clone())
+                .collect(),
+        };
+        *table = Arc::new(ShardSet::regrouped(maps, parts));
     }
 }
 
@@ -1301,6 +1310,39 @@ mod tests {
             }],
         );
         assert_eq!(r[0].expect_entries().to_vec(), expected);
+    }
+
+    #[test]
+    fn a_generation_held_across_a_rebalance_is_copied_not_emptied() {
+        let ns = LiveNamespace::new(4);
+        // one leading byte: every entry starts on stripe 2 of 4
+        let expected: Vec<(Vec<u8>, Vec<u8>)> = (0..500u16)
+            .map(|i| {
+                (
+                    [&[0xAA][..], &i.to_be_bytes()].concat(),
+                    i.to_le_bytes().to_vec(),
+                )
+            })
+            .collect();
+        for (key, value) in &expected {
+            ns.put(key.clone(), Some(value.clone()));
+        }
+        let held = ns.load();
+        ns.rebalance(4);
+        let current = ns.load();
+        assert!(
+            !Arc::ptr_eq(&held, &current),
+            "a new generation is published"
+        );
+        assert_eq!(held.entries_per_shard(), [0, 0, 500, 0]);
+        assert_eq!(current.entries_per_shard(), [125; 4]);
+        for set in [&held, &current] {
+            for (key, value) in &expected {
+                assert_eq!(set.get(key).as_ref(), Some(value));
+            }
+            let (scan, _) = set.range(&[], None, None, false);
+            assert_eq!(scan.to_vec(), expected);
+        }
     }
 
     #[test]

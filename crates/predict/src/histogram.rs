@@ -1,10 +1,16 @@
 //! Latency histograms — the representation of the paper's operator random
 //! variables Θ (§6.1).
 //!
-//! Millisecond resolution is enough for interactive SLOs, so a histogram is
-//! ~a few thousand u32 bins ("a kilobyte or two", §6.1). Serial plan
-//! composition convolves probability masses (§6.2: summing independent
-//! random variables).
+//! Millisecond resolution is enough for interactive SLOs. A histogram holds
+//! only its nonzero bins, as ascending `(bin, count)` pairs: it costs a
+//! 40-byte header plus 16 bytes per distinct millisecond it has observed,
+//! whatever its range. A lattice point of three samples is one allocation
+//! of at most 64 bytes, where a dense 0..4 s bin vector was 32 KB; even a
+//! live histogram spread over a hundred bins stays within the "kilobyte or
+//! two" §6.1 promises, and a model store's size is its nonzero bins. The
+//! same pairs are the durable form ([`LatencyHistogram::nonzero_bins`]).
+//! Serial plan composition convolves probability masses (§6.2: summing
+//! independent random variables).
 
 use piql_kv::{Micros, MILLIS};
 
@@ -14,8 +20,13 @@ const BIN_US: u64 = MILLIS;
 /// A latency distribution in 1 ms bins with an overflow bin at the end.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LatencyHistogram {
-    bins: Vec<u64>,
+    /// Ascending `(bin, count)` pairs, one per nonzero bin, none above
+    /// `overflow`.
+    bins: Vec<(u32, u64)>,
+    /// Samples held, saturating at `u64::MAX`.
     count: u64,
+    /// The last bin (`max_ms`): every slower latency lands here.
+    overflow: u32,
 }
 
 impl LatencyHistogram {
@@ -23,8 +34,9 @@ impl LatencyHistogram {
     /// in the overflow bin.
     pub fn new(max_ms: usize) -> Self {
         LatencyHistogram {
-            bins: vec![0; max_ms + 1],
+            bins: Vec::new(),
             count: 0,
+            overflow: u32::try_from(max_ms).unwrap_or(u32::MAX),
         }
     }
 
@@ -34,9 +46,23 @@ impl LatencyHistogram {
     }
 
     pub fn record(&mut self, latency: Micros) {
-        let bin = ((latency / BIN_US) as usize).min(self.bins.len() - 1);
-        self.bins[bin] += 1;
-        self.count += 1;
+        self.add(u32::try_from(latency / BIN_US).unwrap_or(u32::MAX), 1);
+    }
+
+    /// Add `count` samples to `bin`, or to the overflow bin beyond it — the
+    /// one way mass enters a histogram. Counts saturate instead of
+    /// wrapping: a histogram past `u64::MAX` samples must still predict a
+    /// slow operator, not a free one.
+    fn add(&mut self, bin: u32, count: u64) {
+        if count == 0 {
+            return;
+        }
+        let bin = bin.min(self.overflow);
+        match self.bins.binary_search_by_key(&bin, |&(b, _)| b) {
+            Ok(at) => self.bins[at].1 = self.bins[at].1.saturating_add(count),
+            Err(at) => self.bins.insert(at, (bin, count)),
+        }
+        self.count = self.count.saturating_add(count);
     }
 
     pub fn count(&self) -> u64 {
@@ -47,11 +73,9 @@ impl LatencyHistogram {
     /// intervals into an aggregate). Bins beyond this histogram's range
     /// land in its overflow bin, preserving the conservative tail.
     pub fn merge(&mut self, other: &LatencyHistogram) {
-        let last = self.bins.len() - 1;
-        for (i, &c) in other.bins.iter().enumerate() {
-            self.bins[i.min(last)] += c;
+        for &(bin, count) in &other.bins {
+            self.add(bin, count);
         }
-        self.count += other.count;
     }
 
     pub fn is_empty(&self) -> bool {
@@ -64,14 +88,14 @@ impl LatencyHistogram {
             return 0.0;
         }
         let target = (q.clamp(0.0, 1.0) * self.count as f64).ceil() as u64;
-        let mut acc = 0;
-        for (i, &c) in self.bins.iter().enumerate() {
-            acc += c;
+        let mut acc = 0u64;
+        for &(bin, c) in &self.bins {
+            acc = acc.saturating_add(c);
             if acc >= target.max(1) {
-                return (i + 1) as f64;
+                return f64::from(bin) + 1.0;
             }
         }
-        self.bins.len() as f64
+        f64::from(self.overflow) + 1.0
     }
 
     pub fn mean_ms(&self) -> f64 {
@@ -81,32 +105,26 @@ impl LatencyHistogram {
         let sum: f64 = self
             .bins
             .iter()
-            .enumerate()
-            .map(|(i, &c)| (i as f64 + 0.5) * c as f64)
+            .map(|&(bin, c)| (f64::from(bin) + 0.5) * c as f64)
             .sum();
         sum / self.count as f64
     }
 
-    /// Sparse export for durability: ascending `(bin, count)` pairs for
-    /// every nonzero bin. Round-trips through [`Self::from_sparse`].
-    pub fn nonzero_bins(&self) -> Vec<(u32, u64)> {
-        self.bins
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .map(|(i, &c)| (i as u32, c))
-            .collect()
+    /// The durable form: ascending `(bin, count)` pairs for every nonzero
+    /// bin — the representation itself. Round-trips through
+    /// [`Self::from_sparse`].
+    pub fn nonzero_bins(&self) -> &[(u32, u64)] {
+        &self.bins
     }
 
     /// Rebuild a standard-range histogram from [`Self::nonzero_bins`]
-    /// output. Bins beyond the standard range fold into the overflow bin
-    /// (same conservative tail as [`Self::merge`]).
+    /// output. Pairs may come in any order and repeat a bin; bins beyond
+    /// the standard range fold into the overflow bin (same conservative
+    /// tail as [`Self::merge`]).
     pub fn from_sparse(bins: impl IntoIterator<Item = (u32, u64)>) -> Self {
         let mut h = Self::standard();
-        let last = h.bins.len() - 1;
         for (bin, count) in bins {
-            h.bins[(bin as usize).min(last)] += count;
-            h.count += count;
+            h.add(bin, count);
         }
         h
     }
@@ -118,9 +136,7 @@ impl LatencyHistogram {
         }
         self.bins
             .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .map(|(i, &c)| (i, c as f64 / self.count as f64))
+            .map(|&(bin, c)| (bin as usize, c as f64 / self.count as f64))
             .collect()
     }
 
@@ -203,6 +219,9 @@ impl Distribution {
 }
 
 #[cfg(test)]
+mod dense;
+
+#[cfg(test)]
 mod tests {
     use super::*;
 
@@ -221,6 +240,21 @@ mod tests {
         assert_eq!(h.quantile_ms(1.0), 11.0);
         assert_eq!(h.count(), 10);
         assert!((h.mean_ms() - 6.0).abs() < 0.6);
+    }
+
+    #[test]
+    fn counts_saturate_instead_of_wrapping() {
+        // the dense histogram this replaced wrapped here: in release it
+        // answered count() == 0 and quantile_ms(0.99) == 0.0 — 2^64
+        // samples predicted a free operator (debug panicked on the add)
+        let h = LatencyHistogram::from_sparse([(0, u64::MAX), (1, 1)]);
+        assert_eq!(h.count(), u64::MAX);
+        assert_eq!(h.quantile_ms(0.99), 1.0);
+        let mut merged = h.clone();
+        merged.merge(&h);
+        assert_eq!(merged.count(), u64::MAX);
+        assert_eq!(merged.quantile_ms(0.99), 1.0);
+        assert_eq!(merged.nonzero_bins(), [(0, u64::MAX), (1, 2)]);
     }
 
     #[test]
