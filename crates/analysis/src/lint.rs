@@ -32,7 +32,10 @@
 //!   code somewhere else in the repository: another line of any `.rs` file
 //!   outside `target/` (tests, benches, examples and `perfbench/` all count,
 //!   and so does any other item of the same name — the rule can only
-//!   under-report). What `dead_code` cannot see across a crate boundary.
+//!   under-report). A field is not a use: neither `name:` (a field
+//!   declaration or struct-literal field; `name::` still counts) nor `.name`
+//!   with no call after it. What `dead_code` cannot see across a crate
+//!   boundary.
 //!
 //! Suppress a finding with `// lint:allow(<rule>)` on the offending line
 //! or the line directly above, ideally with a justification after it.
@@ -183,13 +186,28 @@ fn code_words(text: &str) -> impl Iterator<Item = &str> {
         .filter(|word| !word.is_empty())
 }
 
+/// The identifiers of `text`'s code that may name a function: every one of
+/// [`code_words`] except a field — `name:` (but not `name::`), or `.name`
+/// with no `(` or `::` after it.
+fn fn_words(text: &str) -> impl Iterator<Item = &str> {
+    code_words(text).filter(move |word| {
+        let at = word.as_ptr() as usize - text.as_ptr() as usize;
+        let after = text[at + word.len()..].trim_start();
+        let path_or_call = after.starts_with("::") || after.starts_with('(');
+        let declared = after.starts_with(':') && !path_or_call;
+        let read = text[..at].ends_with('.') && !path_or_call;
+        !declared && !read
+    })
+}
+
 /// The `orphan-fn` rule: flag each `pub fn` in `sources` (test modules
 /// excluded) whose name the code of `sources` and `users` spells exactly
-/// once — its own definition. Exposed for tests.
+/// once — its own definition (`fn_words`: fields do not count). Exposed
+/// for tests.
 pub fn lint_orphan_fns(sources: &[(PathBuf, String)], users: &[String], out: &mut Vec<Finding>) {
     let mut uses: HashMap<&str, usize> = HashMap::new();
     for text in sources.iter().map(|(_, text)| text).chain(users) {
-        for word in code_words(text) {
+        for word in fn_words(text) {
             *uses.entry(word).or_default() += 1;
         }
     }

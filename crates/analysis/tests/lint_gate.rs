@@ -182,3 +182,48 @@ mod tests {
     assert_eq!(found[0].line, 3);
     assert!(found[0].excerpt.contains("sized_for_host"));
 }
+
+#[test]
+fn a_pub_fn_named_only_as_a_field_is_flagged() {
+    let source = "\
+pub struct Diagnostic {
+    pub policy: Option<String>,
+    pub width: usize,
+    pub depth: usize,
+}
+impl Diagnostic {
+    pub fn policy(&self) -> Option<&str> {
+        self.policy.as_deref()
+    }
+    pub fn width(&self) -> usize {
+        self.width
+    }
+    pub fn depth(&self) -> usize {
+        self.depth
+    }
+    pub fn total<T>(&self) -> usize {
+        0
+    }
+}
+";
+    let sources = [(
+        PathBuf::from("crates/audit/src/diag.rs"),
+        source.to_string(),
+    )];
+    // a struct-literal field and a field read name the field, not the fn;
+    // a method call, a turbofish call and a path each name the fn
+    let users = ["\
+let d = Diagnostic { policy: None, width: 2, depth: 3 };
+assert!(d.policy.is_none());
+assert_eq!(d.width(), 2);
+assert_eq!(d.total::<u8>(), 0);
+let f = Diagnostic::depth;
+"
+    .to_string()];
+    let mut found = Vec::new();
+    lint_orphan_fns(&sources, &users, &mut found);
+    assert_eq!(found.len(), 1, "{found:?}");
+    assert_eq!(found[0].rule, "orphan-fn");
+    assert_eq!(found[0].line, 7);
+    assert!(found[0].excerpt.contains("policy"));
+}

@@ -160,6 +160,40 @@ pub struct StatementAudit {
 }
 
 impl StatementAudit {
+    /// An audit with nothing decided yet: where both entry points start.
+    fn blank(name: &str, sql: &str, slo: SloSpec) -> StatementAudit {
+        StatementAudit {
+            name: name.to_string(),
+            sql: sql.to_string(),
+            line: 0,
+            slo,
+            outcome: Outcome::Invalid {
+                error: String::new(),
+            },
+            class: None,
+            class_derivation: None,
+            tree: None,
+            diagnostics: Vec::new(),
+        }
+    }
+
+    /// The verdict for a statement that did not parse or bind: `failed`
+    /// says which (`does not parse`), `fix` is the one suggestion.
+    fn invalid(mut self, code: &str, failed: &str, error: String, fix: &str) -> StatementAudit {
+        self.diagnostics.push(Diagnostic {
+            severity: Severity::Error,
+            code: code.into(),
+            message: format!("statement `{}` {failed}: {error}", self.name),
+            operator: None,
+            dominant_term: None,
+            clause: None,
+            line: 0,
+            suggestions: vec![fix.into()],
+        });
+        self.outcome = Outcome::Invalid { error };
+        self
+    }
+
     pub fn to_json(&self) -> Json {
         let mut fields = vec![
             ("name", Json::str(&self.name)),
@@ -200,37 +234,17 @@ pub fn audit_statement(
     sql: &str,
     slo: SloSpec,
 ) -> StatementAudit {
-    let mut audit = StatementAudit {
-        name: name.to_string(),
-        sql: sql.to_string(),
-        line: 0,
-        slo,
-        outcome: Outcome::Invalid {
-            error: String::new(),
-        },
-        class: None,
-        class_derivation: None,
-        tree: None,
-        diagnostics: Vec::new(),
-    };
+    let mut audit = StatementAudit::blank(name, sql, slo);
 
     let stmt = match parse_select(sql) {
         Ok(s) => s,
         Err(e) => {
-            audit.outcome = Outcome::Invalid {
-                error: e.to_string(),
-            };
-            audit.diagnostics.push(Diagnostic {
-                severity: Severity::Error,
-                code: "parse-error".into(),
-                message: format!("statement `{name}` does not parse: {e}"),
-                operator: None,
-                dominant_term: None,
-                clause: None,
-                line: 0,
-                suggestions: vec!["fix the statement syntax before auditing".into()],
-            });
-            return audit;
+            return audit.invalid(
+                "parse-error",
+                "does not parse",
+                e.to_string(),
+                "fix the statement syntax before auditing",
+            )
         }
     };
 
@@ -243,20 +257,12 @@ pub fn audit_statement(
             return audit;
         }
         Err(e) => {
-            audit.outcome = Outcome::Invalid {
-                error: e.to_string(),
-            };
-            audit.diagnostics.push(Diagnostic {
-                severity: Severity::Error,
-                code: "bind-error".into(),
-                message: format!("statement `{name}` does not compile: {e}"),
-                operator: None,
-                dominant_term: None,
-                clause: None,
-                line: 0,
-                suggestions: vec!["check table and column names against the schema".into()],
-            });
-            return audit;
+            return audit.invalid(
+                "bind-error",
+                "does not compile",
+                e.to_string(),
+                "check table and column names against the schema",
+            )
         }
     };
 
@@ -280,19 +286,7 @@ pub fn audit_compiled(
     compiled: &Compiled,
     slo: SloSpec,
 ) -> StatementAudit {
-    let mut audit = StatementAudit {
-        name: name.to_string(),
-        sql: sql.to_string(),
-        line: 0,
-        slo,
-        outcome: Outcome::Invalid {
-            error: String::new(),
-        },
-        class: None,
-        class_derivation: None,
-        tree: None,
-        diagnostics: Vec::new(),
-    };
+    let mut audit = StatementAudit::blank(name, sql, slo);
     finish_compiled(&mut audit, predictor, compiled, None);
     audit
 }

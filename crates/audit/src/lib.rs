@@ -33,5 +33,5 @@ pub use audit::{
 };
 pub use model::LinearModelSpec;
 pub use report::{audit_workload, WorkloadReport};
-pub use tree::{derivation_tree, BoundInfo, CostTerm, DerivationNode, NodeBounds};
+pub use tree::{derivation_tree, BoundInfo, CostTerm, DerivationNode};
 pub use workload::{parse_workload, parse_workload_with, Workload, WorkloadEntry, WorkloadError};

@@ -10,19 +10,9 @@
 
 use piql_core::json::Json;
 use piql_core::opt::Compiled;
-use piql_core::plan::physical::{PhysicalPlan, ScanLimit};
+use piql_core::plan::physical::{OpBounds, PhysicalPlan, ScanLimit};
 use piql_core::plan::Provenance;
 use piql_predict::{ModelKey, ThetaAttribution};
-
-/// Static per-operator op-count bounds (a plain-data copy of the plan's
-/// `OpBounds`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct NodeBounds {
-    pub requests: u64,
-    pub rounds: u64,
-    pub tuples: u64,
-    pub bytes: u64,
-}
 
 /// One justified static limit.
 #[derive(Debug, Clone, PartialEq)]
@@ -98,7 +88,8 @@ pub struct DerivationNode {
     /// Position in `remote_ops()` order (remote nodes only) — the join key
     /// to cost attributions.
     pub op_index: Option<usize>,
-    pub bounds: NodeBounds,
+    /// The operator's static op-count bounds, as the plan states them.
+    pub bounds: OpBounds,
     /// The node's justified static limit, when it has one.
     pub bound: Option<BoundInfo>,
     /// Cost-based plans only: a statistics estimate instead of a bound.
@@ -251,13 +242,7 @@ fn build(
         .unwrap_or_default();
 
     let schema = &compiled.schema;
-    let b = plan.bounds();
-    let bounds = NodeBounds {
-        requests: b.requests,
-        rounds: b.rounds,
-        tuples: b.tuples,
-        bytes: b.bytes,
-    };
+    let bounds = plan.bounds();
 
     let (operator, detail, remote, bound, estimate) = match plan {
         PhysicalPlan::ParamSource { param, max, .. } => (

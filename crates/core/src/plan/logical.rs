@@ -107,28 +107,6 @@ impl LogicalPlan {
         }
     }
 
-    /// All relations reachable from this subtree, in chain order.
-    pub fn relations(&self) -> Vec<RelId> {
-        let mut rels = Vec::new();
-        self.collect_relations(&mut rels);
-        rels
-    }
-
-    fn collect_relations(&self, out: &mut Vec<RelId>) {
-        match self {
-            LogicalPlan::Relation { rel } | LogicalPlan::ParamValues { rel } => out.push(*rel),
-            LogicalPlan::Join { left, right, .. } => {
-                left.collect_relations(out);
-                right.collect_relations(out);
-            }
-            _ => {
-                if let Some(input) = self.input() {
-                    input.collect_relations(out);
-                }
-            }
-        }
-    }
-
     /// Render the tree with indentation, resolving field ids through
     /// `schema` — the display format used for Figure 3's plan stages.
     pub fn display_with<'a>(&'a self, schema: &'a QuerySchema) -> DisplayPlan<'a> {

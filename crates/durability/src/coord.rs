@@ -45,6 +45,7 @@ use std::time::{Instant, SystemTime};
 pub struct DurabilityConfig {
     /// The data directory (created if missing).
     pub dir: PathBuf,
+    /// How appends reach disk: group commit, the one commit path.
     pub policy: SyncPolicy,
     /// Advisory auto-snapshot threshold: when the current WAL segment
     /// exceeds this many bytes, [`Durability::wants_snapshot`] turns true
@@ -120,31 +121,14 @@ pub struct DurabilityHealth {
     pub recovery: RecoveryReport,
 }
 
-/// A KV effect replayed from the log, in append order.
-#[derive(Debug, Clone, PartialEq)]
-pub enum KvOp {
-    NsCreate {
-        ns: u32,
-        name: String,
-    },
-    Put {
-        ns: u32,
-        key: Vec<u8>,
-        value: Vec<u8>,
-    },
-    Delete {
-        ns: u32,
-        key: Vec<u8>,
-    },
-}
-
 /// Everything [`Durability::open`] read from disk, ready to be applied.
 #[derive(Debug, Default)]
 pub struct RecoveredState {
     /// Snapshot namespaces in original id order (empty without snapshot).
     pub snapshot_namespaces: Vec<(String, Vec<KvEntry>)>,
-    /// KV records from WAL segments after the snapshot, in order.
-    pub kv_tail: Vec<KvOp>,
+    /// KV records (`NsCreate`, `Put`, `Delete`) from WAL segments after
+    /// the snapshot, in order.
+    pub kv_tail: Vec<WalRecord>,
     /// DDL in execution order (snapshot section + tail records).
     pub ddl: Vec<String>,
     /// Final registered-statement map (upserts and drops resolved).
@@ -177,29 +161,31 @@ impl RecoveredState {
             }
             known = known.max(id.0 + 1);
         }
-        for op in &self.kv_tail {
-            match op {
-                KvOp::NsCreate { ns, name } => {
+        for rec in &self.kv_tail {
+            match rec {
+                WalRecord::NsCreate { ns, name } => {
                     let id = cluster.namespace(name);
                     if id.0 != *ns {
                         return Err(ns_mismatch(name, *ns, id.0));
                     }
                     known = known.max(id.0 + 1);
                 }
-                KvOp::Put { ns, key, value } => {
+                WalRecord::Put { ns, key, value } => {
                     if *ns >= known {
                         return Err(unknown_ns(*ns));
                     }
                     cluster.bulk_put(NsId(*ns), key.clone(), value.clone());
                     applied += 1;
                 }
-                KvOp::Delete { ns, key } => {
+                WalRecord::Delete { ns, key } => {
                     if *ns >= known {
                         return Err(unknown_ns(*ns));
                     }
                     cluster.bulk_delete(NsId(*ns), key);
                     applied += 1;
                 }
+                // `open` routes every other record elsewhere
+                _ => {}
             }
         }
         Ok(applied)
@@ -383,15 +369,9 @@ impl Durability {
             let segment_records = contents.records.len() as u64;
             for rec in contents.records {
                 match rec {
-                    WalRecord::NsCreate { ns, name } => {
-                        recovered.kv_tail.push(KvOp::NsCreate { ns, name })
-                    }
-                    WalRecord::Put { ns, key, value } => {
-                        recovered.kv_tail.push(KvOp::Put { ns, key, value })
-                    }
-                    WalRecord::Delete { ns, key } => {
-                        recovered.kv_tail.push(KvOp::Delete { ns, key })
-                    }
+                    WalRecord::NsCreate { .. }
+                    | WalRecord::Put { .. }
+                    | WalRecord::Delete { .. } => recovered.kv_tail.push(rec),
                     WalRecord::Ddl { sql } => {
                         // logs written before deduplication may carry
                         // repeats; DDL is append-only, so replaying the
@@ -425,12 +405,7 @@ impl Durability {
             gen += 1;
         };
 
-        let wal = Wal::open(
-            &wal_path(&config.dir, gen),
-            valid_len,
-            last_records,
-            config.policy,
-        )?;
+        let wal = Wal::open(&wal_path(&config.dir, gen), valid_len, last_records)?;
         recovered.report.generation = manifest_gen;
         recovered.report.wal_tail = tail.to_string();
         recovered.report.truncated_bytes = truncated;
@@ -623,10 +598,6 @@ impl Durability {
 
     pub fn recovery_report(&self) -> &RecoveryReport {
         &self.report
-    }
-
-    pub fn policy(&self) -> SyncPolicy {
-        self.config.policy
     }
 
     /// Health block for the `stats` verb.

@@ -8,9 +8,9 @@
 //! admission control, and the latency models trained from live traffic.
 //! This crate persists all three:
 //!
-//! * [`wal`] — a length-prefixed, CRC-checksummed append log. Under
-//!   [`SyncPolicy::GroupCommit`] a dedicated committer thread coalesces
-//!   concurrent appenders into shared fsyncs; writers block in
+//! * [`wal`] — a length-prefixed, CRC-checksummed append log. A
+//!   dedicated committer thread coalesces concurrent appenders into
+//!   shared fsyncs (group commit, the one commit path); writers block in
 //!   [`Wal::commit`] until their records are on stable storage, so an
 //!   acknowledged write is a durable write.
 //! * [`snapshot`] — atomic whole-state checkpoints (KV namespaces, DDL,
@@ -32,8 +32,8 @@ pub mod snapshot;
 pub mod wal;
 
 pub use coord::{
-    Durability, DurabilityConfig, DurabilityHealth, KvOp, RecoveredState, RecoveryReport,
-    SnapshotInputs, SnapshotSummary,
+    Durability, DurabilityConfig, DurabilityHealth, RecoveredState, RecoveryReport, SnapshotInputs,
+    SnapshotSummary,
 };
 pub use record::{crc32, RecordError, WalRecord};
 pub use snapshot::{read_snapshot, write_snapshot, ModelCheckpoint, SnapshotState};

@@ -10,8 +10,8 @@
 //! wakes everyone blocked in [`Wal::commit`]. While an fsync is in flight
 //! new appenders keep accumulating in the fresh buffer, so `k` concurrent
 //! write rounds cost ~1 fsync, not `k` — the classic group-commit
-//! amortization. [`SyncPolicy::SyncEach`] bypasses the buffer and pays a
-//! full `write`+`fdatasync` per append (the bench's worst case).
+//! amortization. This is the only commit path: every append goes through
+//! the buffer.
 //!
 //! # Torn tails
 //!
@@ -36,22 +36,18 @@ const HEADER: usize = 8;
 /// as tail corruption, not an allocation request.
 const MAX_PAYLOAD: u32 = 1 << 30;
 
-/// When appended records hit stable storage.
+/// When appended records hit stable storage. There is one answer: appends
+/// are buffered and a committer thread coalesces concurrent commits into
+/// one `fdatasync`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SyncPolicy {
-    /// Buffer appends; a committer thread coalesces concurrent commits
-    /// into one `fdatasync` (the default).
     GroupCommit,
-    /// `write` + `fdatasync` inside every append — one fsync per write,
-    /// the baseline group commit is measured against.
-    SyncEach,
 }
 
 impl SyncPolicy {
     pub fn name(self) -> &'static str {
         match self {
             SyncPolicy::GroupCommit => "group-commit",
-            SyncPolicy::SyncEach => "sync-each",
         }
     }
 }
@@ -184,7 +180,6 @@ pub struct WalCounters {
 
 /// An append-only segmented log with a durable watermark.
 pub struct Wal {
-    policy: SyncPolicy,
     pending: Mutex<Pending>,
     /// Wakes the committer when the pending buffer gains bytes.
     work: Condvar,
@@ -218,7 +213,6 @@ impl Wal {
         path: &Path,
         valid_len: u64,
         existing_records: u64,
-        policy: SyncPolicy,
     ) -> io::Result<std::sync::Arc<Wal>> {
         let file = OpenOptions::new()
             .read(true)
@@ -231,7 +225,6 @@ impl Wal {
         file.seek(SeekFrom::End(0))?;
         file.sync_data()?;
         let wal = std::sync::Arc::new(Wal {
-            policy,
             pending: Mutex::new(rank::WAL_PENDING, "wal.pending", Pending::default()),
             work: Condvar::new(),
             sink: Mutex::new(rank::WAL_SINK, "wal.sink", Sink { file }),
@@ -247,14 +240,12 @@ impl Wal {
             fsyncs: AtomicU64::new(0),
             commits: AtomicU64::new(0),
         });
-        if policy == SyncPolicy::GroupCommit {
-            let w = wal.clone();
-            let handle = std::thread::Builder::new()
-                .name("piql-wal-commit".into())
-                .spawn(move || w.committer_loop())
-                .map_err(io::Error::other)?;
-            *wal.committer.lock() = Some(handle);
-        }
+        let w = wal.clone();
+        let handle = std::thread::Builder::new()
+            .name("piql-wal-commit".into())
+            .spawn(move || w.committer_loop())
+            .map_err(io::Error::other)?;
+        *wal.committer.lock() = Some(handle);
         Ok(wal)
     }
 
@@ -309,52 +300,22 @@ impl Wal {
         }
     }
 
-    /// Append one record; returns its LSN. Cheap in [`GroupCommit`]
-    /// mode (one short mutex + memcpy) — safe to call under a shard
-    /// write lock. Durability comes from a later [`Wal::commit`].
-    ///
-    /// [`GroupCommit`]: SyncPolicy::GroupCommit
+    /// Append one record; returns its LSN. Cheap (one short mutex +
+    /// memcpy) — safe to call under a shard write lock. Durability comes
+    /// from a later [`Wal::commit`].
     pub fn append(&self, rec: &WalRecord) -> u64 {
         if self.dead.load(Ordering::Acquire) {
             return self.appended.load(Ordering::Acquire);
         }
         let bytes = frame(rec);
-        let lsn = match self.policy {
-            SyncPolicy::GroupCommit => {
-                let mut p = self.pending.lock();
-                let lsn = self
-                    .appended
-                    .fetch_add(bytes.len() as u64, Ordering::AcqRel)
-                    + bytes.len() as u64;
-                p.buf.extend_from_slice(&bytes);
-                drop(p);
-                self.work.notify_one();
-                lsn
-            }
-            SyncPolicy::SyncEach => {
-                let mut s = self.sink.lock();
-                let lsn = self
-                    .appended
-                    .fetch_add(bytes.len() as u64, Ordering::AcqRel)
-                    + bytes.len() as u64;
-                let result = s.file.write_all(&bytes).and_then(|_| s.file.sync_data());
-                drop(s);
-                self.fsyncs.fetch_add(1, Ordering::Relaxed);
-                if let Err(e) = result {
-                    eprintln!("piql-wal: write/sync failed, log is dead: {e}");
-                    self.dead.store(true, Ordering::Release);
-                    self.durable_cv.notify_all();
-                    return lsn;
-                }
-                let mut d = self.durable.lock();
-                if lsn > *d {
-                    *d = lsn;
-                }
-                drop(d);
-                self.durable_cv.notify_all();
-                lsn
-            }
-        };
+        let mut p = self.pending.lock();
+        let lsn = self
+            .appended
+            .fetch_add(bytes.len() as u64, Ordering::AcqRel)
+            + bytes.len() as u64;
+        p.buf.extend_from_slice(&bytes);
+        drop(p);
+        self.work.notify_one();
         self.segment_records.fetch_add(1, Ordering::Relaxed);
         self.total_records.fetch_add(1, Ordering::Relaxed);
         lsn
@@ -395,12 +356,11 @@ impl Wal {
     /// taken *after* the rotation plus the new segment replays to the
     /// same state.
     pub fn rotate_to(&self, new_path: &Path) -> io::Result<()> {
-        // holding `pending` blocks group-commit appenders for the whole
-        // swap; holding `sink` blocks sync-each appenders and waits out
-        // an in-flight committer write. The committer acquires sink
-        // before releasing pending, so once both locks are held here no
-        // chunk can be in flight: the watermark published below only
-        // covers bytes this call has actually synced.
+        // holding `pending` blocks appenders for the whole swap; holding
+        // `sink` waits out an in-flight committer write. The committer
+        // acquires sink before releasing pending, so once both locks are
+        // held here no chunk can be in flight: the watermark published
+        // below only covers bytes this call has actually synced.
         let mut p = self.pending.lock();
         let chunk = std::mem::take(&mut p.buf);
         let target = self.appended.load(Ordering::Acquire);
@@ -464,10 +424,6 @@ impl Wal {
         self.dead.load(Ordering::Acquire)
     }
 
-    pub fn policy(&self) -> SyncPolicy {
-        self.policy
-    }
-
     pub fn counters(&self) -> WalCounters {
         WalCounters {
             segment_bytes: self.appended.load(Ordering::Acquire)
@@ -511,12 +467,17 @@ mod tests {
     fn append_commit_replay_roundtrip() {
         let dir = temp("roundtrip");
         let path = dir.join("wal-0.log");
-        let wal = Wal::open(&path, 0, 0, SyncPolicy::GroupCommit).unwrap();
+        let wal = Wal::open(&path, 0, 0).unwrap();
         for i in 0..100 {
             wal.append(&put(i));
         }
         wal.commit();
         assert_eq!(wal.counters().segment_records, 100);
+        assert_eq!(
+            wal.durable_lsn(),
+            wal.counters().segment_bytes,
+            "commit covers every append"
+        );
         wal.close();
         let contents = read_wal(&path).unwrap();
         assert!(contents.tail.is_clean());
@@ -529,7 +490,7 @@ mod tests {
     fn concurrent_commits_coalesce_into_few_fsyncs() {
         let dir = temp("coalesce");
         let path = dir.join("wal-0.log");
-        let wal = Wal::open(&path, 0, 0, SyncPolicy::GroupCommit).unwrap();
+        let wal = Wal::open(&path, 0, 0).unwrap();
         let per_thread = 50;
         let threads: Vec<_> = (0..8)
             .map(|t| {
@@ -561,26 +522,11 @@ mod tests {
     }
 
     #[test]
-    fn sync_each_is_durable_per_append() {
-        let dir = temp("synceach");
-        let path = dir.join("wal-0.log");
-        let wal = Wal::open(&path, 0, 0, SyncPolicy::SyncEach).unwrap();
-        for i in 0..10 {
-            wal.append(&put(i));
-        }
-        assert!(wal.counters().fsyncs >= 10);
-        assert_eq!(wal.durable_lsn(), wal.counters().segment_bytes);
-        wal.close();
-        assert_eq!(read_wal(&path).unwrap().records.len(), 10);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
     fn rotation_moves_new_appends_to_new_segment() {
         let dir = temp("rotate");
         let old = dir.join("wal-0.log");
         let new = dir.join("wal-1.log");
-        let wal = Wal::open(&old, 0, 0, SyncPolicy::GroupCommit).unwrap();
+        let wal = Wal::open(&old, 0, 0).unwrap();
         for i in 0..5 {
             wal.append(&put(i));
         }
@@ -609,7 +555,7 @@ mod tests {
         // pending→sink ordering every acknowledged byte sits exactly at
         // its returned LSN in the on-disk layout.
         let dir = temp("rotate-race");
-        let wal = Wal::open(&dir.join("wal-0.log"), 0, 0, SyncPolicy::GroupCommit).unwrap();
+        let wal = Wal::open(&dir.join("wal-0.log"), 0, 0).unwrap();
         let stop = Arc::new(AtomicBool::new(false));
         let threads: Vec<_> = (0..4)
             .map(|t| {
@@ -675,7 +621,7 @@ mod tests {
     fn abandon_keeps_durable_prefix_only() {
         let dir = temp("abandon");
         let path = dir.join("wal-0.log");
-        let wal = Wal::open(&path, 0, 0, SyncPolicy::GroupCommit).unwrap();
+        let wal = Wal::open(&path, 0, 0).unwrap();
         for i in 0..20 {
             wal.append(&put(i));
         }
@@ -699,7 +645,7 @@ mod tests {
         let dir = temp("reopen");
         let path = dir.join("wal-0.log");
         {
-            let wal = Wal::open(&path, 0, 0, SyncPolicy::GroupCommit).unwrap();
+            let wal = Wal::open(&path, 0, 0).unwrap();
             for i in 0..10 {
                 wal.append(&put(i));
             }
@@ -708,13 +654,7 @@ mod tests {
         let first = read_wal(&path).unwrap();
         assert!(first.tail.is_clean());
         {
-            let wal = Wal::open(
-                &path,
-                first.valid_len,
-                first.records.len() as u64,
-                SyncPolicy::GroupCommit,
-            )
-            .unwrap();
+            let wal = Wal::open(&path, first.valid_len, first.records.len() as u64).unwrap();
             assert_eq!(wal.counters().segment_records, 10);
             for i in 10..15 {
                 wal.append(&put(i));

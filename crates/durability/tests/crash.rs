@@ -3,7 +3,7 @@
 //! corrupted (checksum flipped), and a full `LiveCluster` round-trip
 //! through snapshot + tail replay must reproduce the pre-crash state.
 
-use piql_durability::{read_wal, Durability, DurabilityConfig, KvOp, SyncPolicy, TailState};
+use piql_durability::{read_wal, Durability, DurabilityConfig, SyncPolicy, TailState, WalRecord};
 use piql_kv::{KvRequest, KvStore, LiveCluster, LiveConfig, NsId, Session, WalSink};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -63,7 +63,7 @@ fn truncation_mid_record_keeps_the_valid_prefix() {
     assert_eq!(state.kv_tail.len(), 20);
     assert!(matches!(
         state.kv_tail.last(),
-        Some(KvOp::Put { key, .. }) if key == b"k0018"
+        Some(WalRecord::Put { key, .. }) if key == b"k0018"
     ));
     let report = d.recovery_report();
     assert!(

@@ -19,7 +19,6 @@ use crate::node::StorageNode;
 use crate::op::{Entries, KvRequest, KvResponse, NsId, RequestRound};
 use crate::partition::{NsPlacement, PartitionMap, SplitPoints};
 use crate::session::Session;
-use crate::stats::ClusterStats;
 use crate::store::Namespace;
 use crate::time::Micros;
 use piql_analysis::ordered::RwLock;
@@ -242,7 +241,6 @@ pub struct SimCluster {
     namespaces: RwLock<Vec<Arc<Namespace>>>,
     names: RwLock<BTreeMap<String, NsId>>,
     placement: PartitionMap,
-    pub stats: ClusterStats,
 }
 
 impl SimCluster {
@@ -263,7 +261,6 @@ impl SimCluster {
             namespaces: RwLock::new(rank::KV_NAMESPACES, "sim.namespaces", Vec::new()),
             names: RwLock::new(rank::KV_NAMES, "sim.names", BTreeMap::new()),
             placement: PartitionMap::new(),
-            stats: ClusterStats::default(),
             config,
         }
     }
@@ -346,7 +343,6 @@ impl SimCluster {
                 let bytes = value.as_ref().map(|v| v.len() as u64).unwrap_or(0);
                 let adm = self.nodes[node].admit(start, req, value.is_some() as u64, bytes);
                 *physical += 1;
-                self.stats.record_read(bytes);
                 (KvResponse::Value(value), adm.done)
             }
             KvRequest::Put { key, .. } | KvRequest::Delete { key, .. } => {
@@ -369,7 +365,6 @@ impl SimCluster {
                 }
                 // visible once the primary acknowledged
                 data.put(key.clone(), value, primary_done);
-                self.stats.record_write(bytes);
                 (KvResponse::Done, done)
             }
             KvRequest::TestAndSet {
@@ -387,7 +382,6 @@ impl SimCluster {
                 }
                 let (success, current) =
                     data.test_and_set(key, expect.as_deref(), value.clone(), done);
-                self.stats.record_write(bytes);
                 (KvResponse::TasResult { success, current }, done)
             }
             KvRequest::GetRange {
@@ -422,7 +416,6 @@ impl SimCluster {
                     let adm = self.nodes[node].admit(t, req, (out.len() - had) as u64, bytes);
                     t = adm.done;
                     *physical += 1;
-                    self.stats.record_read(bytes);
                 }
                 (KvResponse::Entries(out), t)
             }
@@ -439,7 +432,6 @@ impl SimCluster {
                     *physical += 1;
                     total += c;
                 }
-                self.stats.record_read(0);
                 (KvResponse::Count(total), done)
             }
         }
@@ -503,7 +495,6 @@ impl KvStore for SimCluster {
         session.stats.rounds += 1;
         session.stats.logical_requests += round.len() as u64;
         session.stats.physical_requests += physical;
-        self.stats.record_round(round.len() as u64, physical);
         responses
     }
 

@@ -46,7 +46,6 @@ pub mod partition;
 pub mod pool;
 pub mod sample;
 pub mod session;
-pub mod stats;
 pub mod store;
 pub mod time;
 pub mod wal;

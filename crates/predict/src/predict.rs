@@ -205,14 +205,6 @@ impl SloPredictor {
         out
     }
 
-    /// The term that dominates the predicted latency (largest mean share),
-    /// or `None` for plans with no remote operators.
-    pub fn dominant_term(&self, compiled: &Compiled) -> Option<ThetaAttribution> {
-        self.attribute(compiled)
-            .into_iter()
-            .max_by(|a, b| a.mean_ms.total_cmp(&b.mean_ms))
-    }
-
     /// Convolve the operator distributions of one interval (`None` = pooled).
     fn compose(&self, thetas: &[ModelKey], interval: Option<usize>) -> Option<Distribution> {
         let mut acc: Option<Distribution> = None;

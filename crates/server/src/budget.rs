@@ -88,6 +88,8 @@ pub struct BudgetSnapshot {
 
 struct InFlight {
     count: u32,
+    /// Executions parked in `admit`'s queue, waiting for a permit.
+    waiting: u32,
 }
 
 /// One tenant's admission state. Shared between the registry (configure,
@@ -124,7 +126,10 @@ impl TenantBudget {
             in_flight: Mutex::new(
                 rank::TENANT_BUDGET,
                 "TenantBudget.in_flight",
-                InFlight { count: 0 },
+                InFlight {
+                    count: 0,
+                    waiting: 0,
+                },
             ),
             available: Condvar::new(),
             admitted: AtomicU64::new(0),
@@ -234,40 +239,40 @@ impl TenantBudget {
                 let deadline = Instant::now()
                     .checked_add(max_wait)
                     .unwrap_or_else(|| Instant::now() + Duration::from_secs(3600));
-                loop {
+                state.waiting += 1;
+                // the cap this execution was admitted under; `None`: timed out
+                let admitted_under = loop {
                     // Re-read: configure() may have raised or removed the
                     // cap while we waited.
                     let cap = self.capacity.load(Ordering::Acquire);
                     if cap == UNLIMITED || state.count < cap {
-                        if cap != UNLIMITED {
-                            state.count += 1;
-                        }
-                        drop(state);
-                        self.admitted.fetch_add(1, Ordering::Relaxed);
-                        self.queued.fetch_add(1, Ordering::Relaxed);
-                        let permit = if cap == UNLIMITED {
-                            None
-                        } else {
-                            Some(self.take_permit())
-                        };
-                        return BudgetDecision::Go(permit);
+                        break Some(cap);
                     }
                     let now = Instant::now();
                     if now >= deadline {
-                        drop(state);
-                        self.queue_timeouts.fetch_add(1, Ordering::Relaxed);
-                        self.rejected.fetch_add(1, Ordering::Relaxed);
-                        return BudgetDecision::Reject;
+                        break None;
                     }
                     let (guard, timeout) = self.available.wait_timeout(state, deadline - now);
                     state = guard;
                     if timeout.timed_out() && state.count >= self.capacity.load(Ordering::Acquire) {
-                        drop(state);
-                        self.queue_timeouts.fetch_add(1, Ordering::Relaxed);
-                        self.rejected.fetch_add(1, Ordering::Relaxed);
-                        return BudgetDecision::Reject;
+                        break None;
                     }
-                }
+                };
+                state.waiting -= 1;
+                let Some(cap) = admitted_under else {
+                    drop(state);
+                    self.queue_timeouts.fetch_add(1, Ordering::Relaxed);
+                    self.rejected.fetch_add(1, Ordering::Relaxed);
+                    return BudgetDecision::Reject;
+                };
+                let permit = (cap != UNLIMITED).then(|| {
+                    state.count += 1;
+                    self.take_permit()
+                });
+                drop(state);
+                self.admitted.fetch_add(1, Ordering::Relaxed);
+                self.queued.fetch_add(1, Ordering::Relaxed);
+                BudgetDecision::Go(permit)
             }
         }
     }
@@ -282,6 +287,12 @@ impl TenantBudget {
     /// Current in-flight count (test/stats visibility).
     pub fn in_flight(&self) -> u32 {
         self.in_flight.lock().count
+    }
+
+    /// Executions parked in the queue right now, waiting for a permit (a
+    /// test's proof that a request has reached `admit`).
+    pub fn waiting(&self) -> u32 {
+        self.in_flight.lock().waiting
     }
 
     /// Counters for the `stats` reply.

@@ -36,8 +36,7 @@ use crate::registry::{
     DurabilityControl, Periodic, SloConfig, StatementJournal, StatementRegistry,
 };
 use piql_durability::{
-    Durability, DurabilityConfig, DurabilityHealth, RecoveryReport, SnapshotInputs,
-    SnapshotSummary, SyncPolicy,
+    Durability, DurabilityConfig, DurabilityHealth, RecoveryReport, SnapshotInputs, SnapshotSummary,
 };
 use piql_engine::{Database, DbError};
 use piql_kv::{LiveCluster, LiveConfig};
@@ -51,8 +50,6 @@ use std::time::Duration;
 pub struct DurableOptions {
     /// The data directory (created if missing).
     pub data_dir: PathBuf,
-    /// `GroupCommit` (default) or `SyncEach`.
-    pub policy: SyncPolicy,
     /// WAL-size threshold at which the [`SnapshotDaemon`] checkpoints.
     pub snapshot_wal_bytes: u64,
     pub live: LiveConfig,
@@ -63,7 +60,6 @@ impl DurableOptions {
     pub fn new(data_dir: impl Into<PathBuf>) -> Self {
         DurableOptions {
             data_dir: data_dir.into(),
-            policy: SyncPolicy::GroupCommit,
             snapshot_wal_bytes: 64 << 20,
             live: LiveConfig::default(),
             slo: SloConfig::default(),
@@ -183,9 +179,8 @@ pub fn open_durable(
     bootstrap: impl FnOnce(&Arc<Database<LiveCluster>>) -> Result<(), DbError>,
 ) -> io::Result<DurableStack> {
     let (recovered, durability) = Durability::open(DurabilityConfig {
-        dir: opts.data_dir,
-        policy: opts.policy,
         snapshot_wal_bytes: opts.snapshot_wal_bytes,
+        ..DurabilityConfig::new(opts.data_dir)
     })?;
 
     let cluster = Arc::new(LiveCluster::new(opts.live));

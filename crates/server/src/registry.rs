@@ -424,22 +424,13 @@ impl RegisteredStatement {
             .unwrap_or(0.0)
     }
 
-    /// Recent drift history, oldest first.
-    pub fn drift_history(&self) -> Vec<DriftEvent> {
-        self.state.read().drift.clone()
-    }
-
-    /// The most recent `n` drift events, oldest first. `stats` uses this
-    /// so the reply stays bounded no matter how long the server has run.
+    /// The most recent `n` drift events, oldest first (`usize::MAX`: all
+    /// the ring retains). `stats` asks for a few so the reply stays
+    /// bounded no matter how long the server has run.
     pub fn recent_drift(&self, n: usize) -> Vec<DriftEvent> {
         let state = self.state.read();
         let start = state.drift.len().saturating_sub(n);
         state.drift[start..].to_vec()
-    }
-
-    /// Total drift events retained (bounded by the ring size).
-    pub fn drift_len(&self) -> usize {
-        self.state.read().drift.len()
     }
 
     /// The tenant budget governing this statement's executions.

@@ -921,11 +921,7 @@ fn admission_detail(admission: &Admission, fields: &mut Vec<(&'static str, Json)
             fields.push(("limit", Json::uint(*limit)));
         }
         Admission::RejectedUnbounded { report } => {
-            // the legacy flat string, plus the structured diagnosis
-            // (problem / relation / suggestions) the Insight Assistant
-            // computed all along — clients no longer have to screen-scrape
-            // the report text
-            fields.push(("report", Json::str(report.to_string())));
+            // the Insight Assistant's diagnosis, field by field
             fields.push(("problem", Json::str(report.problem.clone())));
             fields.push((
                 "relation",

@@ -183,12 +183,9 @@ fn rejected_prepare_carries_the_structured_insight_over_both_codecs() {
     assert_eq!(a, b, "v2 and v3 rejection responses diverged");
 
     assert_eq!(str_field(&a, "status"), "rejected-unbounded");
-    // the legacy flat report string survives for old clients...
-    assert!(
-        str_field(&a, "report").contains("not scale-independent"),
-        "{a}"
-    );
-    // ...and the structured diagnosis rides alongside it
+    // the diagnosis travels as fields only: no flat `report` string
+    // beside them
+    assert!(a.get("report").is_none(), "{a}");
     assert!(
         str_field(&a, "problem").contains("scanned without a bound"),
         "problem names the failure: {a}"

@@ -312,7 +312,7 @@ fn stats_drift_window_is_capped_and_latency_flat() {
     let server = PiqlServer::start_with_registry(registry.clone(), "127.0.0.1:0").unwrap();
     let mut client = Client::connect(server.local_addr()).unwrap();
 
-    let drift_lengths = |stats: &Json| -> Vec<usize> {
+    let shipped_drift = |stats: &Json| -> Vec<usize> {
         match stats.get("statements") {
             Some(Json::Arr(stmts)) => stmts
                 .iter()
@@ -340,7 +340,7 @@ fn stats_drift_window_is_capped_and_latency_flat() {
         registry.revalidate();
     }
     let (early, stats) = time_stats(&mut client);
-    let lens = drift_lengths(&stats);
+    let lens = shipped_drift(&stats);
     assert_eq!(lens.len(), 1_000);
     assert!(
         lens.iter().all(|&l| l == 8),
@@ -352,11 +352,14 @@ fn stats_drift_window_is_capped_and_latency_flat() {
     }
     let (late, stats) = time_stats(&mut client);
     assert!(
-        drift_lengths(&stats).iter().all(|&l| l == 8),
+        shipped_drift(&stats).iter().all(|&l| l == 8),
         "drift window grew with sweep count"
     );
     // Each statement retains >8 events internally; the reply only ships 8.
-    assert!(registry.list().iter().any(|s| s.drift_len() > 8));
+    assert!(registry
+        .list()
+        .iter()
+        .any(|s| s.recent_drift(usize::MAX).len() > 8));
     assert!(
         late < early * 6 + Duration::from_millis(50),
         "stats latency grew with drift history: {early:?} -> {late:?}"

@@ -200,6 +200,17 @@ fn a_parked_untagged_request_does_not_hold_a_dispatch_worker() {
         .unwrap();
     a_raw.flush().unwrap();
     assert!(a.raw_read_line().unwrap().get("statements").is_some());
+    // and the `execute` is parked in the queue before anything below runs:
+    // lifting the budget earlier would admit it straight, never queued
+    let budget = registry.budget_for("acme");
+    let deadline = std::time::Instant::now() + BOUND;
+    while budget.waiting() == 0 {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "A never reached admit()"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
 
     // B: a tagged request needs the only dispatch worker
     let tagged = envelope_to_line(&Envelope {

@@ -263,7 +263,11 @@ fn drift_redegrades_then_relaxes_bounded_statement() {
         other => panic!("expected relaxation back to admitted, got {other:?}"),
     }
     assert!(reg.counters.drift_relaxed.load(Ordering::Relaxed) >= 1);
-    let history: Vec<DriftAction> = statement.drift_history().iter().map(|d| d.action).collect();
+    let history: Vec<DriftAction> = statement
+        .recent_drift(usize::MAX)
+        .iter()
+        .map(|d| d.action)
+        .collect();
     assert!(history.contains(&DriftAction::Redegraded), "{history:?}");
     assert!(history.contains(&DriftAction::Relaxed), "{history:?}");
 }
@@ -451,7 +455,7 @@ fn a_sweep_is_a_reregistration_not_a_walk_from_the_installed_bound() {
     for _ in 0..4 {
         record_drift(&reg, scan_key, vary_alpha_c, 200, |alpha| alpha >= 100);
         reg.revalidate();
-        actions.push(statement.drift_history().last().unwrap().action);
+        actions.push(statement.recent_drift(1).last().unwrap().action);
     }
     let fresh = fresh_prepare(&reg, "recent", RECENT_THOUGHTS);
     assert_eq!(limit_of(&fresh), 50, "a fresh prepare pages by 50");

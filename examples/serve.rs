@@ -393,10 +393,15 @@ fn print_verdict(name: &str, verdict: &Json) {
         ),
         "rejected-unbounded" => {
             println!("✗ {name}: REJECTED — not scale-independent");
-            if let Some(report) = verdict.get("report").and_then(Json::as_str) {
-                for line in report.lines() {
-                    println!("     {line}");
-                }
+            if let Some(problem) = verdict.get("problem").and_then(Json::as_str) {
+                println!("     {problem}");
+            }
+            for s in verdict
+                .get("suggestions")
+                .and_then(Json::as_arr)
+                .unwrap_or(&[])
+            {
+                println!("     suggestion: {}", s.as_str().unwrap_or("?"));
             }
         }
         other => println!("? {name}: {other}"),

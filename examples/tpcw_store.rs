@@ -64,10 +64,5 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             println!("  {label:<18} {p99:>6.0}");
         }
     }
-    let snap = db.cluster().stats.snapshot();
-    println!(
-        "\ncluster totals: {} rounds, {} logical / {} physical requests",
-        snap.rounds, snap.logical_requests, snap.physical_requests
-    );
     Ok(())
 }
