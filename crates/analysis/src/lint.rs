@@ -36,6 +36,13 @@
 //!   declaration or struct-literal field; `name::` still counts) nor `.name`
 //!   with no call after it. What `dead_code` cannot see across a crate
 //!   boundary.
+//! - **`twin`** — no [`TWIN_WINDOW`] consecutive normalized lines may appear
+//!   in the `src` of two different crates: a second copy of a definition
+//!   is one that can drift from the first. Normalized: lines trimmed, and
+//!   blank, comment-only and lone-delimiter (`}`, `);`, …) lines skipped.
+//!   One finding per copied run, at its first line in the file whose path
+//!   sorts first; an allow anywhere from the line above either copy to its
+//!   end suppresses it.
 //!
 //! Suppress a finding with `// lint:allow(<rule>)` on the offending line
 //! or the line directly above, ideally with a justification after it.
@@ -57,6 +64,12 @@ pub const RULE_DURABILITY_UNWRAP: &str = "durability-unwrap";
 pub const RULE_UNDOCUMENTED_UNSAFE: &str = concat!("undocumented-", "unsafe");
 pub const RULE_ORPHAN_RANK: &str = "orphan-rank";
 pub const RULE_ORPHAN_FN: &str = "orphan-fn";
+pub const RULE_TWIN: &str = "twin";
+
+/// Normalized lines a `twin` copy must span to be flagged. At 7 or 8 the
+/// rule found only a table definition written out in two crates; at 6 it
+/// also matched two destructurings of the same plan-node variant.
+pub const TWIN_WINDOW: usize = 8;
 
 /// Sources on the request-handling path (relative to `crates/`).
 pub const REQUEST_PATH_FILES: &[&str] = &[
@@ -119,6 +132,18 @@ impl std::fmt::Display for Finding {
     }
 }
 
+impl Finding {
+    /// A finding of `rule` at 0-based line `i` of `file`.
+    fn at(file: &Path, i: usize, rule: &'static str, excerpt: impl Into<String>) -> Finding {
+        Finding {
+            file: file.to_path_buf(),
+            line: i + 1,
+            rule,
+            excerpt: excerpt.into(),
+        }
+    }
+}
+
 /// Scan results for a workspace.
 #[derive(Debug, Default)]
 pub struct Report {
@@ -149,6 +174,7 @@ pub fn lint_workspace(root: &Path) -> io::Result<Report> {
         }
     }
     lint_orphan_fns(&sources, &users, &mut report.findings);
+    lint_twins(&sources, &mut report.findings);
     let rank_table = Path::new("crates/analysis/src/rank.rs");
     if let Some(at) = sources.iter().position(|(rel, _)| rel == rank_table) {
         let (rel, table) = sources.swap_remove(at);
@@ -168,12 +194,7 @@ pub fn lint_orphan_ranks(rel: &Path, table: &str, users: &[&str], out: &mut Vec<
             continue;
         };
         if !users.iter().any(|text| code_words(text).any(|w| w == name)) {
-            out.push(Finding {
-                file: rel.to_path_buf(),
-                line: i + 1,
-                rule: RULE_ORPHAN_RANK,
-                excerpt: raw.to_string(),
-            });
+            out.push(Finding::at(rel, i, RULE_ORPHAN_RANK, raw));
         }
     }
 }
@@ -226,14 +247,67 @@ pub fn lint_orphan_fns(sources: &[(PathBuf, String)], users: &[String], out: &mu
                 continue;
             };
             if uses.get(name).copied().unwrap_or(0) <= 1 && !allowed(&lines, i, RULE_ORPHAN_FN) {
-                out.push(Finding {
-                    file: rel.clone(),
-                    line: i + 1,
-                    rule: RULE_ORPHAN_FN,
-                    excerpt: raw.to_string(),
-                });
+                out.push(Finding::at(rel, i, RULE_ORPHAN_FN, *raw));
             }
         }
+    }
+}
+
+/// The `twin` rule: flag each run of at least [`TWIN_WINDOW`] normalized
+/// lines that the non-test code of files in two different crates both
+/// contains (`sources` paths are `crates/<crate>/src/…`, in path order, as
+/// [`lint_workspace`] lists them). Exposed for tests.
+pub fn lint_twins(sources: &[(PathBuf, String)], out: &mut Vec<Finding>) {
+    let files: Vec<(Vec<&str>, Vec<usize>, Vec<&str>)> = sources
+        .iter()
+        .map(|(_, text)| {
+            let raw: Vec<&str> = text.lines().collect();
+            let (at, lines): (Vec<usize>, Vec<&str>) = (0..raw.len())
+                .take_while(|&i| !starts_test_module(&raw, i))
+                .map(|i| (i, raw[i].trim()))
+                .filter(|(_, l)| !l.starts_with("//") && !l.chars().all(|c| "{}()[];,".contains(c)))
+                .unzip();
+            (raw, at, lines)
+        })
+        .collect();
+    let mut seen: HashMap<&[&str], Vec<(usize, usize)>> = HashMap::new();
+    for (f, (_, _, lines)) in files.iter().enumerate() {
+        for (p, window) in lines.windows(TWIN_WINDOW).enumerate() {
+            seen.entry(window).or_default().push((f, p));
+        }
+    }
+    let crate_of = |f: usize| sources[f].0.components().nth(1);
+    let mut pairs = std::collections::BTreeSet::new();
+    for at in seen.values() {
+        for (k, &(fa, pa)) in at.iter().enumerate() {
+            for &(fb, pb) in &at[k + 1..] {
+                if crate_of(fa) != crate_of(fb) {
+                    pairs.insert((fa, pa, fb, pb));
+                }
+            }
+        }
+    }
+    let tag = format!("lint:allow({RULE_TWIN})");
+    for &(fa, pa, fb, pb) in &pairs {
+        if pa > 0 && pb > 0 && pairs.contains(&(fa, pa - 1, fb, pb - 1)) {
+            continue; // inside a run already reported
+        }
+        let len = TWIN_WINDOW
+            + (1..)
+                .take_while(|n| pairs.contains(&(fa, pa + n, fb, pb + n)))
+                .count();
+        // the copy's raw lines, from the one above its first to its last
+        let span = |f: usize, p: usize| {
+            let (raw, at, _) = &files[f];
+            (at[p], &raw[at[p].saturating_sub(1)..=at[p + len - 1]])
+        };
+        let ((first, a), (first_b, b)) = (span(fa, pa), span(fb, pb));
+        if a.iter().chain(b).any(|l| l.contains(&tag)) {
+            continue;
+        }
+        let (rel, other) = (&sources[fa].0, sources[fb].0.display());
+        let excerpt = format!("{len} normalized lines also at {other}:{}", first_b + 1);
+        out.push(Finding::at(rel, first, RULE_TWIN, excerpt));
     }
 }
 
@@ -302,36 +376,21 @@ pub fn lint_file(rel: &Path, text: &str, out: &mut Vec<Finding>) {
             && LOCK_TYPES.iter().any(|t| code.contains(t))
             && !allowed(RULE_RAW_LOCK)
         {
-            out.push(Finding {
-                file: rel.to_path_buf(),
-                line: i + 1,
-                rule: RULE_RAW_LOCK,
-                excerpt: raw.to_string(),
-            });
+            out.push(Finding::at(rel, i, RULE_RAW_LOCK, raw));
         }
 
         if check_unwrap
             && UNWRAP_CALLS.iter().any(|p| code.contains(p))
             && !allowed(RULE_REQUEST_UNWRAP)
         {
-            out.push(Finding {
-                file: rel.to_path_buf(),
-                line: i + 1,
-                rule: RULE_REQUEST_UNWRAP,
-                excerpt: raw.to_string(),
-            });
+            out.push(Finding::at(rel, i, RULE_REQUEST_UNWRAP, raw));
         }
 
         if check_durability
             && UNWRAP_CALLS.iter().any(|p| code.contains(p))
             && !allowed(RULE_DURABILITY_UNWRAP)
         {
-            out.push(Finding {
-                file: rel.to_path_buf(),
-                line: i + 1,
-                rule: RULE_DURABILITY_UNWRAP,
-                excerpt: raw.to_string(),
-            });
+            out.push(Finding::at(rel, i, RULE_DURABILITY_UNWRAP, raw));
         }
 
         if UNSAFE_KEYWORD.iter().any(|p| code.contains(p)) && !allowed(RULE_UNDOCUMENTED_UNSAFE) {
@@ -340,12 +399,7 @@ pub fn lint_file(rel: &Path, text: &str, out: &mut Vec<Finding>) {
                     .iter()
                     .any(|l| l.contains(SAFETY_COMMENT));
             if !documented {
-                out.push(Finding {
-                    file: rel.to_path_buf(),
-                    line: i + 1,
-                    rule: RULE_UNDOCUMENTED_UNSAFE,
-                    excerpt: raw.to_string(),
-                });
+                out.push(Finding::at(rel, i, RULE_UNDOCUMENTED_UNSAFE, raw));
             }
         }
 

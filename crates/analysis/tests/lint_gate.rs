@@ -4,7 +4,9 @@
 
 use std::path::{Path, PathBuf};
 
-use piql_analysis::lint::{lint_file, lint_orphan_fns, lint_orphan_ranks, lint_workspace, Finding};
+use piql_analysis::lint::{
+    lint_file, lint_orphan_fns, lint_orphan_ranks, lint_twins, lint_workspace, Finding, TWIN_WINDOW,
+};
 
 #[test]
 fn workspace_is_lint_clean() {
@@ -226,4 +228,75 @@ let f = Diagnostic::depth;
     assert_eq!(found[0].rule, "orphan-fn");
     assert_eq!(found[0].line, 7);
     assert!(found[0].excerpt.contains("policy"));
+}
+
+#[test]
+fn a_run_copied_into_a_second_crate_is_flagged() {
+    // 8 normalized lines: the `};` and `}` lines do not count
+    const COPY: &str = "\
+let mut b = Builder::new(&spec.name);
+for (name, ty, nullable) in &spec.fields {
+    b = if *nullable {
+        b.field(name.clone(), *ty)
+    } else {
+        b.required_field(name.clone(), *ty)
+    };
+}
+let mut def = b.build();
+def.key = spec.key.clone();
+";
+    assert_eq!(TWIN_WINDOW, 8);
+    let twins = |files: &[(&str, String)]| {
+        let sources: Vec<(PathBuf, String)> = files
+            .iter()
+            .map(|(rel, text)| (PathBuf::from(rel), text.clone()))
+            .collect();
+        let mut found = Vec::new();
+        lint_twins(&sources, &mut found);
+        found
+    };
+    // indentation, blank lines and comments do not hide a copy
+    let reindented: String = COPY
+        .lines()
+        .flat_map(|l| ["", "    // a remark", l])
+        .map(|l| format!("        {l}\n"))
+        .collect();
+    let found = twins(&[
+        ("crates/audit/src/workload.rs", format!("use x;\n\n{COPY}")),
+        (
+            "crates/engine/src/database.rs",
+            format!("fn a() {{\n{reindented}}}\n"),
+        ),
+    ]);
+    assert_eq!(found.len(), 1, "{found:?}");
+    assert_eq!(found[0].rule, "twin");
+    assert_eq!(found[0].file, Path::new("crates/audit/src/workload.rs"));
+    assert_eq!(found[0].line, 3);
+    assert!(
+        found[0]
+            .excerpt
+            .contains("8 normalized lines also at crates/engine/src/database.rs:4"),
+        "{found:?}"
+    );
+
+    // two files of one crate, a copy one line short of the window, and a
+    // copy inside a test module are not flagged
+    let short: String = COPY.lines().skip(1).map(|l| format!("{l}\n")).collect();
+    let tests_only = format!("fn live() {{}}\n#[cfg(test)]\nmod tests {{\n{COPY}}}\n");
+    for other in [
+        ("crates/engine/src/plan.rs", COPY.to_string()),
+        ("crates/audit/src/workload.rs", short),
+        ("crates/audit/src/workload.rs", tests_only),
+    ] {
+        let found = twins(&[("crates/engine/src/database.rs", COPY.to_string()), other]);
+        assert!(found.is_empty(), "{found:?}");
+    }
+
+    // the escape hatch, above either copy
+    let allowed = format!("// lint:allow(twin): the two must stay apart\n{COPY}");
+    let found = twins(&[
+        ("crates/audit/src/workload.rs", COPY.to_string()),
+        ("crates/engine/src/database.rs", allowed),
+    ]);
+    assert!(found.is_empty(), "{found:?}");
 }

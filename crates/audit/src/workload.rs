@@ -18,13 +18,15 @@
 //! ```
 //!
 //! `CREATE TABLE` / `CREATE INDEX` statements build a pure [`Catalog`]
-//! (mirroring the engine's DDL path, minus storage); `SELECT` statements
-//! become audit entries. Statements end at `;` outside string literals and
-//! may span lines.
+//! through the calls the engine's DDL path makes — [`Catalog::create_table`]
+//! registers each table with its enforcement indexes, all or nothing — so
+//! the gate compiles against the catalog a server would hold, minus
+//! storage. `SELECT` statements become audit entries. Statements end at `;`
+//! outside string literals and may span lines.
 
 use crate::audit::SloSpec;
 use piql_core::ast::Statement;
-use piql_core::catalog::{Catalog, IndexDef, IndexKeyPart, TableDef};
+use piql_core::catalog::{Catalog, CatalogError, IndexDef};
 use piql_core::parser::parse;
 use std::fmt;
 
@@ -232,69 +234,21 @@ fn handle_chunk(
     }
 }
 
-/// Apply DDL to a pure catalog — the engine's `execute_ddl` minus storage
-/// side effects, including the auto-created cardinality enforcement
-/// indexes so compilation sees the same index set a live engine would.
+/// Apply DDL to a pure catalog: the registration the engine's
+/// `execute_ddl` makes, enforcement indexes included, minus storage.
 fn apply_ddl(catalog: &mut Catalog, stmt: Statement, line: usize) -> Result<(), WorkloadError> {
-    match stmt {
-        Statement::CreateTable(stmt) => {
-            let mut b = TableDef::builder(&stmt.name);
-            for (name, ty, nullable) in &stmt.columns {
-                b = if *nullable {
-                    b.column(name.clone(), *ty)
-                } else {
-                    b.not_null_column(name.clone(), *ty)
-                };
+    let applied = match stmt {
+        Statement::CreateTable(stmt) => catalog.create_table(stmt.into()).map(drop),
+        Statement::CreateIndex(stmt) => match catalog.table(&stmt.table) {
+            Some(table) => {
+                let index = IndexDef::new(stmt.name, table.id, stmt.parts);
+                catalog.create_index(index).map(drop)
             }
-            let mut def = b.build();
-            def.primary_key = stmt.primary_key.clone();
-            def.foreign_keys = stmt.foreign_keys.clone();
-            def.cardinality_constraints = stmt.cardinality_constraints.clone();
-            let id = catalog
-                .create_table(def)
-                .map_err(|e| err(line, e.to_string()))?;
-            let table = catalog.table_by_id(id).clone();
-            for cc in &table.cardinality_constraints {
-                if let Some(col) = cc.token_column() {
-                    let parts = vec![IndexKeyPart::token(col.to_string())];
-                    let name = IndexDef::derived_name(&table, &parts);
-                    catalog
-                        .create_index(IndexDef::new(name, table.id, parts))
-                        .map_err(|e| err(line, e.to_string()))?;
-                    continue;
-                }
-                let pk_prefix_ok = cc.columns.len() <= table.primary_key.len()
-                    && cc
-                        .columns
-                        .iter()
-                        .zip(&table.primary_key)
-                        .all(|(a, b)| a.eq_ignore_ascii_case(b));
-                if !pk_prefix_ok {
-                    let parts: Vec<IndexKeyPart> = cc
-                        .columns
-                        .iter()
-                        .map(|c| IndexKeyPart::asc(c.clone()))
-                        .collect();
-                    let name = IndexDef::derived_name(&table, &parts);
-                    catalog
-                        .create_index(IndexDef::new(name, table.id, parts))
-                        .map_err(|e| err(line, e.to_string()))?;
-                }
-            }
-            Ok(())
-        }
-        Statement::CreateIndex(stmt) => {
-            let table = catalog
-                .table(&stmt.table)
-                .ok_or_else(|| err(line, format!("unknown table `{}`", stmt.table)))?
-                .clone();
-            catalog
-                .create_index(IndexDef::new(&stmt.name, table.id, stmt.parts.clone()))
-                .map_err(|e| err(line, e.to_string()))?;
-            Ok(())
-        }
-        _ => Err(err(line, "only CREATE TABLE / CREATE INDEX DDL supported")),
-    }
+            None => Err(CatalogError::UnknownTable(stmt.table)),
+        },
+        _ => return Err(err(line, "only CREATE TABLE / CREATE INDEX DDL supported")),
+    };
+    applied.map_err(|e| err(line, e.to_string()))
 }
 
 /// `SLO <n>ms [CONFIDENCE <f>]`.

@@ -69,7 +69,11 @@ impl Catalog {
         self.generation
     }
 
-    /// Register a table, validating constraints against its columns.
+    /// Register a table, validating constraints against its columns, with
+    /// the enforcement index of each `CARDINALITY LIMIT`
+    /// ([`CardinalityConstraint::enforcement_key`], named by
+    /// [`IndexDef::derived_name`]). All or nothing: when the table or any of
+    /// those indexes is refused, nothing is registered.
     pub fn create_table(&mut self, mut def: TableDef) -> Result<TableId, CatalogError> {
         let key = def.name.to_ascii_lowercase();
         if self.table_names.contains_key(&key) {
@@ -78,9 +82,20 @@ impl Catalog {
         def.validate()?;
         let id = TableId(self.tables.len() as u32);
         def.id = id;
-        self.table_names.insert(key, id);
-        self.tables.push(Arc::new(def));
-        self.generation += 1;
+        let enforcement: Vec<IndexDef> = def
+            .cardinality_constraints
+            .iter()
+            .filter_map(|cc| cc.enforcement_key(&def))
+            .map(|key| IndexDef::new(IndexDef::derived_name(&def, &key), id, key))
+            .collect();
+        let mut next = self.clone();
+        next.table_names.insert(key, id);
+        next.tables.push(Arc::new(def));
+        next.generation += 1;
+        for index in enforcement {
+            next.create_index(index)?;
+        }
+        *self = next;
         Ok(id)
     }
 
@@ -210,6 +225,46 @@ mod tests {
             2,
             "an idempotent re-create changes nothing"
         );
+    }
+
+    #[test]
+    fn a_table_registers_with_its_enforcement_indexes_or_not_at_all() {
+        let subs = |limits: &[&[&str]]| {
+            let mut b = TableDef::builder("Subs")
+                .column("owner", DataType::Varchar(32))
+                .column("target", DataType::Varchar(32))
+                .column("score", DataType::Double)
+                .primary_key(&["owner", "target"]);
+            for cols in limits {
+                b = b.cardinality_limit(10, cols);
+            }
+            b.build()
+        };
+        let mut cat = Catalog::new();
+        cat.create_table(users()).unwrap();
+        // a primary-key prefix is counted on the records; a repeated key
+        // shares one index
+        let limits: &[&[&str]] = &[&["owner"], &["target"], &["token:target"], &["target"]];
+        let t = cat.create_table(subs(limits)).unwrap();
+        let names: Vec<_> = cat
+            .indexes_for_table(t)
+            .iter()
+            .map(|i| i.name.clone())
+            .collect();
+        assert_eq!(names, ["idx_subs_target", "idx_subs_tok_target"]);
+        assert_eq!(cat.generation(), 4);
+
+        let mut cat = Catalog::new();
+        cat.create_table(users()).unwrap();
+        let generation = cat.generation();
+        // a DOUBLE column cannot be indexed: the good index before it goes too
+        for refused in [&["target"][..], &["score"]] {
+            let err = cat.create_table(subs(&[refused, &["score"]])).unwrap_err();
+            assert!(matches!(err, CatalogError::InvalidDefinition(_)), "{err}");
+            assert!(cat.table("subs").is_none());
+            assert_eq!(cat.indexes().count(), 0);
+            assert_eq!(cat.generation(), generation);
+        }
     }
 
     #[test]

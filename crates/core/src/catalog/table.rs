@@ -1,7 +1,8 @@
 //! Table definitions: columns, primary keys, foreign keys, and the paper's
 //! `CARDINALITY LIMIT` relationship-cardinality constraints (§4.2).
 
-use super::CatalogError;
+use super::{CatalogError, IndexKeyPart};
+use crate::ast::CreateTableStmt;
 use crate::value::DataType;
 use std::fmt;
 
@@ -62,6 +63,24 @@ impl CardinalityConstraint {
             [c] if Self::is_token_column(c) => Some(Self::base_column(c)),
             _ => None,
         }
+    }
+
+    /// The key of the *enforcement index* the write path counts this limit
+    /// on after an insert (§7.2): `TOKEN(col)` for a token limit, the
+    /// limit's columns for any other — and none when those columns are a
+    /// prefix of `table`'s primary key, whose records are counted directly.
+    /// [`super::Catalog::create_table`] registers the index with the table.
+    pub fn enforcement_key(&self, table: &TableDef) -> Option<Vec<IndexKeyPart>> {
+        if let Some(col) = self.token_column() {
+            return Some(vec![IndexKeyPart::token(col)]);
+        }
+        let pk_prefix = self.columns.len() <= table.primary_key.len()
+            && self
+                .columns
+                .iter()
+                .zip(&table.primary_key)
+                .all(|(a, b)| a.eq_ignore_ascii_case(b));
+        (!pk_prefix).then(|| self.columns.iter().map(IndexKeyPart::asc).collect())
     }
 }
 
@@ -221,6 +240,22 @@ impl TableDef {
     }
 }
 
+/// The table a `CREATE TABLE` statement defines, not yet registered (a
+/// [`super::Catalog`] assigns its id).
+impl From<CreateTableStmt> for TableDef {
+    fn from(stmt: CreateTableStmt) -> Self {
+        let columns = stmt.columns.into_iter();
+        let columns = columns.map(|(name, ty, nullable)| ColumnDef { name, ty, nullable });
+        TableDef {
+            columns: columns.collect(),
+            primary_key: stmt.primary_key,
+            foreign_keys: stmt.foreign_keys,
+            cardinality_constraints: stmt.cardinality_constraints,
+            ..TableDef::builder(stmt.name).build()
+        }
+    }
+}
+
 impl fmt::Display for TableDef {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "CREATE TABLE {} (", self.name)?;
@@ -248,7 +283,8 @@ impl fmt::Display for TableDef {
     }
 }
 
-/// Fluent builder used by tests, examples, and the DDL evaluator.
+/// Fluent builder used by tests and examples (DDL text converts with
+/// `TableDef::from`).
 pub struct TableBuilder {
     def: TableDef,
 }
@@ -259,15 +295,6 @@ impl TableBuilder {
             name: name.into(),
             ty,
             nullable: true,
-        });
-        self
-    }
-
-    pub fn not_null_column(mut self, name: impl Into<String>, ty: DataType) -> Self {
-        self.def.columns.push(ColumnDef {
-            name: name.into(),
-            ty,
-            nullable: false,
         });
         self
     }

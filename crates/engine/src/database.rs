@@ -23,7 +23,7 @@ use crate::write::{ConstraintProbe, IndexWrite, InputRow, TableWrite, WriteError
 use piql_analysis::ordered::RwLock;
 use piql_analysis::rank;
 use piql_core::ast::Statement;
-use piql_core::catalog::{Catalog, IndexDef, TableDef};
+use piql_core::catalog::{Catalog, CatalogError, IndexDef, TableDef};
 use piql_core::opt::{Compiled, OptError, Optimizer};
 use piql_core::parser::{parse, ParseError};
 use piql_core::plan::params::ParamsRef;
@@ -39,7 +39,7 @@ use std::sync::Arc;
 #[derive(Debug)]
 pub enum DbError {
     Parse(ParseError),
-    Catalog(piql_core::catalog::CatalogError),
+    Catalog(CatalogError),
     Compile(OptError),
     Exec(ExecError),
     Write(WriteError),
@@ -66,8 +66,8 @@ impl From<ParseError> for DbError {
         DbError::Parse(e)
     }
 }
-impl From<piql_core::catalog::CatalogError> for DbError {
-    fn from(e: piql_core::catalog::CatalogError) -> Self {
+impl From<CatalogError> for DbError {
+    fn from(e: CatalogError) -> Self {
         DbError::Catalog(e)
     }
 }
@@ -187,34 +187,12 @@ impl<S: KvStore> Database<S> {
     /// Execute a DDL statement (`CREATE TABLE` / `CREATE INDEX`).
     pub fn execute_ddl(&self, sql: &str) -> Result<(), DbError> {
         match parse(sql)? {
-            Statement::CreateTable(stmt) => {
-                let mut b = TableDef::builder(&stmt.name);
-                for (name, ty, nullable) in &stmt.columns {
-                    b = if *nullable {
-                        b.column(name.clone(), *ty)
-                    } else {
-                        b.not_null_column(name.clone(), *ty)
-                    };
-                }
-                let mut def = b.build();
-                def.primary_key = stmt.primary_key.clone();
-                def.foreign_keys = stmt.foreign_keys.clone();
-                def.cardinality_constraints = stmt.cardinality_constraints.clone();
-                self.create_table(def)
-            }
+            Statement::CreateTable(stmt) => self.create_table(stmt.into()),
             Statement::CreateIndex(stmt) => {
-                let catalog = self.catalog.read().clone();
-                let table = catalog
-                    .table(&stmt.table)
-                    .ok_or_else(|| {
-                        DbError::Catalog(piql_core::catalog::CatalogError::UnknownTable(
-                            stmt.table.clone(),
-                        ))
-                    })?
-                    .clone();
-                let def = IndexDef::new(&stmt.name, table.id, stmt.parts.clone());
-                self.create_index_and_backfill(&table, def)?;
-                Ok(())
+                let table = self.catalog.read().table(&stmt.table).cloned();
+                let table = table.ok_or(CatalogError::UnknownTable(stmt.table))?;
+                let index = IndexDef::new(stmt.name, table.id, stmt.parts);
+                self.create_index_and_backfill(&table, index)
             }
             _ => Err(DbError::Unsupported(
                 "execute_ddl expects CREATE TABLE or CREATE INDEX".into(),
@@ -222,37 +200,14 @@ impl<S: KvStore> Database<S> {
         }
     }
 
-    /// Register a table. Cardinality constraints whose columns are not a
-    /// primary-key prefix get an auto-created *enforcement index* so the
-    /// write path can count them with one range request (§7.2).
+    /// Register a table with the *enforcement index* of each of its
+    /// cardinality constraints, all or nothing ([`Catalog::create_table`]),
+    /// then create those indexes' namespaces and backfill them.
     pub fn create_table(&self, def: TableDef) -> Result<(), DbError> {
         let id = self.catalog.write().create_table(def)?;
-        let catalog = self.catalog.read().clone();
-        let table = catalog.table_by_id(id).clone();
-        for cc in &table.cardinality_constraints {
-            if let Some(col) = cc.token_column() {
-                let parts = vec![piql_core::catalog::IndexKeyPart::token(col.to_string())];
-                let name = IndexDef::derived_name(&table, &parts);
-                let def = IndexDef::new(name, table.id, parts);
-                self.create_index_and_backfill(&table, def)?;
-                continue;
-            }
-            let pk_prefix_ok = cc.columns.len() <= table.primary_key.len()
-                && cc
-                    .columns
-                    .iter()
-                    .zip(&table.primary_key)
-                    .all(|(a, b)| a.eq_ignore_ascii_case(b));
-            if !pk_prefix_ok {
-                let parts = cc
-                    .columns
-                    .iter()
-                    .map(|c| piql_core::catalog::IndexKeyPart::asc(c.clone()))
-                    .collect::<Vec<_>>();
-                let name = IndexDef::derived_name(&table, &parts);
-                let def = IndexDef::new(name, table.id, parts);
-                self.create_index_and_backfill(&table, def)?;
-            }
+        let catalog = self.catalog();
+        for idx in catalog.indexes_for_table(id) {
+            self.backfill(catalog.table_by_id(id), &idx)?;
         }
         Ok(())
     }
@@ -262,8 +217,13 @@ impl<S: KvStore> Database<S> {
         // write that starts once this returns maintains it
         let id = self.catalog.write().create_index(def)?;
         let idx = self.catalog.read().index_by_id(id).clone();
-        // make the namespace exist, then backfill from existing records
-        let index = IndexWrite::resolve(self.store(), table, &idx)?;
+        self.backfill(table, &idx)
+    }
+
+    /// Make a registered index's namespace exist, then backfill it from the
+    /// table's records.
+    fn backfill(&self, table: &TableDef, idx: &Arc<IndexDef>) -> Result<(), DbError> {
+        let index = IndexWrite::resolve(self.store(), table, idx)?;
         let primary = self.store().namespace(&Catalog::table_namespace(table));
         Writer::new(self.store()).backfill_index(table, primary, &index)?;
         Ok(())
@@ -439,7 +399,7 @@ impl<S: KvStore> Database<S> {
         row: Tuple,
     ) -> Result<(), DbError> {
         let target = self.table_write(table)?;
-        let constraints = ConstraintProbe::resolve_all(&target)?;
+        let constraints = ConstraintProbe::resolve_all(&target);
         let row = InputRow::new(&target.table, &row)?;
         Writer::new(self.store()).insert(session, &target, &constraints, &row)?;
         Ok(())

@@ -141,7 +141,7 @@ impl WritePlan {
                 let target = resolve(&stmt.table)?;
                 let table = &target.table;
                 let slots = insert_slots(table, &stmt.columns, &stmt.values)?;
-                let constraints = ConstraintProbe::resolve_all(&target)?;
+                let constraints = ConstraintProbe::resolve_all(&target);
                 let entries = target.max_entries();
                 let counts: u64 = constraints.iter().map(|c| c.max_requests(table)).sum();
                 // entries, test-and-set, counts; then the undo of a
@@ -357,28 +357,18 @@ mod tests {
     use piql_core::parser::parse;
     use piql_kv::{ClusterConfig, SimCluster};
 
+    /// `notes`, registered with the enforcement index of its limit on
+    /// `owner`.
     fn catalog_and_store() -> (Catalog, SimCluster) {
-        let mut catalog = Catalog::new();
-        for ddl in [
+        let Statement::CreateTable(stmt) = parse(
             "CREATE TABLE notes (id INT NOT NULL, owner VARCHAR(8) NOT NULL, body VARCHAR(20), \
              seen BIGINT, PRIMARY KEY (id), CARDINALITY LIMIT 3 (owner))",
-        ] {
-            let Statement::CreateTable(stmt) = parse(ddl).unwrap() else {
-                panic!("ddl")
-            };
-            let mut b = TableDef::builder(&stmt.name);
-            for (name, ty, nullable) in &stmt.columns {
-                b = if *nullable {
-                    b.column(name.clone(), *ty)
-                } else {
-                    b.not_null_column(name.clone(), *ty)
-                };
-            }
-            let mut def = b.build();
-            def.primary_key = stmt.primary_key.clone();
-            def.cardinality_constraints = stmt.cardinality_constraints.clone();
-            catalog.create_table(def).unwrap();
-        }
+        )
+        .unwrap() else {
+            panic!("ddl")
+        };
+        let mut catalog = Catalog::new();
+        catalog.create_table(stmt.into()).unwrap();
         (catalog, SimCluster::new(ClusterConfig::instant(1)))
     }
 
@@ -388,15 +378,7 @@ mod tests {
 
     #[test]
     fn literals_are_settled_at_build_time() {
-        let (mut catalog, store) = catalog_and_store();
-        let table = catalog.table("notes").unwrap().clone();
-        catalog
-            .create_index(piql_core::catalog::IndexDef::on_columns(
-                "notes_by_owner",
-                table.id,
-                &[("owner", Dir::Asc)],
-            ))
-            .unwrap();
+        let (catalog, store) = catalog_and_store();
         let plan = build(
             &catalog,
             &store,
@@ -477,12 +459,13 @@ mod tests {
             ))
             .unwrap();
         let plan = build(&catalog, &store, "DELETE FROM notes WHERE id = <id>").unwrap();
-        // VARCHAR(20) holds at most 10 tokens: get + delete + 10 entries
+        // VARCHAR(20) holds at most 10 tokens: get + delete + the owner
+        // entry + 10 token entries
         assert_eq!(crate::write::max_tokens(&table, 2), 10);
         assert_eq!(
             plan.bound(),
             WriteBound {
-                requests: 12,
+                requests: 13,
                 rounds: 3
             }
         );

@@ -22,7 +22,7 @@
 
 use crate::exec::ExecError;
 use crate::keys::{self, KeyPart, RowSource};
-use piql_core::catalog::{CardinalityConstraint, Catalog, ColumnId, IndexDef, IndexKind, TableDef};
+use piql_core::catalog::{CardinalityConstraint, Catalog, ColumnId, IndexDef, TableDef};
 use piql_core::codec::key::{encode_component_ref, prefix_upper_bound, Dir};
 use piql_core::plan::params::ParamError;
 use piql_core::tuple::Tuple;
@@ -191,10 +191,10 @@ impl TableWrite {
 }
 
 /// How one `CARDINALITY LIMIT` is counted after an insert: the range whose
-/// size is the number of rows sharing the new row's constraint values.
-/// Requires the constraint columns to be a prefix of the primary key or of
-/// some secondary index (the *enforcement index*, which
-/// [`crate::database::Database`] auto-creates at table definition time).
+/// size is the number of rows sharing the new row's constraint values, in
+/// the table's records or in the limit's *enforcement index* — whichever
+/// [`CardinalityConstraint::enforcement_key`] names; the catalog registers
+/// that index with the table.
 #[derive(Debug, Clone)]
 pub struct ConstraintProbe {
     pub limit: u64,
@@ -206,8 +206,8 @@ pub struct ConstraintProbe {
 
 #[derive(Debug, Clone)]
 enum ProbeKind {
-    /// Count the key prefix made of these columns' values.
-    Prefix(Vec<(ColumnId, Dir)>),
+    /// Count the ascending key prefix made of these columns' values.
+    Prefix(Vec<ColumnId>),
     /// `TOKEN(col)`: count the token index's prefix for every token of
     /// the new value; the worst token decides.
     Token(ColumnId),
@@ -216,7 +216,7 @@ enum ProbeKind {
 impl ConstraintProbe {
     /// Probes for every constraint of `target`'s table, in declaration
     /// order.
-    pub fn resolve_all(target: &TableWrite) -> Result<Vec<ConstraintProbe>, WriteError> {
+    pub fn resolve_all(target: &TableWrite) -> Vec<ConstraintProbe> {
         target
             .table
             .cardinality_constraints
@@ -225,61 +225,28 @@ impl ConstraintProbe {
             .collect()
     }
 
-    fn resolve(target: &TableWrite, cc: &CardinalityConstraint) -> Result<Self, WriteError> {
+    fn resolve(target: &TableWrite, cc: &CardinalityConstraint) -> Self {
         let table = &target.table;
+        let ns = match cc.enforcement_key(table) {
+            None => target.primary,
+            Some(key) => {
+                let index = target.indexes.iter().find(|i| i.def.key == key);
+                index
+                    .expect("a table is registered with its enforcement indexes")
+                    .ns
+            }
+        };
         let column = |name: &str| table.column_id(name).expect("validated");
-        let no_index = |what: String| {
-            WriteError::Exec(format!(
-                "no enforcement index for CARDINALITY LIMIT ({what}) on '{}'",
-                table.name
-            ))
+        let kind = match cc.token_column() {
+            Some(col) => ProbeKind::Token(column(col)),
+            None => ProbeKind::Prefix(cc.columns.iter().map(|c| column(c)).collect()),
         };
-        let (ns, kind) = if let Some(col) = cc.token_column() {
-            let idx = target
-                .indexes
-                .iter()
-                .find(|i| {
-                    i.def.key.first().is_some_and(|p| {
-                        p.kind.is_token() && p.kind.column_name().eq_ignore_ascii_case(col)
-                    })
-                })
-                .ok_or_else(|| no_index(format!("TOKEN({col})")))?;
-            (idx.ns, ProbeKind::Token(column(col)))
-        } else if cc.columns.len() <= table.primary_key.len()
-            && cc
-                .columns
-                .iter()
-                .zip(&table.primary_key)
-                .all(|(a, b)| a.eq_ignore_ascii_case(b))
-        {
-            let cols = cc.columns.iter().map(|c| (column(c), Dir::Asc)).collect();
-            (target.primary, ProbeKind::Prefix(cols))
-        } else {
-            // an index whose leading parts are the constraint columns
-            let idx = target
-                .indexes
-                .iter()
-                .find(|i| {
-                    i.def.key.len() >= cc.columns.len()
-                        && i.def.key.iter().zip(&cc.columns).all(|(part, col)| {
-                            matches!(&part.kind, IndexKind::Column(c) if c.eq_ignore_ascii_case(col))
-                        })
-                })
-                .ok_or_else(|| no_index(cc.columns.join(", ")))?;
-            let cols = cc
-                .columns
-                .iter()
-                .zip(&idx.parts)
-                .map(|(c, part)| (column(c), part.dir))
-                .collect();
-            (idx.ns, ProbeKind::Prefix(cols))
-        };
-        Ok(ConstraintProbe {
+        ConstraintProbe {
             limit: cc.limit,
             columns: cc.columns.join(", "),
             ns,
             kind,
-        })
+        }
     }
 
     /// Most count requests (one round) this probe issues for one row.
@@ -308,8 +275,8 @@ impl ConstraintProbe {
         match &self.kind {
             ProbeKind::Prefix(cols) => {
                 let mut prefix = Vec::new();
-                for &(col, dir) in cols {
-                    encode_component_ref(&mut prefix, row.value(col)?, dir)
+                for &col in cols {
+                    encode_component_ref(&mut prefix, row.value(col)?, Dir::Asc)
                         .map_err(keys::KeyError::from)?;
                 }
                 Ok(store.execute_one(session, count_prefix(prefix)).count()?)

@@ -374,6 +374,52 @@ fn insert_enforces_uniqueness_and_cardinality() {
 }
 
 #[test]
+fn a_refused_create_table_registers_nothing() {
+    // each limit passes the table's own checks and is refused only as an
+    // enforcement index; the table used to stay registered without it,
+    // so every INSERT failed and a corrected CREATE TABLE was a duplicate
+    for (refused, why, corrected) in [
+        (
+            "CARDINALITY LIMIT 2 (TOKEN(a), id)",
+            "unknown column 'token:a' in table 't'",
+            "CARDINALITY LIMIT 2 (TOKEN(a))",
+        ),
+        (
+            "CARDINALITY LIMIT 2 (d)",
+            "invalid definition: column 'd' of type DOUBLE cannot be indexed",
+            "CARDINALITY LIMIT 2 (a)",
+        ),
+    ] {
+        let db = Database::new(Arc::new(SimCluster::new(ClusterConfig::instant(2))));
+        let ddl = |limit: &str| {
+            format!("CREATE TABLE t (id INT, a VARCHAR(16), d DOUBLE, PRIMARY KEY (id), {limit})")
+        };
+        let err = db.execute_ddl(&ddl(refused)).unwrap_err();
+        assert!(matches!(err, DbError::Catalog(_)), "{refused}: {err:?}");
+        assert_eq!(err.to_string(), why, "{refused}");
+        assert!(db.catalog().table("t").is_none(), "{refused}");
+        assert_eq!(db.catalog().indexes().count(), 0, "{refused}");
+
+        db.execute_ddl(&ddl(corrected)).unwrap();
+        let mut session = Session::new();
+        for id in [1, 2] {
+            db.insert_row(&mut session, "t", tuple![id, "x", 0.5])
+                .unwrap();
+        }
+        let err = db
+            .insert_row(&mut session, "t", tuple![3, "x", 0.5])
+            .unwrap_err();
+        assert!(
+            matches!(
+                err,
+                DbError::Write(WriteError::CardinalityExceeded { limit: 2, .. })
+            ),
+            "{corrected}: {err}"
+        );
+    }
+}
+
+#[test]
 fn delete_removes_record_and_index_entries() {
     let db = scadr_db(3);
     populate(&db, 4, 0, 0);

@@ -425,3 +425,68 @@ fn gate_and_server_cannot_disagree() {
         }
     }
 }
+
+/// The gate and the server build one catalog: the same DDL through
+/// `Database::execute_ddl` and through the auditor's workload parser
+/// registers the same tables and the same indexes — enforcement indexes
+/// included — under the same ids and names, in the same order; and a
+/// `CREATE TABLE` the engine refuses, the gate refuses on its line in the
+/// engine's words.
+#[test]
+fn gate_and_server_build_one_catalog() {
+    use piql_core::catalog::{Catalog, IndexDef, TableDef};
+    use piql_workloads::tpcw::{self, TpcwConfig};
+
+    let definitions = |catalog: Catalog| -> (Vec<TableDef>, Vec<IndexDef>) {
+        (
+            catalog.tables().map(|t| t.as_ref().clone()).collect(),
+            catalog.indexes().map(|i| i.as_ref().clone()).collect(),
+        )
+    };
+    // the server's catalog, and the first error it answers
+    let server = |ddl: &[String]| {
+        let db = Database::new(Arc::new(LiveCluster::new(LiveConfig::default())));
+        let refused = ddl.iter().find_map(|sql| db.execute_ddl(sql).err());
+        (definitions(db.catalog()), refused)
+    };
+    let gate = |ddl: &[String]| {
+        let text: String = ddl.iter().map(|sql| format!("{sql};\n")).collect();
+        piql_audit::parse_workload(&text)
+    };
+    let posts = |limit: &str| {
+        format!(
+            "CREATE TABLE posts (id INT NOT NULL, author VARCHAR(16) NOT NULL, \
+             topic VARCHAR(16), body VARCHAR(64), score DOUBLE, PRIMARY KEY (id), {limit})"
+        )
+    };
+    let explicit = vec![
+        posts("CARDINALITY LIMIT 50 (author, topic), CARDINALITY LIMIT 5 (id)"),
+        "CREATE INDEX posts_by_topic ON posts (topic DESC, TOKEN(body))".to_string(),
+    ];
+    for (ddl, enforcement) in [
+        (scadr::ddl(&ScadrConfig::default()), None),
+        (
+            tpcw::ddl(&TpcwConfig::default()),
+            Some("idx_author_tok_a_lname"),
+        ),
+        (explicit, Some("idx_posts_author_topic")),
+    ] {
+        let (served, refused) = server(&ddl);
+        assert!(refused.is_none(), "{refused:?}");
+        assert_eq!(definitions(gate(&ddl).unwrap().catalog), served);
+        let names: Vec<&str> = served.1.iter().map(|i| i.name.as_str()).collect();
+        assert_eq!(names.first().copied(), enforcement, "{names:?}");
+    }
+
+    for limit in [
+        "CARDINALITY LIMIT 5 (TOKEN(author), id)",
+        "CARDINALITY LIMIT 5 (score)",
+    ] {
+        let ddl = [scadr::ddl(&ScadrConfig::default())[0].clone(), posts(limit)];
+        let (served, refused) = server(&ddl);
+        assert_eq!(served.0.len(), 1, "{limit}: the refused table stays out");
+        let refused = refused.expect("the engine refuses it");
+        let err = gate(&ddl).unwrap_err();
+        assert_eq!((err.line, err.message), (2, refused.to_string()), "{limit}");
+    }
+}
