@@ -10,8 +10,9 @@
 //!   is invisible to `lock-order` builds. Scope: `crates/*/src/**`, minus
 //!   the wrapper module itself.
 //! - **`request-unwrap`** — no `.unwrap()` / `.expect()` in
-//!   request-handling sources: the server's, and the executor and result
-//!   block every `execute` runs through. A panic there tears down a
+//!   request-handling sources: the server's, the executor and result
+//!   block every `execute` runs through, and the compiler every `prepare`
+//!   and `explain` runs through. A panic there tears down a
 //!   connection (or the whole serve loop) for a condition a client can
 //!   trigger; return a protocol error instead. Scope: the request-path
 //!   files listed in [`REQUEST_PATH_FILES`], non-test code.
@@ -82,6 +83,9 @@ pub const REQUEST_PATH_FILES: &[&str] = &[
     "server/src/budget.rs",
     "engine/src/exec.rs",
     "core/src/rows.rs",
+    "core/src/opt/index_selection.rs",
+    "core/src/opt/phase1.rs",
+    "core/src/opt/phase2.rs",
 ];
 
 /// Durability sources on the replay/recovery path (relative to `crates/`).

@@ -10,7 +10,7 @@
 
 use piql_core::json::Json;
 use piql_core::opt::Compiled;
-use piql_core::plan::physical::{OpBounds, PhysicalPlan, ScanLimit};
+use piql_core::plan::physical::{OpBounds, PhysicalPlan};
 use piql_core::plan::Provenance;
 use piql_predict::{ModelKey, ThetaAttribution};
 
@@ -244,101 +244,40 @@ fn build(
     let schema = &compiled.schema;
     let bounds = plan.bounds();
 
-    let (operator, detail, remote, bound, estimate) = match plan {
-        PhysicalPlan::ParamSource { param, max, .. } => (
-            "ParamSource",
-            format!("{param}"),
-            false,
-            Some(BoundInfo::from_provenance(
-                *max,
-                &Provenance::ParamMax {
-                    param: param.name.clone(),
-                    max: *max,
-                },
-            )),
-            None,
-        ),
+    let (operator, detail) = match plan {
+        PhysicalPlan::ParamSource { param, .. } => ("ParamSource", format!("{param}")),
         PhysicalPlan::IndexScan { spec, .. } => {
             let rel = schema.relation(spec.index.rel);
-            let (bound, estimate) = match &spec.limit {
-                ScanLimit::Bounded { count, provenance } => {
-                    (Some(BoundInfo::from_provenance(*count, provenance)), None)
-                }
-                ScanLimit::Unbounded { estimate } => (None, Some(*estimate)),
-            };
-            (
-                "IndexScan",
-                spec.index.display_name(&rel.binding),
-                true,
-                bound,
-                estimate,
-            )
+            ("IndexScan", spec.index.display_name(&rel.binding))
         }
         PhysicalPlan::IndexFKJoin { rel, .. } => {
-            let r = schema.relation(*rel);
-            // one parallel pk get per child tuple: the bound is structural
-            // (child tuples), not clause-derived, so there is no BoundInfo
-            ("IndexFKJoin", r.binding.clone(), true, None, None)
+            ("IndexFKJoin", schema.relation(*rel).binding.clone())
         }
         PhysicalPlan::SortedIndexJoin { rel, spec, .. } => {
             let r = schema.relation(*rel);
-            (
-                "SortedIndexJoin",
-                format!(
-                    "{}, index={}",
-                    r.binding,
-                    spec.index.display_name(&r.binding)
-                ),
-                true,
-                Some(BoundInfo::from_provenance(
-                    spec.per_key,
-                    &spec.per_key_provenance,
-                )),
-                None,
-            )
+            let index = spec.index.display_name(&r.binding);
+            ("SortedIndexJoin", format!("{}, index={index}", r.binding))
         }
         PhysicalPlan::LocalSelection { predicates, .. } => (
             "LocalSelection",
             format!("{} predicate(s)", predicates.len()),
-            false,
-            None,
-            None,
         ),
-        PhysicalPlan::LocalSort { keys, .. } => (
-            "LocalSort",
-            format!("{} key(s)", keys.len()),
-            false,
-            None,
-            None,
-        ),
-        PhysicalPlan::LocalStop { count, .. } => {
-            // a standard stop folds the query's LIMIT/PAGINATE clause
-            let p = match compiled.page_size {
-                Some(page) => Provenance::Paginate { page },
-                None => Provenance::Limit { count: *count },
-            };
-            (
-                "LocalStop",
-                String::new(),
-                false,
-                Some(BoundInfo::from_provenance(*count, &p)),
-                None,
-            )
+        PhysicalPlan::LocalSort { keys, .. } => ("LocalSort", format!("{} key(s)", keys.len())),
+        PhysicalPlan::LocalStop { .. } => ("LocalStop", String::new()),
+        PhysicalPlan::LocalProject { columns, .. } => {
+            ("LocalProject", format!("{} column(s)", columns.len()))
         }
-        PhysicalPlan::LocalProject { columns, .. } => (
-            "LocalProject",
-            format!("{} column(s)", columns.len()),
-            false,
-            None,
-            None,
-        ),
-        PhysicalPlan::LocalAggregate { aggs, .. } => (
-            "LocalAggregate",
-            format!("{} aggregate(s)", aggs.len()),
-            false,
-            None,
-            None,
-        ),
+        PhysicalPlan::LocalAggregate { aggs, .. } => {
+            ("LocalAggregate", format!("{} aggregate(s)", aggs.len()))
+        }
+    };
+    // the bound the plan justifies for this operator, read from the plan
+    // itself; a statistics estimate is no bound
+    let remote = plan.theta().is_some();
+    let (bound, estimate) = match plan.justified_limit() {
+        Some((count, Provenance::Estimate)) => (None, Some(count)),
+        Some((count, p)) => (Some(BoundInfo::from_provenance(count, &p)), None),
+        None => (None, None),
     };
 
     let op_index = if remote {

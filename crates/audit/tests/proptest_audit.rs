@@ -64,6 +64,15 @@ fn statement_strategy() -> impl Strategy<Value = String> {
         Just(" WHERE thoughts.owner = s.target AND s.owner = <u>".to_string()),
         Just(" WHERE town = <t>".to_string()),
         Just(" WHERE owner IN [1: friends MAX 25]".to_string()),
+        // two bounded lists that could each drive the plan
+        Just(" WHERE username IN [1: a MAX 5] AND username IN [2: b MAX 3]".to_string()),
+        Just(" WHERE owner IN [1: a MAX 5] AND owner IN [2: b MAX 3]".to_string()),
+        Just(" WHERE owner IN [1: a MAX 5] AND target IN [2: b MAX 3]".to_string()),
+        Just(
+            " WHERE thoughts.owner = s.target AND s.owner IN [1: a MAX 5] \
+             AND thoughts.owner IN [2: b MAX 3]"
+                .to_string()
+        ),
         Just(" WHERE garbage !!!".to_string()),
     ];
     let bound = prop_oneof![

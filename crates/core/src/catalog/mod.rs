@@ -12,6 +12,7 @@ mod table;
 
 pub use index::{IndexDef, IndexId, IndexKeyPart, IndexKind};
 pub use stats::{Statistics, TableStats};
+pub(crate) use table::DeclaredBound;
 pub use table::{CardinalityConstraint, ColumnDef, ColumnId, ForeignKey, TableDef, TableId};
 
 use std::collections::BTreeMap;

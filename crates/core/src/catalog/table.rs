@@ -3,6 +3,7 @@
 
 use super::{CatalogError, IndexKeyPart};
 use crate::ast::CreateTableStmt;
+use crate::plan::provenance::Provenance;
 use crate::value::DataType;
 use std::fmt;
 
@@ -84,6 +85,24 @@ impl CardinalityConstraint {
     }
 }
 
+/// What [`TableDef::declared_bound`] answers: at most `limit` rows match,
+/// because of `provenance`, which rests on `columns`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct DeclaredBound {
+    pub(crate) limit: u64,
+    pub(crate) provenance: Provenance,
+    /// The primary key's columns, the limit's columns, or the one token
+    /// column — the predicates on these are the bound's cause.
+    pub(crate) columns: Vec<ColumnId>,
+}
+
+impl DeclaredBound {
+    /// Whether the bound is the primary key's: at most one row.
+    pub(crate) fn is_key(&self) -> bool {
+        matches!(self.provenance, Provenance::PrimaryKey { .. })
+    }
+}
+
 /// Full definition of a table.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TableDef {
@@ -130,42 +149,67 @@ impl TableDef {
             .collect()
     }
 
-    /// Whether `cols` (a set of column positions) contains every primary-key
-    /// column — the Algorithm-1 line-5 test.
-    pub fn covers_primary_key(&self, cols: &[ColumnId]) -> bool {
-        self.primary_key_ids().iter().all(|pk| cols.contains(pk))
-    }
-
-    /// The tightest cardinality constraint whose columns are all contained
-    /// in `cols` — the Algorithm-1 line-7 test. Token constraints never
-    /// match plain column equalities.
-    pub fn matching_cardinality(&self, cols: &[ColumnId]) -> Option<&CardinalityConstraint> {
-        self.cardinality_constraints
+    /// The one rule for which declared bound a relation's pinned columns
+    /// reach (Algorithm 1, lines 5–8): equalities on `eq_cols` and a
+    /// tokenized search on `token`. The primary key gives 1 when `eq_cols`
+    /// covers it; otherwise the tightest plain `CARDINALITY LIMIT` whose
+    /// columns `eq_cols` contains; otherwise the tightest
+    /// `CARDINALITY LIMIT n (TOKEN(token))`. Every data-stop, join-order
+    /// score, `IN` rewrite, FK-join test and per-key join bound asks this.
+    pub(crate) fn declared_bound(
+        &self,
+        eq_cols: &[ColumnId],
+        token: Option<ColumnId>,
+    ) -> Option<DeclaredBound> {
+        let table = self.name.clone();
+        let pk = self.primary_key_ids();
+        if pk.iter().all(|c| eq_cols.contains(c)) {
+            return Some(DeclaredBound {
+                limit: 1,
+                provenance: Provenance::PrimaryKey { table },
+                columns: pk,
+            });
+        }
+        // a `token:` column names no column, so token limits drop out here
+        let plain = self
+            .cardinality_constraints
             .iter()
-            .filter(|c| {
-                c.columns.iter().all(|n| {
-                    !CardinalityConstraint::is_token_column(n)
-                        && self
-                            .column_id(n)
-                            .map(|id| cols.contains(&id))
-                            .unwrap_or(false)
-                })
+            .filter_map(|cc| {
+                let ids: Option<Vec<ColumnId>> =
+                    cc.columns.iter().map(|n| self.column_id(n)).collect();
+                Some((cc, ids?))
             })
-            .min_by_key(|c| c.limit)
-    }
-
-    /// The tightest `CARDINALITY LIMIT n (TOKEN(col))` constraint on a
-    /// column targeted by a tokenized search.
-    pub fn matching_token_cardinality(&self, col: ColumnId) -> Option<&CardinalityConstraint> {
-        self.cardinality_constraints
+            .filter(|(_, ids)| ids.iter().all(|c| eq_cols.contains(c)))
+            .min_by_key(|(cc, _)| cc.limit);
+        if let Some((cc, columns)) = plain {
+            return Some(DeclaredBound {
+                limit: cc.limit,
+                provenance: Provenance::Cardinality {
+                    table,
+                    limit: cc.limit,
+                    columns: cc.columns.clone(),
+                },
+                columns,
+            });
+        }
+        let token = token?;
+        let (cc, column) = self
+            .cardinality_constraints
             .iter()
-            .filter(|c| {
-                c.token_column()
-                    .and_then(|n| self.column_id(n))
-                    .map(|id| id == col)
-                    .unwrap_or(false)
+            .filter_map(|cc| {
+                let name = cc.token_column()?;
+                (self.column_id(name)? == token).then_some((cc, name))
             })
-            .min_by_key(|c| c.limit)
+            .min_by_key(|(cc, _)| cc.limit)?;
+        Some(DeclaredBound {
+            limit: cc.limit,
+            provenance: Provenance::TokenCardinality {
+                table,
+                limit: cc.limit,
+                column: column.to_string(),
+            },
+            columns: vec![token],
+        })
     }
 
     /// Upper bound on the encoded byte size of one row.
@@ -346,9 +390,12 @@ mod tests {
         let t = subscriptions();
         let owner = t.column_id("owner").unwrap();
         let target = t.column_id("target").unwrap();
-        assert!(t.covers_primary_key(&[owner, target]));
-        assert!(t.covers_primary_key(&[target, owner, 2]));
-        assert!(!t.covers_primary_key(&[owner]));
+        assert!(t.declared_bound(&[owner, target], None).unwrap().is_key());
+        assert!(t
+            .declared_bound(&[target, owner, 2], None)
+            .unwrap()
+            .is_key());
+        assert!(!t.declared_bound(&[owner], None).unwrap().is_key());
     }
 
     #[test]
@@ -359,8 +406,29 @@ mod tests {
             columns: vec!["owner".into()],
         });
         let owner = t.column_id("owner").unwrap();
-        assert_eq!(t.matching_cardinality(&[owner]).unwrap().limit, 50);
-        assert!(t.matching_cardinality(&[1]).is_none());
+        let bound = t.declared_bound(&[owner], None).unwrap();
+        assert_eq!((bound.limit, bound.columns), (50, vec![owner]));
+        assert!(t.declared_bound(&[1], None).is_none());
+    }
+
+    #[test]
+    fn a_token_limit_comes_after_every_plain_one() {
+        let t = TableDef::builder("docs")
+            .column("owner", DataType::Varchar(32))
+            .column("text", DataType::Varchar(140))
+            .primary_key(&["owner", "text"])
+            .cardinality_limit(5, &["token:text"])
+            .cardinality_limit(100, &["owner"])
+            .build();
+        let text = t.column_id("text").unwrap();
+        assert_eq!(t.declared_bound(&[0], Some(text)).unwrap().limit, 100);
+        let token = t.declared_bound(&[], Some(text)).unwrap();
+        assert_eq!((token.limit, token.columns), (5, vec![text]));
+        assert_eq!(
+            token.provenance.to_string(),
+            "CARDINALITY LIMIT 5 (TOKEN(text))"
+        );
+        assert!(t.declared_bound(&[], None).is_none());
     }
 
     #[test]

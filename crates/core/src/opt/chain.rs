@@ -101,6 +101,25 @@ pub struct Chain {
     pub top: TopOp,
 }
 
+impl Chain {
+    /// The join edges from `rel` to the relations `placed` before it, each
+    /// as (field of `rel`, field of the placed relation). Join ordering,
+    /// the FK-join test, probe keys and display all find edges here.
+    pub(crate) fn edges_to<'a>(
+        &'a self,
+        schema: &'a QuerySchema,
+        rel: RelId,
+        placed: impl Fn(RelId) -> bool + 'a,
+    ) -> impl Iterator<Item = (FieldId, FieldId)> + 'a {
+        self.join_edges
+            .iter()
+            .flat_map(|&(a, b)| [(a, b), (b, a)])
+            .filter(move |&(mine, other)| {
+                schema.rel_of(mine) == rel && placed(schema.rel_of(other))
+            })
+    }
+}
+
 /// Deconstruct the binder's naive plan. The binder's output shape is fixed
 /// (Project|Aggregate → Stop? → Sort? → Selection? → join tree), so this
 /// cannot fail for plans it produced; unexpected shapes are a bug.
@@ -224,18 +243,8 @@ pub fn materialize(chain: &Chain, schema: &QuerySchema) -> LogicalPlan {
     let mut node = leg_tree(&chain.legs[0]);
     for leg in &chain.legs[1..] {
         let on: Vec<(FieldId, FieldId)> = chain
-            .join_edges
-            .iter()
-            .filter_map(|&(a, b)| {
-                let (ra, rb) = (schema.rel_of(a), schema.rel_of(b));
-                if ra == leg.rel && joined_rels.contains(&rb) {
-                    Some((b, a))
-                } else if rb == leg.rel && joined_rels.contains(&ra) {
-                    Some((a, b))
-                } else {
-                    None
-                }
-            })
+            .edges_to(schema, leg.rel, |r| joined_rels.contains(&r))
+            .map(|(mine, other)| (other, mine))
             .collect();
         node = LogicalPlan::Join {
             left: Box::new(node),

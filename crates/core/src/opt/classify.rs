@@ -13,6 +13,8 @@
 //!
 //! A success-tolerant application may only ship Class I and II queries.
 
+use crate::plan::physical::PhysicalPlan;
+use crate::plan::Provenance;
 use std::fmt;
 
 /// The four classes of Figure 1.
@@ -25,11 +27,20 @@ pub enum QueryClass {
 }
 
 impl QueryClass {
-    /// Classify from compilation evidence: how many remote operators had no
-    /// static bound, and whether any bound came from a cardinality
-    /// constraint (vs only pk/LIMIT bounds).
-    pub fn from_analysis(unbounded_ops: u64, used_cardinality_bound: bool) -> QueryClass {
-        match (unbounded_ops, used_cardinality_bound) {
+    /// The class a finished plan earns, read from the provenance of every
+    /// operator's [`PhysicalPlan::justified_limit`]: each statistics
+    /// estimate is a remote operator without a static bound; with none, a
+    /// limit resting on a declared cardinality or parameter maximum makes
+    /// the plan Class II, and primary keys and `LIMIT`/`PAGINATE` alone
+    /// make it Class I.
+    pub(crate) fn of(plan: &PhysicalPlan) -> QueryClass {
+        let (mut unbounded, mut declared) = (0, false);
+        plan.walk(&mut |op| match op.justified_limit() {
+            Some((_, Provenance::Estimate)) => unbounded += 1,
+            Some((_, p)) => declared |= p.is_cardinality_bound(),
+            None => {}
+        });
+        match (unbounded, declared) {
             (0, false) => QueryClass::Constant,
             (0, true) => QueryClass::Bounded,
             (1, _) => QueryClass::Linear,
@@ -42,9 +53,9 @@ impl QueryClass {
         matches!(self, QueryClass::Constant | QueryClass::Bounded)
     }
 
-    /// Why the class was assigned, in terms of the evidence
-    /// [`QueryClass::from_analysis`] consumed — the derivation line audit
-    /// reports attach to the root of the bound tree.
+    /// Why the class was assigned, in terms of the evidence it is read
+    /// from (each operator's [`PhysicalPlan::justified_limit`]) — the
+    /// derivation line audit reports attach to the root of the bound tree.
     pub fn derivation(self) -> &'static str {
         match self {
             QueryClass::Constant => {
@@ -85,12 +96,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn classification_matrix() {
-        assert_eq!(QueryClass::from_analysis(0, false), QueryClass::Constant);
-        assert_eq!(QueryClass::from_analysis(0, true), QueryClass::Bounded);
-        assert_eq!(QueryClass::from_analysis(1, true), QueryClass::Linear);
-        assert_eq!(QueryClass::from_analysis(2, false), QueryClass::SuperLinear);
+    fn scale_independence_is_classes_i_and_ii() {
+        assert!(QueryClass::Constant.is_scale_independent());
         assert!(QueryClass::Bounded.is_scale_independent());
         assert!(!QueryClass::Linear.is_scale_independent());
+        assert!(!QueryClass::SuperLinear.is_scale_independent());
     }
 }

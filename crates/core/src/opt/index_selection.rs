@@ -62,12 +62,16 @@ impl IndexMatch {
 
 /// Try to match one concrete key-part layout.
 fn match_parts(table: &TableDef, parts: &[IndexKeyPart], req: &IndexRequest) -> Option<IndexMatch> {
-    let col_id = |part: &IndexKeyPart| table.column_id(part.kind.column_name()).expect("validated");
+    // each part's column; a part naming none matches nothing
+    let cols: Vec<ColumnId> = parts
+        .iter()
+        .map(|p| table.column_id(p.kind.column_name()))
+        .collect::<Option<_>>()?;
     let mut i = 0usize;
 
     // token part handling
     match (req.token_col, parts.first()) {
-        (Some(tc), Some(p)) if p.kind.is_token() && col_id(p) == tc => i = 1,
+        (Some(tc), Some(p)) if p.kind.is_token() && cols[0] == tc => i = 1,
         (Some(_), _) => return None,
         (None, Some(p)) if p.kind.is_token() => return None,
         (None, _) => {}
@@ -77,7 +81,7 @@ fn match_parts(table: &TableDef, parts: &[IndexKeyPart], req: &IndexRequest) -> 
     let mut remaining = req.eq_cols.clone();
     let mut served_eq = Vec::new();
     while i < parts.len() && !parts[i].kind.is_token() {
-        let c = col_id(&parts[i]);
+        let c = cols[i];
         if remaining.remove(&c) {
             served_eq.push(c);
             i += 1;
@@ -92,7 +96,7 @@ fn match_parts(table: &TableDef, parts: &[IndexKeyPart], req: &IndexRequest) -> 
     // inequality: must sit directly after the eq prefix
     let mut range_served = false;
     if let Some(rc) = req.range_col {
-        if i < parts.len() && !parts[i].kind.is_token() && col_id(&parts[i]) == rc {
+        if i < parts.len() && !parts[i].kind.is_token() && cols[i] == rc {
             range_served = true;
             // the range column doubles as the first sort column when both
             // exist; do not advance — sort matching starts here.
@@ -108,19 +112,16 @@ fn match_parts(table: &TableDef, parts: &[IndexKeyPart], req: &IndexRequest) -> 
         .collect();
     let mut sort_served = true;
     let mut reverse = false;
-    if !pending.is_empty() {
-        // §5.2.1: an inequality attribute must be the first sort field
-        if req.range_col.is_some() && range_served && pending[0].0 != req.range_col.unwrap() {
-            sort_served = false;
-        } else if req.range_col.is_some() && !range_served {
-            // inequality unserved: sorting via this index is still possible
-            // (range becomes residual) as long as sort columns line up.
-        }
+    if let Some(&(first, _)) = pending.first() {
+        // §5.2.1: a served inequality must be the first sort field; an
+        // unserved one becomes a residual, and sorting via this index is
+        // still possible as long as the sort columns line up
+        sort_served = !range_served || req.range_col == Some(first);
         if sort_served {
             let mut flip: Option<bool> = None;
             for (offset, (c, d)) in pending.iter().enumerate() {
                 let j = i + offset;
-                let ok = j < parts.len() && !parts[j].kind.is_token() && col_id(&parts[j]) == *c;
+                let ok = j < parts.len() && !parts[j].kind.is_token() && cols[j] == *c;
                 if !ok {
                     sort_served = false;
                     break;
@@ -141,8 +142,9 @@ fn match_parts(table: &TableDef, parts: &[IndexKeyPart], req: &IndexRequest) -> 
 
     let covering: BTreeSet<ColumnId> = parts
         .iter()
-        .filter(|p| !p.kind.is_token())
-        .map(col_id)
+        .zip(&cols)
+        .filter(|(p, _)| !p.kind.is_token())
+        .map(|(_, c)| *c)
         .collect();
     Some(IndexMatch {
         index: None, // caller fills in

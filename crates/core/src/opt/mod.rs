@@ -183,8 +183,8 @@ impl Optimizer {
         let physical = p2.compile(&working)?;
         notes.append(&mut p2.notes);
         notes.dedup();
-        let class = QueryClass::from_analysis(p2.unbounded_ops, p2.used_cardinality_bound);
-        let bounds = physical.total_bounds(p2.unbounded_ops == 0);
+        let class = QueryClass::of(&physical);
+        let bounds = physical.total_bounds();
         // dedup derived indexes by shape
         let mut required_indexes: Vec<IndexDef> = Vec::new();
         for idx in p2.required_indexes {

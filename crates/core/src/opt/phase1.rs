@@ -13,17 +13,11 @@
 //!    the sort, to be folded into remote operators by Phase II.
 
 use super::chain::{Chain, Leg, LegItem};
-use crate::catalog::CardinalityConstraint;
-use crate::catalog::{Catalog, ColumnId, TableDef};
+use crate::catalog::{Catalog, ColumnId, DeclaredBound, TableDef};
 use crate::plan::logical::{Stop, StopKind};
 use crate::plan::provenance::Provenance;
 use crate::plan::{BoundPredicate, InOperand, QuerySchema, RelId, RelationSource};
 use std::collections::BTreeSet;
-
-/// Base column of a (possibly `token:`-prefixed) constraint column.
-fn piql_cc_base(col: &str) -> &str {
-    CardinalityConstraint::base_column(col)
-}
 
 /// Which objective the compiler pursues (§8.3).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -37,16 +31,23 @@ pub enum Objective {
 }
 
 /// Attribute-equality predicates of a leg, as (table column, predicate).
-pub fn leg_eq_columns(schema: &QuerySchema, leg: &Leg) -> Vec<(ColumnId, BoundPredicate)> {
-    let mut out = Vec::new();
-    for p in leg.all_preds() {
-        if let Some((field, _)) = p.as_attribute_equality() {
-            if let Some(col) = schema.field(field).column {
-                out.push((col, p.clone()));
-            }
-        }
-    }
-    out
+fn leg_eq_columns(schema: &QuerySchema, leg: &Leg) -> Vec<(ColumnId, BoundPredicate)> {
+    leg.all_preds()
+        .into_iter()
+        .filter_map(|p| {
+            let col = schema.field(p.as_attribute_equality()?.0).column?;
+            Some((col, p.clone()))
+        })
+        .collect()
+}
+
+/// A leg's first tokenized search, as (table column, predicate): the one
+/// a `TOKEN` index serves and a `TOKEN` limit can bound.
+fn leg_token(schema: &QuerySchema, leg: &Leg) -> Option<(ColumnId, BoundPredicate)> {
+    leg.all_preds().into_iter().find_map(|p| match p {
+        BoundPredicate::TokenMatch { field, .. } => Some((schema.field(*field).column?, p.clone())),
+        _ => None,
+    })
 }
 
 /// The table behind a leg, when it is a base table.
@@ -61,197 +62,147 @@ pub fn leg_table<'a>(
     }
 }
 
+/// The declared bound a table leg reaches with its own equalities and
+/// tokenized search plus the `extra` columns its join keys pin.
+pub(crate) fn leg_bound(
+    table: &TableDef,
+    schema: &QuerySchema,
+    leg: &Leg,
+    extra: impl IntoIterator<Item = ColumnId>,
+) -> Option<DeclaredBound> {
+    let mut cols: Vec<ColumnId> = leg_eq_columns(schema, leg)
+        .into_iter()
+        .map(|(c, _)| c)
+        .collect();
+    cols.extend(extra);
+    table.declared_bound(&cols, leg_token(schema, leg).map(|(c, _)| c))
+}
+
 /// Step 1: rewrite `col IN [param MAX n]` into a join with a synthetic
-/// bounded relation when the lookup side is otherwise pk- or
-/// constraint-addressable. Returns human-readable notes of rewrites applied.
+/// bounded relation when the list column, with its relation's equalities,
+/// pins the primary key or a `CARDINALITY LIMIT`. The synthetic relation
+/// leads the join order, so a statement takes at most one rewrite: the list
+/// whose lookups the bound rule caps tightest (ties by relation, column,
+/// then parameter position — never by predicate order). Every other list
+/// stays a local filter, as does every list on a relation whose own
+/// equalities already pin its primary key: one row is as tight as a bound
+/// gets. Returns a note for the rewrite applied.
 pub fn rewrite_in_params(
     catalog: &Catalog,
     schema: &mut QuerySchema,
     chain: &mut Chain,
 ) -> Vec<String> {
-    let mut notes = Vec::new();
-    let mut new_legs = Vec::new();
-    for leg in &mut chain.legs {
+    let mut candidates = Vec::new();
+    for (at, leg) in chain.legs.iter().enumerate() {
         let Some(table) = leg_table(catalog, schema, leg) else {
             continue;
         };
-        let table = table.clone();
-        let eq_cols: BTreeSet<ColumnId> = leg_eq_columns(schema, leg)
+        let eq: Vec<ColumnId> = leg_eq_columns(schema, leg)
             .into_iter()
             .map(|(c, _)| c)
             .collect();
-        for item in &mut leg.items {
-            let LegItem::Preds(preds) = item else {
+        if table.declared_bound(&eq, None).is_some_and(|b| b.is_key()) {
+            continue;
+        }
+        for p in leg.all_preds() {
+            let BoundPredicate::In {
+                field,
+                operand: InOperand::Param(param),
+            } = p
+            else {
                 continue;
             };
-            let mut i = 0;
-            while i < preds.len() {
-                let candidate = match &preds[i] {
-                    BoundPredicate::In {
-                        field,
-                        operand: InOperand::Param(p),
-                    } if p.max_cardinality.is_some() => Some((*field, p.clone())),
-                    _ => None,
-                };
-                let Some((field, param)) = candidate else {
-                    i += 1;
-                    continue;
-                };
-                let Some(col) = schema.field(field).column else {
-                    i += 1;
-                    continue;
-                };
-                // beneficial only if eq cols + IN col pin the pk or a
-                // cardinality constraint
-                let mut cols: Vec<ColumnId> = eq_cols.iter().copied().collect();
-                cols.push(col);
-                let addressable =
-                    table.covers_primary_key(&cols) || table.matching_cardinality(&cols).is_some();
-                if !addressable {
-                    i += 1;
-                    continue;
-                }
-                let max = param.max_cardinality.expect("checked");
-                let binding = format!("${}", param.name);
-                let ty = schema.field(field).ty;
-                let rel = schema.add_param_values(param.clone(), ty, &binding);
-                let value_field = schema.relation(rel).first_field;
-                chain.join_edges.push((value_field, field));
-                let mut new_leg = Leg::new(rel);
-                new_leg.items.push(LegItem::Stop(Stop {
-                    kind: StopKind::Data,
-                    count: max,
-                    provenance: Provenance::ParamMax {
-                        param: param.name.clone(),
-                        max,
-                    },
-                    cause: Vec::new(),
-                }));
-                new_legs.push(new_leg);
-                notes.push(format!(
-                    "rewrote `{} IN [{}]` into a bounded lookup join ({} random reads max)",
-                    schema.field(field).qualified_name(),
-                    param.name,
-                    max
-                ));
-                preds.remove(i);
+            let (Some(max), Some(col)) = (param.max_cardinality, schema.field(*field).column)
+            else {
+                continue;
+            };
+            if let Some(bound) = table.declared_bound(&[eq.as_slice(), &[col]].concat(), None) {
+                let key = (bound.limit, at, col, param.index);
+                candidates.push((key, p.clone(), *field, param.clone(), max));
             }
         }
-        leg.items
-            .retain(|i| !matches!(i, LegItem::Preds(ps) if ps.is_empty()));
     }
-    chain.legs.extend(new_legs);
-    notes
+    let Some((key, pred, field, param, max)) = candidates.into_iter().min_by_key(|c| c.0) else {
+        return Vec::new();
+    };
+    let leg = &mut chain.legs[key.1];
+    for item in &mut leg.items {
+        if let LegItem::Preds(preds) = item {
+            if let Some(at) = preds.iter().position(|p| *p == pred) {
+                preds.remove(at);
+                break;
+            }
+        }
+    }
+    leg.items
+        .retain(|i| !matches!(i, LegItem::Preds(ps) if ps.is_empty()));
+    let ty = schema.field(field).ty;
+    let rel = schema.add_param_values(param.clone(), ty, &format!("${}", param.name));
+    chain
+        .join_edges
+        .push((schema.relation(rel).first_field, field));
+    let mut values = Leg::new(rel);
+    values.items.push(LegItem::Stop(Stop {
+        kind: StopKind::Data,
+        count: max,
+        provenance: Provenance::ParamMax {
+            param: param.name.clone(),
+            max,
+        },
+        cause: Vec::new(),
+    }));
+    chain.legs.push(values);
+    vec![format!(
+        "rewrote `{} IN [{}]` into a bounded lookup join ({} random reads max)",
+        schema.field(field).qualified_name(),
+        param.name,
+        max
+    )]
 }
 
-/// Step 2: linear join ordering (Algorithm 1 line 1).
+/// Step 2: linear join ordering (Algorithm 1 line 1). A parameter list
+/// leads; otherwise the first leg is the one the bound rule pins tightest
+/// on its own. Each next leg is a joined one, pinned tightest with its join
+/// keys to the legs already placed. Ties keep syntactic order.
 pub fn order_joins(catalog: &Catalog, schema: &QuerySchema, chain: &mut Chain) {
-    let n = chain.legs.len();
-    if n <= 1 {
-        return;
-    }
-
-    // how tightly a leg is bounded on its own
-    let self_score = |leg: &Leg| -> u8 {
-        match schema.relation(leg.rel).source {
-            RelationSource::ParamValues { .. } => 0,
-            RelationSource::Table(_) => {
-                let table = leg_table(catalog, schema, leg).expect("table leg");
-                let cols: Vec<ColumnId> = leg_eq_columns(schema, leg)
-                    .into_iter()
-                    .map(|(c, _)| c)
-                    .collect();
-                let token_bounded = leg.all_preds().iter().any(|p| match p {
-                    BoundPredicate::TokenMatch { field, .. } => schema
-                        .field(*field)
-                        .column
-                        .and_then(|c| table.matching_token_cardinality(c))
-                        .is_some(),
-                    _ => false,
-                });
-                if table.covers_primary_key(&cols) {
-                    0
-                } else if table.matching_cardinality(&cols).is_some() || token_bounded {
-                    1
-                } else if leg
-                    .all_preds()
-                    .iter()
-                    .any(|p| matches!(p, BoundPredicate::TokenMatch { .. }))
-                    || !cols.is_empty()
-                {
-                    2
-                } else if !leg.all_preds().is_empty() {
-                    3
-                } else {
-                    4
-                }
-            }
-        }
-    };
-
-    // how good it is to join `leg` given already-placed relations
-    let join_score = |leg: &Leg, placed: &BTreeSet<RelId>| -> u8 {
-        let Some(table) = leg_table(catalog, schema, leg) else {
-            return 0; // ParamValues join: bounded lookups
-        };
-        let mut cols: Vec<ColumnId> = leg_eq_columns(schema, leg)
-            .into_iter()
-            .map(|(c, _)| c)
-            .collect();
-        for &(a, b) in &chain.join_edges {
-            for (mine, other) in [(a, b), (b, a)] {
-                if schema.rel_of(mine) == leg.rel && placed.contains(&schema.rel_of(other)) {
-                    if let Some(c) = schema.field(mine).column {
-                        cols.push(c);
-                    }
-                }
-            }
-        }
-        if table.covers_primary_key(&cols) {
-            0
-        } else if table.matching_cardinality(&cols).is_some() {
-            1
-        } else {
-            2
-        }
-    };
-
-    let connected = |leg: &Leg, placed: &BTreeSet<RelId>| -> bool {
-        chain.join_edges.iter().any(|&(a, b)| {
-            (schema.rel_of(a) == leg.rel && placed.contains(&schema.rel_of(b)))
-                || (schema.rel_of(b) == leg.rel && placed.contains(&schema.rel_of(a)))
-        })
-    };
-
     let mut remaining: Vec<Leg> = std::mem::take(&mut chain.legs);
-    let mut ordered: Vec<Leg> = Vec::with_capacity(n);
-    // first leg: tightest self-bound, ties by syntactic position
-    let first = remaining
-        .iter()
-        .enumerate()
-        .min_by_key(|(pos, leg)| (self_score(leg), *pos))
-        .map(|(pos, _)| pos)
-        .expect("nonempty");
-    ordered.push(remaining.remove(first));
-    let mut placed: BTreeSet<RelId> = ordered.iter().map(|l| l.rel).collect();
-    while !remaining.is_empty() {
-        let next = remaining
-            .iter()
-            .enumerate()
-            .min_by_key(|(pos, leg)| {
-                let conn = connected(leg, &placed);
-                (
-                    !conn, // connected legs first
-                    if conn {
-                        join_score(leg, &placed)
-                    } else {
-                        self_score(leg)
-                    },
-                    *pos,
-                )
+    // 0: a parameter list, 1: one row, 2: a declared limit, 3..5: none,
+    // from some pinned column down to no predicate at all
+    let score = |leg: &Leg, joined: Option<&BTreeSet<RelId>>| -> u8 {
+        let Some(table) = leg_table(catalog, schema, leg) else {
+            return 0;
+        };
+        let keys: Vec<ColumnId> = joined
+            .map(|placed| {
+                chain
+                    .edges_to(schema, leg.rel, |r| placed.contains(&r))
+                    .filter_map(|(mine, _)| schema.field(mine).column)
+                    .collect()
             })
-            .map(|(pos, _)| pos)
-            .expect("nonempty");
+            .unwrap_or_default();
+        match leg_bound(table, schema, leg, keys) {
+            Some(bound) if bound.is_key() => 1,
+            Some(_) => 2,
+            None if joined.is_some()
+                || leg_token(schema, leg).is_some()
+                || !leg_eq_columns(schema, leg).is_empty() =>
+            {
+                3
+            }
+            None if !leg.all_preds().is_empty() => 4,
+            None => 5,
+        }
+    };
+    let mut ordered: Vec<Leg> = Vec::with_capacity(remaining.len());
+    let mut placed: BTreeSet<RelId> = BTreeSet::new();
+    while let Some(next) = (0..remaining.len()).min_by_key(|&pos| {
+        let leg = &remaining[pos];
+        let joined = chain
+            .edges_to(schema, leg.rel, |r| placed.contains(&r))
+            .next()
+            .is_some();
+        (!joined, score(leg, joined.then_some(&placed)), pos)
+    }) {
         let leg = remaining.remove(next);
         placed.insert(leg.rel);
         ordered.push(leg);
@@ -261,8 +212,9 @@ pub fn order_joins(catalog: &Catalog, schema: &QuerySchema, chain: &mut Chain) {
 
 /// Steps 3–4: data-stop insertion (Algorithm 1 lines 3–11) and stop
 /// push-down (line 12). Each table leg gets at most one data-stop — the
-/// tightest applicable — placed directly above its cause predicates, with
-/// the remaining predicates above it.
+/// bound rule's answer for its equalities and tokenized search — placed
+/// directly above its cause predicates, with the remaining predicates
+/// above it.
 pub fn insert_data_stops(catalog: &Catalog, schema: &QuerySchema, chain: &mut Chain) {
     for leg in &mut chain.legs {
         let Some(table) = leg_table(catalog, schema, leg) else {
@@ -271,84 +223,32 @@ pub fn insert_data_stops(catalog: &Catalog, schema: &QuerySchema, chain: &mut Ch
         if leg.data_stop().is_some() {
             continue;
         }
-        let eq = leg_eq_columns(schema, leg);
-        let cols: Vec<ColumnId> = eq.iter().map(|(c, _)| *c).collect();
-        // tokenized searches may be bounded by TOKEN(col) constraints
-        let token_pred: Option<(ColumnId, BoundPredicate)> =
-            leg.all_preds().iter().find_map(|p| match p {
-                BoundPredicate::TokenMatch { field, .. } => {
-                    schema.field(*field).column.map(|c| (c, (*p).clone()))
-                }
-                _ => None,
-            });
-        let (count, provenance, cause): (u64, Provenance, Vec<BoundPredicate>) =
-            if table.covers_primary_key(&cols) {
-                let pk = table.primary_key_ids();
-                let cause = eq
-                    .iter()
-                    .filter(|(c, _)| pk.contains(c))
-                    .map(|(_, p)| p.clone())
-                    .collect();
-                (
-                    1,
-                    Provenance::PrimaryKey {
-                        table: table.name.clone(),
-                    },
-                    cause,
-                )
-            } else if let Some(cc) = table.matching_cardinality(&cols) {
-                let cc_cols: Vec<ColumnId> = cc
-                    .columns
-                    .iter()
-                    .map(|n| table.column_id(n).expect("validated"))
-                    .collect();
-                let cause = eq
-                    .iter()
-                    .filter(|(c, _)| cc_cols.contains(c))
-                    .map(|(_, p)| p.clone())
-                    .collect();
-                (
-                    cc.limit,
-                    Provenance::Cardinality {
-                        table: table.name.clone(),
-                        limit: cc.limit,
-                        columns: cc.columns.clone(),
-                    },
-                    cause,
-                )
-            } else if let Some((tc, tp)) = token_pred
-                .as_ref()
-                .and_then(|(c, p)| table.matching_token_cardinality(*c).map(|cc| (cc, p)))
-                .map(|(cc, p)| {
-                    (
-                        (
-                            cc.limit,
-                            Provenance::TokenCardinality {
-                                table: table.name.clone(),
-                                limit: cc.limit,
-                                column: piql_cc_base(&cc.columns[0]).to_string(),
-                            },
-                        ),
-                        p.clone(),
-                    )
-                })
-            {
-                (tc.0, tc.1, vec![tp])
-            } else {
-                continue;
-            };
+        let Some(bound) = leg_bound(table, schema, leg, []) else {
+            continue;
+        };
+        let cause: Vec<BoundPredicate> = match (&bound.provenance, leg_token(schema, leg)) {
+            (Provenance::TokenCardinality { .. }, Some((_, token))) => vec![token],
+            _ => leg_eq_columns(schema, leg)
+                .into_iter()
+                .filter(|(c, _)| bound.columns.contains(c))
+                .map(|(_, p)| p)
+                .collect(),
+        };
         // push-down result: [cause][data-stop][rest]
-        let all: Vec<BoundPredicate> = leg.all_preds().into_iter().cloned().collect();
-        let rest: Vec<BoundPredicate> =
-            all.iter().filter(|p| !cause.contains(p)).cloned().collect();
+        let rest: Vec<BoundPredicate> = leg
+            .all_preds()
+            .into_iter()
+            .filter(|p| !cause.contains(p))
+            .cloned()
+            .collect();
         let mut items = Vec::new();
         if !cause.is_empty() {
             items.push(LegItem::Preds(cause.clone()));
         }
         items.push(LegItem::Stop(Stop {
             kind: StopKind::Data,
-            count,
-            provenance,
+            count: bound.limit,
+            provenance: bound.provenance,
             cause,
         }));
         if !rest.is_empty() {

@@ -7,17 +7,18 @@
 //! * a leg whose join keys plus constant equalities pin the target's full
 //!   primary key becomes an `IndexFKJoin`,
 //! * any other leg becomes a `SortedIndexJoin`, bounded by a folded
-//!   standard stop or by a `CARDINALITY LIMIT` on its probe columns.
+//!   standard stop or by the declared bound its probe columns pin.
 //!
 //! Every remote operator must have an explicit bound; when none exists the
 //! compiler rejects the query with an [`InsightReport`]
 //! (scale-independent mode) or falls back to statistics-based estimates
-//! (cost-based baseline mode, §8.3).
+//! (cost-based baseline mode, §8.3). Which bounds were used, and so the
+//! query's class, is read back from the finished plan.
 
 use super::chain::{Chain, Leg, TopOp};
 use super::error::{InsightReport, OptError, Suggestion};
-use super::index_selection::{select_index, IndexRequest};
-use super::phase1::{leg_eq_columns, leg_table, Objective};
+use super::index_selection::{select_index, IndexMatch, IndexRequest};
+use super::phase1::{leg_bound, leg_table, Objective};
 use crate::ast::CompareOp;
 use crate::catalog::{Catalog, ColumnId, IndexDef, Statistics, TableDef};
 use crate::codec::key::Dir;
@@ -32,11 +33,15 @@ use crate::plan::{
 };
 use crate::text;
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 /// Fallback row estimate when the cost-based mode has no statistics.
 const DEFAULT_GROUP_ESTIMATE: u64 = 1_000;
 /// Batch size the executor uses for unbounded scans (cost-based plans).
 pub const UNBOUNDED_SCAN_BATCH: u64 = 100;
+
+/// Columns each relation's operators must produce.
+type Needed = BTreeMap<RelId, BTreeSet<ColumnId>>;
 
 pub struct Phase2<'a> {
     pub catalog: &'a Catalog,
@@ -47,11 +52,6 @@ pub struct Phase2<'a> {
     pub required_indexes: Vec<IndexDef>,
     /// Human-readable compilation notes (Table 1 "modifications").
     pub notes: Vec<String>,
-    /// Remote operators without a static bound (cost-based mode only).
-    pub unbounded_ops: u64,
-    /// Bound provenances that came from schema cardinality constraints or
-    /// parameter MAX declarations (drives Class I vs II).
-    pub used_cardinality_bound: bool,
 }
 
 /// Classified predicates of one leg.
@@ -70,6 +70,10 @@ impl LegAnalysis {
     fn eq_cols(&self) -> BTreeSet<ColumnId> {
         self.eq.keys().copied().collect()
     }
+
+    fn token_col(&self) -> Option<ColumnId> {
+        self.token.as_ref().map(|(c, _, _)| *c)
+    }
 }
 
 struct Build {
@@ -78,6 +82,26 @@ struct Build {
     layout: Vec<FieldId>,
     /// Whether the plan already emits rows in the query's requested order.
     order_ok: bool,
+    /// Whether a remote operator in the plan applies the query's standard
+    /// stop, with only count-preserving joins above it. The fold leg may
+    /// not absorb the stop (a local filter, an unserved sort, an FK join),
+    /// so this is what decides whether a `LocalStop` goes on top.
+    folded: bool,
+}
+
+/// How a remote operator reads the index it was matched to.
+struct Access {
+    index: IndexRef,
+    /// Whether rows are fetched by a second round of gets (§5.1).
+    deref: bool,
+    /// Upper bound on one fetched tuple's bytes.
+    row_bytes: u64,
+}
+
+#[derive(Default)]
+struct FkInfo {
+    fk_possible: bool,
+    pure: bool,
 }
 
 impl<'a> Phase2<'a> {
@@ -94,8 +118,6 @@ impl<'a> Phase2<'a> {
             stats,
             required_indexes: Vec::new(),
             notes: Vec::new(),
-            unbounded_ops: 0,
-            used_cardinality_bound: false,
         }
     }
 
@@ -109,52 +131,43 @@ impl<'a> Phase2<'a> {
         let mut build = match self.schema.relation(leg0.rel).source.clone() {
             RelationSource::ParamValues { param, ty } => {
                 let max = param.max_cardinality.unwrap_or(0);
-                let field = self.schema.relation(leg0.rel).first_field;
+                let layout = vec![self.schema.relation(leg0.rel).first_field];
                 Build {
                     plan: PhysicalPlan::ParamSource {
                         rel: leg0.rel,
                         param,
                         ty,
                         max,
-                        layout: vec![field],
-                        bounds: OpBounds {
-                            requests: 0,
-                            rounds: 0,
-                            tuples: max,
-                            bytes: 0,
-                        },
+                        layout: layout.clone(),
+                        bounds: OpBounds::local(max),
                     },
-                    layout: vec![field],
+                    layout,
                     order_ok: chain.sort.is_empty(),
+                    folded: false,
                 }
             }
             RelationSource::Table(_) => self.compile_scan(chain, leg0, fold == Some(0), &needed)?,
         };
 
         // ---- remaining legs
-        for (i, leg) in chain.legs.iter().enumerate().skip(1) {
-            build = if pure_fk[i].fk_possible {
-                self.compile_fk_join(chain, leg, build, &needed)?
+        for (at, fk) in pure_fk.iter().enumerate().skip(1) {
+            build = if fk.fk_possible {
+                self.compile_fk_join(chain, at, build)?
             } else {
-                self.compile_sorted_join(chain, leg, build, fold == Some(i), &needed)?
+                self.compile_sorted_join(chain, at, build, fold == Some(at), &needed)?
             };
         }
 
         // ---- residual cross-relation predicates
-        if !chain.residual.is_empty() {
-            let preds = self.remap_preds(&chain.residual, &build.layout);
-            build.plan = local_selection(build.plan, preds, build.layout.clone());
-        }
+        build.plan = self.filtered(build.plan, &chain.residual, &build.layout)?;
 
         match &chain.top {
             TopOp::Project(items) => {
                 if !chain.sort.is_empty() && !build.order_ok {
                     build = self.apply_local_sort(build, &chain.sort)?;
                 }
-                if let Some(stop) = &chain.stop {
-                    if fold.is_none() {
-                        build.plan = local_stop(build.plan, stop.count, build.layout.clone());
-                    }
+                if let Some(stop) = chain.stop.as_ref().filter(|_| !build.folded) {
+                    build.plan = local_stop(build.plan, stop, build.layout.clone());
                 }
                 let columns: Vec<(usize, String)> = items
                     .iter()
@@ -163,17 +176,12 @@ impl<'a> Phase2<'a> {
                     })
                     .collect::<Result<_, _>>()?;
                 let layout: Vec<FieldId> = items.iter().map(|(fid, _)| *fid).collect();
-                let child_bounds = build.plan.bounds();
+                let bounds = OpBounds::local(build.plan.bounds().tuples);
                 build.plan = PhysicalPlan::LocalProject {
                     child: Box::new(build.plan),
                     columns,
                     layout: layout.clone(),
-                    bounds: OpBounds {
-                        requests: 0,
-                        rounds: 0,
-                        tuples: child_bounds.tuples,
-                        bytes: 0,
-                    },
+                    bounds,
                 };
                 build.layout = layout;
             }
@@ -192,22 +200,17 @@ impl<'a> Phase2<'a> {
                         })
                     })
                     .collect::<Result<_, _>>()?;
-                let child_bounds = build.plan.bounds();
                 // aggregate output layout: group fields keep their global
                 // ids; aggregate columns have no global field (use the
                 // group fields only for naming)
                 let layout: Vec<FieldId> = group_by.clone();
+                let bounds = OpBounds::local(build.plan.bounds().tuples);
                 build.plan = PhysicalPlan::LocalAggregate {
                     child: Box::new(build.plan),
                     group_by: group_pos,
                     aggs: phys_aggs,
                     layout: layout.clone(),
-                    bounds: OpBounds {
-                        requests: 0,
-                        rounds: 0,
-                        tuples: child_bounds.tuples,
-                        bytes: 0,
-                    },
+                    bounds,
                 };
                 build.layout = layout;
                 if !chain.sort.is_empty() {
@@ -215,7 +218,7 @@ impl<'a> Phase2<'a> {
                     build = self.apply_local_sort(build, &chain.sort)?;
                 }
                 if let Some(stop) = &chain.stop {
-                    build.plan = local_stop(build.plan, stop.count, build.layout.clone());
+                    build.plan = local_stop(build.plan, stop, build.layout.clone());
                 }
             }
         }
@@ -317,19 +320,11 @@ impl<'a> Phase2<'a> {
         chain: &Chain,
         leg: &Leg,
         fold_here: bool,
-        needed: &BTreeMap<RelId, BTreeSet<ColumnId>>,
+        needed: &Needed,
     ) -> Result<Build, OptError> {
-        let table = leg_table(self.catalog, self.schema, leg)
-            .expect("table leg")
-            .clone();
+        let table = self.table_of(leg)?;
         let analysis = self.analyze_leg(leg)?;
-
-        // sort desired at this leg?
-        let local_sort = self.sort_on_rel(chain, leg.rel);
-        let sort_cols: Vec<(ColumnId, Dir)> = local_sort
-            .iter()
-            .filter_map(|(f, d)| self.schema.field(*f).column.map(|c| (c, *d)))
-            .collect();
+        let sort_cols = self.sort_cols(chain, leg.rel);
 
         // range column: prefer the first sort column, else the first range
         let range_col = analysis
@@ -354,11 +349,11 @@ impl<'a> Phase2<'a> {
         };
 
         let req = IndexRequest {
-            token_col: analysis.token.as_ref().map(|(c, _, _)| *c),
+            token_col: analysis.token_col(),
             eq_cols: analysis.eq_cols(),
             range_col,
-            sort: sort_cols.clone(),
-            required_eq: cause_cols.clone(),
+            sort: sort_cols,
+            required_eq: cause_cols,
         };
         let m = select_index(self.catalog, &table, &req, true).ok_or_else(|| {
             self.insight_scan(&table, leg, &analysis, "no usable index layout exists")
@@ -375,74 +370,45 @@ impl<'a> Phase2<'a> {
             }
         }
 
-        // ---- bound determination
-        let sort_fully_served = chain.sort.is_empty()
-            || (!local_sort.is_empty() && local_sort.len() == chain.sort.len() && m.sort_served);
-        let can_fold_stop =
-            fold_here && residual.is_empty() && sort_fully_served && chain.stop.is_some();
-        let limit: ScanLimit = match (&analysis.data_stop, can_fold_stop) {
-            (Some(ds), true) => {
-                let stop = chain.stop.as_ref().expect("fold implies stop");
-                if stop.count < ds.count {
-                    ScanLimit::Bounded {
-                        count: stop.count,
-                        provenance: stop.provenance.clone(),
-                    }
-                } else {
-                    self.record_data_stop(ds);
-                    ScanLimit::Bounded {
-                        count: ds.count,
-                        provenance: ds.provenance.clone(),
-                    }
+        // ---- bound determination: the data-stop, or the standard stop
+        // folded in when it is tighter
+        let order_ok = chain.sort.is_empty() || (!req.sort.is_empty() && m.sort_served);
+        let stop = chain
+            .stop
+            .as_ref()
+            .filter(|_| fold_here && residual.is_empty() && order_ok);
+        let bound = match (&analysis.data_stop, stop) {
+            (Some(ds), Some(stop)) if stop.count < ds.count => Some(stop),
+            (Some(ds), _) => {
+                if ds.provenance.is_cardinality_bound() {
+                    self.notes
+                        .push(format!("scan bounded by {}", ds.provenance));
                 }
+                Some(ds)
             }
-            (Some(ds), false) => {
-                self.record_data_stop(ds);
-                ScanLimit::Bounded {
-                    count: ds.count,
-                    provenance: ds.provenance.clone(),
-                }
-            }
-            (None, true) => {
-                let stop = chain.stop.as_ref().expect("fold implies stop");
-                ScanLimit::Bounded {
-                    count: stop.count,
-                    provenance: stop.provenance.clone(),
-                }
-            }
-            (None, false) => {
-                // token-only lookups, unconstrained scans, ...: unbounded
-                match self.objective {
-                    Objective::ScaleIndependent => {
-                        return Err(self.insight_scan(
-                            &table,
-                            leg,
-                            &analysis,
-                            "no stop operator bounds this index scan",
-                        ));
-                    }
-                    Objective::CostBased => {
-                        self.unbounded_ops += 1;
-                        ScanLimit::Unbounded {
-                            estimate: self.estimate_group(&table, m.served_eq.first().copied()),
-                        }
-                    }
-                }
-            }
+            (None, stop) => stop,
         };
-
-        if analysis.token.is_some() {
-            self.notes
-                .push("tokenized search (LIKE served by inverted TOKEN index)".into());
-        }
+        let limit = match (bound, self.objective) {
+            (Some(stop), _) => ScanLimit::Bounded {
+                count: stop.count,
+                provenance: stop.provenance.clone(),
+            },
+            // token-only lookups, unconstrained scans, ...: unbounded
+            (None, Objective::ScaleIndependent) => {
+                return Err(self.insight_scan(
+                    &table,
+                    leg,
+                    &analysis,
+                    "no stop operator bounds this index scan",
+                ));
+            }
+            (None, Objective::CostBased) => ScanLimit::Unbounded {
+                estimate: self.estimate_group(&table, m.served_eq.first().copied()),
+            },
+        };
 
         // ---- spec assembly
-        let needed_cols = needed.get(&leg.rel).cloned().unwrap_or_default();
-        let deref = !needed_cols.is_subset(&m.covering);
-        let row_bytes = match &m.index {
-            Some(idx) if !deref => index_entry_bytes(&table, idx),
-            _ => table.max_row_bytes() as u64,
-        };
+        let access = self.access(&table, leg, &m, &req, needed);
         let mut eq_prefix: Vec<Operand> = Vec::new();
         if let Some((_, op, _)) = &analysis.token {
             eq_prefix.push(op.clone());
@@ -455,11 +421,6 @@ impl<'a> Phase2<'a> {
         } else {
             None
         };
-        if let Some(idx) = &m.index {
-            if m.derived {
-                self.required_indexes.push(idx.clone());
-            }
-        }
         let count = limit.count_or_estimate();
         // bounded scans prefetch in ONE range request (§7.1); unbounded
         // (cost-based) scans page through in executor-sized batches
@@ -469,38 +430,31 @@ impl<'a> Phase2<'a> {
             count.div_ceil(UNBOUNDED_SCAN_BATCH).max(1)
         };
         let bounds = OpBounds {
-            requests: range_requests.saturating_add(if deref { count } else { 0 }),
-            rounds: range_requests.saturating_add(deref as u64),
+            requests: range_requests.saturating_add(if access.deref { count } else { 0 }),
+            rounds: range_requests.saturating_add(access.deref as u64),
             tuples: count,
-            bytes: count.saturating_mul(row_bytes),
+            bytes: count.saturating_mul(access.row_bytes),
         };
         let spec = ScanSpec {
-            index: IndexRef {
-                table: table.id,
-                rel: leg.rel,
-                secondary: m.index.clone(),
-            },
+            index: access.index,
             eq_prefix,
             range,
             reverse: m.reverse,
             limit,
-            deref,
-            row_bytes,
+            deref: access.deref,
+            row_bytes: access.row_bytes,
         };
         let layout: Vec<FieldId> = self.schema.relation(leg.rel).fields().collect();
-        let mut plan = PhysicalPlan::IndexScan {
+        let plan = PhysicalPlan::IndexScan {
             spec,
             layout: layout.clone(),
             bounds,
         };
-        if !residual.is_empty() {
-            let preds = self.remap_preds(&residual, &layout);
-            plan = local_selection(plan, preds, layout.clone());
-        }
         Ok(Build {
-            plan,
+            plan: self.filtered(plan, &residual, &layout)?,
             layout,
-            order_ok: sort_fully_served,
+            order_ok,
+            folded: stop.is_some(),
         })
     }
 
@@ -509,20 +463,19 @@ impl<'a> Phase2<'a> {
     fn compile_fk_join(
         &mut self,
         chain: &Chain,
-        leg: &Leg,
+        at: usize,
         child: Build,
-        needed: &BTreeMap<RelId, BTreeSet<ColumnId>>,
     ) -> Result<Build, OptError> {
-        let table = leg_table(self.catalog, self.schema, leg)
-            .expect("table leg")
-            .clone();
+        let leg = &chain.legs[at];
+        let table = self.table_of(leg)?;
         let analysis = self.analyze_leg(leg)?;
-        let edges = self.edges_into(chain, leg.rel, &child.layout);
+        let edges = self.probe_keys(chain, at, &child.layout);
 
         // key sources in pk order
+        let pk = table.primary_key_ids();
         let mut key = Vec::new();
         let mut consumed_eq: BTreeSet<ColumnId> = BTreeSet::new();
-        for pk_col in table.primary_key_ids() {
+        for &pk_col in &pk {
             if let Some((_, child_pos)) = edges.iter().find(|(c, _)| *c == pk_col) {
                 key.push(KeySource::ChildField(*child_pos));
             } else if let Some((op, _)) = analysis.eq.get(&pk_col) {
@@ -536,7 +489,8 @@ impl<'a> Phase2<'a> {
             }
         }
 
-        let mut residual: Vec<BoundPredicate> = analysis.residual.clone();
+        let mut residual = self.edge_checks(leg, &edges, &pk, &child.layout);
+        residual.extend(analysis.residual.iter().cloned());
         for (c, (_, pred)) in &analysis.eq {
             if !consumed_eq.contains(c) {
                 residual.push(pred.clone());
@@ -556,7 +510,7 @@ impl<'a> Phase2<'a> {
         };
         let mut layout = child.layout.clone();
         layout.extend(self.schema.relation(leg.rel).fields());
-        let mut plan = PhysicalPlan::IndexFKJoin {
+        let plan = PhysicalPlan::IndexFKJoin {
             child: Box::new(child.plan),
             rel: leg.rel,
             table: table.id,
@@ -565,15 +519,11 @@ impl<'a> Phase2<'a> {
             layout: layout.clone(),
             bounds,
         };
-        if !residual.is_empty() {
-            let preds = self.remap_preds(&residual, &layout);
-            plan = local_selection(plan, preds, layout.clone());
-        }
-        let _ = needed;
         Ok(Build {
-            plan,
+            plan: self.filtered(plan, &residual, &layout)?,
             layout,
             order_ok: child.order_ok, // 1:1 join preserves child order
+            folded: child.folded,
         })
     }
 
@@ -582,105 +532,87 @@ impl<'a> Phase2<'a> {
     fn compile_sorted_join(
         &mut self,
         chain: &Chain,
-        leg: &Leg,
+        at: usize,
         child: Build,
         fold_here: bool,
-        needed: &BTreeMap<RelId, BTreeSet<ColumnId>>,
+        needed: &Needed,
     ) -> Result<Build, OptError> {
-        let table = leg_table(self.catalog, self.schema, leg)
-            .expect("table leg")
-            .clone();
+        let leg = &chain.legs[at];
+        let table = self.table_of(leg)?;
         let analysis = self.analyze_leg(leg)?;
-        let edges = self.edges_into(chain, leg.rel, &child.layout);
+        let edges = self.probe_keys(chain, at, &child.layout);
         if edges.is_empty() {
             return Err(self.insight_join(
                 &table,
                 leg,
+                &BTreeSet::new(),
                 "relation is joined without any equi-join condition (cross join)",
             ));
         }
 
-        let local_sort = self.sort_on_rel(chain, leg.rel);
-        let sort_cols: Vec<(ColumnId, Dir)> = local_sort
-            .iter()
-            .filter_map(|(f, d)| self.schema.field(*f).column.map(|c| (c, *d)))
-            .collect();
-
-        let edge_cols: BTreeSet<ColumnId> = edges.iter().map(|(c, _)| *c).collect();
-        let mut eq_cols = analysis.eq_cols();
-        eq_cols.extend(edge_cols.iter().copied());
+        // the probe columns: join keys plus constant equalities
+        let mut probe = analysis.eq_cols();
+        probe.extend(edges.iter().map(|(c, _)| *c));
         let req = IndexRequest {
-            token_col: analysis.token.as_ref().map(|(c, _, _)| *c),
-            eq_cols: eq_cols.clone(),
+            token_col: analysis.token_col(),
+            eq_cols: probe.clone(),
             range_col: None,
-            sort: sort_cols.clone(),
-            required_eq: eq_cols.clone(),
+            sort: self.sort_cols(chain, leg.rel),
+            required_eq: probe.clone(),
         };
-        let m = select_index(self.catalog, &table, &req, true)
-            .ok_or_else(|| self.insight_join(&table, leg, "no usable index layout exists"))?;
+        let m = select_index(self.catalog, &table, &req, true).ok_or_else(|| {
+            self.insight_join(&table, leg, &probe, "no usable index layout exists")
+        })?;
 
-        let mut residual = analysis.residual.clone();
+        let mut residual = self.edge_checks(leg, &edges, &m.served_eq, &child.layout);
+        residual.extend(analysis.residual.iter().cloned());
+        // the key probes an edge's column with the child's value, so a
+        // constant equality on that column is checked on the joined row
+        for (c, (_, pred)) in &analysis.eq {
+            if edges.iter().any(|(e, _)| e == c) {
+                residual.push(pred.clone());
+            }
+        }
         for (_, preds) in analysis.ranges.values() {
             residual.extend(preds.iter().cloned());
         }
 
-        // ---- per-key bound
-        let sort_fully_served = chain.sort.is_empty()
-            || (!local_sort.is_empty() && local_sort.len() == chain.sort.len() && m.sort_served);
-        let can_fold = fold_here && residual.is_empty() && sort_fully_served;
-        let probe_cols: Vec<ColumnId> = eq_cols.iter().copied().collect();
-        let cc_bound = table.matching_cardinality(&probe_cols).map(|cc| {
-            (
-                cc.limit,
-                Provenance::Cardinality {
-                    table: table.name.clone(),
-                    limit: cc.limit,
-                    columns: cc.columns.clone(),
-                },
-            )
-        });
-        let (per_key, per_key_provenance, bounded) = match (can_fold, &chain.stop, cc_bound) {
-            (true, Some(stop), Some((cc, cc_prov))) if cc < stop.count => {
-                self.used_cardinality_bound = true;
-                self.notes
-                    .push(format!("join fan-out bounded by {cc_prov}"));
-                (cc, cc_prov, true)
+        // ---- per-key bound: the declared bound the probe columns pin, or
+        // the standard stop folded in when it is tighter
+        let order_ok = chain.sort.is_empty() || (!req.sort.is_empty() && m.sort_served);
+        let stop = chain
+            .stop
+            .as_ref()
+            .filter(|_| fold_here && residual.is_empty() && order_ok);
+        let declared = leg_bound(&table, self.schema, leg, edges.iter().map(|(c, _)| *c));
+        let (per_key, per_key_provenance) = match (stop, declared) {
+            (Some(stop), Some(bound)) if bound.limit >= stop.count => {
+                (stop.count, stop.provenance.clone())
             }
-            (true, Some(stop), _) => (stop.count, stop.provenance.clone(), true),
-            (_, _, Some((cc, cc_prov))) => {
-                self.used_cardinality_bound = true;
+            (_, Some(bound)) => {
                 self.notes
-                    .push(format!("join fan-out bounded by {cc_prov}"));
-                (cc, cc_prov, true)
+                    .push(format!("join fan-out bounded by {}", bound.provenance));
+                (bound.limit, bound.provenance)
             }
-            _ => match self.objective {
+            (Some(stop), None) => (stop.count, stop.provenance.clone()),
+            (None, None) => match self.objective {
                 Objective::ScaleIndependent => {
                     return Err(self.insight_join(
                         &table,
                         leg,
+                        &probe,
                         "the number of matching rows per join key is unbounded",
                     ));
                 }
                 Objective::CostBased => {
-                    self.unbounded_ops += 1;
-                    let est = self.estimate_group(&table, edge_cols.iter().next().copied());
-                    (est, Provenance::Estimate, false)
+                    let col = edges.iter().map(|(c, _)| *c).min();
+                    (self.estimate_group(&table, col), Provenance::Estimate)
                 }
             },
         };
 
-        if analysis.token.is_some() {
-            self.notes
-                .push("tokenized search (LIKE served by inverted TOKEN index)".into());
-        }
-
         // ---- spec assembly
-        let needed_cols = needed.get(&leg.rel).cloned().unwrap_or_default();
-        let deref = !needed_cols.is_subset(&m.covering);
-        let row_bytes = match &m.index {
-            Some(idx) if !deref => index_entry_bytes(&table, idx),
-            _ => table.max_row_bytes() as u64,
-        };
+        let access = self.access(&table, leg, &m, &req, needed);
         let mut prefix: Vec<KeySource> = Vec::new();
         if let Some((_, op, _)) = &analysis.token {
             prefix.push(KeySource::Const(op.clone()));
@@ -692,18 +624,13 @@ impl<'a> Phase2<'a> {
                 prefix.push(KeySource::Const(analysis.eq[c].0.clone()));
             }
         }
-        if let Some(idx) = &m.index {
-            if m.derived {
-                self.required_indexes.push(idx.clone());
-            }
-        }
 
         let mut layout = child.layout.clone();
         layout.extend(self.schema.relation(leg.rel).fields());
         // the right row occupies positions child.len()..; its column c sits
         // at child.len() + c
-        let merge_by: Vec<(usize, Dir)> = if m.sort_served && !sort_cols.is_empty() {
-            sort_cols
+        let merge_by: Vec<(usize, Dir)> = if m.sort_served {
+            req.sort
                 .iter()
                 .map(|(c, d)| (child.layout.len() + *c, *d))
                 .collect()
@@ -711,38 +638,30 @@ impl<'a> Phase2<'a> {
             Vec::new()
         };
 
-        let emit_limit = if can_fold {
-            chain.stop.as_ref().map(|s| s.count)
-        } else {
-            None
-        };
+        let emit_limit = stop.map(|s| s.count);
         let child_bounds = child.plan.bounds();
         let fetched = child_bounds.tuples.saturating_mul(per_key);
         let emitted = emit_limit.map(|e| e.min(fetched)).unwrap_or(fetched);
         let bounds = OpBounds {
             requests: child_bounds
                 .tuples
-                .saturating_add(if deref { fetched } else { 0 }),
-            rounds: 1 + deref as u64,
+                .saturating_add(if access.deref { fetched } else { 0 }),
+            rounds: 1 + access.deref as u64,
             tuples: emitted,
-            bytes: fetched.saturating_mul(row_bytes),
+            bytes: fetched.saturating_mul(access.row_bytes),
         };
         let spec = SortedJoinSpec {
-            index: IndexRef {
-                table: table.id,
-                rel: leg.rel,
-                secondary: m.index.clone(),
-            },
+            index: access.index,
             prefix,
             per_key,
             per_key_provenance,
             merge_by,
             reverse: m.reverse,
             emit_limit,
-            deref,
-            row_bytes,
+            deref: access.deref,
+            row_bytes: access.row_bytes,
         };
-        let mut plan = PhysicalPlan::SortedIndexJoin {
+        let plan = PhysicalPlan::SortedIndexJoin {
             child: Box::new(child.plan),
             rel: leg.rel,
             table: table.id,
@@ -750,159 +669,164 @@ impl<'a> Phase2<'a> {
             layout: layout.clone(),
             bounds,
         };
-        if !residual.is_empty() {
-            let preds = self.remap_preds(&residual, &layout);
-            plan = local_selection(plan, preds, layout.clone());
-        }
-        let _ = bounded;
         Ok(Build {
-            plan,
+            plan: self.filtered(plan, &residual, &layout)?,
             layout,
-            order_ok: sort_fully_served,
+            order_ok,
+            folded: child.folded || stop.is_some(),
         })
     }
 
     // ------------------------------------------------------------ helpers
 
-    fn record_data_stop(&mut self, ds: &Stop) {
-        if ds.provenance.is_cardinality_bound() {
-            self.used_cardinality_bound = true;
+    /// The table behind a leg. A parameter list always leads the chain
+    /// (Phase I), so a leg compiled as a scan or join is a table; anything
+    /// else is a compiler bug, answered as one.
+    fn table_of(&self, leg: &Leg) -> Result<Arc<TableDef>, OptError> {
+        leg_table(self.catalog, self.schema, leg)
+            .cloned()
+            .ok_or_else(|| {
+                let binding = &self.schema.relation(leg.rel).binding;
+                OptError::Internal(format!(
+                    "parameter list {binding} is not the first relation"
+                ))
+            })
+    }
+
+    /// The tail scans and sorted joins share once their index is chosen:
+    /// note a tokenized search, record a derived index, and work out
+    /// whether rows need a deref round and how large a fetched tuple is.
+    fn access(
+        &mut self,
+        table: &TableDef,
+        leg: &Leg,
+        m: &IndexMatch,
+        req: &IndexRequest,
+        needed: &Needed,
+    ) -> Access {
+        if req.token_col.is_some() {
             self.notes
-                .push(format!("scan bounded by {}", ds.provenance));
+                .push("tokenized search (LIKE served by inverted TOKEN index)".into());
+        }
+        if let Some(idx) = m.index.as_ref().filter(|_| m.derived) {
+            self.required_indexes.push(idx.clone());
+        }
+        let deref = needed
+            .get(&leg.rel)
+            .is_some_and(|cols| !cols.is_subset(&m.covering));
+        let row_bytes = match &m.index {
+            Some(idx) if !deref => index_entry_bytes(table, idx),
+            _ => table.max_row_bytes() as u64,
+        };
+        Access {
+            index: IndexRef {
+                table: table.id,
+                rel: leg.rel,
+                secondary: m.index.clone(),
+            },
+            deref,
+            row_bytes,
         }
     }
 
-    /// Sort keys that live on `rel` — only meaningful when *all* sort keys
-    /// live there.
-    fn sort_on_rel(&self, chain: &Chain, rel: RelId) -> Vec<(FieldId, Dir)> {
-        if chain.sort.is_empty()
-            || !chain
-                .sort
-                .iter()
-                .all(|(f, _)| self.schema.rel_of(*f) == rel)
+    /// The query's sort as `rel`'s columns — empty unless every sort key
+    /// lives on `rel`.
+    fn sort_cols(&self, chain: &Chain, rel: RelId) -> Vec<(ColumnId, Dir)> {
+        if !chain
+            .sort
+            .iter()
+            .all(|(f, _)| self.schema.rel_of(*f) == rel)
         {
             return Vec::new();
         }
-        chain.sort.clone()
+        chain
+            .sort
+            .iter()
+            .filter_map(|(f, d)| Some((self.schema.field(*f).column?, *d)))
+            .collect()
     }
 
-    /// Join edges that connect `rel` to relations already in `layout`,
-    /// returned as (column of `rel`, child tuple position).
-    fn edges_into(
+    /// Leg `at`'s join keys to the legs placed before it, as (its column,
+    /// the placed relation's field).
+    fn join_keys(&self, chain: &Chain, at: usize) -> Vec<(ColumnId, FieldId)> {
+        let placed = |rel| chain.legs[..at].iter().any(|l| l.rel == rel);
+        chain
+            .edges_to(self.schema, chain.legs[at].rel, placed)
+            .filter_map(|(mine, other)| Some((self.schema.field(mine).column?, other)))
+            .collect()
+    }
+
+    /// [`Self::join_keys`] with each placed field as its child-tuple
+    /// position.
+    fn probe_keys(&self, chain: &Chain, at: usize, child: &[FieldId]) -> Vec<(ColumnId, usize)> {
+        self.join_keys(chain, at)
+            .into_iter()
+            .filter_map(|(c, f)| Some((c, child.iter().position(|&x| x == f)?)))
+            .collect()
+    }
+
+    /// The probe edges a lookup on `key` leaves unchecked, as equalities
+    /// between the joined row and the child tuple for a local filter.
+    fn edge_checks(
         &self,
-        chain: &Chain,
-        rel: RelId,
-        child_layout: &[FieldId],
-    ) -> Vec<(ColumnId, usize)> {
-        let mut out = Vec::new();
-        for &(a, b) in &chain.join_edges {
-            for (mine, other) in [(a, b), (b, a)] {
-                if self.schema.rel_of(mine) == rel {
-                    if let Some(pos) = child_layout.iter().position(|&f| f == other) {
-                        if let Some(col) = self.schema.field(mine).column {
-                            out.push((col, pos));
-                        }
-                    }
-                }
-            }
-        }
-        out
+        leg: &Leg,
+        edges: &[(ColumnId, usize)],
+        key: &[ColumnId],
+        child: &[FieldId],
+    ) -> Vec<BoundPredicate> {
+        let first = self.schema.relation(leg.rel).first_field;
+        unkeyed(edges, key)
+            .map(|&(c, pos)| BoundPredicate::FieldCompare {
+                left: first + c,
+                op: CompareOp::Eq,
+                right: child[pos],
+            })
+            .collect()
     }
 
     fn pure_fk_flags(&self, chain: &Chain) -> Vec<FkInfo> {
-        let mut placed: Vec<FieldId> = Vec::new();
-        let mut flags = Vec::with_capacity(chain.legs.len());
-        for (i, leg) in chain.legs.iter().enumerate() {
-            let rel_fields: Vec<FieldId> = self.schema.relation(leg.rel).fields().collect();
-            if i == 0 {
-                flags.push(FkInfo {
-                    fk_possible: false,
-                    pure: false,
-                });
-                placed.extend(rel_fields);
-                continue;
-            }
-            let info = match leg_table(self.catalog, self.schema, leg) {
-                None => FkInfo {
-                    fk_possible: false,
-                    pure: false,
-                },
-                Some(table) => {
-                    let edges: BTreeSet<ColumnId> = chain
-                        .join_edges
-                        .iter()
-                        .flat_map(|&(a, b)| [(a, b), (b, a)])
-                        .filter(|(mine, other)| {
-                            self.schema.rel_of(*mine) == leg.rel && placed.contains(other)
-                        })
-                        .filter_map(|(mine, _)| self.schema.field(mine).column)
-                        .collect();
-                    let eq: BTreeSet<ColumnId> = leg_eq_columns(self.schema, leg)
-                        .into_iter()
-                        .map(|(c, _)| c)
-                        .collect();
-                    let mut cols: Vec<ColumnId> = edges.iter().copied().collect();
-                    cols.extend(eq.iter().copied());
-                    let fk_possible = table.covers_primary_key(&cols);
-                    // pure: count-preserving — every predicate consumed by
-                    // the pk probe, and the child side declares the FK
-                    let pk: BTreeSet<ColumnId> = table.primary_key_ids().into_iter().collect();
-                    let extra_preds = leg.all_preds().iter().any(|p| match p {
-                        BoundPredicate::Compare {
-                            field,
-                            op: CompareOp::Eq,
-                            ..
-                        } => {
-                            let col = self.schema.field(*field).column;
-                            col.map(|c| !pk.contains(&c)).unwrap_or(true)
-                        }
-                        _ => true,
-                    });
-                    let fk_declared = self.fk_declared(chain, leg.rel);
-                    FkInfo {
-                        fk_possible,
-                        pure: fk_possible && !extra_preds && fk_declared,
-                    }
-                }
+        let flags = chain.legs.iter().enumerate().map(|(at, leg)| {
+            let table = match leg_table(self.catalog, self.schema, leg) {
+                Some(table) if at > 0 => table,
+                _ => return FkInfo::default(),
             };
-            flags.push(info);
-            placed.extend(rel_fields);
-        }
-        flags
+            let keys = self.join_keys(chain, at);
+            let pinned = leg_bound(table, self.schema, leg, keys.iter().map(|(c, _)| *c));
+            let fk_possible = pinned.is_some_and(|b| b.is_key());
+            // pure: count-preserving — every predicate and join edge consumed
+            // by the pk probe, and an earlier relation declares the FK
+            let pk = table.primary_key_ids();
+            let extra_preds = leg.all_preds().iter().any(|p| {
+                let col = p
+                    .as_attribute_equality()
+                    .and_then(|(f, _)| self.schema.field(f).column);
+                !col.is_some_and(|c| pk.contains(&c) && !keys.iter().any(|(k, _)| *k == c))
+            }) || unkeyed(&keys, &pk).next().is_some();
+            let fk_declared = keys
+                .iter()
+                .any(|&(_, other)| self.declares_fk(other, table));
+            FkInfo {
+                fk_possible,
+                pure: fk_possible && !extra_preds && fk_declared,
+            }
+        });
+        flags.collect()
     }
 
-    /// Whether some earlier relation declares a FOREIGN KEY onto `rel`'s
-    /// table via the join-edge columns — required for count-preservation.
-    fn fk_declared(&self, chain: &Chain, rel: RelId) -> bool {
-        let RelationSource::Table(target_tid) = self.schema.relation(rel).source else {
+    /// Whether `field`'s table declares a FOREIGN KEY through it onto
+    /// `target` — required for count-preservation.
+    fn declares_fk(&self, field: FieldId, target: &TableDef) -> bool {
+        let field = self.schema.field(field);
+        let RelationSource::Table(src) = self.schema.relation(field.rel_id).source else {
             return false;
         };
-        let target_name = &self.catalog.table_by_id(target_tid).name;
-        for &(a, b) in &chain.join_edges {
-            for (mine, other) in [(a, b), (b, a)] {
-                if self.schema.rel_of(mine) != rel {
-                    continue;
-                }
-                let other_field = self.schema.field(other);
-                let RelationSource::Table(src_tid) =
-                    self.schema.relation(other_field.rel_id).source
-                else {
-                    continue;
-                };
-                let src = self.catalog.table_by_id(src_tid);
-                for fk in &src.foreign_keys {
-                    if fk.ref_table.eq_ignore_ascii_case(target_name)
-                        && fk
-                            .columns
-                            .iter()
-                            .any(|c| c.eq_ignore_ascii_case(&other_field.name))
-                    {
-                        return true;
-                    }
-                }
-            }
-        }
-        false
+        self.catalog.table_by_id(src).foreign_keys.iter().any(|fk| {
+            fk.ref_table.eq_ignore_ascii_case(&target.name)
+                && fk
+                    .columns
+                    .iter()
+                    .any(|c| c.eq_ignore_ascii_case(&field.name))
+        })
     }
 
     /// The fold target: the leg whose remote operator may absorb the
@@ -912,33 +836,20 @@ impl<'a> Phase2<'a> {
         if !chain.residual.is_empty() || matches!(chain.top, TopOp::Aggregate { .. }) {
             return None;
         }
-        let sort_rel: Option<RelId> = if chain.sort.is_empty() {
-            None
-        } else {
-            let rels: BTreeSet<RelId> = chain
-                .sort
-                .iter()
-                .map(|(f, _)| self.schema.rel_of(*f))
-                .collect();
-            if rels.len() == 1 {
-                Some(rels.into_iter().next().unwrap())
-            } else {
-                return None; // multi-relation sort: LocalSort, no fold
-            }
-        };
-        for i in 0..chain.legs.len() {
-            let sort_ok = sort_rel.map(|r| r == chain.legs[i].rel).unwrap_or(true);
-            let suffix_pure = ((i + 1)..chain.legs.len()).all(|j| fk[j].pure);
-            if sort_ok && suffix_pure {
-                return Some(i);
-            }
+        let mut sort_rels = chain.sort.iter().map(|(f, _)| self.schema.rel_of(*f));
+        let sort_rel = sort_rels.next();
+        if sort_rels.any(|r| Some(r) != sort_rel) {
+            return None; // multi-relation sort: LocalSort, no fold
         }
-        None
+        (0..chain.legs.len()).find(|&i| {
+            sort_rel.is_none_or(|r| r == chain.legs[i].rel)
+                && ((i + 1)..chain.legs.len()).all(|j| fk[j].pure)
+        })
     }
 
-    fn needed_fields(&self, chain: &Chain) -> BTreeMap<RelId, BTreeSet<ColumnId>> {
-        let mut needed: BTreeMap<RelId, BTreeSet<ColumnId>> = BTreeMap::new();
-        let add_field = |f: FieldId, needed: &mut BTreeMap<RelId, BTreeSet<ColumnId>>| {
+    fn needed_fields(&self, chain: &Chain) -> Needed {
+        let mut needed = Needed::new();
+        let add_field = |f: FieldId, needed: &mut Needed| {
             let field = self.schema.field(f);
             if let Some(col) = field.column {
                 needed.entry(field.rel_id).or_default().insert(col);
@@ -990,18 +901,29 @@ impl<'a> Phase2<'a> {
             .ok_or_else(|| OptError::Internal(format!("field {fid} missing from layout")))
     }
 
-    fn remap_preds(&self, preds: &[BoundPredicate], layout: &[FieldId]) -> Vec<BoundPredicate> {
-        preds
+    /// `plan` under a local filter for `preds` (remapped to positions in
+    /// `layout`), or `plan` itself when there are none.
+    fn filtered(
+        &self,
+        plan: PhysicalPlan,
+        preds: &[BoundPredicate],
+        layout: &[FieldId],
+    ) -> Result<PhysicalPlan, OptError> {
+        if preds.is_empty() {
+            return Ok(plan);
+        }
+        let pos: BTreeMap<FieldId, usize> = preds
             .iter()
-            .map(|p| {
-                p.remap(|f| {
-                    layout
-                        .iter()
-                        .position(|&x| x == f)
-                        .expect("predicate field present in layout")
-                })
-            })
-            .collect()
+            .flat_map(|p| p.fields())
+            .map(|f| Ok((f, self.pos_of(layout, f)?)))
+            .collect::<Result<_, OptError>>()?;
+        let bounds = OpBounds::local(plan.bounds().tuples);
+        Ok(PhysicalPlan::LocalSelection {
+            child: Box::new(plan),
+            predicates: preds.iter().map(|p| p.remap(|f| pos[&f])).collect(),
+            layout: layout.to_vec(),
+            bounds,
+        })
     }
 
     fn apply_local_sort(
@@ -1013,12 +935,7 @@ impl<'a> Phase2<'a> {
             .iter()
             .map(|(f, d)| Ok::<_, OptError>((self.pos_of(&build.layout, *f)?, *d)))
             .collect::<Result<_, _>>()?;
-        let bounds = OpBounds {
-            requests: 0,
-            rounds: 0,
-            tuples: build.plan.bounds().tuples,
-            bytes: 0,
-        };
+        let bounds = OpBounds::local(build.plan.bounds().tuples);
         build.plan = PhysicalPlan::LocalSort {
             child: Box::new(build.plan),
             keys,
@@ -1087,70 +1004,56 @@ impl<'a> Phase2<'a> {
         })
     }
 
-    fn insight_join(&self, table: &TableDef, leg: &Leg, problem: &str) -> OptError {
+    /// A join no bound covers. The suggested limit is on the probe columns,
+    /// the ones the per-key bound is looked up on.
+    fn insight_join(
+        &self,
+        table: &TableDef,
+        leg: &Leg,
+        probe: &BTreeSet<ColumnId>,
+        problem: &str,
+    ) -> OptError {
         let binding = self.schema.relation(leg.rel).binding.clone();
-        // suggest a cardinality limit on the probe columns
-        let cols: Vec<String> = {
-            let eq: Vec<String> = leg_eq_columns(self.schema, leg)
-                .into_iter()
-                .map(|(c, _)| table.columns[c].name.clone())
-                .collect();
-            if eq.is_empty() {
-                table.primary_key.clone()
-            } else {
-                eq
-            }
-        };
+        let mut suggestions = Vec::new();
+        if !probe.is_empty() {
+            suggestions.push(Suggestion::AddCardinalityLimit {
+                table: table.name.clone(),
+                columns: probe
+                    .iter()
+                    .map(|&c| table.columns[c].name.clone())
+                    .collect(),
+            });
+        }
+        suggestions.push(Suggestion::AddLimitOrPaginate);
         OptError::NotScaleIndependent(InsightReport {
             problem: format!("{problem} (joining relation '{binding}')"),
             relation: Some(binding),
-            suggestions: vec![
-                Suggestion::AddCardinalityLimit {
-                    table: table.name.clone(),
-                    columns: cols,
-                },
-                Suggestion::AddLimitOrPaginate,
-            ],
+            suggestions,
         })
     }
 }
 
-struct FkInfo {
-    fk_possible: bool,
-    pure: bool,
+/// The join edges a lookup on `key` does not consume: each edge on a column
+/// outside the key, and each edge after the first on the same column. The
+/// joined rows must still be checked against them.
+fn unkeyed<'e, T>(
+    edges: &'e [(ColumnId, T)],
+    key: &'e [ColumnId],
+) -> impl Iterator<Item = &'e (ColumnId, T)> {
+    edges.iter().enumerate().filter_map(move |(i, edge)| {
+        let repeat = edges[..i].iter().any(|(c, _)| *c == edge.0);
+        (repeat || !key.contains(&edge.0)).then_some(edge)
+    })
 }
 
-fn local_selection(
-    child: PhysicalPlan,
-    predicates: Vec<BoundPredicate>,
-    layout: Vec<FieldId>,
-) -> PhysicalPlan {
-    let b = child.bounds();
-    PhysicalPlan::LocalSelection {
-        child: Box::new(child),
-        predicates,
-        layout,
-        bounds: OpBounds {
-            requests: 0,
-            rounds: 0,
-            tuples: b.tuples,
-            bytes: 0,
-        },
-    }
-}
-
-fn local_stop(child: PhysicalPlan, count: u64, layout: Vec<FieldId>) -> PhysicalPlan {
-    let b = child.bounds();
+fn local_stop(child: PhysicalPlan, stop: &Stop, layout: Vec<FieldId>) -> PhysicalPlan {
+    let bounds = OpBounds::local(child.bounds().tuples.min(stop.count));
     PhysicalPlan::LocalStop {
         child: Box::new(child),
-        count,
+        count: stop.count,
+        provenance: stop.provenance.clone(),
         layout,
-        bounds: OpBounds {
-            requests: 0,
-            rounds: 0,
-            tuples: b.tuples.min(count),
-            bytes: 0,
-        },
+        bounds,
     }
 }
 

@@ -34,8 +34,20 @@ pub struct OpBounds {
     pub bytes: u64,
 }
 
+impl OpBounds {
+    /// A local operator's bounds: no store traffic, at most `tuples` out.
+    pub(crate) fn local(tuples: u64) -> OpBounds {
+        OpBounds {
+            tuples,
+            ..OpBounds::default()
+        }
+    }
+}
+
 /// Whole-plan bounds. `guaranteed` is false only for cost-based baseline
-/// plans, whose "bounds" are statistics-based estimates (§8.3).
+/// plans, whose "bounds" are statistics-based estimates (§8.3): some
+/// operator's [`PhysicalPlan::justified_limit`] is a
+/// [`Provenance::Estimate`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct QueryBounds {
     pub requests: u64,
@@ -234,9 +246,11 @@ pub enum PhysicalPlan {
         layout: Vec<FieldId>,
         bounds: OpBounds,
     },
+    /// The query's `LIMIT`/`PAGINATE` where no remote operator folded it.
     LocalStop {
         child: Box<PhysicalPlan>,
         count: u64,
+        provenance: Provenance,
         layout: Vec<FieldId>,
         bounds: OpBounds,
     },
@@ -298,20 +312,55 @@ impl PhysicalPlan {
         }
     }
 
+    /// Visit every operator bottom-up: children before their parent.
+    pub(crate) fn walk<'a>(&'a self, f: &mut impl FnMut(&'a PhysicalPlan)) {
+        if let Some(c) = self.child() {
+            c.walk(f);
+        }
+        f(self);
+    }
+
     /// Remote operators in execution order (bottom-up) — the sequence the
     /// SLO predictor convolves (§6.2).
     pub fn remote_ops(&self) -> Vec<&PhysicalPlan> {
         let mut ops = Vec::new();
-        fn walk<'a>(p: &'a PhysicalPlan, out: &mut Vec<&'a PhysicalPlan>) {
-            if let Some(c) = p.child() {
-                walk(c, out);
-            }
+        self.walk(&mut |p| {
             if p.theta().is_some() {
-                out.push(p);
+                ops.push(p);
             }
-        }
-        walk(self, &mut ops);
+        });
         ops
+    }
+
+    /// The static limit this operator's bound rests on, and what justifies
+    /// it: a scan's limit hint, a sorted join's per-probe fetch, a parameter
+    /// list's declared maximum, an unfolded `LIMIT`/`PAGINATE`. A cost-based
+    /// plan's unbounded scan or join answers its statistics estimate.
+    /// `None` for an FK join, whose bound is structural (one get per child
+    /// tuple), and for the local operators that only pass rows on. The
+    /// query's class and whether its bounds are guaranteed are read from
+    /// these provenances; so is the auditor's derivation tree.
+    pub fn justified_limit(&self) -> Option<(u64, Provenance)> {
+        match self {
+            PhysicalPlan::ParamSource { param, max, .. } => Some((
+                *max,
+                Provenance::ParamMax {
+                    param: param.name.clone(),
+                    max: *max,
+                },
+            )),
+            PhysicalPlan::IndexScan { spec, .. } => Some(match &spec.limit {
+                ScanLimit::Bounded { count, provenance } => (*count, provenance.clone()),
+                ScanLimit::Unbounded { estimate } => (*estimate, Provenance::Estimate),
+            }),
+            PhysicalPlan::SortedIndexJoin { spec, .. } => {
+                Some((spec.per_key, spec.per_key_provenance.clone()))
+            }
+            PhysicalPlan::LocalStop {
+                count, provenance, ..
+            } => Some((*count, provenance.clone())),
+            _ => None,
+        }
     }
 
     /// The §6.1 coordinates `(α_c, α_j, β)` a remote operator is modeled
@@ -332,28 +381,26 @@ impl PhysicalPlan {
         }
     }
 
-    /// Sum the per-operator bounds into whole-query totals.
-    pub fn total_bounds(&self, guaranteed: bool) -> QueryBounds {
-        let mut requests = 0u64;
-        let mut rounds = 0u64;
-        let mut bytes = 0u64;
-        fn walk(p: &PhysicalPlan, req: &mut u64, rnd: &mut u64, by: &mut u64) {
-            if let Some(c) = p.child() {
-                walk(c, req, rnd, by);
-            }
-            let b = p.bounds();
-            *req = req.saturating_add(b.requests);
-            *rnd = rnd.saturating_add(b.rounds);
-            *by = by.saturating_add(b.bytes);
-        }
-        walk(self, &mut requests, &mut rounds, &mut bytes);
-        QueryBounds {
-            requests,
-            rounds,
+    /// Sum the per-operator bounds into whole-query totals; they are
+    /// guaranteed unless some operator's limit is a statistics estimate.
+    pub fn total_bounds(&self) -> QueryBounds {
+        let mut total = QueryBounds {
+            requests: 0,
+            rounds: 0,
             tuples: self.bounds().tuples,
-            bytes,
-            guaranteed,
-        }
+            bytes: 0,
+            guaranteed: true,
+        };
+        self.walk(&mut |p| {
+            let b = p.bounds();
+            total.requests = total.requests.saturating_add(b.requests);
+            total.rounds = total.rounds.saturating_add(b.rounds);
+            total.bytes = total.bytes.saturating_add(b.bytes);
+            if let Some((_, Provenance::Estimate)) = p.justified_limit() {
+                total.guaranteed = false;
+            }
+        });
+        total
     }
 
     /// Render with resolved names, Figure 3(d)-style.

@@ -1,6 +1,6 @@
 //! End-to-end compiler tests on the paper's own queries.
 
-use piql_core::catalog::{Catalog, Statistics, TableDef, TableStats};
+use piql_core::catalog::{CardinalityConstraint, Catalog, Statistics, TableDef, TableStats};
 use piql_core::opt::{Optimizer, QueryClass, Suggestion};
 use piql_core::parser::parse_select;
 use piql_core::plan::physical::{PhysicalPlan, ScanLimit};
@@ -217,6 +217,11 @@ fn subscriber_intersection_bounded_vs_cost_based() {
     let explain = c.explain();
     assert!(c.bounds.guaranteed);
     assert_eq!(c.bounds.requests, 50, "50 random reads max:\n{explain}");
+    assert_eq!(
+        c.class,
+        QueryClass::Bounded,
+        "the only bound is [friends MAX 50]:\n{explain}"
+    );
     let mut saw_fk = false;
     let mut node = &c.physical;
     loop {
@@ -253,6 +258,310 @@ fn subscriber_intersection_bounded_vs_cost_based() {
             );
         }
         other => panic!("expected unbounded IndexScan, got {other:?}"),
+    }
+}
+
+/// TPC-W's promotions read: its only bound is the parameter maximum, so it
+/// is Class II, as the `[promo MAX 5]` node of its derivation says.
+#[test]
+fn a_parameter_maximum_makes_a_lookup_class_ii() {
+    let mut cat = Catalog::new();
+    cat.create_table(
+        TableDef::builder("item")
+            .column("i_id", DataType::Int)
+            .column("i_title", DataType::Varchar(60))
+            .primary_key(&["i_id"])
+            .build(),
+    )
+    .unwrap();
+    let q = parse_select("SELECT i_id, i_title FROM item WHERE i_id IN [1: promo MAX 5]").unwrap();
+    let c = Optimizer::scale_independent().compile(&cat, &q).unwrap();
+    assert!(
+        matches!(c.physical.child(), Some(PhysicalPlan::IndexFKJoin { .. })),
+        "{}",
+        c.explain()
+    );
+    assert_eq!(c.bounds.requests, 5);
+    assert_eq!(c.class, QueryClass::Bounded, "{}", c.explain());
+    assert!(c.class.derivation().contains("parameter maximum"));
+}
+
+/// `docs(d_owner, d_id, d_text)` with a `TOKEN(d_text)` limit of 20.
+fn docs_catalog() -> Catalog {
+    let mut cat = scadr_catalog();
+    cat.create_table(
+        TableDef::builder("docs")
+            .column("d_owner", DataType::Varchar(32))
+            .column("d_id", DataType::Int)
+            .column("d_text", DataType::Varchar(140))
+            .primary_key(&["d_owner", "d_id"])
+            .cardinality_limit(20, &["token:d_text"])
+            .build(),
+    )
+    .unwrap();
+    cat
+}
+
+#[test]
+fn a_token_limit_bounds_a_joined_relation_too() {
+    let cat = docs_catalog();
+    let opt = Optimizer::scale_independent();
+    let alone = parse_select("SELECT * FROM docs d WHERE d.d_text LIKE 'word'").unwrap();
+    let alone = opt.compile(&cat, &alone).unwrap();
+    assert!(
+        alone.explain().contains("limitHint=20"),
+        "{}",
+        alone.explain()
+    );
+
+    let joined = parse_select(
+        "SELECT * FROM users u JOIN docs d \
+         WHERE d.d_owner = u.username AND u.username = <u> AND d.d_text LIKE 'word'",
+    )
+    .unwrap();
+    let c = opt
+        .compile(&cat, &joined)
+        .unwrap_or_else(|e| panic!("the token limit bounds each probe: {e}"));
+    let explain = c.explain();
+    assert!(
+        explain.contains("perKey=20 [CARDINALITY LIMIT 20 (TOKEN(d_text))]"),
+        "{explain}"
+    );
+    assert_eq!(c.class, QueryClass::Bounded);
+}
+
+/// Users, subscriptions and thoughts with no `CARDINALITY LIMIT`, plus
+/// `limit` (table, columns) when given.
+fn unconstrained_catalog(limit: Option<(&str, &[String])>) -> Catalog {
+    let mut cat = Catalog::new();
+    for mut table in [
+        TableDef::builder("users")
+            .column("username", DataType::Varchar(32))
+            .primary_key(&["username"])
+            .build(),
+        TableDef::builder("subscriptions")
+            .column("owner", DataType::Varchar(32))
+            .column("target", DataType::Varchar(32))
+            .column("approved", DataType::Bool)
+            .primary_key(&["owner", "target"])
+            .build(),
+        TableDef::builder("thoughts")
+            .column("owner", DataType::Varchar(32))
+            .column("timestamp", DataType::Timestamp)
+            .primary_key(&["owner", "timestamp"])
+            .build(),
+    ] {
+        if let Some((_, columns)) = limit.filter(|(name, _)| *name == table.name) {
+            table.cardinality_constraints.push(CardinalityConstraint {
+                limit: 7,
+                columns: columns.to_vec(),
+            });
+        }
+        cat.create_table(table).unwrap();
+    }
+    cat
+}
+
+#[test]
+fn declaring_the_suggested_join_limit_makes_the_join_compile() {
+    let opt = Optimizer::scale_independent();
+    for sql in [
+        "SELECT * FROM users u JOIN subscriptions s WHERE s.owner = u.username AND u.username = <u>",
+        "SELECT * FROM users u JOIN thoughts t WHERE t.owner = u.username AND u.username = <u>",
+        "SELECT * FROM users u JOIN subscriptions s \
+         WHERE s.target = u.username AND s.approved = true AND u.username = <u>",
+    ] {
+        let q = parse_select(sql).unwrap();
+        let err = opt.compile(&unconstrained_catalog(None), &q).unwrap_err();
+        let report = err.insight().expect("an insight report");
+        assert!(report.problem.contains("per join key"), "{sql}: {report}");
+        let (table, columns) = report
+            .suggestions
+            .iter()
+            .find_map(|s| match s {
+                Suggestion::AddCardinalityLimit { table, columns } => Some((table, columns)),
+                _ => None,
+            })
+            .unwrap_or_else(|| panic!("{sql}: no limit suggested: {report}"));
+        let cat = unconstrained_catalog(Some((table, columns)));
+        let c = opt.compile(&cat, &q).unwrap_or_else(|e| {
+            panic!("{sql}: still rejected after declaring ({columns:?}) on {table}: {e}")
+        });
+        assert_eq!(c.class, QueryClass::Bounded, "{sql}");
+    }
+}
+
+#[test]
+fn in_lists_never_panic_and_their_order_does_not_matter() {
+    let mut cat = Catalog::new();
+    cat.create_table(
+        TableDef::builder("users")
+            .column("username", DataType::Varchar(32))
+            .column("home_town", DataType::Varchar(64))
+            .primary_key(&["username"])
+            .cardinality_limit(10, &["home_town"])
+            .build(),
+    )
+    .unwrap();
+    let opt = Optimizer::scale_independent();
+    let compile = |sql: &str| opt.compile(&cat, &parse_select(sql).unwrap());
+    let one =
+        compile("SELECT * FROM users WHERE username IN [1: a MAX 5] AND home_town IN [2: b MAX 3]")
+            .unwrap();
+    let other =
+        compile("SELECT * FROM users WHERE home_town IN [2: b MAX 3] AND username IN [1: a MAX 5]")
+            .unwrap();
+    assert_eq!(one.physical, other.physical, "{}", other.explain());
+    let explain = one.explain();
+    assert!(explain.contains("ParamSource([1: a MAX 5]"), "{explain}");
+    assert!(
+        explain.contains("LocalSelection(users.home_town IN"),
+        "{explain}"
+    );
+    assert_eq!(one.bounds.requests, 5);
+
+    // two lists on one column, and lists on two joined relations: each is a
+    // typed answer
+    compile("SELECT * FROM users WHERE username IN [1: a MAX 5] AND username IN [2: b MAX 3]")
+        .unwrap();
+    let cat = scadr_catalog();
+    let joined = parse_select(
+        "SELECT * FROM subscriptions s JOIN users u \
+         WHERE u.username = s.target AND s.owner IN [1: a MAX 5] AND u.username IN [2: b MAX 3]",
+    )
+    .unwrap();
+    // the key list is rewritten (one row per value beats 100 per owner), so
+    // `s` is probed by `target` alone, which nothing bounds
+    let err = opt.compile(&cat, &joined).unwrap_err();
+    let report = err.insight().expect("an insight report");
+    assert_eq!(report.relation.as_deref(), Some("s"), "{report}");
+    assert!(report.problem.contains("per join key"), "{report}");
+}
+
+/// A list on a relation whose equalities already pin its primary key stays
+/// a local filter: the point read is one request, and the list cannot be
+/// dropped by a key lookup that never reads `home_town`.
+#[test]
+fn an_in_list_on_a_pinned_row_stays_a_filter() {
+    let cat = scadr_catalog();
+    let q = parse_select("SELECT * FROM users WHERE username = <u> AND home_town IN [2: t MAX 3]")
+        .unwrap();
+    let c = Optimizer::scale_independent().compile(&cat, &q).unwrap();
+    let explain = c.explain();
+    let Some(PhysicalPlan::LocalSelection { child, .. }) = c.physical.child() else {
+        panic!("expected a local filter under the projection:\n{explain}");
+    };
+    assert!(
+        matches!(child.as_ref(), PhysicalPlan::IndexScan { .. }),
+        "{explain}"
+    );
+    assert!(
+        explain.contains("LocalSelection(users.home_town IN"),
+        "{explain}"
+    );
+    assert_eq!(c.bounds.requests, 1, "{explain}");
+    assert_eq!(c.class, QueryClass::Constant, "{explain}");
+}
+
+/// The operators from the root down, each node's child next.
+fn spine(plan: &PhysicalPlan) -> Vec<&PhysicalPlan> {
+    std::iter::successors(Some(plan), |p| p.child()).collect()
+}
+
+/// A join's key reads some of its edges and equalities; every one it does
+/// not read is checked on the joined row.
+#[test]
+fn a_join_checks_every_edge_and_equality_its_key_does_not_read() {
+    let cat = scadr_catalog();
+    let opt = Optimizer::scale_independent();
+    for sql in [
+        // FK join on username; home_town is no key column
+        "SELECT * FROM subscriptions s JOIN users u \
+         WHERE s.owner = <o> AND u.username = s.target AND u.home_town = s.owner",
+        // sorted join keyed by the edge on owner; 'bob' is checked locally
+        "SELECT * FROM users u JOIN subscriptions s \
+         WHERE u.username = <u> AND s.owner = u.username AND s.owner = 'bob'",
+    ] {
+        let c = opt.compile(&cat, &parse_select(sql).unwrap()).unwrap();
+        let explain = c.explain();
+        let Some(PhysicalPlan::LocalSelection { child, .. }) = c.physical.child() else {
+            panic!("{sql}: expected a local filter over the join:\n{explain}");
+        };
+        assert!(
+            matches!(
+                child.as_ref(),
+                PhysicalPlan::IndexFKJoin { .. } | PhysicalPlan::SortedIndexJoin { .. }
+            ),
+            "{sql}:\n{explain}"
+        );
+    }
+}
+
+/// A standard stop lands on a remote operator only when every join above
+/// it keeps the row count. Otherwise it runs locally, on top.
+#[test]
+fn a_limit_is_folded_only_below_count_preserving_joins() {
+    let mut cat = Catalog::new();
+    for table in [
+        TableDef::builder("a")
+            .column("a_id", DataType::Int)
+            .column("a_grp", DataType::Int)
+            .column("a_b", DataType::Int)
+            .primary_key(&["a_id"])
+            .cardinality_limit(50, &["a_grp"])
+            .build(),
+        // b and c are one entity split in two: each points at the other
+        TableDef::builder("b")
+            .column("b_id", DataType::Int)
+            .column("b_c", DataType::Int)
+            .primary_key(&["b_id"])
+            .foreign_key(&["b_c"], "c")
+            .build(),
+        TableDef::builder("c")
+            .column("c_id", DataType::Int)
+            .primary_key(&["c_id"])
+            .foreign_key(&["c_id"], "b")
+            .build(),
+    ] {
+        cat.create_table(table).unwrap();
+    }
+    let opt = Optimizer::scale_independent();
+    // `a` declares no FK onto b, so an `a_b` may dangle and the join to b
+    // drop the row; only c, placed after b, declares one onto b
+    let q = parse_select(
+        "SELECT * FROM a JOIN b JOIN c \
+         WHERE a.a_grp = <g> AND b.b_id = a.a_b AND c.c_id = b.b_c LIMIT 5",
+    )
+    .unwrap();
+    let c = opt.compile(&cat, &q).unwrap();
+    let explain = c.explain();
+    let ops = spine(&c.physical);
+    let Some(PhysicalPlan::IndexScan { spec, .. }) = ops.last() else {
+        panic!("expected a scan of a at the bottom:\n{explain}");
+    };
+    assert_eq!(spec.limit.count_or_estimate(), 50, "{explain}");
+    assert!(
+        matches!(ops[1], PhysicalPlan::LocalStop { count: 5, .. }),
+        "{explain}"
+    );
+
+    // an operator the fold leg cannot absorb the stop into: a filtered
+    // scan, and an FK join from a parameter list
+    let cat = scadr_catalog();
+    for sql in [
+        "SELECT * FROM subscriptions WHERE owner = <o> AND target <> 'bob' LIMIT 3",
+        "SELECT * FROM users WHERE username IN [1: u MAX 5] LIMIT 3",
+    ] {
+        let c = opt.compile(&cat, &parse_select(sql).unwrap()).unwrap();
+        let explain = c.explain();
+        assert!(
+            matches!(
+                c.physical.child(),
+                Some(PhysicalPlan::LocalStop { count: 3, .. })
+            ),
+            "{sql}:\n{explain}"
+        );
+        assert_eq!(c.bounds.tuples, 3, "{sql}:\n{explain}");
     }
 }
 
