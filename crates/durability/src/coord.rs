@@ -143,9 +143,9 @@ pub struct RecoveredState {
 impl RecoveredState {
     /// Load the recovered KV state into `cluster`. Call *after* the
     /// embedder's bootstrap (which must create namespaces in the same
-    /// order as the original boot — verified via recorded ids). Snapshot
-    /// namespaces are cleared before loading so boot-time seed rows that
-    /// were deleted pre-snapshot stay deleted.
+    /// order as the original boot — verified via recorded ids). A snapshot
+    /// namespace replaces what the namespace held, so boot-time seed rows
+    /// that were deleted pre-snapshot stay deleted.
     pub fn apply_kv(&self, cluster: &LiveCluster) -> io::Result<u64> {
         let mut applied = 0u64;
         let mut known = 0u32;
@@ -154,11 +154,8 @@ impl RecoveredState {
             if id.0 as usize != idx {
                 return Err(ns_mismatch(name, idx as u32, id.0));
             }
-            cluster.reset_namespace(id);
-            for (k, v) in entries {
-                cluster.bulk_put(id, k.clone(), v.clone());
-                applied += 1;
-            }
+            cluster.load_namespace(id, entries);
+            applied += entries.len() as u64;
             known = known.max(id.0 + 1);
         }
         for rec in &self.kv_tail {
@@ -174,7 +171,7 @@ impl RecoveredState {
                     if *ns >= known {
                         return Err(unknown_ns(*ns));
                     }
-                    cluster.bulk_put(NsId(*ns), key.clone(), value.clone());
+                    cluster.bulk_load(NsId(*ns), key, value);
                     applied += 1;
                 }
                 WalRecord::Delete { ns, key } => {

@@ -11,7 +11,7 @@
 //!
 //! * Each namespace is split into **contiguous key-range shards** at
 //!   explicit split points (initially `shards_per_namespace` leading-byte
-//!   stripes), each an ordered map under its own `RwLock`. Point
+//!   stripes), each an ordered set of entries under its own `RwLock`. Point
 //!   operations binary-search the split points and touch exactly one
 //!   shard; range scans walk the overlapping shards in key order, so lock
 //!   contention is striped while scan semantics stay identical to a single
@@ -51,7 +51,9 @@ use crate::store::byte_range;
 use crate::wal::WalSink;
 use piql_analysis::ordered::RwLock;
 use piql_analysis::rank;
-use std::collections::BTreeMap;
+use std::borrow::Borrow;
+use std::collections::{BTreeMap, BTreeSet};
+use std::ptr::NonNull;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -163,8 +165,124 @@ impl WalHook {
     }
 }
 
+/// One stored entry: the key and then the value in one exactly-sized heap
+/// allocation, which the entry owns. Its shard slot holds where that
+/// allocation starts, how long it is and where the key ends — 16 bytes,
+/// where a `(Vec<u8>, Vec<u8>)` pair took a 48-byte slot and two
+/// allocations. With the key's length in the slot, a search compares keys
+/// without first reading anything else from the heap.
+///
+/// An entry is equal to, ordered like and borrowed as its key alone, so a
+/// shard is a set of entries that answers every key-slice lookup and range
+/// a map keyed by `Vec<u8>` did; the value never takes part in the order.
+struct Entry {
+    /// Start of the `len` bytes that [`Entry::new`] took from a
+    /// `Box<[u8]>`; owned by this entry and never written again.
+    ptr: NonNull<u8>,
+    len: u32,
+    key_len: u32,
+}
+
+const _: () = assert!(std::mem::size_of::<Entry>() == 16);
+
+// SAFETY: an entry owns its bytes alone, as the `Box<[u8]>` they came from
+// did, and never writes them after construction: sending it moves that
+// ownership, and sharing it only reads.
+unsafe impl Send for Entry {}
+// SAFETY: as above.
+unsafe impl Sync for Entry {}
+
+impl Entry {
+    /// `key`'s own buffer, grown in place to hold the entry: room for
+    /// exactly `value` is reserved, so building it costs that one growth
+    /// (none for an empty value) and no copy of the key into a fresh
+    /// buffer.
+    fn new(mut key: Vec<u8>, value: &[u8]) -> Entry {
+        let len = u32::try_from(key.len() + value.len())
+            .expect("a stored entry is under 4 GiB: requests arrive in frames of at most 64 MiB");
+        // at most `len`, which fits
+        let key_len = key.len() as u32;
+        key.reserve_exact(value.len());
+        key.extend_from_slice(value);
+        let bytes: &'static mut [u8] = Box::leak(key.into_boxed_slice());
+        Entry {
+            ptr: NonNull::from(bytes).cast(),
+            len,
+            key_len,
+        }
+    }
+
+    /// An entry copied from borrowed bytes: one allocation, sized exactly.
+    fn copied(key: &[u8], value: &[u8]) -> Entry {
+        let mut buf = Vec::with_capacity(key.len() + value.len());
+        buf.extend_from_slice(key);
+        Entry::new(buf, value)
+    }
+
+    /// `(key, value)`, both slices of the one allocation.
+    fn parts(&self) -> (&[u8], &[u8]) {
+        // SAFETY: `ptr` starts the `len` initialised bytes `new` leaked,
+        // which this entry owns until `drop` and nothing writes
+        let bytes = unsafe { std::slice::from_raw_parts(self.ptr.as_ptr(), self.len as usize) };
+        bytes.split_at(self.key_len as usize)
+    }
+
+    fn key(&self) -> &[u8] {
+        self.parts().0
+    }
+
+    fn value(&self) -> &[u8] {
+        self.parts().1
+    }
+}
+
+impl Drop for Entry {
+    fn drop(&mut self) {
+        let bytes = std::ptr::slice_from_raw_parts_mut(self.ptr.as_ptr(), self.len as usize);
+        // SAFETY: `bytes` is the whole `Box<[u8]>` `new` leaked, owned by
+        // this entry alone and given back once, here
+        drop(unsafe { Box::from_raw(bytes) });
+    }
+}
+
+impl Clone for Entry {
+    fn clone(&self) -> Entry {
+        let (key, value) = self.parts();
+        Entry::copied(key, value)
+    }
+}
+
+impl Borrow<[u8]> for Entry {
+    fn borrow(&self) -> &[u8] {
+        self.key()
+    }
+}
+
+impl PartialEq for Entry {
+    fn eq(&self, other: &Self) -> bool {
+        self.key() == other.key()
+    }
+}
+
+impl Eq for Entry {}
+
+impl PartialOrd for Entry {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Entry {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        self.key().cmp(other.key())
+    }
+}
+
+/// One shard's entries, in key order.
+type Shard = BTreeSet<Entry>;
+
 /// One immutable routing generation of a namespace: explicit split points
-/// and the shard maps they route to — the same [`SplitPoints`] the
+/// and the shards they route to — the same [`SplitPoints`] the
 /// simulator's partitions route by, so a key or an interval visits the
 /// same parts on both stores.
 ///
@@ -177,7 +295,7 @@ impl WalHook {
 struct ShardSet {
     /// `shards.len() == splits.parts()`.
     splits: SplitPoints,
-    shards: Vec<RwLock<BTreeMap<Vec<u8>, Vec<u8>>>>,
+    shards: Vec<RwLock<Shard>>,
     /// Storage operations served per shard by this generation — the skew
     /// signal [`NsBalance`] reports; starts at zero when a rebalance
     /// installs the generation.
@@ -185,23 +303,31 @@ struct ShardSet {
 }
 
 impl ShardSet {
-    fn from_maps(splits: SplitPoints, maps: Vec<BTreeMap<Vec<u8>, Vec<u8>>>) -> Self {
-        debug_assert_eq!(maps.len(), splits.parts());
-        let ops = (0..maps.len()).map(|_| AtomicU64::new(0)).collect();
+    /// A generation holding `sorted`, which arrives in key order, cut at
+    /// `splits`: each shard is bulk-built from the run its split points
+    /// give it, and every entry moves in.
+    fn cut(splits: SplitPoints, sorted: impl Iterator<Item = Entry>) -> Self {
+        let mut entries = sorted.peekable();
+        let shards: Vec<_> = (0..splits.parts())
+            .map(|part| {
+                let run =
+                    std::iter::from_fn(|| entries.next_if(|e| splits.part_of(e.key()) == part));
+                RwLock::new(rank::KV_SHARD, "kv.shard", run.collect())
+            })
+            .collect();
+        assert!(entries.peek().is_none(), "cut entries arrive in key order");
+        let ops = (0..shards.len()).map(|_| AtomicU64::new(0)).collect();
         ShardSet {
             splits,
-            shards: maps
-                .into_iter()
-                .map(|m| RwLock::new(rank::KV_SHARD, "kv.shard", m))
-                .collect(),
+            shards,
             ops,
         }
     }
 
-    /// The pre-rebalance default: contiguous leading-byte stripes,
-    /// expressed as explicit split points (`n = 4` → splits at `[64]`,
-    /// `[128]`, `[192]`).
-    fn striped(shards: usize) -> Self {
+    /// The pre-rebalance default, holding `sorted`: contiguous
+    /// leading-byte stripes, expressed as explicit split points (`n = 4` →
+    /// splits at `[64]`, `[128]`, `[192]`).
+    fn striped(shards: usize, sorted: impl Iterator<Item = Entry>) -> Self {
         let n = shards.max(1);
         let mut splits: Vec<Vec<u8>> = (1..n)
             .map(|i| vec![((i * 256).div_ceil(n)).min(255) as u8])
@@ -209,36 +335,26 @@ impl ShardSet {
         // > 256 stripes would repeat boundary bytes; collapse the
         // permanently empty shards between duplicates
         splits.dedup();
-        let maps = (0..splits.len() + 1).map(|_| BTreeMap::new()).collect();
-        ShardSet::from_maps(SplitPoints::new(splits), maps)
+        ShardSet::cut(SplitPoints::new(splits), sorted)
     }
 
-    /// A generation holding `maps`' entries — the retiring generation's
-    /// shards, in index order — re-split at the quantiles of their keys:
-    /// the Director's job, learned by the same pick as the simulator's,
-    /// over a strided sample when the namespace is large. Shards are
-    /// contiguous ranges, so the entries arrive in global key order and
-    /// each new shard is bulk-built from the sorted run its split points
-    /// give it: every key and value moves, none is copied.
-    fn regrouped(maps: Vec<BTreeMap<Vec<u8>, Vec<u8>>>, parts: usize) -> Self {
-        let total: usize = maps.iter().map(BTreeMap::len).sum();
+    /// A generation holding `retired`'s entries — the retiring
+    /// generation's shards (or copies of them), in index order — re-split
+    /// at the quantiles of their keys: the Director's job, learned by the
+    /// same pick as the simulator's, over a strided sample when the
+    /// namespace is large. Shards are contiguous ranges, so the entries
+    /// arrive in global key order, ready to be cut.
+    fn regrouped<S>(retired: Vec<S>, parts: usize) -> Self
+    where
+        S: IntoIterator<Item = Entry>,
+        for<'s> &'s S: IntoIterator<Item = &'s Entry>,
+    {
+        let total = retired.iter().flatten().count();
         let stride = total.div_ceil(SPLIT_SAMPLE_CAP).max(1);
         let mut sample: Vec<&[u8]> = Vec::with_capacity(total.div_ceil(stride));
-        sample.extend(
-            maps.iter()
-                .flat_map(BTreeMap::keys)
-                .step_by(stride)
-                .map(Vec::as_slice),
-        );
+        sample.extend(retired.iter().flatten().step_by(stride).map(Entry::key));
         let splits = SplitPoints::at_quantiles(sample.into_iter(), parts);
-        let mut entries = maps.into_iter().flatten().peekable();
-        let shards = (0..splits.parts())
-            .map(|part| {
-                std::iter::from_fn(|| entries.next_if(|(key, _)| splits.part_of(key) == part))
-                    .collect()
-            })
-            .collect();
-        ShardSet::from_maps(splits, shards)
+        ShardSet::cut(splits, retired.into_iter().flatten())
     }
 
     fn touch(&self, idx: usize) {
@@ -248,26 +364,29 @@ impl ShardSet {
     fn get(&self, key: &[u8]) -> Option<Vec<u8>> {
         let idx = self.splits.part_of(key);
         self.touch(idx);
-        self.shards[idx].read().get(key).cloned()
+        self.shards[idx].read().get(key).map(|e| e.value().to_vec())
     }
 
-    fn put(&self, key: Vec<u8>, value: Option<Vec<u8>>, wal: Option<&WalHook>) {
-        let idx = self.splits.part_of(&key);
+    fn insert(&self, entry: Entry, wal: Option<&WalHook>) {
+        let idx = self.splits.part_of(entry.key());
         self.touch(idx);
         let mut shard = self.shards[idx].write();
         // append while holding the shard lock so the log observes per-key
         // effects in memory order (see crate::wal); the sink only buffers
         if let Some(hook) = wal {
-            hook.log(&key, value.as_deref());
+            hook.log(entry.key(), Some(entry.value()));
         }
-        match value {
-            Some(v) => {
-                shard.insert(key, v);
-            }
-            None => {
-                shard.remove(&key);
-            }
+        shard.replace(entry);
+    }
+
+    fn remove(&self, key: &[u8], wal: Option<&WalHook>) {
+        let idx = self.splits.part_of(key);
+        self.touch(idx);
+        let mut shard = self.shards[idx].write();
+        if let Some(hook) = wal {
+            hook.log(key, None);
         }
+        shard.remove(key);
     }
 
     fn test_and_set(
@@ -280,23 +399,24 @@ impl ShardSet {
         let idx = self.splits.part_of(&key);
         self.touch(idx);
         let mut shard = self.shards[idx].write();
-        let stored = shard.get(&key);
-        if stored.map(Vec::as_slice) != expect {
-            return (false, stored.cloned());
+        let stored = shard.get(key.as_slice()).map(Entry::value);
+        if stored != expect {
+            return (false, stored.map(<[u8]>::to_vec));
         }
         // only the *effect* of a successful TAS is logged — replay applies
         // it as a plain put/delete without re-checking the expectation
         if let Some(hook) = wal {
             hook.log(&key, value.as_deref());
         }
-        // the response reports the value now stored, so this copy is the
-        // one the contract requires; the key moves into the shard
-        match value.clone() {
+        // the response reports the value now stored: the request's own
+        // value answers, and the stored entry is its copy, grown into the
+        // key's buffer
+        match &value {
             Some(v) => {
-                shard.insert(key, v);
+                shard.replace(Entry::new(key, v));
             }
             None => {
-                shard.remove(&key);
+                shard.remove(key.as_slice());
             }
         }
         (true, value)
@@ -326,9 +446,7 @@ impl ShardSet {
             visited += 1;
             self.touch(idx);
             let shard = self.shards[idx].read();
-            let found = shard
-                .range::<[u8], _>(bounds)
-                .map(|(k, v)| (k.as_slice(), v.as_slice()));
+            let found = shard.range::<[u8], _>(bounds).map(Entry::parts);
             let room = want - out.len();
             if reverse {
                 out.extend_exact(found.rev().take(room));
@@ -389,13 +507,16 @@ impl ShardSet {
     /// Every entry in global key order (shards are contiguous ranges, so
     /// index order is key order). Fuzzy under concurrent writers: each
     /// shard is a consistent point-in-time copy, and any write racing the
-    /// export is in the WAL segment opened before the export began.
+    /// export is in the WAL segment opened before the export began. Room
+    /// for each shard is reserved while it is held, so the answer grows
+    /// once per shard and ends exactly sized.
     fn export(&self) -> Vec<KvEntry> {
         let mut out = Vec::new();
         for shard in &self.shards {
-            for (k, v) in shard.read().iter() {
-                out.push((k.clone(), v.clone()));
-            }
+            let shard = shard.read();
+            out.reserve_exact(shard.len());
+            let copies = shard.iter().map(Entry::parts);
+            out.extend(copies.map(|(key, value)| (key.to_vec(), value.to_vec())));
         }
         out
     }
@@ -433,7 +554,7 @@ impl LiveNamespace {
             table: RwLock::new(
                 rank::KV_TABLE,
                 "kv.ns.table",
-                Arc::new(ShardSet::striped(shards)),
+                Arc::new(ShardSet::striped(shards, std::iter::empty())),
             ),
             wal: RwLock::new(rank::KV_NS_WAL, "kv.ns.wal", None),
         }
@@ -452,11 +573,15 @@ impl LiveNamespace {
         self.load().get(key)
     }
 
-    fn put(&self, key: Vec<u8>, value: Option<Vec<u8>>) {
+    fn insert(&self, entry: Entry) {
         let wal = self.wal.read();
         // hold the table read lock across the mutation (see the struct doc)
-        let table = self.table.read();
-        table.put(key, value, wal.as_ref());
+        self.table.read().insert(entry, wal.as_ref());
+    }
+
+    fn remove(&self, key: &[u8]) {
+        let wal = self.wal.read();
+        self.table.read().remove(key, wal.as_ref());
     }
 
     fn test_and_set(
@@ -503,18 +628,24 @@ impl LiveNamespace {
     /// retiring one's entries — moved or copied, see the struct doc.
     fn rebalance(&self, parts: usize) {
         let mut table = self.table.write();
-        let maps = match Arc::get_mut(&mut table) {
+        let next = match Arc::get_mut(&mut table) {
             // the shard locks are uncontended: nobody else holds this set
-            Some(retired) => (retired.shards.iter())
-                .map(|shard| std::mem::take(&mut *shard.write()))
-                .collect(),
-            None => table
-                .shards
-                .iter()
-                .map(|shard| shard.read().clone())
-                .collect(),
+            Some(retired) => ShardSet::regrouped(
+                (retired.shards.iter())
+                    .map(|shard| std::mem::take(&mut *shard.write()))
+                    .collect::<Vec<Shard>>(),
+                parts,
+            ),
+            // a run per shard, sized while it is held: one allocation per
+            // entry, and the regroup moves the copies
+            None => ShardSet::regrouped(
+                (table.shards.iter())
+                    .map(|shard| shard.read().iter().cloned().collect())
+                    .collect::<Vec<Vec<Entry>>>(),
+                parts,
+            ),
         };
-        *table = Arc::new(ShardSet::regrouped(maps, parts));
+        *table = Arc::new(next);
     }
 }
 
@@ -702,21 +833,39 @@ impl LiveCluster {
             .collect()
     }
 
-    /// Remove `key` outside any timed session — the replay-side mirror of
-    /// [`KvStore::bulk_put`], used by recovery to apply logged deletes.
-    pub fn bulk_delete(&self, ns: NsId, key: &[u8]) {
-        self.stats.book_write(0);
-        self.ns_data(ns).put(key.to_vec(), None);
+    /// Store a copy of `key` → `value` outside any timed session:
+    /// [`KvStore::bulk_put`] from borrowed bytes, in the one allocation the
+    /// entry is. Recovery loads logged puts with it.
+    pub fn bulk_load(&self, ns: NsId, key: &[u8], value: &[u8]) {
+        self.stats.book_write(value.len() as u64);
+        self.ns_data(ns).insert(Entry::copied(key, value));
     }
 
-    /// Drop every entry in `ns`, restoring the initial striped layout.
-    /// Recovery calls this before loading a snapshot so rows that were
-    /// deleted pre-snapshot (and so appear in neither snapshot nor WAL)
-    /// cannot be resurrected by an embedder's boot-time seed data.
-    pub fn reset_namespace(&self, ns: NsId) {
-        let data = self.ns_data(ns);
-        let mut table = data.table.write();
-        *table = Arc::new(ShardSet::striped(self.config.shards_per_namespace));
+    /// Remove `key` outside any timed session — the replay-side mirror of
+    /// [`LiveCluster::bulk_load`], used by recovery to apply logged deletes.
+    pub fn bulk_delete(&self, ns: NsId, key: &[u8]) {
+        self.stats.book_write(0);
+        self.ns_data(ns).remove(key);
+    }
+
+    /// Replace everything `ns` holds with copies of `entries`, on the
+    /// initial striped layout. Recovery loads a snapshot's namespace with
+    /// it, so rows that were deleted pre-snapshot (and so appear in neither
+    /// snapshot nor WAL) cannot be resurrected by an embedder's boot-time
+    /// seed data. Each entry is one allocation, and each shard is cut from
+    /// the sorted copies, as a rebalance builds them, rather than grown
+    /// insert by insert; of equal keys the last one wins.
+    pub fn load_namespace(&self, ns: NsId, entries: &[KvEntry]) {
+        let mut sorted: Vec<Entry> = (entries.iter())
+            .map(|(key, value)| {
+                self.stats.book_write(value.len() as u64);
+                Entry::copied(key, value)
+            })
+            .collect();
+        // stable, and a shard's build keeps the last of equal keys
+        sorted.sort();
+        let set = ShardSet::striped(self.config.shards_per_namespace, sorted.into_iter());
+        *self.ns_data(ns).table.write() = Arc::new(set);
     }
 }
 
@@ -810,12 +959,12 @@ fn execute_request(
         }
         KvRequest::Put { key, value, .. } => {
             stats.book_write(value.len() as u64);
-            data.put(key, Some(value));
+            data.insert(Entry::new(key, &value));
             (KvResponse::Done, 1)
         }
         KvRequest::Delete { key, .. } => {
             stats.book_write(0);
-            data.put(key, None);
+            data.remove(&key);
             (KvResponse::Done, 1)
         }
         KvRequest::TestAndSet {
@@ -944,7 +1093,8 @@ impl KvStore for LiveCluster {
         let table = self.ns_data(ns).load();
         let idx = table.splits.part_of(key);
         table.touch(idx);
-        let entry_bytes = table.shards[idx].read().get(key).map(|v| {
+        let entry_bytes = table.shards[idx].read().get(key).map(|e| {
+            let v = e.value();
             out.extend_from_slice(v);
             (key.len() + v.len()) as u64
         });
@@ -963,7 +1113,7 @@ impl KvStore for LiveCluster {
 
     fn bulk_put(&self, ns: NsId, key: Vec<u8>, value: Vec<u8>) {
         self.stats.book_write(value.len() as u64);
-        self.ns_data(ns).put(key, Some(value));
+        self.ns_data(ns).insert(Entry::new(key, &value));
     }
 
     fn rebalance(&self) {
@@ -1315,7 +1465,7 @@ mod tests {
             })
             .collect();
         for (key, value) in &expected {
-            ns.put(key.clone(), Some(value.clone()));
+            ns.insert(Entry::new(key.clone(), value));
         }
         let held = ns.load();
         ns.rebalance(4);

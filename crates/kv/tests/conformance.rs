@@ -5,7 +5,8 @@
 //! `LiveCluster` — the engine treats them interchangeably, so they must be.
 
 use piql_kv::{
-    ClusterConfig, KvRequest, KvResponse, KvStore, LiveCluster, LiveConfig, Session, SimCluster,
+    ClusterConfig, KvRequest, KvResponse, KvStore, LiveCluster, LiveConfig, NsId, Session,
+    SimCluster,
 };
 
 /// Every conforming backend, by name (for assertion messages).
@@ -588,6 +589,148 @@ fn failed_test_and_set_reports_the_live_record_and_changes_nothing() {
             "{name}: the entry is still there"
         );
     }
+}
+
+/// Keys that are prefixes of one another, the empty key and empty values,
+/// with values chosen so that comparing key and value as one buffer —
+/// either order of the two, or with the key's length leading — would
+/// reverse the key order: a backend that stores an entry as one buffer
+/// must still order, bound, count and answer by the key alone.
+#[test]
+fn entry_layout_does_not_leak_into_key_order() {
+    // in key order
+    let entries: Vec<(Vec<u8>, Vec<u8>)> = vec![
+        (vec![], vec![0xFF, 0xFF]),
+        (vec![1], vec![0xFF]),
+        (vec![1, 0], vec![]),
+        (vec![1, 0, 0], vec![0xFE]),
+        (vec![2], vec![]),
+        (vec![0xFF], vec![0]),
+    ];
+    fn range(
+        ns: NsId,
+        start: &[u8],
+        end: Option<&[u8]>,
+        limit: Option<u64>,
+        reverse: bool,
+    ) -> KvRequest {
+        KvRequest::GetRange {
+            ns,
+            start: start.to_vec(),
+            end: end.map(<[u8]>::to_vec),
+            limit,
+            reverse,
+        }
+    }
+    fn count(ns: NsId, start: &[u8], end: Option<&[u8]>) -> KvRequest {
+        KvRequest::CountRange {
+            ns,
+            start: start.to_vec(),
+            end: end.map(<[u8]>::to_vec),
+        }
+    }
+    let mut answers: Vec<(&str, Vec<KvResponse>)> = Vec::new();
+    for (name, store) in backends() {
+        let ns = store.namespace("layout");
+        let mut s = Session::new();
+        // loaded out of order, half by round and half in bulk
+        for (i, (key, value)) in entries.iter().enumerate().rev() {
+            if i % 2 == 0 {
+                store.bulk_put(ns, key.clone(), value.clone());
+            } else {
+                let put = KvRequest::Put {
+                    ns,
+                    key: key.clone(),
+                    value: value.clone(),
+                };
+                one(store.as_ref(), &mut s, put);
+            }
+        }
+        let reads = |store: &dyn KvStore, s: &mut Session| -> Vec<KvResponse> {
+            let mut requests = vec![
+                range(ns, &[], None, None, false),
+                range(ns, &[], None, None, true),
+                range(ns, &[1], None, Some(2), false),
+                range(ns, &[], Some(&[1, 0, 0]), Some(3), true),
+                range(ns, &[1], Some(&[1, 0, 0]), None, false),
+                range(ns, &[1, 0], Some(&[2]), None, true),
+                range(ns, &[1, 0, 0, 0], Some(&[0xFF]), None, false),
+                count(ns, &[], None),
+                count(ns, &[1], Some(&[2])),
+                count(ns, &[1, 0], Some(&[1, 0])),
+                count(ns, &[1, 0, 0], Some(&[0xFF])),
+            ];
+            requests.extend(
+                [
+                    &[][..],
+                    &[1],
+                    &[1, 0],
+                    &[1, 0, 0],
+                    &[1, 0, 0, 0],
+                    &[0],
+                    &[0xFF],
+                ]
+                .into_iter()
+                .map(|key| KvRequest::Get {
+                    ns,
+                    key: key.to_vec(),
+                }),
+            );
+            requests.into_iter().map(|r| one(store, s, r)).collect()
+        };
+        let mut got = reads(store.as_ref(), &mut s);
+        assert_eq!(
+            got[0].expect_entries().to_vec(),
+            entries,
+            "{name}: a full scan is in key order"
+        );
+        // a failed test-and-set hands back the stored value, empty or not
+        for (key, stored) in [(vec![1, 0], vec![]), (vec![], vec![0xFF, 0xFF])] {
+            let tas = KvRequest::TestAndSet {
+                ns,
+                key,
+                expect: None,
+                value: Some(vec![7]),
+            };
+            let r = one(store.as_ref(), &mut s, tas);
+            assert_eq!(r.tas().unwrap(), (false, Some(stored.as_slice())), "{name}");
+            got.push(r);
+        }
+        // a point read of every key, where the backend serves them
+        for (key, value) in &entries {
+            let mut out = vec![9];
+            if let Some(found) = store.point_get(&mut s, ns, key, &mut out) {
+                assert!(found, "{name}: {key:?}");
+                assert_eq!(out[1..], value[..], "{name}: {key:?}");
+            }
+        }
+        // re-sharding reads the keys too; the answers do not move
+        store.rebalance();
+        assert_eq!(
+            reads(store.as_ref(), &mut s),
+            got[..got.len() - 2],
+            "{name}: after a rebalance"
+        );
+        answers.push((name, got));
+    }
+    let (reference, expected) = &answers[0];
+    for (name, got) in &answers[1..] {
+        assert_eq!(got, expected, "{name} answers as {reference} does");
+    }
+
+    // a checkpoint exports the same entries in the same order
+    let live = LiveCluster::new(LiveConfig {
+        shards_per_namespace: 4,
+        ..Default::default()
+    });
+    let ns = live.namespace("layout");
+    for (key, value) in entries.iter().rev() {
+        live.bulk_put(ns, key.clone(), value.clone());
+    }
+    assert_eq!(
+        live.export_namespaces(),
+        vec![("layout".to_string(), entries)]
+    );
 }
 
 #[test]

@@ -1,0 +1,205 @@
+//! What a write and a stored entry cost. A `LiveCluster` entry is one
+//! exactly-sized allocation (the key, then the value), built by growing
+//! the write's own key buffer: a put allocates once inside the store (an
+//! index entry's, whose value is empty, not at all), a successful
+//! test-and-set allocates the same once and answers with the request's own
+//! value, and a failed one allocates only the copy it returns. Held, an
+//! entry costs its payload plus a share of its shard's B-tree nodes of
+//! 16-byte slots, where a `(Vec<u8>, Vec<u8>)` pair cost two allocations
+//! and a 48-byte slot.
+//!
+//! A counting `#[global_allocator]` needs a binary of its own, hence this
+//! file; it counts calls and live bytes per thread, and the store runs its
+//! rounds on the calling thread (`pool_threads: 0`).
+
+use piql_kv::{KvRequest, KvResponse, KvStore, LiveCluster, LiveConfig, NsId, Session};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+struct CountingAlloc;
+
+thread_local! {
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    static LIVE: Cell<i64> = const { Cell::new(0) };
+}
+
+/// Book an allocation call that changes this thread's live bytes by `delta`.
+fn bump(delta: i64) {
+    // `try_with`: TLS may already be torn down during thread exit
+    let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+    let _ = LIVE.try_with(|c| c.set(c.get() + delta));
+}
+
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        bump(layout.size() as i64);
+        // SAFETY: the caller's contract is `System.alloc`'s own
+        unsafe { System.alloc(layout) }
+    }
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        bump(layout.size() as i64);
+        // SAFETY: as above
+        unsafe { System.alloc_zeroed(layout) }
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        bump(new_size as i64 - layout.size() as i64);
+        // SAFETY: as above
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        let _ = LIVE.try_with(|c| c.set(c.get() - layout.size() as i64));
+        // SAFETY: as above
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static COUNTER: CountingAlloc = CountingAlloc;
+
+fn store() -> LiveCluster {
+    LiveCluster::new(LiveConfig {
+        shards_per_namespace: 16,
+        pool_threads: 0,
+        request_delay_us: 0,
+    })
+}
+
+/// The response to `request`, and the allocations the store made serving
+/// it (the request is built beforehand).
+fn served(store: &LiveCluster, request: KvRequest) -> (KvResponse, u64) {
+    let mut session = Session::new();
+    let before = ALLOCS.with(Cell::get);
+    let response = store.execute_one(&mut session, request);
+    (response, ALLOCS.with(Cell::get) - before)
+}
+
+/// A key of `len` bytes for entry `i`, spread over every stripe in a
+/// scrambled order (as a load's keys arrive), never repeating.
+fn key(i: u32, len: usize) -> Vec<u8> {
+    let scrambled = i.wrapping_mul(2_654_435_761);
+    let mut key = scrambled.to_be_bytes().to_vec();
+    key.resize(len, i as u8);
+    key
+}
+
+fn put(ns: NsId, key: Vec<u8>, value: Vec<u8>) -> KvRequest {
+    KvRequest::Put { ns, key, value }
+}
+
+#[test]
+#[cfg_attr(
+    feature = "lock-order",
+    ignore = "lock-order tracking allocates by design"
+)]
+fn a_write_allocates_once_inside_the_store() {
+    let store = store();
+    let ns = store.namespace("rows");
+    for i in 0..1_000 {
+        store.bulk_put(ns, key(i, 20), vec![1; 100]);
+    }
+
+    // overwriting keeps the B-tree as it is: what is left is the entry
+    let (_, made) = served(&store, put(ns, key(7, 20), vec![2; 100]));
+    assert_eq!(made, 1, "a put grows its key into the entry");
+    let index = store.namespace("index");
+    store.bulk_put(index, key(7, 24), Vec::new());
+    let (_, made) = served(&store, put(index, key(7, 24), Vec::new()));
+    assert_eq!(made, 0, "an index entry is its key's own buffer");
+    // a fresh key adds a node now and then: one per ~7 entries
+    let fresh: Vec<KvRequest> = (1_000..2_000)
+        .map(|i| put(ns, key(i, 20), vec![3; 100]))
+        .collect();
+    let before = ALLOCS.with(Cell::get);
+    let mut session = Session::new();
+    for request in fresh {
+        store.execute_one(&mut session, request);
+    }
+    let made = ALLOCS.with(Cell::get) - before;
+    assert!(
+        made <= 1_000 + 1_000 / 5,
+        "{made} allocations for 1,000 puts"
+    );
+
+    // a successful test-and-set answers with the request's own value
+    let value = vec![4; 100];
+    let sent = value.as_ptr();
+    let (response, made) = served(
+        &store,
+        KvRequest::TestAndSet {
+            ns,
+            key: key(7, 20),
+            expect: Some(vec![2; 100]),
+            value: Some(value),
+        },
+    );
+    let KvResponse::TasResult {
+        success: true,
+        current: Some(current),
+    } = response
+    else {
+        panic!("the swap applies: {response:?}");
+    };
+    assert_eq!(current, vec![4; 100]);
+    assert_eq!(current.as_ptr(), sent, "the answer is the request's value");
+    assert_eq!(made, 1, "the entry is the one allocation");
+
+    // a failed one allocates only the copy of the live value it returns
+    let (response, made) = served(
+        &store,
+        KvRequest::TestAndSet {
+            ns,
+            key: key(7, 20),
+            expect: None,
+            value: Some(vec![5; 100]),
+        },
+    );
+    assert_eq!(response.tas().unwrap(), (false, Some(&[4; 100][..])));
+    assert_eq!(made, 1, "only the returned copy");
+}
+
+/// Live bytes the store holds per entry after `n` puts of `key_len`-byte
+/// keys and `value_len`-byte values: the requests are built and consumed
+/// inside the count, so what the store did not keep nets out.
+fn held_per_entry(n: u32, key_len: usize, value_len: usize) -> f64 {
+    let store = store();
+    let ns = store.namespace("t");
+    let mut session = Session::new();
+    let before = LIVE.with(Cell::get);
+    for i in 0..n {
+        let request = put(ns, key(i, key_len), vec![i as u8; value_len]);
+        store.execute_one(&mut session, request);
+    }
+    let held = LIVE.with(Cell::get) - before;
+    assert_eq!(store.ns_len(ns), n as usize);
+    held as f64 / f64::from(n)
+}
+
+#[test]
+#[cfg_attr(
+    feature = "lock-order",
+    ignore = "lock-order tracking allocates by design"
+)]
+fn a_stored_entry_costs_its_payload_plus_a_little() {
+    const N: u32 = 20_000;
+    // (shape, key bytes, value bytes, ceiling on live bytes per entry).
+    // Measured: 148.1 and 52.1 — the payload, and 28.1 bytes of B-tree
+    // node per entry. A map of `(Vec<u8>, Vec<u8>)` pairs held 196.6 and
+    // 100.6 for the same puts.
+    let shapes = [
+        ("post_v3 row", 20, 100, 150.0),
+        ("index entry", 24, 0, 55.0),
+    ];
+    for (shape, key_len, value_len, ceiling) in shapes {
+        let held = held_per_entry(N, key_len, value_len);
+        let payload = key_len + value_len;
+        println!(
+            "{shape}: {held:.1} live allocator bytes per entry for {payload} payload bytes \
+             ({:.1} over)",
+            held - payload as f64
+        );
+        assert!(
+            held <= ceiling,
+            "{shape}: {held:.1} bytes held per {payload}-byte entry"
+        );
+    }
+}

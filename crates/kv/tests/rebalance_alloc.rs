@@ -1,15 +1,19 @@
-//! What a rebalance costs in allocations: when no reader holds the
-//! retiring generation, its entries *move* into the new one — no key or
-//! value is cloned, and each new shard is bulk-built from a sorted run, so
-//! the count is the new B-tree nodes (about one per eleven entries) plus a
-//! few buffers per shard, not two per entry.
+//! What a rebalance costs in allocations. When no reader holds the
+//! retiring generation, its entries *move* into the new one — no entry is
+//! copied, and each new shard is bulk-built from a sorted run, so the
+//! count is the new B-tree nodes (about one per eleven entries) plus a few
+//! buffers per shard. When a reader holds it, each entry is copied once —
+//! one allocation, since an entry is one allocation — into a run per
+//! retiring shard, and the copies move into the new generation as above.
 //!
 //! A counting `#[global_allocator]` needs a binary of its own, hence this
 //! file; it counts per thread, and a rebalance runs on the calling thread.
 
-use piql_kv::{KvRequest, KvStore, LiveCluster, LiveConfig, Session};
+use piql_kv::{KvEntry, KvRequest, KvStore, LiveCluster, LiveConfig, NsId, Session};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::time::Duration;
 
 struct CountingAlloc;
 
@@ -49,14 +53,9 @@ static COUNTER: CountingAlloc = CountingAlloc;
 
 const ENTRIES: u32 = 10_000;
 
-#[test]
-// Rank tracking in `lock-order` builds keeps per-thread held-lock state,
-// which allocates by design.
-#[cfg_attr(
-    feature = "lock-order",
-    ignore = "lock-order tracking allocates by design"
-)]
-fn rebalancing_an_unshared_namespace_moves_its_entries() {
+/// A 16-shard store whose one namespace holds `ENTRIES` entries, all on
+/// one stripe, and those entries in key order.
+fn skewed() -> (LiveCluster, NsId, Vec<KvEntry>) {
     let store = LiveCluster::new(LiveConfig {
         shards_per_namespace: 16,
         pool_threads: 0,
@@ -64,25 +63,18 @@ fn rebalancing_an_unshared_namespace_moves_its_entries() {
     });
     let ns = store.namespace("t");
     // big-endian counters all lead with byte 0: one stripe holds them all
-    let expected: Vec<(Vec<u8>, Vec<u8>)> = (0..ENTRIES)
+    let expected: Vec<KvEntry> = (0..ENTRIES)
         .map(|i| (i.to_be_bytes().to_vec(), vec![i as u8; 40]))
         .collect();
     for (key, value) in &expected {
         store.bulk_put(ns, key.clone(), value.clone());
     }
     assert_eq!(store.balance()[0].max_entry_share(), 1.0);
+    (store, ns, expected)
+}
 
-    let before = ALLOCS.with(Cell::get);
-    store.rebalance();
-    let made = ALLOCS.with(Cell::get) - before;
-    // measured: 1,128 — about 1,000 B-tree nodes, the rest each new
-    // shard's run buffer. The copy this replaced made 26,659: a key and a
-    // value per entry, and a key per sampled split candidate
-    assert!(
-        made < u64::from(ENTRIES) / 8,
-        "{made} allocations to re-shard {ENTRIES} entries"
-    );
-
+/// The rebalanced store is even and answers a full scan with `expected`.
+fn assert_even_and_whole(store: &LiveCluster, ns: NsId, expected: &[KvEntry]) {
     let balance = &store.balance()[0];
     assert!(
         balance.max_entry_share() <= 2.0 / 16.0,
@@ -101,4 +93,77 @@ fn rebalancing_an_unshared_namespace_moves_its_entries() {
         },
     );
     assert_eq!(scan.expect_entries().to_vec(), expected);
+}
+
+/// Allocations `store.rebalance()` makes on this thread.
+fn rebalance_allocs(store: &LiveCluster) -> u64 {
+    let before = ALLOCS.with(Cell::get);
+    store.rebalance();
+    ALLOCS.with(Cell::get) - before
+}
+
+#[test]
+// Rank tracking in `lock-order` builds keeps per-thread held-lock state,
+// which allocates by design.
+#[cfg_attr(
+    feature = "lock-order",
+    ignore = "lock-order tracking allocates by design"
+)]
+fn rebalancing_an_unshared_namespace_moves_its_entries() {
+    let (store, ns, expected) = skewed();
+    let made = rebalance_allocs(&store);
+    // measured: 1,127 — about 1,000 B-tree nodes, the rest each new
+    // shard's run buffer. The copy this replaced made 26,659: a key and a
+    // value per entry, and a key per sampled split candidate
+    assert!(
+        made < u64::from(ENTRIES) / 8,
+        "{made} allocations to re-shard {ENTRIES} entries"
+    );
+    assert_even_and_whole(&store, ns, &expected);
+}
+
+#[test]
+#[cfg_attr(
+    feature = "lock-order",
+    ignore = "lock-order tracking allocates by design"
+)]
+fn rebalancing_a_held_namespace_copies_each_entry_once() {
+    let (store, ns, expected) = skewed();
+    let stop = AtomicBool::new(false);
+    let exports = AtomicU64::new(0);
+    let copied = std::thread::scope(|scope| {
+        // each export holds the generation from before its first shard to
+        // after its last; the reader's allocations are its own thread's,
+        // not counted here
+        scope.spawn(|| {
+            while !stop.load(Ordering::Acquire) {
+                store.export_namespaces();
+                exports.fetch_add(1, Ordering::Release);
+            }
+        });
+        let copied = (0..100).find_map(|_| {
+            // rebalance a moment into a fresh export: back-to-back
+            // rebalances would keep the reader from ever loading the table
+            let seen = exports.load(Ordering::Acquire);
+            while exports.load(Ordering::Acquire) == seen {
+                std::thread::yield_now();
+            }
+            std::thread::sleep(Duration::from_micros(100));
+            // a move makes ~1,100 allocations and a copy ~ENTRIES more, so
+            // the count says which path the rebalance took
+            let made = rebalance_allocs(&store);
+            (made > u64::from(ENTRIES) / 2).then_some(made)
+        });
+        stop.store(true, Ordering::Release);
+        copied
+    });
+    let made = copied.expect("no rebalance overlapped a reader's export");
+    // measured: 11,128 — one per entry, then the move's nodes and runs.
+    // The clone of each shard's map this replaced made 22,794: a key and a
+    // value per entry, and the clone's own B-tree nodes
+    assert!(
+        made <= u64::from(ENTRIES + ENTRIES / 8),
+        "{made} allocations to copy and re-shard {ENTRIES} entries"
+    );
+    assert_even_and_whole(&store, ns, &expected);
 }
