@@ -110,7 +110,19 @@ pub fn primary_key_from<R: RowSource>(
     pk: &[ColumnId],
     row: &R,
 ) -> Result<Vec<u8>, R::Error> {
-    let mut len = 0;
+    primary_key_with_room(table, pk, row, 0)
+}
+
+/// [`primary_key_from`] in a buffer with room for exactly `room` more
+/// bytes: the record a write stores under the key, which the store
+/// appends to the key's own buffer to make its entry without growing it.
+pub fn primary_key_with_room<R: RowSource>(
+    table: &TableDef,
+    pk: &[ColumnId],
+    row: &R,
+    room: usize,
+) -> Result<Vec<u8>, R::Error> {
+    let mut len = room;
     for &c in pk {
         let v = row.value(c)?;
         if v == ValueRef::Null {

@@ -433,7 +433,7 @@ impl<'a> Writer<'a> {
         // reading every column first validates the whole row, in column
         // order, before anything is written
         let row_bytes = keys::encode_row_from(row, table.columns.len())?;
-        let pk = keys::primary_key_from(table, &target.pk, row)?;
+        let pk = keys::primary_key_with_room(table, &target.pk, row, row_bytes.len())?;
 
         // 1. secondary index entries first (one parallel round)
         let mut puts = Round::default();
@@ -632,8 +632,8 @@ impl<'a> Writer<'a> {
         let mut n = 0;
         for row in rows {
             let row = InputRow::new(table, &row)?;
-            let pk = keys::primary_key_from(table, &target.pk, &row)?;
             let bytes = keys::encode_row_from(&row, table.columns.len())?;
+            let pk = keys::primary_key_with_room(table, &target.pk, &row, bytes.len())?;
             self.store.bulk_put(target.primary, pk, bytes);
             target.each_entry(&row, |ns, key| self.store.bulk_put(ns, key, Vec::new()))?;
             n += 1;

@@ -78,7 +78,7 @@ impl Namespace {
         }
     }
 
-    pub fn put(&self, key: Vec<u8>, value: Option<Vec<u8>>, at: Micros) {
+    pub fn put(&self, mut key: Vec<u8>, value: Option<Vec<u8>>, at: Micros) {
         let mut map = self.entries.write();
         match map.get_mut(&key) {
             Some(v) => {
@@ -88,6 +88,11 @@ impl Namespace {
                 v.written_at = at;
             }
             None => {
+                // the map keeps the key as given, and a writer may have
+                // built it with room for its record (`LiveCluster` grows
+                // the key's buffer into its entry); here that room would
+                // only be slack
+                key.shrink_to_fit();
                 map.insert(
                     key,
                     Versioned {
@@ -216,6 +221,17 @@ mod tests {
         ns.put(b"a".to_vec(), None, 20);
         assert_eq!(ns.get(b"a", 20), None);
         assert_eq!(ns.get(b"a", 15), Some(b"1".to_vec()), "old version visible");
+    }
+
+    #[test]
+    fn a_key_built_with_room_is_stored_without_it() {
+        let ns = Namespace::new();
+        let mut key = Vec::with_capacity(64);
+        key.extend_from_slice(b"key");
+        ns.put(key, Some(b"record".to_vec()), 10);
+        let map = ns.entries.read();
+        let (stored, _) = map.first_key_value().unwrap();
+        assert_eq!((stored.as_slice(), stored.capacity()), (&b"key"[..], 3));
     }
 
     #[test]

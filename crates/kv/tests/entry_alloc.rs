@@ -1,7 +1,8 @@
 //! What a write and a stored entry cost. A `LiveCluster` entry is one
 //! exactly-sized allocation (the key, then the value), built by growing
 //! the write's own key buffer: a put allocates once inside the store (an
-//! index entry's, whose value is empty, not at all), a successful
+//! index entry's, whose value is empty, or one whose key was built with
+//! room for its value, not at all), a successful
 //! test-and-set allocates the same once and answers with the request's own
 //! value, and a failed one allocates only the copy it returns. Held, an
 //! entry costs its payload plus a share of its shard's B-tree nodes of
@@ -101,6 +102,12 @@ fn a_write_allocates_once_inside_the_store() {
     // overwriting keeps the B-tree as it is: what is left is the entry
     let (_, made) = served(&store, put(ns, key(7, 20), vec![2; 100]));
     assert_eq!(made, 1, "a put grows its key into the entry");
+    // a key built with room for exactly its value is the entry's buffer
+    // as it is: nothing grows, nothing shrinks
+    let mut roomy = Vec::with_capacity(20 + 100);
+    roomy.extend_from_slice(&key(7, 20));
+    let (_, made) = served(&store, put(ns, roomy, vec![2; 100]));
+    assert_eq!(made, 0, "a key with room for its value becomes the entry");
     let index = store.namespace("index");
     store.bulk_put(index, key(7, 24), Vec::new());
     let (_, made) = served(&store, put(index, key(7, 24), Vec::new()));

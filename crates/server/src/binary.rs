@@ -35,7 +35,7 @@ use crate::json::{Json, MAX_JSON_DEPTH};
 use crate::protocol::{write_cursor_hex, Envelope, ProtoError, Reply, Request, RequestId};
 use crate::wire::Wire;
 use piql_core::plan::params::ParamValue;
-use piql_core::value::ValueRef;
+use piql_core::value::{Value, ValueRef};
 use piql_engine::Cursor;
 use std::io::{self, BufRead};
 
@@ -404,6 +404,12 @@ fn put_reply(out: &mut Vec<u8>, reply: &Reply) {
                 }
             }
         }
+        Reply::Done => {
+            out.push(J_OBJ);
+            put_u32(out, 1);
+            put_str(out, "ok");
+            out.push(J_TRUE);
+        }
         Reply::Batch(replies) => {
             out.push(J_OBJ);
             put_u32(out, 2);
@@ -508,12 +514,68 @@ impl<'a> Cur<'a> {
 }
 
 fn read_id(cur: &mut Cur<'_>) -> Result<Option<RequestId>, ProtoError> {
+    let mut id = None;
+    read_id_into(cur, &mut id)?;
+    Ok(id)
+}
+
+/// Decode a frame-header id over `id`, reusing a string id's buffer.
+fn read_id_into(cur: &mut Cur<'_>, id: &mut Option<RequestId>) -> Result<(), ProtoError> {
     match cur.u8()? {
-        ID_NONE => Ok(None),
-        ID_INT => Ok(Some(RequestId::Int(cur.i64()?))),
-        ID_STR => Ok(Some(RequestId::Str(cur.str()?.to_string()))),
-        other => Err(ProtoError::Malformed(format!("unknown id kind {other}"))),
+        ID_NONE => *id = None,
+        ID_INT => *id = Some(RequestId::Int(cur.i64()?)),
+        ID_STR => {
+            let s = cur.str()?;
+            match id {
+                Some(RequestId::Str(old)) => set_str(old, s),
+                _ => *id = Some(RequestId::Str(s.to_string())),
+            }
+        }
+        other => return Err(ProtoError::Malformed(format!("unknown id kind {other}"))),
     }
+    Ok(())
+}
+
+/// Overwrite `slot` with `s`, keeping its buffer: an equal text is not
+/// rewritten, and one that fits its capacity is not reallocated. One that
+/// does not fit gets a buffer of exactly its size, as a fresh decode would.
+fn set_str(slot: &mut String, s: &str) {
+    if slot.capacity() < s.len() {
+        *slot = s.to_string();
+    } else if slot != s {
+        slot.clear();
+        slot.push_str(s);
+    }
+}
+
+/// Heap bytes `env` holds beyond what its contents use: the room a reused
+/// request keeps from the larger frames decoded into it before. Only the
+/// slots [`BinaryWire::decode_into`] writes in place can hold any; every
+/// other request is decoded afresh, exactly sized.
+pub(crate) fn spare_bytes(env: &Envelope) -> usize {
+    let text = |s: &String| s.capacity() - s.len();
+    let id = match &env.id {
+        Some(RequestId::Str(s)) => text(s),
+        _ => 0,
+    };
+    let request = match &env.request {
+        Request::Execute {
+            name: s, params, ..
+        }
+        | Request::Dml { sql: s, params } => {
+            let strings: usize = (params.iter())
+                .map(|p| match p {
+                    ParamValue::Scalar(Value::Varchar(v)) => text(v),
+                    _ => 0,
+                })
+                .sum();
+            text(s)
+                + (params.capacity() - params.len()) * std::mem::size_of::<ParamValue>()
+                + strings
+        }
+        _ => 0,
+    };
+    id + request
 }
 
 /// Decode one tagged value, borrowing string payloads from the frame.
@@ -542,13 +604,26 @@ fn checked_capacity(cur: &Cur<'_>, count: u32) -> Result<usize, ProtoError> {
     Ok(count)
 }
 
-fn read_params(cur: &mut Cur<'_>) -> Result<Vec<ParamValue>, ProtoError> {
+/// Decode a parameter section over `params`: the vector keeps its
+/// capacity and a scalar `Varchar` slot its buffer; any other slot is
+/// replaced.
+fn read_params_into(cur: &mut Cur<'_>, params: &mut Vec<ParamValue>) -> Result<(), ProtoError> {
     let raw_count = cur.u32()?;
     let count = checked_capacity(cur, raw_count)?;
-    let mut params = Vec::with_capacity(count);
-    for _ in 0..count {
-        params.push(match cur.u8()? {
-            P_SCALAR => ParamValue::Scalar(read_value_ref(cur)?.to_value()),
+    params.truncate(count);
+    params.reserve_exact(count - params.len());
+    for i in 0..count {
+        let param = match cur.u8()? {
+            P_SCALAR => {
+                let value = read_value_ref(cur)?;
+                match (params.get_mut(i), value) {
+                    (Some(ParamValue::Scalar(Value::Varchar(old))), ValueRef::Varchar(s)) => {
+                        set_str(old, s);
+                        continue;
+                    }
+                    _ => ParamValue::Scalar(value.to_value()),
+                }
+            }
             P_COLLECTION => {
                 let raw_n = cur.u32()?;
                 let n = checked_capacity(cur, raw_n)?;
@@ -563,9 +638,13 @@ fn read_params(cur: &mut Cur<'_>) -> Result<Vec<ParamValue>, ProtoError> {
                     "unknown param marker {other}"
                 )))
             }
-        });
+        };
+        match params.get_mut(i) {
+            Some(slot) => *slot = param,
+            None => params.push(param),
+        }
     }
-    Ok(params)
+    Ok(())
 }
 
 /// Scan an encoded parameter section, recording the byte offset (within
@@ -622,36 +701,54 @@ fn read_cursor(cur: &mut Cur<'_>) -> Result<Option<Cursor>, ProtoError> {
     }
 }
 
-fn read_body(cur: &mut Cur<'_>, opcode: u8, nested: bool) -> Result<Request, ProtoError> {
-    Ok(match opcode {
-        OP_PREPARE => Request::Prepare {
-            name: cur.str()?.to_string(),
-            sql: cur.str()?.to_string(),
-        },
-        OP_EXECUTE => Request::Execute {
-            name: cur.str()?.to_string(),
-            params: read_params(cur)?,
-            cursor: read_cursor(cur)?,
-        },
-        OP_CURSOR_NEXT => {
-            let name = cur.str()?.to_string();
-            let params = read_params(cur)?;
-            let cursor = read_cursor(cur)?
-                .ok_or_else(|| ProtoError::Malformed("cursor-next requires a 'cursor'".into()))?;
-            Request::Execute {
+/// Decode one request body over `req`. An `execute` or `dml` landing on
+/// a slot of the same verb is written in place ([`set_str`],
+/// [`read_params_into`]); any other request replaces the slot.
+fn read_body_into(
+    cur: &mut Cur<'_>,
+    opcode: u8,
+    nested: bool,
+    req: &mut Request,
+) -> Result<(), ProtoError> {
+    match opcode {
+        OP_EXECUTE | OP_CURSOR_NEXT => {
+            let (mut name, mut params) = match std::mem::replace(req, Request::Stats) {
+                Request::Execute { name, params, .. } => (name, params),
+                _ => Default::default(),
+            };
+            set_str(&mut name, cur.str()?);
+            read_params_into(cur, &mut params)?;
+            let cursor = read_cursor(cur)?;
+            if opcode == OP_CURSOR_NEXT && cursor.is_none() {
+                return Err(ProtoError::Malformed(
+                    "cursor-next requires a 'cursor'".into(),
+                ));
+            }
+            *req = Request::Execute {
                 name,
                 params,
-                cursor: Some(cursor),
+                cursor,
+            };
+        }
+        OP_DML => {
+            let (mut sql, mut params) = match std::mem::replace(req, Request::Stats) {
+                Request::Dml { sql, params } => (sql, params),
+                _ => Default::default(),
+            };
+            set_str(&mut sql, cur.str()?);
+            read_params_into(cur, &mut params)?;
+            *req = Request::Dml { sql, params };
+        }
+        OP_PREPARE => {
+            *req = Request::Prepare {
+                name: cur.str()?.to_string(),
+                sql: cur.str()?.to_string(),
             }
         }
-        OP_DML => Request::Dml {
-            sql: cur.str()?.to_string(),
-            params: read_params(cur)?,
-        },
-        OP_STATS => Request::Stats,
-        OP_REVALIDATE => Request::Revalidate,
-        OP_REBALANCE => Request::Rebalance,
-        OP_SNAPSHOT => Request::Snapshot,
+        OP_STATS => *req = Request::Stats,
+        OP_REVALIDATE => *req = Request::Revalidate,
+        OP_REBALANCE => *req = Request::Rebalance,
+        OP_SNAPSHOT => *req = Request::Snapshot,
         OP_EXPLAIN => {
             let name = read_opt_str(cur)?;
             let sql = read_opt_str(cur)?;
@@ -660,7 +757,7 @@ fn read_body(cur: &mut Cur<'_>, opcode: u8, nested: bool) -> Result<Request, Pro
                     "explain requires exactly one of 'name' or 'sql'".into(),
                 ));
             }
-            Request::Explain { name, sql }
+            *req = Request::Explain { name, sql };
         }
         OP_BATCH => {
             if nested {
@@ -671,16 +768,19 @@ fn read_body(cur: &mut Cur<'_>, opcode: u8, nested: bool) -> Result<Request, Pro
             let mut requests = Vec::with_capacity(count);
             for _ in 0..count {
                 let op = cur.u8()?;
-                requests.push(read_body(cur, op, true)?);
+                let mut sub = Request::Stats;
+                read_body_into(cur, op, true, &mut sub)?;
+                requests.push(sub);
             }
-            Request::Batch { requests }
+            *req = Request::Batch { requests };
         }
         other => {
             return Err(ProtoError::Malformed(format!(
                 "unknown opcode {other:#04x}"
             )))
         }
-    })
+    }
+    Ok(())
 }
 
 /// `depth` is the number of arrays and objects open around the value;
@@ -762,6 +862,24 @@ pub fn parse_hello(frame: &[u8]) -> Result<u8, ProtoError> {
 #[derive(Debug, Default, Clone, Copy)]
 pub struct BinaryWire;
 
+impl BinaryWire {
+    /// Decode a request frame over `env` — the one binary request decoder;
+    /// [`Wire::decode_envelope`] is this on a fresh envelope. A connection
+    /// that keeps its last request decodes the next one into its buffers:
+    /// an unchanged statement text is not rewritten, and the parameter
+    /// vector and each scalar `Varchar` keep their capacity, so a warm
+    /// `execute` or `dml` allocates nothing here. On success `env` equals
+    /// what a fresh decode returns; on error its contents are unspecified
+    /// (the next successful decode overwrites them all).
+    pub fn decode_into(&self, frame: &[u8], env: &mut Envelope) -> Result<(), ProtoError> {
+        let mut cur = Cur::new(frame);
+        let opcode = cur.u8()?;
+        read_id_into(&mut cur, &mut env.id)?;
+        read_body_into(&mut cur, opcode, false, &mut env.request)?;
+        cur.done()
+    }
+}
+
 impl Wire for BinaryWire {
     fn version(&self) -> u8 {
         VERSION
@@ -822,12 +940,12 @@ impl Wire for BinaryWire {
     }
 
     fn decode_envelope(&self, frame: &[u8]) -> Result<Envelope, ProtoError> {
-        let mut cur = Cur::new(frame);
-        let opcode = cur.u8()?;
-        let id = read_id(&mut cur)?;
-        let request = read_body(&mut cur, opcode, false)?;
-        cur.done()?;
-        Ok(Envelope { id, request })
+        let mut env = Envelope {
+            id: None,
+            request: Request::Stats,
+        };
+        self.decode_into(frame, &mut env)?;
+        Ok(env)
     }
 
     fn decode_response(&self, frame: &[u8]) -> Result<(Option<RequestId>, Json), ProtoError> {

@@ -749,8 +749,9 @@ pub fn budget_exceeded_response(tenant: &str) -> Json {
 
 /// What a request is answered with. Rows stay the executor's block until
 /// a codec prints them from it into its connection's buffer
-/// ([`Wire::encode_reply`](crate::wire::Wire::encode_reply)); every other
-/// answer, and every error, is a small document.
+/// ([`Wire::encode_reply`](crate::wire::Wire::encode_reply)), and a write's
+/// bare acknowledgement is printed without a tree; every other answer, and
+/// every error, is a small document.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Reply {
     /// A successful `execute` / `cursor-next`.
@@ -760,6 +761,8 @@ pub enum Reply {
         /// Overload control served the statement's degraded plan.
         degraded: bool,
     },
+    /// A successful `dml`: `{"ok":true}`, printed without a tree.
+    Done,
     /// A `batch`: one reply per sub-request, positionally.
     Batch(Vec<Reply>),
     /// Any other verb's answer, and every error.
@@ -790,6 +793,7 @@ impl Reply {
                 }
                 ok_response(fields)
             }
+            Reply::Done => ok_response([]),
             Reply::Batch(replies) => {
                 let results = replies.into_iter().map(Reply::into_json).collect();
                 ok_response([("results", Json::Arr(results))])
@@ -907,6 +911,12 @@ pub(crate) fn write_reply(id: Option<&RequestId>, reply: &Reply, out: &mut Vec<u
                 write_array(row.iter(), out, write_value)
             });
             out.push(b'}');
+        }
+        Reply::Done => {
+            // id < ok
+            out.push(b'{');
+            id_field(out);
+            out.extend_from_slice(b"\"ok\":true}");
         }
         Reply::Batch(replies) => {
             // id < ok < results

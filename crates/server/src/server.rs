@@ -39,7 +39,8 @@
 //!
 //! A **binary** (v3) connection is the ordered venue alone, run inline on
 //! its own thread by a [`BinaryConn`]: decode → route → respond with
-//! per-connection scratch buffers, so the warm point-read path — a
+//! per-connection scratch buffers (the last request among them, decoded
+//! into in place), so the warm point-read path — a
 //! registered statement whose plan is a full-primary-key lookup (see
 //! `FastPointPlan`) — performs **zero heap allocations** per request
 //! (pinned by a counting-allocator test). Responses are byte-identical
@@ -369,11 +370,17 @@ fn answer_here<S: KvStore>(
 ) -> (Option<RequestId>, Reply) {
     match decoded {
         Ok(env) => (env.id, run_handler(&env.request, session, registry)),
-        Err(e) => (
-            wire.extract_id(frame),
-            Reply::Doc(err_response(e.to_string())),
-        ),
+        Err(e) => undecodable(wire, frame, e),
     }
+}
+
+/// The answer to a frame that did not decode: the error, under whatever
+/// id can still be recovered from it.
+fn undecodable(wire: &impl Wire, frame: &[u8], e: ProtoError) -> (Option<RequestId>, Reply) {
+    (
+        wire.extract_id(frame),
+        Reply::Doc(err_response(e.to_string())),
+    )
 }
 
 /// Serve one client until EOF. Sniffs the codec from the first byte —
@@ -622,6 +629,12 @@ pub struct BinaryConn<S: KvStore + 'static> {
     /// Byte offsets (into the request payload) of each scalar parameter's
     /// tagged value, re-scanned per fast-path attempt.
     param_offsets: Vec<usize>,
+    /// The last request the general path decoded; the next one is decoded
+    /// into its buffers ([`BinaryWire::decode_into`]). It keeps no more
+    /// spare room than the frame it was just decoded from: past that it is
+    /// dropped, so one large parameter is not held for the connection's
+    /// lifetime. Boxed, so a connection is no larger to hold or move.
+    request: Box<Envelope>,
 }
 
 impl<S: KvStore + 'static> BinaryConn<S> {
@@ -633,6 +646,7 @@ impl<S: KvStore + 'static> BinaryConn<S> {
             key_buf: Vec::new(),
             val_buf: Vec::new(),
             param_offsets: Vec::new(),
+            request: Box::new(empty_request()),
         }
     }
 
@@ -737,13 +751,32 @@ impl<S: KvStore + 'static> BinaryConn<S> {
         Some(())
     }
 
-    /// The general path: full decode → the shared request router → generic
-    /// encode, a decode error answered in place ([`answer_here`]).
+    /// The general path: full decode into the kept request → the shared
+    /// request router → generic encode, a decode error answered in place
+    /// as [`answer_here`] answers it.
     fn handle_general(&mut self, frame: &[u8]) {
         let wire = BinaryWire;
-        let decoded = wire.decode_envelope(frame);
-        let (id, reply) = answer_here(&wire, frame, decoded, &mut self.session, &self.registry);
-        wire.encode_reply(id.as_ref(), &reply, &mut self.out);
+        match wire.decode_into(frame, &mut self.request) {
+            Ok(()) => {
+                let reply = run_handler(&self.request.request, &mut self.session, &self.registry);
+                wire.encode_reply(self.request.id.as_ref(), &reply, &mut self.out);
+            }
+            Err(e) => {
+                let (id, reply) = undecodable(&wire, frame, e);
+                wire.encode_reply(id.as_ref(), &reply, &mut self.out);
+            }
+        }
+        if binary::spare_bytes(&self.request) > frame.len() {
+            *self.request = empty_request();
+        }
+    }
+}
+
+/// A request slot holding nothing.
+fn empty_request() -> Envelope {
+    Envelope {
+        id: None,
+        request: Request::Stats,
     }
 }
 
@@ -807,7 +840,7 @@ pub fn respond<S: KvStore>(
                 Ok(()) if registry.db().cluster().wal_degraded() => err_response(
                     "write-ahead log has failed: the write applied in memory but is not durable",
                 ),
-                Ok(()) => ok_response([]),
+                Ok(()) => return Reply::Done,
                 Err(e) => err_response(e.to_string()),
             }
         }
@@ -1245,4 +1278,72 @@ fn stats_response<S: KvStore>(registry: &StatementRegistry<S>) -> Json {
         m.insert("durability".into(), d);
     }
     response
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::testkit::linear_predictor;
+    use crate::SloConfig;
+    use piql_core::plan::params::ParamValue;
+    use piql_core::value::Value;
+    use piql_kv::LiveConfig;
+
+    fn dml_frame(text: &str) -> Vec<u8> {
+        let mut frame = Vec::new();
+        BinaryWire.encode_envelope(
+            &Envelope {
+                id: None,
+                request: Request::Dml {
+                    sql: "INSERT INTO t VALUES (<a>)".into(),
+                    params: vec![ParamValue::Scalar(Value::Varchar(text.into()))],
+                },
+            },
+            &mut frame,
+        );
+        frame.split_off(4)
+    }
+
+    fn text_buffer(request: &Envelope) -> *const u8 {
+        match &request.request {
+            Request::Dml { params, .. } => match &params[0] {
+                ParamValue::Scalar(Value::Varchar(s)) => s.as_ptr(),
+                other => panic!("{other:?}"),
+            },
+            other => panic!("{other:?}"),
+        }
+    }
+
+    /// The bound on what a connection keeps: after each frame its request
+    /// holds no more spare room than that frame's bytes, which the frame
+    /// buffer already holds — so one large parameter is not kept for the
+    /// connection's lifetime, while frames alike reuse the buffers.
+    #[test]
+    fn a_kept_request_holds_no_more_spare_room_than_the_frame_just_read() {
+        let db = Arc::new(Database::new(Arc::new(LiveCluster::new(
+            LiveConfig::default(),
+        ))));
+        let registry = Arc::new(StatementRegistry::new(
+            db,
+            linear_predictor(200, 100, 2),
+            SloConfig {
+                slo_ms: 1e9,
+                interval_confidence: 1.0,
+                allow_degrade: false,
+            },
+        ));
+        let mut conn = BinaryConn::new(registry);
+        let large = dml_frame(&"x".repeat(1 << 20));
+        conn.handle_frame(&large);
+        assert_eq!(binary::spare_bytes(&conn.request), 0, "all of it in use");
+        let small = dml_frame("a short thought");
+        for _ in 0..3 {
+            conn.handle_frame(&small);
+            assert!(binary::spare_bytes(&conn.request) <= small.len());
+        }
+        let kept = text_buffer(&conn.request);
+        conn.handle_frame(&dml_frame("another thought"));
+        assert_eq!(text_buffer(&conn.request), kept, "a frame alike reuses it");
+        assert!(!conn.output().is_empty());
+    }
 }

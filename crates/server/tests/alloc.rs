@@ -1,8 +1,8 @@
 //! The hot-path acceptance tests: after warm-up, a binary point read —
 //! decode → registry lookup → `point_get` → encode — performs **zero**
 //! heap allocations on the serving thread, a binary `dml` INSERT performs
-//! only the ones it cannot do without (the decoded request, the keys and
-//! record it hands to the store, its response), and a JSON page view
+//! only the ones for what the store keeps (the record and its entry), a
+//! JSON one adds only its decoded request, and a JSON page view
 //! allocates for what it asks the store and per result block, stage by
 //! stage, and not per row or for the layers between.
 //!
@@ -181,15 +181,20 @@ fn warm_binary_point_reads_do_not_allocate() {
 }
 
 /// Allocations a warm binary INSERT into `thoughts` may make on the
-/// serving thread — what is left after compiling the write once: 4 to
-/// decode the request (text, parameter list, two strings), 2 for what the
-/// store keeps (primary key, record), 1 for the copy of the record the
-/// test-and-set reports back, 2 for the response tree, and a fraction for
-/// the store's tree nodes (9.16 measured). Each secondary index adds its
-/// entry's key and its own tree's fraction (10.31 with one). A parse, a
-/// catalog clone or a payload copy creeping back in adds at least one.
-const INSERT_ALLOC_BUDGET: f64 = 9.5;
-const INSERT_ALLOC_BUDGET_ONE_INDEX: f64 = 10.75;
+/// serving thread — what the store keeps, and nothing around it: 0 to
+/// decode the request (the connection decodes into the request it kept:
+/// the same text is not rewritten, the parameter list and its strings keep
+/// their buffers), 1 for the record, 1 for the entry (the primary key,
+/// built with room for exactly the record the store appends to it), 0 for
+/// the `{"ok":true}` answer (printed without a tree) and a fraction for
+/// the store's tree nodes (2.16 measured). Each secondary index adds its
+/// entry's key and its own tree's fraction (3.31 with one). At 422cd00
+/// the same insert made 9.16: 4 to decode (text, parameter list, two
+/// strings), 2 for the answer's tree and 1 growing the key into the
+/// entry on top. A parse, a catalog clone, a payload copy or a decoded
+/// buffer no longer reused adds at least one.
+const INSERT_ALLOC_BUDGET: f64 = 2.5;
+const INSERT_ALLOC_BUDGET_ONE_INDEX: f64 = 3.5;
 
 #[test]
 #[cfg_attr(
@@ -292,6 +297,97 @@ fn warm_binary_inserts_stay_within_their_allocation_budget() {
         2 * (WARM + MEASURED),
         "every insert applied"
     );
+}
+
+/// Allocations per stage of one warm JSON INSERT, over the whole
+/// process: decoding the line builds the `Request` (text, parameter list,
+/// two strings: 4), `respond` makes what the store keeps (the record and
+/// its entry) and a fraction of a tree node (2.16 measured), and the
+/// `{"ok":true}` answer is printed without a tree. At 422cd00 `respond`
+/// made 5.16: the key grew into the entry once, and the answer was a
+/// `BTreeMap` of two allocations.
+const DML_DECODE_CEILING: f64 = 4.0;
+const DML_RESPOND_CEILING: f64 = 2.5;
+const DML_ENCODE_CEILING: f64 = 0.0;
+
+#[test]
+#[cfg_attr(
+    feature = "lock-order",
+    ignore = "lock-order tracking allocates by design"
+)]
+fn warm_json_inserts_allocate_for_the_request_and_the_store_only() {
+    let _turn = one_at_a_time();
+    let cluster = Arc::new(LiveCluster::new(LiveConfig::default()));
+    let db = Arc::new(Database::new(cluster));
+    let config = ScadrConfig {
+        users_per_node: 20,
+        thoughts_per_user: 5,
+        subscriptions_per_user: 4,
+        ..Default::default()
+    };
+    scadr::setup(&db, &config, 2).unwrap();
+    let registry = Arc::new(StatementRegistry::new(
+        db,
+        linear_predictor(200, 100, 2),
+        SloConfig {
+            slo_ms: 1e9,
+            interval_confidence: 1.0,
+            allow_degrade: false,
+        },
+    ));
+
+    const WARM: usize = 2_000;
+    const MEASURED: usize = 2_000;
+    let wire = JsonWire;
+    let post_thought = scadr::queries(&config).post_thought;
+    let frames: Vec<Vec<u8>> = (0..WARM + MEASURED)
+        .map(|i| {
+            let mut line = Vec::new();
+            wire.encode_envelope(
+                &Envelope {
+                    id: Some((i as i64).into()),
+                    request: Request::Dml {
+                        sql: post_thought.clone(),
+                        params: vec![
+                            Value::Varchar(scadr::username(i % 40)).into(),
+                            Value::Timestamp(2_000_000_000_000_000 + i as i64).into(),
+                            Value::Varchar(format!("thought number {i}")).into(),
+                        ],
+                    },
+                },
+                &mut line,
+            );
+            line.pop();
+            line
+        })
+        .collect();
+
+    let mut session = Session::new();
+    let mut out = Vec::new();
+    let (mut decode, mut handle, mut encode) = (0, 0, 0);
+    for (i, frame) in frames.iter().enumerate() {
+        let (envelope, decoded) = process_allocs(|| wire.decode_envelope(frame).unwrap());
+        let (reply, handled) =
+            process_allocs(|| respond(&envelope.request, &mut session, &registry));
+        out.clear();
+        let ((), encoded) =
+            process_allocs(|| wire.encode_reply(envelope.id.as_ref(), &reply, &mut out));
+        assert_eq!(out, format!("{{\"id\":{i},\"ok\":true}}\n").as_bytes());
+        if i >= WARM {
+            decode += decoded;
+            handle += handled;
+            encode += encoded;
+        }
+    }
+    let per_insert = |n: u64| n as f64 / MEASURED as f64;
+    let (decode, handle, encode) = (per_insert(decode), per_insert(handle), per_insert(encode));
+    println!(
+        "allocations per warm JSON insert: decode_envelope {decode:.2}, respond {handle:.2}, \
+         encode_reply {encode:.2}"
+    );
+    assert!(decode <= DML_DECODE_CEILING, "decode_envelope: {decode:.2}");
+    assert!(handle <= DML_RESPOND_CEILING, "respond: {handle:.2}");
+    assert!(encode <= DML_ENCODE_CEILING, "encode_reply: {encode:.2}");
 }
 
 /// Allocations per stage of one warm JSON page view — a `batch` of the

@@ -3,16 +3,25 @@
 //! astral chars, every id flavor), the no-panic guarantee on truncated /
 //! bit-flipped frames — a hostile frame must surface `ProtoError` or a
 //! frame-layer `io::Error`, never kill the connection handler — plus the
-//! framing layer itself (`read_frame` on cut-off streams) and the
-//! header-id recovery contract (`extract_id` on mangled payloads).
+//! framing layer itself (`read_frame` on cut-off streams), the
+//! header-id recovery contract (`extract_id` on mangled payloads), and
+//! decoding into a reused request (`decode_into`), which must leave
+//! nothing of one request in the next.
 
 use piql_core::plan::params::ParamValue;
 use piql_core::value::Value;
+use piql_engine::Database;
 use piql_server::json::Json;
 use piql_server::protocol::ok_response;
-use piql_server::{BinaryWire, Envelope, Request, RequestId, Wire};
+use piql_server::testkit::linear_predictor;
+use piql_server::{
+    BinaryConn, BinaryWire, Envelope, LiveCluster, LiveConfig, Request, RequestId, SloConfig,
+    StatementRegistry, Wire,
+};
+use piql_workloads::scadr::{self, ScadrConfig};
 use proptest::prelude::*;
 use std::io::BufReader;
+use std::sync::Arc;
 
 /// Strings mixing ASCII, escapes-required chars, control chars, wide BMP
 /// chars, and (sometimes) astral chars (same shape as `json_props.rs`).
@@ -122,8 +131,202 @@ fn encode_body(env: &Envelope) -> Vec<u8> {
     frame.split_off(4)
 }
 
+/// A scalar value `==` can compare: a NaN never equals itself.
+fn comparable_value() -> impl Strategy<Value = Value> {
+    scalar_value().prop_map(|v| match v {
+        Value::Double(d) if d.is_nan() => Value::Double(0.5),
+        v => v,
+    })
+}
+
+/// Parameter lists that make one slot change kind from frame to frame:
+/// scalars, `Varchar`s of any length, collections, longer and shorter
+/// lists.
+fn params() -> impl Strategy<Value = Vec<ParamValue>> {
+    let param = prop_oneof![
+        comparable_value().prop_map(ParamValue::Scalar),
+        string_content().prop_map(|s| ParamValue::Scalar(Value::Varchar(s))),
+        prop::collection::vec(comparable_value(), 0..4).prop_map(ParamValue::Collection),
+    ];
+    prop::collection::vec(param, 0..6)
+}
+
+/// What a connection is sent in a row: mostly the verbs decoded in place
+/// (over a few texts, so a text repeats as often as it changes), and the
+/// others to switch the slot away and back.
+fn reused_request() -> impl Strategy<Value = Request> {
+    let text = || {
+        prop_oneof![
+            Just("q".to_string()),
+            Just("INSERT".to_string()),
+            string_content()
+        ]
+    };
+    prop_oneof![
+        (text(), params()).prop_map(|(sql, params)| Request::Dml { sql, params }),
+        (text(), params()).prop_map(|(sql, params)| Request::Dml { sql, params }),
+        (text(), params()).prop_map(|(name, params)| Request::Execute {
+            name,
+            params,
+            cursor: None,
+        }),
+        (text(), params()).prop_map(|(name, params)| Request::Execute {
+            name,
+            params,
+            cursor: None,
+        }),
+        (text(), text()).prop_map(|(name, sql)| Request::Prepare { name, sql }),
+        Just(Request::Stats),
+        (text(), params()).prop_map(|(sql, params)| Request::Batch {
+            requests: vec![Request::Dml { sql, params }, Request::Stats],
+        }),
+    ]
+}
+
+/// One frame of a sequence: an encoded request, under an id or none,
+/// possibly cut short or with one byte flipped.
+fn frame_in_sequence() -> impl Strategy<Value = Vec<u8>> {
+    let id = prop_oneof![
+        Just(None),
+        request_id().prop_map(Some),
+        request_id().prop_map(Some)
+    ];
+    let damage = prop_oneof![
+        Just(None),
+        Just(None),
+        (any::<prop::sample::Index>(), Just(0u8)).prop_map(Some),
+        (any::<prop::sample::Index>(), 1u8..=255).prop_map(Some),
+    ];
+    (id, reused_request(), damage).prop_map(|(id, request, damage)| {
+        let mut body = encode_body(&Envelope { id, request });
+        match damage {
+            None => {}
+            Some((at, 0)) => body.truncate(at.index(body.len())),
+            Some((at, xor)) => {
+                let at = at.index(body.len());
+                body[at] ^= xor;
+            }
+        }
+        body
+    })
+}
+
+/// Two registries on SCADr stores that start out equal, the statements a
+/// sequence executes prepared on each.
+fn twin_registries() -> [Arc<StatementRegistry<LiveCluster>>; 2] {
+    let config = ScadrConfig {
+        users_per_node: 5,
+        thoughts_per_user: 2,
+        subscriptions_per_user: 2,
+        ..Default::default()
+    };
+    [(); 2].map(|()| {
+        let db = Arc::new(Database::new(Arc::new(LiveCluster::new(
+            LiveConfig::default(),
+        ))));
+        scadr::setup(&db, &config, 1).unwrap();
+        let registry = Arc::new(StatementRegistry::new(
+            db,
+            linear_predictor(200, 100, 2),
+            SloConfig {
+                slo_ms: 1e9,
+                interval_confidence: 1.0,
+                allow_degrade: false,
+            },
+        ));
+        let q = scadr::queries(&config);
+        registry.register("q", &q.recent_thoughts).unwrap();
+        registry.register("INSERT", &q.find_user).unwrap();
+        registry
+    })
+}
+
+/// A frame for the served sequence: the texts it uses are the registered
+/// statements and the insert the registries' stores accept, its
+/// parameters of every kind — so some frames run and some fail.
+fn served_frame() -> impl Strategy<Value = Vec<u8>> {
+    let params = || {
+        let param = prop_oneof![
+            (0usize..8).prop_map(|i| ParamValue::Scalar(Value::Varchar(scadr::username(i)))),
+            (0usize..8).prop_map(|i| ParamValue::Scalar(Value::Varchar(format!("thought {i}")))),
+            any::<i64>().prop_map(|t| ParamValue::Scalar(Value::Timestamp(t))),
+            any::<i32>().prop_map(|i| ParamValue::Scalar(Value::Int(i))),
+            (0usize..8)
+                .prop_map(|i| ParamValue::Collection(vec![Value::Varchar(scadr::username(i))])),
+        ];
+        prop::collection::vec(param, 0..5)
+    };
+    let post = scadr::queries(&ScadrConfig::default()).post_thought;
+    let dml = move || {
+        let sql = post.clone();
+        params().prop_map(move |params| Request::Dml {
+            sql: sql.clone(),
+            params,
+        })
+    };
+    let execute = |name: &'static str| {
+        params().prop_map(move |params| Request::Execute {
+            name: name.into(),
+            params,
+            cursor: None,
+        })
+    };
+    let request = prop_oneof![dml(), dml(), execute("q"), execute("INSERT")];
+    let id = prop_oneof![
+        Just(None),
+        any::<i64>().prop_map(|i| Some(RequestId::Int(i)))
+    ];
+    (id, request, any::<prop::sample::Index>(), any::<bool>()).prop_map(
+        |(id, request, cut, truncate)| {
+            let mut body = encode_body(&Envelope { id, request });
+            if truncate {
+                body.truncate(cut.index(body.len()));
+            }
+            body
+        },
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// A connection that keeps its request answers a sequence byte for
+    /// byte as a fresh connection per frame does.
+    #[test]
+    fn a_kept_request_answers_as_a_fresh_connection_does(
+        frames in prop::collection::vec(served_frame(), 1..24),
+    ) {
+        let [kept, fresh] = twin_registries();
+        let mut conn = BinaryConn::new(kept);
+        for frame in &frames {
+            conn.handle_frame(frame);
+            let mut alone = BinaryConn::new(fresh.clone());
+            alone.handle_frame(frame);
+            prop_assert_eq!(conn.output(), alone.output());
+            conn.clear_output();
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Decoding into one reused envelope, frame after frame — verb
+    /// switches, longer and shorter parameter lists, a slot turning from
+    /// scalar to collection to `Varchar`, an id present then absent,
+    /// malformed and truncated frames between — gives after each frame
+    /// what decoding that frame alone gives, the error included.
+    #[test]
+    fn decoding_into_a_reused_request_is_decoding_afresh(
+        frames in prop::collection::vec(frame_in_sequence(), 1..16),
+    ) {
+        let mut reused = Envelope { id: None, request: Request::Stats };
+        for frame in &frames {
+            let fresh = BinaryWire.decode_envelope(frame);
+            let into = BinaryWire.decode_into(frame, &mut reused).map(|()| reused.clone());
+            prop_assert_eq!(into, fresh);
+        }
+    }
 
     /// Any request under any id (or none) survives the binary envelope
     /// encode→decode exactly.

@@ -61,7 +61,8 @@ fn cursor() -> impl Strategy<Value = Option<Cursor>> {
 }
 
 /// What one statement answers: rows (possibly none, possibly a cursor,
-/// possibly degraded), an error, a budget rejection, some other verb's
+/// possibly degraded), a write's acknowledgement, an error, a budget
+/// rejection, some other verb's
 /// document — which need not even be an object.
 fn statement_reply() -> impl Strategy<Value = Reply> {
     let scalar = || {
@@ -90,6 +91,7 @@ fn statement_reply() -> impl Strategy<Value = Reply> {
             cursor,
             degraded
         }),
+        Just(Reply::Done),
         string_content().prop_map(|message| Reply::Doc(err_response(message))),
         string_content().prop_map(|tenant| Reply::Doc(budget_exceeded_response(&tenant))),
         prop::collection::btree_map(string_content(), scalar(), 0..6)
@@ -256,4 +258,37 @@ fn a_body_field_called_id_gives_way_to_the_request_id() {
     let mut line = Vec::new();
     JsonWire.encode_reply(Some(&RequestId::Int(7)), &reply, &mut line);
     assert_eq!(line, b"{\"a\":1,\"id\":7,\"idle\":null}\n");
+}
+
+/// A write's acknowledgement is the document it replaced, `{"ok":true}`,
+/// under every id form and inside a batch, on both codecs.
+#[test]
+fn done_is_the_ok_document_it_replaces() {
+    let ids = [
+        None,
+        Some(RequestId::Int(-7)),
+        Some(RequestId::from("needs \"escaping\"\n\u{0007}😀")),
+    ];
+    let done_batch = Reply::Batch(vec![Reply::Done, Reply::Done]);
+    let tree_batch = Reply::Batch(vec![
+        Reply::Doc(ok_response([])),
+        Reply::Doc(ok_response([])),
+    ]);
+    for id in &ids {
+        for wire in [&JsonWire as &dyn Wire, &BinaryWire] {
+            let (mut streamed, mut printed) = (Vec::new(), Vec::new());
+            wire.encode_reply(id.as_ref(), &Reply::Done, &mut streamed);
+            wire.encode_response(id.as_ref(), &ok_response([]), &mut printed);
+            assert_eq!(streamed, printed, "v{} under {id:?}", wire.version());
+
+            let (mut streamed, mut printed) = (Vec::new(), Vec::new());
+            wire.encode_reply(id.as_ref(), &done_batch, &mut streamed);
+            wire.encode_reply(id.as_ref(), &tree_batch, &mut printed);
+            assert_eq!(streamed, printed, "batch, v{} under {id:?}", wire.version());
+        }
+    }
+    assert_eq!(Reply::Done.into_json(), ok_response([]));
+    let mut line = Vec::new();
+    JsonWire.encode_reply(Some(&RequestId::Int(3)), &Reply::Done, &mut line);
+    assert_eq!(line, b"{\"id\":3,\"ok\":true}\n");
 }

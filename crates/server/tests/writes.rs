@@ -7,7 +7,7 @@ use piql_core::plan::params::ParamValue;
 use piql_core::value::Value;
 use piql_engine::{Database, WRITE_PLAN_CACHE_CAP};
 use piql_kv::{KvStore, LiveCluster, LiveConfig, Session};
-use piql_server::server::handle_line;
+use piql_server::server::{handle_line, respond};
 use piql_server::testkit::linear_predictor;
 use piql_server::{
     open_durable, BinaryConn, BinaryWire, DurableOptions, Envelope, Json, JsonWire, Request,
@@ -448,6 +448,11 @@ fn dead_wal_dml_still_answers_not_ok() {
             PARENT_DEAD_WAL.1
         };
         assert_eq!(conn.answer(post(9_000_002)), expected, "{}", conn.codec());
+        // and as a connection streams it, where a success is `Reply::Done`
+        let reply = respond(&post(9_000_003), &mut Session::new(), &stack.registry);
+        let mut line = Vec::new();
+        JsonWire.encode_reply(None, &reply, &mut line);
+        assert_eq!(line.trim_ascii_end(), PARENT_DEAD_WAL.0.as_bytes());
         let _ = std::fs::remove_dir_all(&dir);
     }
 }
