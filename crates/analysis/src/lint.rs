@@ -81,6 +81,7 @@ pub const REQUEST_PATH_FILES: &[&str] = &[
     "server/src/wire.rs",
     "server/src/registry.rs",
     "server/src/budget.rs",
+    "server/src/gate.rs",
     "engine/src/exec.rs",
     "core/src/rows.rs",
     "core/src/opt/index_selection.rs",

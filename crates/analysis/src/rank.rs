@@ -29,9 +29,9 @@
 
 /// `Server` accept loop's registry of live connection streams.
 pub const SERVER_STREAMS: u32 = 5;
-/// `InFlight.state`: a connection's backpressure window (decoded-but-not-
-/// yet-written request count). Taken with nothing else held by both the
-/// reader (acquire/stall) and the writer (release/poison).
+/// The `Gate` of a JSON connection's backpressure window (decoded but not
+/// yet written requests). Taken with nothing else held by both the reader
+/// (enter, or park while full) and the writer (leave, or close).
 pub const SERVER_INFLIGHT: u32 = 8;
 
 // ---- statement registry ----
@@ -41,9 +41,8 @@ pub const REGISTRY_SWEEP: u32 = 10;
 /// `StatementRegistry.statements`: the name → statement map. Journaling
 /// happens while this is held for write (install/uninstall ordering).
 pub const REGISTRY_STATEMENTS: u32 = 20;
-/// `StatementRegistry.overload`: the overload-control configuration.
-/// May be read while `REGISTRY_STATEMENTS` is held (tenant resolution at
-/// install), never the reverse.
+/// `StatementRegistry.overload`: the rebalance trigger, read once per
+/// sweep. A leaf: nothing is taken while it is held.
 pub const REGISTRY_OVERLOAD: u32 = 22;
 /// `StatementRegistry.journal`: the optional statement-journal sink handle.
 pub const REGISTRY_JOURNAL: u32 = 25;
@@ -51,9 +50,9 @@ pub const REGISTRY_JOURNAL: u32 = 25;
 pub const REGISTRY_DURABILITY: u32 = 26;
 /// `StatementRegistry.tenants`: tenant name → admission budget map.
 pub const REGISTRY_TENANTS: u32 = 27;
-/// `TenantBudget.in_flight`: one tenant's concurrent-execution permit
-/// count. Held only for the permit bookkeeping (and the queue-policy
-/// wait), never across an execution.
+/// `TenantBudget.gate`: one tenant's permit count, cap and policy. Held
+/// only for that bookkeeping (a queued admit parks with it released),
+/// never across an execution.
 pub const TENANT_BUDGET: u32 = 28;
 /// `RegisteredStatement.state`: per-statement compiled plan + prediction.
 pub const STATEMENT_STATE: u32 = 30;

@@ -567,8 +567,6 @@ pub fn run_scenario(spec: &ScenarioSpec) -> ScenarioReport {
     }
     if spec.controls.enabled {
         registry.set_overload(OverloadConfig {
-            default_tenant_capacity: None,
-            default_policy: BudgetPolicy::Reject,
             rebalance_max_op_share: spec.controls.rebalance_max_op_share,
             rebalance_min_ops: spec.controls.rebalance_min_ops,
         });

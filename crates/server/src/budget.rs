@@ -19,15 +19,12 @@
 //! The default budget is unlimited and takes no lock at all on the admit
 //! path, keeping single-tenant deployments at their current cost.
 
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use piql_analysis::ordered::{Condvar, Mutex};
+use crate::gate::{Door, Gate};
 use piql_analysis::rank;
-
-/// Sentinel stored in `TenantBudget.capacity` meaning "no limit".
-const UNLIMITED: u32 = u32::MAX;
 
 /// What happens to an execution that arrives while the tenant's budget is
 /// exhausted.
@@ -56,14 +53,10 @@ impl BudgetPolicy {
     }
 }
 
-// Policy is stored as atomics so the admit path never takes a config lock.
-const POLICY_REJECT: u8 = 0;
-const POLICY_QUEUE: u8 = 1;
-const POLICY_SHED: u8 = 2;
-
 /// Outcome of [`TenantBudget::admit`].
 pub enum BudgetDecision {
-    /// Execute the full plan. Carries a permit when the budget is bounded.
+    /// Execute the full plan. Carries a permit unless the unlimited,
+    /// lock-free admit let it in.
     Go(Option<BudgetPermit>),
     /// Execute the shed (degraded) plan; the permit covers the overflow
     /// band slot.
@@ -86,26 +79,14 @@ pub struct BudgetSnapshot {
     pub shed: u64,
 }
 
-struct InFlight {
-    count: u32,
-    /// Executions parked in `admit`'s queue, waiting for a permit.
-    waiting: u32,
-}
-
 /// One tenant's admission state. Shared between the registry (configure,
-/// stats) and every executing request (admit/release).
+/// stats) and every executing request (admit/release). Capacity and
+/// policy live only in the gate's door.
 pub struct TenantBudget {
     name: String,
-    /// `UNLIMITED` means no cap; anything else is the permit count.
-    capacity: AtomicU32,
-    policy: AtomicU32,
-    queue_wait_ms: AtomicU64,
-    /// Set once the budget has been configured explicitly (per-tenant
-    /// override); defaults re-applied via `set_overload` skip pinned
-    /// budgets.
-    pinned: AtomicBool,
-    in_flight: Mutex<InFlight>,
-    available: Condvar,
+    /// Mirrors "the door has no cap", so the unlimited admit takes no lock.
+    unlimited: AtomicBool,
+    gate: Gate<BudgetPolicy>,
     admitted: AtomicU64,
     rejected: AtomicU64,
     queued: AtomicU64,
@@ -113,33 +94,45 @@ pub struct TenantBudget {
     shed_count: AtomicU64,
 }
 
+/// What [`TenantBudget::admit`] does with an arrival, read from the door
+/// alone: enter, enter the shed band, park for up to a wait, or refuse.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Step {
+    Go,
+    Shed,
+    Park(Duration),
+    Refuse,
+}
+
+fn decide(door: &Door<BudgetPolicy>) -> Step {
+    // the overflow band: up to capacity extra places run the shed plan, so
+    // degraded work stays bounded too
+    let in_band = door
+        .cap
+        .is_some_and(|cap| door.held < cap.saturating_mul(2).max(cap.saturating_add(1)));
+    match door.rule {
+        _ if door.has_room() => Step::Go,
+        BudgetPolicy::Reject => Step::Refuse,
+        BudgetPolicy::Shed if in_band => Step::Shed,
+        BudgetPolicy::Shed => Step::Refuse,
+        BudgetPolicy::Queue { max_wait } => Step::Park(max_wait),
+    }
+}
+
 impl TenantBudget {
     /// A budget for `name` with the given capacity (`None` = unlimited)
     /// and policy.
     pub fn new(name: &str, capacity: Option<u32>, policy: BudgetPolicy) -> Arc<Self> {
-        let budget = Arc::new(TenantBudget {
+        Arc::new(TenantBudget {
             name: name.to_string(),
-            capacity: AtomicU32::new(UNLIMITED),
-            policy: AtomicU32::new(u32::from(POLICY_REJECT)),
-            queue_wait_ms: AtomicU64::new(0),
-            pinned: AtomicBool::new(false),
-            in_flight: Mutex::new(
-                rank::TENANT_BUDGET,
-                "TenantBudget.in_flight",
-                InFlight {
-                    count: 0,
-                    waiting: 0,
-                },
-            ),
-            available: Condvar::new(),
+            unlimited: AtomicBool::new(capacity.is_none()),
+            gate: Gate::new(rank::TENANT_BUDGET, "TenantBudget.gate", capacity, policy),
             admitted: AtomicU64::new(0),
             rejected: AtomicU64::new(0),
             queued: AtomicU64::new(0),
             queue_timeouts: AtomicU64::new(0),
             shed_count: AtomicU64::new(0),
-        });
-        budget.apply(capacity, policy);
-        budget
+        })
     }
 
     /// Tenant name this budget governs.
@@ -149,160 +142,77 @@ impl TenantBudget {
 
     /// True when the budget imposes no cap — the admit fast path.
     pub fn is_unlimited(&self) -> bool {
-        self.capacity.load(Ordering::Acquire) == UNLIMITED
+        self.unlimited.load(Ordering::Acquire)
     }
 
-    fn apply(&self, capacity: Option<u32>, policy: BudgetPolicy) {
-        let (code, wait_ms) = match policy {
-            BudgetPolicy::Reject => (POLICY_REJECT, 0),
-            BudgetPolicy::Queue { max_wait } => {
-                (POLICY_QUEUE, max_wait.as_millis().min(3_600_000) as u64)
-            }
-            BudgetPolicy::Shed => (POLICY_SHED, 0),
-        };
-        self.policy.store(u32::from(code), Ordering::Release);
-        self.queue_wait_ms.store(wait_ms, Ordering::Release);
-        self.capacity
-            .store(capacity.unwrap_or(UNLIMITED), Ordering::Release);
-        // Raising (or removing) the cap may unblock queued waiters.
-        self.available.notify_all();
-    }
-
-    /// Explicit per-tenant configuration: applies and pins, so later
-    /// default sweeps leave it alone.
+    /// Set the capacity (`None` = unlimited) and policy. Parked executions
+    /// re-read the door: a raised or removed cap admits them.
     pub fn configure(&self, capacity: Option<u32>, policy: BudgetPolicy) {
-        self.pinned.store(true, Ordering::Release);
-        self.apply(capacity, policy);
+        self.gate.reset(|door| {
+            door.cap = capacity;
+            door.rule = policy;
+            self.unlimited.store(capacity.is_none(), Ordering::Release);
+        });
     }
 
-    /// Apply registry-wide defaults unless this budget was configured
-    /// explicitly.
-    pub fn apply_default(&self, capacity: Option<u32>, policy: BudgetPolicy) {
-        if !self.pinned.load(Ordering::Acquire) {
-            self.apply(capacity, policy);
-        }
-    }
-
-    fn current_policy(&self) -> BudgetPolicy {
-        match self.policy.load(Ordering::Acquire) as u8 {
-            POLICY_QUEUE => BudgetPolicy::Queue {
-                max_wait: Duration::from_millis(self.queue_wait_ms.load(Ordering::Acquire)),
-            },
-            POLICY_SHED => BudgetPolicy::Shed,
-            _ => BudgetPolicy::Reject,
-        }
-    }
-
-    fn take_permit(self: &Arc<Self>) -> BudgetPermit {
-        BudgetPermit {
-            budget: Arc::clone(self),
-        }
-    }
-
-    /// Decide the fate of one execution. Cheap (two atomic loads) for
-    /// unlimited budgets; bounded budgets take the permit mutex briefly.
+    /// Decide the fate of one execution. One atomic load and add for an
+    /// unlimited budget; a bounded one takes the gate's lock briefly.
     pub fn admit(self: &Arc<Self>) -> BudgetDecision {
-        let cap = self.capacity.load(Ordering::Acquire);
-        if cap == UNLIMITED {
+        if self.is_unlimited() {
             self.admitted.fetch_add(1, Ordering::Relaxed);
             return BudgetDecision::Go(None);
         }
-        let mut state = self.in_flight.lock();
-        if state.count < cap {
-            state.count += 1;
-            drop(state);
-            self.admitted.fetch_add(1, Ordering::Relaxed);
-            return BudgetDecision::Go(Some(self.take_permit()));
+        let mut door = self.gate.lock();
+        let mut step = decide(&door);
+        if let Step::Park(max_wait) = step {
+            door = self.gate.wait(door, Some(max_wait));
+            let queued = door.has_room();
+            let counter = if queued {
+                &self.queued
+            } else {
+                &self.queue_timeouts
+            };
+            counter.fetch_add(1, Ordering::Relaxed);
+            step = if queued { Step::Go } else { Step::Refuse };
         }
-        match self.current_policy() {
-            BudgetPolicy::Reject => {
-                drop(state);
-                self.rejected.fetch_add(1, Ordering::Relaxed);
-                BudgetDecision::Reject
-            }
-            BudgetPolicy::Shed => {
-                // Overflow band: up to capacity extra slots run the shed
-                // plan, so degraded work stays bounded too.
-                let band = cap.saturating_mul(2).max(cap.saturating_add(1));
-                if state.count < band {
-                    state.count += 1;
-                    drop(state);
-                    self.shed_count.fetch_add(1, Ordering::Relaxed);
-                    BudgetDecision::Shed(self.take_permit())
-                } else {
-                    drop(state);
-                    self.rejected.fetch_add(1, Ordering::Relaxed);
-                    BudgetDecision::Reject
-                }
-            }
-            BudgetPolicy::Queue { max_wait } => {
-                let deadline = Instant::now()
-                    .checked_add(max_wait)
-                    .unwrap_or_else(|| Instant::now() + Duration::from_secs(3600));
-                state.waiting += 1;
-                // the cap this execution was admitted under; `None`: timed out
-                let admitted_under = loop {
-                    // Re-read: configure() may have raised or removed the
-                    // cap while we waited.
-                    let cap = self.capacity.load(Ordering::Acquire);
-                    if cap == UNLIMITED || state.count < cap {
-                        break Some(cap);
-                    }
-                    let now = Instant::now();
-                    if now >= deadline {
-                        break None;
-                    }
-                    let (guard, timeout) = self.available.wait_timeout(state, deadline - now);
-                    state = guard;
-                    if timeout.timed_out() && state.count >= self.capacity.load(Ordering::Acquire) {
-                        break None;
-                    }
-                };
-                state.waiting -= 1;
-                let Some(cap) = admitted_under else {
-                    drop(state);
-                    self.queue_timeouts.fetch_add(1, Ordering::Relaxed);
-                    self.rejected.fetch_add(1, Ordering::Relaxed);
-                    return BudgetDecision::Reject;
-                };
-                let permit = (cap != UNLIMITED).then(|| {
-                    state.count += 1;
-                    self.take_permit()
-                });
-                drop(state);
-                self.admitted.fetch_add(1, Ordering::Relaxed);
-                self.queued.fetch_add(1, Ordering::Relaxed);
-                BudgetDecision::Go(permit)
-            }
+        let counter = match step {
+            Step::Refuse => &self.rejected,
+            Step::Shed => &self.shed_count,
+            Step::Go | Step::Park(_) => &self.admitted,
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        if step == Step::Refuse {
+            return BudgetDecision::Reject;
         }
-    }
-
-    fn release(&self) {
-        let mut state = self.in_flight.lock();
-        state.count = state.count.saturating_sub(1);
-        drop(state);
-        self.available.notify_one();
+        door.held += 1;
+        let permit = BudgetPermit {
+            budget: Arc::clone(self),
+        };
+        match step {
+            Step::Shed => BudgetDecision::Shed(permit),
+            _ => BudgetDecision::Go(Some(permit)),
+        }
     }
 
     /// Current in-flight count (test/stats visibility).
     pub fn in_flight(&self) -> u32 {
-        self.in_flight.lock().count
+        self.gate.lock().held
     }
 
     /// Executions parked in the queue right now, waiting for a permit (a
     /// test's proof that a request has reached `admit`).
     pub fn waiting(&self) -> u32 {
-        self.in_flight.lock().waiting
+        self.gate.lock().waiting
     }
 
     /// Counters for the `stats` reply.
     pub fn snapshot(&self) -> BudgetSnapshot {
-        let cap = self.capacity.load(Ordering::Acquire);
+        let door = self.gate.lock();
         BudgetSnapshot {
             tenant: self.name.clone(),
-            capacity: if cap == UNLIMITED { None } else { Some(cap) },
-            policy: self.current_policy().name(),
-            in_flight: self.in_flight(),
+            capacity: door.cap,
+            policy: door.rule.name(),
+            in_flight: door.held,
             admitted: self.admitted.load(Ordering::Relaxed),
             rejected: self.rejected.load(Ordering::Relaxed),
             queued: self.queued.load(Ordering::Relaxed),
@@ -320,6 +230,86 @@ pub struct BudgetPermit {
 
 impl Drop for BudgetPermit {
     fn drop(&mut self) {
-        self.budget.release();
+        self.budget.gate.leave();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Every cell of (where the door stands) × (policy): below the cap all
+    /// go; from the cap reject refuses, shed takes the overflow band
+    /// (`cap ≤ held < max(2·cap, cap+1)`) and queue parks; beyond the band
+    /// shed refuses too; and a cap removed while an arrival was parked
+    /// lets every policy go.
+    #[test]
+    fn decide_names_every_cell_of_the_table() {
+        use Step::*;
+        let wait = Duration::from_micros(1500);
+        let policies = [
+            BudgetPolicy::Reject,
+            BudgetPolicy::Shed,
+            BudgetPolicy::Queue { max_wait: wait },
+        ];
+        // (door, held, cap, waiting) → the step per policy, in that order
+        let rows = [
+            ("below the cap", 2, Some(3), 0, [Go, Go, Go]),
+            ("at the cap", 3, Some(3), 0, [Refuse, Shed, Park(wait)]),
+            ("top of the band", 5, Some(3), 0, [Refuse, Shed, Park(wait)]),
+            (
+                "beyond the band",
+                6,
+                Some(3),
+                0,
+                [Refuse, Refuse, Park(wait)],
+            ),
+            (
+                "cap 0, band empty",
+                0,
+                Some(0),
+                0,
+                [Refuse, Shed, Park(wait)],
+            ),
+            (
+                "cap 0, band full",
+                1,
+                Some(0),
+                0,
+                [Refuse, Refuse, Park(wait)],
+            ),
+            ("cap removed while parked", 6, None, 1, [Go, Go, Go]),
+        ];
+        for (name, held, cap, waiting, steps) in rows {
+            for (rule, expected) in policies.into_iter().zip(steps) {
+                let door = Door {
+                    held,
+                    waiting,
+                    closed: false,
+                    cap,
+                    rule,
+                };
+                assert_eq!(decide(&door), expected, "{name} under {}", rule.name());
+            }
+        }
+    }
+
+    /// A queue waits as long as it was told to: the policy reads back
+    /// exactly as configured, sub-millisecond waits and waits beyond the
+    /// one-hour cap on a single park included.
+    #[test]
+    fn a_configured_policy_reads_back_exactly() {
+        let budget = TenantBudget::new("t", Some(0), BudgetPolicy::Reject);
+        for max_wait in [
+            Duration::from_micros(300),
+            Duration::from_micros(1500),
+            Duration::from_secs(2 * 3600),
+        ] {
+            let policy = BudgetPolicy::Queue { max_wait };
+            budget.configure(Some(0), policy);
+            let door = budget.gate.lock();
+            assert_eq!(door.rule, policy);
+            assert_eq!(decide(&door), Step::Park(max_wait));
+        }
     }
 }

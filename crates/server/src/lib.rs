@@ -45,6 +45,7 @@ pub mod binary;
 pub mod budget;
 pub mod client;
 pub mod durable;
+mod gate;
 pub mod protocol;
 pub mod registry;
 pub mod server;

@@ -194,16 +194,11 @@ pub struct DriftEvent {
 /// Drift events retained per statement.
 const DRIFT_HISTORY: usize = 32;
 
-/// Registry-wide overload-control configuration. Per-tenant budgets created
-/// after a change inherit these defaults; explicitly configured budgets
-/// (see [`StatementRegistry::set_tenant_budget`]) are pinned and keep their
-/// settings.
+/// Registry-wide overload-control configuration: the skew-triggered
+/// rebalance. Tenant budgets are configured one by one (see
+/// [`StatementRegistry::set_tenant_budget`]).
 #[derive(Debug, Clone)]
 pub struct OverloadConfig {
-    /// Default per-tenant in-flight execution cap (`None` = unlimited).
-    pub default_tenant_capacity: Option<u32>,
-    /// Default policy once a tenant's cap is reached.
-    pub default_policy: BudgetPolicy,
     /// Auto-rebalance when any namespace's [`piql_kv::NsBalance::max_op_share`]
     /// exceeds this after a re-validation sweep. `0.0` disables the trigger.
     pub rebalance_max_op_share: f64,
@@ -215,8 +210,6 @@ pub struct OverloadConfig {
 impl Default for OverloadConfig {
     fn default() -> Self {
         OverloadConfig {
-            default_tenant_capacity: None,
-            default_policy: BudgetPolicy::Reject,
             rebalance_max_op_share: 0.0,
             rebalance_min_ops: 10_000,
         }
@@ -482,12 +475,6 @@ pub struct RegistryCounters {
     pub drift_relaxed: AtomicU64,
     pub drift_flagged: AtomicU64,
     pub drift_recovered: AtomicU64,
-    /// Executions refused because the tenant's admission budget was
-    /// exhausted (reject policy, shed overflow, or queue timeout).
-    pub budget_rejected: AtomicU64,
-    /// Executions admitted into a budget's overflow band under the `Shed`
-    /// policy (served the degraded plan when one exists).
-    pub budget_shed: AtomicU64,
     /// Times a connection reader stalled on its max-in-flight cap (see
     /// `server::ServerTuning`).
     pub backpressure_stalls: AtomicU64,
@@ -596,7 +583,7 @@ pub struct StatementRegistry<S: KvStore = LiveCluster> {
     /// The durability subsystem, when the stack is durable (`stats` and
     /// `snapshot` reach it through here).
     durability: RwLock<Option<Arc<dyn DurabilityControl>>>,
-    /// Overload-control configuration (budget defaults + rebalance trigger).
+    /// Overload-control configuration (the rebalance trigger).
     overload: Mutex<OverloadConfig>,
     /// Tenant name → admission budget. Budgets are created lazily on first
     /// statement install / lookup and live for the registry's lifetime.
@@ -644,19 +631,13 @@ impl<S: KvStore> StatementRegistry<S> {
         }
     }
 
-    /// Replace the overload-control configuration. New defaults are pushed
-    /// to every existing tenant budget that was not configured explicitly.
+    /// Replace the overload-control configuration.
     pub fn set_overload(&self, cfg: OverloadConfig) {
-        {
-            let mut current = self.overload.lock();
-            *current = cfg.clone();
-        }
-        for budget in self.tenants.read().values() {
-            budget.apply_default(cfg.default_tenant_capacity, cfg.default_policy);
-        }
+        *self.overload.lock() = cfg;
     }
 
-    /// Explicitly configure (and pin) one tenant's budget.
+    /// Configure one tenant's budget. A budget is unlimited until this
+    /// configures it.
     pub fn set_tenant_budget(&self, tenant: &str, capacity: Option<u32>, policy: BudgetPolicy) {
         self.budget_for(tenant).configure(capacity, policy);
     }
@@ -666,20 +647,15 @@ impl<S: KvStore> StatementRegistry<S> {
         self.tenants.read().values().cloned().collect()
     }
 
-    /// The budget for `tenant`, creating it with the current defaults on
-    /// first sight.
+    /// The budget for `tenant`, created unlimited on first sight.
     pub fn budget_for(&self, tenant: &str) -> Arc<TenantBudget> {
         if let Some(budget) = self.tenants.read().get(tenant) {
             return budget.clone();
         }
-        let (capacity, policy) = {
-            let cfg = self.overload.lock();
-            (cfg.default_tenant_capacity, cfg.default_policy)
-        };
         let mut tenants = self.tenants.write();
         tenants
             .entry(tenant.to_string())
-            .or_insert_with(|| TenantBudget::new(tenant, capacity, policy))
+            .or_insert_with(|| TenantBudget::new(tenant, None, BudgetPolicy::Reject))
             .clone()
     }
 
@@ -916,9 +892,6 @@ impl<S: KvStore> StatementRegistry<S> {
             BudgetDecision::Go(permit) => (permit, false),
             BudgetDecision::Shed(permit) => (Some(permit), true),
             BudgetDecision::Reject => {
-                self.counters
-                    .budget_rejected
-                    .fetch_add(1, Ordering::Relaxed);
                 return Err(RegistryError::BudgetExceeded {
                     tenant: statement.budget().tenant().to_string(),
                 });
@@ -927,7 +900,6 @@ impl<S: KvStore> StatementRegistry<S> {
         // a shed admission serves the pre-compiled degraded plan when the
         // statement has one; otherwise the overflow slot runs the full plan
         let (prepared, shed) = if shed_admission {
-            self.counters.budget_shed.fetch_add(1, Ordering::Relaxed);
             match statement.shed_prepared() {
                 Some(shed_plan) => (shed_plan, true),
                 None => (statement.prepared(), false),

@@ -55,6 +55,7 @@
 
 use crate::binary::{self, BinaryWire, OP_EXECUTE, OP_RESPONSE};
 use crate::budget::BudgetDecision;
+use crate::gate::Gate;
 use crate::json::Json;
 use crate::protocol::{
     budget_exceeded_response, err_response, ok_response, parse_request, Envelope, ProtoError,
@@ -64,7 +65,7 @@ use crate::registry::{
     Admission, FastKeyPart, RegistryError, Revalidator, SloConfig, StatementRegistry,
 };
 use crate::wire::{JsonWire, Wire};
-use piql_analysis::ordered::{Condvar, Mutex};
+use piql_analysis::ordered::Mutex;
 use piql_analysis::rank;
 use piql_core::codec::key::{encode_component_ref, Dir};
 use piql_core::codec::row::RowReader;
@@ -264,73 +265,22 @@ impl<S: KvStore + 'static> Drop for PiqlServer<S> {
     }
 }
 
-/// One JSON connection's backpressure window: how many requests are
-/// decoded but not yet written back. The reader acquires a slot per frame
-/// *before* dispatching it; the writer releases one per response written.
-/// Every frame produces exactly one response through the writer (handled
-/// in either venue, or decode-errored), so the accounting balances.
-/// When the window is full the reader parks — TCP flow control then
-/// pushes back on the client — instead of decoding an unbounded backlog
-/// into the dispatch pool.
-struct InFlight {
-    cap: usize,
-    state: Mutex<InFlightState>,
-    ready: Condvar,
-}
-
-struct InFlightState {
-    count: usize,
-    /// Set when the writer dies: responses can no longer be delivered, so
-    /// a parked reader must wake and stop decoding, not wait forever.
-    dead: bool,
-}
-
-impl InFlight {
-    fn new(cap: usize) -> Arc<Self> {
-        Arc::new(InFlight {
-            cap,
-            state: Mutex::new(
-                rank::SERVER_INFLIGHT,
-                "server.conn.inflight",
-                InFlightState {
-                    count: 0,
-                    dead: false,
-                },
-            ),
-            ready: Condvar::new(),
-        })
+/// Reader side of a JSON connection's backpressure window: take a place
+/// before dispatching a frame, parking while the window is full (one stall
+/// per park; TCP flow control then pushes back on the client). The writer
+/// leaves once per response, and every frame gets one. `false` once the
+/// writer closed the window on a socket error: stop decoding.
+fn enter_window(window: &Gate<()>, stalls: &AtomicU64) -> bool {
+    let mut door = window.lock();
+    if !door.has_room() && !door.closed {
+        stalls.fetch_add(1, Ordering::Relaxed);
+        door = window.wait(door, None);
     }
-
-    /// Reader side: take one slot, parking while the window is full.
-    /// Counts one stall per park. Returns `false` when the writer died.
-    fn acquire(&self, stalls: &AtomicU64) -> bool {
-        let mut state = self.state.lock();
-        if state.count >= self.cap && !state.dead {
-            stalls.fetch_add(1, Ordering::Relaxed);
-            while state.count >= self.cap && !state.dead {
-                state = self.ready.wait(state);
-            }
-        }
-        if state.dead {
-            return false;
-        }
-        state.count += 1;
-        true
+    if door.closed {
+        return false;
     }
-
-    /// Writer side: one response made it onto the socket.
-    fn release(&self) {
-        let mut state = self.state.lock();
-        state.count = state.count.saturating_sub(1);
-        drop(state);
-        self.ready.notify_one();
-    }
-
-    /// Writer side, on socket error: wake any parked reader for teardown.
-    fn poison(&self) {
-        self.state.lock().dead = true;
-        self.ready.notify_all();
-    }
+    door.held += 1;
+    true
 }
 
 /// [`respond`] with panic containment: a handler panic becomes an error
@@ -443,13 +393,21 @@ fn serve_lanes<S: KvStore + 'static, W: Wire + Copy + Send + 'static>(
     let alive = Arc::new(AtomicBool::new(true));
     // cap 0 = unlimited: no window is even allocated, the lanes behave
     // exactly as before the backpressure control existed
-    let inflight = (max_in_flight > 0).then(|| InFlight::new(max_in_flight));
+    let window = (max_in_flight > 0).then(|| {
+        let cap = u32::try_from(max_in_flight).unwrap_or(u32::MAX);
+        Arc::new(Gate::new(
+            rank::SERVER_INFLIGHT,
+            "server.conn.window",
+            Some(cap),
+            (),
+        ))
+    });
     let writer_thread = {
         let alive = alive.clone();
-        let inflight = inflight.clone();
+        let window = window.clone();
         std::thread::Builder::new()
             .name("piql-conn-writer".into())
-            .spawn(move || write_loop(write_half, rx, &alive, wire, inflight))?
+            .spawn(move || write_loop(write_half, rx, &alive, wire, window))?
     };
     // the ordered venue's session
     let mut session = Session::new();
@@ -464,8 +422,8 @@ fn serve_lanes<S: KvStore + 'static, W: Wire + Copy + Send + 'static>(
             // backpressure: park until the in-flight window has room (a
             // full window means the client outran the server — TCP stops
             // reading new bytes while we park, pushing back upstream)
-            if let Some(window) = &inflight {
-                if !window.acquire(&registry.counters.backpressure_stalls) {
+            if let Some(window) = &window {
+                if !enter_window(window, &registry.counters.backpressure_stalls) {
                     break;
                 }
             }
@@ -510,48 +468,39 @@ fn write_loop<W: Wire>(
     rx: mpsc::Receiver<(Option<RequestId>, Reply)>,
     alive: &AtomicBool,
     wire: W,
-    inflight: Option<Arc<InFlight>>,
+    window: Option<Arc<Gate<()>>>,
 ) {
     let mut writer = BufWriter::new(stream);
     let mut buf = Vec::new();
+    // every response written leaves the backpressure window, even when it
+    // only reached the BufWriter: the bytes are out of the server's
+    // request pipeline either way
     let write_one = |writer: &mut BufWriter<TcpStream>,
                      buf: &mut Vec<u8>,
                      (id, reply): (Option<RequestId>, Reply)|
      -> io::Result<()> {
         buf.clear();
         wire.encode_reply(id.as_ref(), &reply, buf);
-        writer.write_all(buf)
-    };
-    // every response written releases one backpressure slot, even when it
-    // only reached the BufWriter: the bytes are out of the server's
-    // request pipeline either way
-    let release = |inflight: &Option<Arc<InFlight>>| {
-        if let Some(window) = inflight {
-            window.release();
+        writer.write_all(buf)?;
+        if let Some(window) = &window {
+            window.leave();
         }
+        Ok(())
     };
     while let Ok(completed) = rx.recv() {
         let mut io = write_one(&mut writer, &mut buf, completed);
-        if io.is_ok() {
-            release(&inflight);
-        }
         while io.is_ok() {
             match rx.try_recv() {
-                Ok(next) => {
-                    io = write_one(&mut writer, &mut buf, next);
-                    if io.is_ok() {
-                        release(&inflight);
-                    }
-                }
+                Ok(next) => io = write_one(&mut writer, &mut buf, next),
                 Err(_) => break,
             }
         }
         if io.and_then(|()| writer.flush()).is_err() {
             alive.store(false, Ordering::Relaxed);
             // a reader parked on a full window must wake up and exit, not
-            // wait for releases that will never come
-            if let Some(window) = &inflight {
-                window.poison();
+            // wait for responses that will never be written
+            if let Some(window) = &window {
+                window.reset(|door| door.closed = true);
             }
             return;
         }
@@ -1092,14 +1041,18 @@ fn balance_to_json(balance: &[NsBalance]) -> Json {
 
 /// The `overload` object of a `stats` response (PROTOCOL.md §4.6):
 /// service-wide overload-control counters plus one entry per tenant
-/// budget the registry has materialized.
+/// budget the registry has materialized. A budget outcome is counted once,
+/// by its tenant: the service-wide totals are the sums over `tenants`.
 fn overload_to_json<S: KvStore>(registry: &StatementRegistry<S>) -> Json {
     let c = &registry.counters;
+    let (mut rejected, mut shed) = (0, 0);
     let tenants: Vec<Json> = registry
         .tenant_budgets()
         .iter()
         .map(|budget| {
             let snap = budget.snapshot();
+            rejected += snap.rejected;
+            shed += snap.shed;
             Json::obj([
                 ("tenant", Json::str(snap.tenant)),
                 (
@@ -1124,14 +1077,8 @@ fn overload_to_json<S: KvStore>(registry: &StatementRegistry<S>) -> Json {
             "backpressure_stalls",
             Json::uint(c.backpressure_stalls.load(Ordering::Relaxed)),
         ),
-        (
-            "budget_rejected",
-            Json::uint(c.budget_rejected.load(Ordering::Relaxed)),
-        ),
-        (
-            "budget_shed",
-            Json::uint(c.budget_shed.load(Ordering::Relaxed)),
-        ),
+        ("budget_rejected", Json::uint(rejected)),
+        ("budget_shed", Json::uint(shed)),
         (
             "auto_rebalances",
             Json::uint(c.auto_rebalances.load(Ordering::Relaxed)),

@@ -81,6 +81,34 @@ fn exec_point(client: &mut Client, k: &str) -> Json {
         .unwrap()
 }
 
+fn exec_scan(client: &mut Client, name: &str) -> Json {
+    client
+        .request_raw(&Request::Execute {
+            name: name.into(),
+            params: vec![Value::Varchar("g".into()).into()],
+            cursor: None,
+        })
+        .unwrap()
+}
+
+/// Each budget outcome is counted once, by its tenant: the service-wide
+/// `budget_rejected` and `budget_shed` are the sums over `tenants`, and
+/// `field` was counted on at least two of them.
+fn assert_totals_are_tenant_sums(overload: &Json, field: &str) {
+    let tenants = overload.get("tenants").and_then(Json::as_arr).unwrap();
+    let count = |t: &Json, field: &str| t.get(field).and_then(Json::as_i64).unwrap_or(0);
+    let sum = |field| tenants.iter().map(|t| count(t, field)).sum::<i64>();
+    for (total, per_tenant) in [("budget_rejected", "rejected"), ("budget_shed", "shed")] {
+        assert_eq!(
+            overload.get(total).and_then(Json::as_i64),
+            Some(sum(per_tenant)),
+            "{total} is not the sum over tenants: {overload:?}"
+        );
+    }
+    let counted = tenants.iter().filter(|t| count(t, field) > 0).count();
+    assert!(counted >= 2, "{field} counted on {counted} tenant(s)");
+}
+
 /// A zero-capacity Reject budget turns every execution into the typed
 /// `budget-exceeded` error, visible in the response envelope and in the
 /// `stats` overload block; lifting the budget restores service.
@@ -89,9 +117,15 @@ fn budget_reject_surfaces_typed_error_and_stats() {
     let registry = build_registry();
     register_acme(&registry);
     registry.set_tenant_budget("acme", Some(0), BudgetPolicy::Reject);
+    registry
+        .register("beta.scan", "SELECT * FROM items WHERE g = <g> LIMIT 50")
+        .unwrap();
+    registry.set_tenant_budget("beta", Some(0), BudgetPolicy::Reject);
     let server = PiqlServer::start_with_registry(registry.clone(), "127.0.0.1:0").unwrap();
     let mut client = Client::connect(server.local_addr()).unwrap();
 
+    let beta = exec_scan(&mut client, "beta.scan");
+    assert_eq!(beta.get("tenant").and_then(Json::as_str), Some("beta"));
     let resp = exec_point(&mut client, "k00001");
     assert_eq!(resp.get("ok").and_then(Json::as_bool), Some(false));
     assert_eq!(
@@ -127,6 +161,7 @@ fn budget_reject_surfaces_typed_error_and_stats() {
     assert_eq!(acme.get("policy").and_then(Json::as_str), Some("reject"));
     assert!(acme.get("rejected").and_then(Json::as_i64).unwrap_or(0) >= 1);
     assert_eq!(acme.get("in_flight").and_then(Json::as_i64), Some(0));
+    assert_totals_are_tenant_sums(overload, "rejected");
 
     // Lifting the budget restores full service on the same connection.
     registry.set_tenant_budget("acme", None, BudgetPolicy::Reject);
@@ -142,8 +177,14 @@ fn budget_shed_serves_degraded_plan() {
     let registry = build_registry();
     register_acme(&registry);
     registry.set_tenant_budget("acme", Some(0), BudgetPolicy::Shed);
+    registry
+        .register("beta.scan", "SELECT * FROM items WHERE g = <g> LIMIT 50")
+        .unwrap();
+    registry.set_tenant_budget("beta", Some(0), BudgetPolicy::Shed);
     let server = PiqlServer::start_with_registry(registry.clone(), "127.0.0.1:0").unwrap();
     let mut client = Client::connect(server.local_addr()).unwrap();
+    let beta = exec_scan(&mut client, "beta.scan");
+    assert_eq!(beta.get("degraded").and_then(Json::as_bool), Some(true));
 
     let resp = client
         .request_raw(&Request::Execute {
@@ -178,6 +219,7 @@ fn budget_shed_serves_degraded_plan() {
             .unwrap_or(0)
             >= 1
     );
+    assert_totals_are_tenant_sums(overload, "shed");
 }
 
 /// A zero-capacity Queue budget waits out `max_wait` then rejects; the
