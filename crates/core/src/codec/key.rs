@@ -241,14 +241,24 @@ pub fn decode_key(
 /// the range is unbounded above (prefix was all `0xFF`).
 pub fn prefix_upper_bound(prefix: &[u8]) -> Option<Vec<u8>> {
     let mut bound = prefix.to_vec();
-    while let Some(last) = bound.last_mut() {
-        if *last != 0xFF {
-            *last += 1;
-            return Some(bound);
+    prefix_upper_bound_in_place(&mut bound, 0).then_some(bound)
+}
+
+/// [`prefix_upper_bound`] of `buf[from..]`, in place: those bytes become
+/// the bound, or are removed when there is none (answering `false`).
+pub fn prefix_upper_bound_in_place(buf: &mut Vec<u8>, from: usize) -> bool {
+    while buf.len() > from {
+        match buf.last_mut() {
+            Some(last) if *last != 0xFF => {
+                *last += 1;
+                return true;
+            }
+            _ => {
+                buf.pop();
+            }
         }
-        bound.pop();
     }
-    None
+    false
 }
 
 #[cfg(test)]
@@ -354,5 +364,12 @@ mod tests {
         assert_eq!(prefix_upper_bound(&[1, 0xFF]), Some(vec![2]));
         assert_eq!(prefix_upper_bound(&[0xFF, 0xFF]), None);
         assert_eq!(prefix_upper_bound(&[]), None);
+        // in place, behind bytes it leaves alone — 0xFF ones included
+        let mut buf = vec![0xFF, 7, 1, 0xFF];
+        assert!(prefix_upper_bound_in_place(&mut buf, 1));
+        assert_eq!(buf, [0xFF, 7, 2]);
+        let mut buf = vec![7, 0xFF, 0xFF];
+        assert!(!prefix_upper_bound_in_place(&mut buf, 1));
+        assert_eq!(buf, [7]);
     }
 }

@@ -15,15 +15,19 @@
 //!
 //! A round is executed by the backend at the *slowest* request, not the
 //! sum (see the [`KvStore::execute_round`] contract): `SimCluster` models
-//! that in virtual time, and `LiveCluster` fans the round out over its
-//! shared worker pool — so `Parallel`'s speedup is real wall-clock
-//! overlap on the live path, not just round batching.
+//! that in virtual time, and `LiveCluster` fans a round with service time
+//! out over its shared worker pool — so `Parallel`'s speedup is real
+//! wall-clock overlap on the live path, not just round batching. An
+//! operator's fanned round — the FK join's gets, the sorted join's ranges,
+//! a non-covering scan's dereference — is built as one packed
+//! [`ReadRound`] and read back as one [`ReadAnswer`] block, whatever the
+//! strategy issues it as.
 
 use crate::cursor::{Cursor, CursorState};
 use crate::keys::{self, KeyPart};
 use piql_core::ast::AggFunc;
 use piql_core::catalog::{Catalog, ColumnId, IndexDef, TableDef, TableId};
-use piql_core::codec::key::{self, prefix_upper_bound, Dir};
+use piql_core::codec::key::{self, prefix_upper_bound, prefix_upper_bound_in_place, Dir};
 use piql_core::codec::row as row_codec;
 use piql_core::opt::UNBOUNDED_SCAN_BATCH;
 use piql_core::plan::params::{ParamError, ParamsRef};
@@ -35,7 +39,8 @@ use piql_core::plan::BoundPredicate;
 use piql_core::rows::{Row, Rows, RowsBuilder, RowsError};
 use piql_core::value::{DataType, Value, ValueRef};
 use piql_kv::{
-    Entries, KvRequest, KvResponse, KvStore, ModelKey, NsId, OpKind, ResponseMismatch, Session,
+    Entries, KvRequest, KvResponse, KvStore, MalformedRound, ModelKey, NsId, OpKind, Probe,
+    ReadAnswer, ReadRound, Session,
 };
 use std::cmp::Ordering;
 use std::collections::BTreeMap;
@@ -100,8 +105,8 @@ impl From<keys::KeyError> for ExecError {
     }
 }
 
-impl From<ResponseMismatch> for ExecError {
-    fn from(e: ResponseMismatch) -> Self {
+impl From<MalformedRound> for ExecError {
+    fn from(e: MalformedRound) -> Self {
         ExecError::Internal(e.to_string())
     }
 }
@@ -370,7 +375,9 @@ impl<'a> ExecCtx<'a> {
 
     fn eval_scan(&mut self, op: &RemoteOp, spec: &ScanSpec) -> Result<Rows, ExecError> {
         let params = self.params;
-        let prefix = Self::probe_prefix(
+        let mut prefix = Vec::new();
+        Self::probe_prefix(
+            &mut prefix,
             op,
             spec.eq_prefix
                 .iter()
@@ -498,9 +505,10 @@ impl<'a> ExecCtx<'a> {
         key: &[KeySource],
         row_bytes: u64,
     ) -> Result<Rows, ExecError> {
-        let mut probe_keys = Vec::with_capacity(children.len());
+        let mut round = ReadRound::gets(op.primary, children.len());
+        let mut probe = Vec::new();
         for child in &children {
-            let mut probe = Vec::new();
+            probe.clear();
             for ks in key {
                 let value = match ks {
                     KeySource::Const(operand) => ValueRef::of(operand.resolve(self.params)?),
@@ -508,21 +516,20 @@ impl<'a> ExecCtx<'a> {
                 };
                 keys::encode_probe_component(&mut probe, value, Dir::Asc)?;
             }
-            probe_keys.push(probe);
+            round.push_get(&probe);
         }
-        self.tag_op(OpKind::IndexFKJoin, probe_keys.len() as u64, 1, row_bytes);
-        let responses = self.issue_gets(op.primary, probe_keys)?;
+        self.tag_op(OpKind::IndexFKJoin, round.len() as u64, 1, row_bytes);
+        let answer = self.read(&round)?;
         self.clear_op_tag();
         let mut out = children.widen(op.table.columns.len());
-        let (found, bytes) = found_rows(&responses);
-        out.reserve(found, bytes);
-        for (child, resp) in responses.iter().enumerate() {
-            if let KvResponse::Value(Some(bytes)) = resp {
+        out.reserve(answer.entries().len(), value_bytes(answer.entries()));
+        for child in 0..answer.len() {
+            // missing row: dangling reference -> inner join drops it
+            if let Some((_, record)) = answer.probe(child).next() {
                 out.push_left(child)?;
-                keys::decode_row_into(&mut out, &op.table, bytes)?;
+                keys::decode_row_into(&mut out, &op.table, record)?;
                 out.end_row()?;
             }
-            // missing row: dangling reference -> inner join drops it
         }
         Ok(out.finish())
     }
@@ -546,95 +553,64 @@ impl<'a> ExecCtx<'a> {
             None => None,
         };
 
-        // one bounded range per child: its probe prefix, narrowed to the
-        // cursor position when resuming
+        // one bounded range per child: everything under its probe prefix,
+        // narrowed to the cursor position when resuming — conservatively,
+        // including it, and filtered below
         let params = self.params;
+        let mut round = ReadRound::ranges(op.ns, children.len(), Some(spec.per_key), spec.reverse);
         let mut prefix_lens = Vec::with_capacity(children.len());
-        let mut requests = Vec::with_capacity(children.len());
+        let mut probe = Vec::new();
         for child in &children {
-            let prefix = Self::probe_prefix(
+            probe.clear();
+            Self::probe_prefix(
+                &mut probe,
                 op,
                 spec.prefix.iter().map(|ks| match ks {
                     KeySource::Const(operand) => operand.resolve(params).map(ValueRef::of),
                     KeySource::ChildField(p) => Ok(child.value(*p)),
                 }),
             )?;
-            prefix_lens.push(prefix.len());
-            let mut end = prefix_upper_bound(&prefix);
-            let mut start = prefix;
+            let prefix = probe.len();
+            prefix_lens.push(prefix);
+            // `probe` is the prefix and any cursor suffix; the range starts
+            // at one of the two and ends past everything under the other,
+            // whose upper bound is built behind them
             if let Some((suffix, _)) = resume {
-                // conservative: include the cursor position, filter below
-                let mut at = start.clone();
-                at.extend_from_slice(suffix);
-                if spec.reverse {
-                    end = prefix_upper_bound(&at).or(end);
-                } else {
-                    start = at;
-                }
+                probe.extend_from_slice(suffix);
             }
-            requests.push(KvRequest::GetRange {
-                ns: op.ns,
-                start,
-                end,
-                limit: Some(spec.per_key),
-                reverse: spec.reverse,
-            });
+            let (start, under) = if spec.reverse {
+                (prefix, probe.len())
+            } else {
+                (probe.len(), prefix)
+            };
+            let bound = probe.len();
+            probe.extend_from_within(..under);
+            let bounded = prefix_upper_bound_in_place(&mut probe, bound);
+            round.push_range(&probe[..start], bounded.then(|| &probe[bound..]));
         }
 
         // fetch up to per_key entries per probe
         self.tag_op(
             OpKind::SortedIndexJoin,
-            requests.len() as u64,
+            round.len() as u64,
             spec.per_key,
             spec.row_bytes,
         );
-        let mut per_child: Vec<Entries> = Vec::with_capacity(requests.len());
-        match self.strategy {
-            ExecStrategy::Parallel => {
-                for resp in self.round(requests) {
-                    per_child.push(resp.into_block()?);
-                }
-            }
-            ExecStrategy::Simple => {
-                for req in requests {
-                    let resp = self.round_one(req);
-                    per_child.push(resp.into_block()?);
-                }
-            }
-            ExecStrategy::Lazy => {
-                // per probe: one entry per request
-                for req in requests {
-                    let KvRequest::GetRange {
-                        ns,
-                        start,
-                        end,
-                        reverse,
-                        ..
-                    } = req
-                    else {
-                        return Err(ExecError::Internal(
-                            "a sorted join probes with range requests only".into(),
-                        ));
-                    };
-                    per_child.push(self.fetch_one_by_one(ns, start, end, reverse, spec.per_key)?);
-                }
-            }
-        }
+        let answer = self.read(&round)?;
         self.clear_op_tag();
 
         // merge: order entries by the key bytes after their probe prefix
         // (the sort columns + pk, already direction-encoded by the index
         // codec), forward or reverse; ties by full key. The entries stay in
-        // their blocks; what is sorted is (child, entry) index pairs.
-        let entry = |&(child, i): &(usize, usize)| per_child[child].get(i);
+        // the answer; what is sorted is (child, entry) index pairs.
+        let entry = |&(_, i): &(usize, usize)| answer.entries().get(i);
         let position = |at: &(usize, usize)| {
             let key = entry(at).0;
             (&key[prefix_lens[at.0].min(key.len())..], key)
         };
-        let mut items: Vec<(usize, usize)> =
-            Vec::with_capacity(per_child.iter().map(Entries::len).sum());
-        for (child, entries) in per_child.iter().enumerate() {
-            items.extend((0..entries.len()).map(|i| (child, i)));
+        let mut items: Vec<(usize, usize)> = Vec::with_capacity(answer.entries().len());
+        for child in 0..answer.len() {
+            items.extend(answer.span(child).map(|i| (child, i)));
         }
         if spec.reverse {
             items.sort_by(|a, b| position(b).cmp(&position(a)));
@@ -678,13 +654,13 @@ impl<'a> ExecCtx<'a> {
 
     // ------------------------------------------------------------- shared
 
-    /// Encode a probe prefix: one component per value, over the leading
-    /// key parts of `op`'s index.
+    /// Append a probe prefix to `prefix`: one component per value, over the
+    /// leading key parts of `op`'s index.
     fn probe_prefix<'v>(
+        prefix: &mut Vec<u8>,
         op: &RemoteOp,
         values: impl Iterator<Item = Result<ValueRef<'v>, ParamError>>,
-    ) -> Result<Vec<u8>, ExecError> {
-        let mut prefix = Vec::new();
+    ) -> Result<(), ExecError> {
         for (i, value) in values.enumerate() {
             let value = value?;
             let dir = op.dirs.get(i).copied().ok_or_else(|| {
@@ -697,14 +673,12 @@ impl<'a> ExecCtx<'a> {
                 None
             };
             match &token {
-                Some(token) => {
-                    key::encode_component_ref(&mut prefix, ValueRef::Varchar(token), dir)
-                        .map_err(keys::KeyError::from)?
-                }
-                None => keys::encode_probe_component(&mut prefix, value, dir)?,
+                Some(token) => key::encode_component_ref(prefix, ValueRef::Varchar(token), dir)
+                    .map_err(keys::KeyError::from)?,
+                None => keys::encode_probe_component(prefix, value, dir)?,
             }
         }
-        Ok(prefix)
+        Ok(())
     }
 
     /// Byte-space `[start, end)` of a scan: everything under `prefix`,
@@ -805,26 +779,26 @@ impl<'a> ExecCtx<'a> {
             row_from_key(&mut from_keys, k)?;
             from_keys.end_row()?;
         }
-        let mut pk_keys = Vec::with_capacity(entries.len());
+        let mut round = ReadRound::gets(op.primary, entries.len());
+        let mut pk = Vec::new();
         for row in &from_keys.finish() {
-            let mut pk = Vec::new();
+            pk.clear();
             for &col in &op.pk {
                 keys::encode_probe_component(&mut pk, row.value(col), Dir::Asc)?;
             }
-            pk_keys.push(pk);
+            round.push_get(&pk);
         }
         // non-covering index dereference: modeled (and therefore
         // sampled) as an IndexFKJoin of the fetched entries — the
         // same shape `plan_thetas` predicts for it
-        self.tag_op(OpKind::IndexFKJoin, pk_keys.len() as u64, 1, row_bytes);
-        let responses = self.issue_gets(op.primary, pk_keys)?;
+        self.tag_op(OpKind::IndexFKJoin, round.len() as u64, 1, row_bytes);
+        let answer = self.read(&round)?;
         self.clear_op_tag();
-        let (found, bytes) = found_rows(&responses);
-        out.reserve(found, bytes);
-        for (i, ((k, _), resp)) in entries.zip(&responses).enumerate() {
-            if let KvResponse::Value(Some(bytes)) = resp {
+        out.reserve(answer.entries().len(), value_bytes(answer.entries()));
+        for (i, (k, _)) in entries.enumerate() {
+            if let Some((_, record)) = answer.probe(i).next() {
                 left(out, i)?;
-                keys::decode_row_into(out, table, bytes)?;
+                keys::decode_row_into(out, table, record)?;
                 // the §7.2 write order can leave entries whose
                 // record moved on (crash between record update and
                 // stale-entry deletion); re-verify the entry is
@@ -842,26 +816,47 @@ impl<'a> ExecCtx<'a> {
         Ok(())
     }
 
-    /// Issue a batch of gets per the strategy.
-    fn issue_gets(&mut self, ns: NsId, keys: Vec<Vec<u8>>) -> Result<Vec<KvResponse>, ExecError> {
-        if keys.is_empty() {
-            return Ok(Vec::new());
+    /// Issue an operator's read round per the strategy — Parallel as the
+    /// one round it is, Simple as one round per probe, Lazy as one entry
+    /// per request — and answer it as one block, with an answer for every
+    /// probe or an error.
+    fn read(&mut self, round: &ReadRound) -> Result<ReadAnswer, ExecError> {
+        let answer = match self.strategy {
+            ExecStrategy::Parallel => self.store.read_round(self.session, round)?,
+            strategy => {
+                let mut answer = ReadAnswer::default();
+                for probe in round.probes() {
+                    let response = match (strategy, probe) {
+                        (
+                            ExecStrategy::Lazy,
+                            Probe::Range {
+                                start,
+                                end,
+                                limit,
+                                reverse,
+                            },
+                        ) => KvResponse::Entries(self.fetch_one_by_one(
+                            round.ns(),
+                            start.to_vec(),
+                            end.map(<[u8]>::to_vec),
+                            reverse,
+                            limit.unwrap_or(u64::MAX),
+                        )?),
+                        _ => self.round_one(probe.request(round.ns())),
+                    };
+                    answer.push_response(probe, &response)?;
+                }
+                answer
+            }
+        };
+        if answer.len() != round.len() {
+            return Err(MalformedRound::Count {
+                requests: round.len(),
+                responses: answer.len(),
+            }
+            .into());
         }
-        Ok(match self.strategy {
-            ExecStrategy::Parallel => self.round(
-                keys.into_iter()
-                    .map(|key| KvRequest::Get { ns, key })
-                    .collect(),
-            ),
-            _ => keys
-                .into_iter()
-                .map(|key| self.round_one(KvRequest::Get { ns, key }))
-                .collect(),
-        })
-    }
-
-    fn round(&mut self, requests: Vec<KvRequest>) -> Vec<KvResponse> {
-        self.store.execute_round(self.session, requests)
+        Ok(answer)
     }
 
     fn round_one(&mut self, request: KvRequest) -> KvResponse {
@@ -869,15 +864,10 @@ impl<'a> ExecCtx<'a> {
     }
 }
 
-/// How many of `responses` found their record, and those records' bytes:
-/// what a block about to hold them reserves.
-fn found_rows(responses: &[KvResponse]) -> (usize, usize) {
-    responses
-        .iter()
-        .fold((0, 0), |(rows, bytes), resp| match resp {
-            KvResponse::Value(Some(record)) => (rows + 1, bytes + record.len()),
-            _ => (rows, bytes),
-        })
+/// The value bytes of `entries`: what a block about to hold the rows they
+/// are reserves.
+fn value_bytes(entries: &Entries) -> usize {
+    entries.iter().map(|(_, value)| value.len()).sum()
 }
 
 /// After consuming entry `k`, tighten the bounds for the next fetch.

@@ -27,7 +27,7 @@ use piql_core::codec::key::{encode_component_ref, prefix_upper_bound, Dir};
 use piql_core::plan::params::ParamError;
 use piql_core::tuple::Tuple;
 use piql_core::value::{DataType, Value, ValueRef};
-use piql_kv::{KvRequest, KvResponse, KvStore, NsId, ResponseMismatch, Session};
+use piql_kv::{KvRequest, KvResponse, KvStore, MalformedRound, NsId, Session};
 use std::fmt;
 use std::sync::Arc;
 
@@ -90,8 +90,8 @@ impl From<ParamError> for WriteError {
     }
 }
 
-impl From<ResponseMismatch> for WriteError {
-    fn from(e: ResponseMismatch) -> Self {
+impl From<MalformedRound> for WriteError {
+    fn from(e: MalformedRound) -> Self {
         WriteError::Exec(e.to_string())
     }
 }

@@ -5,7 +5,11 @@ use piql_core::plan::params::Params;
 use piql_core::tuple;
 use piql_core::value::Value;
 use piql_engine::{Cursor, Database, DbError, ExecStrategy, WriteError};
-use piql_kv::{ClusterConfig, KvRequest, KvStore, LiveCluster, LiveConfig, Session, SimCluster};
+use piql_kv::{
+    ClusterConfig, KvRequest, KvResponse, KvStore, LiveCluster, LiveConfig, NsId, Session,
+    SimCluster,
+};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 const SCADR_DDL: &[&str] = &[
@@ -864,6 +868,84 @@ fn sorted_join_keeps_rows_with_their_children_past_a_dangling_entry() {
         rows.iter().all(|row| row[0] == row[2]),
         "every row still joined to the child whose probe found it: {rows:?}"
     );
+}
+
+/// A store whose rounds of two requests or more come back one response
+/// short once armed — a misbehaving backend, in the style of `tcp.rs`'s
+/// `FaultyStore`. It overrides nothing but `execute_round`, so an
+/// operator's packed read round reaches it through the trait's default.
+struct ShortStore {
+    inner: SimCluster,
+    armed: AtomicBool,
+}
+
+impl KvStore for ShortStore {
+    fn namespace(&self, name: &str) -> NsId {
+        self.inner.namespace(name)
+    }
+    fn execute_round(&self, session: &mut Session, round: Vec<KvRequest>) -> Vec<KvResponse> {
+        let fanned = round.len() >= 2;
+        let mut responses = self.inner.execute_round(session, round);
+        if fanned && self.armed.load(Ordering::SeqCst) {
+            responses.pop();
+        }
+        responses
+    }
+    fn bulk_put(&self, ns: NsId, key: Vec<u8>, value: Vec<u8>) {
+        self.inner.bulk_put(ns, key, value)
+    }
+    fn rebalance(&self) {
+        self.inner.rebalance()
+    }
+}
+
+/// A round answered short is an error, never a shorter result: the FK
+/// join's gets, a non-covering scan's dereference and the sorted join's
+/// ranges each used to drop the rows of the missing responses.
+#[test]
+fn a_round_answered_short_is_an_error_not_fewer_rows() {
+    let store = Arc::new(ShortStore {
+        inner: SimCluster::new(ClusterConfig::instant(3)),
+        armed: AtomicBool::new(false),
+    });
+    let db = Database::new(store.clone());
+    for ddl in SCADR_DDL {
+        db.execute_ddl(ddl).unwrap();
+    }
+    db.execute_ddl(
+        "CREATE TABLE posts (id INT NOT NULL, author VARCHAR(32) NOT NULL, \
+         score INT NOT NULL, body VARCHAR(40), PRIMARY KEY (id))",
+    )
+    .unwrap();
+    populate(&db, 8, 4, 3);
+    db.bulk_load(
+        "posts",
+        (0..12).map(|i| tuple![i, "user0000", 100 - i, format!("post {i}").as_str()]),
+    )
+    .unwrap();
+    let statements = [
+        (
+            "FK join",
+            "SELECT u.* FROM subscriptions s JOIN users u \
+             WHERE u.username = s.target AND s.owner = <p>",
+        ),
+        (
+            "dereference",
+            "SELECT * FROM posts WHERE author = <p> ORDER BY score DESC LIMIT 5",
+        ),
+        ("sorted join", THOUGHTSTREAM),
+    ];
+    let params = Params::from_values([Value::Varchar("user0000".into())]);
+    for (what, sql) in statements {
+        let prepared = db.prepare(sql).unwrap();
+        let mut session = Session::new();
+        store.armed.store(false, Ordering::SeqCst);
+        let rows = db.execute(&mut session, &prepared, &params).unwrap().rows;
+        assert!(rows.len() >= 2, "{what}: {rows:?}");
+        store.armed.store(true, Ordering::SeqCst);
+        let err = db.execute(&mut session, &prepared, &params).unwrap_err();
+        assert!(err.to_string().contains("malformed round"), "{what}: {err}");
+    }
 }
 
 #[test]

@@ -16,7 +16,10 @@
 
 use crate::latency::{InterferenceConfig, LatencyConfig};
 use crate::node::StorageNode;
-use crate::op::{Entries, KvRequest, KvResponse, NsId, RequestRound};
+use crate::op::{
+    Entries, KvRequest, KvResponse, MalformedRound, NsId, Probe, ReadAnswer, ReadRound,
+    RequestRound,
+};
 use crate::partition::{NsPlacement, PartitionMap, SplitPoints};
 use crate::session::Session;
 use crate::store::Namespace;
@@ -140,7 +143,9 @@ pub trait KvStore: Send + Sync {
     ///   instant** and execute concurrently; the round completes — and the
     ///   session clock advances to — the *slowest* request's completion,
     ///   not the sum. `SimCluster` models this in virtual time;
-    ///   `LiveCluster` fans the round out over a shared worker pool.
+    ///   `LiveCluster` fans a round with service time to overlap out over
+    ///   a shared worker pool, and serves one without on the calling
+    ///   thread.
     /// * Responses are **positional**: `responses[i]` answers `round[i]`,
     ///   regardless of completion order.
     /// * Requests within one round must be **mutually independent**: the
@@ -163,6 +168,20 @@ pub trait KvStore: Send + Sync {
         self.execute_round(session, vec![req])
             .pop()
             .unwrap_or(KvResponse::Done)
+    }
+    /// Issue one operator's read round, packed, and answer it as one block:
+    /// the round of the requests its probes stand for ([`Probe::request`]),
+    /// with the same contract, accounting and sampling. The default issues
+    /// exactly that round through `execute_round` and packs what comes
+    /// back, so a backend or wrapper that does not override this stays
+    /// correct. An answer that is not one response of the probe's variant
+    /// per probe is a [`MalformedRound`], never a shorter answer.
+    fn read_round(
+        &self,
+        session: &mut Session,
+        round: &ReadRound,
+    ) -> Result<ReadAnswer, MalformedRound> {
+        read_by_requests(self, session, round)
     }
     /// Allocation-free point read: look `key` up in `ns` and append the
     /// stored value to `out`, with the same session-clock, stats, and
@@ -232,6 +251,46 @@ pub trait KvStore: Send + Sync {
     fn wal_degraded(&self) -> bool {
         false
     }
+}
+
+/// [`KvStore::read_round`] as the round of requests it stands for: issued
+/// through `execute_round`, checked, and packed — sized, then copied, so
+/// the answer is allocated once.
+pub(crate) fn read_by_requests<S: KvStore + ?Sized>(
+    store: &S,
+    session: &mut Session,
+    round: &ReadRound,
+) -> Result<ReadAnswer, MalformedRound> {
+    if round.is_empty() {
+        return Ok(ReadAnswer::default());
+    }
+    let requests = round.probes().map(|probe| probe.request(round.ns()));
+    let responses = store.execute_round(session, requests.collect());
+    if responses.len() != round.len() {
+        return Err(MalformedRound::Count {
+            requests: round.len(),
+            responses: responses.len(),
+        });
+    }
+    let (mut entries, mut bytes) = (0, 0);
+    for (probe, response) in round.probes().zip(&responses) {
+        match (probe, response) {
+            (Probe::Get(key), KvResponse::Value(Some(value))) => {
+                entries += 1;
+                bytes += key.len() + value.len();
+            }
+            (_, KvResponse::Entries(found)) => {
+                entries += found.len();
+                bytes += found.payload_len();
+            }
+            _ => {}
+        }
+    }
+    let mut answer = ReadAnswer::with_capacity(round.len(), entries, bytes);
+    for (probe, response) in round.probes().zip(&responses) {
+        answer.push_response(probe, response)?;
+    }
+    Ok(answer)
 }
 
 /// The simulated cluster.

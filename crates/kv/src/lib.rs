@@ -22,20 +22,26 @@
 //!
 //! A range request is answered with one [`Entries`] block: every key and
 //! value of the answer back to back in one buffer, their ends in another.
-//! Both backends count what they are about to return while they hold the
-//! map, make room for exactly that, and copy once — two allocations
-//! whatever the answer holds, searched with the request's own bounds — and
-//! both answer an empty or inverted interval with nothing instead of
-//! panicking in `BTreeMap::range`. The engine reads keys and values where
-//! they lie; [`KvResponse::into_entries`] converts to owned pairs for tests
-//! and probes.
+//! Both backends count what they are about to return, make room for
+//! exactly that, and copy once — two allocations whatever the answer
+//! holds, searched with the request's own bounds — and both answer an
+//! empty or inverted interval with nothing instead of panicking in
+//! `BTreeMap::range`. The engine reads keys and values where they lie;
+//! [`KvResponse::into_entries`] converts to owned pairs for tests and
+//! probes.
 //!
-//! Request rounds fan out over a shared [`RoundPool`] — a fixed-width
-//! worker pool whose callers participate in their own round's queue (so
-//! saturation degrades to sequential execution, never deadlock) and
-//! which doubles as a fire-and-forget dispatch executor
-//! ([`RoundPool::spawn`]) for `piql-server`'s pipelined request
-//! handling.
+//! An operator's fanned read round — its gets, or its ranges — travels
+//! packed the same way: a [`ReadRound`] holds every probe in one buffer,
+//! and [`KvStore::read_round`] answers it as one [`ReadAnswer`] block.
+//! `LiveCluster` serves it where it was issued, sized over the whole round;
+//! any other backend answers the requests it stands for.
+//!
+//! A round with service time to overlap fans out over a shared
+//! [`RoundPool`] — a fixed-width worker pool whose callers participate in
+//! their own round's queue (so saturation degrades to sequential
+//! execution, never deadlock) and which doubles as a fire-and-forget
+//! dispatch executor ([`RoundPool::spawn`]) for `piql-server`'s pipelined
+//! request handling.
 
 pub mod cluster;
 pub mod latency;
@@ -53,7 +59,10 @@ pub mod wal;
 pub use cluster::{ClusterConfig, KvStore, NsBalance, SimCluster};
 pub use latency::{InterferenceConfig, LatencyConfig};
 pub use live::{LiveCluster, LiveConfig, LiveStatsSnapshot};
-pub use op::{Entries, KvEntry, KvRequest, KvResponse, NsId, RequestRound, ResponseMismatch};
+pub use op::{
+    Entries, KvEntry, KvRequest, KvResponse, MalformedRound, NsId, Probe, ReadAnswer, ReadRound,
+    RequestRound,
+};
 pub use pool::{PoolStats, RoundPool};
 pub use sample::{LiveSampleSink, ModelKey, OpKind, OpSample};
 pub use session::{Session, SessionStats};

@@ -25,12 +25,17 @@
 //!   online does not need twice its data to do it: the entries **move**
 //!   into the new generation when no reader holds the old one, and are
 //!   **copied** only when one does (so that reader still finds them).
-//! * A round's requests **fan out over a shared worker pool**
-//!   ([`RoundPool`]) and the round completes at the slowest request — the
-//!   same round semantics `SimCluster` models in virtual time (§4, Fig.
-//!   12). Responses stay positional. Within one round, requests must be
-//!   independent (the engine's rounds always are); the store may execute
-//!   them in any order or interleaving.
+//! * A round with service time to overlap — injected per request — has
+//!   its requests **fan out over a shared worker pool** ([`RoundPool`]),
+//!   and completes at the slowest request: the same round semantics
+//!   `SimCluster` models in virtual time (§4, Fig. 12). A round without
+//!   any is served on the thread that issued it, where an in-memory lookup
+//!   costs less than the hop to a worker would. Responses stay positional.
+//!   Within one round, requests must be independent (the engine's rounds
+//!   always are); the store may execute them in any order or interleaving.
+//! * An operator's packed read round ([`ReadRound`]) served on its caller
+//!   is answered as one block sized over the whole round: every probe is
+//!   found once to count what its answer holds, and again to copy it.
 //! * Sessions carry wall-clock time: `Session::now` is set to the cluster's
 //!   monotonic epoch offset when a round completes, so
 //!   `Session::elapsed_since` measures real latency with the same API the
@@ -41,8 +46,11 @@
 //!   hook the admission-control tests use to prove rejected statements
 //!   issue **zero** storage requests.
 
-use crate::cluster::{KvStore, NsBalance};
-use crate::op::{Entries, KvEntry, KvRequest, KvResponse, NsId, RequestRound};
+use crate::cluster::{read_by_requests, KvStore, NsBalance};
+use crate::op::{
+    Entries, KvEntry, KvRequest, KvResponse, MalformedRound, NsId, Probe, ReadAnswer, ReadRound,
+    RequestRound,
+};
 use crate::partition::SplitPoints;
 use crate::pool::{default_pool_threads, RoundPool};
 use crate::sample::{LiveSampleSink, OpSample};
@@ -63,9 +71,10 @@ use std::time::Instant;
 pub struct LiveConfig {
     /// Lock-striping factor: contiguous key-range shards per namespace.
     pub shards_per_namespace: usize,
-    /// Workers in the round fan-out pool. `0` executes every round
-    /// sequentially on the calling thread (the pre-pool behavior — useful
-    /// as a baseline and for single-threaded determinism).
+    /// Workers in the round fan-out pool, which only rounds with injected
+    /// service time use. `0` executes every round sequentially on the
+    /// calling thread (the pre-pool behavior — useful as a baseline and
+    /// for single-threaded determinism).
     pub pool_threads: usize,
     /// Injected service time per storage request, µs. Zero in production;
     /// tests and benches set it to make round timing observable (an
@@ -108,9 +117,9 @@ pub struct LiveStats {
 
 impl LiveStats {
     /// Book one served read: `physical` shard visits shipping `entries`
-    /// entries of `bytes` payload. The one read booking of
-    /// `execute_request` and `point_get`: plain relaxed adds, so the point
-    /// lane stays allocation-free.
+    /// entries of `bytes` payload. The one read booking of `serve_read`,
+    /// a count and `point_get`: plain relaxed adds, so the point lane stays
+    /// allocation-free.
     fn book_read(&self, physical: u64, bytes: u64, entries: u64) {
         self.ops.fetch_add(1, Ordering::Relaxed);
         self.reads.fetch_add(1, Ordering::Relaxed);
@@ -361,10 +370,75 @@ impl ShardSet {
         self.ops[idx].fetch_add(1, Ordering::Relaxed);
     }
 
-    fn get(&self, key: &[u8]) -> Option<Vec<u8>> {
-        let idx = self.splits.part_of(key);
-        self.touch(idx);
-        self.shards[idx].read().get(key).map(|e| e.value().to_vec())
+    /// Hand `each` what `probe` finds, in scan order — a get's entry, or up
+    /// to `limit` of a range's, shard by shard — and answer the shards
+    /// visited (each visit is one physical operation, like a partition
+    /// visit in `SimCluster`). An empty or inverted interval is answered by
+    /// the shard `start` routes to, with nothing. Each shard is read-locked
+    /// while its entries are handed over. Only a `served` probe counts in
+    /// the shards' op counters: one whose answer is sized first is found
+    /// twice and served once.
+    fn find(&self, probe: Probe<'_>, served: bool, mut each: impl FnMut(&[u8], &[u8])) -> u64 {
+        let visit = |idx: usize| {
+            if served {
+                self.touch(idx);
+            }
+            self.shards[idx].read()
+        };
+        let (start, end, limit, reverse) = match probe {
+            Probe::Get(key) => {
+                if let Some(entry) = visit(self.splits.part_of(key)).get(key) {
+                    let (key, value) = entry.parts();
+                    each(key, value);
+                }
+                return 1;
+            }
+            Probe::Range {
+                start,
+                end,
+                limit,
+                reverse,
+            } => (start, end, limit, reverse),
+        };
+        let Some(bounds) = byte_range(start, end) else {
+            if served {
+                self.touch(self.splits.part_of(start));
+            }
+            return 1;
+        };
+        let want = usize::try_from(limit.unwrap_or(u64::MAX)).unwrap_or(usize::MAX);
+        let (first, last) = self.splits.parts_for_range(start, end).into_inner();
+        let (mut found, mut visited) = (0, 0);
+        for step in 0..=last - first {
+            if found >= want {
+                break;
+            }
+            visited += 1;
+            let shard = visit(if reverse { last - step } else { first + step });
+            let entries = shard.range::<[u8], _>(bounds).map(Entry::parts);
+            let room = want - found;
+            let mut hand = |(key, value): (&[u8], &[u8])| {
+                found += 1;
+                each(key, value);
+            };
+            if reverse {
+                entries.rev().take(room).for_each(&mut hand);
+            } else {
+                entries.take(room).for_each(&mut hand);
+            }
+        }
+        visited
+    }
+
+    /// The entries and the key and value bytes `probe` finds now: the room
+    /// its answer needs.
+    fn measure(&self, probe: Probe<'_>) -> (usize, usize) {
+        let (mut entries, mut bytes) = (0, 0);
+        self.find(probe, false, |key, value| {
+            entries += 1;
+            bytes += key.len() + value.len();
+        });
+        (entries, bytes)
     }
 
     fn insert(&self, entry: Entry, wal: Option<&WalHook>) {
@@ -420,57 +494,6 @@ impl ShardSet {
             }
         }
         (true, value)
-    }
-
-    /// Scan `[start, end)`; also reports the number of shards visited (each
-    /// visit is one physical operation, like a partition visit in
-    /// `SimCluster`). The answer is sized while each shard is held: its
-    /// entries are counted, room for exactly those is made, and they are
-    /// copied once. An empty or inverted interval is answered by the shard
-    /// `start` routes to, with nothing.
-    fn range(
-        &self,
-        start: &[u8],
-        end: Option<&[u8]>,
-        limit: Option<u64>,
-        reverse: bool,
-    ) -> (Entries, u64) {
-        let want = usize::try_from(limit.unwrap_or(u64::MAX)).unwrap_or(usize::MAX);
-        let mut out = Entries::new();
-        let mut visited = 0u64;
-        let Some(bounds) = byte_range(start, end) else {
-            self.touch(self.splits.part_of(start));
-            return (out, 1);
-        };
-        let mut visit = |out: &mut Entries, idx: usize| {
-            visited += 1;
-            self.touch(idx);
-            let shard = self.shards[idx].read();
-            let found = shard.range::<[u8], _>(bounds).map(Entry::parts);
-            let room = want - out.len();
-            if reverse {
-                out.extend_exact(found.rev().take(room));
-            } else {
-                out.extend_exact(found.take(room));
-            }
-        };
-        let shards = self.splits.parts_for_range(start, end);
-        if reverse {
-            for idx in shards.rev() {
-                if out.len() >= want {
-                    break;
-                }
-                visit(&mut out, idx);
-            }
-        } else {
-            for idx in shards {
-                if out.len() >= want {
-                    break;
-                }
-                visit(&mut out, idx);
-            }
-        }
-        (out, visited)
     }
 
     /// Count `[start, end)`; also reports shards visited.
@@ -569,10 +592,6 @@ impl LiveNamespace {
         self.table.read().clone()
     }
 
-    fn get(&self, key: &[u8]) -> Option<Vec<u8>> {
-        self.load().get(key)
-    }
-
     fn insert(&self, entry: Entry) {
         let wal = self.wal.read();
         // hold the table read lock across the mutation (see the struct doc)
@@ -593,16 +612,6 @@ impl LiveNamespace {
         let wal = self.wal.read();
         let table = self.table.read();
         table.test_and_set(key, expect, value, wal.as_ref())
-    }
-
-    fn range(
-        &self,
-        start: &[u8],
-        end: Option<&[u8]>,
-        limit: Option<u64>,
-        reverse: bool,
-    ) -> (Entries, u64) {
-        self.load().range(start, end, limit, reverse)
     }
 
     fn count_range(&self, start: &[u8], end: Option<&[u8]>) -> (u64, u64) {
@@ -869,14 +878,46 @@ impl LiveCluster {
     }
 }
 
-/// Add one served request — its response and shard visits — to what its
-/// round books on the session ([`LiveCluster::complete_round`]).
-fn tally(round: &mut SessionStats, response: &KvResponse, physical: u64) {
-    round.logical_requests += 1;
-    round.physical_requests += physical;
-    if let KvResponse::Entries(e) = response {
-        round.entries += e.len() as u64;
-        round.bytes += e.payload_len() as u64;
+/// One request's share of what its round books on the session
+/// ([`LiveCluster::complete_round`]): itself, its shard visits, and the
+/// entries and bytes it shipped.
+fn share(physical: u64, entries: u64, bytes: u64) -> SessionStats {
+    SessionStats {
+        rounds: 0,
+        logical_requests: 1,
+        physical_requests: physical,
+        entries,
+        bytes,
+    }
+}
+
+/// Serve the read `probe` from `table`, handing `each` what it finds, and
+/// book it on `stats`; answers its [`share`]. A range ships the keys and
+/// values of its entries over the shards it visits; a get ships its
+/// value's bytes and counts no entry.
+fn serve_read(
+    table: &ShardSet,
+    stats: &LiveStats,
+    probe: Probe<'_>,
+    mut each: impl FnMut(&[u8], &[u8]),
+) -> SessionStats {
+    let (mut entries, mut key_bytes, mut value_bytes) = (0, 0, 0);
+    let visited = table.find(probe, true, |key, value| {
+        entries += 1;
+        key_bytes += key.len() as u64;
+        value_bytes += value.len() as u64;
+        each(key, value);
+    });
+    let physical = visited.max(1);
+    match probe {
+        Probe::Get(_) => {
+            stats.book_read(physical, value_bytes, 0);
+            share(physical, 0, 0)
+        }
+        Probe::Range { .. } => {
+            stats.book_read(physical, key_bytes + value_bytes, entries);
+            share(physical, entries, key_bytes + value_bytes)
+        }
     }
 }
 
@@ -889,10 +930,20 @@ fn inject_delay(delay_us: u64) {
 }
 
 impl LiveCluster {
+    /// Whether a round of `requests` is scattered over the pool rather than
+    /// served on the thread that issued it: only when it has service time
+    /// to overlap — two requests or more, a worker to take them, and an
+    /// injected per-request delay. An in-memory lookup takes a fraction of
+    /// a microsecond, less than handing it to a worker and joining it back
+    /// (ARCHITECTURE.md, "Concurrency model").
+    fn fans_out(&self, requests: usize, delay_us: u64) -> bool {
+        requests >= 2 && delay_us > 0 && self.pool.worker_count() > 0
+    }
+
     /// Everything a round does once its requests have been served: the
     /// durability barrier, the latency sample, and the session accounting.
-    /// The one epilogue of `execute_round`, `execute_one` and `point_get`;
-    /// `round` is what its requests asked and got back (see [`tally`]).
+    /// The one epilogue of `execute_round`, `read_round`, `execute_one` and
+    /// `point_get`; `round` is the sum of its requests' [`share`]s.
     fn complete_round(
         &self,
         session: &mut Session,
@@ -930,11 +981,7 @@ impl LiveCluster {
             });
         }
         session.now = session.now.max(completed);
-        session.stats.rounds += 1;
-        session.stats.logical_requests += round.logical_requests;
-        session.stats.physical_requests += round.physical_requests;
-        session.stats.entries += round.entries;
-        session.stats.bytes += round.bytes;
+        session.stats += SessionStats { rounds: 1, ..round };
         self.stats.rounds.fetch_add(1, Ordering::Relaxed);
     }
 }
@@ -943,36 +990,42 @@ impl LiveCluster {
 /// rounds can scatter it across pool threads. Takes the request **by
 /// value**: a round owns its requests, so the keys and payloads of writes
 /// move into the shard instead of being copied. Returns the response and
-/// the physical (per-shard) operation count.
+/// the request's [`share`]. A range's answer is sized, then copied: its
+/// entries are found once to count and sum them, room for exactly that is
+/// made, and they are found again and copied — two allocations however
+/// many shards it spans. A write between the two finds may cost one
+/// regrowth; the answer is what the second found.
 fn execute_request(
     data: &LiveNamespace,
     stats: &LiveStats,
     req: KvRequest,
     delay_us: u64,
-) -> (KvResponse, u64) {
+) -> (KvResponse, SessionStats) {
     inject_delay(delay_us);
     match req {
         KvRequest::Get { key, .. } => {
-            let value = data.get(&key);
-            stats.book_read(1, value.as_ref().map_or(0, |v| v.len() as u64), 0);
-            (KvResponse::Value(value), 1)
+            let mut value = None;
+            let served = serve_read(&data.load(), stats, Probe::Get(&key), |_, stored| {
+                value = Some(stored.to_vec())
+            });
+            (KvResponse::Value(value), served)
         }
         KvRequest::Put { key, value, .. } => {
             stats.book_write(value.len() as u64);
             data.insert(Entry::new(key, &value));
-            (KvResponse::Done, 1)
+            (KvResponse::Done, share(1, 0, 0))
         }
         KvRequest::Delete { key, .. } => {
             stats.book_write(0);
             data.remove(&key);
-            (KvResponse::Done, 1)
+            (KvResponse::Done, share(1, 0, 0))
         }
         KvRequest::TestAndSet {
             key, expect, value, ..
         } => {
             stats.book_write(0);
             let (success, current) = data.test_and_set(key, expect.as_deref(), value);
-            (KvResponse::TasResult { success, current }, 1)
+            (KvResponse::TasResult { success, current }, share(1, 0, 0))
         }
         KvRequest::GetRange {
             start,
@@ -981,16 +1034,23 @@ fn execute_request(
             reverse,
             ..
         } => {
-            let (entries, visited) = data.range(&start, end.as_deref(), limit, reverse);
-            let physical = visited.max(1);
-            stats.book_read(physical, entries.payload_len() as u64, entries.len() as u64);
-            (KvResponse::Entries(entries), physical)
+            let probe = Probe::Range {
+                start: &start,
+                end: end.as_deref(),
+                limit,
+                reverse,
+            };
+            let table = data.load();
+            let (entries, bytes) = table.measure(probe);
+            let mut found = Entries::with_capacity(entries, bytes);
+            let served = serve_read(&table, stats, probe, |key, value| found.push(key, value));
+            (KvResponse::Entries(found), served)
         }
         KvRequest::CountRange { start, end, .. } => {
             let (total, visited) = data.count_range(&start, end.as_deref());
             let physical = visited.max(1);
             stats.book_read(physical, 0, 0);
-            (KvResponse::Count(total), physical)
+            (KvResponse::Count(total), share(physical, 0, 0))
         }
     }
 }
@@ -1019,10 +1079,12 @@ impl KvStore for LiveCluster {
         id
     }
 
-    /// Issue one parallel round. All requests fan out over the shared
-    /// worker pool and the round completes at the *slowest* request — the
-    /// semantics the paper's latency model and `SimCluster` assume — with
-    /// responses joined back in request order.
+    /// Issue one parallel round. When it fans out
+    /// (`LiveCluster::fans_out`) its requests are scattered over the
+    /// shared worker pool and the round completes at the *slowest* request
+    /// — the semantics the paper's latency model and `SimCluster` assume;
+    /// otherwise they are served in order on the calling thread. Either
+    /// way responses come back in request order.
     fn execute_round(&self, session: &mut Session, round: RequestRound) -> Vec<KvResponse> {
         if round.is_empty() {
             return Vec::new();
@@ -1032,11 +1094,11 @@ impl KvStore for LiveCluster {
         let delay_us = self.request_delay_us.load(Ordering::Relaxed);
         let mut booked = SessionStats::default();
         let mut responses = Vec::with_capacity(round.len());
-        let mut join = |(response, physical): (KvResponse, u64)| {
-            tally(&mut booked, &response, physical);
+        let mut join = |(response, served): (KvResponse, SessionStats)| {
+            booked += served;
             responses.push(response);
         };
-        if round.len() >= 2 && self.pool.worker_count() > 0 {
+        if self.fans_out(round.len(), delay_us) {
             // resolve namespaces on the calling thread (cheap; keeps tasks
             // 'static), then scatter
             let tasks: Vec<_> = round
@@ -1062,17 +1124,55 @@ impl KvStore for LiveCluster {
         responses
     }
 
+    /// An operator's read round. One that fans out
+    /// (`LiveCluster::fans_out`) is issued as the requests it stands for
+    /// (the trait's default). One served on the calling thread is answered
+    /// as one block sized over the whole round: every probe is found once
+    /// to count what it holds, room for exactly that is made, and every
+    /// probe is found again, copied and booked as the request it stands
+    /// for. A write between the two finds may cost the answer one
+    /// regrowth; what it holds is what the second found.
+    fn read_round(
+        &self,
+        session: &mut Session,
+        round: &ReadRound,
+    ) -> Result<ReadAnswer, MalformedRound> {
+        let delay_us = self.request_delay_us.load(Ordering::Relaxed);
+        if self.fans_out(round.len(), delay_us) {
+            return read_by_requests(self, session, round);
+        }
+        if round.is_empty() {
+            return Ok(ReadAnswer::default());
+        }
+        let started = self.now_micros();
+        let table = self.ns_data(round.ns()).load();
+        let (mut entries, mut bytes) = (0, 0);
+        for (probe_entries, probe_bytes) in round.probes().map(|probe| table.measure(probe)) {
+            entries += probe_entries;
+            bytes += probe_bytes;
+        }
+        let mut answer = ReadAnswer::with_capacity(round.len(), entries, bytes);
+        let mut booked = SessionStats::default();
+        for probe in round.probes() {
+            inject_delay(delay_us);
+            booked += serve_read(&table, &self.stats, probe, |key, value| {
+                answer.push(key, value)
+            });
+            answer.end_probe();
+        }
+        self.complete_round(session, started, booked, false);
+        Ok(answer)
+    }
+
     /// A round of one, served on the calling thread with neither the
     /// request nor the response boxed into a vector.
     fn execute_one(&self, session: &mut Session, req: KvRequest) -> KvResponse {
         let has_write = req.is_write();
         let started = self.now_micros();
         let delay_us = self.request_delay_us.load(Ordering::Relaxed);
-        let (response, physical) =
+        let (response, served) =
             execute_request(&self.ns_data(req.ns()), &self.stats, req, delay_us);
-        let mut booked = SessionStats::default();
-        tally(&mut booked, &response, physical);
-        self.complete_round(session, started, booked, has_write);
+        self.complete_round(session, started, served, has_write);
         response
     }
 
@@ -1091,21 +1191,13 @@ impl KvStore for LiveCluster {
         let started = self.now_micros();
         inject_delay(self.request_delay_us.load(Ordering::Relaxed));
         let table = self.ns_data(ns).load();
-        let idx = table.splits.part_of(key);
-        table.touch(idx);
-        let entry_bytes = table.shards[idx].read().get(key).map(|e| {
-            let v = e.value();
-            out.extend_from_slice(v);
-            (key.len() + v.len()) as u64
+        let mut entry_bytes = None;
+        table.find(Probe::Get(key), true, |key, value| {
+            out.extend_from_slice(value);
+            entry_bytes = Some((key.len() + value.len()) as u64);
         });
         let found = entry_bytes.is_some();
-        let booked = SessionStats {
-            logical_requests: 1,
-            physical_requests: 1,
-            entries: found as u64,
-            bytes: entry_bytes.unwrap_or(0),
-            ..SessionStats::default()
-        };
+        let booked = share(1, found as u64, entry_bytes.unwrap_or(0));
         self.stats.book_read(1, booked.bytes, booked.entries);
         self.complete_round(session, started, booked, false);
         Some(found)
@@ -1476,12 +1568,23 @@ mod tests {
         );
         assert_eq!(held.entries_per_shard(), [0, 0, 500, 0]);
         assert_eq!(current.entries_per_shard(), [125; 4]);
+        let everything = Probe::Range {
+            start: &[],
+            end: None,
+            limit: None,
+            reverse: false,
+        };
         for set in [&held, &current] {
             for (key, value) in &expected {
-                assert_eq!(set.get(key).as_ref(), Some(value));
+                let mut found = Vec::new();
+                set.find(Probe::Get(key), false, |_, v| found.push(v.to_vec()));
+                assert_eq!(found, std::slice::from_ref(value));
             }
-            let (scan, _) = set.range(&[], None, None, false);
-            assert_eq!(scan.to_vec(), expected);
+            let mut scan = Vec::new();
+            set.find(everything, false, |k, v| {
+                scan.push((k.to_vec(), v.to_vec()))
+            });
+            assert_eq!(scan, expected);
         }
     }
 

@@ -95,6 +95,15 @@ impl Entries {
         Entries::default()
     }
 
+    /// An empty block with room for exactly `entries` entries of `bytes`
+    /// key and value bytes in all.
+    pub(crate) fn with_capacity(entries: usize, bytes: usize) -> Self {
+        Entries {
+            payload: Vec::with_capacity(bytes),
+            ends: Vec::with_capacity(entries),
+        }
+    }
+
     pub fn len(&self) -> usize {
         self.ends.len()
     }
@@ -241,28 +250,43 @@ pub enum KvResponse {
     Done,
 }
 
-/// A response of the wrong variant for its positional request — a malformed
-/// round (engine bug or misbehaving backend). Engine call sites surface
-/// this as a query error instead of panicking mid-connection.
+/// A round answered out of shape — an engine bug or a misbehaving backend.
+/// Engine call sites surface this as a query error, instead of panicking
+/// mid-connection or answering fewer rows.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ResponseMismatch {
-    /// Variant the caller needed.
-    pub expected: &'static str,
-    /// Variant actually received.
-    pub got: &'static str,
+pub enum MalformedRound {
+    /// A response of the wrong variant for its positional request.
+    Mismatch {
+        /// Variant the caller needed.
+        expected: &'static str,
+        /// Variant actually received.
+        got: &'static str,
+    },
+    /// Not one response per request.
+    Count { requests: usize, responses: usize },
 }
 
-impl std::fmt::Display for ResponseMismatch {
+impl std::fmt::Display for MalformedRound {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "malformed round: expected {} response, got {}",
-            self.expected, self.got
-        )
+        match self {
+            MalformedRound::Mismatch { expected, got } => {
+                write!(
+                    f,
+                    "malformed round: expected {expected} response, got {got}"
+                )
+            }
+            MalformedRound::Count {
+                requests,
+                responses,
+            } => write!(
+                f,
+                "malformed round: {responses} responses to {requests} requests"
+            ),
+        }
     }
 }
 
-impl std::error::Error for ResponseMismatch {}
+impl std::error::Error for MalformedRound {}
 
 impl KvResponse {
     fn variant_name(&self) -> &'static str {
@@ -275,15 +299,15 @@ impl KvResponse {
         }
     }
 
-    fn mismatch(&self, expected: &'static str) -> ResponseMismatch {
-        ResponseMismatch {
+    fn mismatch(&self, expected: &'static str) -> MalformedRound {
+        MalformedRound::Mismatch {
             expected,
             got: self.variant_name(),
         }
     }
 
     /// Get: the value, if the key was present.
-    pub fn value(&self) -> Result<Option<&[u8]>, ResponseMismatch> {
+    pub fn value(&self) -> Result<Option<&[u8]>, MalformedRound> {
         match self {
             KvResponse::Value(v) => Ok(v.as_deref()),
             other => Err(other.mismatch("Value")),
@@ -291,7 +315,7 @@ impl KvResponse {
     }
 
     /// Consuming form of [`KvResponse::value`].
-    pub fn into_value(self) -> Result<Option<Vec<u8>>, ResponseMismatch> {
+    pub fn into_value(self) -> Result<Option<Vec<u8>>, MalformedRound> {
         match self {
             KvResponse::Value(v) => Ok(v),
             other => Err(other.mismatch("Value")),
@@ -299,7 +323,7 @@ impl KvResponse {
     }
 
     /// GetRange: the entries.
-    pub fn entries(&self) -> Result<&Entries, ResponseMismatch> {
+    pub fn entries(&self) -> Result<&Entries, MalformedRound> {
         match self {
             KvResponse::Entries(e) => Ok(e),
             other => Err(other.mismatch("Entries")),
@@ -307,7 +331,7 @@ impl KvResponse {
     }
 
     /// Consuming form of [`KvResponse::entries`]: the block itself.
-    pub fn into_block(self) -> Result<Entries, ResponseMismatch> {
+    pub fn into_block(self) -> Result<Entries, MalformedRound> {
         match self {
             KvResponse::Entries(e) => Ok(e),
             other => Err(other.mismatch("Entries")),
@@ -317,12 +341,12 @@ impl KvResponse {
     /// GetRange: the entries converted to owned pairs — an allocation per
     /// key and per value, for tests and probes; product paths read
     /// [`KvResponse::entries`] in place.
-    pub fn into_entries(self) -> Result<Vec<KvEntry>, ResponseMismatch> {
+    pub fn into_entries(self) -> Result<Vec<KvEntry>, MalformedRound> {
         self.entries().map(Entries::to_vec)
     }
 
     /// CountRange: the count.
-    pub fn count(&self) -> Result<u64, ResponseMismatch> {
+    pub fn count(&self) -> Result<u64, MalformedRound> {
         match self {
             KvResponse::Count(c) => Ok(*c),
             other => Err(other.mismatch("Count")),
@@ -330,7 +354,7 @@ impl KvResponse {
     }
 
     /// TestAndSet: (applied?, value now stored).
-    pub fn tas(&self) -> Result<(bool, Option<&[u8]>), ResponseMismatch> {
+    pub fn tas(&self) -> Result<(bool, Option<&[u8]>), MalformedRound> {
         match self {
             KvResponse::TasResult { success, current } => Ok((*success, current.as_deref())),
             other => Err(other.mismatch("TasResult")),
@@ -358,6 +382,253 @@ impl KvResponse {
 /// latest completion in the round.
 pub type RequestRound = Vec<KvRequest>;
 
+/// One probe of a [`ReadRound`], borrowed from the round's buffer.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Probe<'a> {
+    /// The entry stored under a key.
+    Get(&'a [u8]),
+    /// Up to `limit` entries of `[start, end)` in scan order, down from
+    /// `end` when `reverse`; `end: None` is open above.
+    Range {
+        start: &'a [u8],
+        end: Option<&'a [u8]>,
+        limit: Option<u64>,
+        reverse: bool,
+    },
+}
+
+impl Probe<'_> {
+    /// The request in `ns` this probe stands for.
+    pub fn request(self, ns: NsId) -> KvRequest {
+        match self {
+            Probe::Get(key) => KvRequest::Get {
+                ns,
+                key: key.to_vec(),
+            },
+            Probe::Range {
+                start,
+                end,
+                limit,
+                reverse,
+            } => KvRequest::GetRange {
+                ns,
+                start: start.to_vec(),
+                end: end.map(<[u8]>::to_vec),
+                limit,
+                reverse,
+            },
+        }
+    }
+}
+
+/// What every probe of a [`ReadRound`] reads.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Shape {
+    Gets,
+    Ranges { limit: Option<u64>, reverse: bool },
+}
+
+/// One operator's read round, packed: every probe key, or every range's
+/// `[start, end)`, back to back in one byte buffer, and where each ends in
+/// one vector. All ranges of a round share one limit and one direction. It
+/// stands for the round of one [`KvRequest::Get`] per key, or one
+/// [`KvRequest::GetRange`] per interval ([`Probe::request`]), and
+/// [`KvStore::read_round`](crate::KvStore::read_round) answers it as one
+/// [`ReadAnswer`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ReadRound {
+    ns: NsId,
+    shape: Shape,
+    /// A get's key; a range's start, then its end.
+    bytes: Vec<u8>,
+    /// Per probe, where its key or start ends in `bytes`, and where a
+    /// range's end ends: `None` for a get and for a range open above.
+    ends: Vec<(usize, Option<usize>)>,
+}
+
+impl ReadRound {
+    /// A round of gets in `ns`, with room for `probes` of them.
+    pub fn gets(ns: NsId, probes: usize) -> Self {
+        ReadRound::new(ns, Shape::Gets, probes)
+    }
+
+    /// A round of ranges in `ns`, each answering up to `limit` entries in
+    /// the direction `reverse` gives, with room for `probes` of them.
+    pub fn ranges(ns: NsId, probes: usize, limit: Option<u64>, reverse: bool) -> Self {
+        ReadRound::new(ns, Shape::Ranges { limit, reverse }, probes)
+    }
+
+    fn new(ns: NsId, shape: Shape, probes: usize) -> Self {
+        ReadRound {
+            ns,
+            shape,
+            bytes: Vec::new(),
+            ends: Vec::with_capacity(probes),
+        }
+    }
+
+    pub fn ns(&self) -> NsId {
+        self.ns
+    }
+
+    /// Probes in the round.
+    pub fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.ends.is_empty()
+    }
+
+    /// Append a get of `key`. Panics on a round of ranges.
+    pub fn push_get(&mut self, key: &[u8]) {
+        assert!(self.shape == Shape::Gets, "a get in a round of ranges");
+        self.make_room(key.len());
+        self.bytes.extend_from_slice(key);
+        self.ends.push((self.bytes.len(), None));
+    }
+
+    /// Append the range `[start, end)`. Panics on a round of gets.
+    pub fn push_range(&mut self, start: &[u8], end: Option<&[u8]>) {
+        assert!(self.shape != Shape::Gets, "a range in a round of gets");
+        self.make_room(start.len() + end.map_or(0, <[u8]>::len));
+        self.bytes.extend_from_slice(start);
+        let start_end = self.bytes.len();
+        let end_end = end.map(|end| {
+            self.bytes.extend_from_slice(end);
+            self.bytes.len()
+        });
+        self.ends.push((start_end, end_end));
+    }
+
+    /// On the first probe, room for as many as the round was made for at
+    /// its size: one operator's probes are alike, so the buffer is
+    /// allocated once, or grows once.
+    fn make_room(&mut self, probe: usize) {
+        if self.ends.is_empty() {
+            let room = probe.saturating_mul(self.ends.capacity().max(1));
+            self.bytes.reserve_exact(room);
+        }
+    }
+
+    /// Probe `i`. Panics when `i >= len()`, like a slice.
+    pub fn probe(&self, i: usize) -> Probe<'_> {
+        let from = match i {
+            0 => 0,
+            _ => {
+                let (key_end, end_end) = self.ends[i - 1];
+                end_end.unwrap_or(key_end)
+            }
+        };
+        let (key_end, end_end) = self.ends[i];
+        let key = &self.bytes[from..key_end];
+        match self.shape {
+            Shape::Gets => Probe::Get(key),
+            Shape::Ranges { limit, reverse } => Probe::Range {
+                start: key,
+                end: end_end.map(|end| &self.bytes[key_end..end]),
+                limit,
+                reverse,
+            },
+        }
+    }
+
+    /// Every probe, in order.
+    pub fn probes(&self) -> impl ExactSizeIterator<Item = Probe<'_>> {
+        (0..self.len()).map(|i| self.probe(i))
+    }
+}
+
+/// The answer to a [`ReadRound`], packed: what every probe found, back to
+/// back in one [`Entries`] block in probe order, and where each probe's
+/// answer ends. A get answers its key and the value stored under it, or
+/// nothing.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct ReadAnswer {
+    entries: Entries,
+    /// Per probe, how many entries it and the probes before it answered.
+    ends: Vec<usize>,
+}
+
+impl ReadAnswer {
+    /// An empty answer with room for exactly `probes` probes finding
+    /// `entries` entries of `bytes` key and value bytes in all.
+    pub(crate) fn with_capacity(probes: usize, entries: usize, bytes: usize) -> Self {
+        ReadAnswer {
+            entries: Entries::with_capacity(entries, bytes),
+            ends: Vec::with_capacity(probes),
+        }
+    }
+
+    /// Probes answered.
+    pub fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.ends.is_empty()
+    }
+
+    /// Every entry of the round, in probe order.
+    pub fn entries(&self) -> &Entries {
+        &self.entries
+    }
+
+    /// Where probe `i`'s entries lie in [`ReadAnswer::entries`]. Panics
+    /// when `i >= len()`.
+    pub fn span(&self, i: usize) -> std::ops::Range<usize> {
+        let from = match i {
+            0 => 0,
+            _ => self.ends[i - 1],
+        };
+        from..self.ends[i]
+    }
+
+    /// Probe `i`'s entries. Panics when `i >= len()`.
+    pub fn probe(&self, i: usize) -> EntriesIter<'_> {
+        EntriesIter {
+            entries: &self.entries,
+            range: self.span(i),
+        }
+    }
+
+    /// Append an entry to the probe being answered.
+    pub(crate) fn push(&mut self, key: &[u8], value: &[u8]) {
+        self.entries.push(key, value);
+    }
+
+    /// Close the probe being answered.
+    pub(crate) fn end_probe(&mut self) {
+        self.ends.push(self.entries.len());
+    }
+
+    /// Answer the next probe, `probe`, with `response`: a get's value
+    /// behind its key, a range's entries. A response of another variant is
+    /// a malformed round.
+    pub fn push_response(
+        &mut self,
+        probe: Probe<'_>,
+        response: &KvResponse,
+    ) -> Result<(), MalformedRound> {
+        match (probe, response) {
+            (Probe::Get(key), KvResponse::Value(value)) => {
+                if let Some(value) = value {
+                    self.push(key, value);
+                }
+            }
+            (Probe::Range { .. }, KvResponse::Entries(found)) => {
+                for (key, value) in found {
+                    self.push(key, value);
+                }
+            }
+            (Probe::Get(_), other) => return Err(other.mismatch("Value")),
+            (Probe::Range { .. }, other) => return Err(other.mismatch("Entries")),
+        }
+        self.end_probe();
+        Ok(())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -368,7 +639,7 @@ mod tests {
         assert_eq!(value.value().unwrap(), Some(b"v".as_slice()));
         assert_eq!(
             value.entries().unwrap_err(),
-            ResponseMismatch {
+            MalformedRound::Mismatch {
                 expected: "Entries",
                 got: "Value"
             }
@@ -399,5 +670,90 @@ mod tests {
     #[should_panic(expected = "expected Value response")]
     fn expect_helpers_still_panic_for_tests() {
         KvResponse::Done.expect_value();
+    }
+
+    #[test]
+    fn a_packed_round_gives_back_its_probes_and_stands_for_their_requests() {
+        let ns = NsId(3);
+        let mut gets = ReadRound::gets(ns, 3);
+        for key in [&b"ab"[..], b"", b"cde"] {
+            gets.push_get(key);
+        }
+        let keys: Vec<Probe> = gets.probes().collect();
+        assert_eq!(
+            keys,
+            [Probe::Get(b"ab"), Probe::Get(b""), Probe::Get(b"cde")]
+        );
+        assert_eq!(
+            gets.probe(2).request(ns),
+            KvRequest::Get {
+                ns,
+                key: b"cde".to_vec()
+            }
+        );
+
+        let mut ranges = ReadRound::ranges(ns, 2, Some(4), true);
+        ranges.push_range(b"a", None);
+        ranges.push_range(b"b", Some(b""));
+        ranges.push_range(b"", Some(b"zz"));
+        let range = |start, end| Probe::Range {
+            start,
+            end,
+            limit: Some(4),
+            reverse: true,
+        };
+        let probes: Vec<Probe> = ranges.probes().collect();
+        assert_eq!(
+            probes,
+            [
+                range(b"a", None),
+                range(b"b", Some(b"")),
+                range(b"", Some(b"zz"))
+            ]
+        );
+        assert_eq!(ranges.len(), 3);
+    }
+
+    #[test]
+    fn an_answer_takes_each_probe_s_response_or_refuses_its_variant() {
+        let mut round = ReadRound::gets(NsId(0), 3);
+        for key in [b"k1", b"k2", b"k3"] {
+            round.push_get(key);
+        }
+        let mut answer = ReadAnswer::default();
+        answer
+            .push_response(round.probe(0), &KvResponse::Value(Some(b"v1".to_vec())))
+            .unwrap();
+        answer
+            .push_response(round.probe(1), &KvResponse::Value(None))
+            .unwrap();
+        assert_eq!(
+            answer.push_response(round.probe(2), &KvResponse::Done),
+            Err(MalformedRound::Mismatch {
+                expected: "Value",
+                got: "Done"
+            })
+        );
+        assert_eq!(answer.len(), 2);
+        assert_eq!(
+            answer.probe(0).collect::<Vec<_>>(),
+            [(&b"k1"[..], &b"v1"[..])]
+        );
+        assert_eq!((answer.span(1), answer.probe(1).count()), (1..1, 0));
+
+        let mut ranges = ReadRound::ranges(NsId(0), 1, None, false);
+        ranges.push_range(b"a", Some(b"z"));
+        let block = Entries::from(vec![
+            (b"a".to_vec(), b"1".to_vec()),
+            (b"b".to_vec(), vec![]),
+        ]);
+        answer
+            .push_response(ranges.probe(0), &KvResponse::Entries(block.clone()))
+            .unwrap();
+        assert_eq!(answer.span(2), 1..3);
+        assert!(answer.probe(2).eq(block.iter()));
+        assert!(answer
+            .push_response(ranges.probe(0), &KvResponse::Value(None))
+            .is_err());
     }
 }

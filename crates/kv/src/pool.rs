@@ -5,7 +5,7 @@
 //! fan out together and the round completes at the *slowest* request.
 //! [`SimCluster`](crate::SimCluster) models that in virtual time;
 //! [`LiveCluster`](crate::LiveCluster) achieves it on the wall clock by
-//! scattering a round over this pool.
+//! scattering a round with service time to overlap over this pool.
 //!
 //! Design constraints, in order:
 //!

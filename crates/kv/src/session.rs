@@ -19,6 +19,16 @@ pub struct SessionStats {
     pub bytes: u64,
 }
 
+impl std::ops::AddAssign for SessionStats {
+    fn add_assign(&mut self, other: SessionStats) {
+        self.rounds += other.rounds;
+        self.logical_requests += other.logical_requests;
+        self.physical_requests += other.physical_requests;
+        self.entries += other.entries;
+        self.bytes += other.bytes;
+    }
+}
+
 /// One client session. The engine threads a session through a query
 /// execution; `now` advances as rounds complete, and the difference between
 /// start and end is the query's simulated response time.

@@ -8,6 +8,7 @@ use piql_kv::{
     ClusterConfig, KvRequest, KvResponse, KvStore, LiveCluster, LiveConfig, NsId, Session,
     SimCluster,
 };
+use std::sync::atomic::Ordering;
 
 /// Every conforming backend, by name (for assertion messages).
 fn backends() -> Vec<(&'static str, Box<dyn KvStore>)> {
@@ -832,7 +833,7 @@ fn sequential_store_round_accumulates_latencies() {
 /// responses — rounds from different threads never interleave answers.
 #[test]
 fn concurrent_sessions_fan_out_without_cross_talk() {
-    let store = std::sync::Arc::new(slow_store(0, 4));
+    let store = std::sync::Arc::new(slow_store(1, 4));
     let ns = store.namespace("mt");
     for i in 0..=255u8 {
         store.bulk_put(ns, vec![i], vec![i]);
@@ -861,6 +862,41 @@ fn concurrent_sessions_fan_out_without_cross_talk() {
     for h in handles {
         h.join().unwrap();
     }
+    assert!(
+        store.pool().stats.fanned_rounds.load(Ordering::Relaxed) > 0,
+        "rounds with service time fan out"
+    );
+}
+
+/// A round with no service time to overlap is served where it was
+/// issued, reads and writes alike: an in-memory lookup costs less than
+/// the hop to a worker.
+#[test]
+fn rounds_without_service_time_stay_on_their_caller() {
+    let store = slow_store(0, 4);
+    let ns = store.namespace("inline");
+    let mut s = Session::new();
+    let puts = (0..16u8).map(|i| KvRequest::Put {
+        ns,
+        key: vec![i],
+        value: vec![i],
+    });
+    store.execute_round(&mut s, puts.collect());
+    let gets = (0..16u8).map(|i| KvRequest::Get { ns, key: vec![i] });
+    let responses = store.execute_round(&mut s, gets.collect());
+    for (i, r) in responses.iter().enumerate() {
+        assert_eq!(r.expect_value(), Some([i as u8].as_slice()));
+    }
+    let stats = &store.pool().stats;
+    assert_eq!(
+        (
+            stats.fanned_rounds.load(Ordering::Relaxed),
+            stats.worker_tasks.load(Ordering::Relaxed)
+        ),
+        (0, 0),
+        "two 16-request rounds at no delay, neither of them scattered"
+    );
+    assert_eq!(s.stats.rounds, 2);
 }
 
 /// The key successor — the exclusive-start continuation a pagination

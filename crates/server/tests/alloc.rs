@@ -8,8 +8,8 @@
 //!
 //! A counting `#[global_allocator]` wraps the system allocator, counting
 //! per thread (so the cluster's pool workers don't pollute the
-//! single-request measurements) and for the whole process (a read's
-//! parallel rounds run partly on those workers; the tests take turns, so
+//! single-request measurements) and for the whole process (a round with
+//! service time would run partly on those workers; the tests take turns, so
 //! the process count is the measured test's own). The warm-up must
 //! saturate every lazily-grown buffer that legitimately allocates early:
 //! the per-statement `RunMetrics` ring (4096 samples) and the cluster's
@@ -394,28 +394,29 @@ fn warm_json_inserts_allocate_for_the_request_and_the_store_only() {
 /// four SCADr reads for a user with 10 subscriptions and 10 thoughts,
 /// answering 1 + 10 + 10 + 10 rows — counted over the whole process.
 /// What is left is what the store is asked and answers: the `Request` that
-/// is kept (13 — the line is read in place, no tree); the probe keys, the
-/// range answers (packed blocks of two buffers each whatever they hold),
-/// a record per get and the round fan-out, plus two buffers per result
-/// block — rows are decoded straight into one packed `Rows` per operator,
-/// no vector per row, no `String` per field, no left row copied per join
-/// output (115.9: the four executions, and a vector of four replies);
-/// nothing for the response, which both codecs print from the blocks. At
-/// f7a4128 the same three stages made 13, 314.9 (a `Vec<Value>` per row
-/// and a `String` per field: 164 of them in `decode_row` alone) and 0; at
-/// b5395dc 63, 627 and 0; at 25fd9a5, 67, 1444 and 347. A tree per line
-/// adds fifty to the first, an owned entry or a bound copy creeping back
-/// adds two per entry fetched (121 a page view) or per visit to the
-/// second, a per-row or per-field allocation between store and socket
-/// ten or more to a statement.
+/// is kept (13 — the line is read in place, no tree); per scan its range
+/// answer, start key and end bound; per join a reused probe buffer, one
+/// packed round and one answer block, whatever the number of probes; plus
+/// two buffers per result block — rows are decoded straight into one
+/// packed `Rows` per operator, no vector per row, no `String` per field,
+/// no left row copied per join output (44.0: the four executions, and a
+/// vector of four replies); nothing for the response, which both codecs
+/// print from the blocks. At 52f8695 `respond` made 115.9: a key and a
+/// bound per probe, a record per get, an answer per range and the two
+/// joins' rounds scattered over the pool. At f7a4128 the three stages made
+/// 13, 314.9 (a `Vec<Value>` per row and a `String` per field) and 0; at
+/// 25fd9a5, 67, 1444 and 347. A tree per line adds fifty to the first; a
+/// vector per probe or per entry fetched creeping back adds 19 or 121 a
+/// page view to the second, a scattered round eight; a per-row or
+/// per-field allocation between store and socket ten or more to a
+/// statement.
 const DECODE_ENVELOPE_CEILING: f64 = 14.0;
-const RESPOND_CEILING: f64 = 120.0;
+const RESPOND_CEILING: f64 = 45.0;
 const ENCODE_REPLY_CEILING: f64 = 0.0;
 /// Per execution of `find_user`, `users_followed`, `recent_thoughts`,
-/// `thoughtstream` through `execute_governed` (measured 6, 40.4, 6.4,
-/// 62.1; at f7a4128: 9, 118.4, 35.4, 151.1; at b5395dc: 14, 144–149, 60.4,
-/// 407–410).
-const EXECUTE_CEILINGS: [f64; 4] = [7.0, 42.0, 8.0, 64.0];
+/// `thoughtstream` through `execute_governed` (measured 6, 14, 6, 17; at
+/// 52f8695: 6, 40.4, 6.4, 62.1; at f7a4128: 9, 118.4, 35.4, 151.1).
+const EXECUTE_CEILINGS: [f64; 4] = [7.0, 15.0, 7.0, 18.0];
 
 #[test]
 #[cfg_attr(
