@@ -56,8 +56,6 @@ pub const REGISTRY_TENANTS: u32 = 27;
 pub const TENANT_BUDGET: u32 = 28;
 /// `RegisteredStatement.state`: per-statement compiled plan + prediction.
 pub const STATEMENT_STATE: u32 = 30;
-/// `RegisteredStatement.metrics`: per-statement run-metrics reservoir.
-pub const STATEMENT_METRICS: u32 = 31;
 
 // ---- durability coordinator (outer half) ----
 

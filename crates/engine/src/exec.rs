@@ -32,8 +32,7 @@ use piql_core::codec::row as row_codec;
 use piql_core::opt::UNBOUNDED_SCAN_BATCH;
 use piql_core::plan::params::{ParamError, ParamsRef};
 use piql_core::plan::physical::{
-    KeySource, PhysAggregate, PhysicalPlan, RangeBound, RangeSpec, ScanLimit, ScanSpec,
-    SortedJoinSpec,
+    KeySource, PhysAggregate, PhysicalPlan, RangeBound, RangeSpec, ScanSpec, SortedJoinSpec,
 };
 use piql_core::plan::BoundPredicate;
 use piql_core::rows::{Row, Rows, RowsBuilder, RowsError};
@@ -407,48 +406,27 @@ impl<'a> ExecCtx<'a> {
         }
 
         self.session.op_tag = Some(op.key);
-        let ns = op.ns;
-        let entries = match (&spec.limit, self.strategy) {
-            (ScanLimit::Bounded { count, .. }, ExecStrategy::Lazy) => {
-                self.fetch_one_by_one(ns, start, end, spec.reverse, *count)?
-            }
-            (ScanLimit::Bounded { count, .. }, _) => {
-                // the §7.1 prefetch: one request fetches the whole hint
-                let resp = self.round_one(KvRequest::GetRange {
+        let (ns, reverse) = (op.ns, spec.reverse);
+        let max = spec
+            .limit
+            .is_bounded()
+            .then(|| spec.limit.count_or_estimate());
+        let entries = match (max, self.strategy) {
+            // the §7.1 prefetch: one request fetches the whole hint
+            (Some(count), ExecStrategy::Simple | ExecStrategy::Parallel) => {
+                let request = KvRequest::GetRange {
                     ns,
                     start,
                     end,
-                    limit: Some(*count),
-                    reverse: spec.reverse,
-                });
-                resp.into_block()?
-            }
-            (ScanLimit::Unbounded { .. }, strategy) => {
-                // cost-based plans page until exhausted
-                let batch = match strategy {
-                    ExecStrategy::Lazy => 1,
-                    _ => UNBOUNDED_SCAN_BATCH,
+                    limit: Some(count),
+                    reverse,
                 };
-                let mut entries = Entries::new();
-                loop {
-                    let resp = self.round_one(KvRequest::GetRange {
-                        ns,
-                        start: start.clone(),
-                        end: end.clone(),
-                        limit: Some(batch),
-                        reverse: spec.reverse,
-                    });
-                    let chunk = resp.into_block()?;
-                    let n = chunk.len() as u64;
-                    if let Some((k, _)) = chunk.last() {
-                        advance_bounds(&mut start, &mut end, k, spec.reverse);
-                    }
-                    entries.append(chunk);
-                    if n < batch {
-                        break entries;
-                    }
-                }
+                self.round_one(request).into_block()?
             }
+            // Lazy reads one entry per request; cost-based plans page
+            // until exhausted
+            (max, ExecStrategy::Lazy) => self.read_pages(ns, (start, end), reverse, 1, max)?,
+            (max, _) => self.read_pages(ns, (start, end), reverse, UNBOUNDED_SCAN_BATCH, max)?,
         };
         self.clear_op_tag();
 
@@ -467,33 +445,31 @@ impl<'a> ExecCtx<'a> {
         Ok(rows.finish())
     }
 
-    /// The Lazy strategy's range read: up to `count` entries of
-    /// `[start, end)`, one entry per request, one request per round.
-    fn fetch_one_by_one(
+    /// Every entry [`page_range`] reads of `bounds` in pages of `page`, up
+    /// to `max`, as one block.
+    fn read_pages(
         &mut self,
         ns: NsId,
-        mut start: Vec<u8>,
-        mut end: Option<Vec<u8>>,
+        bounds: (Vec<u8>, Option<Vec<u8>>),
         reverse: bool,
-        count: u64,
+        page: u64,
+        max: Option<u64>,
     ) -> Result<Entries, ExecError> {
-        let mut got = Entries::new();
-        while (got.len() as u64) < count {
-            let resp = self.round_one(KvRequest::GetRange {
-                ns,
-                start: start.clone(),
-                end: end.clone(),
-                limit: Some(1),
-                reverse,
-            });
-            let one = resp.into_block()?;
-            match one.last() {
-                Some((k, _)) => advance_bounds(&mut start, &mut end, k, reverse),
-                None => break,
-            }
-            got.append(one);
-        }
-        Ok(got)
+        let mut entries = Entries::new();
+        page_range(
+            self.store,
+            self.session,
+            ns,
+            bounds,
+            reverse,
+            page,
+            max,
+            |_, found| {
+                entries.append(found);
+                Ok::<_, ExecError>(())
+            },
+        )?;
+        Ok(entries)
     }
 
     // ------------------------------------------------------------- joins
@@ -835,13 +811,16 @@ impl<'a> ExecCtx<'a> {
                                 limit,
                                 reverse,
                             },
-                        ) => KvResponse::Entries(self.fetch_one_by_one(
-                            round.ns(),
-                            start.to_vec(),
-                            end.map(<[u8]>::to_vec),
-                            reverse,
-                            limit.unwrap_or(u64::MAX),
-                        )?),
+                        ) => {
+                            let bounds = (start.to_vec(), end.map(<[u8]>::to_vec));
+                            KvResponse::Entries(self.read_pages(
+                                round.ns(),
+                                bounds,
+                                reverse,
+                                1,
+                                limit,
+                            )?)
+                        }
                         _ => self.round_one(probe.request(round.ns())),
                     };
                     answer.push_response(probe, &response)?;
@@ -870,15 +849,61 @@ fn value_bytes(entries: &Entries) -> usize {
     entries.iter().map(|(_, value)| value.len()).sum()
 }
 
-/// After consuming entry `k`, tighten the bounds for the next fetch.
-fn advance_bounds(start: &mut Vec<u8>, end: &mut Option<Vec<u8>>, k: &[u8], reverse: bool) {
-    if reverse {
-        *end = Some(k.to_vec());
-    } else {
-        let mut s = k.to_vec();
-        s.push(0);
-        *start = s;
+/// Read `[start, end)` of `ns` in scan order, down from `end` when
+/// `reverse`, in pages of up to `page` entries — one request per round,
+/// through `execute_one` — and hand `each` every page that holds any, with
+/// the session to issue further rounds on. A page resumes just past the
+/// last key of the one before. The read stops on a page shorter than it
+/// asked for, or once `max` entries have been read. The one range pager:
+/// the Lazy executor's reads, cost-based scans, the index sweep and the
+/// index backfill all page through it.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn page_range<E: From<MalformedRound>>(
+    store: &dyn KvStore,
+    session: &mut Session,
+    ns: NsId,
+    (mut start, mut end): (Vec<u8>, Option<Vec<u8>>),
+    reverse: bool,
+    page: u64,
+    max: Option<u64>,
+    mut each: impl FnMut(&mut Session, Entries) -> Result<(), E>,
+) -> Result<(), E> {
+    let mut left = max.unwrap_or(u64::MAX);
+    while left > 0 {
+        let limit = page.clamp(1, left);
+        // the bound a page moves goes to its request; the other is copied
+        let (from, to) = if reverse {
+            (start.clone(), end.take())
+        } else {
+            (std::mem::take(&mut start), end.clone())
+        };
+        let request = KvRequest::GetRange {
+            ns,
+            start: from,
+            end: to,
+            limit: Some(limit),
+            reverse,
+        };
+        let found = store.execute_one(session, request).into_block()?;
+        let read = found.len() as u64;
+        // a full page: the range may hold more, past its last key
+        let full = read >= limit;
+        if let Some((last, _)) = found.last().filter(|_| full) {
+            if reverse {
+                end = Some(last.to_vec());
+            } else {
+                start = [last, &[0]].concat();
+            }
+        }
+        if read > 0 {
+            each(session, found)?;
+        }
+        if !full {
+            return Ok(());
+        }
+        left = left.saturating_sub(read);
     }
+    Ok(())
 }
 
 /// Multi-key row order honoring per-key direction: what `LocalSort` (and

@@ -139,11 +139,6 @@ pub fn primary_key_with_room<R: RowSource>(
     Ok(out)
 }
 
-/// Primary-key bytes of a row.
-pub fn primary_key_of_row(table: &TableDef, row: &Tuple) -> Result<Vec<u8>, KeyError> {
-    primary_key_from(table, &table.primary_key_ids(), row)
-}
-
 /// Primary-key bytes from explicit values (probe side).
 pub fn primary_key_from_values(values: &[Value]) -> Result<Vec<u8>, KeyError> {
     Ok(key::encode_key_asc(values)?)
@@ -203,18 +198,6 @@ pub fn entry_keys<R: RowSource>(
     variants.dedup();
     variants.into_iter().for_each(emit);
     Ok(())
-}
-
-/// All index-entry keys of a row under `index` (several when a TOKEN part
-/// expands).
-pub fn index_entry_keys(
-    table: &TableDef,
-    index: &IndexDef,
-    row: &Tuple,
-) -> Result<Vec<Vec<u8>>, KeyError> {
-    let mut out = Vec::new();
-    entry_keys(&index_key_parts(table, index)?, row, |k| out.push(k))?;
-    Ok(out)
 }
 
 /// Append one probe component with the part's direction.
@@ -287,13 +270,8 @@ pub fn row_from_key_into(
     Ok(())
 }
 
-/// Encode a full-row tuple.
-pub fn encode_row(row: &Tuple) -> Vec<u8> {
-    row_codec::encode_tuple(row)
-}
-
-/// The record bytes of an `arity`-column row — what [`encode_row`] makes of
-/// the same values, with the same reservation.
+/// The record bytes of an `arity`-column row, sized before they are
+/// written: what [`row_codec::encode_tuple`] makes of the same values.
 pub fn encode_row_from<R: RowSource>(row: &R, arity: usize) -> Result<Vec<u8>, R::Error> {
     let mut len = 2;
     for c in 0..arity {
@@ -400,12 +378,21 @@ mod tests {
             Value::Timestamp(42),
             Value::Varchar("hi".into()),
         ]);
-        let k = primary_key_of_row(&t, &row).unwrap();
+        let pk = t.primary_key_ids();
+        let k = primary_key_from(&t, &pk, &row).unwrap();
         let k2 =
             primary_key_from_values(&[Value::Varchar("bob".into()), Value::Timestamp(42)]).unwrap();
         assert_eq!(k, k2);
         let null_row = Tuple::new(vec![Value::Null, Value::Timestamp(1), Value::Null]);
-        assert!(primary_key_of_row(&t, &null_row).is_err());
+        assert!(primary_key_from(&t, &pk, &null_row).is_err());
+    }
+
+    /// Every index-entry key of `row` under `index`.
+    fn index_entry_keys(table: &TableDef, index: &IndexDef, row: &Tuple) -> Vec<Vec<u8>> {
+        let mut out = Vec::new();
+        let parts = index_key_parts(table, index).unwrap();
+        entry_keys(&parts, row, |k| out.push(k)).unwrap();
+        out
     }
 
     #[test]
@@ -417,7 +404,7 @@ mod tests {
             Value::Timestamp(1),
             Value::Varchar("hello wonderful world".into()),
         ]);
-        let keys = index_entry_keys(&t, &idx, &row).unwrap();
+        let keys = index_entry_keys(&t, &idx, &row);
         assert_eq!(keys.len(), 3, "one entry per token");
         // every entry decodes back to the same pk
         for k in &keys {
@@ -430,7 +417,7 @@ mod tests {
             Value::Timestamp(2),
             Value::Varchar("--".into()),
         ]);
-        assert!(index_entry_keys(&t, &idx, &row2).unwrap().is_empty());
+        assert!(index_entry_keys(&t, &idx, &row2).is_empty());
     }
 
     #[test]
@@ -442,7 +429,7 @@ mod tests {
             Value::Timestamp(99),
             Value::Varchar("zzz".into()),
         ]);
-        let keys = index_entry_keys(&t, &idx, &row).unwrap();
+        let keys = index_entry_keys(&t, &idx, &row);
         assert_eq!(keys.len(), 1);
         let rec = row_from_index_key(&t, &idx, &keys[0]).unwrap();
         assert_eq!(rec[0], Value::Varchar("amy".into()));
@@ -465,8 +452,8 @@ mod tests {
                 Value::Varchar("x".into()),
             ])
         };
-        let k_new = &index_entry_keys(&t, &idx, &mk(100)).unwrap()[0];
-        let k_old = &index_entry_keys(&t, &idx, &mk(50)).unwrap()[0];
+        let k_new = &index_entry_keys(&t, &idx, &mk(100))[0];
+        let k_old = &index_entry_keys(&t, &idx, &mk(50))[0];
         assert!(k_new < k_old);
     }
 
@@ -478,9 +465,10 @@ mod tests {
             Value::Timestamp(7),
             Value::Null,
         ]);
-        let bytes = encode_row(&row);
+        let bytes = encode_row_from(&row, row.len()).unwrap();
         assert_eq!(decode_row(&t, &bytes).unwrap(), row);
-        assert_eq!(encode_row_from(&row, row.len()).unwrap(), bytes);
-        assert!(decode_row(&t, &encode_row(&Tuple::new(vec![Value::Int(1)]))).is_err());
+        assert_eq!(bytes, row_codec::encode_tuple(&row));
+        let short = encode_row_from(&Tuple::new(vec![Value::Int(1)]), 1).unwrap();
+        assert!(decode_row(&t, &short).is_err());
     }
 }

@@ -20,7 +20,7 @@
 //! and bulk entry points), and rows arrive as a [`RowSource`] that the
 //! encoders read in place.
 
-use crate::exec::ExecError;
+use crate::exec::{page_range, ExecError};
 use crate::keys::{self, KeyPart, RowSource};
 use piql_core::catalog::{CardinalityConstraint, Catalog, ColumnId, IndexDef, TableDef};
 use piql_core::codec::key::{encode_component_ref, prefix_upper_bound, Dir};
@@ -653,65 +653,52 @@ impl<'a> Writer<'a> {
         let table = &target.table;
         let mut collected = 0u64;
         for idx in &target.indexes {
-            let mut start: Vec<u8> = Vec::new();
-            loop {
-                let entries = self
-                    .store
-                    .execute_one(
-                        session,
-                        KvRequest::GetRange {
-                            ns: idx.ns,
-                            start: start.clone(),
-                            end: None,
-                            limit: Some(512),
-                            reverse: false,
-                        },
-                    )
-                    .into_block()?;
-                let len = entries.len();
-                let Some((last_key, _)) = entries.last() else {
-                    break;
-                };
-                // fetch the referenced records in one parallel round
-                let mut gets = Vec::with_capacity(len);
-                for (k, _) in &entries {
-                    let pk_vals = keys::pk_values_from_index_key(table, &idx.def, k)?;
-                    gets.push(KvRequest::Get {
-                        ns: target.primary,
-                        key: keys::primary_key_from_values(&pk_vals)?,
-                    });
-                }
-                let rows = self.store.execute_round(session, gets);
-                let mut dels = Vec::new();
-                for ((entry_key, _), row) in entries.iter().zip(rows) {
-                    let dangling = match row.into_value()? {
-                        Some(bytes) => {
-                            // entry must still be derivable from the record
-                            let rec = keys::decode_row(table, &bytes)?;
-                            let mut derived = false;
-                            keys::entry_keys(&idx.parts, &rec, |k| derived |= k == entry_key)?;
-                            !derived
-                        }
-                        None => true, // record gone entirely
-                    };
-                    if dangling {
-                        dels.push(KvRequest::Delete {
-                            ns: idx.ns,
-                            key: entry_key.to_vec(),
+            let everything = (Vec::new(), None);
+            page_range(
+                self.store,
+                session,
+                idx.ns,
+                everything,
+                false,
+                512,
+                None,
+                |session, entries| {
+                    // fetch the referenced records in one parallel round
+                    let mut gets = Vec::with_capacity(entries.len());
+                    for (k, _) in &entries {
+                        let pk_vals = keys::pk_values_from_index_key(table, &idx.def, k)?;
+                        gets.push(KvRequest::Get {
+                            ns: target.primary,
+                            key: keys::primary_key_from_values(&pk_vals)?,
                         });
                     }
-                }
-                collected += dels.len() as u64;
-                if !dels.is_empty() {
-                    self.store.execute_round(session, dels);
-                }
-                start.clear();
-                start.extend_from_slice(last_key);
-                start.push(0);
-                if len < 512 {
-                    break;
-                }
-            }
+                    let rows = self.store.execute_round(session, gets);
+                    let mut dels = Vec::new();
+                    for ((entry_key, _), row) in entries.iter().zip(rows) {
+                        let dangling = match row.into_value()? {
+                            Some(bytes) => {
+                                // entry must still be derivable from the record
+                                let rec = keys::decode_row(table, &bytes)?;
+                                let mut derived = false;
+                                keys::entry_keys(&idx.parts, &rec, |k| derived |= k == entry_key)?;
+                                !derived
+                            }
+                            None => true, // record gone entirely
+                        };
+                        if dangling {
+                            dels.push(KvRequest::Delete {
+                                ns: idx.ns,
+                                key: entry_key.to_vec(),
+                            });
+                        }
+                    }
+                    collected += dels.len() as u64;
+                    if !dels.is_empty() {
+                        self.store.execute_round(session, dels);
+                    }
+                    Ok::<_, WriteError>(())
+                },
+            )?;
         }
         Ok(collected)
     }
@@ -724,39 +711,27 @@ impl<'a> Writer<'a> {
         primary: NsId,
         index: &IndexWrite,
     ) -> Result<u64, WriteError> {
-        let mut session = Session::new();
-        let mut start: Vec<u8> = Vec::new();
+        let session = &mut Session::new();
         let mut n = 0;
-        loop {
-            let entries = self
-                .store
-                .execute_one(
-                    &mut session,
-                    KvRequest::GetRange {
-                        ns: primary,
-                        start: start.clone(),
-                        end: None,
-                        limit: Some(1024),
-                        reverse: false,
-                    },
-                )
-                .into_block()?;
-            for (_, v) in &entries {
-                let row = keys::decode_row(table, v)?;
-                keys::entry_keys(&index.parts, &row, |key| {
-                    self.store.bulk_put(index.ns, key, Vec::new());
-                    n += 1;
-                })?;
-            }
-            if let Some((k, _)) = entries.last() {
-                start.clear();
-                start.extend_from_slice(k);
-                start.push(0);
-            }
-            if entries.len() < 1024 {
-                break;
-            }
-        }
+        page_range(
+            self.store,
+            session,
+            primary,
+            (Vec::new(), None),
+            false,
+            1024,
+            None,
+            |_, entries| {
+                for (_, v) in &entries {
+                    let row = keys::decode_row(table, v)?;
+                    keys::entry_keys(&index.parts, &row, |key| {
+                        self.store.bulk_put(index.ns, key, Vec::new());
+                        n += 1;
+                    })?;
+                }
+                Ok::<_, WriteError>(())
+            },
+        )?;
         Ok(n)
     }
 

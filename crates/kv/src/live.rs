@@ -95,7 +95,9 @@ impl Default for LiveConfig {
     }
 }
 
-/// Monotonic operation counters (all `Relaxed`; read for reporting only).
+/// The store's own operation counters (all `Relaxed`; read for reporting
+/// only). What a request shipped, and in which round, is the session's
+/// ledger ([`SessionStats`]); the store keeps only what outlives sessions.
 #[derive(Debug, Default)]
 pub struct LiveStats {
     /// Logical storage requests served (one per round entry + bulk loads).
@@ -104,37 +106,20 @@ pub struct LiveStats {
     /// k here and 1 in `ops` — mirroring `SimCluster`'s logical-vs-physical
     /// (replica/partition visit) accounting.
     pub physical_ops: AtomicU64,
-    pub reads: AtomicU64,
-    pub writes: AtomicU64,
-    pub rounds: AtomicU64,
-    pub entries_returned: AtomicU64,
-    pub bytes_read: AtomicU64,
-    pub bytes_written: AtomicU64,
     /// Completed [`LiveCluster::rebalance`] calls (each re-splits every
     /// namespace).
     pub rebalances: AtomicU64,
 }
 
 impl LiveStats {
-    /// Book one served read: `physical` shard visits shipping `entries`
-    /// entries of `bytes` payload. The one read booking of `serve_read`,
-    /// a count and `point_get`: plain relaxed adds, so the point lane stays
-    /// allocation-free.
-    fn book_read(&self, physical: u64, bytes: u64, entries: u64) {
-        self.ops.fetch_add(1, Ordering::Relaxed);
-        self.reads.fetch_add(1, Ordering::Relaxed);
-        self.physical_ops.fetch_add(physical, Ordering::Relaxed);
-        self.bytes_read.fetch_add(bytes, Ordering::Relaxed);
-        self.entries_returned.fetch_add(entries, Ordering::Relaxed);
-    }
-
-    /// Book one applied write of `bytes` payload (0 for a delete or a
-    /// test-and-set), timed or bulk.
-    fn book_write(&self, bytes: u64) {
-        self.ops.fetch_add(1, Ordering::Relaxed);
-        self.physical_ops.fetch_add(1, Ordering::Relaxed);
-        self.writes.fetch_add(1, Ordering::Relaxed);
-        self.bytes_written.fetch_add(bytes, Ordering::Relaxed);
+    /// Book one served request, timed or bulk, and answer its session
+    /// [`share`]: the one booking of every request, so the store's counts
+    /// and the session's cannot disagree. Plain relaxed adds, so the point
+    /// lane stays allocation-free.
+    fn book(&self, share: SessionStats) -> SessionStats {
+        (self.ops).fetch_add(share.logical_requests, Ordering::Relaxed);
+        (self.physical_ops).fetch_add(share.physical_requests, Ordering::Relaxed);
+        share
     }
 }
 
@@ -143,12 +128,6 @@ impl LiveStats {
 pub struct LiveStatsSnapshot {
     pub ops: u64,
     pub physical_ops: u64,
-    pub reads: u64,
-    pub writes: u64,
-    pub rounds: u64,
-    pub entries_returned: u64,
-    pub bytes_read: u64,
-    pub bytes_written: u64,
     pub rebalances: u64,
 }
 
@@ -784,12 +763,6 @@ impl LiveCluster {
         LiveStatsSnapshot {
             ops: self.stats.ops.load(Ordering::Relaxed),
             physical_ops: self.stats.physical_ops.load(Ordering::Relaxed),
-            reads: self.stats.reads.load(Ordering::Relaxed),
-            writes: self.stats.writes.load(Ordering::Relaxed),
-            rounds: self.stats.rounds.load(Ordering::Relaxed),
-            entries_returned: self.stats.entries_returned.load(Ordering::Relaxed),
-            bytes_read: self.stats.bytes_read.load(Ordering::Relaxed),
-            bytes_written: self.stats.bytes_written.load(Ordering::Relaxed),
             rebalances: self.stats.rebalances.load(Ordering::Relaxed),
         }
     }
@@ -846,14 +819,14 @@ impl LiveCluster {
     /// [`KvStore::bulk_put`] from borrowed bytes, in the one allocation the
     /// entry is. Recovery loads logged puts with it.
     pub fn bulk_load(&self, ns: NsId, key: &[u8], value: &[u8]) {
-        self.stats.book_write(value.len() as u64);
+        self.stats.book(WRITE);
         self.ns_data(ns).insert(Entry::copied(key, value));
     }
 
     /// Remove `key` outside any timed session — the replay-side mirror of
     /// [`LiveCluster::bulk_load`], used by recovery to apply logged deletes.
     pub fn bulk_delete(&self, ns: NsId, key: &[u8]) {
-        self.stats.book_write(0);
+        self.stats.book(WRITE);
         self.ns_data(ns).remove(key);
     }
 
@@ -867,7 +840,7 @@ impl LiveCluster {
     pub fn load_namespace(&self, ns: NsId, entries: &[KvEntry]) {
         let mut sorted: Vec<Entry> = (entries.iter())
             .map(|(key, value)| {
-                self.stats.book_write(value.len() as u64);
+                self.stats.book(WRITE);
                 Entry::copied(key, value)
             })
             .collect();
@@ -881,7 +854,7 @@ impl LiveCluster {
 /// One request's share of what its round books on the session
 /// ([`LiveCluster::complete_round`]): itself, its shard visits, and the
 /// entries and bytes it shipped.
-fn share(physical: u64, entries: u64, bytes: u64) -> SessionStats {
+const fn share(physical: u64, entries: u64, bytes: u64) -> SessionStats {
     SessionStats {
         rounds: 0,
         logical_requests: 1,
@@ -891,34 +864,30 @@ fn share(physical: u64, entries: u64, bytes: u64) -> SessionStats {
     }
 }
 
+/// A write's [`share`]: one shard, nothing shipped back.
+const WRITE: SessionStats = share(1, 0, 0);
+
 /// Serve the read `probe` from `table`, handing `each` what it finds, and
 /// book it on `stats`; answers its [`share`]. A range ships the keys and
-/// values of its entries over the shards it visits; a get ships its
-/// value's bytes and counts no entry.
+/// values of its entries over the shards it visits; a get ships nothing
+/// the session counts.
 fn serve_read(
     table: &ShardSet,
     stats: &LiveStats,
     probe: Probe<'_>,
     mut each: impl FnMut(&[u8], &[u8]),
 ) -> SessionStats {
-    let (mut entries, mut key_bytes, mut value_bytes) = (0, 0, 0);
+    let (mut entries, mut bytes) = (0, 0);
     let visited = table.find(probe, true, |key, value| {
         entries += 1;
-        key_bytes += key.len() as u64;
-        value_bytes += value.len() as u64;
+        bytes += (key.len() + value.len()) as u64;
         each(key, value);
     });
     let physical = visited.max(1);
-    match probe {
-        Probe::Get(_) => {
-            stats.book_read(physical, value_bytes, 0);
-            share(physical, 0, 0)
-        }
-        Probe::Range { .. } => {
-            stats.book_read(physical, key_bytes + value_bytes, entries);
-            share(physical, entries, key_bytes + value_bytes)
-        }
-    }
+    stats.book(match probe {
+        Probe::Get(_) => share(physical, 0, 0),
+        Probe::Range { .. } => share(physical, entries, bytes),
+    })
 }
 
 /// The injected per-request service time. Always slept *inside* a round's
@@ -982,7 +951,6 @@ impl LiveCluster {
         }
         session.now = session.now.max(completed);
         session.stats += SessionStats { rounds: 1, ..round };
-        self.stats.rounds.fetch_add(1, Ordering::Relaxed);
     }
 }
 
@@ -1011,21 +979,19 @@ fn execute_request(
             (KvResponse::Value(value), served)
         }
         KvRequest::Put { key, value, .. } => {
-            stats.book_write(value.len() as u64);
             data.insert(Entry::new(key, &value));
-            (KvResponse::Done, share(1, 0, 0))
+            (KvResponse::Done, stats.book(WRITE))
         }
         KvRequest::Delete { key, .. } => {
-            stats.book_write(0);
             data.remove(&key);
-            (KvResponse::Done, share(1, 0, 0))
+            (KvResponse::Done, stats.book(WRITE))
         }
         KvRequest::TestAndSet {
             key, expect, value, ..
         } => {
-            stats.book_write(0);
             let (success, current) = data.test_and_set(key, expect.as_deref(), value);
-            (KvResponse::TasResult { success, current }, share(1, 0, 0))
+            let response = KvResponse::TasResult { success, current };
+            (response, stats.book(WRITE))
         }
         KvRequest::GetRange {
             start,
@@ -1048,9 +1014,8 @@ fn execute_request(
         }
         KvRequest::CountRange { start, end, .. } => {
             let (total, visited) = data.count_range(&start, end.as_deref());
-            let physical = visited.max(1);
-            stats.book_read(physical, 0, 0);
-            (KvResponse::Count(total), share(physical, 0, 0))
+            let counted = stats.book(share(visited.max(1), 0, 0));
+            (KvResponse::Count(total), counted)
         }
     }
 }
@@ -1197,14 +1162,13 @@ impl KvStore for LiveCluster {
             entry_bytes = Some((key.len() + value.len()) as u64);
         });
         let found = entry_bytes.is_some();
-        let booked = share(1, found as u64, entry_bytes.unwrap_or(0));
-        self.stats.book_read(1, booked.bytes, booked.entries);
-        self.complete_round(session, started, booked, false);
+        let served = share(1, found as u64, entry_bytes.unwrap_or(0));
+        self.complete_round(session, started, self.stats.book(served), false);
         Some(found)
     }
 
     fn bulk_put(&self, ns: NsId, key: Vec<u8>, value: Vec<u8>) {
-        self.stats.book_write(value.len() as u64);
+        self.stats.book(WRITE);
         self.ns_data(ns).insert(Entry::new(key, &value));
     }
 
@@ -1630,14 +1594,7 @@ mod tests {
         assert_eq!(s.stats.bytes, (b"hit".len() + b"value".len()) as u64);
         let after = c.stats_snapshot();
         assert_eq!(after.ops - before.ops, 1);
-        assert_eq!(after.reads - before.reads, 1);
         assert_eq!(after.physical_ops - before.physical_ops, 1);
-        assert_eq!(after.rounds - before.rounds, 1);
-        assert_eq!(after.entries_returned - before.entries_returned, 1);
-        assert_eq!(
-            after.bytes_read - before.bytes_read,
-            (b"hit".len() + b"value".len()) as u64
-        );
         // a miss still counts the round but ships no entry
         out.clear();
         assert_eq!(c.point_get(&mut s, ns, b"absent", &mut out), Some(false));

@@ -112,8 +112,7 @@ impl Entries {
         self.ends.is_empty()
     }
 
-    /// Key and value bytes shipped — the `bytes` figure of session and
-    /// cluster stats.
+    /// Key and value bytes shipped — the `bytes` figure of session stats.
     pub fn payload_len(&self) -> usize {
         self.payload.len()
     }

@@ -38,9 +38,8 @@ pub enum OpKind {
 }
 
 impl OpKind {
-    /// The operator's stable number (its discriminant): the `RunMetrics`
-    /// interaction-kind label the server records per statement, and the op
-    /// byte of both durable formats.
+    /// The operator's stable number (its discriminant): the op byte of both
+    /// durable formats.
     pub fn index(self) -> usize {
         self as usize
     }

@@ -52,14 +52,10 @@ fn answered(store: &dyn KvStore, round: &ReadRound) -> (ReadAnswer, SessionStats
 }
 
 /// What `LiveStats` booked between two snapshots, less the rebalances.
-fn booked(before: LiveStatsSnapshot, after: LiveStatsSnapshot) -> [u64; 6] {
+fn booked(before: LiveStatsSnapshot, after: LiveStatsSnapshot) -> [u64; 2] {
     [
         after.ops - before.ops,
         after.physical_ops - before.physical_ops,
-        after.reads - before.reads,
-        after.rounds - before.rounds,
-        after.entries_returned - before.entries_returned,
-        after.bytes_read - before.bytes_read,
     ]
 }
 

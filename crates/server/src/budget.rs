@@ -159,7 +159,7 @@ impl TenantBudget {
     /// unlimited budget; a bounded one takes the gate's lock briefly.
     pub fn admit(self: &Arc<Self>) -> BudgetDecision {
         if self.is_unlimited() {
-            self.admitted.fetch_add(1, Ordering::Relaxed);
+            self.count_admitted();
             return BudgetDecision::Go(None);
         }
         let mut door = self.gate.lock();
@@ -192,6 +192,13 @@ impl TenantBudget {
             Step::Shed => BudgetDecision::Shed(permit),
             _ => BudgetDecision::Go(Some(permit)),
         }
+    }
+
+    /// Count one execution an unlimited budget let in: the whole of its
+    /// admit. The binary fast lane, which reads [`Self::is_unlimited`]
+    /// before its store read, books this only once it answers.
+    pub(crate) fn count_admitted(&self) {
+        self.admitted.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Current in-flight count (test/stats visibility).

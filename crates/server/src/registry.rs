@@ -48,7 +48,7 @@ use piql_engine::{Cursor, Database, DbError, ExecStrategy, Prepared, QueryResult
 use piql_kv::{KvStore, LiveCluster, Micros, ModelKey, NsId, OpKind, Session};
 use piql_predict::advisor::{fit, Fit};
 use piql_predict::{SharedModelStore, SloPredictor, ALPHA_GRID};
-use piql_workloads::RunMetrics;
+use piql_workloads::nearest_rank_ms;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -225,10 +225,10 @@ pub fn tenant_of(name: &str) -> &str {
     }
 }
 
-/// Recent latency samples retained per statement (ring; see
-/// [`RunMetrics::bounded`]). Roughly: enough for stable p99s, bounded for
-/// a server that executes forever.
-const METRICS_CAPACITY: usize = 4_096;
+/// Latencies retained per statement: `stats` reports over its most recent
+/// this many executions. Roughly: enough for stable p99s, bounded for a
+/// server that executes forever.
+const LATENCY_RING: usize = 4_096;
 
 /// One key component of a [`FastPointPlan`]'s probe key.
 #[derive(Debug, Clone, PartialEq)]
@@ -358,35 +358,40 @@ pub struct RegisteredStatement {
     /// The statement as registered (re-validation re-degrades/relaxes by
     /// re-binding this AST, never by re-parsing client text).
     stmt: SelectStmt,
-    /// Interaction kind recorded per sample (the root remote operator),
-    /// so per-kind quantiles over `stats` mean what
-    /// `RunMetrics::quantile_ms_of` promises. Samples carry
-    /// [`OpKind::index`], stats print [`OpKind::name`].
+    /// The root remote operator: the `kind` `stats` prints.
     pub kind: OpKind,
     state: RwLock<StatementState>,
     /// The admission budget of the tenant this statement belongs to
     /// (resolved from the name prefix at install time).
     budget: Arc<TenantBudget>,
+    /// Executions observed — and the cursor of `latencies`: execution `i`
+    /// writes slot `i % LATENCY_RING`.
     pub executions: AtomicU64,
-    /// Wall-clock latency samples (reuses the experiment metrics type, so
-    /// the stats endpoint reports the same quantiles the benchmarks do);
-    /// bounded to the most recent `METRICS_CAPACITY` (4096) samples.
-    pub metrics: Mutex<RunMetrics>,
+    /// Wall-clock latencies, µs, of the most recent `LATENCY_RING`
+    /// executions: a fixed ring, written and read without a lock.
+    latencies: Box<[AtomicU64]>,
 }
 
 impl RegisteredStatement {
+    /// The nearest-rank `q`-quantile, in ms, of the statement's most recent
+    /// `LATENCY_RING` latencies — the rule experiment reports use
+    /// ([`nearest_rank_ms`]). A slot an execution has claimed but not yet
+    /// written reads as what it held before.
     pub fn quantile_ms(&self, q: f64) -> f64 {
-        self.metrics.lock().quantile_ms(q)
+        let observed = self
+            .executions
+            .load(Ordering::Relaxed)
+            .min(LATENCY_RING as u64);
+        let slots = self.latencies[..observed as usize].iter();
+        nearest_rank_ms(slots.map(|slot| slot.load(Ordering::Relaxed)).collect(), q)
     }
 
-    /// Book one completed execution that began at `start` and took
-    /// `latency`: the statement's count, its latency sample, the service's
-    /// `executed` — the epilogue of every lane that executes a statement.
-    pub(crate) fn observe(&self, counters: &RegistryCounters, start: Micros, latency: Micros) {
-        self.executions.fetch_add(1, Ordering::Relaxed);
-        self.metrics
-            .lock()
-            .record(start, latency, self.kind.index());
+    /// Book one completed execution that took `latency`: the statement's
+    /// count and latency, the service's `executed` — the epilogue of every
+    /// lane that executes a statement.
+    pub(crate) fn observe(&self, counters: &RegistryCounters, latency: Micros) {
+        let at = self.executions.fetch_add(1, Ordering::Relaxed) % LATENCY_RING as u64;
+        self.latencies[at as usize].store(latency, Ordering::Relaxed);
         counters.executed.fetch_add(1, Ordering::Relaxed);
     }
 
@@ -837,11 +842,7 @@ impl<S: KvStore> StatementRegistry<S> {
             ),
             budget,
             executions: AtomicU64::new(0),
-            metrics: Mutex::new(
-                rank::STATEMENT_METRICS,
-                "registry.statement.metrics",
-                RunMetrics::bounded(METRICS_CAPACITY),
-            ),
+            latencies: (0..LATENCY_RING).map(|_| AtomicU64::new(0)).collect(),
         });
         // journal while still holding the write lock so journal order
         // matches map-state order (see `uninstall`)
@@ -917,7 +918,7 @@ impl<S: KvStore> StatementRegistry<S> {
                 .execute_with(session, &prepared, params, ExecStrategy::Parallel, cursor);
         match result {
             Ok(r) => {
-                statement.observe(&self.counters, start, session.elapsed_since(start));
+                statement.observe(&self.counters, session.elapsed_since(start));
                 Ok(ExecOutcome { result: r, shed })
             }
             Err(e) => {
@@ -1346,5 +1347,98 @@ mod tests {
         };
         assert_eq!(admit(&found, &stmt), Some((Some(25), degraded(25))));
         assert_eq!(admit(&Fit::Infeasible(prediction(9.0)), &stmt), None);
+    }
+
+    /// A point read registered over an empty table, to observe by hand.
+    fn statement() -> Arc<RegisteredStatement> {
+        let store = piql_kv::SimCluster::new(piql_kv::ClusterConfig::instant(1));
+        let db = Database::new(Arc::new(store));
+        db.execute_ddl("CREATE TABLE t (k INT NOT NULL, PRIMARY KEY (k))")
+            .expect("creates");
+        let slo = SloConfig {
+            slo_ms: 1e9,
+            interval_confidence: 1.0,
+            allow_degrade: false,
+        };
+        let predictor = crate::testkit::linear_predictor(200, 100, 2);
+        let registry = StatementRegistry::new(Arc::new(db), predictor, slo);
+        registry
+            .register("q", "SELECT * FROM t WHERE k = <k>")
+            .expect("admits");
+        registry.get("q").expect("registered")
+    }
+
+    /// The statement's ring answers every quantile as an unbounded
+    /// `RunMetrics` of its most recent `LATENCY_RING` latencies does:
+    /// before, at and after it wraps.
+    #[test]
+    fn the_latency_ring_answers_as_the_reference_does() {
+        for n in [1, LATENCY_RING - 1, LATENCY_RING, 10_000] {
+            let statement = statement();
+            let counters = RegistryCounters::default();
+            // rising, with noise: every window has its own quantiles
+            let latencies: Vec<Micros> =
+                (1..=n as u64).map(|i| i * 10 + i * 7_919 % 1_000).collect();
+            for &latency in &latencies {
+                statement.observe(&counters, latency);
+            }
+            let mut reference = piql_workloads::RunMetrics {
+                horizon_us: Micros::MAX,
+                ..Default::default()
+            };
+            for &latency in &latencies[n.saturating_sub(LATENCY_RING)..] {
+                reference.record(0, latency, 0);
+            }
+            for q in [0.0, 0.5, 0.99, 1.0] {
+                let (got, expected) = (statement.quantile_ms(q), reference.quantile_ms(q));
+                assert_eq!(got, expected, "{n} latencies, q = {q}");
+            }
+            assert_eq!(statement.executions.load(Ordering::Relaxed), n as u64);
+            assert_eq!(counters.executed.load(Ordering::Relaxed), n as u64);
+        }
+    }
+
+    /// Observers racing a reader over one ring, all released at once:
+    /// nothing panics, every quantile read is one the latencies observed
+    /// (or a slot not yet written) could give, and every execution is
+    /// counted.
+    #[test]
+    fn observers_racing_a_reader_count_every_execution() {
+        const OBSERVERS: u64 = 4;
+        const EACH: u64 = 50_000;
+        let statement = statement();
+        let counters = RegistryCounters::default();
+        let done = AtomicBool::new(false);
+        let start = std::sync::Barrier::new(OBSERVERS as usize + 1);
+        std::thread::scope(|scope| {
+            let reader = scope.spawn(|| {
+                start.wait();
+                while !done.load(Ordering::Relaxed) {
+                    for q in [0.0, 0.5, 0.99, 1.0] {
+                        let ms = statement.quantile_ms(q);
+                        assert!((0.0..=0.1).contains(&ms), "q = {q}: {ms} ms");
+                    }
+                }
+            });
+            let observers: Vec<_> = (0..OBSERVERS)
+                .map(|_| {
+                    scope.spawn(|| {
+                        start.wait();
+                        for i in 0..EACH {
+                            statement.observe(&counters, i % 100 + 1);
+                        }
+                    })
+                })
+                .collect();
+            for observer in observers {
+                observer.join().expect("an observer panicked");
+            }
+            done.store(true, Ordering::Relaxed);
+            reader.join().expect("the reader panicked");
+        });
+        let total = OBSERVERS * EACH;
+        assert_eq!(statement.executions.load(Ordering::Relaxed), total);
+        assert_eq!(counters.executed.load(Ordering::Relaxed), total);
+        assert_eq!(statement.quantile_ms(1.0), 0.1);
     }
 }

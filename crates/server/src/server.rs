@@ -54,7 +54,6 @@
 //! `LiveConfig::pool_threads`).
 
 use crate::binary::{self, BinaryWire, OP_EXECUTE, OP_RESPONSE};
-use crate::budget::BudgetDecision;
 use crate::gate::Gate;
 use crate::json::Json;
 use crate::protocol::{
@@ -630,12 +629,6 @@ impl<S: KvStore + 'static> BinaryConn<S> {
         let name = cur.str().ok()?;
         let statement = self.registry.get(name)?;
         let plan = statement.fast_point()?;
-        // a budget-limited tenant goes through the governed general path
-        // (permits, shed plans, coded rejections); only the unlimited
-        // default keeps the zero-allocation shortcut
-        if !statement.budget().is_unlimited() {
-            return None;
-        }
         if !binary::scan_scalar_params(&mut cur, &mut self.param_offsets).ok()? {
             return None;
         }
@@ -658,13 +651,17 @@ impl<S: KvStore + 'static> BinaryConn<S> {
             encode_component_ref(&mut self.key_buf, value, Dir::Asc).ok()?;
         }
 
-        // admitted last: a frame that bailed out above is admitted by
-        // the general path, once. On the unlimited path this is two
-        // atomic ops and allocates nothing
-        let _permit = match statement.budget().admit() {
-            BudgetDecision::Go(permit) => permit,
-            _ => return None,
-        };
+        // a budget-limited tenant goes through the governed general path
+        // (permits, shed plans, coded rejections); only the unlimited
+        // default, which needs no permit, keeps the zero-allocation
+        // shortcut. Read last before the store, so a budget reconfigured
+        // while the frame was parsed is honoured; the admission is booked
+        // once the lane answers, so a frame it declines — here, or after
+        // the read — is admitted by the general path, once
+        let budget = statement.budget();
+        if !budget.is_unlimited() {
+            return None;
+        }
         let store = self.registry.db().store();
         store.sync_session(&mut self.session);
         let start = self.session.begin();
@@ -695,7 +692,8 @@ impl<S: KvStore + 'static> BinaryConn<S> {
         binary::finish_frame(&mut self.out, fmark);
 
         let counters = &self.registry.counters;
-        statement.observe(counters, start, self.session.elapsed_since(start));
+        budget.count_admitted();
+        statement.observe(counters, self.session.elapsed_since(start));
         counters.fast_point_reads.fetch_add(1, Ordering::Relaxed);
         Some(())
     }

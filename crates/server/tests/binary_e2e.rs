@@ -8,7 +8,7 @@
 use piql_core::plan::params::ParamValue;
 use piql_core::value::Value;
 use piql_engine::Database;
-use piql_kv::{LiveCluster, LiveConfig, Session};
+use piql_kv::{ClusterConfig, KvStore, LiveCluster, LiveConfig, Session, SimCluster};
 use piql_server::server::handle_request;
 use piql_server::testkit::linear_predictor;
 use piql_server::{
@@ -30,16 +30,19 @@ fn permissive_slo() -> SloConfig {
     }
 }
 
-fn scadr_db() -> Arc<Database<LiveCluster>> {
-    let cluster = Arc::new(LiveCluster::new(LiveConfig::default()));
-    let db = Arc::new(Database::new(cluster));
-    let config = ScadrConfig {
+fn scadr_config() -> ScadrConfig {
+    ScadrConfig {
         users_per_node: 20,
         thoughts_per_user: 11,
         subscriptions_per_user: 4,
         ..Default::default()
-    };
-    scadr::setup(&db, &config, 2).unwrap();
+    }
+}
+
+fn scadr_db() -> Arc<Database<LiveCluster>> {
+    let cluster = Arc::new(LiveCluster::new(LiveConfig::default()));
+    let db = Arc::new(Database::new(cluster));
+    scadr::setup(&db, &scadr_config(), 2).unwrap();
     db
 }
 
@@ -188,22 +191,70 @@ fn fast_point_response_is_byte_identical_to_general_path() {
     assert_eq!(statement.executions.load(Ordering::Relaxed), 2 * n);
 }
 
-/// A frame the fast lane starts on and then hands to the general path —
-/// a collection where the key's scalar goes, an explicit cursor — is one
-/// execution: the tenant's budget admits it once, and the answer is the
-/// general path's, byte for byte.
-#[test]
-fn a_frame_the_fast_lane_declines_is_admitted_once() {
-    use piql_engine::{Cursor, CursorState};
+/// `registry` with the point read registered under a tenant, `acme`.
+fn acme_point<S: KvStore>(db: Arc<Database<S>>) -> Arc<StatementRegistry<S>> {
     let registry = Arc::new(StatementRegistry::new(
-        scadr_db(),
+        db,
         linear_predictor(200, 100, 2),
         permissive_slo(),
     ));
     registry.register("acme.point", POINT).unwrap();
-    let statement = registry.get("acme.point").unwrap();
-    assert!(statement.fast_point().is_some());
-    let admitted = || statement.budget().snapshot().admitted;
+    assert!(registry.get("acme.point").unwrap().fast_point().is_some());
+    registry
+}
+
+/// Hand `conn` one execute of `acme.point`: the admissions it cost the
+/// tenant's budget, after checking that the answer is the general path's,
+/// byte for byte.
+fn admissions<S: KvStore>(
+    conn: &mut BinaryConn<S>,
+    registry: &StatementRegistry<S>,
+    params: Vec<ParamValue>,
+    cursor: Option<piql_engine::Cursor>,
+    what: &str,
+) -> u64 {
+    let budget = registry.get("acme.point").unwrap().budget().clone();
+    let env = Envelope {
+        id: Some(RequestId::Int(5)),
+        request: Request::Execute {
+            name: "acme.point".into(),
+            params,
+            cursor,
+        },
+    };
+    let wire = BinaryWire;
+    let mut frame = Vec::new();
+    wire.encode_envelope(&env, &mut frame);
+    let before = budget.snapshot().admitted;
+    conn.handle_frame(&frame[4..]);
+    let admitted = budget.snapshot().admitted - before;
+
+    let response = handle_request(&env.request, &mut Session::new(), registry);
+    let mut expected = Vec::new();
+    wire.encode_response(env.id.as_ref(), &response, &mut expected);
+    assert_eq!(conn.output(), &expected[..], "{what}");
+    conn.clear_output();
+    admitted
+}
+
+/// A frame the fast lane starts on and then hands to the general path is
+/// one execution: the tenant's budget admits it once, and the answer is
+/// the general path's, byte for byte. The lane declines before it admits
+/// on a collection where the key's scalar goes and on an explicit cursor;
+/// it learns only after the read that a backend has no fast get, or that
+/// the stored row is not one it can transcode.
+#[test]
+fn a_frame_the_fast_lane_declines_is_admitted_once() {
+    use piql_engine::{keys, Cursor, CursorState};
+    let db = scadr_db();
+    // two stored rows the lane cannot transcode: bytes no row decoder
+    // takes, and a row of the wrong arity
+    let users = db.store().namespace("t/users");
+    let pk = |name: &str| keys::primary_key_from_values(&[Value::Varchar(name.into())]).unwrap();
+    db.cluster().bulk_put(users, pk("garbled"), vec![0xFF; 3]);
+    let short_row = keys::encode_row_from(&piql_core::tuple!["short"], 1).unwrap();
+    db.cluster().bulk_put(users, pk("short"), short_row);
+    let registry = acme_point(db);
 
     let user = Value::Varchar(scadr::username(4));
     let declined = [
@@ -219,52 +270,82 @@ fn a_frame_the_fast_lane_declines_is_admitted_once() {
             }),
             "explicit cursor",
         ),
+        (
+            vec![Value::Varchar("garbled".into()).into()],
+            None,
+            "a stored row no decoder takes",
+        ),
+        (
+            vec![Value::Varchar("short".into()).into()],
+            None,
+            "a stored row of the wrong arity",
+        ),
     ];
-    let wire = BinaryWire;
     let mut conn = BinaryConn::new(registry.clone());
     for (params, cursor, what) in declined {
-        let env = Envelope {
-            id: Some(RequestId::Int(5)),
-            request: Request::Execute {
-                name: "acme.point".into(),
-                params,
-                cursor,
-            },
-        };
-        let mut frame = Vec::new();
-        wire.encode_envelope(&env, &mut frame);
-        let before = admitted();
-        conn.handle_frame(&frame[4..]);
-        assert_eq!(admitted() - before, 1, "{what}: one frame, one admission");
-
-        let response = handle_request(&env.request, &mut Session::new(), &registry);
-        let mut expected = Vec::new();
-        wire.encode_response(env.id.as_ref(), &response, &mut expected);
-        assert_eq!(conn.output(), &expected[..], "{what}");
-        conn.clear_output();
+        let admitted = admissions(&mut conn, &registry, params, cursor, what);
+        assert_eq!(admitted, 1, "{what}: one frame, one admission");
     }
     assert_eq!(
         registry.counters.fast_point_reads.load(Ordering::Relaxed),
         0
     );
     // the frame the fast lane does serve is admitted once as well
-    let env = Envelope {
-        id: None,
-        request: Request::Execute {
-            name: "acme.point".into(),
-            params: vec![user.into()],
-            cursor: None,
-        },
-    };
-    let mut frame = Vec::new();
-    wire.encode_envelope(&env, &mut frame);
-    let before = admitted();
-    conn.handle_frame(&frame[4..]);
-    assert_eq!(admitted() - before, 1);
+    let served = admissions(
+        &mut conn,
+        &registry,
+        vec![user.clone().into()],
+        None,
+        "served",
+    );
+    assert_eq!(served, 1);
     assert_eq!(
         registry.counters.fast_point_reads.load(Ordering::Relaxed),
         1
     );
+
+    // a backend without a fast get declines after the lane has begun
+    let sim = Arc::new(Database::new(Arc::new(SimCluster::new(
+        ClusterConfig::instant(2),
+    ))));
+    scadr::setup(&sim, &scadr_config(), 2).unwrap();
+    let registry = acme_point(sim);
+    let mut conn = BinaryConn::new(registry.clone());
+    let what = "a backend without a fast get";
+    let admitted = admissions(&mut conn, &registry, vec![user.into()], None, what);
+    assert_eq!(admitted, 1, "{what}: one frame, one admission");
+    assert_eq!(
+        registry.counters.fast_point_reads.load(Ordering::Relaxed),
+        0
+    );
+}
+
+/// The fast lane reads the tenant's budget on every frame: a cap set
+/// between two frames on one connection refuses the second before it
+/// reaches the store, and lifting the cap puts the third back on the lane.
+#[test]
+fn a_budget_reconfigured_between_frames_is_honoured() {
+    use piql_server::BudgetPolicy;
+    let db = scadr_db();
+    let cluster = db.cluster().clone();
+    let registry = acme_point(db);
+    let mut conn = BinaryConn::new(registry.clone());
+    let user = || vec![Value::Varchar(scadr::username(4)).into()];
+    let fast = || registry.counters.fast_point_reads.load(Ordering::Relaxed);
+
+    assert_eq!(admissions(&mut conn, &registry, user(), None, "open"), 1);
+    assert_eq!(fast(), 1);
+    registry.set_tenant_budget("acme", Some(0), BudgetPolicy::Reject);
+    let ops = cluster.op_count();
+    assert_eq!(admissions(&mut conn, &registry, user(), None, "capped"), 0);
+    assert_eq!(cluster.op_count(), ops, "a refused frame reads nothing");
+    assert_eq!(fast(), 1);
+    registry.set_tenant_budget("acme", None, BudgetPolicy::Reject);
+    assert_eq!(
+        admissions(&mut conn, &registry, user(), None, "reopened"),
+        1
+    );
+    assert_eq!(fast(), 2);
 }
 
 #[test]
@@ -397,8 +478,9 @@ fn binary_client_fails_cleanly_against_a_v2_only_endpoint() {
 }
 
 /// Every lane that executes a statement books it the same way: one more
-/// `stats.executed`, one more of the statement's `executions`, one more
-/// latency sample — and the fast lane alone adds a `fast_point_reads`.
+/// `stats.executed` and one more of the statement's `executions`, whose
+/// count places its latency in the statement's ring — and the fast lane
+/// alone adds a `fast_point_reads`.
 #[test]
 fn every_lane_books_an_execution_once() {
     let server = start_server();
@@ -417,12 +499,10 @@ fn every_lane_books_an_execution_once() {
 
     let booked = |name: &str| {
         let statement = registry.get(name).unwrap();
-        let samples = statement.metrics.lock().count() as u64;
         let c = &registry.counters;
         [
             c.executed.load(Ordering::Relaxed),
             statement.executions.load(Ordering::Relaxed),
-            samples,
             c.fast_point_reads.load(Ordering::Relaxed),
         ]
     };
@@ -454,6 +534,6 @@ fn every_lane_books_an_execution_once() {
         execute(&mut v3, &mut v2);
         let after = booked(name);
         let moved: Vec<u64> = after.iter().zip(before).map(|(a, b)| a - b).collect();
-        assert_eq!(moved, [1, 1, 1, fast], "{lane}");
+        assert_eq!(moved, [1, 1, fast], "{lane}");
     }
 }

@@ -10,4 +10,4 @@ pub mod scadr;
 pub mod tpcw;
 
 pub use driver::{run_closed_loop, DriverConfig, Workload};
-pub use metrics::{linear_fit, RunMetrics, Sample};
+pub use metrics::{linear_fit, nearest_rank_ms, RunMetrics, Sample};

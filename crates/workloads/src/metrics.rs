@@ -14,15 +14,8 @@ pub struct Sample {
     pub kind: usize,
 }
 
-/// A run's collected samples.
-///
-/// By default every sample is retained (experiment runs have a bounded
-/// horizon). Long-running consumers — the server keeps one `RunMetrics`
-/// per registered statement for its entire uptime — set
-/// [`RunMetrics::capacity`] (or use [`RunMetrics::bounded`]): once full,
-/// `record` overwrites the **oldest** retained sample, so memory stays
-/// fixed and every report reflects the most recent `capacity`
-/// observations.
+/// A run's collected samples: every one is retained (an experiment run has
+/// a bounded horizon).
 #[derive(Debug, Clone, Default)]
 pub struct RunMetrics {
     pub samples: Vec<Sample>,
@@ -31,41 +24,15 @@ pub struct RunMetrics {
     pub warmup_us: Micros,
     /// End of the measurement window.
     pub horizon_us: Micros,
-    /// Maximum retained samples; `0` = unbounded.
-    pub capacity: usize,
-    /// Samples ever recorded, including ones the ring has overwritten.
-    pub recorded: u64,
 }
 
 impl RunMetrics {
-    /// A ring-buffered collector for open-ended measurement: at most
-    /// `capacity` recent samples, full time window (no warm-up cutoff).
-    pub fn bounded(capacity: usize) -> Self {
-        let capacity = capacity.max(1);
-        RunMetrics {
-            samples: Vec::with_capacity(capacity),
-            warmup_us: 0,
-            horizon_us: u64::MAX,
-            capacity,
-            ..Default::default()
-        }
-    }
-
     pub fn record(&mut self, start: Micros, latency: Micros, kind: usize) {
-        let sample = Sample {
+        self.samples.push(Sample {
             start,
             latency,
             kind,
-        };
-        if self.capacity == 0 || self.samples.len() < self.capacity {
-            self.samples.push(sample);
-        } else {
-            // ring: `recorded` counts all prior records, so modulo the
-            // capacity it walks the slots oldest-first
-            let slot = (self.recorded % self.capacity as u64) as usize;
-            self.samples[slot] = sample;
-        }
-        self.recorded += 1;
+        });
     }
 
     fn measured(&self) -> impl Iterator<Item = &Sample> {
@@ -135,8 +102,9 @@ impl RunMetrics {
 }
 
 /// The nearest-rank `q`-quantile of `latencies`, in milliseconds; `0.0` for
-/// an empty set (the convention every quantile here reports).
-fn nearest_rank_ms(mut latencies: Vec<Micros>, q: f64) -> f64 {
+/// an empty set (the convention every quantile here reports). The one
+/// quantile rule of experiment reports and of the server's `stats`.
+pub fn nearest_rank_ms(mut latencies: Vec<Micros>, q: f64) -> f64 {
     if latencies.is_empty() {
         return 0.0;
     }
@@ -201,30 +169,6 @@ mod tests {
     }
 
     #[test]
-    fn bounded_metrics_hold_recent_samples_in_fixed_memory() {
-        let mut m = RunMetrics::bounded(100);
-        // 350 samples with monotonically increasing latency: after the ring
-        // wraps, only the most recent 100 (latencies 251..=350 ms) remain
-        for i in 0..350u64 {
-            m.record(i * 1_000, (i + 1) * 1_000, 0);
-        }
-        assert_eq!(m.samples.len(), 100, "memory stays at capacity");
-        assert_eq!(m.samples.capacity(), 100);
-        assert_eq!(m.recorded, 350);
-        assert_eq!(m.count(), 100);
-        assert_eq!(m.quantile_ms(0.0), 251.0, "oldest retained is recent");
-        assert_eq!(m.quantile_ms(0.5), 300.0);
-        assert_eq!(m.quantile_ms(1.0), 350.0);
-        // per-kind reports work over the retained window too
-        let mut k = RunMetrics::bounded(10);
-        for i in 0..25u64 {
-            k.record(0, (i + 1) * 1_000, (i % 2) as usize);
-        }
-        assert_eq!(k.quantile_ms_of(0, 1.0), 25.0);
-        assert_eq!(k.quantile_ms_of(1, 1.0), 24.0);
-    }
-
-    #[test]
     fn unbounded_default_retains_everything() {
         let mut m = RunMetrics {
             horizon_us: u64::MAX,
@@ -234,7 +178,7 @@ mod tests {
             m.record(i, 1_000, 0);
         }
         assert_eq!(m.samples.len(), 1000);
-        assert_eq!(m.recorded, 1000);
+        assert_eq!(m.count(), 1000);
     }
 
     #[test]

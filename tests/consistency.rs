@@ -6,6 +6,7 @@
 use piql::{Database, Params, Session, SimCluster, Value};
 use piql_core::catalog::Catalog;
 use piql_core::tuple::Tuple;
+use piql_engine::keys;
 use piql_kv::{ClusterConfig, KvRequest, KvStore, LatencyConfig};
 use std::sync::Arc;
 
@@ -45,9 +46,11 @@ fn inject_dangling(db: &Database) {
         Value::Varchar("common ghost".into()),
     ]);
     let ns = db.cluster().namespace(&Catalog::index_namespace(&idx));
-    for key in piql_engine::keys::index_entry_keys(&table, &idx, &ghost).unwrap() {
-        db.cluster().bulk_put(ns, key, Vec::new());
-    }
+    let parts = keys::index_key_parts(&table, &idx).unwrap();
+    keys::entry_keys(&parts, &ghost, |key| {
+        db.cluster().bulk_put(ns, key, Vec::new())
+    })
+    .unwrap();
 }
 
 #[test]
@@ -95,9 +98,9 @@ fn gc_removes_outdated_entries_after_manual_record_overwrite() {
         Value::Int(3),
         Value::Varchar("renamed entirely".into()),
     ]);
-    let pk = piql_engine::keys::primary_key_of_row(&table, &new_row).unwrap();
-    db.cluster()
-        .bulk_put(ns, pk, piql_engine::keys::encode_row(&new_row));
+    let pk = keys::primary_key_from(&table, &table.primary_key_ids(), &new_row).unwrap();
+    let record = keys::encode_row_from(&new_row, new_row.len()).unwrap();
+    db.cluster().bulk_put(ns, pk, record);
 
     let mut session = Session::new();
     // stale 'common'/'number3' entries still point at id=3 whose body no
