@@ -412,7 +412,14 @@ impl Wal {
             return;
         }
         self.commit();
-        self.shutdown.store(true, Ordering::Release);
+        {
+            // under `pending`, like `abandon`'s `dead`: the committer reads
+            // the flag and parks on `work` under that lock, so the flag
+            // cannot land between its check and its wait, and the notify
+            // below cannot be lost
+            let _pending = self.pending.lock();
+            self.shutdown.store(true, Ordering::Release);
+        }
         self.work.notify_all();
         if let Some(h) = self.committer.lock().take() {
             let _ = h.join();

@@ -555,12 +555,14 @@ impl<'a> Writer<'a> {
                 }
             }
             adds.send(self.store, session);
-            // 2. the record, conditionally
+            // 2. the record, conditionally, under a key with room for it
+            let mut key = Vec::with_capacity(pk.len() + new_bytes.len());
+            key.extend_from_slice(pk);
             let response = self.store.execute_one(
                 session,
                 KvRequest::TestAndSet {
                     ns: target.primary,
-                    key: pk.to_vec(),
+                    key,
                     expect: Some(old_bytes),
                     value: Some(new_bytes),
                 },
@@ -623,22 +625,55 @@ impl<'a> Writer<'a> {
 
     /// Bulk-load rows without timing (experiment setup). Index entries are
     /// written too; constraints are trusted, not checked.
+    ///
+    /// The records stream into the store as one batch
+    /// ([`KvStore::bulk_put_all`]) as the rows are read; each index's
+    /// entry keys are kept aside as they are made and handed over as one
+    /// batch after. A row that cannot be stored ends the load with its
+    /// error: the rows before it are stored with all their entries, and
+    /// nothing after it is read.
     pub fn bulk_load(
         &self,
         target: &TableWrite,
         rows: impl IntoIterator<Item = Tuple>,
     ) -> Result<u64, WriteError> {
         let table = &target.table;
-        let mut n = 0;
-        for row in rows {
-            let row = InputRow::new(table, &row)?;
-            let bytes = keys::encode_row_from(&row, table.columns.len())?;
-            let pk = keys::primary_key_with_room(table, &target.pk, &row, bytes.len())?;
-            self.store.bulk_put(target.primary, pk, bytes);
-            target.each_entry(&row, |ns, key| self.store.bulk_put(ns, key, Vec::new()))?;
-            n += 1;
+        let mut rows = rows.into_iter();
+        let mut entries: Vec<Vec<Vec<u8>>> = target.indexes.iter().map(|_| Vec::new()).collect();
+        let (mut n, mut failed) = (0, None);
+        let mut records = std::iter::from_fn(|| {
+            if failed.is_some() {
+                return None;
+            }
+            let tuple = rows.next()?;
+            let record = InputRow::new(table, &tuple).and_then(|row| {
+                let bytes = keys::encode_row_from(&row, table.columns.len())?;
+                let pk = keys::primary_key_with_room(table, &target.pk, &row, bytes.len())?;
+                // a row's record goes before its entries: one whose entries
+                // cannot all be made still has its record stored, and ends
+                // the load
+                let mut made = (target.indexes.iter().zip(&mut entries))
+                    .map(|(idx, keys)| keys::entry_keys(&idx.parts, &row, |key| keys.push(key)));
+                failed = made.find_map(Result::err);
+                Ok((pk, bytes))
+            });
+            match record {
+                Ok(record) => {
+                    n += 1;
+                    Some(record)
+                }
+                Err(e) => {
+                    failed = Some(e);
+                    None
+                }
+            }
+        });
+        self.store.bulk_put_all(target.primary, &mut records);
+        for (idx, keys) in target.indexes.iter().zip(entries) {
+            let mut keys = keys.into_iter().map(|key| (key, Vec::new()));
+            self.store.bulk_put_all(idx.ns, &mut keys);
         }
-        Ok(n)
+        failed.map_or(Ok(n), Err)
     }
 
     /// Garbage-collect dangling index entries of one table (§7.2): the
@@ -704,7 +739,8 @@ impl<'a> Writer<'a> {
     }
 
     /// Build (backfill) one index from the records currently in `primary`
-    /// — offline index construction for compiler-derived indexes.
+    /// — offline index construction for compiler-derived indexes. Each
+    /// page of records is handed to the store as one batch of entries.
     pub fn backfill_index(
         &self,
         table: &TableDef,
@@ -722,14 +758,17 @@ impl<'a> Writer<'a> {
             1024,
             None,
             |_, entries| {
-                for (_, v) in &entries {
+                let mut batch = Vec::with_capacity(entries.len());
+                // a record that cannot be read ends the backfill, after
+                // the entries of the ones before it are stored
+                let made = entries.iter().try_for_each(|(_, v)| {
                     let row = keys::decode_row(table, v)?;
-                    keys::entry_keys(&index.parts, &row, |key| {
-                        self.store.bulk_put(index.ns, key, Vec::new());
-                        n += 1;
-                    })?;
-                }
-                Ok::<_, WriteError>(())
+                    keys::entry_keys(&index.parts, &row, |key| batch.push(key))
+                });
+                n += batch.len() as u64;
+                let mut batch = batch.into_iter().map(|key| (key, Vec::new()));
+                self.store.bulk_put_all(index.ns, &mut batch);
+                made.map_err(WriteError::from)
             },
         )?;
         Ok(n)

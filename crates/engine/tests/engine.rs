@@ -1,10 +1,11 @@
 //! Engine integration tests: the compiler's plans executed against the
 //! simulated cluster, checked against the naive reference executor.
 
+use piql_core::catalog::Catalog;
 use piql_core::plan::params::Params;
 use piql_core::tuple;
 use piql_core::value::Value;
-use piql_engine::{Cursor, Database, DbError, ExecStrategy, WriteError};
+use piql_engine::{keys, Cursor, Database, DbError, ExecStrategy, WriteError};
 use piql_kv::{
     ClusterConfig, KvRequest, KvResponse, KvStore, LiveCluster, LiveConfig, NsId, Session,
     SimCluster,
@@ -606,6 +607,78 @@ fn update_preserves_unchanged_index_entries() {
     assert!(rows
         .iter()
         .any(|r| r[2] == Value::Varchar("edited contents".into())));
+}
+
+/// A bulk load stops at the first row it cannot store: the rows before it
+/// are stored with every one of their index entries, and nothing from it
+/// on is.
+fn bulk_load_stops_at_a_misshapen_row<S: KvStore>(db: &Database<S>, backend: &str) {
+    for ddl in SCADR_DDL {
+        db.execute_ddl(ddl).unwrap();
+    }
+    db.execute_ddl("CREATE INDEX users_by_town ON users (home_town)")
+        .unwrap();
+    const BAD: usize = 7;
+    let user = |i: usize| {
+        let name = format!("user{:04}", (i * 37) % 100);
+        if i == BAD {
+            tuple![name.as_str()]
+        } else {
+            tuple![name.as_str(), format!("town{}", i % 3).as_str()]
+        }
+    };
+    let err = db.bulk_load("users", (0..20).map(user)).unwrap_err();
+    let DbError::Write(WriteError::RowShape(message)) = &err else {
+        panic!("{backend}: {err}");
+    };
+    assert_eq!(
+        message, "table 'users' expects 2 values, got 1",
+        "{backend}"
+    );
+
+    let catalog = db.catalog();
+    let table = catalog.table("users").unwrap();
+    let index = catalog.index("users_by_town").unwrap();
+    let parts = keys::index_key_parts(table, index).unwrap();
+    let (mut records, mut entries) = (Vec::new(), Vec::new());
+    for row in (0..BAD).map(user) {
+        records.push(keys::primary_key_from(table, &[0], &row).unwrap());
+        keys::entry_keys(&parts, &row, |key| entries.push(key)).unwrap();
+    }
+    records.sort();
+    entries.sort();
+    let store = db.cluster();
+    let stored = |ns| {
+        let mut session = Session::new();
+        let scan = KvRequest::GetRange {
+            ns,
+            start: Vec::new(),
+            end: None,
+            limit: None,
+            reverse: false,
+        };
+        let found = store
+            .execute_one(&mut session, scan)
+            .into_entries()
+            .unwrap();
+        found.into_iter().map(|(key, _)| key).collect::<Vec<_>>()
+    };
+    let primary = store.namespace(&Catalog::table_namespace(table));
+    let by_town = store.namespace(&Catalog::index_namespace(index));
+    assert_eq!(stored(primary), records, "{backend}: the records before it");
+    assert_eq!(stored(by_town), entries, "{backend}: their index entries");
+}
+
+#[test]
+fn a_bulk_load_stops_at_its_first_misshapen_row() {
+    bulk_load_stops_at_a_misshapen_row(
+        &Database::new(Arc::new(SimCluster::new(ClusterConfig::instant(3)))),
+        "sim",
+    );
+    bulk_load_stops_at_a_misshapen_row(
+        &Database::new(Arc::new(LiveCluster::new(LiveConfig::default()))),
+        "live",
+    );
 }
 
 /// §7.2's ordering promises a record is never unreachable through its

@@ -5,7 +5,9 @@
 //! adds a constant for its output block, not a vector per row, a `String`
 //! per field or a copy of the left row per match. What the store is asked
 //! and answers does not grow with the rows either: a join's probes travel
-//! as one packed round and come back as one block.
+//! as one packed round and come back as one block. On the write side, an
+//! UPDATE's record reaches the store in a key built with room for it, so
+//! the store's test-and-set grows nothing.
 //!
 //! A counting `#[global_allocator]` needs a binary of its own, hence this
 //! file (the pattern of `crates/kv/tests/range_alloc.rs`); it counts per
@@ -18,9 +20,10 @@ use piql_core::plan::params::Params;
 use piql_core::tuple;
 use piql_core::value::Value;
 use piql_engine::{Database, Prepared};
-use piql_kv::{LiveCluster, LiveConfig, Session};
+use piql_kv::{KvRequest, KvResponse, KvStore, LiveCluster, LiveConfig, NsId, Session};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 struct CountingAlloc;
@@ -210,4 +213,78 @@ fn a_result_set_allocates_per_operator_not_per_row() {
     println!(
         "allocations per execution: scan {scans:?}, sorted join {streams:?}, FK join {joins:?}"
     );
+}
+
+/// A `LiveCluster` that counts the test-and-sets it serves, the ones whose
+/// key arrives with room for exactly their record, and the allocations the
+/// store makes serving them.
+struct TasCounted {
+    inner: LiveCluster,
+    swaps: AtomicU64,
+    roomy: AtomicU64,
+    made: AtomicU64,
+}
+
+impl KvStore for TasCounted {
+    fn namespace(&self, name: &str) -> NsId {
+        self.inner.namespace(name)
+    }
+    fn execute_round(&self, session: &mut Session, round: Vec<KvRequest>) -> Vec<KvResponse> {
+        self.inner.execute_round(session, round)
+    }
+    fn execute_one(&self, session: &mut Session, req: KvRequest) -> KvResponse {
+        let KvRequest::TestAndSet {
+            key,
+            value: Some(value),
+            ..
+        } = &req
+        else {
+            return self.inner.execute_one(session, req);
+        };
+        let roomy = key.capacity() == key.len() + value.len();
+        let (response, made) = counted(|| self.inner.execute_one(session, req));
+        self.swaps.fetch_add(1, Ordering::Relaxed);
+        self.roomy.fetch_add(u64::from(roomy), Ordering::Relaxed);
+        self.made.fetch_add(made, Ordering::Relaxed);
+        response
+    }
+    fn bulk_put(&self, ns: NsId, key: Vec<u8>, value: Vec<u8>) {
+        self.inner.bulk_put(ns, key, value)
+    }
+}
+
+#[test]
+#[cfg_attr(
+    feature = "lock-order",
+    ignore = "lock-order tracking allocates by design"
+)]
+fn an_update_hands_the_store_its_entry_ready_made() {
+    let store = Arc::new(TasCounted {
+        inner: LiveCluster::new(LiveConfig::default()),
+        swaps: AtomicU64::new(0),
+        roomy: AtomicU64::new(0),
+        made: AtomicU64::new(0),
+    });
+    let db = Database::new(store.clone());
+    for ddl in DDL {
+        db.execute_ddl(ddl).unwrap();
+    }
+    db.bulk_load(
+        "thoughts",
+        (0..20).map(|t| tuple!["author", Value::Timestamp(t), "first draft"]),
+    )
+    .unwrap();
+    let edit = "UPDATE thoughts SET text = <text> WHERE owner = 'author' AND timestamp = <ts>";
+    let mut session = Session::new();
+    for t in 0..20 {
+        let text = format!("revision {t} of a thought, longer than its first draft");
+        let params = Params::from_values([Value::Varchar(text), Value::Timestamp(t)]);
+        db.execute_dml(&mut session, edit, &params).unwrap();
+    }
+    let count = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
+    assert_eq!(count(&store.swaps), 20, "every update swapped its record");
+    assert_eq!(count(&store.roomy), 20, "each key has room for its record");
+    // the key's own buffer becomes the entry: at 60cee7c the store grew
+    // each key into it, one allocation per update
+    assert_eq!(count(&store.made), 0, "the store's write grows nothing");
 }

@@ -204,8 +204,21 @@ pub trait KvStore: Send + Sync {
         None
     }
     /// Write directly, bypassing timing and accounting (bulk load before an
-    /// experiment or to seed a serving store).
+    /// experiment or to seed a serving store). With a write-ahead sink
+    /// attached the put is logged, and no commit barrier follows (see
+    /// [`crate::wal`]).
     fn bulk_put(&self, ns: NsId, key: Vec<u8>, value: Vec<u8>);
+    /// [`KvStore::bulk_put`] every pair `entries` yields, as one batch: the
+    /// store ends as if they were put one by one, in order — of equal keys
+    /// the last one wins — and counts one write per pair. A batch is logged
+    /// as one put per entry it stores, with no barrier. The default is
+    /// exactly that loop; a backend that can build its storage from a
+    /// sorted batch overrides it.
+    fn bulk_put_all(&self, ns: NsId, entries: &mut dyn Iterator<Item = (Vec<u8>, Vec<u8>)>) {
+        for (key, value) in entries {
+            self.bulk_put(ns, key, value);
+        }
+    }
     /// Recompute data placement from current contents. Backends without a
     /// placement concept treat this as a no-op.
     fn rebalance(&self) {}

@@ -25,6 +25,9 @@
 //!   online does not need twice its data to do it: the entries **move**
 //!   into the new generation when no reader holds the old one, and are
 //!   **copied** only when one does (so that reader still finds them).
+//! * A bulk batch ([`KvStore::bulk_put_all`]) is sorted and cut into
+//!   per-shard runs by the cutter a new generation is built with, and
+//!   each shard takes its run in one step under its write lock.
 //! * A round with service time to overlap — injected per request — has
 //!   its requests **fan out over a shared worker pool** ([`RoundPool`]),
 //!   and completes at the slowest request: the same round semantics
@@ -291,19 +294,32 @@ struct ShardSet {
 }
 
 impl ShardSet {
-    /// A generation holding `sorted`, which arrives in key order, cut at
-    /// `splits`: each shard is bulk-built from the run its split points
-    /// give it, and every entry moves in.
-    fn cut(splits: SplitPoints, sorted: impl Iterator<Item = Entry>) -> Self {
+    /// Hand `each` every part of `splits` in turn, with the run of `sorted`
+    /// — entries in strictly increasing key order — that part holds,
+    /// bulk-built into a shard of full B-tree leaves. The one cutter of a
+    /// new generation ([`ShardSet::cut`]) and of a batch
+    /// ([`ShardSet::merge`]).
+    fn runs(
+        splits: &SplitPoints,
+        sorted: impl Iterator<Item = Entry>,
+        mut each: impl FnMut(usize, Shard),
+    ) {
         let mut entries = sorted.peekable();
-        let shards: Vec<_> = (0..splits.parts())
-            .map(|part| {
-                let run =
-                    std::iter::from_fn(|| entries.next_if(|e| splits.part_of(e.key()) == part));
-                RwLock::new(rank::KV_SHARD, "kv.shard", run.collect())
-            })
-            .collect();
+        for part in 0..splits.parts() {
+            let run = std::iter::from_fn(|| entries.next_if(|e| splits.part_of(e.key()) == part));
+            each(part, run.collect());
+        }
         assert!(entries.peek().is_none(), "cut entries arrive in key order");
+    }
+
+    /// A generation holding `sorted`, which arrives in key order, cut at
+    /// `splits`: each shard is the run its split points give it, and every
+    /// entry moves in.
+    fn cut(splits: SplitPoints, sorted: impl Iterator<Item = Entry>) -> Self {
+        let mut shards = Vec::with_capacity(splits.parts());
+        ShardSet::runs(&splits, sorted, |_, run| {
+            shards.push(RwLock::new(rank::KV_SHARD, "kv.shard", run))
+        });
         let ops = (0..shards.len()).map(|_| AtomicU64::new(0)).collect();
         ShardSet {
             splits,
@@ -430,6 +446,33 @@ impl ShardSet {
             hook.log(entry.key(), Some(entry.value()));
         }
         shard.replace(entry);
+    }
+
+    /// Store `sorted`, a batch in strictly increasing key order: each shard
+    /// takes the run its split points give it under its write lock, logged
+    /// first, one put per entry. An empty shard has the run swapped in; any
+    /// other replaces the run's entries one by one, as
+    /// [`ShardSet::insert`] does.
+    fn merge(&self, sorted: impl Iterator<Item = Entry>, wal: Option<&WalHook>) {
+        ShardSet::runs(&self.splits, sorted, |idx, run| {
+            if run.is_empty() {
+                return;
+            }
+            self.ops[idx].fetch_add(run.len() as u64, Ordering::Relaxed);
+            let mut shard = self.shards[idx].write();
+            if let Some(hook) = wal {
+                for entry in &run {
+                    hook.log(entry.key(), Some(entry.value()));
+                }
+            }
+            if shard.is_empty() {
+                *shard = run;
+            } else {
+                for entry in run {
+                    shard.replace(entry);
+                }
+            }
+        });
     }
 
     fn remove(&self, key: &[u8], wal: Option<&WalHook>) {
@@ -575,6 +618,13 @@ impl LiveNamespace {
         let wal = self.wal.read();
         // hold the table read lock across the mutation (see the struct doc)
         self.table.read().insert(entry, wal.as_ref());
+    }
+
+    /// Store a batch in key order (see [`ShardSet::merge`]), under the
+    /// same locks as [`LiveNamespace::insert`].
+    fn merge(&self, sorted: impl Iterator<Item = Entry>) {
+        let wal = self.wal.read();
+        self.table.read().merge(sorted, wal.as_ref());
     }
 
     fn remove(&self, key: &[u8]) {
@@ -1170,6 +1220,29 @@ impl KvStore for LiveCluster {
     fn bulk_put(&self, ns: NsId, key: Vec<u8>, value: Vec<u8>) {
         self.stats.book(WRITE);
         self.ns_data(ns).insert(Entry::new(key, &value));
+    }
+
+    /// Each pair becomes its entry as it is pulled, grown into its key's
+    /// buffer and booked as one write; the batch is stable-sorted, of equal
+    /// keys the last is kept, and each shard takes its run in one locked
+    /// step (`ShardSet::merge`), rather than taking the locks and
+    /// descending the B-tree once per entry.
+    fn bulk_put_all(&self, ns: NsId, entries: &mut dyn Iterator<Item = (Vec<u8>, Vec<u8>)>) {
+        let mut batch = Vec::with_capacity(entries.size_hint().0);
+        for (key, value) in entries {
+            self.stats.book(WRITE);
+            batch.push(Entry::new(key, &value));
+        }
+        batch.sort();
+        // `dedup_by` drops `later` and keeps `kept`: swapping first keeps
+        // the later value in the earlier slot
+        batch.dedup_by(|later, kept| {
+            later.key() == kept.key() && {
+                std::mem::swap(later, kept);
+                true
+            }
+        });
+        self.ns_data(ns).merge(batch.into_iter());
     }
 
     fn rebalance(&self) {

@@ -22,8 +22,9 @@
 //!   backing log has failed returns `false`, and the store latches that
 //!   into [`LiveCluster::wal_degraded`](crate::LiveCluster) so the
 //!   serving layer can stop acknowledging writes as durable. Bulk loads
-//!   (`bulk_put`) append without a barrier — they are recovery or seed
-//!   traffic, made durable by the next commit or snapshot.
+//!   (`bulk_put`, and `bulk_put_all`'s batches, logged as one put per
+//!   entry they store) append without a barrier — they are recovery or
+//!   seed traffic, made durable by the next commit or snapshot.
 //!
 //! The trait lives in `piql-kv` (not `piql-durability`) so the store has
 //! no dependency on the durability crate; a cluster with no sink attached

@@ -1,0 +1,176 @@
+//! Property tests for batched bulk loads: [`KvStore::bulk_put_all`] leaves
+//! a store exactly as putting the same pairs one by one does — on both
+//! backends, for batches that arrive unsorted, repeat keys, and land in
+//! empty shards, in shards longer than their run and in shards shorter
+//! than it — counts one write per pair, and logs what it stores as puts
+//! with no commit barrier, which replay back into the same store.
+
+use piql_kv::{
+    ClusterConfig, KvEntry, KvRequest, KvStore, LiveCluster, LiveConfig, NsId, Session, SimCluster,
+    WalSink,
+};
+use proptest::prelude::*;
+use std::collections::{BTreeMap, BTreeSet};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
+
+/// Key bytes on and around the boundaries of a four-shard namespace's
+/// leading-byte stripes, so that short random keys collide, share prefixes
+/// and straddle shards.
+const ALPHABET: [u8; 8] = [0, 1, 63, 64, 65, 128, 200, 255];
+
+fn key() -> impl Strategy<Value = Vec<u8>> {
+    prop::collection::vec((0usize..ALPHABET.len()).prop_map(|i| ALPHABET[i]), 1..3)
+}
+
+fn pairs(len: std::ops::Range<usize>) -> impl Strategy<Value = Vec<KvEntry>> {
+    prop::collection::vec((key(), prop::collection::vec(any::<u8>(), 0..4)), len)
+}
+
+fn live() -> LiveCluster {
+    LiveCluster::new(LiveConfig {
+        shards_per_namespace: 4,
+        pool_threads: 0,
+        request_delay_us: 0,
+    })
+}
+
+/// Everything `ns` holds, in key order.
+fn scan(store: &dyn KvStore, ns: NsId) -> Vec<KvEntry> {
+    let everything = KvRequest::GetRange {
+        ns,
+        start: Vec::new(),
+        end: None,
+        limit: None,
+        reverse: false,
+    };
+    let answer = store.execute_one(&mut Session::new(), everything);
+    answer.into_entries().unwrap()
+}
+
+/// `existing` put one by one, the store rebalanced if asked (so the batch
+/// meets learned split points rather than stripes), then `batch` put one
+/// by one or as one batch.
+fn load(
+    store: &dyn KvStore,
+    existing: &[KvEntry],
+    rebalanced: bool,
+    batch: &[KvEntry],
+    batched: bool,
+) -> NsId {
+    let ns = store.namespace("t");
+    for (key, value) in existing {
+        store.bulk_put(ns, key.clone(), value.clone());
+    }
+    if rebalanced {
+        store.rebalance();
+    }
+    if batched {
+        store.bulk_put_all(ns, &mut batch.iter().cloned());
+    } else {
+        for (key, value) in batch {
+            store.bulk_put(ns, key.clone(), value.clone());
+        }
+    }
+    ns
+}
+
+/// A write-ahead sink that keeps what it is handed.
+#[derive(Default)]
+struct Recorder {
+    records: Mutex<Vec<Record>>,
+    commits: AtomicU64,
+}
+
+#[derive(Debug, Clone, PartialEq)]
+enum Record {
+    Ns(NsId, String),
+    Put(NsId, Vec<u8>, Vec<u8>),
+    Delete(NsId, Vec<u8>),
+}
+
+impl Recorder {
+    fn push(&self, record: Record) {
+        self.records.lock().unwrap().push(record);
+    }
+}
+
+impl WalSink for Recorder {
+    fn append_ns(&self, ns: NsId, name: &str) {
+        self.push(Record::Ns(ns, name.to_string()));
+    }
+    fn append_put(&self, ns: NsId, key: &[u8], value: &[u8]) {
+        self.push(Record::Put(ns, key.to_vec(), value.to_vec()));
+    }
+    fn append_delete(&self, ns: NsId, key: &[u8]) {
+        self.push(Record::Delete(ns, key.to_vec()));
+    }
+    fn commit(&self) -> bool {
+        self.commits.fetch_add(1, Ordering::Relaxed);
+        true
+    }
+}
+
+proptest! {
+    #[test]
+    fn a_batch_stores_what_its_pairs_put_one_by_one_store(
+        existing in pairs(0..40),
+        batch in pairs(0..60),
+        rebalanced in any::<bool>(),
+    ) {
+        // what the pairs leave, the last of equal keys winning
+        let model: Vec<KvEntry> = existing
+            .iter()
+            .chain(&batch)
+            .cloned()
+            .collect::<BTreeMap<_, _>>()
+            .into_iter()
+            .collect();
+
+        let (one_by_one, batched) = (live(), live());
+        let ns = load(&one_by_one, &existing, rebalanced, &batch, false);
+        let before = batched.op_count();
+        load(&batched, &existing, rebalanced, &batch, true);
+        prop_assert_eq!(batched.op_count() - before, (existing.len() + batch.len()) as u64);
+        prop_assert_eq!(scan(&one_by_one, ns), model.clone());
+        prop_assert_eq!(scan(&batched, ns), model.clone(), "LiveCluster batch");
+        prop_assert_eq!(batched.ns_len(ns), one_by_one.ns_len(ns));
+        prop_assert_eq!(batched.ns_len(ns), model.len());
+
+        let sim = |batched| {
+            let store = SimCluster::new(ClusterConfig::instant(4));
+            let ns = load(&store, &existing, rebalanced, &batch, batched);
+            (scan(&store, ns), store.ns_len(ns))
+        };
+        prop_assert_eq!(sim(false), (model.clone(), model.len()));
+        prop_assert_eq!(sim(true), (model.clone(), model.len()), "SimCluster batch");
+    }
+
+    #[test]
+    fn a_logged_batch_replays_to_the_store_it_built(
+        existing in pairs(0..40),
+        batch in pairs(0..60),
+        rebalanced in any::<bool>(),
+    ) {
+        let logged = live();
+        let recorder = Arc::new(Recorder::default());
+        logged.attach_wal(recorder.clone());
+        load(&logged, &existing, rebalanced, &batch, true);
+        prop_assert_eq!(recorder.commits.load(Ordering::Relaxed), 0, "a bulk load commits nothing");
+
+        let records = recorder.records.lock().unwrap().clone();
+        // the namespace, a put per existing pair, and a put per key the batch stores
+        let distinct: BTreeSet<&[u8]> = batch.iter().map(|(key, _)| key.as_slice()).collect();
+        prop_assert_eq!(records.len(), 1 + existing.len() + distinct.len());
+
+        let replayed = live();
+        for record in records {
+            match record {
+                Record::Ns(ns, name) => prop_assert_eq!(replayed.namespace(&name), ns),
+                Record::Put(ns, key, value) => replayed.bulk_put(ns, key, value),
+                Record::Delete(..) => prop_assert!(false, "a bulk load deletes nothing"),
+            }
+        }
+        prop_assert_eq!(replayed.export_namespaces(), logged.export_namespaces());
+    }
+}

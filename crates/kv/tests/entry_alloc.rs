@@ -7,13 +7,15 @@
 //! value, and a failed one allocates only the copy it returns. Held, an
 //! entry costs its payload plus a share of its shard's B-tree nodes of
 //! 16-byte slots, where a `(Vec<u8>, Vec<u8>)` pair cost two allocations
-//! and a 48-byte slot.
+//! and a 48-byte slot. A batch (`bulk_put_all`) makes the same entries and
+//! builds each shard from its sorted run, so it holds less node per entry
+//! than the same puts one by one.
 //!
 //! A counting `#[global_allocator]` needs a binary of its own, hence this
 //! file; it counts calls and live bytes per thread, and the store runs its
 //! rounds on the calling thread (`pool_threads: 0`).
 
-use piql_kv::{KvRequest, KvResponse, KvStore, LiveCluster, LiveConfig, NsId, Session};
+use piql_kv::{KvEntry, KvRequest, KvResponse, KvStore, LiveCluster, LiveConfig, NsId, Session};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -164,17 +166,28 @@ fn a_write_allocates_once_inside_the_store() {
     assert_eq!(made, 1, "only the returned copy");
 }
 
+/// Entry `i` of a load of `key_len`-byte keys and `value_len`-byte values.
+fn pair(i: u32, key_len: usize, value_len: usize) -> KvEntry {
+    (key(i, key_len), vec![i as u8; value_len])
+}
+
 /// Live bytes the store holds per entry after `n` puts of `key_len`-byte
-/// keys and `value_len`-byte values: the requests are built and consumed
-/// inside the count, so what the store did not keep nets out.
-fn held_per_entry(n: u32, key_len: usize, value_len: usize) -> f64 {
+/// keys and `value_len`-byte values, one by one or as one batch: the
+/// requests are built and consumed inside the count, so what the store
+/// did not keep nets out.
+fn held_per_entry(n: u32, key_len: usize, value_len: usize, batched: bool) -> f64 {
     let store = store();
     let ns = store.namespace("t");
     let mut session = Session::new();
     let before = LIVE.with(Cell::get);
-    for i in 0..n {
-        let request = put(ns, key(i, key_len), vec![i as u8; value_len]);
-        store.execute_one(&mut session, request);
+    if batched {
+        let mut pairs = (0..n).map(|i| pair(i, key_len, value_len));
+        store.bulk_put_all(ns, &mut pairs);
+    } else {
+        for i in 0..n {
+            let (key, value) = pair(i, key_len, value_len);
+            store.execute_one(&mut session, put(ns, key, value));
+        }
     }
     let held = LIVE.with(Cell::get) - before;
     assert_eq!(store.ns_len(ns), n as usize);
@@ -197,7 +210,7 @@ fn a_stored_entry_costs_its_payload_plus_a_little() {
         ("index entry", 24, 0, 55.0),
     ];
     for (shape, key_len, value_len, ceiling) in shapes {
-        let held = held_per_entry(N, key_len, value_len);
+        let held = held_per_entry(N, key_len, value_len, false);
         let payload = key_len + value_len;
         println!(
             "{shape}: {held:.1} live allocator bytes per entry for {payload} payload bytes \
@@ -208,5 +221,43 @@ fn a_stored_entry_costs_its_payload_plus_a_little() {
             held <= ceiling,
             "{shape}: {held:.1} bytes held per {payload}-byte entry"
         );
+    }
+}
+
+#[test]
+#[cfg_attr(
+    feature = "lock-order",
+    ignore = "lock-order tracking allocates by design"
+)]
+fn a_batch_allocates_its_entries_and_full_leaves() {
+    const N: u32 = 20_000;
+    const SHARDS: u64 = 16;
+    // (shape, key bytes, value bytes, allocations per entry, ceiling on
+    // live bytes per entry). An entry is still its key grown by its value
+    // (one allocation; none for an index entry), and each shard is built
+    // from its sorted run: B-tree leaves filled to their 11 slots, about
+    // one node per 11 entries where puts one by one leave them two-thirds
+    // full, plus a few buffers per shard — the batch, its sort's scratch
+    // and each run's. Measured: 22,018 and 2,018 allocations, 138.4 and
+    // 42.4 live bytes per entry (18.4 of B-tree node, not 28.1).
+    let shapes = [
+        ("post_v3 row", 20, 100, 1, 140.0),
+        ("index entry", 24, 0, 0, 44.0),
+    ];
+    for (shape, key_len, value_len, per_entry, ceiling) in shapes {
+        let store = store();
+        let ns = store.namespace("t");
+        let pairs: Vec<KvEntry> = (0..N).map(|i| pair(i, key_len, value_len)).collect();
+        let before = ALLOCS.with(Cell::get);
+        store.bulk_put_all(ns, &mut pairs.into_iter());
+        let made = ALLOCS.with(Cell::get) - before;
+        let held = held_per_entry(N, key_len, value_len, true);
+        println!("{shape}, as one batch: {made} allocations, {held:.1} live bytes per entry");
+        let n = u64::from(N);
+        assert!(
+            made <= per_entry * n + n / 10 + 16 * SHARDS,
+            "{shape}: {made} allocations to load {N} entries"
+        );
+        assert!(held <= ceiling, "{shape}: {held:.1} bytes held per entry");
     }
 }

@@ -12,9 +12,9 @@
 //! service time would run partly on those workers; the tests take turns, so
 //! the process count is the measured test's own). The warm-up must
 //! saturate every lazily-grown buffer that legitimately allocates early:
-//! the per-statement `RunMetrics` ring (4096 samples) and the cluster's
-//! `LiveSampleSink` (65,536 samples, dropped-not-grown once full) — hence
-//! the 72k warm requests.
+//! the cluster's `LiveSampleSink` (65,536 samples, dropped-not-grown once
+//! full) — hence the 72k warm requests. A statement's latency ring is
+//! allocated whole when it is registered.
 
 use piql_core::plan::params::ParamValue;
 use piql_core::value::Value;
