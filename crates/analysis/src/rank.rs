@@ -6,8 +6,8 @@
 //! the precondition for deadlock — trips a panic in `lock-order` builds
 //! instead of hanging in production. Equal ranks cannot nest either, which
 //! is deliberate: peers at one rank (e.g. the shard stripes of a table, or
-//! the DDL and statement mirrors of the durability coordinator) must never
-//! be held together, and giving them one shared rank machine-checks that.
+//! the latency-sample stripes of a cluster) must never be held together,
+//! and giving them one shared rank machine-checks that.
 //!
 //! Ranks are ordered outermost-first: a small rank is an *outer* lock that
 //! may be held while inner (larger-rank) locks are taken. The gaps between
@@ -34,19 +34,21 @@ pub const SERVER_STREAMS: u32 = 5;
 /// (enter, or park while full) and the writer (leave, or close).
 pub const SERVER_INFLIGHT: u32 = 8;
 
-// ---- statement registry ----
+// ---- statement registry, and the checkpoint that reads it ----
 
 /// `StatementRegistry.sweep_lock`: serialises whole revalidation sweeps.
 pub const REGISTRY_SWEEP: u32 = 10;
+/// `Durability.snapshot_lock`: serialises snapshot production. Outside the
+/// registry's statement map, which a checkpoint reads after its rotation.
+pub const DUR_SNAPSHOT: u32 = 15;
 /// `StatementRegistry.statements`: the name → statement map. Journaling
 /// happens while this is held for write (install/uninstall ordering).
 pub const REGISTRY_STATEMENTS: u32 = 20;
 /// `StatementRegistry.overload`: the rebalance trigger, read once per
 /// sweep. A leaf: nothing is taken while it is held.
 pub const REGISTRY_OVERLOAD: u32 = 22;
-/// `StatementRegistry.journal`: the optional statement-journal sink handle.
-pub const REGISTRY_JOURNAL: u32 = 25;
-/// `StatementRegistry.durability`: the optional durability handle.
+/// `StatementRegistry.durability`: the optional durability hook, read
+/// under the statements write lock to journal a registration.
 pub const REGISTRY_DURABILITY: u32 = 26;
 /// `StatementRegistry.tenants`: tenant name → admission budget map.
 pub const REGISTRY_TENANTS: u32 = 27;
@@ -56,11 +58,6 @@ pub const REGISTRY_TENANTS: u32 = 27;
 pub const TENANT_BUDGET: u32 = 28;
 /// `RegisteredStatement.state`: per-statement compiled plan + prediction.
 pub const STATEMENT_STATE: u32 = 30;
-
-// ---- durability coordinator (outer half) ----
-
-/// `Durability.snapshot_lock`: serialises snapshot production.
-pub const DUR_SNAPSHOT: u32 = 35;
 
 // ---- engine ----
 
@@ -93,10 +90,9 @@ pub const KV_NAMES: u32 = 50;
 pub const KV_NAMESPACES: u32 = 52;
 /// `PartitionMap.placements`: simulated shard placement table.
 pub const SIM_PLACEMENTS: u32 = 53;
-/// `LiveCluster.wal`: the cluster-wide WAL sink handle.
+/// `LiveCluster.wal`: the cluster's one WAL sink slot. Every write holds
+/// it for read across its table and shard locks.
 pub const KV_CLUSTER_WAL: u32 = 54;
-/// `LiveNamespace.wal`: the per-namespace WAL hook.
-pub const KV_NS_WAL: u32 = 56;
 /// `SimStore.entries`: a simulated table's versioned key space.
 pub const SIM_STORE: u32 = 57;
 /// `LiveNamespace.table`: the current `ShardSet` generation. Writers hold
@@ -109,10 +105,10 @@ pub const KV_SAMPLE_STRIPE: u32 = 62;
 /// `StorageNode.state`: simulated node timing state (leaf).
 pub const SIM_NODE: u32 = 63;
 
-// ---- durability coordinator (mirrors) ----
+// ---- durability coordinator (the DDL mirror) ----
 
-/// `Durability.ddl` and `Durability.statements`: recovery mirrors. Peers —
-/// each log call appends to the WAL while exactly one mirror is held.
+/// `Durability.ddl`: the DDL mirror. Each DDL log call appends to the WAL
+/// while it is held.
 pub const DUR_MIRROR: u32 = 70;
 /// `Durability.snapshot_time`: last-snapshot timestamp (leaf metadata).
 pub const DUR_SNAPSHOT_TIME: u32 = 72;

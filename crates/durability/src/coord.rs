@@ -226,6 +226,9 @@ fn unknown_ns(ns: u32) -> io::Error {
 pub struct SnapshotInputs {
     /// `LiveCluster::export_namespaces` output.
     pub namespaces: Vec<(String, Vec<KvEntry>)>,
+    /// Registered statements, `(name, sql)` by name: the registry's own
+    /// map, read after the rotation like everything else here.
+    pub statements: Vec<(String, String)>,
     /// `(rotations this process, interval maps)` from
     /// `SharedModelStore::snapshot_with_rotations`, or `None` when no
     /// model store is wired in.
@@ -233,8 +236,9 @@ pub struct SnapshotInputs {
 }
 
 /// The durability coordinator: owns the WAL, the generation counter, and
-/// mirrors of the non-KV durable state (DDL, statements) so a checkpoint
-/// can be written without asking the serving layer for them.
+/// a mirror of the DDL (its only copy: the catalog keeps definitions, not
+/// text). Everything else a checkpoint writes, the caller's `collect`
+/// reads from where it lives.
 pub struct Durability {
     config: DurabilityConfig,
     wal: Arc<Wal>,
@@ -245,7 +249,6 @@ pub struct Durability {
     /// Serializes checkpoints.
     snapshot_lock: Mutex<()>,
     ddl: Mutex<Vec<String>>,
-    statements: Mutex<BTreeMap<String, String>>,
     /// Model rotations journaled over the store's durable lifetime.
     model_seq: AtomicU64,
     /// Rotations that predate this process (recovered); process-local
@@ -417,11 +420,6 @@ impl Durability {
             manifest_gen: AtomicU64::new(manifest_gen),
             snapshot_lock: Mutex::new(rank::DUR_SNAPSHOT, "dur.snapshot", ()),
             ddl: Mutex::new(rank::DUR_MIRROR, "dur.ddl-mirror", recovered.ddl.clone()),
-            statements: Mutex::new(
-                rank::DUR_MIRROR,
-                "dur.statements-mirror",
-                recovered.statements.clone(),
-            ),
             model_seq: AtomicU64::new(model_seq),
             model_seq_base: model_seq,
             snapshot_time: Mutex::new(rank::DUR_SNAPSHOT_TIME, "dur.snapshot-time", snapshot_time),
@@ -455,32 +453,23 @@ impl Durability {
         self.wal.commit();
     }
 
-    /// Journal a statement registration (upsert semantics). The append
-    /// happens under the mirror lock so two racing upserts of the same
-    /// name can never journal in the opposite order to the mirror state a
-    /// checkpoint would capture.
+    /// Journal a statement registration (upsert semantics). The caller
+    /// orders racing (un)registrations of one name: the registry appends
+    /// under its statements write lock, in the order its map changes.
     pub fn log_statement_upsert(&self, name: &str, sql: &str) {
-        {
-            let mut statements = self.statements.lock();
-            statements.insert(name.to_string(), sql.to_string());
-            self.wal.append(&WalRecord::StatementUpsert {
-                name: name.to_string(),
-                sql: sql.to_string(),
-            });
-        }
+        self.wal.append(&WalRecord::StatementUpsert {
+            name: name.to_string(),
+            sql: sql.to_string(),
+        });
         self.wal.commit();
     }
 
-    /// Journal a statement removal (append under the mirror lock, like
+    /// Journal a statement removal (ordered by the caller, like
     /// [`Durability::log_statement_upsert`]).
     pub fn log_statement_drop(&self, name: &str) {
-        {
-            let mut statements = self.statements.lock();
-            statements.remove(name);
-            self.wal.append(&WalRecord::StatementDrop {
-                name: name.to_string(),
-            });
-        }
+        self.wal.append(&WalRecord::StatementDrop {
+            name: name.to_string(),
+        });
         self.wal.commit();
     }
 
@@ -518,16 +507,10 @@ impl Durability {
         self.wal_gen.store(new_gen, Ordering::Release);
 
         let inputs = collect();
-        // mirror reads must follow the rotation: anything a concurrent
+        // the mirror read must follow the rotation: anything a concurrent
         // writer appended to the *old* (now deletable) segment finished
         // its mirror update before the rotation, so it is in this clone
         let ddl = self.ddl.lock().clone();
-        let statements: Vec<(String, String)> = self
-            .statements
-            .lock()
-            .iter()
-            .map(|(k, v)| (k.clone(), v.clone()))
-            .collect();
         let entries: u64 = inputs.namespaces.iter().map(|(_, e)| e.len() as u64).sum();
         let models = inputs.models.map(|(rotations, intervals)| ModelCheckpoint {
             seq: self.model_seq_base + rotations,
@@ -536,7 +519,7 @@ impl Durability {
         let state = SnapshotState {
             namespaces: inputs.namespaces,
             ddl,
-            statements,
+            statements: inputs.statements,
             models,
         };
         let bytes = write_snapshot(&snap_path(&self.config.dir, new_gen), &state)?;
@@ -561,12 +544,6 @@ impl Durability {
     /// auto-snapshot threshold.
     pub fn wants_snapshot(&self) -> bool {
         self.wal.counters().segment_bytes >= self.config.snapshot_wal_bytes
-    }
-
-    /// Force everything appended so far to stable storage. Returns
-    /// `false` when the log died before the barrier was reached.
-    pub fn sync(&self) -> bool {
-        self.wal.commit()
     }
 
     /// Graceful shutdown: flush and stop the committer.

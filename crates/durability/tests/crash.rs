@@ -178,6 +178,7 @@ fn corrupt_non_final_segment_is_a_hard_error() {
         );
         d.snapshot_with(|| piql_durability::SnapshotInputs {
             namespaces: cluster.export_namespaces(),
+            statements: Vec::new(),
             models: None,
         })
         .unwrap();
@@ -250,10 +251,12 @@ fn live_cluster_roundtrip_through_snapshot_and_tail() {
             }],
         );
         d.log_ddl("CREATE TABLE users (id INT PRIMARY KEY, name TEXT)");
-        d.log_statement_upsert("byName", "SELECT * FROM users WHERE name = <s>");
+        let by_name = ("byName", "SELECT * FROM users WHERE name = <s>");
+        d.log_statement_upsert(by_name.0, by_name.1);
         let summary = d
             .snapshot_with(|| piql_durability::SnapshotInputs {
                 namespaces: cluster.export_namespaces(),
+                statements: vec![(by_name.0.into(), by_name.1.into())],
                 models: None,
             })
             .unwrap();

@@ -339,16 +339,6 @@ impl<S: KvStore> Database<S> {
         params: impl Into<ParamsRef<'p>>,
     ) -> Result<(), DbError> {
         let plan = self.write_plan(sql)?;
-        self.execute_write(session, &plan, params)
-    }
-
-    /// Run a compiled write.
-    pub fn execute_write<'p>(
-        &self,
-        session: &mut Session,
-        plan: &WritePlan,
-        params: impl Into<ParamsRef<'p>>,
-    ) -> Result<(), DbError> {
         Ok(plan.execute(self.store(), session, params.into())?)
     }
 

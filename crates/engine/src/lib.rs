@@ -20,6 +20,6 @@ pub mod write;
 pub use cursor::{Cursor, CursorState};
 pub use database::{Database, DbError, Prepared, WritePlanStats, WRITE_PLAN_CACHE_CAP};
 pub use exec::{ExecCtx, ExecError, ExecStrategy, QueryResult, RemoteOp};
-pub use plan::{WriteBound, WritePlan};
+pub use plan::WritePlan;
 pub use reference::ReferenceExecutor;
 pub use write::{WriteError, Writer};

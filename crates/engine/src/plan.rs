@@ -20,17 +20,24 @@ use piql_core::ast::{CompareOp, Param, Predicate, ScalarExpr, Statement};
 use piql_core::catalog::{Catalog, CatalogError, ColumnId, TableDef};
 use piql_core::codec::key::{encode_component_ref, Dir};
 use piql_core::plan::params::ParamsRef;
+use piql_core::plan::physical::QueryBounds;
 use piql_core::tuple::Tuple;
 use piql_core::value::{Value, ValueRef};
 use piql_kv::{KvStore, Session};
 use std::collections::BTreeMap;
 
-/// Worst-case key/value work of one execution of a write, whatever its
-/// outcome (success, duplicate key, constraint undo, lost update races).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WriteBound {
-    pub requests: u64,
-    pub rounds: u64,
+/// The static bound of one execution of a write: the requests and rounds
+/// of its worst case, whatever its outcome (success, duplicate key,
+/// constraint undo, lost update races). A write ships no entries back, so
+/// it reaches no tuples and no bytes, and the bound is a guarantee.
+fn write_bounds(requests: u64, rounds: u64) -> QueryBounds {
+    QueryBounds {
+        requests,
+        rounds,
+        tuples: 0,
+        bytes: 0,
+        guaranteed: true,
+    }
 }
 
 /// Where one value of a write comes from.
@@ -88,7 +95,7 @@ pub struct WritePlan {
     generation: u64,
     target: TableWrite,
     op: WriteOp,
-    bound: WriteBound,
+    bound: QueryBounds,
 }
 
 /// The row of an INSERT: each column read from its slot, validated and
@@ -146,10 +153,10 @@ impl WritePlan {
                 let counts: u64 = constraints.iter().map(|c| c.max_requests(table)).sum();
                 // entries, test-and-set, counts; then the undo of a
                 // constraint overflow: entries again and the record
-                let bound = WriteBound {
-                    requests: 2 * entries + 2 + counts,
-                    rounds: 2 * u64::from(entries > 0) + 2 + constraints.len() as u64,
-                };
+                let bound = write_bounds(
+                    2 * entries + 2 + counts,
+                    2 * u64::from(entries > 0) + 2 + constraints.len() as u64,
+                );
                 (target, WriteOp::Insert { slots, constraints }, bound)
             }
             Statement::Update(stmt) => {
@@ -181,20 +188,17 @@ impl WritePlan {
                 // the winner then drops the stale entries
                 let entries = target.max_entries();
                 let index_round = u64::from(entries > 0);
-                let bound = WriteBound {
-                    requests: UPDATE_ATTEMPTS * (2 + entries) + entries,
-                    rounds: UPDATE_ATTEMPTS * (2 + index_round) + index_round,
-                };
+                let bound = write_bounds(
+                    UPDATE_ATTEMPTS * (2 + entries) + entries,
+                    UPDATE_ATTEMPTS * (2 + index_round) + index_round,
+                );
                 (target, WriteOp::Update { pk, set }, bound)
             }
             Statement::Delete(stmt) => {
                 let target = resolve(&stmt.table)?;
                 let pk = pk_slots(&target.table, &stmt.filter)?;
                 let entries = target.max_entries();
-                let bound = WriteBound {
-                    requests: 2 + entries,
-                    rounds: 2 + u64::from(entries > 0),
-                };
+                let bound = write_bounds(2 + entries, 2 + u64::from(entries > 0));
                 (target, WriteOp::Delete { pk }, bound)
             }
             _ => {
@@ -217,7 +221,7 @@ impl WritePlan {
     }
 
     /// The static write bound: no execution issues more requests or rounds.
-    pub fn bound(&self) -> WriteBound {
+    pub fn bound(&self) -> QueryBounds {
         self.bound
     }
 
@@ -397,13 +401,7 @@ mod tests {
         assert_eq!(constraints.len(), 1);
         assert_eq!(plan.generation(), catalog.generation());
         // one index entry, the record, one count — and their undo
-        assert_eq!(
-            plan.bound(),
-            WriteBound {
-                requests: 5,
-                rounds: 5
-            }
-        );
+        assert_eq!(plan.bound(), write_bounds(5, 5));
 
         for (sql, message) in [
             (
@@ -462,12 +460,6 @@ mod tests {
         // VARCHAR(20) holds at most 10 tokens: get + delete + the owner
         // entry + 10 token entries
         assert_eq!(crate::write::max_tokens(&table, 2), 10);
-        assert_eq!(
-            plan.bound(),
-            WriteBound {
-                requests: 13,
-                rounds: 3
-            }
-        );
+        assert_eq!(plan.bound(), write_bounds(13, 3));
     }
 }

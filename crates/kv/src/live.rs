@@ -138,16 +138,20 @@ pub struct LiveStatsSnapshot {
 /// sample representative when the namespace is large).
 const SPLIT_SAMPLE_CAP: usize = 8_192;
 
-/// A namespace's connection to the attached [`WalSink`]: the sink plus the
-/// namespace id to stamp on records. Cloned into each `LiveNamespace` at
-/// attach time so the write path never consults cluster-level state.
-#[derive(Clone)]
-struct WalHook {
+/// The cluster's one write-ahead slot: the attached [`WalSink`], if any
+/// (see [`LiveCluster::attach_wal`]). A write holds it for read across its
+/// mutation, so a detach waits out every write it could still miss.
+type WalSlot = RwLock<Option<Arc<dyn WalSink>>>;
+
+/// The attached sink as one write logs to it: the slot's sink, borrowed
+/// for the write, and the id of the namespace the write lands in.
+#[derive(Clone, Copy)]
+struct WalHook<'a> {
     ns: NsId,
-    sink: Arc<dyn WalSink>,
+    sink: &'a dyn WalSink,
 }
 
-impl WalHook {
+impl WalHook<'_> {
     fn log(&self, key: &[u8], value: Option<&[u8]>) {
         match value {
             Some(v) => self.sink.append_put(self.ns, key, v),
@@ -436,7 +440,7 @@ impl ShardSet {
         (entries, bytes)
     }
 
-    fn insert(&self, entry: Entry, wal: Option<&WalHook>) {
+    fn insert(&self, entry: Entry, wal: Option<WalHook<'_>>) {
         let idx = self.splits.part_of(entry.key());
         self.touch(idx);
         let mut shard = self.shards[idx].write();
@@ -453,7 +457,7 @@ impl ShardSet {
     /// first, one put per entry. An empty shard has the run swapped in; any
     /// other replaces the run's entries one by one, as
     /// [`ShardSet::insert`] does.
-    fn merge(&self, sorted: impl Iterator<Item = Entry>, wal: Option<&WalHook>) {
+    fn merge(&self, sorted: impl Iterator<Item = Entry>, wal: Option<WalHook<'_>>) {
         ShardSet::runs(&self.splits, sorted, |idx, run| {
             if run.is_empty() {
                 return;
@@ -475,7 +479,7 @@ impl ShardSet {
         });
     }
 
-    fn remove(&self, key: &[u8], wal: Option<&WalHook>) {
+    fn remove(&self, key: &[u8], wal: Option<WalHook<'_>>) {
         let idx = self.splits.part_of(key);
         self.touch(idx);
         let mut shard = self.shards[idx].write();
@@ -490,7 +494,7 @@ impl ShardSet {
         key: Vec<u8>,
         expect: Option<&[u8]>,
         value: Option<Vec<u8>>,
-        wal: Option<&WalHook>,
+        wal: Option<WalHook<'_>>,
     ) -> (bool, Option<Vec<u8>>) {
         let idx = self.splits.part_of(&key);
         self.touch(idx);
@@ -567,8 +571,9 @@ impl ShardSet {
     }
 }
 
-/// One namespace: an `Arc`-swapped routing table over the current
-/// [`ShardSet`] generation.
+/// One namespace: its id and an `Arc`-swapped routing table over the
+/// current [`ShardSet`] generation. Its writes log to the cluster's
+/// [`WalSlot`], which each takes as an argument.
 ///
 /// Concurrency protocol (what makes a rebalance invisible to sessions):
 ///
@@ -587,26 +592,26 @@ impl ShardSet {
 ///   read it), **copied** when a reader holds it (that reader keeps
 ///   finding every key).
 struct LiveNamespace {
+    id: NsId,
     table: RwLock<Arc<ShardSet>>,
-    /// Attached WAL hook, if the cluster is durable. Read on every write
-    /// (one uncontended `RwLock` read when no sink is attached).
-    wal: RwLock<Option<WalHook>>,
 }
 
 impl LiveNamespace {
-    fn new(shards: usize) -> Self {
+    fn new(id: NsId, shards: usize) -> Self {
         LiveNamespace {
+            id,
             table: RwLock::new(
                 rank::KV_TABLE,
                 "kv.ns.table",
                 Arc::new(ShardSet::striped(shards, std::iter::empty())),
             ),
-            wal: RwLock::new(rank::KV_NS_WAL, "kv.ns.wal", None),
         }
     }
 
-    fn set_wal(&self, hook: Option<WalHook>) {
-        *self.wal.write() = hook;
+    /// What a write to this namespace logs through while it holds the
+    /// cluster's slot, read.
+    fn hook<'a>(&self, sink: &'a Option<Arc<dyn WalSink>>) -> Option<WalHook<'a>> {
+        sink.as_deref().map(|sink| WalHook { ns: self.id, sink })
     }
 
     /// The current generation, for lock-free reading.
@@ -614,33 +619,34 @@ impl LiveNamespace {
         self.table.read().clone()
     }
 
-    fn insert(&self, entry: Entry) {
-        let wal = self.wal.read();
+    fn insert(&self, wal: &WalSlot, entry: Entry) {
+        let sink = wal.read();
         // hold the table read lock across the mutation (see the struct doc)
-        self.table.read().insert(entry, wal.as_ref());
+        self.table.read().insert(entry, self.hook(&sink));
     }
 
     /// Store a batch in key order (see [`ShardSet::merge`]), under the
     /// same locks as [`LiveNamespace::insert`].
-    fn merge(&self, sorted: impl Iterator<Item = Entry>) {
-        let wal = self.wal.read();
-        self.table.read().merge(sorted, wal.as_ref());
+    fn merge(&self, wal: &WalSlot, sorted: impl Iterator<Item = Entry>) {
+        let sink = wal.read();
+        self.table.read().merge(sorted, self.hook(&sink));
     }
 
-    fn remove(&self, key: &[u8]) {
-        let wal = self.wal.read();
-        self.table.read().remove(key, wal.as_ref());
+    fn remove(&self, wal: &WalSlot, key: &[u8]) {
+        let sink = wal.read();
+        self.table.read().remove(key, self.hook(&sink));
     }
 
     fn test_and_set(
         &self,
+        wal: &WalSlot,
         key: Vec<u8>,
         expect: Option<&[u8]>,
         value: Option<Vec<u8>>,
     ) -> (bool, Option<Vec<u8>>) {
-        let wal = self.wal.read();
+        let sink = wal.read();
         let table = self.table.read();
-        table.test_and_set(key, expect, value, wal.as_ref())
+        table.test_and_set(key, expect, value, self.hook(&sink))
     }
 
     fn count_range(&self, start: &[u8], end: Option<&[u8]>) -> (u64, u64) {
@@ -699,8 +705,9 @@ pub struct LiveCluster {
     request_delay_us: AtomicU64,
     /// Observed operator latencies awaiting the online-training consumer.
     sink: LiveSampleSink,
-    /// Attached write-ahead sink, if any (see [`LiveCluster::attach_wal`]).
-    wal: RwLock<Option<Arc<dyn WalSink>>>,
+    /// Attached write-ahead sink, if any (see [`LiveCluster::attach_wal`]):
+    /// its one holder. Shared with the pool tasks a write round scatters.
+    wal: Arc<WalSlot>,
     /// Latched when the attached sink fails a commit barrier: durability
     /// has silently become memory-only and acknowledgements must say so.
     wal_degraded: AtomicBool,
@@ -723,7 +730,7 @@ impl LiveCluster {
             names: RwLock::new(rank::KV_NAMES, "kv.names", BTreeMap::new()),
             epoch: Instant::now(),
             sink: LiveSampleSink::default(),
-            wal: RwLock::new(rank::KV_CLUSTER_WAL, "kv.cluster.wal", None),
+            wal: Arc::new(RwLock::new(rank::KV_CLUSTER_WAL, "kv.cluster.wal", None)),
             wal_degraded: AtomicBool::new(false),
             stats: Arc::new(LiveStats::default()),
         }
@@ -743,10 +750,6 @@ impl LiveCluster {
         by_id.sort_by_key(|(_, id)| id.0);
         for (name, id) in by_id {
             sink.append_ns(id, name);
-            self.ns_data(id).set_wal(Some(WalHook {
-                ns: id,
-                sink: sink.clone(),
-            }));
         }
         *self.wal.write() = Some(sink);
         // a fresh sink starts with its durability guarantee intact
@@ -754,12 +757,9 @@ impl LiveCluster {
     }
 
     /// Detach the write-ahead sink (crash simulation and shutdown): later
-    /// writes are memory-only again.
+    /// writes are memory-only again, and once this returns no write is
+    /// still logging to it.
     pub fn detach_wal(&self) {
-        let names = self.names.write();
-        for id in names.values() {
-            self.ns_data(*id).set_wal(None);
-        }
         *self.wal.write() = None;
         self.wal_degraded.store(false, Ordering::Release);
     }
@@ -870,14 +870,15 @@ impl LiveCluster {
     /// entry is. Recovery loads logged puts with it.
     pub fn bulk_load(&self, ns: NsId, key: &[u8], value: &[u8]) {
         self.stats.book(WRITE);
-        self.ns_data(ns).insert(Entry::copied(key, value));
+        self.ns_data(ns)
+            .insert(&self.wal, Entry::copied(key, value));
     }
 
     /// Remove `key` outside any timed session — the replay-side mirror of
     /// [`LiveCluster::bulk_load`], used by recovery to apply logged deletes.
     pub fn bulk_delete(&self, ns: NsId, key: &[u8]) {
         self.stats.book(WRITE);
-        self.ns_data(ns).remove(key);
+        self.ns_data(ns).remove(&self.wal, key);
     }
 
     /// Replace everything `ns` holds with copies of `entries`, on the
@@ -1016,6 +1017,7 @@ impl LiveCluster {
 fn execute_request(
     data: &LiveNamespace,
     stats: &LiveStats,
+    wal: &WalSlot,
     req: KvRequest,
     delay_us: u64,
 ) -> (KvResponse, SessionStats) {
@@ -1029,17 +1031,17 @@ fn execute_request(
             (KvResponse::Value(value), served)
         }
         KvRequest::Put { key, value, .. } => {
-            data.insert(Entry::new(key, &value));
+            data.insert(wal, Entry::new(key, &value));
             (KvResponse::Done, stats.book(WRITE))
         }
         KvRequest::Delete { key, .. } => {
-            data.remove(&key);
+            data.remove(wal, &key);
             (KvResponse::Done, stats.book(WRITE))
         }
         KvRequest::TestAndSet {
             key, expect, value, ..
         } => {
-            let (success, current) = data.test_and_set(key, expect.as_deref(), value);
+            let (success, current) = data.test_and_set(wal, key, expect.as_deref(), value);
             let response = KvResponse::TasResult { success, current };
             (response, stats.book(WRITE))
         }
@@ -1081,15 +1083,11 @@ impl KvStore for LiveCluster {
         }
         let mut data = self.namespaces.write();
         let id = NsId(data.len() as u32);
-        let ns = Arc::new(LiveNamespace::new(self.config.shards_per_namespace));
         if let Some(sink) = self.wal.read().as_ref() {
             sink.append_ns(id, name);
-            ns.set_wal(Some(WalHook {
-                ns: id,
-                sink: sink.clone(),
-            }));
         }
-        data.push(ns);
+        let shards = self.config.shards_per_namespace;
+        data.push(Arc::new(LiveNamespace::new(id, shards)));
         names.insert(name.to_string(), id);
         id
     }
@@ -1120,8 +1118,8 @@ impl KvStore for LiveCluster {
                 .into_iter()
                 .map(|req| {
                     let data = self.ns_data(req.ns());
-                    let stats = self.stats.clone();
-                    move || execute_request(&data, &stats, req, delay_us)
+                    let (stats, wal) = (self.stats.clone(), self.wal.clone());
+                    move || execute_request(&data, &stats, &wal, req, delay_us)
                 })
                 .collect();
             self.pool.scatter(tasks).into_iter().for_each(&mut join);
@@ -1130,6 +1128,7 @@ impl KvStore for LiveCluster {
                 join(execute_request(
                     &self.ns_data(req.ns()),
                     &self.stats,
+                    &self.wal,
                     req,
                     delay_us,
                 ));
@@ -1185,8 +1184,8 @@ impl KvStore for LiveCluster {
         let has_write = req.is_write();
         let started = self.now_micros();
         let delay_us = self.request_delay_us.load(Ordering::Relaxed);
-        let (response, served) =
-            execute_request(&self.ns_data(req.ns()), &self.stats, req, delay_us);
+        let data = self.ns_data(req.ns());
+        let (response, served) = execute_request(&data, &self.stats, &self.wal, req, delay_us);
         self.complete_round(session, started, served, has_write);
         response
     }
@@ -1219,7 +1218,7 @@ impl KvStore for LiveCluster {
 
     fn bulk_put(&self, ns: NsId, key: Vec<u8>, value: Vec<u8>) {
         self.stats.book(WRITE);
-        self.ns_data(ns).insert(Entry::new(key, &value));
+        self.ns_data(ns).insert(&self.wal, Entry::new(key, &value));
     }
 
     /// Each pair becomes its entry as it is pulled, grown into its key's
@@ -1242,7 +1241,7 @@ impl KvStore for LiveCluster {
                 true
             }
         });
-        self.ns_data(ns).merge(batch.into_iter());
+        self.ns_data(ns).merge(&self.wal, batch.into_iter());
     }
 
     fn rebalance(&self) {
@@ -1583,7 +1582,8 @@ mod tests {
 
     #[test]
     fn a_generation_held_across_a_rebalance_is_copied_not_emptied() {
-        let ns = LiveNamespace::new(4);
+        let ns = LiveNamespace::new(NsId(0), 4);
+        let wal: WalSlot = RwLock::new(rank::KV_CLUSTER_WAL, "kv.cluster.wal", None);
         // one leading byte: every entry starts on stripe 2 of 4
         let expected: Vec<(Vec<u8>, Vec<u8>)> = (0..500u16)
             .map(|i| {
@@ -1594,7 +1594,7 @@ mod tests {
             })
             .collect();
         for (key, value) in &expected {
-            ns.insert(Entry::new(key.clone(), value));
+            ns.insert(&wal, Entry::new(key.clone(), value));
         }
         let held = ns.load();
         ns.rebalance(4);

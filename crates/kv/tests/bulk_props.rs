@@ -3,7 +3,9 @@
 //! backends, for batches that arrive unsorted, repeat keys, and land in
 //! empty shards, in shards longer than their run and in shards shorter
 //! than it — counts one write per pair, and logs what it stores as puts
-//! with no commit barrier, which replay back into the same store.
+//! with no commit barrier, which replay back into the same store. A sink
+//! attached to a running store sees every write after it, under the
+//! namespace each lands in, and nothing once detached.
 
 use piql_kv::{
     ClusterConfig, KvEntry, KvRequest, KvStore, LiveCluster, LiveConfig, NsId, Session, SimCluster,
@@ -109,6 +111,107 @@ impl WalSink for Recorder {
         self.commits.fetch_add(1, Ordering::Relaxed);
         true
     }
+}
+
+fn put(ns: NsId, key: &[u8], value: &[u8]) -> KvRequest {
+    KvRequest::Put {
+        ns,
+        key: key.to_vec(),
+        value: value.to_vec(),
+    }
+}
+
+fn tas(ns: NsId, key: &[u8], expect: Option<&[u8]>, value: &[u8]) -> KvRequest {
+    KvRequest::TestAndSet {
+        ns,
+        key: key.to_vec(),
+        expect: expect.map(<[u8]>::to_vec),
+        value: Some(value.to_vec()),
+    }
+}
+
+/// A sink attached to a store that already has namespaces is told of each
+/// of them in id order; it then sees every put, delete and successful
+/// test-and-set under its namespace's id — fanned out over the pool or
+/// not — hears of a namespace created after it before that namespace's
+/// first write, commits once per write round, and hears nothing once
+/// detached.
+#[test]
+fn an_attached_sink_sees_every_write_under_its_namespace() {
+    let store = LiveCluster::new(LiveConfig {
+        shards_per_namespace: 4,
+        pool_threads: 2,
+        request_delay_us: 0,
+    });
+    let a = store.namespace("a");
+    let b = store.namespace("b");
+    store.bulk_put(b, b"before".to_vec(), b"attach".to_vec());
+
+    let recorder = Arc::new(Recorder::default());
+    store.attach_wal(recorder.clone());
+    let records = || recorder.records.lock().unwrap().clone();
+    assert_eq!(
+        records(),
+        vec![Record::Ns(a, "a".into()), Record::Ns(b, "b".into())]
+    );
+
+    let mut session = Session::new();
+    store.execute_round(&mut session, vec![put(b, b"k1", b"v1")]);
+    store.execute_one(
+        &mut session,
+        KvRequest::Delete {
+            ns: b,
+            key: b"before".to_vec(),
+        },
+    );
+    store.execute_one(&mut session, tas(a, b"t", None, b"set"));
+    // a failed swap changes nothing, so nothing is logged
+    store.execute_one(&mut session, tas(a, b"t", Some(b"stale"), b"lost"));
+    store.bulk_put(a, b"bulk".to_vec(), b"untimed".to_vec());
+    let c = store.namespace("c");
+    store.execute_one(&mut session, put(c, b"k2", b"v2"));
+    let expected = vec![
+        Record::Ns(a, "a".into()),
+        Record::Ns(b, "b".into()),
+        Record::Put(b, b"k1".to_vec(), b"v1".to_vec()),
+        Record::Delete(b, b"before".to_vec()),
+        Record::Put(a, b"t".to_vec(), b"set".to_vec()),
+        Record::Put(a, b"bulk".to_vec(), b"untimed".to_vec()),
+        Record::Ns(c, "c".into()),
+        Record::Put(c, b"k2".to_vec(), b"v2".to_vec()),
+    ];
+    assert_eq!(records(), expected);
+
+    // a round with service time fans out over the pool, in any order
+    store.set_request_delay_us(1);
+    let fanned = vec![
+        put(a, b"f1", b"x"),
+        put(b, b"f2", b"y"),
+        put(c, b"f3", b"z"),
+    ];
+    store.execute_round(&mut session, fanned);
+    store.set_request_delay_us(0);
+    let heard = records();
+    let mut tail = heard[expected.len()..].to_vec();
+    tail.sort_by_key(|record| format!("{record:?}"));
+    assert_eq!(
+        tail,
+        vec![
+            Record::Put(a, b"f1".to_vec(), b"x".to_vec()),
+            Record::Put(b, b"f2".to_vec(), b"y".to_vec()),
+            Record::Put(c, b"f3".to_vec(), b"z".to_vec()),
+        ]
+    );
+    // one barrier per write round; bulk puts take none
+    assert_eq!(recorder.commits.load(Ordering::Relaxed), 6);
+
+    store.detach_wal();
+    let d = store.namespace("d");
+    store.execute_one(&mut session, put(d, b"k3", b"v3"));
+    store.execute_one(&mut session, put(a, b"k4", b"v4"));
+    store.bulk_put_all(b, &mut vec![(b"k5".to_vec(), b"v5".to_vec())].into_iter());
+    assert_eq!(records(), heard, "a detached sink hears nothing");
+    assert_eq!(recorder.commits.load(Ordering::Relaxed), 6);
 }
 
 proptest! {

@@ -39,11 +39,11 @@ use rand::{Rng, SeedableRng};
 use piql_server::protocol::request_to_line;
 use piql_server::testkit::linear_predictor;
 use piql_server::{
-    Admission, BudgetPolicy, Client, Json, OverloadConfig, PiqlServer, Request, ServerTuning,
-    SloConfig, StatementRegistry,
+    nearest_rank_ms, Admission, BudgetPolicy, Client, Json, OverloadConfig, PiqlServer, Request,
+    ServerTuning, SloConfig, StatementRegistry,
 };
 
-use crate::report::{percentile_ms, ScenarioReport, ServerOverload, TenantReport};
+use crate::report::{ScenarioReport, ServerOverload, TenantReport};
 use crate::spec::{Fault, ScenarioSpec, TenantSpec};
 use crate::zipf::Zipfian;
 
@@ -704,7 +704,7 @@ pub fn run_scenario(spec: &ScenarioSpec) -> ScenarioReport {
     let mut violations = Vec::new();
     for (ti, t) in spec.tenants.iter().enumerate() {
         let mine: Vec<&ConnOutcome> = outcomes.iter().filter(|o| o.tenant_idx == ti).collect();
-        let mut latencies: Vec<u64> = mine
+        let latencies: Vec<u64> = mine
             .iter()
             .flat_map(|o| o.latencies_us.iter().copied())
             .collect();
@@ -720,8 +720,8 @@ pub fn run_scenario(spec: &ScenarioSpec) -> ScenarioReport {
             acked_writes: mine.iter().map(|o| o.acked.len() as u64).sum(),
             verified_writes: verified,
             lost_writes: lost,
-            p50_ms: percentile_ms(&mut latencies, 0.50),
-            p99_ms: percentile_ms(&mut latencies, 0.99),
+            p50_ms: nearest_rank_ms(latencies.clone(), 0.50),
+            p99_ms: nearest_rank_ms(latencies.clone(), 0.99),
             slo_ms: t.slo_ms,
             crowd_sent: crowd_outcomes
                 .iter()

@@ -31,6 +31,6 @@ pub mod spec;
 pub mod zipf;
 
 pub use driver::run_scenario;
-pub use report::{percentile_ms, ScenarioReport, ServerOverload, TenantReport};
+pub use report::{ScenarioReport, ServerOverload, TenantReport};
 pub use spec::{Controls, Fault, ScenarioSpec, TenantSpec};
 pub use zipf::Zipfian;

@@ -5,19 +5,6 @@
 
 use piql_server::Json;
 
-/// Latency percentile over a sample of microsecond measurements.
-/// Sorts in place; empty samples report 0.
-pub fn percentile_ms(samples: &mut [u64], p: f64) -> f64 {
-    if samples.is_empty() {
-        return 0.0;
-    }
-    samples.sort_unstable();
-    let rank = ((samples.len() as f64 * p).ceil() as usize)
-        .saturating_sub(1)
-        .min(samples.len() - 1);
-    samples[rank] as f64 / 1_000.0
-}
-
 /// One tenant's aggregated outcome.
 #[derive(Debug, Clone)]
 pub struct TenantReport {

@@ -26,15 +26,14 @@
 //!    down is re-degraded or dropped at boot, not at first execution.
 //! 7. **Attach**: the WAL becomes the cluster's write-ahead sink, the
 //!    model store's rotation observer journals every future rotation, and
-//!    the registry's journal records every future (un)registration.
+//!    the registry's durability hook journals every future
+//!    (un)registration and answers `stats` and `snapshot`.
 //!
 //! After step 7 an acknowledged write is a durable write: the cluster
 //! appends under the shard write lock and blocks acknowledgement on the
 //! group-commit watermark.
 
-use crate::registry::{
-    DurabilityControl, Periodic, SloConfig, StatementJournal, StatementRegistry,
-};
+use crate::registry::{DurabilityControl, Periodic, SloConfig, StatementRegistry};
 use piql_durability::{
     Durability, DurabilityConfig, DurabilityHealth, RecoveryReport, SnapshotInputs, SnapshotSummary,
 };
@@ -43,7 +42,7 @@ use piql_kv::{LiveCluster, LiveConfig};
 use piql_predict::{SharedModelStore, SloPredictor};
 use std::io;
 use std::path::PathBuf;
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 use std::time::Duration;
 
 /// Options for [`open_durable`].
@@ -103,7 +102,12 @@ impl DurableStack {
     /// Take a checkpoint now: rotate the WAL, export the full state, and
     /// compact the log behind it.
     pub fn snapshot(&self) -> io::Result<SnapshotSummary> {
-        checkpoint(&self.cluster, &self.models, &self.durability)
+        checkpoint(
+            &self.cluster,
+            &self.models,
+            &self.registry,
+            &self.durability,
+        )
     }
 
     /// Crash simulation for tests: discard buffered (unacknowledged)
@@ -113,60 +117,72 @@ impl DurableStack {
         self.durability.simulate_crash();
     }
 
-    /// Graceful shutdown: flush the WAL and stop the committer.
+    /// Graceful shutdown: unhook the registry (its `stats` and `snapshot`
+    /// then answer as an in-memory server's), flush the WAL and stop the
+    /// committer.
     pub fn close(&self) {
         self.models.set_rotation_observer(None);
-        self.registry.set_journal(None);
+        self.registry.set_durability(None);
         self.cluster.detach_wal();
         self.durability.close();
     }
 }
 
-/// The [`DurabilityControl`] the registry hands to `stats`/`snapshot`.
+/// The registry's [`DurabilityControl`]: its statement journal, the
+/// `stats` health block and the `snapshot` verb.
 struct StackControl {
     cluster: Arc<LiveCluster>,
     models: Arc<SharedModelStore>,
+    /// Weak: the registry holds this control, and a strong handle back
+    /// would keep the stack alive after its last user dropped it.
+    registry: Weak<StatementRegistry<LiveCluster>>,
     durability: Arc<Durability>,
 }
 
 impl DurabilityControl for StackControl {
+    fn upserted(&self, name: &str, sql: &str) {
+        self.durability.log_statement_upsert(name, sql);
+    }
+
+    fn dropped(&self, name: &str) {
+        self.durability.log_statement_drop(name);
+    }
+
     fn health(&self) -> DurabilityHealth {
         self.durability.health()
     }
 
     fn checkpoint(&self) -> io::Result<SnapshotSummary> {
-        checkpoint(&self.cluster, &self.models, &self.durability)
+        let registry = (self.registry.upgrade())
+            .ok_or_else(|| io::Error::other("the statement registry is gone"))?;
+        checkpoint(&self.cluster, &self.models, &registry, &self.durability)
     }
 }
 
-/// Checkpoint the stack's state — every namespace and the model intervals
-/// — whoever asks: the embedder, the `snapshot` verb, the
-/// [`SnapshotDaemon`].
+/// Checkpoint the stack's state — every namespace, the registered
+/// statements and the model intervals — whoever asks: the embedder, the
+/// `snapshot` verb, the [`SnapshotDaemon`].
 fn checkpoint(
     cluster: &LiveCluster,
     models: &SharedModelStore,
+    registry: &StatementRegistry<LiveCluster>,
     durability: &Durability,
 ) -> io::Result<SnapshotSummary> {
     durability.snapshot_with(|| {
         // reads happen after the WAL rotation (snapshot_with invokes
         // this closure post-rotation), which is what makes the fuzzy
-        // snapshot + tail-replay combination converge
+        // snapshot + tail-replay combination converge. A statement whose
+        // record went to the retired segment was inserted under the
+        // registry's write lock before its append, so this read sees it.
         let (store, rotations) = models.snapshot_with_rotations();
         SnapshotInputs {
             namespaces: cluster.export_namespaces(),
+            statements: (registry.list().iter())
+                .map(|s| (s.name.clone(), s.sql.clone()))
+                .collect(),
             models: Some((rotations, store.interval_maps().to_vec())),
         }
     })
-}
-
-impl StatementJournal for Durability {
-    fn upserted(&self, name: &str, sql: &str) {
-        self.log_statement_upsert(name, sql);
-    }
-
-    fn dropped(&self, name: &str) {
-        self.log_statement_drop(name);
-    }
 }
 
 /// Open (or create) a durable stack at `opts.data_dir`. `seed` provides
@@ -202,9 +218,9 @@ pub fn open_durable(
     ));
 
     // Re-admission: every recovered statement goes through full admission
-    // against the recovered models. The journal is not installed yet, so
+    // against the recovered models. The registry is not hooked up yet, so
     // surviving statements are not re-upserted (their records are already
-    // in the mirror); ones that no longer pass are dropped explicitly.
+    // in the log); ones that no longer pass are dropped explicitly.
     let mut readmissions = Vec::with_capacity(recovered.statements.len());
     for (name, sql) in &recovered.statements {
         let verdict = match registry.register(name, sql) {
@@ -232,10 +248,10 @@ pub fn open_durable(
         let durability = durability.clone();
         move |interval| durability.log_model_interval(interval)
     })));
-    registry.set_journal(Some(durability.clone()));
     registry.set_durability(Some(Arc::new(StackControl {
         cluster: cluster.clone(),
         models: models.clone(),
+        registry: Arc::downgrade(&registry),
         durability: durability.clone(),
     })));
 
@@ -262,13 +278,14 @@ impl SnapshotDaemon {
     pub fn spawn(stack: &DurableStack, check_period: Duration) -> SnapshotDaemon {
         let cluster = stack.cluster.clone();
         let models = stack.models.clone();
+        let registry = stack.registry.clone();
         let durability = stack.durability.clone();
         SnapshotDaemon {
             _thread: Periodic::spawn("piql-snapshot", check_period, move || {
                 if durability.is_dead() || !durability.wants_snapshot() {
                     return;
                 }
-                if let Err(e) = checkpoint(&cluster, &models, &durability) {
+                if let Err(e) = checkpoint(&cluster, &models, &registry, &durability) {
                     eprintln!("piql-snapshot: checkpoint failed: {e}");
                 }
             }),

@@ -61,10 +61,12 @@ pub use protocol::{Envelope, ProtoError, Reply, Request, RequestId};
 pub use registry::{
     Admission, DriftAction, DriftEvent, DurabilityControl, ExecOutcome, FastKeyPart, FastPointPlan,
     OverloadConfig, RegisteredStatement, RegistryCounters, RegistryError, RevalidationSummary,
-    Revalidator, SloConfig, StatementJournal, StatementRegistry,
+    Revalidator, SloConfig, StatementRegistry,
 };
 pub use server::{BinaryConn, PiqlServer, ServerTuning};
 pub use wire::{JsonWire, Wire};
 
 pub use piql_core::json;
 pub use piql_kv::{LiveCluster, LiveConfig};
+/// The one quantile rule of `stats` and of the experiment reports.
+pub use piql_workloads::nearest_rank_ms;

@@ -269,18 +269,6 @@ pub fn param_to_json(p: &ParamValue) -> Json {
     }
 }
 
-pub fn param_from_json(j: &Json) -> Result<ParamValue, ProtoError> {
-    match j {
-        Json::Arr(items) => Ok(ParamValue::Collection(
-            items
-                .iter()
-                .map(value_from_json)
-                .collect::<Result<_, _>>()?,
-        )),
-        other => value_from_json(other).map(ParamValue::Scalar),
-    }
-}
-
 pub fn cursor_to_json(cursor: &Option<Cursor>) -> Json {
     match cursor {
         Some(c) => Json::str(hex_encode(&c.to_bytes())),

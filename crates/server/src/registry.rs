@@ -471,7 +471,8 @@ pub struct RegistryCounters {
     pub handler_panics: AtomicU64,
     /// Data-placement rebalances performed via the `rebalance` verb.
     pub rebalances: AtomicU64,
-    /// Re-validation sweeps completed.
+    /// Re-validation sweeps, counted as each starts: once a sweep has
+    /// finished this is its number ([`RevalidationSummary::sweep`]).
     pub revalidations: AtomicU64,
     /// Live samples folded into the models by sweeps.
     pub samples_folded: AtomicU64,
@@ -514,21 +515,19 @@ pub struct ExecOutcome {
     pub shed: bool,
 }
 
-/// Journal for durable statement registration. The registry calls
-/// [`StatementJournal::upserted`] whenever a name becomes (or replaces an)
-/// executable statement and [`StatementJournal::dropped`] whenever a name
-/// stops being executable (a rejected re-registration unregisters it) — a
-/// restarted server replays the journal and re-validates each surviving
-/// statement against its recovered models, so clients never re-prepare.
-pub trait StatementJournal: Send + Sync {
+/// The durability subsystem, when one is wired in (see `crate::durable`).
+///
+/// The registry journals through it: [`DurabilityControl::upserted`]
+/// whenever a name becomes (or replaces an) executable statement and
+/// [`DurabilityControl::dropped`] whenever a name stops being executable
+/// (a rejected re-registration unregisters it) — a restarted server
+/// replays the journal and re-validates each surviving statement against
+/// its recovered models, so clients never re-prepare. The `stats` verb
+/// reports [`DurabilityControl::health`] and the `snapshot` verb drives
+/// [`DurabilityControl::checkpoint`].
+pub trait DurabilityControl: Send + Sync {
     fn upserted(&self, name: &str, sql: &str);
     fn dropped(&self, name: &str);
-}
-
-/// Handle to the durability subsystem, when one is wired in (see
-/// `crate::durable`). The `stats` verb reports [`DurabilityControl::health`]
-/// and the `snapshot` verb drives [`DurabilityControl::checkpoint`].
-pub trait DurabilityControl: Send + Sync {
     fn health(&self) -> piql_durability::DurabilityHealth;
     fn checkpoint(&self) -> std::io::Result<piql_durability::SnapshotSummary>;
 }
@@ -578,15 +577,13 @@ pub struct StatementRegistry<S: KvStore = LiveCluster> {
     slo: SloConfig,
     optimizer: Optimizer,
     statements: RwLock<BTreeMap<String, Arc<RegisteredStatement>>>,
-    sweeps: AtomicU64,
     /// Serializes [`StatementRegistry::revalidate`]: the background
     /// `Revalidator` tick and client-forced `revalidate` verbs must not
     /// interleave their drain/rotate/apply phases.
     sweep_lock: Mutex<()>,
-    /// Durable journal for registration changes (see [`StatementJournal`]).
-    journal: RwLock<Option<Arc<dyn StatementJournal>>>,
-    /// The durability subsystem, when the stack is durable (`stats` and
-    /// `snapshot` reach it through here).
+    /// The durability subsystem, when the stack is durable: registration
+    /// changes are journaled, and `stats` and `snapshot` reach it, through
+    /// here.
     durability: RwLock<Option<Arc<dyn DurabilityControl>>>,
     /// Overload-control configuration (the rebalance trigger).
     overload: Mutex<OverloadConfig>,
@@ -622,9 +619,7 @@ impl<S: KvStore> StatementRegistry<S> {
                 "registry.statements",
                 BTreeMap::new(),
             ),
-            sweeps: AtomicU64::new(0),
             sweep_lock: Mutex::new(rank::REGISTRY_SWEEP, "registry.sweep", ()),
-            journal: RwLock::new(rank::REGISTRY_JOURNAL, "registry.journal", None),
             durability: RwLock::new(rank::REGISTRY_DURABILITY, "registry.durability", None),
             overload: Mutex::new(
                 rank::REGISTRY_OVERLOAD,
@@ -664,14 +659,9 @@ impl<S: KvStore> StatementRegistry<S> {
             .clone()
     }
 
-    /// Install (or clear) the registration journal. Install it *after*
+    /// Wire in (or clear) the durability subsystem. Install it *after*
     /// replaying recovered statements, or the replay itself would be
     /// journaled again.
-    pub fn set_journal(&self, journal: Option<Arc<dyn StatementJournal>>) {
-        *self.journal.write() = journal;
-    }
-
-    /// Wire in the durability subsystem (surfaced via `stats`/`snapshot`).
     pub fn set_durability(&self, control: Option<Arc<dyn DurabilityControl>>) {
         *self.durability.write() = control;
     }
@@ -804,8 +794,8 @@ impl<S: KvStore> StatementRegistry<S> {
         // journal only transitions: dropping a name that was never
         // executable would bloat the log with no-op records
         if removed {
-            if let Some(journal) = self.journal.read().as_ref() {
-                journal.dropped(name);
+            if let Some(durability) = self.durability.read().as_ref() {
+                durability.dropped(name);
             }
         }
     }
@@ -848,8 +838,8 @@ impl<S: KvStore> StatementRegistry<S> {
         // matches map-state order (see `uninstall`)
         let mut statements = self.statements.write();
         statements.insert(name.to_string(), statement);
-        if let Some(journal) = self.journal.read().as_ref() {
-            journal.upserted(name, sql);
+        if let Some(durability) = self.durability.read().as_ref() {
+            durability.upserted(name, sql);
         }
     }
 
@@ -970,7 +960,8 @@ impl<S: KvStore> StatementRegistry<S> {
         // interleave with the background Revalidator's tick (both would
         // drain/rotate and double-apply drift actions)
         let _sweeping = self.sweep_lock.lock();
-        let sweep = self.sweeps.fetch_add(1, Ordering::Relaxed) + 1;
+        let c = &self.counters;
+        let sweep = c.revalidations.fetch_add(1, Ordering::Relaxed) + 1;
         let samples = self.db.store().drain_samples();
         self.models.ingest(&samples);
         let folded = self.models.rotate();
@@ -993,8 +984,6 @@ impl<S: KvStore> StatementRegistry<S> {
                 DriftAction::Recovered => summary.recovered += 1,
             }
         }
-        let c = &self.counters;
-        c.revalidations.fetch_add(1, Ordering::Relaxed);
         c.samples_folded.fetch_add(folded, Ordering::Relaxed);
         c.drift_redegraded
             .fetch_add(summary.redegraded, Ordering::Relaxed);
@@ -1017,11 +1006,6 @@ impl<S: KvStore> StatementRegistry<S> {
             c.auto_rebalances.fetch_add(1, Ordering::Relaxed);
         }
         summary
-    }
-
-    /// Sweeps completed so far.
-    pub fn sweep_count(&self) -> u64 {
-        self.sweeps.load(Ordering::Relaxed)
     }
 
     /// Re-run the admission decision for one statement: the [`fit`] a fresh

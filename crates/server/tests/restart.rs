@@ -13,7 +13,7 @@ use piql_server::{open_durable, DurableOptions, DurableStack, SloConfig};
 use piql_workloads::scadr::{self, ScadrConfig};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 
 const FIND_USER: &str = "SELECT * FROM users WHERE username = <u>";
 const RECENT: &str = "SELECT * FROM thoughts WHERE owner = <u> ORDER BY timestamp DESC LIMIT 100";
@@ -313,6 +313,111 @@ fn dead_wal_fails_dml_acknowledgements() {
     assert!(error.contains("not durable"), "got: {error}");
     let stats = handle_request(&Request::Stats, &mut session, &stack.registry);
     assert_eq!(wal_dead(&stats), Some(true));
+}
+
+/// Registrations racing checkpoints: threads prepare, re-prepare and
+/// reject (which unregisters) names while checkpoints rotate the log
+/// under them; then one more checkpoint and a short tail. Whatever a
+/// checkpoint captured and whatever replays after it, the statements
+/// recovered after a crash are the ones registered at the crash, with the
+/// same text.
+#[test]
+fn statements_racing_checkpoints_recover_as_registered() {
+    // an unindexed predicate: unbounded, so preparing it unregisters the name
+    const UNBOUNDED: &str = "SELECT * FROM thoughts WHERE text = <t>";
+    let dir = test_dir("race");
+    let stack = Arc::new(open(&dir, 5.0));
+    let texts = [FIND_USER, RECENT, UNBOUNDED];
+
+    // every thread starts together, and the registrars keep going until
+    // all 20 checkpoints have run under them
+    let start = Arc::new(Barrier::new(4));
+    let checkpointing = Arc::new(AtomicBool::new(true));
+    let checkpointer = {
+        let (stack, start, checkpointing) = (stack.clone(), start.clone(), checkpointing.clone());
+        std::thread::spawn(move || {
+            start.wait();
+            let checkpoints: Vec<_> = (0..20).map(|_| stack.snapshot()).collect();
+            checkpointing.store(false, Ordering::SeqCst);
+            checkpoints
+        })
+    };
+    let registrars: Vec<_> = (0..3)
+        .map(|t| {
+            let (stack, start, checkpointing) =
+                (stack.clone(), start.clone(), checkpointing.clone());
+            std::thread::spawn(move || {
+                start.wait();
+                let mut i = 0usize;
+                while i < 40 || checkpointing.load(Ordering::SeqCst) {
+                    let name = format!("s{}", (t + i) % 5);
+                    stack
+                        .registry
+                        .register(&name, texts[(t * 7 + i) % texts.len()])
+                        .expect("register");
+                    i += 1;
+                }
+            })
+        })
+        .collect();
+    for registrar in registrars {
+        registrar.join().unwrap();
+    }
+    for checkpoint in checkpointer.join().unwrap() {
+        checkpoint.expect("checkpoint");
+    }
+    // then one name only a checkpoint holds, and a tail on top of it
+    let register = |name: &str, sql: &str| stack.registry.register(name, sql).expect("register");
+    register("s5", RECENT);
+    stack.snapshot().expect("checkpoint");
+    register("s0", UNBOUNDED);
+    register("s6", FIND_USER);
+
+    let registered = |stack: &DurableStack| {
+        let mut statements: Vec<(String, String)> = (stack.registry.list().iter())
+            .map(|s| (s.name.clone(), s.sql.clone()))
+            .collect();
+        statements.sort();
+        statements
+    };
+    let before = registered(&stack);
+    stack.simulate_crash();
+    drop(stack);
+
+    let recovered = open(&dir, 5.0);
+    assert_eq!(recovered.report.statements, before.len());
+    assert_eq!(registered(&recovered), before);
+    recovered.close();
+}
+
+/// Once the stack is closed, its registry answers `stats` and `snapshot`
+/// as an in-memory server's: no `durability` block, and no checkpoint of
+/// the closed log.
+#[test]
+fn a_closed_stack_answers_stats_and_snapshot() {
+    use piql_server::protocol::Request;
+    use piql_server::server::handle_request;
+    use piql_server::Json;
+
+    let dir = test_dir("closed");
+    let stack = open(&dir, 1_000_000.0);
+    let mut session = Session::new();
+    let stats = handle_request(&Request::Stats, &mut session, &stack.registry);
+    assert!(stats.get("durability").is_some(), "{stats}");
+
+    stack.close();
+    let stats = handle_request(&Request::Stats, &mut session, &stack.registry);
+    assert!(stats.get("durability").is_none(), "{stats}");
+    let snapshot = handle_request(&Request::Snapshot, &mut session, &stack.registry);
+    assert_eq!(
+        snapshot.get("ok").and_then(Json::as_bool),
+        Some(false),
+        "{snapshot}"
+    );
+    assert_eq!(
+        snapshot.get("error").and_then(Json::as_str),
+        Some("durability is not enabled on this server")
+    );
 }
 
 /// Acknowledged-write durability: writers hammer the stack concurrently,

@@ -102,6 +102,11 @@ fn drift_flags_statement_over(connect: fn(SocketAddr) -> std::io::Result<Client>
 
     // stats: refreshed prediction over the SLO, next to observed quantiles
     let stats = client.stats().unwrap();
+    // a finished sweep's number is the sweep count `stats` reports
+    assert_eq!(
+        stats.get("revalidations").and_then(|j| j.as_f64()),
+        sweep.get("sweep").and_then(|j| j.as_f64())
+    );
     let statements = stats.get("statements").and_then(|j| j.as_arr()).unwrap();
     let s = statements
         .iter()
@@ -332,11 +337,11 @@ fn background_revalidator_flags_drift_unprompted() {
             std::time::Instant::now() < deadline,
             "background sweeps never flagged the drifted statement \
              (sweeps so far: {})",
-            reg.sweep_count()
+            reg.counters.revalidations.load(Ordering::Relaxed)
         );
         std::thread::sleep(std::time::Duration::from_millis(25));
     }
-    assert!(reg.sweep_count() >= 1);
+    assert!(reg.counters.revalidations.load(Ordering::Relaxed) >= 1);
     drop(server); // joins the revalidator thread
 }
 
@@ -543,7 +548,7 @@ mod props {
                             &held, &fresh,
                             "{} after sweep {} (parent: a degraded statement only \
                              relaxed to its original bound and only tightened from \
-                             its installed one)", name, reg.sweep_count()
+                             its installed one)", name, reg.counters.revalidations.load(Ordering::Relaxed)
                         );
                     }
                 }

@@ -1,7 +1,8 @@
 //! A write plan's static bound is a contract, not a comment: for every
 //! INSERT shape of the SCADr and TPC-W workloads — succeeding, rejected as
 //! a duplicate, and rolled back by a cardinality limit — the requests and
-//! rounds a session actually spends stay within the plan's bound, on the
+//! rounds a session actually spends stay within the plan's bound, and it
+//! ships back no entries and no bytes (the bound's zeros), on the
 //! simulated cluster and on the live one. The write-side twin of the read
 //! path's `bound_utilisation <= 1`.
 
@@ -24,11 +25,19 @@ fn spend<S: KvStore>(
     let result = db.execute_dml(session, sql, params);
     let requests = session.stats.logical_requests - before.logical_requests;
     let rounds = session.stats.rounds - before.rounds;
+    let entries = session.stats.entries - before.entries;
+    let bytes = session.stats.bytes - before.bytes;
     assert!(
-        requests <= bound.requests && rounds <= bound.rounds,
-        "{backend}: `{sql}` -> {result:?} spent {requests} requests in {rounds} rounds, \
-         bound {bound:?}"
+        requests <= bound.requests
+            && rounds <= bound.rounds
+            && entries <= bound.tuples
+            && bytes <= bound.bytes
+            && bound.guaranteed,
+        "{backend}: `{sql}` -> {result:?} spent {requests} requests in {rounds} rounds \
+         and shipped {entries} entries of {bytes} bytes, bound {bound:?}"
     );
+    // measured, not assumed: a write ships nothing back
+    assert_eq!((entries, bytes), (0, 0), "{backend}: `{sql}`");
     assert!(requests >= 1, "{backend}: the statement reached the store");
     result
 }
