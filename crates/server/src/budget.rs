@@ -155,11 +155,11 @@ impl TenantBudget {
         });
     }
 
-    /// Decide the fate of one execution. One atomic load and add for an
-    /// unlimited budget; a bounded one takes the gate's lock briefly.
+    /// Decide the fate of one execution. One atomic load for an unlimited
+    /// budget, whose admission is counted once the execution is booked
+    /// (`count_admitted`); a bounded one takes the gate's lock briefly.
     pub fn admit(self: &Arc<Self>) -> BudgetDecision {
         if self.is_unlimited() {
-            self.count_admitted();
             return BudgetDecision::Go(None);
         }
         let mut door = self.gate.lock();
@@ -194,9 +194,8 @@ impl TenantBudget {
         }
     }
 
-    /// Count one execution an unlimited budget let in: the whole of its
-    /// admit. The binary fast lane, which reads [`Self::is_unlimited`]
-    /// before its store read, books this only once it answers.
+    /// Count one execution an unlimited budget let in, once it is booked:
+    /// a run that is dropped unbooked was never admitted.
     pub(crate) fn count_admitted(&self) {
         self.admitted.fetch_add(1, Ordering::Relaxed);
     }

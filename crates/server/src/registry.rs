@@ -35,7 +35,7 @@
 //! so admission tracks the store the service actually runs on, interval by
 //! interval, and not the road a statement took.
 
-use crate::budget::{BudgetDecision, BudgetPolicy, TenantBudget};
+use crate::budget::{BudgetDecision, BudgetPermit, BudgetPolicy, TenantBudget};
 use piql_analysis::ordered::{Mutex, RwLock};
 use piql_analysis::rank;
 use piql_core::ast::SelectStmt;
@@ -387,9 +387,8 @@ impl RegisteredStatement {
     }
 
     /// Book one completed execution that took `latency`: the statement's
-    /// count and latency, the service's `executed` — the epilogue of every
-    /// lane that executes a statement.
-    pub(crate) fn observe(&self, counters: &RegistryCounters, latency: Micros) {
+    /// count and latency, the service's `executed` ([`Run::book`]).
+    fn observe(&self, counters: &RegistryCounters, latency: Micros) {
         let at = self.executions.fetch_add(1, Ordering::Relaxed) % LATENCY_RING as u64;
         self.latencies[at as usize].store(latency, Ordering::Relaxed);
         counters.executed.fetch_add(1, Ordering::Relaxed);
@@ -513,6 +512,107 @@ pub struct ExecOutcome {
     /// the statement's pre-compiled shed plan was served — the response is
     /// flagged `degraded` on the wire.
     pub shed: bool,
+}
+
+/// One execution of a registered statement, admission to booking: the
+/// prologue and epilogue of every venue. [`Run::governed`], or the binary
+/// fast lane's [`Run::lock_free`], admits through the tenant's budget,
+/// syncs the session to the store's clock and starts timing; [`Run::book`]
+/// observes and counts the outcome, and the permit releases as the run
+/// drops. The venue supplies only the work between: running the admitted
+/// plan, or the fast lane's one probe and one printed row. A permit-less
+/// admission is counted at booking, so a run dropped unbooked — a frame
+/// the fast lane hands to the general path — leaves the frame's one
+/// admission to the run that answers it.
+pub(crate) struct Run<'a> {
+    statement: &'a RegisteredStatement,
+    counters: &'a RegistryCounters,
+    /// `None` under an unlimited budget.
+    permit: Option<BudgetPermit>,
+    /// Also booked as one of `fast_point_reads`.
+    fast: bool,
+    start: Micros,
+}
+
+impl<'a> Run<'a> {
+    /// The general prologue: the budget may queue, shed or refuse, and a
+    /// shed admission serves the pre-compiled degraded plan when the
+    /// statement has one (otherwise the overflow place runs the full plan).
+    /// Answers the plan, and whether it is the shed plan.
+    fn governed<S: KvStore>(
+        registry: &'a StatementRegistry<S>,
+        statement: &'a RegisteredStatement,
+        session: &mut Session,
+    ) -> Result<(Self, Arc<Prepared>, bool), RegistryError> {
+        let (permit, shed) = match statement.budget().admit() {
+            BudgetDecision::Go(permit) => (permit, None),
+            BudgetDecision::Shed(permit) => (Some(permit), statement.shed_prepared()),
+            BudgetDecision::Reject => {
+                let tenant = statement.budget().tenant().to_string();
+                return Err(RegistryError::BudgetExceeded { tenant });
+            }
+        };
+        let shed_plan = shed.is_some();
+        let prepared = shed.unwrap_or_else(|| statement.prepared());
+        let run = Run::start(registry, statement, session, permit, false);
+        Ok((run, prepared, shed_plan))
+    }
+
+    /// The fast lane's prologue: only the unlimited budget's admission (no
+    /// lock, no permit) of the full plan; `None` leaves the frame to the
+    /// general path.
+    pub(crate) fn lock_free<S: KvStore>(
+        registry: &'a StatementRegistry<S>,
+        statement: &'a RegisteredStatement,
+        session: &mut Session,
+    ) -> Option<Self> {
+        let unlimited = statement.budget().is_unlimited();
+        unlimited.then(|| Run::start(registry, statement, session, None, true))
+    }
+
+    fn start<S: KvStore>(
+        registry: &'a StatementRegistry<S>,
+        statement: &'a RegisteredStatement,
+        session: &mut Session,
+        permit: Option<BudgetPermit>,
+        fast: bool,
+    ) -> Self {
+        // time from *now*, not from the previous round's completion —
+        // otherwise client think-time (and, on a fresh session, the whole
+        // backend uptime) would pollute the latency quantiles
+        registry.db.store().sync_session(session);
+        let counters = &registry.counters;
+        let start = session.begin();
+        Run {
+            statement,
+            counters,
+            permit,
+            fast,
+            start,
+        }
+    }
+
+    /// The epilogue: count the admission, then observe a success or count
+    /// an error.
+    pub(crate) fn book<T>(
+        self,
+        session: &Session,
+        result: Result<T, DbError>,
+    ) -> Result<T, RegistryError> {
+        if self.permit.is_none() {
+            self.statement.budget().count_admitted();
+        }
+        let c = self.counters;
+        if result.is_ok() {
+            self.statement.observe(c, session.elapsed_since(self.start));
+            if self.fast {
+                c.fast_point_reads.fetch_add(1, Ordering::Relaxed);
+            }
+        } else {
+            c.exec_errors.fetch_add(1, Ordering::Relaxed);
+        }
+        result.map_err(RegistryError::Db)
+    }
 }
 
 /// The durability subsystem, when one is wired in (see `crate::durable`).
@@ -866,9 +966,9 @@ impl<S: KvStore> StatementRegistry<S> {
     }
 
     /// Execute a registered statement through its tenant's admission
-    /// budget. The budget permit is held (RAII) for the whole execution —
-    /// it releases on success, error, and panic-unwind alike, so in-flight
-    /// accounting cannot leak across disconnects.
+    /// budget, as one `Run`. The budget permit is held (RAII) for the
+    /// whole execution — it releases on success, error, and panic-unwind
+    /// alike, so in-flight accounting cannot leak across disconnects.
     pub fn execute_governed<'p>(
         &self,
         session: &mut Session,
@@ -879,43 +979,12 @@ impl<S: KvStore> StatementRegistry<S> {
         let statement = self
             .get(name)
             .ok_or_else(|| RegistryError::UnknownStatement(name.to_string()))?;
-        let (_permit, shed_admission) = match statement.budget().admit() {
-            BudgetDecision::Go(permit) => (permit, false),
-            BudgetDecision::Shed(permit) => (Some(permit), true),
-            BudgetDecision::Reject => {
-                return Err(RegistryError::BudgetExceeded {
-                    tenant: statement.budget().tenant().to_string(),
-                });
-            }
-        };
-        // a shed admission serves the pre-compiled degraded plan when the
-        // statement has one; otherwise the overflow slot runs the full plan
-        let (prepared, shed) = if shed_admission {
-            match statement.shed_prepared() {
-                Some(shed_plan) => (shed_plan, true),
-                None => (statement.prepared(), false),
-            }
-        } else {
-            (statement.prepared(), false)
-        };
-        // start timing from *now*, not from the previous round's completion
-        // — otherwise client think-time (and, on a fresh session, the whole
-        // backend uptime) would pollute the latency quantiles
-        self.db.store().sync_session(session);
-        let start = session.begin();
+        let (run, prepared, shed) = Run::governed(self, &statement, session)?;
         let result =
             self.db
                 .execute_with(session, &prepared, params, ExecStrategy::Parallel, cursor);
-        match result {
-            Ok(r) => {
-                statement.observe(&self.counters, session.elapsed_since(start));
-                Ok(ExecOutcome { result: r, shed })
-            }
-            Err(e) => {
-                self.counters.exec_errors.fetch_add(1, Ordering::Relaxed);
-                Err(RegistryError::Db(e))
-            }
-        }
+        let result = run.book(session, result)?;
+        Ok(ExecOutcome { result, shed })
     }
 
     /// Execute a DML statement (writes are always single-record bounded

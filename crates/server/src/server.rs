@@ -61,7 +61,7 @@ use crate::protocol::{
     Reply, Request, RequestId,
 };
 use crate::registry::{
-    Admission, FastKeyPart, RegistryError, Revalidator, SloConfig, StatementRegistry,
+    Admission, FastKeyPart, RegistryError, Revalidator, Run, SloConfig, StatementRegistry,
 };
 use crate::wire::{JsonWire, Wire};
 use piql_analysis::ordered::Mutex;
@@ -651,20 +651,11 @@ impl<S: KvStore + 'static> BinaryConn<S> {
             encode_component_ref(&mut self.key_buf, value, Dir::Asc).ok()?;
         }
 
-        // a budget-limited tenant goes through the governed general path
-        // (permits, shed plans, coded rejections); only the unlimited
-        // default, which needs no permit, keeps the zero-allocation
-        // shortcut. Read last before the store, so a budget reconfigured
-        // while the frame was parsed is honoured; the admission is booked
-        // once the lane answers, so a frame it declines — here, or after
-        // the read — is admitted by the general path, once
-        let budget = statement.budget();
-        if !budget.is_unlimited() {
-            return None;
-        }
+        // the run begins last before the store, so a budget reconfigured
+        // while the frame was parsed is honoured; dropped unbooked, it
+        // leaves the frame's one admission to the general path
+        let run = Run::lock_free(&self.registry, &statement, &mut self.session)?;
         let store = self.registry.db().store();
-        store.sync_session(&mut self.session);
-        let start = self.session.begin();
         self.session.op_tag = Some(plan.tag);
         self.val_buf.clear();
         let found = store.point_get(&mut self.session, plan.ns, &self.key_buf, &mut self.val_buf);
@@ -690,12 +681,7 @@ impl<S: KvStore + 'static> BinaryConn<S> {
             binary::put_rows_header(&mut self.out, None, false, 0);
         }
         binary::finish_frame(&mut self.out, fmark);
-
-        let counters = &self.registry.counters;
-        budget.count_admitted();
-        statement.observe(counters, self.session.elapsed_since(start));
-        counters.fast_point_reads.fetch_add(1, Ordering::Relaxed);
-        Some(())
+        run.book(&self.session, Ok(())).ok()
     }
 
     /// The general path: full decode into the kept request → the shared
@@ -767,7 +753,17 @@ pub fn respond<S: KvStore>(
             name,
             params,
             cursor,
-        } => return run_execute(session, registry, name, params, cursor.as_ref()),
+        } => match registry.execute_governed(session, name, params.as_slice(), cursor.as_ref()) {
+            Ok(outcome) => {
+                return Reply::Rows {
+                    rows: outcome.result.rows,
+                    cursor: outcome.result.cursor,
+                    degraded: outcome.shed,
+                }
+            }
+            Err(RegistryError::BudgetExceeded { tenant }) => budget_exceeded_response(&tenant),
+            Err(e) => err_response(e.to_string()),
+        },
         Request::Batch { requests } => {
             return Reply::Batch(
                 requests
@@ -809,10 +805,7 @@ pub fn respond<S: KvStore>(
         Request::Rebalance => {
             let balance = registry.rebalance();
             ok_response([
-                (
-                    "rebalances",
-                    Json::uint(registry.counters.rebalances.load(Ordering::Relaxed)),
-                ),
+                ("rebalances", count(&registry.counters.rebalances)),
                 ("shard_balance", balance_to_json(&balance)),
             ])
         }
@@ -1004,14 +997,8 @@ fn writes_to_json<S: KvStore>(registry: &StatementRegistry<S>) -> Json {
     let c = &registry.counters;
     let plans = registry.db().write_plan_stats();
     Json::obj([
-        (
-            "dml_executed",
-            Json::uint(c.dml_executed.load(Ordering::Relaxed)),
-        ),
-        (
-            "dml_errors",
-            Json::uint(c.dml_errors.load(Ordering::Relaxed)),
-        ),
+        ("dml_executed", count(&c.dml_executed)),
+        ("dml_errors", count(&c.dml_errors)),
         ("write_plans", Json::uint(plans.cached)),
         ("write_plan_compiles", Json::uint(plans.compiles)),
         ("write_plan_evictions", Json::uint(plans.evictions)),
@@ -1071,44 +1058,23 @@ fn overload_to_json<S: KvStore>(registry: &StatementRegistry<S>) -> Json {
         })
         .collect();
     Json::obj([
-        (
-            "backpressure_stalls",
-            Json::uint(c.backpressure_stalls.load(Ordering::Relaxed)),
-        ),
+        ("backpressure_stalls", count(&c.backpressure_stalls)),
         ("budget_rejected", Json::uint(rejected)),
         ("budget_shed", Json::uint(shed)),
-        (
-            "auto_rebalances",
-            Json::uint(c.auto_rebalances.load(Ordering::Relaxed)),
-        ),
+        ("auto_rebalances", count(&c.auto_rebalances)),
         ("tenants", Json::Arr(tenants)),
     ])
-}
-
-fn run_execute<S: KvStore>(
-    session: &mut Session,
-    registry: &StatementRegistry<S>,
-    name: &str,
-    params: &[piql_core::plan::params::ParamValue],
-    cursor: Option<&piql_engine::Cursor>,
-) -> Reply {
-    match registry.execute_governed(session, name, params, cursor) {
-        Ok(outcome) => Reply::Rows {
-            rows: outcome.result.rows,
-            cursor: outcome.result.cursor,
-            degraded: outcome.shed,
-        },
-        Err(RegistryError::BudgetExceeded { tenant }) => {
-            Reply::Doc(budget_exceeded_response(&tenant))
-        }
-        Err(e) => Reply::Doc(err_response(e.to_string())),
-    }
 }
 
 /// Drift intervals shipped per statement in a `stats` reply. The registry
 /// retains more; capping the wire copy keeps `stats` cost flat no matter
 /// how many sweeps a long-lived server has run (pinned by a test).
 const STATS_DRIFT_INTERVALS: usize = 8;
+
+/// A counter as the wire carries it.
+fn count(counter: &AtomicU64) -> Json {
+    Json::uint(counter.load(Ordering::Relaxed))
+}
 
 fn stats_response<S: KvStore>(registry: &StatementRegistry<S>) -> Json {
     let c = &registry.counters;
@@ -1124,10 +1090,7 @@ fn stats_response<S: KvStore>(registry: &StatementRegistry<S>) -> Json {
                 ("name", Json::str(s.name.clone())),
                 ("status", Json::str(admission.verdict())),
                 ("kind", Json::str(s.kind_name())),
-                (
-                    "executions",
-                    Json::uint(s.executions.load(Ordering::Relaxed)),
-                ),
+                ("executions", count(&s.executions)),
                 // observed quantiles next to the refreshed prediction: the
                 // pair the feedback loop exists to keep honest
                 ("p50_ms", Json::Float(s.quantile_ms(0.5))),
@@ -1157,58 +1120,22 @@ fn stats_response<S: KvStore>(registry: &StatementRegistry<S>) -> Json {
         })
         .collect();
     let mut response = ok_response([
-        ("admitted", Json::uint(c.admitted.load(Ordering::Relaxed))),
-        ("degraded", Json::uint(c.degraded.load(Ordering::Relaxed))),
-        (
-            "rejected_slo",
-            Json::uint(c.rejected_slo.load(Ordering::Relaxed)),
-        ),
-        (
-            "rejected_unbounded",
-            Json::uint(c.rejected_unbounded.load(Ordering::Relaxed)),
-        ),
-        ("executed", Json::uint(c.executed.load(Ordering::Relaxed))),
-        (
-            "fast_point_reads",
-            Json::uint(c.fast_point_reads.load(Ordering::Relaxed)),
-        ),
-        (
-            "exec_errors",
-            Json::uint(c.exec_errors.load(Ordering::Relaxed)),
-        ),
-        (
-            "handler_panics",
-            Json::uint(c.handler_panics.load(Ordering::Relaxed)),
-        ),
+        ("admitted", count(&c.admitted)),
+        ("degraded", count(&c.degraded)),
+        ("rejected_slo", count(&c.rejected_slo)),
+        ("rejected_unbounded", count(&c.rejected_unbounded)),
+        ("executed", count(&c.executed)),
+        ("fast_point_reads", count(&c.fast_point_reads)),
+        ("exec_errors", count(&c.exec_errors)),
+        ("handler_panics", count(&c.handler_panics)),
         ("writes", writes_to_json(registry)),
-        (
-            "revalidations",
-            Json::uint(c.revalidations.load(Ordering::Relaxed)),
-        ),
-        (
-            "samples_folded",
-            Json::uint(c.samples_folded.load(Ordering::Relaxed)),
-        ),
-        (
-            "drift_redegraded",
-            Json::uint(c.drift_redegraded.load(Ordering::Relaxed)),
-        ),
-        (
-            "drift_relaxed",
-            Json::uint(c.drift_relaxed.load(Ordering::Relaxed)),
-        ),
-        (
-            "drift_flagged",
-            Json::uint(c.drift_flagged.load(Ordering::Relaxed)),
-        ),
-        (
-            "drift_recovered",
-            Json::uint(c.drift_recovered.load(Ordering::Relaxed)),
-        ),
-        (
-            "rebalances",
-            Json::uint(c.rebalances.load(Ordering::Relaxed)),
-        ),
+        ("revalidations", count(&c.revalidations)),
+        ("samples_folded", count(&c.samples_folded)),
+        ("drift_redegraded", count(&c.drift_redegraded)),
+        ("drift_relaxed", count(&c.drift_relaxed)),
+        ("drift_flagged", count(&c.drift_flagged)),
+        ("drift_recovered", count(&c.drift_recovered)),
+        ("rebalances", count(&c.rebalances)),
         (
             "shard_balance",
             balance_to_json(&registry.db().cluster().balance()),

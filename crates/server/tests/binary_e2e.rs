@@ -537,3 +537,62 @@ fn every_lane_books_an_execution_once() {
         assert_eq!(moved, [1, 1, fast], "{lane}");
     }
 }
+
+/// An execution that fails is booked the same way on every lane: its
+/// tenant admitted it once, `exec_errors` counts it once, and neither
+/// `executed` nor the statement's `executions` moves. A point read sent
+/// without its parameter reaches the fast lane, which hands it on.
+#[test]
+fn every_lane_books_a_failed_execution_once() {
+    let server = start_server();
+    let addr = server.local_addr();
+    let mut v3 = Client::connect_binary(addr).unwrap();
+    let mut v2 = Client::connect(addr).unwrap();
+    v2.prepare("point", POINT).unwrap();
+    v2.prepare(
+        "stream",
+        "SELECT * FROM thoughts WHERE owner = <u> ORDER BY timestamp DESC LIMIT 3",
+    )
+    .unwrap();
+    let registry = server.registry();
+    let budget = registry.budget_for("default");
+
+    let booked = |name: &str| {
+        let statement = registry.get(name).unwrap();
+        let c = &registry.counters;
+        [
+            budget.snapshot().admitted,
+            c.exec_errors.load(Ordering::Relaxed),
+            c.executed.load(Ordering::Relaxed),
+            statement.executions.load(Ordering::Relaxed),
+            c.fast_point_reads.load(Ordering::Relaxed),
+        ]
+    };
+    let unbound = |name: &str| Request::Execute {
+        name: name.into(),
+        params: Vec::new(),
+        cursor: None,
+    };
+    // (lane, statement, whether it goes through a pipeline)
+    let lanes = [
+        ("binary fast lane", "point", 3, false),
+        ("binary general lane", "stream", 3, false),
+        ("JSON tagged", "point", 2, true),
+        ("JSON id-less", "point", 2, false),
+    ];
+    for (lane, name, codec, tagged) in lanes {
+        let client = if codec == 3 { &mut v3 } else { &mut v2 };
+        let before = booked(name);
+        let answer = if tagged {
+            let mut pipeline = client.pipeline();
+            pipeline.queue(&unbound(name));
+            pipeline.flush().unwrap().remove(0)
+        } else {
+            client.request_raw(&unbound(name)).unwrap()
+        };
+        assert_eq!(answer.get("ok"), Some(&Json::Bool(false)), "{lane}");
+        let after = booked(name);
+        let moved: Vec<u64> = after.iter().zip(before).map(|(a, b)| a - b).collect();
+        assert_eq!(moved, [1, 1, 0, 0, 0], "{lane}");
+    }
+}
