@@ -94,26 +94,39 @@ pub fn encode_component_ref(
             out.push(b as u8);
         }
         ValueRef::Varchar(s) => {
-            out.push(TAG_VALUE);
-            for &b in s.as_bytes() {
-                if b == 0x00 {
-                    out.push(0x00);
-                    out.push(0xFF);
-                } else {
-                    out.push(b);
-                }
-            }
-            out.push(0x00);
-            out.push(TAG_VALUE); // terminator 0x00 0x01: below every escape pair
+            encode_str(out, s, dir);
+            return Ok(());
         }
         ValueRef::Double(_) => return Err(KeyCodecError::UnsupportedType(DataType::Double)),
     }
+    complement_if_desc(&mut out[start..], dir);
+    Ok(())
+}
+
+/// Append one `Varchar` component: the one kind of component whose
+/// encoding cannot fail, as a token of a `TOKEN` part always is.
+pub fn encode_str(out: &mut Vec<u8>, s: &str, dir: Dir) {
+    let start = out.len();
+    out.push(TAG_VALUE);
+    for &b in s.as_bytes() {
+        if b == 0x00 {
+            out.push(0x00);
+            out.push(0xFF);
+        } else {
+            out.push(b);
+        }
+    }
+    out.push(0x00);
+    out.push(TAG_VALUE); // terminator 0x00 0x01: below every escape pair
+    complement_if_desc(&mut out[start..], dir);
+}
+
+fn complement_if_desc(component: &mut [u8], dir: Dir) {
     if dir == Dir::Desc {
-        for b in &mut out[start..] {
+        for b in component {
             *b = !*b;
         }
     }
-    Ok(())
 }
 
 /// Encode a composite key. `dirs` must be at least as long as `values`;

@@ -180,10 +180,7 @@ impl BoundPredicate {
             BoundPredicate::TokenMatch { field, operand } => {
                 let pat = operand.resolve(params)?;
                 match (row.value(*field).as_str(), pat.as_str()) {
-                    (Some(t), Some(p)) => match text::search_token(p) {
-                        Some(tok) => text::contains_token(t, &tok),
-                        None => false,
-                    },
+                    (Some(t), Some(p)) => text::matches_like(t, p),
                     _ => false,
                 }
             }
@@ -307,6 +304,80 @@ mod tests {
             .eval(&tuple!["Wrathful Tales No"], params().view())
             .unwrap());
         assert!(!pred.eval(&tuple!["peaceful"], params().view()).unwrap());
+    }
+
+    /// `LIKE` as it was evaluated before tokens were streamed: the
+    /// pattern tokenized into a vector of strings, then the text, and the
+    /// pattern's one token looked up among the text's.
+    fn like_by_vectors(text: &str, pattern: &str) -> bool {
+        let tokenize = |s: &str| {
+            let mut tokens = Vec::new();
+            let mut current = String::new();
+            for ch in s.chars() {
+                if ch.is_alphanumeric() {
+                    current.extend(ch.to_lowercase());
+                } else if !current.is_empty() {
+                    tokens.push(std::mem::take(&mut current));
+                }
+            }
+            if !current.is_empty() {
+                tokens.push(current);
+            }
+            tokens
+        };
+        let mut wanted = tokenize(pattern.trim_matches('%'));
+        wanted.len() == 1 && tokenize(text).contains(&wanted.remove(0).to_lowercase())
+    }
+
+    #[test]
+    fn token_match_agrees_with_the_vector_tokenizer() {
+        let table = [
+            // case folding, multi-char lowercase included
+            ("The Grapes of Wrath", "WRATH"),
+            ("Ümlaut Text", "ümlaut"),
+            ("İstanbul Nights", "İSTANBUL"),
+            ("İstanbul Nights", "istanbul"),
+            ("ΣΟΦΙΑ Σ", "σ"),
+            // `%` stripping
+            ("The Grapes of Wrath", "%grapes%"),
+            ("The Grapes of Wrath", "%%of"),
+            // token-exact, not substring
+            ("The Grapes of Wrath", "rape"),
+            ("Wrathful Tales", "wrath"),
+            ("wrath wrath", "wrath"),
+            // multi-token and token-free patterns
+            ("The Grapes of Wrath", "grapes of"),
+            ("The Grapes of Wrath", "%grapes-of%"),
+            ("The Grapes of Wrath", "%"),
+            ("The Grapes of Wrath", ""),
+            ("", "wrath"),
+            ("-- !!", "wrath"),
+            ("a\0b", "b"),
+        ];
+        let pred = BoundPredicate::TokenMatch {
+            field: 0,
+            operand: Operand::Param(Param {
+                index: 0,
+                name: "pattern".into(),
+                max_cardinality: None,
+            }),
+        };
+        let eval = |text: Value, pattern: Value| {
+            let mut params = Params::new();
+            params.set(0, pattern);
+            pred.eval(&Tuple::new(vec![text]), params.view()).unwrap()
+        };
+        let mut matched = 0;
+        for (text, pattern) in table {
+            let want = like_by_vectors(text, pattern);
+            let got = eval(Value::Varchar(text.into()), Value::Varchar(pattern.into()));
+            assert_eq!(got, want, "{text:?} LIKE {pattern:?}");
+            matched += usize::from(got);
+        }
+        assert_eq!(matched, 8, "the table exercises both answers");
+        // NULL on either side matches nothing
+        assert!(!eval(Value::Null, Value::Varchar("wrath".into())));
+        assert!(!eval(Value::Varchar("wrath".into()), Value::Null));
     }
 
     #[test]

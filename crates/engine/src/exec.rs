@@ -771,6 +771,7 @@ impl<'a> ExecCtx<'a> {
         let answer = self.read(&round)?;
         self.clear_op_tag();
         out.reserve(answer.entries().len(), value_bytes(answer.entries()));
+        let mut derive = keys::DeriveScratch::default();
         for (i, (k, _)) in entries.enumerate() {
             if let Some((_, record)) = answer.probe(i).next() {
                 left(out, i)?;
@@ -779,9 +780,7 @@ impl<'a> ExecCtx<'a> {
                 // record moved on (crash between record update and
                 // stale-entry deletion); re-verify the entry is
                 // still derivable from the record before emitting
-                let mut derivable = false;
-                keys::entry_keys(&op.parts, &out.pending(), |key| derivable |= key == k)?;
-                if derivable {
+                if keys::derives(&op.parts, &out.pending(), k, &mut derive)? {
                     out.end_row()?;
                 } else {
                     out.drop_row();

@@ -13,6 +13,7 @@ use piql_core::text;
 use piql_core::tuple::Tuple;
 use piql_core::value::{DataType, Value, ValueRef};
 use std::fmt;
+use std::ops::{ControlFlow, Range};
 
 /// Engine-level errors around key/row handling.
 #[derive(Debug, Clone, PartialEq)]
@@ -145,7 +146,8 @@ pub fn primary_key_from_values(values: &[Value]) -> Result<Vec<u8>, KeyError> {
 }
 
 /// Hand every index-entry key of `row` under the key layout `parts` to
-/// `emit` (several when a TOKEN part expands, none when it has no tokens).
+/// `emit` (several when a TOKEN part expands, none when it has no tokens),
+/// sorted and each once, every key in a buffer of exactly its size.
 pub fn entry_keys<R: RowSource>(
     parts: &[KeyPart],
     row: &R,
@@ -165,39 +167,105 @@ pub fn entry_keys<R: RowSource>(
         emit(out);
         return Ok(());
     }
-    // token expansion: cartesian over token parts (in practice one)
-    let mut variants: Vec<Vec<u8>> = vec![Vec::new()];
+    // token expansion: each part's candidate components, encoded back to
+    // back into one buffer (a TOKEN part's sorted and deduplicated), and
+    // the keys their cartesian product. Components are prefix-free, so
+    // walking the product in order emits the keys sorted, each once.
+    let (mut bytes, mut token) = (Vec::new(), String::new());
+    let (mut comps, mut found): (Vec<Range<usize>>, Vec<Range<usize>>) = Default::default();
+    let mut spans = Vec::with_capacity(parts.len());
     for part in parts {
+        let first = comps.len();
         let value = row.value(part.col)?;
         if !part.token {
-            for buf in &mut variants {
-                key::encode_component_ref(buf, value, part.dir).map_err(KeyError::from)?;
-            }
-            continue;
+            let start = bytes.len();
+            key::encode_component_ref(&mut bytes, value, part.dir).map_err(KeyError::from)?;
+            comps.push(start..bytes.len());
+        } else if let ValueRef::Varchar(s) = value {
+            let _ = text::each_token(s, &mut token, |t| {
+                let start = bytes.len();
+                key::encode_str(&mut bytes, t, part.dir);
+                found.push(start..bytes.len());
+                ControlFlow::<()>::Continue(())
+            });
+            found.sort_unstable_by(|a, b| bytes[a.clone()].cmp(&bytes[b.clone()]));
+            found.dedup_by(|a, b| bytes[a.clone()] == bytes[b.clone()]);
+            comps.append(&mut found);
         }
-        let texts = match value {
-            ValueRef::Varchar(s) => text::tokenize(s),
-            _ => Vec::new(),
-        };
-        if texts.is_empty() {
+        if comps.len() == first {
             // no tokens -> no entries for this row
             return Ok(());
         }
-        let mut expanded = Vec::with_capacity(variants.len() * texts.len());
-        for buf in &variants {
-            for tok in &texts {
-                let mut b = buf.clone();
-                key::encode_component_ref(&mut b, ValueRef::Varchar(tok), part.dir)
-                    .map_err(KeyError::from)?;
-                expanded.push(b);
-            }
-        }
-        variants = expanded;
+        spans.push(first..comps.len());
     }
-    variants.sort();
-    variants.dedup();
-    variants.into_iter().for_each(emit);
-    Ok(())
+    let mut pick: Vec<usize> = spans.iter().map(|span| span.start).collect();
+    loop {
+        let mut key = Vec::with_capacity(pick.iter().map(|&c| comps[c].len()).sum());
+        for &c in &pick {
+            key.extend_from_slice(&bytes[comps[c].clone()]);
+        }
+        emit(key);
+        // the next combination: step the last part that has one left
+        let Some(i) = (0..pick.len()).rfind(|&i| pick[i] + 1 < spans[i].end) else {
+            return Ok(());
+        };
+        pick[i] += 1;
+        for j in i + 1..pick.len() {
+            pick[j] = spans[j].start;
+        }
+    }
+}
+
+/// The buffers [`derives`] reuses from one row to the next: one encoded
+/// component and one lowercased token.
+#[derive(Debug, Default)]
+pub struct DeriveScratch {
+    component: Vec<u8>,
+    token: String,
+}
+
+/// Whether `row` derives the index-entry `key` under the layout `parts`,
+/// i.e. whether [`entry_keys`] would emit it — the §7.2 re-check that an
+/// entry still follows from the record it leads to — answered without
+/// building a key. Each of the row's components is encoded into `scratch`
+/// and matched against the next bytes of `key`. Components are
+/// prefix-free (a fixed width, or `00 01`-terminated with `00 FF`
+/// escapes), so at most one token of a TOKEN part can match there, and the
+/// greedy match is exact.
+pub fn derives<R: RowSource>(
+    parts: &[KeyPart],
+    row: &R,
+    key: &[u8],
+    scratch: &mut DeriveScratch,
+) -> Result<bool, R::Error> {
+    let DeriveScratch { component, token } = scratch;
+    let mut rest = key;
+    for part in parts {
+        let value = row.value(part.col)?;
+        let matched = if !part.token {
+            component.clear();
+            key::encode_component_ref(component, value, part.dir).map_err(KeyError::from)?;
+            rest.starts_with(component).then_some(component.len())
+        } else if let ValueRef::Varchar(s) = value {
+            let found = text::each_token(s, token, |t| {
+                component.clear();
+                key::encode_str(component, t, part.dir);
+                if rest.starts_with(component) {
+                    ControlFlow::Break(component.len())
+                } else {
+                    ControlFlow::Continue(())
+                }
+            });
+            found.break_value()
+        } else {
+            None // a TOKEN part without text derives no entry
+        };
+        match matched {
+            Some(len) => rest = &rest[len..],
+            None => return Ok(false),
+        }
+    }
+    Ok(rest.is_empty())
 }
 
 /// Append one probe component with the part's direction.

@@ -23,12 +23,14 @@
 use crate::exec::{page_range, ExecError};
 use crate::keys::{self, KeyPart, RowSource};
 use piql_core::catalog::{CardinalityConstraint, Catalog, ColumnId, IndexDef, TableDef};
-use piql_core::codec::key::{encode_component_ref, prefix_upper_bound, Dir};
+use piql_core::codec::key::{encode_component_ref, encode_str, prefix_upper_bound, Dir};
 use piql_core::plan::params::ParamError;
+use piql_core::text;
 use piql_core::tuple::Tuple;
 use piql_core::value::{DataType, Value, ValueRef};
 use piql_kv::{KvRequest, KvResponse, KvStore, MalformedRound, NsId, Session};
 use std::fmt;
+use std::ops::ControlFlow;
 use std::sync::Arc;
 
 /// Write-path errors.
@@ -282,16 +284,14 @@ impl ConstraintProbe {
                 Ok(store.execute_one(session, count_prefix(prefix)).count()?)
             }
             ProbeKind::Token(col) => {
-                let tokens = match row.value(*col)? {
-                    ValueRef::Varchar(s) => piql_core::text::tokenize(s),
-                    _ => Vec::new(),
-                };
                 let mut round = Round::default();
-                for token in &tokens {
-                    let mut prefix = Vec::new();
-                    encode_component_ref(&mut prefix, ValueRef::Varchar(token), Dir::Asc)
-                        .map_err(keys::KeyError::from)?;
-                    round.push(count_prefix(prefix));
+                if let ValueRef::Varchar(s) = row.value(*col)? {
+                    let _ = text::each_token(s, &mut String::new(), |token| {
+                        let mut prefix = Vec::with_capacity(token.len() + 3);
+                        encode_str(&mut prefix, token, Dir::Asc);
+                        round.push(count_prefix(prefix));
+                        ControlFlow::<()>::Continue(())
+                    });
                 }
                 let mut worst = 0;
                 for response in round.issue(store, session) {
@@ -687,6 +687,7 @@ impl<'a> Writer<'a> {
     ) -> Result<u64, WriteError> {
         let table = &target.table;
         let mut collected = 0u64;
+        let mut scratch = keys::DeriveScratch::default();
         for idx in &target.indexes {
             let everything = (Vec::new(), None);
             page_range(
@@ -714,9 +715,7 @@ impl<'a> Writer<'a> {
                             Some(bytes) => {
                                 // entry must still be derivable from the record
                                 let rec = keys::decode_row(table, &bytes)?;
-                                let mut derived = false;
-                                keys::entry_keys(&idx.parts, &rec, |k| derived |= k == entry_key)?;
-                                !derived
+                                !keys::derives(&idx.parts, &rec, entry_key, &mut scratch)?
                             }
                             None => true, // record gone entirely
                         };

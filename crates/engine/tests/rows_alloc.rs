@@ -5,7 +5,8 @@
 //! adds a constant for its output block, not a vector per row, a `String`
 //! per field or a copy of the left row per match. What the store is asked
 //! and answers does not grow with the rows either: a join's probes travel
-//! as one packed round and come back as one block. On the write side, an
+//! as one packed round and come back as one block, and a TOKEN-index
+//! entry's re-check against its record builds no key. On the write side, an
 //! UPDATE's record reaches the store in a key built with room for it, so
 //! the store's test-and-set grows nothing.
 //!
@@ -213,6 +214,68 @@ fn a_result_set_allocates_per_operator_not_per_row() {
     println!(
         "allocations per execution: scan {scans:?}, sorted join {streams:?}, FK join {joins:?}"
     );
+}
+
+#[test]
+#[cfg_attr(
+    feature = "lock-order",
+    ignore = "lock-order tracking allocates by design"
+)]
+fn a_token_index_dereference_allocates_per_operator_not_per_row() {
+    let db = Database::new(Arc::new(LiveCluster::new(LiveConfig {
+        shards_per_namespace: 1,
+        ..LiveConfig::default()
+    })));
+    db.execute_ddl(
+        "CREATE TABLE books ( \
+           id INT NOT NULL, \
+           title VARCHAR(100), \
+           PRIMARY KEY (id) )",
+    )
+    .unwrap();
+    // `set{n}` names exactly n multi-word titles, each with a repeated
+    // token and words every title shares
+    const SETS: [usize; 3] = [1, 10, 50];
+    let mut titles = Vec::new();
+    for n in SETS {
+        titles.extend((0..n).map(|i| format!("The Grapes of Wrath, volume {i} of set{n}")));
+    }
+    db.bulk_load(
+        "books",
+        (titles.iter().enumerate()).map(|(id, title)| tuple![id as i32, title.as_str()]),
+    )
+    .unwrap();
+    // the LIKE is served by a TOKEN(title) index that does not cover the
+    // row: every entry is dereferenced and re-checked against its record
+    let search = db
+        .prepare("SELECT * FROM books WHERE title LIKE <word> LIMIT 50")
+        .unwrap();
+    let plan = search.compiled.explain();
+    assert!(
+        plan.contains("IndexScan(idx_books_tok_title") && plan.contains("deref"),
+        "{plan}"
+    );
+    let searches = SETS.map(|n| {
+        let params = Params::from_values([Value::Varchar(format!("set{n}"))]);
+        let mut session = Session::new();
+        // warm, and leave every stripe of the store's operation-sample
+        // sink drained but with room (two samples a run, eight stripes),
+        // so that where the counted run's samples land costs nothing
+        for _ in 0..4 {
+            db.execute(&mut session, &search, &params).unwrap();
+        }
+        db.cluster().sample_sink().drain();
+        let (result, made) = counted(|| db.execute(&mut session, &search, &params).unwrap());
+        assert_eq!(result.rows.len(), n, "set{n}");
+        made
+    });
+    // at decf205 each re-check rebuilt every key its record derives: 28
+    // allocations a row for these titles, [45, 297, 1417] here
+    assert!(
+        searches.iter().all(|&made| made == searches[0]),
+        "1, 10 and 50 dereferenced rows must cost the same: {searches:?}"
+    );
+    println!("allocations per TOKEN-index search: {searches:?}");
 }
 
 /// A `LiveCluster` that counts the test-and-sets it serves, the ones whose
