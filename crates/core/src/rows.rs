@@ -114,11 +114,18 @@ pub struct Rows {
 impl Rows {
     /// Start a block of `arity`-value rows.
     pub fn builder(arity: usize) -> RowsBuilder {
+        Rows::default().rebuild(arity)
+    }
+
+    /// Start a block of `arity`-value rows in this block's buffers, which
+    /// it empties: how a caller that keeps a block between uses refills it.
+    pub fn rebuild(mut self, arity: usize) -> RowsBuilder {
+        self.len = 0;
+        self.arity = arity;
+        self.cells.clear();
+        self.text.clear();
         RowsBuilder {
-            rows: Rows {
-                arity,
-                ..Rows::default()
-            },
+            rows: self,
             left: Vec::new(),
             left_arity: 0,
             base: 0,
@@ -154,6 +161,11 @@ impl Rows {
     /// Values per row.
     pub fn arity(&self) -> usize {
         self.arity
+    }
+
+    /// Bytes the block's buffers have room for.
+    pub fn capacity_bytes(&self) -> usize {
+        self.cells.capacity() * std::mem::size_of::<Cell>() + self.text.capacity()
     }
 
     /// Row `i`. Panics when `i >= len()`, like a slice.

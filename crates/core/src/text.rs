@@ -43,8 +43,14 @@ pub fn each_token<B>(
 /// inverted index serves single-token lookups (§7.3).
 pub fn search_token(pattern: &str) -> Option<String> {
     let mut token = String::new();
+    search_token_into(pattern, &mut token).then_some(token)
+}
+
+/// [`search_token`] into `token`, which a caller that keeps it reuses:
+/// answers whether the pattern is one token, which `token` then holds.
+pub fn search_token_into(pattern: &str, token: &mut String) -> bool {
     let mut seen = 0;
-    let _ = each_token(pattern.trim_matches('%'), &mut token, |_| {
+    let _ = each_token(pattern.trim_matches('%'), token, |_| {
         seen += 1;
         if seen > 1 {
             ControlFlow::Break(())
@@ -52,7 +58,7 @@ pub fn search_token(pattern: &str) -> Option<String> {
             ControlFlow::Continue(())
         }
     });
-    (seen == 1).then_some(token)
+    seen == 1
 }
 
 /// `text LIKE pattern` as a `TOKEN` index serves it: the pattern's one

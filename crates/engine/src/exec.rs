@@ -21,13 +21,18 @@
 //! operator's fanned round — the FK join's gets, the sorted join's ranges,
 //! a non-covering scan's dereference — is built as one packed
 //! [`ReadRound`] and read back as one [`ReadAnswer`] block, whatever the
-//! strategy issues it as.
+//! strategy issues it as; so is a bounded scan's one range.
+//!
+//! Everything an execution builds only to read with — probe and bound
+//! keys, rounds, the store's answers, the sorted join's merge order — lives
+//! in the executing thread's scratch and is reused by its next execution:
+//! a warm read allocates only the [`Rows`] blocks it answers with.
 
 use crate::cursor::{Cursor, CursorState};
 use crate::keys::{self, KeyPart};
 use piql_core::ast::AggFunc;
 use piql_core::catalog::{Catalog, ColumnId, IndexDef, TableDef, TableId};
-use piql_core::codec::key::{self, prefix_upper_bound, prefix_upper_bound_in_place, Dir};
+use piql_core::codec::key::{self, prefix_upper_bound_in_place, Dir};
 use piql_core::codec::row as row_codec;
 use piql_core::opt::UNBOUNDED_SCAN_BATCH;
 use piql_core::plan::params::{ParamError, ParamsRef};
@@ -36,11 +41,13 @@ use piql_core::plan::physical::{
 };
 use piql_core::plan::BoundPredicate;
 use piql_core::rows::{Row, Rows, RowsBuilder, RowsError};
+use piql_core::text;
 use piql_core::value::{DataType, Value, ValueRef};
 use piql_kv::{
     Entries, KvRequest, KvResponse, KvStore, MalformedRound, ModelKey, NsId, OpKind, Probe,
     ReadAnswer, ReadRound, Session,
 };
+use std::cell::Cell;
 use std::cmp::Ordering;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -243,6 +250,95 @@ impl RemoteOp {
     }
 }
 
+/// The most bytes a buffer of the execution scratch keeps from one
+/// execution to the next: a scratch with one that grew past it is let go
+/// when the execution ends. Far above the largest bounded answer of the benchmark's
+/// reads (under 10 KB), so those never regrow, while one outsized read
+/// does not stay resident on its thread.
+pub const SCRATCH_CEILING_BYTES: usize = 64 * 1024;
+
+thread_local! {
+    /// The executing thread's scratch between executions.
+    static SCRATCH: Cell<Option<ExecScratch>> = const { Cell::new(None) };
+}
+
+/// What one execution builds only to read with, kept for the next on the
+/// same thread: an operator issues a bounded number of requests for a
+/// bounded number of entries (§5, §7.1), so these stop growing once warm.
+#[derive(Default)]
+struct ExecScratch {
+    /// The key being built: a scan's start, a join's probe (and the
+    /// sorted join's bound behind it).
+    key: Vec<u8>,
+    /// A scan's end.
+    end: Vec<u8>,
+    /// A TOKEN-index probe's search token.
+    token: String,
+    /// The operator's round and the store's answer to it.
+    round: ReadRound,
+    answer: ReadAnswer,
+    /// The sorted join's merge order, as (child, entry) pairs, and each
+    /// child's probe-prefix length.
+    items: Vec<(usize, usize)>,
+    prefix_lens: Vec<usize>,
+    /// What turning the answer's entries into rows uses.
+    rows: RowScratch,
+}
+
+/// [`ExecCtx::materialize`]'s part of the scratch, apart from the answer
+/// whose entries it reads.
+#[derive(Default)]
+struct RowScratch {
+    /// The strings an index key decodes through.
+    key_text: Vec<u8>,
+    /// A dereference's index entries as rows, its primary key, its round
+    /// and the store's answer.
+    key_rows: Rows,
+    pk: Vec<u8>,
+    round: ReadRound,
+    answer: ReadAnswer,
+    /// A TOKEN entry's re-check against its record.
+    derive: keys::DeriveScratch,
+}
+
+impl ExecScratch {
+    /// The bytes the largest of its buffers has room for.
+    fn largest_buffer(&self) -> usize {
+        fn bytes<T>(buffer: &Vec<T>) -> usize {
+            buffer.capacity() * std::mem::size_of::<T>()
+        }
+        let (s, r) = (self, &self.rows);
+        [
+            bytes(&s.key),
+            bytes(&s.end),
+            s.token.capacity(),
+            s.round.capacity_bytes(),
+            s.answer.capacity_bytes(),
+            bytes(&s.items),
+            bytes(&s.prefix_lens),
+            bytes(&r.key_text),
+            r.key_rows.capacity_bytes(),
+            bytes(&r.pk),
+            r.round.capacity_bytes(),
+            r.answer.capacity_bytes(),
+            r.derive.capacity_bytes(),
+        ]
+        .into_iter()
+        .max()
+        .unwrap_or(0)
+    }
+}
+
+/// The bytes of the largest buffer the calling thread's execution scratch
+/// keeps between executions — at most [`SCRATCH_CEILING_BYTES`] — or 0
+/// when it keeps none.
+pub fn largest_scratch_buffer() -> usize {
+    let scratch = SCRATCH.take();
+    let largest = scratch.as_ref().map_or(0, ExecScratch::largest_buffer);
+    SCRATCH.set(scratch);
+    largest
+}
+
 /// The execution context threaded through operator evaluation.
 pub struct ExecCtx<'a> {
     pub store: &'a dyn KvStore,
@@ -300,8 +396,21 @@ impl<'a> ExecCtx<'a> {
         self.session.op_tag = None;
     }
 
-    /// Evaluate a plan to completion.
+    /// Evaluate a plan to completion, in the executing thread's scratch:
+    /// taken from its slot for the evaluation, so a nested one makes its
+    /// own, and put back after it — unless a buffer outgrew
+    /// [`SCRATCH_CEILING_BYTES`], or a panic unwinds past it, either of
+    /// which drops it.
     pub fn eval(&mut self, plan: &PhysicalPlan) -> Result<Rows, ExecError> {
+        let mut scratch = SCRATCH.take().unwrap_or_default();
+        let rows = self.eval_in(plan, &mut scratch);
+        if scratch.largest_buffer() <= SCRATCH_CEILING_BYTES {
+            SCRATCH.set(Some(scratch));
+        }
+        rows
+    }
+
+    fn eval_in(&mut self, plan: &PhysicalPlan, s: &mut ExecScratch) -> Result<Rows, ExecError> {
         match plan {
             PhysicalPlan::ParamSource { param, max, .. } => {
                 let values = self
@@ -318,7 +427,7 @@ impl<'a> ExecCtx<'a> {
             }
             PhysicalPlan::IndexScan { spec, .. } => {
                 let op = self.next_op()?;
-                self.eval_scan(op, spec)
+                self.eval_scan(op, spec, s)
             }
             PhysicalPlan::IndexFKJoin {
                 child,
@@ -326,35 +435,35 @@ impl<'a> ExecCtx<'a> {
                 row_bytes,
                 ..
             } => {
-                let children = self.eval(child)?;
+                let children = self.eval_in(child, s)?;
                 let op = self.next_op()?;
-                self.eval_fk_join(op, children, key, *row_bytes)
+                self.eval_fk_join(op, children, key, *row_bytes, s)
             }
             PhysicalPlan::SortedIndexJoin { child, spec, .. } => {
-                let children = self.eval(child)?;
+                let children = self.eval_in(child, s)?;
                 let op = self.next_op()?;
-                self.eval_sorted_join(op, children, spec)
+                self.eval_sorted_join(op, children, spec, s)
             }
             PhysicalPlan::LocalSelection {
                 child, predicates, ..
             } => {
-                let mut rows = self.eval(child)?;
+                let mut rows = self.eval_in(child, s)?;
                 let params = self.params;
                 rows.try_retain(|row| BoundPredicate::eval_all(predicates, &row, params))?;
                 Ok(rows)
             }
             PhysicalPlan::LocalSort { child, keys, .. } => {
-                let mut rows = self.eval(child)?;
+                let mut rows = self.eval_in(child, s)?;
                 rows.sort_by(|a, b| compare_rows(&a, &b, keys));
                 Ok(rows)
             }
             PhysicalPlan::LocalStop { child, count, .. } => {
-                let mut rows = self.eval(child)?;
+                let mut rows = self.eval_in(child, s)?;
                 rows.truncate(*count as usize);
                 Ok(rows)
             }
             PhysicalPlan::LocalProject { child, columns, .. } => {
-                let mut rows = self.eval(child)?;
+                let mut rows = self.eval_in(child, s)?;
                 rows.project(columns.iter().map(|(position, _)| *position))?;
                 Ok(rows)
             }
@@ -364,7 +473,7 @@ impl<'a> ExecCtx<'a> {
                 aggs,
                 ..
             } => {
-                let rows = self.eval(child)?;
+                let rows = self.eval_in(child, s)?;
                 Ok(aggregate_rows(&rows, group_by, aggs)?)
             }
         }
@@ -372,11 +481,18 @@ impl<'a> ExecCtx<'a> {
 
     // ------------------------------------------------------------- scans
 
-    fn eval_scan(&mut self, op: &RemoteOp, spec: &ScanSpec) -> Result<Rows, ExecError> {
+    fn eval_scan(
+        &mut self,
+        op: &RemoteOp,
+        spec: &ScanSpec,
+        s: &mut ExecScratch,
+    ) -> Result<Rows, ExecError> {
         let params = self.params;
-        let mut prefix = Vec::new();
+        let (start, end) = (&mut s.key, &mut s.end);
+        start.clear();
         Self::probe_prefix(
-            &mut prefix,
+            start,
+            &mut s.token,
             op,
             spec.eq_prefix
                 .iter()
@@ -387,7 +503,7 @@ impl<'a> ExecCtx<'a> {
             .get(spec.eq_prefix.len())
             .copied()
             .unwrap_or(Dir::Asc);
-        let (mut start, mut end) = self.range_bounds(prefix, spec.range.as_ref(), range_dir)?;
+        let mut bounded = range_bounds(params, start, end, spec.range.as_ref(), range_dir)?;
 
         // pagination resume. A cursor only ever narrows the scan: one
         // replayed under other parameters lies outside `[start, end)` and
@@ -396,14 +512,16 @@ impl<'a> ExecCtx<'a> {
         // empty)
         if let Some(CursorState::ScanAfter { last_key }) = self.resume {
             if spec.reverse {
-                if end.as_ref().is_none_or(|end| last_key < end) {
-                    end = Some(last_key.clone());
+                if !bounded || *last_key < *end {
+                    end.clone_from(last_key);
+                    bounded = true;
                 }
-            } else if *last_key >= start {
+            } else if *last_key >= *start {
                 start.clone_from(last_key);
                 start.push(0);
             }
         }
+        let end = bounded.then_some(end.as_slice());
 
         self.session.op_tag = Some(op.key);
         let (ns, reverse) = (op.ns, spec.reverse);
@@ -411,22 +529,26 @@ impl<'a> ExecCtx<'a> {
             .limit
             .is_bounded()
             .then(|| spec.limit.count_or_estimate());
+        let paged;
         let entries = match (max, self.strategy) {
-            // the §7.1 prefetch: one request fetches the whole hint
+            // the §7.1 prefetch: one range fetches the whole hint
             (Some(count), ExecStrategy::Simple | ExecStrategy::Parallel) => {
-                let request = KvRequest::GetRange {
-                    ns,
-                    start,
-                    end,
-                    limit: Some(count),
-                    reverse,
-                };
-                self.round_one(request).into_block()?
+                s.round.reset_ranges(ns, 1, Some(count), reverse);
+                s.round.push_range(start, end);
+                self.read(&s.round, &mut s.answer)?;
+                s.answer.entries()
             }
             // Lazy reads one entry per request; cost-based plans page
             // until exhausted
-            (max, ExecStrategy::Lazy) => self.read_pages(ns, (start, end), reverse, 1, max)?,
-            (max, _) => self.read_pages(ns, (start, end), reverse, UNBOUNDED_SCAN_BATCH, max)?,
+            (max, strategy) => {
+                let page = match strategy {
+                    ExecStrategy::Lazy => 1,
+                    _ => UNBOUNDED_SCAN_BATCH,
+                };
+                let bounds = (start.clone(), end.map(<[u8]>::to_vec));
+                paged = self.read_pages(ns, bounds, reverse, page, max)?;
+                &paged
+            }
         };
         self.clear_op_tag();
 
@@ -438,10 +560,9 @@ impl<'a> ExecCtx<'a> {
         }
 
         let mut rows = Rows::builder(op.table.columns.len());
-        let (deref, row_bytes) = (spec.deref, spec.row_bytes);
-        self.materialize(op, entries.iter(), deref, row_bytes, &mut rows, |_, _| {
-            Ok(())
-        })?;
+        let deref = spec.deref.then_some(spec.row_bytes);
+        let no_left = |_: &mut RowsBuilder, _| Ok(());
+        self.materialize(op, entries.iter(), deref, &mut rows, no_left, &mut s.rows)?;
         Ok(rows.finish())
     }
 
@@ -480,9 +601,10 @@ impl<'a> ExecCtx<'a> {
         children: Rows,
         key: &[KeySource],
         row_bytes: u64,
+        s: &mut ExecScratch,
     ) -> Result<Rows, ExecError> {
-        let mut round = ReadRound::gets(op.primary, children.len());
-        let mut probe = Vec::new();
+        let (round, probe, answer) = (&mut s.round, &mut s.key, &mut s.answer);
+        round.reset_gets(op.primary, children.len());
         for child in &children {
             probe.clear();
             for ks in key {
@@ -490,12 +612,12 @@ impl<'a> ExecCtx<'a> {
                     KeySource::Const(operand) => ValueRef::of(operand.resolve(self.params)?),
                     KeySource::ChildField(p) => child.value(*p),
                 };
-                keys::encode_probe_component(&mut probe, value, Dir::Asc)?;
+                keys::encode_probe_component(probe, value, Dir::Asc)?;
             }
-            round.push_get(&probe);
+            round.push_get(probe);
         }
         self.tag_op(OpKind::IndexFKJoin, round.len() as u64, 1, row_bytes);
-        let answer = self.read(&round)?;
+        self.read(round, answer)?;
         self.clear_op_tag();
         let mut out = children.widen(op.table.columns.len());
         out.reserve(answer.entries().len(), value_bytes(answer.entries()));
@@ -515,6 +637,7 @@ impl<'a> ExecCtx<'a> {
         op: &RemoteOp,
         children: Rows,
         spec: &SortedJoinSpec,
+        s: &mut ExecScratch,
     ) -> Result<Rows, ExecError> {
         // resume state
         let resume = match self.resume {
@@ -533,13 +656,23 @@ impl<'a> ExecCtx<'a> {
         // narrowed to the cursor position when resuming — conservatively,
         // including it, and filtered below
         let params = self.params;
-        let mut round = ReadRound::ranges(op.ns, children.len(), Some(spec.per_key), spec.reverse);
-        let mut prefix_lens = Vec::with_capacity(children.len());
-        let mut probe = Vec::new();
+        let ExecScratch {
+            key: probe,
+            token,
+            round,
+            answer,
+            items,
+            prefix_lens,
+            rows,
+            ..
+        } = s;
+        round.reset_ranges(op.ns, children.len(), Some(spec.per_key), spec.reverse);
+        prefix_lens.clear();
         for child in &children {
             probe.clear();
             Self::probe_prefix(
-                &mut probe,
+                probe,
+                token,
                 op,
                 spec.prefix.iter().map(|ks| match ks {
                     KeySource::Const(operand) => operand.resolve(params).map(ValueRef::of),
@@ -561,7 +694,7 @@ impl<'a> ExecCtx<'a> {
             };
             let bound = probe.len();
             probe.extend_from_within(..under);
-            let bounded = prefix_upper_bound_in_place(&mut probe, bound);
+            let bounded = prefix_upper_bound_in_place(probe, bound);
             round.push_range(&probe[..start], bounded.then(|| &probe[bound..]));
         }
 
@@ -572,7 +705,7 @@ impl<'a> ExecCtx<'a> {
             spec.per_key,
             spec.row_bytes,
         );
-        let answer = self.read(&round)?;
+        self.read(round, answer)?;
         self.clear_op_tag();
 
         // merge: order entries by the key bytes after their probe prefix
@@ -584,7 +717,8 @@ impl<'a> ExecCtx<'a> {
             let key = entry(at).0;
             (&key[prefix_lens[at.0].min(key.len())..], key)
         };
-        let mut items: Vec<(usize, usize)> = Vec::with_capacity(answer.entries().len());
+        items.clear();
+        items.reserve(answer.entries().len());
         for child in 0..answer.len() {
             items.extend(answer.span(child).map(|i| (child, i)));
         }
@@ -624,16 +758,19 @@ impl<'a> ExecCtx<'a> {
         let mut out = children.widen(op.table.columns.len());
         let merged = items.iter().map(entry);
         let left = |out: &mut RowsBuilder, i: usize| out.push_left(items[i].0);
-        self.materialize(op, merged, spec.deref, spec.row_bytes, &mut out, left)?;
+        let deref = spec.deref.then_some(spec.row_bytes);
+        self.materialize(op, merged, deref, &mut out, left, rows)?;
         Ok(out.finish())
     }
 
     // ------------------------------------------------------------- shared
 
     /// Append a probe prefix to `prefix`: one component per value, over the
-    /// leading key parts of `op`'s index.
+    /// leading key parts of `op`'s index. A search token is canonicalized
+    /// in `token`.
     fn probe_prefix<'v>(
         prefix: &mut Vec<u8>,
+        token: &mut String,
         op: &RemoteOp,
         values: impl Iterator<Item = Result<ValueRef<'v>, ParamError>>,
     ) -> Result<(), ExecError> {
@@ -643,73 +780,23 @@ impl<'a> ExecCtx<'a> {
                 ExecError::Internal("probe prefix is longer than the index key".into())
             })?;
             // token probes encode the canonical token
-            let token = if i == 0 && op.token {
-                value.as_str().and_then(piql_core::text::search_token)
+            let search = i == 0
+                && op.token
+                && (value.as_str()).is_some_and(|text| text::search_token_into(text, token));
+            if search {
+                key::encode_component_ref(prefix, ValueRef::Varchar(token), dir)
+                    .map_err(keys::KeyError::from)?;
             } else {
-                None
-            };
-            match &token {
-                Some(token) => key::encode_component_ref(prefix, ValueRef::Varchar(token), dir)
-                    .map_err(keys::KeyError::from)?,
-                None => keys::encode_probe_component(prefix, value, dir)?,
+                keys::encode_probe_component(prefix, value, dir)?;
             }
         }
         Ok(())
     }
 
-    /// Byte-space `[start, end)` of a scan: everything under `prefix`,
-    /// narrowed by a range over the key part that follows it, whose
-    /// direction is `dir`.
-    fn range_bounds(
-        &self,
-        prefix: Vec<u8>,
-        range: Option<&RangeSpec>,
-        dir: Dir,
-    ) -> Result<(Vec<u8>, Option<Vec<u8>>), ExecError> {
-        let (low, high) = match range {
-            Some(r) => (r.low.as_ref(), r.high.as_ref()),
-            None => (None, None),
-        };
-        // under Desc encoding, the value-space low bound becomes the
-        // byte-space high bound and vice versa
-        let (byte_low, byte_high) = match dir {
-            Dir::Asc => (low, high),
-            Dir::Desc => (high, low),
-        };
-        let enc = |bound: &RangeBound| -> Result<Vec<u8>, ExecError> {
-            let mut k = prefix.clone();
-            let value = ValueRef::of(bound.operand.resolve(self.params)?);
-            keys::encode_probe_component(&mut k, value, dir)?;
-            Ok(k)
-        };
-        let end = match byte_high {
-            None => prefix_upper_bound(&prefix),
-            Some(bound) => {
-                let k = enc(bound)?;
-                if bound.inclusive {
-                    prefix_upper_bound(&k)
-                } else {
-                    Some(k)
-                }
-            }
-        };
-        let start = match byte_low {
-            None => prefix,
-            Some(bound) => {
-                let k = enc(bound)?;
-                if bound.inclusive {
-                    k
-                } else {
-                    prefix_upper_bound(&k).unwrap_or(k)
-                }
-            }
-        };
-        Ok((start, end))
-    }
-
     /// Turn index entries into full-arity right rows appended to `out`,
     /// dereferencing through the primary namespace when the index is not
-    /// covering. The entries are read where the store's answer holds them,
+    /// covering — `deref` is then the row bytes the dereference is modeled
+    /// at. The entries are read where the store's answer holds them,
     /// and each stored row (or covering key) is decoded straight into the
     /// block, which is sized from the bytes actually fetched. `left` begins
     /// the row of the entry at the position it is given (a join pushes the
@@ -719,11 +806,19 @@ impl<'a> ExecCtx<'a> {
         &mut self,
         op: &RemoteOp,
         entries: impl ExactSizeIterator<Item = (&'e [u8], &'e [u8])> + Clone,
-        deref: bool,
-        row_bytes: u64,
+        deref: Option<u64>,
         out: &mut RowsBuilder,
         mut left: impl FnMut(&mut RowsBuilder, usize) -> Result<(), RowsError>,
+        s: &mut RowScratch,
     ) -> Result<(), ExecError> {
+        let RowScratch {
+            key_text,
+            key_rows,
+            pk,
+            round,
+            answer,
+            derive,
+        } = s;
         let table = &op.table;
         if !op.secondary {
             out.reserve(entries.len(), entries.clone().map(|(_, v)| v.len()).sum());
@@ -735,12 +830,11 @@ impl<'a> ExecCtx<'a> {
             return Ok(());
         }
         let key_bytes = entries.clone().map(|(k, _)| k.len()).sum();
-        let mut scratch = Vec::new();
         let mut row_from_key = |out: &mut RowsBuilder, k: &[u8]| {
             let arity = table.columns.len();
-            keys::row_from_key_into(out, arity, &op.parts, &op.types, &op.dirs, k, &mut scratch)
+            keys::row_from_key_into(out, arity, &op.parts, &op.types, &op.dirs, k, key_text)
         };
-        if !deref {
+        let Some(row_bytes) = deref else {
             out.reserve(entries.len(), key_bytes);
             for (i, (k, _)) in entries.enumerate() {
                 left(out, i)?;
@@ -748,30 +842,29 @@ impl<'a> ExecCtx<'a> {
                 out.end_row()?;
             }
             return Ok(());
-        }
-        let mut from_keys = Rows::builder(table.columns.len());
+        };
+        let mut from_keys = std::mem::take(key_rows).rebuild(table.columns.len());
         from_keys.reserve(entries.len(), key_bytes);
         for (k, _) in entries.clone() {
             row_from_key(&mut from_keys, k)?;
             from_keys.end_row()?;
         }
-        let mut round = ReadRound::gets(op.primary, entries.len());
-        let mut pk = Vec::new();
-        for row in &from_keys.finish() {
+        *key_rows = from_keys.finish();
+        round.reset_gets(op.primary, entries.len());
+        for row in &*key_rows {
             pk.clear();
             for &col in &op.pk {
-                keys::encode_probe_component(&mut pk, row.value(col), Dir::Asc)?;
+                keys::encode_probe_component(pk, row.value(col), Dir::Asc)?;
             }
-            round.push_get(&pk);
+            round.push_get(pk);
         }
         // non-covering index dereference: modeled (and therefore
         // sampled) as an IndexFKJoin of the fetched entries — the
         // same shape `plan_thetas` predicts for it
         self.tag_op(OpKind::IndexFKJoin, round.len() as u64, 1, row_bytes);
-        let answer = self.read(&round)?;
+        self.read(round, answer)?;
         self.clear_op_tag();
         out.reserve(answer.entries().len(), value_bytes(answer.entries()));
-        let mut derive = keys::DeriveScratch::default();
         for (i, (k, _)) in entries.enumerate() {
             if let Some((_, record)) = answer.probe(i).next() {
                 left(out, i)?;
@@ -780,7 +873,7 @@ impl<'a> ExecCtx<'a> {
                 // record moved on (crash between record update and
                 // stale-entry deletion); re-verify the entry is
                 // still derivable from the record before emitting
-                if keys::derives(&op.parts, &out.pending(), k, &mut derive)? {
+                if keys::derives(&op.parts, &out.pending(), k, derive)? {
                     out.end_row()?;
                 } else {
                     out.drop_row();
@@ -793,13 +886,13 @@ impl<'a> ExecCtx<'a> {
 
     /// Issue an operator's read round per the strategy — Parallel as the
     /// one round it is, Simple as one round per probe, Lazy as one entry
-    /// per request — and answer it as one block, with an answer for every
-    /// probe or an error.
-    fn read(&mut self, round: &ReadRound) -> Result<ReadAnswer, ExecError> {
-        let answer = match self.strategy {
-            ExecStrategy::Parallel => self.store.read_round(self.session, round)?,
+    /// per request — and answer it as one block in `answer`, with an
+    /// answer for every probe or an error.
+    fn read(&mut self, round: &ReadRound, answer: &mut ReadAnswer) -> Result<(), ExecError> {
+        match self.strategy {
+            ExecStrategy::Parallel => self.store.read_round(self.session, round, answer)?,
             strategy => {
-                let mut answer = ReadAnswer::default();
+                answer.reset(round.len(), 0, 0);
                 for probe in round.probes() {
                     let response = match (strategy, probe) {
                         (
@@ -824,9 +917,8 @@ impl<'a> ExecCtx<'a> {
                     };
                     answer.push_response(probe, &response)?;
                 }
-                answer
             }
-        };
+        }
         if answer.len() != round.len() {
             return Err(MalformedRound::Count {
                 requests: round.len(),
@@ -834,12 +926,55 @@ impl<'a> ExecCtx<'a> {
             }
             .into());
         }
-        Ok(answer)
+        Ok(())
     }
 
     fn round_one(&mut self, request: KvRequest) -> KvResponse {
         self.store.execute_one(self.session, request)
     }
+}
+
+/// Byte-space `[start, end)` of a scan, in place: `start` holds the prefix
+/// everything under which is read, narrowed by a range over the key part
+/// that follows it, whose direction is `dir`. `start` becomes the start and
+/// `end` the end; answers `false` when the end is open.
+fn range_bounds(
+    params: ParamsRef<'_>,
+    start: &mut Vec<u8>,
+    end: &mut Vec<u8>,
+    range: Option<&RangeSpec>,
+    dir: Dir,
+) -> Result<bool, ExecError> {
+    let (low, high) = match range {
+        Some(r) => (r.low.as_ref(), r.high.as_ref()),
+        None => (None, None),
+    };
+    // under Desc encoding, the value-space low bound becomes the
+    // byte-space high bound and vice versa
+    let (byte_low, byte_high) = match dir {
+        Dir::Asc => (low, high),
+        Dir::Desc => (high, low),
+    };
+    let enc = |key: &mut Vec<u8>, bound: &RangeBound| -> Result<(), ExecError> {
+        let value = ValueRef::of(bound.operand.resolve(params)?);
+        Ok(keys::encode_probe_component(key, value, dir)?)
+    };
+    end.clone_from(start);
+    let bounded = match byte_high {
+        None => prefix_upper_bound_in_place(end, 0),
+        Some(bound) => {
+            enc(end, bound)?;
+            !bound.inclusive || prefix_upper_bound_in_place(end, 0)
+        }
+    };
+    if let Some(bound) = byte_low {
+        enc(start, bound)?;
+        // past the bound, unless no key is (all of it 0xFF)
+        if !bound.inclusive && start.iter().any(|&b| b != 0xFF) {
+            prefix_upper_bound_in_place(start, 0);
+        }
+    }
+    Ok(bounded)
 }
 
 /// The value bytes of `entries`: what a block about to hold the rows they

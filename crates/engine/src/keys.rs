@@ -224,6 +224,13 @@ pub struct DeriveScratch {
     token: String,
 }
 
+impl DeriveScratch {
+    /// Bytes its buffers have room for.
+    pub fn capacity_bytes(&self) -> usize {
+        self.component.capacity() + self.token.capacity()
+    }
+}
+
 /// Whether `row` derives the index-entry `key` under the layout `parts`,
 /// i.e. whether [`entry_keys`] would emit it — the §7.2 re-check that an
 /// entry still follows from the record it leads to — answered without

@@ -5,12 +5,13 @@ use piql_core::catalog::Catalog;
 use piql_core::plan::params::Params;
 use piql_core::tuple;
 use piql_core::value::Value;
-use piql_engine::{keys, Cursor, Database, DbError, ExecStrategy, WriteError};
+use piql_engine::exec::{largest_scratch_buffer, SCRATCH_CEILING_BYTES};
+use piql_engine::{keys, Cursor, Database, DbError, ExecError, ExecStrategy, WriteError};
 use piql_kv::{
     ClusterConfig, KvRequest, KvResponse, KvStore, LiveCluster, LiveConfig, NsId, Session,
     SimCluster,
 };
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 const SCADR_DDL: &[&str] = &[
@@ -943,13 +944,25 @@ fn sorted_join_keeps_rows_with_their_children_past_a_dangling_entry() {
     );
 }
 
-/// A store whose rounds of two requests or more come back one response
-/// short once armed — a misbehaving backend, in the style of `tcp.rs`'s
-/// `FaultyStore`. It overrides nothing but `execute_round`, so an
-/// operator's packed read round reaches it through the trait's default.
+/// A store whose rounds of two requests or more come back `withheld`
+/// responses short, and whose every round panics once `panics` is set — a
+/// misbehaving backend, in the style of `tcp.rs`'s `FaultyStore`. It
+/// overrides nothing but `execute_round`, so an operator's packed read
+/// round reaches it through the trait's default.
 struct ShortStore {
     inner: SimCluster,
-    armed: AtomicBool,
+    withheld: AtomicUsize,
+    panics: AtomicBool,
+}
+
+impl ShortStore {
+    fn new() -> ShortStore {
+        ShortStore {
+            inner: SimCluster::new(ClusterConfig::instant(3)),
+            withheld: AtomicUsize::new(0),
+            panics: AtomicBool::new(false),
+        }
+    }
 }
 
 impl KvStore for ShortStore {
@@ -957,10 +970,12 @@ impl KvStore for ShortStore {
         self.inner.namespace(name)
     }
     fn execute_round(&self, session: &mut Session, round: Vec<KvRequest>) -> Vec<KvResponse> {
+        assert!(!self.panics.load(Ordering::SeqCst), "the store failed");
         let fanned = round.len() >= 2;
         let mut responses = self.inner.execute_round(session, round);
-        if fanned && self.armed.load(Ordering::SeqCst) {
-            responses.pop();
+        if fanned {
+            let withheld = self.withheld.load(Ordering::SeqCst);
+            responses.truncate(responses.len().saturating_sub(withheld));
         }
         responses
     }
@@ -974,13 +989,11 @@ impl KvStore for ShortStore {
 
 /// A round answered short is an error, never a shorter result: the FK
 /// join's gets, a non-covering scan's dereference and the sorted join's
-/// ranges each used to drop the rows of the missing responses.
+/// ranges each used to drop the rows of the missing responses. Nor does
+/// what the thread's reused answer held before pass for the answer.
 #[test]
 fn a_round_answered_short_is_an_error_not_fewer_rows() {
-    let store = Arc::new(ShortStore {
-        inner: SimCluster::new(ClusterConfig::instant(3)),
-        armed: AtomicBool::new(false),
-    });
+    let store = Arc::new(ShortStore::new());
     let db = Database::new(store.clone());
     for ddl in SCADR_DDL {
         db.execute_ddl(ddl).unwrap();
@@ -1009,16 +1022,80 @@ fn a_round_answered_short_is_an_error_not_fewer_rows() {
         ("sorted join", THOUGHTSTREAM),
     ];
     let params = Params::from_values([Value::Varchar("user0000".into())]);
+
+    // warm: the thread's last join left its whole answer in the buffers
+    // its executions reuse; a store that then answers the same round with
+    // nothing must not have that read back as its answer
+    let (_, fk_join) = statements[0];
+    let prepared = db.prepare(fk_join).unwrap();
+    let mut session = Session::new();
+    let rows = db.execute(&mut session, &prepared, &params).unwrap().rows;
+    assert!(rows.len() >= 2, "{rows:?}");
+    store.withheld.store(usize::MAX, Ordering::SeqCst);
+    let err = db.execute(&mut session, &prepared, &params).unwrap_err();
+    assert!(
+        matches!(&err, DbError::Exec(ExecError::Internal(e)) if e.contains("malformed round")),
+        "{err}"
+    );
+
     for (what, sql) in statements {
         let prepared = db.prepare(sql).unwrap();
         let mut session = Session::new();
-        store.armed.store(false, Ordering::SeqCst);
+        store.withheld.store(0, Ordering::SeqCst);
         let rows = db.execute(&mut session, &prepared, &params).unwrap().rows;
         assert!(rows.len() >= 2, "{what}: {rows:?}");
-        store.armed.store(true, Ordering::SeqCst);
+        store.withheld.store(1, Ordering::SeqCst);
         let err = db.execute(&mut session, &prepared, &params).unwrap_err();
         assert!(err.to_string().contains("malformed round"), "{what}: {err}");
     }
+}
+
+/// What an execution reads with is kept for the thread's next one, but a
+/// buffer an outsized answer grew is let go when its execution ends, and a
+/// panic mid-execution drops what it held instead of handing it on.
+#[test]
+fn the_execution_scratch_lets_go_of_outsized_buffers_and_of_a_panic() {
+    let store = Arc::new(ShortStore::new());
+    let db = Database::new(store.clone());
+    for ddl in SCADR_DDL {
+        db.execute_ddl(ddl).unwrap();
+    }
+    db.execute_ddl(
+        "CREATE TABLE posts (id INT NOT NULL, author VARCHAR(32) NOT NULL, \
+         score INT NOT NULL, body VARCHAR(8000), PRIMARY KEY (id))",
+    )
+    .unwrap();
+    populate(&db, 8, 4, 3);
+    let body = "x".repeat(4_000);
+    db.bulk_load(
+        "posts",
+        (0..40).map(|i| tuple![i, "user0000", 100 - i, body.as_str()]),
+    )
+    .unwrap();
+    let params = Params::from_values([Value::Varchar("user0000".into())]);
+    let mut session = Session::new();
+    let mut run = |sql: &str| db.execute(&mut session, &db.prepare(sql).unwrap(), &params);
+    let fk_join = "SELECT u.* FROM subscriptions s JOIN users u \
+                   WHERE u.username = s.target AND s.owner = <p>";
+    let expected = run(fk_join).unwrap().rows;
+    assert!(expected.len() >= 2, "{expected:?}");
+    let kept = largest_scratch_buffer();
+    assert!(kept > 0 && kept <= SCRATCH_CEILING_BYTES, "{kept}");
+
+    // a dereference of 40 records of 4 KB: its answer outgrows the ceiling
+    let posts = run("SELECT * FROM posts WHERE author = <p> ORDER BY score DESC LIMIT 40");
+    assert_eq!(posts.unwrap().rows.len(), 40);
+    assert!(40 * body.len() > SCRATCH_CEILING_BYTES);
+    let kept = largest_scratch_buffer();
+    assert!(kept <= SCRATCH_CEILING_BYTES, "{kept} bytes kept");
+    assert_eq!(run(fk_join).unwrap().rows, expected);
+
+    store.panics.store(true, Ordering::SeqCst);
+    let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run(fk_join)));
+    assert!(panicked.is_err());
+    assert_eq!(largest_scratch_buffer(), 0, "the panic dropped the scratch");
+    store.panics.store(false, Ordering::SeqCst);
+    assert_eq!(run(fk_join).unwrap().rows, expected);
 }
 
 #[test]

@@ -79,15 +79,16 @@ impl KvStore for Counted {
         &self,
         session: &mut Session,
         round: &ReadRound,
-    ) -> Result<ReadAnswer, MalformedRound> {
-        let answer = self.inner.read_round(session, round)?;
+        answer: &mut ReadAnswer,
+    ) -> Result<(), MalformedRound> {
+        self.inner.read_round(session, round, answer)?;
         self.rounds.fetch_add(1, Ordering::Relaxed);
         self.requests
             .fetch_add(round.len() as u64, Ordering::Relaxed);
         if let Some(Probe::Range { .. }) = round.probes().next() {
             (self.entries).fetch_add(answer.entries().len() as u64, Ordering::Relaxed);
         }
-        Ok(answer)
+        Ok(())
     }
     fn bulk_put(&self, ns: NsId, key: Vec<u8>, value: Vec<u8>) {
         self.bulk_puts.fetch_add(1, Ordering::Relaxed);

@@ -169,19 +169,22 @@ pub trait KvStore: Send + Sync {
             .pop()
             .unwrap_or(KvResponse::Done)
     }
-    /// Issue one operator's read round, packed, and answer it as one block:
-    /// the round of the requests its probes stand for ([`Probe::request`]),
-    /// with the same contract, accounting and sampling. The default issues
-    /// exactly that round through `execute_round` and packs what comes
-    /// back, so a backend or wrapper that does not override this stays
-    /// correct. An answer that is not one response of the probe's variant
-    /// per probe is a [`MalformedRound`], never a shorter answer.
+    /// Issue one operator's read round, packed, and answer it as one block
+    /// in `answer`, which is emptied first ([`ReadAnswer::reset`]) and
+    /// keeps its buffers: the round of the requests its probes stand for
+    /// ([`Probe::request`]), with the same contract, accounting and
+    /// sampling. The default issues exactly that round through
+    /// `execute_round` and packs what comes back, so a backend or wrapper
+    /// that does not override this stays correct. A response of another
+    /// variant than its probe's is a [`MalformedRound`]; a response missing
+    /// leaves the answer short, which the caller refuses.
     fn read_round(
         &self,
         session: &mut Session,
         round: &ReadRound,
-    ) -> Result<ReadAnswer, MalformedRound> {
-        read_by_requests(self, session, round)
+        answer: &mut ReadAnswer,
+    ) -> Result<(), MalformedRound> {
+        read_by_requests(self, session, round, answer)
     }
     /// Allocation-free point read: look `key` up in `ns` and append the
     /// stored value to `out`, with the same session-clock, stats, and
@@ -267,19 +270,24 @@ pub trait KvStore: Send + Sync {
 }
 
 /// [`KvStore::read_round`] as the round of requests it stands for: issued
-/// through `execute_round`, checked, and packed — sized, then copied, so
-/// the answer is allocated once.
+/// through `execute_round` and packed into `answer` — sized, then copied,
+/// so the answer grows at most once.
 pub(crate) fn read_by_requests<S: KvStore + ?Sized>(
     store: &S,
     session: &mut Session,
     round: &ReadRound,
-) -> Result<ReadAnswer, MalformedRound> {
-    if round.is_empty() {
-        return Ok(ReadAnswer::default());
-    }
-    let requests = round.probes().map(|probe| probe.request(round.ns()));
-    let responses = store.execute_round(session, requests.collect());
-    if responses.len() != round.len() {
+    answer: &mut ReadAnswer,
+) -> Result<(), MalformedRound> {
+    let responses = match round.is_empty() {
+        true => Vec::new(),
+        false => {
+            let requests = round.probes().map(|probe| probe.request(round.ns()));
+            store.execute_round(session, requests.collect())
+        }
+    };
+    // a response past the last probe answers nothing asked; one missing
+    // leaves the answer short, which the caller refuses
+    if responses.len() > round.len() {
         return Err(MalformedRound::Count {
             requests: round.len(),
             responses: responses.len(),
@@ -299,11 +307,11 @@ pub(crate) fn read_by_requests<S: KvStore + ?Sized>(
             _ => {}
         }
     }
-    let mut answer = ReadAnswer::with_capacity(round.len(), entries, bytes);
+    answer.reset(round.len(), entries, bytes);
     for (probe, response) in round.probes().zip(&responses) {
         answer.push_response(probe, response)?;
     }
-    Ok(answer)
+    Ok(())
 }
 
 /// The simulated cluster.

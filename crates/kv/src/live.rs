@@ -1139,24 +1139,23 @@ impl KvStore for LiveCluster {
     }
 
     /// An operator's read round. One that fans out
-    /// (`LiveCluster::fans_out`) is issued as the requests it stands for
-    /// (the trait's default). One served on the calling thread is answered
-    /// as one block sized over the whole round: every probe is found once
-    /// to count what it holds, room for exactly that is made, and every
-    /// probe is found again, copied and booked as the request it stands
-    /// for. A write between the two finds may cost the answer one
-    /// regrowth; what it holds is what the second found.
+    /// (`LiveCluster::fans_out`), or has no probes, is issued as the
+    /// requests it stands for (the trait's default). One served on the
+    /// calling thread is answered as one block sized over the whole round,
+    /// in the caller's answer: every probe is found once to count what it
+    /// holds, room for exactly that is made, and every probe is found
+    /// again, copied and booked as the request it stands for. A write
+    /// between the two finds may cost the answer one regrowth; what it
+    /// holds is what the second found.
     fn read_round(
         &self,
         session: &mut Session,
         round: &ReadRound,
-    ) -> Result<ReadAnswer, MalformedRound> {
+        answer: &mut ReadAnswer,
+    ) -> Result<(), MalformedRound> {
         let delay_us = self.request_delay_us.load(Ordering::Relaxed);
-        if self.fans_out(round.len(), delay_us) {
-            return read_by_requests(self, session, round);
-        }
-        if round.is_empty() {
-            return Ok(ReadAnswer::default());
+        if self.fans_out(round.len(), delay_us) || round.is_empty() {
+            return read_by_requests(self, session, round, answer);
         }
         let started = self.now_micros();
         let table = self.ns_data(round.ns()).load();
@@ -1165,7 +1164,7 @@ impl KvStore for LiveCluster {
             entries += probe_entries;
             bytes += probe_bytes;
         }
-        let mut answer = ReadAnswer::with_capacity(round.len(), entries, bytes);
+        answer.reset(round.len(), entries, bytes);
         let mut booked = SessionStats::default();
         for probe in round.probes() {
             inject_delay(delay_us);
@@ -1175,7 +1174,7 @@ impl KvStore for LiveCluster {
             answer.end_probe();
         }
         self.complete_round(session, started, booked, false);
-        Ok(answer)
+        Ok(())
     }
 
     /// A round of one, served on the calling thread with neither the

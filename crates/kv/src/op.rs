@@ -8,7 +8,7 @@
 //! engine's Parallel strategy gets its speedup (§8.5).
 
 /// Namespace handle (one per table / index).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct NsId(pub u32);
 
 /// One key/value-store request.
@@ -102,6 +102,20 @@ impl Entries {
             payload: Vec::with_capacity(bytes),
             ends: Vec::with_capacity(entries),
         }
+    }
+
+    /// Empty the block, keeping its buffers, and make room for exactly
+    /// `entries` entries of `bytes` key and value bytes in all.
+    fn reset(&mut self, entries: usize, bytes: usize) {
+        self.payload.clear();
+        self.ends.clear();
+        self.payload.reserve_exact(bytes);
+        self.ends.reserve_exact(entries);
+    }
+
+    /// Bytes the block's buffers have room for.
+    pub(crate) fn capacity_bytes(&self) -> usize {
+        self.payload.capacity() + self.ends.capacity() * std::mem::size_of::<[usize; 2]>()
     }
 
     pub fn len(&self) -> usize {
@@ -421,10 +435,14 @@ impl Probe<'_> {
 }
 
 /// What every probe of a [`ReadRound`] reads.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 enum Shape {
+    #[default]
     Gets,
-    Ranges { limit: Option<u64>, reverse: bool },
+    Ranges {
+        limit: Option<u64>,
+        reverse: bool,
+    },
 }
 
 /// One operator's read round, packed: every probe key, or every range's
@@ -433,8 +451,8 @@ enum Shape {
 /// stands for the round of one [`KvRequest::Get`] per key, or one
 /// [`KvRequest::GetRange`] per interval ([`Probe::request`]), and
 /// [`KvStore::read_round`](crate::KvStore::read_round) answers it as one
-/// [`ReadAnswer`].
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// [`ReadAnswer`]. A round is reused by resetting it: its buffers stay.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ReadRound {
     ns: NsId,
     shape: Shape,
@@ -448,22 +466,36 @@ pub struct ReadRound {
 impl ReadRound {
     /// A round of gets in `ns`, with room for `probes` of them.
     pub fn gets(ns: NsId, probes: usize) -> Self {
-        ReadRound::new(ns, Shape::Gets, probes)
+        let mut round = ReadRound::default();
+        round.reset_gets(ns, probes);
+        round
     }
 
     /// A round of ranges in `ns`, each answering up to `limit` entries in
     /// the direction `reverse` gives, with room for `probes` of them.
     pub fn ranges(ns: NsId, probes: usize, limit: Option<u64>, reverse: bool) -> Self {
-        ReadRound::new(ns, Shape::Ranges { limit, reverse }, probes)
+        let mut round = ReadRound::default();
+        round.reset_ranges(ns, probes, limit, reverse);
+        round
     }
 
-    fn new(ns: NsId, shape: Shape, probes: usize) -> Self {
-        ReadRound {
-            ns,
-            shape,
-            bytes: Vec::new(),
-            ends: Vec::with_capacity(probes),
-        }
+    /// Empty the round and make it [`ReadRound::gets`]' round, keeping
+    /// its buffers.
+    pub fn reset_gets(&mut self, ns: NsId, probes: usize) {
+        self.reset(ns, Shape::Gets, probes);
+    }
+
+    /// Empty the round and make it [`ReadRound::ranges`]' round, keeping
+    /// its buffers.
+    pub fn reset_ranges(&mut self, ns: NsId, probes: usize, limit: Option<u64>, reverse: bool) {
+        self.reset(ns, Shape::Ranges { limit, reverse }, probes);
+    }
+
+    fn reset(&mut self, ns: NsId, shape: Shape, probes: usize) {
+        (self.ns, self.shape) = (ns, shape);
+        self.bytes.clear();
+        self.ends.clear();
+        self.ends.reserve_exact(probes);
     }
 
     pub fn ns(&self) -> NsId {
@@ -477,6 +509,11 @@ impl ReadRound {
 
     pub fn is_empty(&self) -> bool {
         self.ends.is_empty()
+    }
+
+    /// Bytes the round's buffers have room for.
+    pub fn capacity_bytes(&self) -> usize {
+        self.bytes.capacity() + self.ends.capacity() * std::mem::size_of::<(usize, Option<usize>)>()
     }
 
     /// Append a get of `key`. Panics on a round of ranges.
@@ -500,9 +537,9 @@ impl ReadRound {
         self.ends.push((start_end, end_end));
     }
 
-    /// On the first probe, room for as many as the round was made for at
-    /// its size: one operator's probes are alike, so the buffer is
-    /// allocated once, or grows once.
+    /// On the first probe, room for as many probes of its size as the
+    /// round has room for: one operator's probes are alike, so the buffer
+    /// is allocated once, or grows once, and a reused round's not at all.
     fn make_room(&mut self, probe: usize) {
         if self.ends.is_empty() {
             let room = probe.saturating_mul(self.ends.capacity().max(1));
@@ -541,7 +578,8 @@ impl ReadRound {
 /// The answer to a [`ReadRound`], packed: what every probe found, back to
 /// back in one [`Entries`] block in probe order, and where each probe's
 /// answer ends. A get answers its key and the value stored under it, or
-/// nothing.
+/// nothing. An answer is reused by handing it to the next round: the store
+/// empties it first ([`ReadAnswer::reset`]), and its buffers stay.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ReadAnswer {
     entries: Entries,
@@ -550,13 +588,19 @@ pub struct ReadAnswer {
 }
 
 impl ReadAnswer {
-    /// An empty answer with room for exactly `probes` probes finding
-    /// `entries` entries of `bytes` key and value bytes in all.
-    pub(crate) fn with_capacity(probes: usize, entries: usize, bytes: usize) -> Self {
-        ReadAnswer {
-            entries: Entries::with_capacity(entries, bytes),
-            ends: Vec::with_capacity(probes),
-        }
+    /// Empty the answer, keeping its buffers, and make room for exactly
+    /// `probes` probes finding `entries` entries of `bytes` key and value
+    /// bytes in all. Every fill of an answer begins here, so what a reused
+    /// answer held before is never read as part of the next.
+    pub fn reset(&mut self, probes: usize, entries: usize, bytes: usize) {
+        self.entries.reset(entries, bytes);
+        self.ends.clear();
+        self.ends.reserve_exact(probes);
+    }
+
+    /// Bytes the answer's buffers have room for.
+    pub fn capacity_bytes(&self) -> usize {
+        self.entries.capacity_bytes() + self.ends.capacity() * std::mem::size_of::<usize>()
     }
 
     /// Probes answered.

@@ -45,8 +45,9 @@ impl KvStore for ByRequests<'_> {
 /// `store`'s answer to `round` and the session accounting of it.
 fn answered(store: &dyn KvStore, round: &ReadRound) -> (ReadAnswer, SessionStats) {
     let mut session = Session::new();
-    let answer = store
-        .read_round(&mut session, round)
+    let mut answer = ReadAnswer::default();
+    store
+        .read_round(&mut session, round, &mut answer)
         .expect("a whole answer");
     (answer, session.stats)
 }
@@ -134,5 +135,106 @@ proptest! {
         let probes = if of_gets { gets.len() } else { ranges.len() };
         prop_assert_eq!(scattered(&inline), 0);
         prop_assert_eq!(scattered(&fanned) > 0, probes >= 2);
+    }
+}
+
+/// One round of a sequence: gets of stored keys and of random ones, or
+/// ranges sharing one limit and one direction.
+type RoundSpec = (
+    bool,
+    Vec<(bool, prop::sample::Index, Vec<u8>)>,
+    Vec<(Vec<u8>, Option<Vec<u8>>)>,
+    Option<u64>,
+    bool,
+);
+
+fn round_spec() -> impl Strategy<Value = RoundSpec> {
+    (
+        any::<bool>(),
+        prop::collection::vec(
+            (any::<bool>(), any::<prop::sample::Index>(), key(0..4)),
+            0..8,
+        ),
+        prop::collection::vec(
+            (key(0..4), prop_oneof![Just(None), key(0..4).prop_map(Some)]),
+            0..6,
+        ),
+        limit(),
+        any::<bool>(),
+    )
+}
+
+fn build(ns: NsId, stored: &[Vec<u8>], spec: &RoundSpec) -> ReadRound {
+    let (of_gets, gets, ranges, limit, reverse) = spec;
+    if *of_gets {
+        let mut round = ReadRound::gets(ns, gets.len());
+        for (hit, at, random) in gets {
+            match stored.get(at.index(stored.len().max(1))) {
+                Some(key) if *hit => round.push_get(key),
+                _ => round.push_get(random),
+            }
+        }
+        round
+    } else {
+        let mut round = ReadRound::ranges(ns, ranges.len(), *limit, *reverse);
+        for (start, end) in ranges {
+            round.push_range(start, end.as_deref());
+        }
+        round
+    }
+}
+
+proptest! {
+    /// One answer handed to a sequence of rounds, as an executing thread
+    /// hands its scratch answer to each operator, holds after each exactly
+    /// what a fresh answer to that round holds, and the round is accounted
+    /// as it is with a fresh one.
+    #[test]
+    fn a_reused_answer_holds_what_a_fresh_one_does(
+        stored in prop::collection::btree_map(key(1..4), prop::collection::vec(any::<u8>(), 0..4), 0..40),
+        rounds in prop::collection::vec(round_spec(), 1..6),
+        rebalanced in any::<bool>(),
+    ) {
+        let sim = SimCluster::new(ClusterConfig::instant(4));
+        let live = |request_delay_us| LiveCluster::new(LiveConfig {
+            shards_per_namespace: 4,
+            pool_threads: 2,
+            request_delay_us,
+        });
+        let (inline, fanned) = (live(0), live(1));
+        let stores: [(&str, &dyn KvStore); 3] =
+            [("SimCluster", &sim), ("LiveCluster inline", &inline), ("LiveCluster fanned", &fanned)];
+        let keys: Vec<Vec<u8>> = stored.keys().cloned().collect();
+        for (name, store) in stores {
+            let ns = store.namespace("t");
+            for (k, v) in &stored {
+                store.bulk_put(ns, k.clone(), v.clone());
+            }
+            if rebalanced {
+                store.rebalance();
+            }
+            let mut reused = ReadAnswer::default();
+            for spec in &rounds {
+                let round = build(ns, &keys, spec);
+                let stats = || [&inline, &fanned].map(LiveCluster::stats_snapshot);
+                let before = stats();
+                let (fresh, fresh_stats) = answered(store, &round);
+                let between = stats();
+                let mut session = Session::new();
+                store
+                    .read_round(&mut session, &round, &mut reused)
+                    .expect("a whole answer");
+                let after = stats();
+                prop_assert_eq!(&reused, &fresh, "{}", name);
+                prop_assert_eq!(session.stats, fresh_stats, "{}", name);
+                for i in 0..2 {
+                    prop_assert_eq!(
+                        booked(before[i], between[i]),
+                        booked(between[i], after[i]),
+                        "{}: the store's own counters", name
+                    );
+                }
+            }
+        }
     }
 }

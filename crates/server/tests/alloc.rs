@@ -2,9 +2,9 @@
 //! decode → registry lookup → `point_get` → encode — performs **zero**
 //! heap allocations on the serving thread, a binary `dml` INSERT performs
 //! only the ones for what the store keeps (the record and its entry), a
-//! JSON one adds only its decoded request, and a JSON page view
-//! allocates for what it asks the store and per result block, stage by
-//! stage, and not per row or for the layers between.
+//! JSON one adds only its decoded request, and a JSON page view or a
+//! TPC-W read allocates for its result blocks, stage by stage, and not per
+//! row, for what it asks the store, or for the layers between.
 //!
 //! A counting `#[global_allocator]` wraps the system allocator, counting
 //! per thread (so the cluster's pool workers don't pollute the
@@ -26,6 +26,7 @@ use piql_server::{
     BinaryConn, BinaryWire, Envelope, JsonWire, Request, SloConfig, StatementRegistry, Wire,
 };
 use piql_workloads::scadr::{self, ScadrConfig};
+use piql_workloads::tpcw;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -393,30 +394,33 @@ fn warm_json_inserts_allocate_for_the_request_and_the_store_only() {
 /// Allocations per stage of one warm JSON page view — a `batch` of the
 /// four SCADr reads for a user with 10 subscriptions and 10 thoughts,
 /// answering 1 + 10 + 10 + 10 rows — counted over the whole process.
-/// What is left is what the store is asked and answers: the `Request` that
-/// is kept (13 — the line is read in place, no tree); per scan its range
-/// answer, start key and end bound; per join a reused probe buffer, one
-/// packed round and one answer block, whatever the number of probes; plus
-/// two buffers per result block — rows are decoded straight into one
-/// packed `Rows` per operator, no vector per row, no `String` per field,
-/// no left row copied per join output (44.0: the four executions, and a
-/// vector of four replies); nothing for the response, which both codecs
-/// print from the blocks. At 52f8695 `respond` made 115.9: a key and a
-/// bound per probe, a record per get, an answer per range and the two
-/// joins' rounds scattered over the pool. At f7a4128 the three stages made
-/// 13, 314.9 (a `Vec<Value>` per row and a `String` per field) and 0; at
-/// 25fd9a5, 67, 1444 and 347. A tree per line adds fifty to the first; a
-/// vector per probe or per entry fetched creeping back adds 19 or 121 a
-/// page view to the second, a scattered round eight; a per-row or
+/// What is left is the `Request` that is kept (13 — the line is read in
+/// place, no tree) and the rows: two buffers per result block — rows are
+/// decoded straight into one packed `Rows` per operator, no vector per
+/// row, no `String` per field, no left row copied per join output — and a
+/// vector of four replies (13.0). The keys, rounds and store answers the
+/// reads are made with are the executing thread's, kept from its last
+/// page view; nothing for the response, which both codecs print from the
+/// blocks. At 8e3b630 `respond` made 44.0: per scan its start key, end
+/// bound and range answer, per join a probe buffer, a packed round and an
+/// answer block, and the sorted join's merge order. At 52f8695, 115.9: a
+/// key and a bound per probe, a record per get, an answer per range and
+/// the two joins' rounds scattered over the pool. At f7a4128 the three
+/// stages made 13, 314.9 (a `Vec<Value>` per row and a `String` per field)
+/// and 0; at 25fd9a5, 67, 1444 and 347. A tree per line adds fifty to the
+/// first; a key, round or answer built per execution again adds one to
+/// three a statement to the second, a vector per probe or per entry
+/// fetched 19 or 121 a page view, a scattered round eight; a per-row or
 /// per-field allocation between store and socket ten or more to a
 /// statement.
 const DECODE_ENVELOPE_CEILING: f64 = 14.0;
-const RESPOND_CEILING: f64 = 45.0;
+const RESPOND_CEILING: f64 = 13.5;
 const ENCODE_REPLY_CEILING: f64 = 0.0;
 /// Per execution of `find_user`, `users_followed`, `recent_thoughts`,
-/// `thoughtstream` through `execute_governed` (measured 6, 14, 6, 17; at
-/// 52f8695: 6, 40.4, 6.4, 62.1; at f7a4128: 9, 118.4, 35.4, 151.1).
-const EXECUTE_CEILINGS: [f64; 4] = [7.0, 15.0, 7.0, 18.0];
+/// `thoughtstream` through `execute_governed`: their result blocks
+/// (measured 2, 4, 2, 4; at 8e3b630: 6, 14, 6, 17; at 52f8695: 6, 40.4,
+/// 6.4, 62.1; at f7a4128: 9, 118.4, 35.4, 151.1).
+const EXECUTE_CEILINGS: [f64; 4] = [2.5, 4.5, 2.5, 4.5];
 
 #[test]
 #[cfg_attr(
@@ -555,6 +559,88 @@ fn warm_json_page_views_allocate_for_rows_not_for_layers() {
         assert!(
             made <= ceiling,
             "{name}: {made:.2} allocations, ceiling {ceiling}"
+        );
+    }
+}
+
+/// Per warm execution of each TPC-W Table-1 read through
+/// `execute_governed`, in `tpcw::TABLE1_SQL` order: its result blocks — a
+/// collection parameter's, each remote operator's, a projection's — and
+/// nothing for the keys, rounds, answers, merge orders or search tokens it
+/// reads with (measured 2, 3, 3, 3, 5, 4, 5, 2, 4, 4; at 8e3b630: 6, 9,
+/// 27, 13, 35, 31, 21, 18, 14, 14).
+const TPCW_EXECUTE_CEILINGS: [f64; 10] = [2.5, 3.5, 3.5, 3.5, 5.5, 4.5, 5.5, 2.5, 4.5, 4.5];
+
+#[test]
+#[cfg_attr(
+    feature = "lock-order",
+    ignore = "lock-order tracking allocates by design"
+)]
+fn warm_tpcw_reads_allocate_for_their_rows() {
+    let _turn = one_at_a_time();
+    let cluster = Arc::new(LiveCluster::new(LiveConfig::default()));
+    let db = Arc::new(Database::new(cluster));
+    let config = tpcw::TpcwConfig {
+        items: 400,
+        customers_per_node: 30,
+        ..Default::default()
+    };
+    let (_, _, orders) = tpcw::setup(&db, &config, 1).unwrap();
+    let registry = Arc::new(StatementRegistry::new(
+        db,
+        linear_predictor(200, 100, 2),
+        SloConfig {
+            slo_ms: 1e9,
+            interval_confidence: 1.0,
+            allow_degrade: false,
+        },
+    ));
+    let text = |s: &str| vec![ParamValue::Scalar(Value::Varchar(s.into()))];
+    let int = |i: i32| vec![ParamValue::Scalar(Value::Int(i))];
+    let customer = text(&tpcw::customer_uname(11));
+    let promotions = [3, 77, 150, 399, 4_000].map(Value::Int).to_vec();
+    // in `tpcw::TABLE1_SQL` order, each answering rows
+    let params = [
+        customer.clone(),
+        vec![ParamValue::Collection(promotions)],
+        text(tpcw::SUBJECTS[2]),
+        int(42),
+        text(tpcw::SURNAMES[5]),
+        text(tpcw::TITLE_WORDS[9]),
+        customer.clone(),
+        customer,
+        int(tpcw::initial_order_id(5, orders)),
+        // a seeded cart: `setup` spreads 64 of them over the id space
+        int((3 * (i32::MAX as i64 / 65)) as i32),
+    ];
+    let mut session = Session::new();
+    const WARM: usize = 100;
+    const MEASURED: usize = 100;
+    let mut executes = [0.0; 10];
+    for (i, ((label, sql), params)) in tpcw::TABLE1_SQL.iter().zip(&params).enumerate() {
+        assert!(
+            registry.register(label, sql).unwrap().is_admitted(),
+            "{label}"
+        );
+        let mut run = || {
+            let outcome = registry.execute_governed(&mut session, label, params.as_slice(), None);
+            assert!(!outcome.unwrap().result.rows.is_empty(), "{label}");
+        };
+        for _ in 0..WARM {
+            run();
+        }
+        let ((), made) = process_allocs(|| (0..MEASURED).for_each(|_| run()));
+        executes[i] = made as f64 / MEASURED as f64;
+    }
+    println!("allocations per warm TPC-W read, in Table-1 order: {executes:.2?}");
+    for (((label, _), made), ceiling) in tpcw::TABLE1_SQL
+        .iter()
+        .zip(executes)
+        .zip(TPCW_EXECUTE_CEILINGS)
+    {
+        assert!(
+            made <= ceiling,
+            "{label}: {made:.2} allocations, ceiling {ceiling}"
         );
     }
 }
