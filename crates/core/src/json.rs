@@ -10,35 +10,281 @@
 //! auditor's reports, the server's protocol (`piql_server::json` is this
 //! module) and the scenario reports all build the one tree.
 
-use std::borrow::Cow;
-use std::collections::BTreeMap;
+use std::borrow::{Borrow, Cow};
+use std::cell::Cell;
+use std::cmp::Ordering;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 use std::io::Write;
+use std::ops::Deref;
 
-/// A JSON document. Objects use a `BTreeMap` so serialization is
-/// deterministic — the differential tests compare protocol bytes.
+/// A JSON document. An object's fields are kept sorted by key, so
+/// serialization is deterministic — the differential tests compare
+/// protocol bytes.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
     Null,
     Bool(bool),
     Int(i64),
     Float(f64),
-    Str(String),
+    Str(JsonStr),
     Arr(Vec<Json>),
-    Obj(BTreeMap<String, Json>),
+    Obj(JsonMap),
+}
+
+/// A string of a [`Json`] tree, as a value or an object key: up to
+/// [`JsonStr::INLINE`] bytes are held in place, a longer one in one
+/// `Box<str>`. Tags, field names and most values the protocol carries are
+/// short, so a decoded document allocates per array and object, not per
+/// string.
+#[derive(Clone)]
+pub struct JsonStr(Repr);
+
+#[derive(Clone)]
+enum Repr {
+    /// The text is `bytes[..len]`, copied whole from a `str` (by
+    /// `JsonStr::inline`, its one maker).
+    Inline {
+        len: u8,
+        bytes: [u8; JsonStr::INLINE],
+    },
+    Boxed(Box<str>),
+}
+
+impl JsonStr {
+    /// The longest string held without an allocation: with its length and
+    /// the variant's tag, as wide as a `Box<str>` and its tag.
+    pub const INLINE: usize = 22;
+
+    pub fn as_str(&self) -> &str {
+        match &self.0 {
+            // never empty for want of UTF-8: `JsonStr::inline` copies a
+            // whole `str`
+            Repr::Inline { len, bytes } => {
+                std::str::from_utf8(&bytes[..usize::from(*len)]).unwrap_or_default()
+            }
+            Repr::Boxed(s) => s,
+        }
+    }
+
+    fn inline(s: &str) -> Option<JsonStr> {
+        let len = s.len();
+        (len <= Self::INLINE).then(|| {
+            let mut bytes = [0; Self::INLINE];
+            bytes[..len].copy_from_slice(s.as_bytes());
+            JsonStr(Repr::Inline {
+                len: len as u8,
+                bytes,
+            })
+        })
+    }
+}
+
+impl From<&str> for JsonStr {
+    fn from(s: &str) -> Self {
+        JsonStr::inline(s).unwrap_or_else(|| JsonStr(Repr::Boxed(s.into())))
+    }
+}
+
+impl From<&String> for JsonStr {
+    fn from(s: &String) -> Self {
+        JsonStr::from(s.as_str())
+    }
+}
+
+impl From<String> for JsonStr {
+    fn from(s: String) -> Self {
+        JsonStr::inline(&s).unwrap_or_else(|| JsonStr(Repr::Boxed(s.into_boxed_str())))
+    }
+}
+
+impl From<Cow<'_, str>> for JsonStr {
+    fn from(s: Cow<'_, str>) -> Self {
+        match s {
+            Cow::Borrowed(s) => JsonStr::from(s),
+            Cow::Owned(s) => JsonStr::from(s),
+        }
+    }
+}
+
+impl Deref for JsonStr {
+    type Target = str;
+
+    fn deref(&self) -> &str {
+        self.as_str()
+    }
+}
+
+impl Borrow<str> for JsonStr {
+    fn borrow(&self) -> &str {
+        self.as_str()
+    }
+}
+
+impl PartialEq for JsonStr {
+    fn eq(&self, other: &Self) -> bool {
+        self.as_str() == other.as_str()
+    }
+}
+
+impl Eq for JsonStr {}
+
+impl PartialEq<str> for JsonStr {
+    fn eq(&self, other: &str) -> bool {
+        self.as_str() == other
+    }
+}
+
+impl PartialOrd for JsonStr {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+/// Byte order, as `str` orders: the order an object's keys print in.
+impl Ord for JsonStr {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.as_str().cmp(other.as_str())
+    }
+}
+
+impl Hash for JsonStr {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.as_str().hash(state)
+    }
+}
+
+impl fmt::Display for JsonStr {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self)
+    }
+}
+
+impl fmt::Debug for JsonStr {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(self.as_str(), f)
+    }
+}
+
+/// The fields of a JSON object: one block of `(key, value)` pairs, sorted
+/// by key, each key once. It prints in key order, and a lookup is a
+/// binary search.
+#[derive(Clone, Default, PartialEq)]
+pub struct JsonMap(Vec<(JsonStr, Json)>);
+
+impl JsonMap {
+    pub fn new() -> Self {
+        JsonMap::default()
+    }
+
+    pub fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+
+    /// Where `key` is, or where it would go.
+    fn find(&self, key: &str) -> Result<usize, usize> {
+        self.0.binary_search_by(|(k, _)| k.as_str().cmp(key))
+    }
+
+    pub fn get(&self, key: &str) -> Option<&Json> {
+        self.find(key).ok().map(|at| &self.0[at].1)
+    }
+
+    /// Set `key` to `value`; the value it replaces, if it had one.
+    pub fn insert(&mut self, key: impl Into<JsonStr>, value: Json) -> Option<Json> {
+        let key = key.into();
+        match self.find(&key) {
+            Ok(at) => Some(std::mem::replace(&mut self.0[at].1, value)),
+            Err(at) => {
+                self.0.insert(at, (key, value));
+                None
+            }
+        }
+    }
+
+    /// Take `key`'s value out, leaving the other fields in order.
+    pub fn remove(&mut self, key: &str) -> Option<Json> {
+        self.find(key).ok().map(|at| self.0.remove(at).1)
+    }
+
+    /// The fields in key order.
+    pub fn iter(&self) -> <&JsonMap as IntoIterator>::IntoIter {
+        self.into_iter()
+    }
+
+    /// The fields in key order, as one slice.
+    pub fn as_slice(&self) -> &[(JsonStr, Json)] {
+        &self.0
+    }
+}
+
+/// Pairs already in key order, each key once (every answer the server
+/// prints), are kept as they come. Others are stably sorted, and a key
+/// that repeats keeps its last value, as inserting them one by one would.
+impl From<Vec<(JsonStr, Json)>> for JsonMap {
+    fn from(mut pairs: Vec<(JsonStr, Json)>) -> Self {
+        if !pairs.windows(2).all(|w| w[0].0 < w[1].0) {
+            pairs.sort_by(|a, b| a.0.cmp(&b.0));
+            // `dedup_by` keeps the first of a run and hands it each later
+            // one to drop: the later value moves into the kept pair
+            pairs.dedup_by(|later, kept| {
+                let same = later.0 == kept.0;
+                if same {
+                    std::mem::swap(&mut later.1, &mut kept.1);
+                }
+                same
+            });
+        }
+        JsonMap(pairs)
+    }
+}
+
+impl<K: Into<JsonStr>> From<std::collections::BTreeMap<K, Json>> for JsonMap {
+    fn from(map: std::collections::BTreeMap<K, Json>) -> Self {
+        map.into_iter().collect()
+    }
+}
+
+impl<K: Into<JsonStr>> FromIterator<(K, Json)> for JsonMap {
+    fn from_iter<I: IntoIterator<Item = (K, Json)>>(pairs: I) -> Self {
+        JsonMap::from(
+            pairs
+                .into_iter()
+                .map(|(k, v)| (k.into(), v))
+                .collect::<Vec<_>>(),
+        )
+    }
+}
+
+impl<'a> IntoIterator for &'a JsonMap {
+    type Item = (&'a JsonStr, &'a Json);
+    type IntoIter = std::iter::Map<
+        std::slice::Iter<'a, (JsonStr, Json)>,
+        fn(&'a (JsonStr, Json)) -> (&'a JsonStr, &'a Json),
+    >;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.0.iter().map(|(k, v)| (k, v))
+    }
+}
+
+/// As a map: `{"key": value, ...}`.
+impl fmt::Debug for JsonMap {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_map().entries(self.iter()).finish()
+    }
 }
 
 impl Json {
     pub fn obj(fields: impl IntoIterator<Item = (&'static str, Json)>) -> Json {
-        Json::Obj(
-            fields
-                .into_iter()
-                .map(|(k, v)| (k.to_string(), v))
-                .collect(),
-        )
+        Json::Obj(fields.into_iter().collect())
     }
 
-    pub fn str(s: impl Into<String>) -> Json {
+    pub fn str(s: impl Into<JsonStr>) -> Json {
         Json::Str(s.into())
     }
 
@@ -58,7 +304,7 @@ impl Json {
 
     pub fn as_str(&self) -> Option<&str> {
         match self {
-            Json::Str(s) => Some(s),
+            Json::Str(s) => Some(s.as_str()),
             _ => None,
         }
     }
@@ -93,7 +339,7 @@ impl Json {
     }
 
     /// Append the compact serialization (no whitespace, object keys in
-    /// map order) to `out`. Everything written is UTF-8.
+    /// sorted order) to `out`. Everything written is UTF-8.
     pub fn write_to(&self, out: &mut Vec<u8>) {
         match self {
             Json::Null => out.extend_from_slice(b"null"),
@@ -407,32 +653,49 @@ impl<'a> Scanner<'a> {
         Ok(())
     }
 
-    /// Read the value that comes next into a tree.
+    /// Read the value that comes next into a tree: each array and object
+    /// in one allocation of its final size, each string of up to
+    /// [`JsonStr::INLINE`] bytes in place.
     pub fn tree(&mut self) -> Result<Json, JsonError> {
+        let mut scratch = TREE_SCRATCH.take().unwrap_or_default();
+        let tree = self.tree_in(&mut scratch);
+        // a level that failed left what it had read so far
+        scratch.items.clear();
+        scratch.fields.clear();
+        if scratch.bytes() <= TREE_SCRATCH_CEILING_BYTES {
+            TREE_SCRATCH.set(Some(scratch));
+        }
+        tree
+    }
+
+    /// The members of the array or object being read wait on `s` until
+    /// its end, where they move into a block of their own.
+    fn tree_in(&mut self, s: &mut TreeScratch) -> Result<Json, JsonError> {
         Ok(match self.peek() {
             Some(b'{') => {
                 self.begin_object()?;
-                let mut fields = BTreeMap::new();
+                let base = s.fields.len();
                 while let Some(key) = self.next_key()? {
-                    let value = self.tree()?;
-                    fields.insert(key.into_owned(), value);
+                    let value = self.tree_in(s)?;
+                    s.fields.push((key.into(), value));
                 }
-                Json::Obj(fields)
+                Json::Obj(JsonMap::from(s.fields.drain(base..).collect::<Vec<_>>()))
             }
             Some(b'[') => {
                 self.begin_array()?;
-                let mut items = Vec::new();
+                let base = s.items.len();
                 while self.next_item()? {
-                    items.push(self.tree()?);
+                    let item = self.tree_in(s)?;
+                    s.items.push(item);
                 }
-                Json::Arr(items)
+                Json::Arr(s.items.drain(base..).collect())
             }
             _ => match self.scalar()? {
                 Scalar::Null => Json::Null,
                 Scalar::Bool(b) => Json::Bool(b),
                 Scalar::Int(i) => Json::Int(i),
                 Scalar::Float(f) => Json::Float(f),
-                Scalar::Str(s) => Json::Str(s.into_owned()),
+                Scalar::Str(s) => Json::Str(s.into()),
             },
         })
     }
@@ -443,6 +706,34 @@ impl<'a> Scanner<'a> {
             None => Ok(()),
             Some(_) => Err(err(self.pos, "trailing garbage")),
         }
+    }
+}
+
+/// The most bytes either stack of a thread's tree scratch keeps from one
+/// parse to the next: one that grew past it is let go when the parse
+/// ends. Far above what a page of rows holds open at once (its rows and
+/// one row's values), while one outsized document does not stay resident
+/// on its thread.
+const TREE_SCRATCH_CEILING_BYTES: usize = 64 * 1024;
+
+thread_local! {
+    /// The parsing thread's tree scratch between parses.
+    static TREE_SCRATCH: Cell<Option<TreeScratch>> = const { Cell::new(None) };
+}
+
+/// The members of the arrays and objects open in a parse, innermost last.
+#[derive(Default)]
+struct TreeScratch {
+    items: Vec<Json>,
+    fields: Vec<(JsonStr, Json)>,
+}
+
+impl TreeScratch {
+    /// The bytes the larger of its stacks has room for.
+    fn bytes(&self) -> usize {
+        let items = self.items.capacity() * std::mem::size_of::<Json>();
+        let fields = self.fields.capacity() * std::mem::size_of::<(JsonStr, Json)>();
+        items.max(fields)
     }
 }
 
@@ -658,7 +949,7 @@ mod tests {
 
     #[test]
     fn unicode_and_errors() {
-        assert_eq!(parse(r#""éA""#).unwrap(), Json::Str("éA".to_string()));
+        assert_eq!(parse(r#""éA""#).unwrap(), Json::Str("éA".into()));
         assert_eq!(parse(r#""🦀""#).unwrap(), Json::Str("🦀".into()));
         assert!(parse("{").is_err());
         assert!(parse("[1,]").is_err());
@@ -755,6 +1046,109 @@ mod tests {
             let skipped = s.skip_value().and_then(|()| s.finish());
             assert_eq!(skipped.err(), parse(bad).err(), "{bad:?}");
         }
+    }
+
+    #[test]
+    fn a_value_stays_four_words() {
+        assert_eq!(std::mem::size_of::<JsonStr>(), 24);
+        assert_eq!(std::mem::size_of::<Json>(), 32);
+    }
+
+    #[test]
+    fn strings_up_to_22_bytes_are_held_in_place() {
+        let held = |s: &str| matches!(JsonStr::from(s).0, Repr::Inline { .. });
+        assert!(held("") && held(&"k".repeat(22)) && held(&format!("{}é", "k".repeat(20))));
+        assert!(!held(&"k".repeat(23)));
+        // a two-byte character that would straddle the 22nd byte
+        let straddling = format!("{}é", "k".repeat(21));
+        assert!(!held(&straddling));
+        for s in ["", "é", &"k".repeat(22), &"k".repeat(23), &straddling] {
+            let from_text = parse(&Json::str(s).to_string()).unwrap();
+            assert_eq!(from_text.as_str(), Some(s));
+            assert_eq!(
+                JsonStr::from(s.to_string()),
+                JsonStr::from(Cow::Borrowed(s))
+            );
+        }
+    }
+
+    #[test]
+    fn parse_builds_each_block_at_its_final_size() {
+        let tree = parse(r#"[[1,2,3],{"b":[true],"a":"x","c":{}},[],"s"]"#).unwrap();
+        let Json::Arr(items) = &tree else {
+            panic!("{tree:?}")
+        };
+        assert_eq!(items.capacity(), 4);
+        assert_eq!(items[0].as_arr().map(<[Json]>::len), Some(3));
+        let Json::Obj(fields) = &items[1] else {
+            panic!("{tree:?}")
+        };
+        assert_eq!(fields.0.capacity(), 3);
+        // keys in order, whatever order they came in
+        let keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(keys, ["a", "b", "c"]);
+        assert_eq!(
+            tree.to_string(),
+            r#"[[1,2,3],{"a":"x","b":[true],"c":{}},[],"s"]"#
+        );
+    }
+
+    #[test]
+    fn a_repeated_key_keeps_its_last_value() {
+        let tree = parse(r#"{"b":1,"a":2,"b":3,"a":4,"c":5,"b":6}"#).unwrap();
+        assert_eq!(tree.to_string(), r#"{"a":4,"b":6,"c":5}"#);
+        let mut map: JsonMap = [("b", Json::Int(1)), ("a", Json::Int(2))]
+            .into_iter()
+            .collect();
+        assert_eq!(map.insert("a", Json::Int(7)), Some(Json::Int(2)));
+        assert_eq!(map.insert("c", Json::Null), None);
+        assert_eq!(map.remove("b"), Some(Json::Int(1)));
+        assert_eq!(map.remove("b"), None);
+        assert_eq!(Json::Obj(map).to_string(), r#"{"a":7,"c":null}"#);
+        assert_eq!(
+            format!("{:?}", parse(r#"{"k":"v"}"#).unwrap()),
+            r#"Obj({"k": Str("v")})"#
+        );
+    }
+
+    /// The bytes the calling thread's tree scratch has room for, 0 when it
+    /// keeps none, and whether it holds nothing.
+    fn scratch() -> (usize, bool) {
+        let scratch = TREE_SCRATCH.take();
+        let bytes = scratch.as_ref().map_or(0, TreeScratch::bytes);
+        let empty = scratch
+            .as_ref()
+            .is_none_or(|s| s.items.is_empty() && s.fields.is_empty());
+        TREE_SCRATCH.set(scratch);
+        (bytes, empty)
+    }
+
+    #[test]
+    fn an_outsized_document_leaves_no_scratch_above_the_ceiling() {
+        std::thread::spawn(|| {
+            parse(r#"[[1,2],{"a":[3]}]"#).unwrap();
+            let (kept, empty) = scratch();
+            assert!(kept > 0 && empty);
+            // a megabyte of array: its stack grows far past the ceiling
+            let items = 1 << 19;
+            let big = format!("[{}]", vec!["1"; items].join(","));
+            assert!(big.len() >= 1 << 20);
+            assert_eq!(
+                parse(&big).unwrap().as_arr().map(<[Json]>::len),
+                Some(items)
+            );
+            assert_eq!(scratch(), (0, true));
+            // so is one cut off before its end, and the next parse starts
+            // afresh
+            assert!(parse(&big[..big.len() - 1]).is_err());
+            assert_eq!(scratch(), (0, true));
+            // a failure part way leaves nothing on the stacks
+            assert!(parse(r#"[[1,2],{"a":[3,{"b":"#).is_err());
+            let (kept, empty) = scratch();
+            assert!(kept <= TREE_SCRATCH_CEILING_BYTES && empty);
+        })
+        .join()
+        .unwrap();
     }
 
     #[test]

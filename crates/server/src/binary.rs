@@ -26,7 +26,7 @@
 //!
 //! Values, parameters, cursors, and response documents each have a tagged
 //! binary form (see the constants below). Response documents are encoded
-//! [`Json`] trees — object keys in `BTreeMap` (lexicographic) order — so a
+//! [`Json`] trees — object keys in sorted (lexicographic) order — so a
 //! binary response carries byte-for-byte the same information as its JSON
 //! twin, and the server's allocation-free fast path can emit frames that
 //! are *byte-identical* to the generic encoder's (pinned by tests).
@@ -306,7 +306,7 @@ pub(crate) fn put_json(out: &mut Vec<u8>, j: &Json) {
 // and tree-built responses distinguishable.
 
 /// An `execute` response body up to and including the rows array's
-/// element count. `BTreeMap` key order puts `cursor` < `degraded` < `ok`
+/// element count. Sorted key order puts `cursor` < `degraded` < `ok`
 /// < `rows`; the cursor travels as the hex string its JSON twin carries.
 pub(crate) fn put_rows_header(
     out: &mut Vec<u8>,
@@ -796,7 +796,7 @@ fn read_json(cur: &mut Cur<'_>, depth: usize) -> Result<Json, ProtoError> {
         J_TRUE => Json::Bool(true),
         J_INT => Json::Int(cur.i64()?),
         J_FLOAT => Json::Float(cur.f64()?),
-        J_STR => Json::Str(cur.str()?.to_string()),
+        J_STR => Json::Str(cur.str()?.into()),
         J_ARR => {
             let raw_count = cur.u32()?;
             let count = checked_capacity(cur, raw_count)?;
@@ -809,12 +809,12 @@ fn read_json(cur: &mut Cur<'_>, depth: usize) -> Result<Json, ProtoError> {
         J_OBJ => {
             let raw_count = cur.u32()?;
             let count = checked_capacity(cur, raw_count)?;
-            let mut fields = std::collections::BTreeMap::new();
+            let mut fields = Vec::with_capacity(count);
             for _ in 0..count {
-                let key = cur.str()?.to_string();
-                fields.insert(key, read_json(cur, depth + 1)?);
+                let key = cur.str()?.into();
+                fields.push((key, read_json(cur, depth + 1)?));
             }
-            Json::Obj(fields)
+            Json::Obj(fields.into())
         }
         other => return Err(ProtoError::Malformed(format!("unknown json tag {other}"))),
     })

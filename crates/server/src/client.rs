@@ -23,7 +23,6 @@ use crate::protocol::{
 use crate::wire::{JsonWire, Wire};
 use piql_core::plan::params::ParamValue;
 use piql_core::tuple::Tuple;
-use piql_core::value::Value;
 use piql_engine::Cursor;
 use std::fmt;
 use std::io::{self, BufReader, Write};
@@ -305,11 +304,12 @@ impl Client {
         let response = self.request(&Request::Batch {
             requests: requests.to_vec(),
         })?;
-        let results = response
-            .get("results")
-            .and_then(Json::as_arr)
-            .ok_or_else(|| ClientError::Proto(ProtoError::Malformed("missing results".into())))?;
-        Ok(results.to_vec())
+        match take_field(response, "results") {
+            Some(Json::Arr(results)) => Ok(results),
+            _ => Err(ClientError::Proto(ProtoError::Malformed(
+                "missing results".into(),
+            ))),
+        }
     }
 
     /// Testing hook: a clone of the underlying stream, for writing raw
@@ -418,31 +418,37 @@ impl Pipeline<'_> {
     }
 }
 
+/// Move `key`'s value out of a response envelope the caller owns.
+fn take_field(response: Json, key: &str) -> Option<Json> {
+    match response {
+        Json::Obj(mut fields) => fields.remove(key),
+        _ => None,
+    }
+}
+
 /// Extract the `explain` object from an `explain` response envelope.
 fn explain_field(response: Json) -> Result<Json, ClientError> {
-    response
-        .get("explain")
-        .cloned()
+    take_field(response, "explain")
         .ok_or_else(|| ClientError::Proto(ProtoError::Malformed("missing explain".into())))
 }
 
 /// Decode an `execute`/`cursor-next` response envelope into a [`Page`]
 /// (public so pipeline and batch callers can decode positional results).
 pub fn decode_page(response: &Json) -> Result<Page, ClientError> {
-    let rows = response
+    let malformed = |what: &str| ClientError::Proto(ProtoError::Malformed(what.into()));
+    let page = response
         .get("rows")
         .and_then(Json::as_arr)
-        .ok_or_else(|| ClientError::Proto(ProtoError::Malformed("missing rows".into())))?
-        .iter()
-        .map(|row| {
-            row.as_arr()
-                .ok_or_else(|| ClientError::Proto(ProtoError::Malformed("row not array".into())))?
-                .iter()
-                .map(|v| value_from_json(v).map_err(ClientError::Proto))
-                .collect::<Result<Vec<Value>, _>>()
-                .map(Tuple::new)
-        })
-        .collect::<Result<Vec<Tuple>, _>>()?;
+        .ok_or_else(|| malformed("missing rows"))?;
+    let mut rows = Vec::with_capacity(page.len());
+    for row in page {
+        let row = row.as_arr().ok_or_else(|| malformed("row not array"))?;
+        let mut values = Vec::with_capacity(row.len());
+        for v in row {
+            values.push(value_from_json(v).map_err(ClientError::Proto)?);
+        }
+        rows.push(Tuple::new(values));
+    }
     let cursor = match response.get("cursor") {
         None | Some(Json::Null) => None,
         Some(Json::Str(hex)) => {

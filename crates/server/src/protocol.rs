@@ -32,8 +32,8 @@
 //! client can reconnect to any server and resume (§4.1 of the paper).
 
 use crate::json::{
-    write_array, write_bool, write_escaped, write_float, write_int, Json, JsonError, Scalar,
-    Scanner, HEX_DIGITS,
+    write_array, write_bool, write_escaped, write_float, write_int, Json, JsonError, JsonStr,
+    Scalar, Scanner, HEX_DIGITS,
 };
 use piql_core::plan::params::ParamValue;
 use piql_core::rows::{RowRef, Rows};
@@ -41,7 +41,6 @@ use piql_core::value::{Value, ValueRef};
 use piql_engine::Cursor;
 use std::borrow::Cow;
 use std::fmt;
-use std::ops::Bound::{Excluded, Unbounded};
 
 /// Protocol-level failures (distinct from query errors, which travel in
 /// `{"ok":false,"error":...}` responses).
@@ -96,7 +95,7 @@ impl RequestId {
     pub fn from_json(j: &Json) -> Result<RequestId, ProtoError> {
         match j {
             Json::Int(i) => Ok(RequestId::Int(*i)),
-            Json::Str(s) => Ok(RequestId::Str(s.clone())),
+            Json::Str(s) => Ok(RequestId::Str(s.to_string())),
             other => Err(ProtoError::Malformed(format!(
                 "'id' must be an integer or string, got {other}"
             ))),
@@ -689,7 +688,7 @@ pub fn request_to_line(req: &Request) -> String {
 pub fn envelope_to_line(env: &Envelope) -> String {
     let mut j = request_to_json(&env.request);
     if let (Json::Obj(m), Some(id)) = (&mut j, &env.id) {
-        m.insert("id".into(), id.to_json());
+        m.insert("id", id.to_json());
     }
     j.to_string()
 }
@@ -698,18 +697,15 @@ pub fn envelope_to_line(env: &Envelope) -> String {
 /// server never produces).
 pub fn attach_id(response: &mut Json, id: &RequestId) {
     if let Json::Obj(m) = response {
-        m.insert("id".into(), id.to_json());
+        m.insert("id", id.to_json());
     }
 }
 
 /// Build a success response envelope.
 pub fn ok_response(fields: impl IntoIterator<Item = (&'static str, Json)>) -> Json {
-    let mut m: std::collections::BTreeMap<String, Json> = fields
-        .into_iter()
-        .map(|(k, v)| (k.to_string(), v))
-        .collect();
-    m.insert("ok".into(), Json::Bool(true));
-    Json::Obj(m)
+    // last, so that it replaces an `ok` among the fields
+    let ok = std::iter::once(("ok", Json::Bool(true)));
+    Json::Obj(fields.into_iter().chain(ok).collect())
 }
 
 /// Build an error response envelope.
@@ -795,7 +791,7 @@ impl Reply {
 //
 // The JSON codec's response encoder: the text `reply.into_json()` prints
 // as, with `id` attached, written without the tree. Object keys go out in
-// the order a `BTreeMap` holds them, which for the fixed envelopes is
+// sorted order, as a `JsonMap` holds them, which for the fixed envelopes is
 // spelled out below. Pinned byte for byte against the tree's printer by
 // `tests/reply_props.rs`.
 
@@ -845,19 +841,23 @@ pub(crate) fn write_doc(id: Option<&RequestId>, doc: &Json, out: &mut Vec<u8>) {
     let (Json::Obj(fields), Some(id)) = (doc, id) else {
         return doc.write_to(out);
     };
-    let field = |(k, v): (&String, &Json), out: &mut Vec<u8>| {
+    let field = |(k, v): &(JsonStr, Json), out: &mut Vec<u8>| {
         write_escaped(k, out);
         out.push(b':');
         v.write_to(out);
     };
+    let fields = fields.as_slice();
+    let before = fields.partition_point(|(k, _)| k.as_str() < "id");
+    // the document's own `id`, which the attached one replaces
+    let replaced = usize::from(fields.get(before).is_some_and(|(k, _)| k == "id"));
     out.push(b'{');
-    for entry in fields.range::<str, _>((Unbounded, Excluded("id"))) {
+    for entry in &fields[..before] {
         field(entry, out);
         out.push(b',');
     }
     out.extend_from_slice(b"\"id\":");
     write_id(id, out);
-    for entry in fields.range::<str, _>((Excluded("id"), Unbounded)) {
+    for entry in &fields[before + replaced..] {
         out.push(b',');
         field(entry, out);
     }

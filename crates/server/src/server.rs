@@ -1147,7 +1147,7 @@ fn stats_response<S: KvStore>(registry: &StatementRegistry<S>) -> Json {
     // the durability health block only exists on durable stacks — its
     // absence is how a client tells an in-memory server apart
     if let (Json::Obj(m), Some(d)) = (&mut response, durability) {
-        m.insert("durability".into(), d);
+        m.insert("durability", d);
     }
     response
 }

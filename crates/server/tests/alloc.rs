@@ -23,7 +23,8 @@ use piql_kv::{LiveCluster, LiveConfig, Session};
 use piql_server::server::respond;
 use piql_server::testkit::linear_predictor;
 use piql_server::{
-    BinaryConn, BinaryWire, Envelope, JsonWire, Request, SloConfig, StatementRegistry, Wire,
+    decode_page, BinaryConn, BinaryWire, Envelope, JsonWire, Request, SloConfig, StatementRegistry,
+    Wire,
 };
 use piql_workloads::scadr::{self, ScadrConfig};
 use piql_workloads::tpcw;
@@ -416,6 +417,16 @@ fn warm_json_inserts_allocate_for_the_request_and_the_store_only() {
 const DECODE_ENVELOPE_CEILING: f64 = 14.0;
 const RESPOND_CEILING: f64 = 13.5;
 const ENCODE_REPLY_CEILING: f64 = 0.0;
+/// What the application's side makes of that response:
+/// `Wire::decode_response` builds its tree — each array and object one
+/// block of its final size, each string of up to 22 bytes held in place,
+/// so one allocation per row and per tagged value — and a `decode_page`
+/// per result turns it into tuples, each page and row sized once
+/// (measured 134 + 108). At 02f15c6 they made 321 + 114: per tagged value
+/// a `BTreeMap` node, its key and its string, and every row and page
+/// grown by doubling. A string or key allocated again adds 93 a page view,
+/// a map node per object 100, a row grown by doubling 31 or more.
+const CLIENT_DECODE_CEILING: f64 = 242.5;
 /// Per execution of `find_user`, `users_followed`, `recent_thoughts`,
 /// `thoughtstream` through `execute_governed`: their result blocks
 /// (measured 2, 4, 2, 4; at 8e3b630: 6, 14, 6, 17; at 52f8695: 6, 40.4,
@@ -496,7 +507,7 @@ fn warm_json_page_views_allocate_for_rows_not_for_layers() {
 
     let mut session = Session::new();
     let mut out = Vec::new();
-    let (mut decode, mut handle, mut encode) = (0, 0, 0);
+    let (mut decode, mut handle, mut encode, mut client) = (0, 0, 0, [0; 2]);
     for i in 0..WARM + MEASURED {
         let frame = &frames[i % USERS];
         let (envelope, decoded) = process_allocs(|| wire.decode_envelope(frame).unwrap());
@@ -505,14 +516,23 @@ fn warm_json_page_views_allocate_for_rows_not_for_layers() {
         out.clear();
         let ((), encoded) =
             process_allocs(|| wire.encode_reply(envelope.id.as_ref(), &reply, &mut out));
+        // the application's side: the response decoded, each page read
+        let ((_, body), read) =
+            process_allocs(|| wire.decode_response(&out[..out.len() - 1]).unwrap());
+        let ((), paged) = process_allocs(|| {
+            for result in body.get("results").unwrap().as_arr().unwrap() {
+                decode_page(result).unwrap();
+            }
+        });
         if i >= WARM {
             decode += decoded;
             handle += handled;
             encode += encoded;
+            client[0] += read;
+            client[1] += paged;
         }
         if i == 0 {
             // what is being measured is the page view the comment describes
-            let (_, body) = wire.decode_response(&out[..out.len() - 1]).unwrap();
             let rows: Vec<usize> = body
                 .get("results")
                 .unwrap()
@@ -525,10 +545,11 @@ fn warm_json_page_views_allocate_for_rows_not_for_layers() {
         }
     }
     let per_request = |n: u64| n as f64 / MEASURED as f64;
-    let (decode, handle, encode) = (
+    let (decode, handle, encode, client) = (
         per_request(decode),
         per_request(handle),
         per_request(encode),
+        client.map(per_request),
     );
 
     let mut executes = [0.0; 4];
@@ -547,7 +568,8 @@ fn warm_json_page_views_allocate_for_rows_not_for_layers() {
     }
     println!(
         "allocations per warm JSON page view: decode_envelope {decode:.2}, respond {handle:.2}, \
-         encode_reply {encode:.2}; per execute_governed {names:?} = {executes:.2?}"
+         encode_reply {encode:.2}; client decode_response + decode_page {client:.2?}; \
+         per execute_governed {names:?} = {executes:.2?}"
     );
     assert!(
         decode <= DECODE_ENVELOPE_CEILING,
@@ -555,6 +577,11 @@ fn warm_json_page_views_allocate_for_rows_not_for_layers() {
     );
     assert!(handle <= RESPOND_CEILING, "respond: {handle:.2}");
     assert!(encode <= ENCODE_REPLY_CEILING, "encode_reply: {encode:.2}");
+    let client = client[0] + client[1];
+    assert!(
+        client <= CLIENT_DECODE_CEILING,
+        "client decode: {client:.2}"
+    );
     for ((name, made), ceiling) in names.iter().zip(executes).zip(EXECUTE_CEILINGS) {
         assert!(
             made <= ceiling,

@@ -6,12 +6,17 @@
 //! framing layer itself (`read_frame` on cut-off streams), the
 //! header-id recovery contract (`extract_id` on mangled payloads), and
 //! decoding into a reused request (`decode_into`), which must leave
-//! nothing of one request in the next.
+//! nothing of one request in the next. Response documents decode and
+//! encode as the `BTreeMap` tree `Json` replaced did (kept here as the
+//! reference), whatever order their keys arrive in.
 
 use piql_core::plan::params::ParamValue;
 use piql_core::value::Value;
 use piql_engine::Database;
-use piql_server::json::Json;
+use piql_server::binary::OP_RESPONSE;
+use piql_server::json::{
+    parse, write_array, write_bool, write_escaped, write_float, write_int, Json,
+};
 use piql_server::protocol::ok_response;
 use piql_server::testkit::linear_predictor;
 use piql_server::{
@@ -20,6 +25,8 @@ use piql_server::{
 };
 use piql_workloads::scadr::{self, ScadrConfig};
 use proptest::prelude::*;
+use proptest::strategy::BoxedStrategy;
+use std::collections::BTreeMap;
 use std::io::BufReader;
 use std::sync::Arc;
 
@@ -57,7 +64,7 @@ fn scalar() -> impl Strategy<Value = Json> {
         any::<bool>().prop_map(Json::Bool),
         any::<i64>().prop_map(Json::Int),
         any::<f64>().prop_map(|f| Json::Float(if f.is_nan() { f64::INFINITY } else { f })),
-        string_content().prop_map(Json::Str),
+        string_content().prop_map(Json::str),
     ]
 }
 
@@ -66,12 +73,15 @@ fn document() -> impl Strategy<Value = Json> {
     prop_oneof![
         scalar(),
         prop::collection::vec(scalar(), 0..6).prop_map(Json::Arr),
-        prop::collection::btree_map(string_content(), scalar(), 0..6).prop_map(Json::Obj),
+        prop::collection::btree_map(string_content(), scalar(), 0..6)
+            .prop_map(|m| Json::Obj(m.into())),
         (
             prop::collection::vec(scalar(), 0..4),
             prop::collection::btree_map(string_content(), scalar(), 0..4),
         )
-            .prop_map(|(arr, obj)| { Json::Arr(vec![Json::Arr(arr), Json::Obj(obj), Json::Null]) }),
+            .prop_map(|(arr, obj)| {
+                Json::Arr(vec![Json::Arr(arr), Json::Obj(obj.into()), Json::Null])
+            }),
     ]
 }
 
@@ -461,5 +471,254 @@ proptest! {
             return Err(TestCaseError::fail("payload missing"));
         };
         prop_assert_eq!(out.to_bits(), bits);
+    }
+}
+
+// ------------------------------------------------ the tree it replaced
+//
+// As in `json_props.rs`: the `BTreeMap` tree `Json` replaced, kept as the
+// reference. A response document is written here pair by pair in any
+// order, repeats included — as a peer that does not sort its keys would —
+// and must decode to what inserting those pairs into a `BTreeMap` held,
+// then encode, on either codec, to the bytes the map tree gives.
+
+/// The response document tags (PROTOCOL.md §9.3).
+const J_NULL: u8 = 0;
+const J_FALSE: u8 = 1;
+const J_TRUE: u8 = 2;
+const J_INT: u8 = 3;
+const J_FLOAT: u8 = 4;
+const J_STR: u8 = 5;
+const J_ARR: u8 = 6;
+const J_OBJ: u8 = 7;
+
+#[derive(Debug, Clone, PartialEq)]
+enum MapTree {
+    Null,
+    Bool(bool),
+    Int(i64),
+    Float(f64),
+    Str(String),
+    Arr(Vec<MapTree>),
+    Obj(BTreeMap<String, MapTree>),
+}
+
+/// A document as a peer writes it: objects as pairs in the order sent.
+#[derive(Debug, Clone)]
+enum Sent {
+    Leaf(MapTree),
+    Arr(Vec<Sent>),
+    Obj(Vec<(String, Sent)>),
+}
+
+impl Sent {
+    fn map_tree(&self) -> MapTree {
+        match self {
+            Sent::Leaf(leaf) => leaf.clone(),
+            Sent::Arr(items) => MapTree::Arr(items.iter().map(Sent::map_tree).collect()),
+            Sent::Obj(pairs) => {
+                let mut fields = BTreeMap::new();
+                for (k, v) in pairs {
+                    fields.insert(k.clone(), v.map_tree());
+                }
+                MapTree::Obj(fields)
+            }
+        }
+    }
+
+    fn put(&self, out: &mut Vec<u8>) {
+        match self {
+            Sent::Leaf(leaf) => put_map_tree(leaf, out),
+            Sent::Arr(items) => {
+                out.push(J_ARR);
+                out.extend_from_slice(&(items.len() as u32).to_le_bytes());
+                items.iter().for_each(|item| item.put(out));
+            }
+            Sent::Obj(pairs) => {
+                out.push(J_OBJ);
+                out.extend_from_slice(&(pairs.len() as u32).to_le_bytes());
+                for (k, v) in pairs {
+                    put_text(k, out);
+                    v.put(out);
+                }
+            }
+        }
+    }
+
+    /// The response frame carrying this document and no id.
+    fn frame(&self) -> Vec<u8> {
+        let mut frame = vec![OP_RESPONSE, 0];
+        self.put(&mut frame);
+        frame
+    }
+}
+
+fn put_text(s: &str, out: &mut Vec<u8>) {
+    out.extend_from_slice(&(s.len() as u32).to_le_bytes());
+    out.extend_from_slice(s.as_bytes());
+}
+
+fn put_map_tree(tree: &MapTree, out: &mut Vec<u8>) {
+    match tree {
+        MapTree::Null => out.push(J_NULL),
+        MapTree::Bool(b) => out.push(if *b { J_TRUE } else { J_FALSE }),
+        MapTree::Int(i) => {
+            out.push(J_INT);
+            out.extend_from_slice(&i.to_le_bytes());
+        }
+        MapTree::Float(f) => {
+            out.push(J_FLOAT);
+            out.extend_from_slice(&f.to_le_bytes());
+        }
+        MapTree::Str(s) => {
+            out.push(J_STR);
+            put_text(s, out);
+        }
+        MapTree::Arr(items) => {
+            out.push(J_ARR);
+            out.extend_from_slice(&(items.len() as u32).to_le_bytes());
+            items.iter().for_each(|item| put_map_tree(item, out));
+        }
+        MapTree::Obj(fields) => {
+            out.push(J_OBJ);
+            out.extend_from_slice(&(fields.len() as u32).to_le_bytes());
+            for (k, v) in fields {
+                put_text(k, out);
+                put_map_tree(v, out);
+            }
+        }
+    }
+}
+
+fn map_print(tree: &MapTree, out: &mut Vec<u8>) {
+    match tree {
+        MapTree::Null => out.extend_from_slice(b"null"),
+        MapTree::Bool(b) => write_bool(*b, out),
+        MapTree::Int(i) => write_int(*i, out),
+        MapTree::Float(f) => write_float(*f, out),
+        MapTree::Str(s) => write_escaped(s, out),
+        MapTree::Arr(items) => write_array(items, out, map_print),
+        MapTree::Obj(fields) => {
+            out.push(b'{');
+            for (i, (k, v)) in fields.iter().enumerate() {
+                if i > 0 {
+                    out.push(b',');
+                }
+                write_escaped(k, out);
+                out.push(b':');
+                map_print(v, out);
+            }
+            out.push(b'}');
+        }
+    }
+}
+
+fn as_map_tree(j: &Json) -> MapTree {
+    match j {
+        Json::Null => MapTree::Null,
+        Json::Bool(b) => MapTree::Bool(*b),
+        Json::Int(i) => MapTree::Int(*i),
+        Json::Float(f) => MapTree::Float(*f),
+        Json::Str(s) => MapTree::Str(s.to_string()),
+        Json::Arr(items) => MapTree::Arr(items.iter().map(as_map_tree).collect()),
+        Json::Obj(fields) => MapTree::Obj(
+            fields
+                .iter()
+                .map(|(k, v)| (k.to_string(), as_map_tree(v)))
+                .collect(),
+        ),
+    }
+}
+
+/// A string on either side of the 22 bytes `JsonStr` holds in place,
+/// a multi-byte character straddling the line among them.
+fn edge_string() -> impl Strategy<Value = String> {
+    const TAILS: &[&str] = &["", "x", "é", "🦀", "\n", "\""];
+    (18usize..26, 0..TAILS.len()).prop_map(|(n, t)| format!("{}{}", "k".repeat(n), TAILS[t]))
+}
+
+fn sent_leaf() -> BoxedStrategy<Sent> {
+    prop_oneof![
+        Just(MapTree::Null),
+        any::<bool>().prop_map(MapTree::Bool),
+        any::<i64>().prop_map(MapTree::Int),
+        any::<f64>().prop_map(|f| MapTree::Float(if f.is_finite() { f } else { 0.5 })),
+        edge_string().prop_map(MapTree::Str),
+        string_content().prop_map(MapTree::Str),
+    ]
+    .prop_map(Sent::Leaf)
+    .boxed()
+}
+
+/// A key: often one of a few, so objects repeat keys.
+fn sent_key() -> impl Strategy<Value = String> {
+    const COMMON: &[&str] = &["a", "b", "id", "ok", "rows", "kkkkkkkkkkkkkkkkkkkkkkk"];
+    prop_oneof![
+        (0..COMMON.len()).prop_map(|i| COMMON[i].to_string()),
+        (0..COMMON.len()).prop_map(|i| COMMON[i].to_string()),
+        edge_string(),
+        string_content(),
+    ]
+}
+
+fn sent_level(value: impl Fn() -> BoxedStrategy<Sent>) -> BoxedStrategy<Sent> {
+    prop_oneof![
+        value(),
+        prop::collection::vec(value(), 0..6).prop_map(Sent::Arr),
+        prop::collection::vec((sent_key(), value()), 0..7).prop_map(Sent::Obj),
+    ]
+    .boxed()
+}
+
+/// A document three levels deep.
+fn sent_document() -> BoxedStrategy<Sent> {
+    sent_level(|| sent_level(|| sent_level(sent_leaf)))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// A document in any key order decodes to what the map tree holds, and
+    /// both codecs print it as they print the map tree: the binary frame
+    /// in sorted key order, and the JSON text.
+    #[test]
+    fn the_compact_tree_decodes_and_encodes_as_the_map_tree(doc in sent_document()) {
+        let reference = doc.map_tree();
+        let (id, tree) = BinaryWire.decode_response(&doc.frame()).unwrap();
+        prop_assert_eq!(id, None);
+        prop_assert_eq!(&as_map_tree(&tree), &reference);
+
+        let mut frame = Vec::new();
+        BinaryWire.encode_response(None, &tree, &mut frame);
+        let mut expected = vec![OP_RESPONSE, 0];
+        put_map_tree(&reference, &mut expected);
+        prop_assert_eq!(&frame[4..], &expected[..]);
+
+        let mut text = Vec::new();
+        map_print(&reference, &mut text);
+        prop_assert_eq!(tree.to_string().into_bytes(), text.clone());
+        // and the text reads back as the same tree
+        let text = String::from_utf8(text).unwrap();
+        prop_assert_eq!(parse(&text), Ok(tree));
+    }
+
+    /// Documents decode to equal trees exactly when their map trees are
+    /// equal: the same pairs sent in another order, or a repeat moved.
+    #[test]
+    fn the_compact_tree_is_equal_where_the_map_tree_is(
+        pairs in prop::collection::vec((sent_key(), sent_leaf()), 0..7),
+        turn in any::<prop::sample::Index>(),
+        other in sent_document(),
+    ) {
+        let mut turned = pairs.clone();
+        turned.rotate_left(turn.index(pairs.len().max(1)).min(pairs.len()));
+        let docs = [Sent::Obj(pairs), Sent::Obj(turned), other];
+        for a in &docs {
+            for b in &docs {
+                let (_, ja) = BinaryWire.decode_response(&a.frame()).unwrap();
+                let (_, jb) = BinaryWire.decode_response(&b.frame()).unwrap();
+                prop_assert_eq!(ja == jb, a.map_tree() == b.map_tree(), "{:?} vs {:?}", a, b);
+            }
+        }
     }
 }

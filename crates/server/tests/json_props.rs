@@ -6,12 +6,17 @@
 //! batches of arbitrary requests round-trip positionally, and the request
 //! decoder — which reads a line in place, without a tree — gives every
 //! line, well-formed or not, the answer the tree-walking decoder it
-//! replaced gave (kept here as the oracle).
+//! replaced gave (kept here as the oracle). The compact tree — objects
+//! as sorted blocks, short strings in place — reads, prints and compares
+//! as the `BTreeMap` tree it replaced (kept here as the reference).
 
 use piql_core::plan::params::ParamValue;
 use piql_core::value::Value;
 use piql_engine::{Cursor, CursorState};
-use piql_server::json::{parse, Json};
+use piql_server::json::{
+    parse, write_array, write_bool, write_escaped, write_float, write_int, Json, JsonError,
+    JsonMap, Scalar, Scanner,
+};
 use piql_server::protocol::{
     attach_id, cursor_to_json, envelope_to_line, extract_id, hex_decode, ok_response,
     param_to_json, parse_envelope, request_to_line, ProtoError,
@@ -19,6 +24,7 @@ use piql_server::protocol::{
 use piql_server::{Envelope, Request, RequestId};
 use proptest::prelude::*;
 use proptest::strategy::BoxedStrategy;
+use std::collections::BTreeMap;
 
 /// Strings mixing ASCII, escapes-required chars, control chars, wide BMP
 /// chars, and (sometimes) an astral char that needs a surrogate pair in
@@ -52,7 +58,7 @@ fn scalar() -> impl Strategy<Value = Json> {
         any::<bool>().prop_map(Json::Bool),
         any::<i64>().prop_map(Json::Int),
         any::<f64>().prop_map(|f| Json::Float(if f.is_finite() { f } else { 0.0 })),
-        string_content().prop_map(Json::Str),
+        string_content().prop_map(Json::str),
     ]
 }
 
@@ -62,12 +68,15 @@ fn document() -> impl Strategy<Value = Json> {
     prop_oneof![
         scalar(),
         prop::collection::vec(scalar(), 0..6).prop_map(Json::Arr),
-        prop::collection::btree_map(string_content(), scalar(), 0..6).prop_map(Json::Obj),
+        prop::collection::btree_map(string_content(), scalar(), 0..6)
+            .prop_map(|m| Json::Obj(m.into())),
         (
             prop::collection::vec(scalar(), 0..4),
             prop::collection::btree_map(string_content(), scalar(), 0..4),
         )
-            .prop_map(|(arr, obj)| { Json::Arr(vec![Json::Arr(arr), Json::Obj(obj), Json::Null]) }),
+            .prop_map(|(arr, obj)| {
+                Json::Arr(vec![Json::Arr(arr), Json::Obj(obj.into()), Json::Null])
+            }),
     ]
 }
 
@@ -157,7 +166,7 @@ fn value_from_json(j: &Json) -> Result<Value, ProtoError> {
             match (tag.as_str(), inner) {
                 ("int", Json::Int(i)) => i32::try_from(*i).map(Value::Int).map_err(|_| malformed()),
                 ("big", Json::Int(i)) => Ok(Value::BigInt(*i)),
-                ("str", Json::Str(s)) => Ok(Value::Varchar(s.clone())),
+                ("str", Json::Str(s)) => Ok(Value::Varchar(s.to_string())),
                 ("bool", Json::Bool(b)) => Ok(Value::Bool(*b)),
                 ("ts", Json::Int(t)) => Ok(Value::Timestamp(*t)),
                 ("f", Json::Null) => Ok(Value::Double(f64::NAN)),
@@ -261,7 +270,7 @@ fn request_from_json(j: &Json, nested: bool) -> Result<Request, ProtoError> {
             let field = |key: &str| -> Result<Option<String>, ProtoError> {
                 match j.get(key) {
                     None | Some(Json::Null) => Ok(None),
-                    Some(Json::Str(s)) => Ok(Some(s.clone())),
+                    Some(Json::Str(s)) => Ok(Some(s.to_string())),
                     Some(other) => Err(ProtoError::Malformed(format!(
                         "'{key}' must be a string, got {other}"
                     ))),
@@ -444,7 +453,7 @@ fn field(
     let quoted = |texts: &'static [&'static str]| {
         (0..texts.len()).prop_map(move |i| format!("\"{}\"", texts[i]))
     };
-    let text = || string_content().prop_map(|s| Json::Str(s).to_string());
+    let text = || string_content().prop_map(|s| Json::str(s).to_string());
     let value = || {
         prop_oneof![
             param().prop_map(|p| param_to_json(&p).to_string()),
@@ -678,7 +687,7 @@ proptest! {
     /// writer and parser exactly.
     #[test]
     fn string_escapes_roundtrip(s in string_content()) {
-        let j = Json::Str(s.clone());
+        let j = Json::str(s.as_str());
         let reparsed = parse(&j.to_string());
         prop_assert_eq!(reparsed, Ok(j));
     }
@@ -717,5 +726,287 @@ proptest! {
         };
         let line = envelope_to_line(&env);
         prop_assert_eq!(parse_envelope(&line), Ok(env), "line: {}", line);
+    }
+}
+
+// ------------------------------------------------ the tree it replaced
+//
+// `Json` holds an object as one sorted block of pairs and a short string
+// in place. The tree it replaced held a `BTreeMap<String, _>` per object
+// and a `String` per string; it is kept here, with its parser and its
+// printer as they were, as the reference the compact tree must agree
+// with: on what a text parses to, on the bytes a tree prints, and on
+// which trees are equal.
+
+#[derive(Debug, Clone, PartialEq)]
+enum MapTree {
+    Null,
+    Bool(bool),
+    Int(i64),
+    Float(f64),
+    Str(String),
+    Arr(Vec<MapTree>),
+    Obj(BTreeMap<String, MapTree>),
+}
+
+fn map_parse(text: &str) -> Result<MapTree, JsonError> {
+    let mut scanner = Scanner::new(text);
+    let tree = map_tree(&mut scanner)?;
+    scanner.finish()?;
+    Ok(tree)
+}
+
+fn map_tree(s: &mut Scanner<'_>) -> Result<MapTree, JsonError> {
+    Ok(match s.peek() {
+        Some(b'{') => {
+            s.begin_object()?;
+            let mut fields = BTreeMap::new();
+            while let Some(key) = s.next_key()? {
+                let value = map_tree(s)?;
+                fields.insert(key.into_owned(), value);
+            }
+            MapTree::Obj(fields)
+        }
+        Some(b'[') => {
+            s.begin_array()?;
+            let mut items = Vec::new();
+            while s.next_item()? {
+                items.push(map_tree(s)?);
+            }
+            MapTree::Arr(items)
+        }
+        _ => match s.scalar()? {
+            Scalar::Null => MapTree::Null,
+            Scalar::Bool(b) => MapTree::Bool(b),
+            Scalar::Int(i) => MapTree::Int(i),
+            Scalar::Float(f) => MapTree::Float(f),
+            Scalar::Str(s) => MapTree::Str(s.into_owned()),
+        },
+    })
+}
+
+fn map_print(tree: &MapTree, out: &mut Vec<u8>) {
+    match tree {
+        MapTree::Null => out.extend_from_slice(b"null"),
+        MapTree::Bool(b) => write_bool(*b, out),
+        MapTree::Int(i) => write_int(*i, out),
+        MapTree::Float(f) => write_float(*f, out),
+        MapTree::Str(s) => write_escaped(s, out),
+        MapTree::Arr(items) => write_array(items, out, map_print),
+        MapTree::Obj(fields) => {
+            out.push(b'{');
+            for (i, (k, v)) in fields.iter().enumerate() {
+                if i > 0 {
+                    out.push(b',');
+                }
+                write_escaped(k, out);
+                out.push(b':');
+                map_print(v, out);
+            }
+            out.push(b'}');
+        }
+    }
+}
+
+fn printed(tree: &MapTree) -> String {
+    let mut out = Vec::new();
+    map_print(tree, &mut out);
+    String::from_utf8(out).unwrap()
+}
+
+/// The compact tree, field by field, as the reference holds it.
+fn as_map_tree(j: &Json) -> MapTree {
+    match j {
+        Json::Null => MapTree::Null,
+        Json::Bool(b) => MapTree::Bool(*b),
+        Json::Int(i) => MapTree::Int(*i),
+        Json::Float(f) => MapTree::Float(*f),
+        Json::Str(s) => MapTree::Str(s.to_string()),
+        Json::Arr(items) => MapTree::Arr(items.iter().map(as_map_tree).collect()),
+        Json::Obj(fields) => MapTree::Obj(
+            fields
+                .iter()
+                .map(|(k, v)| (k.to_string(), as_map_tree(v)))
+                .collect(),
+        ),
+    }
+}
+
+/// A string on either side of the 22 bytes `JsonStr` holds in place: a
+/// run of ASCII and then nothing, one more byte, a two- or four-byte
+/// character that straddles the line, or a character that prints escaped.
+fn edge_string() -> impl Strategy<Value = String> {
+    const TAILS: &[&str] = &["", "x", "é", "🦀", "\n", "\"", "\u{7}", "\\", "/"];
+    (18usize..26, 0..TAILS.len()).prop_map(|(n, t)| format!("{}{}", "k".repeat(n), TAILS[t]))
+}
+
+/// Every character as a `\u` escape (astral ones as surrogate pairs), so
+/// a text far longer than what it decodes to.
+fn escape_all(s: &str) -> String {
+    let mut out = String::from("\"");
+    for unit in s.encode_utf16() {
+        out.push_str(&format!("\\u{unit:04x}"));
+    }
+    out.push('"');
+    out
+}
+
+/// A string as a text holds it: escaped only where it must be, or
+/// everywhere.
+fn string_text() -> impl Strategy<Value = String> {
+    (prop_oneof![edge_string(), string_content()], any::<bool>()).prop_map(|(s, all)| {
+        if all {
+            escape_all(&s)
+        } else {
+            Json::str(s).to_string()
+        }
+    })
+}
+
+/// A key: often one of a few, so objects repeat keys.
+fn key_text() -> impl Strategy<Value = String> {
+    const COMMON: &[&str] = &["a", "b", "id", "ok", "rows", "kkkkkkkkkkkkkkkkkkkkkkk"];
+    prop_oneof![
+        (0..COMMON.len()).prop_map(|i| format!("\"{}\"", COMMON[i])),
+        (0..COMMON.len()).prop_map(|i| format!("\"{}\"", COMMON[i])),
+        string_text(),
+    ]
+}
+
+fn scalar_text() -> impl Strategy<Value = String> {
+    prop_oneof![
+        Just("null".to_string()),
+        any::<bool>().prop_map(|b| b.to_string()),
+        any::<i64>().prop_map(|i| i.to_string()),
+        any::<f64>().prop_map(|f| Json::Float(if f.is_finite() { f } else { 0.5 }).to_string()),
+        string_text(),
+        string_text(),
+    ]
+}
+
+/// An object's text with its pairs in the order given: unsorted, and with
+/// repeated keys.
+fn object_text(pairs: Vec<(String, String)>) -> String {
+    let pairs: Vec<String> = pairs.iter().map(|(k, v)| format!("{k}:{v}")).collect();
+    format!("{{{}}}", pairs.join(","))
+}
+
+fn level(value: impl Fn() -> BoxedStrategy<String>) -> BoxedStrategy<String> {
+    prop_oneof![
+        value(),
+        prop::collection::vec(value(), 0..6).prop_map(|items| format!("[{}]", items.join(","))),
+        prop::collection::vec((key_text(), value()), 0..7).prop_map(object_text),
+    ]
+    .boxed()
+}
+
+/// The text of a document three levels deep.
+fn document_text() -> BoxedStrategy<String> {
+    level(|| level(|| level(|| scalar_text().boxed())))
+}
+
+/// The first `cut` characters of `text`, wherever the cut falls.
+fn cut(text: &str, at: prop::sample::Index) -> &str {
+    let boundaries: Vec<usize> = text.char_indices().map(|(i, _)| i).collect();
+    match boundaries.len() {
+        0 => text,
+        n => &text[..boundaries[at.index(n)]],
+    }
+}
+
+/// What parsing `text` gives: the tree and the bytes it prints, or the
+/// error.
+fn parsed(text: &str) -> Result<(Json, String), JsonError> {
+    parse(text).map(|tree| {
+        let bytes = tree.to_string();
+        (tree, bytes)
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    /// Every text, whole or cut short, parses to what the map tree reads
+    /// from it — or fails where and as it fails — and prints the same
+    /// bytes.
+    #[test]
+    fn the_compact_tree_reads_and_prints_as_the_map_tree(
+        text in document_text(),
+        damaged in any::<bool>(),
+        at in any::<prop::sample::Index>(),
+    ) {
+        let text = if damaged { cut(&text, at) } else { &text };
+        match (parse(text), map_parse(text)) {
+            (Ok(tree), Ok(reference)) => {
+                prop_assert_eq!(&as_map_tree(&tree), &reference, "text: {}", text);
+                prop_assert_eq!(tree.to_string(), printed(&reference), "text: {}", text);
+            }
+            (tree, reference) => prop_assert_eq!(tree.err(), reference.err(), "text: {}", text),
+        }
+    }
+
+    /// The same pairs in another order, or a repeat moved, make equal
+    /// trees exactly when they make equal map trees.
+    #[test]
+    fn the_compact_tree_is_equal_where_the_map_tree_is(
+        pairs in prop::collection::vec((key_text(), scalar_text()), 0..7),
+        turn in any::<prop::sample::Index>(),
+        other in document_text(),
+    ) {
+        let mut turned = pairs.clone();
+        turned.rotate_left(turn.index(pairs.len().max(1)).min(pairs.len()));
+        let texts = [object_text(pairs), object_text(turned), other];
+        for a in &texts {
+            for b in &texts {
+                let (Ok(ja), Ok(jb)) = (parse(a), parse(b)) else { continue };
+                let (ma, mb) = (map_parse(a).unwrap(), map_parse(b).unwrap());
+                prop_assert_eq!(ja == jb, ma == mb, "{} vs {}", a, b);
+            }
+        }
+    }
+
+    /// A parse that fails part way leaves nothing behind: the next parse
+    /// on the same thread gives exactly what a fresh thread gives.
+    #[test]
+    fn a_failed_parse_leaves_nothing_for_the_next(
+        text in document_text(),
+        at in any::<prop::sample::Index>(),
+        next in document_text(),
+    ) {
+        let _ = parse(cut(&text, at));
+        let here = parsed(&next);
+        let fresh = std::thread::spawn({
+            let next = next.clone();
+            move || parsed(&next)
+        })
+        .join()
+        .unwrap();
+        prop_assert_eq!(here, fresh, "text: {}", next);
+    }
+
+    /// A map built by inserting and removing keys one at a time holds and
+    /// prints what a `BTreeMap` given the same calls holds.
+    #[test]
+    fn a_map_edited_in_place_agrees_with_a_btree_map(
+        edits in prop::collection::vec((any::<bool>(), prop_oneof![edge_string(), string_content()], any::<i64>()), 0..24),
+    ) {
+        let (mut map, mut reference) = (JsonMap::new(), BTreeMap::new());
+        for (insert, key, value) in edits {
+            if insert {
+                prop_assert_eq!(
+                    map.insert(key.as_str(), Json::Int(value)).map(|j| as_map_tree(&j)),
+                    reference.insert(key, MapTree::Int(value))
+                );
+            } else {
+                prop_assert_eq!(
+                    map.remove(&key).map(|j| as_map_tree(&j)),
+                    reference.remove(&key)
+                );
+            }
+            prop_assert_eq!(map.len(), reference.len());
+        }
+        let (tree, reference) = (Json::Obj(map), MapTree::Obj(reference));
+        prop_assert_eq!(&as_map_tree(&tree), &reference);
+        prop_assert_eq!(tree.to_string(), printed(&reference));
     }
 }

@@ -70,7 +70,7 @@ fn statement_reply() -> impl Strategy<Value = Reply> {
             Just(Json::Null),
             any::<i64>().prop_map(Json::Int),
             any::<f64>().prop_map(Json::Float),
-            string_content().prop_map(Json::Str),
+            string_content().prop_map(Json::str),
         ]
     };
     // one arity per reply: rows are drawn at the widest and cut to it
@@ -95,7 +95,7 @@ fn statement_reply() -> impl Strategy<Value = Reply> {
         string_content().prop_map(|message| Reply::Doc(err_response(message))),
         string_content().prop_map(|tenant| Reply::Doc(budget_exceeded_response(&tenant))),
         prop::collection::btree_map(string_content(), scalar(), 0..6)
-            .prop_map(|fields| Reply::Doc(ok_response([("payload", Json::Obj(fields))]))),
+            .prop_map(|fields| Reply::Doc(ok_response([("payload", Json::Obj(fields.into()))]))),
         prop::collection::vec(scalar(), 0..3).prop_map(|items| Reply::Doc(Json::Arr(items))),
     ]
 }
