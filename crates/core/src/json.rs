@@ -1,9 +1,9 @@
 //! A minimal JSON value, parser, and writer.
 //!
 //! The wire protocol is newline-delimited JSON; the workspace is built
-//! offline (no serde), so this module hand-rolls the ~RFC 8259 subset the
-//! protocol needs. Integers are kept distinct from floats ([`Json::Int`] vs
-//! [`Json::Float`]) because `Value::Timestamp`/`Value::BigInt` payloads
+//! offline (no serde), so this module hand-rolls RFC 8259 as far as the
+//! protocol needs it. Integers are kept distinct from floats ([`Json::Int`]
+//! vs [`Json::Float`]) because `Value::Timestamp`/`Value::BigInt` payloads
 //! exceed the 2^53 range where f64 round-trips i64 exactly.
 //!
 //! It lives in `piql-core`, below every crate that speaks JSON: the
@@ -17,6 +17,7 @@ use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::io::Write;
 use std::ops::Deref;
+use std::sync::Arc;
 
 /// A JSON document. An object's fields are kept sorted by key, so
 /// serialization is deterministic — the differential tests compare
@@ -28,7 +29,7 @@ pub enum Json {
     Int(i64),
     Float(f64),
     Str(JsonStr),
-    Arr(Vec<Json>),
+    Arr(JsonArr),
     Obj(JsonMap),
 }
 
@@ -166,11 +167,135 @@ impl fmt::Debug for JsonStr {
     }
 }
 
-/// The fields of a JSON object: one block of `(key, value)` pairs, sorted
-/// by key, each key once. It prints in key order, and a lookup is a
-/// binary search.
+/// The members of one array or object: a block of their own, or their run
+/// of the block that every container on their nesting level of a decoded
+/// document shares ([`TreeBuilder`] makes one per level). Either way they
+/// read as one slice, and a clone of a shared view is a reference-count
+/// bump. A level's block only points at the levels below it, so no
+/// reference cycle can form.
+#[derive(Clone)]
+enum Block<T> {
+    Owned(Box<[T]>),
+    Shared {
+        level: Arc<[T]>,
+        start: u32,
+        len: u32,
+    },
+}
+
+impl<T> Default for Block<T> {
+    fn default() -> Self {
+        Block::Owned(Box::default())
+    }
+}
+
+impl<T> Deref for Block<T> {
+    type Target = [T];
+
+    fn deref(&self) -> &[T] {
+        match self {
+            Block::Owned(members) => members,
+            // in range: `TreeBuilder::finish` makes a view only of a run
+            // it counted on the level
+            Block::Shared { level, start, len } => {
+                let start = *start as usize;
+                &level[start..start + *len as usize]
+            }
+        }
+    }
+}
+
+impl<T: Clone> Block<T> {
+    /// The members as a vector of their own with room for `extra` more:
+    /// an owned block is moved, a shared view copies its own run only.
+    fn into_vec(self, extra: usize) -> Vec<T> {
+        match self {
+            Block::Owned(members) => {
+                let mut members = members.into_vec();
+                members.reserve_exact(extra);
+                members
+            }
+            shared => {
+                let mut members = Vec::with_capacity(shared.len() + extra);
+                members.extend_from_slice(&shared);
+                members
+            }
+        }
+    }
+
+    /// Change the members in place of their own: a shared view becomes a
+    /// block of its own first, and the containers beside it are left as
+    /// they were.
+    fn edit<R>(&mut self, extra: usize, change: impl FnOnce(&mut Vec<T>) -> R) -> R {
+        let mut members = std::mem::take(self).into_vec(extra);
+        let changed = change(&mut members);
+        *self = Block::Owned(members.into_boxed_slice());
+        changed
+    }
+}
+
+/// By content, wherever it is held.
+impl<T: PartialEq> PartialEq for Block<T> {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+
+/// The items of a JSON array.
 #[derive(Clone, Default, PartialEq)]
-pub struct JsonMap(Vec<(JsonStr, Json)>);
+pub struct JsonArr(Block<Json>);
+
+impl Deref for JsonArr {
+    type Target = [Json];
+
+    fn deref(&self) -> &[Json] {
+        &self.0
+    }
+}
+
+impl From<Vec<Json>> for JsonArr {
+    fn from(items: Vec<Json>) -> Self {
+        JsonArr(Block::Owned(items.into_boxed_slice()))
+    }
+}
+
+impl FromIterator<Json> for JsonArr {
+    fn from_iter<I: IntoIterator<Item = Json>>(items: I) -> Self {
+        JsonArr(Block::Owned(items.into_iter().collect()))
+    }
+}
+
+impl<'a> IntoIterator for &'a JsonArr {
+    type Item = &'a Json;
+    type IntoIter = std::slice::Iter<'a, Json>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.0.iter()
+    }
+}
+
+/// The items moved out of a block of their own, or copied out of a shared
+/// view (each nested array or object a reference-count bump).
+impl IntoIterator for JsonArr {
+    type Item = Json;
+    type IntoIter = std::vec::IntoIter<Json>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.0.into_vec(0).into_iter()
+    }
+}
+
+/// As a list: `[item, ...]`.
+impl fmt::Debug for JsonArr {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+/// The fields of a JSON object: `(key, value)` pairs sorted by key, each
+/// key once. It prints in key order, and a lookup is a binary search.
+#[derive(Clone, Default, PartialEq)]
+pub struct JsonMap(Block<(JsonStr, Json)>);
 
 impl JsonMap {
     pub fn new() -> Self {
@@ -194,13 +319,17 @@ impl JsonMap {
         self.find(key).ok().map(|at| &self.0[at].1)
     }
 
-    /// Set `key` to `value`; the value it replaces, if it had one.
+    /// Set `key` to `value`; the value it replaces, if it had one. A map
+    /// that shares its level's block takes a copy of its own fields first.
     pub fn insert(&mut self, key: impl Into<JsonStr>, value: Json) -> Option<Json> {
         let key = key.into();
         match self.find(&key) {
-            Ok(at) => Some(std::mem::replace(&mut self.0[at].1, value)),
+            Ok(at) => Some(
+                self.0
+                    .edit(0, |fields| std::mem::replace(&mut fields[at].1, value)),
+            ),
             Err(at) => {
-                self.0.insert(at, (key, value));
+                self.0.edit(1, |fields| fields.insert(at, (key, value)));
                 None
             }
         }
@@ -208,7 +337,8 @@ impl JsonMap {
 
     /// Take `key`'s value out, leaving the other fields in order.
     pub fn remove(&mut self, key: &str) -> Option<Json> {
-        self.find(key).ok().map(|at| self.0.remove(at).1)
+        let at = self.find(key).ok()?;
+        Some(self.0.edit(0, |fields| fields.remove(at).1))
     }
 
     /// The fields in key order.
@@ -222,24 +352,37 @@ impl JsonMap {
     }
 }
 
-/// Pairs already in key order, each key once (every answer the server
-/// prints), are kept as they come. Others are stably sorted, and a key
-/// that repeats keeps its last value, as inserting them one by one would.
+/// Sort `pairs[start..]` by key, stably, and keep one pair per key with the
+/// last value it was given, as inserting them one by one would. Pairs
+/// already in key order, each key once (every answer the server prints),
+/// are left as they are.
+fn sort_unique<V>(pairs: &mut Vec<(JsonStr, V)>, start: usize) {
+    let Some(tail) = pairs.get_mut(start..) else {
+        return;
+    };
+    if tail.windows(2).all(|w| w[0].0 < w[1].0) {
+        return;
+    }
+    tail.sort_by(|a, b| a.0.cmp(&b.0));
+    // `kept` is the last pair kept so far; a repeat of its key hands it
+    // the later value
+    let mut kept = start;
+    for at in start + 1..pairs.len() {
+        let (before, rest) = pairs.split_at_mut(at);
+        if before[kept].0 == rest[0].0 {
+            std::mem::swap(&mut before[kept].1, &mut rest[0].1);
+        } else {
+            kept += 1;
+            pairs.swap(kept, at);
+        }
+    }
+    pairs.truncate(kept + 1);
+}
+
 impl From<Vec<(JsonStr, Json)>> for JsonMap {
     fn from(mut pairs: Vec<(JsonStr, Json)>) -> Self {
-        if !pairs.windows(2).all(|w| w[0].0 < w[1].0) {
-            pairs.sort_by(|a, b| a.0.cmp(&b.0));
-            // `dedup_by` keeps the first of a run and hands it each later
-            // one to drop: the later value moves into the kept pair
-            pairs.dedup_by(|later, kept| {
-                let same = later.0 == kept.0;
-                if same {
-                    std::mem::swap(&mut later.1, &mut kept.1);
-                }
-                same
-            });
-        }
-        JsonMap(pairs)
+        sort_unique(&mut pairs, 0);
+        JsonMap(Block::Owned(pairs.into_boxed_slice()))
     }
 }
 
@@ -269,6 +412,16 @@ impl<'a> IntoIterator for &'a JsonMap {
 
     fn into_iter(self) -> Self::IntoIter {
         self.0.iter().map(|(k, v)| (k, v))
+    }
+}
+
+/// The fields in key order, moved or copied as [`JsonArr`]'s items are.
+impl IntoIterator for JsonMap {
+    type Item = (JsonStr, Json);
+    type IntoIter = std::vec::IntoIter<(JsonStr, Json)>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.0.into_vec(0).into_iter()
     }
 }
 
@@ -653,51 +806,48 @@ impl<'a> Scanner<'a> {
         Ok(())
     }
 
-    /// Read the value that comes next into a tree: each array and object
-    /// in one allocation of its final size, each string of up to
+    /// Read the value that comes next into a tree: the members of all the
+    /// arrays on one nesting level in one block, those of all the objects
+    /// in another (see [`TreeBuilder`]), and each string of up to
     /// [`JsonStr::INLINE`] bytes in place.
     pub fn tree(&mut self) -> Result<Json, JsonError> {
-        let mut scratch = TREE_SCRATCH.take().unwrap_or_default();
-        let tree = self.tree_in(&mut scratch);
-        // a level that failed left what it had read so far
-        scratch.items.clear();
-        scratch.fields.clear();
-        if scratch.bytes() <= TREE_SCRATCH_CEILING_BYTES {
-            TREE_SCRATCH.set(Some(scratch));
-        }
-        tree
+        let mut levels = TreeBuilder::default();
+        let root = self.tree_in(&mut levels)?;
+        Ok(levels.finish(root))
     }
 
-    /// The members of the array or object being read wait on `s` until
-    /// its end, where they move into a block of their own.
-    fn tree_in(&mut self, s: &mut TreeScratch) -> Result<Json, JsonError> {
+    fn tree_in(&mut self, levels: &mut TreeBuilder) -> Result<Member, JsonError> {
         Ok(match self.peek() {
             Some(b'{') => {
                 self.begin_object()?;
-                let base = s.fields.len();
+                let object = levels.open_object();
                 while let Some(key) = self.next_key()? {
-                    let value = self.tree_in(s)?;
-                    s.fields.push((key.into(), value));
+                    let value = self.tree_in(levels)?;
+                    levels.field(&object, key.into(), value);
                 }
-                Json::Obj(JsonMap::from(s.fields.drain(base..).collect::<Vec<_>>()))
+                self.closed(levels.close_object(object))?
             }
             Some(b'[') => {
                 self.begin_array()?;
-                let base = s.items.len();
+                let array = levels.open_array();
                 while self.next_item()? {
-                    let item = self.tree_in(s)?;
-                    s.items.push(item);
+                    let item = self.tree_in(levels)?;
+                    levels.item(&array, item);
                 }
-                Json::Arr(s.items.drain(base..).collect())
+                self.closed(levels.close_array(array))?
             }
-            _ => match self.scalar()? {
+            _ => Member::from(match self.scalar()? {
                 Scalar::Null => Json::Null,
                 Scalar::Bool(b) => Json::Bool(b),
                 Scalar::Int(i) => Json::Int(i),
                 Scalar::Float(f) => Json::Float(f),
                 Scalar::Str(s) => Json::Str(s.into()),
-            },
+            }),
         })
+    }
+
+    fn closed(&self, container: Option<Member>) -> Result<Member, JsonError> {
+        container.ok_or_else(|| err(self.pos, "too many members on one nesting level"))
     }
 
     /// Nothing but whitespace may follow the value a text holds.
@@ -709,31 +859,278 @@ impl<'a> Scanner<'a> {
     }
 }
 
-/// The most bytes either stack of a thread's tree scratch keeps from one
-/// parse to the next: one that grew past it is let go when the parse
-/// ends. Far above what a page of rows holds open at once (its rows and
-/// one row's values), while one outsized document does not stay resident
-/// on its thread.
+/// Builds a decoded document one nesting level at a time, for a reader
+/// that walks it depth first (the text parser here, the binary codec's
+/// response decoder). The reader opens an array or object, hands in its
+/// members, closes it, hands what that gave back to the container around
+/// it as a member, and passes the root to [`TreeBuilder::finish`].
+///
+/// The members wait on the thread's scratch, one stack per level, and a
+/// closed container waits as its run of the level below; an object's
+/// pairs are sorted, and a repeated key's last value kept, when it closes.
+/// `finish` moves each level's array items into one block and its object
+/// fields into another, deepest level first, and makes each container a
+/// view of its run. So a document allocates once per level and kind, not
+/// per container or per row: a page of rows is six blocks however many
+/// rows it holds. A level that holds a single container gets a block of
+/// its own, without the shared block's reference count, and an empty
+/// container allocates nothing.
+///
+/// Dropped before `finish` (the reader failed), it leaves its scratch
+/// empty for the next document, and lets a scratch that grew past a fixed
+/// ceiling go.
+pub struct TreeBuilder {
+    levels: Levels,
+    /// The arrays and objects open now.
+    depth: usize,
+    /// The levels this document has used; those below are empty.
+    used: usize,
+}
+
+/// A member of an array or object, or a document's root, as
+/// [`TreeBuilder`] holds it until `finish`: a value, or an array or object
+/// as its run `(start, len)` of the level below.
+pub struct Member(Slot);
+
+enum Slot {
+    Value(Json),
+    Arr((u32, u32)),
+    Obj((u32, u32)),
+}
+
+impl From<Json> for Member {
+    /// A value; an array or object built whole, not by a `TreeBuilder`,
+    /// keeps its own blocks.
+    fn from(value: Json) -> Self {
+        Member(Slot::Value(value))
+    }
+}
+
+/// An array opened by [`TreeBuilder::open_array`], until it is closed.
+pub struct OpenArray(Open);
+
+/// An object opened by [`TreeBuilder::open_object`], until it is closed.
+pub struct OpenObject(Open);
+
+/// Where a container's members go: its level, and where they start there.
+struct Open {
+    depth: usize,
+    start: usize,
+}
+
+impl Default for TreeBuilder {
+    /// A builder on the calling thread's scratch.
+    fn default() -> Self {
+        // `try_with`: a thread's locals may already be gone while it exits
+        let kept = TREE_SCRATCH.try_with(Cell::take).ok().flatten();
+        TreeBuilder {
+            levels: kept.unwrap_or_default(),
+            depth: 0,
+            used: 0,
+        }
+    }
+}
+
+impl TreeBuilder {
+    /// The arrays and objects open now.
+    pub fn depth(&self) -> usize {
+        self.depth
+    }
+
+    pub fn open_array(&mut self) -> OpenArray {
+        let depth = self.open();
+        let start = self.levels.0[depth].items.len();
+        OpenArray(Open { depth, start })
+    }
+
+    pub fn open_object(&mut self) -> OpenObject {
+        let depth = self.open();
+        let start = self.levels.0[depth].fields.len();
+        OpenObject(Open { depth, start })
+    }
+
+    /// The depth of the container being opened, its level made on first
+    /// use.
+    fn open(&mut self) -> usize {
+        let depth = self.depth;
+        self.depth += 1;
+        self.used = self.used.max(self.depth);
+        if self.levels.0.len() == depth {
+            self.levels.0.push(Level::default());
+        }
+        depth
+    }
+
+    /// The next item of `array`.
+    pub fn item(&mut self, array: &OpenArray, item: Member) {
+        self.levels.0[array.0.depth].items.push(item.0);
+    }
+
+    /// The next field of `object`.
+    pub fn field(&mut self, object: &OpenObject, key: JsonStr, value: Member) {
+        self.levels.0[object.0.depth].fields.push((key, value.0));
+    }
+
+    /// Close `array`: what the container around it, or `finish`, takes as
+    /// a member. `None` when its level holds more than `u32::MAX` members,
+    /// or when containers were closed out of the order they were opened.
+    pub fn close_array(&mut self, array: OpenArray) -> Option<Member> {
+        let Open { depth, start } = array.0;
+        self.depth = depth;
+        let level = &mut self.levels.0[depth];
+        let len = level.items.len().checked_sub(start)?;
+        if len == 0 {
+            return Some(Json::Arr(JsonArr::default()).into());
+        }
+        level.arrays += 1;
+        Some(Member(Slot::Arr(run(start, len)?)))
+    }
+
+    /// Close `object`, its pairs sorted and each key's last value kept: as
+    /// [`TreeBuilder::close_array`].
+    pub fn close_object(&mut self, object: OpenObject) -> Option<Member> {
+        let Open { depth, start } = object.0;
+        self.depth = depth;
+        let level = &mut self.levels.0[depth];
+        sort_unique(&mut level.fields, start);
+        let len = level.fields.len().checked_sub(start)?;
+        if len == 0 {
+            return Some(Json::Obj(JsonMap::default()).into());
+        }
+        level.objects += 1;
+        Some(Member(Slot::Obj(run(start, len)?)))
+    }
+
+    /// The document whose root is `root`, each of its containers closed.
+    pub fn finish(mut self, root: Member) -> Json {
+        // deepest first: a container's run is on the level below its own
+        let (mut items, mut fields) = (Frozen::Empty, Frozen::Empty);
+        for level in self.levels.0[..self.used].iter_mut().rev() {
+            let next_items = Frozen::new(&mut level.items, level.arrays, |slot| {
+                slot.into_json(&mut items, &mut fields)
+            });
+            let next_fields = Frozen::new(&mut level.fields, level.objects, |(key, slot)| {
+                (key, slot.into_json(&mut items, &mut fields))
+            });
+            (items, fields) = (next_items, next_fields);
+            (level.arrays, level.objects) = (0, 0);
+        }
+        root.0.into_json(&mut items, &mut fields)
+    }
+}
+
+/// A run of a level as a view holds it.
+fn run(start: usize, len: usize) -> Option<(u32, u32)> {
+    Some((u32::try_from(start).ok()?, u32::try_from(len).ok()?))
+}
+
+impl Drop for TreeBuilder {
+    fn drop(&mut self) {
+        let mut scratch = std::mem::take(&mut self.levels);
+        scratch.clear(self.used);
+        if scratch.bytes() <= TREE_SCRATCH_CEILING_BYTES {
+            let _ = TREE_SCRATCH.try_with(|slot| slot.set(Some(scratch)));
+        }
+    }
+}
+
+impl Slot {
+    /// The member as the tree holds it, `items` and `fields` the blocks the
+    /// level below moved into.
+    fn into_json(self, items: &mut Frozen<Json>, fields: &mut Frozen<(JsonStr, Json)>) -> Json {
+        match self {
+            Slot::Value(value) => value,
+            Slot::Arr(run) => Json::Arr(JsonArr(items.view(run))),
+            Slot::Obj(run) => Json::Obj(JsonMap(fields.view(run))),
+        }
+    }
+}
+
+/// One level's array items or object fields, moved off the scratch.
+#[derive(Default)]
+enum Frozen<T> {
+    #[default]
+    Empty,
+    /// The members of the level's one container, for it to take.
+    Owned(Box<[T]>),
+    /// The members of all of them, one block their views share.
+    Shared(Arc<[T]>),
+}
+
+impl<T> Frozen<T> {
+    /// A level's stack of `members` moved into one block as `member`
+    /// makes each, in one allocation (a drained stack's length is known);
+    /// `containers` is how many closed on the level.
+    fn new<S>(members: &mut Vec<S>, containers: usize, member: impl FnMut(S) -> T) -> Self {
+        match (members.len(), containers) {
+            (0, _) => Frozen::Empty,
+            (_, 1) => Frozen::Owned(members.drain(..).map(member).collect()),
+            _ => Frozen::Shared(members.drain(..).map(member).collect()),
+        }
+    }
+
+    fn view(&mut self, (start, len): (u32, u32)) -> Block<T> {
+        if let Frozen::Shared(level) = self {
+            return Block::Shared {
+                level: Arc::clone(level),
+                start,
+                len,
+            };
+        }
+        match std::mem::take(self) {
+            Frozen::Owned(members) => Block::Owned(members),
+            _ => Block::default(),
+        }
+    }
+}
+
+/// The most bytes a thread's tree scratch keeps from one document to the
+/// next: one that grew past it is let go when the document ends. Far above
+/// what a page of rows holds (about 14 KB for the 31 rows of a page view),
+/// while one outsized document does not stay resident on its thread.
 const TREE_SCRATCH_CEILING_BYTES: usize = 64 * 1024;
 
 thread_local! {
-    /// The parsing thread's tree scratch between parses.
-    static TREE_SCRATCH: Cell<Option<TreeScratch>> = const { Cell::new(None) };
+    /// The decoding thread's tree scratch between documents.
+    static TREE_SCRATCH: Cell<Option<Levels>> = const { Cell::new(None) };
 }
 
-/// The members of the arrays and objects open in a parse, innermost last.
+/// The members of a document being built, a stack per nesting level,
+/// outermost first; a document leaves those below its depth as they were,
+/// empty.
 #[derive(Default)]
-struct TreeScratch {
-    items: Vec<Json>,
-    fields: Vec<(JsonStr, Json)>,
+struct Levels(Vec<Level>);
+
+#[derive(Default)]
+struct Level {
+    items: Vec<Slot>,
+    fields: Vec<(JsonStr, Slot)>,
+    /// The arrays and objects with members closed on this level.
+    arrays: usize,
+    objects: usize,
 }
 
-impl TreeScratch {
-    /// The bytes the larger of its stacks has room for.
+impl Levels {
+    /// Empty the first `used` levels, the others being empty already.
+    fn clear(&mut self, used: usize) {
+        for level in &mut self.0[..used] {
+            level.items.clear();
+            level.fields.clear();
+            (level.arrays, level.objects) = (0, 0);
+        }
+    }
+
+    /// The bytes its stacks have room for.
     fn bytes(&self) -> usize {
-        let items = self.items.capacity() * std::mem::size_of::<Json>();
-        let fields = self.fields.capacity() * std::mem::size_of::<(JsonStr, Json)>();
-        items.max(fields)
+        let members: usize = self
+            .0
+            .iter()
+            .map(|level| {
+                level.items.capacity() * std::mem::size_of::<Slot>()
+                    + level.fields.capacity() * std::mem::size_of::<(JsonStr, Slot)>()
+            })
+            .sum();
+        members + self.0.capacity() * std::mem::size_of::<Level>()
     }
 }
 
@@ -867,34 +1264,64 @@ fn parse_string<'a>(bytes: &'a [u8], pos: &mut usize) -> Result<Cow<'a, str>, Js
     }
 }
 
+/// A number as RFC 8259 spells it: `-`, then `0` or a digit run that
+/// does not start with one, then a fraction and an exponent if any, each
+/// with at least one digit. No `+` or `.` may lead, and a float must be
+/// finite: `1e999` is refused, as serde_json refuses it, rather than read
+/// as infinity, which would print back as `null`.
 fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Scalar<'static>, JsonError> {
     let start = *pos;
+    let digits = |pos: &mut usize| {
+        let from = *pos;
+        while bytes.get(*pos).is_some_and(u8::is_ascii_digit) {
+            *pos += 1;
+        }
+        *pos - from
+    };
     if bytes.get(*pos) == Some(&b'-') {
         *pos += 1;
     }
-    let mut is_float = false;
-    while let Some(&b) = bytes.get(*pos) {
-        match b {
-            b'0'..=b'9' => *pos += 1,
-            b'.' | b'e' | b'E' | b'+' | b'-' => {
-                is_float = true;
-                *pos += 1;
+    match bytes.get(*pos) {
+        Some(b'0') => {
+            *pos += 1;
+            if bytes.get(*pos).is_some_and(u8::is_ascii_digit) {
+                return Err(err(start, "a number may not start with 0"));
             }
-            _ => break,
         }
+        Some(b'1'..=b'9') => {
+            digits(pos);
+        }
+        _ => return Err(err(start, "expected value")),
     }
+    let mut is_float = false;
+    if bytes.get(*pos) == Some(&b'.') {
+        *pos += 1;
+        if digits(pos) == 0 {
+            return Err(err(start, "expected a digit after '.'"));
+        }
+        is_float = true;
+    }
+    if matches!(bytes.get(*pos), Some(b'e' | b'E')) {
+        *pos += 1;
+        if matches!(bytes.get(*pos), Some(b'+' | b'-')) {
+            *pos += 1;
+        }
+        if digits(pos) == 0 {
+            return Err(err(start, "expected a digit in the exponent"));
+        }
+        is_float = true;
+    }
+    // only ASCII digits and signs were read
     let text = std::str::from_utf8(&bytes[start..*pos]).map_err(|_| err(start, "bad number"))?;
-    if text.is_empty() || text == "-" {
-        return Err(err(start, "expected value"));
-    }
     if is_float {
-        text.parse::<f64>()
-            .map(Scalar::Float)
-            .map_err(|_| err(start, "bad number"))
+        match text.parse::<f64>() {
+            Ok(f) if f.is_finite() => Ok(Scalar::Float(f)),
+            _ => Err(err(start, "number out of range")),
+        }
     } else {
         text.parse::<i64>()
             .map(Scalar::Int)
-            .map_err(|_| err(start, "bad number"))
+            .map_err(|_| err(start, "number out of range"))
     }
 }
 
@@ -1072,25 +1499,171 @@ mod tests {
         }
     }
 
+    /// The level block a view shares, if it shares one.
+    fn shared<T>(block: &Block<T>) -> Option<&Arc<[T]>> {
+        match block {
+            Block::Shared { level, .. } => Some(level),
+            Block::Owned(_) => None,
+        }
+    }
+
     #[test]
-    fn parse_builds_each_block_at_its_final_size() {
-        let tree = parse(r#"[[1,2,3],{"b":[true],"a":"x","c":{}},[],"s"]"#).unwrap();
-        let Json::Arr(items) = &tree else {
+    fn parse_builds_one_block_per_level() {
+        let text = r#"[[1,2],[3],{"b":[true],"a":"x"},{"c":{}},[],{}]"#;
+        let tree = parse(text).unwrap();
+        let Json::Arr(JsonArr(root)) = &tree else {
             panic!("{tree:?}")
         };
-        assert_eq!(items.capacity(), 4);
-        assert_eq!(items[0].as_arr().map(<[Json]>::len), Some(3));
-        let Json::Obj(fields) = &items[1] else {
+        // the root is the one container on its level: a block of its own
+        assert!(shared(root).is_none() && root.len() == 6);
+        let (Json::Arr(JsonArr(a)), Json::Arr(JsonArr(b))) = (&root[0], &root[1]) else {
             panic!("{tree:?}")
         };
-        assert_eq!(fields.0.capacity(), 3);
+        let (Json::Obj(JsonMap(c)), Json::Obj(JsonMap(d))) = (&root[2], &root[3]) else {
+            panic!("{tree:?}")
+        };
+        // the arrays on the second level share one block, the objects
+        // another; each reads as its own run of it
+        let (items, fields) = (shared(a).unwrap(), shared(c).unwrap());
+        assert!(Arc::ptr_eq(items, shared(b).unwrap()) && items.len() == 3);
+        assert!(Arc::ptr_eq(fields, shared(d).unwrap()) && fields.len() == 3);
+        assert_eq!((a.len(), b.len(), c.len(), d.len()), (2, 1, 2, 1));
+        // the lone array and the lone object of the third level have their
+        // own blocks, and the empty containers no block at all
+        assert!(root[2].get("b").is_some_and(|b| matches!(
+            b,
+            Json::Arr(JsonArr(Block::Owned(items))) if items.len() == 1
+        )));
+        for empty in [&root[4], &root[5], root[3].get("c").unwrap()] {
+            assert!(matches!(
+                empty,
+                Json::Arr(JsonArr(Block::Owned(_))) | Json::Obj(JsonMap(Block::Owned(_)))
+            ));
+        }
         // keys in order, whatever order they came in
-        let keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
-        assert_eq!(keys, ["a", "b", "c"]);
+        let keys: Vec<&str> = c.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(keys, ["a", "b"]);
         assert_eq!(
             tree.to_string(),
-            r#"[[1,2,3],{"a":"x","b":[true],"c":{}},[],"s"]"#
+            r#"[[1,2],[3],{"a":"x","b":[true]},{"c":{}},[],{}]"#
         );
+        // it equals, and prints as, the same document built a container
+        // at a time
+        let built = Json::Arr(JsonArr::from(vec![
+            Json::Arr(vec![Json::Int(1), Json::Int(2)].into()),
+            Json::Arr(vec![Json::Int(3)].into()),
+            Json::obj([
+                ("b", Json::Arr(vec![Json::Bool(true)].into())),
+                ("a", Json::str("x")),
+            ]),
+            Json::obj([("c", Json::Obj(JsonMap::new()))]),
+            Json::Arr(JsonArr::default()),
+            Json::Obj(JsonMap::new()),
+        ]));
+        assert_eq!(tree, built);
+        assert_eq!(tree.to_string(), built.to_string());
+        assert_eq!(format!("{tree:?}"), format!("{built:?}"));
+    }
+
+    #[test]
+    fn a_clone_of_a_decoded_subtree_shares_its_level() {
+        let tree = parse(r#"{"rows":[[{"str":"a"}],[{"str":"b"},{"int":1}]]}"#).unwrap();
+        let rows = tree.get("rows").and_then(Json::as_arr).unwrap();
+        let Json::Arr(JsonArr(row)) = &rows[1] else {
+            panic!("{tree:?}")
+        };
+        let level = shared(row).unwrap();
+        let before = Arc::strong_count(level);
+        let kept = rows[1].clone();
+        let Json::Arr(JsonArr(copy)) = &kept else {
+            panic!("{kept:?}")
+        };
+        // no copy of the members: the same block, one more reference
+        assert!(Arc::ptr_eq(level, shared(copy).unwrap()));
+        assert_eq!(Arc::strong_count(level), before + 1);
+        assert_eq!(kept, parse(r#"[{"str":"b"},{"int":1}]"#).unwrap());
+        // and it outlives the document it came from
+        drop(tree);
+        assert_eq!(kept.to_string(), r#"[{"str":"b"},{"int":1}]"#);
+    }
+
+    #[test]
+    fn editing_a_map_on_a_shared_level_leaves_its_siblings_alone() {
+        let mut tree = parse(r#"[{"a":1,"b":2},{"a":3},{"c":4}]"#).unwrap();
+        let Json::Arr(JsonArr(Block::Owned(maps))) = &mut tree else {
+            panic!("{tree:?}")
+        };
+        let Json::Obj(first) = &mut maps[0] else {
+            panic!()
+        };
+        assert!(shared(&first.0).is_some());
+        assert_eq!(first.insert("c", Json::Null), None);
+        assert_eq!(first.remove("a"), Some(Json::Int(1)));
+        assert_eq!(first.insert("b", Json::Int(5)), Some(Json::Int(2)));
+        // the edited map holds a block of its own; the others still share
+        assert!(shared(&first.0).is_none());
+        assert_eq!(tree.to_string(), r#"[{"b":5,"c":null},{"a":3},{"c":4}]"#);
+        let Json::Arr(items) = &tree else { panic!() };
+        let (Json::Obj(second), Json::Obj(third)) = (&items[1], &items[2]) else {
+            panic!()
+        };
+        assert!(Arc::ptr_eq(
+            shared(&second.0).unwrap(),
+            shared(&third.0).unwrap()
+        ));
+        // moving the fields out of a shared map copies only its own
+        let pairs: Vec<(JsonStr, Json)> = second.clone().into_iter().collect();
+        assert_eq!(pairs, [(JsonStr::from("a"), Json::Int(3))]);
+    }
+
+    #[test]
+    fn numbers_follow_rfc_8259() {
+        for (bad, message) in [
+            ("+1", "expected value"),
+            (".5", "expected value"),
+            ("-", "expected value"),
+            ("-.5", "expected value"),
+            ("1.", "expected a digit after '.'"),
+            ("1.e5", "expected a digit after '.'"),
+            ("01", "a number may not start with 0"),
+            ("-01", "a number may not start with 0"),
+            ("00", "a number may not start with 0"),
+            ("1e", "expected a digit in the exponent"),
+            ("1e+", "expected a digit in the exponent"),
+            ("1e999", "number out of range"),
+            ("-1e999", "number out of range"),
+            ("9223372036854775808", "number out of range"),
+        ] {
+            for (text, at) in [(bad.to_string(), 0), (format!("[7, {bad}]"), 4)] {
+                let refused = parse(&text).unwrap_err();
+                assert_eq!(
+                    (refused.at, refused.message.as_str()),
+                    (at, message),
+                    "{text}"
+                );
+                // skipping refuses it as parsing does
+                let mut s = Scanner::new(&text);
+                assert_eq!(s.skip_value().unwrap_err(), refused, "{text}");
+            }
+        }
+        for (good, value) in [
+            ("0", Json::Int(0)),
+            ("-0", Json::Int(0)),
+            ("-9223372036854775808", Json::Int(i64::MIN)),
+            ("0.5", Json::Float(0.5)),
+            ("-0.0", Json::Float(-0.0)),
+            ("1e5", Json::Float(1e5)),
+            ("1E+5", Json::Float(1e5)),
+            ("25e-1", Json::Float(2.5)),
+            ("1.5e300", Json::Float(1.5e300)),
+            // too small to hold is zero, as serde_json reads it
+            ("1e-999", Json::Float(0.0)),
+        ] {
+            let tree = parse(good).unwrap();
+            assert_eq!(tree, value, "{good}");
+            // and what it prints reads back as it
+            assert_eq!(parse(&tree.to_string()).unwrap(), tree, "{good}");
+        }
     }
 
     #[test]
@@ -1115,10 +1688,11 @@ mod tests {
     /// keeps none, and whether it holds nothing.
     fn scratch() -> (usize, bool) {
         let scratch = TREE_SCRATCH.take();
-        let bytes = scratch.as_ref().map_or(0, TreeScratch::bytes);
-        let empty = scratch
-            .as_ref()
-            .is_none_or(|s| s.items.is_empty() && s.fields.is_empty());
+        let bytes = scratch.as_ref().map_or(0, Levels::bytes);
+        let empty = scratch.as_ref().is_none_or(|s| {
+            s.0.iter()
+                .all(|l| l.items.is_empty() && l.fields.is_empty() && l.arrays + l.objects == 0)
+        });
         TREE_SCRATCH.set(scratch);
         (bytes, empty)
     }

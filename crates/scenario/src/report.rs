@@ -114,7 +114,7 @@ impl ScenarioReport {
     }
 
     pub fn to_json(&self) -> Json {
-        Json::Arr(vec![self.to_json_obj()])
+        Json::Arr(vec![self.to_json_obj()].into())
     }
 
     /// The report as a single JSON object (what benches embed).

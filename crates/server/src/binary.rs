@@ -31,7 +31,7 @@
 //! twin, and the server's allocation-free fast path can emit frames that
 //! are *byte-identical* to the generic encoder's (pinned by tests).
 
-use crate::json::{Json, MAX_JSON_DEPTH};
+use crate::json::{Json, Member, TreeBuilder, MAX_JSON_DEPTH};
 use crate::protocol::{write_cursor_hex, Envelope, ProtoError, Reply, Request, RequestId};
 use crate::wire::Wire;
 use piql_core::plan::params::ParamValue;
@@ -783,14 +783,22 @@ fn read_body_into(
     Ok(())
 }
 
-/// `depth` is the number of arrays and objects open around the value;
-/// response documents may nest [`MAX_JSON_DEPTH`] deep, like JSON texts.
-fn read_json(cur: &mut Cur<'_>, depth: usize) -> Result<Json, ProtoError> {
+/// One response document, its arrays and objects built a nesting level at
+/// a time (see [`TreeBuilder`]).
+fn read_document(cur: &mut Cur<'_>) -> Result<Json, ProtoError> {
+    let mut levels = TreeBuilder::default();
+    let root = read_json(cur, &mut levels)?;
+    Ok(levels.finish(root))
+}
+
+/// The value that comes next. Response documents may nest
+/// [`MAX_JSON_DEPTH`] deep, like JSON texts.
+fn read_json(cur: &mut Cur<'_>, levels: &mut TreeBuilder) -> Result<Member, ProtoError> {
     let tag = cur.u8()?;
-    if matches!(tag, J_ARR | J_OBJ) && depth == MAX_JSON_DEPTH {
+    if matches!(tag, J_ARR | J_OBJ) && levels.depth() == MAX_JSON_DEPTH {
         return Err(ProtoError::Malformed("response nested too deeply".into()));
     }
-    Ok(match tag {
+    let scalar = match tag {
         J_NULL => Json::Null,
         J_FALSE => Json::Bool(false),
         J_TRUE => Json::Bool(true),
@@ -800,24 +808,31 @@ fn read_json(cur: &mut Cur<'_>, depth: usize) -> Result<Json, ProtoError> {
         J_ARR => {
             let raw_count = cur.u32()?;
             let count = checked_capacity(cur, raw_count)?;
-            let mut items = Vec::with_capacity(count);
+            let array = levels.open_array();
             for _ in 0..count {
-                items.push(read_json(cur, depth + 1)?);
+                let item = read_json(cur, levels)?;
+                levels.item(&array, item);
             }
-            Json::Arr(items)
+            return closed(levels.close_array(array));
         }
         J_OBJ => {
             let raw_count = cur.u32()?;
             let count = checked_capacity(cur, raw_count)?;
-            let mut fields = Vec::with_capacity(count);
+            let object = levels.open_object();
             for _ in 0..count {
                 let key = cur.str()?.into();
-                fields.push((key, read_json(cur, depth + 1)?));
+                let value = read_json(cur, levels)?;
+                levels.field(&object, key, value);
             }
-            Json::Obj(fields.into())
+            return closed(levels.close_object(object));
         }
         other => return Err(ProtoError::Malformed(format!("unknown json tag {other}"))),
-    })
+    };
+    Ok(scalar.into())
+}
+
+fn closed(container: Option<Member>) -> Result<Member, ProtoError> {
+    container.ok_or_else(|| ProtoError::Malformed("too many members on one nesting level".into()))
 }
 
 /// Split a request frame into `(opcode, raw id bytes, payload)` without
@@ -954,7 +969,7 @@ impl Wire for BinaryWire {
             return Err(ProtoError::Malformed("expected response frame".into()));
         }
         let id = read_id(&mut cur)?;
-        let json = read_json(&mut cur, 0)?;
+        let json = read_document(&mut cur)?;
         cur.done()?;
         Ok((id, json))
     }
@@ -1090,10 +1105,16 @@ mod tests {
         let response = crate::protocol::ok_response([
             (
                 "rows",
-                Json::Arr(vec![Json::Arr(vec![
-                    Json::obj([("int", Json::Int(5))]),
-                    Json::obj([("f", Json::Float(f64::NAN))]),
-                ])]),
+                Json::Arr(
+                    vec![Json::Arr(
+                        vec![
+                            Json::obj([("int", Json::Int(5))]),
+                            Json::obj([("f", Json::Float(f64::NAN))]),
+                        ]
+                        .into(),
+                    )]
+                    .into(),
+                ),
             ),
             ("cursor", Json::Null),
         ]);

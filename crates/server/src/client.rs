@@ -16,7 +16,7 @@
 //! to the read after it).
 
 use crate::binary::{self, BinaryWire};
-use crate::json::Json;
+use crate::json::{Json, JsonArr};
 use crate::protocol::{
     attach_id, hex_decode, value_from_json, Envelope, ProtoError, Request, RequestId,
 };
@@ -297,10 +297,11 @@ impl Client {
     }
 
     /// Ship `requests` as one `batch` line and return the per-sub-request
-    /// response envelopes, positionally. The protocol exchange succeeding
-    /// does not mean every sub-request did — inspect each entry's `ok`
-    /// (a failing sub-request does not abort the ones after it).
-    pub fn execute_batch(&mut self, requests: &[Request]) -> Result<Vec<Json>, ClientError> {
+    /// response envelopes, positionally, as the response holds them (no
+    /// envelope is copied). The protocol exchange succeeding does not mean
+    /// every sub-request did — inspect each entry's `ok` (a failing
+    /// sub-request does not abort the ones after it).
+    pub fn execute_batch(&mut self, requests: &[Request]) -> Result<JsonArr, ClientError> {
         let response = self.request(&Request::Batch {
             requests: requests.to_vec(),
         })?;
@@ -421,7 +422,9 @@ impl Pipeline<'_> {
 /// Move `key`'s value out of a response envelope the caller owns.
 fn take_field(response: Json, key: &str) -> Option<Json> {
     match response {
-        Json::Obj(mut fields) => fields.remove(key),
+        Json::Obj(fields) => fields
+            .into_iter()
+            .find_map(|(k, value)| (k.as_str() == key).then_some(value)),
         _ => None,
     }
 }

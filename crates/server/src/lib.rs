@@ -56,7 +56,7 @@ pub use binary::BinaryWire;
 pub use budget::{BudgetDecision, BudgetPermit, BudgetPolicy, BudgetSnapshot, TenantBudget};
 pub use client::{decode_page, Client, ClientError, Page, Pipeline};
 pub use durable::{open_durable, DurableOptions, DurableStack, Readmission, SnapshotDaemon};
-pub use json::{Json, JsonError};
+pub use json::{Json, JsonArr, JsonError};
 pub use protocol::{Envelope, ProtoError, Reply, Request, RequestId};
 pub use registry::{
     Admission, DriftAction, DriftEvent, DurabilityControl, ExecOutcome, FastKeyPart, FastPointPlan,

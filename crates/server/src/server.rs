@@ -1062,7 +1062,7 @@ fn overload_to_json<S: KvStore>(registry: &StatementRegistry<S>) -> Json {
         ("budget_rejected", Json::uint(rejected)),
         ("budget_shed", Json::uint(shed)),
         ("auto_rebalances", count(&c.auto_rebalances)),
-        ("tenants", Json::Arr(tenants)),
+        ("tenants", Json::Arr(tenants.into())),
     ])
 }
 
@@ -1142,7 +1142,7 @@ fn stats_response<S: KvStore>(registry: &StatementRegistry<S>) -> Json {
         ),
         ("overload", overload_to_json(registry)),
         ("slo_ms", Json::Float(registry.slo().slo_ms)),
-        ("statements", Json::Arr(statements)),
+        ("statements", Json::Arr(statements.into())),
     ]);
     // the durability health block only exists on durable stacks — its
     // absence is how a client tells an in-memory server apart

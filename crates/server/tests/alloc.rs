@@ -4,13 +4,15 @@
 //! only the ones for what the store keeps (the record and its entry), a
 //! JSON one adds only its decoded request, and a JSON page view or a
 //! TPC-W read allocates for its result blocks, stage by stage, and not per
-//! row, for what it asks the store, or for the layers between.
+//! row, for what it asks the store, or for the layers between. The
+//! application's decode of a response allocates once per nesting level,
+//! and the tree it builds is freed whole.
 //!
 //! A counting `#[global_allocator]` wraps the system allocator, counting
-//! per thread (so the cluster's pool workers don't pollute the
-//! single-request measurements) and for the whole process (a round with
-//! service time would run partly on those workers; the tests take turns, so
-//! the process count is the measured test's own). The warm-up must
+//! allocations and bytes per thread (so the cluster's pool workers don't
+//! pollute the single-request measurements) and allocations for the whole
+//! process (a round with service time would run partly on those workers;
+//! the tests take turns, so the process count is the measured test's own). The warm-up must
 //! saturate every lazily-grown buffer that legitimately allocates early:
 //! the cluster's `LiveSampleSink` (65,536 samples, dropped-not-grown once
 //! full) — hence the 72k warm requests. A statement's latency ring is
@@ -20,11 +22,12 @@ use piql_core::plan::params::ParamValue;
 use piql_core::value::Value;
 use piql_engine::Database;
 use piql_kv::{LiveCluster, LiveConfig, Session};
+use piql_server::protocol::ok_response;
 use piql_server::server::respond;
 use piql_server::testkit::linear_predictor;
 use piql_server::{
-    decode_page, BinaryConn, BinaryWire, Envelope, JsonWire, Request, SloConfig, StatementRegistry,
-    Wire,
+    decode_page, BinaryConn, BinaryWire, Envelope, JsonWire, Reply, Request, SloConfig,
+    StatementRegistry, Wire,
 };
 use piql_workloads::scadr::{self, ScadrConfig};
 use piql_workloads::tpcw;
@@ -37,18 +40,40 @@ struct CountingAlloc;
 
 thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    /// Bytes asked for.
+    static BYTES: Cell<u64> = const { Cell::new(0) };
+    /// Bytes held now: asked for, less given back.
+    static LIVE_BYTES: Cell<i64> = const { Cell::new(0) };
 }
 
 static PROCESS_ALLOCS: AtomicU64 = AtomicU64::new(0);
 
-fn bump() {
+fn bump(bytes: usize, live: i64) {
     // `try_with`: TLS may already be torn down during thread exit
     let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+    let _ = BYTES.try_with(|c| c.set(c.get() + bytes as u64));
+    let _ = LIVE_BYTES.try_with(|c| c.set(c.get() + live));
     PROCESS_ALLOCS.fetch_add(1, Ordering::Relaxed);
 }
 
 fn allocs_on_this_thread() -> u64 {
     ALLOCS.with(Cell::get)
+}
+
+fn live_bytes_on_this_thread() -> i64 {
+    LIVE_BYTES.with(Cell::get)
+}
+
+/// What `f` returns, and the allocations it made on this thread and the
+/// bytes they asked for.
+fn thread_allocs<T>(f: impl FnOnce() -> T) -> (T, u64, u64) {
+    let (allocs, bytes) = (allocs_on_this_thread(), BYTES.with(Cell::get));
+    let value = f();
+    (
+        value,
+        allocs_on_this_thread() - allocs,
+        BYTES.with(Cell::get) - bytes,
+    )
 }
 
 /// What `f` returns, and the allocations it caused on any thread. Its
@@ -68,18 +93,19 @@ fn one_at_a_time() -> MutexGuard<'static, ()> {
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        bump();
+        bump(layout.size(), layout.size() as i64);
         unsafe { System.alloc(layout) }
     }
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        bump();
+        bump(layout.size(), layout.size() as i64);
         unsafe { System.alloc_zeroed(layout) }
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        bump();
+        bump(new_size, new_size as i64 - layout.size() as i64);
         unsafe { System.realloc(ptr, layout, new_size) }
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        let _ = LIVE_BYTES.try_with(|c| c.set(c.get() - layout.size() as i64));
         unsafe { System.dealloc(ptr, layout) }
     }
 }
@@ -417,33 +443,49 @@ fn warm_json_inserts_allocate_for_the_request_and_the_store_only() {
 const DECODE_ENVELOPE_CEILING: f64 = 14.0;
 const RESPOND_CEILING: f64 = 13.5;
 const ENCODE_REPLY_CEILING: f64 = 0.0;
-/// What the application's side makes of that response:
-/// `Wire::decode_response` builds its tree — each array and object one
-/// block of its final size, each string of up to 22 bytes held in place,
-/// so one allocation per row and per tagged value — and a `decode_page`
-/// per result turns it into tuples, each page and row sized once
-/// (measured 134 + 108). At 02f15c6 they made 321 + 114: per tagged value
-/// a `BTreeMap` node, its key and its string, and every row and page
-/// grown by doubling. A string or key allocated again adds 93 a page view,
-/// a map node per object 100, a row grown by doubling 31 or more.
-const CLIENT_DECODE_CEILING: f64 = 242.5;
+/// What the application's side makes of that response. `decode_response`
+/// builds its tree a nesting level at a time: the members of every array
+/// on one level in one block, those of every object in another, each
+/// string of up to 22 bytes in place — six blocks for a page view, one
+/// per level, however many rows it holds (measured 6). At f460500 it made
+/// 134, one block per array and object: 31 rows, 93 tagged values and 10
+/// containers; at 02f15c6, 321: per tagged value a `BTreeMap` node, its
+/// key and its string. A block per container again adds 128 a page view,
+/// a string or key allocated again 93.
+const CLIENT_TREE_CEILING: f64 = 6.5;
+/// A `decode_page` per result turns the tree into tuples, each page and
+/// row sized once, one `String` per string value (measured 108; 114 at
+/// 02f15c6, where every row and page grew by doubling).
+const DECODE_PAGE_CEILING: f64 = 108.5;
 /// Per execution of `find_user`, `users_followed`, `recent_thoughts`,
 /// `thoughtstream` through `execute_governed`: their result blocks
 /// (measured 2, 4, 2, 4; at 8e3b630: 6, 14, 6, 17; at 52f8695: 6, 40.4,
 /// 6.4, 62.1; at f7a4128: 9, 118.4, 35.4, 151.1).
 const EXECUTE_CEILINGS: [f64; 4] = [2.5, 4.5, 2.5, 4.5];
 
-#[test]
-#[cfg_attr(
-    feature = "lock-order",
-    ignore = "lock-order tracking allocates by design"
-)]
-fn warm_json_page_views_allocate_for_rows_not_for_layers() {
-    let _turn = one_at_a_time();
+/// The four SCADr reads a page view makes, in the order it makes them.
+const PAGE_VIEW_READS: [&str; 4] = [
+    "find_user",
+    "users_followed",
+    "recent_thoughts",
+    "thoughtstream",
+];
+const PAGE_VIEW_USERS: usize = 40;
+
+fn page_view_user(i: usize) -> Vec<ParamValue> {
+    vec![ParamValue::Scalar(Value::Varchar(scadr::username(
+        i % PAGE_VIEW_USERS,
+    )))]
+}
+
+/// SCADr with 10 subscriptions and 10 thoughts a user and the page-view
+/// reads registered, and for each user one `batch` line of the four as
+/// the server's read loop delivers it (no newline).
+fn page_view_setup() -> (Arc<StatementRegistry>, Vec<Vec<u8>>) {
     let cluster = Arc::new(LiveCluster::new(LiveConfig::default()));
     let db = Arc::new(Database::new(cluster));
     let config = ScadrConfig {
-        users_per_node: 40,
+        users_per_node: PAGE_VIEW_USERS,
         thoughts_per_user: 10,
         subscriptions_per_user: 10,
         ..Default::default()
@@ -459,13 +501,7 @@ fn warm_json_page_views_allocate_for_rows_not_for_layers() {
         },
     ));
     let q = scadr::queries(&config);
-    let names = [
-        "find_user",
-        "users_followed",
-        "recent_thoughts",
-        "thoughtstream",
-    ];
-    for (name, sql) in names.iter().zip([
+    for (name, sql) in PAGE_VIEW_READS.iter().zip([
         &q.find_user,
         &q.users_followed,
         &q.recent_thoughts,
@@ -473,25 +509,15 @@ fn warm_json_page_views_allocate_for_rows_not_for_layers() {
     ]) {
         assert!(registry.register(name, sql).unwrap().is_admitted());
     }
-
-    const USERS: usize = 40;
-    const WARM: usize = 400;
-    const MEASURED: usize = 400;
-    let wire = JsonWire;
-    let user = |i: usize| {
-        vec![ParamValue::Scalar(Value::Varchar(scadr::username(
-            i % USERS,
-        )))]
-    };
-    let frames: Vec<Vec<u8>> = (0..USERS)
+    let frames = (0..PAGE_VIEW_USERS)
         .map(|i| {
-            let requests = names.iter().map(|name| Request::Execute {
+            let requests = PAGE_VIEW_READS.iter().map(|name| Request::Execute {
                 name: name.to_string(),
-                params: user(i),
+                params: page_view_user(i),
                 cursor: None,
             });
             let mut line = Vec::new();
-            wire.encode_envelope(
+            JsonWire.encode_envelope(
                 &Envelope {
                     id: Some((i as i64).into()),
                     request: Request::Batch {
@@ -504,12 +530,25 @@ fn warm_json_page_views_allocate_for_rows_not_for_layers() {
             line
         })
         .collect();
+    (registry, frames)
+}
 
+#[test]
+#[cfg_attr(
+    feature = "lock-order",
+    ignore = "lock-order tracking allocates by design"
+)]
+fn warm_json_page_views_allocate_for_rows_not_for_layers() {
+    let _turn = one_at_a_time();
+    let (registry, frames) = page_view_setup();
+    const WARM: usize = 400;
+    const MEASURED: usize = 400;
+    let wire = JsonWire;
     let mut session = Session::new();
     let mut out = Vec::new();
     let (mut decode, mut handle, mut encode, mut client) = (0, 0, 0, [0; 2]);
     for i in 0..WARM + MEASURED {
-        let frame = &frames[i % USERS];
+        let frame = &frames[i % PAGE_VIEW_USERS];
         let (envelope, decoded) = process_allocs(|| wire.decode_envelope(frame).unwrap());
         let (reply, handled) =
             process_allocs(|| respond(&envelope.request, &mut session, &registry));
@@ -545,7 +584,7 @@ fn warm_json_page_views_allocate_for_rows_not_for_layers() {
         }
     }
     let per_request = |n: u64| n as f64 / MEASURED as f64;
-    let (decode, handle, encode, client) = (
+    let (decode, handle, encode, [tree, pages]) = (
         per_request(decode),
         per_request(handle),
         per_request(encode),
@@ -553,10 +592,10 @@ fn warm_json_page_views_allocate_for_rows_not_for_layers() {
     );
 
     let mut executes = [0.0; 4];
-    for (slot, name) in executes.iter_mut().zip(names) {
+    for (slot, name) in executes.iter_mut().zip(PAGE_VIEW_READS) {
         let total: u64 = (0..MEASURED)
             .map(|i| {
-                let params = user(i);
+                let params = page_view_user(i);
                 let (result, made) = process_allocs(|| {
                     registry.execute_governed(&mut session, name, params.as_slice(), None)
                 });
@@ -568,8 +607,8 @@ fn warm_json_page_views_allocate_for_rows_not_for_layers() {
     }
     println!(
         "allocations per warm JSON page view: decode_envelope {decode:.2}, respond {handle:.2}, \
-         encode_reply {encode:.2}; client decode_response + decode_page {client:.2?}; \
-         per execute_governed {names:?} = {executes:.2?}"
+         encode_reply {encode:.2}; client decode_response {tree:.2}, decode_page {pages:.2}; \
+         per execute_governed {PAGE_VIEW_READS:?} = {executes:.2?}"
     );
     assert!(
         decode <= DECODE_ENVELOPE_CEILING,
@@ -577,17 +616,72 @@ fn warm_json_page_views_allocate_for_rows_not_for_layers() {
     );
     assert!(handle <= RESPOND_CEILING, "respond: {handle:.2}");
     assert!(encode <= ENCODE_REPLY_CEILING, "encode_reply: {encode:.2}");
-    let client = client[0] + client[1];
-    assert!(
-        client <= CLIENT_DECODE_CEILING,
-        "client decode: {client:.2}"
-    );
-    for ((name, made), ceiling) in names.iter().zip(executes).zip(EXECUTE_CEILINGS) {
+    assert!(tree <= CLIENT_TREE_CEILING, "decode_response: {tree:.2}");
+    assert!(pages <= DECODE_PAGE_CEILING, "decode_page: {pages:.2}");
+    for ((name, made), ceiling) in PAGE_VIEW_READS.iter().zip(executes).zip(EXECUTE_CEILINGS) {
         assert!(
             made <= ceiling,
             "{name}: {made:.2} allocations, ceiling {ceiling}"
         );
     }
+}
+
+/// A decoded page view is freed whole, whichever of its parts goes last:
+/// a row kept past its document holds the blocks it reads from, and
+/// nothing is left once it goes too. A level's block points only at the
+/// levels below it, so no reference cycle can keep one alive.
+#[test]
+#[cfg_attr(
+    feature = "lock-order",
+    ignore = "lock-order tracking allocates by design"
+)]
+fn a_decoded_page_view_is_freed_whole() {
+    let _turn = one_at_a_time();
+    let (registry, frames) = page_view_setup();
+    let wire = JsonWire;
+    let mut session = Session::new();
+    let envelope = wire.decode_envelope(&frames[3]).unwrap();
+    let mut out = Vec::new();
+    let reply = respond(&envelope.request, &mut session, &registry);
+    wire.encode_reply(envelope.id.as_ref(), &reply, &mut out);
+    let line = &out[..out.len() - 1];
+    // the thread's tree scratch, grown once
+    wire.decode_response(line).unwrap();
+
+    let start = live_bytes_on_this_thread();
+    let (_, body) = wire.decode_response(line).unwrap();
+    let held = live_bytes_on_this_thread() - start;
+    let results = body.get("results").unwrap().as_arr().unwrap();
+    let rows = results[3].get("rows").unwrap().as_arr().unwrap();
+    assert_eq!(rows.len(), 10);
+    // keeping a row copies nothing
+    let (row, made, _) = thread_allocs(|| rows[4].clone());
+    assert_eq!(made, 0, "a clone of a decoded row allocates");
+    drop(body);
+    let kept = live_bytes_on_this_thread() - start;
+    assert!(
+        0 < kept && kept < held,
+        "the row keeps its levels, the rest goes: {kept} of {held} bytes"
+    );
+    assert_eq!(row.as_arr().map(<[_]>::len), Some(3));
+    drop(row);
+    assert_eq!(live_bytes_on_this_thread(), start, "bytes left behind");
+}
+
+/// A binary `{"ok":true}` answer — every `post_v3` insert's — decodes to
+/// one block: the root object's one field, 56 bytes, with no reference
+/// count, since it is the only container on its level.
+#[test]
+fn a_binary_ok_decodes_in_one_block() {
+    let _turn = one_at_a_time();
+    let mut frame = Vec::new();
+    BinaryWire.encode_reply(None, &Reply::Done, &mut frame);
+    let body = &frame[4..];
+    // the thread's tree scratch, grown once
+    BinaryWire.decode_response(body).unwrap();
+    let ((id, doc), made, bytes) = thread_allocs(|| BinaryWire.decode_response(body).unwrap());
+    assert_eq!((id, doc), (None, ok_response([])));
+    assert_eq!((made, bytes), (1, 56));
 }
 
 /// Per warm execution of each TPC-W Table-1 read through

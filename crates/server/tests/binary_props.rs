@@ -8,14 +8,16 @@
 //! decoding into a reused request (`decode_into`), which must leave
 //! nothing of one request in the next. Response documents decode and
 //! encode as the `BTreeMap` tree `Json` replaced did (kept here as the
-//! reference), whatever order their keys arrive in.
+//! reference) and as the tree built a container at a time, whatever order
+//! their keys arrive in and however deep they nest.
 
 use piql_core::plan::params::ParamValue;
 use piql_core::value::Value;
 use piql_engine::Database;
 use piql_server::binary::OP_RESPONSE;
 use piql_server::json::{
-    parse, write_array, write_bool, write_escaped, write_float, write_int, Json,
+    parse, write_array, write_bool, write_escaped, write_float, write_int, Json, JsonArr, JsonMap,
+    JsonStr, MAX_JSON_DEPTH,
 };
 use piql_server::protocol::ok_response;
 use piql_server::testkit::linear_predictor;
@@ -72,7 +74,7 @@ fn scalar() -> impl Strategy<Value = Json> {
 fn document() -> impl Strategy<Value = Json> {
     prop_oneof![
         scalar(),
-        prop::collection::vec(scalar(), 0..6).prop_map(Json::Arr),
+        prop::collection::vec(scalar(), 0..6).prop_map(|items| Json::Arr(items.into())),
         prop::collection::btree_map(string_content(), scalar(), 0..6)
             .prop_map(|m| Json::Obj(m.into())),
         (
@@ -80,7 +82,7 @@ fn document() -> impl Strategy<Value = Json> {
             prop::collection::btree_map(string_content(), scalar(), 0..4),
         )
             .prop_map(|(arr, obj)| {
-                Json::Arr(vec![Json::Arr(arr), Json::Obj(obj.into()), Json::Null])
+                Json::Arr(vec![Json::Arr(arr.into()), Json::Obj(obj.into()), Json::Null].into())
             }),
     ]
 }
@@ -545,11 +547,39 @@ impl Sent {
         }
     }
 
+    /// The tree built a container at a time, each array and object a
+    /// block of its own from its members in the order sent.
+    fn built(&self) -> Json {
+        match self {
+            Sent::Leaf(leaf) => leaf_json(leaf),
+            Sent::Arr(items) => Json::Arr(JsonArr::from(
+                items.iter().map(Sent::built).collect::<Vec<_>>(),
+            )),
+            Sent::Obj(pairs) => Json::Obj(JsonMap::from(
+                pairs
+                    .iter()
+                    .map(|(k, v)| (JsonStr::from(k), v.built()))
+                    .collect::<Vec<_>>(),
+            )),
+        }
+    }
+
     /// The response frame carrying this document and no id.
     fn frame(&self) -> Vec<u8> {
         let mut frame = vec![OP_RESPONSE, 0];
         self.put(&mut frame);
         frame
+    }
+}
+
+fn leaf_json(leaf: &MapTree) -> Json {
+    match leaf {
+        MapTree::Null => Json::Null,
+        MapTree::Bool(b) => Json::Bool(*b),
+        MapTree::Int(i) => Json::Int(*i),
+        MapTree::Float(f) => Json::Float(*f),
+        MapTree::Str(s) => Json::str(s),
+        MapTree::Arr(_) | MapTree::Obj(_) => unreachable!("a leaf: {leaf:?}"),
     }
 }
 
@@ -720,5 +750,87 @@ proptest! {
                 prop_assert_eq!(ja == jb, a.map_tree() == b.map_tree(), "{:?} vs {:?}", a, b);
             }
         }
+    }
+}
+
+/// A three-level document inside `wraps` more arrays and objects, one
+/// around the other — up to the 96 levels a response may nest, and past
+/// them.
+fn nested_document() -> impl Strategy<Value = Sent> {
+    (
+        sent_document(),
+        prop::collection::vec((any::<bool>(), sent_key()), 0..=MAX_JSON_DEPTH - 2),
+    )
+        .prop_map(|(mut doc, wraps)| {
+            for (array, key) in wraps {
+                doc = if array {
+                    Sent::Arr(vec![doc])
+                } else {
+                    Sent::Obj(vec![(key, doc)])
+                };
+            }
+            doc
+        })
+}
+
+/// What decoding `frame` gives: the tree and the text it prints, or the
+/// error's message.
+fn decoded(frame: &[u8]) -> Result<(Json, String), String> {
+    BinaryWire
+        .decode_response(frame)
+        .map(|(_, tree)| {
+            let text = tree.to_string();
+            (tree, text)
+        })
+        .map_err(|e| e.to_string())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// A response decoded level by level equals the tree built a
+    /// container at a time from what was sent — unsorted keys, repeated
+    /// keys (the last one wins), empty containers, 96 levels deep — and
+    /// both codecs print it as they print that tree. Deeper than 96 is
+    /// refused.
+    #[test]
+    fn a_level_built_response_is_the_tree_built_a_container_at_a_time(
+        doc in prop_oneof![sent_document(), nested_document().boxed()],
+    ) {
+        let reference = doc.built();
+        match BinaryWire.decode_response(&doc.frame()) {
+            Ok((_, tree)) => {
+                prop_assert_eq!(&tree, &reference);
+                prop_assert_eq!(tree.to_string(), reference.to_string());
+                let (mut frame, mut expected) = (Vec::new(), Vec::new());
+                BinaryWire.encode_response(None, &tree, &mut frame);
+                BinaryWire.encode_response(None, &reference, &mut expected);
+                prop_assert_eq!(frame, expected);
+            }
+            Err(refused) => {
+                prop_assert_eq!(refused.to_string(), "malformed request: response nested too deeply");
+            }
+        }
+    }
+
+    /// A decode that fails part way through a deep document leaves the
+    /// next decode on the thread as a fresh thread's.
+    #[test]
+    fn a_failed_decode_leaves_nothing_for_the_next(
+        doc in nested_document(),
+        at in any::<prop::sample::Index>(),
+        next in nested_document(),
+    ) {
+        let frame = doc.frame();
+        prop_assert!(BinaryWire.decode_response(&frame[..at.index(frame.len())]).is_err());
+        let next = next.frame();
+        let here = decoded(&next);
+        let fresh = std::thread::spawn({
+            let next = next.clone();
+            move || decoded(&next)
+        })
+        .join()
+        .unwrap();
+        prop_assert_eq!(here, fresh);
     }
 }

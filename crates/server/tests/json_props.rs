@@ -7,21 +7,22 @@
 //! decoder — which reads a line in place, without a tree — gives every
 //! line, well-formed or not, the answer the tree-walking decoder it
 //! replaced gave (kept here as the oracle). The compact tree — objects
-//! as sorted blocks, short strings in place — reads, prints and compares
-//! as the `BTreeMap` tree it replaced (kept here as the reference).
+//! as sorted blocks, short strings in place, one block per nesting level
+//! — reads, prints and compares as the `BTreeMap` tree it replaced (kept
+//! here as the reference) and as the tree built a container at a time.
 
 use piql_core::plan::params::ParamValue;
 use piql_core::value::Value;
 use piql_engine::{Cursor, CursorState};
 use piql_server::json::{
-    parse, write_array, write_bool, write_escaped, write_float, write_int, Json, JsonError,
-    JsonMap, Scalar, Scanner,
+    parse, write_array, write_bool, write_escaped, write_float, write_int, Json, JsonArr,
+    JsonError, JsonMap, JsonStr, Scalar, Scanner, MAX_JSON_DEPTH,
 };
 use piql_server::protocol::{
     attach_id, cursor_to_json, envelope_to_line, extract_id, hex_decode, ok_response,
     param_to_json, parse_envelope, request_to_line, ProtoError,
 };
-use piql_server::{Envelope, Request, RequestId};
+use piql_server::{BinaryWire, Envelope, Request, RequestId, Wire};
 use proptest::prelude::*;
 use proptest::strategy::BoxedStrategy;
 use std::collections::BTreeMap;
@@ -67,7 +68,7 @@ fn scalar() -> impl Strategy<Value = Json> {
 fn document() -> impl Strategy<Value = Json> {
     prop_oneof![
         scalar(),
-        prop::collection::vec(scalar(), 0..6).prop_map(Json::Arr),
+        prop::collection::vec(scalar(), 0..6).prop_map(|items| Json::Arr(items.into())),
         prop::collection::btree_map(string_content(), scalar(), 0..6)
             .prop_map(|m| Json::Obj(m.into())),
         (
@@ -75,7 +76,7 @@ fn document() -> impl Strategy<Value = Json> {
             prop::collection::btree_map(string_content(), scalar(), 0..4),
         )
             .prop_map(|(arr, obj)| {
-                Json::Arr(vec![Json::Arr(arr), Json::Obj(obj.into()), Json::Null])
+                Json::Arr(vec![Json::Arr(arr.into()), Json::Obj(obj.into()), Json::Null].into())
             }),
     ]
 }
@@ -1008,5 +1009,179 @@ proptest! {
         let (tree, reference) = (Json::Obj(map), MapTree::Obj(reference));
         prop_assert_eq!(&as_map_tree(&tree), &reference);
         prop_assert_eq!(tree.to_string(), printed(&reference));
+    }
+}
+
+// ------------------------------------------------- blocks shared by level
+//
+// A parsed tree keeps the members of all the arrays on one nesting level
+// in one block, and those of all the objects in another. It must read,
+// compare and print — on both codecs — as the tree built a container at a
+// time, each array and object a block of its own from its members in the
+// order the text gives them (`JsonArr::from(Vec)`, `JsonMap::from(Vec)`).
+
+fn container_at_a_time(s: &mut Scanner<'_>) -> Result<Json, JsonError> {
+    Ok(match s.peek() {
+        Some(b'{') => {
+            s.begin_object()?;
+            let mut pairs = Vec::new();
+            while let Some(key) = s.next_key()? {
+                let value = container_at_a_time(s)?;
+                pairs.push((JsonStr::from(key), value));
+            }
+            Json::Obj(JsonMap::from(pairs))
+        }
+        Some(b'[') => {
+            s.begin_array()?;
+            let mut items = Vec::new();
+            while s.next_item()? {
+                items.push(container_at_a_time(s)?);
+            }
+            Json::Arr(JsonArr::from(items))
+        }
+        _ => match s.scalar()? {
+            Scalar::Null => Json::Null,
+            Scalar::Bool(b) => Json::Bool(b),
+            Scalar::Int(i) => Json::Int(i),
+            Scalar::Float(f) => Json::Float(f),
+            Scalar::Str(s) => Json::str(s),
+        },
+    })
+}
+
+fn built_container_at_a_time(text: &str) -> Result<Json, JsonError> {
+    let mut scanner = Scanner::new(text);
+    let tree = container_at_a_time(&mut scanner)?;
+    scanner.finish()?;
+    Ok(tree)
+}
+
+fn binary(tree: &Json) -> Vec<u8> {
+    let mut frame = Vec::new();
+    BinaryWire.encode_response(None, tree, &mut frame);
+    frame
+}
+
+/// A three-level document inside `wrap` more arrays and objects, one
+/// around the other — up to the 96 levels a text may nest, and past them.
+fn nested_text() -> impl Strategy<Value = String> {
+    (
+        document_text(),
+        prop::collection::vec((any::<bool>(), key_text()), 0..=MAX_JSON_DEPTH - 2),
+    )
+        .prop_map(|(mut text, wraps)| {
+            for (array, key) in wraps {
+                text = if array {
+                    format!("[{text}]")
+                } else {
+                    format!("{{{key}:{text}}}")
+                };
+            }
+            text
+        })
+}
+
+/// An array of objects, which share the block of their level, with the
+/// keys they repeat among them.
+fn shared_objects_text() -> impl Strategy<Value = String> {
+    prop::collection::vec(
+        prop::collection::vec((key_text(), scalar_text()), 0..7).prop_map(object_text),
+        1..5,
+    )
+    .prop_map(|objects| format!("[{}]", objects.join(",")))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// Every text, whole or cut short: the tree parse builds level by
+    /// level equals the one built a container at a time, prints the same
+    /// text and the same binary frame, and debugs the same — or both fail
+    /// alike.
+    #[test]
+    fn a_level_built_tree_is_the_tree_built_a_container_at_a_time(
+        text in prop_oneof![document_text(), nested_text().boxed()],
+        damaged in any::<bool>(),
+        at in any::<prop::sample::Index>(),
+    ) {
+        let text = if damaged { cut(&text, at) } else { &text };
+        match (parse(text), built_container_at_a_time(text)) {
+            (Ok(tree), Ok(reference)) => {
+                prop_assert_eq!(&tree, &reference, "text: {}", text);
+                prop_assert_eq!(tree.to_string(), reference.to_string());
+                prop_assert_eq!(binary(&tree), binary(&reference));
+                prop_assert_eq!(format!("{tree:?}"), format!("{reference:?}"));
+            }
+            (tree, reference) => prop_assert_eq!(tree.err(), reference.err(), "text: {}", text),
+        }
+    }
+
+    /// A parse of a deep document that fails part way leaves the next
+    /// parse on the thread as a fresh thread's.
+    #[test]
+    fn a_deep_parse_that_fails_leaves_nothing_for_the_next(
+        text in nested_text(),
+        at in any::<prop::sample::Index>(),
+        next in nested_text(),
+    ) {
+        let _ = parse(cut(&text, at));
+        let here = parsed(&next);
+        let fresh = std::thread::spawn({
+            let next = next.clone();
+            move || parsed(&next)
+        })
+        .join()
+        .unwrap();
+        prop_assert_eq!(here, fresh, "text: {}", next);
+    }
+
+    /// Inserting and removing keys on one map of a level whose objects
+    /// share a block agrees with a `BTreeMap` given the same calls, and
+    /// leaves every other map of the level as it was.
+    #[test]
+    fn editing_a_map_of_a_shared_level_leaves_its_siblings_alone(
+        text in shared_objects_text(),
+        which in any::<prop::sample::Index>(),
+        edits in prop::collection::vec((any::<bool>(), key_text(), any::<i64>()), 0..12),
+    ) {
+        let Json::Arr(objects) = parse(&text).unwrap() else {
+            unreachable!("an array: {text}")
+        };
+        let before: Vec<String> = objects.iter().map(Json::to_string).collect();
+        let mut maps: Vec<JsonMap> = objects
+            .into_iter()
+            .map(|object| match object {
+                Json::Obj(map) => map,
+                other => unreachable!("an object: {other:?}"),
+            })
+            .collect();
+        let edited = which.index(maps.len());
+        let map = &mut maps[edited];
+        let MapTree::Obj(mut reference) = as_map_tree(&Json::Obj(map.clone())) else {
+            unreachable!()
+        };
+        for (insert, key, value) in edits {
+            // the key's text is JSON: a quoted string, maybe escaped
+            let Json::Str(key) = parse(&key).unwrap() else { unreachable!() };
+            if insert {
+                prop_assert_eq!(
+                    map.insert(key.clone(), Json::Int(value)).map(|j| as_map_tree(&j)),
+                    reference.insert(key.to_string(), MapTree::Int(value))
+                );
+            } else {
+                prop_assert_eq!(
+                    map.remove(&key).map(|j| as_map_tree(&j)),
+                    reference.remove(key.as_str())
+                );
+            }
+        }
+        let reference = MapTree::Obj(reference);
+        prop_assert_eq!(&as_map_tree(&Json::Obj(map.clone())), &reference);
+        prop_assert_eq!(Json::Obj(map.clone()).to_string(), printed(&reference));
+        for (at, (map, before)) in maps.into_iter().zip(before).enumerate() {
+            if at != edited {
+                prop_assert_eq!(Json::Obj(map).to_string(), before);
+            }
+        }
     }
 }

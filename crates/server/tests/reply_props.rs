@@ -96,7 +96,7 @@ fn statement_reply() -> impl Strategy<Value = Reply> {
         string_content().prop_map(|tenant| Reply::Doc(budget_exceeded_response(&tenant))),
         prop::collection::btree_map(string_content(), scalar(), 0..6)
             .prop_map(|fields| Reply::Doc(ok_response([("payload", Json::Obj(fields.into()))]))),
-        prop::collection::vec(scalar(), 0..3).prop_map(|items| Reply::Doc(Json::Arr(items))),
+        prop::collection::vec(scalar(), 0..3).prop_map(|items| Reply::Doc(Json::Arr(items.into()))),
     ]
 }
 
