@@ -97,20 +97,10 @@ impl Value {
         }
     }
 
-    /// Whether this value is storable in a column of type `ty`
-    /// (exact type match, with `Null` allowed everywhere and integer
-    /// widening `Int -> BigInt/Timestamp`).
+    /// Whether this value is storable in a column of type `ty` (see
+    /// [`ValueRef::coerce`]).
     pub fn conforms_to(&self, ty: DataType) -> bool {
-        match (self, ty) {
-            (Value::Null, _) => true,
-            (Value::Int(_), DataType::Int) => true,
-            (Value::Int(_) | Value::BigInt(_), DataType::BigInt) => true,
-            (Value::Varchar(s), DataType::Varchar(n)) => s.len() <= n as usize,
-            (Value::Bool(_), DataType::Bool) => true,
-            (Value::Int(_) | Value::BigInt(_) | Value::Timestamp(_), DataType::Timestamp) => true,
-            (Value::Double(_), DataType::Double) => true,
-            _ => false,
-        }
+        self.coerce_ref(ty).is_some()
     }
 
     /// Coerce into the canonical representation for `ty`, widening integers.
@@ -124,15 +114,7 @@ impl Value {
     /// view, which is all an encoder needs (the write path encodes rows and
     /// keys straight from request parameters through this).
     pub fn coerce_ref(&self, ty: DataType) -> Option<ValueRef<'_>> {
-        if !self.conforms_to(ty) {
-            return None;
-        }
-        Some(match (self, ty) {
-            (Value::Int(v), DataType::BigInt) => ValueRef::BigInt(*v as i64),
-            (Value::Int(v), DataType::Timestamp) => ValueRef::Timestamp(*v as i64),
-            (Value::BigInt(v), DataType::Timestamp) => ValueRef::Timestamp(*v),
-            _ => ValueRef::of(self),
-        })
+        ValueRef::of(self).coerce(ty)
     }
 
     pub fn is_null(&self) -> bool {
@@ -209,6 +191,28 @@ impl<'a> ValueRef<'a> {
 
     pub fn is_null(self) -> bool {
         matches!(self, ValueRef::Null)
+    }
+
+    /// This value in the canonical representation of a column of type
+    /// `ty`, or `None` when it cannot be stored there. The column-type
+    /// rules: an exact type match, `Null` allowed everywhere, a string no
+    /// longer than its `VARCHAR` bound, and integers widened `Int ->
+    /// BigInt/Timestamp` and `BigInt -> Timestamp`.
+    pub fn coerce(self, ty: DataType) -> Option<ValueRef<'a>> {
+        Some(match (self, ty) {
+            (ValueRef::Int(v), DataType::BigInt) => ValueRef::BigInt(v as i64),
+            (ValueRef::Int(v), DataType::Timestamp) => ValueRef::Timestamp(v as i64),
+            (ValueRef::BigInt(v), DataType::Timestamp) => ValueRef::Timestamp(v),
+            (ValueRef::Varchar(s), DataType::Varchar(n)) if s.len() > n as usize => return None,
+            (ValueRef::Null, _)
+            | (ValueRef::Int(_), DataType::Int)
+            | (ValueRef::BigInt(_), DataType::BigInt)
+            | (ValueRef::Varchar(_), DataType::Varchar(_))
+            | (ValueRef::Bool(_), DataType::Bool)
+            | (ValueRef::Timestamp(_), DataType::Timestamp)
+            | (ValueRef::Double(_), DataType::Double) => self,
+            _ => return None,
+        })
     }
 
     /// The string, if this is a `Varchar`.

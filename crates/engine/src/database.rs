@@ -19,7 +19,7 @@ use crate::exec::{ExecCtx, ExecError, ExecStrategy, QueryResult, RemoteOp};
 use crate::keys;
 use crate::plan::{table_write, WritePlan};
 use crate::reference::ReferenceExecutor;
-use crate::write::{ConstraintProbe, IndexWrite, InputRow, TableWrite, WriteError, Writer};
+use crate::write::{ConstraintProbe, IndexWrite, InputRow, Loader, TableWrite, WriteError, Writer};
 use piql_analysis::ordered::RwLock;
 use piql_analysis::rank;
 use piql_core::ast::Statement;
@@ -28,7 +28,7 @@ use piql_core::opt::{Compiled, OptError, Optimizer};
 use piql_core::parser::{parse, ParseError};
 use piql_core::plan::params::ParamsRef;
 use piql_core::tuple::Tuple;
-use piql_core::value::Value;
+use piql_core::value::{Value, ValueRef};
 use piql_kv::{KvStore, Session, SimCluster};
 use std::collections::HashMap;
 use std::fmt;
@@ -420,8 +420,21 @@ impl<S: KvStore> Database<S> {
         table: &str,
         rows: impl IntoIterator<Item = Tuple>,
     ) -> Result<u64, DbError> {
+        self.bulk_load_with(table, |loader| {
+            rows.into_iter().try_for_each(|row| {
+                loader.push(&row.values().iter().map(ValueRef::of).collect::<Vec<_>>())
+            })
+        })
+    }
+
+    /// [`Database::bulk_load`] of the borrowed rows `feed` pushes ([`Writer::bulk_load`]).
+    pub fn bulk_load_with(
+        &self,
+        table: &str,
+        feed: impl FnOnce(&mut Loader<'_>) -> Result<(), WriteError>,
+    ) -> Result<u64, DbError> {
         let target = self.table_write(table)?;
-        Ok(Writer::new(self.store()).bulk_load(&target, rows)?)
+        Ok(Writer::new(self.store()).bulk_load(&target, feed)?)
     }
 
     /// Run a SELECT through the naive reference executor (testing oracle).

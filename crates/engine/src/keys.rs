@@ -69,6 +69,13 @@ impl RowSource for Tuple {
     }
 }
 
+impl RowSource for [ValueRef<'_>] {
+    type Error = KeyError;
+    fn value(&self, col: ColumnId) -> Result<ValueRef<'_>, KeyError> {
+        Ok(self[col])
+    }
+}
+
 impl RowSource for RowRef<'_> {
     type Error = KeyError;
     fn value(&self, col: ColumnId) -> Result<ValueRef<'_>, KeyError> {
@@ -117,7 +124,7 @@ pub fn primary_key_from<R: RowSource>(
 /// [`primary_key_from`] in a buffer with room for exactly `room` more
 /// bytes: the record a write stores under the key, which the store
 /// appends to the key's own buffer to make its entry without growing it.
-pub fn primary_key_with_room<R: RowSource>(
+pub fn primary_key_with_room<R: RowSource + ?Sized>(
     table: &TableDef,
     pk: &[ColumnId],
     row: &R,
@@ -148,9 +155,32 @@ pub fn primary_key_from_values(values: &[Value]) -> Result<Vec<u8>, KeyError> {
 /// Hand every index-entry key of `row` under the key layout `parts` to
 /// `emit` (several when a TOKEN part expands, none when it has no tokens),
 /// sorted and each once, every key in a buffer of exactly its size.
-pub fn entry_keys<R: RowSource>(
+pub fn entry_keys<R: RowSource + ?Sized>(
     parts: &[KeyPart],
     row: &R,
+    emit: impl FnMut(Vec<u8>),
+) -> Result<(), R::Error> {
+    entry_keys_in(parts, row, &mut EntryScratch::default(), emit)
+}
+
+/// The buffers [`entry_keys_in`] expands a TOKEN part in, kept from one
+/// row to the next by a caller that makes many rows' keys.
+#[derive(Debug, Default)]
+pub struct EntryScratch {
+    bytes: Vec<u8>,
+    token: String,
+    comps: Vec<Range<usize>>,
+    found: Vec<Range<usize>>,
+    spans: Vec<Range<usize>>,
+    pick: Vec<usize>,
+}
+
+/// [`entry_keys`], with a TOKEN part expanded in the buffers of `s`: a
+/// row's keys then cost their own buffers and nothing else.
+pub fn entry_keys_in<R: RowSource + ?Sized>(
+    parts: &[KeyPart],
+    row: &R,
+    s: &mut EntryScratch,
     mut emit: impl FnMut(Vec<u8>),
 ) -> Result<(), R::Error> {
     if !parts.iter().any(|p| p.token) {
@@ -171,37 +201,40 @@ pub fn entry_keys<R: RowSource>(
     // back into one buffer (a TOKEN part's sorted and deduplicated), and
     // the keys their cartesian product. Components are prefix-free, so
     // walking the product in order emits the keys sorted, each once.
-    let (mut bytes, mut token) = (Vec::new(), String::new());
-    let (mut comps, mut found): (Vec<Range<usize>>, Vec<Range<usize>>) = Default::default();
-    let mut spans = Vec::with_capacity(parts.len());
+    s.bytes.clear();
+    s.comps.clear();
+    s.spans.clear();
     for part in parts {
-        let first = comps.len();
+        let first = s.comps.len();
         let value = row.value(part.col)?;
         if !part.token {
-            let start = bytes.len();
-            key::encode_component_ref(&mut bytes, value, part.dir).map_err(KeyError::from)?;
-            comps.push(start..bytes.len());
-        } else if let ValueRef::Varchar(s) = value {
-            let _ = text::each_token(s, &mut token, |t| {
-                let start = bytes.len();
-                key::encode_str(&mut bytes, t, part.dir);
-                found.push(start..bytes.len());
+            let start = s.bytes.len();
+            key::encode_component_ref(&mut s.bytes, value, part.dir).map_err(KeyError::from)?;
+            s.comps.push(start..s.bytes.len());
+        } else if let ValueRef::Varchar(words) = value {
+            let _ = text::each_token(words, &mut s.token, |t| {
+                let start = s.bytes.len();
+                key::encode_str(&mut s.bytes, t, part.dir);
+                s.found.push(start..s.bytes.len());
                 ControlFlow::<()>::Continue(())
             });
+            let (bytes, found) = (&s.bytes, &mut s.found);
             found.sort_unstable_by(|a, b| bytes[a.clone()].cmp(&bytes[b.clone()]));
             found.dedup_by(|a, b| bytes[a.clone()] == bytes[b.clone()]);
-            comps.append(&mut found);
+            s.comps.append(found);
         }
-        if comps.len() == first {
+        if s.comps.len() == first {
             // no tokens -> no entries for this row
             return Ok(());
         }
-        spans.push(first..comps.len());
+        s.spans.push(first..s.comps.len());
     }
-    let mut pick: Vec<usize> = spans.iter().map(|span| span.start).collect();
+    let (bytes, comps, spans, pick) = (&s.bytes, &s.comps, &s.spans, &mut s.pick);
+    pick.clear();
+    pick.extend(spans.iter().map(|span| span.start));
     loop {
         let mut key = Vec::with_capacity(pick.iter().map(|&c| comps[c].len()).sum());
-        for &c in &pick {
+        for &c in pick.iter() {
             key.extend_from_slice(&bytes[comps[c].clone()]);
         }
         emit(key);

@@ -22,4 +22,4 @@ pub use database::{Database, DbError, Prepared, WritePlanStats, WRITE_PLAN_CACHE
 pub use exec::{ExecCtx, ExecError, ExecStrategy, QueryResult, RemoteOp};
 pub use plan::WritePlan;
 pub use reference::ReferenceExecutor;
-pub use write::{WriteError, Writer};
+pub use write::{Loader, WriteError, Writer};

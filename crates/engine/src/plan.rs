@@ -109,7 +109,11 @@ struct SlotRow<'a> {
 impl RowSource for SlotRow<'_> {
     type Error = WriteError;
     fn value(&self, col: ColumnId) -> Result<ValueRef<'_>, WriteError> {
-        conform(self.table, col, self.slots[col].resolve(self.params)?)
+        conform(
+            self.table,
+            col,
+            self.slots[col].resolve(self.params)?.into(),
+        )
     }
 }
 
@@ -292,9 +296,9 @@ fn insert_slots(
     // checked and coerced once, and a NOT NULL column left out fails
     for (col, slot) in slots.iter_mut().enumerate() {
         match slot {
-            Slot::Literal(v) => *v = conform(table, col, v)?.to_value(),
+            Slot::Literal(v) => *v = conform(table, col, ValueRef::of(v))?.to_value(),
             Slot::Null => {
-                conform(table, col, &Value::Null)?;
+                conform(table, col, ValueRef::Null)?;
             }
             Slot::Param(_) => {}
         }

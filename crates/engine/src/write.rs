@@ -24,10 +24,12 @@ use crate::exec::{page_range, ExecError};
 use crate::keys::{self, KeyPart, RowSource};
 use piql_core::catalog::{CardinalityConstraint, Catalog, ColumnId, IndexDef, TableDef};
 use piql_core::codec::key::{encode_component_ref, encode_str, prefix_upper_bound, Dir};
+use piql_core::codec::row as row_codec;
 use piql_core::plan::params::ParamError;
+use piql_core::rows::Rows;
 use piql_core::text;
 use piql_core::tuple::Tuple;
-use piql_core::value::{DataType, Value, ValueRef};
+use piql_core::value::{DataType, ValueRef};
 use piql_kv::{KvRequest, KvResponse, KvStore, MalformedRound, NsId, Session};
 use std::fmt;
 use std::ops::ControlFlow;
@@ -356,7 +358,7 @@ impl Round {
 pub(crate) fn conform<'v>(
     table: &TableDef,
     col: ColumnId,
-    value: &'v Value,
+    value: ValueRef<'v>,
 ) -> Result<ValueRef<'v>, WriteError> {
     let column = &table.columns[col];
     if value.is_null() && !column.nullable {
@@ -365,10 +367,12 @@ pub(crate) fn conform<'v>(
             column.name, table.name
         )));
     }
-    value.coerce_ref(column.ty).ok_or_else(|| {
+    value.coerce(column.ty).ok_or_else(|| {
         WriteError::RowShape(format!(
-            "value {value} does not fit column '{}' {}",
-            column.name, column.ty
+            "value {} does not fit column '{}' {}",
+            value.to_value(),
+            column.name,
+            column.ty
         ))
     })
 }
@@ -401,8 +405,74 @@ impl<'a> InputRow<'a> {
 impl RowSource for InputRow<'_> {
     type Error = WriteError;
     fn value(&self, col: ColumnId) -> Result<ValueRef<'_>, WriteError> {
-        conform(self.table, col, &self.row[col])
+        conform(self.table, col, ValueRef::of(&self.row[col]))
     }
+}
+
+/// What a bulk load's feed pushes its rows into ([`Writer::bulk_load`]).
+/// Each value is conformed to its column once, the record is encoded into
+/// a buffer kept from row to row, and the row's entry — its primary key,
+/// built with room for the record, then the record — goes to the store as
+/// it is: one allocation a row, and one a secondary-index entry.
+pub struct Loader<'a> {
+    target: &'a TableWrite,
+    store: &'a mut dyn FnMut(Vec<u8>, usize),
+    /// Per index, the entry keys of the rows stored so far.
+    entries: &'a mut [Vec<Vec<u8>>],
+    /// The buffer a row's conformed values are collected in; empty between rows.
+    values: Vec<ValueRef<'static>>,
+    record: Vec<u8>,
+    scratch: keys::EntryScratch,
+    /// The rows stored so far, or the error of the row that ended the load.
+    loaded: Result<u64, WriteError>,
+}
+
+impl Loader<'_> {
+    /// Store `row`, one value per column in the table's order. The first
+    /// row that cannot be stored ends the load: it and every later push
+    /// return its error, and no later push stores anything.
+    pub fn push(&mut self, row: &[ValueRef<'_>]) -> Result<(), WriteError> {
+        let rows = self.loaded.clone()?;
+        let stored = self.store_row(row);
+        self.loaded = stored.clone().map(|()| rows + 1);
+        stored
+    }
+
+    fn store_row(&mut self, row: &[ValueRef<'_>]) -> Result<(), WriteError> {
+        let table = &self.target.table;
+        check_arity(table, row.len())?;
+        // a row that fails drops the buffer: no later row needs it
+        let mut values = recycle(std::mem::take(&mut self.values));
+        for (col, &value) in row.iter().enumerate() {
+            values.push(conform(table, col, value)?);
+        }
+        self.record.clear();
+        row_codec::encode_arity(&mut self.record, values.len());
+        for &value in &values {
+            row_codec::encode_value_ref(&mut self.record, value);
+        }
+        let mut entry =
+            keys::primary_key_with_room(table, &self.target.pk, &values[..], self.record.len())?;
+        let key_len = entry.len();
+        entry.extend_from_slice(&self.record);
+        // a row's record goes before its entries: one whose entries
+        // cannot all be made still has its record stored, and ends the load
+        (self.store)(entry, key_len);
+        let scratch = &mut self.scratch;
+        (self.target.indexes.iter().zip(self.entries.iter_mut())).try_for_each(|(idx, keys)| {
+            keys::entry_keys_in(&idx.parts, &values[..], scratch, |key| keys.push(key))
+        })?;
+        self.values = recycle(values);
+        Ok(())
+    }
+}
+
+/// `values`' buffer, emptied, for values borrowed for another lifetime:
+/// collecting a vector's own iterator into a vector of the same layout
+/// reuses its allocation, so a [`Loader`] keeps one buffer for every row.
+fn recycle<'b>(mut values: Vec<ValueRef<'_>>) -> Vec<ValueRef<'b>> {
+    values.clear();
+    values.into_iter().map(|_| ValueRef::Null).collect()
 }
 
 /// Optimistic attempts an UPDATE makes before giving up on a contended row.
@@ -623,57 +693,47 @@ impl<'a> Writer<'a> {
         Ok(true)
     }
 
-    /// Bulk-load rows without timing (experiment setup). Index entries are
-    /// written too; constraints are trusted, not checked.
+    /// Bulk-load the rows `feed` pushes into a [`Loader`], without timing
+    /// (experiment setup). Index entries are written too; constraints are
+    /// trusted, not checked.
     ///
     /// The records stream into the store as one batch
-    /// ([`KvStore::bulk_put_all`]) as the rows are read; each index's
+    /// ([`KvStore::bulk_put_all`]) as the rows are pushed; each index's
     /// entry keys are kept aside as they are made and handed over as one
-    /// batch after. A row that cannot be stored ends the load with its
-    /// error: the rows before it are stored with all their entries, and
-    /// nothing after it is read.
+    /// batch after. The first row that cannot be stored ends the load with
+    /// its error: the rows before it are stored with all their entries, and
+    /// no row after it is.
     pub fn bulk_load(
         &self,
         target: &TableWrite,
-        rows: impl IntoIterator<Item = Tuple>,
+        feed: impl FnOnce(&mut Loader<'_>) -> Result<(), WriteError>,
     ) -> Result<u64, WriteError> {
-        let table = &target.table;
-        let mut rows = rows.into_iter();
+        let mut feed = Some(feed);
         let mut entries: Vec<Vec<Vec<u8>>> = target.indexes.iter().map(|_| Vec::new()).collect();
-        let (mut n, mut failed) = (0, None);
-        let mut records = std::iter::from_fn(|| {
-            if failed.is_some() {
-                return None;
-            }
-            let tuple = rows.next()?;
-            let record = InputRow::new(table, &tuple).and_then(|row| {
-                let bytes = keys::encode_row_from(&row, table.columns.len())?;
-                let pk = keys::primary_key_with_room(table, &target.pk, &row, bytes.len())?;
-                // a row's record goes before its entries: one whose entries
-                // cannot all be made still has its record stored, and ends
-                // the load
-                let mut made = (target.indexes.iter().zip(&mut entries))
-                    .map(|(idx, keys)| keys::entry_keys(&idx.parts, &row, |key| keys.push(key)));
-                failed = made.find_map(Result::err);
-                Ok((pk, bytes))
-            });
-            match record {
-                Ok(record) => {
-                    n += 1;
-                    Some(record)
-                }
-                Err(e) => {
-                    failed = Some(e);
-                    None
-                }
-            }
+        let mut loaded = Ok(0);
+        self.store.bulk_put_all(target.primary, &mut |store| {
+            let Some(feed) = feed.take() else { return };
+            let mut loader = Loader {
+                target,
+                store,
+                entries: &mut entries,
+                values: Vec::new(),
+                record: Vec::new(),
+                scratch: keys::EntryScratch::default(),
+                loaded: Ok(0),
+            };
+            let fed = feed(&mut loader);
+            loaded = loader.loaded.and_then(|rows| fed.map(|()| rows));
         });
-        self.store.bulk_put_all(target.primary, &mut records);
-        for (idx, keys) in target.indexes.iter().zip(entries) {
-            let mut keys = keys.into_iter().map(|key| (key, Vec::new()));
-            self.store.bulk_put_all(idx.ns, &mut keys);
+        for (idx, mut keys) in target.indexes.iter().zip(entries) {
+            self.store.bulk_put_all(idx.ns, &mut |push| {
+                for key in keys.drain(..) {
+                    let len = key.len();
+                    push(key, len);
+                }
+            });
         }
-        failed.map_or(Ok(n), Err)
+        loaded
     }
 
     /// Garbage-collect dangling index entries of one table (§7.2): the
@@ -739,7 +799,9 @@ impl<'a> Writer<'a> {
 
     /// Build (backfill) one index from the records currently in `primary`
     /// — offline index construction for compiler-derived indexes. Each
-    /// page of records is handed to the store as one batch of entries.
+    /// record is decoded into one row block kept from record to record, and
+    /// each page's entries are stored before the next page is read, which
+    /// keeps short the window in which a concurrent DELETE leaves one dangling.
     pub fn backfill_index(
         &self,
         table: &TableDef,
@@ -747,7 +809,8 @@ impl<'a> Writer<'a> {
         index: &IndexWrite,
     ) -> Result<u64, WriteError> {
         let session = &mut Session::new();
-        let mut n = 0;
+        let arity = table.columns.len();
+        let (mut block, mut scratch, mut n) = (Rows::default(), keys::EntryScratch::default(), 0);
         page_range(
             self.store,
             session,
@@ -756,17 +819,23 @@ impl<'a> Writer<'a> {
             false,
             1024,
             None,
-            |_, entries| {
-                let mut batch = Vec::with_capacity(entries.len());
+            |_, records| {
                 // a record that cannot be read ends the backfill, after
                 // the entries of the ones before it are stored
-                let made = entries.iter().try_for_each(|(_, v)| {
-                    let row = keys::decode_row(table, v)?;
-                    keys::entry_keys(&index.parts, &row, |key| batch.push(key))
+                let mut made = Ok(());
+                self.store.bulk_put_all(index.ns, &mut |push| {
+                    made = records.iter().try_for_each(|(_, record)| {
+                        let mut row = std::mem::take(&mut block).rebuild(arity);
+                        keys::decode_row_into(&mut row, table, record)?;
+                        keys::entry_keys_in(&index.parts, &row.pending(), &mut scratch, |key| {
+                            n += 1;
+                            let len = key.len();
+                            push(key, len);
+                        })?;
+                        block = row.finish();
+                        Ok::<_, keys::KeyError>(())
+                    });
                 });
-                n += batch.len() as u64;
-                let mut batch = batch.into_iter().map(|key| (key, Vec::new()));
-                self.store.bulk_put_all(index.ns, &mut batch);
                 made.map_err(WriteError::from)
             },
         )?;

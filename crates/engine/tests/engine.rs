@@ -4,7 +4,7 @@
 use piql_core::catalog::Catalog;
 use piql_core::plan::params::Params;
 use piql_core::tuple;
-use piql_core::value::Value;
+use piql_core::value::{Value, ValueRef};
 use piql_engine::exec::{largest_scratch_buffer, SCRATCH_CEILING_BYTES};
 use piql_engine::{keys, Cursor, Database, DbError, ExecError, ExecStrategy, WriteError};
 use piql_kv::{
@@ -611,13 +611,17 @@ fn update_preserves_unchanged_index_entries() {
 }
 
 /// A bulk load stops at the first row it cannot store: the rows before it
-/// are stored with every one of their index entries, and nothing from it
-/// on is.
-fn bulk_load_stops_at_a_misshapen_row<S: KvStore>(db: &Database<S>, backend: &str) {
+/// are stored with every one of their index entries — a TOKEN index's
+/// several a row among them — and nothing from it on is, however the rows
+/// arrive: as tuples, or pushed borrowed by a feed that ignores the error
+/// and keeps pushing.
+fn bulk_load_stops_at_a_misshapen_row<S: KvStore>(db: &Database<S>, backend: &str, borrowed: bool) {
     for ddl in SCADR_DDL {
         db.execute_ddl(ddl).unwrap();
     }
     db.execute_ddl("CREATE INDEX users_by_town ON users (home_town)")
+        .unwrap();
+    db.execute_ddl("CREATE INDEX users_by_town_word ON users (TOKEN(home_town))")
         .unwrap();
     const BAD: usize = 7;
     let user = |i: usize| {
@@ -625,10 +629,30 @@ fn bulk_load_stops_at_a_misshapen_row<S: KvStore>(db: &Database<S>, backend: &st
         if i == BAD {
             tuple![name.as_str()]
         } else {
-            tuple![name.as_str(), format!("town{}", i % 3).as_str()]
+            tuple![name.as_str(), format!("north town {}", i % 3).as_str()]
         }
     };
-    let err = db.bulk_load("users", (0..20).map(user)).unwrap_err();
+    let err = if borrowed {
+        let loaded = db.bulk_load_with("users", |rows| {
+            let pushed: Vec<_> = (0..20)
+                .map(|i| {
+                    let row = user(i);
+                    rows.push(&row.values().iter().map(ValueRef::of).collect::<Vec<_>>())
+                })
+                .collect();
+            assert!(pushed[..BAD].iter().all(Result::is_ok), "{backend}");
+            assert!(
+                pushed[BAD..]
+                    .iter()
+                    .all(|p| p.is_err() && *p == pushed[BAD]),
+                "{backend}: every push from the bad row on fails as it did: {pushed:?}"
+            );
+            Ok(())
+        });
+        loaded.unwrap_err()
+    } else {
+        db.bulk_load("users", (0..20).map(user)).unwrap_err()
+    };
     let DbError::Write(WriteError::RowShape(message)) = &err else {
         panic!("{backend}: {err}");
     };
@@ -639,15 +663,6 @@ fn bulk_load_stops_at_a_misshapen_row<S: KvStore>(db: &Database<S>, backend: &st
 
     let catalog = db.catalog();
     let table = catalog.table("users").unwrap();
-    let index = catalog.index("users_by_town").unwrap();
-    let parts = keys::index_key_parts(table, index).unwrap();
-    let (mut records, mut entries) = (Vec::new(), Vec::new());
-    for row in (0..BAD).map(user) {
-        records.push(keys::primary_key_from(table, &[0], &row).unwrap());
-        keys::entry_keys(&parts, &row, |key| entries.push(key)).unwrap();
-    }
-    records.sort();
-    entries.sort();
     let store = db.cluster();
     let stored = |ns| {
         let mut session = Session::new();
@@ -664,22 +679,76 @@ fn bulk_load_stops_at_a_misshapen_row<S: KvStore>(db: &Database<S>, backend: &st
             .unwrap();
         found.into_iter().map(|(key, _)| key).collect::<Vec<_>>()
     };
+    let mut records: Vec<_> = (0..BAD)
+        .map(|i| keys::primary_key_from(table, &[0], &user(i)).unwrap())
+        .collect();
+    records.sort();
     let primary = store.namespace(&Catalog::table_namespace(table));
-    let by_town = store.namespace(&Catalog::index_namespace(index));
     assert_eq!(stored(primary), records, "{backend}: the records before it");
-    assert_eq!(stored(by_town), entries, "{backend}: their index entries");
+    for (name, per_row) in [("users_by_town", 1), ("users_by_town_word", 3)] {
+        let index = catalog.index(name).unwrap();
+        let parts = keys::index_key_parts(table, index).unwrap();
+        let mut entries = Vec::new();
+        for row in (0..BAD).map(user) {
+            keys::entry_keys(&parts, &row, |key| entries.push(key)).unwrap();
+        }
+        entries.sort();
+        assert_eq!(entries.len(), per_row * BAD, "{backend}: {name}");
+        let ns = store.namespace(&Catalog::index_namespace(index));
+        assert_eq!(stored(ns), entries, "{backend}: {name}, their entries");
+    }
 }
 
 #[test]
 fn a_bulk_load_stops_at_its_first_misshapen_row() {
-    bulk_load_stops_at_a_misshapen_row(
-        &Database::new(Arc::new(SimCluster::new(ClusterConfig::instant(3)))),
-        "sim",
-    );
-    bulk_load_stops_at_a_misshapen_row(
-        &Database::new(Arc::new(LiveCluster::new(LiveConfig::default()))),
-        "live",
-    );
+    for borrowed in [false, true] {
+        bulk_load_stops_at_a_misshapen_row(
+            &Database::new(Arc::new(SimCluster::new(ClusterConfig::instant(3)))),
+            "sim",
+            borrowed,
+        );
+        bulk_load_stops_at_a_misshapen_row(
+            &Database::new(Arc::new(LiveCluster::new(LiveConfig::default()))),
+            "live",
+            borrowed,
+        );
+    }
+}
+
+/// A value that does not fit its column is refused in the same words
+/// whether it arrives in an INSERT or in a bulk load: the column-type
+/// rules and their refusal are one copy.
+#[test]
+fn a_value_that_does_not_fit_is_refused_alike_by_dml_and_load() {
+    let db = Database::new(Arc::new(SimCluster::new(ClusterConfig::instant(1))));
+    db.execute_ddl("CREATE TABLE counts (id INT NOT NULL, name VARCHAR(4), PRIMARY KEY (id))")
+        .unwrap();
+    let cases = [
+        (
+            [Value::Int(1), Value::Varchar("toolong".into())],
+            "value 'toolong' does not fit column 'name' VARCHAR(4)",
+        ),
+        (
+            [Value::Double(1.5), Value::Varchar("ok".into())],
+            "value 1.5 does not fit column 'id' INT",
+        ),
+    ];
+    let insert = "INSERT INTO counts (id, name) VALUES (<id>, <name>)";
+    let mut session = Session::new();
+    for (row, expected) in cases {
+        let params = Params::from_values(row.clone());
+        let refused = db.execute_dml(&mut session, insert, &params).unwrap_err();
+        assert_eq!(refused.to_string(), expected, "dml");
+        let refused = db
+            .bulk_load_with("counts", |rows| {
+                rows.push(&row.iter().map(ValueRef::of).collect::<Vec<_>>())
+            })
+            .unwrap_err();
+        assert_eq!(refused.to_string(), expected, "load");
+    }
+    let everything = "SELECT * FROM counts WHERE id = <id>";
+    let params = Params::from_values([Value::Int(1)]);
+    assert!(db.reference_query(everything, &params).unwrap().is_empty());
 }
 
 /// §7.2's ordering promises a record is never unreachable through its

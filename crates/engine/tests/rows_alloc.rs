@@ -19,11 +19,12 @@
 //!
 //! [`Rows`]: piql_core::rows::Rows
 
+use piql_core::catalog::Catalog;
 use piql_core::plan::params::Params;
 use piql_core::tuple;
-use piql_core::value::Value;
+use piql_core::value::{Value, ValueRef};
 use piql_engine::{Database, Prepared};
-use piql_kv::{KvRequest, KvResponse, KvStore, LiveCluster, LiveConfig, NsId, Session};
+use piql_kv::{BulkFeed, KvRequest, KvResponse, KvStore, LiveCluster, LiveConfig, NsId, Session};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -367,4 +368,162 @@ fn an_update_hands_the_store_its_entry_ready_made() {
     // the key's own buffer becomes the entry: at 60cee7c the store grew
     // each key into it, one allocation per update
     assert_eq!(count(&store.made), 0, "the store's write grows nothing");
+}
+
+/// No secondary index: each row stores exactly one entry.
+const NOTES: &str = "CREATE TABLE notes ( \
+       id INT NOT NULL, \
+       owner VARCHAR(16) NOT NULL, \
+       body VARCHAR(100), \
+       seen BIGINT, \
+       PRIMARY KEY (owner, id) )";
+
+/// A `LiveCluster` of `shards` stripes a namespace, holding [`NOTES`].
+fn notes_database(shards: usize) -> Database<LiveCluster> {
+    let db = Database::new(Arc::new(LiveCluster::new(LiveConfig {
+        shards_per_namespace: shards,
+        ..LiveConfig::default()
+    })));
+    db.execute_ddl(NOTES).unwrap();
+    db
+}
+
+#[test]
+#[cfg_attr(
+    feature = "lock-order",
+    ignore = "lock-order tracking allocates by design"
+)]
+fn a_borrowed_load_allocates_one_buffer_per_row() {
+    const N: u64 = 5_000;
+    const SHARDS: u64 = 16;
+    let db = notes_database(SHARDS as usize);
+    let owners: Vec<String> = (0..10).map(|o| format!("owner{o}")).collect();
+    let mut body = String::new();
+    let (loaded, made) = counted(|| {
+        db.bulk_load_with("notes", |rows| {
+            for i in 0..N as i32 {
+                body.clear();
+                body.push_str("note number ");
+                body.push_str(&owners[i as usize % 10]);
+                rows.push(&[
+                    ValueRef::Int(i),
+                    ValueRef::Varchar(&owners[i as usize % 10]),
+                    ValueRef::Varchar(&body),
+                    // widened to the column's BIGINT as it is stored
+                    ValueRef::Int(i),
+                ])?;
+            }
+            Ok(())
+        })
+        .unwrap()
+    });
+    assert_eq!(loaded, N);
+    let table = db.catalog().table("notes").unwrap().clone();
+    let primary = db.cluster().namespace(&Catalog::table_namespace(&table));
+    assert_eq!(db.cluster().ns_len(primary), N as usize);
+    // each row is one buffer, its key with room for its record, which
+    // becomes its entry; the rest is the store's full leaves, its batch,
+    // the loader's own buffers and the table's write-side resolution.
+    // At 96a66bb the same rows, loaded as tuples, made 30,513: six a row
+    println!("a borrowed load of {N} rows: {made} allocations");
+    assert!(
+        made <= N + N / 10 + 16 * SHARDS,
+        "{made} allocations to load {N} rows"
+    );
+}
+
+/// A `LiveCluster` that keeps apart the allocations it makes storing bulk
+/// batches: each batch is collected first, then stored, counted.
+struct BatchCounted {
+    inner: LiveCluster,
+    stored: AtomicU64,
+}
+
+impl KvStore for BatchCounted {
+    fn namespace(&self, name: &str) -> NsId {
+        self.inner.namespace(name)
+    }
+    fn execute_round(&self, session: &mut Session, round: Vec<KvRequest>) -> Vec<KvResponse> {
+        self.inner.execute_round(session, round)
+    }
+    fn execute_one(&self, session: &mut Session, req: KvRequest) -> KvResponse {
+        self.inner.execute_one(session, req)
+    }
+    fn bulk_put(&self, ns: NsId, key: Vec<u8>, value: Vec<u8>) {
+        self.inner.bulk_put(ns, key, value)
+    }
+    fn bulk_put_all(&self, ns: NsId, feed: &mut BulkFeed<'_>) {
+        let mut batch = Vec::new();
+        feed(&mut |bytes, key_len| batch.push((bytes, key_len)));
+        let (_, made) = counted(|| {
+            self.inner.bulk_put_all(ns, &mut |push| {
+                for (bytes, key_len) in batch.drain(..) {
+                    push(bytes, key_len);
+                }
+            })
+        });
+        self.stored.fetch_add(made, Ordering::Relaxed);
+    }
+}
+
+#[test]
+#[cfg_attr(
+    feature = "lock-order",
+    ignore = "lock-order tracking allocates by design"
+)]
+fn a_token_backfill_allocates_per_entry_and_page_not_per_record() {
+    // (records, pages of 1,024 records, entries the TOKEN(body) index
+    // derives, allocations outside the store's own batch handling)
+    let backfills = [1_000usize, 4_000].map(|records| {
+        let store = Arc::new(BatchCounted {
+            inner: LiveCluster::new(LiveConfig {
+                shards_per_namespace: 4,
+                ..LiveConfig::default()
+            }),
+            stored: AtomicU64::new(0),
+        });
+        let db = Database::new(store.clone());
+        db.execute_ddl(NOTES).unwrap();
+        db.bulk_load(
+            "notes",
+            (0..records).map(|i| {
+                let body = format!("words {} and {} again", i % 7, i % 5);
+                tuple![i as i32, "owner", body.as_str(), Value::Null]
+            }),
+        )
+        .unwrap();
+        let stored_before = store.stored.load(Ordering::Relaxed);
+        let (_, made) = counted(|| {
+            db.execute_ddl("CREATE INDEX notes_by_word ON notes (TOKEN(body))")
+                .unwrap()
+        });
+        let stored = store.stored.load(Ordering::Relaxed) - stored_before;
+        let index = db.catalog().index("notes_by_word").unwrap().clone();
+        let ns = store.namespace(&Catalog::index_namespace(&index));
+        let entries = store.inner.ns_len(ns) as u64;
+        (
+            records,
+            records.div_ceil(1024) as u64,
+            entries,
+            made - stored,
+        )
+    });
+    println!("TOKEN backfills (records, pages, entries, allocations): {backfills:?}");
+    for (records, pages, entries, made) in backfills {
+        // five tokens a record: "words", "and", "again" and two digits,
+        // one entry for both when they are equal
+        assert!(entries >= 4 * records as u64, "{backfills:?}");
+        // each entry's own buffer, a few buffers a page (its range
+        // answer, the next page's start key, the batch), and the DDL's
+        // parse and catalog work. At 96a66bb each record was decoded into
+        // a tuple and its tokens expanded in fresh buffers: 19,365 and
+        // 79,831 allocations in all, the store's included, about fourteen
+        // a record besides the entries
+        assert!(made <= entries + 64 * pages + 512, "{backfills:?}");
+    }
+    let [(_, few_pages, few_entries, few), (_, many_pages, many_entries, many)] = backfills;
+    assert!(
+        many - many_entries <= few - few_entries + 64 * (many_pages - few_pages),
+        "what grows past the entries grows per page: {backfills:?}"
+    );
 }

@@ -17,7 +17,7 @@
 use crate::latency::{InterferenceConfig, LatencyConfig};
 use crate::node::StorageNode;
 use crate::op::{
-    Entries, KvRequest, KvResponse, MalformedRound, NsId, Probe, ReadAnswer, ReadRound,
+    BulkFeed, Entries, KvRequest, KvResponse, MalformedRound, NsId, Probe, ReadAnswer, ReadRound,
     RequestRound,
 };
 use crate::partition::{NsPlacement, PartitionMap, SplitPoints};
@@ -211,16 +211,17 @@ pub trait KvStore: Send + Sync {
     /// attached the put is logged, and no commit barrier follows (see
     /// [`crate::wal`]).
     fn bulk_put(&self, ns: NsId, key: Vec<u8>, value: Vec<u8>);
-    /// [`KvStore::bulk_put`] every pair `entries` yields, as one batch: the
+    /// [`KvStore::bulk_put`] every entry `feed` pushes, as one batch: the
     /// store ends as if they were put one by one, in order — of equal keys
-    /// the last one wins — and counts one write per pair. A batch is logged
-    /// as one put per entry it stores, with no barrier. The default is
-    /// exactly that loop; a backend that can build its storage from a
-    /// sorted batch overrides it.
-    fn bulk_put_all(&self, ns: NsId, entries: &mut dyn Iterator<Item = (Vec<u8>, Vec<u8>)>) {
-        for (key, value) in entries {
+    /// the last one wins — and counts one write per entry. A batch is
+    /// logged as one put per entry it stores, with no barrier. The default
+    /// is exactly that loop, each buffer split at its key's end; a backend
+    /// that can build its storage from a sorted batch overrides it.
+    fn bulk_put_all(&self, ns: NsId, feed: &mut BulkFeed<'_>) {
+        feed(&mut |mut key, key_len| {
+            let value = key.split_off(key_len);
             self.bulk_put(ns, key, value);
-        }
+        });
     }
     /// Recompute data placement from current contents. Backends without a
     /// placement concept treat this as a no-op.

@@ -60,8 +60,8 @@ pub use cluster::{ClusterConfig, KvStore, NsBalance, SimCluster};
 pub use latency::{InterferenceConfig, LatencyConfig};
 pub use live::{LiveCluster, LiveConfig, LiveStatsSnapshot};
 pub use op::{
-    Entries, KvEntry, KvRequest, KvResponse, MalformedRound, NsId, Probe, ReadAnswer, ReadRound,
-    RequestRound,
+    BulkFeed, Entries, KvEntry, KvRequest, KvResponse, MalformedRound, NsId, Probe, ReadAnswer,
+    ReadRound, RequestRound,
 };
 pub use pool::{PoolStats, RoundPool};
 pub use sample::{LiveSampleSink, ModelKey, OpKind, OpSample};

@@ -51,8 +51,8 @@
 
 use crate::cluster::{read_by_requests, KvStore, NsBalance};
 use crate::op::{
-    Entries, KvEntry, KvRequest, KvResponse, MalformedRound, NsId, Probe, ReadAnswer, ReadRound,
-    RequestRound,
+    BulkFeed, Entries, KvEntry, KvRequest, KvResponse, MalformedRound, NsId, Probe, ReadAnswer,
+    ReadRound, RequestRound,
 };
 use crate::partition::SplitPoints;
 use crate::pool::{default_pool_threads, RoundPool};
@@ -193,25 +193,31 @@ impl Entry {
     /// (none for an empty value) and no copy of the key into a fresh
     /// buffer.
     fn new(mut key: Vec<u8>, value: &[u8]) -> Entry {
-        let len = u32::try_from(key.len() + value.len())
-            .expect("a stored entry is under 4 GiB: requests arrive in frames of at most 64 MiB");
-        // at most `len`, which fits
-        let key_len = key.len() as u32;
+        let key_len = key.len();
         key.reserve_exact(value.len());
         key.extend_from_slice(value);
-        let bytes: &'static mut [u8] = Box::leak(key.into_boxed_slice());
+        Entry::joined(key, key_len)
+    }
+
+    /// The entry whose key is `bytes[..key_len]` and whose value is the
+    /// rest, in `bytes`' own buffer: nothing is allocated or copied when
+    /// the buffer is exactly full.
+    fn joined(bytes: Vec<u8>, key_len: usize) -> Entry {
+        let len = u32::try_from(bytes.len())
+            .expect("a stored entry is under 4 GiB: requests arrive in frames of at most 64 MiB");
+        assert!(key_len <= bytes.len(), "an entry's key ends inside it");
+        let bytes: &'static mut [u8] = Box::leak(bytes.into_boxed_slice());
         Entry {
             ptr: NonNull::from(bytes).cast(),
             len,
-            key_len,
+            // at most `len`, which fits
+            key_len: key_len as u32,
         }
     }
 
     /// An entry copied from borrowed bytes: one allocation, sized exactly.
     fn copied(key: &[u8], value: &[u8]) -> Entry {
-        let mut buf = Vec::with_capacity(key.len() + value.len());
-        buf.extend_from_slice(key);
-        Entry::new(buf, value)
+        Entry::joined([key, value].concat(), key.len())
     }
 
     /// `(key, value)`, both slices of the one allocation.
@@ -1220,17 +1226,17 @@ impl KvStore for LiveCluster {
         self.ns_data(ns).insert(&self.wal, Entry::new(key, &value));
     }
 
-    /// Each pair becomes its entry as it is pulled, grown into its key's
-    /// buffer and booked as one write; the batch is stable-sorted, of equal
-    /// keys the last is kept, and each shard takes its run in one locked
-    /// step (`ShardSet::merge`), rather than taking the locks and
-    /// descending the B-tree once per entry.
-    fn bulk_put_all(&self, ns: NsId, entries: &mut dyn Iterator<Item = (Vec<u8>, Vec<u8>)>) {
-        let mut batch = Vec::with_capacity(entries.size_hint().0);
-        for (key, value) in entries {
+    /// Each buffer becomes its entry as it is pushed, as it is, and is
+    /// booked as one write; the batch is stable-sorted, of equal keys the
+    /// last is kept, and each shard takes its run in one locked step
+    /// (`ShardSet::merge`), rather than taking the locks and descending the
+    /// B-tree once per entry.
+    fn bulk_put_all(&self, ns: NsId, feed: &mut BulkFeed<'_>) {
+        let mut batch = Vec::new();
+        feed(&mut |bytes, key_len| {
             self.stats.book(WRITE);
-            batch.push(Entry::new(key, &value));
-        }
+            batch.push(Entry::joined(bytes, key_len));
+        });
         batch.sort();
         // `dedup_by` drops `later` and keeps `kept`: swapping first keeps
         // the later value in the earlier slot

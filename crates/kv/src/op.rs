@@ -73,9 +73,15 @@ impl KvRequest {
     }
 }
 
-/// One `(key, value)` entry as an owned pair — what bulk loads, exports and
-/// tests trade in. Range answers travel as [`Entries`].
+/// One `(key, value)` entry as an owned pair — what exports and tests
+/// trade in. Range answers travel as [`Entries`].
 pub type KvEntry = (Vec<u8>, Vec<u8>);
+
+/// A bulk batch ([`crate::KvStore::bulk_put_all`]), pushed: called once, it
+/// hands the sink each entry as one buffer — the key, then the value — and
+/// where the key ends. A `LiveCluster` entry lays out its bytes so, and
+/// adopts a buffer sized exactly as it is.
+pub type BulkFeed<'a> = dyn FnMut(&mut dyn FnMut(Vec<u8>, usize)) + 'a;
 
 /// The entries of one range answer, in scan order, packed: every key and
 /// value back to back in one byte buffer, and where each ends in one

@@ -16,6 +16,19 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
+/// A batch of `(key, value)` pairs, each joined into its key's buffer as
+/// it is pushed.
+fn joined(pairs: impl IntoIterator<Item = KvEntry>) -> impl FnMut(&mut dyn FnMut(Vec<u8>, usize)) {
+    let mut pairs = Some(pairs);
+    move |push| {
+        for (mut key, value) in pairs.take().into_iter().flatten() {
+            let key_len = key.len();
+            key.extend_from_slice(&value);
+            push(key, key_len);
+        }
+    }
+}
+
 /// Key bytes on and around the boundaries of a four-shard namespace's
 /// leading-byte stripes, so that short random keys collide, share prefixes
 /// and straddle shards.
@@ -68,7 +81,7 @@ fn load(
         store.rebalance();
     }
     if batched {
-        store.bulk_put_all(ns, &mut batch.iter().cloned());
+        store.bulk_put_all(ns, &mut joined(batch.iter().cloned()));
     } else {
         for (key, value) in batch {
             store.bulk_put(ns, key.clone(), value.clone());
@@ -209,7 +222,7 @@ fn an_attached_sink_sees_every_write_under_its_namespace() {
     let d = store.namespace("d");
     store.execute_one(&mut session, put(d, b"k3", b"v3"));
     store.execute_one(&mut session, put(a, b"k4", b"v4"));
-    store.bulk_put_all(b, &mut vec![(b"k5".to_vec(), b"v5".to_vec())].into_iter());
+    store.bulk_put_all(b, &mut joined([(b"k5".to_vec(), b"v5".to_vec())]));
     assert_eq!(records(), heard, "a detached sink hears nothing");
     assert_eq!(recorder.commits.load(Ordering::Relaxed), 6);
 }

@@ -7,9 +7,10 @@
 //! value, and a failed one allocates only the copy it returns. Held, an
 //! entry costs its payload plus a share of its shard's B-tree nodes of
 //! 16-byte slots, where a `(Vec<u8>, Vec<u8>)` pair cost two allocations
-//! and a 48-byte slot. A batch (`bulk_put_all`) makes the same entries and
-//! builds each shard from its sorted run, so it holds less node per entry
-//! than the same puts one by one.
+//! and a 48-byte slot. A batch (`bulk_put_all`) hands each entry over as
+//! one buffer, the key and then the value, which becomes the entry with no
+//! allocation, and builds each shard from its sorted run, so it holds less
+//! node per entry than the same puts one by one.
 //!
 //! A counting `#[global_allocator]` needs a binary of its own, hence this
 //! file; it counts calls and live bytes per thread, and the store runs its
@@ -18,6 +19,19 @@
 use piql_kv::{KvEntry, KvRequest, KvResponse, KvStore, LiveCluster, LiveConfig, NsId, Session};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+
+/// A batch of `(key, value)` pairs, each joined into its key's buffer as
+/// it is pushed.
+fn joined(pairs: impl IntoIterator<Item = KvEntry>) -> impl FnMut(&mut dyn FnMut(Vec<u8>, usize)) {
+    let mut pairs = Some(pairs);
+    move |push| {
+        for (mut key, value) in pairs.take().into_iter().flatten() {
+            let key_len = key.len();
+            key.extend_from_slice(&value);
+            push(key, key_len);
+        }
+    }
+}
 
 struct CountingAlloc;
 
@@ -181,8 +195,8 @@ fn held_per_entry(n: u32, key_len: usize, value_len: usize, batched: bool) -> f6
     let mut session = Session::new();
     let before = LIVE.with(Cell::get);
     if batched {
-        let mut pairs = (0..n).map(|i| pair(i, key_len, value_len));
-        store.bulk_put_all(ns, &mut pairs);
+        let pairs = (0..n).map(|i| pair(i, key_len, value_len));
+        store.bulk_put_all(ns, &mut joined(pairs));
     } else {
         for i in 0..n {
             let (key, value) = pair(i, key_len, value_len);
@@ -229,33 +243,45 @@ fn a_stored_entry_costs_its_payload_plus_a_little() {
     feature = "lock-order",
     ignore = "lock-order tracking allocates by design"
 )]
-fn a_batch_allocates_its_entries_and_full_leaves() {
+fn a_batch_of_joined_buffers_allocates_only_its_leaves() {
     const N: u32 = 20_000;
     const SHARDS: u64 = 16;
-    // (shape, key bytes, value bytes, allocations per entry, ceiling on
-    // live bytes per entry). An entry is still its key grown by its value
-    // (one allocation; none for an index entry), and each shard is built
-    // from its sorted run: B-tree leaves filled to their 11 slots, about
-    // one node per 11 entries where puts one by one leave them two-thirds
-    // full, plus a few buffers per shard — the batch, its sort's scratch
-    // and each run's. Measured: 22,018 and 2,018 allocations, 138.4 and
-    // 42.4 live bytes per entry (18.4 of B-tree node, not 28.1).
+    // (shape, key bytes, value bytes, ceiling on live bytes per entry).
+    // Each entry arrives as one exactly-sized buffer, its key and then its
+    // value, and is adopted as it is: the store allocates nothing per
+    // entry. Each shard is built from its sorted run: B-tree leaves filled
+    // to their 11 slots, about one node per 11 entries where puts one by
+    // one leave them two-thirds full, plus a few buffers per shard — the
+    // batch as it grows, its sort's scratch and each run's. Measured:
+    // 2,031 allocations for either shape, 138.4 and 42.4 live bytes per
+    // entry (18.4 of B-tree node, not 28.1).
     let shapes = [
-        ("post_v3 row", 20, 100, 1, 140.0),
-        ("index entry", 24, 0, 0, 44.0),
+        ("post_v3 row", 20, 100, 140.0),
+        ("index entry", 24, 0, 44.0),
     ];
-    for (shape, key_len, value_len, per_entry, ceiling) in shapes {
+    for (shape, key_len, value_len, ceiling) in shapes {
         let store = store();
         let ns = store.namespace("t");
-        let pairs: Vec<KvEntry> = (0..N).map(|i| pair(i, key_len, value_len)).collect();
+        let mut buffers: Vec<(Vec<u8>, usize)> = (0..N)
+            .map(|i| {
+                let (mut bytes, value) = pair(i, key_len, value_len);
+                bytes.reserve_exact(value_len);
+                bytes.extend_from_slice(&value);
+                (bytes, key_len)
+            })
+            .collect();
         let before = ALLOCS.with(Cell::get);
-        store.bulk_put_all(ns, &mut pairs.into_iter());
+        store.bulk_put_all(ns, &mut |push| {
+            for (bytes, key_len) in buffers.drain(..) {
+                push(bytes, key_len);
+            }
+        });
         let made = ALLOCS.with(Cell::get) - before;
         let held = held_per_entry(N, key_len, value_len, true);
         println!("{shape}, as one batch: {made} allocations, {held:.1} live bytes per entry");
         let n = u64::from(N);
         assert!(
-            made <= per_entry * n + n / 10 + 16 * SHARDS,
+            made <= n / 10 + 16 * SHARDS,
             "{shape}: {made} allocations to load {N} entries"
         );
         assert!(held <= ceiling, "{shape}: {held:.1} bytes held per entry");

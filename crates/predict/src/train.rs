@@ -79,8 +79,9 @@ pub fn train(cluster: &SimCluster, config: &TrainConfig) -> ModelStore {
     let mut namespaces: Vec<(u32, NsId)> = Vec::new();
     for &beta in &config.betas {
         let ns = cluster.namespace(&format!("train/beta{beta}"));
-        let mut entries = (0..rows).map(|i| (i.to_be_bytes().to_vec(), vec![0xAB; beta as usize]));
-        cluster.bulk_put_all(ns, &mut entries);
+        for i in 0..rows {
+            cluster.bulk_put(ns, i.to_be_bytes().to_vec(), vec![0xAB; beta as usize]);
+        }
         namespaces.push((beta, ns));
     }
     cluster.rebalance();

@@ -7,9 +7,9 @@
 //! plus possibly the post.
 
 use crate::driver::Workload;
+use crate::fill;
 use piql_core::plan::params::Params;
-use piql_core::tuple::Tuple;
-use piql_core::value::Value;
+use piql_core::value::{Value, ValueRef};
 use piql_engine::{Database, DbError, ExecStrategy, Prepared};
 use piql_kv::{KvStore, Session};
 use rand::rngs::StdRng;
@@ -125,47 +125,53 @@ pub fn setup<S: KvStore>(
     }
     let n_users = config.users_per_node * n_nodes;
     let mut rng = StdRng::seed_from_u64(config.seed);
-    db.bulk_load(
-        "users",
-        (0..n_users).map(|i| {
-            Tuple::new(vec![
-                Value::Varchar(username(i)),
-                Value::Varchar(format!("pw{i}")),
-                Value::Varchar(format!("town{:03}", i % 500)),
+    let names: Vec<String> = (0..n_users).map(username).collect();
+    let (mut text, mut town) = (String::new(), String::new());
+    db.bulk_load_with("users", |rows| {
+        names.iter().enumerate().try_for_each(|(i, name)| {
+            rows.push(&[
+                ValueRef::Varchar(name),
+                ValueRef::Varchar(fill(&mut text, format_args!("pw{i}"))),
+                ValueRef::Varchar(fill(&mut town, format_args!("town{:03}", i % 500))),
             ])
-        }),
-    )?;
-    // random subscriptions: distinct targets per owner
-    let mut subs = Vec::with_capacity(n_users * config.subscriptions_per_user);
-    for i in 0..n_users {
-        let mut seen = std::collections::BTreeSet::new();
-        while seen.len() < config.subscriptions_per_user.min(n_users - 1) {
-            let t = rng.gen_range(0..n_users);
-            if t != i {
-                seen.insert(t);
+        })
+    })?;
+    // random subscriptions: distinct targets per owner, each drawn until
+    // it is new, then stored in target order
+    let follows = config.subscriptions_per_user.min(n_users.saturating_sub(1));
+    let mut targets = Vec::with_capacity(follows);
+    db.bulk_load_with("subscriptions", |rows| {
+        for (i, owner) in names.iter().enumerate() {
+            targets.clear();
+            while targets.len() < follows {
+                let t = rng.gen_range(0..n_users);
+                if t != i && !targets.contains(&t) {
+                    targets.push(t);
+                }
+            }
+            targets.sort_unstable();
+            for &t in &targets {
+                rows.push(&[
+                    ValueRef::Varchar(owner),
+                    ValueRef::Varchar(&names[t]),
+                    ValueRef::Bool(rng.gen_bool(0.9)),
+                ])?;
             }
         }
-        for t in seen {
-            subs.push(Tuple::new(vec![
-                Value::Varchar(username(i)),
-                Value::Varchar(username(t)),
-                Value::Bool(rng.gen_bool(0.9)),
-            ]));
+        Ok(())
+    })?;
+    db.bulk_load_with("thoughts", |rows| {
+        for (i, owner) in names.iter().enumerate() {
+            for p in 0..config.thoughts_per_user {
+                rows.push(&[
+                    ValueRef::Varchar(owner),
+                    ValueRef::Timestamp(1_300_000_000_000_000 + (i * 613 + p * 10_007) as i64),
+                    ValueRef::Varchar(fill(&mut text, format_args!("thought {p} from user {i}"))),
+                ])?;
+            }
         }
-    }
-    db.bulk_load("subscriptions", subs)?;
-    db.bulk_load(
-        "thoughts",
-        (0..n_users).flat_map(|i| {
-            (0..config.thoughts_per_user).map(move |p| {
-                Tuple::new(vec![
-                    Value::Varchar(username(i)),
-                    Value::Timestamp(1_300_000_000_000_000 + (i * 613 + p * 10_007) as i64),
-                    Value::Varchar(format!("thought {p} from user {i}")),
-                ])
-            })
-        }),
-    )?;
+        Ok(())
+    })?;
     db.cluster().rebalance();
     Ok(n_users)
 }

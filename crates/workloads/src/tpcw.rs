@@ -16,9 +16,9 @@
 //!   the author-side bound implicit).
 
 use crate::driver::Workload;
+use crate::fill;
 use piql_core::plan::params::Params;
-use piql_core::tuple::Tuple;
-use piql_core::value::Value;
+use piql_core::value::{Value, ValueRef};
 use piql_engine::{Database, DbError, ExecStrategy, Prepared};
 use piql_kv::{KvStore, Session};
 use rand::rngs::StdRng;
@@ -227,110 +227,107 @@ pub fn setup<S: KvStore>(
     let n_items = config.items;
     let n_authors = (n_items / 4).max(1);
 
-    db.bulk_load(
-        "country",
-        (0..92).map(|i| Tuple::new(vec![Value::Int(i), Value::Varchar(format!("country {i}"))])),
-    )?;
-    db.bulk_load(
-        "address",
-        (0..n_customers as i32).map(|i| {
-            Tuple::new(vec![
-                Value::Int(i),
-                Value::Varchar(format!("{} main st", i)),
-                Value::Varchar(format!("city{}", i % 997)),
-                Value::Int(i % 92),
+    let (mut text, mut more) = (String::new(), String::new());
+    db.bulk_load_with("country", |rows| {
+        (0..92).try_for_each(|i| {
+            rows.push(&[
+                ValueRef::Int(i),
+                ValueRef::Varchar(fill(&mut text, format_args!("country {i}"))),
             ])
-        }),
-    )?;
-    db.bulk_load(
-        "customer",
-        (0..n_customers).map(|i| {
-            Tuple::new(vec![
-                Value::Varchar(customer_uname(i)),
-                Value::Varchar(format!("pw{i}")),
-                Value::Varchar(format!("First{}", i % 311)),
-                Value::Varchar(SURNAMES[i % SURNAMES.len()].to_string()),
-                Value::Int(i as i32),
-                Value::Double((i % 10) as f64 / 100.0),
+        })
+    })?;
+    db.bulk_load_with("address", |rows| {
+        (0..n_customers as i32).try_for_each(|i| {
+            rows.push(&[
+                ValueRef::Int(i),
+                ValueRef::Varchar(fill(&mut text, format_args!("{i} main st"))),
+                ValueRef::Varchar(fill(&mut more, format_args!("city{}", i % 997))),
+                ValueRef::Int(i % 92),
             ])
-        }),
-    )?;
+        })
+    })?;
+    let unames: Vec<String> = (0..n_customers).map(customer_uname).collect();
+    db.bulk_load_with("customer", |rows| {
+        unames.iter().enumerate().try_for_each(|(i, uname)| {
+            rows.push(&[
+                ValueRef::Varchar(uname),
+                ValueRef::Varchar(fill(&mut text, format_args!("pw{i}"))),
+                ValueRef::Varchar(fill(&mut more, format_args!("First{}", i % 311))),
+                ValueRef::Varchar(SURNAMES[i % SURNAMES.len()]),
+                ValueRef::Int(i as i32),
+                ValueRef::Double((i % 10) as f64 / 100.0),
+            ])
+        })
+    })?;
     // authors: keep every surname token under the declared limit of 25 by
     // suffixing a serial number once a name is "full"
-    db.bulk_load(
-        "author",
-        (0..n_authors).map(|i| {
+    db.bulk_load_with("author", |rows| {
+        (0..n_authors).try_for_each(|i| {
             let base = SURNAMES[i % SURNAMES.len()];
             let gen = i / (SURNAMES.len() * 20); // ≤20 per surname per gen
             let lname = if gen == 0 {
-                base.to_string()
+                base
             } else {
-                format!("{base}{gen}")
+                fill(&mut more, format_args!("{base}{gen}"))
             };
-            Tuple::new(vec![
-                Value::Int(i as i32),
-                Value::Varchar(format!("Auth{}", i % 409)),
-                Value::Varchar(lname),
+            rows.push(&[
+                ValueRef::Int(i as i32),
+                ValueRef::Varchar(fill(&mut text, format_args!("Auth{}", i % 409))),
+                ValueRef::Varchar(lname),
             ])
-        }),
-    )?;
-    db.bulk_load(
-        "item",
-        (0..n_items).map(|i| {
+        })
+    })?;
+    db.bulk_load_with("item", |rows| {
+        (0..n_items).try_for_each(|i| {
             let w = |n: usize| TITLE_WORDS[(i * 7 + n * 13) % TITLE_WORDS.len()];
-            Tuple::new(vec![
-                Value::Int(i as i32),
-                Value::Varchar(format!("{} {} {}", w(1), w(2), w(3))),
-                Value::Int(rng.gen_range(0..n_authors) as i32),
-                Value::Varchar(SUBJECTS[i % SUBJECTS.len()].to_string()),
-                Value::Timestamp(1_000_000_000_000_000 + (i as i64) * 86_400_000_000),
-                Value::Double(rng.gen_range(5.0..120.0)),
-                Value::Int(rng.gen_range(10..500)),
+            rows.push(&[
+                ValueRef::Int(i as i32),
+                ValueRef::Varchar(fill(&mut text, format_args!("{} {} {}", w(1), w(2), w(3)))),
+                ValueRef::Int(rng.gen_range(0..n_authors) as i32),
+                ValueRef::Varchar(SUBJECTS[i % SUBJECTS.len()]),
+                ValueRef::Timestamp(1_000_000_000_000_000 + (i as i64) * 86_400_000_000),
+                ValueRef::Double(rng.gen_range(5.0..120.0)),
+                ValueRef::Int(rng.gen_range(10..500)),
             ])
-        }),
-    )?;
+        })
+    })?;
     let n_orders = n_customers * config.orders_per_customer;
-    db.bulk_load(
-        "orders",
-        (0..n_orders).map(|i| {
-            Tuple::new(vec![
-                Value::Int(initial_order_id(i, n_orders)),
-                Value::Varchar(customer_uname(i % n_customers)),
-                Value::Timestamp(1_200_000_000_000_000 + (i as i64) * 61_000_000),
-                Value::Double(rng.gen_range(10.0..500.0)),
-                Value::Varchar("SHIPPED".into()),
+    db.bulk_load_with("orders", |rows| {
+        (0..n_orders).try_for_each(|i| {
+            rows.push(&[
+                ValueRef::Int(initial_order_id(i, n_orders)),
+                ValueRef::Varchar(&unames[i % n_customers]),
+                ValueRef::Timestamp(1_200_000_000_000_000 + (i as i64) * 61_000_000),
+                ValueRef::Double(rng.gen_range(10.0..500.0)),
+                ValueRef::Varchar("SHIPPED"),
             ])
-        }),
-    )?;
-    let mut lines = Vec::new();
-    for o in 0..n_orders {
-        for l in 0..(1 + o % 3) {
-            lines.push(Tuple::new(vec![
-                Value::Int(initial_order_id(o, n_orders)),
-                Value::Int(l as i32),
-                Value::Int(rng.gen_range(0..n_items) as i32),
-                Value::Int(rng.gen_range(1..4)),
-            ]));
+        })
+    })?;
+    db.bulk_load_with("order_line", |rows| {
+        for o in 0..n_orders {
+            for l in 0..(1 + o % 3) {
+                rows.push(&[
+                    ValueRef::Int(initial_order_id(o, n_orders)),
+                    ValueRef::Int(l as i32),
+                    ValueRef::Int(rng.gen_range(0..n_items) as i32),
+                    ValueRef::Int(rng.gen_range(1..4)),
+                ])?;
+            }
         }
-    }
-    db.bulk_load("order_line", lines)?;
+        Ok(())
+    })?;
     // seed carts across the id space so rebalance splits the cart
     // namespaces; runtime cart ids then spread over all partitions
     let n_seed = (n_nodes * 8).max(64);
-    db.bulk_load(
-        "shopping_cart",
-        (0..n_seed).map(|i| {
-            let id = ((i as i64 + 1) * ((i32::MAX as i64) / (n_seed as i64 + 1))) as i32;
-            Tuple::new(vec![Value::Int(id), Value::Timestamp(0)])
-        }),
-    )?;
-    db.bulk_load(
-        "shopping_cart_line",
-        (0..n_seed).map(|i| {
-            let id = ((i as i64 + 1) * ((i32::MAX as i64) / (n_seed as i64 + 1))) as i32;
-            Tuple::new(vec![Value::Int(id), Value::Int(0), Value::Int(1)])
-        }),
-    )?;
+    let cart = |i: usize| ((i as i64 + 1) * ((i32::MAX as i64) / (n_seed as i64 + 1))) as i32;
+    db.bulk_load_with("shopping_cart", |rows| {
+        (0..n_seed).try_for_each(|i| rows.push(&[ValueRef::Int(cart(i)), ValueRef::Timestamp(0)]))
+    })?;
+    db.bulk_load_with("shopping_cart_line", |rows| {
+        (0..n_seed).try_for_each(|i| {
+            rows.push(&[ValueRef::Int(cart(i)), ValueRef::Int(0), ValueRef::Int(1)])
+        })
+    })?;
     db.cluster().rebalance();
     Ok((n_customers, n_items, n_orders))
 }
