@@ -16,10 +16,9 @@
 
 use crate::cursor::Cursor;
 use crate::exec::{ExecCtx, ExecError, ExecStrategy, QueryResult, RemoteOp};
-use crate::keys;
 use crate::plan::{table_write, WritePlan};
 use crate::reference::ReferenceExecutor;
-use crate::write::{ConstraintProbe, IndexWrite, InputRow, Loader, TableWrite, WriteError, Writer};
+use crate::write::{IndexWrite, Loader, TableWrite, WriteError, Writer};
 use piql_analysis::ordered::RwLock;
 use piql_analysis::rank;
 use piql_core::ast::Statement;
@@ -28,7 +27,7 @@ use piql_core::opt::{Compiled, OptError, Optimizer};
 use piql_core::parser::{parse, ParseError};
 use piql_core::plan::params::ParamsRef;
 use piql_core::tuple::Tuple;
-use piql_core::value::{Value, ValueRef};
+use piql_core::value::ValueRef;
 use piql_kv::{KvStore, Session, SimCluster};
 use std::collections::HashMap;
 use std::fmt;
@@ -376,35 +375,9 @@ impl<S: KvStore> Database<S> {
     }
 
     /// A table's write-side resolution against the catalog as it stands
-    /// (the programmatic and bulk entry points resolve per call).
+    /// (the sweep and bulk entry points resolve per call).
     fn table_write(&self, table: &str) -> Result<TableWrite, DbError> {
         table_write(self.store(), &self.catalog(), table)
-    }
-
-    /// Programmatic single-row insert.
-    pub fn insert_row(
-        &self,
-        session: &mut Session,
-        table: &str,
-        row: Tuple,
-    ) -> Result<(), DbError> {
-        let target = self.table_write(table)?;
-        let constraints = ConstraintProbe::resolve_all(&target);
-        let row = InputRow::new(&target.table, &row)?;
-        Writer::new(self.store()).insert(session, &target, &constraints, &row)?;
-        Ok(())
-    }
-
-    /// Programmatic delete by primary key values.
-    pub fn delete_row(
-        &self,
-        session: &mut Session,
-        table: &str,
-        pk_values: &[Value],
-    ) -> Result<bool, DbError> {
-        let target = self.table_write(table)?;
-        let pk = keys::primary_key_from_values(pk_values).map_err(WriteError::from)?;
-        Ok(Writer::new(self.store()).delete(session, &target, pk)?)
     }
 
     /// Garbage-collect dangling secondary-index entries of a table (§7.2).

@@ -869,10 +869,11 @@ impl<'a> ExecCtx<'a> {
             if let Some((_, record)) = answer.probe(i).next() {
                 left(out, i)?;
                 keys::decode_row_into(out, table, record)?;
-                // the §7.2 write order can leave entries whose
-                // record moved on (crash between record update and
-                // stale-entry deletion); re-verify the entry is
-                // still derivable from the record before emitting
+                // an entry whose record moved on dangles: a crash
+                // between an UPDATE's swap and its stale drops leaves
+                // one, and so do a lost UPDATE race and an UPDATE
+                // racing a DELETE (ROADMAP.md, R9); emit the row only
+                // if its record still derives the entry
                 if keys::derives(&op.parts, &out.pending(), k, derive)? {
                     out.end_row()?;
                 } else {

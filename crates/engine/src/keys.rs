@@ -11,7 +11,7 @@ use piql_core::codec::row::{self as row_codec, RowReader};
 use piql_core::rows::{Row, RowRef, RowsBuilder, RowsError};
 use piql_core::text;
 use piql_core::tuple::Tuple;
-use piql_core::value::{DataType, Value, ValueRef};
+use piql_core::value::{DataType, ValueRef};
 use std::fmt;
 use std::ops::{ControlFlow, Range};
 
@@ -145,11 +145,6 @@ pub fn primary_key_with_room<R: RowSource + ?Sized>(
         key::encode_component_ref(&mut out, row.value(c)?, Dir::Asc).map_err(KeyError::from)?;
     }
     Ok(out)
-}
-
-/// Primary-key bytes from explicit values (probe side).
-pub fn primary_key_from_values(values: &[Value]) -> Result<Vec<u8>, KeyError> {
-    Ok(key::encode_key_asc(values)?)
 }
 
 /// Hand every index-entry key of `row` under the key layout `parts` to
@@ -355,8 +350,11 @@ pub fn decode_row_into(
     Ok(reader.finish()?)
 }
 
-/// [`row_from_key`] straight into the pending row of `out`: the key's
-/// components land at their columns' positions, NULL elsewhere. Strings
+/// Reconstruct a (partial) `arity`-column row from the bytes of a key laid
+/// out as `parts` (with their `types` and `dirs`, resolved once by the
+/// caller), straight into the pending row of `out`: the key's components
+/// land at their columns' positions, NULL elsewhere — the planner only
+/// allows covering scans when every needed column is in the key. Strings
 /// pass through `scratch` (see [`key::KeyReader`]).
 pub fn row_from_key_into(
     out: &mut RowsBuilder,
@@ -408,64 +406,12 @@ pub fn key_types(table: &TableDef, parts: &[KeyPart]) -> Vec<DataType> {
         .collect()
 }
 
-/// Reconstruct a (partial) `arity`-column row from the bytes of a key laid
-/// out as `parts` (with their `types` and `dirs`, resolved once by the
-/// caller). Columns not present in the key come back as NULL; the planner
-/// only allows covering scans when every needed column is in the key.
-pub fn row_from_key(
-    arity: usize,
-    parts: &[KeyPart],
-    types: &[DataType],
-    dirs: &[Dir],
-    key_bytes: &[u8],
-) -> Result<Tuple, KeyError> {
-    let (values, _) = key::decode_key(key_bytes, types, dirs)?;
-    let mut row = vec![Value::Null; arity];
-    for (part, value) in parts.iter().zip(values) {
-        if !part.token {
-            row[part.col] = value;
-        }
-    }
-    Ok(Tuple::new(row))
-}
-
-/// [`row_from_key`] for an index entry key, resolving the layout from the
-/// definitions.
-pub fn row_from_index_key(
-    table: &TableDef,
-    index: &IndexDef,
-    key_bytes: &[u8],
-) -> Result<Tuple, KeyError> {
-    let parts = index_key_parts(table, index)?;
-    let dirs: Vec<Dir> = parts.iter().map(|p| p.dir).collect();
-    row_from_key(
-        table.columns.len(),
-        &parts,
-        &key_types(table, &parts),
-        &dirs,
-        key_bytes,
-    )
-}
-
-/// Extract the primary-key values from an index entry key (the trailing
-/// components plus any pk columns earlier in the key).
-pub fn pk_values_from_index_key(
-    table: &TableDef,
-    index: &IndexDef,
-    key_bytes: &[u8],
-) -> Result<Vec<Value>, KeyError> {
-    let row = row_from_index_key(table, index, key_bytes)?;
-    Ok(table
-        .primary_key_ids()
-        .iter()
-        .map(|&c| row[c].clone())
-        .collect())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use piql_core::catalog::{IndexKeyPart, TableId};
+    use piql_core::rows::Rows;
+    use piql_core::value::Value;
 
     fn thoughts() -> TableDef {
         let mut t = TableDef::builder("thoughts")
@@ -489,10 +435,33 @@ mod tests {
         let pk = t.primary_key_ids();
         let k = primary_key_from(&t, &pk, &row).unwrap();
         let k2 =
-            primary_key_from_values(&[Value::Varchar("bob".into()), Value::Timestamp(42)]).unwrap();
+            key::encode_key_asc(&[Value::Varchar("bob".into()), Value::Timestamp(42)]).unwrap();
         assert_eq!(k, k2);
         let null_row = Tuple::new(vec![Value::Null, Value::Timestamp(1), Value::Null]);
         assert!(primary_key_from(&t, &pk, &null_row).is_err());
+    }
+
+    /// The row an entry `key` of `index` stands for, read as the non-covering
+    /// dereference reads it.
+    fn entry_row(table: &TableDef, index: &IndexDef, key: &[u8]) -> Tuple {
+        let (arity, parts) = (table.columns.len(), index_key_parts(table, index).unwrap());
+        let (types, dirs) = (
+            key_types(table, &parts),
+            parts.iter().map(|p| p.dir).collect::<Vec<_>>(),
+        );
+        let mut rows = Rows::default().rebuild(arity);
+        row_from_key_into(
+            &mut rows,
+            arity,
+            &parts,
+            &types,
+            &dirs,
+            key,
+            &mut Vec::new(),
+        )
+        .unwrap();
+        rows.end_row().unwrap();
+        rows.finish().to_tuples().remove(0)
     }
 
     /// Every index-entry key of `row` under `index`.
@@ -516,8 +485,9 @@ mod tests {
         assert_eq!(keys.len(), 3, "one entry per token");
         // every entry decodes back to the same pk
         for k in &keys {
-            let pk = pk_values_from_index_key(&t, &idx, k).unwrap();
-            assert_eq!(pk, vec![Value::Varchar("bob".into()), Value::Timestamp(1)]);
+            let rec = entry_row(&t, &idx, k);
+            assert_eq!(rec[0], Value::Varchar("bob".into()));
+            assert_eq!(rec[1], Value::Timestamp(1));
         }
         // empty text -> no entries
         let row2 = Tuple::new(vec![
@@ -539,7 +509,7 @@ mod tests {
         ]);
         let keys = index_entry_keys(&t, &idx, &row);
         assert_eq!(keys.len(), 1);
-        let rec = row_from_index_key(&t, &idx, &keys[0]).unwrap();
+        let rec = entry_row(&t, &idx, &keys[0]);
         assert_eq!(rec[0], Value::Varchar("amy".into()));
         assert_eq!(rec[1], Value::Timestamp(99));
         assert_eq!(rec[2], Value::Null, "text not in key");

@@ -49,6 +49,8 @@ enum Slot {
     Param(Param),
     /// An INSERT column the statement does not mention.
     Null,
+    /// An UPDATE column the statement does not assign: the stored value.
+    Stored,
 }
 
 /// What a column reference where a value belongs is answered with.
@@ -67,7 +69,7 @@ impl Slot {
         match self {
             Slot::Literal(v) => Ok(v),
             Slot::Param(p) => Ok(params.scalar(p.index, &p.name)?),
-            Slot::Null => Ok(&Value::Null),
+            Slot::Null | Slot::Stored => Ok(&Value::Null),
         }
     }
 }
@@ -82,7 +84,8 @@ enum WriteOp {
     Update {
         /// One slot per primary-key column, in key order.
         pk: Vec<Slot>,
-        set: Vec<(ColumnId, Slot)>,
+        /// One slot per table column.
+        slots: Vec<Slot>,
     },
     Delete {
         pk: Vec<Slot>,
@@ -98,22 +101,37 @@ pub struct WritePlan {
     bound: QueryBounds,
 }
 
-/// The row of an INSERT: each column read from its slot, validated and
-/// coerced on the way out.
-struct SlotRow<'a> {
+/// The row a write stores: each column read from its slot — an UPDATE's
+/// unassigned ones from the stored row — validated and coerced on the way
+/// out.
+pub(crate) struct SlotRow<'a> {
     table: &'a TableDef,
     slots: &'a [Slot],
     params: ParamsRef<'a>,
+    stored: Option<&'a Tuple>,
+}
+
+impl<'a> SlotRow<'a> {
+    /// This row over `stored`, whose values its [`Slot::Stored`] columns read.
+    pub(crate) fn over<'b>(&self, stored: &'b Tuple) -> SlotRow<'b>
+    where
+        'a: 'b,
+    {
+        SlotRow {
+            stored: Some(stored),
+            ..*self
+        }
+    }
 }
 
 impl RowSource for SlotRow<'_> {
     type Error = WriteError;
     fn value(&self, col: ColumnId) -> Result<ValueRef<'_>, WriteError> {
-        conform(
-            self.table,
-            col,
-            self.slots[col].resolve(self.params)?.into(),
-        )
+        let value = match (&self.slots[col], self.stored) {
+            (Slot::Stored, Some(row)) => &row[col],
+            (slot, _) => slot.resolve(self.params)?,
+        };
+        conform(self.table, col, value.into())
     }
 }
 
@@ -167,7 +185,7 @@ impl WritePlan {
                 let target = resolve(&stmt.table)?;
                 let table = &target.table;
                 let pk = pk_slots(table, &stmt.filter)?;
-                let mut set = Vec::with_capacity(stmt.assignments.len());
+                let mut slots = vec![Slot::Stored; table.columns.len()];
                 for (column, expr) in &stmt.assignments {
                     let slot = Slot::of(expr, COLUMN_AS_VALUE)?;
                     if table
@@ -186,7 +204,7 @@ impl WritePlan {
                             table.name
                         ))
                     })?;
-                    set.push((col, slot));
+                    slots[col] = slot;
                 }
                 // each optimistic attempt reads, adds entries and swaps;
                 // the winner then drops the stale entries
@@ -196,7 +214,7 @@ impl WritePlan {
                     UPDATE_ATTEMPTS * (2 + entries) + entries,
                     UPDATE_ATTEMPTS * (2 + index_round) + index_round,
                 );
-                (target, WriteOp::Update { pk, set }, bound)
+                (target, WriteOp::Update { pk, slots }, bound)
             }
             Statement::Delete(stmt) => {
                 let target = resolve(&stmt.table)?;
@@ -238,25 +256,19 @@ impl WritePlan {
     ) -> Result<(), WriteError> {
         let writer = Writer::new(store);
         let table = &self.target.table;
+        let row = |slots| SlotRow {
+            table,
+            slots,
+            params,
+            stored: None,
+        };
         match &self.op {
-            WriteOp::Insert { slots, constraints } => writer.insert(
-                session,
-                &self.target,
-                constraints,
-                &SlotRow {
-                    table,
-                    slots,
-                    params,
-                },
-            ),
-            WriteOp::Update { pk, set } => {
+            WriteOp::Insert { slots, constraints } => {
+                writer.insert(session, &self.target, constraints, &row(slots))
+            }
+            WriteOp::Update { pk, slots } => {
                 let key = pk_key(&self.target, pk, params)?;
-                writer.update(session, &self.target, &key, &|row: &mut Tuple| {
-                    for (col, slot) in set {
-                        row.set(*col, slot.resolve(params)?.clone());
-                    }
-                    Ok(())
-                })
+                writer.update(session, &self.target, &key, &row(slots))
             }
             WriteOp::Delete { pk } => {
                 let key = pk_key(&self.target, pk, params)?;
@@ -300,7 +312,7 @@ fn insert_slots(
             Slot::Null => {
                 conform(table, col, ValueRef::Null)?;
             }
-            Slot::Param(_) => {}
+            Slot::Param(_) | Slot::Stored => {}
         }
     }
     Ok(slots)

@@ -4,9 +4,14 @@
 //! safe:
 //!
 //! * **Insert/update**: new secondary-index entries first, then the record
-//!   (via test-and-set for uniqueness), then deletion of stale entries. A
-//!   crash can leave *dangling* index entries — readers skip them and they
-//!   are garbage-collectable — but never a record that indexes cannot find.
+//!   (via test-and-set for uniqueness), then deletion of stale entries —
+//!   each set of entries the one diff `Writer::entries` makes. For a
+//!   single writer, a crash at any step leaves at most *dangling* entries
+//!   (readers skip them, [`Writer::gc_indexes`] collects them), never a
+//!   record its indexes cannot find. Racing writers get no such promise
+//!   yet: an UPDATE that loses its test-and-set, or races a DELETE, leaves
+//!   dangling entries with no crash, and two UPDATEs moving a column
+//!   a→b→a can drop the live row's entry (ROADMAP.md, R9).
 //! * **Cardinality enforcement**: optimistically insert, then issue a
 //!   count-range over the constraint's enforcement prefix; if the count
 //!   exceeds the limit, undo the insert and fail. Concurrent inserts may
@@ -16,17 +21,18 @@
 //! Nothing here consults the catalog or a namespace name per request: a
 //! [`TableWrite`] is the table's write-side resolution — namespaces, key
 //! layouts, constraint probes — done once (by a cached
-//! [`WritePlan`](crate::plan::WritePlan), or per call by the programmatic
-//! and bulk entry points), and rows arrive as a [`RowSource`] that the
+//! [`WritePlan`](crate::plan::WritePlan), or per call by the sweep and
+//! bulk entry points), and rows arrive as a [`RowSource`] that the
 //! encoders read in place.
 
 use crate::exec::{page_range, ExecError};
 use crate::keys::{self, KeyPart, RowSource};
+use crate::plan::SlotRow;
 use piql_core::catalog::{CardinalityConstraint, Catalog, ColumnId, IndexDef, TableDef};
 use piql_core::codec::key::{encode_component_ref, encode_str, prefix_upper_bound, Dir};
 use piql_core::codec::row as row_codec;
 use piql_core::plan::params::ParamError;
-use piql_core::rows::Rows;
+use piql_core::rows::{Row, Rows};
 use piql_core::text;
 use piql_core::tuple::Tuple;
 use piql_core::value::{DataType, ValueRef};
@@ -179,18 +185,6 @@ impl TableWrite {
             .iter()
             .map(|i| i.max_entries(&self.table))
             .sum()
-    }
-
-    /// Hand every index entry of `row` to `emit` as `(namespace, key)`.
-    fn each_entry<R: RowSource>(
-        &self,
-        row: &R,
-        mut emit: impl FnMut(NsId, Vec<u8>),
-    ) -> Result<(), R::Error> {
-        for idx in &self.indexes {
-            keys::entry_keys(&idx.parts, row, |key| emit(idx.ns, key))?;
-        }
-        Ok(())
     }
 }
 
@@ -389,26 +383,6 @@ pub(crate) fn check_arity(table: &TableDef, values: usize) -> Result<(), WriteEr
     )))
 }
 
-/// A caller-supplied full row, validated and coerced as it is read.
-pub struct InputRow<'a> {
-    table: &'a TableDef,
-    row: &'a Tuple,
-}
-
-impl<'a> InputRow<'a> {
-    pub fn new(table: &'a TableDef, row: &'a Tuple) -> Result<Self, WriteError> {
-        check_arity(table, row.len())?;
-        Ok(InputRow { table, row })
-    }
-}
-
-impl RowSource for InputRow<'_> {
-    type Error = WriteError;
-    fn value(&self, col: ColumnId) -> Result<ValueRef<'_>, WriteError> {
-        conform(self.table, col, ValueRef::of(&self.row[col]))
-    }
-}
-
 /// What a bulk load's feed pushes its rows into ([`Writer::bulk_load`]).
 /// Each value is conformed to its column once, the record is encoded into
 /// a buffer kept from row to row, and the row's entry — its primary key,
@@ -475,6 +449,10 @@ fn recycle<'b>(mut values: Vec<ValueRef<'_>>) -> Vec<ValueRef<'b>> {
     values.into_iter().map(|_| ValueRef::Null).collect()
 }
 
+/// [`Writer::entries`]' two ways: put the entries, or drop them.
+const PUT: bool = true;
+const DROP: bool = false;
+
 /// Optimistic attempts an UPDATE makes before giving up on a contended row.
 pub(crate) const UPDATE_ATTEMPTS: u64 = 8;
 
@@ -506,15 +484,7 @@ impl<'a> Writer<'a> {
         let pk = keys::primary_key_with_room(table, &target.pk, row, row_bytes.len())?;
 
         // 1. secondary index entries first (one parallel round)
-        let mut puts = Round::default();
-        target.each_entry(row, |ns, key| {
-            puts.push(KvRequest::Put {
-                ns,
-                key,
-                value: Vec::new(),
-            })
-        })?;
-        puts.send(self.store, session);
+        self.entries(session, target, PUT, row, None::<&Tuple>)?;
 
         // 2. the record, with a test-and-set enforcing pk uniqueness
         let response = self.store.execute_one(
@@ -534,21 +504,7 @@ impl<'a> Writer<'a> {
             // *are* the live row's entries, and deleting them would leave
             // a record its index cannot find.
             let live = stored.map(|b| keys::decode_row(table, b)).transpose()?;
-            let mut keep = Vec::new();
-            if let Some(live) = &live {
-                target.each_entry(live, |ns, key| keep.push((ns, key)))?;
-            }
-            let mut undo = Round::default();
-            target.each_entry(row, |ns, key| {
-                let entry = (ns, key);
-                if !keep.contains(&entry) {
-                    undo.push(KvRequest::Delete {
-                        ns: entry.0,
-                        key: entry.1,
-                    });
-                }
-            })?;
-            undo.send(self.store, session);
+            self.entries(session, target, DROP, row, live.as_ref())?;
             return Err(WriteError::DuplicateKey {
                 table: table.name.clone(),
             });
@@ -557,7 +513,7 @@ impl<'a> Writer<'a> {
         // 3. cardinality enforcement: count after insert, undo on overflow
         for probe in constraints {
             if probe.count(self.store, session, row)? > probe.limit {
-                self.delete_index_entries(session, target, row)?;
+                self.entries(session, target, DROP, row, None::<&Tuple>)?;
                 self.store.execute_one(
                     session,
                     KvRequest::Delete {
@@ -575,15 +531,14 @@ impl<'a> Writer<'a> {
         Ok(())
     }
 
-    /// Update the row stored under primary key `pk`: `assign` edits a copy
-    /// of the stored row (it may not touch pk columns), which is then
-    /// validated like an inserted one.
-    pub fn update(
+    /// Update the row stored under primary key `pk` to `new` read over it
+    /// ([`SlotRow::over`]), which is validated like an inserted row.
+    pub(crate) fn update(
         &self,
         session: &mut Session,
         target: &TableWrite,
         pk: &[u8],
-        assign: &dyn Fn(&mut Tuple) -> Result<(), WriteError>,
+        new: &SlotRow<'_>,
     ) -> Result<(), WriteError> {
         let table = &target.table;
         // optimistic TAS loop against concurrent writers
@@ -603,28 +558,12 @@ impl<'a> Writer<'a> {
                     table: table.name.clone(),
                 });
             };
-            let old_row = keys::decode_row(table, &old_bytes)?;
-            let mut new_row = old_row.clone();
-            assign(&mut new_row)?;
-            let new_row = InputRow::new(table, &new_row)?;
-            let new_bytes = keys::encode_row_from(&new_row, table.columns.len())?;
+            let old = keys::decode_row(table, &old_bytes)?;
+            let new = new.over(&old);
+            let new_bytes = keys::encode_row_from(&new, table.columns.len())?;
 
             // 1. fresh index entries
-            let mut old_keys = Vec::new();
-            target.each_entry(&old_row, |ns, key| old_keys.push((ns, key)))?;
-            let mut new_keys = Vec::new();
-            target.each_entry(&new_row, |ns, key| new_keys.push((ns, key)))?;
-            let mut adds = Round::default();
-            for entry in &new_keys {
-                if !old_keys.contains(entry) {
-                    adds.push(KvRequest::Put {
-                        ns: entry.0,
-                        key: entry.1.clone(),
-                        value: Vec::new(),
-                    });
-                }
-            }
-            adds.send(self.store, session);
+            self.entries(session, target, PUT, &new, Some(&old))?;
             // 2. the record, conditionally, under a key with room for it
             let mut key = Vec::with_capacity(pk.len() + new_bytes.len());
             key.extend_from_slice(pk);
@@ -639,17 +578,7 @@ impl<'a> Writer<'a> {
             );
             if response.tas()?.0 {
                 // 3. stale entries last
-                let mut stale = Round::default();
-                for entry in old_keys {
-                    if !new_keys.contains(&entry) {
-                        stale.push(KvRequest::Delete {
-                            ns: entry.0,
-                            key: entry.1,
-                        });
-                    }
-                }
-                stale.send(self.store, session);
-                return Ok(());
+                return self.entries(session, target, DROP, &old, Some(&new));
             }
             // lost the race: the adds we made are dangling (GC-able); retry
         }
@@ -689,7 +618,7 @@ impl<'a> Writer<'a> {
                 key: pk,
             },
         );
-        self.delete_index_entries(session, target, &old_row)?;
+        self.entries(session, target, DROP, &old_row, None::<&Tuple>)?;
         Ok(true)
     }
 
@@ -736,19 +665,23 @@ impl<'a> Writer<'a> {
         loaded
     }
 
-    /// Garbage-collect dangling index entries of one table (§7.2): the
-    /// ordered write path can leave index entries whose record no longer
-    /// exists (or no longer matches) after a crash mid-update. Readers skip
-    /// them; this sweep removes them. Returns the number collected.
+    /// Garbage-collect dangling index entries of one table (§7.2): entries
+    /// whose record is gone or no longer derives them, which a crash or a
+    /// race of the ordered write path leaves behind. Readers skip them;
+    /// this sweep removes them. Returns the number collected.
     pub fn gc_indexes(
         &self,
         session: &mut Session,
         target: &TableWrite,
     ) -> Result<u64, WriteError> {
         let table = &target.table;
+        let arity = table.columns.len();
         let mut collected = 0u64;
-        let mut scratch = keys::DeriveScratch::default();
+        let (mut scratch, mut key_text) = (keys::DeriveScratch::default(), Vec::new());
+        let mut block = Rows::default();
         for idx in &target.indexes {
+            let types = keys::key_types(table, &idx.parts);
+            let dirs: Vec<Dir> = idx.parts.iter().map(|p| p.dir).collect();
             let everything = (Vec::new(), None);
             page_range(
                 self.store,
@@ -759,13 +692,28 @@ impl<'a> Writer<'a> {
                 512,
                 None,
                 |session, entries| {
-                    // fetch the referenced records in one parallel round
-                    let mut gets = Vec::with_capacity(entries.len());
+                    // fetch the referenced records in one parallel round,
+                    // keyed as the non-covering dereference keys them
+                    let mut rows = std::mem::take(&mut block).rebuild(arity);
                     for (k, _) in &entries {
-                        let pk_vals = keys::pk_values_from_index_key(table, &idx.def, k)?;
+                        let (parts, text) = (&idx.parts, &mut key_text);
+                        keys::row_from_key_into(&mut rows, arity, parts, &types, &dirs, k, text)?;
+                        rows.end_row().map_err(keys::KeyError::from)?;
+                    }
+                    block = rows.finish();
+                    let mut gets = Vec::with_capacity(entries.len());
+                    for row in &block {
+                        let mut key = Vec::new();
+                        for &col in &target.pk {
+                            keys::encode_probe_component(
+                                &mut key,
+                                Row::value(&row, col),
+                                Dir::Asc,
+                            )?;
+                        }
                         gets.push(KvRequest::Get {
                             ns: target.primary,
-                            key: keys::primary_key_from_values(&pk_vals)?,
+                            key,
                         });
                     }
                     let rows = self.store.execute_round(session, gets);
@@ -842,19 +790,46 @@ impl<'a> Writer<'a> {
         Ok(n)
     }
 
-    fn delete_index_entries<R>(
+    /// The one §7.2 rule for index entries, as one round: put (`PUT`) or
+    /// delete (`DROP`) every entry row `a` derives that row `b`, if given,
+    /// does not ([`keys::derives`]). INSERT puts its row's entries, and its
+    /// undos drop them (the duplicate undo keeps the stored row's); UPDATE
+    /// puts the new row's over the old, then drops the old row's stale
+    /// ones; DELETE drops the old row's.
+    fn entries<A, B>(
         &self,
         session: &mut Session,
         target: &TableWrite,
-        row: &R,
+        put: bool,
+        a: &A,
+        b: Option<&B>,
     ) -> Result<(), WriteError>
     where
-        R: RowSource,
-        WriteError: From<R::Error>,
+        A: RowSource + ?Sized,
+        B: RowSource,
+        WriteError: From<A::Error> + From<B::Error>,
     {
-        let mut dels = Round::default();
-        target.each_entry(row, |ns, key| dels.push(KvRequest::Delete { ns, key }))?;
-        dels.send(self.store, session);
+        let mut scratch = keys::DeriveScratch::default();
+        let (mut round, mut failed) = (Round::default(), Ok(()));
+        for idx in &target.indexes {
+            keys::entry_keys(&idx.parts, a, |key| {
+                let shared = b.map_or(Ok(false), |b| {
+                    keys::derives(&idx.parts, b, &key, &mut scratch)
+                });
+                match shared {
+                    Ok(true) => {}
+                    Ok(false) if put => round.push(KvRequest::Put {
+                        ns: idx.ns,
+                        key,
+                        value: Vec::new(),
+                    }),
+                    Ok(false) => round.push(KvRequest::Delete { ns: idx.ns, key }),
+                    Err(e) => failed = Err(e),
+                }
+            })?;
+        }
+        failed?;
+        round.send(self.store, session);
         Ok(())
     }
 }

@@ -340,7 +340,11 @@ fn insert_enforces_uniqueness_and_cardinality() {
 
     // duplicate pk
     let err = db
-        .insert_row(&mut session, "users", tuple!["user0000", "Oakland"])
+        .execute_dml(
+            &mut session,
+            "INSERT INTO users VALUES ('user0000', 'Oakland')",
+            &Params::new(),
+        )
         .unwrap_err();
     assert!(matches!(
         err,
@@ -348,20 +352,14 @@ fn insert_enforces_uniqueness_and_cardinality() {
     ));
 
     // cardinality limit 10 on subscriptions.owner
+    let subscribe = "INSERT INTO subscriptions VALUES ('user0000', <target>, true)";
     for i in 0..10 {
-        db.insert_row(
-            &mut session,
-            "subscriptions",
-            tuple!["user0000", format!("t{i}").as_str(), true],
-        )
-        .unwrap();
+        let target = Params::from_values([Value::Varchar(format!("t{i}"))]);
+        db.execute_dml(&mut session, subscribe, &target).unwrap();
     }
+    let target = Params::from_values([Value::Varchar("one-too-many".into())]);
     let err = db
-        .insert_row(
-            &mut session,
-            "subscriptions",
-            tuple!["user0000", "one-too-many", true],
-        )
+        .execute_dml(&mut session, subscribe, &target)
         .unwrap_err();
     assert!(
         matches!(
@@ -408,13 +406,22 @@ fn a_refused_create_table_registers_nothing() {
 
         db.execute_ddl(&ddl(corrected)).unwrap();
         let mut session = Session::new();
+        let insert = |session: &mut Session, id: i32| {
+            let row = [
+                Value::Int(id),
+                Value::Varchar("x".into()),
+                Value::Double(0.5),
+            ];
+            db.execute_dml(
+                session,
+                "INSERT INTO t VALUES (<id>, <a>, <d>)",
+                &Params::from_values(row),
+            )
+        };
         for id in [1, 2] {
-            db.insert_row(&mut session, "t", tuple![id, "x", 0.5])
-                .unwrap();
+            insert(&mut session, id).unwrap();
         }
-        let err = db
-            .insert_row(&mut session, "t", tuple![3, "x", 0.5])
-            .unwrap_err();
+        let err = insert(&mut session, 3).unwrap_err();
         assert!(
             matches!(
                 err,
@@ -430,14 +437,14 @@ fn delete_removes_record_and_index_entries() {
     let db = scadr_db(3);
     populate(&db, 4, 0, 0);
     let mut session = Session::new();
-    let existed = db
-        .delete_row(&mut session, "users", &[Value::Varchar("user0001".into())])
-        .unwrap();
-    assert!(existed);
-    let gone = db
-        .delete_row(&mut session, "users", &[Value::Varchar("user0001".into())])
-        .unwrap();
-    assert!(!gone);
+    let user = Params::from_values([Value::Varchar("user0001".into())]);
+    let find = "SELECT * FROM users WHERE username = <u>";
+    assert_eq!(db.reference_query(find, &user).unwrap().len(), 1);
+    let delete = "DELETE FROM users WHERE username = <u>";
+    db.execute_dml(&mut session, delete, &user).unwrap();
+    assert!(db.reference_query(find, &user).unwrap().is_empty());
+    // a row already gone is not an error
+    db.execute_dml(&mut session, delete, &user).unwrap();
     let mut params = Params::new();
     params.set(0, Value::Varchar("Berkeley".into()));
     let r = db
@@ -776,7 +783,11 @@ fn rejected_duplicate_leaves_the_live_row_indexed<S: KvStore>(db: &Database<S>, 
 
     // same indexed value as the live row: its entry must survive
     let err = db
-        .insert_row(&mut session, "users", tuple!["user0000", "Berkeley"])
+        .execute_dml(
+            &mut session,
+            "INSERT INTO users VALUES ('user0000', 'Berkeley')",
+            &Params::new(),
+        )
         .unwrap_err();
     assert!(
         matches!(err, DbError::Write(WriteError::DuplicateKey { .. })),
@@ -934,10 +945,10 @@ fn early_prepared_reads_what_a_fresh_one_reads<S: KvStore>(db: &Database<S>, bac
 
     // and a row written after all that is seen by both
     let mut session = Session::new();
-    db.insert_row(
+    db.execute_dml(
         &mut session,
-        "subscriptions",
-        tuple!["user0004", "user0003", true],
+        "INSERT INTO subscriptions VALUES ('user0004', 'user0003', true)",
+        &Params::new(),
     )
     .unwrap();
     let after = run(&early);
@@ -997,7 +1008,7 @@ fn sorted_join_keeps_rows_with_their_children_past_a_dangling_entry() {
     // remove the best post's record behind the index's back
     let best = full[0][1].clone();
     let posts = db.store().namespace("t/posts");
-    let key = piql_engine::keys::primary_key_from_values(std::slice::from_ref(&best)).unwrap();
+    let key = piql_core::codec::key::encode_key_asc(std::slice::from_ref(&best)).unwrap();
     db.store()
         .execute_round(&mut session, vec![KvRequest::Delete { ns: posts, key }]);
     let rows = db

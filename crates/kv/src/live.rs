@@ -76,8 +76,8 @@ pub struct LiveConfig {
     pub shards_per_namespace: usize,
     /// Workers in the round fan-out pool, which only rounds with injected
     /// service time use. `0` executes every round sequentially on the
-    /// calling thread (the pre-pool behavior — useful as a baseline and
-    /// for single-threaded determinism).
+    /// calling thread, whatever its service time (a baseline, and
+    /// single-threaded determinism).
     pub pool_threads: usize,
     /// Injected service time per storage request, µs. Zero in production;
     /// tests and benches set it to make round timing observable (an

@@ -49,9 +49,10 @@
 //! usable across frames of one binary connection).
 //!
 //! Threads only *block*; storage parallelism comes from the backing
-//! cluster. On a `LiveCluster`, every session's request rounds fan out
-//! over the cluster's one shared `RoundPool` (sized by
-//! `LiveConfig::pool_threads`).
+//! cluster. On a `LiveCluster`, a round fans out over the cluster's one
+//! shared `RoundPool` (sized by `LiveConfig::pool_threads`) only when it
+//! has injected service time to overlap; any other round runs on the
+//! session's own thread.
 
 use crate::binary::{self, BinaryWire, OP_EXECUTE, OP_RESPONSE};
 use crate::gate::Gate;
@@ -85,7 +86,7 @@ pub struct ServerTuning {
     pub dispatch_threads: usize,
     /// Per-connection backpressure: the reader lane stops decoding once
     /// this many requests are decoded but not yet written back. `0`
-    /// disables the cap (the pre-existing behavior — an unbounded window).
+    /// disables the cap: the window is unbounded.
     /// Applies to JSON (v2) connections; a binary (v3) connection is
     /// inherently one-at-a-time and needs no cap.
     pub max_in_flight_per_conn: usize,

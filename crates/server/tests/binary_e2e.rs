@@ -245,12 +245,13 @@ fn admissions<S: KvStore>(
 /// the stored row is not one it can transcode.
 #[test]
 fn a_frame_the_fast_lane_declines_is_admitted_once() {
+    use piql_core::codec::key::encode_key_asc;
     use piql_engine::{keys, Cursor, CursorState};
     let db = scadr_db();
     // two stored rows the lane cannot transcode: bytes no row decoder
     // takes, and a row of the wrong arity
     let users = db.store().namespace("t/users");
-    let pk = |name: &str| keys::primary_key_from_values(&[Value::Varchar(name.into())]).unwrap();
+    let pk = |name: &str| encode_key_asc(&[Value::Varchar(name.into())]).unwrap();
     db.cluster().bulk_put(users, pk("garbled"), vec![0xFF; 3]);
     let short_row = keys::encode_row_from(&piql_core::tuple!["short"], 1).unwrap();
     db.cluster().bulk_put(users, pk("short"), short_row);

@@ -134,10 +134,10 @@ fn lagged_replicas_serve_stale_then_converge() {
     db.execute_ddl("CREATE TABLE kv (k INT NOT NULL, v VARCHAR(16), PRIMARY KEY (k))")
         .unwrap();
     let mut session = Session::new();
-    db.insert_row(
+    db.execute_dml(
         &mut session,
-        "kv",
-        Tuple::new(vec![Value::Int(1), Value::Varchar("v1".into())]),
+        "INSERT INTO kv VALUES (1, 'v1')",
+        &Params::new(),
     )
     .unwrap();
 
@@ -167,7 +167,8 @@ fn tombstone_compaction_keeps_results_correct() {
     let db = db_with_token_index();
     let mut session = Session::new();
     for i in 0..10 {
-        db.delete_row(&mut session, "notes", &[Value::Int(i)])
+        let id = Params::from_values([Value::Int(i)]);
+        db.execute_dml(&mut session, "DELETE FROM notes WHERE id = <id>", &id)
             .unwrap();
     }
     let mut params = Params::new();

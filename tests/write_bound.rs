@@ -1,18 +1,23 @@
 //! A write plan's static bound is a contract, not a comment: for every
 //! INSERT shape of the SCADr and TPC-W workloads — succeeding, rejected as
-//! a duplicate, and rolled back by a cardinality limit — the requests and
-//! rounds a session actually spends stay within the plan's bound, and it
-//! ships back no entries and no bytes (the bound's zeros), on the
-//! simulated cluster and on the live one. The write-side twin of the read
-//! path's `bound_utilisation <= 1`.
+//! a duplicate, and rolled back by a cardinality limit — and for every
+//! UPDATE and DELETE outcome — a token set that partly changes, nothing
+//! indexed changing, a lost test-and-set race retried, a missing row — the
+//! requests and rounds a session actually spends stay within the plan's
+//! bound, and it ships back no entries and no bytes (the bound's zeros),
+//! on the simulated cluster and on the live one. The write-side twin of
+//! the read path's `bound_utilisation <= 1`.
 
+use piql::core::codec::row::encode_tuple;
+use piql::core::tuple::Tuple;
 use piql::engine::{DbError, WriteError};
-use piql::kv::KvStore;
+use piql::kv::testkit::Interleave;
+use piql::kv::{KvRequest, KvStore};
 use piql::workloads::{scadr, tpcw};
 use piql::{ClusterConfig, Database, LiveCluster, LiveConfig, Params, Session, SimCluster, Value};
 use std::sync::Arc;
 
-/// Run one INSERT and hold what it spent against its plan's bound.
+/// Run one write and hold what it spent against its plan's bound.
 fn spend<S: KvStore>(
     db: &Database<S>,
     session: &mut Session,
@@ -144,6 +149,99 @@ fn tpcw_inserts_stay_within_bound<S: KvStore>(db: &Database<S>, backend: &str) {
         db.write_plan_stats().cached,
         tpcw::BUY_REQUEST_INSERTS.len() as u64 + 1
     );
+}
+
+fn updates_and_deletes_stay_within_bound<S: KvStore>(store: S, backend: &str) {
+    let db = Database::new(Arc::new(Interleave::new(store)));
+    for ddl in [
+        "CREATE TABLE notes (id INT NOT NULL, owner VARCHAR(8) NOT NULL, tag VARCHAR(8), \
+         body VARCHAR(40), seen INT, PRIMARY KEY (id), CARDINALITY LIMIT 2 (owner))",
+        "CREATE INDEX notes_by_tag ON notes (tag)",
+        "CREATE INDEX notes_by_body ON notes (TOKEN(body))",
+    ] {
+        db.execute_ddl(ddl).unwrap();
+    }
+    let row = |body: &str| {
+        let text = |s: &str| Value::Varchar(s.into());
+        [
+            Value::Int(1),
+            text("amy"),
+            text("red"),
+            text(body),
+            Value::Int(0),
+        ]
+    };
+    let insert = "INSERT INTO notes VALUES (<id>, <owner>, <tag>, <body>, <seen>)";
+    let mut session = Session::new();
+    spend(
+        &db,
+        &mut session,
+        insert,
+        &Params::from_values(row("hello world")),
+        backend,
+    )
+    .unwrap();
+
+    let set_body = "UPDATE notes SET body = <body> WHERE id = <id>";
+    let body =
+        |id: i32, text: &str| Params::from_values([Value::Varchar(text.into()), Value::Int(id)]);
+    // a token set that partly changes, then nothing indexed changing
+    spend(
+        &db,
+        &mut session,
+        set_body,
+        &body(1, "hello there"),
+        backend,
+    )
+    .unwrap();
+    let set_seen = "UPDATE notes SET seen = <seen> WHERE id = <id>";
+    let seen = Params::from_values([Value::Int(7), Value::Int(1)]);
+    spend(&db, &mut session, set_seen, &seen, backend).unwrap();
+
+    // a racing write lands before the swap: it fails once, and the retry
+    // puts and drops entries again
+    let rec = db.store().namespace("t/notes");
+    let raced = encode_tuple(&Tuple::new(row("good world").to_vec()));
+    db.cluster().before(
+        |round| matches!(round, [KvRequest::TestAndSet { .. }]),
+        move |inner| {
+            let key = piql::core::codec::key::encode_key_asc(&[Value::Int(1)]).unwrap();
+            let put = KvRequest::Put {
+                ns: rec,
+                key,
+                value: raced,
+            };
+            inner.execute_one(&mut Session::new(), put);
+        },
+    );
+    db.cluster().take();
+    spend(&db, &mut session, set_body, &body(1, "so long"), backend).unwrap();
+    let swaps = db.cluster().take().into_iter().flatten();
+    let swaps = swaps.filter(|r| matches!(r, KvRequest::TestAndSet { .. }));
+    assert_eq!(swaps.count(), 2, "{backend}: the first swap lost the race");
+
+    let missing = spend(&db, &mut session, set_body, &body(9, "x"), backend);
+    assert!(
+        matches!(missing, Err(DbError::Write(WriteError::NotFound { .. }))),
+        "{backend}: {missing:?}"
+    );
+    let delete = "DELETE FROM notes WHERE id = <id>";
+    for _existed_then_missing in 0..2 {
+        spend(
+            &db,
+            &mut session,
+            delete,
+            &Params::from_values([Value::Int(1)]),
+            backend,
+        )
+        .unwrap();
+    }
+}
+
+#[test]
+fn updates_and_deletes_stay_within_their_static_write_bound() {
+    updates_and_deletes_stay_within_bound(SimCluster::new(ClusterConfig::instant(3)), "sim");
+    updates_and_deletes_stay_within_bound(LiveCluster::new(LiveConfig::default()), "live");
 }
 
 #[test]
