@@ -99,8 +99,9 @@ pub struct NsBalance {
     pub shards: usize,
     /// Entries per shard, in key order.
     pub entries: Vec<u64>,
-    /// Storage operations served per shard since its layout was installed
-    /// (a rebalance starts the new layout's counters at zero).
+    /// Storage operations served per shard since the last rebalance, or
+    /// since its layout was installed (a rebalance restarts the counters
+    /// at zero, whether it moves the layout or keeps it).
     pub ops: Vec<u64>,
 }
 
@@ -235,8 +236,8 @@ pub trait KvStore: Send + Sync {
     /// Rebalance iff some multi-shard namespace is op-skewed: it has served
     /// at least `min_ops` operations under its current layout and its
     /// [`NsBalance::max_op_share`] exceeds `max_op_share`. Returns whether
-    /// a rebalance ran. Op counters restart at zero with the new layout,
-    /// so `min_ops` doubles as hysteresis between consecutive triggers.
+    /// a rebalance ran. Op counters restart at zero at every rebalance, so
+    /// `min_ops` doubles as hysteresis between consecutive triggers.
     fn maybe_rebalance(&self, max_op_share: f64, min_ops: u64) -> bool {
         let skewed = self.balance().iter().any(|b| {
             b.shards > 1 && b.ops.iter().sum::<u64>() >= min_ops && b.max_op_share() > max_op_share

@@ -11,11 +11,11 @@
 //!
 //! * Each namespace is split into **contiguous key-range shards** at
 //!   explicit split points (initially `shards_per_namespace` leading-byte
-//!   stripes), each an ordered set of entries under its own `RwLock`. Point
-//!   operations binary-search the split points and touch exactly one
-//!   shard; range scans walk the overlapping shards in key order, so lock
-//!   contention is striped while scan semantics stay identical to a single
-//!   ordered map.
+//!   stripes; a first bulk batch sets its own), each an ordered set of
+//!   entries under its own `RwLock`. Point operations binary-search the
+//!   split points and touch exactly one shard; range scans walk the
+//!   overlapping shards in key order, so lock contention is striped while
+//!   scan semantics stay identical to a single ordered map.
 //! * [`LiveCluster::rebalance`] re-learns each namespace's split points at
 //!   quantiles of its observed keys — the live-path analog of the SCADS
 //!   Director the simulator models — and atomically swaps the re-sharded
@@ -24,10 +24,15 @@
 //!   concurrent sessions never observe a missing key. A store re-sharded
 //!   online does not need twice its data to do it: the entries **move**
 //!   into the new generation when no reader holds the old one, and are
-//!   **copied** only when one does (so that reader still finds them).
+//!   **copied** only when one does (so that reader still finds them). A
+//!   namespace whose learned split points are the ones it has keeps its
+//!   generation, and nothing moves.
 //! * A bulk batch ([`KvStore::bulk_put_all`]) is sorted and cut into
-//!   per-shard runs by the cutter a new generation is built with, and
-//!   each shard takes its run in one step under its write lock.
+//!   per-shard runs by the cutter a new generation is built with, one
+//!   binary search per split point, and each shard takes its run in one
+//!   step under its write lock. The first batch into an empty namespace
+//!   is instead cut at its own quantiles, as a rebalance would cut it, and
+//!   swapped in as a new generation.
 //! * A round with service time to overlap — injected per request — has
 //!   its requests **fan out over a shared worker pool** ([`RoundPool`]),
 //!   and completes at the slowest request: the same round semantics
@@ -54,7 +59,7 @@ use crate::op::{
     BulkFeed, Entries, KvEntry, KvRequest, KvResponse, MalformedRound, NsId, Probe, ReadAnswer,
     ReadRound, RequestRound,
 };
-use crate::partition::SplitPoints;
+use crate::partition::{quantiles, SplitPoints};
 use crate::pool::{default_pool_threads, RoundPool};
 use crate::sample::{LiveSampleSink, OpSample};
 use crate::session::{Session, SessionStats};
@@ -137,6 +142,16 @@ pub struct LiveStatsSnapshot {
 /// Keys sampled per namespace to learn split points (a stride keeps the
 /// sample representative when the namespace is large).
 const SPLIT_SAMPLE_CAP: usize = 8_192;
+
+/// Where a namespace of `total` entries in key order is split into `parts`
+/// shards: the positions of the keys [`SplitPoints::at_quantiles`] picks
+/// from a strided sample of at most [`SPLIT_SAMPLE_CAP`] of them — the
+/// Director's job, learned by the same pick as the simulator's. The one
+/// rule by which a rebalance re-learns a layout and a first batch sets one.
+fn split_positions(total: usize, parts: usize) -> impl Iterator<Item = usize> {
+    let stride = total.div_ceil(SPLIT_SAMPLE_CAP).max(1);
+    quantiles((0..total).step_by(stride), parts)
+}
 
 /// The cluster's one write-ahead slot: the attached [`WalSink`], if any
 /// (see [`LiveCluster::attach_wal`]). A write holds it for read across its
@@ -298,34 +313,33 @@ struct ShardSet {
     splits: SplitPoints,
     shards: Vec<RwLock<Shard>>,
     /// Storage operations served per shard by this generation — the skew
-    /// signal [`NsBalance`] reports; starts at zero when a rebalance
-    /// installs the generation.
+    /// signal [`NsBalance`] reports; restarts at zero at every rebalance.
     ops: Vec<AtomicU64>,
 }
 
 impl ShardSet {
     /// Hand `each` every part of `splits` in turn, with the run of `sorted`
     /// — entries in strictly increasing key order — that part holds,
-    /// bulk-built into a shard of full B-tree leaves. The one cutter of a
-    /// new generation ([`ShardSet::cut`]) and of a batch
+    /// bulk-built into a shard of full B-tree leaves. Each run is found by
+    /// one binary search for the split point that ends it. The one cutter
+    /// of a new generation ([`ShardSet::cut`]) and of a batch
     /// ([`ShardSet::merge`]).
-    fn runs(
-        splits: &SplitPoints,
-        sorted: impl Iterator<Item = Entry>,
-        mut each: impl FnMut(usize, Shard),
-    ) {
-        let mut entries = sorted.peekable();
+    fn runs(splits: &SplitPoints, sorted: Vec<Entry>, mut each: impl FnMut(usize, Shard)) {
+        debug_assert!(
+            sorted.windows(2).all(|pair| pair[0] < pair[1]),
+            "cut entries arrive in key order"
+        );
+        let mut entries = sorted.into_iter();
         for part in 0..splits.parts() {
-            let run = std::iter::from_fn(|| entries.next_if(|e| splits.part_of(e.key()) == part));
-            each(part, run.collect());
+            let len = splits.run_len(part, entries.as_slice());
+            each(part, entries.by_ref().take(len).collect());
         }
-        assert!(entries.peek().is_none(), "cut entries arrive in key order");
     }
 
     /// A generation holding `sorted`, which arrives in key order, cut at
     /// `splits`: each shard is the run its split points give it, and every
     /// entry moves in.
-    fn cut(splits: SplitPoints, sorted: impl Iterator<Item = Entry>) -> Self {
+    fn cut(splits: SplitPoints, sorted: Vec<Entry>) -> Self {
         let mut shards = Vec::with_capacity(splits.parts());
         ShardSet::runs(&splits, sorted, |_, run| {
             shards.push(RwLock::new(rank::KV_SHARD, "kv.shard", run))
@@ -341,7 +355,7 @@ impl ShardSet {
     /// The pre-rebalance default, holding `sorted`: contiguous
     /// leading-byte stripes, expressed as explicit split points (`n = 4` →
     /// splits at `[64]`, `[128]`, `[192]`).
-    fn striped(shards: usize, sorted: impl Iterator<Item = Entry>) -> Self {
+    fn striped(shards: usize, sorted: Vec<Entry>) -> Self {
         let n = shards.max(1);
         let mut splits: Vec<Vec<u8>> = (1..n)
             .map(|i| vec![((i * 256).div_ceil(n)).min(255) as u8])
@@ -352,23 +366,67 @@ impl ShardSet {
         ShardSet::cut(SplitPoints::new(splits), sorted)
     }
 
-    /// A generation holding `retired`'s entries — the retiring
-    /// generation's shards (or copies of them), in index order — re-split
-    /// at the quantiles of their keys: the Director's job, learned by the
-    /// same pick as the simulator's, over a strided sample when the
-    /// namespace is large. Shards are contiguous ranges, so the entries
-    /// arrive in global key order, ready to be cut.
-    fn regrouped<S>(retired: Vec<S>, parts: usize) -> Self
-    where
-        S: IntoIterator<Item = Entry>,
-        for<'s> &'s S: IntoIterator<Item = &'s Entry>,
-    {
-        let total = retired.iter().flatten().count();
-        let stride = total.div_ceil(SPLIT_SAMPLE_CAP).max(1);
-        let mut sample: Vec<&[u8]> = Vec::with_capacity(total.div_ceil(stride));
-        sample.extend(retired.iter().flatten().step_by(stride).map(Entry::key));
-        let splits = SplitPoints::at_quantiles(sample.into_iter(), parts);
-        ShardSet::cut(splits, retired.into_iter().flatten())
+    /// The first batch of an empty namespace, `sorted`, as the generation
+    /// it lays out: cut at its own quantiles ([`split_positions`]), each
+    /// shard having served one operation per entry it took.
+    fn laid_out(sorted: Vec<Entry>, parts: usize) -> Self {
+        let splits = split_positions(sorted.len(), parts)
+            .map(|at| sorted[at].key().to_vec())
+            .collect();
+        let mut set = ShardSet::cut(SplitPoints::new(splits), sorted);
+        set.ops = set
+            .entries_per_shard()
+            .into_iter()
+            .map(AtomicU64::new)
+            .collect();
+        set
+    }
+
+    /// The split points a rebalance would cut this generation's entries at
+    /// now ([`split_positions`]), found by walking its shards one at a
+    /// time: no entry moves. Stable only while no writer can change the
+    /// shards, as under the table's write lock.
+    fn learned_splits(&self, parts: usize) -> SplitPoints {
+        let mut picks = split_positions(self.len(), parts).peekable();
+        let mut splits = Vec::new();
+        // the position of the current shard's first entry
+        let mut first = 0;
+        for shard in &self.shards {
+            let shard = shard.read();
+            let mut keys = shard.iter().map(Entry::key);
+            // the position of `keys`' next entry
+            let mut next = first;
+            while let Some(at) = picks.next_if(|&at| at < first + shard.len()) {
+                let key = keys.nth(at - next).expect("a pick inside the shard");
+                splits.push(key.to_vec());
+                next = at + 1;
+            }
+            first += shard.len();
+        }
+        SplitPoints::new(splits)
+    }
+
+    /// A generation holding `retired`'s entries cut at `splits`: the
+    /// retiring generation's shards, in index order — key order, shards
+    /// being contiguous ranges — collected into one run and cut. The
+    /// entries **move** when nobody else holds `retired`, and are
+    /// **copied** when a reader does (so that reader still finds them).
+    fn regrouped(retired: &mut Arc<ShardSet>, splits: SplitPoints) -> Self {
+        let mut entries = Vec::with_capacity(retired.len());
+        match Arc::get_mut(retired) {
+            // the shard locks are uncontended: nobody else holds this set
+            Some(unshared) => {
+                for shard in &unshared.shards {
+                    entries.extend(std::mem::take(&mut *shard.write()));
+                }
+            }
+            None => {
+                for shard in &retired.shards {
+                    entries.extend(shard.read().iter().cloned());
+                }
+            }
+        }
+        ShardSet::cut(splits, entries)
     }
 
     fn touch(&self, idx: usize) {
@@ -463,7 +521,7 @@ impl ShardSet {
     /// first, one put per entry. An empty shard has the run swapped in; any
     /// other replaces the run's entries one by one, as
     /// [`ShardSet::insert`] does.
-    fn merge(&self, sorted: impl Iterator<Item = Entry>, wal: Option<WalHook<'_>>) {
+    fn merge(&self, sorted: Vec<Entry>, wal: Option<WalHook<'_>>) {
         ShardSet::runs(&self.splits, sorted, |idx, run| {
             if run.is_empty() {
                 return;
@@ -551,6 +609,10 @@ impl ShardSet {
         self.shards.iter().map(|s| s.read().len()).sum()
     }
 
+    fn is_empty(&self) -> bool {
+        self.shards.iter().all(|s| s.read().is_empty())
+    }
+
     fn entries_per_shard(&self) -> Vec<u64> {
         self.shards.iter().map(|s| s.read().len() as u64).collect()
     }
@@ -596,7 +658,11 @@ impl ShardSet {
 ///   the read lock — so the answer stands until the swap: **moved** when
 ///   unshared (the retired generation is left empty, and nothing can ever
 ///   read it), **copied** when a reader holds it (that reader keeps
-///   finding every key).
+///   finding every key). It learns the split points first, moving
+///   nothing; when they are the ones the generation has, it keeps it.
+/// * **The first batch** into a namespace whose shards are all empty is
+///   swapped in as a generation of its own, under the table write lock,
+///   like a rebalance's: no write can land in the empty one meanwhile.
 struct LiveNamespace {
     id: NsId,
     table: RwLock<Arc<ShardSet>>,
@@ -609,7 +675,7 @@ impl LiveNamespace {
             table: RwLock::new(
                 rank::KV_TABLE,
                 "kv.ns.table",
-                Arc::new(ShardSet::striped(shards, std::iter::empty())),
+                Arc::new(ShardSet::striped(shards, Vec::new())),
             ),
         }
     }
@@ -631,11 +697,33 @@ impl LiveNamespace {
         self.table.read().insert(entry, self.hook(&sink));
     }
 
-    /// Store a batch in key order (see [`ShardSet::merge`]), under the
-    /// same locks as [`LiveNamespace::insert`].
-    fn merge(&self, wal: &WalSlot, sorted: impl Iterator<Item = Entry>) {
+    /// Store a batch in key order, under the same locks as
+    /// [`LiveNamespace::insert`]: merged into the current generation (see
+    /// [`ShardSet::merge`]), unless it is the first to land in a namespace
+    /// whose shards are all empty. That one is logged first, one put per
+    /// entry, and swapped in cut at its own quantiles
+    /// ([`ShardSet::laid_out`]) under the table write lock, which is where
+    /// the namespace's emptiness is decided.
+    fn merge(&self, wal: &WalSlot, sorted: Vec<Entry>, parts: usize) {
         let sink = wal.read();
-        self.table.read().merge(sorted, self.hook(&sink));
+        let hook = self.hook(&sink);
+        {
+            let table = self.table.read();
+            if sorted.is_empty() || !table.is_empty() {
+                return table.merge(sorted, hook);
+            }
+        }
+        let mut table = self.table.write();
+        if !table.is_empty() {
+            // a write landed between the two locks
+            return table.merge(sorted, hook);
+        }
+        if let Some(hook) = hook {
+            for entry in &sorted {
+                hook.log(entry.key(), Some(entry.value()));
+            }
+        }
+        *table = Arc::new(ShardSet::laid_out(sorted, parts));
     }
 
     fn remove(&self, wal: &WalSlot, key: &[u8]) {
@@ -673,28 +761,21 @@ impl LiveNamespace {
         }
     }
 
-    /// Re-split this namespace at learned quantiles of its current keys
-    /// and atomically publish the re-sharded generation, built from the
-    /// retiring one's entries — moved or copied, see the struct doc.
+    /// Re-learn this namespace's split points at quantiles of its current
+    /// keys. When they are the ones it has, the generation stays and its op
+    /// counters restart at zero; otherwise the re-sharded generation is
+    /// built from the retiring one's entries — moved or copied, see the
+    /// struct doc — and atomically published.
     fn rebalance(&self, parts: usize) {
         let mut table = self.table.write();
-        let next = match Arc::get_mut(&mut table) {
-            // the shard locks are uncontended: nobody else holds this set
-            Some(retired) => ShardSet::regrouped(
-                (retired.shards.iter())
-                    .map(|shard| std::mem::take(&mut *shard.write()))
-                    .collect::<Vec<Shard>>(),
-                parts,
-            ),
-            // a run per shard, sized while it is held: one allocation per
-            // entry, and the regroup moves the copies
-            None => ShardSet::regrouped(
-                (table.shards.iter())
-                    .map(|shard| shard.read().iter().cloned().collect())
-                    .collect::<Vec<Vec<Entry>>>(),
-                parts,
-            ),
-        };
+        let splits = table.learned_splits(parts);
+        if splits == table.splits {
+            for ops in &table.ops {
+                ops.store(0, Ordering::Relaxed);
+            }
+            return;
+        }
+        let next = ShardSet::regrouped(&mut table, splits);
         *table = Arc::new(next);
     }
 }
@@ -903,7 +984,7 @@ impl LiveCluster {
             .collect();
         // stable, and a shard's build keeps the last of equal keys
         sorted.sort();
-        let set = ShardSet::striped(self.config.shards_per_namespace, sorted.into_iter());
+        let set = ShardSet::striped(self.config.shards_per_namespace, sorted);
         *self.ns_data(ns).table.write() = Arc::new(set);
     }
 }
@@ -1226,16 +1307,20 @@ impl KvStore for LiveCluster {
         self.ns_data(ns).insert(&self.wal, Entry::new(key, &value));
     }
 
-    /// Each buffer becomes its entry as it is pushed, as it is, and is
-    /// booked as one write; the batch is stable-sorted, of equal keys the
+    /// Each buffer becomes its entry as it is pushed, as it is; the batch
+    /// is booked as one write per buffer, stable-sorted, of equal keys the
     /// last is kept, and each shard takes its run in one locked step
-    /// (`ShardSet::merge`), rather than taking the locks and descending the
-    /// B-tree once per entry.
+    /// (`LiveNamespace::merge`), rather than taking the locks and
+    /// descending the B-tree once per entry. The first batch of an empty
+    /// namespace lays out its shards at its own quantiles.
     fn bulk_put_all(&self, ns: NsId, feed: &mut BulkFeed<'_>) {
         let mut batch = Vec::new();
-        feed(&mut |bytes, key_len| {
-            self.stats.book(WRITE);
-            batch.push(Entry::joined(bytes, key_len));
+        feed(&mut |bytes, key_len| batch.push(Entry::joined(bytes, key_len)));
+        let writes = batch.len() as u64;
+        (self.stats).book(SessionStats {
+            logical_requests: writes,
+            physical_requests: writes,
+            ..WRITE
         });
         batch.sort();
         // `dedup_by` drops `later` and keeps `kept`: swapping first keeps
@@ -1246,7 +1331,8 @@ impl KvStore for LiveCluster {
                 true
             }
         });
-        self.ns_data(ns).merge(&self.wal, batch.into_iter());
+        let parts = self.config.shards_per_namespace;
+        self.ns_data(ns).merge(&self.wal, batch, parts);
     }
 
     fn rebalance(&self) {
@@ -1628,6 +1714,43 @@ mod tests {
             });
             assert_eq!(scan, expected);
         }
+    }
+
+    #[test]
+    fn a_rebalance_that_moves_nothing_keeps_its_generation() {
+        let ns = LiveNamespace::new(NsId(0), 4);
+        let wal: WalSlot = RwLock::new(rank::KV_CLUSTER_WAL, "kv.cluster.wal", None);
+        let batch: Vec<Entry> = (0..400u16)
+            .map(|i| Entry::new([&[0x03][..], &i.to_be_bytes()].concat(), &[1]))
+            .collect();
+        ns.merge(&wal, batch, 4);
+        let laid_out = ns.load();
+        assert_eq!(laid_out.entries_per_shard(), [100; 4]);
+        assert_eq!(laid_out.ops_per_shard(), [100; 4]);
+        ns.rebalance(4);
+        assert!(Arc::ptr_eq(&laid_out, &ns.load()), "nothing to move");
+        assert_eq!(laid_out.entries_per_shard(), [100; 4]);
+        assert_eq!(laid_out.ops_per_shard(), [0; 4]);
+    }
+
+    #[test]
+    fn a_write_between_the_first_batchs_two_locks_is_kept() {
+        let ns = Arc::new(LiveNamespace::new(NsId(0), 4));
+        let wal = Arc::new(RwLock::new(rank::KV_CLUSTER_WAL, "kv.cluster.wal", None));
+        let key = |i: u16| [&[0x03][..], &i.to_be_bytes()].concat();
+        let table = ns.table.read();
+        let batch: Vec<Entry> = (0..400).map(|i| Entry::new(key(2 * i), &[])).collect();
+        let merge = {
+            let (ns, wal) = (ns.clone(), wal.clone());
+            std::thread::spawn(move || ns.merge(&wal, batch, 4))
+        };
+        // the batch finds the namespace empty and waits for the write lock;
+        // a write the held read lock lets through lands meanwhile
+        std::thread::sleep(std::time::Duration::from_millis(20));
+        table.insert(Entry::new(key(1), &[]), None);
+        drop(table);
+        merge.join().unwrap();
+        assert_eq!(ns.len(), 401);
     }
 
     #[test]

@@ -9,6 +9,7 @@
 use crate::op::NsId;
 use piql_analysis::ordered::RwLock;
 use piql_analysis::rank;
+use std::borrow::Borrow;
 use std::collections::BTreeMap;
 
 /// Ascending split keys cutting one keyspace into `parts()` contiguous
@@ -33,15 +34,8 @@ impl SplitPoints {
         sorted: impl ExactSizeIterator<Item = K>,
         parts: usize,
     ) -> Self {
-        let step = sorted.len() / parts.max(1);
-        if parts <= 1 || step == 0 {
-            return SplitPoints::default();
-        }
         SplitPoints(
-            sorted
-                .step_by(step)
-                .skip(1)
-                .take(parts - 1)
+            quantiles(sorted, parts)
                 .map(|k| k.as_ref().to_vec())
                 .collect(),
         )
@@ -54,6 +48,15 @@ impl SplitPoints {
     /// The part owning `key`.
     pub fn part_of(&self, key: &[u8]) -> usize {
         self.0.partition_point(|s| s.as_slice() <= key)
+    }
+
+    /// How many of `sorted` — keys in ascending order, none below
+    /// `part`'s lower bound — `part` holds: one binary search.
+    pub(crate) fn run_len<K: Borrow<[u8]>>(&self, part: usize, sorted: &[K]) -> usize {
+        match self.0.get(part) {
+            Some(split) => sorted.partition_point(|k| k.borrow() < split.as_slice()),
+            None => sorted.len(),
+        }
     }
 
     /// The parts a scan of `[start, end)` (`None` = unbounded) visits,
@@ -92,6 +95,22 @@ impl SplitPoints {
         };
         (eff_lo, eff_hi)
     }
+}
+
+/// The items of `sorted` that [`SplitPoints::at_quantiles`] splits at: up
+/// to `parts - 1`, evenly spaced by position (none from fewer items than
+/// parts).
+pub(crate) fn quantiles<T>(
+    sorted: impl ExactSizeIterator<Item = T>,
+    parts: usize,
+) -> impl Iterator<Item = T> {
+    let step = sorted.len() / parts.max(1);
+    let splits = if step == 0 {
+        0
+    } else {
+        parts.saturating_sub(1)
+    };
+    sorted.step_by(step.max(1)).skip(1).take(splits)
 }
 
 /// Placement of one namespace.

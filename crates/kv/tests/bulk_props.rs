@@ -5,7 +5,9 @@
 //! than it — counts one write per pair, and logs what it stores as puts
 //! with no commit barrier, which replay back into the same store. A sink
 //! attached to a running store sees every write after it, under the
-//! namespace each lands in, and nothing once detached.
+//! namespace each lands in, and nothing once detached. The first batch
+//! into an empty namespace lays it out as a rebalance would, and loses no
+//! write that races it.
 
 use piql_kv::{
     ClusterConfig, KvEntry, KvRequest, KvStore, LiveCluster, LiveConfig, NsId, Session, SimCluster,
@@ -13,7 +15,7 @@ use piql_kv::{
 };
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// A batch of `(key, value)` pairs, each joined into its key's buffer as
@@ -225,6 +227,150 @@ fn an_attached_sink_sees_every_write_under_its_namespace() {
     store.bulk_put_all(b, &mut joined([(b"k5".to_vec(), b"v5".to_vec())]));
     assert_eq!(records(), heard, "a detached sink hears nothing");
     assert_eq!(recorder.commits.load(Ordering::Relaxed), 6);
+}
+
+/// A 16-shard store, every round on its caller.
+fn live16() -> LiveCluster {
+    LiveCluster::new(LiveConfig {
+        shards_per_namespace: 16,
+        pool_threads: 0,
+        request_delay_us: 0,
+    })
+}
+
+/// A key as PIQL lays one out: a type-tag byte below 0x10 first, so that
+/// the leading-byte stripes put every such key on shard 0.
+fn tagged(i: u32) -> Vec<u8> {
+    [&[0x03][..], &i.to_be_bytes()].concat()
+}
+
+/// The first batch into an empty namespace is cut at its own quantiles:
+/// the layout that putting its pairs one by one and then rebalancing
+/// gives, which a rebalance then keeps, with its ops restarted. More puts
+/// past the last split point skew it, and the next rebalance re-splits.
+#[test]
+fn the_first_batch_lays_out_what_a_rebalance_would() {
+    // a permutation of 0..5,000, so the batch arrives unsorted
+    let pairs: Vec<KvEntry> = (0..5_000u32)
+        .map(|i| (tagged(i * 7_919 % 5_000), i.to_le_bytes().to_vec()))
+        .collect();
+    let one_by_one = live16();
+    let ns = one_by_one.namespace("t");
+    for (key, value) in &pairs {
+        one_by_one.bulk_put(ns, key.clone(), value.clone());
+    }
+    assert_eq!(
+        one_by_one.balance()[0].entries[0],
+        5_000,
+        "stripe 0 holds all"
+    );
+    one_by_one.rebalance();
+    let rebalanced = one_by_one.balance().remove(0);
+
+    let batched = live16();
+    assert_eq!(batched.namespace("t"), ns);
+    batched.bulk_put_all(ns, &mut joined(pairs.iter().cloned()));
+    let laid_out = batched.balance().remove(0);
+    assert_eq!(laid_out.entries, rebalanced.entries);
+    assert_eq!(laid_out.ops, laid_out.entries, "one write per entry taken");
+    assert_eq!(scan(&batched, ns), scan(&one_by_one, ns));
+
+    batched.rebalance();
+    let kept = batched.balance().remove(0);
+    assert_eq!(kept.entries, laid_out.entries);
+    assert_eq!(kept.ops, [0; 16]);
+
+    for i in 5_000..10_000u32 {
+        batched.bulk_put(ns, tagged(i), Vec::new());
+    }
+    let skewed = batched.balance().remove(0);
+    assert_eq!(skewed.entries[15], 5_000 + laid_out.entries[15]);
+    batched.rebalance();
+    let resplit = batched.balance().remove(0);
+    assert_eq!(resplit.total_entries(), 10_000);
+    assert!(
+        resplit.max_entry_share() <= 2.0 / 16.0,
+        "{:?}",
+        resplit.entries
+    );
+    assert_eq!(resplit.ops, [0; 16]);
+}
+
+#[test]
+fn a_batch_smaller_than_the_shard_count_stays_one_part() {
+    let store = live16();
+    let ns = store.namespace("t");
+    let pairs = (0..15u32).map(|i| (tagged(i), Vec::new()));
+    store.bulk_put_all(ns, &mut joined(pairs));
+    let balance = store.balance().remove(0);
+    assert_eq!((balance.shards, balance.entries), (1, vec![15]));
+    store.rebalance();
+    assert_eq!(store.balance().remove(0).entries, [15]);
+}
+
+/// Writers put distinct keys into a namespace while its first batch lands:
+/// whether their puts come before the batch (which then merges), between
+/// its emptiness checks, or after its generation is swapped in, the store
+/// ends holding every key once, and an attached sink hears of every write
+/// once. The writers start when the batch's feed has pushed its last
+/// entry, after a spin that doubles from round to round, so that the
+/// rounds span all three.
+#[test]
+fn a_first_batch_racing_writers_loses_no_write() {
+    const WRITERS: u32 = 3;
+    const PUTS: u32 = 300;
+    const BATCH: u32 = 3_000;
+    for round in 0..22 {
+        let store = Arc::new(live16());
+        let recorder = Arc::new(Recorder::default());
+        store.attach_wal(recorder.clone());
+        let ns = store.namespace("t");
+        let fed = Arc::new(AtomicBool::new(false));
+        // writers take the odd keys amid the batch's even ones
+        let writers: Vec<_> = (0..WRITERS)
+            .map(|w| {
+                let (store, fed) = (store.clone(), fed.clone());
+                std::thread::spawn(move || {
+                    while !fed.load(Ordering::Acquire) {
+                        std::hint::spin_loop();
+                    }
+                    for _ in 0..1u64 << round {
+                        std::hint::spin_loop();
+                    }
+                    let mut session = Session::new();
+                    for i in 0..PUTS {
+                        let key = tagged(2 * (i * WRITERS + w) + 1);
+                        store.execute_round(&mut session, vec![put(ns, &key, b"w")]);
+                    }
+                })
+            })
+            .collect();
+        // a permutation of the even keys, so the batch has sorting to do
+        let batch = (0..BATCH).map(|i| (tagged(2 * (i * 7_919 % BATCH)), b"b".to_vec()));
+        let mut batch = joined(batch);
+        store.bulk_put_all(ns, &mut |push| {
+            batch(push);
+            fed.store(true, Ordering::Release);
+        });
+        for writer in writers {
+            writer.join().unwrap();
+        }
+
+        let mut expected: Vec<Vec<u8>> = (0..BATCH).map(|i| tagged(2 * i)).collect();
+        expected.extend((0..WRITERS * PUTS).map(|i| tagged(2 * i + 1)));
+        expected.sort();
+        let (_, stored) = store.export_namespaces().remove(0);
+        let stored: Vec<Vec<u8>> = stored.into_iter().map(|(key, _)| key).collect();
+        assert_eq!(stored, expected, "round {round}");
+        let mut heard: Vec<Vec<u8>> = (recorder.records.lock().unwrap().iter())
+            .filter_map(|record| match record {
+                Record::Put(_, key, _) => Some(key.clone()),
+                _ => None,
+            })
+            .collect();
+        heard.sort();
+        assert_eq!(heard, expected, "round {round}");
+    }
 }
 
 proptest! {

@@ -3,8 +3,8 @@
 //! copied, and each new shard is bulk-built from a sorted run, so the
 //! count is the new B-tree nodes (about one per eleven entries) plus a few
 //! buffers per shard. When a reader holds it, each entry is copied once —
-//! one allocation, since an entry is one allocation — into a run per
-//! retiring shard, and the copies move into the new generation as above.
+//! one allocation, since an entry is one allocation — into one run, and
+//! the copies move into the new generation as above.
 //!
 //! A counting `#[global_allocator]` needs a binary of its own, hence this
 //! file; it counts per thread, and a rebalance runs on the calling thread.
@@ -112,9 +112,9 @@ fn rebalance_allocs(store: &LiveCluster) -> u64 {
 fn rebalancing_an_unshared_namespace_moves_its_entries() {
     let (store, ns, expected) = skewed();
     let made = rebalance_allocs(&store);
-    // measured: 1,127 — about 1,000 B-tree nodes, the rest each new
-    // shard's run buffer. The copy this replaced made 26,659: a key and a
-    // value per entry, and a key per sampled split candidate
+    // measured: 1,000 — about 930 B-tree nodes, the rest each new shard's
+    // run buffers and the split keys. The copy this replaced made 26,659:
+    // a key and a value per entry, and a key per sampled split candidate
     assert!(
         made < u64::from(ENTRIES) / 8,
         "{made} allocations to re-shard {ENTRIES} entries"
@@ -128,37 +128,38 @@ fn rebalancing_an_unshared_namespace_moves_its_entries() {
     ignore = "lock-order tracking allocates by design"
 )]
 fn rebalancing_a_held_namespace_copies_each_entry_once() {
-    let (store, ns, expected) = skewed();
-    let stop = AtomicBool::new(false);
-    let exports = AtomicU64::new(0);
-    let copied = std::thread::scope(|scope| {
-        // each export holds the generation from before its first shard to
-        // after its last; the reader's allocations are its own thread's,
-        // not counted here
-        scope.spawn(|| {
-            while !stop.load(Ordering::Acquire) {
-                store.export_namespaces();
-                exports.fetch_add(1, Ordering::Release);
-            }
-        });
-        let copied = (0..100).find_map(|_| {
-            // rebalance a moment into a fresh export: back-to-back
-            // rebalances would keep the reader from ever loading the table
+    // a store once re-split moves nothing at its next rebalance, so each
+    // attempt skews a store of its own
+    let copied = (0..100).find_map(|_| {
+        let (store, ns, expected) = skewed();
+        let stop = AtomicBool::new(false);
+        let exports = AtomicU64::new(0);
+        let made = std::thread::scope(|scope| {
+            // each export holds the generation from before its first shard
+            // to after its last; the reader's allocations are its own
+            // thread's, not counted here
+            scope.spawn(|| {
+                while !stop.load(Ordering::Acquire) {
+                    store.export_namespaces();
+                    exports.fetch_add(1, Ordering::Release);
+                }
+            });
+            // rebalance a moment into a fresh export
             let seen = exports.load(Ordering::Acquire);
             while exports.load(Ordering::Acquire) == seen {
                 std::thread::yield_now();
             }
             std::thread::sleep(Duration::from_micros(100));
-            // a move makes ~1,100 allocations and a copy ~ENTRIES more, so
-            // the count says which path the rebalance took
             let made = rebalance_allocs(&store);
-            (made > u64::from(ENTRIES) / 2).then_some(made)
+            stop.store(true, Ordering::Release);
+            made
         });
-        stop.store(true, Ordering::Release);
-        copied
+        // a move makes ~1,100 allocations and a copy ~ENTRIES more, so
+        // the count says which path the rebalance took
+        (made > u64::from(ENTRIES) / 2).then_some((made, store, ns, expected))
     });
-    let made = copied.expect("no rebalance overlapped a reader's export");
-    // measured: 11,128 — one per entry, then the move's nodes and runs.
+    let (made, store, ns, expected) = copied.expect("no rebalance overlapped a reader's export");
+    // measured: 11,000 — one per entry, then the move's nodes and runs.
     // The clone of each shard's map this replaced made 22,794: a key and a
     // value per entry, and the clone's own B-tree nodes
     assert!(

@@ -4,11 +4,12 @@
 //! indexes they derive are backfilled). A change to how rows are
 //! generated, encoded or loaded that moves a single stored byte moves the
 //! digest. The file also pins what SCADr's set-up allocates per stored
-//! entry, with a counting `#[global_allocator]` of its own.
+//! entry, with a counting `#[global_allocator]` of its own, and that a
+//! rebalance after either set-up moves no entry.
 
 use piql_core::catalog::Catalog;
 use piql_engine::Database;
-use piql_kv::{KvStore, LiveCluster, LiveConfig};
+use piql_kv::{KvStore, LiveCluster, LiveConfig, NsBalance};
 use piql_workloads::scadr::{self, ScadrConfig};
 use piql_workloads::tpcw::{self, TpcwConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -82,6 +83,17 @@ fn allocations() -> u64 {
     ALLOCS.with(Cell::get)
 }
 
+/// A rebalance leaves every namespace's entries where they are: the layout
+/// the data was stored in is already the one its quantiles give.
+fn assert_rebalance_moves_nothing(db: &Database<LiveCluster>) {
+    let laid_out = db.cluster().balance();
+    db.cluster().rebalance();
+    let entries = |balance: Vec<NsBalance>| -> Vec<(String, Vec<u64>)> {
+        balance.into_iter().map(|b| (b.name, b.entries)).collect()
+    };
+    assert_eq!(entries(db.cluster().balance()), entries(laid_out));
+}
+
 #[test]
 fn scadr_loads_the_same_bytes() {
     let db = database();
@@ -96,18 +108,24 @@ fn scadr_loads_the_same_bytes() {
         cfg!(feature = "lock-order") || per_entry <= 1.5,
         "{made} allocations to load {entries} entries"
     );
+    assert_rebalance_moves_nothing(&db);
 }
 
 #[test]
 fn tpcw_loads_and_backfills_the_same_bytes() {
     let db = database();
     tpcw::setup(&db, &TpcwConfig::default(), 1).unwrap();
+    assert_rebalance_moves_nothing(&db);
     for (label, sql) in tpcw::TABLE1_SQL {
         db.prepare(sql).unwrap_or_else(|e| panic!("{label}: {e}"));
     }
     let (hash, entries) = digest(&db);
     println!("tpcw: {entries} entries, {hash:#018x}");
     assert_eq!((hash, entries), (TPCW_DIGEST, TPCW_ENTRIES));
+    // the backfilled indexes were laid out by their first page, which a
+    // rebalance re-splits; the rebalance after that moves nothing
+    db.cluster().rebalance();
+    assert_rebalance_moves_nothing(&db);
 }
 
 #[test]
