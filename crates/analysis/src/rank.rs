@@ -5,7 +5,7 @@
 //! every rank it already holds, so any cycle in the runtime lock graph —
 //! the precondition for deadlock — trips a panic in `lock-order` builds
 //! instead of hanging in production. Equal ranks cannot nest either, which
-//! is deliberate: peers at one rank (e.g. the shard stripes of a table, or
+//! is deliberate: peers at one rank (e.g. the shards of a namespace, or
 //! the latency-sample stripes of a cluster) must never be held together,
 //! and giving them one shared rank machine-checks that.
 //!
@@ -103,7 +103,7 @@ pub const SIM_STORE: u32 = 57;
 /// `LiveNamespace.table`: the current `ShardSet` generation. Writers hold
 /// it for read across shard mutation; rebalance holds it for write.
 pub const KV_TABLE: u32 = 58;
-/// `ShardSet.shards[i]`: one shard stripe. Peers — never held together.
+/// `ShardSet.shards[i]`: one shard. Peers — never held together.
 pub const KV_SHARD: u32 = 60;
 /// `LiveSampleSink.stripes[i]`: one latency-sample stripe. Peers.
 pub const KV_SAMPLE_STRIPE: u32 = 62;

@@ -1,7 +1,8 @@
 //! Shard rebalancing on `LiveCluster` — a 90%-skewed key prefix (the
 //! "common username prefix" failure mode) under concurrent point traffic:
-//! max-shard entry/op share and full-prefix scan latency on the static
-//! leading-byte stripes vs the learned quantile split points.
+//! max-shard entry/op share and full-prefix scan latency on the one part
+//! a namespace grown by single puts is vs the learned quantile split
+//! points.
 
 use piql_bench::{header, row, scaled};
 use piql_kv::{KvRequest, KvStore, LiveCluster, LiveConfig, Session};
@@ -28,7 +29,7 @@ fn main() {
     header(
         "rebalance",
         "LiveCluster shard rebalancing",
-        "90%-skewed prefix workload: max-shard shares and prefix-scan latency, striped vs learned split points",
+        "90%-skewed prefix workload: max-shard shares and prefix-scan latency, one part vs learned split points",
     );
     let keys = scaled(200_000, 20_000);
     let scans = scaled(200, 40);
@@ -42,7 +43,7 @@ fn main() {
     }
 
     println!("phase\tmax_entry_share\tmax_op_share\tscan_ms\tpoint_qps");
-    for phase in ["striped", "rebalanced"] {
+    for phase in ["unsplit", "rebalanced"] {
         if phase == "rebalanced" {
             let t0 = std::time::Instant::now();
             cluster.rebalance();
@@ -125,8 +126,8 @@ fn main() {
         ]);
     }
     println!(
-        "# expected: striped piles ~0.9 of entries/ops onto one of {SHARDS} shards; \
-         rebalanced ≈ 1/{SHARDS} each"
+        "# expected: unsplit holds every entry and op on its one shard; \
+         rebalanced ≈ 1/{SHARDS} of each over {SHARDS} shards"
     );
     println!(
         "# point_qps multiplies once the hot shard's lock stops serializing writes; \

@@ -68,8 +68,8 @@ fn store() -> LiveCluster {
     })
 }
 
-/// `n` entries in key order, spread over every leading byte (so over every
-/// stripe), with row-sized values.
+/// `n` entries in key order, spread over every leading byte, with
+/// row-sized values.
 fn entries(n: u32) -> Vec<KvEntry> {
     let mut entries: Vec<KvEntry> = (0..n)
         .map(|i| {
@@ -95,7 +95,7 @@ fn recovery_builds_each_entry_once_and_export_sizes_its_answer() {
     let (applied, made) = counted(|| state.apply_kv(&recovered).expect("apply"));
     assert_eq!(applied, u64::from(ENTRIES));
     println!("apply_kv: {made} allocations for {ENTRIES} snapshot entries");
-    // measured: 11,149 — an entry each, then the sorted copies' buffers
+    // measured: 11,005 — an entry each, then the sorted copies' buffers
     // and each shard's bulk-built nodes. Cloning each key and value before
     // a put made 21,681
     assert!(

@@ -378,7 +378,8 @@ const NOTES: &str = "CREATE TABLE notes ( \
        seen BIGINT, \
        PRIMARY KEY (owner, id) )";
 
-/// A `LiveCluster` of `shards` stripes a namespace, holding [`NOTES`].
+/// A `LiveCluster` that lays a namespace out in `shards` shards, holding
+/// [`NOTES`].
 fn notes_database(shards: usize) -> Database<LiveCluster> {
     let db = Database::new(Arc::new(LiveCluster::new(LiveConfig {
         shards_per_namespace: shards,

@@ -97,6 +97,10 @@ pub struct NsBalance {
     pub name: String,
     /// Shards in the namespace's current layout.
     pub shards: usize,
+    /// Shards a rebalance would cut the namespace into now, given the
+    /// entries it holds: one while it holds fewer than its store lays a
+    /// namespace out in.
+    pub rebalanced_shards: usize,
     /// Entries per shard, in key order.
     pub entries: Vec<u64>,
     /// Storage operations served per shard since the last rebalance, or
@@ -233,14 +237,18 @@ pub trait KvStore: Send + Sync {
     fn balance(&self) -> Vec<NsBalance> {
         Vec::new()
     }
-    /// Rebalance iff some multi-shard namespace is op-skewed: it has served
-    /// at least `min_ops` operations under its current layout and its
-    /// [`NsBalance::max_op_share`] exceeds `max_op_share`. Returns whether
-    /// a rebalance ran. Op counters restart at zero at every rebalance, so
-    /// `min_ops` doubles as hysteresis between consecutive triggers.
+    /// Rebalance iff some namespace that a rebalance would cut into more
+    /// than one shard ([`NsBalance::rebalanced_shards`]) is op-skewed: it
+    /// has served at least `min_ops` operations under its current layout
+    /// and its [`NsBalance::max_op_share`] exceeds `max_op_share`. Returns
+    /// whether a rebalance ran. Op counters restart at zero at every
+    /// rebalance, so `min_ops` doubles as hysteresis between consecutive
+    /// triggers.
     fn maybe_rebalance(&self, max_op_share: f64, min_ops: u64) -> bool {
         let skewed = self.balance().iter().any(|b| {
-            b.shards > 1 && b.ops.iter().sum::<u64>() >= min_ops && b.max_op_share() > max_op_share
+            b.rebalanced_shards > 1
+                && b.ops.iter().sum::<u64>() >= min_ops
+                && b.max_op_share() > max_op_share
         });
         if skewed {
             self.rebalance();

@@ -10,29 +10,28 @@
 //! Design:
 //!
 //! * Each namespace is split into **contiguous key-range shards** at
-//!   explicit split points (initially `shards_per_namespace` leading-byte
-//!   stripes; a first bulk batch sets its own), each an ordered set of
-//!   entries under its own `RwLock`. Point operations binary-search the
-//!   split points and touch exactly one shard; range scans walk the
-//!   overlapping shards in key order, so lock contention is striped while
-//!   scan semantics stay identical to a single ordered map.
-//! * [`LiveCluster::rebalance`] re-learns each namespace's split points at
-//!   quantiles of its observed keys — the live-path analog of the SCADS
-//!   Director the simulator models — and atomically swaps the re-sharded
-//!   namespace in behind an `Arc`'d routing table. Readers route through
-//!   the snapshot they loaded; writers briefly serialize on the swap;
-//!   concurrent sessions never observe a missing key. A store re-sharded
-//!   online does not need twice its data to do it: the entries **move**
-//!   into the new generation when no reader holds the old one, and are
-//!   **copied** only when one does (so that reader still finds them). A
-//!   namespace whose learned split points are the ones it has keeps its
-//!   generation, and nothing moves.
-//! * A bulk batch ([`KvStore::bulk_put_all`]) is sorted and cut into
-//!   per-shard runs by the cutter a new generation is built with, one
-//!   binary search per split point, and each shard takes its run in one
-//!   step under its write lock. The first batch into an empty namespace
-//!   is instead cut at its own quantiles, as a rebalance would cut it, and
-//!   swapped in as a new generation.
+//!   explicit split points, each an ordered set of entries under its own
+//!   `RwLock`. Point operations binary-search the split points and touch
+//!   exactly one shard; range scans walk the overlapping shards in key
+//!   order, so scan semantics stay identical to a single ordered map.
+//! * A namespace is laid out one way: cut into `shards_per_namespace`
+//!   parts at the quantiles of the entries it holds when it is laid out
+//!   — the live-path analog of the SCADS Director the simulator models —
+//!   or left one part while it holds fewer. A fresh namespace holds
+//!   nothing, so it is one part. Its first bulk batch
+//!   ([`KvStore::bulk_put_all`]), a recovered snapshot
+//!   ([`LiveCluster::load_namespace`]) and a [`LiveCluster::rebalance`]
+//!   that moves entries each build a generation by that rule, and a
+//!   rebalance atomically swaps it in behind an `Arc`'d routing table.
+//!   Readers route through the generation they loaded; writers briefly
+//!   serialize on the swap; concurrent sessions never observe a missing
+//!   key. A rebalance **moves** the entries when no reader holds the old
+//!   generation and **copies** them only when one does, and a namespace
+//!   whose learned split points are the ones it has keeps its generation.
+//! * A later bulk batch is sorted and cut into per-shard runs by the
+//!   cutter a new generation is built with, one binary search per split
+//!   point, and each shard takes its run in one step under its write
+//!   lock.
 //! * A round with service time to overlap — injected per request — has
 //!   its requests **fan out over a shared worker pool** ([`RoundPool`]),
 //!   and completes at the slowest request: the same round semantics
@@ -77,7 +76,10 @@ use std::time::Instant;
 /// `LiveCluster` sizing.
 #[derive(Debug, Clone)]
 pub struct LiveConfig {
-    /// Lock-striping factor: contiguous key-range shards per namespace.
+    /// Contiguous key-range shards a namespace is cut into when it is laid
+    /// out — by its first bulk batch, a recovered snapshot or a rebalance —
+    /// at the quantiles of the entries it holds then. A namespace holding
+    /// fewer entries stays one shard.
     pub shards_per_namespace: usize,
     /// Workers in the round fan-out pool, which only rounds with injected
     /// service time use. `0` executes every round sequentially on the
@@ -146,8 +148,9 @@ const SPLIT_SAMPLE_CAP: usize = 8_192;
 /// Where a namespace of `total` entries in key order is split into `parts`
 /// shards: the positions of the keys [`SplitPoints::at_quantiles`] picks
 /// from a strided sample of at most [`SPLIT_SAMPLE_CAP`] of them — the
-/// Director's job, learned by the same pick as the simulator's. The one
-/// rule by which a rebalance re-learns a layout and a first batch sets one.
+/// Director's job, learned by the same pick as the simulator's. None when
+/// there are fewer entries than parts. The one rule every layout of a
+/// namespace follows ([`ShardSet::laid_out`]).
 fn split_positions(total: usize, parts: usize) -> impl Iterator<Item = usize> {
     let stride = total.div_ceil(SPLIT_SAMPLE_CAP).max(1);
     quantiles((0..total).step_by(stride), parts)
@@ -322,7 +325,7 @@ impl ShardSet {
     /// — entries in strictly increasing key order — that part holds,
     /// bulk-built into a shard of full B-tree leaves. Each run is found by
     /// one binary search for the split point that ends it. The one cutter
-    /// of a new generation ([`ShardSet::cut`]) and of a batch
+    /// of a new generation ([`ShardSet::laid_out`]) and of a batch
     /// ([`ShardSet::merge`]).
     fn runs(splits: &SplitPoints, sorted: Vec<Entry>, mut each: impl FnMut(usize, Shard)) {
         debug_assert!(
@@ -336,50 +339,29 @@ impl ShardSet {
         }
     }
 
-    /// A generation holding `sorted`, which arrives in key order, cut at
-    /// `splits`: each shard is the run its split points give it, and every
-    /// entry moves in.
-    fn cut(splits: SplitPoints, sorted: Vec<Entry>) -> Self {
+    /// A generation holding `sorted`, entries in strictly increasing key
+    /// order, laid out by the one rule every layout follows: cut into
+    /// `parts` at its own quantiles ([`split_positions`]), or kept whole
+    /// while it holds fewer entries than that, so a namespace holding
+    /// nothing is one part. Each shard has served one operation per entry
+    /// it took. A first batch, a recovered snapshot and a rebalance that
+    /// moves entries all build their generation here.
+    fn laid_out(sorted: Vec<Entry>, parts: usize) -> Self {
+        let splits = split_positions(sorted.len(), parts)
+            .map(|at| sorted[at].key().to_vec())
+            .collect();
+        let splits = SplitPoints::new(splits);
         let mut shards = Vec::with_capacity(splits.parts());
+        let mut ops = Vec::with_capacity(splits.parts());
         ShardSet::runs(&splits, sorted, |_, run| {
-            shards.push(RwLock::new(rank::KV_SHARD, "kv.shard", run))
+            ops.push(AtomicU64::new(run.len() as u64));
+            shards.push(RwLock::new(rank::KV_SHARD, "kv.shard", run));
         });
-        let ops = (0..shards.len()).map(|_| AtomicU64::new(0)).collect();
         ShardSet {
             splits,
             shards,
             ops,
         }
-    }
-
-    /// The pre-rebalance default, holding `sorted`: contiguous
-    /// leading-byte stripes, expressed as explicit split points (`n = 4` →
-    /// splits at `[64]`, `[128]`, `[192]`).
-    fn striped(shards: usize, sorted: Vec<Entry>) -> Self {
-        let n = shards.max(1);
-        let mut splits: Vec<Vec<u8>> = (1..n)
-            .map(|i| vec![((i * 256).div_ceil(n)).min(255) as u8])
-            .collect();
-        // > 256 stripes would repeat boundary bytes; collapse the
-        // permanently empty shards between duplicates
-        splits.dedup();
-        ShardSet::cut(SplitPoints::new(splits), sorted)
-    }
-
-    /// The first batch of an empty namespace, `sorted`, as the generation
-    /// it lays out: cut at its own quantiles ([`split_positions`]), each
-    /// shard having served one operation per entry it took.
-    fn laid_out(sorted: Vec<Entry>, parts: usize) -> Self {
-        let splits = split_positions(sorted.len(), parts)
-            .map(|at| sorted[at].key().to_vec())
-            .collect();
-        let mut set = ShardSet::cut(SplitPoints::new(splits), sorted);
-        set.ops = set
-            .entries_per_shard()
-            .into_iter()
-            .map(AtomicU64::new)
-            .collect();
-        set
     }
 
     /// The split points a rebalance would cut this generation's entries at
@@ -406,12 +388,11 @@ impl ShardSet {
         SplitPoints::new(splits)
     }
 
-    /// A generation holding `retired`'s entries cut at `splits`: the
-    /// retiring generation's shards, in index order — key order, shards
-    /// being contiguous ranges — collected into one run and cut. The
-    /// entries **move** when nobody else holds `retired`, and are
-    /// **copied** when a reader does (so that reader still finds them).
-    fn regrouped(retired: &mut Arc<ShardSet>, splits: SplitPoints) -> Self {
+    /// Every entry of `retired`, a retiring generation, in key order: its
+    /// shards in index order, shards being contiguous ranges. The entries
+    /// **move** when nobody else holds `retired`, and are **copied** when a
+    /// reader does (so that reader still finds them).
+    fn retired_entries(retired: &mut Arc<ShardSet>) -> Vec<Entry> {
         let mut entries = Vec::with_capacity(retired.len());
         match Arc::get_mut(retired) {
             // the shard locks are uncontended: nobody else holds this set
@@ -426,7 +407,7 @@ impl ShardSet {
                 }
             }
         }
-        ShardSet::cut(splits, entries)
+        entries
     }
 
     fn touch(&self, idx: usize) {
@@ -669,14 +650,12 @@ struct LiveNamespace {
 }
 
 impl LiveNamespace {
-    fn new(id: NsId, shards: usize) -> Self {
+    /// A namespace holding nothing, so one part.
+    fn new(id: NsId) -> Self {
+        let empty = Arc::new(ShardSet::laid_out(Vec::new(), 1));
         LiveNamespace {
             id,
-            table: RwLock::new(
-                rank::KV_TABLE,
-                "kv.ns.table",
-                Arc::new(ShardSet::striped(shards, Vec::new())),
-            ),
+            table: RwLock::new(rank::KV_TABLE, "kv.ns.table", empty),
         }
     }
 
@@ -751,32 +730,35 @@ impl LiveNamespace {
         self.load().len()
     }
 
-    fn balance(&self, name: String) -> NsBalance {
+    /// The namespace's balance under its current generation, and the
+    /// shards a rebalance into `parts` would cut it into now.
+    fn balance(&self, name: String, parts: usize) -> NsBalance {
         let set = self.load();
+        let entries = set.entries_per_shard();
+        let total = entries.iter().sum::<u64>() as usize;
         NsBalance {
             name,
             shards: set.shards.len(),
-            entries: set.entries_per_shard(),
+            rebalanced_shards: split_positions(total, parts).count() + 1,
+            entries,
             ops: set.ops_per_shard(),
         }
     }
 
     /// Re-learn this namespace's split points at quantiles of its current
-    /// keys. When they are the ones it has, the generation stays and its op
-    /// counters restart at zero; otherwise the re-sharded generation is
-    /// built from the retiring one's entries — moved or copied, see the
-    /// struct doc — and atomically published.
+    /// keys. When they are the ones it has, the generation stays; otherwise
+    /// the retiring one's entries — moved or copied, see the struct doc —
+    /// are laid out afresh ([`ShardSet::laid_out`]) and atomically
+    /// published. Either way the op counters restart at zero.
     fn rebalance(&self, parts: usize) {
         let mut table = self.table.write();
-        let splits = table.learned_splits(parts);
-        if splits == table.splits {
-            for ops in &table.ops {
-                ops.store(0, Ordering::Relaxed);
-            }
-            return;
+        if table.learned_splits(parts) != table.splits {
+            let entries = ShardSet::retired_entries(&mut table);
+            *table = Arc::new(ShardSet::laid_out(entries, parts));
         }
-        let next = ShardSet::regrouped(&mut table, splits);
-        *table = Arc::new(next);
+        for ops in &table.ops {
+            ops.store(0, Ordering::Relaxed);
+        }
     }
 }
 
@@ -927,9 +909,10 @@ impl LiveCluster {
             .iter()
             .map(|(n, id)| (n.clone(), *id))
             .collect();
+        let parts = self.config.shards_per_namespace;
         names
             .into_iter()
-            .map(|(name, id)| self.ns_data(id).balance(name))
+            .map(|(name, id)| self.ns_data(id).balance(name, parts))
             .collect()
     }
 
@@ -968,23 +951,20 @@ impl LiveCluster {
         self.ns_data(ns).remove(&self.wal, key);
     }
 
-    /// Replace everything `ns` holds with copies of `entries`, on the
-    /// initial striped layout. Recovery loads a snapshot's namespace with
-    /// it, so rows that were deleted pre-snapshot (and so appear in neither
-    /// snapshot nor WAL) cannot be resurrected by an embedder's boot-time
-    /// seed data. Each entry is one allocation, and each shard is cut from
-    /// the sorted copies, as a rebalance builds them, rather than grown
-    /// insert by insert; of equal keys the last one wins.
+    /// Replace everything `ns` holds with copies of `entries`, laid out
+    /// as a first batch of them would be (`ShardSet::laid_out`).
+    /// Recovery loads a snapshot's namespace with it, so rows that were
+    /// deleted pre-snapshot (and so appear in neither snapshot nor WAL)
+    /// cannot be resurrected by an embedder's boot-time seed data. Each
+    /// entry is one allocation; of equal keys the last one wins.
     pub fn load_namespace(&self, ns: NsId, entries: &[KvEntry]) {
-        let mut sorted: Vec<Entry> = (entries.iter())
+        let batch = (entries.iter())
             .map(|(key, value)| {
                 self.stats.book(WRITE);
                 Entry::copied(key, value)
             })
             .collect();
-        // stable, and a shard's build keeps the last of equal keys
-        sorted.sort();
-        let set = ShardSet::striped(self.config.shards_per_namespace, sorted);
+        let set = ShardSet::laid_out(normalised(batch), self.config.shards_per_namespace);
         *self.ns_data(ns).table.write() = Arc::new(set);
     }
 }
@@ -1004,6 +984,23 @@ const fn share(physical: u64, entries: u64, bytes: u64) -> SessionStats {
 
 /// A write's [`share`]: one shard, nothing shipped back.
 const WRITE: SessionStats = share(1, 0, 0);
+
+/// `batch` as the store takes it, in strictly increasing key order: stable
+/// sorted, and of equal keys the last kept, as if its entries were put one
+/// by one in order. Bulk batches and recovered snapshots both go through
+/// it.
+fn normalised(mut batch: Vec<Entry>) -> Vec<Entry> {
+    batch.sort();
+    // `dedup_by` drops `later` and keeps `kept`: swapping first keeps the
+    // later value in the earlier slot
+    batch.dedup_by(|later, kept| {
+        later.key() == kept.key() && {
+            std::mem::swap(later, kept);
+            true
+        }
+    });
+    batch
+}
 
 /// Serve the read `probe` from `table`, handing `each` what it finds, and
 /// book it on `stats`; answers its [`share`]. A range ships the keys and
@@ -1173,8 +1170,7 @@ impl KvStore for LiveCluster {
         if let Some(sink) = self.wal.read().as_ref() {
             sink.append_ns(id, name);
         }
-        let shards = self.config.shards_per_namespace;
-        data.push(Arc::new(LiveNamespace::new(id, shards)));
+        data.push(Arc::new(LiveNamespace::new(id)));
         names.insert(name.to_string(), id);
         id
     }
@@ -1308,11 +1304,11 @@ impl KvStore for LiveCluster {
     }
 
     /// Each buffer becomes its entry as it is pushed, as it is; the batch
-    /// is booked as one write per buffer, stable-sorted, of equal keys the
-    /// last is kept, and each shard takes its run in one locked step
-    /// (`LiveNamespace::merge`), rather than taking the locks and
-    /// descending the B-tree once per entry. The first batch of an empty
-    /// namespace lays out its shards at its own quantiles.
+    /// is booked as one write per buffer, `normalised`, and each shard
+    /// takes its run in one locked step (`LiveNamespace::merge`), rather
+    /// than taking the locks and descending the B-tree once per entry. The
+    /// first batch of an empty namespace lays out its shards at its own
+    /// quantiles.
     fn bulk_put_all(&self, ns: NsId, feed: &mut BulkFeed<'_>) {
         let mut batch = Vec::new();
         feed(&mut |bytes, key_len| batch.push(Entry::joined(bytes, key_len)));
@@ -1322,17 +1318,8 @@ impl KvStore for LiveCluster {
             physical_requests: writes,
             ..WRITE
         });
-        batch.sort();
-        // `dedup_by` drops `later` and keeps `kept`: swapping first keeps
-        // the later value in the earlier slot
-        batch.dedup_by(|later, kept| {
-            later.key() == kept.key() && {
-                std::mem::swap(later, kept);
-                true
-            }
-        });
         let parts = self.config.shards_per_namespace;
-        self.ns_data(ns).merge(&self.wal, batch, parts);
+        self.ns_data(ns).merge(&self.wal, normalised(batch), parts);
     }
 
     fn rebalance(&self) {
@@ -1365,6 +1352,19 @@ mod tests {
             shards_per_namespace: 4,
             ..Default::default()
         })
+    }
+
+    /// `key(i)` → `[i]` for every byte `i`, stored as the first batch of
+    /// `ns`, which [`small`] lays out in 4 parts of 64 keys.
+    fn first_batch(c: &LiveCluster, ns: NsId, key: impl Fn(u8) -> Vec<u8>) {
+        c.bulk_put_all(ns, &mut |push| {
+            for i in 0..=255u8 {
+                let joined = key(i);
+                let key_len = joined.len();
+                push([joined, vec![i]].concat(), key_len);
+            }
+        });
+        assert_eq!(c.balance()[0].entries, [64; 4]);
     }
 
     #[test]
@@ -1411,10 +1411,7 @@ mod tests {
     fn ranges_cross_shards_in_order() {
         let c = small();
         let ns = c.namespace("r");
-        // keys spread over the whole leading-byte space → all 4 shards
-        for i in 0..=255u8 {
-            c.bulk_put(ns, vec![i, 1], vec![i]);
-        }
+        first_batch(&c, ns, |i| vec![i, 1]);
         let mut s = Session::new();
         let r = c.execute_round(
             &mut s,
@@ -1488,9 +1485,7 @@ mod tests {
     fn multi_shard_scans_count_per_shard_physical_ops() {
         let c = small();
         let ns = c.namespace("phys");
-        for i in 0..=255u8 {
-            c.bulk_put(ns, vec![i], vec![i]);
-        }
+        first_batch(&c, ns, |i| vec![i]);
         let before = c.stats_snapshot();
         let mut s = Session::new();
         // full-keyspace scan touches all 4 shards: 1 logical, 4 physical
@@ -1574,13 +1569,11 @@ mod tests {
 
     #[test]
     fn exclusive_end_on_shard_boundary_stays_left() {
-        // 4 stripes → splits at [64], [128], [192]; an exclusive end
-        // exactly on a boundary must not visit the shard to its right
+        // 4 parts cut at [64], [128], [192]; an exclusive end exactly on
+        // a boundary must not visit the shard to its right
         let c = small();
         let ns = c.namespace("edge");
-        for i in 0..=255u8 {
-            c.bulk_put(ns, vec![i], vec![i]);
-        }
+        first_batch(&c, ns, |i| vec![i]);
         let mut s = Session::new();
         let r = c.execute_round(
             &mut s,
@@ -1604,7 +1597,7 @@ mod tests {
             }],
         );
         assert_eq!(r[0].expect_entries().len(), 64);
-        assert_eq!(s2.stats.physical_requests, 1, "one full stripe, one shard");
+        assert_eq!(s2.stats.physical_requests, 1, "one full part, one shard");
         // an end past the boundary still visits the next shard
         let mut s3 = Session::new();
         c.execute_round(
@@ -1622,7 +1615,8 @@ mod tests {
     fn rebalance_learns_quantile_splits_and_keeps_results() {
         let c = small();
         let ns = c.namespace("skew");
-        // 90% of keys under leading byte 0xAA — all piled on one stripe
+        // 90% of keys under leading byte 0xAA, put one by one into a
+        // namespace of one part
         let mut expected: Vec<(Vec<u8>, Vec<u8>)> = Vec::new();
         for i in 0..400u16 {
             let mut key = if i % 10 != 0 {
@@ -1637,11 +1631,7 @@ mod tests {
         expected.sort();
         let before = c.balance();
         let skewed = &before[0];
-        assert!(
-            skewed.max_entry_share() >= 0.9,
-            "stripes pile the skewed prefix onto one shard: {:?}",
-            skewed.entries
-        );
+        assert_eq!(skewed.entries, [400], "single puts lay nothing out");
 
         c.rebalance();
 
@@ -1673,9 +1663,9 @@ mod tests {
 
     #[test]
     fn a_generation_held_across_a_rebalance_is_copied_not_emptied() {
-        let ns = LiveNamespace::new(NsId(0), 4);
+        let ns = LiveNamespace::new(NsId(0));
         let wal: WalSlot = RwLock::new(rank::KV_CLUSTER_WAL, "kv.cluster.wal", None);
-        // one leading byte: every entry starts on stripe 2 of 4
+        // put one by one: every entry lands in the namespace's one part
         let expected: Vec<(Vec<u8>, Vec<u8>)> = (0..500u16)
             .map(|i| {
                 (
@@ -1694,7 +1684,7 @@ mod tests {
             !Arc::ptr_eq(&held, &current),
             "a new generation is published"
         );
-        assert_eq!(held.entries_per_shard(), [0, 0, 500, 0]);
+        assert_eq!(held.entries_per_shard(), [500]);
         assert_eq!(current.entries_per_shard(), [125; 4]);
         let everything = Probe::Range {
             start: &[],
@@ -1718,7 +1708,7 @@ mod tests {
 
     #[test]
     fn a_rebalance_that_moves_nothing_keeps_its_generation() {
-        let ns = LiveNamespace::new(NsId(0), 4);
+        let ns = LiveNamespace::new(NsId(0));
         let wal: WalSlot = RwLock::new(rank::KV_CLUSTER_WAL, "kv.cluster.wal", None);
         let batch: Vec<Entry> = (0..400u16)
             .map(|i| Entry::new([&[0x03][..], &i.to_be_bytes()].concat(), &[1]))
@@ -1735,7 +1725,7 @@ mod tests {
 
     #[test]
     fn a_write_between_the_first_batchs_two_locks_is_kept() {
-        let ns = Arc::new(LiveNamespace::new(NsId(0), 4));
+        let ns = Arc::new(LiveNamespace::new(NsId(0)));
         let wal = Arc::new(RwLock::new(rank::KV_CLUSTER_WAL, "kv.cluster.wal", None));
         let key = |i: u16| [&[0x03][..], &i.to_be_bytes()].concat();
         let table = ns.table.read();

@@ -31,9 +31,8 @@ fn joined(pairs: impl IntoIterator<Item = KvEntry>) -> impl FnMut(&mut dyn FnMut
     }
 }
 
-/// Key bytes on and around the boundaries of a four-shard namespace's
-/// leading-byte stripes, so that short random keys collide, share prefixes
-/// and straddle shards.
+/// A small alphabet of key bytes, so that short random keys collide, share
+/// prefixes and, in a namespace cut into shards, straddle them.
 const ALPHABET: [u8; 8] = [0, 1, 63, 64, 65, 128, 200, 255];
 
 fn key() -> impl Strategy<Value = Vec<u8>> {
@@ -66,7 +65,7 @@ fn scan(store: &dyn KvStore, ns: NsId) -> Vec<KvEntry> {
 }
 
 /// `existing` put one by one, the store rebalanced if asked (so the batch
-/// meets learned split points rather than stripes), then `batch` put one
+/// meets learned split points rather than one part), then `batch` put one
 /// by one or as one batch.
 fn load(
     store: &dyn KvStore,
@@ -238,8 +237,7 @@ fn live16() -> LiveCluster {
     })
 }
 
-/// A key as PIQL lays one out: a type-tag byte below 0x10 first, so that
-/// the leading-byte stripes put every such key on shard 0.
+/// A key as PIQL lays one out: a type-tag byte below 0x10 first.
 fn tagged(i: u32) -> Vec<u8> {
     [&[0x03][..], &i.to_be_bytes()].concat()
 }
@@ -260,9 +258,9 @@ fn the_first_batch_lays_out_what_a_rebalance_would() {
         one_by_one.bulk_put(ns, key.clone(), value.clone());
     }
     assert_eq!(
-        one_by_one.balance()[0].entries[0],
-        5_000,
-        "stripe 0 holds all"
+        one_by_one.balance()[0].entries,
+        [5_000],
+        "one part holds all"
     );
     one_by_one.rebalance();
     let rebalanced = one_by_one.balance().remove(0);
@@ -294,6 +292,35 @@ fn the_first_batch_lays_out_what_a_rebalance_would() {
         resplit.entries
     );
     assert_eq!(resplit.ops, [0; 16]);
+}
+
+/// A later batch swaps its run into a shard that deletes emptied and
+/// merges the rest into theirs, storing what its puts one by one would.
+#[test]
+fn a_later_batch_fills_an_emptied_shard_and_merges_the_rest() {
+    let first: Vec<KvEntry> = (0..1_600u32).map(|i| (tagged(i), vec![1])).collect();
+    let later: Vec<KvEntry> = (0..1_600u32)
+        .step_by(3)
+        .map(|i| (tagged(i), vec![2]))
+        .collect();
+    let batched = live16();
+    let one_by_one = live16();
+    let ns = batched.namespace("t");
+    assert_eq!(one_by_one.namespace("t"), ns);
+    for store in [&batched, &one_by_one] {
+        store.bulk_put_all(ns, &mut joined(first.iter().cloned()));
+        for (key, _) in &first[..100] {
+            store.bulk_delete(ns, key);
+        }
+        assert_eq!(store.balance()[0].entries[..2], [0, 100]);
+    }
+    batched.bulk_put_all(ns, &mut joined(later.iter().cloned()));
+    for (key, value) in &later {
+        one_by_one.bulk_put(ns, key.clone(), value.clone());
+    }
+    // keys 0, 3, …, 99 come back into the emptied shard
+    assert_eq!(batched.balance()[0].entries[..2], [34, 100]);
+    assert_eq!(scan(&batched, ns), scan(&one_by_one, ns));
 }
 
 #[test]

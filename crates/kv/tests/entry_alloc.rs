@@ -90,7 +90,7 @@ fn served(store: &LiveCluster, request: KvRequest) -> (KvResponse, u64) {
     (response, ALLOCS.with(Cell::get) - before)
 }
 
-/// A key of `len` bytes for entry `i`, spread over every stripe in a
+/// A key of `len` bytes for entry `i`, spread over the key space in a
 /// scrambled order (as a load's keys arrive), never repeating.
 fn key(i: u32, len: usize) -> Vec<u8> {
     let scrambled = i.wrapping_mul(2_654_435_761);

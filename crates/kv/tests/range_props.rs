@@ -9,9 +9,8 @@ use piql_kv::{
 };
 use proptest::prelude::*;
 
-/// Key bytes on and around the boundaries of a four-shard namespace's
-/// leading-byte stripes, so that short random keys collide, share prefixes
-/// and straddle shards.
+/// A small alphabet of key bytes, so that short random keys collide, share
+/// prefixes and, in a namespace cut into shards, straddle them.
 const ALPHABET: [u8; 8] = [0, 1, 63, 64, 65, 128, 200, 255];
 
 fn key(len: impl Into<prop::collection::SizeRange>) -> impl Strategy<Value = Vec<u8>> {

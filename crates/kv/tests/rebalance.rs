@@ -19,8 +19,8 @@ fn skewed_key(i: u32) -> Vec<u8> {
     key
 }
 
-/// The acceptance criterion, end to end: a 90%-skewed namespace starts
-/// with nearly everything on one shard and rebalances to an even spread,
+/// The acceptance criterion, end to end: a 90%-skewed namespace put one
+/// entry at a time is one shard and rebalances to an even spread,
 /// with the full scan bitwise-identical before and after.
 #[test]
 fn skewed_namespace_rebalances_to_even_entry_shares() {
@@ -50,11 +50,7 @@ fn skewed_namespace_rebalances_to_even_entry_shares() {
     let before_scan = full_scan(&mut s);
 
     let before = &cluster.balance()[0];
-    assert!(
-        before.max_entry_share() >= 0.9,
-        "static stripes leave the skew in place: {:?}",
-        before.entries
-    );
+    assert_eq!(before.entries, [2_000], "single puts lay nothing out");
 
     cluster.rebalance();
 
@@ -219,4 +215,63 @@ fn concurrent_sessions_survive_repeated_rebalances_without_lost_keys() {
         "final count = preload + acknowledged writes"
     );
     assert_eq!(cluster.stats_snapshot().rebalances, u64::from(REBALANCES));
+}
+
+/// `entries` keys put one by one into a fresh namespace of a store that
+/// lays namespaces out in 8 shards, then a thousand reads of one key.
+fn hot_one_part_namespace(entries: u32) -> LiveCluster {
+    let cluster = LiveCluster::new(LiveConfig {
+        shards_per_namespace: 8,
+        ..Default::default()
+    });
+    let ns = cluster.namespace("grown");
+    let mut s = Session::new();
+    for i in 0..entries {
+        let put = KvRequest::Put {
+            ns,
+            key: skewed_key(i),
+            value: Vec::new(),
+        };
+        cluster.execute_one(&mut s, put);
+    }
+    for _ in 0..1_000 {
+        let get = KvRequest::Get {
+            ns,
+            key: skewed_key(0),
+        };
+        cluster.execute_one(&mut s, get);
+    }
+    let balance = &cluster.balance()[0];
+    assert_eq!(balance.shards, 1, "{balance:?}");
+    assert_eq!(balance.ops.iter().sum::<u64>(), u64::from(entries) + 1_000);
+    cluster
+}
+
+/// A table that grows only through single writes is one shard, and the
+/// skew trigger still splits it: from as many entries as a namespace is
+/// laid out in, a rebalance would cut it, so op skew past `min_ops` fires
+/// it.
+#[test]
+fn the_skew_trigger_splits_a_one_part_namespace_grown_by_puts() {
+    let cluster = hot_one_part_namespace(8);
+    assert_eq!(cluster.balance()[0].rebalanced_shards, 8);
+    assert!(cluster.maybe_rebalance(0.5, 1_000));
+    let after = &cluster.balance()[0];
+    assert_eq!(after.shards, 8, "{after:?}");
+    assert!(after.max_entry_share() <= 2.0 / 8.0, "{after:?}");
+    assert_eq!(cluster.stats_snapshot().rebalances, 1);
+}
+
+/// A hot namespace holding fewer entries than a namespace is laid out in
+/// would stay one shard, so the trigger never fires on it, however long
+/// its skew lasts.
+#[test]
+fn the_skew_trigger_leaves_a_hot_namespace_too_small_to_split() {
+    let cluster = hot_one_part_namespace(7);
+    assert_eq!(cluster.balance()[0].rebalanced_shards, 1);
+    for _ in 0..3 {
+        assert!(!cluster.maybe_rebalance(0.5, 1_000));
+    }
+    assert_eq!(cluster.balance()[0].shards, 1);
+    assert_eq!(cluster.stats_snapshot().rebalances, 0);
 }

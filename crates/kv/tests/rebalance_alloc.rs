@@ -53,8 +53,8 @@ static COUNTER: CountingAlloc = CountingAlloc;
 
 const ENTRIES: u32 = 10_000;
 
-/// A 16-shard store whose one namespace holds `ENTRIES` entries, all on
-/// one stripe, and those entries in key order.
+/// A 16-shard store whose one namespace holds `ENTRIES` entries put one by
+/// one, so all in its one part, and those entries in key order.
 fn skewed() -> (LiveCluster, NsId, Vec<KvEntry>) {
     let store = LiveCluster::new(LiveConfig {
         shards_per_namespace: 16,
@@ -62,7 +62,6 @@ fn skewed() -> (LiveCluster, NsId, Vec<KvEntry>) {
         request_delay_us: 0,
     });
     let ns = store.namespace("t");
-    // big-endian counters all lead with byte 0: one stripe holds them all
     let expected: Vec<KvEntry> = (0..ENTRIES)
         .map(|i| (i.to_be_bytes().to_vec(), vec![i as u8; 40]))
         .collect();
@@ -112,8 +111,9 @@ fn rebalance_allocs(store: &LiveCluster) -> u64 {
 fn rebalancing_an_unshared_namespace_moves_its_entries() {
     let (store, ns, expected) = skewed();
     let made = rebalance_allocs(&store);
-    // measured: 1,000 — about 930 B-tree nodes, the rest each new shard's
-    // run buffers and the split keys. The copy this replaced made 26,659:
+    // measured: 1,016 — about 930 B-tree nodes, the rest each new shard's
+    // run buffers and the split keys (learned to compare, then again to lay
+    // the entries out). The copy this replaced made 26,659:
     // a key and a value per entry, and a key per sampled split candidate
     assert!(
         made < u64::from(ENTRIES) / 8,

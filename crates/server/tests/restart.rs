@@ -7,7 +7,7 @@
 use piql_core::plan::params::Params;
 use piql_core::value::Value;
 use piql_engine::{Database, DbError};
-use piql_kv::{LiveCluster, Session};
+use piql_kv::{KvStore, LiveCluster, Session};
 use piql_server::testkit::linear_predictor;
 use piql_server::{open_durable, DurableOptions, DurableStack, SloConfig};
 use piql_workloads::scadr::{self, ScadrConfig};
@@ -264,6 +264,45 @@ fn restart_preserves_data_statements_and_predictions() {
     post_thought(&second, &mut session, 3, 4_000_000_000, "after recovery");
     let rows: usize = paginate_recent(&second, 3).iter().map(Vec::len).sum();
     assert!(rows > 0);
+    second.close();
+}
+
+/// A recovered snapshot is laid out as its entries would be by a first
+/// batch of them into a fresh store: each namespace is cut at its own
+/// quantiles, not served from one shard until something rebalances.
+#[test]
+fn a_recovered_snapshot_is_laid_out_as_a_first_batch_of_its_entries() {
+    let dir = test_dir("layout");
+    let first = open(&dir, 1_000_000.0);
+    let mut session = Session::new();
+    for i in 0..25 {
+        post_thought(&first, &mut session, 1, 2_000_000_000 + i, "pre-snapshot");
+    }
+    first.snapshot().expect("checkpoint");
+    first.simulate_crash();
+    drop(first);
+
+    let second = open(&dir, 1_000_000.0);
+    assert!(second.report.snapshot_loaded, "checkpoint found");
+    let fresh = LiveCluster::new(DurableOptions::new(&dir).live);
+    for (name, entries) in second.cluster.export_namespaces() {
+        let ns = fresh.namespace(&name);
+        fresh.bulk_put_all(ns, &mut |push| {
+            for (key, value) in &entries {
+                push([key.as_slice(), value].concat(), key.len());
+            }
+        });
+    }
+    let layouts = |cluster: &LiveCluster| -> Vec<(String, Vec<u64>)> {
+        let balance = cluster.balance().into_iter();
+        balance.map(|b| (b.name, b.entries)).collect()
+    };
+    let recovered = layouts(&second.cluster);
+    assert_eq!(recovered, layouts(&fresh));
+    let thoughts = recovered.iter().find(|(name, _)| name == "t/thoughts");
+    let (_, entries) = thoughts.expect("thoughts recovered");
+    assert_eq!(entries.len(), 16, "{entries:?}");
+    assert!(entries.iter().all(|&n| n > 0), "{entries:?}");
     second.close();
 }
 

@@ -490,13 +490,14 @@ fn concurrent_tpcw_mix_over_tcp() {
 }
 
 /// The `rebalance` verb re-splits the live store's namespaces at learned
-/// quantiles while the service keeps answering: a pagination sequence
-/// that straddles the rebalance returns exactly the rows an uninterrupted
-/// run does, and the post-rebalance balance report shows the (uniformly
-/// prefixed, hence maximally skewed) SCADr keyspaces spread evenly.
+/// quantiles while the service keeps answering. `thoughts` is skewed by
+/// inserts ahead of the paginated user's rows first, so the re-split moves
+/// them: a pagination sequence that straddles it returns exactly the rows
+/// an uninterrupted run does, and the post-rebalance balance report shows
+/// every namespace spread evenly.
 #[test]
 fn rebalance_verb_resplits_the_live_store_mid_pagination() {
-    let (_db, server) = start_scadr_server();
+    let (db, server) = start_scadr_server();
     let mut client = Client::connect(server.local_addr()).unwrap();
     client
         .prepare(
@@ -524,13 +525,38 @@ fn rebalance_verb_resplits_the_live_store_mid_pagination() {
     }
     assert_eq!(uninterrupted.len(), 11);
 
-    // page 1 against the striped layout ...
+    // skew `thoughts`: user 0's keys lead the table, so 300 more of them
+    // pile onto its first shard
+    for ts in 0..300 {
+        let params: Vec<ParamValue> = vec![
+            Value::Varchar(scadr::username(0)).into(),
+            Value::Timestamp(ts).into(),
+            Value::Varchar(format!("skew {ts}")).into(),
+        ];
+        client
+            .dml(
+                "INSERT INTO thoughts (owner, timestamp, text) VALUES (<u>, <ts>, <t>)",
+                &params,
+            )
+            .unwrap();
+    }
+    let thoughts = || {
+        let mut balance = db.cluster().balance().into_iter();
+        let thoughts = balance.find(|b| b.name == "t/thoughts");
+        thoughts.expect("thoughts namespace").entries
+    };
+    let skewed = thoughts();
+
+    // page 1 against the skewed layout ...
     let page1 = client.execute("stream", &uname_param(3), None).unwrap();
     let mut rows = page1.rows;
     let mut cursor = page1.cursor;
 
     // ... rebalance in the middle of the pagination ...
     let report = client.rebalance().unwrap();
+    let resplit = thoughts();
+    assert_ne!(resplit, skewed, "the rebalance moved thoughts' entries");
+    assert_eq!(resplit.iter().sum::<u64>(), skewed.iter().sum::<u64>());
     assert_eq!(report.get("rebalances").and_then(Json::as_i64), Some(1));
     let balance = report.get("shard_balance").and_then(Json::as_arr).unwrap();
     assert!(!balance.is_empty());
