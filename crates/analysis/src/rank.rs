@@ -17,13 +17,13 @@
 //!
 //! 1. Enumerate every path that can hold an existing lock while taking the
 //!    new one, and every path that can hold the new one while taking an
-//!    existing one. ARCHITECTURE.md § "Concurrency analysis" lists the
-//!    current nesting chains.
+//!    existing one; the constants below are the current order.
 //! 2. Pick a rank strictly between the outermost lock that can be held
 //!    *around* it and the innermost lock it can be held *around*. If no such
 //!    gap exists the design has a cycle — fix the design, not the table.
 //! 3. Add the constant here with a doc comment naming the owning struct and
-//!    field, and run the full suite with `--features piql-analysis/lock-order`.
+//!    field, construct the lock through [`crate::ordered`] with it and an
+//!    `"owner.field"` name, and run the suite with `--features lock-order`.
 
 // ---- server connection plumbing (outermost: held around whole requests) ----
 
@@ -98,7 +98,7 @@ pub const SIM_PLACEMENTS: u32 = 53;
 /// `LiveCluster.wal`: the cluster's one WAL sink slot. Every write holds
 /// it for read across its table and shard locks.
 pub const KV_CLUSTER_WAL: u32 = 54;
-/// `SimStore.entries`: a simulated table's versioned key space.
+/// `piql_kv::store::Namespace.entries` ("sim.store"): a versioned key space.
 pub const SIM_STORE: u32 = 57;
 /// `LiveNamespace.table`: the current `ShardSet` generation. Writers hold
 /// it for read across shard mutation; rebalance holds it for write.

@@ -12,10 +12,9 @@
 //!   yet: an UPDATE that loses its test-and-set, or races a DELETE, leaves
 //!   dangling entries with no crash, and two UPDATEs moving a column
 //!   a→b→a can drop the live row's entry (ROADMAP.md, R9).
-//! * **Cardinality enforcement**: optimistically insert, then issue a
-//!   count-range over the constraint's enforcement prefix; if the count
-//!   exceeds the limit, undo the insert and fail. Concurrent inserts may
-//!   transiently overshoot (the paper accepts this).
+//! * **Cardinality enforcement**: insert, then count the enforcement
+//!   prefix; over the limit, undo as a DELETE ends (`Writer::remove`) and
+//!   fail. Concurrent inserts may overshoot transiently (as in the paper).
 //! * **Uniqueness**: the record put is a test-and-set expecting absence.
 //!
 //! Nothing here consults the catalog or a namespace name per request: a
@@ -513,14 +512,8 @@ impl<'a> Writer<'a> {
         // 3. cardinality enforcement: count after insert, undo on overflow
         for probe in constraints {
             if probe.count(self.store, session, row)? > probe.limit {
-                self.entries(session, target, DROP, row, None::<&Tuple>)?;
-                self.store.execute_one(
-                    session,
-                    KvRequest::Delete {
-                        ns: target.primary,
-                        key: keys::primary_key_from(table, &target.pk, row)?,
-                    },
-                );
+                let pk = keys::primary_key_from(table, &target.pk, row)?;
+                self.remove(session, target, pk, row)?;
                 return Err(WriteError::CardinalityExceeded {
                     table: table.name.clone(),
                     constraint: probe.columns.clone(),
@@ -596,30 +589,37 @@ impl<'a> Writer<'a> {
         target: &TableWrite,
         pk: Vec<u8>,
     ) -> Result<bool, WriteError> {
-        let stored = self
-            .store
-            .execute_one(
-                session,
-                KvRequest::Get {
-                    ns: target.primary,
-                    key: pk.clone(),
-                },
-            )
-            .into_value()?;
-        let Some(old_bytes) = stored else {
+        let get = KvRequest::Get {
+            ns: target.primary,
+            key: pk.clone(),
+        };
+        let Some(old_bytes) = self.store.execute_one(session, get).into_value()? else {
             return Ok(false);
         };
         let old_row = keys::decode_row(&target.table, &old_bytes)?;
-        // record first, then index entries (dangling entries are safe)
-        self.store.execute_one(
-            session,
-            KvRequest::Delete {
-                ns: target.primary,
-                key: pk,
-            },
-        );
-        self.entries(session, target, DROP, &old_row, None::<&Tuple>)?;
+        self.remove(session, target, pk, &old_row)?;
         Ok(true)
+    }
+
+    /// A row leaves the store one way, record first, then every entry it
+    /// derives: a stop between them leaves only dangling entries.
+    fn remove<R>(
+        &self,
+        session: &mut Session,
+        target: &TableWrite,
+        pk: Vec<u8>,
+        row: &R,
+    ) -> Result<(), WriteError>
+    where
+        R: RowSource,
+        WriteError: From<R::Error>,
+    {
+        let delete = KvRequest::Delete {
+            ns: target.primary,
+            key: pk,
+        };
+        self.store.execute_one(session, delete);
+        self.entries(session, target, DROP, row, None::<&R>)
     }
 
     /// Bulk-load the rows `feed` pushes into a [`Loader`], without timing

@@ -15,14 +15,14 @@
 //!   with an advisor-degraded LIMIT, and only admitted statements ever
 //!   issue storage requests.
 //! * [`PiqlServer`] — a multi-threaded TCP front-end speaking the
-//!   newline-delimited JSON protocol specified in `PROTOCOL.md`
-//!   (`prepare` / `execute` / `cursor-next` / `dml` / `batch` / `stats` /
-//!   `revalidate` / `rebalance`), **pipelined**, with two venues behind
-//!   one request handler: an id-less request (and every binary frame) is
-//!   answered by the connection's own thread, one at a time — all that
-//!   "in arrival order" takes — while `id`-tagged requests are handled
-//!   concurrently on a server-wide dispatch pool and answered in
-//!   completion order; a writer thread per JSON connection streams
+//!   newline-delimited JSON protocol specified in `PROTOCOL.md` (`prepare`
+//!   / `execute` / `cursor-next` / `dml` / `batch` / `stats` / `revalidate`
+//!   / `rebalance` / `snapshot` / `explain`), **pipelined**, with two
+//!   venues behind one request handler: an id-less request (and every
+//!   binary frame) is answered by the connection's own thread, one at a
+//!   time — all that "in arrival order" takes — while `id`-tagged requests
+//!   are handled concurrently on a server-wide dispatch pool and answered
+//!   in completion order; a writer thread per JSON connection streams
 //!   responses back. Pagination cursors are serialized, client-held state
 //!   that survives reconnects.
 //! * [`Client`] — a small blocking client for that protocol, with a
