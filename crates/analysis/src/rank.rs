@@ -89,12 +89,10 @@ pub const KV_TESTKIT: u32 = 49;
 
 // ---- kv clusters (live and simulated) ----
 
-/// `LiveCluster.names` / `SimCluster.names`: namespace name → id.
-pub const KV_NAMES: u32 = 50;
-/// `LiveCluster.namespaces` / `SimCluster.namespaces`: id → namespace.
+/// `NsTable.table` (`LiveCluster.namespaces`, `SimCluster.namespaces`):
+/// namespace ids and names. A namespace is created, and `attach_wal`
+/// installs its sink, under it for write, taking the WAL slot inside.
 pub const KV_NAMESPACES: u32 = 52;
-/// `PartitionMap.placements`: simulated shard placement table.
-pub const SIM_PLACEMENTS: u32 = 53;
 /// `LiveCluster.wal`: the cluster's one WAL sink slot. Every write holds
 /// it for read across its table and shard locks.
 pub const KV_CLUSTER_WAL: u32 = 54;

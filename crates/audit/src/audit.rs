@@ -15,26 +15,7 @@ use piql_core::json::Json;
 use piql_core::opt::{Compiled, InsightReport, OptError, Optimizer};
 use piql_core::parser::parse_select;
 use piql_predict::advisor::{fit, Fit};
-use piql_predict::SloPredictor;
-
-/// The SLO a statement is audited against.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SloSpec {
-    /// p99 target, milliseconds.
-    pub slo_ms: f64,
-    /// Required fraction of intervals whose p99 meets the target.
-    pub confidence: f64,
-}
-
-impl Default for SloSpec {
-    fn default() -> Self {
-        // matches the server's default admission SloConfig
-        SloSpec {
-            slo_ms: 100.0,
-            confidence: 0.9,
-        }
-    }
-}
+use piql_predict::{SloConfig, SloPredictor};
 
 /// Diagnostic severity, rustc-style.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -150,7 +131,7 @@ pub struct StatementAudit {
     pub sql: String,
     /// Line of the statement in its workload file (0 = unknown).
     pub line: usize,
-    pub slo: SloSpec,
+    pub slo: SloConfig,
     pub outcome: Outcome,
     /// `Class II (bounded)` + the evidence that assigned it.
     pub class: Option<String>,
@@ -161,7 +142,7 @@ pub struct StatementAudit {
 
 impl StatementAudit {
     /// An audit with nothing decided yet: where both entry points start.
-    fn blank(name: &str, sql: &str, slo: SloSpec) -> StatementAudit {
+    fn blank(name: &str, sql: &str, slo: SloConfig) -> StatementAudit {
         StatementAudit {
             name: name.to_string(),
             sql: sql.to_string(),
@@ -200,7 +181,7 @@ impl StatementAudit {
             ("sql", Json::str(&self.sql)),
             ("line", Json::uint(self.line)),
             ("slo_ms", ms(self.slo.slo_ms)),
-            ("confidence", ms(self.slo.confidence)),
+            ("confidence", ms(self.slo.interval_confidence)),
             ("outcome", Json::str(self.outcome.label())),
         ];
         fields.push((
@@ -232,7 +213,7 @@ pub fn audit_statement(
     predictor: &SloPredictor,
     name: &str,
     sql: &str,
-    slo: SloSpec,
+    slo: SloConfig,
 ) -> StatementAudit {
     let mut audit = StatementAudit::blank(name, sql, slo);
 
@@ -284,7 +265,7 @@ pub fn audit_compiled(
     name: &str,
     sql: &str,
     compiled: &Compiled,
-    slo: SloSpec,
+    slo: SloConfig,
 ) -> StatementAudit {
     let mut audit = StatementAudit::blank(name, sql, slo);
     finish_compiled(&mut audit, predictor, compiled, None);
@@ -310,8 +291,7 @@ fn finish_compiled(
     let below = probe.and_then(|(_, _, stmt)| stmt.bound);
     let found = fit(
         predictor,
-        slo.slo_ms,
-        slo.confidence,
+        &slo,
         compiled,
         below.map(|b| b.count()),
         |limit| {
@@ -322,7 +302,7 @@ fn finish_compiled(
     let prediction = found.written();
     // the number the verdict rests on: the interval p99 the SLO's
     // confidence asks to meet (the max interval at confidence 1)
-    let p99 = prediction.p99_quantile_ms(slo.confidence);
+    let p99 = prediction.p99_quantile_ms(slo.interval_confidence);
 
     if !matches!(found, Fit::AsWritten(_)) {
         let mut suggestions = Vec::new();
@@ -330,7 +310,7 @@ fn finish_compiled(
             limit, prediction, ..
         } = &found
         {
-            let probe_p99 = prediction.p99_quantile_ms(slo.confidence);
+            let probe_p99 = prediction.p99_quantile_ms(slo.interval_confidence);
             let verb = if compiled.page_size.is_some() {
                 "PAGINATE"
             } else {
@@ -559,9 +539,9 @@ mod tests {
 
     #[test]
     fn feasible_statement_audits_clean() {
-        let slo = SloSpec {
+        let slo = SloConfig {
             slo_ms: 500.0,
-            confidence: 0.9,
+            ..SloConfig::default()
         };
         let audit = audit_statement(&catalog(), &predictor(), "stream", THOUGHTSTREAM, slo);
         assert!(
@@ -589,9 +569,9 @@ mod tests {
 
     #[test]
     fn infeasible_statement_names_term_and_suggests_limit() {
-        let slo = SloSpec {
+        let slo = SloConfig {
             slo_ms: 50.0,
-            confidence: 0.9,
+            ..SloConfig::default()
         };
         let audit = audit_statement(&catalog(), &predictor(), "stream", THOUGHTSTREAM, slo);
         assert!(
@@ -621,7 +601,7 @@ mod tests {
             &predictor(),
             "all",
             "SELECT * FROM thoughts WHERE owner = <u>",
-            SloSpec::default(),
+            SloConfig::default(),
         );
         assert_eq!(audit.outcome, Outcome::Unbounded);
         assert!(audit.outcome.gating());
@@ -645,7 +625,7 @@ mod tests {
             &predictor(),
             "junk",
             "SELEKT nonsense !!!",
-            SloSpec::default(),
+            SloConfig::default(),
         );
         assert!(matches!(audit.outcome, Outcome::Invalid { .. }));
         assert!(audit.outcome.gating());
@@ -658,9 +638,9 @@ mod tests {
             &predictor(),
             "stream",
             THOUGHTSTREAM,
-            SloSpec {
+            SloConfig {
                 slo_ms: 50.0,
-                confidence: 0.9,
+                ..SloConfig::default()
             },
         );
         let json = audit.to_json().to_string();

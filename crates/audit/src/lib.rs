@@ -28,9 +28,7 @@ pub mod report;
 pub mod tree;
 pub mod workload;
 
-pub use audit::{
-    audit_compiled, audit_statement, Diagnostic, Outcome, Severity, SloSpec, StatementAudit,
-};
+pub use audit::{audit_compiled, audit_statement, Diagnostic, Outcome, Severity, StatementAudit};
 pub use model::LinearModelSpec;
 pub use report::{audit_workload, WorkloadReport};
 pub use tree::{derivation_tree, BoundInfo, CostTerm, DerivationNode};

@@ -10,13 +10,13 @@
 //! `1` — at least one statement is unbounded, SLO-infeasible, or invalid;
 //! `2` — usage or workload-file errors.
 
-use piql_audit::{audit_workload, parse_workload_with, LinearModelSpec, SloSpec, WorkloadReport};
-use piql_predict::SloPredictor;
+use piql_audit::{audit_workload, parse_workload_with, LinearModelSpec, WorkloadReport};
+use piql_predict::{SloConfig, SloPredictor};
 use std::process::ExitCode;
 
 struct Args {
     workload: String,
-    slo: SloSpec,
+    slo: SloConfig,
     model: LinearModelSpec,
     json: Option<String>,
     quiet: bool,
@@ -30,7 +30,7 @@ fn usage() -> String {
 
 fn parse_args(argv: &[String]) -> Result<Args, String> {
     let mut workload = None;
-    let mut slo = SloSpec::default();
+    let mut slo = SloConfig::default();
     let mut model = LinearModelSpec::default();
     let mut json = None;
     let mut quiet = false;
@@ -47,7 +47,7 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
             }
             "--confidence" => {
                 let v = it.next().ok_or("--confidence needs a value")?;
-                slo.confidence = v
+                slo.interval_confidence = v
                     .parse::<f64>()
                     .ok()
                     .filter(|x| (0.0..=1.0).contains(x))

@@ -24,10 +24,10 @@
 //! storage. `SELECT` statements become audit entries. Statements end at `;`
 //! outside string literals and may span lines.
 
-use crate::audit::SloSpec;
 use piql_core::ast::Statement;
 use piql_core::catalog::{Catalog, CatalogError, IndexDef};
 use piql_core::parser::parse;
+use piql_predict::SloConfig;
 use std::fmt;
 
 /// One auditable SELECT from the workload file.
@@ -37,7 +37,7 @@ pub struct WorkloadEntry {
     pub sql: String,
     /// 1-based line where the statement starts.
     pub line: usize,
-    pub slo: SloSpec,
+    pub slo: SloConfig,
 }
 
 /// A parsed workload: the schema it declares and the statements to audit.
@@ -73,13 +73,13 @@ fn err(line: usize, message: impl Into<String>) -> WorkloadError {
 
 /// Parse a workload file with the stock default SLO.
 pub fn parse_workload(text: &str) -> Result<Workload, WorkloadError> {
-    parse_workload_with(text, SloSpec::default())
+    parse_workload_with(text, SloConfig::default())
 }
 
 /// Parse a workload file. `initial_slo` is the default applied to
 /// statements until the file's first `SLO` directive (the CLI's
 /// `--slo-ms` / `--confidence` flags feed in here).
-pub fn parse_workload_with(text: &str, initial_slo: SloSpec) -> Result<Workload, WorkloadError> {
+pub fn parse_workload_with(text: &str, initial_slo: SloConfig) -> Result<Workload, WorkloadError> {
     let mut catalog = Catalog::new();
     let mut entries: Vec<WorkloadEntry> = Vec::new();
     let mut ddl_count = 0usize;
@@ -88,7 +88,7 @@ pub fn parse_workload_with(text: &str, initial_slo: SloSpec) -> Result<Workload,
     let mut buffer = String::new();
     let mut buffer_line = 0usize;
     // header captured from a `STATEMENT name [SLO ...]:` prefix
-    let mut pending: Option<(String, Option<SloSpec>)> = None;
+    let mut pending: Option<(String, Option<SloConfig>)> = None;
     let mut auto_name = 0usize;
 
     for (idx, raw) in text.lines().enumerate() {
@@ -186,9 +186,9 @@ fn handle_chunk(
     catalog: &mut Catalog,
     entries: &mut Vec<WorkloadEntry>,
     ddl_count: &mut usize,
-    pending: &mut Option<(String, Option<SloSpec>)>,
+    pending: &mut Option<(String, Option<SloConfig>)>,
     auto_name: &mut usize,
-    default_slo: SloSpec,
+    default_slo: SloConfig,
 ) -> Result<(), WorkloadError> {
     let first = chunk
         .split_whitespace()
@@ -252,7 +252,7 @@ fn apply_ddl(catalog: &mut Catalog, stmt: Statement, line: usize) -> Result<(), 
 }
 
 /// `SLO <n>ms [CONFIDENCE <f>]`.
-fn parse_slo(spec: &str, line: usize, base: SloSpec) -> Result<SloSpec, WorkloadError> {
+fn parse_slo(spec: &str, line: usize, base: SloConfig) -> Result<SloConfig, WorkloadError> {
     let mut out = base;
     let mut tokens = spec.split_whitespace().peekable();
     let ms = tokens
@@ -274,7 +274,7 @@ fn parse_slo(spec: &str, line: usize, base: SloSpec) -> Result<SloSpec, Workload
             .and_then(|v| v.parse::<f64>().ok())
             .filter(|c| (0.0..=1.0).contains(c))
             .ok_or_else(|| err(line, "CONFIDENCE needs a value in [0, 1]"))?;
-        out.confidence = c;
+        out.interval_confidence = c;
     }
     if tokens.next().is_some() {
         return Err(err(line, format!("trailing tokens in SLO spec `{spec}`")));
@@ -352,7 +352,10 @@ SELECT * FROM subs WHERE owner = <u>; -- auto-named
         assert_eq!(w.entries.len(), 2);
         assert_eq!(w.entries[0].name, "profile");
         assert_eq!(w.entries[0].slo.slo_ms, 25.0);
-        assert_eq!(w.entries[0].slo.confidence, 0.9, "inherits default");
+        assert_eq!(
+            w.entries[0].slo.interval_confidence, 0.9,
+            "inherits default"
+        );
         assert_eq!(w.entries[1].name, "stmt1");
         assert_eq!(w.entries[1].slo.slo_ms, 100.0);
         assert!(w.entries[1].line > w.entries[0].line);

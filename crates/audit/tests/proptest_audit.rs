@@ -3,10 +3,10 @@
 //! fully justified bound derivation (every remote node carries a bound
 //! with provenance) or at least one diagnostic explaining why not.
 
-use piql_audit::{audit_statement, LinearModelSpec, Outcome, SloSpec};
+use piql_audit::{audit_statement, LinearModelSpec, Outcome};
 use piql_core::catalog::{Catalog, TableDef};
 use piql_core::value::DataType;
-use piql_predict::{ModelKey, ModelStore, OpKind, SloPredictor, ALPHA_GRID, BETA_GRID};
+use piql_predict::{ModelKey, ModelStore, OpKind, SloConfig, SloPredictor, ALPHA_GRID, BETA_GRID};
 use proptest::prelude::*;
 
 fn catalog() -> Catalog {
@@ -95,7 +95,7 @@ proptest! {
     ) {
         let cat = catalog();
         let predictor = SloPredictor::new(LinearModelSpec::default().build());
-        let slo = SloSpec { slo_ms: slo_ms as f64, confidence: 0.9 };
+        let slo = SloConfig { slo_ms: slo_ms as f64, ..SloConfig::default() };
         let audit = audit_statement(&cat, &predictor, "gen", &sql, slo);
 
         match &audit.outcome {
@@ -155,7 +155,11 @@ proptest! {
             record_scan(&mut models, interval % n, ALPHA_GRID[alpha], if slow { 200 } else { 18 });
         }
         let predictor = SloPredictor::new(models);
-        let slo = SloSpec { slo_ms: 20.0, confidence: (k_seed % n + 1) as f64 / n as f64 };
+        let slo = SloConfig {
+            slo_ms: 20.0,
+            interval_confidence: (k_seed % n + 1) as f64 / n as f64,
+            allow_degrade: true,
+        };
         let audit = audit_statement(&catalog(), &predictor, "recent", &recent(ALPHA_GRID[limit]), slo);
         for d in &audit.diagnostics {
             for s in &d.suggestions {
@@ -216,9 +220,10 @@ fn the_auditor_does_not_contradict_itself_below_confidence_one() {
     record_scan(&mut models, 1, 100, 200);
     record_scan(&mut models, 0, 50, 200);
     let predictor = SloPredictor::new(models);
-    let slo = SloSpec {
+    let slo = SloConfig {
         slo_ms: 20.0,
-        confidence: 0.75,
+        interval_confidence: 0.75,
+        allow_degrade: true,
     };
 
     let hundred = audit_statement(&catalog(), &predictor, "recent", &recent(100), slo);

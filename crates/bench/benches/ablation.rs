@@ -10,12 +10,13 @@
 //! 4. **Replication for reads**: least-loaded replica routing, replication
 //!    1 vs 2, under moderate load.
 
-use piql_bench::{bench_cluster_calm, header, p99_ms, row, scaled};
+use piql_bench::{bench_cluster_calm, header, row, scaled};
 use piql_core::plan::params::Params;
 use piql_core::tuple::Tuple;
 use piql_core::value::Value;
 use piql_engine::{Database, ExecStrategy};
 use piql_kv::{ClusterConfig, KvRequest, KvStore, Session, SimCluster};
+use piql_workloads::nearest_rank_ms;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
@@ -73,7 +74,7 @@ fn main() {
             }
             row(&[
                 ("mechanism", label.into()),
-                ("p99_ms", format!("{:.1}", p99_ms(&mut lat))),
+                ("p99_ms", format!("{:.1}", nearest_rank_ms(lat, 0.99))),
             ]);
         }
 
@@ -120,7 +121,7 @@ fn main() {
             }
             row(&[
                 ("mechanism", label.into()),
-                ("p99_ms", format!("{:.1}", p99_ms(&mut lat))),
+                ("p99_ms", format!("{:.1}", nearest_rank_ms(lat, 0.99))),
             ]);
         }
     }
@@ -192,7 +193,7 @@ fn main() {
             }
             row(&[
                 ("mechanism", label.into()),
-                ("p99_ms", format!("{:.1}", p99_ms(&mut lat))),
+                ("p99_ms", format!("{:.1}", nearest_rank_ms(lat, 0.99))),
             ]);
         }
         println!(
@@ -232,7 +233,7 @@ fn main() {
             }
             row(&[
                 ("mechanism", format!("reads with replication={replication}")),
-                ("p99_ms", format!("{:.1}", p99_ms(&mut lat))),
+                ("p99_ms", format!("{:.1}", nearest_rank_ms(lat, 0.99))),
             ]);
         }
         println!("# replication>1 lets the least-loaded replica serve reads (lower queueing)");

@@ -3,7 +3,7 @@
 //! records-per-page (10–50), plus the average predicted-minus-actual gap
 //! (paper: predictions average 13 ms above measurements).
 
-use piql_bench::{bench_cluster, header, p99_ms, scaled};
+use piql_bench::{bench_cluster, header, scaled};
 use piql_core::catalog::{Catalog, TableDef};
 use piql_core::opt::Optimizer;
 use piql_core::parser::parse_select;
@@ -13,6 +13,7 @@ use piql_core::value::{DataType, Value};
 use piql_engine::{Database, ExecStrategy};
 use piql_kv::Session;
 use piql_predict::{train, Heatmap, SloPredictor, TrainConfig};
+use piql_workloads::nearest_rank_ms;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -190,7 +191,7 @@ fn main() {
                 lat.push(session.elapsed_since(t0));
                 clock = session.now + 10_000;
             }
-            let actual = p99_ms(&mut lat);
+            let actual = nearest_rank_ms(lat, 0.99);
             let predicted = heat.cells[ri][ci];
             deltas.push(predicted - actual);
             println!("{s}\t{page}\t{predicted:.0}\t{actual:.0}");

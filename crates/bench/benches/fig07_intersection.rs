@@ -6,7 +6,7 @@
 //! in the paper), grows linearly with subscriber count, and blows through
 //! the SLO for popular users; the bounded plan stays flat.
 
-use piql_bench::{bench_cluster_calm, header, p99_ms, row, scaled};
+use piql_bench::{bench_cluster_calm, header, row, scaled};
 use piql_core::catalog::{Statistics, TableStats};
 use piql_core::opt::Optimizer;
 use piql_core::plan::params::Params;
@@ -14,6 +14,7 @@ use piql_core::tuple::Tuple;
 use piql_core::value::Value;
 use piql_engine::{Database, ExecStrategy};
 use piql_kv::Session;
+use piql_workloads::nearest_rank_ms;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -120,11 +121,11 @@ fn main() {
             ("subscribers", n.to_string()),
             (
                 "p99_unbounded_scan_ms",
-                format!("{:.1}", p99_ms(&mut lat_u)),
+                format!("{:.1}", nearest_rank_ms(lat_u, 0.99)),
             ),
             (
                 "p99_bounded_lookup_ms",
-                format!("{:.1}", p99_ms(&mut lat_b)),
+                format!("{:.1}", nearest_rank_ms(lat_b, 0.99)),
             ),
         ]);
     }

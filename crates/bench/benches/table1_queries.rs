@@ -3,13 +3,14 @@
 //! time (§8.2, §8.6). The paper's prediction is conservative (slightly
 //! above actual) for most queries; the same shape should hold here.
 
-use piql_bench::{bench_cluster, header, p99_ms, scaled};
+use piql_bench::{bench_cluster, header, scaled};
 use piql_core::plan::params::Params;
 use piql_core::plan::physical::PhysicalPlan;
 use piql_core::value::Value;
 use piql_engine::{Database, ExecStrategy, Prepared};
 use piql_kv::Session;
 use piql_predict::{train, SloPredictor, TrainConfig};
+use piql_workloads::nearest_rank_ms;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -69,7 +70,7 @@ fn measure(
         lat.push(session.elapsed_since(t0));
         *clock = session.now + 10_000;
     }
-    p99_ms(&mut lat)
+    nearest_rank_ms(lat, 0.99)
 }
 
 fn main() {

@@ -5,7 +5,7 @@
 //! `PIQL_QUICK=1` to shrink runs (CI) — shapes survive, absolute noise
 //! grows.
 
-use piql_kv::{ClusterConfig, InterferenceConfig, Micros, SimCluster};
+use piql_kv::{ClusterConfig, InterferenceConfig, SimCluster};
 use std::sync::Arc;
 
 /// Whether quick mode is requested.
@@ -41,16 +41,6 @@ pub fn bench_cluster_calm(nodes: usize, seed: u64) -> Arc<SimCluster> {
     cfg.node_concurrency = 12;
     cfg.interference = InterferenceConfig::none();
     Arc::new(SimCluster::new(cfg))
-}
-
-/// Exact p99 (ms) over raw latency samples.
-pub fn p99_ms(samples: &mut [Micros]) -> f64 {
-    if samples.is_empty() {
-        return 0.0;
-    }
-    samples.sort_unstable();
-    let idx = ((0.99 * samples.len() as f64).ceil() as usize).clamp(1, samples.len()) - 1;
-    samples[idx] as f64 / 1_000.0
 }
 
 /// Print a harness header in a stable format.

@@ -97,12 +97,6 @@ impl Value {
         }
     }
 
-    /// Whether this value is storable in a column of type `ty` (see
-    /// [`ValueRef::coerce`]).
-    pub fn conforms_to(&self, ty: DataType) -> bool {
-        self.coerce_ref(ty).is_some()
-    }
-
     /// Coerce into the canonical representation for `ty`, widening integers.
     ///
     /// Returns `None` when the value does not conform.
@@ -352,15 +346,18 @@ mod tests {
 
     #[test]
     fn conformance_and_coercion() {
-        assert!(Value::Int(5).conforms_to(DataType::BigInt));
         assert_eq!(
             Value::Int(5).coerce(DataType::BigInt),
             Some(Value::BigInt(5))
         );
-        assert!(Value::Varchar("abc".into()).conforms_to(DataType::Varchar(3)));
-        assert!(!Value::Varchar("abcd".into()).conforms_to(DataType::Varchar(3)));
-        assert!(Value::Null.conforms_to(DataType::Bool));
-        assert!(!Value::Bool(true).conforms_to(DataType::Int));
+        assert!(Value::Varchar("abc".into())
+            .coerce(DataType::Varchar(3))
+            .is_some());
+        assert!(Value::Varchar("abcd".into())
+            .coerce(DataType::Varchar(3))
+            .is_none());
+        assert!(Value::Null.coerce(DataType::Bool).is_some());
+        assert!(Value::Bool(true).coerce(DataType::Int).is_none());
     }
 
     #[test]

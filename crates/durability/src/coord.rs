@@ -26,7 +26,7 @@
 //! in a different order is reported as an error instead of silently
 //! corrupting keys.
 
-use crate::record::{decode_interval, encode_interval, SparseHistogram, WalRecord};
+use crate::record::WalRecord;
 use crate::snapshot::{read_snapshot, write_snapshot, ModelCheckpoint, SnapshotState};
 use crate::wal::{read_wal, SyncPolicy, Wal, WalCounters};
 use piql_analysis::ordered::Mutex;
@@ -134,9 +134,9 @@ pub struct RecoveredState {
     /// Final registered-statement map (upserts and drops resolved).
     pub statements: BTreeMap<String, String>,
     /// Model checkpoint intervals from the snapshot, if any.
-    snapshot_models: Option<Vec<Vec<SparseHistogram>>>,
+    snapshot_models: Option<Vec<BTreeMap<ModelKey, LatencyHistogram>>>,
     /// Rotations to fold on top (seq > checkpoint seq), in order.
-    model_rotations: Vec<Vec<SparseHistogram>>,
+    model_rotations: Vec<BTreeMap<ModelKey, LatencyHistogram>>,
     pub report: RecoveryReport,
 }
 
@@ -193,13 +193,11 @@ impl RecoveredState {
     /// fold sequence the original process performed.
     pub fn models(&self, seed: ModelStore) -> ModelStore {
         let mut store = match &self.snapshot_models {
-            Some(intervals) => {
-                ModelStore::from_intervals(intervals.iter().map(|i| decode_interval(i)).collect())
-            }
+            Some(intervals) => ModelStore::from_intervals(intervals.clone()),
             None => seed,
         };
         for rotation in &self.model_rotations {
-            store = store.rotated(decode_interval(rotation));
+            store = store.rotated(rotation.clone());
         }
         store
     }
@@ -480,7 +478,7 @@ impl Durability {
         let seq = self.model_seq.fetch_add(1, Ordering::AcqRel) + 1;
         self.wal.append(&WalRecord::ModelInterval {
             seq,
-            interval: encode_interval(interval),
+            interval: interval.clone(),
         });
         self.wal.commit();
     }
@@ -514,7 +512,7 @@ impl Durability {
         let entries: u64 = inputs.namespaces.iter().map(|(_, e)| e.len() as u64).sum();
         let models = inputs.models.map(|(rotations, intervals)| ModelCheckpoint {
             seq: self.model_seq_base + rotations,
-            intervals: intervals.iter().map(encode_interval).collect(),
+            intervals,
         });
         let state = SnapshotState {
             namespaces: inputs.namespaces,

@@ -12,9 +12,6 @@ use piql_predict::{LatencyHistogram, ModelKey, OpKind};
 use std::collections::BTreeMap;
 use std::fmt;
 
-/// One sparse histogram: a model grid point plus its nonzero 1 ms bins.
-pub type SparseHistogram = (ModelKey, Vec<(u32, u64)>);
-
 /// Everything the durable state machine can be told. KV records replay
 /// into `LiveCluster`; the rest rebuild the serving layer (catalog, the
 /// statement registry, the live-trained model intervals).
@@ -43,7 +40,7 @@ pub enum WalRecord {
     /// when a rotation raced the snapshot export.
     ModelInterval {
         seq: u64,
-        interval: Vec<SparseHistogram>,
+        interval: BTreeMap<ModelKey, LatencyHistogram>,
     },
 }
 
@@ -89,11 +86,13 @@ pub(crate) fn put_bytes(out: &mut Vec<u8>, b: &[u8]) {
     out.extend_from_slice(b);
 }
 
-/// One model interval: a `u32` count, then per histogram its key (op byte
-/// [`OpKind::index`], α_c, α_j, β) and its `(bin, count)` pairs.
-pub(crate) fn put_interval(out: &mut Vec<u8>, interval: &[SparseHistogram]) {
+/// One model interval: a `u32` count, then per histogram in key order its
+/// key (op byte [`OpKind::index`], α_c, α_j, β) and its nonzero `(bin,
+/// count)` pairs ([`LatencyHistogram::nonzero_bins`]).
+pub(crate) fn put_interval(out: &mut Vec<u8>, interval: &BTreeMap<ModelKey, LatencyHistogram>) {
     put_u32(out, interval.len() as u32);
-    for (key, bins) in interval {
+    for (key, histogram) in interval {
+        let bins = histogram.nonzero_bins();
         out.push(key.op.index() as u8);
         put_u32(out, key.alpha_c);
         put_u32(out, key.alpha_j);
@@ -155,11 +154,12 @@ impl<'a> Cursor<'a> {
         String::from_utf8(self.bytes()?).map_err(|_| RecordError::BadString)
     }
 
-    /// What [`put_interval`] wrote. Counts come from the bytes, so they
-    /// size nothing beyond a clamp: a lying count runs out of input.
-    pub(crate) fn interval(&mut self) -> Result<Vec<SparseHistogram>, RecordError> {
-        let n = self.u32()? as usize;
-        let mut interval = Vec::with_capacity(n.min(4_096));
+    /// What [`put_interval`] wrote, each histogram rebuilt through
+    /// [`LatencyHistogram::from_sparse`]. Counts come from the bytes, so
+    /// they size nothing beyond a clamp: a lying count runs out of input.
+    pub(crate) fn interval(&mut self) -> Result<BTreeMap<ModelKey, LatencyHistogram>, RecordError> {
+        let n = self.u32()?;
+        let mut interval = BTreeMap::new();
         for _ in 0..n {
             let op = self.u8()?;
             let op = OpKind::from_index(op.into()).ok_or(RecordError::UnknownTag(op))?;
@@ -174,7 +174,7 @@ impl<'a> Cursor<'a> {
             for _ in 0..n_bins {
                 bins.push((self.u32()?, self.u64()?));
             }
-            interval.push((key, bins));
+            interval.insert(key, LatencyHistogram::from_sparse(bins));
         }
         Ok(interval)
     }
@@ -264,21 +264,6 @@ impl WalRecord {
     }
 }
 
-/// Drained-interval map → sparse wire form (sorted: `BTreeMap` order).
-pub fn encode_interval(map: &BTreeMap<ModelKey, LatencyHistogram>) -> Vec<SparseHistogram> {
-    map.iter()
-        .map(|(k, h)| (*k, h.nonzero_bins().to_vec()))
-        .collect()
-}
-
-/// Sparse wire form → interval map, for [`piql_predict::ModelStore`]
-/// rotation or reconstruction.
-pub fn decode_interval(enc: &[SparseHistogram]) -> BTreeMap<ModelKey, LatencyHistogram> {
-    enc.iter()
-        .map(|(k, bins)| (*k, LatencyHistogram::from_sparse(bins.iter().copied())))
-        .collect()
-}
-
 // -- CRC-32 (IEEE 802.3), table-driven ------------------------------------
 
 const fn crc_table() -> [u32; 256] {
@@ -349,15 +334,15 @@ mod tests {
             WalRecord::StatementDrop { name: "q".into() },
             WalRecord::ModelInterval {
                 seq: 42,
-                interval: vec![(
+                interval: BTreeMap::from([(
                     ModelKey {
                         op: OpKind::SortedIndexJoin,
                         alpha_c: 10,
                         alpha_j: 5,
                         beta: 160,
                     },
-                    vec![(0, 3), (17, 1), (4_000, 9)],
-                )],
+                    LatencyHistogram::from_sparse([(0, 3), (17, 1), (4_000, 9)]),
+                )]),
             },
         ];
         for rec in records {
@@ -383,13 +368,16 @@ mod tests {
         };
         let rec = WalRecord::ModelInterval {
             seq: 42,
-            interval: vec![
-                (key(OpKind::IndexScan, 100, 1, 40), vec![(2, 7)]),
+            interval: BTreeMap::from([
+                (
+                    key(OpKind::IndexScan, 100, 1, 40),
+                    LatencyHistogram::from_sparse([(2, 7)]),
+                ),
                 (
                     key(OpKind::SortedIndexJoin, 10, 5, 160),
-                    vec![(0, 3), (17, 1), (4_000, 9)],
+                    LatencyHistogram::from_sparse([(0, 3), (17, 1), (4_000, 9)]),
                 ),
-            ],
+            ]),
         };
         let payload = rec.encode();
         let hex: String = payload.iter().map(|b| format!("{b:02x}")).collect();
@@ -433,7 +421,10 @@ mod tests {
             },
             h,
         );
-        let back = decode_interval(&encode_interval(&map));
-        assert_eq!(back, map);
+        let rec = WalRecord::ModelInterval {
+            seq: 1,
+            interval: map,
+        };
+        assert_eq!(WalRecord::decode(&rec.encode()).unwrap(), rec);
     }
 }

@@ -6,10 +6,10 @@
 //! leaves the previous generation's snapshot untouched and the manifest
 //! still pointing at it.
 
-use crate::record::{
-    crc32, put_bytes, put_interval, put_u32, put_u64, Cursor, RecordError, SparseHistogram,
-};
+use crate::record::{crc32, put_bytes, put_interval, put_u32, put_u64, Cursor, RecordError};
 use piql_kv::KvEntry;
+use piql_predict::{LatencyHistogram, ModelKey};
+use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Write};
 use std::path::Path;
@@ -37,8 +37,8 @@ pub struct ModelCheckpoint {
     /// lifetime; replay skips `ModelInterval` WAL records with
     /// `seq <=` this.
     pub seq: u64,
-    /// Interval maps, oldest first, sparse histograms per grid point.
-    pub intervals: Vec<Vec<SparseHistogram>>,
+    /// Interval maps, oldest first: a histogram per grid point.
+    pub intervals: Vec<BTreeMap<ModelKey, LatencyHistogram>>,
 }
 
 fn invalid(msg: &'static str) -> io::Error {
@@ -183,7 +183,7 @@ pub fn read_snapshot(path: &Path) -> io::Result<SnapshotState> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use piql_predict::{ModelKey, OpKind};
+    use piql_predict::OpKind;
 
     fn sample() -> SnapshotState {
         SnapshotState {
@@ -195,15 +195,15 @@ mod tests {
             statements: vec![("q".into(), "SELECT * FROM users WHERE id = <i>".into())],
             models: Some(ModelCheckpoint {
                 seq: 7,
-                intervals: vec![vec![(
+                intervals: vec![BTreeMap::from([(
                     ModelKey {
                         op: OpKind::IndexFKJoin,
                         alpha_c: 25,
                         alpha_j: 1,
                         beta: 160,
                     },
-                    vec![(2, 10), (40, 2)],
-                )]],
+                    LatencyHistogram::from_sparse([(2, 10), (40, 2)]),
+                )])],
             }),
         }
     }
@@ -240,7 +240,7 @@ mod tests {
             .as_mut()
             .expect("sample has a checkpoint")
             .intervals
-            .push(vec![]);
+            .push(BTreeMap::new());
         let dir = std::env::temp_dir().join(format!("piql-snapgold-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();

@@ -4,17 +4,21 @@
 //! second plain one), so each §7.2 step shows up: entries first, then the
 //! record's test-and-set, then the counts and the stale drops or undos.
 //! Each single-writer outcome is also stopped before each of its rounds,
-//! and the store it leaves must find every record through every index
-//! entry its row derives. Run on the simulated cluster and the live one,
-//! through `piql_kv::testkit::Interleave`.
+//! and the store it leaves is checked as §7.2 promises readers and later
+//! writers: (a) every record is found through every index entry its row
+//! derives, (b) a `LIMIT k` read of an index key returns min(k, live
+//! matches), (c) every insert the live records allow under the limit is
+//! accepted and (d) no owner holds more live rows than its limit. Checks
+//! (c) and (d) fail today at known stops, pinned by name. Run on the
+//! simulated cluster and the live one, through `piql_kv::testkit::Interleave`.
 
 use piql_core::catalog::Catalog;
-use piql_core::codec::key::{encode_key_asc, prefix_upper_bound};
+use piql_core::codec::key::{decode_key, encode_key_asc, prefix_upper_bound, Dir};
 use piql_core::codec::row::{decode_tuple, encode_tuple};
 use piql_core::plan::params::Params;
 use piql_core::text;
 use piql_core::tuple::Tuple;
-use piql_core::value::Value;
+use piql_core::value::{DataType, Value};
 use piql_engine::{Database, DbError, WriteError};
 use piql_kv::testkit::Interleave;
 use piql_kv::{
@@ -22,6 +26,7 @@ use piql_kv::{
     SimCluster,
 };
 use std::cell::Cell;
+use std::collections::BTreeSet;
 use std::ops::ControlFlow;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::Arc;
@@ -396,6 +401,8 @@ fn send<S: KvStore>(
         Write::Dml(sql, params) => db.execute_dml(&mut session, sql, params).map(|()| 0),
         Write::Sweep => db.gc_indexes(&mut session, "notes"),
     }));
+    // a write that ended before its stop leaves the hook armed: disarm it
+    ROUNDS_BEFORE_STOP.set(usize::MAX);
     let rounds = db.cluster().take();
     (db, ns, answer.ok(), rounds)
 }
@@ -472,11 +479,100 @@ fn unindexed<S: KvStore>(db: &Database<Interleave<S>>, ns: &Ns) -> Vec<String> {
     missing
 }
 
+/// The distinct first components (all strings) of the entries in index
+/// `index`.
+fn index_keys<S: KvStore>(db: &Database<Interleave<S>>, ns: &Ns, index: NsId) -> BTreeSet<String> {
+    let entries = (db.cluster().inner)
+        .execute_one(&mut Session::new(), ns.scan(index))
+        .into_entries()
+        .unwrap();
+    let first = |key: &[u8]| match decode_key(key, &[DataType::Varchar(40)], &[Dir::Asc]) {
+        Ok((values, _)) => match &values[..] {
+            [Value::Varchar(s)] => s.clone(),
+            other => panic!("not a string component: {other:?}"),
+        },
+        Err(e) => panic!("undecodable index key: {e:?}"),
+    };
+    entries.iter().map(|(key, _)| first(key)).collect()
+}
+
+/// The rows of `notes` that match `predicate` for `value`, as the
+/// reference executor reads the records.
+fn live_matches<S: KvStore>(db: &Database<Interleave<S>>, predicate: &str, value: &str) -> usize {
+    let params = Params::from_values([Value::Varchar(value.into())]);
+    let sql = format!("SELECT * FROM notes WHERE {predicate}");
+    db.reference_query(&sql, &params).unwrap().len()
+}
+
+/// `notes`' `CARDINALITY LIMIT` on `owner`.
+const OWNER_LIMIT: usize = 2;
+
+/// Checks (b)–(d) on the store a stopped write left: each failure as its
+/// check's name and what it saw. Check (c) writes, so it runs last.
+fn reader_and_writer_checks<S: KvStore>(
+    db: &Database<Interleave<S>>,
+    ns: &Ns,
+) -> Vec<(char, String)> {
+    let mut failed = Vec::new();
+    let mut session = Session::new();
+    let indexes = [
+        (ns.owner, "owner = <v>"),
+        (ns.tag, "tag = <v>"),
+        (ns.body, "body LIKE <v>"),
+    ];
+    for (index, predicate) in indexes {
+        for value in index_keys(db, ns, index) {
+            let live = live_matches(db, predicate, &value);
+            for k in 1..=2 {
+                let sql = format!("SELECT * FROM notes WHERE {predicate} LIMIT {k}");
+                let params = Params::from_values([Value::Varchar(value.clone())]);
+                let got = db.query(&mut session, &sql, &params).unwrap().rows.len();
+                if got != k.min(live) {
+                    let saw = format!("{predicate} {value:?} LIMIT {k}: {got} rows, {live} live");
+                    failed.push(('b', saw));
+                }
+            }
+        }
+    }
+    let owners = index_keys(db, ns, ns.owner);
+    for owner in &owners {
+        let live = live_matches(db, "owner = <v>", owner);
+        if live > OWNER_LIMIT {
+            failed.push(('d', format!("{owner:?} holds {live} live rows")));
+        }
+    }
+    for (n, owner) in owners.iter().enumerate() {
+        for fresh in live_matches(db, "owner = <v>", owner)..OWNER_LIMIT {
+            let id = 100 + (OWNER_LIMIT * n + fresh) as i32;
+            let row = [
+                Value::Int(id),
+                Value::Varchar(owner.clone()),
+                Value::Varchar("new".into()),
+                Value::Varchar("fresh".into()),
+                Value::Int(0),
+            ];
+            let insert = db.execute_dml(&mut session, INSERT, &Params::from_values(row));
+            if let Err(e) = insert {
+                failed.push((
+                    'c',
+                    format!("{owner:?} row {} of {OWNER_LIMIT}: {e}", fresh + 1),
+                ));
+            }
+        }
+    }
+    failed
+}
+
 /// Every write stopped before each of its rounds, and once after its
-/// last, leaves each stored record found by every index entry its row
-/// derives (§7.2): at worst it leaves dangling entries. Failures are
-/// collected into `failed`, one line each.
-fn every_prefix<S: KvStore>(store: impl Fn() -> S, backend: &str, failed: &mut Vec<String>) {
+/// last, checked as the module doc says. Each failing check is one row,
+/// `backend: outcome stopped before round k: (check)`, collected into
+/// `failed`; what it saw goes into `seen`.
+fn every_prefix<S: KvStore>(
+    store: impl Fn() -> S,
+    backend: &str,
+    failed: &mut BTreeSet<String>,
+    seen: &mut Vec<String>,
+) {
     for outcome in outcomes() {
         let count = send(store(), &outcome, None).3.len();
         for k in 0..=count {
@@ -485,24 +581,55 @@ fn every_prefix<S: KvStore>(store: impl Fn() -> S, backend: &str, failed: &mut V
             let at = format!("{backend}: {} stopped before round {}", outcome.name, k + 1);
             assert_eq!(answer.is_none(), k < count, "{at}");
             assert_eq!(rounds.len(), (k + 1).min(count), "{at}");
-            failed.extend(
-                unindexed(&db, &ns)
-                    .into_iter()
-                    .map(|line| format!("{at}: {line}")),
-            );
+            let unindexed = unindexed(&db, &ns).into_iter().map(|line| ('a', line));
+            for (check, line) in unindexed.chain(reader_and_writer_checks(&db, &ns)) {
+                failed.insert(format!("{at}: ({check})"));
+                seen.push(format!("{at}: ({check}) {line}"));
+            }
         }
     }
 }
 
+/// The stops where a check fails today, on each backend.
+/// - (c): an owner entry the stop left dangling is counted against the
+///   limit, so the second of two inserts the one live row allows is
+///   refused (a dangling entry never refuses a valid write, once fixed).
+/// - (d): the insert over the limit is stored, with its third row live,
+///   from its test-and-set until its undo deletes it (a limit that holds
+///   at every instant, once fixed).
+///
+/// (b) fails nowhere: every entry a stop leaves dangling sorts after the
+/// live entries of its key, or is under a key with none.
+const KNOWN: &[&str] = &[
+    "insert stopped before round 2: (c)",
+    "delete stopped before round 3: (c)",
+    "over the limit stopped before round 3: (d)",
+    "over the limit stopped before round 4: (d)",
+];
+
 #[test]
-fn a_write_stopped_before_any_round_leaves_every_record_indexed() {
-    let mut failed = Vec::new();
-    every_prefix(sim, "sim", &mut failed);
-    every_prefix(live, "live", &mut failed);
+fn a_write_stopped_before_any_round_leaves_what_readers_and_writers_expect() {
+    let (mut failed, mut seen) = (BTreeSet::new(), Vec::new());
+    every_prefix(sim, "sim", &mut failed, &mut seen);
+    every_prefix(live, "live", &mut failed, &mut seen);
+    let known: BTreeSet<String> = ["sim", "live"]
+        .iter()
+        .flat_map(|backend| KNOWN.iter().map(move |row| format!("{backend}: {row}")))
+        .collect();
     assert!(
-        failed.is_empty(),
-        "records no index finds:\n{}",
-        failed.join("\n")
+        failed == known,
+        "failing now, not known:\n{}\nknown, passing now:\n{}\nwhat each failure saw:\n{}",
+        failed
+            .difference(&known)
+            .cloned()
+            .collect::<Vec<_>>()
+            .join("\n"),
+        known
+            .difference(&failed)
+            .cloned()
+            .collect::<Vec<_>>()
+            .join("\n"),
+        seen.join("\n"),
     );
 }
 

@@ -1,10 +1,11 @@
 //! The simulated distributed key/value store (the SCADS substitute, §3).
 //!
 //! One `SimCluster` models N storage nodes serving range-partitioned,
-//! replicated namespaces. Data is held once (logically centralized); the
-//! partition map decides which node's *timeline* a request occupies, so
-//! parallelism, queueing, replication fan-out, and eventual-consistency
-//! visibility behave like the real thing while staying deterministic.
+//! replicated namespaces. Data is held once (logically centralized); each
+//! namespace's placement decides which node's *timeline* a request
+//! occupies, so parallelism, queueing, replication fan-out, and
+//! eventual-consistency visibility behave like the real thing while
+//! staying deterministic.
 //!
 //! * Reads go to the least-loaded replica of the key's partition; reads
 //!   served by a non-primary replica only see writes older than the
@@ -16,17 +17,15 @@
 
 use crate::latency::{InterferenceConfig, LatencyConfig};
 use crate::node::StorageNode;
+use crate::ns_table::NsTable;
 use crate::op::{
     BulkFeed, Entries, KvRequest, KvResponse, MalformedRound, NsId, Probe, ReadAnswer, ReadRound,
     RequestRound,
 };
-use crate::partition::{NsPlacement, PartitionMap, SplitPoints};
+use crate::partition::{NsPlacement, SplitPoints};
 use crate::session::Session;
 use crate::store::Namespace;
 use crate::time::Micros;
-use piql_analysis::ordered::RwLock;
-use piql_analysis::rank;
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Cluster configuration.
@@ -324,13 +323,43 @@ pub(crate) fn read_by_requests<S: KvStore + ?Sized>(
     Ok(())
 }
 
+/// One simulated namespace: its data, and the nodes its partitions live
+/// on. A rebalance replaces it in the table with a copy placed afresh over
+/// the same data.
+struct SimNamespace {
+    id: NsId,
+    data: Arc<Namespace>,
+    /// The node partition 0 starts at, from the namespace's name, so that
+    /// different namespaces' first partitions land on different nodes.
+    offset: usize,
+    placement: NsPlacement,
+}
+
+impl SimNamespace {
+    /// `data` cut at `splits`, its partitions dealt over `config`'s nodes
+    /// from `offset`.
+    fn placed(
+        id: NsId,
+        data: Arc<Namespace>,
+        offset: usize,
+        splits: SplitPoints,
+        config: &ClusterConfig,
+    ) -> Self {
+        let placement = NsPlacement::round_robin(splits, config.nodes, config.replication, offset);
+        SimNamespace {
+            id,
+            data,
+            offset,
+            placement,
+        }
+    }
+}
+
 /// The simulated cluster.
 pub struct SimCluster {
     pub config: ClusterConfig,
     nodes: Vec<StorageNode>,
-    namespaces: RwLock<Vec<Arc<Namespace>>>,
-    names: RwLock<BTreeMap<String, NsId>>,
-    placement: PartitionMap,
+    namespaces: NsTable<SimNamespace>,
 }
 
 impl SimCluster {
@@ -348,47 +377,30 @@ impl SimCluster {
             .collect();
         SimCluster {
             nodes,
-            namespaces: RwLock::new(rank::KV_NAMESPACES, "sim.namespaces", Vec::new()),
-            names: RwLock::new(rank::KV_NAMES, "sim.names", BTreeMap::new()),
-            placement: PartitionMap::new(),
+            namespaces: NsTable::new("sim.namespaces"),
             config,
         }
     }
 
-    fn ns_data(&self, ns: NsId) -> Arc<Namespace> {
-        self.namespaces.read()[ns.0 as usize].clone()
-    }
-
     /// Write directly, bypassing timing (bulk load before an experiment).
     pub fn bulk_put(&self, ns: NsId, key: Vec<u8>, value: Vec<u8>) {
-        self.ns_data(ns).put(key, Some(value), 0);
+        self.namespaces.get(ns).data.put(key, Some(value), 0);
     }
 
     /// Entries currently in a namespace.
     pub fn ns_len(&self, ns: NsId) -> usize {
-        self.ns_data(ns).len()
+        self.namespaces.get(ns).data.len()
     }
 
     /// Recompute partition split points from current data and spread
     /// partitions over the nodes — the SCADS Director's job.
     pub fn rebalance(&self) {
-        let names = self.names.read();
-        for (name, ns) in names.iter() {
-            let data = self.ns_data(*ns);
-            let parts = (self.config.nodes * self.config.partitions_per_node).max(1);
-            let splits = data.split_points(parts);
-            let n_parts = splits.parts();
-            // offset spreads different namespaces' partition #0 across nodes
-            let offset = name.bytes().fold(0usize, |acc, b| {
-                acc.wrapping_mul(31).wrapping_add(b as usize)
-            }) % self.config.nodes.max(1);
-            let replicas = PartitionMap::assign_round_robin(
-                n_parts,
-                self.config.nodes,
-                self.config.replication,
-                offset,
-            );
-            self.placement.set(*ns, NsPlacement { splits, replicas });
+        let parts = (self.config.nodes * self.config.partitions_per_node).max(1);
+        for (_, ns) in self.namespaces.all() {
+            let splits = ns.data.split_points(parts);
+            let data = ns.data.clone();
+            let placed = SimNamespace::placed(ns.id, data, ns.offset, splits, &self.config);
+            self.namespaces.replace(ns.id, placed);
         }
     }
 
@@ -422,13 +434,12 @@ impl SimCluster {
         req: &KvRequest,
         physical: &mut u64,
     ) -> (KvResponse, Micros) {
-        let ns = req.ns();
-        let data = self.ns_data(ns);
-        let placement = self.placement.get(ns);
+        let ns = self.namespaces.get(req.ns());
+        let (data, placement) = (&ns.data, &ns.placement);
         match req {
             KvRequest::Get { key, .. } => {
                 let part = placement.splits.part_of(key);
-                let (node, horizon) = self.read_replica(&placement, part, start);
+                let (node, horizon) = self.read_replica(placement, part, start);
                 let value = data.get(key, horizon);
                 let bytes = value.as_ref().map(|v| v.len() as u64).unwrap_or(0);
                 let adm = self.nodes[node].admit(start, req, value.is_some() as u64, bytes);
@@ -496,7 +507,7 @@ impl SimCluster {
                         break;
                     }
                     // continuation to the next partition is sequential
-                    let (node, horizon) = self.read_replica(&placement, part, t);
+                    let (node, horizon) = self.read_replica(placement, part, t);
                     // fetch only this partition's slice of the range
                     let (p_lo, p_hi) = placement.splits.clip(part, lo, end.as_deref());
                     let (had, had_bytes) = (out.len(), out.payload_len());
@@ -514,7 +525,7 @@ impl SimCluster {
                 let mut total = 0u64;
                 let mut done = start;
                 for part in parts {
-                    let (node, horizon) = self.read_replica(&placement, part, start);
+                    let (node, horizon) = self.read_replica(placement, part, start);
                     let (p_lo, p_hi) = placement.splits.clip(part, lo, end.as_deref());
                     let c = data.count_range(p_lo, p_hi, horizon);
                     let adm = self.nodes[node].admit(start, req, c, 0);
@@ -529,39 +540,22 @@ impl SimCluster {
 
     /// Compact all namespaces up to `horizon` (GC of tombstones/versions).
     pub fn compact(&self, horizon: Micros) {
-        for ns in self.namespaces.read().iter() {
-            ns.compact(horizon);
+        for (_, ns) in self.namespaces.all() {
+            ns.data.compact(horizon);
         }
     }
 }
 
 impl KvStore for SimCluster {
+    /// A new namespace is one partition, until a rebalance cuts it.
     fn namespace(&self, name: &str) -> NsId {
-        if let Some(id) = self.names.read().get(name) {
-            return *id;
-        }
-        let mut names = self.names.write();
-        if let Some(id) = names.get(name) {
-            return *id;
-        }
-        let mut data = self.namespaces.write();
-        let id = NsId(data.len() as u32);
-        data.push(Arc::new(Namespace::new()));
-        names.insert(name.to_string(), id);
-        // default placement: whole keyspace on one replica set
-        let offset = name.bytes().fold(0usize, |acc, b| {
-            acc.wrapping_mul(31).wrapping_add(b as usize)
-        }) % self.config.nodes.max(1);
-        let replicas =
-            PartitionMap::assign_round_robin(1, self.config.nodes, self.config.replication, offset);
-        self.placement.set(
-            id,
-            NsPlacement {
-                splits: SplitPoints::default(),
-                replicas,
-            },
-        );
-        id
+        self.namespaces.resolve(name, |id| {
+            let offset = name.bytes().fold(0usize, |acc, b| {
+                acc.wrapping_mul(31).wrapping_add(b as usize)
+            }) % self.config.nodes.max(1);
+            let data = Arc::new(Namespace::new());
+            SimNamespace::placed(id, data, offset, SplitPoints::default(), &self.config)
+        })
     }
 
     fn execute_round(&self, session: &mut Session, round: RequestRound) -> Vec<KvResponse> {

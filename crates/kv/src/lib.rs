@@ -47,6 +47,7 @@ pub mod cluster;
 pub mod latency;
 pub mod live;
 pub mod node;
+mod ns_table;
 pub mod op;
 pub mod partition;
 pub mod pool;

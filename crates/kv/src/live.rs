@@ -54,6 +54,7 @@
 //!   issue **zero** storage requests.
 
 use crate::cluster::{read_by_requests, KvStore, NsBalance};
+use crate::ns_table::NsTable;
 use crate::op::{
     BulkFeed, Entries, KvEntry, KvRequest, KvResponse, MalformedRound, NsId, Probe, ReadAnswer,
     ReadRound, RequestRound,
@@ -67,7 +68,7 @@ use crate::wal::WalSink;
 use piql_analysis::ordered::RwLock;
 use piql_analysis::rank;
 use std::borrow::Borrow;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::ptr::NonNull;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -765,8 +766,7 @@ impl LiveNamespace {
 /// The real-time backend.
 pub struct LiveCluster {
     config: LiveConfig,
-    namespaces: RwLock<Vec<Arc<LiveNamespace>>>,
-    names: RwLock<BTreeMap<String, NsId>>,
+    namespaces: NsTable<LiveNamespace>,
     epoch: Instant,
     /// The fan-out pool, shared by every session of this cluster.
     pool: Arc<RoundPool>,
@@ -795,8 +795,7 @@ impl LiveCluster {
             pool: Arc::new(RoundPool::new(config.pool_threads)),
             request_delay_us: AtomicU64::new(config.request_delay_us),
             config,
-            namespaces: RwLock::new(rank::KV_NAMESPACES, "kv.namespaces", Vec::new()),
-            names: RwLock::new(rank::KV_NAMES, "kv.names", BTreeMap::new()),
+            namespaces: NsTable::new("kv.namespaces"),
             epoch: Instant::now(),
             sink: LiveSampleSink::default(),
             wal: Arc::new(RwLock::new(rank::KV_CLUSTER_WAL, "kv.cluster.wal", None)),
@@ -811,16 +810,16 @@ impl LiveCluster {
     ///
     /// Every namespace that already exists is announced to the sink
     /// (`append_ns`, in id order) so a log replayed after the same
-    /// bootstrap sequence reproduces the same id assignment. Serialized
-    /// against concurrent namespace creation by the names write lock.
+    /// bootstrap sequence reproduces the same id assignment. Namespace
+    /// creation waits until the sink is in place, so a namespace is
+    /// announced once: here, or by its own creation.
     pub fn attach_wal(&self, sink: Arc<dyn WalSink>) {
-        let names = self.names.write();
-        let mut by_id: Vec<(&String, NsId)> = names.iter().map(|(n, id)| (n, *id)).collect();
-        by_id.sort_by_key(|(_, id)| id.0);
-        for (name, id) in by_id {
-            sink.append_ns(id, name);
-        }
-        *self.wal.write() = Some(sink);
+        self.namespaces.frozen(|all| {
+            for (id, name) in all {
+                sink.append_ns(id, name);
+            }
+            *self.wal.write() = Some(sink);
+        });
         // a fresh sink starts with its durability guarantee intact
         self.wal_degraded.store(false, Ordering::Release);
     }
@@ -858,10 +857,6 @@ impl LiveCluster {
         &self.pool
     }
 
-    fn ns_data(&self, ns: NsId) -> Arc<LiveNamespace> {
-        self.namespaces.read()[ns.0 as usize].clone()
-    }
-
     /// Total storage operations served so far (including bulk loads).
     pub fn op_count(&self) -> u64 {
         self.stats.ops.load(Ordering::Relaxed)
@@ -869,7 +864,7 @@ impl LiveCluster {
 
     /// Entries currently in a namespace.
     pub fn ns_len(&self, ns: NsId) -> usize {
-        self.ns_data(ns).len()
+        self.namespaces.get(ns).len()
     }
 
     /// Microseconds since this cluster was created (the time base sessions
@@ -892,8 +887,7 @@ impl LiveCluster {
     /// [`SimCluster::rebalance`](crate::SimCluster::rebalance)), performed
     /// online: concurrent sessions keep reading and writing throughout.
     pub fn rebalance(&self) {
-        let namespaces: Vec<Arc<LiveNamespace>> = self.namespaces.read().clone();
-        for ns in &namespaces {
+        for (_, ns) in self.namespaces.all() {
             ns.rebalance(self.config.shards_per_namespace);
         }
         self.stats.rebalances.fetch_add(1, Ordering::Relaxed);
@@ -903,16 +897,9 @@ impl LiveCluster {
     /// current layout) — the skew signal that tells an operator (or a
     /// future auto-trigger) a rebalance is due.
     pub fn balance(&self) -> Vec<NsBalance> {
-        let names: Vec<(String, NsId)> = self
-            .names
-            .read()
-            .iter()
-            .map(|(n, id)| (n.clone(), *id))
-            .collect();
         let parts = self.config.shards_per_namespace;
-        names
-            .into_iter()
-            .map(|(name, id)| self.ns_data(id).balance(name, parts))
+        (self.namespaces.all().into_iter())
+            .map(|(name, ns)| ns.balance(name.to_string(), parts))
             .collect()
     }
 
@@ -922,16 +909,8 @@ impl LiveCluster {
     /// rotated *before* the export, because replaying that segment's
     /// puts/deletes over the copy is idempotent.
     pub fn export_namespaces(&self) -> Vec<(String, Vec<KvEntry>)> {
-        let mut by_id: Vec<(String, NsId)> = self
-            .names
-            .read()
-            .iter()
-            .map(|(n, id)| (n.clone(), *id))
-            .collect();
-        by_id.sort_by_key(|(_, id)| id.0);
-        by_id
-            .into_iter()
-            .map(|(name, id)| (name, self.ns_data(id).load().export()))
+        (self.namespaces.all().into_iter())
+            .map(|(name, ns)| (name.to_string(), ns.load().export()))
             .collect()
     }
 
@@ -940,7 +919,8 @@ impl LiveCluster {
     /// entry is. Recovery loads logged puts with it.
     pub fn bulk_load(&self, ns: NsId, key: &[u8], value: &[u8]) {
         self.stats.book(WRITE);
-        self.ns_data(ns)
+        self.namespaces
+            .get(ns)
             .insert(&self.wal, Entry::copied(key, value));
     }
 
@@ -948,7 +928,7 @@ impl LiveCluster {
     /// [`LiveCluster::bulk_load`], used by recovery to apply logged deletes.
     pub fn bulk_delete(&self, ns: NsId, key: &[u8]) {
         self.stats.book(WRITE);
-        self.ns_data(ns).remove(&self.wal, key);
+        self.namespaces.get(ns).remove(&self.wal, key);
     }
 
     /// Replace everything `ns` holds with copies of `entries`, laid out
@@ -965,7 +945,7 @@ impl LiveCluster {
             })
             .collect();
         let set = ShardSet::laid_out(normalised(batch), self.config.shards_per_namespace);
-        *self.ns_data(ns).table.write() = Arc::new(set);
+        *self.namespaces.get(ns).table.write() = Arc::new(set);
     }
 }
 
@@ -1157,22 +1137,15 @@ fn execute_request(
 }
 
 impl KvStore for LiveCluster {
+    /// A new namespace is announced to the attached sink, if any, before
+    /// its id is handed out.
     fn namespace(&self, name: &str) -> NsId {
-        if let Some(id) = self.names.read().get(name) {
-            return *id;
-        }
-        let mut names = self.names.write();
-        if let Some(id) = names.get(name) {
-            return *id;
-        }
-        let mut data = self.namespaces.write();
-        let id = NsId(data.len() as u32);
-        if let Some(sink) = self.wal.read().as_ref() {
-            sink.append_ns(id, name);
-        }
-        data.push(Arc::new(LiveNamespace::new(id)));
-        names.insert(name.to_string(), id);
-        id
+        self.namespaces.resolve(name, |id| {
+            if let Some(sink) = self.wal.read().as_ref() {
+                sink.append_ns(id, name);
+            }
+            LiveNamespace::new(id)
+        })
     }
 
     /// Issue one parallel round. When it fans out
@@ -1200,7 +1173,7 @@ impl KvStore for LiveCluster {
             let tasks: Vec<_> = round
                 .into_iter()
                 .map(|req| {
-                    let data = self.ns_data(req.ns());
+                    let data = self.namespaces.get(req.ns());
                     let (stats, wal) = (self.stats.clone(), self.wal.clone());
                     move || execute_request(&data, &stats, &wal, req, delay_us)
                 })
@@ -1209,7 +1182,7 @@ impl KvStore for LiveCluster {
         } else {
             for req in round {
                 join(execute_request(
-                    &self.ns_data(req.ns()),
+                    &self.namespaces.get(req.ns()),
                     &self.stats,
                     &self.wal,
                     req,
@@ -1241,7 +1214,7 @@ impl KvStore for LiveCluster {
             return read_by_requests(self, session, round, answer);
         }
         let started = self.now_micros();
-        let table = self.ns_data(round.ns()).load();
+        let table = self.namespaces.get(round.ns()).load();
         let (mut entries, mut bytes) = (0, 0);
         for (probe_entries, probe_bytes) in round.probes().map(|probe| table.measure(probe)) {
             entries += probe_entries;
@@ -1266,7 +1239,7 @@ impl KvStore for LiveCluster {
         let has_write = req.is_write();
         let started = self.now_micros();
         let delay_us = self.request_delay_us.load(Ordering::Relaxed);
-        let data = self.ns_data(req.ns());
+        let data = self.namespaces.get(req.ns());
         let (response, served) = execute_request(&data, &self.stats, &self.wal, req, delay_us);
         self.complete_round(session, started, served, has_write);
         response
@@ -1286,7 +1259,7 @@ impl KvStore for LiveCluster {
     ) -> Option<bool> {
         let started = self.now_micros();
         inject_delay(self.request_delay_us.load(Ordering::Relaxed));
-        let table = self.ns_data(ns).load();
+        let table = self.namespaces.get(ns).load();
         let mut entry_bytes = None;
         table.find(Probe::Get(key), true, |key, value| {
             out.extend_from_slice(value);
@@ -1300,7 +1273,9 @@ impl KvStore for LiveCluster {
 
     fn bulk_put(&self, ns: NsId, key: Vec<u8>, value: Vec<u8>) {
         self.stats.book(WRITE);
-        self.ns_data(ns).insert(&self.wal, Entry::new(key, &value));
+        self.namespaces
+            .get(ns)
+            .insert(&self.wal, Entry::new(key, &value));
     }
 
     /// Each buffer becomes its entry as it is pushed, as it is; the batch
@@ -1319,7 +1294,9 @@ impl KvStore for LiveCluster {
             ..WRITE
         });
         let parts = self.config.shards_per_namespace;
-        self.ns_data(ns).merge(&self.wal, normalised(batch), parts);
+        self.namespaces
+            .get(ns)
+            .merge(&self.wal, normalised(batch), parts);
     }
 
     fn rebalance(&self) {

@@ -6,11 +6,7 @@
 //! nodes is a binary search — requests to different partitions land on
 //! different nodes, which is where the cluster's parallelism comes from.
 
-use crate::op::NsId;
-use piql_analysis::ordered::RwLock;
-use piql_analysis::rank;
 use std::borrow::Borrow;
-use std::collections::BTreeMap;
 
 /// Ascending split keys cutting one keyspace into `parts()` contiguous
 /// ranges: part `i` covers `[splits[i-1], splits[i])`, with sentinel
@@ -114,7 +110,7 @@ pub(crate) fn quantiles<T>(
 }
 
 /// Placement of one namespace.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug)]
 pub struct NsPlacement {
     pub splits: SplitPoints,
     /// `replicas[i]` = node ids serving partition `i`
@@ -123,61 +119,22 @@ pub struct NsPlacement {
 }
 
 impl NsPlacement {
-    /// Single partition on the given replica set.
-    pub fn single(replicas: Vec<usize>) -> Self {
-        NsPlacement {
-            splits: SplitPoints::default(),
-            replicas: vec![replicas],
-        }
-    }
-}
-
-/// Placement for all namespaces.
-#[derive(Debug)]
-pub struct PartitionMap {
-    placements: RwLock<BTreeMap<NsId, NsPlacement>>,
-}
-
-impl Default for PartitionMap {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl PartitionMap {
-    pub fn new() -> Self {
-        PartitionMap {
-            placements: RwLock::new(rank::SIM_PLACEMENTS, "sim.placements", BTreeMap::new()),
-        }
-    }
-
-    pub fn set(&self, ns: NsId, placement: NsPlacement) {
-        self.placements.write().insert(ns, placement);
-    }
-
-    pub fn get(&self, ns: NsId) -> NsPlacement {
-        self.placements
-            .read()
-            .get(&ns)
-            .cloned()
-            .unwrap_or_else(|| NsPlacement::single(vec![0]))
-    }
-
-    /// Round-robin replica assignment of `partitions` partitions over
-    /// `nodes` nodes with `replication` copies each.
-    pub fn assign_round_robin(
-        partitions: usize,
+    /// `splits`' partitions, each on `replication` nodes (at most all
+    /// `nodes`), dealt round-robin from node `offset`.
+    pub fn round_robin(
+        splits: SplitPoints,
         nodes: usize,
         replication: usize,
         offset: usize,
-    ) -> Vec<Vec<usize>> {
-        (0..partitions)
+    ) -> Self {
+        let replicas = (0..splits.parts())
             .map(|p| {
                 (0..replication.min(nodes))
                     .map(|r| (offset + p + r) % nodes)
                     .collect()
             })
-            .collect()
+            .collect();
+        NsPlacement { splits, replicas }
     }
 }
 
@@ -214,19 +171,14 @@ mod tests {
 
     #[test]
     fn round_robin_assignment() {
-        let r = PartitionMap::assign_round_robin(4, 3, 2, 0);
+        let four = SplitPoints::new(vec![b"d".to_vec(), b"g".to_vec(), b"p".to_vec()]);
+        let r = NsPlacement::round_robin(four, 3, 2, 0).replicas;
         assert_eq!(r.len(), 4);
         assert_eq!(r[0], vec![0, 1]);
         assert_eq!(r[1], vec![1, 2]);
         assert_eq!(r[3], vec![0, 1]);
         // replication capped by node count
-        let r = PartitionMap::assign_round_robin(2, 1, 3, 0);
+        let r = NsPlacement::round_robin(splits(), 1, 3, 0).replicas;
         assert_eq!(r[0], vec![0]);
-    }
-
-    #[test]
-    fn default_placement_for_unknown_ns() {
-        let map = PartitionMap::new();
-        assert_eq!(map.get(NsId(9)).replicas.len(), 1);
     }
 }

@@ -1,8 +1,9 @@
 //! Logical data storage.
 //!
 //! Data lives once per namespace in an ordered map; *placement* (which node
-//! serves which key range) is modeled separately by the partition map, so
-//! replication affects timing and visibility without duplicating bytes.
+//! serves which key range) is modeled separately, per namespace, by the
+//! cluster, so replication affects timing and visibility without
+//! duplicating bytes.
 //!
 //! Eventual consistency (§3, §7.2) is modeled with per-entry versions: each
 //! write records its virtual commit time and keeps the previous version;

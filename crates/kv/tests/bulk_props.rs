@@ -400,6 +400,101 @@ fn a_first_batch_racing_writers_loses_no_write() {
     }
 }
 
+const RESOLVERS: usize = 4;
+const NAMES_EACH: usize = 24;
+
+/// Resolve, on `RESOLVERS` threads started together, names that every
+/// thread shares and names of its own, interleaved, while `meanwhile` runs
+/// on one more; then check that every name, and each of `before` made
+/// first, got one id, that the ids are dense from 0, and hand back the
+/// names by id.
+fn resolve_racing(
+    store: &dyn KvStore,
+    before: &[&str],
+    meanwhile: impl FnOnce() + Send,
+) -> Vec<String> {
+    let start = std::sync::Barrier::new(RESOLVERS + 1);
+    let seen: Vec<Vec<(String, NsId)>> = std::thread::scope(|scope| {
+        let resolvers: Vec<_> = (0..RESOLVERS)
+            .map(|t| {
+                let start = &start;
+                scope.spawn(move || {
+                    start.wait();
+                    (0..NAMES_EACH)
+                        .map(|i| match i % 2 {
+                            0 => format!("shared{}", (i + 2 * t) % NAMES_EACH),
+                            _ => format!("own{t}.{i}"),
+                        })
+                        .map(|name| {
+                            let id = store.namespace(&name);
+                            (name, id)
+                        })
+                        .collect()
+                })
+            })
+            .collect();
+        start.wait();
+        meanwhile();
+        resolvers.into_iter().map(|r| r.join().unwrap()).collect()
+    });
+    let mut by_name: BTreeMap<String, NsId> = (before.iter())
+        .map(|name| (name.to_string(), store.namespace(name)))
+        .collect();
+    for (name, id) in seen.into_iter().flatten() {
+        assert_eq!(*by_name.entry(name.clone()).or_insert(id), id, "{name}");
+    }
+    // as many slots as names: distinct ids that all fit fill every one
+    let mut by_id = vec![None; by_name.len()];
+    for (name, id) in by_name {
+        assert_eq!(store.namespace(&name), id, "{name}");
+        let slot = by_id.get_mut(id.0 as usize).expect("an id past the names");
+        assert!(slot.replace(name).is_none(), "{id:?} twice");
+    }
+    by_id.into_iter().map(Option::unwrap).collect()
+}
+
+/// Threads resolve shared and distinct names on both stores while, on the
+/// live one, a sink attaches. Every name gets one id, ids are dense from 0
+/// (two namespaces made first take 0 and 1), and the sink hears of each
+/// namespace exactly once: from the attach if it existed before, or from
+/// its own creation after.
+#[test]
+fn namespaces_racing_an_attach_get_one_id_and_one_announcement() {
+    for round in 0..20 {
+        let sim = SimCluster::new(ClusterConfig::instant(2));
+        let live = live();
+        let recorder = Arc::new(Recorder::default());
+        let before = ["first", "second"];
+        for store in [&sim as &dyn KvStore, &live] {
+            assert_eq!(store.namespace(before[0]), NsId(0));
+            assert_eq!(store.namespace(before[1]), NsId(1));
+        }
+        let names = resolve_racing(&sim, &before, || {});
+        assert_eq!(
+            names.len(),
+            2 + NAMES_EACH / 2 * (1 + RESOLVERS),
+            "round {round}"
+        );
+        let names = resolve_racing(&live, &before, || {
+            for _ in 0..1u64 << (round % 12) {
+                std::hint::spin_loop();
+            }
+            live.attach_wal(recorder.clone());
+        });
+        let mut heard: Vec<(NsId, String)> = (recorder.records.lock().unwrap().iter())
+            .map(|record| match record {
+                Record::Ns(id, name) => (*id, name.clone()),
+                other => panic!("round {round}: {other:?}"),
+            })
+            .collect();
+        heard.sort();
+        let created: Vec<(NsId, String)> = (names.into_iter().enumerate())
+            .map(|(id, name)| (NsId(id as u32), name))
+            .collect();
+        assert_eq!(heard, created, "round {round}");
+    }
+}
+
 proptest! {
     #[test]
     fn a_batch_stores_what_its_pairs_put_one_by_one_store(

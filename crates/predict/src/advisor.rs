@@ -6,6 +6,30 @@ use crate::model::ALPHA_GRID;
 use crate::predict::{QueryPrediction, SloPredictor};
 use piql_core::opt::Compiled;
 
+/// The service-level objective a statement is decided against: by the
+/// server's admission and by the static auditor, which ignores
+/// `allow_degrade` and only ever suggests the smaller bound.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct SloConfig {
+    /// p99 response-time target, milliseconds.
+    pub slo_ms: f64,
+    /// Fraction of model intervals whose predicted p99 must meet the SLO
+    /// (§6.3: 1.0 = every interval, 0.9 = tolerate 10% volatile intervals).
+    pub interval_confidence: f64,
+    /// Degrade over-SLO statements to a smaller LIMIT instead of rejecting.
+    pub allow_degrade: bool,
+}
+
+impl Default for SloConfig {
+    fn default() -> Self {
+        SloConfig {
+            slo_ms: 100.0,
+            interval_confidence: 0.9,
+            allow_degrade: true,
+        }
+    }
+}
+
 /// The §6.2–§6.4 decision for one statement: what [`fit`] found.
 #[derive(Debug, Clone)]
 pub enum Fit {
@@ -35,8 +59,8 @@ impl Fit {
 }
 
 /// The one place a statement is decided against an SLO: predict its plan
-/// per interval (§6.2), call it compliant when `confidence` of them meet
-/// `slo_ms` ([`QueryPrediction::meets_slo`], §6.3), otherwise offer the
+/// per interval (§6.2), call it compliant when `slo.interval_confidence` of
+/// them meet `slo.slo_ms` ([`QueryPrediction::meets_slo`], §6.3), otherwise offer the
 /// largest bound that is compliant *by the same test* (§6.4). Registration,
 /// every re-validation sweep and the static auditor call this and differ
 /// only in what [`Fit::Infeasible`] means (reject, flag, gate).
@@ -51,14 +75,13 @@ impl Fit {
 /// one.
 pub fn fit(
     predictor: &SloPredictor,
-    slo_ms: f64,
-    confidence: f64,
+    slo: &SloConfig,
     written: &Compiled,
     below: Option<u64>,
     mut compile: impl FnMut(u64) -> Option<Compiled>,
 ) -> Fit {
     let written = predictor.predict(written);
-    if written.meets_slo(slo_ms, confidence) {
+    if written.meets_slo(slo.slo_ms, slo.interval_confidence) {
         return Fit::AsWritten(written);
     }
     for limit in ALPHA_GRID.iter().rev().map(|&a| u64::from(a)) {
@@ -67,7 +90,7 @@ pub fn fit(
                 break;
             };
             let prediction = predictor.predict(&candidate);
-            if prediction.meets_slo(slo_ms, confidence) {
+            if prediction.meets_slo(slo.slo_ms, slo.interval_confidence) {
                 return Fit::Degraded {
                     written,
                     limit,
@@ -230,7 +253,12 @@ mod tests {
 
         let written = optimizer.compile(&catalog, &stmt).unwrap();
         let probe = |slo_ms, below, compile: &dyn Fn(u64) -> Option<Compiled>| {
-            fit(&predictor, slo_ms, 1.0, &written, below, compile)
+            let slo = SloConfig {
+                slo_ms,
+                interval_confidence: 1.0,
+                allow_degrade: true,
+            };
+            fit(&predictor, &slo, &written, below, compile)
         };
 
         match probe(30.0, Some(100), &compile) {

@@ -14,7 +14,7 @@ pub mod predict;
 pub mod shared;
 pub mod train;
 
-pub use advisor::Heatmap;
+pub use advisor::{Heatmap, SloConfig};
 pub use histogram::{Distribution, LatencyHistogram};
 pub use model::{snapped, ModelKey, ModelStore, OpKind, ALPHA_GRID, BETA_GRID};
 pub use predict::{plan_thetas, QueryPrediction, SloPredictor, ThetaAttribution};

@@ -46,6 +46,7 @@ use piql_core::plan::pred::Operand;
 use piql_core::value::Value;
 use piql_engine::{Cursor, Database, DbError, ExecStrategy, Prepared, QueryResult};
 use piql_kv::{KvStore, LiveCluster, Micros, ModelKey, NsId, OpKind, Session};
+pub use piql_predict::advisor::SloConfig;
 use piql_predict::advisor::{fit, Fit};
 use piql_predict::{SharedModelStore, SloPredictor, ALPHA_GRID};
 use piql_workloads::nearest_rank_ms;
@@ -53,38 +54,6 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
-
-/// The service-level objective statements are admitted against.
-#[derive(Debug, Clone)]
-pub struct SloConfig {
-    /// p99 response-time target, milliseconds.
-    pub slo_ms: f64,
-    /// Fraction of model intervals whose predicted p99 must meet the SLO
-    /// (§6.3: 1.0 = every interval, 0.9 = tolerate 10% volatile intervals).
-    pub interval_confidence: f64,
-    /// Degrade over-SLO statements to a smaller LIMIT instead of rejecting.
-    pub allow_degrade: bool,
-}
-
-/// The auditor reads the same objective under its own field names.
-impl From<&SloConfig> for piql_audit::SloSpec {
-    fn from(slo: &SloConfig) -> Self {
-        piql_audit::SloSpec {
-            slo_ms: slo.slo_ms,
-            confidence: slo.interval_confidence,
-        }
-    }
-}
-
-impl Default for SloConfig {
-    fn default() -> Self {
-        SloConfig {
-            slo_ms: 100.0,
-            interval_confidence: 0.9,
-            allow_degrade: true,
-        }
-    }
-}
 
 /// The admission verdict (registration-time, and kept current by
 /// re-validation sweeps afterwards).
@@ -842,8 +811,7 @@ impl<S: KvStore> StatementRegistry<S> {
         let below = stmt.bound.filter(|_| self.slo.allow_degrade);
         fit(
             predictor,
-            self.slo.slo_ms,
-            self.slo.interval_confidence,
+            &self.slo,
             written,
             below.map(|b| b.count()),
             |limit| self.optimizer.compile(catalog, &stmt.rebound(limit)).ok(),
@@ -1122,7 +1090,7 @@ impl<S: KvStore> StatementRegistry<S> {
                 &statement.name,
                 &statement.sql,
                 running,
-                (&self.slo).into(),
+                self.slo,
             );
             Admission::Flagged {
                 predicted_p99_ms: predictor.predict(running).max_p99_ms,

@@ -938,7 +938,7 @@ fn explain_response<S: KvStore>(
     sql: Option<&str>,
 ) -> Json {
     let predictor = registry.models().predictor();
-    let slo = registry.slo().into();
+    let slo = *registry.slo();
     let audit = match (name, sql) {
         (Some(name), None) => {
             let Some(statement) = registry.get(name) else {

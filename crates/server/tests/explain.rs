@@ -221,10 +221,7 @@ fn cli_report_and_protocol_explain_are_the_same_value() {
                 name: "candidate".into(),
                 sql: sql.to_string(),
                 line: 0,
-                slo: piql_audit::SloSpec {
-                    slo_ms: slo.slo_ms,
-                    confidence: slo.interval_confidence,
-                },
+                slo,
             })
             .collect(),
         ddl_count: 0,
@@ -259,7 +256,7 @@ fn a_saturated_bound_is_still_a_document() {
         &linear_predictor(200, 100, 2),
         "huge",
         HUGE,
-        piql_audit::SloSpec::default(),
+        SloConfig::default(),
     );
     let cli = audit.to_json();
     let scan_bounds = |doc: &Json| {
@@ -387,7 +384,7 @@ fn gate_and_server_cannot_disagree() {
                 predictor(),
                 SloConfig {
                     slo_ms: entry.slo.slo_ms,
-                    interval_confidence: entry.slo.confidence,
+                    interval_confidence: entry.slo.interval_confidence,
                     allow_degrade: true,
                 },
             );

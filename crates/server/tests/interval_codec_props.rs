@@ -7,7 +7,6 @@
 //! and `piql-durability` among its dependencies; the golden bytes live
 //! beside the codec.)
 
-use piql_durability::record::{decode_interval, encode_interval};
 use piql_durability::{
     crc32, read_snapshot, write_snapshot, ModelCheckpoint, SnapshotState, WalRecord,
 };
@@ -69,17 +68,14 @@ proptest! {
         seq in any::<u64>(),
         lie in 1u32..=u32::MAX,
     ) {
-        let sparse = encode_interval(&map);
-        prop_assert_eq!(&decode_interval(&sparse), &map);
-
         // the WAL record
-        let record = WalRecord::ModelInterval { seq, interval: sparse.clone() };
+        let record = WalRecord::ModelInterval { seq, interval: map.clone() };
         let payload = record.encode();
         prop_assert_eq!(WalRecord::decode(&payload), Ok(record));
 
         // the snapshot: nothing but a one-interval model checkpoint
         let state = SnapshotState {
-            models: Some(ModelCheckpoint { seq, intervals: vec![sparse.clone()] }),
+            models: Some(ModelCheckpoint { seq, intervals: vec![map.clone()] }),
             ..SnapshotState::default()
         };
         let path = scratch("roundtrip.snap");
@@ -88,7 +84,7 @@ proptest! {
         let file = std::fs::read(&path).unwrap();
         let body = &file[8..file.len() - 4];
         // both formats hold the interval as the same bytes, at their end
-        let shared = 4 + sparse.iter().map(|(_, bins)| 17 + 12 * bins.len()).sum::<usize>();
+        let shared = 4 + map.values().map(|h| 17 + 12 * h.nonzero_bins().len()).sum::<usize>();
         prop_assert_eq!(&body[body.len() - shared..], &payload[payload.len() - shared..]);
 
         // every strict prefix
@@ -99,9 +95,9 @@ proptest! {
         // every count raised: histograms in the interval, bins in each one
         let mut counts = vec![0];
         let mut at = 4;
-        for (_, bins) in &sparse {
+        for histogram in map.values() {
             counts.push(at + 13);
-            at += 17 + 12 * bins.len();
+            at += 17 + 12 * histogram.nonzero_bins().len();
         }
         for count in counts {
             let raised = |bytes: &[u8], head: usize| {

@@ -425,7 +425,7 @@ fn vary_alpha_j(key: piql_predict::ModelKey, alpha_j: u32) -> piql_predict::Mode
 /// The verdict a fresh `prepare` of `sql` gets on `reg`'s database, SLO
 /// and *current* model snapshot.
 fn fresh_prepare(reg: &StatementRegistry<LiveCluster>, name: &str, sql: &str) -> Admission {
-    StatementRegistry::with_models(reg.db().clone(), reg.models().clone(), reg.slo().clone())
+    StatementRegistry::with_models(reg.db().clone(), reg.models().clone(), *reg.slo())
         .register(name, sql)
         .unwrap()
 }

@@ -1,5 +1,5 @@
-//! Experiment metrics: throughput, percentile latencies per interval, and
-//! the linear-fit R² the paper reports on its scale-up figures (§8.4).
+//! Experiment metrics: throughput, percentile latencies, and the
+//! linear-fit R² the paper reports on its scale-up figures (§8.4).
 
 use piql_kv::Micros;
 
@@ -61,39 +61,6 @@ impl RunMetrics {
     pub fn quantile_ms_of(&self, kind: usize, q: f64) -> f64 {
         let of_kind = self.measured().filter(|s| s.kind == kind);
         nearest_rank_ms(of_kind.map(|s| s.latency).collect(), q)
-    }
-
-    /// Per-interval quantiles over the measurement window (Figure 5(c)).
-    ///
-    /// The series is **dense and index-aligned**: element `i` is interval
-    /// `i` counted from the warm-up cutoff, and an interval with zero
-    /// samples reports `0.0` (the empty-set quantile convention used
-    /// throughout) instead of being silently skipped — so plotting the
-    /// series against interval numbers never misaligns the x-axis.
-    pub fn interval_quantiles_ms(&self, interval_us: Micros, q: f64) -> Vec<f64> {
-        if interval_us == 0 {
-            return Vec::new();
-        }
-        let mut buckets: std::collections::BTreeMap<u64, Vec<Micros>> = Default::default();
-        for s in self.measured() {
-            buckets
-                .entry((s.start - self.warmup_us) / interval_us)
-                .or_default()
-                .push(s.latency);
-        }
-        let Some((&last, _)) = buckets.last_key_value() else {
-            return Vec::new();
-        };
-        (0..=last)
-            .map(|i| nearest_rank_ms(buckets.remove(&i).unwrap_or_default(), q))
-            .collect()
-    }
-
-    /// Max per-interval quantile — the conservative "actual" Table 1 uses.
-    pub fn max_interval_quantile_ms(&self, interval_us: Micros, q: f64) -> f64 {
-        self.interval_quantiles_ms(interval_us, q)
-            .into_iter()
-            .fold(0.0, f64::max)
     }
 
     pub fn count(&self) -> usize {
@@ -179,40 +146,6 @@ mod tests {
         }
         assert_eq!(m.samples.len(), 1000);
         assert_eq!(m.count(), 1000);
-    }
-
-    #[test]
-    fn interval_series_is_dense_across_empty_intervals() {
-        let mut m = RunMetrics {
-            warmup_us: 0,
-            horizon_us: 100_000_000,
-            ..Default::default()
-        };
-        // samples only in intervals 0 and 3 (1 s intervals); 1 and 2 are a
-        // deliberate gap that must appear as explicit zeros, not vanish
-        m.record(100_000, 5_000, 0);
-        m.record(200_000, 7_000, 0);
-        m.record(3_500_000, 50_000, 0);
-        let qs = m.interval_quantiles_ms(1_000_000, 1.0);
-        assert_eq!(qs.len(), 4, "index-aligned: intervals 0..=3");
-        assert_eq!(qs[0], 7.0);
-        assert_eq!(qs[1], 0.0, "empty interval is an explicit gap");
-        assert_eq!(qs[2], 0.0);
-        assert_eq!(qs[3], 50.0);
-        assert_eq!(m.max_interval_quantile_ms(1_000_000, 1.0), 50.0);
-        // no samples at all: empty series
-        let empty = RunMetrics::default();
-        assert!(empty.interval_quantiles_ms(1_000_000, 1.0).is_empty());
-    }
-
-    #[test]
-    fn interval_quantiles_split_the_window() {
-        let m = metrics();
-        let qs = m.interval_quantiles_ms(5_000_000, 1.0);
-        assert_eq!(qs.len(), 2);
-        assert_eq!(qs[0], 50.0);
-        assert_eq!(qs[1], 100.0);
-        assert_eq!(m.max_interval_quantile_ms(5_000_000, 1.0), 100.0);
     }
 
     #[test]
