@@ -273,10 +273,6 @@ impl ModelMutex {
         debug_assert_eq!(self.holder, Some(tid), "release by non-holder");
         self.holder = None;
     }
-
-    pub fn is_held(&self) -> bool {
-        self.holder.is_some()
-    }
 }
 
 /// A condition-variable wait set for models, with *lost-wakeup semantics*:

@@ -160,26 +160,27 @@ impl Model for BatonPassModel {
 
 /// The WAL group-commit/rotation interaction (`crates/durability/src/wal.rs`).
 ///
-/// Appenders stage records in `pending` and block until the durable
-/// watermark covers their LSN. The committer drains the staged chunk and
-/// writes+fsyncs it under `sink`. `rotate_to` drains whatever is staged,
-/// syncs it, starts a new segment, and publishes `durable = appended` —
-/// all while holding `pending`.
+/// Two writers each stage a record in `pending`, then commit it: a commit
+/// whose LSN the durable watermark does not cover takes `segment`,
+/// rechecks, and leads — takes the staged chunk from `pending`, writes and
+/// syncs it, publishes the watermark. `rotate_to` takes `segment`, then
+/// `pending`, syncs whatever is staged into the old segment, starts a new
+/// one and publishes `durable = appended`.
 ///
-/// The historical bug: the committer released `pending` *before* acquiring
-/// `sink`. In that window rotation could run in full — sealing the old
-/// segment and publishing a durable watermark that covered the chunk still
-/// sitting in the committer's memory. A crash then loses acknowledged
-/// records, and the late chunk lands in the wrong segment at the wrong
-/// offsets. The fix: the committer acquires `sink` while still holding
-/// `pending`, so a rotation can never overtake an in-flight chunk.
+/// The historical bug (in the committer thread of the time): the
+/// chunk left `pending` before its writer held the file. In that window a
+/// rotation could run in full — sealing the old segment and publishing a
+/// watermark that covered the chunk still in memory. A crash then loses
+/// acknowledged records, and the late chunk lands in the wrong segment at
+/// the wrong offsets. The shipped order rules it out: `segment` before
+/// `pending`, so a chunk leaves `pending` only for the segment's holder.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct WalRotationModel {
-    /// `true` = current code (committer takes `sink` before releasing
-    /// `pending`); `false` = the pre-review PR 6 committer.
+    /// `true` = the shipped order (a leader takes `segment`, then the
+    /// chunk); `false` = the chunk taken before `segment`.
     pub fix_enabled: bool,
     pending: ModelMutex,
-    sink: ModelMutex,
+    segment: ModelMutex,
     /// Staged records (LSNs; each record is one offset unit).
     buf: Vec<u64>,
     /// LSN high-water mark of appended records.
@@ -188,164 +189,148 @@ pub struct WalRotationModel {
     segments: Vec<Vec<u64>>,
     /// Published durable watermark.
     durable: u64,
-    appender_pc: [u8; 2],
-    appender_lsn: [u64; 2],
-    committer_pc: u8,
-    committer_chunk: Vec<u64>,
-    committer_target: u64,
+    writer_pc: [u8; 2],
+    writer_lsn: [u64; 2],
+    /// What a leading writer took from `pending`, and the LSN it ends at.
+    writer_chunk: [Vec<u64>; 2],
+    writer_target: [u64; 2],
     rotator_pc: u8,
 }
 
-/// Thread ids: 0..=1 = appenders, 2 = committer, 3 = rotator.
+/// Thread ids: 0..=1 = writers, 2 = rotator.
 impl WalRotationModel {
     pub fn new(fix_enabled: bool) -> Self {
         WalRotationModel {
             fix_enabled,
             pending: ModelMutex::default(),
-            sink: ModelMutex::default(),
+            segment: ModelMutex::default(),
             buf: Vec::new(),
             appended: 0,
             segments: vec![Vec::new()],
             durable: 0,
-            appender_pc: [0, 0],
-            appender_lsn: [0, 0],
-            committer_pc: 0,
-            committer_chunk: Vec::new(),
-            committer_target: 0,
+            writer_pc: [0, 0],
+            writer_lsn: [0, 0],
+            writer_chunk: [Vec::new(), Vec::new()],
+            writer_target: [0, 0],
             rotator_pc: 0,
         }
     }
 
-    fn step_appender(&mut self, a: usize) -> Step {
-        let tid = a;
-        match self.appender_pc[a] {
+    /// Take the staged chunk and the LSN it ends at (`pending` held).
+    fn take_chunk(&mut self, w: usize) {
+        self.writer_chunk[w] = std::mem::take(&mut self.buf);
+        self.writer_target[w] = self.appended;
+    }
+
+    /// `append`, then `commit`.
+    fn step_writer(&mut self, w: usize) -> Step {
+        match self.writer_pc[w] {
             0 => {
-                if !self.pending.acquire(tid) {
+                if !self.pending.acquire(w) {
                     return Step::Blocked;
                 }
-                self.appender_pc[a] = 1;
-                Step::Ran
+                self.writer_pc[w] = 1;
             }
-            // append() under `pending`, then commit() waits for durability.
+            // append(): stage under `pending`
             1 => {
                 self.appended += 1;
-                self.appender_lsn[a] = self.appended;
+                self.writer_lsn[w] = self.appended;
                 self.buf.push(self.appended);
-                self.pending.release(tid);
-                self.appender_pc[a] = 2;
-                Step::Ran
+                self.pending.release(w);
+                self.writer_pc[w] = 2;
+            }
+            // commit(): done when covered, else queue to lead
+            2 if self.durable >= self.writer_lsn[w] => self.writer_pc[w] = 7,
+            2 if self.fix_enabled => {
+                if !self.segment.acquire(w) {
+                    return Step::Blocked;
+                }
+                self.writer_pc[w] = 3;
             }
             2 => {
-                if self.durable < self.appender_lsn[a] {
+                // Bug: take the chunk first, with only `pending` held; a
+                // rotation can now run before this writer has the file.
+                if !self.pending.acquire(w) {
                     return Step::Blocked;
                 }
-                self.appender_pc[a] = 3;
-                Step::Ran
+                self.take_chunk(w);
+                self.pending.release(w);
+                self.writer_pc[w] = 6;
             }
-            _ => Step::Done,
-        }
-    }
-
-    /// One committer iteration: drain the staged chunk, write+sync it,
-    /// publish the watermark.
-    fn step_committer(&mut self) -> Step {
-        let tid = 2;
-        match self.committer_pc {
-            0 => {
-                if self.buf.is_empty() || !self.pending.acquire(tid) {
-                    return Step::Blocked;
-                }
-                self.committer_pc = 1;
-                Step::Ran
+            // holding `segment`: a leader ahead may have covered us
+            3 if self.durable >= self.writer_lsn[w] => {
+                self.segment.release(w);
+                self.writer_pc[w] = 7;
             }
-            1 => {
-                if self.fix_enabled {
-                    // Fix: take `sink` while still holding `pending`.
-                    if !self.sink.acquire(tid) {
-                        return Step::Blocked;
-                    }
-                    self.committer_chunk = std::mem::take(&mut self.buf);
-                    self.committer_target = self.appended;
-                    self.pending.release(tid);
-                    self.committer_pc = 3;
-                } else {
-                    // Bug: release `pending` with the chunk only in memory;
-                    // rotation can now run before we reach `sink`.
-                    self.committer_chunk = std::mem::take(&mut self.buf);
-                    self.committer_target = self.appended;
-                    self.pending.release(tid);
-                    self.committer_pc = 2;
-                }
-                Step::Ran
-            }
-            2 => {
-                if !self.sink.acquire(tid) {
-                    return Step::Blocked;
-                }
-                self.committer_pc = 3;
-                Step::Ran
-            }
-            // Write + fsync the chunk into the current segment.
             3 => {
-                let seg = self.segments.last_mut().expect("segment list nonempty");
-                seg.append(&mut self.committer_chunk);
-                self.sink.release(tid);
-                self.committer_pc = 4;
-                Step::Ran
+                if !self.pending.acquire(w) {
+                    return Step::Blocked;
+                }
+                self.take_chunk(w);
+                self.pending.release(w);
+                self.writer_pc[w] = 4;
             }
+            // write + fsync the chunk into the current segment
             4 => {
-                self.durable = self.durable.max(self.committer_target);
-                self.committer_pc = 5;
-                Step::Ran
+                let seg = self.segments.last_mut().expect("segment list nonempty");
+                seg.append(&mut self.writer_chunk[w]);
+                self.writer_pc[w] = 5;
             }
-            _ => Step::Done,
+            5 => {
+                self.durable = self.durable.max(self.writer_target[w]);
+                self.segment.release(w);
+                self.writer_pc[w] = 7;
+            }
+            6 => {
+                if !self.segment.acquire(w) {
+                    return Step::Blocked;
+                }
+                self.writer_pc[w] = 4;
+            }
+            _ => return Step::Done,
         }
+        Step::Ran
     }
 
-    /// `rotate_to`: drain + sync staged records, seal the segment, publish
-    /// the watermark — all while holding `pending`.
+    /// `rotate_to`: `segment`, then `pending`; sync what is staged, seal
+    /// the segment, publish the watermark.
     fn step_rotator(&mut self) -> Step {
-        let tid = 3;
+        let tid = 2;
         match self.rotator_pc {
             0 => {
-                if !self.pending.acquire(tid) {
+                if !self.segment.acquire(tid) {
                     return Step::Blocked;
                 }
-                self.rotator_pc = 1;
-                Step::Ran
             }
             1 => {
-                if !self.sink.acquire(tid) {
+                if !self.pending.acquire(tid) {
                     return Step::Blocked;
                 }
                 let mut chunk = std::mem::take(&mut self.buf);
                 let seg = self.segments.last_mut().expect("segment list nonempty");
                 seg.append(&mut chunk);
+                self.durable = self.durable.max(self.appended);
                 self.segments.push(Vec::new());
-                self.sink.release(tid);
-                self.rotator_pc = 2;
-                Step::Ran
             }
             2 => {
-                self.durable = self.durable.max(self.appended);
                 self.pending.release(tid);
-                self.rotator_pc = 3;
-                Step::Ran
+                self.segment.release(tid);
             }
-            _ => Step::Done,
+            _ => return Step::Done,
         }
+        self.rotator_pc += 1;
+        Step::Ran
     }
 }
 
 impl Model for WalRotationModel {
     fn threads(&self) -> usize {
-        4
+        3
     }
 
     fn step(&mut self, tid: usize) -> Step {
         match tid {
-            0 | 1 => self.step_appender(tid),
-            2 => self.step_committer(),
+            0 | 1 => self.step_writer(tid),
             _ => self.step_rotator(),
         }
     }
@@ -354,7 +339,7 @@ impl Model for WalRotationModel {
         // Durability: every LSN the published watermark covers must be in
         // a synced segment. This is exactly what the historical race broke
         // — rotation published `durable = appended` while an acknowledged
-        // chunk sat in the committer's memory.
+        // chunk sat in a writer's memory.
         for lsn in 1..=self.durable {
             if !self.segments.iter().any(|s| s.contains(&lsn)) {
                 return Err(format!(
@@ -381,14 +366,12 @@ impl Model for WalRotationModel {
     }
 
     fn on_stuck(&self) -> Result<(), String> {
-        // Parked appenders whose records no committer iteration will reach
-        // are fine (the model's committer runs one iteration); a lock held
-        // in a stuck state is a deadlock.
-        if self.pending.is_held() || self.sink.is_held() {
-            Err("deadlock: model stuck with a lock still held".to_string())
-        } else {
-            Ok(())
-        }
+        // no writer parks: one that is not covered leads, so a stuck
+        // state is a deadlock
+        Err(format!(
+            "deadlock: writers at {:?}, rotator at {}",
+            self.writer_pc, self.rotator_pc
+        ))
     }
 }
 

@@ -118,16 +118,14 @@ pub const DUR_SNAPSHOT_TIME: u32 = 72;
 
 // ---- write-ahead log ----
 
-/// `Wal.pending`: the group-commit staging buffer. The committer and
-/// `rotate_to` take `pending` before `sink` — never the reverse.
-pub const WAL_PENDING: u32 = 80;
-/// `Wal.sink`: the open segment file. Acquired while `pending` is still
-/// held so no later chunk can overtake a published durable watermark.
-pub const WAL_SINK: u32 = 82;
-/// `Wal.durable`: the durable-LSN watermark.
-pub const WAL_DURABLE: u32 = 84;
-/// `Wal.committer`: the committer thread's join handle.
-pub const WAL_COMMITTER: u32 = 86;
+/// `Wal.segment`: the open segment file. A committing caller holds it
+/// across its write and fsync; it, `rotate_to` and `abandon` take it
+/// before `pending`, so staged bytes leave `pending` only for the holder
+/// of the file.
+pub const WAL_SEGMENT: u32 = 80;
+/// `Wal.pending`: the group-commit staging buffer. A leaf: an append takes
+/// it alone, with whatever kv or model lock its caller holds.
+pub const WAL_PENDING: u32 = 82;
 
 // ---- dispatch pool (innermost) ----
 //

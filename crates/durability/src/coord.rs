@@ -26,13 +26,13 @@
 //! in a different order is reported as an error instead of silently
 //! corrupting keys.
 
-use crate::record::WalRecord;
+use crate::record::{Interval, RecordRef, WalRecord};
 use crate::snapshot::{read_snapshot, write_snapshot, ModelCheckpoint, SnapshotState};
 use crate::wal::{read_wal, SyncPolicy, Wal, WalCounters};
 use piql_analysis::ordered::Mutex;
 use piql_analysis::rank;
 use piql_kv::{KvEntry, KvStore, LiveCluster, NsId, WalSink};
-use piql_predict::{LatencyHistogram, ModelKey, ModelStore};
+use piql_predict::ModelStore;
 use std::collections::BTreeMap;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -134,9 +134,9 @@ pub struct RecoveredState {
     /// Final registered-statement map (upserts and drops resolved).
     pub statements: BTreeMap<String, String>,
     /// Model checkpoint intervals from the snapshot, if any.
-    snapshot_models: Option<Vec<BTreeMap<ModelKey, LatencyHistogram>>>,
+    snapshot_models: Option<Vec<Interval>>,
     /// Rotations to fold on top (seq > checkpoint seq), in order.
-    model_rotations: Vec<BTreeMap<ModelKey, LatencyHistogram>>,
+    model_rotations: Vec<Interval>,
     pub report: RecoveryReport,
 }
 
@@ -190,16 +190,15 @@ impl RecoveredState {
 
     /// The recovered model store: the snapshot checkpoint (or `seed` when
     /// there is none) with every logged rotation folded on top — the same
-    /// fold sequence the original process performed.
-    pub fn models(&self, seed: ModelStore) -> ModelStore {
-        let mut store = match &self.snapshot_models {
-            Some(intervals) => ModelStore::from_intervals(intervals.clone()),
+    /// fold sequence the original process performed. The recovered
+    /// intervals move into the store, so a second call folds onto `seed`
+    /// alone.
+    pub fn models(&mut self, seed: ModelStore) -> ModelStore {
+        let store = match self.snapshot_models.take() {
+            Some(intervals) => ModelStore::from_intervals(intervals),
             None => seed,
         };
-        for rotation in &self.model_rotations {
-            store = store.rotated(rotation.clone());
-        }
-        store
+        store.rotated_by(std::mem::take(&mut self.model_rotations))
     }
 }
 
@@ -230,7 +229,7 @@ pub struct SnapshotInputs {
     /// `(rotations this process, interval maps)` from
     /// `SharedModelStore::snapshot_with_rotations`, or `None` when no
     /// model store is wired in.
-    pub models: Option<(u64, Vec<BTreeMap<ModelKey, LatencyHistogram>>)>,
+    pub models: Option<(u64, Vec<Interval>)>,
 }
 
 /// The durability coordinator: owns the WAL, the generation counter, and
@@ -444,9 +443,7 @@ impl Durability {
                 return;
             }
             ddl.push(sql.to_string());
-            self.wal.append(&WalRecord::Ddl {
-                sql: sql.to_string(),
-            });
+            self.wal.append(&RecordRef::Ddl { sql });
         }
         self.wal.commit();
     }
@@ -455,31 +452,23 @@ impl Durability {
     /// orders racing (un)registrations of one name: the registry appends
     /// under its statements write lock, in the order its map changes.
     pub fn log_statement_upsert(&self, name: &str, sql: &str) {
-        self.wal.append(&WalRecord::StatementUpsert {
-            name: name.to_string(),
-            sql: sql.to_string(),
-        });
+        self.wal.append(&RecordRef::StatementUpsert { name, sql });
         self.wal.commit();
     }
 
     /// Journal a statement removal (ordered by the caller, like
     /// [`Durability::log_statement_upsert`]).
     pub fn log_statement_drop(&self, name: &str) {
-        self.wal.append(&WalRecord::StatementDrop {
-            name: name.to_string(),
-        });
+        self.wal.append(&RecordRef::StatementDrop { name });
         self.wal.commit();
     }
 
     /// Journal one model rotation (call from the rotation observer, which
     /// runs under the store's rotation lock — that ordering is what makes
     /// the sequence numbers agree with the fold order).
-    pub fn log_model_interval(&self, interval: &BTreeMap<ModelKey, LatencyHistogram>) {
+    pub fn log_model_interval(&self, interval: &Interval) {
         let seq = self.model_seq.fetch_add(1, Ordering::AcqRel) + 1;
-        self.wal.append(&WalRecord::ModelInterval {
-            seq,
-            interval: interval.clone(),
-        });
+        self.wal.append(&RecordRef::ModelInterval { seq, interval });
         self.wal.commit();
     }
 
@@ -522,13 +511,10 @@ impl Durability {
         };
         let bytes = write_snapshot(&snap_path(&self.config.dir, new_gen), &state)?;
         write_manifest(&self.config.dir, new_gen)?;
-        let old_manifest = self.manifest_gen.swap(new_gen, Ordering::AcqRel);
+        self.manifest_gen.store(new_gen, Ordering::Release);
         *self.snapshot_time.lock() = Some(SystemTime::now());
         // the records behind the checkpoint are now dead weight
-        for g in old_manifest..new_gen {
-            let _ = std::fs::remove_file(wal_path(&self.config.dir, g));
-        }
-        let _ = std::fs::remove_file(snap_path(&self.config.dir, old_manifest));
+        cleanup(&self.config.dir, new_gen);
         Ok(SnapshotSummary {
             generation: new_gen,
             entries,
@@ -544,7 +530,7 @@ impl Durability {
         self.wal.counters().segment_bytes >= self.config.snapshot_wal_bytes
     }
 
-    /// Graceful shutdown: flush and stop the committer.
+    /// Graceful shutdown: make everything appended durable.
     pub fn close(&self) {
         self.wal.close();
     }
@@ -605,28 +591,51 @@ impl Drop for Durability {
 /// [`LiveCluster`] attaches.
 impl WalSink for Durability {
     fn append_ns(&self, ns: NsId, name: &str) {
-        self.wal.append(&WalRecord::NsCreate {
-            ns: ns.0,
-            name: name.to_string(),
-        });
+        self.wal.append(&RecordRef::NsCreate { ns: ns.0, name });
     }
 
     fn append_put(&self, ns: NsId, key: &[u8], value: &[u8]) {
-        self.wal.append(&WalRecord::Put {
+        self.wal.append(&RecordRef::Put {
             ns: ns.0,
-            key: key.to_vec(),
-            value: value.to_vec(),
+            key,
+            value,
         });
     }
 
     fn append_delete(&self, ns: NsId, key: &[u8]) {
-        self.wal.append(&WalRecord::Delete {
-            ns: ns.0,
-            key: key.to_vec(),
-        });
+        self.wal.append(&RecordRef::Delete { ns: ns.0, key });
     }
 
     fn commit(&self) -> bool {
         self.wal.commit()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_checkpoint_leaves_only_its_own_generation() {
+        let dir = std::env::temp_dir().join(format!("piql-coord-{}-cleanup", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let (_, d) = Durability::open(DurabilityConfig::new(&dir)).unwrap();
+        for _ in 0..2 {
+            d.log_ddl("CREATE TABLE t (id INT PRIMARY KEY)");
+            d.snapshot_with(|| SnapshotInputs {
+                namespaces: Vec::new(),
+                statements: Vec::new(),
+                models: None,
+            })
+            .unwrap();
+        }
+        let mut names: Vec<String> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|entry| entry.unwrap().file_name().into_string().unwrap())
+            .collect();
+        names.sort();
+        assert_eq!(names, ["MANIFEST", "snapshot-2.snap", "wal-2.log"]);
+        d.close();
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

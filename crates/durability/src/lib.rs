@@ -8,11 +8,12 @@
 //! admission control, and the latency models trained from live traffic.
 //! This crate persists all three:
 //!
-//! * [`wal`] — a length-prefixed, CRC-checksummed append log. A
-//!   dedicated committer thread coalesces concurrent appenders into
-//!   shared fsyncs (group commit, the one commit path); writers block in
-//!   [`Wal::commit`] until their records are on stable storage, so an
-//!   acknowledged write is a durable write.
+//! * [`wal`] — a length-prefixed, CRC-checksummed append log. An append
+//!   only stages its frame; a writer blocks in [`Wal::commit`] until its
+//!   records are on stable storage, and the first of a queue of
+//!   committers writes and syncs everything staged for all of them (group
+//!   commit, the one commit path), so an acknowledged write is a durable
+//!   write.
 //! * [`snapshot`] — atomic whole-state checkpoints (KV namespaces, DDL,
 //!   registered statements, model intervals) that let the log be
 //!   truncated behind them.

@@ -9,40 +9,48 @@
 //! exactly where the last intact record ends.
 
 use piql_predict::{LatencyHistogram, ModelKey, OpKind};
+use std::borrow::Borrow;
 use std::collections::BTreeMap;
 use std::fmt;
+
+/// One model interval: a histogram per model key.
+pub type Interval = BTreeMap<ModelKey, LatencyHistogram>;
 
 /// Everything the durable state machine can be told. KV records replay
 /// into `LiveCluster`; the rest rebuild the serving layer (catalog, the
 /// statement registry, the live-trained model intervals).
+///
+/// Generic over how a record holds its byte strings `B`, its text `S` and
+/// its interval `I`: a [`WalRecord`] owns them (what replay decodes), a
+/// [`RecordRef`] borrows them (what a writer logs, encoded straight from
+/// the caller's data). Both encode to the same bytes.
 #[derive(Debug, Clone, PartialEq)]
-pub enum WalRecord {
+pub enum Record<B, S, I> {
     /// Namespace `name` exists and was assigned id `ns`.
-    NsCreate { ns: u32, name: String },
+    NsCreate { ns: u32, name: S },
     /// `key` in namespace `ns` maps to `value`.
-    Put {
-        ns: u32,
-        key: Vec<u8>,
-        value: Vec<u8>,
-    },
+    Put { ns: u32, key: B, value: B },
     /// `key` in namespace `ns` is absent.
-    Delete { ns: u32, key: Vec<u8> },
+    Delete { ns: u32, key: B },
     /// A DDL statement executed through the durable stack.
-    Ddl { sql: String },
+    Ddl { sql: S },
     /// A prepared statement was installed (or re-installed) as `name`.
-    StatementUpsert { name: String, sql: String },
+    StatementUpsert { name: S, sql: S },
     /// The prepared statement `name` was removed.
-    StatementDrop { name: String },
+    StatementDrop { name: S },
     /// One rotated model interval: the histograms drained from the live
     /// accumulator. `seq` counts rotations over the store's durable
     /// lifetime (across restarts); a snapshot checkpoint records the seq
     /// it includes, so replay skips intervals already folded into it even
     /// when a rotation raced the snapshot export.
-    ModelInterval {
-        seq: u64,
-        interval: BTreeMap<ModelKey, LatencyHistogram>,
-    },
+    ModelInterval { seq: u64, interval: I },
 }
+
+/// A record that owns its fields.
+pub type WalRecord = Record<Vec<u8>, String, Interval>;
+
+/// A record that borrows its fields.
+pub type RecordRef<'a> = Record<&'a [u8], &'a str, &'a Interval>;
 
 const TAG_NS_CREATE: u8 = 1;
 const TAG_PUT: u8 = 2;
@@ -89,7 +97,7 @@ pub(crate) fn put_bytes(out: &mut Vec<u8>, b: &[u8]) {
 /// One model interval: a `u32` count, then per histogram in key order its
 /// key (op byte [`OpKind::index`], α_c, α_j, β) and its nonzero `(bin,
 /// count)` pairs ([`LatencyHistogram::nonzero_bins`]).
-pub(crate) fn put_interval(out: &mut Vec<u8>, interval: &BTreeMap<ModelKey, LatencyHistogram>) {
+pub(crate) fn put_interval(out: &mut Vec<u8>, interval: &Interval) {
     put_u32(out, interval.len() as u32);
     for (key, histogram) in interval {
         let bins = histogram.nonzero_bins();
@@ -157,7 +165,7 @@ impl<'a> Cursor<'a> {
     /// What [`put_interval`] wrote, each histogram rebuilt through
     /// [`LatencyHistogram::from_sparse`]. Counts come from the bytes, so
     /// they size nothing beyond a clamp: a lying count runs out of input.
-    pub(crate) fn interval(&mut self) -> Result<BTreeMap<ModelKey, LatencyHistogram>, RecordError> {
+    pub(crate) fn interval(&mut self) -> Result<Interval, RecordError> {
         let n = self.u32()?;
         let mut interval = BTreeMap::new();
         for _ in 0..n {
@@ -184,49 +192,58 @@ impl<'a> Cursor<'a> {
     }
 }
 
-impl WalRecord {
-    /// Encode the payload (tag byte + body) — framing is the WAL's job.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(32);
+impl<B: AsRef<[u8]>, S: AsRef<str>, I: Borrow<Interval>> Record<B, S, I> {
+    /// Append the payload (tag byte + body) to `out` — framing is the
+    /// WAL's job.
+    pub(crate) fn encode_into(&self, out: &mut Vec<u8>) {
+        let text = |out: &mut Vec<u8>, s: &S| put_bytes(out, s.as_ref().as_bytes());
         match self {
-            WalRecord::NsCreate { ns, name } => {
+            Record::NsCreate { ns, name } => {
                 out.push(TAG_NS_CREATE);
-                put_u32(&mut out, *ns);
-                put_bytes(&mut out, name.as_bytes());
+                put_u32(out, *ns);
+                text(out, name);
             }
-            WalRecord::Put { ns, key, value } => {
+            Record::Put { ns, key, value } => {
                 out.push(TAG_PUT);
-                put_u32(&mut out, *ns);
-                put_bytes(&mut out, key);
-                put_bytes(&mut out, value);
+                put_u32(out, *ns);
+                put_bytes(out, key.as_ref());
+                put_bytes(out, value.as_ref());
             }
-            WalRecord::Delete { ns, key } => {
+            Record::Delete { ns, key } => {
                 out.push(TAG_DELETE);
-                put_u32(&mut out, *ns);
-                put_bytes(&mut out, key);
+                put_u32(out, *ns);
+                put_bytes(out, key.as_ref());
             }
-            WalRecord::Ddl { sql } => {
+            Record::Ddl { sql } => {
                 out.push(TAG_DDL);
-                put_bytes(&mut out, sql.as_bytes());
+                text(out, sql);
             }
-            WalRecord::StatementUpsert { name, sql } => {
+            Record::StatementUpsert { name, sql } => {
                 out.push(TAG_STMT_UPSERT);
-                put_bytes(&mut out, name.as_bytes());
-                put_bytes(&mut out, sql.as_bytes());
+                text(out, name);
+                text(out, sql);
             }
-            WalRecord::StatementDrop { name } => {
+            Record::StatementDrop { name } => {
                 out.push(TAG_STMT_DROP);
-                put_bytes(&mut out, name.as_bytes());
+                text(out, name);
             }
-            WalRecord::ModelInterval { seq, interval } => {
+            Record::ModelInterval { seq, interval } => {
                 out.push(TAG_MODEL_INTERVAL);
-                put_u64(&mut out, *seq);
-                put_interval(&mut out, interval);
+                put_u64(out, *seq);
+                put_interval(out, interval.borrow());
             }
         }
-        out
     }
 
+    /// The payload alone.
+    pub fn encode(&self) -> Vec<u8> {
+        let mut out = Vec::with_capacity(32);
+        self.encode_into(&mut out);
+        out
+    }
+}
+
+impl WalRecord {
     /// Decode a payload produced by [`WalRecord::encode`]. Trailing bytes
     /// are an error: a frame holds exactly one record.
     pub fn decode(payload: &[u8]) -> Result<WalRecord, RecordError> {

@@ -2,16 +2,23 @@
 //!
 //! # Group commit
 //!
-//! Appenders never touch the file. [`Wal::append`] encodes the frame into
-//! an in-memory pending buffer under a short mutex and returns an LSN
-//! (the byte offset the segment will have once the frame is written). A
-//! dedicated **committer thread** swaps the buffer out, writes it with
-//! one `write` + `fdatasync`, then advances the **durable watermark** and
-//! wakes everyone blocked in [`Wal::commit`]. While an fsync is in flight
-//! new appenders keep accumulating in the fresh buffer, so `k` concurrent
-//! write rounds cost ~1 fsync, not `k` — the classic group-commit
-//! amortization. This is the only commit path: every append goes through
-//! the buffer.
+//! An append never touches the file. [`Wal::append`] encodes its frame
+//! straight into a staging buffer under a short mutex and returns an LSN
+//! (the byte offset the log will have once the frame is written). A
+//! caller that needs its records on stable storage calls [`Wal::commit`]:
+//! it returns at once when the durable watermark already covers them, and
+//! otherwise queues on the segment lock. The first in line leads: it takes
+//! everything staged, writes it with one `write` + `fdatasync` and
+//! publishes the watermark. A committer queued behind it usually finds
+//! its LSN covered once it gets the lock, so `k` concurrent write rounds
+//! share ~1 fsync, not `k`, and no thread is there to hand work to.
+//!
+//! Every path that takes both locks — a leader, [`Wal::rotate_to`],
+//! [`Wal::abandon`] — takes the segment before `pending`. Staged bytes
+//! therefore leave `pending` only into the hands of the segment's holder,
+//! who writes them before anyone else can: a watermark never covers a byte
+//! that is not in the file, and no byte lands in a later segment than its
+//! LSN says.
 //!
 //! # Torn tails
 //!
@@ -21,9 +28,10 @@
 //! truncates to that point and appends from there. Nothing panics on a
 //! torn tail — it is the *expected* shape of a crashed log.
 
-use crate::record::{crc32, RecordError, WalRecord};
-use piql_analysis::ordered::{Condvar, Mutex};
+use crate::record::{crc32, Interval, Record, RecordError, WalRecord};
+use piql_analysis::ordered::Mutex;
 use piql_analysis::rank;
+use std::borrow::Borrow;
 use std::fmt;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Seek, SeekFrom, Write};
@@ -37,8 +45,8 @@ const HEADER: usize = 8;
 const MAX_PAYLOAD: u32 = 1 << 30;
 
 /// When appended records hit stable storage. There is one answer: appends
-/// are buffered and a committer thread coalesces concurrent commits into
-/// one `fdatasync`.
+/// are staged, and the first of a queue of concurrent commits writes them
+/// all with one `fdatasync`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SyncPolicy {
     GroupCommit,
@@ -144,22 +152,13 @@ fn le_u32_at(data: &[u8], at: usize) -> Option<u32> {
     Some(u32::from_le_bytes(bytes))
 }
 
-fn frame(rec: &WalRecord) -> Vec<u8> {
-    let payload = rec.encode();
-    let mut out = Vec::with_capacity(HEADER + payload.len());
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&crc32(&payload).to_le_bytes());
-    out.extend_from_slice(&payload);
-    out
-}
-
-#[derive(Default)]
-struct Pending {
-    buf: Vec<u8>,
-}
-
-struct Sink {
+/// The open segment, and the buffer its last leader wrote from.
+struct Segment {
     file: File,
+    /// Kept empty between leaders: a leader swaps it for the staged
+    /// buffer, so appends and commits reuse two buffers and allocate
+    /// nothing once both have grown.
+    spare: Vec<u8>,
 }
 
 /// Monotonic WAL counters (relaxed; reporting only).
@@ -180,24 +179,23 @@ pub struct WalCounters {
 
 /// An append-only segmented log with a durable watermark.
 pub struct Wal {
-    pending: Mutex<Pending>,
-    /// Wakes the committer when the pending buffer gains bytes.
-    work: Condvar,
-    sink: Mutex<Sink>,
-    /// Highest LSN (segment byte offset) known to be on stable storage.
-    durable: Mutex<u64>,
-    durable_cv: Condvar,
+    /// The open segment. A leader holds it across its write and sync;
+    /// taken before `pending` wherever both are.
+    segment: Mutex<Segment>,
+    /// Frames staged but not yet written, ending at LSN `appended`.
+    pending: Mutex<Vec<u8>>,
     /// Next LSN to hand out: lifetime bytes appended (monotonic across
-    /// segment rotations, so blocked commit barriers stay valid).
+    /// segment rotations, so an LSN taken before a rotation stays valid).
+    /// Advanced under `pending`.
     appended: AtomicU64,
+    /// Highest LSN on stable storage. Advanced under `segment`.
+    durable: AtomicU64,
     /// LSN at which the current segment began; `appended - segment_start`
-    /// is the segment's on-disk length.
+    /// is the segment's length once everything staged is written.
     segment_start: AtomicU64,
-    /// Graceful shutdown: flush pending, then stop.
-    shutdown: AtomicBool,
-    /// Crash simulation: pending bytes are *discarded*, waiters released.
+    /// Crashed or failed: staged bytes are discarded, appends dropped, and
+    /// no commit reports durability again.
     dead: AtomicBool,
-    committer: Mutex<Option<std::thread::JoinHandle<()>>>,
     segment_records: AtomicU64,
     total_records: AtomicU64,
     fsyncs: AtomicU64,
@@ -206,148 +204,121 @@ pub struct Wal {
 
 impl Wal {
     /// Open `path` for appending at `valid_len` (from [`read_wal`] —
-    /// anything beyond it is a torn tail and is truncated away) and start
-    /// the committer thread. `existing_records` seeds the segment record
-    /// counter so "records since last snapshot" survives a restart.
+    /// anything beyond it is a torn tail and is truncated away).
+    /// `existing_records` seeds the segment record counter so "records
+    /// since last snapshot" survives a restart.
     pub fn open(
         path: &Path,
         valid_len: u64,
         existing_records: u64,
     ) -> io::Result<std::sync::Arc<Wal>> {
-        let file = OpenOptions::new()
+        let mut file = OpenOptions::new()
             .read(true)
             .write(true)
             .create(true)
             .truncate(false)
             .open(path)?;
         file.set_len(valid_len)?;
-        let mut file = file;
         file.seek(SeekFrom::End(0))?;
         file.sync_data()?;
-        let wal = std::sync::Arc::new(Wal {
-            pending: Mutex::new(rank::WAL_PENDING, "wal.pending", Pending::default()),
-            work: Condvar::new(),
-            sink: Mutex::new(rank::WAL_SINK, "wal.sink", Sink { file }),
-            durable: Mutex::new(rank::WAL_DURABLE, "wal.durable", valid_len),
-            durable_cv: Condvar::new(),
+        Ok(std::sync::Arc::new(Wal {
+            segment: Mutex::new(
+                rank::WAL_SEGMENT,
+                "wal.segment",
+                Segment {
+                    file,
+                    spare: Vec::new(),
+                },
+            ),
+            pending: Mutex::new(rank::WAL_PENDING, "wal.pending", Vec::new()),
             appended: AtomicU64::new(valid_len),
+            durable: AtomicU64::new(valid_len),
             segment_start: AtomicU64::new(0),
-            shutdown: AtomicBool::new(false),
             dead: AtomicBool::new(false),
-            committer: Mutex::new(rank::WAL_COMMITTER, "wal.committer", None),
             segment_records: AtomicU64::new(existing_records),
             total_records: AtomicU64::new(existing_records),
             fsyncs: AtomicU64::new(0),
             commits: AtomicU64::new(0),
-        });
-        let w = wal.clone();
-        let handle = std::thread::Builder::new()
-            .name("piql-wal-commit".into())
-            .spawn(move || w.committer_loop())
-            .map_err(io::Error::other)?;
-        *wal.committer.lock() = Some(handle);
-        Ok(wal)
+        }))
     }
 
-    fn committer_loop(&self) {
-        loop {
-            let (chunk, target, mut s) = {
-                let mut p = self.pending.lock();
-                while p.buf.is_empty()
-                    && !self.shutdown.load(Ordering::Acquire)
-                    && !self.dead.load(Ordering::Acquire)
-                {
-                    p = self.work.wait(p);
-                }
-                if self.dead.load(Ordering::Acquire) {
-                    return;
-                }
-                if p.buf.is_empty() {
-                    // shutdown with nothing left to flush
-                    return;
-                }
-                // Take the sink *before* releasing `pending` (the same
-                // pending→sink order `rotate_to` uses). A rotation can
-                // therefore never slip between taking the chunk and
-                // writing it: it would sync the old file without the
-                // chunk, swap segments, and publish a watermark covering
-                // LSNs that exist only in this thread's memory — losing
-                // acknowledged writes on a crash and spilling old-segment
-                // records into the new file. The watermark target is the
-                // LSN at the moment the buffer is taken: everything in
-                // `chunk` is below it.
-                let chunk = std::mem::take(&mut p.buf);
-                let target = self.appended.load(Ordering::Acquire);
-                (chunk, target, self.sink.lock())
-            };
-            let result = s.file.write_all(&chunk).and_then(|_| s.file.sync_data());
-            drop(s);
-            self.fsyncs.fetch_add(1, Ordering::Relaxed);
-            if let Err(e) = result {
-                // a failing log device voids the durability guarantee;
-                // release everyone rather than hanging the write path
-                eprintln!("piql-wal: write/sync failed, log is dead: {e}");
-                self.dead.store(true, Ordering::Release);
-                self.durable_cv.notify_all();
-                return;
-            }
-            let mut d = self.durable.lock();
-            if target > *d {
-                *d = target;
-            }
-            drop(d);
-            self.durable_cv.notify_all();
-        }
-    }
-
-    /// Append one record; returns its LSN. Cheap (one short mutex +
-    /// memcpy) — safe to call under a shard write lock. Durability comes
+    /// Stage one record; returns its LSN. Its frame is encoded straight
+    /// into the staging buffer under one short mutex, and nothing touches
+    /// the file — safe to call under a shard write lock. Durability comes
     /// from a later [`Wal::commit`].
-    pub fn append(&self, rec: &WalRecord) -> u64 {
-        if self.dead.load(Ordering::Acquire) {
+    pub fn append(
+        &self,
+        rec: &Record<impl AsRef<[u8]>, impl AsRef<str>, impl Borrow<Interval>>,
+    ) -> u64 {
+        let mut staged = self.pending.lock();
+        if self.is_dead() {
             return self.appended.load(Ordering::Acquire);
         }
-        let bytes = frame(rec);
-        let mut p = self.pending.lock();
-        let lsn = self
-            .appended
-            .fetch_add(bytes.len() as u64, Ordering::AcqRel)
-            + bytes.len() as u64;
-        p.buf.extend_from_slice(&bytes);
-        drop(p);
-        self.work.notify_one();
+        let start = staged.len();
+        staged.extend_from_slice(&[0; HEADER]);
+        rec.encode_into(&mut staged);
+        let payload = &staged[start + HEADER..];
+        let header = [
+            (payload.len() as u32).to_le_bytes(),
+            crc32(payload).to_le_bytes(),
+        ];
+        staged[start..start + HEADER].copy_from_slice(header.as_flattened());
+        let framed = (staged.len() - start) as u64;
+        // counted under `pending`, so a rotation resets no count of a
+        // record in the segment it closes
         self.segment_records.fetch_add(1, Ordering::Relaxed);
         self.total_records.fetch_add(1, Ordering::Relaxed);
-        lsn
+        self.appended.fetch_add(framed, Ordering::AcqRel) + framed
     }
 
     /// Block until every record appended before this call is durable —
-    /// the barrier [`piql_kv::WalSink::commit`] maps to. Concurrent
-    /// callers coalesce onto the committer's next fsync. Returns `false`
-    /// when the log died before the barrier was reached: the records are
-    /// *not* durable and the caller must not acknowledge them as such.
+    /// the barrier [`piql_kv::WalSink::commit`] maps to. Returns `false`
+    /// when the log is dead: the records are *not* durable and the caller
+    /// must not acknowledge them as such.
     pub fn commit(&self) -> bool {
         self.commits.fetch_add(1, Ordering::Relaxed);
-        let reached = self.wait_durable(self.appended.load(Ordering::Acquire));
         // a dead log dropped appends at the door without advancing the
         // barrier LSN, so reaching the watermark proves nothing — once
         // dead, no commit may report durability
-        reached && !self.dead.load(Ordering::Acquire)
+        self.wait_durable(self.appended.load(Ordering::Acquire)) && !self.is_dead()
     }
 
-    /// Block until the watermark reaches `lsn` (or the log dies). Returns
-    /// whether the watermark actually got there.
+    /// Block until the watermark reaches `lsn`, leading a write if no one
+    /// ahead has covered it. Returns whether the watermark got there (not
+    /// when the log is dead).
     pub fn wait_durable(&self, lsn: u64) -> bool {
-        let mut d = self.durable.lock();
-        while *d < lsn && !self.dead.load(Ordering::Acquire) {
-            d = self.durable_cv.wait(d);
+        if self.durable.load(Ordering::Acquire) < lsn {
+            let mut segment = self.segment.lock();
+            // a leader ahead of this caller in the queue may have covered
+            // `lsn` while it waited
+            if self.durable.load(Ordering::Acquire) < lsn && !self.is_dead() {
+                let Segment { file, spare } = &mut *segment;
+                let end = {
+                    let mut staged = self.pending.lock();
+                    std::mem::swap(&mut *staged, spare);
+                    self.appended.load(Ordering::Acquire)
+                };
+                // a failure has killed the log; the answer below says so
+                let _ = self.sync(file, spare, end);
+                spare.clear();
+            }
         }
-        *d >= lsn
+        self.durable.load(Ordering::Acquire) >= lsn
     }
 
-    /// The durable watermark (reporting).
-    pub fn durable_lsn(&self) -> u64 {
-        *self.durable.lock()
+    /// Write `bytes`, which end the log at LSN `end`, sync them and
+    /// publish `end` as the watermark: the one way bytes reach a segment,
+    /// run with the segment lock held. A failing log device voids the
+    /// durability guarantee, so a failure kills the log.
+    fn sync(&self, file: &mut File, bytes: &[u8], end: u64) -> io::Result<()> {
+        self.fsyncs.fetch_add(1, Ordering::Relaxed);
+        if let Err(e) = file.write_all(bytes).and_then(|()| file.sync_data()) {
+            eprintln!("piql-wal: write/sync failed, log is dead: {e}");
+            self.dead.store(true, Ordering::Release);
+            return Err(e);
+        }
+        self.durable.fetch_max(end, Ordering::AcqRel);
+        Ok(())
     }
 
     /// Atomically flush + fsync the current segment and switch appends to
@@ -356,73 +327,44 @@ impl Wal {
     /// taken *after* the rotation plus the new segment replays to the
     /// same state.
     pub fn rotate_to(&self, new_path: &Path) -> io::Result<()> {
-        // holding `pending` blocks appenders for the whole swap; holding
-        // `sink` waits out an in-flight committer write. The committer
-        // acquires sink before releasing pending, so once both locks are
-        // held here no chunk can be in flight: the watermark published
-        // below only covers bytes this call has actually synced.
-        let mut p = self.pending.lock();
-        let chunk = std::mem::take(&mut p.buf);
-        let target = self.appended.load(Ordering::Acquire);
-        let mut s = self.sink.lock();
-        if !chunk.is_empty() {
-            s.file.write_all(&chunk)?;
-        }
-        s.file.sync_data()?;
-        let new_file = OpenOptions::new()
+        // the segment lock waits out an in-flight leader; `pending`, held
+        // to the end, keeps appenders out, so everything staged before
+        // this call goes to the old segment and everything after to the
+        // new one
+        let mut segment = self.segment.lock();
+        let mut staged = self.pending.lock();
+        let end = self.appended.load(Ordering::Acquire);
+        self.sync(&mut segment.file, &staged, end)?;
+        staged.clear();
+        segment.file = OpenOptions::new()
             .read(true)
             .write(true)
             .create_new(true)
             .open(new_path)?;
-        s.file = new_file;
-        drop(s);
-        let mut d = self.durable.lock();
-        if target > *d {
-            *d = target;
-        }
-        drop(d);
-        self.durable_cv.notify_all();
-        // LSNs keep counting lifetime bytes (commit barriers taken before
-        // the rotation stay valid); only the segment accounting resets
-        self.segment_start.store(target, Ordering::Release);
+        // LSNs keep counting lifetime bytes; only the segment accounting
+        // resets
+        self.segment_start.store(end, Ordering::Release);
         self.segment_records.store(0, Ordering::Release);
         Ok(())
     }
 
-    /// Crash simulation (tests): drop all buffered-but-unwritten bytes
-    /// and kill the log, releasing every waiter. File state afterwards is
-    /// exactly what a `kill -9` would have left: the durable prefix.
+    /// Crash simulation (tests): wait out an in-flight write, drop every
+    /// staged byte and kill the log. File state afterwards is exactly what
+    /// a `kill -9` would have left: the durable prefix.
     pub fn abandon(&self) {
-        {
-            let mut p = self.pending.lock();
-            p.buf.clear();
-            self.dead.store(true, Ordering::Release);
-        }
-        self.work.notify_all();
-        self.durable_cv.notify_all();
-        if let Some(h) = self.committer.lock().take() {
-            let _ = h.join();
-        }
+        let _segment = self.segment.lock();
+        // under `pending`, where `append` reads it: no frame is staged
+        // after the clear
+        let mut staged = self.pending.lock();
+        staged.clear();
+        self.dead.store(true, Ordering::Release);
     }
 
-    /// Graceful shutdown: flush everything pending, then stop the
-    /// committer. Called by `Drop`; idempotent.
+    /// Graceful shutdown: make everything appended durable. Called by
+    /// `Drop`; idempotent.
     pub fn close(&self) {
-        if self.dead.load(Ordering::Acquire) {
-            return;
-        }
-        self.commit();
-        {
-            // under `pending`, like `abandon`'s `dead`: the committer reads
-            // the flag and parks on `work` under that lock, so the flag
-            // cannot land between its check and its wait, and the notify
-            // below cannot be lost
-            let _pending = self.pending.lock();
-            self.shutdown.store(true, Ordering::Release);
-        }
-        self.work.notify_all();
-        if let Some(h) = self.committer.lock().take() {
-            let _ = h.join();
+        if !self.is_dead() {
+            self.commit();
         }
     }
 
@@ -480,16 +422,34 @@ mod tests {
         }
         wal.commit();
         assert_eq!(wal.counters().segment_records, 100);
-        assert_eq!(
-            wal.durable_lsn(),
-            wal.counters().segment_bytes,
-            "commit covers every append"
-        );
+        let synced = read_wal(&path).unwrap();
+        assert_eq!(synced.records.len(), 100, "commit covers every append");
+        assert_eq!(synced.valid_len, wal.counters().segment_bytes);
         wal.close();
         let contents = read_wal(&path).unwrap();
         assert!(contents.tail.is_clean());
         assert_eq!(contents.records.len(), 100);
         assert_eq!(contents.records[3], put(3));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn appends_sync_nothing_until_one_commit_syncs_them_all() {
+        let dir = temp("one-fsync");
+        let path = dir.join("wal-0.log");
+        let wal = Wal::open(&path, 0, 0).unwrap();
+        for i in 0..50 {
+            wal.append(&put(i));
+        }
+        // long enough for a background writer to have synced, were there one
+        std::thread::sleep(std::time::Duration::from_millis(100));
+        assert_eq!(wal.counters().fsyncs, 0, "an append reached the file");
+        assert_eq!(read_wal(&path).unwrap().records.len(), 0);
+        assert!(wal.commit());
+        assert_eq!(wal.counters().fsyncs, 1, "one commit, one fsync");
+        assert_eq!(read_wal(&path).unwrap().records.len(), 50);
+        wal.close();
+        assert_eq!(wal.counters().fsyncs, 1, "a covered commit syncs nothing");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -553,14 +513,13 @@ mod tests {
 
     #[test]
     fn rotation_concurrent_with_group_commit_keeps_lsn_layout() {
-        // Regression: the committer used to release `pending` before
-        // taking `sink`, so a rotation could sneak between the two, sync
-        // the old segment *without* the in-flight chunk, publish a
-        // watermark covering the chunk's LSNs (acknowledging writes that
-        // existed only in committer memory), and leave the chunk to be
-        // written into the freshly rotated segment. With consistent
-        // pending→sink ordering every acknowledged byte sits exactly at
-        // its returned LSN in the on-disk layout.
+        // Regression: a chunk taken from `pending` by a writer that did
+        // not yet hold the segment let a rotation sync the old segment
+        // *without* it, publish a watermark covering its LSNs
+        // (acknowledging writes that existed only in memory), and leave
+        // it to be written into the freshly rotated segment. With every
+        // path taking the segment before `pending`, every acknowledged
+        // byte sits exactly at its returned LSN in the on-disk layout.
         let dir = temp("rotate-race");
         let wal = Wal::open(&dir.join("wal-0.log"), 0, 0).unwrap();
         let stop = Arc::new(AtomicBool::new(false));

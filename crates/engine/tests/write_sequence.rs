@@ -11,6 +11,8 @@
 //! accepted and (d) no owner holds more live rows than its limit. Checks
 //! (c) and (d) fail today at known stops, pinned by name. Run on the
 //! simulated cluster and the live one, through `piql_kv::testkit::Interleave`.
+//! On a live one logging to a write-ahead log, each stop is also crashed:
+//! (e) the store recovered from the log equals the stopped one.
 
 use piql_core::catalog::Catalog;
 use piql_core::codec::key::{decode_key, encode_key_asc, prefix_upper_bound, Dir};
@@ -19,6 +21,7 @@ use piql_core::plan::params::Params;
 use piql_core::text;
 use piql_core::tuple::Tuple;
 use piql_core::value::{DataType, Value};
+use piql_durability::{Durability, DurabilityConfig};
 use piql_engine::{Database, DbError, WriteError};
 use piql_kv::testkit::Interleave;
 use piql_kv::{
@@ -150,12 +153,18 @@ impl Ns {
     }
 }
 
-/// A fresh `notes` over `store`, holding `rows`, with the log emptied.
-fn notes<S: KvStore>(store: S, rows: &[Note]) -> (Database<Interleave<S>>, Ns) {
-    let db = Database::new(Arc::new(Interleave::new(store)));
+/// `notes` created over `store`, empty: what a boot runs.
+fn bootstrap<S: KvStore>(store: S) -> Database<S> {
+    let db = Database::new(Arc::new(store));
     for ddl in DDL {
         db.execute_ddl(ddl).unwrap();
     }
+    db
+}
+
+/// A fresh `notes` over `store`, holding `rows`, with the log emptied.
+fn notes<S: KvStore>(store: S, rows: &[Note]) -> (Database<Interleave<S>>, Ns) {
+    let db = bootstrap(Interleave::new(store));
     let mut session = Session::new();
     for row in rows {
         db.execute_dml(&mut session, INSERT, &row.params()).unwrap();
@@ -389,7 +398,11 @@ fn send<S: KvStore>(
 ) {
     let (db, ns) = notes(store, outcome.rows);
     if let Write::Sweep = outcome.write {
-        db.store().bulk_put(ns.tag, key("blue", 1), Vec::new());
+        // a committed write of its own, past the recorded rounds: a
+        // `bulk_put` stays staged in an attached log until a later write
+        // commits, so a crash before the sweep's delete would lose it
+        let plant = put(ns.tag, key("blue", 1));
+        db.cluster().inner.execute_one(&mut Session::new(), plant);
     }
     if let Some(k) = stop {
         ROUNDS_BEFORE_STOP.set(k);
@@ -631,6 +644,41 @@ fn a_write_stopped_before_any_round_leaves_what_readers_and_writers_expect() {
             .join("\n"),
         seen.join("\n"),
     );
+}
+
+/// Check (e): every single-writer outcome on a live store that logs to a
+/// write-ahead log, stopped before each round and once after its last,
+/// then crashed. Every round a stop let through was acknowledged, so the
+/// store recovered from the log with the same bootstrap holds exactly
+/// what the stopped one does.
+#[test]
+fn a_write_stopped_before_any_round_recovers_as_it_stopped() {
+    let dir = std::env::temp_dir().join(format!("piql-write-sequence-{}", std::process::id()));
+    let config = || DurabilityConfig::new(&dir);
+    for outcome in outcomes() {
+        let count = send(live(), &outcome, None).3.len();
+        for k in 0..=count {
+            let _ = std::fs::remove_dir_all(&dir);
+            let (_, log) = Durability::open(config()).unwrap();
+            let logged = live();
+            logged.attach_wal(log.clone());
+            let (db, ..) = send(logged, &outcome, Some(k));
+            log.simulate_crash();
+            let stopped = db.cluster().inner.export_namespaces();
+            drop((db, log));
+
+            let (recovered, _log) = Durability::open(config()).unwrap();
+            let db = bootstrap(live());
+            recovered.apply_kv(db.cluster()).unwrap();
+            assert!(
+                db.cluster().export_namespaces() == stopped,
+                "{} stopped before round {}: the recovered store differs",
+                outcome.name,
+                k + 1
+            );
+        }
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]

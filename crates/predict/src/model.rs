@@ -138,6 +138,17 @@ impl ModelStore {
         ModelStore::from_intervals(intervals)
     }
 
+    /// This store after [`ModelStore::rotated`] with each of `newest` in
+    /// turn, oldest first: the intervals move in, and the aggregate is
+    /// built once, over the ones that survive.
+    pub fn rotated_by(self, newest: Vec<BTreeMap<ModelKey, LatencyHistogram>>) -> ModelStore {
+        let keep = self.intervals.len().max(1);
+        let mut intervals = self.intervals;
+        intervals.extend(newest);
+        intervals.drain(..intervals.len().saturating_sub(keep));
+        ModelStore::from_intervals(intervals)
+    }
+
     /// The per-interval histogram maps, oldest first — the durable form of
     /// the store (the aggregate is derived, so it is not exported).
     pub fn interval_maps(&self) -> &[BTreeMap<ModelKey, LatencyHistogram>] {
@@ -212,6 +223,32 @@ impl ModelStore {
 mod tests {
     use super::*;
     use piql_kv::MILLIS;
+
+    #[test]
+    fn rotating_by_many_is_rotating_by_each() {
+        let interval = |ms: u64| {
+            let mut h = LatencyHistogram::standard();
+            h.record(ms * MILLIS);
+            let key = ModelKey {
+                op: OpKind::IndexScan,
+                alpha_c: 10,
+                alpha_j: 1,
+                beta: 40,
+            };
+            BTreeMap::from([(key, h)])
+        };
+        for n in [0, 1, 3] {
+            let newest: Vec<_> = (1..=5).map(interval).collect();
+            let one_by_one =
+                (newest.iter().cloned()).fold(ModelStore::new(n), |store, i| store.rotated(i));
+            let at_once = ModelStore::new(n).rotated_by(newest);
+            assert_eq!(
+                at_once.interval_maps(),
+                one_by_one.interval_maps(),
+                "{n} intervals"
+            );
+        }
+    }
 
     #[test]
     fn grid_ceil_snaps_up() {

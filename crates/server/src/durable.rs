@@ -118,8 +118,8 @@ impl DurableStack {
     }
 
     /// Graceful shutdown: unhook the registry (its `stats` and `snapshot`
-    /// then answer as an in-memory server's), flush the WAL and stop the
-    /// committer.
+    /// then answer as an in-memory server's) and make everything logged
+    /// durable.
     pub fn close(&self) {
         self.models.set_rotation_observer(None);
         self.registry.set_durability(None);
@@ -194,7 +194,7 @@ pub fn open_durable(
     seed: SloPredictor,
     bootstrap: impl FnOnce(&Arc<Database<LiveCluster>>) -> Result<(), DbError>,
 ) -> io::Result<DurableStack> {
-    let (recovered, durability) = Durability::open(DurabilityConfig {
+    let (mut recovered, durability) = Durability::open(DurabilityConfig {
         snapshot_wal_bytes: opts.snapshot_wal_bytes,
         ..DurabilityConfig::new(opts.data_dir)
     })?;

@@ -223,8 +223,7 @@ fn empty_intervals_and_foreign_cursors_answer_empty_pages() {
 
 /// One short line used to kill the whole process: the JSON parser recursed
 /// once per `[` with no cap, and 50,000 of them overflow a connection
-/// thread's stack (SIGABRT — every connection and the WAL committer go
-/// with it). Nesting is capped at 96 levels like a v3 frame's documents:
+/// thread's stack (SIGABRT — every connection goes with it). Nesting is capped at 96 levels like a v3 frame's documents:
 /// the line gets an error, and the same connection and the next client are
 /// served.
 #[test]
