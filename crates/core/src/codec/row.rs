@@ -109,6 +109,27 @@ pub fn encode_arity(out: &mut Vec<u8>, arity: usize) {
     write_varint(out, arity as u64);
 }
 
+/// Bytes a varint of `v` takes: seven bits a byte, at least one.
+fn varint_len(v: u64) -> usize {
+    (u64::BITS - v.leading_zeros()).div_ceil(7).max(1) as usize
+}
+
+/// Bytes [`encode_arity`] appends for `arity`, exactly.
+pub fn arity_len(arity: usize) -> usize {
+    varint_len(arity as u64)
+}
+
+/// Bytes [`encode_value_ref`] appends for `value`, exactly — what a
+/// writer sizes a record's buffer by before it encodes it.
+pub fn value_len(value: ValueRef<'_>) -> usize {
+    match value {
+        ValueRef::Null | ValueRef::Bool(_) => 1,
+        ValueRef::Int(_) => 5,
+        ValueRef::BigInt(_) | ValueRef::Timestamp(_) | ValueRef::Double(_) => 9,
+        ValueRef::Varchar(s) => 1 + varint_len(s.len() as u64) + s.len(),
+    }
+}
+
 /// Serialize a whole tuple: varint arity followed by tagged values.
 pub fn encode_tuple(tuple: &Tuple) -> Vec<u8> {
     let mut out = Vec::with_capacity(tuple.encoded_len());
@@ -233,6 +254,32 @@ mod tests {
             Value::Double(std::f64::consts::PI),
         ]);
         assert_eq!(decode_tuple(&encode_tuple(&t)).unwrap(), t);
+    }
+
+    #[test]
+    fn lengths_are_what_the_encoders_append() {
+        let long = "x".repeat(200);
+        let values = [
+            Value::Null,
+            Value::Int(-1),
+            Value::BigInt(i64::MIN),
+            Value::Varchar(String::new()),
+            Value::Varchar("héllo\0world".into()),
+            Value::Varchar(long),
+            Value::Bool(true),
+            Value::Timestamp(1_700_000_000_000_000),
+            Value::Double(std::f64::consts::PI),
+        ];
+        for value in &values {
+            let mut out = Vec::new();
+            encode_value_ref(&mut out, ValueRef::of(value));
+            assert_eq!(value_len(ValueRef::of(value)), out.len(), "{value:?}");
+        }
+        for arity in [0, 1, 127, 128, 16_383, 16_384] {
+            let mut out = Vec::new();
+            encode_arity(&mut out, arity);
+            assert_eq!(arity_len(arity), out.len(), "{arity}");
+        }
     }
 
     #[test]

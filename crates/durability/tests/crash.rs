@@ -4,6 +4,7 @@
 //! through snapshot + tail replay must reproduce the pre-crash state.
 
 use piql_durability::{read_wal, Durability, DurabilityConfig, SyncPolicy, TailState, WalRecord};
+use piql_kv::testkit::swap;
 use piql_kv::{KvRequest, KvStore, LiveCluster, LiveConfig, NsId, Session, WalSink};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -275,22 +276,12 @@ fn live_cluster_roundtrip_through_snapshot_and_tail() {
         }
         cluster.execute_round(
             &mut session,
-            vec![KvRequest::TestAndSet {
-                ns: users,
-                key: b"u001".to_vec(),
-                expect: Some(b"name-1".to_vec()),
-                value: Some(b"name-1-edited".to_vec()),
-            }],
+            vec![swap(users, b"u001", b"name-1-edited", Some(b"name-1"))],
         );
         // failed TAS must leave no record
         cluster.execute_round(
             &mut session,
-            vec![KvRequest::TestAndSet {
-                ns: users,
-                key: b"u002".to_vec(),
-                expect: Some(b"wrong".to_vec()),
-                value: Some(b"never".to_vec()),
-            }],
+            vec![swap(users, b"u002", b"never", Some(b"wrong"))],
         );
         d.log_statement_drop("byName");
         d.log_statement_upsert("byId", "SELECT * FROM users WHERE id = <i>");

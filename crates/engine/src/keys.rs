@@ -121,10 +121,51 @@ pub fn primary_key_from<R: RowSource>(
     primary_key_with_room(table, pk, row, 0)
 }
 
+/// Where [`record_entry`] takes a record's key from.
+#[derive(Debug, Clone, Copy)]
+pub enum RecordKey<'k> {
+    /// The row's own primary key, encoded from these columns in key order
+    /// (INSERT, a bulk load).
+    Columns(&'k [ColumnId]),
+    /// The key the record is stored under already (UPDATE).
+    Stored(&'k [u8]),
+}
+
+/// The entry a write stores for `row`: its key, then its record, in one
+/// buffer of exactly their size, and where the key ends — what a
+/// test-and-set carries and a bulk feed pushes, and what the store keeps
+/// as it is. Every column is read, in column order, before anything is
+/// encoded, so a row that does not validate fails on its first bad
+/// column and builds nothing.
+pub fn record_entry<R: RowSource + ?Sized>(
+    table: &TableDef,
+    key: RecordKey<'_>,
+    row: &R,
+) -> Result<(Vec<u8>, usize), R::Error> {
+    let arity = table.columns.len();
+    let mut record_len = row_codec::arity_len(arity);
+    for c in 0..arity {
+        record_len += row_codec::value_len(row.value(c)?);
+    }
+    let mut entry = match key {
+        RecordKey::Columns(pk) => primary_key_with_room(table, pk, row, record_len)?,
+        RecordKey::Stored(key) => {
+            let mut entry = Vec::with_capacity(key.len() + record_len);
+            entry.extend_from_slice(key);
+            entry
+        }
+    };
+    let key_len = entry.len();
+    row_codec::encode_arity(&mut entry, arity);
+    for c in 0..arity {
+        row_codec::encode_value_ref(&mut entry, row.value(c)?);
+    }
+    Ok((entry, key_len))
+}
+
 /// [`primary_key_from`] in a buffer with room for exactly `room` more
-/// bytes: the record a write stores under the key, which the store
-/// appends to the key's own buffer to make its entry without growing it.
-pub fn primary_key_with_room<R: RowSource + ?Sized>(
+/// bytes: the record [`record_entry`] writes behind the key.
+fn primary_key_with_room<R: RowSource + ?Sized>(
     table: &TableDef,
     pk: &[ColumnId],
     row: &R,
@@ -376,21 +417,6 @@ pub fn row_from_key_into(
     Ok(())
 }
 
-/// The record bytes of an `arity`-column row, sized before they are
-/// written: what [`row_codec::encode_tuple`] makes of the same values.
-pub fn encode_row_from<R: RowSource>(row: &R, arity: usize) -> Result<Vec<u8>, R::Error> {
-    let mut len = 2;
-    for c in 0..arity {
-        len += row.value(c)?.encoded_len();
-    }
-    let mut out = Vec::with_capacity(len);
-    row_codec::encode_arity(&mut out, arity);
-    for c in 0..arity {
-        row_codec::encode_value_ref(&mut out, row.value(c)?);
-    }
-    Ok(out)
-}
-
 /// The value types of a stored key laid out as `parts`, as
 /// [`key::decode_key`] takes them. A token part holds the token text.
 pub fn key_types(table: &TableDef, parts: &[KeyPart]) -> Vec<DataType> {
@@ -536,17 +562,29 @@ mod tests {
     }
 
     #[test]
-    fn row_codec_roundtrip() {
+    fn a_record_entry_is_its_key_then_its_record_exactly_sized() {
         let t = thoughts();
         let row = Tuple::new(vec![
             Value::Varchar("amy".into()),
             Value::Timestamp(7),
             Value::Null,
         ]);
-        let bytes = encode_row_from(&row, row.len()).unwrap();
-        assert_eq!(decode_row(&t, &bytes).unwrap(), row);
-        assert_eq!(bytes, row_codec::encode_tuple(&row));
-        let short = encode_row_from(&Tuple::new(vec![Value::Int(1)]), 1).unwrap();
+        let pk = t.primary_key_ids();
+        let key = primary_key_from(&t, &pk, &row).unwrap();
+        let record = row_codec::encode_tuple(&row);
+        let stored = record_entry(&t, RecordKey::Stored(&key), &row).unwrap();
+        for (entry, key_len) in [
+            record_entry(&t, RecordKey::Columns(&pk), &row).unwrap(),
+            stored,
+        ] {
+            assert_eq!(entry.capacity(), entry.len(), "no slack for the store");
+            let (k, r) = entry.split_at(key_len);
+            assert_eq!((k, r), (key.as_slice(), record.as_slice()));
+            assert_eq!(decode_row(&t, r).unwrap(), row);
+        }
+        let null_key = Tuple::new(vec![Value::Null, Value::Timestamp(1), Value::Null]);
+        assert!(record_entry(&t, RecordKey::Columns(&pk), &null_key).is_err());
+        let short = row_codec::encode_tuple(&Tuple::new(vec![Value::Int(1)]));
         assert!(decode_row(&t, &short).is_err());
     }
 }

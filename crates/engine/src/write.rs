@@ -25,11 +25,10 @@
 //! encoders read in place.
 
 use crate::exec::{page_range, ExecError};
-use crate::keys::{self, KeyPart, RowSource};
+use crate::keys::{self, KeyPart, RecordKey, RowSource};
 use crate::plan::SlotRow;
 use piql_core::catalog::{CardinalityConstraint, Catalog, ColumnId, IndexDef, TableDef};
 use piql_core::codec::key::{encode_component_ref, encode_str, prefix_upper_bound, Dir};
-use piql_core::codec::row as row_codec;
 use piql_core::plan::params::ParamError;
 use piql_core::rows::{Row, Rows};
 use piql_core::text;
@@ -383,10 +382,9 @@ pub(crate) fn check_arity(table: &TableDef, values: usize) -> Result<(), WriteEr
 }
 
 /// What a bulk load's feed pushes its rows into ([`Writer::bulk_load`]).
-/// Each value is conformed to its column once, the record is encoded into
-/// a buffer kept from row to row, and the row's entry — its primary key,
-/// built with room for the record, then the record — goes to the store as
-/// it is: one allocation a row, and one a secondary-index entry.
+/// Each value is conformed to its column once, and the row's entry
+/// ([`keys::record_entry`]) goes to the store as it is: one allocation a
+/// row, and one a secondary-index entry.
 pub struct Loader<'a> {
     target: &'a TableWrite,
     store: &'a mut dyn FnMut(Vec<u8>, usize),
@@ -394,7 +392,6 @@ pub struct Loader<'a> {
     entries: &'a mut [Vec<Vec<u8>>],
     /// The buffer a row's conformed values are collected in; empty between rows.
     values: Vec<ValueRef<'static>>,
-    record: Vec<u8>,
     scratch: keys::EntryScratch,
     /// The rows stored so far, or the error of the row that ended the load.
     loaded: Result<u64, WriteError>,
@@ -419,15 +416,8 @@ impl Loader<'_> {
         for (col, &value) in row.iter().enumerate() {
             values.push(conform(table, col, value)?);
         }
-        self.record.clear();
-        row_codec::encode_arity(&mut self.record, values.len());
-        for &value in &values {
-            row_codec::encode_value_ref(&mut self.record, value);
-        }
-        let mut entry =
-            keys::primary_key_with_room(table, &self.target.pk, &values[..], self.record.len())?;
-        let key_len = entry.len();
-        entry.extend_from_slice(&self.record);
+        let key = RecordKey::Columns(&self.target.pk);
+        let (entry, key_len) = keys::record_entry(table, key, &values[..])?;
         // a row's record goes before its entries: one whose entries
         // cannot all be made still has its record stored, and ends the load
         (self.store)(entry, key_len);
@@ -477,10 +467,9 @@ impl<'a> Writer<'a> {
         R: RowSource<Error = WriteError>,
     {
         let table = &target.table;
-        // reading every column first validates the whole row, in column
-        // order, before anything is written
-        let row_bytes = keys::encode_row_from(row, table.columns.len())?;
-        let pk = keys::primary_key_with_room(table, &target.pk, row, row_bytes.len())?;
+        // building the entry validates the whole row, in column order,
+        // before anything is written
+        let (entry, key_len) = keys::record_entry(table, RecordKey::Columns(&target.pk), row)?;
 
         // 1. secondary index entries first (one parallel round)
         self.entries(session, target, PUT, row, None::<&Tuple>)?;
@@ -490,9 +479,9 @@ impl<'a> Writer<'a> {
             session,
             KvRequest::TestAndSet {
                 ns: target.primary,
-                key: pk,
+                entry,
+                key_len,
                 expect: None,
-                value: Some(row_bytes),
             },
         );
         let (inserted, stored) = response.tas()?;
@@ -553,20 +542,18 @@ impl<'a> Writer<'a> {
             };
             let old = keys::decode_row(table, &old_bytes)?;
             let new = new.over(&old);
-            let new_bytes = keys::encode_row_from(&new, table.columns.len())?;
+            let (entry, key_len) = keys::record_entry(table, RecordKey::Stored(pk), &new)?;
 
             // 1. fresh index entries
             self.entries(session, target, PUT, &new, Some(&old))?;
-            // 2. the record, conditionally, under a key with room for it
-            let mut key = Vec::with_capacity(pk.len() + new_bytes.len());
-            key.extend_from_slice(pk);
+            // 2. the record, conditionally
             let response = self.store.execute_one(
                 session,
                 KvRequest::TestAndSet {
                     ns: target.primary,
-                    key,
+                    entry,
+                    key_len,
                     expect: Some(old_bytes),
-                    value: Some(new_bytes),
                 },
             );
             if response.tas()?.0 {
@@ -647,7 +634,6 @@ impl<'a> Writer<'a> {
                 store,
                 entries: &mut entries,
                 values: Vec::new(),
-                record: Vec::new(),
                 scratch: keys::EntryScratch::default(),
                 loaded: Ok(0),
             };

@@ -5,6 +5,7 @@
 //! `SimCluster` and on `LiveCluster` and must cost the same on both.
 
 use piql_core::catalog::{Catalog, Statistics};
+use piql_core::codec::row::encode_tuple;
 use piql_core::opt::Optimizer;
 use piql_core::plan::params::Params;
 use piql_core::tuple;
@@ -303,7 +304,7 @@ fn gc_pages_an_index_past_its_page_size() {
         for id in (0..25).map(|k| k * 44) {
             let moved = tuple![id, "moved"];
             let pk = keys::primary_key_from(&table, &[0], &moved).unwrap();
-            let record = keys::encode_row_from(&moved, 2).unwrap();
+            let record = encode_tuple(&moved);
             store.bulk_put(primary, pk, record);
         }
         let before = db.cluster().tally();

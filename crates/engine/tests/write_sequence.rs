@@ -23,7 +23,7 @@ use piql_core::tuple::Tuple;
 use piql_core::value::{DataType, Value};
 use piql_durability::{Durability, DurabilityConfig};
 use piql_engine::{Database, DbError, WriteError};
-use piql_kv::testkit::Interleave;
+use piql_kv::testkit::{swap, Interleave};
 use piql_kv::{
     ClusterConfig, KvRequest, KvStore, LiveCluster, LiveConfig, NsId, RequestRound, Session,
     SimCluster,
@@ -125,12 +125,8 @@ impl Ns {
     }
 
     fn tas(&self, id: i32, expect: Option<Note>, value: Note) -> KvRequest {
-        KvRequest::TestAndSet {
-            ns: self.rec,
-            key: pk(id),
-            expect: expect.map(Note::record),
-            value: Some(value.record()),
-        }
+        let expect = expect.map(Note::record);
+        swap(self.rec, &pk(id), &value.record(), expect.as_deref())
     }
 
     fn count(&self, owner: &str) -> KvRequest {
@@ -398,11 +394,8 @@ fn send<S: KvStore>(
 ) {
     let (db, ns) = notes(store, outcome.rows);
     if let Write::Sweep = outcome.write {
-        // a committed write of its own, past the recorded rounds: a
-        // `bulk_put` stays staged in an attached log until a later write
-        // commits, so a crash before the sweep's delete would lose it
-        let plant = put(ns.tag, key("blue", 1));
-        db.cluster().inner.execute_one(&mut Session::new(), plant);
+        // past the recorded rounds, and committed before it returns
+        db.cluster().bulk_put(ns.tag, key("blue", 1), Vec::new());
     }
     if let Some(k) = stop {
         ROUNDS_BEFORE_STOP.set(k);

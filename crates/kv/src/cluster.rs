@@ -212,13 +212,13 @@ pub trait KvStore: Send + Sync {
     }
     /// Write directly, bypassing timing and accounting (bulk load before an
     /// experiment or to seed a serving store). With a write-ahead sink
-    /// attached the put is logged, and no commit barrier follows (see
+    /// attached the put is logged and committed before this returns (see
     /// [`crate::wal`]).
     fn bulk_put(&self, ns: NsId, key: Vec<u8>, value: Vec<u8>);
     /// [`KvStore::bulk_put`] every entry `feed` pushes, as one batch: the
     /// store ends as if they were put one by one, in order — of equal keys
     /// the last one wins — and counts one write per entry. A batch is
-    /// logged as one put per entry it stores, with no barrier. The default
+    /// logged as one put per entry it stores, and committed. The default
     /// is exactly that loop, each buffer split at its key's end; a backend
     /// that can build its storage from a sorted batch overrides it.
     fn bulk_put_all(&self, ns: NsId, feed: &mut BulkFeed<'_>) {
@@ -469,20 +469,23 @@ impl SimCluster {
                 (KvResponse::Done, done)
             }
             KvRequest::TestAndSet {
-                key, expect, value, ..
+                entry,
+                key_len,
+                expect,
+                ..
             } => {
                 // coordinated by the primary; replicas updated in parallel
+                let (key, value) = entry.split_at(*key_len);
                 let part = placement.splits.part_of(key);
                 let replicas = &placement.replicas[part.min(placement.replicas.len() - 1)];
-                let bytes = value.as_ref().map(|v| v.len() as u64).unwrap_or(0);
+                let bytes = value.len() as u64;
                 let mut done = start;
                 for &r in replicas {
                     let adm = self.nodes[r].admit(start, req, 1, bytes);
                     done = done.max(adm.done);
                     *physical += 1;
                 }
-                let (success, current) =
-                    data.test_and_set(key, expect.as_deref(), value.clone(), done);
+                let (success, current) = data.test_and_set(key, expect.as_deref(), value, done);
                 (KvResponse::TasResult { success, current }, done)
             }
             KvRequest::GetRange {
@@ -737,15 +740,7 @@ mod tests {
             }],
         );
         assert_eq!(r[0].expect_count(), 10);
-        let r = c.execute_round(
-            &mut s,
-            vec![KvRequest::TestAndSet {
-                ns,
-                key: vec![5],
-                expect: None,
-                value: Some(vec![99]),
-            }],
-        );
+        let r = c.execute_round(&mut s, vec![crate::testkit::swap(ns, &[5], &[99], None)]);
         assert!(matches!(r[0], KvResponse::TasResult { success: false, .. }));
     }
 

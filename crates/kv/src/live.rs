@@ -190,7 +190,7 @@ impl WalHook<'_> {
 /// shard is a set of entries that answers every key-slice lookup and range
 /// a map keyed by `Vec<u8>` did; the value never takes part in the order.
 struct Entry {
-    /// Start of the `len` bytes that [`Entry::new`] took from a
+    /// Start of the `len` bytes that [`Entry::joined`] took from a
     /// `Box<[u8]>`; owned by this entry and never written again.
     ptr: NonNull<u8>,
     len: u32,
@@ -241,7 +241,7 @@ impl Entry {
 
     /// `(key, value)`, both slices of the one allocation.
     fn parts(&self) -> (&[u8], &[u8]) {
-        // SAFETY: `ptr` starts the `len` initialised bytes `new` leaked,
+        // SAFETY: `ptr` starts the `len` initialised bytes `joined` leaked,
         // which this entry owns until `drop` and nothing writes
         let bytes = unsafe { std::slice::from_raw_parts(self.ptr.as_ptr(), self.len as usize) };
         bytes.split_at(self.key_len as usize)
@@ -259,7 +259,7 @@ impl Entry {
 impl Drop for Entry {
     fn drop(&mut self) {
         let bytes = std::ptr::slice_from_raw_parts_mut(self.ptr.as_ptr(), self.len as usize);
-        // SAFETY: `bytes` is the whole `Box<[u8]>` `new` leaked, owned by
+        // SAFETY: `bytes` is the whole `Box<[u8]>` `joined` leaked, owned by
         // this entry alone and given back once, here
         drop(unsafe { Box::from_raw(bytes) });
     }
@@ -535,37 +535,29 @@ impl ShardSet {
         shard.remove(key);
     }
 
+    /// Store `entry` iff the value stored under its key is `expect`
+    /// (absent for `None`): `(true, None)` when it is — the caller holds
+    /// the value it sent — else `(false, a copy of the stored value)`.
     fn test_and_set(
         &self,
-        key: Vec<u8>,
+        entry: Entry,
         expect: Option<&[u8]>,
-        value: Option<Vec<u8>>,
         wal: Option<WalHook<'_>>,
     ) -> (bool, Option<Vec<u8>>) {
-        let idx = self.splits.part_of(&key);
+        let idx = self.splits.part_of(entry.key());
         self.touch(idx);
         let mut shard = self.shards[idx].write();
-        let stored = shard.get(key.as_slice()).map(Entry::value);
+        let stored = shard.get(entry.key()).map(Entry::value);
         if stored != expect {
             return (false, stored.map(<[u8]>::to_vec));
         }
         // only the *effect* of a successful TAS is logged — replay applies
-        // it as a plain put/delete without re-checking the expectation
+        // it as a plain put without re-checking the expectation
         if let Some(hook) = wal {
-            hook.log(&key, value.as_deref());
+            hook.log(entry.key(), Some(entry.value()));
         }
-        // the response reports the value now stored: the request's own
-        // value answers, and the stored entry is its copy, grown into the
-        // key's buffer
-        match &value {
-            Some(v) => {
-                shard.replace(Entry::new(key, v));
-            }
-            None => {
-                shard.remove(key.as_slice());
-            }
-        }
-        (true, value)
+        shard.replace(entry);
+        (true, None)
     }
 
     /// Count `[start, end)`; also reports shards visited.
@@ -714,13 +706,12 @@ impl LiveNamespace {
     fn test_and_set(
         &self,
         wal: &WalSlot,
-        key: Vec<u8>,
+        entry: Entry,
         expect: Option<&[u8]>,
-        value: Option<Vec<u8>>,
     ) -> (bool, Option<Vec<u8>>) {
         let sink = wal.read();
         let table = self.table.read();
-        table.test_and_set(key, expect, value, self.hook(&sink))
+        table.test_and_set(entry, expect, self.hook(&sink))
     }
 
     fn count_range(&self, start: &[u8], end: Option<&[u8]>) -> (u64, u64) {
@@ -806,7 +797,8 @@ impl LiveCluster {
 
     /// Attach a write-ahead sink: every namespace creation, put, delete,
     /// and successful test-and-set from now on is appended to `sink`, and
-    /// each write round blocks on `sink.commit()` before acknowledging.
+    /// each write round or bulk write blocks on `sink.commit()` before it
+    /// returns.
     ///
     /// Every namespace that already exists is announced to the sink
     /// (`append_ns`, in id order) so a log replayed after the same
@@ -916,19 +908,23 @@ impl LiveCluster {
 
     /// Store a copy of `key` → `value` outside any timed session:
     /// [`KvStore::bulk_put`] from borrowed bytes, in the one allocation the
-    /// entry is. Recovery loads logged puts with it.
+    /// entry is, committed before it returns. Recovery loads logged puts
+    /// with it.
     pub fn bulk_load(&self, ns: NsId, key: &[u8], value: &[u8]) {
         self.stats.book(WRITE);
         self.namespaces
             .get(ns)
             .insert(&self.wal, Entry::copied(key, value));
+        self.commit_barrier();
     }
 
-    /// Remove `key` outside any timed session — the replay-side mirror of
-    /// [`LiveCluster::bulk_load`], used by recovery to apply logged deletes.
+    /// Remove `key` outside any timed session, committed before it
+    /// returns — the replay-side mirror of [`LiveCluster::bulk_load`], used
+    /// by recovery to apply logged deletes.
     pub fn bulk_delete(&self, ns: NsId, key: &[u8]) {
         self.stats.book(WRITE);
         self.namespaces.get(ns).remove(&self.wal, key);
+        self.commit_barrier();
     }
 
     /// Replace everything `ns` holds with copies of `entries`, laid out
@@ -1014,6 +1010,22 @@ fn inject_delay(delay_us: u64) {
 }
 
 impl LiveCluster {
+    /// The durability barrier: block until every record appended to the
+    /// attached sink, if any, is on stable storage. Every write round ends
+    /// with it, and so does every bulk write.
+    fn commit_barrier(&self) {
+        let sink = self.wal.read().clone();
+        if let Some(sink) = sink {
+            if !sink.commit() {
+                // the log died: these writes exist in memory only. Latch
+                // the degradation so the serving layer can fail (or flag)
+                // write acknowledgements instead of silently serving a
+                // store that no longer survives a restart.
+                self.wal_degraded.store(true, Ordering::Release);
+            }
+        }
+    }
+
     /// Whether a round of `requests` is scattered over the pool rather than
     /// served on the thread that issued it: only when it has service time
     /// to overlap — two requests or more, a worker to take them, and an
@@ -1035,21 +1047,12 @@ impl LiveCluster {
         round: SessionStats,
         has_write: bool,
     ) {
-        // durability barrier: a round containing writes is only
-        // acknowledged once its appended records are on stable storage.
-        // Inside the timed window on purpose — commit latency is real
-        // write latency and must show up in the sampled round time.
+        // a round containing writes is only acknowledged once its
+        // appended records are on stable storage. Inside the timed window
+        // on purpose — commit latency is real write latency and must show
+        // up in the sampled round time.
         if has_write {
-            let sink = self.wal.read().clone();
-            if let Some(sink) = sink {
-                if !sink.commit() {
-                    // the log died: these writes exist in memory only.
-                    // Latch the degradation so the serving layer can fail
-                    // (or flag) write acknowledgements instead of silently
-                    // serving a store that no longer survives a restart.
-                    self.wal_degraded.store(true, Ordering::Release);
-                }
-            }
+            self.commit_barrier();
         }
         // advance to wall-clock completion (monotonic per session even if
         // the session was created before this cluster's epoch)
@@ -1103,9 +1106,13 @@ fn execute_request(
             (KvResponse::Done, stats.book(WRITE))
         }
         KvRequest::TestAndSet {
-            key, expect, value, ..
+            entry,
+            key_len,
+            expect,
+            ..
         } => {
-            let (success, current) = data.test_and_set(wal, key, expect.as_deref(), value);
+            let entry = Entry::joined(entry, key_len);
+            let (success, current) = data.test_and_set(wal, entry, expect.as_deref());
             let response = KvResponse::TasResult { success, current };
             (response, stats.book(WRITE))
         }
@@ -1276,6 +1283,7 @@ impl KvStore for LiveCluster {
         self.namespaces
             .get(ns)
             .insert(&self.wal, Entry::new(key, &value));
+        self.commit_barrier();
     }
 
     /// Each buffer becomes its entry as it is pushed, as it is; the batch
@@ -1283,7 +1291,7 @@ impl KvStore for LiveCluster {
     /// takes its run in one locked step (`LiveNamespace::merge`), rather
     /// than taking the locks and descending the B-tree once per entry. The
     /// first batch of an empty namespace lays out its shards at its own
-    /// quantiles.
+    /// quantiles. The batch is committed before this returns.
     fn bulk_put_all(&self, ns: NsId, feed: &mut BulkFeed<'_>) {
         let mut batch = Vec::new();
         feed(&mut |bytes, key_len| batch.push(Entry::joined(bytes, key_len)));
@@ -1297,6 +1305,7 @@ impl KvStore for LiveCluster {
         self.namespaces
             .get(ns)
             .merge(&self.wal, normalised(batch), parts);
+        self.commit_barrier();
     }
 
     fn rebalance(&self) {
@@ -1439,12 +1448,7 @@ mod tests {
                     let mut s = Session::new();
                     let r = c.execute_round(
                         &mut s,
-                        vec![KvRequest::TestAndSet {
-                            ns,
-                            key: b"winner".to_vec(),
-                            expect: None,
-                            value: Some(vec![i]),
-                        }],
+                        vec![crate::testkit::swap(ns, b"winner", &[i], None)],
                     );
                     matches!(r[0], KvResponse::TasResult { success: true, .. })
                 })
@@ -1456,6 +1460,24 @@ mod tests {
             .filter(|&won| won)
             .count();
         assert_eq!(wins, 1, "exactly one TAS may claim an absent key");
+    }
+
+    #[test]
+    fn a_swap_stores_its_requests_buffer() {
+        let c = small();
+        let ns = c.namespace("swap");
+        let request = crate::testkit::swap(ns, b"key", b"record", None);
+        let KvRequest::TestAndSet { entry, .. } = &request else {
+            unreachable!("a swap is a test-and-set")
+        };
+        let sent = entry.as_ptr();
+        let r = c.execute_one(&mut Session::new(), request);
+        assert_eq!(r.tas().unwrap(), (true, None));
+        let table = c.namespaces.get(ns).load();
+        let shard = table.shards[table.splits.part_of(b"key")].read();
+        let stored = shard.get(&b"key"[..]).expect("stored");
+        assert_eq!(stored.parts(), (&b"key"[..], &b"record"[..]));
+        assert_eq!(stored.ptr.as_ptr().cast_const(), sent, "kept as it is");
     }
 
     #[test]

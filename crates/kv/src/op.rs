@@ -43,13 +43,15 @@ pub enum KvRequest {
         start: Vec<u8>,
         end: Option<Vec<u8>>,
     },
-    /// Atomically set `key` to `value` iff its current value equals
-    /// `expect`. `value = None` deletes; `expect = None` requires absence.
+    /// Atomically store `entry` — its key, `entry[..key_len]`, then its
+    /// value — iff the key's current value equals `expect`; `expect = None`
+    /// requires absence. The entry is one buffer, as a bulk feed pushes
+    /// one ([`BulkFeed`]), which a `LiveCluster` keeps as it is.
     TestAndSet {
         ns: NsId,
-        key: Vec<u8>,
+        entry: Vec<u8>,
+        key_len: usize,
         expect: Option<Vec<u8>>,
-        value: Option<Vec<u8>>,
     },
 }
 
@@ -260,7 +262,8 @@ pub enum KvResponse {
     Entries(Entries),
     /// CountRange.
     Count(u64),
-    /// TestAndSet: whether the swap applied, and the value now stored.
+    /// TestAndSet: whether the swap applied, and, when it did not, the
+    /// value stored (a swap that applied stored the caller's own value).
     TasResult {
         success: bool,
         current: Option<Vec<u8>>,
@@ -372,7 +375,7 @@ impl KvResponse {
         }
     }
 
-    /// TestAndSet: (applied?, value now stored).
+    /// TestAndSet: (applied?, the value stored when it did not apply).
     pub fn tas(&self) -> Result<(bool, Option<&[u8]>), MalformedRound> {
         match self {
             KvResponse::TasResult { success, current } => Ok((*success, current.as_deref())),

@@ -89,10 +89,9 @@ impl Namespace {
                 v.written_at = at;
             }
             None => {
-                // the map keeps the key as given, and a writer may have
-                // built it with room for its record (`LiveCluster` grows
-                // the key's buffer into its entry); here that room would
-                // only be slack
+                // the map keeps the key as given, and a key split from its
+                // entry's buffer (the default `bulk_put_all`) keeps the
+                // value's room, which here would only be slack
                 key.shrink_to_fit();
                 map.insert(
                     key,
@@ -114,38 +113,41 @@ impl Namespace {
     }
 
     /// Atomic compare-and-swap against the *latest* version (the store's
-    /// primary replica coordinates TAS, so no lag applies).
+    /// primary replica coordinates TAS, so no lag applies): store `value`
+    /// iff the latest is `expect`. `(true, None)` when it did, else
+    /// `(false, the latest)`.
     pub fn test_and_set(
         &self,
         key: &[u8],
         expect: Option<&[u8]>,
-        value: Option<Vec<u8>>,
+        value: &[u8],
         at: Micros,
     ) -> (bool, Option<Vec<u8>>) {
         let mut map = self.entries.write();
-        let current = map.get(key).and_then(|v| v.data.clone());
-        if current.as_deref() != expect {
-            return (false, current);
+        let current = map.get(key).and_then(|v| v.data.as_deref());
+        if current != expect {
+            return (false, current.map(<[u8]>::to_vec));
         }
+        let value = Some(value.to_vec());
         match map.get_mut(key) {
             Some(v) => {
                 let old = (v.data.take(), v.written_at);
                 v.prev = Some(old);
-                v.data = value.clone();
+                v.data = value;
                 v.written_at = at;
             }
             None => {
                 map.insert(
                     key.to_vec(),
                     Versioned {
-                        data: value.clone(),
+                        data: value,
                         written_at: at,
                         prev: None,
                     },
                 );
             }
         }
-        (true, value)
+        (true, None)
     }
 
     /// Scan `[start, end)` (or reversed), appending up to `limit` visible
@@ -248,15 +250,14 @@ mod tests {
     #[test]
     fn test_and_set_semantics() {
         let ns = Namespace::new();
-        let (ok, cur) = ns.test_and_set(b"k", None, Some(b"v".to_vec()), 10);
-        assert!(ok);
-        assert_eq!(cur, Some(b"v".to_vec()));
-        let (ok, cur) = ns.test_and_set(b"k", None, Some(b"w".to_vec()), 20);
+        assert_eq!(ns.test_and_set(b"k", None, b"v", 10), (true, None));
+        let (ok, cur) = ns.test_and_set(b"k", None, b"w", 20);
         assert!(!ok, "expected-absent fails when present");
         assert_eq!(cur, Some(b"v".to_vec()));
-        let (ok, _) = ns.test_and_set(b"k", Some(b"v"), None, 30);
-        assert!(ok, "conditional delete");
-        assert_eq!(ns.get(b"k", 30), None);
+        let (ok, _) = ns.test_and_set(b"k", Some(b"v"), b"x", 30);
+        assert!(ok, "conditional overwrite");
+        assert_eq!(ns.get(b"k", 30), Some(b"x".to_vec()));
+        assert_eq!(ns.get(b"k", 25), Some(b"v".to_vec()), "old version visible");
     }
 
     #[test]

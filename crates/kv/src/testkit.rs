@@ -1,4 +1,5 @@
-//! A store double for tests that pin a write's requests or race it.
+//! A store double for tests that pin a write's requests or race it, and
+//! the test-and-set request as a test spells it.
 
 use crate::{KvRequest, KvResponse, KvStore, NsId, RequestRound, Session};
 use piql_analysis::{ordered::Mutex, rank};
@@ -48,5 +49,17 @@ impl<S: KvStore> KvStore for Interleave<S> {
     }
     fn bulk_put(&self, ns: NsId, key: Vec<u8>, value: Vec<u8>) {
         self.inner.bulk_put(ns, key, value)
+    }
+}
+
+/// The test-and-set that stores `value` under `key` in `ns` iff the value
+/// stored there is `expect` (absent for `None`): the request's one entry
+/// buffer, joined from the two.
+pub fn swap(ns: NsId, key: &[u8], value: &[u8], expect: Option<&[u8]>) -> KvRequest {
+    KvRequest::TestAndSet {
+        ns,
+        entry: [key, value].concat(),
+        key_len: key.len(),
+        expect: expect.map(<[u8]>::to_vec),
     }
 }

@@ -21,10 +21,11 @@
 //!   report whether the barrier was actually reached — a sink whose
 //!   backing log has failed returns `false`, and the store latches that
 //!   into [`LiveCluster::wal_degraded`](crate::LiveCluster) so the
-//!   serving layer can stop acknowledging writes as durable. Bulk loads
-//!   (`bulk_put`, and `bulk_put_all`'s batches, logged as one put per
-//!   entry they store) append without a barrier — they are recovery or
-//!   seed traffic, made durable by the next commit or snapshot.
+//!   serving layer can stop acknowledging writes as durable. A bulk
+//!   write (`bulk_put`, a `bulk_put_all` batch — logged as one put per
+//!   entry it stores — `LiveCluster::bulk_load` and `bulk_delete`) ends
+//!   with the same barrier, once per call: what it stored is durable
+//!   when it returns.
 //!
 //! The trait lives in `piql-kv` (not `piql-durability`) so the store has
 //! no dependency on the durability crate; a cluster with no sink attached

@@ -9,6 +9,7 @@
 //! into an empty namespace lays it out as a rebalance would, and loses no
 //! write that races it.
 
+use piql_kv::testkit::swap;
 use piql_kv::{
     ClusterConfig, KvEntry, KvRequest, KvStore, LiveCluster, LiveConfig, NsId, Session, SimCluster,
     WalSink,
@@ -135,21 +136,12 @@ fn put(ns: NsId, key: &[u8], value: &[u8]) -> KvRequest {
     }
 }
 
-fn tas(ns: NsId, key: &[u8], expect: Option<&[u8]>, value: &[u8]) -> KvRequest {
-    KvRequest::TestAndSet {
-        ns,
-        key: key.to_vec(),
-        expect: expect.map(<[u8]>::to_vec),
-        value: Some(value.to_vec()),
-    }
-}
-
 /// A sink attached to a store that already has namespaces is told of each
 /// of them in id order; it then sees every put, delete and successful
 /// test-and-set under its namespace's id — fanned out over the pool or
 /// not — hears of a namespace created after it before that namespace's
-/// first write, commits once per write round, and hears nothing once
-/// detached.
+/// first write, commits once per write round and once per bulk write, and
+/// hears nothing once detached.
 #[test]
 fn an_attached_sink_sees_every_write_under_its_namespace() {
     let store = LiveCluster::new(LiveConfig {
@@ -178,9 +170,9 @@ fn an_attached_sink_sees_every_write_under_its_namespace() {
             key: b"before".to_vec(),
         },
     );
-    store.execute_one(&mut session, tas(a, b"t", None, b"set"));
+    store.execute_one(&mut session, swap(a, b"t", b"set", None));
     // a failed swap changes nothing, so nothing is logged
-    store.execute_one(&mut session, tas(a, b"t", Some(b"stale"), b"lost"));
+    store.execute_one(&mut session, swap(a, b"t", b"lost", Some(b"stale")));
     store.bulk_put(a, b"bulk".to_vec(), b"untimed".to_vec());
     let c = store.namespace("c");
     store.execute_one(&mut session, put(c, b"k2", b"v2"));
@@ -216,8 +208,8 @@ fn an_attached_sink_sees_every_write_under_its_namespace() {
             Record::Put(c, b"f3".to_vec(), b"z".to_vec()),
         ]
     );
-    // one barrier per write round; bulk puts take none
-    assert_eq!(recorder.commits.load(Ordering::Relaxed), 6);
+    // one barrier per write round, and one per bulk put
+    assert_eq!(recorder.commits.load(Ordering::Relaxed), 7);
 
     store.detach_wal();
     let d = store.namespace("d");
@@ -225,7 +217,7 @@ fn an_attached_sink_sees_every_write_under_its_namespace() {
     store.execute_one(&mut session, put(a, b"k4", b"v4"));
     store.bulk_put_all(b, &mut joined([(b"k5".to_vec(), b"v5".to_vec())]));
     assert_eq!(records(), heard, "a detached sink hears nothing");
-    assert_eq!(recorder.commits.load(Ordering::Relaxed), 6);
+    assert_eq!(recorder.commits.load(Ordering::Relaxed), 7);
 }
 
 /// A 16-shard store, every round on its caller.
@@ -540,7 +532,11 @@ proptest! {
         let recorder = Arc::new(Recorder::default());
         logged.attach_wal(recorder.clone());
         load(&logged, &existing, rebalanced, &batch, true);
-        prop_assert_eq!(recorder.commits.load(Ordering::Relaxed), 0, "a bulk load commits nothing");
+        prop_assert_eq!(
+            recorder.commits.load(Ordering::Relaxed),
+            existing.len() as u64 + 1,
+            "each bulk put and the batch commit once, as they return"
+        );
 
         let records = recorder.records.lock().unwrap().clone();
         // the namespace, a put per existing pair, and a put per key the batch stores

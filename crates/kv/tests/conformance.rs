@@ -4,6 +4,7 @@
 //! (instant, strongly-visible configuration) and the wall-clock
 //! `LiveCluster` — the engine treats them interchangeably, so they must be.
 
+use piql_kv::testkit::swap;
 use piql_kv::{
     ClusterConfig, KvRequest, KvResponse, KvStore, LiveCluster, LiveConfig, NsId, Session,
     SimCluster,
@@ -369,86 +370,39 @@ fn test_and_set_conformance() {
         let ns = store.namespace("tas");
         let mut s = Session::new();
 
-        // expect-absent create
-        let r = one(
-            store.as_ref(),
-            &mut s,
-            KvRequest::TestAndSet {
+        let get = |s: &mut Session| {
+            let get = KvRequest::Get {
                 ns,
                 key: b"k".to_vec(),
-                expect: None,
-                value: Some(b"a".to_vec()),
-            },
-        );
-        assert_eq!(
-            r,
-            KvResponse::TasResult {
-                success: true,
-                current: Some(b"a".to_vec())
-            },
-            "{name}"
-        );
+            };
+            one(store.as_ref(), s, get).into_value().unwrap()
+        };
+
+        // expect-absent create: the caller holds the value it sent, so a
+        // swap that applies answers none
+        let r = one(store.as_ref(), &mut s, swap(ns, b"k", b"a", None));
+        assert_eq!(r.tas().unwrap(), (true, None), "{name}");
+        assert_eq!(get(&mut s), Some(b"a".to_vec()), "{name}");
 
         // expect-absent against a present key fails, reporting the value
-        let r = one(
-            store.as_ref(),
-            &mut s,
-            KvRequest::TestAndSet {
-                ns,
-                key: b"k".to_vec(),
-                expect: None,
-                value: Some(b"b".to_vec()),
-            },
-        );
-        assert_eq!(
-            r,
-            KvResponse::TasResult {
-                success: false,
-                current: Some(b"a".to_vec())
-            },
-            "{name}"
-        );
+        let r = one(store.as_ref(), &mut s, swap(ns, b"k", b"b", None));
+        assert_eq!(r.tas().unwrap(), (false, Some(&b"a"[..])), "{name}");
 
         // matching expectation swaps
-        let r = one(
-            store.as_ref(),
-            &mut s,
-            KvRequest::TestAndSet {
-                ns,
-                key: b"k".to_vec(),
-                expect: Some(b"a".to_vec()),
-                value: Some(b"b".to_vec()),
-            },
-        );
-        assert!(
-            matches!(r, KvResponse::TasResult { success: true, .. }),
-            "{name}"
-        );
+        let r = one(store.as_ref(), &mut s, swap(ns, b"k", b"b", Some(b"a")));
+        assert_eq!(r.tas().unwrap(), (true, None), "{name}");
+        assert_eq!(get(&mut s), Some(b"b".to_vec()), "{name}");
 
-        // conditional delete
-        let r = one(
-            store.as_ref(),
-            &mut s,
-            KvRequest::TestAndSet {
-                ns,
-                key: b"k".to_vec(),
-                expect: Some(b"b".to_vec()),
-                value: None,
-            },
-        );
-        assert!(
-            matches!(r, KvResponse::TasResult { success: true, .. }),
-            "{name}"
-        );
-        let r = one(
-            store.as_ref(),
-            &mut s,
-            KvRequest::Get {
-                ns,
-                key: b"k".to_vec(),
-            },
-        );
-        assert_eq!(r.expect_value(), None, "{name}: conditional delete applied");
+        // a stale expectation fails and changes nothing
+        let r = one(store.as_ref(), &mut s, swap(ns, b"k", b"c", Some(b"a")));
+        assert_eq!(r.tas().unwrap(), (false, Some(&b"b"[..])), "{name}");
+        assert_eq!(get(&mut s), Some(b"b".to_vec()), "{name}");
+
+        // an empty value is stored, and an empty key holds one
+        let r = one(store.as_ref(), &mut s, swap(ns, b"", b"", None));
+        assert_eq!(r.tas().unwrap(), (true, None), "{name}");
+        let r = one(store.as_ref(), &mut s, swap(ns, b"", b"x", None));
+        assert_eq!(r.tas().unwrap(), (false, Some(&b""[..])), "{name}");
     }
 }
 
@@ -470,18 +424,8 @@ fn execute_one_conforms_to_a_round_of_one() {
                     ns,
                     key: b"k".to_vec(),
                 },
-                KvRequest::TestAndSet {
-                    ns,
-                    key: b"k".to_vec(),
-                    expect: None,
-                    value: Some(b"w".to_vec()),
-                },
-                KvRequest::TestAndSet {
-                    ns,
-                    key: b"fresh".to_vec(),
-                    expect: None,
-                    value: Some(b"w".to_vec()),
-                },
+                swap(ns, b"k", b"w", None),
+                swap(ns, b"fresh", b"w", None),
                 KvRequest::GetRange {
                     ns,
                     start: vec![],
@@ -545,15 +489,7 @@ fn failed_test_and_set_reports_the_live_record_and_changes_nothing() {
                 value: Vec::new(),
             },
         );
-        let r = store.execute_one(
-            &mut s,
-            KvRequest::TestAndSet {
-                ns: records,
-                key: b"pk".to_vec(),
-                expect: None,
-                value: Some(b"duplicate".to_vec()),
-            },
-        );
+        let r = store.execute_one(&mut s, swap(records, b"pk", b"duplicate", None));
         assert_eq!(
             r.tas().unwrap(),
             (false, Some(b"live row".as_slice())),
@@ -687,13 +623,7 @@ fn entry_layout_does_not_leak_into_key_order() {
         );
         // a failed test-and-set hands back the stored value, empty or not
         for (key, stored) in [(vec![1, 0], vec![]), (vec![], vec![0xFF, 0xFF])] {
-            let tas = KvRequest::TestAndSet {
-                ns,
-                key,
-                expect: None,
-                value: Some(vec![7]),
-            };
-            let r = one(store.as_ref(), &mut s, tas);
+            let r = one(store.as_ref(), &mut s, swap(ns, &key, &[7], None));
             assert_eq!(r.tas().unwrap(), (false, Some(stored.as_slice())), "{name}");
             got.push(r);
         }

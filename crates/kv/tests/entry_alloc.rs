@@ -1,10 +1,10 @@
 //! What a write and a stored entry cost. A `LiveCluster` entry is one
-//! exactly-sized allocation (the key, then the value), built by growing
-//! the write's own key buffer: a put allocates once inside the store (an
-//! index entry's, whose value is empty, or one whose key was built with
-//! room for its value, not at all), a successful
-//! test-and-set allocates the same once and answers with the request's own
-//! value, and a failed one allocates only the copy it returns. Held, an
+//! exactly-sized allocation (the key, then the value): a put grows its own
+//! key buffer into it, once inside the store (an index entry's, whose
+//! value is empty, or one whose key was built with room for its value,
+//! not at all); a test-and-set carries its entry as one buffer, which a
+//! successful swap keeps as it is — no allocation, and no answer but its
+//! success — and a failed one allocates only the copy it returns. Held, an
 //! entry costs its payload plus a share of its shard's B-tree nodes of
 //! 16-byte slots, where a `(Vec<u8>, Vec<u8>)` pair cost two allocations
 //! and a 48-byte slot. A batch (`bulk_put_all`) hands each entry over as
@@ -16,6 +16,7 @@
 //! file; it counts calls and live bytes per thread, and the store runs its
 //! rounds on the calling thread (`pool_threads: 0`).
 
+use piql_kv::testkit::swap;
 use piql_kv::{KvEntry, KvRequest, KvResponse, KvStore, LiveCluster, LiveConfig, NsId, Session};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -143,39 +144,14 @@ fn a_write_allocates_once_inside_the_store() {
         "{made} allocations for 1,000 puts"
     );
 
-    // a successful test-and-set answers with the request's own value
-    let value = vec![4; 100];
-    let sent = value.as_ptr();
-    let (response, made) = served(
-        &store,
-        KvRequest::TestAndSet {
-            ns,
-            key: key(7, 20),
-            expect: Some(vec![2; 100]),
-            value: Some(value),
-        },
-    );
-    let KvResponse::TasResult {
-        success: true,
-        current: Some(current),
-    } = response
-    else {
-        panic!("the swap applies: {response:?}");
-    };
-    assert_eq!(current, vec![4; 100]);
-    assert_eq!(current.as_ptr(), sent, "the answer is the request's value");
-    assert_eq!(made, 1, "the entry is the one allocation");
+    // a successful test-and-set keeps the request's buffer as its entry
+    // (the same pointer, `live.rs`' `a_swap_stores_its_requests_buffer`)
+    let (response, made) = served(&store, swap(ns, &key(7, 20), &[4; 100], Some(&[2; 100])));
+    assert_eq!(response.tas().unwrap(), (true, None), "the swap applies");
+    assert_eq!(made, 0, "the request's buffer is the entry");
 
     // a failed one allocates only the copy of the live value it returns
-    let (response, made) = served(
-        &store,
-        KvRequest::TestAndSet {
-            ns,
-            key: key(7, 20),
-            expect: None,
-            value: Some(vec![5; 100]),
-        },
-    );
+    let (response, made) = served(&store, swap(ns, &key(7, 20), &[5; 100], None));
     assert_eq!(response.tas().unwrap(), (false, Some(&[4; 100][..])));
     assert_eq!(made, 1, "only the returned copy");
 }

@@ -158,14 +158,18 @@ impl SharedModelStore {
             std::mem::take(&mut *live)
         };
         // Build the new store outside any lock the readers or writers
-        // need: `published` is only write-locked for the Arc swap.
+        // need: `published` is only write-locked for the Arc swap. The
+        // drained interval moves in as the newest.
         let current = self.snapshot();
-        let next = Arc::new(current.rotated(interval.histograms.clone()));
-        *self.published.write() = next;
-        // journal the drained interval while still holding the rotation
-        // lock: log order == fold order, so replay converges
+        let next = Arc::new(current.rotated(interval.histograms));
+        *self.published.write() = next.clone();
+        // journal the drained interval, read where it now lies, while
+        // still holding the rotation lock: log order == fold order, so
+        // replay converges
         if let Some(observer) = self.observer.read().as_ref() {
-            observer(&interval.histograms);
+            if let Some(newest) = next.interval_maps().last() {
+                observer(newest);
+            }
         }
         self.rotations
             .fetch_add(1, std::sync::atomic::Ordering::Relaxed);

@@ -5,6 +5,7 @@
 //! path — fast point-read responses byte-identical to the general path's,
 //! with `fast_point_reads` accounting for them.
 
+use piql_core::codec::row::encode_tuple;
 use piql_core::plan::params::ParamValue;
 use piql_core::value::Value;
 use piql_engine::Database;
@@ -246,14 +247,14 @@ fn admissions<S: KvStore>(
 #[test]
 fn a_frame_the_fast_lane_declines_is_admitted_once() {
     use piql_core::codec::key::encode_key_asc;
-    use piql_engine::{keys, Cursor, CursorState};
+    use piql_engine::{Cursor, CursorState};
     let db = scadr_db();
     // two stored rows the lane cannot transcode: bytes no row decoder
     // takes, and a row of the wrong arity
     let users = db.store().namespace("t/users");
     let pk = |name: &str| encode_key_asc(&[Value::Varchar(name.into())]).unwrap();
     db.cluster().bulk_put(users, pk("garbled"), vec![0xFF; 3]);
-    let short_row = keys::encode_row_from(&piql_core::tuple!["short"], 1).unwrap();
+    let short_row = encode_tuple(&piql_core::tuple!["short"]);
     db.cluster().bulk_put(users, pk("short"), short_row);
     let registry = acme_point(db);
 

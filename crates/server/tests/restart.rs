@@ -5,9 +5,10 @@
 //! before the crash may be missing afterwards.
 
 use piql_core::plan::params::Params;
+use piql_core::tuple;
 use piql_core::value::Value;
 use piql_engine::{Database, DbError};
-use piql_kv::{KvStore, LiveCluster, Session};
+use piql_kv::{KvEntry, KvStore, LiveCluster, Session};
 use piql_server::testkit::linear_predictor;
 use piql_server::{open_durable, DurableOptions, DurableStack, SloConfig};
 use piql_workloads::scadr::{self, ScadrConfig};
@@ -303,6 +304,42 @@ fn a_recovered_snapshot_is_laid_out_as_a_first_batch_of_its_entries() {
     let (_, entries) = thoughts.expect("thoughts recovered");
     assert_eq!(entries.len(), 16, "{entries:?}");
     assert!(entries.iter().all(|&n| n > 0), "{entries:?}");
+    second.close();
+}
+
+/// A bulk load into a running durable stack is durable when it returns,
+/// records and index entries alike: a crash right after it, with no later
+/// write to commit what it logged, loses none of it.
+#[test]
+fn a_bulk_load_survives_a_crash_right_after_it() {
+    let dir = test_dir("bulk");
+    let first = open(&dir, 1_000_000.0);
+    first
+        .execute_ddl("CREATE INDEX thoughts_by_text ON thoughts (text, owner, timestamp)")
+        .expect("runtime CREATE INDEX");
+    let thoughts = |stack: &DurableStack| {
+        let all = stack.cluster.export_namespaces().into_iter();
+        all.filter(|(name, _)| name.contains("thoughts"))
+            .collect::<Vec<_>>()
+    };
+    let held = |namespaces: &[(String, Vec<KvEntry>)]| -> usize {
+        namespaces.iter().map(|(_, entries)| entries.len()).sum()
+    };
+    let seeded = held(&thoughts(&first));
+    let rows = (0..50).map(|i| {
+        let (owner, text) = (scadr::username(3), format!("loaded {i}"));
+        tuple![owner, Value::Timestamp(7_000_000_000 + i), text]
+    });
+    assert_eq!(first.db.bulk_load("thoughts", rows).unwrap(), 50);
+    let loaded = thoughts(&first);
+    assert_eq!(held(&loaded), seeded + 2 * 50, "a record, an entry a row");
+    first.simulate_crash();
+    drop(first);
+
+    let second = open(&dir, 1_000_000.0);
+    let recovered = thoughts(&second);
+    assert_eq!(held(&recovered), held(&loaded), "nothing loaded is lost");
+    assert!(recovered == loaded, "recovered as loaded");
     second.close();
 }
 

@@ -5,6 +5,7 @@
 
 use piql::{Database, Params, Session, SimCluster, Value};
 use piql_core::catalog::Catalog;
+use piql_core::codec::row::encode_tuple;
 use piql_core::tuple::Tuple;
 use piql_engine::keys;
 use piql_kv::{ClusterConfig, KvRequest, KvStore, LatencyConfig};
@@ -99,7 +100,7 @@ fn gc_removes_outdated_entries_after_manual_record_overwrite() {
         Value::Varchar("renamed entirely".into()),
     ]);
     let pk = keys::primary_key_from(&table, &table.primary_key_ids(), &new_row).unwrap();
-    let record = keys::encode_row_from(&new_row, new_row.len()).unwrap();
+    let record = encode_tuple(&new_row);
     db.cluster().bulk_put(ns, pk, record);
 
     let mut session = Session::new();
