@@ -308,7 +308,7 @@ impl DeriveScratch {
 /// prefix-free (a fixed width, or `00 01`-terminated with `00 FF`
 /// escapes), so at most one token of a TOKEN part can match there, and the
 /// greedy match is exact.
-pub fn derives<R: RowSource>(
+pub fn derives<R: RowSource + ?Sized>(
     parts: &[KeyPart],
     row: &R,
     key: &[u8],
@@ -374,6 +374,22 @@ pub fn decode_row(table: &TableDef, bytes: &[u8]) -> Result<Tuple, KeyError> {
     let t = row_codec::decode_tuple(bytes)?;
     check_arity(table, t.len())?;
     Ok(t)
+}
+
+/// [`decode_row`] as values borrowed from `bytes`: one vector, and no
+/// string copied — what a write reads the row it replaces as.
+pub(crate) fn decode_values<'b>(
+    table: &TableDef,
+    bytes: &'b [u8],
+) -> Result<Vec<ValueRef<'b>>, KeyError> {
+    let (mut reader, arity) = RowReader::new(bytes)?;
+    check_arity(table, arity)?;
+    let mut values = Vec::with_capacity(arity);
+    for _ in 0..arity {
+        values.push(reader.next_value()?);
+    }
+    reader.finish()?;
+    Ok(values)
 }
 
 /// [`decode_row`] straight into the pending row of `out`: nothing is

@@ -21,7 +21,6 @@ use piql_core::catalog::{Catalog, CatalogError, ColumnId, TableDef};
 use piql_core::codec::key::{encode_component_ref, Dir};
 use piql_core::plan::params::ParamsRef;
 use piql_core::plan::physical::QueryBounds;
-use piql_core::tuple::Tuple;
 use piql_core::value::{Value, ValueRef};
 use piql_kv::{KvStore, Session};
 use std::collections::BTreeMap;
@@ -108,12 +107,12 @@ pub(crate) struct SlotRow<'a> {
     table: &'a TableDef,
     slots: &'a [Slot],
     params: ParamsRef<'a>,
-    stored: Option<&'a Tuple>,
+    stored: Option<&'a [ValueRef<'a>]>,
 }
 
 impl<'a> SlotRow<'a> {
     /// This row over `stored`, whose values its [`Slot::Stored`] columns read.
-    pub(crate) fn over<'b>(&self, stored: &'b Tuple) -> SlotRow<'b>
+    pub(crate) fn over<'b>(&self, stored: &'b [ValueRef<'b>]) -> SlotRow<'b>
     where
         'a: 'b,
     {
@@ -128,10 +127,10 @@ impl RowSource for SlotRow<'_> {
     type Error = WriteError;
     fn value(&self, col: ColumnId) -> Result<ValueRef<'_>, WriteError> {
         let value = match (&self.slots[col], self.stored) {
-            (Slot::Stored, Some(row)) => &row[col],
-            (slot, _) => slot.resolve(self.params)?,
+            (Slot::Stored, Some(row)) => row[col],
+            (slot, _) => slot.resolve(self.params)?.into(),
         };
-        conform(self.table, col, value.into())
+        conform(self.table, col, value)
     }
 }
 

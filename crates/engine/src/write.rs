@@ -5,7 +5,7 @@
 //!
 //! * **Insert/update**: new secondary-index entries first, then the record
 //!   (via test-and-set for uniqueness), then deletion of stale entries —
-//!   each set of entries the one diff `Writer::entries` makes. For a
+//!   each set of entries the one diff `write::entries` makes. For a
 //!   single writer, a crash at any step leaves at most *dangling* entries
 //!   (readers skip them, [`Writer::gc_indexes`] collects them), never a
 //!   record its indexes cannot find. Racing writers get no such promise
@@ -32,7 +32,6 @@ use piql_core::codec::key::{encode_component_ref, encode_str, prefix_upper_bound
 use piql_core::plan::params::ParamError;
 use piql_core::rows::{Row, Rows};
 use piql_core::text;
-use piql_core::tuple::Tuple;
 use piql_core::value::{DataType, ValueRef};
 use piql_kv::{KvRequest, KvResponse, KvStore, MalformedRound, NsId, Session};
 use std::fmt;
@@ -438,7 +437,7 @@ fn recycle<'b>(mut values: Vec<ValueRef<'_>>) -> Vec<ValueRef<'b>> {
     values.into_iter().map(|_| ValueRef::Null).collect()
 }
 
-/// [`Writer::entries`]' two ways: put the entries, or drop them.
+/// [`entries`]' two ways: put the entries, or drop them.
 const PUT: bool = true;
 const DROP: bool = false;
 
@@ -472,7 +471,7 @@ impl<'a> Writer<'a> {
         let (entry, key_len) = keys::record_entry(table, RecordKey::Columns(&target.pk), row)?;
 
         // 1. secondary index entries first (one parallel round)
-        self.entries(session, target, PUT, row, None::<&Tuple>)?;
+        entries(target, PUT, row, None::<&[ValueRef]>)?.send(self.store, session);
 
         // 2. the record, with a test-and-set enforcing pk uniqueness
         let response = self.store.execute_one(
@@ -491,8 +490,8 @@ impl<'a> Writer<'a> {
             // duplicate's indexed columns equal the live row's the keys
             // *are* the live row's entries, and deleting them would leave
             // a record its index cannot find.
-            let live = stored.map(|b| keys::decode_row(table, b)).transpose()?;
-            self.entries(session, target, DROP, row, live.as_ref())?;
+            let live = stored.map(|b| keys::decode_values(table, b)).transpose()?;
+            entries(target, DROP, row, live.as_deref())?.send(self.store, session);
             return Err(WriteError::DuplicateKey {
                 table: table.name.clone(),
             });
@@ -540,12 +539,15 @@ impl<'a> Writer<'a> {
                     table: table.name.clone(),
                 });
             };
-            let old = keys::decode_row(table, &old_bytes)?;
+            let old = keys::decode_values(table, &old_bytes)?;
             let new = new.over(&old);
             let (entry, key_len) = keys::record_entry(table, RecordKey::Stored(pk), &new)?;
 
             // 1. fresh index entries
-            self.entries(session, target, PUT, &new, Some(&old))?;
+            entries(target, PUT, &new, Some(&old[..]))?.send(self.store, session);
+            // the stale ones are made now, while `old` can still read the
+            // record the test-and-set takes
+            let stale = entries(target, DROP, &old[..], Some(&new))?;
             // 2. the record, conditionally
             let response = self.store.execute_one(
                 session,
@@ -558,7 +560,8 @@ impl<'a> Writer<'a> {
             );
             if response.tas()?.0 {
                 // 3. stale entries last
-                return self.entries(session, target, DROP, &old, Some(&new));
+                stale.send(self.store, session);
+                return Ok(());
             }
             // lost the race: the adds we made are dangling (GC-able); retry
         }
@@ -583,8 +586,8 @@ impl<'a> Writer<'a> {
         let Some(old_bytes) = self.store.execute_one(session, get).into_value()? else {
             return Ok(false);
         };
-        let old_row = keys::decode_row(&target.table, &old_bytes)?;
-        self.remove(session, target, pk, &old_row)?;
+        let old_row = keys::decode_values(&target.table, &old_bytes)?;
+        self.remove(session, target, pk, &old_row[..])?;
         Ok(true)
     }
 
@@ -598,7 +601,7 @@ impl<'a> Writer<'a> {
         row: &R,
     ) -> Result<(), WriteError>
     where
-        R: RowSource,
+        R: RowSource + ?Sized,
         WriteError: From<R::Error>,
     {
         let delete = KvRequest::Delete {
@@ -606,7 +609,8 @@ impl<'a> Writer<'a> {
             key: pk,
         };
         self.store.execute_one(session, delete);
-        self.entries(session, target, DROP, row, None::<&R>)
+        entries(target, DROP, row, None::<&R>)?.send(self.store, session);
+        Ok(())
     }
 
     /// Bulk-load the rows `feed` pushes into a [`Loader`], without timing
@@ -775,47 +779,39 @@ impl<'a> Writer<'a> {
         )?;
         Ok(n)
     }
+}
 
-    /// The one §7.2 rule for index entries, as one round: put (`PUT`) or
-    /// delete (`DROP`) every entry row `a` derives that row `b`, if given,
-    /// does not ([`keys::derives`]). INSERT puts its row's entries, and its
-    /// undos drop them (the duplicate undo keeps the stored row's); UPDATE
-    /// puts the new row's over the old, then drops the old row's stale
-    /// ones; DELETE drops the old row's.
-    fn entries<A, B>(
-        &self,
-        session: &mut Session,
-        target: &TableWrite,
-        put: bool,
-        a: &A,
-        b: Option<&B>,
-    ) -> Result<(), WriteError>
-    where
-        A: RowSource + ?Sized,
-        B: RowSource,
-        WriteError: From<A::Error> + From<B::Error>,
-    {
-        let mut scratch = keys::DeriveScratch::default();
-        let (mut round, mut failed) = (Round::default(), Ok(()));
-        for idx in &target.indexes {
-            keys::entry_keys(&idx.parts, a, |key| {
-                let shared = b.map_or(Ok(false), |b| {
-                    keys::derives(&idx.parts, b, &key, &mut scratch)
-                });
-                match shared {
-                    Ok(true) => {}
-                    Ok(false) if put => round.push(KvRequest::Put {
-                        ns: idx.ns,
-                        key,
-                        value: Vec::new(),
-                    }),
-                    Ok(false) => round.push(KvRequest::Delete { ns: idx.ns, key }),
-                    Err(e) => failed = Err(e),
-                }
-            })?;
-        }
-        failed?;
-        round.send(self.store, session);
-        Ok(())
+/// The one §7.2 rule for index entries, as one round: put (`PUT`) or
+/// delete (`DROP`) every entry row `a` derives that row `b`, if given,
+/// does not ([`keys::derives`]). INSERT puts its row's entries, and its
+/// undos drop them (the duplicate undo keeps the stored row's); UPDATE
+/// puts the new row's over the old, then drops the old row's stale ones;
+/// DELETE drops the old row's.
+fn entries<A, B>(target: &TableWrite, put: bool, a: &A, b: Option<&B>) -> Result<Round, WriteError>
+where
+    A: RowSource + ?Sized,
+    B: RowSource + ?Sized,
+    WriteError: From<A::Error> + From<B::Error>,
+{
+    let mut scratch = keys::DeriveScratch::default();
+    let (mut round, mut failed) = (Round::default(), Ok(()));
+    for idx in &target.indexes {
+        keys::entry_keys(&idx.parts, a, |key| {
+            let shared = b.map_or(Ok(false), |b| {
+                keys::derives(&idx.parts, b, &key, &mut scratch)
+            });
+            match shared {
+                Ok(true) => {}
+                Ok(false) if put => round.push(KvRequest::Put {
+                    ns: idx.ns,
+                    key,
+                    value: Vec::new(),
+                }),
+                Ok(false) => round.push(KvRequest::Delete { ns: idx.ns, key }),
+                Err(e) => failed = Err(e),
+            }
+        })?;
     }
+    failed?;
+    Ok(round)
 }

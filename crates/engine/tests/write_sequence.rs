@@ -12,7 +12,8 @@
 //! (c) and (d) fail today at known stops, pinned by name. Run on the
 //! simulated cluster and the live one, through `piql_kv::testkit::Interleave`.
 //! On a live one logging to a write-ahead log, each stop is also crashed:
-//! (e) the store recovered from the log equals the stopped one.
+//! (e) the store recovered from the log equals the stopped one, and checks
+//! (a)–(d) find in it what they find in the live store.
 
 use piql_core::catalog::Catalog;
 use piql_core::codec::key::{decode_key, encode_key_asc, prefix_upper_bound, Dir};
@@ -165,20 +166,25 @@ fn notes<S: KvStore>(store: S, rows: &[Note]) -> (Database<Interleave<S>>, Ns) {
     for row in rows {
         db.execute_dml(&mut session, INSERT, &row.params()).unwrap();
     }
+    let ns = namespaces(&db);
+    db.cluster().take();
+    (db, ns)
+}
+
+/// Where `notes`' records and entries live in `db`.
+fn namespaces<S: KvStore>(db: &Database<S>) -> Ns {
     let catalog = db.catalog();
     let table = catalog.table("notes").unwrap();
     let indexes = catalog.indexes_for_table(table.id);
     let names: Vec<&str> = indexes.iter().map(|i| i.name.as_str()).collect();
     assert_eq!(names[1..], ["notes_by_tag", "notes_by_body"]);
     let ns = |i: usize| db.store().namespace(&Catalog::index_namespace(&indexes[i]));
-    let ns = Ns {
+    Ns {
         rec: db.store().namespace(&Catalog::table_namespace(table)),
         owner: ns(0),
         tag: ns(1),
         body: ns(2),
-    };
-    db.cluster().take();
-    (db, ns)
+    }
 }
 
 fn body(id: i32, body: &str) -> Params {
@@ -587,13 +593,48 @@ fn every_prefix<S: KvStore>(
             let at = format!("{backend}: {} stopped before round {}", outcome.name, k + 1);
             assert_eq!(answer.is_none(), k < count, "{at}");
             assert_eq!(rounds.len(), (k + 1).min(count), "{at}");
-            let unindexed = unindexed(&db, &ns).into_iter().map(|line| ('a', line));
-            for (check, line) in unindexed.chain(reader_and_writer_checks(&db, &ns)) {
-                failed.insert(format!("{at}: ({check})"));
-                seen.push(format!("{at}: ({check}) {line}"));
-            }
+            check(&db, &ns, &at, failed, seen);
         }
     }
+}
+
+/// Checks (a)–(d) on `db`, each failure one row `at: (check)` in `failed`
+/// and what it saw in `seen`.
+fn check<S: KvStore>(
+    db: &Database<Interleave<S>>,
+    ns: &Ns,
+    at: &str,
+    failed: &mut BTreeSet<String>,
+    seen: &mut Vec<String>,
+) {
+    let unindexed = unindexed(db, ns).into_iter().map(|line| ('a', line));
+    for (check, line) in unindexed.chain(reader_and_writer_checks(db, ns)) {
+        failed.insert(format!("{at}: ({check})"));
+        seen.push(format!("{at}: ({check}) {line}"));
+    }
+}
+
+/// `failed` is exactly the [`KNOWN`] rows under each of `prefixes`.
+fn assert_known(failed: &BTreeSet<String>, seen: &[String], prefixes: &[&str]) {
+    let known: BTreeSet<String> = prefixes
+        .iter()
+        .flat_map(|prefix| KNOWN.iter().map(move |row| format!("{prefix}: {row}")))
+        .collect();
+    assert!(
+        *failed == known,
+        "failing now, not known:\n{}\nknown, passing now:\n{}\nwhat each failure saw:\n{}",
+        failed
+            .difference(&known)
+            .cloned()
+            .collect::<Vec<_>>()
+            .join("\n"),
+        known
+            .difference(failed)
+            .cloned()
+            .collect::<Vec<_>>()
+            .join("\n"),
+        seen.join("\n"),
+    );
 }
 
 /// The stops where a check fails today, on each backend.
@@ -618,36 +659,20 @@ fn a_write_stopped_before_any_round_leaves_what_readers_and_writers_expect() {
     let (mut failed, mut seen) = (BTreeSet::new(), Vec::new());
     every_prefix(sim, "sim", &mut failed, &mut seen);
     every_prefix(live, "live", &mut failed, &mut seen);
-    let known: BTreeSet<String> = ["sim", "live"]
-        .iter()
-        .flat_map(|backend| KNOWN.iter().map(move |row| format!("{backend}: {row}")))
-        .collect();
-    assert!(
-        failed == known,
-        "failing now, not known:\n{}\nknown, passing now:\n{}\nwhat each failure saw:\n{}",
-        failed
-            .difference(&known)
-            .cloned()
-            .collect::<Vec<_>>()
-            .join("\n"),
-        known
-            .difference(&failed)
-            .cloned()
-            .collect::<Vec<_>>()
-            .join("\n"),
-        seen.join("\n"),
-    );
+    assert_known(&failed, &seen, &["sim", "live"]);
 }
 
 /// Check (e): every single-writer outcome on a live store that logs to a
 /// write-ahead log, stopped before each round and once after its last,
 /// then crashed. Every round a stop let through was acknowledged, so the
 /// store recovered from the log with the same bootstrap holds exactly
-/// what the stopped one does.
+/// what the stopped one does, and checks (a)–(d) fail on it where they
+/// fail on the live store.
 #[test]
 fn a_write_stopped_before_any_round_recovers_as_it_stopped() {
     let dir = std::env::temp_dir().join(format!("piql-write-sequence-{}", std::process::id()));
     let config = || DurabilityConfig::new(&dir);
+    let (mut failed, mut seen) = (BTreeSet::new(), Vec::new());
     for outcome in outcomes() {
         let count = send(live(), &outcome, None).3.len();
         for k in 0..=count {
@@ -661,17 +686,19 @@ fn a_write_stopped_before_any_round_recovers_as_it_stopped() {
             drop((db, log));
 
             let (recovered, _log) = Durability::open(config()).unwrap();
-            let db = bootstrap(live());
-            recovered.apply_kv(db.cluster()).unwrap();
+            let db = bootstrap(Interleave::new(live()));
+            recovered.apply_kv(&db.cluster().inner).unwrap();
+            let at = format!("{} stopped before round {}", outcome.name, k + 1);
             assert!(
-                db.cluster().export_namespaces() == stopped,
-                "{} stopped before round {}: the recovered store differs",
-                outcome.name,
-                k + 1
+                db.cluster().inner.export_namespaces() == stopped,
+                "{at}: the recovered store differs",
             );
+            let at = format!("recovered: {at}");
+            check(&db, &namespaces(&db), &at, &mut failed, &mut seen);
         }
     }
     std::fs::remove_dir_all(&dir).unwrap();
+    assert_known(&failed, &seen, &["recovered"]);
 }
 
 #[test]

@@ -895,6 +895,19 @@ impl BinaryWire {
     }
 }
 
+/// Whether `buffered` (a reader's lookahead bytes) already holds one
+/// complete frame — if so, the server handles it before flushing pending
+/// output, so a pipelined burst answers in one write.
+pub(crate) fn complete_frame_buffered(buffered: &[u8]) -> bool {
+    match buffered.first_chunk::<4>() {
+        Some(len) => {
+            let len = u32::from_le_bytes(*len) as usize;
+            len <= MAX_FRAME && buffered.len() - 4 >= len
+        }
+        None => false,
+    }
+}
+
 impl Wire for BinaryWire {
     fn version(&self) -> u8 {
         VERSION

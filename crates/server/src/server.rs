@@ -75,7 +75,7 @@ use piql_predict::SloPredictor;
 use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::{mpsc, Arc, Weak};
 use std::thread::JoinHandle;
 
 /// Server-level knobs beyond the registry's own configuration.
@@ -108,9 +108,9 @@ pub struct PiqlServer<S: KvStore + 'static = LiveCluster> {
     shutdown: Arc<AtomicBool>,
     accept_thread: Option<JoinHandle<()>>,
     connections: Arc<AtomicU64>,
-    /// Clones of every accepted stream, so shutdown can close them and
-    /// unblock their handler threads.
-    streams: Arc<Mutex<Vec<TcpStream>>>,
+    /// Every accepted stream, held weakly: its handler owns it, and
+    /// shutdown closes those still open to unblock their handlers.
+    streams: Arc<Mutex<Vec<Weak<TcpStream>>>>,
     /// Periodic admission re-validation (see
     /// [`PiqlServer::enable_revalidation`]); stopped when the server drops.
     revalidator: Option<Revalidator>,
@@ -154,7 +154,7 @@ impl<S: KvStore + 'static> PiqlServer<S> {
         let local_addr = listener.local_addr()?;
         let shutdown = Arc::new(AtomicBool::new(false));
         let connections = Arc::new(AtomicU64::new(0));
-        let streams: Arc<Mutex<Vec<TcpStream>>> = Arc::new(Mutex::new(
+        let streams: Arc<Mutex<Vec<Weak<TcpStream>>>> = Arc::new(Mutex::new(
             rank::SERVER_STREAMS,
             "server.streams",
             Vec::new(),
@@ -181,13 +181,12 @@ impl<S: KvStore + 'static> PiqlServer<S> {
                             }
                         };
                         connections.fetch_add(1, Ordering::Relaxed);
+                        let stream = Arc::new(stream);
                         {
                             let mut held = streams.lock();
-                            // drop entries whose handler already finished
-                            held.retain(|s| s.peer_addr().is_ok());
-                            if let Ok(clone) = stream.try_clone() {
-                                held.push(clone);
-                            }
+                            // forget connections whose handler has returned
+                            held.retain(|s| s.strong_count() > 0);
+                            held.push(Arc::downgrade(&stream));
                         }
                         let registry = registry.clone();
                         let dispatch = dispatch.clone();
@@ -257,10 +256,12 @@ impl<S: KvStore + 'static> Drop for PiqlServer<S> {
         if let Some(handle) = self.accept_thread.take() {
             let _ = handle.join();
         }
-        // close every live connection so handler threads blocked in
-        // `lines()` unblock and exit rather than outliving the server
+        // close every open connection so handler threads blocked in a
+        // read unblock and exit rather than outliving the server
         for stream in self.streams.lock().drain(..) {
-            let _ = stream.shutdown(Shutdown::Both);
+            if let Some(stream) = stream.upgrade() {
+                let _ = stream.shutdown(Shutdown::Both);
+            }
         }
     }
 }
@@ -306,26 +307,9 @@ fn run_handler<S: KvStore>(
     })
 }
 
-/// The ordered venue, on either codec: answer one frame on the calling
-/// thread's `session` — the request it decoded to, or the decode error in
-/// its place in the arrival order, echoing whatever id can still be
-/// recovered (the stream stays alive, and a pipelining client can
-/// correlate the failure).
-fn answer_here<S: KvStore>(
-    wire: &impl Wire,
-    frame: &[u8],
-    decoded: Result<Envelope, ProtoError>,
-    session: &mut Session,
-    registry: &StatementRegistry<S>,
-) -> (Option<RequestId>, Reply) {
-    match decoded {
-        Ok(env) => (env.id, run_handler(&env.request, session, registry)),
-        Err(e) => undecodable(wire, frame, e),
-    }
-}
-
 /// The answer to a frame that did not decode: the error, under whatever
-/// id can still be recovered from it.
+/// id can still be recovered from it (the stream stays alive, and a
+/// pipelining client can correlate the failure).
 fn undecodable(wire: &impl Wire, frame: &[u8], e: ProtoError) -> (Option<RequestId>, Reply) {
     (
         wire.extract_id(frame),
@@ -336,15 +320,16 @@ fn undecodable(wire: &impl Wire, frame: &[u8], e: ProtoError) -> (Option<Request
 /// Serve one client until EOF. Sniffs the codec from the first byte —
 /// [`binary::MAGIC`] starts with `0xB3`, which no JSON line can — then
 /// runs the matching loop: the pipelined reader/writer lanes for JSON, the
-/// inline [`BinaryConn`] loop for binary.
+/// inline [`BinaryConn`] loop for binary. This is the connection's one
+/// owner: the server holds it weakly, so it closes when this returns.
 fn serve_connection<S: KvStore + 'static>(
-    stream: TcpStream,
+    stream: Arc<TcpStream>,
     registry: Arc<StatementRegistry<S>>,
     dispatch: Arc<RoundPool>,
     max_in_flight: usize,
 ) -> io::Result<()> {
+    let stream = &*stream;
     stream.set_nodelay(true).ok();
-    let write_half = stream.try_clone()?;
     let mut reader = BufReader::new(stream);
     let first = match reader.fill_buf() {
         Ok([]) => return Ok(()), // EOF before the first byte
@@ -360,129 +345,110 @@ fn serve_connection<S: KvStore + 'static>(
                 "bad v3 magic preamble",
             ));
         }
-        return serve_binary(reader, write_half, registry);
+        return serve_binary(reader, stream, registry);
     }
-    serve_lanes(
-        reader,
-        write_half,
-        registry,
-        dispatch,
-        JsonWire,
-        max_in_flight,
-    )
+    serve_lanes(reader, stream, registry, dispatch, max_in_flight)
 }
 
-/// The pipelined reader/writer lanes over any [`Wire`]. Every request
-/// frame gets exactly one response frame; protocol errors are answered
-/// (not fatal) so a client bug cannot wedge the connection out from under
-/// its own pipeline. This thread is the *reader*: it decodes each frame
-/// and picks its venue (see the module docs), then joins the writer —
-/// which drains every in-flight response — before returning.
-fn serve_lanes<S: KvStore + 'static, W: Wire + Copy + Send + 'static>(
-    mut reader: BufReader<TcpStream>,
-    write_half: TcpStream,
+/// The pipelined reader/writer lanes of a JSON connection. Every request
+/// line gets exactly one response line; protocol errors are answered (not
+/// fatal) so a client bug cannot wedge the connection out from under its
+/// own pipeline. This thread is the *reader*: it decodes each line and
+/// picks its venue (see the module docs), then joins the writer — which
+/// drains every in-flight response — before returning.
+fn serve_lanes<S: KvStore + 'static>(
+    mut reader: BufReader<&TcpStream>,
+    stream: &TcpStream,
     registry: Arc<StatementRegistry<S>>,
     dispatch: Arc<RoundPool>,
-    wire: W,
     max_in_flight: usize,
 ) -> io::Result<()> {
     // completed responses travel to the writer as `(correlation id,
     // reply)` — rows still the executor's block; encoding (and id
-    // attachment) is the writer's [`Wire`]'s job
+    // attachment) is the writer's job
     let (tx, rx) = mpsc::channel::<(Option<RequestId>, Reply)>();
-    let alive = Arc::new(AtomicBool::new(true));
-    // cap 0 = unlimited: no window is even allocated, the lanes behave
-    // exactly as before the backpressure control existed
+    // cap 0 = unlimited: no window at all, the lanes behave exactly as
+    // before the backpressure control existed
     let window = (max_in_flight > 0).then(|| {
         let cap = u32::try_from(max_in_flight).unwrap_or(u32::MAX);
-        Arc::new(Gate::new(
-            rank::SERVER_INFLIGHT,
-            "server.conn.window",
-            Some(cap),
-            (),
-        ))
+        Gate::new(rank::SERVER_INFLIGHT, "server.conn.window", Some(cap), ())
     });
-    let writer_thread = {
-        let alive = alive.clone();
-        let window = window.clone();
-        std::thread::Builder::new()
+    std::thread::scope(|scope| {
+        let writer_thread = std::thread::Builder::new()
             .name("piql-conn-writer".into())
-            .spawn(move || write_loop(write_half, rx, &alive, wire, window))?
-    };
-    // the ordered venue's session
-    let mut session = Session::new();
-    let read_result: io::Result<()> = (|| {
-        let mut frame = Vec::new();
-        while wire.read_frame(&mut reader, &mut frame)? {
-            // the writer hit a socket error: responses can no longer be
-            // delivered, so stop decoding (and executing) requests
-            if !alive.load(Ordering::Relaxed) {
-                break;
-            }
-            // backpressure: park until the in-flight window has room (a
-            // full window means the client outran the server — TCP stops
-            // reading new bytes while we park, pushing back upstream)
-            if let Some(window) = &window {
-                if !enter_window(window, &registry.counters.backpressure_stalls) {
-                    break;
+            .spawn_scoped(scope, || write_loop(stream, rx, window.as_ref()))?;
+        // the ordered venue's session
+        let mut session = Session::new();
+        let read_result: io::Result<()> = (|| {
+            let mut frame = Vec::new();
+            while JsonWire.read_frame(&mut reader, &mut frame)? {
+                // backpressure: park until the in-flight window has room (a
+                // full window means the client outran the server — TCP stops
+                // reading new bytes while we park, pushing back upstream)
+                if let Some(window) = &window {
+                    if !enter_window(window, &registry.counters.backpressure_stalls) {
+                        break;
+                    }
                 }
+                let answer = match JsonWire.decode_envelope(&frame) {
+                    // on a session of its own: a session is a clock and
+                    // counters, `sync_session` sets the clock at every
+                    // execute and nothing reads it after the request
+                    Ok(Envelope {
+                        id: Some(id),
+                        request,
+                    }) => {
+                        let (registry, tx) = (registry.clone(), tx.clone());
+                        dispatch.spawn(move || {
+                            let reply = run_handler(&request, &mut Session::new(), &registry);
+                            let _ = tx.send((Some(id), reply));
+                        });
+                        continue;
+                    }
+                    // the ordered venue: answered here, in arrival order,
+                    // a line that did not decode in its place
+                    Ok(env) => (None, run_handler(&env.request, &mut session, &registry)),
+                    Err(e) => undecodable(&JsonWire, &frame, e),
+                };
+                // a send error means the writer is gone; it shut the
+                // socket's read side, so reading ends with the lines
+                // already buffered
+                let _ = tx.send(answer);
             }
-            match wire.decode_envelope(&frame) {
-                // on a session of its own: a session is a clock and
-                // counters, `sync_session` sets the clock at every
-                // execute and nothing reads it after the request
-                Ok(Envelope {
-                    id: Some(id),
-                    request,
-                }) => {
-                    let (registry, tx) = (registry.clone(), tx.clone());
-                    dispatch.spawn(move || {
-                        let reply = run_handler(&request, &mut Session::new(), &registry);
-                        let _ = tx.send((Some(id), reply));
-                    });
-                }
-                // a send error means the writer is gone; the `alive`
-                // check ends the loop at the next frame
-                ordered => {
-                    let _ = tx.send(answer_here(&wire, &frame, ordered, &mut session, &registry));
-                }
-            }
-        }
-        Ok(())
-    })();
-    // the writer exits once the last sender drops — i.e. after every
-    // dispatched task for this connection has completed and answered
-    drop(tx);
-    let _ = writer_thread.join();
-    read_result
+            Ok(())
+        })();
+        // the writer exits once the last sender drops — i.e. after every
+        // dispatched task for this connection has completed and answered
+        drop(tx);
+        let _ = writer_thread.join();
+        read_result
+    })
 }
 
 /// The writer half: serialize responses in the order they complete,
 /// flushing only when nothing further is immediately ready — a pipelined
 /// burst coalesces into few flush syscalls instead of one per response.
-/// One scratch buffer is reused across responses. A socket error clears
-/// `alive` so the reader stops accepting work whose results would be
-/// discarded.
-fn write_loop<W: Wire>(
-    stream: TcpStream,
+/// One scratch buffer is reused across responses. A socket error shuts the
+/// socket's read side, so the reader stops accepting work whose results
+/// would be discarded.
+fn write_loop(
+    stream: &TcpStream,
     rx: mpsc::Receiver<(Option<RequestId>, Reply)>,
-    alive: &AtomicBool,
-    wire: W,
-    window: Option<Arc<Gate<()>>>,
+    window: Option<&Gate<()>>,
 ) {
     let mut writer = BufWriter::new(stream);
     let mut buf = Vec::new();
     // every response written leaves the backpressure window, even when it
     // only reached the BufWriter: the bytes are out of the server's
     // request pipeline either way
-    let write_one = |writer: &mut BufWriter<TcpStream>,
+    let write_one = |writer: &mut BufWriter<&TcpStream>,
                      buf: &mut Vec<u8>,
                      (id, reply): (Option<RequestId>, Reply)|
      -> io::Result<()> {
         buf.clear();
-        wire.encode_reply(id.as_ref(), &reply, buf);
+        JsonWire.encode_reply(id.as_ref(), &reply, buf);
         writer.write_all(buf)?;
-        if let Some(window) = &window {
+        if let Some(window) = window {
             window.leave();
         }
         Ok(())
@@ -496,27 +462,14 @@ fn write_loop<W: Wire>(
             }
         }
         if io.and_then(|()| writer.flush()).is_err() {
-            alive.store(false, Ordering::Relaxed);
+            let _ = stream.shutdown(Shutdown::Read);
             // a reader parked on a full window must wake up and exit, not
             // wait for responses that will never be written
-            if let Some(window) = &window {
+            if let Some(window) = window {
                 window.reset(|door| door.closed = true);
             }
             return;
         }
-    }
-}
-
-/// Whether `buffered` (the reader's lookahead bytes) already holds one
-/// complete binary frame — if so, the serve loop handles it before
-/// flushing pending output, so a pipelined burst answers in one write.
-fn complete_frame_buffered(buffered: &[u8]) -> bool {
-    match buffered.first_chunk::<4>() {
-        Some(len) => {
-            let len = u32::from_le_bytes(*len) as usize;
-            len <= binary::MAX_FRAME && buffered.len() - 4 >= len
-        }
-        None => false,
     }
 }
 
@@ -526,19 +479,19 @@ fn complete_frame_buffered(buffered: &[u8]) -> bool {
 /// accumulate in the conn's output buffer and flush right before a read
 /// would block.
 fn serve_binary<S: KvStore + 'static>(
-    mut reader: BufReader<TcpStream>,
-    mut write_half: TcpStream,
+    mut reader: BufReader<&TcpStream>,
+    mut stream: &TcpStream,
     registry: Arc<StatementRegistry<S>>,
 ) -> io::Result<()> {
     let mut hello = Vec::new();
     binary::put_hello(&mut hello);
-    write_half.write_all(&hello)?;
+    stream.write_all(&hello)?;
     let wire = BinaryWire;
     let mut conn = BinaryConn::new(registry);
     let mut frame = Vec::new();
     loop {
-        if !conn.output().is_empty() && !complete_frame_buffered(reader.buffer()) {
-            write_half.write_all(conn.output())?;
+        if !conn.output().is_empty() && !binary::complete_frame_buffered(reader.buffer()) {
+            stream.write_all(conn.output())?;
             conn.clear_output();
         }
         if !wire.read_frame(&mut reader, &mut frame)? {
@@ -547,7 +500,7 @@ fn serve_binary<S: KvStore + 'static>(
         conn.handle_frame(&frame);
     }
     if !conn.output().is_empty() {
-        write_half.write_all(conn.output())?;
+        stream.write_all(conn.output())?;
     }
     Ok(())
 }
@@ -687,7 +640,7 @@ impl<S: KvStore + 'static> BinaryConn<S> {
 
     /// The general path: full decode into the kept request → the shared
     /// request router → generic encode, a decode error answered in place
-    /// as [`answer_here`] answers it.
+    /// ([`undecodable`]) as the JSON reader answers one.
     fn handle_general(&mut self, frame: &[u8]) {
         let wire = BinaryWire;
         match wire.decode_into(frame, &mut self.request) {
