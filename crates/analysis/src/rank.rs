@@ -61,6 +61,12 @@ pub const STATEMENT_STATE: u32 = 30;
 
 // ---- engine ----
 
+/// `Database.ddl`: serialises catalog mutations, each held from the
+/// generation it moves to the end of its wait for the writes of the one
+/// it retired. Taken by `prepare` under the registry's statement locks,
+/// and around `ENGINE_CATALOG`; never by a write.
+pub const ENGINE_DDL: u32 = 38;
+
 /// `Database.catalog`: table/index definitions. Held only for short
 /// clone/update critical sections, but DDL paths take it before touching kv.
 pub const ENGINE_CATALOG: u32 = 40;

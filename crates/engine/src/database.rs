@@ -12,14 +12,16 @@
 //! generation it was built at; every catalog mutation moves the generation
 //! on, so the first execution after a `CREATE INDEX` — declared, or
 //! derived by a SELECT `prepare` — rebuilds the plan and maintains the new
-//! index.
+//! index. A write compiled before the mutation may still be in flight, not
+//! knowing the index, so a mutation waits those writes out before a
+//! backfill scans: an index built online finds every row.
 
 use crate::cursor::Cursor;
 use crate::exec::{ExecCtx, ExecError, ExecStrategy, QueryResult, RemoteOp};
 use crate::plan::{table_write, WritePlan};
 use crate::reference::ReferenceExecutor;
 use crate::write::{IndexWrite, Loader, TableWrite, WriteError, Writer};
-use piql_analysis::ordered::RwLock;
+use piql_analysis::ordered::{Mutex, RwLock};
 use piql_analysis::rank;
 use piql_core::ast::Statement;
 use piql_core::catalog::{Catalog, CatalogError, IndexDef, TableDef};
@@ -149,6 +151,33 @@ pub struct Database<S: KvStore = SimCluster> {
     write_plans: RwLock<HashMap<Box<str>, Arc<WritePlan>>>,
     plan_compiles: AtomicU64,
     plan_evictions: AtomicU64,
+    /// Writes in flight, by the parity of the generation their plan was
+    /// compiled at ([`Database::execute_dml`]).
+    writes_in_flight: [AtomicU64; 2],
+    /// Serialises catalog mutations, each until it has waited out the
+    /// writes of the generation it retired, so no write in flight is ever
+    /// more than one generation old and two counts tell them apart.
+    ddl: Mutex<()>,
+}
+
+/// One write counted in flight until it drops. It is counted before the
+/// write checks its generation under the catalog's read lock, so a
+/// mutation that takes the write lock after that check finds it counted;
+/// the decrement's `Release` pairs with the waiting mutation's `Acquire`
+/// load, so the write's rounds come before the backfill's.
+struct InFlight<'a>(&'a AtomicU64);
+
+impl<'a> InFlight<'a> {
+    fn enter(count: &'a AtomicU64) -> Self {
+        count.fetch_add(1, Ordering::SeqCst);
+        InFlight(count)
+    }
+}
+
+impl Drop for InFlight<'_> {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::Release);
+    }
 }
 
 impl<S: KvStore> Database<S> {
@@ -164,6 +193,8 @@ impl<S: KvStore> Database<S> {
             ),
             plan_compiles: AtomicU64::new(0),
             plan_evictions: AtomicU64::new(0),
+            writes_in_flight: [AtomicU64::new(0), AtomicU64::new(0)],
+            ddl: Mutex::new(rank::ENGINE_DDL, "engine.ddl", ()),
         }
     }
 
@@ -203,7 +234,7 @@ impl<S: KvStore> Database<S> {
     /// cardinality constraints, all or nothing ([`Catalog::create_table`]),
     /// then create those indexes' namespaces and backfill them.
     pub fn create_table(&self, def: TableDef) -> Result<(), DbError> {
-        let id = self.catalog.write().create_table(def)?;
+        let id = self.mutate_catalog(|catalog| catalog.create_table(def))?;
         let catalog = self.catalog();
         for idx in catalog.indexes_for_table(id) {
             self.backfill(catalog.table_by_id(id), &idx)?;
@@ -212,11 +243,32 @@ impl<S: KvStore> Database<S> {
     }
 
     fn create_index_and_backfill(&self, table: &TableDef, def: IndexDef) -> Result<(), DbError> {
-        // registering the index moves the catalog generation on, so every
-        // write that starts once this returns maintains it
-        let id = self.catalog.write().create_index(def)?;
+        let id = self.mutate_catalog(|catalog| catalog.create_index(def))?;
         let idx = self.catalog.read().index_by_id(id).clone();
         self.backfill(table, &idx)
+    }
+
+    /// Apply `mutate` to the catalog, which moves its generation on, then
+    /// wait until no write compiled at the generation it retired is in
+    /// flight: every write from then on maintains what `mutate` added, and
+    /// every record an older one stores has landed, where a backfill's scan
+    /// finds it. No catalog lock is held while waiting. Bulk loads are
+    /// set-up and are not waited for.
+    fn mutate_catalog<T>(
+        &self,
+        mutate: impl FnOnce(&mut Catalog) -> Result<T, CatalogError>,
+    ) -> Result<T, DbError> {
+        let _ddl = self.ddl.lock();
+        let (value, retired) = {
+            let mut catalog = self.catalog.write();
+            let retired = catalog.generation();
+            (mutate(&mut catalog)?, retired)
+        };
+        let in_flight = &self.writes_in_flight[(retired % 2) as usize];
+        while in_flight.load(Ordering::Acquire) != 0 {
+            std::thread::yield_now();
+        }
+        Ok(value)
     }
 
     /// Make a registered index's namespace exist, then backfill it from the
@@ -330,15 +382,28 @@ impl<S: KvStore> Database<S> {
     // ---------------------------------------------------------------- DML
 
     /// Execute an INSERT/UPDATE/DELETE statement: look its compiled plan up
-    /// by text (compiling on first sight) and run it.
+    /// by text (compiling on first sight) and run it. The write is counted
+    /// in flight before its plan's generation is checked against the
+    /// catalog's, so a catalog mutation either sees it counted and waits
+    /// for it, or moved the generation first and the write compiles again.
     pub fn execute_dml<'p>(
         &self,
         session: &mut Session,
         sql: &str,
         params: impl Into<ParamsRef<'p>>,
     ) -> Result<(), DbError> {
-        let plan = self.write_plan(sql)?;
-        Ok(plan.execute(self.store(), session, params.into())?)
+        let params = params.into();
+        let mut cached = self.write_plans.read().get(sql).cloned();
+        loop {
+            if let Some(plan) = cached {
+                let parity = (plan.generation() % 2) as usize;
+                let _counted = InFlight::enter(&self.writes_in_flight[parity]);
+                if plan.generation() == self.catalog.read().generation() {
+                    return Ok(plan.execute(self.store(), session, params)?);
+                }
+            }
+            cached = Some(self.write_plan(sql)?);
+        }
     }
 
     /// The compiled plan of a DML text, current with the catalog: from the
@@ -387,7 +452,9 @@ impl<S: KvStore> Database<S> {
         Ok(Writer::new(self.store()).gc_indexes(session, &target)?)
     }
 
-    /// Untimed bulk load (experiment setup); maintains index entries.
+    /// Untimed bulk load (experiment setup); maintains index entries. Not
+    /// counted as a write in flight: an index created while a load runs
+    /// may miss the rows it stores.
     pub fn bulk_load(
         &self,
         table: &str,

@@ -15,6 +15,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
 fn permissive_slo() -> SloConfig {
     SloConfig {
@@ -620,4 +621,70 @@ fn dropping_a_server_bound_to_unspecified_unblocks_the_acceptor() {
     done_rx
         .recv_timeout(std::time::Duration::from_secs(10))
         .expect("drop must unblock the accept thread without a real client connecting");
+}
+
+/// An index `prepare` derives while clients insert finds every row the
+/// records hold: each build waits out the inserts compiled before it, so
+/// none lands behind its scan. Five builds race the inserts, one a column.
+#[test]
+fn an_index_derived_while_a_client_inserts_finds_every_row() {
+    const WRITERS: usize = 4;
+    const BUILDS: usize = 5;
+    let (db, server) = start_scadr_server();
+    let addr = server.local_addr();
+    db.execute_ddl(
+        "CREATE TABLE racing (id INT NOT NULL, c0 INT, c1 INT, c2 INT, c3 INT, c4 INT, \
+         c5 INT, PRIMARY KEY (id))",
+    )
+    .unwrap();
+    // an index puts an entries round ahead of each insert's swap, and
+    // service time on every round widens the window that round opens
+    // between an insert's plan and its swap
+    db.execute_ddl("CREATE INDEX racing_by_c0 ON racing (c0)")
+        .unwrap();
+    db.cluster().set_request_delay_us(200);
+    let insert = "INSERT INTO racing VALUES (<id>, <c0>, <c1>, <c2>, <c3>, <c4>, <c5>)";
+    let by = |c: usize| format!("SELECT * FROM racing WHERE c{c} = <v> LIMIT 5");
+    let stop = AtomicBool::new(false);
+    std::thread::scope(|scope| {
+        for w in 0..WRITERS {
+            let stop = &stop;
+            scope.spawn(move || {
+                let mut client = Client::connect(addr).unwrap();
+                for n in (w..).step_by(WRITERS) {
+                    if stop.load(Ordering::Acquire) {
+                        break;
+                    }
+                    let params = vec![Value::Int(n as i32).into(); 7];
+                    client.dml(insert, &params).unwrap();
+                }
+            });
+        }
+        let mut client = Client::connect(addr).unwrap();
+        for c in 1..=BUILDS {
+            std::thread::sleep(Duration::from_millis(10));
+            client.prepare(&format!("by_c{c}"), &by(c)).unwrap();
+        }
+        stop.store(true, Ordering::Release);
+    });
+    db.cluster().set_request_delay_us(0);
+    let stored = db.reference_query("SELECT * FROM racing", &[][..]).unwrap();
+    let mut session = Session::new();
+    let mut misread = Vec::new();
+    for c in 1..=BUILDS {
+        let prepared = db.prepare(&by(c)).unwrap();
+        assert!(
+            prepared.compiled.explain().contains("IndexScan"),
+            "c{c}: no index"
+        );
+        for row in &stored {
+            let params = [row.values()[c].clone().into()];
+            let found = db.execute(&mut session, &prepared, &params[..]).unwrap();
+            if found.rows.len() != 1 {
+                misread.push(format!("c{c} = {:?}", row.values()[c]));
+            }
+        }
+    }
+    let n = stored.len();
+    assert!(misread.is_empty(), "of {n} rows, not found: {misread:?}");
 }

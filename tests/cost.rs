@@ -1,0 +1,1501 @@
+//! The cost table: what each statement shape costs each layer, in heap
+//! allocations, bytes asked for and bytes still held, as exact totals over
+//! a fixed count of single-threaded requests. `tests/cost_golden.txt`
+//! holds the table; a change that moves any count shows here as a line of
+//! text, and that file's history is the history of every count.
+//!
+//! One counting `#[global_allocator]` wraps the system allocator and counts
+//! per thread, so other tests' threads and the store's pool workers never
+//! reach a row. Every store here serves its rounds on the calling thread
+//! (no service time to overlap), so a row is the whole of its work.
+//!
+//! Besides the rows, the relations that make a row mean something are
+//! asserted where they are measured: a warm point read allocates nothing;
+//! a result set costs the same for 1, 10 and 100 rows, and so does a range
+//! answer; a decoded page view is freed whole; a test-and-set keeps the
+//! request's buffer as its entry; and a rebalance after set-up moves
+//! nothing.
+
+use piql_core::catalog::Catalog;
+use piql_core::plan::params::{ParamValue, Params};
+use piql_core::tuple;
+use piql_core::value::{Value, ValueRef};
+use piql_durability::{Durability, DurabilityConfig, RecoveredState, WalRecord};
+use piql_engine::{Database, Prepared};
+use piql_kv::testkit::swap;
+use piql_kv::{
+    BulkFeed, KvEntry, KvRequest, KvResponse, KvStore, LiveCluster, LiveConfig, NsBalance, NsId,
+    Session, WalSink, MILLIS,
+};
+use piql_predict::{LatencyHistogram, ModelKey, ModelStore, OpKind, SharedModelStore};
+use piql_server::protocol::ok_response;
+use piql_server::server::respond;
+use piql_server::testkit::linear_predictor;
+use piql_server::{
+    decode_page, BinaryConn, BinaryWire, Envelope, JsonWire, Reply, Request, SloConfig,
+    StatementRegistry, Wire,
+};
+use piql_workloads::scadr::{self, ScadrConfig};
+use piql_workloads::tpcw;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::collections::BTreeMap;
+use std::fmt::{Display, Write as _};
+use std::ops::{AddAssign, Sub};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
+use std::time::Duration;
+
+// ------------------------------------------------------------ counting
+
+/// What a thread has asked of the allocator.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+struct Counts {
+    /// Calls that hand out memory: alloc, alloc_zeroed, realloc.
+    allocs: u64,
+    /// Bytes those calls asked for (a realloc asks for its new size).
+    bytes: u64,
+    /// Bytes held now: asked for, less given back.
+    held: i64,
+}
+
+impl Sub for Counts {
+    type Output = Counts;
+    fn sub(self, before: Counts) -> Counts {
+        Counts {
+            allocs: self.allocs - before.allocs,
+            bytes: self.bytes - before.bytes,
+            held: self.held - before.held,
+        }
+    }
+}
+
+impl AddAssign for Counts {
+    fn add_assign(&mut self, more: Counts) {
+        self.allocs += more.allocs;
+        self.bytes += more.bytes;
+        self.held += more.held;
+    }
+}
+
+thread_local! {
+    static COUNTS: Cell<Counts> = const {
+        Cell::new(Counts { allocs: 0, bytes: 0, held: 0 })
+    };
+}
+
+/// Book a call that asked for `bytes` (none for a free) and changed the
+/// bytes held by `held`.
+fn book(calls: u64, bytes: usize, held: i64) {
+    // `try_with`: TLS may already be torn down during thread exit
+    let _ = COUNTS.try_with(|c| {
+        let now = c.get();
+        c.set(Counts {
+            allocs: now.allocs + calls,
+            bytes: now.bytes + bytes as u64,
+            held: now.held + held,
+        })
+    });
+}
+
+struct CountingAlloc;
+
+// SAFETY: every call goes to `System` with its arguments as they came; the
+// bookkeeping beside it touches a thread-local `Cell` and never allocates.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        book(1, layout.size(), layout.size() as i64);
+        // SAFETY: the caller's contract is `System.alloc`'s own
+        unsafe { System.alloc(layout) }
+    }
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        book(1, layout.size(), layout.size() as i64);
+        // SAFETY: as above
+        unsafe { System.alloc_zeroed(layout) }
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        book(1, new_size, new_size as i64 - layout.size() as i64);
+        // SAFETY: as above
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        book(0, 0, -(layout.size() as i64));
+        // SAFETY: as above
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static COUNTER: CountingAlloc = CountingAlloc;
+
+/// What `f` returns, and what it asked of the allocator on this thread.
+fn counted<T>(f: impl FnOnce() -> T) -> (T, Counts) {
+    let before = COUNTS.with(Cell::get);
+    let value = f();
+    (value, COUNTS.with(Cell::get) - before)
+}
+
+#[test]
+fn the_allocator_counts_calls_bytes_and_what_is_held() {
+    let (mut v, made) = counted(|| Vec::<u64>::with_capacity(10));
+    assert_eq!(
+        made,
+        Counts {
+            allocs: 1,
+            bytes: 80,
+            held: 80
+        }
+    );
+    v.extend(0..10);
+    let ((), grown) = counted(|| v.push(10));
+    assert_eq!((grown.allocs, grown.bytes), (1, 160), "a grow is one call");
+    assert_eq!(grown.held, 80);
+    let ((), freed) = counted(|| drop(v));
+    assert_eq!(
+        freed,
+        Counts {
+            allocs: 0,
+            bytes: 0,
+            held: -160
+        }
+    );
+}
+
+// --------------------------------------------------------------- table
+
+/// The rows, as `tests/cost_golden.txt` holds them.
+struct Table(String);
+
+impl Table {
+    fn section(&mut self, title: &str) {
+        let _ = writeln!(self.0, "\n== {title}");
+    }
+
+    /// `n` requests of `shape` cost `layer` `counts` in all.
+    fn row(&mut self, shape: &str, layer: &str, n: u64, counts: Counts) {
+        self.line(shape, layer, n, counts, &counts.held);
+    }
+
+    /// A row whose bytes held are not this thread's to count: what it
+    /// frees goes on whichever thread lets go of it last.
+    fn row_freed_elsewhere(&mut self, shape: &str, layer: &str, n: u64, counts: Counts) {
+        self.line(shape, layer, n, counts, &"-");
+    }
+
+    fn line(&mut self, shape: &str, layer: &str, n: u64, counts: Counts, held: &dyn Display) {
+        let (name, Counts { allocs, bytes, .. }) = (format!("{shape} · {layer}"), counts);
+        let row = format!("{name:<54} {n:>6} {allocs:>7} {bytes:>10} {held:>10}");
+        let _ = writeln!(self.0, "{row}");
+    }
+}
+
+#[test]
+// Rank tracking in `lock-order` builds keeps per-thread held-lock state
+// (and captures backtraces), which allocates by design.
+#[cfg_attr(
+    feature = "lock-order",
+    ignore = "lock-order tracking allocates by design"
+)]
+fn every_cost_row_is_pinned() {
+    let mut table = Table(format!(
+        "{:<54} {:>6} {:>7} {:>10} {:>10}\n",
+        "shape · layer", "n", "allocs", "bytes", "held"
+    ));
+    server_rows(&mut table);
+    engine_rows(&mut table);
+    kv_rows(&mut table);
+    durability_rows(&mut table);
+    model_rows(&mut table);
+    setup_rows(&mut table);
+    let (actual, expected) = (table.0, include_str!("cost_golden.txt"));
+    if actual != expected {
+        let first = actual
+            .lines()
+            .zip(expected.lines())
+            .position(|(a, e)| a != e)
+            .unwrap_or(actual.lines().count().min(expected.lines().count()));
+        panic!(
+            "costs moved; first differing line {}:\n  expected: {:?}\n  actual:   {:?}\n\
+             full table:\n{actual}",
+            first + 1,
+            expected.lines().nth(first),
+            actual.lines().nth(first),
+        );
+    }
+}
+
+// -------------------------------------------------------------- server
+
+/// A registry over SCADr on a `LiveCluster` of `nodes` nodes that admits
+/// everything.
+fn scadr_registry(config: &ScadrConfig, nodes: usize) -> Arc<StatementRegistry> {
+    let db = Arc::new(Database::new(Arc::new(LiveCluster::new(
+        LiveConfig::default(),
+    ))));
+    scadr::setup(&db, config, nodes).unwrap();
+    registry(db)
+}
+
+/// SCADr on two nodes of 20 users, and its `post_thought` INSERT.
+fn small_scadr() -> (Arc<StatementRegistry>, String) {
+    let config = ScadrConfig {
+        users_per_node: 20,
+        thoughts_per_user: 5,
+        subscriptions_per_user: 4,
+        ..Default::default()
+    };
+    let sql = scadr::queries(&config).post_thought;
+    (scadr_registry(&config, 2), sql)
+}
+
+/// `frame` served as a JSON connection serves it, its answer printed into
+/// `out`: what `decode_envelope`, `respond` and `encode_reply` cost.
+fn serve_json(
+    registry: &StatementRegistry,
+    session: &mut Session,
+    frame: &[u8],
+    out: &mut Vec<u8>,
+) -> [Counts; 3] {
+    let (envelope, decoded) = counted(|| JsonWire.decode_envelope(frame).unwrap());
+    let (reply, handled) = counted(|| respond(&envelope.request, session, registry));
+    out.clear();
+    let ((), encoded) = counted(|| JsonWire.encode_reply(envelope.id.as_ref(), &reply, out));
+    [decoded, handled, encoded]
+}
+
+fn registry(db: Arc<Database<LiveCluster>>) -> Arc<StatementRegistry> {
+    let slo = SloConfig {
+        slo_ms: 1e9,
+        interval_confidence: 1.0,
+        allow_degrade: false,
+    };
+    Arc::new(StatementRegistry::new(
+        db,
+        linear_predictor(200, 100, 2),
+        slo,
+    ))
+}
+
+/// `request` as the server's read loop delivers it on a v3 connection: a
+/// frame's body, without its length.
+fn binary_frame(request: Request) -> Vec<u8> {
+    let mut frame = Vec::new();
+    BinaryWire.encode_envelope(&Envelope { id: None, request }, &mut frame);
+    frame.split_off(4)
+}
+
+/// Request `id` as the server's read loop delivers it on a JSON
+/// connection: a line, without its newline.
+fn json_line(id: usize, request: Request) -> Vec<u8> {
+    let id = Some((id as i64).into());
+    let mut line = Vec::new();
+    JsonWire.encode_envelope(&Envelope { id, request }, &mut line);
+    line.pop();
+    line
+}
+
+/// The SCADr `post_thought` INSERT of thought `i`.
+fn post(sql: &str, i: usize) -> Request {
+    Request::Dml {
+        sql: sql.to_string(),
+        params: vec![
+            Value::Varchar(scadr::username(i % 40)).into(),
+            Value::Timestamp(2_000_000_000_000_000 + i as i64).into(),
+            Value::Varchar(format!("thought number {i}")).into(),
+        ],
+    }
+}
+
+fn server_rows(table: &mut Table) {
+    table.section("server: SCADr on LiveCluster, a connection or `respond` on this thread");
+    point_reads(table);
+    binary_inserts(table);
+    json_inserts(table);
+    page_views(table);
+    tpcw_reads(table);
+}
+
+/// The v3 fast lane: decode → registry lookup → `point_get` → encode, zero
+/// allocations once warm. The warm-up fills the cluster's sample sink
+/// (65,536 samples, dropped, not grown, once full).
+fn point_reads(table: &mut Table) {
+    const WARM: usize = 72_000;
+    const MEASURED: usize = 2_000;
+    let (registry, _) = small_scadr();
+    registry
+        .register("point", "SELECT * FROM users WHERE username = <u>")
+        .unwrap();
+    assert!(registry.get("point").unwrap().fast_point().is_some());
+    // hits, and a miss, which is a hot-path answer too
+    let frames: Vec<Vec<u8>> = (0..40)
+        .map(|i| {
+            let name = if i == 13 {
+                "absent-user".to_string()
+            } else {
+                scadr::username(i)
+            };
+            let request = Request::Execute {
+                name: "point".into(),
+                params: vec![Value::Varchar(name).into()],
+                cursor: None,
+            };
+            binary_frame(request)
+        })
+        .collect();
+    let mut conn = BinaryConn::new(registry.clone());
+    let mut serve = |n: usize| {
+        for i in 0..n {
+            conn.handle_frame(&frames[i % frames.len()]);
+            assert!(!conn.output().is_empty());
+            conn.clear_output();
+        }
+    };
+    serve(WARM);
+    let ((), made) = counted(|| serve(MEASURED));
+    let fast = registry.counters.fast_point_reads.load(Ordering::Relaxed);
+    assert_eq!(
+        fast as usize,
+        WARM + MEASURED,
+        "every read took the fast lane"
+    );
+    assert_eq!(made.allocs, 0, "warm point reads allocate");
+    table.row("v3 point read", "handle_frame", MEASURED as u64, made);
+}
+
+/// A warm v3 `post_thought` INSERT, with no secondary index (the
+/// benchmark's `post_v3` statement) and with one.
+fn binary_inserts(table: &mut Table) {
+    const WARM: usize = 2_000;
+    const MEASURED: usize = 2_000;
+    let (registry, sql) = small_scadr();
+    let mut conn = BinaryConn::new(registry.clone());
+    let mut next = 0;
+    for shape in ["v3 insert", "v3 insert, 1 index"] {
+        if shape != "v3 insert" {
+            let index = "CREATE INDEX thoughts_by_text ON thoughts (text)";
+            registry.db().execute_ddl(index).unwrap();
+        }
+        let frames: Vec<Vec<u8>> = (next..next + WARM + MEASURED)
+            .map(|i| binary_frame(post(&sql, i + 1)))
+            .collect();
+        next += WARM + MEASURED;
+        let mut serve = |frames: &[Vec<u8>]| {
+            for frame in frames {
+                conn.handle_frame(frame);
+                conn.clear_output();
+            }
+        };
+        serve(&frames[..WARM]);
+        let ((), made) = counted(|| serve(&frames[WARM..]));
+        table.row(shape, "handle_frame", MEASURED as u64, made);
+    }
+    assert_eq!(registry.db().write_plan_stats().compiles, 2);
+    let executed = registry.counters.dml_executed.load(Ordering::Relaxed);
+    assert_eq!(executed as usize, next, "every insert applied");
+}
+
+/// A warm v2 INSERT, stage by stage.
+fn json_inserts(table: &mut Table) {
+    const WARM: usize = 2_000;
+    const MEASURED: usize = 2_000;
+    let (registry, sql) = small_scadr();
+    let frames: Vec<Vec<u8>> = (0..WARM + MEASURED)
+        .map(|i| json_line(i, post(&sql, i)))
+        .collect();
+    let (mut session, mut out) = (Session::new(), Vec::new());
+    let mut stages = [Counts::default(); 3];
+    for (i, frame) in frames.iter().enumerate() {
+        let made = serve_json(&registry, &mut session, frame, &mut out);
+        assert_eq!(out, format!("{{\"id\":{i},\"ok\":true}}\n").as_bytes());
+        if i >= WARM {
+            for (stage, made) in stages.iter_mut().zip(made) {
+                *stage += made;
+            }
+        }
+    }
+    for (layer, made) in ["decode_envelope", "respond", "encode_reply"]
+        .iter()
+        .zip(stages)
+    {
+        table.row("v2 insert", layer, MEASURED as u64, made);
+    }
+}
+
+/// The four SCADr reads a page view makes, in the order it makes them.
+const PAGE_VIEW_READS: [&str; 4] = [
+    "find_user",
+    "users_followed",
+    "recent_thoughts",
+    "thoughtstream",
+];
+const PAGE_VIEW_USERS: usize = 40;
+
+fn page_view_user(i: usize) -> Vec<ParamValue> {
+    let user = scadr::username(i % PAGE_VIEW_USERS);
+    vec![ParamValue::Scalar(Value::Varchar(user))]
+}
+
+/// A JSON page view — a `batch` of the four SCADr reads for a user with 10
+/// subscriptions and 10 thoughts, answering 1 + 10 + 10 + 10 rows — stage
+/// by stage, the application's decode of the response included; then each
+/// read alone through `execute_governed`.
+fn page_views(table: &mut Table) {
+    const WARM: usize = 400;
+    const MEASURED: usize = 400;
+    let config = ScadrConfig {
+        users_per_node: PAGE_VIEW_USERS,
+        thoughts_per_user: 10,
+        subscriptions_per_user: 10,
+        ..Default::default()
+    };
+    let registry = scadr_registry(&config, 1);
+    let q = scadr::queries(&config);
+    let sql = [
+        &q.find_user,
+        &q.users_followed,
+        &q.recent_thoughts,
+        &q.thoughtstream,
+    ];
+    for (name, sql) in PAGE_VIEW_READS.iter().zip(sql) {
+        assert!(registry.register(name, sql).unwrap().is_admitted());
+    }
+    let frames: Vec<Vec<u8>> = (0..PAGE_VIEW_USERS)
+        .map(|i| {
+            let requests = PAGE_VIEW_READS.iter().map(|name| Request::Execute {
+                name: name.to_string(),
+                params: page_view_user(i),
+                cursor: None,
+            });
+            let requests = requests.collect();
+            json_line(i, Request::Batch { requests })
+        })
+        .collect();
+    let (mut session, mut out) = (Session::new(), Vec::new());
+    let mut stages = [Counts::default(); 5];
+    for i in 0..WARM + MEASURED {
+        let frame = &frames[i % PAGE_VIEW_USERS];
+        let [decoded, handled, encoded] = serve_json(&registry, &mut session, frame, &mut out);
+        let line = &out[..out.len() - 1];
+        let ((_, body), read) = counted(|| JsonWire.decode_response(line).unwrap());
+        let results = body.get("results").unwrap().as_arr().unwrap();
+        let ((), paged) = counted(|| {
+            for result in results {
+                decode_page(result).unwrap();
+            }
+        });
+        if i == 0 {
+            let rows = results
+                .iter()
+                .map(|r| r.get("rows").unwrap().as_arr().unwrap().len());
+            assert_eq!(rows.collect::<Vec<_>>(), [1, 10, 10, 10]);
+        }
+        if i >= WARM {
+            for (stage, made) in stages
+                .iter_mut()
+                .zip([decoded, handled, encoded, read, paged])
+            {
+                *stage += made;
+            }
+        }
+    }
+    let layers = [
+        "decode_envelope",
+        "respond",
+        "encode_reply",
+        "client decode_response",
+        "client decode_page",
+    ];
+    for (layer, made) in layers.iter().zip(stages) {
+        table.row("v2 page view", layer, MEASURED as u64, made);
+    }
+    let users: Vec<Vec<ParamValue>> = (0..PAGE_VIEW_USERS).map(page_view_user).collect();
+    for name in PAGE_VIEW_READS {
+        let ((), made) = counted(|| {
+            for i in 0..MEASURED {
+                let params = users[i % PAGE_VIEW_USERS].as_slice();
+                assert!(registry
+                    .execute_governed(&mut session, name, params, None)
+                    .is_ok());
+            }
+        });
+        let shape = format!("page view {name}");
+        table.row(&shape, "execute_governed", MEASURED as u64, made);
+    }
+    page_view_is_freed_whole(&registry, &frames[3]);
+    ok_is_one_block(table);
+}
+
+/// A decoded page view is freed whole, whichever of its parts goes last: a
+/// row kept past its document holds the levels it reads from, and nothing
+/// is left once it goes too. A level's block points only at the levels
+/// below it, so no reference cycle can keep one alive.
+fn page_view_is_freed_whole(registry: &StatementRegistry, frame: &[u8]) {
+    let mut out = Vec::new();
+    serve_json(registry, &mut Session::new(), frame, &mut out);
+    let line = &out[..out.len() - 1];
+    // the thread's tree scratch, grown once
+    JsonWire.decode_response(line).unwrap();
+    let ((_, body), decoded) = counted(|| JsonWire.decode_response(line).unwrap());
+    let rows = body.get("results").unwrap().as_arr().unwrap()[3]
+        .get("rows")
+        .unwrap()
+        .as_arr()
+        .unwrap();
+    assert_eq!(rows.len(), 10);
+    let (row, kept) = counted(|| rows[4].clone());
+    assert_eq!(kept.allocs, 0, "a clone of a decoded row allocates");
+    let ((), dropped) = counted(|| drop(body));
+    let held = decoded.held + kept.held + dropped.held;
+    assert!(
+        0 < held && held < decoded.held,
+        "the row keeps its levels, the rest goes: {held} of {} bytes",
+        decoded.held
+    );
+    assert_eq!(row.as_arr().map(<[_]>::len), Some(3));
+    let ((), last) = counted(|| drop(row));
+    assert_eq!(held + last.held, 0, "bytes left behind");
+}
+
+/// A binary `{"ok":true}` answer — every `post_v3` insert's — as the
+/// application decodes it.
+fn ok_is_one_block(table: &mut Table) {
+    let mut frame = Vec::new();
+    BinaryWire.encode_reply(None, &Reply::Done, &mut frame);
+    let body = &frame[4..];
+    // the thread's tree scratch, grown once
+    BinaryWire.decode_response(body).unwrap();
+    let ((id, doc), made) = counted(|| BinaryWire.decode_response(body).unwrap());
+    assert_eq!((id, doc), (None, ok_response([])));
+    table.row("v3 ok answer", "client decode_response", 1, made);
+}
+
+/// Each TPC-W Table-1 read through `execute_governed`, warm, in
+/// `tpcw::TABLE1_SQL` order, each answering rows.
+fn tpcw_reads(table: &mut Table) {
+    const WARM: usize = 100;
+    const MEASURED: usize = 100;
+    let db = Arc::new(Database::new(Arc::new(LiveCluster::new(
+        LiveConfig::default(),
+    ))));
+    let config = tpcw::TpcwConfig {
+        items: 400,
+        customers_per_node: 30,
+        ..Default::default()
+    };
+    let (_, _, orders) = tpcw::setup(&db, &config, 1).unwrap();
+    let registry = registry(db);
+    let text = |s: &str| vec![ParamValue::Scalar(Value::Varchar(s.into()))];
+    let int = |i: i32| vec![ParamValue::Scalar(Value::Int(i))];
+    let customer = text(&tpcw::customer_uname(11));
+    let promotions = [3, 77, 150, 399, 4_000].map(Value::Int).to_vec();
+    let params = [
+        customer.clone(),
+        vec![ParamValue::Collection(promotions)],
+        text(tpcw::SUBJECTS[2]),
+        int(42),
+        text(tpcw::SURNAMES[5]),
+        text(tpcw::TITLE_WORDS[9]),
+        customer.clone(),
+        customer,
+        int(tpcw::initial_order_id(5, orders)),
+        // a seeded cart: `setup` spreads 64 of them over the id space
+        int((3 * (i32::MAX as i64 / 65)) as i32),
+    ];
+    let mut session = Session::new();
+    for ((label, sql), params) in tpcw::TABLE1_SQL.iter().zip(&params) {
+        assert!(
+            registry.register(label, sql).unwrap().is_admitted(),
+            "{label}"
+        );
+        let mut run = |n: usize| {
+            for _ in 0..n {
+                let outcome =
+                    registry.execute_governed(&mut session, label, params.as_slice(), None);
+                assert!(!outcome.unwrap().result.rows.is_empty(), "{label}");
+            }
+        };
+        run(WARM);
+        let ((), made) = counted(|| run(MEASURED));
+        table.row(
+            &format!("tpcw {label}"),
+            "execute_governed",
+            MEASURED as u64,
+            made,
+        );
+    }
+}
+
+// -------------------------------------------------------------- engine
+
+fn engine_rows(table: &mut Table) {
+    table.section("engine: Database on LiveCluster, one shard a namespace");
+    result_sets(table);
+    token_search(table);
+    updates(table);
+    borrowed_load(table);
+    token_backfills(table);
+}
+
+const SIZES: [usize; 3] = [1, 10, 100];
+
+const SCADR_DDL: &[&str] = &[
+    "CREATE TABLE users ( \
+       username VARCHAR(32) NOT NULL, \
+       home_town VARCHAR(64), \
+       PRIMARY KEY (username) )",
+    "CREATE TABLE subscriptions ( \
+       owner VARCHAR(32) NOT NULL, \
+       target VARCHAR(32) NOT NULL, \
+       approved BOOL, \
+       PRIMARY KEY (owner, target), \
+       FOREIGN KEY (target) REFERENCES users, \
+       FOREIGN KEY (owner) REFERENCES users, \
+       CARDINALITY LIMIT 100 (owner) )",
+    "CREATE TABLE thoughts ( \
+       owner VARCHAR(32) NOT NULL, \
+       timestamp TIMESTAMP NOT NULL, \
+       text VARCHAR(140), \
+       PRIMARY KEY (owner, timestamp), \
+       FOREIGN KEY (owner) REFERENCES users )",
+];
+
+/// A database over `wrap` of a `LiveCluster` of `shards` shards a
+/// namespace.
+fn database_on<S: KvStore>(wrap: impl FnOnce(LiveCluster) -> S, shards: usize) -> Database<S> {
+    Database::new(Arc::new(wrap(LiveCluster::new(LiveConfig {
+        shards_per_namespace: shards,
+        ..LiveConfig::default()
+    }))))
+}
+
+fn followee(i: usize) -> String {
+    format!("followee{i:03}")
+}
+
+/// For each `n` of [`SIZES`]: `reader{n}` follows `followee000..n`;
+/// `author{n}a` and `author{n}b` have `n` thoughts each, and `fan{n}`
+/// follows those two.
+fn follows_database() -> Database<LiveCluster> {
+    let db = database_on(|c| c, 1);
+    for ddl in SCADR_DDL {
+        db.execute_ddl(ddl).unwrap();
+    }
+    let mut users: Vec<String> = (0..100).map(followee).collect();
+    let (mut follows, mut thoughts) = (Vec::new(), Vec::new());
+    for n in SIZES {
+        let (reader, fan) = (format!("reader{n}"), format!("fan{n}"));
+        follows.extend((0..n).map(|i| (reader.clone(), followee(i))));
+        for half in ["a", "b"] {
+            let author = format!("author{n}{half}");
+            follows.push((fan.clone(), author.clone()));
+            thoughts.extend((0..n).map(|t| (author.clone(), t)));
+            users.push(author);
+        }
+        users.extend([reader, fan]);
+    }
+    let users = users.iter().map(|u| tuple![u.as_str(), "Berkeley"]);
+    db.bulk_load("users", users).unwrap();
+    let follows = follows
+        .iter()
+        .map(|(o, t)| tuple![o.as_str(), t.as_str(), true]);
+    db.bulk_load("subscriptions", follows).unwrap();
+    let thoughts = thoughts.iter().map(|(owner, t)| {
+        let text = format!("thought {t} of {owner}");
+        tuple![
+            owner.as_str(),
+            Value::Timestamp(1_000 + *t as i64),
+            text.as_str()
+        ]
+    });
+    db.bulk_load("thoughts", thoughts).unwrap();
+    db
+}
+
+/// One warm execution of `prepared` for `param`, which must answer `rows`
+/// rows. The warm runs grow the thread's execution scratch to what this
+/// read needs; then every stripe of the store's operation-sample sink is
+/// left drained but with room, so where the counted run's samples land
+/// costs nothing.
+fn execution(db: &Database<LiveCluster>, prepared: &Prepared, param: &str, rows: usize) -> Counts {
+    let params = Params::from_values([Value::Varchar(param.into())]);
+    let mut session = Session::new();
+    for _ in 0..8 {
+        db.execute(&mut session, prepared, &params).unwrap();
+    }
+    db.cluster().sample_sink().drain();
+    let (result, made) = counted(|| db.execute(&mut session, prepared, &params).unwrap());
+    assert_eq!(result.rows.len(), rows, "{param}");
+    made
+}
+
+/// A result set is decoded straight into one packed block per operator, so
+/// 1, 10 and 100 rows cost the same number of allocations.
+fn result_sets(table: &mut Table) {
+    let db = follows_database();
+    let reads = [
+        (
+            "scan",
+            "SELECT * FROM thoughts WHERE owner = <o> ORDER BY timestamp DESC LIMIT 100",
+            "author{n}a",
+            1,
+        ),
+        (
+            "sorted join",
+            "SELECT s.owner, thoughts.* FROM subscriptions s JOIN thoughts \
+             WHERE thoughts.owner = s.target AND s.owner = <o> \
+             ORDER BY thoughts.timestamp DESC LIMIT 200",
+            "fan{n}",
+            2,
+        ),
+        (
+            "FK join",
+            "SELECT s.owner, u.* FROM subscriptions s JOIN users u \
+             WHERE u.username = s.target AND s.owner = <o>",
+            "reader{n}",
+            1,
+        ),
+    ];
+    for (shape, sql, param, per_n) in reads {
+        let prepared = db.prepare(sql).unwrap();
+        let costs = SIZES.map(|n| {
+            let rows = per_n * n;
+            let made = execution(&db, &prepared, &param.replace("{n}", &n.to_string()), rows);
+            table.row(&format!("{shape}, {rows} rows"), "execute", 1, made);
+            made.allocs
+        });
+        assert!(costs.iter().all(|&c| c == costs[0]), "{shape}: {costs:?}");
+    }
+}
+
+/// A TOKEN-index search that does not cover the row: every entry is
+/// dereferenced and re-checked against its record, in the thread's
+/// scratch, so 1, 10 and 50 rows cost the same.
+fn token_search(table: &mut Table) {
+    let db = database_on(|c| c, 1);
+    db.execute_ddl("CREATE TABLE books (id INT NOT NULL, title VARCHAR(100), PRIMARY KEY (id))")
+        .unwrap();
+    // `set{n}` names exactly n multi-word titles, each with a repeated
+    // token and words every title shares
+    const SETS: [usize; 3] = [1, 10, 50];
+    let titles: Vec<String> = SETS
+        .iter()
+        .flat_map(|&n| (0..n).map(move |i| format!("The Grapes of Wrath, volume {i} of set{n}")))
+        .collect();
+    let books = titles.iter().enumerate();
+    db.bulk_load(
+        "books",
+        books.map(|(id, title)| tuple![id as i32, title.as_str()]),
+    )
+    .unwrap();
+    let search = db
+        .prepare("SELECT * FROM books WHERE title LIKE <word> LIMIT 50")
+        .unwrap();
+    let plan = search.compiled.explain();
+    assert!(
+        plan.contains("IndexScan(idx_books_tok_title") && plan.contains("deref"),
+        "{plan}"
+    );
+    let costs = SETS.map(|n| {
+        let made = execution(&db, &search, &format!("set{n}"), n);
+        table.row(&format!("TOKEN search, {n} rows"), "execute", 1, made);
+        made.allocs
+    });
+    assert!(costs.iter().all(|&c| c == costs[0]), "{costs:?}");
+}
+
+/// A `LiveCluster` whose test-and-sets are counted apart: how many, how
+/// many carried an exactly sized entry, and what the store's side cost.
+struct TasCounted {
+    inner: LiveCluster,
+    swaps: AtomicU64,
+    exact: AtomicU64,
+    made: Mutex<Counts>,
+}
+
+impl KvStore for TasCounted {
+    fn namespace(&self, name: &str) -> NsId {
+        self.inner.namespace(name)
+    }
+    fn execute_round(&self, session: &mut Session, round: Vec<KvRequest>) -> Vec<KvResponse> {
+        self.inner.execute_round(session, round)
+    }
+    fn execute_one(&self, session: &mut Session, req: KvRequest) -> KvResponse {
+        let KvRequest::TestAndSet { entry, .. } = &req else {
+            return self.inner.execute_one(session, req);
+        };
+        let exact = entry.capacity() == entry.len();
+        let (response, made) = counted(|| self.inner.execute_one(session, req));
+        self.swaps.fetch_add(1, Ordering::Relaxed);
+        self.exact.fetch_add(u64::from(exact), Ordering::Relaxed);
+        *self.made.lock().unwrap() += made;
+        response
+    }
+    fn bulk_put(&self, ns: NsId, key: Vec<u8>, value: Vec<u8>) {
+        self.inner.bulk_put(ns, key, value)
+    }
+}
+
+/// A warm UPDATE of `thoughts`: the writer and the store together, and
+/// the store's test-and-set alone, which keeps the request's buffer as its
+/// entry.
+fn updates(table: &mut Table) {
+    const UPDATES: i64 = 20;
+    let db = database_on(
+        |inner| TasCounted {
+            inner,
+            swaps: AtomicU64::new(0),
+            exact: AtomicU64::new(0),
+            made: Mutex::default(),
+        },
+        LiveConfig::default().shards_per_namespace,
+    );
+    for ddl in SCADR_DDL {
+        db.execute_ddl(ddl).unwrap();
+    }
+    let drafts = (0..UPDATES).map(|t| tuple!["author", Value::Timestamp(t), "first draft"]);
+    db.bulk_load("thoughts", drafts).unwrap();
+    let edit = "UPDATE thoughts SET text = <text> WHERE owner = 'author' AND timestamp = <ts>";
+    let mut session = Session::new();
+    let mut update = |t: i64| {
+        let text = format!("revision {t} of a thought, longer than its first draft");
+        let params = Params::from_values([Value::Varchar(text), Value::Timestamp(t)]);
+        counted(|| db.execute_dml(&mut session, edit, &params).unwrap()).1
+    };
+    // the first update compiles the statement; the rest cost the same
+    update(0);
+    let warm: Vec<Counts> = (1..UPDATES).map(update).collect();
+    assert!(warm.iter().all(|c| c.allocs == warm[0].allocs), "{warm:?}");
+    let store = db.cluster();
+    let count = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
+    assert_eq!(count(&store.swaps), UPDATES as u64, "every update swapped");
+    assert_eq!(
+        count(&store.exact),
+        UPDATES as u64,
+        "each entry exactly sized"
+    );
+    let swaps = *store.made.lock().unwrap();
+    assert_eq!(
+        swaps.allocs, 0,
+        "a swap keeps the request's buffer as its entry"
+    );
+    let mut all = Counts::default();
+    warm.into_iter().for_each(|made| all += made);
+    table.row("update", "execute_dml", UPDATES as u64 - 1, all);
+    table.row("update", "store test-and-set", UPDATES as u64, swaps);
+}
+
+/// No secondary index: each row stores exactly one entry.
+const NOTES: &str = "CREATE TABLE notes ( \
+       id INT NOT NULL, \
+       owner VARCHAR(16) NOT NULL, \
+       body VARCHAR(100), \
+       seen BIGINT, \
+       PRIMARY KEY (owner, id) )";
+
+/// A load of borrowed rows: each row one buffer, its key and then its
+/// record, which becomes its entry.
+fn borrowed_load(table: &mut Table) {
+    const N: u64 = 5_000;
+    let db = database_on(|c| c, 16);
+    db.execute_ddl(NOTES).unwrap();
+    let owners: Vec<String> = (0..10).map(|o| format!("owner{o}")).collect();
+    let mut body = String::new();
+    let (loaded, made) = counted(|| {
+        db.bulk_load_with("notes", |rows| {
+            for i in 0..N as i32 {
+                let owner = &owners[i as usize % 10];
+                body.clear();
+                body.push_str("note number ");
+                body.push_str(owner);
+                rows.push(&[
+                    ValueRef::Int(i),
+                    ValueRef::Varchar(owner),
+                    ValueRef::Varchar(&body),
+                    // widened to the column's BIGINT as it is stored
+                    ValueRef::Int(i),
+                ])?;
+            }
+            Ok(())
+        })
+        .unwrap()
+    });
+    assert_eq!(loaded, N);
+    let notes = db.catalog().table("notes").unwrap().clone();
+    let primary = db.cluster().namespace(&Catalog::table_namespace(&notes));
+    assert_eq!(db.cluster().ns_len(primary), N as usize);
+    table.row("borrowed load, 16 shards", "bulk_load_with", N, made);
+}
+
+/// A `LiveCluster` that keeps apart what it costs to store bulk batches:
+/// each batch is collected first, then stored, counted.
+struct BatchCounted {
+    inner: LiveCluster,
+    stored: Mutex<Counts>,
+}
+
+impl KvStore for BatchCounted {
+    fn namespace(&self, name: &str) -> NsId {
+        self.inner.namespace(name)
+    }
+    fn execute_round(&self, session: &mut Session, round: Vec<KvRequest>) -> Vec<KvResponse> {
+        self.inner.execute_round(session, round)
+    }
+    fn bulk_put(&self, ns: NsId, key: Vec<u8>, value: Vec<u8>) {
+        self.inner.bulk_put(ns, key, value)
+    }
+    fn bulk_put_all(&self, ns: NsId, feed: &mut BulkFeed<'_>) {
+        let mut batch = Vec::new();
+        feed(&mut |bytes, key_len| batch.push((bytes, key_len)));
+        let ((), made) = counted(|| {
+            self.inner.bulk_put_all(ns, &mut |push| {
+                for (bytes, key_len) in batch.drain(..) {
+                    push(bytes, key_len);
+                }
+            })
+        });
+        *self.stored.lock().unwrap() += made;
+    }
+}
+
+/// A TOKEN index backfilled over 1,000 and 4,000 records, in pages of
+/// 1,024: each entry's own buffer and a few buffers a page, outside the
+/// store's own batch handling.
+fn token_backfills(table: &mut Table) {
+    for records in [1_000i32, 4_000] {
+        let db = database_on(
+            |inner| BatchCounted {
+                inner,
+                stored: Mutex::default(),
+            },
+            4,
+        );
+        db.execute_ddl(NOTES).unwrap();
+        let rows = (0..records).map(|i| {
+            let body = format!("words {} and {} again", i % 7, i % 5);
+            tuple![i, "owner", body.as_str(), Value::Null]
+        });
+        db.bulk_load("notes", rows).unwrap();
+        let stored_before = *db.cluster().stored.lock().unwrap();
+        let ((), made) = counted(|| {
+            db.execute_ddl("CREATE INDEX notes_by_word ON notes (TOKEN(body))")
+                .unwrap()
+        });
+        let stored = *db.cluster().stored.lock().unwrap() - stored_before;
+        let index = db.catalog().index("notes_by_word").unwrap().clone();
+        let ns = db.cluster().namespace(&Catalog::index_namespace(&index));
+        let entries = db.cluster().inner.ns_len(ns);
+        // five tokens a record, "words", "and", "again" and two digits,
+        // one entry for both when they are equal
+        assert!(entries >= 4 * records as usize);
+        let shape = format!("TOKEN backfill, {records} records, {entries} entries");
+        table.row(&shape, "create index", records as u64, made - stored);
+    }
+}
+
+// ------------------------------------------------------------------ kv
+
+fn kv_rows(table: &mut Table) {
+    table.section("kv: LiveCluster, rounds on this thread");
+    range_answers(table);
+    writes_and_swaps(table);
+    held_entries(table);
+    rebalances(table);
+}
+
+fn live(shards: usize) -> LiveCluster {
+    LiveCluster::new(LiveConfig {
+        shards_per_namespace: shards,
+        pool_threads: 0,
+        request_delay_us: 0,
+    })
+}
+
+fn range(ns: NsId, start: u8, end: u8, limit: Option<u64>, reverse: bool) -> KvRequest {
+    KvRequest::GetRange {
+        ns,
+        start: vec![start],
+        end: Some(vec![end]),
+        limit,
+        reverse,
+    }
+}
+
+/// A range answer is a packed block of two buffers sized while the shard
+/// is held, so 1, 10 and 100 entries cost the same; nothing found, a count
+/// and a miss cost the round's response vector alone.
+fn range_answers(table: &mut Table) {
+    let store = live(1);
+    let ns = store.namespace("t");
+    for i in 0u8..200 {
+        store.bulk_put(ns, vec![i, 0xAA], vec![i; 40]);
+    }
+    let mut session = Session::new();
+    // the round's own vector is built beforehand
+    let mut served = |request: KvRequest| {
+        let round = vec![request];
+        let (mut responses, made) = counted(|| store.execute_round(&mut session, round));
+        (responses.remove(0), made)
+    };
+    // warm: the first round of a thread may set up thread-local state
+    served(range(ns, 0, 1, None, false));
+    for reverse in [false, true] {
+        let direction = if reverse { "reverse" } else { "forward" };
+        let mut costs = Vec::new();
+        for n in [1u8, 10, 100] {
+            // by its bounds, and by its limit out of a larger interval
+            let by = [
+                ("bounds", range(ns, 50, 50 + n, None, reverse)),
+                ("limit", range(ns, 20, 190, Some(u64::from(n)), reverse)),
+            ];
+            for (how, request) in by {
+                let (response, made) = served(request);
+                assert_eq!(response.expect_entries().len(), usize::from(n));
+                table.row(
+                    &format!("range of {n} by {how}, {direction}"),
+                    "round",
+                    1,
+                    made,
+                );
+                costs.push(made.allocs);
+            }
+        }
+        assert!(costs.iter().all(|&c| c == costs[0]), "{costs:?}");
+    }
+    // a limit nobody could allocate for up front is sized by what is there
+    let (response, made) = served(range(ns, 0, 255, Some(u64::MAX), false));
+    assert_eq!(response.expect_entries().len(), 200);
+    table.row("range of 200, limit u64::MAX", "round", 1, made);
+    let nothing = [
+        ("range finding nothing", range(ns, 210, 220, None, false)),
+        (
+            "range with end before start",
+            range(ns, 90, 10, None, false),
+        ),
+        (
+            "count",
+            KvRequest::CountRange {
+                ns,
+                start: vec![0],
+                end: Some(vec![150]),
+            },
+        ),
+        (
+            "get missing",
+            KvRequest::Get {
+                ns,
+                key: vec![7, 7, 7],
+            },
+        ),
+    ];
+    for (shape, request) in nothing {
+        let (_, made) = served(request);
+        table.row(shape, "round", 1, made);
+    }
+}
+
+/// A key of `len` bytes for entry `i`, spread over the key space in a
+/// scrambled order (as a load's keys arrive), never repeating.
+fn key(i: u32, len: usize) -> Vec<u8> {
+    let scrambled = i.wrapping_mul(2_654_435_761);
+    let mut key = scrambled.to_be_bytes().to_vec();
+    key.resize(len, i as u8);
+    key
+}
+
+fn put(ns: NsId, key: Vec<u8>, value: Vec<u8>) -> KvRequest {
+    KvRequest::Put { ns, key, value }
+}
+
+/// A stored entry is one exactly sized allocation, the key then the value:
+/// a put grows its key buffer into it, unless that buffer has room (or the
+/// value is empty); a successful test-and-set keeps the request's buffer
+/// as the entry, and a failed one allocates only the copy it returns.
+fn writes_and_swaps(table: &mut Table) {
+    let store = live(16);
+    let ns = store.namespace("rows");
+    for i in 0..1_000 {
+        store.bulk_put(ns, key(i, 20), vec![1; 100]);
+    }
+    let served = |request: KvRequest| {
+        let mut session = Session::new();
+        counted(|| store.execute_one(&mut session, request))
+    };
+    let (_, made) = served(put(ns, key(7, 20), vec![2; 100]));
+    table.row("put over an entry", "execute_one", 1, made);
+    let mut roomy = Vec::with_capacity(20 + 100);
+    roomy.extend_from_slice(&key(7, 20));
+    let (_, made) = served(put(ns, roomy, vec![2; 100]));
+    table.row("put over an entry, key with room", "execute_one", 1, made);
+    let index = store.namespace("index");
+    store.bulk_put(index, key(7, 24), Vec::new());
+    let (_, made) = served(put(index, key(7, 24), Vec::new()));
+    table.row("put over an index entry", "execute_one", 1, made);
+    let fresh: Vec<KvRequest> = (1_000..2_000)
+        .map(|i| put(ns, key(i, 20), vec![3; 100]))
+        .collect();
+    let mut session = Session::new();
+    let ((), made) = counted(|| {
+        for request in fresh {
+            store.execute_one(&mut session, request);
+        }
+    });
+    table.row("put of a fresh key", "execute_one", 1_000, made);
+    let (response, made) = served(swap(ns, &key(7, 20), &[4; 100], Some(&[2; 100])));
+    assert_eq!(response.tas().unwrap(), (true, None), "the swap applies");
+    assert_eq!(made.allocs, 0, "the request's buffer is the entry");
+    table.row("swap that applies", "execute_one", 1, made);
+    let (response, made) = served(swap(ns, &key(7, 20), &[5; 100], None));
+    assert_eq!(response.tas().unwrap(), (false, Some(&[4; 100][..])));
+    table.row("swap that fails", "execute_one", 1, made);
+}
+
+/// What the store holds for 20,000 entries of two shapes, put one by one
+/// and as one batch of joined buffers: the requests are built and consumed
+/// inside the count, so what the store did not keep nets out.
+fn held_entries(table: &mut Table) {
+    const N: u32 = 20_000;
+    for (shape, key_len, value_len) in [("post_v3 row", 20, 100), ("index entry", 24, 0)] {
+        let pair = |i: u32| (key(i, key_len), vec![i as u8; value_len]);
+        let store = live(16);
+        let ns = store.namespace("t");
+        let mut session = Session::new();
+        let ((), made) = counted(|| {
+            for i in 0..N {
+                let (key, value) = pair(i);
+                store.execute_one(&mut session, put(ns, key, value));
+            }
+        });
+        assert_eq!(store.ns_len(ns), N as usize);
+        table.row(
+            &format!("{shape}, built and put"),
+            "execute_one",
+            u64::from(N),
+            made,
+        );
+
+        let store = live(16);
+        let ns = store.namespace("t");
+        let mut buffers: Vec<(Vec<u8>, usize)> = (0..N)
+            .map(|i| {
+                let (mut bytes, value) = pair(i);
+                bytes.reserve_exact(value_len);
+                bytes.extend_from_slice(&value);
+                (bytes, key_len)
+            })
+            .collect();
+        let ((), made) = counted(|| {
+            store.bulk_put_all(ns, &mut |push| {
+                for (bytes, key_len) in buffers.drain(..) {
+                    push(bytes, key_len);
+                }
+            })
+        });
+        assert_eq!(store.ns_len(ns), N as usize);
+        table.row(
+            &format!("{shape}, joined, one batch"),
+            "bulk_put_all",
+            u64::from(N),
+            made,
+        );
+    }
+}
+
+const ENTRIES: u32 = 10_000;
+
+/// A 16-shard store whose one namespace holds `ENTRIES` entries put one by
+/// one, so all in its one part, and those entries in key order.
+fn skewed() -> (LiveCluster, NsId, Vec<KvEntry>) {
+    let store = live(16);
+    let ns = store.namespace("t");
+    let expected: Vec<KvEntry> = (0..ENTRIES)
+        .map(|i| (i.to_be_bytes().to_vec(), vec![i as u8; 40]))
+        .collect();
+    for (key, value) in &expected {
+        store.bulk_put(ns, key.clone(), value.clone());
+    }
+    assert_eq!(store.balance()[0].max_entry_share(), 1.0);
+    (store, ns, expected)
+}
+
+/// The rebalanced store is even and answers a full scan with `expected`.
+fn assert_even_and_whole(store: &LiveCluster, ns: NsId, expected: &[KvEntry]) {
+    let balance = &store.balance()[0];
+    assert!(
+        balance.max_entry_share() <= 2.0 / 16.0,
+        "{:?}",
+        balance.entries
+    );
+    let scan = KvRequest::GetRange {
+        ns,
+        start: Vec::new(),
+        end: None,
+        limit: None,
+        reverse: false,
+    };
+    let scan = store.execute_one(&mut Session::new(), scan);
+    assert_eq!(scan.expect_entries().to_vec(), expected);
+}
+
+/// A rebalance moves a retiring generation nobody holds — each new shard
+/// bulk-built from a sorted run — and copies each entry once of one a
+/// reader holds.
+fn rebalances(table: &mut Table) {
+    let (store, ns, expected) = skewed();
+    let ((), made) = counted(|| store.rebalance());
+    assert_even_and_whole(&store, ns, &expected);
+    let shape = format!("rebalance of {ENTRIES} entries, unshared");
+    table.row(&shape, "rebalance", 1, made);
+
+    // a store once re-split moves nothing at its next rebalance, so each
+    // attempt skews a store of its own; a move makes ~1,100 allocations
+    // and a copy ~ENTRIES more, so the count says which path it took
+    let copied = (0..100).find_map(|_| {
+        let (store, ns, expected) = skewed();
+        let (stop, exports) = (AtomicBool::new(false), AtomicU64::new(0));
+        let made = std::thread::scope(|scope| {
+            // each export holds the generation from before its first shard
+            // to after its last, on a thread of its own
+            scope.spawn(|| {
+                while !stop.load(Ordering::Acquire) {
+                    store.export_namespaces();
+                    exports.fetch_add(1, Ordering::Release);
+                }
+            });
+            let seen = exports.load(Ordering::Acquire);
+            while exports.load(Ordering::Acquire) == seen {
+                std::thread::yield_now();
+            }
+            std::thread::sleep(Duration::from_micros(100));
+            let ((), made) = counted(|| store.rebalance());
+            stop.store(true, Ordering::Release);
+            made
+        });
+        (made.allocs > u64::from(ENTRIES) / 2).then_some((made, store, ns, expected))
+    });
+    let (made, store, ns, expected) = copied.expect("no rebalance overlapped a reader's export");
+    assert_even_and_whole(&store, ns, &expected);
+    // the reader frees the generation it held if it lets go last
+    let shape = format!("rebalance of {ENTRIES} entries, held by a reader");
+    table.row_freed_elsewhere(&shape, "rebalance", 1, made);
+}
+
+// ---------------------------------------------------------- durability
+
+/// An empty data directory named for this process and `name`.
+fn temp_dir(name: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("piql-cost-{}-{name}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
+
+/// `n` entries in key order, spread over every leading byte, with
+/// row-sized values.
+fn entries(n: u32) -> Vec<KvEntry> {
+    let mut entries: Vec<KvEntry> = (0..n)
+        .map(|i| {
+            (
+                [&[(i % 256) as u8][..], &i.to_be_bytes()].concat(),
+                vec![i as u8; 100],
+            )
+        })
+        .collect();
+    entries.sort();
+    entries
+}
+
+fn durability_rows(table: &mut Table) {
+    table.section("durability: the log, recovery and export, on this thread");
+    // a snapshot's entries are built once each, from borrowed bytes, into
+    // the allocation the store keeps, and its shards bulk-built
+    let snapshot = entries(ENTRIES);
+    let mut state = RecoveredState::default();
+    state.snapshot_namespaces = vec![("t".to_string(), snapshot.clone())];
+    let recovered = live(16);
+    let (applied, made) = counted(|| state.apply_kv(&recovered).unwrap());
+    assert_eq!(applied, u64::from(ENTRIES));
+    table.row("recovery from a snapshot", "apply_kv", applied, made);
+    // a checkpoint copies each key and value once
+    let (exported, made) = counted(|| recovered.export_namespaces());
+    assert_eq!(exported, vec![("t".to_string(), snapshot)]);
+    table.row(
+        "checkpoint export",
+        "export_namespaces",
+        u64::from(ENTRIES),
+        made,
+    );
+
+    // a logged put is loaded from its record's bytes
+    let logged = entries(ENTRIES);
+    let recovered = live(16);
+    let ns = recovered.namespace("t").0;
+    let mut state = RecoveredState::default();
+    let create = WalRecord::NsCreate {
+        ns,
+        name: "t".to_string(),
+    };
+    let puts = logged.iter().map(|(key, value)| WalRecord::Put {
+        ns,
+        key: key.clone(),
+        value: value.clone(),
+    });
+    state.kv_tail = std::iter::once(create).chain(puts).collect();
+    let (applied, made) = counted(|| state.apply_kv(&recovered).unwrap());
+    assert_eq!(applied, u64::from(ENTRIES));
+    assert_eq!(
+        recovered.export_namespaces(),
+        vec![("t".to_string(), logged)]
+    );
+    table.row("recovery from logged puts", "apply_kv", applied, made);
+
+    // a warm logged put is encoded straight into the staging buffer, and a
+    // commit writes from it
+    const PUTS: u64 = 64;
+    let dir = temp_dir("append");
+    let (_, log) = Durability::open(DurabilityConfig::new(&dir)).unwrap();
+    let (key, value) = ([7u8; 16], [9u8; 100]);
+    let puts = || (0..PUTS).for_each(|_| log.append_put(NsId(0), &key, &value));
+    // a commit swaps the staging buffer for a spare: two rounds grow both
+    for _ in 0..2 {
+        puts();
+        assert!(log.commit());
+    }
+    let ((), made) = counted(puts);
+    table.row("WAL put", "append_put", PUTS, made);
+    let (durable, made) = counted(|| log.commit());
+    assert!(durable);
+    table.row("WAL commit", "commit", 1, made);
+    log.close();
+    std::fs::remove_dir_all(&dir).unwrap();
+
+    recovered_models(table);
+}
+
+/// Recovered model intervals move into the store: 64 logged rotations of 8
+/// keys fold into the newest three.
+fn recovered_models(table: &mut Table) {
+    const ROTATIONS: u32 = 64;
+    const KEYS: u32 = 8;
+    let interval = |r: u32| -> BTreeMap<ModelKey, LatencyHistogram> {
+        (0..KEYS)
+            .map(|k| {
+                let key = ModelKey {
+                    op: OpKind::IndexScan,
+                    alpha_c: k + 1,
+                    alpha_j: 1,
+                    beta: 40,
+                };
+                (key, LatencyHistogram::from_sparse([(r, 1), (100 + k, 2)]))
+            })
+            .collect()
+    };
+    let dir = temp_dir("models");
+    let (_, log) = Durability::open(DurabilityConfig::new(&dir)).unwrap();
+    for r in 0..ROTATIONS {
+        log.log_model_interval(&interval(r));
+    }
+    log.close();
+    drop(log);
+    let (mut state, _log) = Durability::open(DurabilityConfig::new(&dir)).unwrap();
+    let (models, made) = counted(|| state.models(ModelStore::new(3)));
+    let newest: Vec<_> = (ROTATIONS - 3..ROTATIONS).map(interval).collect();
+    assert_eq!(models.interval_maps(), &newest[..]);
+    table.row("recovery of 64 model intervals", "models", 1, made);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+// --------------------------------------------------------------- model
+
+/// A lattice point [`SharedModelStore::record_live`] keeps as it is.
+const KEY: ModelKey = ModelKey {
+    op: OpKind::IndexScan,
+    alpha_c: 10,
+    alpha_j: 1,
+    beta: 40,
+};
+
+/// A §6.1 model store holds each histogram's nonzero bins and nothing
+/// else; a rotation moves the drained interval into the store it
+/// publishes, and journals it from there.
+fn model_rows(table: &mut Table) {
+    table.section("predict: the §6.1 model store");
+    let (_, made) = counted(|| ModelStore::linear(200, 100, 2));
+    table.row(
+        "fabricated lattice, 420 keys",
+        "ModelStore::linear",
+        1,
+        made,
+    );
+
+    let shared = SharedModelStore::new(ModelStore::linear(200, 100, 2));
+    shared.record_live(KEY, 7 * MILLIS);
+    let (folded, made) = counted(|| shared.rotate());
+    assert_eq!(folded, 1);
+    table.row("rotation of one live sample", "rotate", 1, made);
+
+    // the store a rotation builds, built directly from the same interval
+    let mut live = BTreeMap::new();
+    let mut histogram = LatencyHistogram::standard();
+    for latency in [7, 9, 40] {
+        histogram.record(latency * MILLIS);
+    }
+    live.insert(KEY, histogram);
+    let seed = ModelStore::linear(200, 100, 2);
+    let (direct, built) = counted(|| seed.rotated(live));
+    let shared = SharedModelStore::new(ModelStore::linear(200, 100, 2));
+    let journaled = Arc::new(AtomicU64::new(0));
+    shared.set_rotation_observer(Some(Box::new({
+        let journaled = journaled.clone();
+        move |interval| {
+            let samples = interval.values().map(LatencyHistogram::count).sum();
+            journaled.fetch_add(samples, Ordering::Relaxed);
+        }
+    })));
+    for latency in [7, 9, 40] {
+        shared.record_live(KEY, latency * MILLIS);
+    }
+    let (folded, rotation) = counted(|| shared.rotate());
+    assert_eq!(folded, 3);
+    assert_eq!(journaled.load(Ordering::Relaxed), 3, "journaled as folded");
+    assert_eq!(shared.snapshot().interval_maps(), direct.interval_maps());
+    // the store it builds and the `Arc` it publishes it in, and no copy of
+    // the drained interval for the journal
+    assert_eq!(rotation.allocs, built.allocs + 1);
+    table.row(
+        "rotation of three samples, journaled",
+        "rotate",
+        1,
+        rotation,
+    );
+    table.row(
+        "the store that rotation builds",
+        "ModelStore::rotated",
+        1,
+        built,
+    );
+}
+
+// --------------------------------------------------------------- setup
+
+/// SCADr's default set-up on one node, counted per stored entry; a
+/// rebalance after it moves nothing, since the layout the data was stored
+/// in is already the one its quantiles give.
+fn setup_rows(table: &mut Table) {
+    table.section("workloads: set-up on LiveCluster, 16 shards a namespace");
+    let db = Database::new(Arc::new(live(16)));
+    let (users, made) = counted(|| scadr::setup(&db, &ScadrConfig::default(), 1).unwrap());
+    let entries: u64 = (db.cluster().balance().iter())
+        .flat_map(|b| b.entries.iter())
+        .sum();
+    let shape = format!("SCADr set-up, {users} users, {entries} entries");
+    table.row(&shape, "scadr::setup", entries, made);
+    let laid_out = db.cluster().balance();
+    db.cluster().rebalance();
+    let entries = |balance: Vec<NsBalance>| -> Vec<(String, Vec<u64>)> {
+        balance.into_iter().map(|b| (b.name, b.entries)).collect()
+    };
+    assert_eq!(
+        entries(db.cluster().balance()),
+        entries(laid_out),
+        "a rebalance moved entries"
+    );
+}
