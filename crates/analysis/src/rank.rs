@@ -33,6 +33,11 @@ pub const SERVER_STREAMS: u32 = 5;
 /// yet written requests). Taken with nothing else held by both the reader
 /// (enter, or park while full) and the writer (leave, or close).
 pub const SERVER_INFLIGHT: u32 = 8;
+/// `Outbox.printed`: a JSON connection's answers printed and not yet
+/// written. Taken with nothing else held by the threads that print an
+/// answer into it and by the writer, which takes the bytes and writes
+/// them with it released.
+pub const SERVER_OUTBOX: u32 = 9;
 
 // ---- statement registry, and the checkpoint that reads it ----
 

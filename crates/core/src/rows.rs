@@ -126,26 +126,31 @@ impl Rows {
         self.text.clear();
         RowsBuilder {
             rows: self,
-            left: Vec::new(),
-            left_arity: 0,
+            left: Rows::default(),
             base: 0,
         }
     }
 
     /// Start a block whose rows are each one of this block's rows
     /// ([`RowsBuilder::push_left`]) followed by `extra` more values — a
-    /// join's output. This block's text becomes the new block's, so the
-    /// left cells are copied as they are and no string is.
-    pub fn widen(self, extra: usize) -> RowsBuilder {
+    /// join's output — in `spare`'s cells. This block's text becomes the
+    /// new block's, so the left cells are copied as they are and no string
+    /// is; this block's cells and `spare`'s text are what is left over
+    /// ([`RowsBuilder::finish_with_left`]).
+    pub fn widen(self, extra: usize, spare: Rows) -> RowsBuilder {
+        let mut cells = spare.cells;
+        cells.clear();
         RowsBuilder {
             rows: Rows {
                 len: 0,
                 arity: self.arity + extra,
-                cells: Vec::new(),
+                cells,
                 text: self.text,
             },
-            left: self.cells,
-            left_arity: self.arity,
+            left: Rows {
+                text: spare.text,
+                ..self
+            },
             base: 0,
         }
     }
@@ -222,10 +227,12 @@ impl Rows {
     /// Reduce each row to the values at `positions`, in that order.
     /// Positions that strictly ascend (`t.*`, any subset in table order,
     /// the identity) are moved down inside the cell vector; any other
-    /// selection gathers into a new one. The text is not touched.
+    /// selection gathers into `spare`'s cells, which then hold this
+    /// block's old ones. The text is not touched.
     pub fn project(
         &mut self,
         positions: impl Iterator<Item = usize> + Clone,
+        spare: &mut Rows,
     ) -> Result<(), RowsError> {
         if positions.clone().any(|p| p >= self.arity) {
             return Err(RowsError::Shape("projected position beyond the row"));
@@ -245,27 +252,45 @@ impl Rows {
             }
             self.cells.truncate(self.len * new);
         } else {
-            let mut cells = Vec::with_capacity(self.len * new);
+            let cells = &mut spare.cells;
+            cells.clear();
+            cells.reserve(self.len * new);
             for row in self.cells.chunks_exact(old) {
                 cells.extend(positions.clone().map(|p| row[p]));
             }
-            self.cells = cells;
+            std::mem::swap(&mut self.cells, cells);
         }
         self.arity = new;
         Ok(())
     }
 
-    /// Stable sort of the rows by `compare`: cells are permuted, the text
+    /// Stable sort of the rows by `compare`: their new order is worked out
+    /// in `order`, and the rows are swapped into it in place. The text
     /// stays where it is.
-    pub fn sort_by(&mut self, mut compare: impl FnMut(RowRef<'_>, RowRef<'_>) -> Ordering) {
-        let mut order: Vec<usize> = (0..self.len).collect();
+    pub fn sort_by(
+        &mut self,
+        order: &mut Vec<usize>,
+        mut compare: impl FnMut(RowRef<'_>, RowRef<'_>) -> Ordering,
+    ) {
+        order.clear();
+        order.extend(0..self.len);
         order.sort_by(|&a, &b| compare(self.row(a), self.row(b)));
+        // place `i` takes the row at `order[i]`: follow each cycle of the
+        // permutation, marking each place done as it is filled
         let arity = self.arity;
-        let mut cells = Vec::with_capacity(self.cells.len());
-        for row in order {
-            cells.extend_from_slice(&self.cells[row * arity..(row + 1) * arity]);
+        for start in 0..self.len {
+            let mut at = start;
+            loop {
+                let from = std::mem::replace(&mut order[at], at);
+                if from == start || from == at {
+                    break;
+                }
+                let (first, second) = (at.min(from) * arity, at.max(from) * arity);
+                let (low, high) = self.cells.split_at_mut(second);
+                low[first..first + arity].swap_with_slice(&mut high[..arity]);
+                at = from;
+            }
         }
-        self.cells = cells;
     }
 
     /// The rows as owned tuples.
@@ -416,9 +441,9 @@ impl fmt::Debug for RowRef<'_> {
 pub struct RowsBuilder {
     /// The block so far; its cell vector also holds the pending row.
     rows: Rows,
-    /// The cells of the block being widened, `left_arity` to a row.
-    left: Vec<Cell>,
-    left_arity: usize,
+    /// The block being widened: its cells, and the text of the spare the
+    /// new block's cells came from.
+    left: Rows,
     /// Where the pending row's own values — past any left row — start.
     base: usize,
 }
@@ -434,9 +459,10 @@ impl RowsBuilder {
 
     /// Begin the pending row with row `i` of the widened block.
     pub fn push_left(&mut self, i: usize) -> Result<(), RowsError> {
+        let arity = self.left.arity;
         let row = i
-            .checked_mul(self.left_arity)
-            .and_then(|at| self.left.get(at..at.checked_add(self.left_arity)?))
+            .checked_mul(arity)
+            .and_then(|at| self.left.cells.get(at..at.checked_add(arity)?))
             .ok_or(RowsError::Shape("no such left row"))?;
         self.rows.cells.extend_from_slice(row);
         self.base = self.rows.cells.len();
@@ -498,9 +524,16 @@ impl RowsBuilder {
     }
 
     /// The block; a row left pending is dropped.
-    pub fn finish(mut self) -> Rows {
+    pub fn finish(self) -> Rows {
+        self.finish_with_left().0
+    }
+
+    /// The block, and the buffers a widened block leaves over, emptied: a
+    /// block of its own to build the next one in.
+    pub fn finish_with_left(mut self) -> (Rows, Rows) {
         self.drop_row();
-        self.rows
+        let left = self.left.rebuild(0).rows;
+        (self.rows, left)
     }
 
     fn cell(&mut self, value: ValueRef<'_>) -> Result<Cell, RowsError> {
@@ -573,14 +606,19 @@ mod tests {
     #[test]
     fn widening_keeps_the_left_text_and_copies_cells() {
         let left = Rows::from(vec![tuple!["amy", 1], tuple!["bob", 2]]);
-        let mut out = left.widen(1);
+        let spare = Rows::from(vec![tuple!["spare text"]]);
+        let mut out = left.widen(1, spare);
         for (left_row, right) in [(1, "x"), (0, "y"), (1, "z")] {
             out.push_left(left_row).unwrap();
             out.push(ValueRef::Varchar(right)).unwrap();
             out.end_row().unwrap();
         }
         assert!(out.push_left(2).is_err());
-        let rows = out.finish();
+        let (rows, left) = out.finish_with_left();
+        assert_eq!(
+            (left.len(), left.cells.capacity(), left.text.capacity()),
+            (0, 4, 10)
+        );
         assert_eq!(rows.arity(), 3);
         assert_eq!(
             rows.to_tuples(),

@@ -25,8 +25,11 @@
 //!
 //! Everything an execution builds only to read with — probe and bound
 //! keys, rounds, the store's answers, the sorted join's merge order — lives
-//! in the executing thread's scratch and is reused by its next execution:
-//! a warm read allocates only the [`Rows`] blocks it answers with.
+//! in the executing thread's scratch and is reused by its next execution,
+//! and so do the [`Rows`] blocks it builds: a join's input goes back when
+//! the join is done, and the answer once it has been printed
+//! ([`give_back`]). A warm read whose answers are handed back allocates
+//! nothing for its rows.
 
 use crate::cursor::{Cursor, CursorState};
 use crate::keys::{self, KeyPart};
@@ -250,11 +253,12 @@ impl RemoteOp {
     }
 }
 
-/// The most bytes a buffer of the execution scratch keeps from one
-/// execution to the next: a scratch with one that grew past it is let go
-/// when the execution ends. Far above the largest bounded answer of the benchmark's
-/// reads (under 10 KB), so those never regrow, while one outsized read
-/// does not stay resident on its thread.
+/// The most bytes the execution scratch keeps from one execution to the
+/// next, its buffers and its spare blocks together: a scratch that grew
+/// past it is let go when the execution ends, and a block handed back past
+/// it is dropped. Far above what the benchmark's reads keep (their largest
+/// bounded answer is under 10 KB), so those never regrow, while one
+/// outsized read does not stay resident on its thread.
 pub const SCRATCH_CEILING_BYTES: usize = 64 * 1024;
 
 thread_local! {
@@ -281,8 +285,13 @@ struct ExecScratch {
     /// child's probe-prefix length.
     items: Vec<(usize, usize)>,
     prefix_lens: Vec<usize>,
+    /// A local sort's order.
+    order: Vec<usize>,
     /// What turning the answer's entries into rows uses.
     rows: RowScratch,
+    /// Blocks to build the next ones in: a join's input once it is
+    /// widened, and an answer once printed.
+    spares: Vec<Rows>,
 }
 
 /// [`ExecCtx::materialize`]'s part of the scratch, apart from the answer
@@ -302,12 +311,13 @@ struct RowScratch {
 }
 
 impl ExecScratch {
-    /// The bytes the largest of its buffers has room for.
-    fn largest_buffer(&self) -> usize {
+    /// The bytes its buffers and spare blocks have room for.
+    fn bytes(&self) -> usize {
         fn bytes<T>(buffer: &Vec<T>) -> usize {
             buffer.capacity() * std::mem::size_of::<T>()
         }
         let (s, r) = (self, &self.rows);
+        let spares = s.spares.iter().map(Rows::capacity_bytes).sum::<usize>();
         [
             bytes(&s.key),
             bytes(&s.end),
@@ -316,6 +326,8 @@ impl ExecScratch {
             s.answer.capacity_bytes(),
             bytes(&s.items),
             bytes(&s.prefix_lens),
+            bytes(&s.order),
+            bytes(&s.spares) + spares,
             bytes(&r.key_text),
             r.key_rows.capacity_bytes(),
             bytes(&r.pk),
@@ -324,19 +336,43 @@ impl ExecScratch {
             r.derive.capacity_bytes(),
         ]
         .into_iter()
-        .max()
-        .unwrap_or(0)
+        .sum()
+    }
+
+    /// Keep `rows` as a spare block, unless it has no room to reuse or
+    /// would take the scratch past [`SCRATCH_CEILING_BYTES`].
+    fn keep(&mut self, rows: Rows) {
+        let room = rows.capacity_bytes();
+        let slot = std::mem::size_of::<Rows>();
+        if room > 0 && self.bytes() + room + slot <= SCRATCH_CEILING_BYTES {
+            self.spares.push(rows);
+        }
     }
 }
 
-/// The bytes of the largest buffer the calling thread's execution scratch
-/// keeps between executions — at most [`SCRATCH_CEILING_BYTES`] — or 0
-/// when it keeps none.
-pub fn largest_scratch_buffer() -> usize {
+/// A block to build in: a spare one, when the thread has one.
+fn spare(spares: &mut Vec<Rows>) -> Rows {
+    spares.pop().unwrap_or_default()
+}
+
+/// The bytes the calling thread's execution scratch keeps between
+/// executions, its spare blocks included — at most
+/// [`SCRATCH_CEILING_BYTES`] — or 0 when it keeps none.
+pub fn scratch_bytes() -> usize {
     let scratch = SCRATCH.take();
-    let largest = scratch.as_ref().map_or(0, ExecScratch::largest_buffer);
+    let bytes = scratch.as_ref().map_or(0, ExecScratch::bytes);
     SCRATCH.set(scratch);
-    largest
+    bytes
+}
+
+/// Hand a result block back to the calling thread's execution scratch once
+/// its rows have been printed: the thread's next execution builds a block
+/// in its buffers. A read's answer is bounded (§5, §7), so a thread that
+/// hands its answers back stops allocating blocks once warm.
+pub fn give_back(rows: Rows) {
+    let mut scratch = SCRATCH.take().unwrap_or_default();
+    scratch.keep(rows);
+    SCRATCH.set(Some(scratch));
 }
 
 /// The execution context threaded through operator evaluation.
@@ -398,13 +434,13 @@ impl<'a> ExecCtx<'a> {
 
     /// Evaluate a plan to completion, in the executing thread's scratch:
     /// taken from its slot for the evaluation, so a nested one makes its
-    /// own, and put back after it — unless a buffer outgrew
+    /// own, and put back after it — unless it outgrew
     /// [`SCRATCH_CEILING_BYTES`], or a panic unwinds past it, either of
     /// which drops it.
     pub fn eval(&mut self, plan: &PhysicalPlan) -> Result<Rows, ExecError> {
         let mut scratch = SCRATCH.take().unwrap_or_default();
         let rows = self.eval_in(plan, &mut scratch);
-        if scratch.largest_buffer() <= SCRATCH_CEILING_BYTES {
+        if scratch.bytes() <= SCRATCH_CEILING_BYTES {
             SCRATCH.set(Some(scratch));
         }
         rows
@@ -417,7 +453,7 @@ impl<'a> ExecCtx<'a> {
                     .params
                     .collection(param.index, &param.name, Some(*max))?;
                 let text = values.iter().filter_map(Value::as_str).map(str::len).sum();
-                let mut out = Rows::builder(1);
+                let mut out = spare(&mut s.spares).rebuild(1);
                 out.reserve(values.len(), text);
                 for v in values {
                     out.push(ValueRef::of(v))?;
@@ -454,7 +490,7 @@ impl<'a> ExecCtx<'a> {
             }
             PhysicalPlan::LocalSort { child, keys, .. } => {
                 let mut rows = self.eval_in(child, s)?;
-                rows.sort_by(|a, b| compare_rows(&a, &b, keys));
+                rows.sort_by(&mut s.order, |a, b| compare_rows(&a, &b, keys));
                 Ok(rows)
             }
             PhysicalPlan::LocalStop { child, count, .. } => {
@@ -464,7 +500,9 @@ impl<'a> ExecCtx<'a> {
             }
             PhysicalPlan::LocalProject { child, columns, .. } => {
                 let mut rows = self.eval_in(child, s)?;
-                rows.project(columns.iter().map(|(position, _)| *position))?;
+                let mut gathered = spare(&mut s.spares);
+                rows.project(columns.iter().map(|(position, _)| *position), &mut gathered)?;
+                s.keep(gathered);
                 Ok(rows)
             }
             PhysicalPlan::LocalAggregate {
@@ -474,7 +512,9 @@ impl<'a> ExecCtx<'a> {
                 ..
             } => {
                 let rows = self.eval_in(child, s)?;
-                Ok(aggregate_rows(&rows, group_by, aggs)?)
+                let groups = aggregate_rows(&rows, group_by, aggs)?;
+                s.keep(rows);
+                Ok(groups)
             }
         }
     }
@@ -559,7 +599,7 @@ impl<'a> ExecCtx<'a> {
             });
         }
 
-        let mut rows = Rows::builder(op.table.columns.len());
+        let mut rows = spare(&mut s.spares).rebuild(op.table.columns.len());
         let deref = spec.deref.then_some(spec.row_bytes);
         let no_left = |_: &mut RowsBuilder, _| Ok(());
         self.materialize(op, entries.iter(), deref, &mut rows, no_left, &mut s.rows)?;
@@ -619,7 +659,8 @@ impl<'a> ExecCtx<'a> {
         self.tag_op(OpKind::IndexFKJoin, round.len() as u64, 1, row_bytes);
         self.read(round, answer)?;
         self.clear_op_tag();
-        let mut out = children.widen(op.table.columns.len());
+        let mut out = children.widen(op.table.columns.len(), spare(&mut s.spares));
+        let answer = &s.answer;
         out.reserve(answer.entries().len(), value_bytes(answer.entries()));
         for child in 0..answer.len() {
             // missing row: dangling reference -> inner join drops it
@@ -629,7 +670,9 @@ impl<'a> ExecCtx<'a> {
                 out.end_row()?;
             }
         }
-        Ok(out.finish())
+        let (rows, left) = out.finish_with_left();
+        s.keep(left);
+        Ok(rows)
     }
 
     fn eval_sorted_join(
@@ -664,6 +707,7 @@ impl<'a> ExecCtx<'a> {
             items,
             prefix_lens,
             rows,
+            spares,
             ..
         } = s;
         round.reset_ranges(op.ns, children.len(), Some(spec.per_key), spec.reverse);
@@ -755,12 +799,14 @@ impl<'a> ExecCtx<'a> {
 
         // materialize right rows (deref when needed), each behind the
         // cells of the child that probed for it
-        let mut out = children.widen(op.table.columns.len());
+        let mut out = children.widen(op.table.columns.len(), spare(spares));
         let merged = items.iter().map(entry);
         let left = |out: &mut RowsBuilder, i: usize| out.push_left(items[i].0);
         let deref = spec.deref.then_some(spec.row_bytes);
         self.materialize(op, merged, deref, &mut out, left, rows)?;
-        Ok(out.finish())
+        let (rows, left) = out.finish_with_left();
+        s.keep(left);
+        Ok(rows)
     }
 
     // ------------------------------------------------------------- shared

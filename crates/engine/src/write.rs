@@ -524,17 +524,7 @@ impl<'a> Writer<'a> {
         let table = &target.table;
         // optimistic TAS loop against concurrent writers
         for _attempt in 0..UPDATE_ATTEMPTS {
-            let stored = self
-                .store
-                .execute_one(
-                    session,
-                    KvRequest::Get {
-                        ns: target.primary,
-                        key: pk.to_vec(),
-                    },
-                )
-                .into_value()?;
-            let Some(old_bytes) = stored else {
+            let Some(old_bytes) = self.record(session, target, pk)? else {
                 return Err(WriteError::NotFound {
                     table: table.name.clone(),
                 });
@@ -579,16 +569,35 @@ impl<'a> Writer<'a> {
         target: &TableWrite,
         pk: Vec<u8>,
     ) -> Result<bool, WriteError> {
-        let get = KvRequest::Get {
-            ns: target.primary,
-            key: pk.clone(),
-        };
-        let Some(old_bytes) = self.store.execute_one(session, get).into_value()? else {
+        let Some(old_bytes) = self.record(session, target, &pk)? else {
             return Ok(false);
         };
         let old_row = keys::decode_values(&target.table, &old_bytes)?;
         self.remove(session, target, pk, &old_row[..])?;
         Ok(true)
+    }
+
+    /// The record stored under primary key `pk`, read with that key as it
+    /// is where the store serves a point read ([`KvStore::point_get`]), and
+    /// in one `Get` round where it declines.
+    fn record(
+        &self,
+        session: &mut Session,
+        target: &TableWrite,
+        pk: &[u8],
+    ) -> Result<Option<Vec<u8>>, WriteError> {
+        let ns = target.primary;
+        let mut record = Vec::new();
+        Ok(match self.store.point_get(session, ns, pk, &mut record) {
+            Some(found) => found.then_some(record),
+            None => {
+                let get = KvRequest::Get {
+                    ns,
+                    key: pk.to_vec(),
+                };
+                self.store.execute_one(session, get).into_value()?
+            }
+        })
     }
 
     /// A row leaves the store one way, record first, then every entry it

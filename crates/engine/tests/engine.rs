@@ -5,7 +5,7 @@ use piql_core::catalog::Catalog;
 use piql_core::plan::params::Params;
 use piql_core::tuple;
 use piql_core::value::{Value, ValueRef};
-use piql_engine::exec::{largest_scratch_buffer, SCRATCH_CEILING_BYTES};
+use piql_engine::exec::{give_back, scratch_bytes, SCRATCH_CEILING_BYTES};
 use piql_engine::{keys, Cursor, Database, DbError, ExecError, ExecStrategy, WriteError};
 use piql_kv::{
     ClusterConfig, KvRequest, KvResponse, KvStore, LiveCluster, LiveConfig, NsId, Session,
@@ -1130,9 +1130,12 @@ fn a_round_answered_short_is_an_error_not_fewer_rows() {
     }
 }
 
-/// What an execution reads with is kept for the thread's next one, but a
-/// buffer an outsized answer grew is let go when its execution ends, and a
-/// panic mid-execution drops what it held instead of handing it on.
+/// What an execution reads with, and the blocks handed back once printed,
+/// are kept for the thread's next execution — but never more than
+/// `SCRATCH_CEILING_BYTES` in all: a buffer an outsized answer grew is let
+/// go when its execution ends, blocks handed back past the ceiling are
+/// dropped, and a panic mid-execution drops everything instead of handing
+/// it on.
 #[test]
 fn the_execution_scratch_lets_go_of_outsized_buffers_and_of_a_panic() {
     let store = Arc::new(ShortStore::new());
@@ -1159,21 +1162,41 @@ fn the_execution_scratch_lets_go_of_outsized_buffers_and_of_a_panic() {
                    WHERE u.username = s.target AND s.owner = <p>";
     let expected = run(fk_join).unwrap().rows;
     assert!(expected.len() >= 2, "{expected:?}");
-    let kept = largest_scratch_buffer();
+    let kept = scratch_bytes();
     assert!(kept > 0 && kept <= SCRATCH_CEILING_BYTES, "{kept}");
 
-    // a dereference of 40 records of 4 KB: its answer outgrows the ceiling
+    // a batch of 64 answers of two 4 KB records each, handed back once
+    // printed: the thread keeps what fits under the ceiling
+    let two_posts = "SELECT * FROM posts WHERE author = <p> ORDER BY score DESC LIMIT 2";
+    let batch: Vec<_> = (0..64).map(|_| run(two_posts).unwrap().rows).collect();
+    let handed: usize = batch.iter().map(|rows| rows.capacity_bytes()).sum();
+    assert!(handed > SCRATCH_CEILING_BYTES, "{handed}");
+    batch.into_iter().for_each(give_back);
+    let kept_after_batch = scratch_bytes();
+    assert!(kept_after_batch > kept, "some blocks are kept");
+    assert!(
+        kept_after_batch <= SCRATCH_CEILING_BYTES,
+        "{kept_after_batch} bytes kept"
+    );
+    assert_eq!(run(fk_join).unwrap().rows, expected);
+
+    // a dereference of 40 records of 4 KB: its answer outgrows the
+    // ceiling, and so does the answer handed back
     let posts = run("SELECT * FROM posts WHERE author = <p> ORDER BY score DESC LIMIT 40");
-    assert_eq!(posts.unwrap().rows.len(), 40);
+    let posts = posts.unwrap().rows;
+    assert_eq!(posts.len(), 40);
     assert!(40 * body.len() > SCRATCH_CEILING_BYTES);
-    let kept = largest_scratch_buffer();
+    let kept = scratch_bytes();
+    assert!(kept <= SCRATCH_CEILING_BYTES, "{kept} bytes kept");
+    give_back(posts);
+    let kept = scratch_bytes();
     assert!(kept <= SCRATCH_CEILING_BYTES, "{kept} bytes kept");
     assert_eq!(run(fk_join).unwrap().rows, expected);
 
     store.panics.store(true, Ordering::SeqCst);
     let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run(fk_join)));
     assert!(panicked.is_err());
-    assert_eq!(largest_scratch_buffer(), 0, "the panic dropped the scratch");
+    assert_eq!(scratch_bytes(), 0, "the panic dropped the scratch");
     store.panics.store(false, Ordering::SeqCst);
     assert_eq!(run(fk_join).unwrap().rows, expected);
 }

@@ -32,7 +32,9 @@ fn sort_is_stable_multi_key_with_directions() {
         tuple!["a", 1, "third"],
         tuple!["b", 2, "fourth"],
     ]);
-    rows.sort_by(|a, b| compare_rows(&a, &b, &[(0, Dir::Asc), (1, Dir::Desc)]));
+    rows.sort_by(&mut Vec::new(), |a, b| {
+        compare_rows(&a, &b, &[(0, Dir::Asc), (1, Dir::Desc)])
+    });
     assert_eq!(
         rows.to_tuples(),
         vec![

@@ -754,6 +754,17 @@ pub enum Reply {
 }
 
 impl Reply {
+    /// Hand the reply's result blocks back to this thread's execution
+    /// scratch once they have been printed, so its next read builds its
+    /// blocks in them ([`piql_engine::exec::give_back`]).
+    pub fn give_back(self) {
+        match self {
+            Reply::Rows { rows, .. } => piql_engine::exec::give_back(rows),
+            Reply::Batch(replies) => replies.into_iter().for_each(Reply::give_back),
+            Reply::Done | Reply::Doc(_) => {}
+        }
+    }
+
     /// The response envelope as a tree — what both codecs' `encode_reply`
     /// write, for callers that want a document instead of bytes.
     pub fn into_json(self) -> Json {

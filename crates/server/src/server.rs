@@ -27,10 +27,13 @@
 //!   is bounded by the connection count, and both by the tenant budget
 //!   inside `execute_governed`.
 //!
-//! Each JSON connection also has a **writer** thread that serializes
-//! completed responses back, flushing only when no further response is
-//! immediately ready, so a pipelined burst coalesces into few syscalls —
-//! and so that no thread doing work ever blocks on a slow socket.
+//! The thread that computes an answer also prints it, into the
+//! connection's one output buffer, and then hands the answer's result
+//! blocks back to its own execution scratch for its next read. Each JSON
+//! connection also has a **writer** thread that only writes bytes: it
+//! takes everything printed so far and writes it with no lock held, so a
+//! pipelined burst coalesces into few syscalls — and no thread doing work
+//! ever blocks on a slow socket.
 //!
 //! All state a client needs to resume — registered statement names and
 //! pagination cursors — lives either in the shared registry or in the
@@ -65,17 +68,17 @@ use crate::registry::{
     Admission, FastKeyPart, RegistryError, Revalidator, Run, SloConfig, StatementRegistry,
 };
 use crate::wire::{JsonWire, Wire};
-use piql_analysis::ordered::Mutex;
+use piql_analysis::ordered::{Condvar, Mutex};
 use piql_analysis::rank;
 use piql_core::codec::key::{encode_component_ref, Dir};
 use piql_core::codec::row::RowReader;
 use piql_engine::Database;
 use piql_kv::{KvStore, LiveCluster, NsBalance, RoundPool, Session};
 use piql_predict::SloPredictor;
-use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Weak};
+use std::sync::{Arc, Weak};
 use std::thread::JoinHandle;
 
 /// Server-level knobs beyond the registry's own configuration.
@@ -350,12 +353,88 @@ fn serve_connection<S: KvStore + 'static>(
     serve_lanes(reader, stream, registry, dispatch, max_in_flight)
 }
 
+/// A JSON connection's answers on their way to its writer: the thread that
+/// computes an answer prints it here, and the writer takes what is printed
+/// whole and writes it.
+struct Outbox {
+    printed: Mutex<Printed>,
+    /// Where the writer waits for an answer, or for the end.
+    ready: Condvar,
+}
+
+/// What an [`Outbox`] holds, read and changed only under its lock.
+struct Printed {
+    /// Answers printed and not yet taken, one line each.
+    bytes: Vec<u8>,
+    /// How many answers `bytes` holds.
+    answers: u32,
+    /// Tagged requests dispatched and not yet answered.
+    owed: u32,
+    /// The reader has stopped: no request is still to come.
+    done: bool,
+    /// The writer has stopped on a socket error: answers are dropped.
+    closed: bool,
+    /// The writer is parked on `ready`.
+    waiting: bool,
+}
+
+impl Printed {
+    /// The writer has something to do: answers to write, or nothing left
+    /// to wait for.
+    fn writable(&self) -> bool {
+        self.answers > 0 || (self.done && self.owed == 0)
+    }
+}
+
+impl Outbox {
+    fn new() -> Self {
+        let printed = Printed {
+            bytes: Vec::new(),
+            answers: 0,
+            owed: 0,
+            done: false,
+            closed: false,
+            waiting: false,
+        };
+        Outbox {
+            printed: Mutex::new(rank::SERVER_OUTBOX, "server.conn.outbox", printed),
+            ready: Condvar::new(),
+        }
+    }
+
+    /// Change what is printed, and wake the writer if it waits for what
+    /// the change brought.
+    fn update(&self, change: impl FnOnce(&mut Printed)) {
+        let mut printed = self.printed.lock();
+        change(&mut printed);
+        if printed.waiting && printed.writable() {
+            printed.waiting = false;
+            drop(printed);
+            self.ready.notify_one();
+        }
+    }
+
+    /// Print `reply` as the answer carrying `id` — a tagged request's,
+    /// `owed` since its dispatch — unless the writer has stopped, then hand
+    /// its blocks back to this thread.
+    fn print(&self, id: Option<&RequestId>, reply: Reply, owed: bool) {
+        self.update(|printed| {
+            printed.owed -= u32::from(owed);
+            if !printed.closed {
+                JsonWire.encode_reply(id, &reply, &mut printed.bytes);
+                printed.answers += 1;
+            }
+        });
+        reply.give_back();
+    }
+}
+
 /// The pipelined reader/writer lanes of a JSON connection. Every request
 /// line gets exactly one response line; protocol errors are answered (not
 /// fatal) so a client bug cannot wedge the connection out from under its
 /// own pipeline. This thread is the *reader*: it decodes each line and
 /// picks its venue (see the module docs), then joins the writer — which
-/// drains every in-flight response — before returning.
+/// writes every answer still owed — before returning.
 fn serve_lanes<S: KvStore + 'static>(
     mut reader: BufReader<&TcpStream>,
     stream: &TcpStream,
@@ -363,10 +442,7 @@ fn serve_lanes<S: KvStore + 'static>(
     dispatch: Arc<RoundPool>,
     max_in_flight: usize,
 ) -> io::Result<()> {
-    // completed responses travel to the writer as `(correlation id,
-    // reply)` — rows still the executor's block; encoding (and id
-    // attachment) is the writer's job
-    let (tx, rx) = mpsc::channel::<(Option<RequestId>, Reply)>();
+    let outbox = Arc::new(Outbox::new());
     // cap 0 = unlimited: no window at all, the lanes behave exactly as
     // before the backpressure control existed
     let window = (max_in_flight > 0).then(|| {
@@ -376,7 +452,7 @@ fn serve_lanes<S: KvStore + 'static>(
     std::thread::scope(|scope| {
         let writer_thread = std::thread::Builder::new()
             .name("piql-conn-writer".into())
-            .spawn_scoped(scope, || write_loop(stream, rx, window.as_ref()))?;
+            .spawn_scoped(scope, || write_loop(stream, &outbox, window.as_ref()))?;
         // the ordered venue's session
         let mut session = Session::new();
         let read_result: io::Result<()> = (|| {
@@ -390,7 +466,7 @@ fn serve_lanes<S: KvStore + 'static>(
                         break;
                     }
                 }
-                let answer = match JsonWire.decode_envelope(&frame) {
+                let (id, reply) = match JsonWire.decode_envelope(&frame) {
                     // on a session of its own: a session is a clock and
                     // counters, `sync_session` sets the clock at every
                     // execute and nothing reads it after the request
@@ -398,10 +474,11 @@ fn serve_lanes<S: KvStore + 'static>(
                         id: Some(id),
                         request,
                     }) => {
-                        let (registry, tx) = (registry.clone(), tx.clone());
+                        outbox.update(|printed| printed.owed += 1);
+                        let (registry, outbox) = (registry.clone(), outbox.clone());
                         dispatch.spawn(move || {
                             let reply = run_handler(&request, &mut Session::new(), &registry);
-                            let _ = tx.send((Some(id), reply));
+                            outbox.print(Some(&id), reply, true);
                         });
                         continue;
                     }
@@ -410,65 +487,55 @@ fn serve_lanes<S: KvStore + 'static>(
                     Ok(env) => (None, run_handler(&env.request, &mut session, &registry)),
                     Err(e) => undecodable(&JsonWire, &frame, e),
                 };
-                // a send error means the writer is gone; it shut the
-                // socket's read side, so reading ends with the lines
-                // already buffered
-                let _ = tx.send(answer);
+                // once the writer has stopped, it shut the socket's read
+                // side, so reading ends with the lines already buffered
+                outbox.print(id.as_ref(), reply, false);
             }
             Ok(())
         })();
-        // the writer exits once the last sender drops — i.e. after every
-        // dispatched task for this connection has completed and answered
-        drop(tx);
+        // the writer exits once every answer owed is written
+        outbox.update(|printed| printed.done = true);
         let _ = writer_thread.join();
         read_result
     })
 }
 
-/// The writer half: serialize responses in the order they complete,
-/// flushing only when nothing further is immediately ready — a pipelined
-/// burst coalesces into few flush syscalls instead of one per response.
-/// One scratch buffer is reused across responses. A socket error shuts the
-/// socket's read side, so the reader stops accepting work whose results
-/// would be discarded.
-fn write_loop(
-    stream: &TcpStream,
-    rx: mpsc::Receiver<(Option<RequestId>, Reply)>,
-    window: Option<&Gate<()>>,
-) {
-    let mut writer = BufWriter::new(stream);
-    let mut buf = Vec::new();
-    // every response written leaves the backpressure window, even when it
-    // only reached the BufWriter: the bytes are out of the server's
-    // request pipeline either way
-    let write_one = |writer: &mut BufWriter<&TcpStream>,
-                     buf: &mut Vec<u8>,
-                     (id, reply): (Option<RequestId>, Reply)|
-     -> io::Result<()> {
-        buf.clear();
-        JsonWire.encode_reply(id.as_ref(), &reply, buf);
-        writer.write_all(buf)?;
-        if let Some(window) = window {
-            window.leave();
-        }
-        Ok(())
-    };
-    while let Ok(completed) = rx.recv() {
-        let mut io = write_one(&mut writer, &mut buf, completed);
-        while io.is_ok() {
-            match rx.try_recv() {
-                Ok(next) => io = write_one(&mut writer, &mut buf, next),
-                Err(_) => break,
+/// The writer half: take every answer printed so far and write it in one
+/// go, holding no lock while the socket takes it — a pipelined burst leaves
+/// in few write syscalls, and no thread computing an answer ever waits on
+/// the socket. The taken buffer and the outbox's trade places, so both are
+/// reused. A socket error shuts the socket's read side, so the reader stops
+/// accepting work whose answers would be discarded.
+fn write_loop(mut stream: &TcpStream, outbox: &Outbox, window: Option<&Gate<()>>) {
+    let mut taken = Vec::new();
+    loop {
+        let answers = {
+            let mut printed = outbox.printed.lock();
+            while !printed.writable() {
+                printed.waiting = true;
+                printed = outbox.ready.wait(printed);
             }
-        }
-        if io.and_then(|()| writer.flush()).is_err() {
+            printed.waiting = false;
+            if printed.answers == 0 {
+                return;
+            }
+            std::mem::swap(&mut printed.bytes, &mut taken);
+            std::mem::take(&mut printed.answers)
+        };
+        if stream.write_all(&taken).is_err() {
             let _ = stream.shutdown(Shutdown::Read);
+            outbox.update(|printed| printed.closed = true);
             // a reader parked on a full window must wake up and exit, not
             // wait for responses that will never be written
             if let Some(window) = window {
                 window.reset(|door| door.closed = true);
             }
             return;
+        }
+        taken.clear();
+        // every answer written leaves the backpressure window
+        if let Some(window) = window {
+            (0..answers).for_each(|_| window.leave());
         }
     }
 }
@@ -647,6 +714,7 @@ impl<S: KvStore + 'static> BinaryConn<S> {
             Ok(()) => {
                 let reply = run_handler(&self.request.request, &mut self.session, &self.registry);
                 wire.encode_reply(self.request.id.as_ref(), &reply, &mut self.out);
+                reply.give_back();
             }
             Err(e) => {
                 let (id, reply) = undecodable(&wire, frame, e);

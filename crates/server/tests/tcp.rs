@@ -688,3 +688,114 @@ fn an_index_derived_while_a_client_inserts_finds_every_row() {
     let n = stored.len();
     assert!(misread.is_empty(), "of {n} rows, not found: {misread:?}");
 }
+
+/// One JSON connection carrying both venues at once — tagged reads and
+/// writes on the dispatch pool, untagged ones on the connection's reader,
+/// each answer printed by the thread that computed it — answers every
+/// request exactly once, byte for byte as the embedder API's tree prints:
+/// untagged answers in arrival order, each id once. A twin database, set
+/// up the same way, gives the trees; the writes add users no read finds.
+#[test]
+fn mixed_venues_answer_like_the_embedder_api() {
+    use piql_server::{Envelope, JsonWire, RequestId, ServerTuning, StatementRegistry, Wire};
+    use std::collections::HashMap;
+    use std::io::{BufRead, BufReader, Write};
+
+    let config = ScadrConfig {
+        users_per_node: 20,
+        thoughts_per_user: 6,
+        subscriptions_per_user: 4,
+        ..Default::default()
+    };
+    let queries = scadr::queries(&config);
+    let reads = [
+        ("find_user", &queries.find_user),
+        ("recent_thoughts", &queries.recent_thoughts),
+        ("thoughtstream", &queries.thoughtstream),
+    ];
+    let registry = || {
+        let db = Arc::new(Database::new(Arc::new(LiveCluster::new(
+            LiveConfig::default(),
+        ))));
+        scadr::setup(&db, &config, 2).unwrap();
+        let registry = StatementRegistry::new(db, linear_predictor(200, 100, 2), permissive_slo());
+        for (name, sql) in reads {
+            assert!(registry.register(name, sql).unwrap().is_admitted());
+        }
+        Arc::new(registry)
+    };
+    let tuning = ServerTuning {
+        dispatch_threads: 4,
+        ..ServerTuning::default()
+    };
+    let server = PiqlServer::start_tuned(registry(), "127.0.0.1:0", tuning).unwrap();
+
+    // reads of users 0..20, a write every fourth request, every third
+    // request tagged
+    let requests: Vec<Envelope> = (0..90)
+        .map(|i| {
+            let request = if i % 4 == 3 {
+                Request::Dml {
+                    sql: "INSERT INTO users (username, home_town) VALUES (<u>, <t>)".into(),
+                    params: vec![
+                        Value::Varchar(format!("newcomer{i}")).into(),
+                        Value::Varchar("Berkeley".into()).into(),
+                    ],
+                }
+            } else {
+                Request::Execute {
+                    name: reads[i / 3 % 3].0.into(),
+                    params: uname_param(i % 20),
+                    cursor: None,
+                }
+            };
+            let id = (i % 3 == 1).then(|| match i % 2 {
+                0 => RequestId::Int(i as i64),
+                _ => RequestId::Str(format!("request {i}")),
+            });
+            Envelope { id, request }
+        })
+        .collect();
+
+    let twin = registry();
+    let mut session = Session::new();
+    let (mut untagged, mut tagged) = (Vec::new(), HashMap::new());
+    for envelope in &requests {
+        let tree = piql_server::server::handle_request(&envelope.request, &mut session, &twin);
+        let mut line = Vec::new();
+        JsonWire.encode_response(envelope.id.as_ref(), &tree, &mut line);
+        match &envelope.id {
+            Some(id) => assert!(tagged.insert(id.clone(), line).is_none()),
+            None => untagged.push(line),
+        }
+    }
+    assert!(untagged.len() > 30 && tagged.len() > 20);
+
+    let stream = std::net::TcpStream::connect(server.local_addr()).unwrap();
+    let mut burst = Vec::new();
+    for envelope in &requests {
+        JsonWire.encode_envelope(envelope, &mut burst);
+    }
+    (&stream).write_all(&burst).unwrap();
+    let mut answers = BufReader::new(&stream);
+    let mut untagged = untagged.into_iter();
+    for _ in 0..requests.len() {
+        let mut line = Vec::new();
+        answers.read_until(b'\n', &mut line).unwrap();
+        let (id, _) = JsonWire.decode_response(&line[..line.len() - 1]).unwrap();
+        let expected = match &id {
+            Some(id) => tagged
+                .remove(id)
+                .unwrap_or_else(|| panic!("{id} answered twice")),
+            None => untagged
+                .next()
+                .expect("more untagged answers than requests"),
+        };
+        assert_eq!(
+            String::from_utf8_lossy(&line),
+            String::from_utf8_lossy(&expected),
+            "{id:?}"
+        );
+    }
+    assert!(untagged.next().is_none() && tagged.is_empty());
+}

@@ -249,7 +249,8 @@ fn small_scadr() -> (Arc<StatementRegistry>, String) {
 }
 
 /// `frame` served as a JSON connection serves it, its answer printed into
-/// `out`: what `decode_envelope`, `respond` and `encode_reply` cost.
+/// `out` and its result blocks then handed back to this thread: what
+/// `decode_envelope`, `respond` and `encode_reply` cost.
 fn serve_json(
     registry: &StatementRegistry,
     session: &mut Session,
@@ -260,8 +261,35 @@ fn serve_json(
     let (reply, handled) = counted(|| respond(&envelope.request, session, registry));
     out.clear();
     let ((), encoded) = counted(|| JsonWire.encode_reply(envelope.id.as_ref(), &reply, out));
+    reply.give_back();
     [decoded, handled, encoded]
 }
+
+/// `frames` served one by one as a JSON connection serves them, the first
+/// `warm` of them uncounted; `check` reads each answer as printed. What
+/// each stage costs the rest.
+fn serve_json_stages(
+    registry: &StatementRegistry,
+    frames: &[Vec<u8>],
+    warm: usize,
+    mut check: impl FnMut(usize, &[u8]),
+) -> [Counts; 3] {
+    let (mut session, mut out) = (Session::new(), Vec::new());
+    let mut stages = [Counts::default(); 3];
+    for (i, frame) in frames.iter().enumerate() {
+        let made = serve_json(registry, &mut session, frame, &mut out);
+        check(i, &out);
+        if i >= warm {
+            for (stage, made) in stages.iter_mut().zip(made) {
+                *stage += made;
+            }
+        }
+    }
+    stages
+}
+
+/// The three stages of serving a JSON request, as the table names them.
+const JSON_STAGES: [&str; 3] = ["decode_envelope", "respond", "encode_reply"];
 
 fn registry(db: Arc<Database<LiveCluster>>) -> Arc<StatementRegistry> {
     let slo = SloConfig {
@@ -309,6 +337,7 @@ fn post(sql: &str, i: usize) -> Request {
 fn server_rows(table: &mut Table) {
     table.section("server: SCADr on LiveCluster, a connection or `respond` on this thread");
     point_reads(table);
+    json_point_reads(table);
     binary_inserts(table);
     json_inserts(table);
     page_views(table);
@@ -362,6 +391,34 @@ fn point_reads(table: &mut Table) {
     table.row("v3 point read", "handle_frame", MEASURED as u64, made);
 }
 
+/// The same point read on a JSON connection, stage by stage: the general
+/// path, whose answer is one result block, handed back once printed.
+fn json_point_reads(table: &mut Table) {
+    const WARM: usize = 2_000;
+    const MEASURED: usize = 2_000;
+    let (registry, _) = small_scadr();
+    registry
+        .register("point", "SELECT * FROM users WHERE username = <u>")
+        .unwrap();
+    let frames: Vec<Vec<u8>> = (0..WARM + MEASURED)
+        .map(|i| {
+            let request = Request::Execute {
+                name: "point".into(),
+                params: vec![Value::Varchar(scadr::username(i % 40)).into()],
+                cursor: None,
+            };
+            json_line(i, request)
+        })
+        .collect();
+    let stages = serve_json_stages(&registry, &frames, WARM, |i, out| {
+        let user = scadr::username(i % 40);
+        assert!(out.windows(user.len()).any(|w| w == user.as_bytes()));
+    });
+    for (layer, made) in JSON_STAGES.iter().zip(stages) {
+        table.row("v2 point read", layer, MEASURED as u64, made);
+    }
+}
+
 /// A warm v3 `post_thought` INSERT, with no secondary index (the
 /// benchmark's `post_v3` statement) and with one.
 fn binary_inserts(table: &mut Table) {
@@ -402,21 +459,10 @@ fn json_inserts(table: &mut Table) {
     let frames: Vec<Vec<u8>> = (0..WARM + MEASURED)
         .map(|i| json_line(i, post(&sql, i)))
         .collect();
-    let (mut session, mut out) = (Session::new(), Vec::new());
-    let mut stages = [Counts::default(); 3];
-    for (i, frame) in frames.iter().enumerate() {
-        let made = serve_json(&registry, &mut session, frame, &mut out);
+    let stages = serve_json_stages(&registry, &frames, WARM, |i, out| {
         assert_eq!(out, format!("{{\"id\":{i},\"ok\":true}}\n").as_bytes());
-        if i >= WARM {
-            for (stage, made) in stages.iter_mut().zip(made) {
-                *stage += made;
-            }
-        }
-    }
-    for (layer, made) in ["decode_envelope", "respond", "encode_reply"]
-        .iter()
-        .zip(stages)
-    {
+    });
+    for (layer, made) in JSON_STAGES.iter().zip(stages) {
         table.row("v2 insert", layer, MEASURED as u64, made);
     }
 }
@@ -508,21 +554,58 @@ fn page_views(table: &mut Table) {
     for (layer, made) in layers.iter().zip(stages) {
         table.row("v2 page view", layer, MEASURED as u64, made);
     }
+    // each read alone, its answer handed back as a connection hands it
+    // back once printed
     let users: Vec<Vec<ParamValue>> = (0..PAGE_VIEW_USERS).map(page_view_user).collect();
     for name in PAGE_VIEW_READS {
-        let ((), made) = counted(|| {
-            for i in 0..MEASURED {
+        let mut run = |n: usize| {
+            for i in 0..n {
                 let params = users[i % PAGE_VIEW_USERS].as_slice();
-                assert!(registry
-                    .execute_governed(&mut session, name, params, None)
-                    .is_ok());
+                let outcome = registry.execute_governed(&mut session, name, params, None);
+                piql_engine::exec::give_back(outcome.unwrap().result.rows);
             }
-        });
+        };
+        run(WARM);
+        let ((), made) = counted(|| run(MEASURED));
         let shape = format!("page view {name}");
         table.row(&shape, "execute_governed", MEASURED as u64, made);
     }
+    second_pages(table, &registry, &users);
     page_view_is_freed_whole(&registry, &frames[3]);
     ok_is_one_block(table);
+}
+
+/// The second page of a paginated scan of a user's thoughts, resumed from
+/// the first page's cursor, its answer handed back.
+fn second_pages(table: &mut Table, registry: &StatementRegistry, users: &[Vec<ParamValue>]) {
+    const MEASURED: usize = 400;
+    let sql = "SELECT * FROM thoughts WHERE owner = <u> ORDER BY timestamp DESC PAGINATE 4";
+    assert!(registry.register("pages", sql).unwrap().is_admitted());
+    let mut session = Session::new();
+    let cursors: Vec<_> = users
+        .iter()
+        .map(|params| {
+            let first = registry.execute_governed(&mut session, "pages", params.as_slice(), None);
+            first.unwrap().result.cursor.unwrap()
+        })
+        .collect();
+    let mut run = |n: usize| {
+        for i in 0..n {
+            let (params, cursor) = (users[i % users.len()].as_slice(), &cursors[i % users.len()]);
+            let outcome = registry.execute_governed(&mut session, "pages", params, Some(cursor));
+            let result = outcome.unwrap().result;
+            assert_eq!(result.rows.len(), 4);
+            piql_engine::exec::give_back(result.rows);
+        }
+    };
+    run(MEASURED);
+    let ((), made) = counted(|| run(MEASURED));
+    table.row(
+        "paginated scan, page 2",
+        "execute_governed",
+        MEASURED as u64,
+        made,
+    );
 }
 
 /// A decoded page view is freed whole, whichever of its parts goes last: a
@@ -611,7 +694,9 @@ fn tpcw_reads(table: &mut Table) {
             for _ in 0..n {
                 let outcome =
                     registry.execute_governed(&mut session, label, params.as_slice(), None);
-                assert!(!outcome.unwrap().result.rows.is_empty(), "{label}");
+                let rows = outcome.unwrap().result.rows;
+                assert!(!rows.is_empty(), "{label}");
+                piql_engine::exec::give_back(rows);
             }
         };
         run(WARM);
@@ -830,6 +915,15 @@ impl KvStore for TasCounted {
         *self.made.lock().unwrap() += made;
         response
     }
+    fn point_get(
+        &self,
+        session: &mut Session,
+        ns: NsId,
+        key: &[u8],
+        out: &mut Vec<u8>,
+    ) -> Option<bool> {
+        self.inner.point_get(session, ns, key, out)
+    }
     fn bulk_put(&self, ns: NsId, key: Vec<u8>, value: Vec<u8>) {
         self.inner.bulk_put(ns, key, value)
     }
@@ -882,6 +976,23 @@ fn updates(table: &mut Table) {
     warm.into_iter().for_each(|made| all += made);
     table.row("update", "execute_dml", UPDATES as u64 - 1, all);
     table.row("update", "store test-and-set", UPDATES as u64, swaps);
+
+    // then each of them deleted, the first compiling the statement
+    let delete = "DELETE FROM thoughts WHERE owner = 'author' AND timestamp = <ts>";
+    let mut delete = |t: i64| {
+        let params = Params::from_values([Value::Timestamp(t)]);
+        counted(|| db.execute_dml(&mut session, delete, &params).unwrap()).1
+    };
+    delete(0);
+    let mut all = Counts::default();
+    (1..UPDATES).for_each(|t| all += delete(t));
+    let scan = db
+        .prepare("SELECT * FROM thoughts WHERE owner = <o> LIMIT 50")
+        .unwrap();
+    let params = Params::from_values([Value::Varchar("author".into())]);
+    let left = db.execute(&mut Session::new(), &scan, &params).unwrap();
+    assert!(left.rows.is_empty(), "rows left: {:?}", left.rows);
+    table.row("delete", "execute_dml", UPDATES as u64 - 1, all);
 }
 
 /// No secondary index: each row stores exactly one entry.

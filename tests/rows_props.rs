@@ -88,7 +88,7 @@ proptest! {
                 positions.dedup();
             }
             let mut rows = Rows::from(tuples.clone());
-            rows.project(positions.iter().copied()).unwrap();
+            rows.project(positions.iter().copied(), &mut Rows::default()).unwrap();
             let projected: Vec<Tuple> = tuples
                 .iter()
                 .map(|t| Tuple::new(positions.iter().map(|&p| t[p].clone()).collect()))
@@ -96,13 +96,13 @@ proptest! {
             prop_assert_eq!(rows.arity(), positions.len());
             prop_assert_eq!(rows.to_tuples(), projected.clone());
             prop_assert_eq!(&rows, &Rows::from(projected));
-            prop_assert!(Rows::from(tuples.clone()).project([arity].into_iter()).is_err());
+            prop_assert!(Rows::from(tuples.clone()).project([arity].into_iter(), &mut Rows::default()).is_err());
         }
 
         // sort: a stable order by the first column, as `Vec::sort_by` gives
         if arity > 0 {
             let mut rows = Rows::from(tuples.clone());
-            rows.sort_by(|a, b| a.value(0).total_cmp(b.value(0)));
+            rows.sort_by(&mut Vec::new(), |a, b| a.value(0).total_cmp(b.value(0)));
             let mut sorted = tuples.clone();
             sorted.sort_by(|a, b| a[0].total_cmp(&b[0]));
             prop_assert_eq!(&rows, &Rows::from(sorted));
@@ -119,7 +119,7 @@ proptest! {
         let arity = tuples.first().map_or(0, Tuple::len);
         let split = split.index(arity + 1);
         let left: Vec<Tuple> = tuples.iter().map(|t| Tuple::new(t.values()[..split].to_vec())).collect();
-        let mut out = Rows::from(left).widen(arity - split);
+        let mut out = Rows::from(left).widen(arity - split, Rows::default());
         // rows last to first: the text is laid out nothing like row-major
         for (i, tuple) in tuples.iter().enumerate().rev() {
             out.push_left(i).unwrap();
