@@ -93,9 +93,9 @@ pub const MODEL_PUBLISHED: u32 = 46;
 /// the observer runs, which may append to the WAL (rank `WAL_PENDING`).
 pub const MODEL_OBSERVER: u32 = 47;
 
-/// `testkit::Interleave.state`: a test double's round log and hook slot.
-/// Taken to record a round or take the hook, never across the wrapped
-/// store's call, so it sits outside every kv lock.
+/// `testkit::Schedule.rounds`: a test double's round log. Taken to log a
+/// round, never across the wrapped store's call or a participant's park, so
+/// it sits outside every kv lock.
 pub const KV_TESTKIT: u32 = 49;
 
 // ---- kv clusters (live and simulated) ----

@@ -11,7 +11,7 @@
 use piql::core::codec::row::encode_tuple;
 use piql::core::tuple::Tuple;
 use piql::engine::{DbError, WriteError};
-use piql::kv::testkit::Interleave;
+use piql::kv::testkit::{self, Participant, Schedule};
 use piql::kv::{KvRequest, KvStore};
 use piql::workloads::{scadr, tpcw};
 use piql::{ClusterConfig, Database, LiveCluster, LiveConfig, Params, Session, SimCluster, Value};
@@ -152,7 +152,7 @@ fn tpcw_inserts_stay_within_bound<S: KvStore>(db: &Database<S>, backend: &str) {
 }
 
 fn updates_and_deletes_stay_within_bound<S: KvStore>(store: S, backend: &str) {
-    let db = Database::new(Arc::new(Interleave::new(store)));
+    let db = Database::new(Arc::new(Schedule::new(store)));
     for ddl in [
         "CREATE TABLE notes (id INT NOT NULL, owner VARCHAR(8) NOT NULL, tag VARCHAR(8), \
          body VARCHAR(40), seen INT, PRIMARY KEY (id), CARDINALITY LIMIT 2 (owner))",
@@ -198,25 +198,33 @@ fn updates_and_deletes_stay_within_bound<S: KvStore>(store: S, backend: &str) {
     let seen = Params::from_values([Value::Int(7), Value::Int(1)]);
     spend(&db, &mut session, set_seen, &seen, backend).unwrap();
 
-    // a racing write lands before the swap: it fails once, and the retry
-    // puts and drops entries again
+    // a racing write lands between the read and the swap: the swap fails
+    // once, and the retry puts and drops entries again. The schedule starts
+    // the update, lets its read through, then starts the racing put and
+    // lets it through.
     let rec = db.store().namespace("t/notes");
+    let key = piql::core::codec::key::encode_key_asc(&[Value::Int(1)]).unwrap();
     let raced = encode_tuple(&Tuple::new(row("good world").to_vec()));
-    db.cluster().before(
-        |round| matches!(round, [KvRequest::TestAndSet { .. }]),
-        move |inner| {
-            let key = piql::core::codec::key::encode_key_asc(&[Value::Int(1)]).unwrap();
-            let put = KvRequest::Put {
-                ns: rec,
-                key,
-                value: raced,
-            };
-            inner.execute_one(&mut Session::new(), put);
-        },
-    );
+    let put = KvRequest::Put {
+        ns: rec,
+        key,
+        value: raced,
+    };
+    let update = body(1, "so long");
+    let racers: Vec<Participant<'_, Result<(), DbError>>> = vec![
+        Box::new(|| spend(&db, &mut session, set_body, &update, backend)),
+        Box::new(|| {
+            db.store().execute_one(&mut Session::new(), put);
+            Ok(())
+        }),
+    ];
     db.cluster().take();
-    spend(&db, &mut session, set_body, &body(1, "so long"), backend).unwrap();
-    let swaps = db.cluster().take().into_iter().flatten();
+    let (ended, _) = testkit::run(racers, &[0, 0, 1, 1], None);
+    assert!(
+        matches!(ended[..], [Some(Ok(())), Some(Ok(()))]),
+        "{backend}"
+    );
+    let swaps = db.cluster().take().into_iter().flat_map(|(_, round)| round);
     let swaps = swaps.filter(|r| matches!(r, KvRequest::TestAndSet { .. }));
     assert_eq!(swaps.count(), 2, "{backend}: the first swap lost the race");
 
