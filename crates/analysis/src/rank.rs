@@ -66,19 +66,16 @@ pub const STATEMENT_STATE: u32 = 30;
 
 // ---- engine ----
 
-/// `Database.ddl`: serialises catalog mutations, each held from the
-/// generation it moves to the end of its wait for the writes of the one
-/// it retired. Taken by `prepare` under the registry's statement locks,
-/// and around `ENGINE_CATALOG`; never by a write.
-pub const ENGINE_DDL: u32 = 38;
-
-/// `Database.catalog`: table/index definitions. Held only for short
-/// clone/update critical sections, but DDL paths take it before touching kv.
+/// `Database.catalog`: table/index definitions, and the write epoch. Held
+/// for read across a whole write, bulk load or sweep (their kv rounds and
+/// WAL appends nest inside it), and for write only by a catalog mutation,
+/// which `prepare` makes under the registry's statement locks. Never taken
+/// twice by one thread: a second read queues behind a waiting mutation.
 pub const ENGINE_CATALOG: u32 = 40;
-/// `Database.write_plans`: compiled writes by statement text. A leaf of
-/// the engine: taken for one map lookup or insert with nothing else held
-/// (the catalog generation is read, and a plan compiled, before it), so it
-/// could nest inside `ENGINE_CATALOG` but never around it or a kv round.
+/// `Database.write_plans`: compiled writes by statement text. Taken for
+/// one map lookup, insert or clear, nested inside `ENGINE_CATALOG` (a
+/// write's read guard, or a mutation's write guard that empties it), never
+/// around it or a kv round.
 pub const ENGINE_WRITE_PLANS: u32 = 42;
 
 // ---- predictor shared-model store ----

@@ -54,20 +54,11 @@ pub struct Catalog {
     indexes: Vec<Arc<IndexDef>>,
     table_names: BTreeMap<String, TableId>,
     index_names: BTreeMap<String, IndexId>,
-    /// Bumped by every mutation; see [`Catalog::generation`].
-    generation: u64,
 }
 
 impl Catalog {
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// How many definitions have been registered so far. Anything derived
-    /// from a catalog (the engine's cached write plans) records the
-    /// generation it was built at and is stale once this has moved on.
-    pub fn generation(&self) -> u64 {
-        self.generation
     }
 
     /// Register a table, validating constraints against its columns, with
@@ -92,7 +83,6 @@ impl Catalog {
         let mut next = self.clone();
         next.table_names.insert(key, id);
         next.tables.push(Arc::new(def));
-        next.generation += 1;
         for index in enforcement {
             next.create_index(index)?;
         }
@@ -121,7 +111,6 @@ impl Catalog {
         def.id = id;
         self.index_names.insert(key, id);
         self.indexes.push(Arc::new(def));
-        self.generation += 1;
         Ok(id)
     }
 
@@ -211,24 +200,6 @@ mod tests {
     }
 
     #[test]
-    fn generation_counts_mutations_only() {
-        let mut cat = Catalog::new();
-        assert_eq!(cat.generation(), 0);
-        let t = cat.create_table(users()).unwrap();
-        assert_eq!(cat.generation(), 1);
-        assert!(cat.create_table(users()).is_err());
-        let mk = |name: &str| IndexDef::on_columns(name, t, &[("home_town", Default::default())]);
-        cat.create_index(mk("idx_a")).unwrap();
-        assert_eq!(cat.generation(), 2);
-        cat.create_index(mk("idx_b")).unwrap();
-        assert_eq!(
-            cat.generation(),
-            2,
-            "an idempotent re-create changes nothing"
-        );
-    }
-
-    #[test]
     fn a_table_registers_with_its_enforcement_indexes_or_not_at_all() {
         let subs = |limits: &[&[&str]]| {
             let mut b = TableDef::builder("Subs")
@@ -253,18 +224,15 @@ mod tests {
             .map(|i| i.name.clone())
             .collect();
         assert_eq!(names, ["idx_subs_target", "idx_subs_tok_target"]);
-        assert_eq!(cat.generation(), 4);
 
         let mut cat = Catalog::new();
         cat.create_table(users()).unwrap();
-        let generation = cat.generation();
         // a DOUBLE column cannot be indexed: the good index before it goes too
         for refused in [&["target"][..], &["score"]] {
             let err = cat.create_table(subs(&[refused, &["score"]])).unwrap_err();
             assert!(matches!(err, CatalogError::InvalidDefinition(_)), "{err}");
             assert!(cat.table("subs").is_none());
             assert_eq!(cat.indexes().count(), 0);
-            assert_eq!(cat.generation(), generation);
         }
     }
 

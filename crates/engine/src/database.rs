@@ -8,20 +8,20 @@
 //! application servers can share one `Database` handle.
 //!
 //! Writes are compiled too: `execute_dml` looks the statement text up in a
-//! cache of [`WritePlan`]s and runs the plan. A plan records the catalog
-//! generation it was built at; every catalog mutation moves the generation
-//! on, so the first execution after a `CREATE INDEX` — declared, or
-//! derived by a SELECT `prepare` — rebuilds the plan and maintains the new
-//! index. A write compiled before the mutation may still be in flight, not
-//! knowing the index, so a mutation waits those writes out before a
-//! backfill scans: an index built online finds every row.
+//! cache of [`WritePlan`]s and runs the plan. The catalog's lock is the
+//! write epoch: a write holds it for read from that lookup to its last
+//! round, and so do bulk loads and the sweep, while a catalog mutation —
+//! `CREATE INDEX` declared, or derived by a SELECT `prepare` — takes it
+//! for write and empties the cache. So the mutation waits for every write
+//! in flight, and every write after it compiles against the new catalog
+//! and maintains the new index: an index built online finds every row.
 
 use crate::cursor::Cursor;
 use crate::exec::{ExecCtx, ExecError, ExecStrategy, QueryResult, RemoteOp};
 use crate::plan::{table_write, WritePlan};
 use crate::reference::ReferenceExecutor;
-use crate::write::{IndexWrite, Loader, TableWrite, WriteError, Writer};
-use piql_analysis::ordered::{Mutex, RwLock};
+use crate::write::{IndexWrite, Loader, WriteError, Writer};
+use piql_analysis::ordered::RwLock;
 use piql_analysis::rank;
 use piql_core::ast::Statement;
 use piql_core::catalog::{Catalog, CatalogError, IndexDef, TableDef};
@@ -132,8 +132,8 @@ pub const WRITE_PLAN_CACHE_CAP: usize = 256;
 pub struct WritePlanStats {
     /// Plans cached right now.
     pub cached: u64,
-    /// Plans compiled: first sight of a text, plus rebuilds after the
-    /// catalog moved on.
+    /// Plans compiled: first sight of a text, plus rebuilds after a
+    /// catalog mutation emptied the cache.
     pub compiles: u64,
     /// Plans dropped to keep the cache within [`WRITE_PLAN_CACHE_CAP`].
     pub evictions: u64,
@@ -144,40 +144,17 @@ pub struct WritePlanStats {
 /// [`KvStore`] — e.g. `piql_kv::LiveCluster` for wall-clock serving.
 pub struct Database<S: KvStore = SimCluster> {
     cluster: Arc<S>,
+    /// Table and index definitions, and the write epoch: held for read by
+    /// every write from its plan lookup to its last round, for write only
+    /// by a catalog mutation.
     catalog: RwLock<Catalog>,
     optimizer: Optimizer,
-    /// Compiled writes by statement text. Held only to look a text up or
-    /// to file a plan — never while compiling and never across a kv round.
+    /// Compiled writes by statement text, compiled against the catalog as
+    /// it stands: a catalog mutation empties it. Taken under the catalog's
+    /// read guard for one lookup or insert, never across a kv round.
     write_plans: RwLock<HashMap<Box<str>, Arc<WritePlan>>>,
     plan_compiles: AtomicU64,
     plan_evictions: AtomicU64,
-    /// Writes in flight, by the parity of the generation their plan was
-    /// compiled at ([`Database::execute_dml`]).
-    writes_in_flight: [AtomicU64; 2],
-    /// Serialises catalog mutations, each until it has waited out the
-    /// writes of the generation it retired, so no write in flight is ever
-    /// more than one generation old and two counts tell them apart.
-    ddl: Mutex<()>,
-}
-
-/// One write counted in flight until it drops. It is counted before the
-/// write checks its generation under the catalog's read lock, so a
-/// mutation that takes the write lock after that check finds it counted;
-/// the decrement's `Release` pairs with the waiting mutation's `Acquire`
-/// load, so the write's rounds come before the backfill's.
-struct InFlight<'a>(&'a AtomicU64);
-
-impl<'a> InFlight<'a> {
-    fn enter(count: &'a AtomicU64) -> Self {
-        count.fetch_add(1, Ordering::SeqCst);
-        InFlight(count)
-    }
-}
-
-impl Drop for InFlight<'_> {
-    fn drop(&mut self) {
-        self.0.fetch_sub(1, Ordering::Release);
-    }
 }
 
 impl<S: KvStore> Database<S> {
@@ -193,8 +170,6 @@ impl<S: KvStore> Database<S> {
             ),
             plan_compiles: AtomicU64::new(0),
             plan_evictions: AtomicU64::new(0),
-            writes_in_flight: [AtomicU64::new(0), AtomicU64::new(0)],
-            ddl: Mutex::new(rank::ENGINE_DDL, "engine.ddl", ()),
         }
     }
 
@@ -248,26 +223,17 @@ impl<S: KvStore> Database<S> {
         self.backfill(table, &idx)
     }
 
-    /// Apply `mutate` to the catalog, which moves its generation on, then
-    /// wait until no write compiled at the generation it retired is in
-    /// flight: every write from then on maintains what `mutate` added, and
-    /// every record an older one stores has landed, where a backfill's scan
-    /// finds it. No catalog lock is held while waiting. Bulk loads are
-    /// set-up and are not waited for.
+    /// Apply `mutate` to the catalog under its write guard, which waits for
+    /// every write in flight: a backfill's scan after it finds every record
+    /// they store. Emptying the write-plan cache makes every write after it
+    /// compile against the new catalog and maintain what `mutate` added.
     fn mutate_catalog<T>(
         &self,
         mutate: impl FnOnce(&mut Catalog) -> Result<T, CatalogError>,
     ) -> Result<T, DbError> {
-        let _ddl = self.ddl.lock();
-        let (value, retired) = {
-            let mut catalog = self.catalog.write();
-            let retired = catalog.generation();
-            (mutate(&mut catalog)?, retired)
-        };
-        let in_flight = &self.writes_in_flight[(retired % 2) as usize];
-        while in_flight.load(Ordering::Acquire) != 0 {
-            std::thread::yield_now();
-        }
+        let mut catalog = self.catalog.write();
+        let value = mutate(&mut catalog)?;
+        self.write_plans.write().clear();
         Ok(value)
     }
 
@@ -382,28 +348,17 @@ impl<S: KvStore> Database<S> {
     // ---------------------------------------------------------------- DML
 
     /// Execute an INSERT/UPDATE/DELETE statement: look its compiled plan up
-    /// by text (compiling on first sight) and run it. The write is counted
-    /// in flight before its plan's generation is checked against the
-    /// catalog's, so a catalog mutation either sees it counted and waits
-    /// for it, or moved the generation first and the write compiles again.
+    /// by text (compiling on first sight) and run it, holding the catalog
+    /// for read throughout, so no catalog mutation lands in between.
     pub fn execute_dml<'p>(
         &self,
         session: &mut Session,
         sql: &str,
         params: impl Into<ParamsRef<'p>>,
     ) -> Result<(), DbError> {
-        let params = params.into();
-        let mut cached = self.write_plans.read().get(sql).cloned();
-        loop {
-            if let Some(plan) = cached {
-                let parity = (plan.generation() % 2) as usize;
-                let _counted = InFlight::enter(&self.writes_in_flight[parity]);
-                if plan.generation() == self.catalog.read().generation() {
-                    return Ok(plan.execute(self.store(), session, params)?);
-                }
-            }
-            cached = Some(self.write_plan(sql)?);
-        }
+        let catalog = self.catalog.read();
+        let plan = self.plan_against(&catalog, sql)?;
+        Ok(plan.execute(self.store(), session, params.into())?)
     }
 
     /// The compiled plan of a DML text, current with the catalog: from the
@@ -411,14 +366,16 @@ impl<S: KvStore> Database<S> {
     /// compiled (and cached) otherwise. A text that does not compile is an
     /// error every time and is never cached.
     pub fn write_plan(&self, sql: &str) -> Result<Arc<WritePlan>, DbError> {
-        let generation = self.catalog.read().generation();
+        self.plan_against(&self.catalog.read(), sql)
+    }
+
+    /// [`Database::write_plan`] under the catalog read guard its caller
+    /// holds.
+    fn plan_against(&self, catalog: &Catalog, sql: &str) -> Result<Arc<WritePlan>, DbError> {
         if let Some(plan) = self.write_plans.read().get(sql) {
-            if plan.generation() == generation {
-                return Ok(plan.clone());
-            }
+            return Ok(plan.clone());
         }
-        let catalog = self.catalog();
-        let plan = Arc::new(WritePlan::build(self.store(), &catalog, &parse(sql)?)?);
+        let plan = Arc::new(WritePlan::build(self.store(), catalog, &parse(sql)?)?);
         self.plan_compiles.fetch_add(1, Ordering::Relaxed);
         let mut cache = self.write_plans.write();
         if cache.len() >= WRITE_PLAN_CACHE_CAP && !cache.contains_key(sql) {
@@ -439,22 +396,16 @@ impl<S: KvStore> Database<S> {
         }
     }
 
-    /// A table's write-side resolution against the catalog as it stands
-    /// (the sweep and bulk entry points resolve per call).
-    fn table_write(&self, table: &str) -> Result<TableWrite, DbError> {
-        table_write(self.store(), &self.catalog(), table)
-    }
-
     /// Garbage-collect dangling secondary-index entries of a table (§7.2).
-    /// Returns the number of entries collected.
+    /// Returns the number of entries collected. Holds the catalog for read
+    /// throughout, as a write does.
     pub fn gc_indexes(&self, session: &mut Session, table: &str) -> Result<u64, DbError> {
-        let target = self.table_write(table)?;
+        let catalog = self.catalog.read();
+        let target = table_write(self.store(), &catalog, table)?;
         Ok(Writer::new(self.store()).gc_indexes(session, &target)?)
     }
 
-    /// Untimed bulk load (experiment setup); maintains index entries. Not
-    /// counted as a write in flight: an index created while a load runs
-    /// may miss the rows it stores.
+    /// Untimed bulk load (experiment setup); maintains index entries.
     pub fn bulk_load(
         &self,
         table: &str,
@@ -467,13 +418,16 @@ impl<S: KvStore> Database<S> {
         })
     }
 
-    /// [`Database::bulk_load`] of the borrowed rows `feed` pushes ([`Writer::bulk_load`]).
+    /// [`Database::bulk_load`] of the borrowed rows `feed` pushes
+    /// ([`Writer::bulk_load`]). Holds the catalog for read throughout, as a
+    /// write does, so `feed` must not call back into this database.
     pub fn bulk_load_with(
         &self,
         table: &str,
         feed: impl FnOnce(&mut Loader<'_>) -> Result<(), WriteError>,
     ) -> Result<u64, DbError> {
-        let target = self.table_write(table)?;
+        let catalog = self.catalog.read();
+        let target = table_write(self.store(), &catalog, table)?;
         Ok(Writer::new(self.store()).bulk_load(&target, feed)?)
     }
 

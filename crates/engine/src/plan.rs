@@ -7,9 +7,8 @@
 //! layouts, where each column's value comes from, the constraint probes,
 //! and the resulting static bound — so executing a write is a matter of
 //! reading parameters into encoders. [`Database`](crate::Database) caches
-//! plans by text and rebuilds one when the catalog has moved on since it
-//! was built, which is what keeps a cached INSERT from skipping an index
-//! created after it.
+//! plans by text and empties the cache whenever the catalog changes, which
+//! is what keeps a cached INSERT from skipping an index created after it.
 
 use crate::database::DbError;
 use crate::keys::{self, RowSource};
@@ -94,7 +93,6 @@ enum WriteOp {
 /// One compiled INSERT / UPDATE / DELETE.
 #[derive(Debug, Clone)]
 pub struct WritePlan {
-    generation: u64,
     target: TableWrite,
     op: WriteOp,
     bound: QueryBounds,
@@ -228,17 +226,7 @@ impl WritePlan {
                 ))
             }
         };
-        Ok(WritePlan {
-            generation: catalog.generation(),
-            target,
-            op,
-            bound,
-        })
-    }
-
-    /// The catalog generation this plan was compiled at.
-    pub fn generation(&self) -> u64 {
-        self.generation
+        Ok(WritePlan { target, op, bound })
     }
 
     /// The static write bound: no execution issues more requests or rounds.
@@ -414,7 +402,6 @@ mod tests {
             "coerced once"
         );
         assert_eq!(constraints.len(), 1);
-        assert_eq!(plan.generation(), catalog.generation());
         // one index entry, the record, one count — and their undo
         assert_eq!(plan.bound(), write_bounds(5, 5));
 

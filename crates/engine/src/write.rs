@@ -22,7 +22,9 @@
 //! layouts, constraint probes — done once (by a cached
 //! [`WritePlan`](crate::plan::WritePlan), or per call by the sweep and
 //! bulk entry points), and rows arrive as a [`RowSource`] that the
-//! encoders read in place.
+//! encoders read in place. The caller holds the catalog for read while a
+//! write here runs, so no index is created under it
+//! ([`Database`](crate::Database)).
 
 use crate::exec::{page_range, ExecError};
 use crate::keys::{self, KeyPart, RecordKey, RowSource};

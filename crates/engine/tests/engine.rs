@@ -13,6 +13,8 @@ use piql_kv::{
 };
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::thread;
+use std::time::{Duration, Instant};
 
 const SCADR_DDL: &[&str] = &[
     "CREATE TABLE users ( \
@@ -858,7 +860,10 @@ fn cached_write_plan_is_rebuilt_when_the_catalog_moves_on() {
         .unwrap();
     add(&mut session, "after-derived-index");
     let second = db.write_plan(insert).unwrap();
-    assert!(second.generation() > first.generation());
+    assert!(
+        !Arc::ptr_eq(&first, &second),
+        "the derived index emptied the cache"
+    );
     let albany = Params::from_values([Value::Varchar("Albany".into())]);
     assert_eq!(
         db.execute(&mut session, &by_town, &albany)
@@ -894,6 +899,64 @@ fn cached_write_plan_is_rebuilt_when_the_catalog_moves_on() {
         assert_eq!(err.to_string(), "unknown table 'nope'");
     }
     assert_eq!(db.write_plan_stats().cached, 1);
+}
+
+/// A catalog mutation waits for the writes in flight, not for a moment when
+/// none is: while three threads stream UPDATEs over their own rows, each
+/// slowed by store service time, an index shape declared again five times
+/// returns within `BOUND` each time. The writers give up after `STREAM`,
+/// so a mutation starved by them fails here rather than hangs.
+#[test]
+fn an_index_declared_again_under_streaming_writes_returns_promptly() {
+    const BOUND: Duration = Duration::from_secs(1);
+    const STREAM: Duration = Duration::from_secs(10);
+    let db = Database::new(Arc::new(LiveCluster::new(LiveConfig {
+        pool_threads: 0,
+        request_delay_us: 200,
+        ..Default::default()
+    })));
+    db.execute_ddl("CREATE TABLE t (id INT NOT NULL, tag VARCHAR(8), PRIMARY KEY (id))")
+        .unwrap();
+    db.execute_ddl("CREATE INDEX t_by_tag ON t (tag)").unwrap();
+    let mut session = Session::new();
+    let (insert, set) = (
+        "INSERT INTO t VALUES (<id>, 'a')",
+        "UPDATE t SET tag = <tag> WHERE id = <id>",
+    );
+    for id in 0..3 {
+        let row = Params::from_values([Value::Int(id)]);
+        db.execute_dml(&mut session, insert, &row).unwrap();
+    }
+    let stop = AtomicBool::new(false);
+    let waits: Vec<Duration> = thread::scope(|scope| {
+        for id in 0..3 {
+            let (db, stop) = (&db, &stop);
+            scope.spawn(move || {
+                let (start, mut session) = (Instant::now(), Session::new());
+                for tag in ["b", "a"].iter().cycle() {
+                    if stop.load(Ordering::Relaxed) || start.elapsed() > STREAM {
+                        break;
+                    }
+                    let params =
+                        Params::from_values([Value::Varchar(tag.to_string()), Value::Int(id)]);
+                    db.execute_dml(&mut session, set, &params).unwrap();
+                }
+            });
+        }
+        thread::sleep(Duration::from_millis(20));
+        let waits = (0..5)
+            .map(|n| {
+                let ddl = format!("CREATE INDEX t_by_tag_{n} ON t (tag)");
+                let start = Instant::now();
+                db.execute_ddl(&ddl).unwrap();
+                start.elapsed()
+            })
+            .collect();
+        stop.store(true, Ordering::Relaxed);
+        waits
+    });
+    assert!(waits.iter().all(|wait| *wait < BOUND), "{waits:?}");
+    assert_eq!(db.catalog().indexes().count(), 1, "one shape, one index");
 }
 
 /// A `Prepared` carries what its plan reads, resolved when it was made.

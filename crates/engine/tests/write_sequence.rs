@@ -204,6 +204,10 @@ fn body(id: i32, body: &str) -> Params {
     Params::from_values([Value::Varchar(body.into()), Value::Int(id)])
 }
 
+fn seen(id: i32, seen: i32) -> Params {
+    Params::from_values([Value::Int(seen), Value::Int(id)])
+}
+
 fn id(id: i32) -> Params {
     Params::from_values([Value::Int(id)])
 }
@@ -348,10 +352,7 @@ fn outcomes() -> Vec<Outcome> {
             // nothing indexed changes: the read and the swap alone
             name: "unindexed update",
             rows: &[AMY],
-            write: Write::Dml(
-                SET_SEEN,
-                Params::from_values([Value::Int(7), Value::Int(1)]),
-            ),
+            write: Write::Dml(SET_SEEN, seen(1, 7)),
             answer: |a| matches!(a, Ok(0)),
             rounds: |ns| vec![vec![ns.get(1)], vec![ns.tas(1, Some(AMY), SEEN)]],
         },
@@ -783,16 +784,29 @@ fn pairs() -> Vec<Pair> {
             ],
         },
         Pair {
-            // N15: the build waits out an INSERT compiled before it
+            // N15: the build waits for an INSERT that holds the catalog
             name: "online index",
             rows: &[AMY],
             writes: [
                 Write::Dml(INSERT, Note { seen: 9, ..fifth }.params()),
-                Write::Ddl("CREATE INDEX notes_by_seen ON notes (seen)"),
+                Write::Ddl(BY_SEEN),
             ],
+        },
+        Pair {
+            name: "online index, update",
+            rows: &[AMY],
+            writes: [Write::Dml(SET_SEEN, seen(1, 7)), Write::Ddl(BY_SEEN)],
+        },
+        Pair {
+            name: "online index, delete",
+            rows: &[AMY],
+            writes: [Write::Dml(DELETE, id(1)), Write::Ddl(BY_SEEN)],
         },
     ]
 }
+
+/// The index the online-index pairs build while a write runs.
+const BY_SEEN: &str = "CREATE INDEX notes_by_seen ON notes (seen)";
 
 /// What a run of a pair left: the records, and each write's answer.
 type Ended = (Vec<KvEntry>, Vec<String>);
@@ -862,9 +876,12 @@ fn every_schedule<S: KvStore>(
 /// - lost race (a): the first UPDATE's stale drop of `world` lands after
 ///   the rival's swap to "good world", which derives it again (R9 i).
 ///
-/// Update vs delete and the online index fail nothing: the first leaves at
-/// worst a dangling entry, and the index build waits out the INSERT
-/// compiled before it (N15).
+/// Update vs delete and the three online-index pairs fail nothing: the
+/// first leaves at worst a dangling entry, and an index build waits for
+/// the write, which holds the catalog for read through its last round
+/// (N15). Released before the write's rounds, the INSERT and UPDATE pairs
+/// fail (a); the DELETE pair passes even then, since a DELETE racing the
+/// backfill leaves at worst a dangling entry (N12).
 const KNOWN_RACES: &[&str] = &[
     "ABA: (a)",
     "collector: (a)",
