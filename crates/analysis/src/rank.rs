@@ -77,6 +77,9 @@ pub const ENGINE_CATALOG: u32 = 40;
 /// write's read guard, or a mutation's write guard that empties it), never
 /// around it or a kv round.
 pub const ENGINE_WRITE_PLANS: u32 = 42;
+/// `Database.filled`: which indexes have had their first backfill. Taken
+/// for one lookup or mark with no other engine lock held.
+pub const ENGINE_FILLED: u32 = 43;
 
 // ---- predictor shared-model store ----
 

@@ -94,12 +94,8 @@ impl Catalog {
     /// index with the same table and key parts exists, its id is returned
     /// instead (the optimizer re-derives required indexes on every compile).
     pub fn create_index(&mut self, mut def: IndexDef) -> Result<IndexId, CatalogError> {
-        if let Some(existing) = self
-            .indexes
-            .iter()
-            .find(|i| i.table == def.table && i.key == def.key)
-        {
-            return Ok(existing.id);
+        if let Some(existing) = self.index_of_shape(&def) {
+            return Ok(existing);
         }
         let key = def.name.to_ascii_lowercase();
         if self.index_names.contains_key(&key) {
@@ -112,6 +108,14 @@ impl Catalog {
         self.index_names.insert(key, id);
         self.indexes.push(Arc::new(def));
         Ok(id)
+    }
+
+    /// The index already declared over `def`'s table and key, whatever its
+    /// name: what [`Catalog::create_index`] returns for `def`.
+    pub fn index_of_shape(&self, def: &IndexDef) -> Option<IndexId> {
+        (self.indexes.iter())
+            .find(|i| i.table == def.table && i.key == def.key)
+            .map(|i| i.id)
     }
 
     pub fn table(&self, name: &str) -> Option<&Arc<TableDef>> {

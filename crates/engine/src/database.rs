@@ -21,10 +21,10 @@ use crate::exec::{ExecCtx, ExecError, ExecStrategy, QueryResult, RemoteOp};
 use crate::plan::{table_write, WritePlan};
 use crate::reference::ReferenceExecutor;
 use crate::write::{IndexWrite, Loader, WriteError, Writer};
-use piql_analysis::ordered::RwLock;
+use piql_analysis::ordered::{Mutex, RwLock};
 use piql_analysis::rank;
 use piql_core::ast::Statement;
-use piql_core::catalog::{Catalog, CatalogError, IndexDef, TableDef};
+use piql_core::catalog::{Catalog, CatalogError, IndexDef, IndexId, TableDef};
 use piql_core::opt::{Compiled, OptError, Optimizer};
 use piql_core::parser::{parse, ParseError};
 use piql_core::plan::params::ParamsRef;
@@ -153,6 +153,10 @@ pub struct Database<S: KvStore = SimCluster> {
     /// it stands: a catalog mutation empties it. Taken under the catalog's
     /// read guard for one lookup or insert, never across a kv round.
     write_plans: RwLock<HashMap<Box<str>, Arc<WritePlan>>>,
+    /// By index id: whether the index's first backfill has finished. A
+    /// shape declared again after that is complete and maintained by every
+    /// write plan already, so declaring it costs nothing.
+    filled: Mutex<Vec<bool>>,
     plan_compiles: AtomicU64,
     plan_evictions: AtomicU64,
 }
@@ -168,6 +172,7 @@ impl<S: KvStore> Database<S> {
                 "engine.write_plans",
                 HashMap::new(),
             ),
+            filled: Mutex::new(rank::ENGINE_FILLED, "engine.filled", Vec::new()),
             plan_compiles: AtomicU64::new(0),
             plan_evictions: AtomicU64::new(0),
         }
@@ -217,10 +222,24 @@ impl<S: KvStore> Database<S> {
         Ok(())
     }
 
+    /// Declare an index and backfill it. A shape already declared changes
+    /// nothing in the catalog (its id is returned), so the write-plan cache
+    /// is kept; its backfill is skipped once the first one has finished,
+    /// and run again while that one may still be going — so this never
+    /// returns before the index holds every row.
     fn create_index_and_backfill(&self, table: &TableDef, def: IndexDef) -> Result<(), DbError> {
-        let id = self.mutate_catalog(|catalog| catalog.create_index(def))?;
+        let declared = self.catalog.read().index_of_shape(&def);
+        let id = match declared {
+            Some(id) if self.is_filled(id) => return Ok(()),
+            Some(id) => id,
+            None => self.mutate_catalog(|catalog| catalog.create_index(def))?,
+        };
         let idx = self.catalog.read().index_by_id(id).clone();
         self.backfill(table, &idx)
+    }
+
+    fn is_filled(&self, id: IndexId) -> bool {
+        self.filled.lock().get(id.0 as usize) == Some(&true)
     }
 
     /// Apply `mutate` to the catalog under its write guard, which waits for
@@ -243,6 +262,12 @@ impl<S: KvStore> Database<S> {
         let index = IndexWrite::resolve(self.store(), table, idx)?;
         let primary = self.store().namespace(&Catalog::table_namespace(table));
         Writer::new(self.store()).backfill_index(table, primary, &index)?;
+        let at = idx.id.0 as usize;
+        let mut filled = self.filled.lock();
+        if filled.len() <= at {
+            filled.resize(at + 1, false);
+        }
+        filled[at] = true;
         Ok(())
     }
 

@@ -7,6 +7,7 @@ use piql_core::tuple;
 use piql_core::value::{Value, ValueRef};
 use piql_engine::exec::{give_back, scratch_bytes, SCRATCH_CEILING_BYTES};
 use piql_engine::{keys, Cursor, Database, DbError, ExecError, ExecStrategy, WriteError};
+use piql_kv::testkit::{self, Participant, Schedule};
 use piql_kv::{
     ClusterConfig, KvRequest, KvResponse, KvStore, LiveCluster, LiveConfig, NsId, Session,
     SimCluster,
@@ -957,6 +958,91 @@ fn an_index_declared_again_under_streaming_writes_returns_promptly() {
     });
     assert!(waits.iter().all(|wait| *wait < BOUND), "{waits:?}");
     assert_eq!(db.catalog().indexes().count(), 1, "one shape, one index");
+}
+
+/// An index shape declared again, under its name or another, once its
+/// first backfill has finished, changes nothing: no scan, no store op, and
+/// the cached write plans stay.
+#[test]
+fn an_index_declared_again_costs_no_store_op_and_keeps_the_write_plans() {
+    let store = Arc::new(LiveCluster::new(LiveConfig {
+        pool_threads: 0,
+        ..Default::default()
+    }));
+    let db = Database::new(store.clone());
+    db.execute_ddl("CREATE TABLE t (id INT NOT NULL, tag VARCHAR(8), PRIMARY KEY (id))")
+        .unwrap();
+    let (mut session, insert) = (Session::new(), "INSERT INTO t VALUES (<id>, 'a')");
+    for id in 0..1_000 {
+        let row = Params::from_values([Value::Int(id)]);
+        db.execute_dml(&mut session, insert, &row).unwrap();
+    }
+    db.execute_ddl("CREATE INDEX t_by_tag ON t (tag)").unwrap();
+    let row = Params::from_values([Value::Int(1_000)]);
+    db.execute_dml(&mut session, insert, &row).unwrap();
+    let (ops, compiles) = (store.op_count(), db.write_plan_stats().compiles);
+    for ddl in [
+        "CREATE INDEX t_by_tag ON t (tag)",
+        "CREATE INDEX t_by_tag_again ON t (tag)",
+    ] {
+        db.execute_ddl(ddl).unwrap();
+    }
+    assert_eq!(
+        store.op_count(),
+        ops,
+        "a declared shape is not backfilled again"
+    );
+    let row = Params::from_values([Value::Int(1_001)]);
+    db.execute_dml(&mut session, insert, &row).unwrap();
+    assert_eq!(
+        db.write_plan_stats().compiles,
+        compiles,
+        "the plan was kept"
+    );
+    let entries = db.store().execute_round(
+        &mut session,
+        vec![KvRequest::CountRange {
+            ns: db.store().namespace("i/t_by_tag"),
+            start: Vec::new(),
+            end: None,
+        }],
+    );
+    assert_eq!(entries[0].expect_count(), 1_002, "every row, old and new");
+}
+
+/// A shape declared again while its first backfill has not run does not
+/// return before the index holds every row: the first declaration parks
+/// before its scan's first round, and the second, then run to its end,
+/// counts every row in the index.
+#[test]
+fn an_index_declared_again_mid_backfill_returns_once_it_holds_every_row() {
+    let db = Database::new(Arc::new(Schedule::new(LiveCluster::new(LiveConfig {
+        pool_threads: 0,
+        ..Default::default()
+    }))));
+    db.execute_ddl("CREATE TABLE t (id INT NOT NULL, tag VARCHAR(8), PRIMARY KEY (id))")
+        .unwrap();
+    let mut session = Session::new();
+    for id in 0..20 {
+        let row = Params::from_values([Value::Int(id)]);
+        db.execute_dml(&mut session, "INSERT INTO t VALUES (<id>, 'a')", &row)
+            .unwrap();
+    }
+    let declare_and_count = || {
+        db.execute_ddl("CREATE INDEX t_by_tag ON t (tag)").unwrap();
+        let count = KvRequest::CountRange {
+            ns: db.store().namespace("i/t_by_tag"),
+            start: Vec::new(),
+            end: None,
+        };
+        db.store().execute_round(&mut Session::new(), vec![count])[0].expect_count()
+    };
+    let participants: Vec<Participant<'_, u64>> =
+        vec![Box::new(declare_and_count), Box::new(declare_and_count)];
+    // the first runs until it parks, the second then runs to its end
+    let prefix: Vec<usize> = std::iter::once(0).chain([1; 64]).collect();
+    let (counts, _) = testkit::run(participants, &prefix, None);
+    assert_eq!(counts, [Some(20), Some(20)]);
 }
 
 /// A `Prepared` carries what its plan reads, resolved when it was made.

@@ -32,10 +32,13 @@
 //! are *byte-identical* to the generic encoder's (pinned by tests).
 
 use crate::json::{Json, Member, TreeBuilder, MAX_JSON_DEPTH};
-use crate::protocol::{write_cursor_hex, Envelope, ProtoError, Reply, Request, RequestId};
+use crate::protocol::{
+    set_str, take_text_and_params, write_cursor_hex, Envelope, ParamSlots, ProtoError, Reply,
+    Request, RequestId,
+};
 use crate::wire::Wire;
 use piql_core::plan::params::ParamValue;
-use piql_core::value::{Value, ValueRef};
+use piql_core::value::ValueRef;
 use piql_engine::Cursor;
 use std::io::{self, BufRead};
 
@@ -536,48 +539,6 @@ fn read_id_into(cur: &mut Cur<'_>, id: &mut Option<RequestId>) -> Result<(), Pro
     Ok(())
 }
 
-/// Overwrite `slot` with `s`, keeping its buffer: an equal text is not
-/// rewritten, and one that fits its capacity is not reallocated. One that
-/// does not fit gets a buffer of exactly its size, as a fresh decode would.
-fn set_str(slot: &mut String, s: &str) {
-    if slot.capacity() < s.len() {
-        *slot = s.to_string();
-    } else if slot != s {
-        slot.clear();
-        slot.push_str(s);
-    }
-}
-
-/// Heap bytes `env` holds beyond what its contents use: the room a reused
-/// request keeps from the larger frames decoded into it before. Only the
-/// slots [`BinaryWire::decode_into`] writes in place can hold any; every
-/// other request is decoded afresh, exactly sized.
-pub(crate) fn spare_bytes(env: &Envelope) -> usize {
-    let text = |s: &String| s.capacity() - s.len();
-    let id = match &env.id {
-        Some(RequestId::Str(s)) => text(s),
-        _ => 0,
-    };
-    let request = match &env.request {
-        Request::Execute {
-            name: s, params, ..
-        }
-        | Request::Dml { sql: s, params } => {
-            let strings: usize = (params.iter())
-                .map(|p| match p {
-                    ParamValue::Scalar(Value::Varchar(v)) => text(v),
-                    _ => 0,
-                })
-                .sum();
-            text(s)
-                + (params.capacity() - params.len()) * std::mem::size_of::<ParamValue>()
-                + strings
-        }
-        _ => 0,
-    };
-    id + request
-}
-
 /// Decode one tagged value, borrowing string payloads from the frame.
 pub(crate) fn read_value_ref<'a>(cur: &mut Cur<'a>) -> Result<ValueRef<'a>, ProtoError> {
     Ok(match cur.u8()? {
@@ -604,26 +565,14 @@ fn checked_capacity(cur: &Cur<'_>, count: u32) -> Result<usize, ProtoError> {
     Ok(count)
 }
 
-/// Decode a parameter section over `params`: the vector keeps its
-/// capacity and a scalar `Varchar` slot its buffer; any other slot is
-/// replaced.
+/// Decode a parameter section over `params` ([`ParamSlots`]).
 fn read_params_into(cur: &mut Cur<'_>, params: &mut Vec<ParamValue>) -> Result<(), ProtoError> {
     let raw_count = cur.u32()?;
     let count = checked_capacity(cur, raw_count)?;
-    params.truncate(count);
-    params.reserve_exact(count - params.len());
-    for i in 0..count {
-        let param = match cur.u8()? {
-            P_SCALAR => {
-                let value = read_value_ref(cur)?;
-                match (params.get_mut(i), value) {
-                    (Some(ParamValue::Scalar(Value::Varchar(old))), ValueRef::Varchar(s)) => {
-                        set_str(old, s);
-                        continue;
-                    }
-                    _ => ParamValue::Scalar(value.to_value()),
-                }
-            }
+    let mut slots = ParamSlots::new(params, count);
+    for _ in 0..count {
+        match cur.u8()? {
+            P_SCALAR => slots.scalar(read_value_ref(cur)?),
             P_COLLECTION => {
                 let raw_n = cur.u32()?;
                 let n = checked_capacity(cur, raw_n)?;
@@ -631,17 +580,13 @@ fn read_params_into(cur: &mut Cur<'_>, params: &mut Vec<ParamValue>) -> Result<(
                 for _ in 0..n {
                     vs.push(read_value_ref(cur)?.to_value());
                 }
-                ParamValue::Collection(vs)
+                slots.collection(vs);
             }
             other => {
                 return Err(ProtoError::Malformed(format!(
                     "unknown param marker {other}"
                 )))
             }
-        };
-        match params.get_mut(i) {
-            Some(slot) => *slot = param,
-            None => params.push(param),
         }
     }
     Ok(())
@@ -701,9 +646,10 @@ fn read_cursor(cur: &mut Cur<'_>) -> Result<Option<Cursor>, ProtoError> {
     }
 }
 
-/// Decode one request body over `req`. An `execute` or `dml` landing on
-/// a slot of the same verb is written in place ([`set_str`],
-/// [`read_params_into`]); any other request replaces the slot.
+/// Decode one request body over `req`. An `execute` or `dml` keeps the
+/// slot's text and parameter vector ([`take_text_and_params`]), a `batch`
+/// its vector of sub-requests, each decoded over the one at its position;
+/// any other request replaces the slot.
 fn read_body_into(
     cur: &mut Cur<'_>,
     opcode: u8,
@@ -712,10 +658,7 @@ fn read_body_into(
 ) -> Result<(), ProtoError> {
     match opcode {
         OP_EXECUTE | OP_CURSOR_NEXT => {
-            let (mut name, mut params) = match std::mem::replace(req, Request::Stats) {
-                Request::Execute { name, params, .. } => (name, params),
-                _ => Default::default(),
-            };
+            let (mut name, mut params) = take_text_and_params(req);
             set_str(&mut name, cur.str()?);
             read_params_into(cur, &mut params)?;
             let cursor = read_cursor(cur)?;
@@ -731,10 +674,7 @@ fn read_body_into(
             };
         }
         OP_DML => {
-            let (mut sql, mut params) = match std::mem::replace(req, Request::Stats) {
-                Request::Dml { sql, params } => (sql, params),
-                _ => Default::default(),
-            };
+            let (mut sql, mut params) = take_text_and_params(req);
             set_str(&mut sql, cur.str()?);
             read_params_into(cur, &mut params)?;
             *req = Request::Dml { sql, params };
@@ -765,12 +705,18 @@ fn read_body_into(
             }
             let raw_count = cur.u32()?;
             let count = checked_capacity(cur, raw_count)?;
-            let mut requests = Vec::with_capacity(count);
-            for _ in 0..count {
+            let mut requests = match std::mem::replace(req, Request::Stats) {
+                Request::Batch { requests } => requests,
+                _ => Vec::new(),
+            };
+            requests.truncate(count);
+            requests.reserve_exact(count - requests.len());
+            for i in 0..count {
+                if i == requests.len() {
+                    requests.push(Request::Stats);
+                }
                 let op = cur.u8()?;
-                let mut sub = Request::Stats;
-                read_body_into(cur, op, true, &mut sub)?;
-                requests.push(sub);
+                read_body_into(cur, op, true, &mut requests[i])?;
             }
             *req = Request::Batch { requests };
         }
@@ -877,24 +823,6 @@ pub fn parse_hello(frame: &[u8]) -> Result<u8, ProtoError> {
 #[derive(Debug, Default, Clone, Copy)]
 pub struct BinaryWire;
 
-impl BinaryWire {
-    /// Decode a request frame over `env` — the one binary request decoder;
-    /// [`Wire::decode_envelope`] is this on a fresh envelope. A connection
-    /// that keeps its last request decodes the next one into its buffers:
-    /// an unchanged statement text is not rewritten, and the parameter
-    /// vector and each scalar `Varchar` keep their capacity, so a warm
-    /// `execute` or `dml` allocates nothing here. On success `env` equals
-    /// what a fresh decode returns; on error its contents are unspecified
-    /// (the next successful decode overwrites them all).
-    pub fn decode_into(&self, frame: &[u8], env: &mut Envelope) -> Result<(), ProtoError> {
-        let mut cur = Cur::new(frame);
-        let opcode = cur.u8()?;
-        read_id_into(&mut cur, &mut env.id)?;
-        read_body_into(&mut cur, opcode, false, &mut env.request)?;
-        cur.done()
-    }
-}
-
 /// Whether `buffered` (a reader's lookahead bytes) already holds one
 /// complete frame — if so, the server handles it before flushing pending
 /// output, so a pipelined burst answers in one write.
@@ -967,13 +895,12 @@ impl Wire for BinaryWire {
         Ok(true)
     }
 
-    fn decode_envelope(&self, frame: &[u8]) -> Result<Envelope, ProtoError> {
-        let mut env = Envelope {
-            id: None,
-            request: Request::Stats,
-        };
-        self.decode_into(frame, &mut env)?;
-        Ok(env)
+    fn decode_into(&self, frame: &[u8], env: &mut Envelope) -> Result<(), ProtoError> {
+        let mut cur = Cur::new(frame);
+        let opcode = cur.u8()?;
+        read_id_into(&mut cur, &mut env.id)?;
+        read_body_into(&mut cur, opcode, false, &mut env.request)?;
+        cur.done()
     }
 
     fn decode_response(&self, frame: &[u8]) -> Result<(Option<RequestId>, Json), ProtoError> {

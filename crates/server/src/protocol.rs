@@ -133,6 +133,126 @@ pub struct Envelope {
     pub request: Request,
 }
 
+impl Envelope {
+    /// A request slot holding nothing, for a decoder to write into.
+    pub(crate) fn empty() -> Envelope {
+        Envelope {
+            id: None,
+            request: Request::Stats,
+        }
+    }
+
+    /// Heap bytes the envelope holds beyond what its contents use: the
+    /// room a kept request keeps from the larger frames decoded into it
+    /// before. Only the slots the codecs' `decode_into` write in place can
+    /// hold any; every other part is decoded afresh, exactly sized.
+    pub fn spare_bytes(&self) -> usize {
+        let id = match &self.id {
+            Some(RequestId::Str(s)) => slack(s),
+            _ => 0,
+        };
+        id + spare_in(&self.request)
+    }
+}
+
+fn slack(s: &String) -> usize {
+    s.capacity() - s.len()
+}
+
+fn spare_in(request: &Request) -> usize {
+    match request {
+        Request::Execute {
+            name: text, params, ..
+        }
+        | Request::Dml { sql: text, params } => {
+            let strings: usize = (params.iter())
+                .map(|p| match p {
+                    ParamValue::Scalar(Value::Varchar(v)) => slack(v),
+                    _ => 0,
+                })
+                .sum();
+            slack(text)
+                + (params.capacity() - params.len()) * std::mem::size_of::<ParamValue>()
+                + strings
+        }
+        Request::Batch { requests } => {
+            (requests.capacity() - requests.len()) * std::mem::size_of::<Request>()
+                + requests.iter().map(spare_in).sum::<usize>()
+        }
+        _ => 0,
+    }
+}
+
+/// Overwrite `slot` with `s`, keeping its buffer: an equal text is not
+/// rewritten, and one that fits its capacity is not reallocated. One that
+/// does not fit gets a buffer of exactly its size, as a fresh decode would.
+pub(crate) fn set_str(slot: &mut String, s: &str) {
+    if slot.capacity() < s.len() {
+        *slot = s.to_string();
+    } else if slot != s {
+        slot.clear();
+        slot.push_str(s);
+    }
+}
+
+/// The text and parameter vector a request slot holds — an `execute`'s
+/// name or a `dml`'s SQL — taken out for the `execute` or `dml` decoded
+/// next into the slot, whichever of the two it is; empty ones from any
+/// other slot. The slot is left holding `stats`.
+pub(crate) fn take_text_and_params(slot: &mut Request) -> (String, Vec<ParamValue>) {
+    match std::mem::replace(slot, Request::Stats) {
+        Request::Execute {
+            name: text, params, ..
+        }
+        | Request::Dml { sql: text, params } => (text, params),
+        _ => Default::default(),
+    }
+}
+
+/// A parameter list decoded over a kept one, slot by slot — the in-place
+/// reader both codecs feed: the vector keeps its capacity, and a scalar
+/// `Varchar` landing on a scalar `Varchar` keeps its buffer ([`set_str`]);
+/// any other slot is replaced.
+pub(crate) struct ParamSlots<'p> {
+    params: &'p mut Vec<ParamValue>,
+    next: usize,
+}
+
+impl<'p> ParamSlots<'p> {
+    /// Ready to write `count` parameters over `params`, which is cut to
+    /// that length and given room for exactly that many.
+    pub(crate) fn new(params: &'p mut Vec<ParamValue>, count: usize) -> Self {
+        params.truncate(count);
+        params.reserve_exact(count - params.len());
+        ParamSlots { params, next: 0 }
+    }
+
+    /// The next parameter is the scalar `value`.
+    pub(crate) fn scalar(&mut self, value: ValueRef<'_>) {
+        if let (Some(ParamValue::Scalar(Value::Varchar(old))), ValueRef::Varchar(s)) =
+            (self.params.get_mut(self.next), value)
+        {
+            set_str(old, s);
+            self.next += 1;
+            return;
+        }
+        self.put(ParamValue::Scalar(value.to_value()));
+    }
+
+    /// The next parameter is a collection of `values`.
+    pub(crate) fn collection(&mut self, values: Vec<Value>) {
+        self.put(ParamValue::Collection(values));
+    }
+
+    fn put(&mut self, param: ParamValue) {
+        match self.params.get_mut(self.next) {
+            Some(slot) => *slot = param,
+            None => self.params.push(param),
+        }
+        self.next += 1;
+    }
+}
+
 /// A parsed client request.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Request {
@@ -210,20 +330,20 @@ fn value_ref_to_json(v: ValueRef<'_>) -> Json {
 /// The value a tag makes of the scalar under it, `None` when the tag is
 /// unknown or sits over the wrong type: the one table of §3.1's tags, for
 /// the decoder of trees ([`value_from_json`]) and the decoder of request
-/// lines alike.
-fn tagged(tag: &str, inner: Scalar<'_>) -> Option<Value> {
+/// lines alike. A string value borrows the scalar's text.
+fn tagged<'s>(tag: &str, inner: &'s Scalar<'_>) -> Option<ValueRef<'s>> {
     match (tag, inner) {
-        ("int", Scalar::Int(i)) => i32::try_from(i).ok().map(Value::Int),
-        ("big", Scalar::Int(i)) => Some(Value::BigInt(i)),
-        ("str", Scalar::Str(text)) => Some(Value::Varchar(text.into_owned())),
-        ("bool", Scalar::Bool(b)) => Some(Value::Bool(b)),
-        ("ts", Scalar::Int(t)) => Some(Value::Timestamp(t)),
+        ("int", Scalar::Int(i)) => i32::try_from(*i).ok().map(ValueRef::Int),
+        ("big", Scalar::Int(i)) => Some(ValueRef::BigInt(*i)),
+        ("str", Scalar::Str(text)) => Some(ValueRef::Varchar(text)),
+        ("bool", Scalar::Bool(b)) => Some(ValueRef::Bool(*b)),
+        ("ts", Scalar::Int(t)) => Some(ValueRef::Timestamp(*t)),
         // JSON has no Inf/NaN: the encoder writes {"f":null} for
         // non-finite doubles, which decodes to NaN (lossy but
         // round-trippable rather than a page-breaking error)
-        ("f", Scalar::Null) => Some(Value::Double(f64::NAN)),
-        ("f", Scalar::Float(f)) => Some(Value::Double(f)),
-        ("f", Scalar::Int(i)) => Some(Value::Double(i as f64)),
+        ("f", Scalar::Null) => Some(ValueRef::Double(f64::NAN)),
+        ("f", Scalar::Float(f)) => Some(ValueRef::Double(*f)),
+        ("f", Scalar::Int(i)) => Some(ValueRef::Double(*i as f64)),
         _ => None,
     }
 }
@@ -249,7 +369,7 @@ pub fn value_from_json(j: &Json) -> Result<Value, ProtoError> {
                 Json::Str(s) => Scalar::Str(Cow::Borrowed(s)),
                 Json::Arr(_) | Json::Obj(_) => return Err(malformed()),
             };
-            tagged(tag, inner).ok_or_else(malformed)
+            (tagged(tag, &inner).map(ValueRef::to_value)).ok_or_else(malformed)
         }
         _ => Err(malformed()),
     }
@@ -312,7 +432,23 @@ pub(crate) fn write_cursor_hex(cursor: &Cursor, out: &mut Vec<u8>) {
     }
 }
 
-/// Parse one request line, id included.
+/// Parse one request line, id included: the one JSON request decoder
+/// ([`JsonWire::decode_into`](crate::wire::JsonWire)) on a fresh envelope.
+pub fn parse_envelope(line: &str) -> Result<Envelope, ProtoError> {
+    let mut env = Envelope::empty();
+    read_envelope(line, &mut env)?;
+    Ok(env)
+}
+
+/// Parse one request line, ignoring any `id` field (kept for codec tests
+/// and embedders that do their own correlation).
+pub fn parse_request(line: &str) -> Result<Request, ProtoError> {
+    parse_envelope(line).map(|e| e.request)
+}
+
+/// Decode one request line over `env` — the one JSON request decoder
+/// (see [`JsonWire::decode_into`](crate::wire::JsonWire::decode_into) for
+/// what it keeps of what `env` held).
 ///
 /// The line becomes a [`Request`] without a tree in between. It is walked
 /// twice by a [`Scanner`]: once whole, so that a syntax error anywhere in
@@ -322,21 +458,11 @@ pub(crate) fn write_cursor_hex(cursor: &Cursor, out: &mut Vec<u8>) {
 /// the request keeps. A message that quotes an offending value prints it
 /// as the tree would have (`got {"a":1}`, keys sorted), by parsing just
 /// that value — on the error path only.
-pub fn parse_envelope(line: &str) -> Result<Envelope, ProtoError> {
+pub(crate) fn read_envelope(line: &str, env: &mut Envelope) -> Result<(), ProtoError> {
     let line = line.trim();
     let fields = scan_line(line)?;
-    Ok(Envelope {
-        id: present(line, fields.id)
-            .map(|at| read_id(line, at))
-            .transpose()?,
-        request: read_request(line, &fields, false)?,
-    })
-}
-
-/// Parse one request line, ignoring any `id` field (kept for codec tests
-/// and embedders that do their own correlation).
-pub fn parse_request(line: &str) -> Result<Request, ProtoError> {
-    parse_envelope(line).map(|e| e.request)
+    read_id_into(line, fields.id, &mut env.id)?;
+    read_request_into(line, &fields, false, &mut env.request)
 }
 
 /// Best-effort `id` recovery from a line that failed [`parse_envelope`]:
@@ -344,7 +470,9 @@ pub fn parse_request(line: &str) -> Result<Request, ProtoError> {
 /// can still echo it so a pipelining client can correlate the failure.
 pub fn extract_id(line: &str) -> Option<RequestId> {
     let line = line.trim();
-    read_id(line, scan_line(line).ok()?.id?).ok()
+    let mut id = None;
+    read_id_into(line, scan_line(line).ok()?.id, &mut id).ok()?;
+    id
 }
 
 /// Where the value of each field a request object can carry starts in its
@@ -427,10 +555,12 @@ fn read_str(line: &str, at: Option<usize>) -> Result<Option<Cow<'_, str>>, JsonE
 }
 
 /// A field that must be present and a string (`what` names it).
-fn required_str(line: &str, at: Option<usize>, what: &str) -> Result<String, ProtoError> {
-    read_str(line, at)?
-        .map(Cow::into_owned)
-        .ok_or_else(|| ProtoError::Malformed(format!("missing '{what}'")))
+fn required_str<'l>(
+    line: &'l str,
+    at: Option<usize>,
+    what: &str,
+) -> Result<Cow<'l, str>, ProtoError> {
+    read_str(line, at)?.ok_or_else(|| ProtoError::Malformed(format!("missing '{what}'")))
 }
 
 /// A scanner inside the array at `at`, past its bracket; `None` when the
@@ -440,27 +570,63 @@ fn enter_array(line: &str, at: usize) -> Option<Scanner<'_>> {
     (s.peek() == Some(b'[') && s.begin_array().is_ok()).then_some(s)
 }
 
-/// Only integers and strings are valid ids — see [`RequestId::from_json`],
-/// whose message this repeats.
-fn read_id(line: &str, at: usize) -> Result<RequestId, ProtoError> {
+/// How many items the array at `at` holds: what a vector decoded from it
+/// is sized by.
+fn count_items(line: &str, at: usize) -> Result<usize, JsonError> {
+    let mut s = Scanner::at(line, at);
+    s.begin_array()?;
+    let mut count = 0;
+    while s.next_item()? {
+        s.skip_value()?;
+        count += 1;
+    }
+    Ok(count)
+}
+
+/// The `id` field over `id`, a string id's buffer kept: absent or `null`
+/// for none. Only integers and strings are valid ids — see
+/// [`RequestId::from_json`], whose message this repeats.
+fn read_id_into(
+    line: &str,
+    at: Option<usize>,
+    id: &mut Option<RequestId>,
+) -> Result<(), ProtoError> {
+    let Some(at) = present(line, at) else {
+        *id = None;
+        return Ok(());
+    };
     let mut s = Scanner::at(line, at);
     if !matches!(s.peek(), Some(b'{' | b'[')) {
         match s.scalar()? {
-            Scalar::Int(i) => return Ok(RequestId::Int(i)),
-            Scalar::Str(text) => return Ok(RequestId::Str(text.into_owned())),
+            Scalar::Int(i) => {
+                *id = Some(RequestId::Int(i));
+                return Ok(());
+            }
+            Scalar::Str(text) => {
+                match id {
+                    Some(RequestId::Str(old)) => set_str(old, &text),
+                    _ => *id = Some(RequestId::Str(text.into_owned())),
+                }
+                return Ok(());
+            }
             _ => {}
         }
     }
-    RequestId::from_json(&quoted(line, at)?)
+    *id = Some(RequestId::from_json(&quoted(line, at)?)?);
+    Ok(())
 }
 
-/// One tagged value (see [`value_from_json`], whose rules and message
-/// these are): `null`, or an object of exactly one known tag over a scalar
-/// of the type the tag names.
-fn read_value(line: &str, s: &mut Scanner<'_>) -> Result<Value, ProtoError> {
+/// One tagged value, handed to `take` (see [`value_from_json`], whose
+/// rules and message these are): `null`, or an object of exactly one known
+/// tag over a scalar of the type the tag names.
+fn read_value<R>(
+    line: &str,
+    s: &mut Scanner<'_>,
+    take: impl FnOnce(ValueRef<'_>) -> R,
+) -> Result<R, ProtoError> {
     let at = s.pos();
-    match read_tagged(s)? {
-        Some(value) => Ok(value),
+    match read_tagged(s, take)? {
+        Some(taken) => Ok(taken),
         None => Err(ProtoError::Malformed(format!(
             "bad value: {}",
             quoted(line, at)?
@@ -470,11 +636,14 @@ fn read_value(line: &str, s: &mut Scanner<'_>) -> Result<Value, ProtoError> {
 
 /// `None` for anything that is not a value; the scanner is then left
 /// wherever the reading stopped.
-fn read_tagged(s: &mut Scanner<'_>) -> Result<Option<Value>, JsonError> {
+fn read_tagged<R>(
+    s: &mut Scanner<'_>,
+    take: impl FnOnce(ValueRef<'_>) -> R,
+) -> Result<Option<R>, JsonError> {
     match s.peek() {
         Some(b'{') => {}
         Some(b'[') => return Ok(None),
-        _ => return Ok(matches!(s.scalar()?, Scalar::Null).then_some(Value::Null)),
+        _ => return Ok(matches!(s.scalar()?, Scalar::Null).then(|| take(ValueRef::Null))),
     }
     s.begin_object()?;
     // a tag that repeats keeps its last value, as in a map; a second tag
@@ -494,16 +663,21 @@ fn read_tagged(s: &mut Scanner<'_>) -> Result<Option<Value>, JsonError> {
         field = Some((tag, inner));
     }
     Ok(match field {
-        Some((tag, Some(inner))) => tagged(&tag, inner),
+        Some((tag, Some(inner))) => tagged(&tag, &inner).map(take),
         _ => None,
     })
 }
 
-/// The `params` array: a scalar travels as a tagged value, a collection as
-/// an array of them. Absent means none.
-fn read_params(line: &str, at: Option<usize>) -> Result<Vec<ParamValue>, ProtoError> {
+/// The `params` array over `params` ([`ParamSlots`]): a scalar travels as
+/// a tagged value, a collection as an array of them. Absent means none.
+fn read_params_into(
+    line: &str,
+    at: Option<usize>,
+    params: &mut Vec<ParamValue>,
+) -> Result<(), ProtoError> {
     let Some(at) = at else {
-        return Ok(Vec::new());
+        params.clear();
+        return Ok(());
     };
     let Some(mut s) = enter_array(line, at) else {
         return Err(ProtoError::Malformed(format!(
@@ -511,20 +685,20 @@ fn read_params(line: &str, at: Option<usize>) -> Result<Vec<ParamValue>, ProtoEr
             quoted(line, at)?
         )));
     };
-    let mut params = Vec::new();
+    let mut slots = ParamSlots::new(params, count_items(line, at)?);
     while s.next_item()? {
-        params.push(if s.peek() == Some(b'[') {
-            let mut values = Vec::new();
+        if s.peek() == Some(b'[') {
+            let mut values = Vec::with_capacity(count_items(line, s.pos())?);
             s.begin_array()?;
             while s.next_item()? {
-                values.push(read_value(line, &mut s)?);
+                values.push(read_value(line, &mut s, |value| value.to_value())?);
             }
-            ParamValue::Collection(values)
+            slots.collection(values);
         } else {
-            ParamValue::Scalar(read_value(line, &mut s)?)
-        });
+            read_value(line, &mut s, |value| slots.scalar(value))?;
+        }
     }
-    Ok(params)
+    Ok(())
 }
 
 /// The `cursor` field: absent or `null` for none, else hex.
@@ -545,40 +719,62 @@ fn read_cursor(line: &str, at: Option<usize>) -> Result<Option<Cursor>, ProtoErr
         .map_err(|e| ProtoError::Malformed(e.to_string()))
 }
 
-/// Build the request whose fields were found at `fields`. `nested` is true
-/// inside a `batch`, where further batches (and per-sub-request ids) are
-/// malformed.
-fn read_request(line: &str, fields: &Fields, nested: bool) -> Result<Request, ProtoError> {
+/// Write the request whose fields were found at `fields` over `slot`. An
+/// `execute` or `dml` keeps the slot's text and parameter vector
+/// ([`take_text_and_params`]), a `batch` its vector of sub-requests, each
+/// decoded over the one at its position; any other request replaces the
+/// slot. `nested` is true inside a `batch`, where further batches (and
+/// per-sub-request ids) are malformed. On an error the slot holds
+/// whatever was written so far.
+fn read_request_into(
+    line: &str,
+    fields: &Fields,
+    nested: bool,
+    slot: &mut Request,
+) -> Result<(), ProtoError> {
     let cmd =
         read_str(line, fields.cmd)?.ok_or_else(|| ProtoError::Malformed("missing 'cmd'".into()))?;
     match &*cmd {
-        "prepare" => Ok(Request::Prepare {
-            name: required_str(line, fields.name, "name")?,
-            sql: required_str(line, fields.sql, "sql")?,
-        }),
-        "execute" => Ok(Request::Execute {
-            name: required_str(line, fields.name, "name")?,
-            params: read_params(line, fields.params)?,
-            cursor: read_cursor(line, fields.cursor)?,
-        }),
+        "prepare" => {
+            *slot = Request::Prepare {
+                name: required_str(line, fields.name, "name")?.into_owned(),
+                sql: required_str(line, fields.sql, "sql")?.into_owned(),
+            }
+        }
+        "execute" => {
+            let (mut name, mut params) = take_text_and_params(slot);
+            set_str(&mut name, &required_str(line, fields.name, "name")?);
+            read_params_into(line, fields.params, &mut params)?;
+            let cursor = read_cursor(line, fields.cursor)?;
+            *slot = Request::Execute {
+                name,
+                params,
+                cursor,
+            };
+        }
         // `execute` that *requires* a cursor (resuming pagination)
         "cursor-next" => {
             let cursor = read_cursor(line, fields.cursor)?
                 .ok_or_else(|| ProtoError::Malformed("cursor-next requires a 'cursor'".into()))?;
-            Ok(Request::Execute {
-                name: required_str(line, fields.name, "name")?,
-                params: read_params(line, fields.params)?,
+            let (mut name, mut params) = take_text_and_params(slot);
+            set_str(&mut name, &required_str(line, fields.name, "name")?);
+            read_params_into(line, fields.params, &mut params)?;
+            *slot = Request::Execute {
+                name,
+                params,
                 cursor: Some(cursor),
-            })
+            };
         }
-        "dml" => Ok(Request::Dml {
-            sql: required_str(line, fields.sql, "sql")?,
-            params: read_params(line, fields.params)?,
-        }),
-        "stats" => Ok(Request::Stats),
-        "revalidate" => Ok(Request::Revalidate),
-        "rebalance" => Ok(Request::Rebalance),
-        "snapshot" => Ok(Request::Snapshot),
+        "dml" => {
+            let (mut sql, mut params) = take_text_and_params(slot);
+            set_str(&mut sql, &required_str(line, fields.sql, "sql")?);
+            read_params_into(line, fields.params, &mut params)?;
+            *slot = Request::Dml { sql, params };
+        }
+        "stats" => *slot = Request::Stats,
+        "revalidate" => *slot = Request::Revalidate,
+        "rebalance" => *slot = Request::Rebalance,
+        "snapshot" => *slot = Request::Snapshot,
         "explain" => {
             let field = |key: &str, at: Option<usize>| -> Result<Option<String>, ProtoError> {
                 let Some(at) = present(line, at) else {
@@ -599,7 +795,7 @@ fn read_request(line: &str, fields: &Fields, nested: bool) -> Result<Request, Pr
                     "explain requires exactly one of 'name' or 'sql'".into(),
                 ));
             }
-            Ok(Request::Explain { name, sql })
+            *slot = Request::Explain { name, sql };
         }
         "batch" => {
             if nested {
@@ -609,7 +805,11 @@ fn read_request(line: &str, fields: &Fields, nested: bool) -> Result<Request, Pr
                 .requests
                 .and_then(|at| enter_array(line, at))
                 .ok_or_else(|| ProtoError::Malformed("batch requires a 'requests' array".into()))?;
-            let mut requests = Vec::new();
+            let mut requests = match std::mem::replace(slot, Request::Stats) {
+                Request::Batch { requests } => requests,
+                _ => Vec::new(),
+            };
+            let mut count = 0;
             while s.next_item()? {
                 let sub = scan_fields(&mut s)?;
                 // mirror the envelope rule: `"id":null` means absent
@@ -618,12 +818,18 @@ fn read_request(line: &str, fields: &Fields, nested: bool) -> Result<Request, Pr
                         "batch sub-requests are positional and must not carry 'id'".into(),
                     ));
                 }
-                requests.push(read_request(line, &sub, true)?);
+                if count == requests.len() {
+                    requests.push(Request::Stats);
+                }
+                read_request_into(line, &sub, true, &mut requests[count])?;
+                count += 1;
             }
-            Ok(Request::Batch { requests })
+            requests.truncate(count);
+            *slot = Request::Batch { requests };
         }
-        other => Err(ProtoError::Malformed(format!("unknown cmd '{other}'"))),
+        other => return Err(ProtoError::Malformed(format!("unknown cmd '{other}'"))),
     }
+    Ok(())
 }
 
 /// Serialize a request as its wire object (no id).

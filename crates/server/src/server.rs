@@ -350,7 +350,8 @@ fn serve_connection<S: KvStore + 'static>(
         }
         return serve_binary(reader, stream, registry);
     }
-    serve_lanes(reader, stream, registry, dispatch, max_in_flight)
+    let outbox = Arc::new(Outbox::new(max_in_flight, dispatch.worker_count()));
+    serve_lanes(reader, stream, registry, dispatch, max_in_flight, outbox)
 }
 
 /// A JSON connection's answers on their way to its writer: the thread that
@@ -360,6 +361,8 @@ struct Outbox {
     printed: Mutex<Printed>,
     /// Where the writer waits for an answer, or for the end.
     ready: Condvar,
+    /// Most envelopes `Printed::spares` keeps.
+    spare_limit: usize,
 }
 
 /// What an [`Outbox`] holds, read and changed only under its lock.
@@ -376,6 +379,9 @@ struct Printed {
     closed: bool,
     /// The writer is parked on `ready`.
     waiting: bool,
+    /// Envelopes of tagged requests answered, for the reader to decode
+    /// its next lines into.
+    spares: Vec<Envelope>,
 }
 
 impl Printed {
@@ -384,10 +390,28 @@ impl Printed {
     fn writable(&self) -> bool {
         self.answers > 0 || (self.done && self.owed == 0)
     }
+
+    /// Print `reply` as the answer carrying `id`, unless the writer has
+    /// stopped.
+    fn print(&mut self, id: Option<&RequestId>, reply: &Reply) {
+        if !self.closed {
+            JsonWire.encode_reply(id, reply, &mut self.bytes);
+            self.answers += 1;
+        }
+    }
 }
 
 impl Outbox {
-    fn new() -> Self {
+    /// The outbox of a connection whose window is `max_in_flight` (`0`:
+    /// none) on a dispatch pool of `dispatch_width` workers. It keeps as
+    /// many spare envelopes as the window, which bounds how many tagged
+    /// requests are out at once, or without one, one more than the pool's
+    /// width.
+    fn new(max_in_flight: usize, dispatch_width: usize) -> Self {
+        let spare_limit = match max_in_flight {
+            0 => dispatch_width + 1,
+            window => window,
+        };
         let printed = Printed {
             bytes: Vec::new(),
             answers: 0,
@@ -395,36 +419,53 @@ impl Outbox {
             done: false,
             closed: false,
             waiting: false,
+            spares: Vec::new(),
         };
         Outbox {
             printed: Mutex::new(rank::SERVER_OUTBOX, "server.conn.outbox", printed),
             ready: Condvar::new(),
+            spare_limit,
         }
     }
 
     /// Change what is printed, and wake the writer if it waits for what
     /// the change brought.
-    fn update(&self, change: impl FnOnce(&mut Printed)) {
+    fn update<T>(&self, change: impl FnOnce(&mut Printed) -> T) -> T {
         let mut printed = self.printed.lock();
-        change(&mut printed);
+        let value = change(&mut printed);
         if printed.waiting && printed.writable() {
             printed.waiting = false;
             drop(printed);
             self.ready.notify_one();
         }
+        value
     }
 
-    /// Print `reply` as the answer carrying `id` — a tagged request's,
-    /// `owed` since its dispatch — unless the writer has stopped, then hand
-    /// its blocks back to this thread.
-    fn print(&self, id: Option<&RequestId>, reply: Reply, owed: bool) {
-        self.update(|printed| {
-            printed.owed -= u32::from(owed);
-            if !printed.closed {
-                JsonWire.encode_reply(id, &reply, &mut printed.bytes);
-                printed.answers += 1;
+    /// Print `reply` as the answer carrying `id`, unless the writer has
+    /// stopped; then hand its blocks back to this thread.
+    fn print(&self, id: Option<&RequestId>, reply: Reply) {
+        self.update(|printed| printed.print(id, &reply));
+        reply.give_back();
+    }
+
+    /// Print `reply` as the answer to the tagged request `env`, owed since
+    /// its dispatch from a frame of `frame_len` bytes, and keep `env` for
+    /// the reader if it holds no more spare room than that frame and the
+    /// spares have room; then hand the reply's blocks back to this thread.
+    fn print_tagged(&self, env: Envelope, reply: Reply, frame_len: usize) {
+        let keep = env.spare_bytes() <= frame_len;
+        let let_go = self.update(|printed| {
+            printed.owed -= 1;
+            printed.print(env.id.as_ref(), &reply);
+            if keep && printed.spares.len() < self.spare_limit {
+                printed.spares.push(env);
+                None
+            } else {
+                Some(env)
             }
         });
+        // freed with the lock released
+        drop(let_go);
         reply.give_back();
     }
 }
@@ -432,17 +473,23 @@ impl Outbox {
 /// The pipelined reader/writer lanes of a JSON connection. Every request
 /// line gets exactly one response line; protocol errors are answered (not
 /// fatal) so a client bug cannot wedge the connection out from under its
-/// own pipeline. This thread is the *reader*: it decodes each line and
-/// picks its venue (see the module docs), then joins the writer — which
-/// writes every answer still owed — before returning.
+/// own pipeline. This thread is the *reader*: it decodes each line into
+/// the envelope it keeps ([`Wire::decode_into`]) and picks its venue (see
+/// the module docs), then joins the writer — which writes every answer
+/// still owed — before returning. An untagged line is answered in its
+/// envelope; a tagged one takes its envelope to the dispatch task, which
+/// hands it back among the outbox's spares as it prints the answer, and
+/// the reader keeps a spare in its place, if there is one, from the same
+/// update that counts the answer owed. Like [`BinaryConn`]'s, a kept
+/// envelope holds no more spare room than the frame just decoded into it.
 fn serve_lanes<S: KvStore + 'static>(
     mut reader: BufReader<&TcpStream>,
     stream: &TcpStream,
     registry: Arc<StatementRegistry<S>>,
     dispatch: Arc<RoundPool>,
     max_in_flight: usize,
+    outbox: Arc<Outbox>,
 ) -> io::Result<()> {
-    let outbox = Arc::new(Outbox::new());
     // cap 0 = unlimited: no window at all, the lanes behave exactly as
     // before the backpressure control existed
     let window = (max_in_flight > 0).then(|| {
@@ -456,7 +503,7 @@ fn serve_lanes<S: KvStore + 'static>(
         // the ordered venue's session
         let mut session = Session::new();
         let read_result: io::Result<()> = (|| {
-            let mut frame = Vec::new();
+            let (mut frame, mut kept) = (Vec::new(), Envelope::empty());
             while JsonWire.read_frame(&mut reader, &mut frame)? {
                 // backpressure: park until the in-flight window has room (a
                 // full window means the client outran the server — TCP stops
@@ -466,30 +513,41 @@ fn serve_lanes<S: KvStore + 'static>(
                         break;
                     }
                 }
-                let (id, reply) = match JsonWire.decode_envelope(&frame) {
+                match JsonWire.decode_into(&frame, &mut kept) {
                     // on a session of its own: a session is a clock and
                     // counters, `sync_session` sets the clock at every
                     // execute and nothing reads it after the request
-                    Ok(Envelope {
-                        id: Some(id),
-                        request,
-                    }) => {
-                        outbox.update(|printed| printed.owed += 1);
-                        let (registry, outbox) = (registry.clone(), outbox.clone());
+                    Ok(()) if kept.id.is_some() => {
+                        let spare = outbox.update(|printed| {
+                            printed.owed += 1;
+                            printed.spares.pop()
+                        });
+                        let env =
+                            std::mem::replace(&mut kept, spare.unwrap_or_else(Envelope::empty));
+                        let (registry, outbox, frame_len) =
+                            (registry.clone(), outbox.clone(), frame.len());
                         dispatch.spawn(move || {
-                            let reply = run_handler(&request, &mut Session::new(), &registry);
-                            outbox.print(Some(&id), reply, true);
+                            let reply = run_handler(&env.request, &mut Session::new(), &registry);
+                            outbox.print_tagged(env, reply, frame_len);
                         });
                         continue;
                     }
                     // the ordered venue: answered here, in arrival order,
-                    // a line that did not decode in its place
-                    Ok(env) => (None, run_handler(&env.request, &mut session, &registry)),
-                    Err(e) => undecodable(&JsonWire, &frame, e),
-                };
-                // once the writer has stopped, it shut the socket's read
-                // side, so reading ends with the lines already buffered
-                outbox.print(id.as_ref(), reply, false);
+                    // a line that did not decode in its place; once the
+                    // writer has stopped, it shut the socket's read side,
+                    // so reading ends with the lines already buffered
+                    Ok(()) => {
+                        let reply = run_handler(&kept.request, &mut session, &registry);
+                        outbox.print(None, reply);
+                    }
+                    Err(e) => {
+                        let (id, reply) = undecodable(&JsonWire, &frame, e);
+                        outbox.print(id.as_ref(), reply);
+                    }
+                }
+                if kept.spare_bytes() > frame.len() {
+                    kept = Envelope::empty();
+                }
             }
             Ok(())
         })();
@@ -599,7 +657,7 @@ pub struct BinaryConn<S: KvStore + 'static> {
     /// tagged value, re-scanned per fast-path attempt.
     param_offsets: Vec<usize>,
     /// The last request the general path decoded; the next one is decoded
-    /// into its buffers ([`BinaryWire::decode_into`]). It keeps no more
+    /// into its buffers ([`Wire::decode_into`]). It keeps no more
     /// spare room than the frame it was just decoded from: past that it is
     /// dropped, so one large parameter is not held for the connection's
     /// lifetime. Boxed, so a connection is no larger to hold or move.
@@ -615,7 +673,7 @@ impl<S: KvStore + 'static> BinaryConn<S> {
             key_buf: Vec::new(),
             val_buf: Vec::new(),
             param_offsets: Vec::new(),
-            request: Box::new(empty_request()),
+            request: Box::new(Envelope::empty()),
         }
     }
 
@@ -721,17 +779,9 @@ impl<S: KvStore + 'static> BinaryConn<S> {
                 wire.encode_reply(id.as_ref(), &reply, &mut self.out);
             }
         }
-        if binary::spare_bytes(&self.request) > frame.len() {
-            *self.request = empty_request();
+        if self.request.spare_bytes() > frame.len() {
+            *self.request = Envelope::empty();
         }
-    }
-}
-
-/// A request slot holding nothing.
-fn empty_request() -> Envelope {
-    Envelope {
-        id: None,
-        request: Request::Stats,
     }
 }
 
@@ -1229,15 +1279,98 @@ mod tests {
         let mut conn = BinaryConn::new(registry);
         let large = dml_frame(&"x".repeat(1 << 20));
         conn.handle_frame(&large);
-        assert_eq!(binary::spare_bytes(&conn.request), 0, "all of it in use");
+        assert_eq!(conn.request.spare_bytes(), 0, "all of it in use");
         let small = dml_frame("a short thought");
         for _ in 0..3 {
             conn.handle_frame(&small);
-            assert!(binary::spare_bytes(&conn.request) <= small.len());
+            assert!(conn.request.spare_bytes() <= small.len());
         }
         let kept = text_buffer(&conn.request);
         conn.handle_frame(&dml_frame("another thought"));
         assert_eq!(text_buffer(&conn.request), kept, "a frame alike reuses it");
         assert!(!conn.output().is_empty());
+    }
+
+    /// `lines` sent at once to a JSON connection on a dispatch pool of
+    /// `width` workers, over a store whose every request takes 2 ms, then
+    /// the client's write side shut: the answers, and the spare envelopes
+    /// the connection's outbox holds once it has answered them all, with
+    /// their limit.
+    fn serve_burst(lines: &[String], width: usize) -> (Vec<String>, Vec<Envelope>, usize) {
+        let store = LiveCluster::new(LiveConfig {
+            request_delay_us: 2_000,
+            pool_threads: 0,
+            ..Default::default()
+        });
+        let db = Arc::new(Database::new(Arc::new(store)));
+        db.execute_ddl("CREATE TABLE t (k INT NOT NULL, v VARCHAR(8), PRIMARY KEY (k))")
+            .unwrap();
+        let registry = Arc::new(StatementRegistry::new(
+            db,
+            linear_predictor(200, 100, 2),
+            SloConfig {
+                slo_ms: 1e9,
+                interval_confidence: 1.0,
+                allow_degrade: false,
+            },
+        ));
+        registry
+            .register("q", "SELECT * FROM t WHERE k = <k>")
+            .unwrap();
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (conn, _) = listener.accept().unwrap();
+        let outbox = Arc::new(Outbox::new(0, width));
+        let served = {
+            let (outbox, dispatch) = (outbox.clone(), Arc::new(RoundPool::new(width)));
+            std::thread::spawn(move || {
+                serve_lanes(BufReader::new(&conn), &conn, registry, dispatch, 0, outbox)
+            })
+        };
+        client
+            .write_all(format!("{}\n", lines.join("\n")).as_bytes())
+            .unwrap();
+        client.shutdown(Shutdown::Write).unwrap();
+        let answers = BufReader::new(&client)
+            .lines()
+            .map(Result::unwrap)
+            .collect();
+        served.join().unwrap().unwrap();
+        let spares = std::mem::take(&mut outbox.printed.lock().spares);
+        (answers, spares, outbox.spare_limit)
+    }
+
+    fn tagged_read(id: usize) -> String {
+        format!(r#"{{"cmd":"execute","id":{id},"name":"q","params":[{{"int":{id}}}]}}"#)
+    }
+
+    /// The bound on what a JSON connection keeps: after a burst of tagged
+    /// requests, more than its limit of envelopes out at once, it holds no
+    /// more spares than the limit — one more than the dispatch pool's width
+    /// — and none that holds more spare room than the frame it was last
+    /// decoded from.
+    #[test]
+    fn a_burst_of_tagged_requests_leaves_no_more_spare_envelopes_than_the_limit() {
+        let burst: Vec<String> = (0..12).map(tagged_read).collect();
+        let (answers, spares, limit) = serve_burst(&burst, 2);
+        assert_eq!((answers.len(), limit), (12, 3));
+        assert!(
+            !spares.is_empty() && spares.len() <= limit,
+            "{}",
+            spares.len()
+        );
+
+        // an untagged request for a long name, answered in the reader's
+        // envelope; the next line, tagged, is decoded into that envelope
+        // and takes it to the dispatch task, which lets it go
+        let long = format!(
+            r#"{{"cmd":"execute","name":"{}","params":[]}}"#,
+            "x".repeat(1 << 16)
+        );
+        let (answers, spares, _) = serve_burst(&[long, tagged_read(1), tagged_read(2)], 2);
+        assert_eq!(answers.len(), 3);
+        assert!(answers[0].contains("unknown"), "{}", answers[0]);
+        assert_eq!(spares.len(), 1, "only the short request's envelope is kept");
+        assert!(spares[0].spare_bytes() <= tagged_read(2).len());
     }
 }

@@ -18,7 +18,7 @@
 use crate::binary::MAX_FRAME;
 use crate::json::Json;
 use crate::protocol::{
-    envelope_to_line, extract_id, parse_envelope, write_doc, write_reply, Envelope, ProtoError,
+    envelope_to_line, extract_id, read_envelope, write_doc, write_reply, Envelope, ProtoError,
     Reply, RequestId,
 };
 use std::io::{self, BufRead, Read};
@@ -53,8 +53,25 @@ pub trait Wire: Send + Sync {
     /// error within an intact frame, which leaves the stream in sync).
     fn read_frame(&self, reader: &mut dyn BufRead, buf: &mut Vec<u8>) -> io::Result<bool>;
 
-    /// Decode a frame produced by [`Wire::encode_envelope`].
-    fn decode_envelope(&self, frame: &[u8]) -> Result<Envelope, ProtoError>;
+    /// Decode a frame produced by [`Wire::encode_envelope`] over `env` —
+    /// the codec's one request decoder. A connection that keeps its last
+    /// request decodes the next one into its buffers: a statement text that
+    /// has not changed is not rewritten; the parameter vector and each
+    /// scalar `Varchar` keep their capacity; a `batch` keeps its vector and
+    /// decodes each sub-request over the one at its position; and a slot
+    /// keeps its text and parameter vector when it switches between
+    /// `execute` and `dml`. So a warm `execute`, `dml` or batch of them
+    /// allocates nothing here. On success `env` equals what
+    /// [`Wire::decode_envelope`] returns; on error its contents are
+    /// unspecified (the next successful decode overwrites them all).
+    fn decode_into(&self, frame: &[u8], env: &mut Envelope) -> Result<(), ProtoError>;
+
+    /// [`Wire::decode_into`] on a fresh envelope.
+    fn decode_envelope(&self, frame: &[u8]) -> Result<Envelope, ProtoError> {
+        let mut env = Envelope::empty();
+        self.decode_into(frame, &mut env)?;
+        Ok(env)
+    }
 
     /// Decode a frame produced by [`Wire::encode_response`].
     fn decode_response(&self, frame: &[u8]) -> Result<(Option<RequestId>, Json), ProtoError>;
@@ -118,10 +135,10 @@ impl Wire for JsonWire {
         }
     }
 
-    fn decode_envelope(&self, frame: &[u8]) -> Result<Envelope, ProtoError> {
+    fn decode_into(&self, frame: &[u8], env: &mut Envelope) -> Result<(), ProtoError> {
         let line = std::str::from_utf8(frame)
             .map_err(|_| ProtoError::Malformed("request is not valid UTF-8".into()))?;
-        parse_envelope(line)
+        read_envelope(line, env)
     }
 
     fn decode_response(&self, frame: &[u8]) -> Result<(Option<RequestId>, Json), ProtoError> {

@@ -13,7 +13,7 @@
 
 use piql_core::plan::params::ParamValue;
 use piql_core::value::Value;
-use piql_engine::{Cursor, CursorState};
+use piql_engine::{Cursor, CursorState, Database};
 use piql_server::json::{
     parse, write_array, write_bool, write_escaped, write_float, write_int, Json, JsonArr,
     JsonError, JsonMap, JsonStr, Scalar, Scanner, MAX_JSON_DEPTH,
@@ -22,10 +22,18 @@ use piql_server::protocol::{
     attach_id, cursor_to_json, envelope_to_line, extract_id, hex_decode, ok_response,
     param_to_json, parse_envelope, request_to_line, ProtoError,
 };
-use piql_server::{BinaryWire, Envelope, Request, RequestId, Wire};
+use piql_server::testkit::linear_predictor;
+use piql_server::{
+    BinaryWire, Envelope, JsonWire, LiveCluster, LiveConfig, PiqlServer, Request, RequestId,
+    SloConfig, StatementRegistry, Wire,
+};
+use piql_workloads::scadr::{self, ScadrConfig};
 use proptest::prelude::*;
 use proptest::strategy::BoxedStrategy;
 use std::collections::BTreeMap;
+use std::io::{BufRead, BufReader, Write};
+use std::net::TcpStream;
+use std::sync::Arc;
 
 /// Strings mixing ASCII, escapes-required chars, control chars, wide BMP
 /// chars, and (sometimes) an astral char that needs a surrogate pair in
@@ -1182,6 +1190,229 @@ proptest! {
             if at != edited {
                 prop_assert_eq!(Json::Obj(map).to_string(), before);
             }
+        }
+    }
+}
+
+// ----------------------------------------------------- the kept request
+//
+// A connection decodes each line into the envelope it keeps
+// (`JsonWire::decode_into`), which must leave nothing of one request in
+// the next: after each line it holds what `parse_envelope` makes of that
+// line alone, and a connection answers as a fresh one per line does.
+
+/// Texts a connection sends again and again, and some it sends once.
+fn reused_text() -> impl Strategy<Value = String> {
+    prop_oneof![
+        Just("q".to_string()),
+        Just("INSERT".to_string()),
+        string_content()
+    ]
+}
+
+/// Parameter lists that make one slot change kind from line to line:
+/// scalars, `Varchar`s of any length, collections, longer and shorter
+/// lists.
+fn reused_params() -> impl Strategy<Value = Vec<ParamValue>> {
+    let param = prop_oneof![
+        scalar_value().prop_map(ParamValue::Scalar),
+        string_content().prop_map(|s| ParamValue::Scalar(Value::Varchar(s))),
+        prop::collection::vec(scalar_value(), 0..4).prop_map(ParamValue::Collection),
+    ];
+    prop::collection::vec(param, 0..6)
+}
+
+/// The verbs decoded in place, over the texts above.
+fn in_place_request() -> impl Strategy<Value = Request> {
+    prop_oneof![
+        (reused_text(), reused_params()).prop_map(|(sql, params)| Request::Dml { sql, params }),
+        (reused_text(), reused_params()).prop_map(|(name, params)| Request::Execute {
+            name,
+            params,
+            cursor: None,
+        }),
+    ]
+}
+
+/// What a connection is sent in a row: mostly the verbs decoded in place,
+/// alone or in batches that grow and shrink, so a slot switches between
+/// `execute` and `dml`; and the others to switch the slot away and back.
+fn reused_request() -> impl Strategy<Value = Request> {
+    let batch = || {
+        prop::collection::vec(in_place_request(), 0..6)
+            .prop_map(|requests| Request::Batch { requests })
+    };
+    prop_oneof![
+        in_place_request(),
+        in_place_request(),
+        in_place_request(),
+        batch(),
+        batch(),
+        (reused_text(), reused_text()).prop_map(|(name, sql)| Request::Prepare { name, sql }),
+        any_request(),
+    ]
+}
+
+/// One line of a sequence: a request under an id or none, sometimes
+/// edited into a malformed one.
+fn line_in_sequence() -> impl Strategy<Value = String> {
+    let id = prop_oneof![
+        Just(None),
+        request_id().prop_map(Some),
+        request_id().prop_map(Some)
+    ];
+    let edit = prop_oneof![
+        Just(None),
+        Just(None),
+        (any::<prop::sample::Index>(), any::<u8>()).prop_map(Some),
+    ];
+    (id, reused_request(), edit).prop_map(|(id, request, edit)| {
+        let line = envelope_to_line(&Envelope { id, request });
+        match edit {
+            None => line,
+            Some((at, edit)) => mutated(&line, at, edit),
+        }
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// Decoding into one reused envelope, line after line — `execute` and
+    /// `dml` switching, batches growing and shrinking, longer and shorter
+    /// parameter lists, a slot turning from scalar to collection to
+    /// `Varchar`, an id present then absent, malformed lines between —
+    /// gives after each line what `parse_envelope` makes of that line
+    /// alone, the error included.
+    #[test]
+    fn decoding_into_a_reused_request_is_decoding_afresh(
+        lines in prop::collection::vec(line_in_sequence(), 1..16),
+    ) {
+        let mut reused = Envelope { id: None, request: Request::Stats };
+        for line in &lines {
+            let into = JsonWire
+                .decode_into(line.as_bytes(), &mut reused)
+                .map(|()| reused.clone());
+            prop_assert_eq!(into, parse_envelope(line), "line: {}", line);
+        }
+    }
+}
+
+/// Two servers on SCADr stores that start out equal, the statements a
+/// sequence executes prepared on each.
+fn twin_servers() -> [PiqlServer; 2] {
+    let config = ScadrConfig {
+        users_per_node: 5,
+        thoughts_per_user: 2,
+        subscriptions_per_user: 2,
+        ..Default::default()
+    };
+    [(); 2].map(|()| {
+        let db = Arc::new(Database::new(Arc::new(LiveCluster::new(
+            LiveConfig::default(),
+        ))));
+        scadr::setup(&db, &config, 1).unwrap();
+        let registry = Arc::new(StatementRegistry::new(
+            db,
+            linear_predictor(200, 100, 2),
+            SloConfig {
+                slo_ms: 1e9,
+                interval_confidence: 1.0,
+                allow_degrade: false,
+            },
+        ));
+        let q = scadr::queries(&config);
+        registry.register("q", &q.recent_thoughts).unwrap();
+        registry.register("INSERT", &q.find_user).unwrap();
+        PiqlServer::start_with_registry(registry, "127.0.0.1:0").unwrap()
+    })
+}
+
+/// A line for the served sequence: the texts it uses are the registered
+/// statements and the insert the servers' stores accept, alone or in
+/// batches, under an id or none, its parameters of every kind — so some
+/// lines run and some fail — and sometimes cut short.
+fn served_line() -> impl Strategy<Value = String> {
+    let params = || {
+        let param = prop_oneof![
+            (0usize..8).prop_map(|i| ParamValue::Scalar(Value::Varchar(scadr::username(i)))),
+            (0usize..8).prop_map(|i| ParamValue::Scalar(Value::Varchar(format!("thought {i}")))),
+            any::<i64>().prop_map(|t| ParamValue::Scalar(Value::Timestamp(t))),
+            any::<i32>().prop_map(|i| ParamValue::Scalar(Value::Int(i))),
+            (0usize..8)
+                .prop_map(|i| ParamValue::Collection(vec![Value::Varchar(scadr::username(i))])),
+        ];
+        prop::collection::vec(param, 0..5)
+    };
+    let post = scadr::queries(&ScadrConfig::default()).post_thought;
+    let dml = move || {
+        let sql = post.clone();
+        params().prop_map(move |params| Request::Dml {
+            sql: sql.clone(),
+            params,
+        })
+    };
+    let execute = |name: &'static str| {
+        params().prop_map(move |params| Request::Execute {
+            name: name.into(),
+            params,
+            cursor: None,
+        })
+    };
+    let alone = || prop_oneof![dml(), dml(), execute("q"), execute("INSERT")];
+    let request = prop_oneof![
+        alone(),
+        alone(),
+        prop::collection::vec(alone(), 0..5).prop_map(|requests| Request::Batch { requests }),
+    ];
+    let id = prop_oneof![
+        Just(None),
+        any::<i64>().prop_map(|i| Some(RequestId::Int(i))),
+        (0usize..8).prop_map(|i| Some(RequestId::Str(format!("request {i}")))),
+    ];
+    (id, request, any::<prop::sample::Index>(), any::<bool>()).prop_map(
+        |(id, request, cut, truncate)| {
+            let mut line = envelope_to_line(&Envelope { id, request });
+            // the line is ASCII; never cut to nothing, for a blank line is
+            // not a request and gets no answer
+            if truncate {
+                line.truncate(cut.index(line.len()).max(1));
+            }
+            line
+        },
+    )
+}
+
+/// Send `line` on `conn`, in one write, and read its answer.
+fn ask(conn: &mut BufReader<TcpStream>, line: &str) -> String {
+    conn.get_mut()
+        .write_all(format!("{line}\n").as_bytes())
+        .unwrap();
+    let mut answer = String::new();
+    conn.read_line(&mut answer).unwrap();
+    answer
+}
+
+fn connect(server: &PiqlServer) -> BufReader<TcpStream> {
+    BufReader::new(TcpStream::connect(server.local_addr()).unwrap())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// A JSON connection that keeps its envelopes — the reader's, and those
+    /// its tagged requests take to the dispatch pool and hand back —
+    /// answers a sequence of tagged and untagged lines byte for byte as a
+    /// fresh connection per line does.
+    #[test]
+    fn a_kept_request_answers_as_a_fresh_connection_does(
+        lines in prop::collection::vec(served_line(), 1..24),
+    ) {
+        let [kept, fresh] = twin_servers();
+        let mut conn = connect(&kept);
+        for line in &lines {
+            let alone = ask(&mut connect(&fresh), line);
+            prop_assert_eq!(ask(&mut conn, line), alone, "line: {}", line);
         }
     }
 }
