@@ -138,15 +138,19 @@ pub const WAL_SEGMENT: u32 = 80;
 /// it alone, with whatever kv or model lock its caller holds.
 pub const WAL_PENDING: u32 = 82;
 
-// ---- dispatch pool (innermost) ----
+// ---- worker pools (innermost) ----
 //
-// Pool ranks sit above every data-plane rank on purpose: task bodies take
-// kv/WAL locks, so a task body running while a pool lock is held would be
+// Pool ranks sit above every data-plane rank on purpose: job bodies take
+// kv/WAL locks, so a job body running while a pool lock is held would be
 // an inversion — which is exactly the invariant (no user code under pool
 // locks) we want machine-checked.
 
-/// `PoolShared.queue`: the submitted-task queue.
+/// `RoundPool`'s `Workers` queue: round helpers waiting for a worker.
 pub const POOL_QUEUE: u32 = 90;
+/// `piql-server`'s dispatch `Workers` queue: tagged requests waiting for a
+/// dispatch worker. A connection's reader pushes and a worker pops, each
+/// with nothing else held.
+pub const DISPATCH_QUEUE: u32 = 92;
 /// `RoundState.pending`: a round's not-yet-claimed task list.
 pub const POOL_ROUND_PENDING: u32 = 94;
 /// `RoundState.inner`: a round's completion counters.

@@ -28,8 +28,9 @@
 //! in the executing thread's scratch and is reused by its next execution,
 //! and so do the [`Rows`] blocks it builds: a join's input goes back when
 //! the join is done, and the answer once it has been printed
-//! ([`give_back`]). A warm read whose answers are handed back allocates
-//! nothing for its rows.
+//! ([`give_back`]), as do the keys of a printed cursor
+//! ([`give_back_cursor`]). A warm read whose answers are handed back
+//! allocates nothing.
 
 use crate::cursor::{Cursor, CursorState};
 use crate::keys::{self, KeyPart};
@@ -256,10 +257,19 @@ impl RemoteOp {
 /// The most bytes the execution scratch keeps from one execution to the
 /// next, its buffers and its spare blocks together: a scratch that grew
 /// past it is let go when the execution ends, and a block handed back past
-/// it is dropped. Far above what the benchmark's reads keep (their largest
-/// bounded answer is under 10 KB), so those never regrow, while one
-/// outsized read does not stay resident on its thread.
-pub const SCRATCH_CEILING_BYTES: usize = 64 * 1024;
+/// it is dropped. About twice what a thread serving the TPC-W ordering mix
+/// keeps once warm (65–69 KB: three spare blocks of 8–18 KB and the rest in
+/// its buffers), so those reads never regrow, while one outsized read does
+/// not stay resident on its thread.
+pub const SCRATCH_CEILING_BYTES: usize = 128 * 1024;
+
+/// The spare blocks' own part of [`SCRATCH_CEILING_BYTES`]: a block handed
+/// back is kept while the spares, it included, fit in it. Blocks move
+/// between read shapes and grow to the largest they serve; a budget apart
+/// from the buffers keeps that growth from crowding out the buffers and
+/// the buffers' from refusing blocks, so a warm thread keeps every block
+/// it is handed, whichever shapes it served in whichever order.
+const SPARE_BLOCK_BYTES: usize = SCRATCH_CEILING_BYTES / 2;
 
 thread_local! {
     /// The executing thread's scratch between executions.
@@ -292,6 +302,9 @@ struct ExecScratch {
     /// Blocks to build the next ones in: a join's input once it is
     /// widened, and an answer once printed.
     spares: Vec<Rows>,
+    /// Buffers to copy the next cursor's keys into: a cursor's, once
+    /// printed.
+    cursor_keys: Vec<Vec<u8>>,
 }
 
 /// [`ExecCtx::materialize`]'s part of the scratch, apart from the answer
@@ -317,8 +330,8 @@ impl ExecScratch {
             buffer.capacity() * std::mem::size_of::<T>()
         }
         let (s, r) = (self, &self.rows);
-        let spares = s.spares.iter().map(Rows::capacity_bytes).sum::<usize>();
         [
+            s.spare_bytes(),
             bytes(&s.key),
             bytes(&s.end),
             s.token.capacity(),
@@ -327,7 +340,7 @@ impl ExecScratch {
             bytes(&s.items),
             bytes(&s.prefix_lens),
             bytes(&s.order),
-            bytes(&s.spares) + spares,
+            bytes(&s.cursor_keys) + s.cursor_keys.iter().map(bytes).sum::<usize>(),
             bytes(&r.key_text),
             r.key_rows.capacity_bytes(),
             bytes(&r.pk),
@@ -339,12 +352,21 @@ impl ExecScratch {
         .sum()
     }
 
+    /// The bytes its spare blocks have room for, their slots included.
+    fn spare_bytes(&self) -> usize {
+        let blocks = self.spares.iter().map(Rows::capacity_bytes);
+        blocks.sum::<usize>() + self.spares.capacity() * std::mem::size_of::<Rows>()
+    }
+
     /// Keep `rows` as a spare block, unless it has no room to reuse or
-    /// would take the scratch past [`SCRATCH_CEILING_BYTES`].
+    /// would take the spares past [`SPARE_BLOCK_BYTES`] or the scratch
+    /// past [`SCRATCH_CEILING_BYTES`].
     fn keep(&mut self, rows: Rows) {
-        let room = rows.capacity_bytes();
-        let slot = std::mem::size_of::<Rows>();
-        if room > 0 && self.bytes() + room + slot <= SCRATCH_CEILING_BYTES {
+        let room = rows.capacity_bytes() + std::mem::size_of::<Rows>();
+        if rows.capacity_bytes() > 0
+            && self.spare_bytes() + room <= SPARE_BLOCK_BYTES
+            && self.bytes() + room <= SCRATCH_CEILING_BYTES
+        {
             self.spares.push(rows);
         }
     }
@@ -353,6 +375,19 @@ impl ExecScratch {
 /// A block to build in: a spare one, when the thread has one.
 fn spare(spares: &mut Vec<Rows>) -> Rows {
     spares.pop().unwrap_or_default()
+}
+
+/// The most key buffers one cursor holds, and so the most the scratch
+/// keeps for the next.
+const CURSOR_KEYS: usize = 2;
+
+/// A cursor's own copy of `key`, made in a buffer a printed cursor handed
+/// back when the thread has one.
+fn cursor_key(buffers: &mut Vec<Vec<u8>>, key: &[u8]) -> Vec<u8> {
+    let mut buffer = buffers.pop().unwrap_or_default();
+    buffer.clear();
+    buffer.extend_from_slice(key);
+    buffer
 }
 
 /// The bytes the calling thread's execution scratch keeps between
@@ -372,6 +407,26 @@ pub fn scratch_bytes() -> usize {
 pub fn give_back(rows: Rows) {
     let mut scratch = SCRATCH.take().unwrap_or_default();
     scratch.keep(rows);
+    SCRATCH.set(Some(scratch));
+}
+
+/// Hand a cursor's key buffers back to the calling thread's execution
+/// scratch once it has been printed: the thread's next page copies its
+/// cursor's keys into them. Kept like a block: not past
+/// [`SCRATCH_CEILING_BYTES`], and no more than one cursor's worth.
+pub fn give_back_cursor(cursor: Cursor) {
+    let mut scratch = SCRATCH.take().unwrap_or_default();
+    let keys: [Option<Vec<u8>>; CURSOR_KEYS] = match cursor.state {
+        CursorState::ScanAfter { last_key } => [Some(last_key), None],
+        CursorState::SortedJoinAfter { suffix, full_key } => [Some(suffix), Some(full_key)],
+    };
+    for key in keys.into_iter().flatten() {
+        let room = key.capacity() + std::mem::size_of::<Vec<u8>>();
+        let kept = scratch.cursor_keys.len() < CURSOR_KEYS;
+        if kept && key.capacity() > 0 && scratch.bytes() + room <= SCRATCH_CEILING_BYTES {
+            scratch.cursor_keys.push(key);
+        }
+    }
     SCRATCH.set(Some(scratch));
 }
 
@@ -594,8 +649,9 @@ impl<'a> ExecCtx<'a> {
 
         // cursor for the next page
         if self.resume.is_some() || self.produce_cursor {
+            let buffers = &mut s.cursor_keys;
             self.next_cursor = entries.last().map(|(k, _)| CursorState::ScanAfter {
-                last_key: k.to_vec(),
+                last_key: cursor_key(buffers, k),
             });
         }
 
@@ -708,6 +764,7 @@ impl<'a> ExecCtx<'a> {
             prefix_lens,
             rows,
             spares,
+            cursor_keys,
             ..
         } = s;
         round.reset_ranges(op.ns, children.len(), Some(spec.per_key), spec.reverse);
@@ -791,8 +848,8 @@ impl<'a> ExecCtx<'a> {
             self.next_cursor = items.last().map(|it| {
                 let (suffix, full_key) = position(it);
                 CursorState::SortedJoinAfter {
-                    suffix: suffix.to_vec(),
-                    full_key: full_key.to_vec(),
+                    suffix: cursor_key(cursor_keys, suffix),
+                    full_key: cursor_key(cursor_keys, full_key),
                 }
             });
         }

@@ -39,9 +39,9 @@
 //! A round with service time to overlap fans out over a shared
 //! [`RoundPool`] — a fixed-width worker pool whose callers participate in
 //! their own round's queue (so saturation degrades to sequential
-//! execution, never deadlock) and which doubles as a fire-and-forget
-//! dispatch executor ([`RoundPool::spawn`]) for `piql-server`'s pipelined
-//! request handling.
+//! execution, never deadlock). Its threads are a [`Workers`] set, the
+//! fixed threads over one typed job queue that `piql-server`'s pipelined
+//! request dispatch runs on too.
 
 pub mod cluster;
 pub mod latency;
@@ -65,7 +65,7 @@ pub use op::{
     BulkFeed, Entries, KvEntry, KvRequest, KvResponse, MalformedRound, NsId, Probe, ReadAnswer,
     ReadRound, RequestRound,
 };
-pub use pool::{PoolStats, RoundPool};
+pub use pool::{PoolStats, RoundPool, Workers};
 pub use sample::{LiveSampleSink, ModelKey, OpKind, OpSample};
 pub use session::{Session, SessionStats};
 pub use time::{Micros, MILLIS, SECONDS};

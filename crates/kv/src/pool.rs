@@ -23,6 +23,10 @@
 //! 4. **Panic containment.** A panicking task is caught on whichever
 //!    thread ran it and re-raised on the round's calling thread at join,
 //!    so workers survive and unrelated sessions are unaffected.
+//!
+//! The pool's threads are a [`Workers`] set: fixed threads taking typed
+//! jobs off one queue. `piql-server`'s dispatch of tagged requests is the
+//! other such set, its jobs the requests themselves.
 
 use piql_analysis::ordered::{Condvar, Mutex};
 use piql_analysis::rank;
@@ -44,16 +48,9 @@ pub struct PoolStats {
     pub worker_tasks: AtomicU64,
 }
 
-struct PoolShared {
-    queue: Mutex<VecDeque<Task>>,
-    task_ready: Condvar,
-    shutdown: AtomicBool,
-}
-
 /// A fixed-size worker pool scattering rounds of closures.
 pub struct RoundPool {
-    shared: Arc<PoolShared>,
-    workers: Vec<JoinHandle<()>>,
+    workers: Workers<Task>,
     pub stats: PoolStats,
 }
 
@@ -61,52 +58,20 @@ impl RoundPool {
     /// A pool with `threads` workers. `threads = 0` is valid: every round
     /// runs sequentially on its calling thread.
     pub fn new(threads: usize) -> Self {
-        let shared = Arc::new(PoolShared {
-            queue: Mutex::new(rank::POOL_QUEUE, "pool.queue", VecDeque::new()),
-            task_ready: Condvar::new(),
-            shutdown: AtomicBool::new(false),
-        });
-        let workers = (0..threads)
-            .map(|i| {
-                let shared = shared.clone();
-                std::thread::Builder::new()
-                    .name(format!("piql-kv-pool-{i}"))
-                    .spawn(move || worker_loop(&shared))
-                    .expect("spawn pool worker")
-            })
-            .collect();
         RoundPool {
-            shared,
-            workers,
+            workers: Workers::new(
+                threads,
+                "piql-kv-pool",
+                rank::POOL_QUEUE,
+                "pool.queue",
+                |task: Task| task(),
+            ),
             stats: PoolStats::default(),
         }
     }
 
     pub fn worker_count(&self) -> usize {
-        self.workers.len()
-    }
-
-    fn submit(&self, task: Task) {
-        self.shared.queue.lock().push_back(task);
-        self.shared.task_ready.notify_one();
-    }
-
-    /// Fire-and-forget: run `task` on some pool worker, without the round
-    /// join of [`RoundPool::scatter`]. This is what lets the pool double
-    /// as a plain dispatch executor (`piql-server` scatters pipelined
-    /// request handling over one). On a zero-worker pool the task runs
-    /// inline on the caller — degraded but never lost. A panicking task
-    /// is caught and swallowed (there is no joiner to re-raise it at):
-    /// the worker must survive, or one bad task would shrink the pool
-    /// forever while `spawn` kept queueing onto the dead workers.
-    pub fn spawn(&self, task: impl FnOnce() + Send + 'static) {
-        if self.workers.is_empty() {
-            let _ = catch_unwind(AssertUnwindSafe(task));
-        } else {
-            self.submit(Box::new(move || {
-                let _ = catch_unwind(AssertUnwindSafe(task));
-            }));
-        }
+        self.workers.count()
     }
 
     /// Run every closure, in parallel where workers allow, and return the
@@ -121,17 +86,17 @@ impl RoundPool {
         T: Send + 'static,
     {
         let n = fns.len();
-        if n <= 1 || self.workers.is_empty() {
+        if n <= 1 || self.workers.count() == 0 {
             return fns.into_iter().map(|f| f()).collect();
         }
         self.stats.fanned_rounds.fetch_add(1, Ordering::Relaxed);
         let state = Arc::new(RoundState::new(fns));
         // One helper per task beyond the caller's own, capped at the pool
         // width; a helper that arrives after the round drained just returns.
-        let helpers = (n - 1).min(self.workers.len());
+        let helpers = (n - 1).min(self.workers.count());
         for _ in 0..helpers {
             let state = state.clone();
-            self.submit(Box::new(move || state.drain(true)));
+            self.workers.push(Box::new(move || state.drain(true)));
         }
         state.drain(false);
         let (results, worker_tasks) = state.join();
@@ -153,7 +118,83 @@ pub fn default_pool_threads() -> usize {
         .clamp(4, 16)
 }
 
-impl Drop for RoundPool {
+/// A fixed set of threads that run the jobs pushed onto one queue, in push
+/// order, each through the one handler the set was started with. A job is
+/// a value of one type, so a push moves it into the queue and allocates
+/// nothing once the queue has grown to the most jobs ever waiting. With no
+/// threads a push runs its job on the caller — degraded, never lost. A
+/// job that panics is caught and swallowed on whichever thread ran it:
+/// nothing waits on it to re-raise the panic at, and a worker must
+/// survive, or one bad job would shrink the set for good while pushes
+/// kept queueing onto it.
+///
+/// The workspace's two pools are such sets: [`RoundPool`]'s workers run
+/// round helpers, and `piql-server`'s dispatch workers run tagged requests.
+pub struct Workers<J: Send + 'static> {
+    shared: Arc<Shared<J>>,
+    run: Arc<dyn Fn(J) + Send + Sync>,
+    threads: Vec<JoinHandle<()>>,
+}
+
+struct Shared<J> {
+    queue: Mutex<VecDeque<J>>,
+    job_ready: Condvar,
+    shutdown: AtomicBool,
+}
+
+impl<J: Send + 'static> Workers<J> {
+    /// `threads` workers named `name-<i>`, running each job with `run`,
+    /// their queue a lock of `rank` named `lock_name`. `threads = 0` is
+    /// valid: every job runs on the thread that pushes it.
+    pub fn new(
+        threads: usize,
+        name: &str,
+        rank: u32,
+        lock_name: &'static str,
+        run: impl Fn(J) + Send + Sync + 'static,
+    ) -> Self {
+        let shared = Arc::new(Shared {
+            queue: Mutex::new(rank, lock_name, VecDeque::new()),
+            job_ready: Condvar::new(),
+            shutdown: AtomicBool::new(false),
+        });
+        let run: Arc<dyn Fn(J) + Send + Sync> = Arc::new(run);
+        let threads = (0..threads)
+            .map(|i| {
+                let (shared, run) = (shared.clone(), run.clone());
+                std::thread::Builder::new()
+                    .name(format!("{name}-{i}"))
+                    .spawn(move || worker_loop(&shared, &*run))
+                    .expect("spawn pool worker")
+            })
+            .collect();
+        Workers {
+            shared,
+            run,
+            threads,
+        }
+    }
+
+    pub fn count(&self) -> usize {
+        self.threads.len()
+    }
+
+    /// Run `job` on some worker, or here when there is none.
+    pub fn push(&self, job: J) {
+        if self.threads.is_empty() {
+            run_caught(&*self.run, job);
+        } else {
+            self.shared.queue.lock().push_back(job);
+            self.shared.job_ready.notify_one();
+        }
+    }
+}
+
+fn run_caught<J>(run: &(dyn Fn(J) + Send + Sync), job: J) {
+    let _ = catch_unwind(AssertUnwindSafe(|| run(job)));
+}
+
+impl<J: Send + 'static> Drop for Workers<J> {
     fn drop(&mut self) {
         // Store the flag while holding the queue lock: a worker checks
         // `shutdown` and parks in one critical section, so it either has
@@ -166,13 +207,13 @@ impl Drop for RoundPool {
             let _queue = self.shared.queue.lock();
             self.shared.shutdown.store(true, Ordering::SeqCst);
         }
-        self.shared.task_ready.notify_all();
-        // The last handle may be released by a task on this very pool (one
-        // that owns an `Arc<RoundPool>`). Joining oneself fails with
+        self.shared.job_ready.notify_all();
+        // The last handle may be released by a job on these very workers
+        // (one that owns an `Arc` of them). Joining oneself fails with
         // EDEADLK, which std turns into a panic, so that worker is not
-        // joined: it sees the flag when its task returns, and exits.
+        // joined: it sees the flag when its job returns, and exits.
         let me = std::thread::current().id();
-        for handle in self.workers.drain(..) {
+        for handle in self.threads.drain(..) {
             if handle.thread().id() != me {
                 let _ = handle.join();
             }
@@ -180,31 +221,31 @@ impl Drop for RoundPool {
     }
 }
 
-fn worker_loop(shared: &PoolShared) {
+fn worker_loop<J>(shared: &Shared<J>, run: &(dyn Fn(J) + Send + Sync)) {
     loop {
-        let task = {
+        let job = {
             let mut queue = shared.queue.lock();
             loop {
-                if let Some(task) = queue.pop_front() {
+                if let Some(job) = queue.pop_front() {
                     // Baton-pass before running: two rapid notify_one calls
                     // can be consumed by a single waiter (condvar signal
-                    // stealing), which would serialize independent tasks
+                    // stealing), which would serialize independent jobs
                     // behind this one. If work remains queued, wake another
                     // worker now.
                     if !queue.is_empty() {
-                        shared.task_ready.notify_one();
+                        shared.job_ready.notify_one();
                     }
-                    break task;
+                    break job;
                 }
                 // The flag is stored under this lock (see `Drop`), so
                 // between this check and the park no shutdown can slip in.
                 if shared.shutdown.load(Ordering::SeqCst) {
                     return;
                 }
-                queue = shared.task_ready.wait(queue);
+                queue = shared.job_ready.wait(queue);
             }
         };
-        task();
+        run_caught(run, job);
     }
 }
 
@@ -357,43 +398,6 @@ mod tests {
     }
 
     #[test]
-    fn spawned_tasks_run_with_and_without_workers() {
-        use std::sync::mpsc;
-        let pool = RoundPool::new(2);
-        let (tx, rx) = mpsc::channel();
-        for i in 0..8 {
-            let tx = tx.clone();
-            pool.spawn(move || tx.send(i).unwrap());
-        }
-        let mut got: Vec<i32> = (0..8).map(|_| rx.recv().unwrap()).collect();
-        got.sort_unstable();
-        assert_eq!(got, (0..8).collect::<Vec<_>>());
-        // zero workers: inline on the caller, still executed
-        let inline = RoundPool::new(0);
-        let (tx, rx) = mpsc::channel();
-        inline.spawn(move || tx.send(42).unwrap());
-        assert_eq!(rx.try_recv().unwrap(), 42);
-    }
-
-    #[test]
-    fn spawned_panics_do_not_kill_workers() {
-        use std::sync::mpsc;
-        let pool = RoundPool::new(1);
-        // a panicking fire-and-forget task on the single worker...
-        pool.spawn(|| panic!("boom"));
-        // ...must not take the worker down: later spawns still run
-        let (tx, rx) = mpsc::channel();
-        pool.spawn(move || tx.send(7).unwrap());
-        assert_eq!(
-            rx.recv_timeout(std::time::Duration::from_secs(5)).unwrap(),
-            7
-        );
-        // and the inline (zero-worker) path swallows panics too
-        let inline = RoundPool::new(0);
-        inline.spawn(|| panic!("inline boom"));
-    }
-
-    #[test]
     fn round_completes_while_every_worker_is_held_by_another_round() {
         // Constraint 2 under saturation, with no help from anyone: one
         // worker, and round A's two tasks hold both it and A's caller
@@ -448,24 +452,30 @@ mod tests {
     }
 
     #[test]
-    fn last_handle_can_be_dropped_by_a_task_on_the_pool() {
+    fn last_handle_can_be_dropped_by_a_job_on_the_workers() {
         use std::sync::mpsc;
-        let pool = Arc::new(RoundPool::new(2));
+        let workers = Arc::new(Workers::new(
+            2,
+            "test-pool",
+            rank::POOL_QUEUE,
+            "test.queue",
+            |task: Task| task(),
+        ));
         let (go_tx, go_rx) = mpsc::channel::<()>();
         let (done_tx, done_rx) = mpsc::channel();
-        let held = pool.clone();
-        pool.spawn(move || {
+        let held = workers.clone();
+        workers.push(Box::new(move || {
             go_rx.recv().unwrap();
-            // the test's handle is gone: this drop runs `RoundPool::drop`
-            // on one of the pool's own workers
+            // the test's handle is gone: this drop runs `Workers::drop` on
+            // one of its own threads
             drop(held);
             done_tx.send(()).unwrap();
-        });
-        drop(pool);
+        }));
+        drop(workers);
         go_tx.send(()).unwrap();
         done_rx
             .recv_timeout(Duration::from_secs(30))
-            .expect("dropping the pool on its own worker must return, not panic");
+            .expect("dropping the workers on one of their threads must return, not panic");
     }
 
     #[test]

@@ -63,7 +63,7 @@ pub use registry::{
     OverloadConfig, RegisteredStatement, RegistryCounters, RegistryError, RevalidationSummary,
     Revalidator, SloConfig, StatementRegistry,
 };
-pub use server::{BinaryConn, PiqlServer, ServerTuning};
+pub use server::{BinaryConn, Dispatch, JsonConn, PiqlServer, ServerTuning};
 pub use wire::{JsonWire, Wire};
 
 pub use piql_core::json;

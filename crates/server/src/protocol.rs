@@ -40,6 +40,7 @@ use piql_core::rows::{RowRef, Rows};
 use piql_core::value::{Value, ValueRef};
 use piql_engine::Cursor;
 use std::borrow::Cow;
+use std::cell::Cell;
 use std::fmt;
 
 /// Protocol-level failures (distinct from query errors, which travel in
@@ -959,14 +960,46 @@ pub enum Reply {
     Doc(Json),
 }
 
+thread_local! {
+    /// The emptied vector of the last batch answer this thread printed,
+    /// for its next batch to answer into.
+    static SPARE_REPLIES: Cell<Vec<Reply>> = const { Cell::new(Vec::new()) };
+}
+
 impl Reply {
-    /// Hand the reply's result blocks back to this thread's execution
-    /// scratch once they have been printed, so its next read builds its
-    /// blocks in them ([`piql_engine::exec::give_back`]).
+    /// An empty vector for a batch's answers: the one this thread's last
+    /// printed batch handed back, when it has one.
+    pub(crate) fn batch_vec() -> Vec<Reply> {
+        SPARE_REPLIES.take()
+    }
+
+    /// Hand the reply's buffers back to this thread once it has been
+    /// printed: its result blocks and its cursor's keys to the execution
+    /// scratch, so the thread's next read builds its blocks and cursor in
+    /// them ([`piql_engine::exec::give_back`]), and a batch's emptied
+    /// vector to the spare the thread's next batch answers into — kept if
+    /// it is no larger than the execution scratch may be, and larger than
+    /// the one already kept.
     pub fn give_back(self) {
         match self {
-            Reply::Rows { rows, .. } => piql_engine::exec::give_back(rows),
-            Reply::Batch(replies) => replies.into_iter().for_each(Reply::give_back),
+            Reply::Rows { rows, cursor, .. } => {
+                piql_engine::exec::give_back(rows);
+                if let Some(cursor) = cursor {
+                    piql_engine::exec::give_back_cursor(cursor);
+                }
+            }
+            Reply::Batch(mut replies) => {
+                replies.drain(..).for_each(Reply::give_back);
+                let bytes = replies.capacity() * std::mem::size_of::<Reply>();
+                let kept = SPARE_REPLIES.take();
+                let better = replies.capacity() > kept.capacity();
+                let keep = if better && bytes <= piql_engine::exec::SCRATCH_CEILING_BYTES {
+                    replies
+                } else {
+                    kept
+                };
+                SPARE_REPLIES.set(keep);
+            }
             Reply::Done | Reply::Doc(_) => {}
         }
     }

@@ -19,13 +19,13 @@
 //!   promise of overtaking it, and no other connection is involved — a
 //!   request parked on a slow store or a tenant budget holds no worker
 //!   that others need.
-//! * **Tagged work runs on the pool.** A JSON request carrying an `id`
-//!   goes to the server-wide dispatch [`RoundPool`], is handled
-//!   **concurrently** on a fresh session and answered in *completion
-//!   order* (the id is how the client correlates). The pool bounds how
-//!   many tagged requests the whole server handles at once; ordered work
-//!   is bounded by the connection count, and both by the tenant budget
-//!   inside `execute_governed`.
+//! * **Tagged work runs on the dispatch workers.** A JSON request carrying
+//!   an `id` moves, as a `Job` value, into the queue of the server-wide
+//!   [`Dispatch`], is handled **concurrently** on a fresh session and
+//!   answered in *completion order* (the id is how the client correlates).
+//!   The dispatch width bounds how many tagged requests the whole server
+//!   handles at once; ordered work is bounded by the connection count, and
+//!   both by the tenant budget inside `execute_governed`.
 //!
 //! The thread that computes an answer also prints it, into the
 //! connection's one output buffer, and then hands the answer's result
@@ -73,7 +73,7 @@ use piql_analysis::rank;
 use piql_core::codec::key::{encode_component_ref, Dir};
 use piql_core::codec::row::RowReader;
 use piql_engine::Database;
-use piql_kv::{KvStore, LiveCluster, NsBalance, RoundPool, Session};
+use piql_kv::{KvStore, LiveCluster, NsBalance, Session, Workers};
 use piql_predict::SloPredictor;
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
@@ -149,10 +149,10 @@ impl<S: KvStore + 'static> PiqlServer<S> {
         tuning: ServerTuning,
     ) -> io::Result<Self> {
         let max_in_flight = tuning.max_in_flight_per_conn;
-        // The server-wide request-handling pool: every pipelined
-        // (`id`-carrying) JSON request runs on these workers. The accept
-        // thread and every connection's reader share it.
-        let dispatch = Arc::new(RoundPool::new(tuning.dispatch_threads));
+        // The server-wide request-handling workers: every pipelined
+        // (`id`-carrying) JSON request runs on them. The accept thread and
+        // every connection's reader share them.
+        let dispatch = Arc::new(Dispatch::new(registry.clone(), tuning.dispatch_threads));
         let listener = TcpListener::bind(addr)?;
         let local_addr = listener.local_addr()?;
         let shutdown = Arc::new(AtomicBool::new(false));
@@ -328,7 +328,7 @@ fn undecodable(wire: &impl Wire, frame: &[u8], e: ProtoError) -> (Option<Request
 fn serve_connection<S: KvStore + 'static>(
     stream: Arc<TcpStream>,
     registry: Arc<StatementRegistry<S>>,
-    dispatch: Arc<RoundPool>,
+    dispatch: Arc<Dispatch>,
     max_in_flight: usize,
 ) -> io::Result<()> {
     let stream = &*stream;
@@ -350,8 +350,8 @@ fn serve_connection<S: KvStore + 'static>(
         }
         return serve_binary(reader, stream, registry);
     }
-    let outbox = Arc::new(Outbox::new(max_in_flight, dispatch.worker_count()));
-    serve_lanes(reader, stream, registry, dispatch, max_in_flight, outbox)
+    let conn = JsonConn::new(registry, dispatch, max_in_flight);
+    serve_lanes(reader, stream, conn, max_in_flight)
 }
 
 /// A JSON connection's answers on their way to its writer: the thread that
@@ -470,25 +470,139 @@ impl Outbox {
     }
 }
 
+/// A tagged request on its way to a dispatch worker: its envelope, the
+/// outbox its answer goes to, and the length of the frame it was decoded
+/// from. It moves into the dispatch queue as a value, so the hop allocates
+/// nothing once the queue has grown.
+struct Job {
+    env: Envelope,
+    outbox: Arc<Outbox>,
+    frame_len: usize,
+}
+
+/// The server-wide dispatch: the workers that answer tagged requests, each
+/// holding the registry, and the queue of `Job`s they take them from.
+/// Each request is handled on a session of its own: a session is a clock
+/// and counters, `sync_session` sets the clock at every execute and
+/// nothing reads it after the request. With no workers a tagged request is
+/// answered on the reader that decoded it, strictly in order.
+pub struct Dispatch(Workers<Job>);
+
+impl Dispatch {
+    /// `threads` workers answering over `registry`.
+    pub fn new<S: KvStore + 'static>(registry: Arc<StatementRegistry<S>>, threads: usize) -> Self {
+        Dispatch(Workers::new(
+            threads,
+            "piql-dispatch",
+            rank::DISPATCH_QUEUE,
+            "server.dispatch.queue",
+            move |job: Job| {
+                let reply = run_handler(&job.env.request, &mut Session::new(), &registry);
+                job.outbox.print_tagged(job.env, reply, job.frame_len);
+            },
+        ))
+    }
+
+    /// How many workers answer tagged requests.
+    pub(crate) fn width(&self) -> usize {
+        self.0.count()
+    }
+}
+
+/// The reader's side of a JSON connection, socket aside: it decodes each
+/// request line into the envelope it keeps ([`Wire::decode_into`]) and
+/// picks its venue (see the module docs). An untagged line is answered in
+/// its envelope, on the connection's own session; a tagged one takes its
+/// envelope to the dispatch workers as a `Job`, which hands it back
+/// among the outbox's spares as it prints the answer, and the reader keeps
+/// a spare in its place, if there is one, from the same update that counts
+/// the answer owed. Like [`BinaryConn`]'s, a kept envelope holds no more
+/// spare room than the frame just decoded into it. Every answer is printed
+/// into the connection's outbox, for its writer to write.
+pub struct JsonConn<S: KvStore + 'static> {
+    registry: Arc<StatementRegistry<S>>,
+    dispatch: Arc<Dispatch>,
+    outbox: Arc<Outbox>,
+    /// The ordered venue's session.
+    session: Session,
+    kept: Envelope,
+}
+
+impl<S: KvStore + 'static> JsonConn<S> {
+    /// A connection whose window is `max_in_flight` (`0`: none), its tagged
+    /// requests answered on `dispatch`.
+    pub fn new(
+        registry: Arc<StatementRegistry<S>>,
+        dispatch: Arc<Dispatch>,
+        max_in_flight: usize,
+    ) -> Self {
+        let outbox = Arc::new(Outbox::new(max_in_flight, dispatch.width()));
+        JsonConn {
+            registry,
+            dispatch,
+            outbox,
+            session: Session::new(),
+            kept: Envelope::empty(),
+        }
+    }
+
+    /// Handle one request line (without its newline): exactly one answer
+    /// is printed for it, here or on a dispatch worker.
+    pub fn handle_frame(&mut self, frame: &[u8]) {
+        match JsonWire.decode_into(frame, &mut self.kept) {
+            Ok(()) if self.kept.id.is_some() => {
+                let spare = self.outbox.update(|printed| {
+                    printed.owed += 1;
+                    printed.spares.pop()
+                });
+                let env = std::mem::replace(&mut self.kept, spare.unwrap_or_else(Envelope::empty));
+                let outbox = self.outbox.clone();
+                let frame_len = frame.len();
+                self.dispatch.0.push(Job {
+                    env,
+                    outbox,
+                    frame_len,
+                });
+                return;
+            }
+            // the ordered venue: answered here, in arrival order, a line
+            // that did not decode in its place
+            Ok(()) => {
+                let reply = run_handler(&self.kept.request, &mut self.session, &self.registry);
+                self.outbox.print(None, reply);
+            }
+            Err(e) => {
+                let (id, reply) = undecodable(&JsonWire, frame, e);
+                self.outbox.print(id.as_ref(), reply);
+            }
+        }
+        if self.kept.spare_bytes() > frame.len() {
+            self.kept = Envelope::empty();
+        }
+    }
+
+    /// Move the answers printed so far, one line each, to the end of
+    /// `out` — what the connection's writer does, for a caller that serves
+    /// the connection without one.
+    pub fn take_output(&self, out: &mut Vec<u8>) {
+        self.outbox.update(|printed| {
+            out.append(&mut printed.bytes);
+            printed.answers = 0;
+        });
+    }
+}
+
 /// The pipelined reader/writer lanes of a JSON connection. Every request
 /// line gets exactly one response line; protocol errors are answered (not
 /// fatal) so a client bug cannot wedge the connection out from under its
-/// own pipeline. This thread is the *reader*: it decodes each line into
-/// the envelope it keeps ([`Wire::decode_into`]) and picks its venue (see
-/// the module docs), then joins the writer — which writes every answer
-/// still owed — before returning. An untagged line is answered in its
-/// envelope; a tagged one takes its envelope to the dispatch task, which
-/// hands it back among the outbox's spares as it prints the answer, and
-/// the reader keeps a spare in its place, if there is one, from the same
-/// update that counts the answer owed. Like [`BinaryConn`]'s, a kept
-/// envelope holds no more spare room than the frame just decoded into it.
+/// own pipeline. This thread is the *reader*: it hands each line to `conn`
+/// ([`JsonConn::handle_frame`]), then joins the writer — which writes every
+/// answer still owed — before returning.
 fn serve_lanes<S: KvStore + 'static>(
     mut reader: BufReader<&TcpStream>,
     stream: &TcpStream,
-    registry: Arc<StatementRegistry<S>>,
-    dispatch: Arc<RoundPool>,
+    mut conn: JsonConn<S>,
     max_in_flight: usize,
-    outbox: Arc<Outbox>,
 ) -> io::Result<()> {
     // cap 0 = unlimited: no window at all, the lanes behave exactly as
     // before the backpressure control existed
@@ -496,58 +610,26 @@ fn serve_lanes<S: KvStore + 'static>(
         let cap = u32::try_from(max_in_flight).unwrap_or(u32::MAX);
         Gate::new(rank::SERVER_INFLIGHT, "server.conn.window", Some(cap), ())
     });
+    let outbox = conn.outbox.clone();
     std::thread::scope(|scope| {
         let writer_thread = std::thread::Builder::new()
             .name("piql-conn-writer".into())
             .spawn_scoped(scope, || write_loop(stream, &outbox, window.as_ref()))?;
-        // the ordered venue's session
-        let mut session = Session::new();
         let read_result: io::Result<()> = (|| {
-            let (mut frame, mut kept) = (Vec::new(), Envelope::empty());
+            let mut frame = Vec::new();
+            // once the writer has stopped, it shut the socket's read side,
+            // so reading ends with the lines already buffered
             while JsonWire.read_frame(&mut reader, &mut frame)? {
                 // backpressure: park until the in-flight window has room (a
                 // full window means the client outran the server — TCP stops
                 // reading new bytes while we park, pushing back upstream)
                 if let Some(window) = &window {
-                    if !enter_window(window, &registry.counters.backpressure_stalls) {
+                    let stalls = &conn.registry.counters.backpressure_stalls;
+                    if !enter_window(window, stalls) {
                         break;
                     }
                 }
-                match JsonWire.decode_into(&frame, &mut kept) {
-                    // on a session of its own: a session is a clock and
-                    // counters, `sync_session` sets the clock at every
-                    // execute and nothing reads it after the request
-                    Ok(()) if kept.id.is_some() => {
-                        let spare = outbox.update(|printed| {
-                            printed.owed += 1;
-                            printed.spares.pop()
-                        });
-                        let env =
-                            std::mem::replace(&mut kept, spare.unwrap_or_else(Envelope::empty));
-                        let (registry, outbox, frame_len) =
-                            (registry.clone(), outbox.clone(), frame.len());
-                        dispatch.spawn(move || {
-                            let reply = run_handler(&env.request, &mut Session::new(), &registry);
-                            outbox.print_tagged(env, reply, frame_len);
-                        });
-                        continue;
-                    }
-                    // the ordered venue: answered here, in arrival order,
-                    // a line that did not decode in its place; once the
-                    // writer has stopped, it shut the socket's read side,
-                    // so reading ends with the lines already buffered
-                    Ok(()) => {
-                        let reply = run_handler(&kept.request, &mut session, &registry);
-                        outbox.print(None, reply);
-                    }
-                    Err(e) => {
-                        let (id, reply) = undecodable(&JsonWire, &frame, e);
-                        outbox.print(id.as_ref(), reply);
-                    }
-                }
-                if kept.spare_bytes() > frame.len() {
-                    kept = Envelope::empty();
-                }
+                conn.handle_frame(&frame);
             }
             Ok(())
         })();
@@ -837,12 +919,9 @@ pub fn respond<S: KvStore>(
             Err(e) => err_response(e.to_string()),
         },
         Request::Batch { requests } => {
-            return Reply::Batch(
-                requests
-                    .iter()
-                    .map(|sub| respond(sub, session, registry))
-                    .collect(),
-            )
+            let mut replies = Reply::batch_vec();
+            replies.extend(requests.iter().map(|sub| respond(sub, session, registry)));
+            return Reply::Batch(replies);
         }
         Request::Prepare { name, sql } => prepare_response(registry, name, sql),
         Request::Dml { sql, params } => {
@@ -1230,8 +1309,12 @@ mod tests {
     use crate::testkit::linear_predictor;
     use crate::SloConfig;
     use piql_core::plan::params::ParamValue;
+    use piql_core::rows::Rows;
     use piql_core::value::Value;
-    use piql_kv::LiveConfig;
+    use piql_engine::exec::scratch_bytes;
+    use piql_engine::CursorState;
+    use piql_kv::{KvRequest, KvResponse, LiveConfig, NsId};
+    use std::time::{Duration, Instant};
 
     fn dml_frame(text: &str) -> Vec<u8> {
         let mut frame = Vec::new();
@@ -1320,13 +1403,10 @@ mod tests {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let mut client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
         let (conn, _) = listener.accept().unwrap();
-        let outbox = Arc::new(Outbox::new(0, width));
-        let served = {
-            let (outbox, dispatch) = (outbox.clone(), Arc::new(RoundPool::new(width)));
-            std::thread::spawn(move || {
-                serve_lanes(BufReader::new(&conn), &conn, registry, dispatch, 0, outbox)
-            })
-        };
+        let dispatch = Arc::new(Dispatch::new(registry.clone(), width));
+        let json = JsonConn::new(registry, dispatch, 0);
+        let outbox = json.outbox.clone();
+        let served = std::thread::spawn(move || serve_lanes(BufReader::new(&conn), &conn, json, 0));
         client
             .write_all(format!("{}\n", lines.join("\n")).as_bytes())
             .unwrap();
@@ -1372,5 +1452,223 @@ mod tests {
         assert!(answers[0].contains("unknown"), "{}", answers[0]);
         assert_eq!(spares.len(), 1, "only the short request's envelope is kept");
         assert!(spares[0].spare_bytes() <= tagged_read(2).len());
+    }
+
+    /// A store whose rounds panic while armed: what an engine or backend
+    /// bug looks like from the handler.
+    struct FaultyStore {
+        inner: LiveCluster,
+        armed: AtomicBool,
+    }
+
+    impl KvStore for FaultyStore {
+        fn namespace(&self, name: &str) -> NsId {
+            self.inner.namespace(name)
+        }
+        fn execute_round(&self, session: &mut Session, round: Vec<KvRequest>) -> Vec<KvResponse> {
+            assert!(
+                !self.armed.load(Ordering::SeqCst),
+                "injected store fault (this panic is the test's)"
+            );
+            self.inner.execute_round(session, round)
+        }
+        fn bulk_put(&self, ns: NsId, key: Vec<u8>, value: Vec<u8>) {
+            self.inner.bulk_put(ns, key, value)
+        }
+    }
+
+    /// A registry over a [`FaultyStore`] holding `t`, rows (o, k) for o in
+    /// 1..=2 and k in 1..=5, with `q` reading one row by key and `pages`
+    /// paging through an `o`'s rows two at a time.
+    fn faulty_registry() -> (Arc<StatementRegistry<FaultyStore>>, Arc<FaultyStore>) {
+        let store = Arc::new(FaultyStore {
+            inner: LiveCluster::new(LiveConfig::default()),
+            armed: AtomicBool::new(false),
+        });
+        let db = Arc::new(Database::new(store.clone()));
+        db.execute_ddl("CREATE TABLE t (o INT NOT NULL, k INT NOT NULL, PRIMARY KEY (o, k))")
+            .unwrap();
+        let insert = "INSERT INTO t VALUES (<o>, <k>)";
+        for (o, k) in (1..=2).flat_map(|o| (1..=5).map(move |k| (o, k))) {
+            let params = [Value::Int(o).into(), Value::Int(k).into()];
+            db.execute_dml(&mut Session::new(), insert, params.as_slice())
+                .unwrap();
+        }
+        let registry = Arc::new(StatementRegistry::new(
+            db,
+            linear_predictor(200, 100, 2),
+            SloConfig {
+                slo_ms: 1e9,
+                interval_confidence: 1.0,
+                allow_degrade: false,
+            },
+        ));
+        let q = "SELECT * FROM t WHERE o = 1 AND k = <k>";
+        registry.register("q", q).unwrap();
+        let pages = "SELECT * FROM t WHERE o = <o> PAGINATE 2";
+        assert!(registry.register("pages", pages).unwrap().is_admitted());
+        (registry, store)
+    }
+
+    /// The answers `conn` has printed, once there are `n` of them.
+    fn printed<S: KvStore>(conn: &JsonConn<S>, n: usize) -> Vec<String> {
+        let (deadline, mut out) = (Instant::now() + Duration::from_secs(30), Vec::new());
+        loop {
+            conn.take_output(&mut out);
+            let text = std::str::from_utf8(&out).unwrap();
+            if text.lines().count() >= n {
+                return text.lines().map(str::to_string).collect();
+            }
+            assert!(Instant::now() < deadline, "{n} answers never came: {text}");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    /// A tagged request is a job on the dispatch workers, or with none,
+    /// answered on the reader that decoded it before the next line is
+    /// read; every one is answered under its id either way.
+    #[test]
+    fn tagged_requests_are_answered_with_and_without_dispatch_workers() {
+        let (registry, _) = faulty_registry();
+        for width in [2, 0] {
+            let dispatch = Arc::new(Dispatch::new(registry.clone(), width));
+            let mut conn = JsonConn::new(registry.clone(), dispatch, 0);
+            for k in 0..8 {
+                conn.handle_frame(tagged_read(k).as_bytes());
+                if width == 0 {
+                    let answer = printed(&conn, 1).remove(0);
+                    assert!(
+                        answer.contains(&format!(r#""id":{k},"ok":true"#)),
+                        "{answer}"
+                    );
+                }
+            }
+            if width > 0 {
+                let answers = printed(&conn, 8);
+                for k in 0..8 {
+                    let id = format!(r#""id":{k},"ok":true"#);
+                    let under_k = answers.iter().filter(|a| a.contains(&id)).count();
+                    assert_eq!(under_k, 1, "{answers:?}");
+                }
+            }
+        }
+    }
+
+    /// A handler that panics on a dispatch worker is answered with the
+    /// internal error under its id, and the worker survives it: with one
+    /// worker, the next tagged request is answered by that same worker.
+    /// With none, the reader survives it the same way.
+    #[test]
+    fn a_handler_panic_on_a_dispatch_worker_is_answered_and_the_worker_survives() {
+        let (registry, store) = faulty_registry();
+        for width in [1, 0] {
+            let dispatch = Arc::new(Dispatch::new(registry.clone(), width));
+            let mut conn = JsonConn::new(registry.clone(), dispatch, 0);
+            store.armed.store(true, Ordering::SeqCst);
+            conn.handle_frame(tagged_read(1).as_bytes());
+            let failed = printed(&conn, 1).remove(0);
+            store.armed.store(false, Ordering::SeqCst);
+            assert_eq!(
+                failed,
+                r#"{"error":"internal error: request handler panicked","id":1,"ok":false}"#
+            );
+            conn.handle_frame(tagged_read(2).as_bytes());
+            let answer = printed(&conn, 1).remove(0);
+            assert!(answer.contains(r#"[[{"int":1},{"int":2}]]"#), "{answer}");
+        }
+        let panics = registry.counters.handler_panics.load(Ordering::Relaxed);
+        assert_eq!(panics, 2);
+    }
+
+    fn batch_of_pages(o: i32) -> Request {
+        let page = || Request::Execute {
+            name: "pages".into(),
+            params: vec![Value::Int(o).into()],
+            cursor: None,
+        };
+        Request::Batch {
+            requests: vec![page(), page()],
+        }
+    }
+
+    /// The addresses of a batch answer's buffers: its vector, and its
+    /// cursors' keys.
+    fn batch_buffers(reply: &Reply) -> (usize, Vec<usize>) {
+        let Reply::Batch(replies) = reply else {
+            panic!("{reply:?}")
+        };
+        let keys = replies.iter().map(|sub| match sub {
+            Reply::Rows {
+                cursor: Some(cursor),
+                ..
+            } => match &cursor.state {
+                CursorState::ScanAfter { last_key } => last_key.as_ptr() as usize,
+                other => panic!("{other:?}"),
+            },
+            other => panic!("{other:?}"),
+        });
+        (replies.as_ptr() as usize, keys.collect())
+    }
+
+    /// A printed batch hands its emptied vector and its cursors' key
+    /// buffers back to the thread that printed it, and that thread's next
+    /// batch answers into them; another thread's batch does not.
+    #[test]
+    fn a_printed_batch_hands_its_vector_and_cursor_keys_back_to_its_thread() {
+        let (registry, _) = faulty_registry();
+        let mut session = Session::new();
+        let mut first = respond(&batch_of_pages(1), &mut session, &registry);
+        let (vector, mut keys) = batch_buffers(&first);
+        let Reply::Batch(replies) = &mut first else {
+            unreachable!()
+        };
+        let cursors: Vec<_> = replies
+            .iter_mut()
+            .map(|sub| match sub {
+                Reply::Rows { cursor, .. } => cursor.take(),
+                other => panic!("{other:?}"),
+            })
+            .collect();
+        first.give_back();
+        let spare = Reply::batch_vec();
+        assert_eq!(spare.as_ptr() as usize, vector, "the vector is kept");
+        assert!(spare.capacity() >= 2);
+        Reply::Batch(spare).give_back();
+        let without_keys = scratch_bytes();
+        for cursor in cursors {
+            let rows = Rows::default();
+            let degraded = false;
+            Reply::Rows {
+                rows,
+                cursor,
+                degraded,
+            }
+            .give_back();
+        }
+        assert!(scratch_bytes() > without_keys, "the cursors' keys are kept");
+
+        let second = respond(&batch_of_pages(2), &mut session, &registry);
+        let (again, mut keys_again) = batch_buffers(&second);
+        assert_eq!(again, vector, "the next batch answers into the vector");
+        keys.sort_unstable();
+        keys_again.sort_unstable();
+        assert_eq!(keys_again, keys, "and copies its cursors' keys into theirs");
+        second.give_back();
+
+        let elsewhere = std::thread::scope(|scope| {
+            let other = scope.spawn(|| {
+                assert_eq!(
+                    Reply::batch_vec().capacity(),
+                    0,
+                    "a fresh thread keeps none"
+                );
+                let reply = respond(&batch_of_pages(1), &mut Session::new(), &registry);
+                batch_buffers(&reply)
+            });
+            other.join().unwrap()
+        });
+        assert_ne!(elsewhere.0, vector, "another thread keeps its own");
+        let third = respond(&batch_of_pages(1), &mut session, &registry);
+        assert_eq!(batch_buffers(&third).0, vector, "still this thread's");
     }
 }

@@ -10,18 +10,18 @@
 //! (no service time to overlap), so a row is the whole of its work.
 //!
 //! Besides the rows, the relations that make a row mean something are
-//! asserted where they are measured: a warm point read allocates nothing;
-//! a result set costs the same for 1, 10 and 100 rows, and so does a range
-//! answer; a decoded page view is freed whole; a test-and-set keeps the
-//! request's buffer as its entry; and a rebalance after set-up moves
-//! nothing.
+//! asserted where they are measured: a warm point read allocates nothing,
+//! and so does a warm tagged page view on the server; a result set costs
+//! the same for 1, 10 and 100 rows, and so does a range answer; a decoded
+//! page view is freed whole; a test-and-set keeps the request's buffer as
+//! its entry; and a rebalance after set-up moves nothing.
 
 use piql_core::catalog::Catalog;
 use piql_core::plan::params::{ParamValue, Params};
 use piql_core::tuple;
 use piql_core::value::{Value, ValueRef};
 use piql_durability::{Durability, DurabilityConfig, RecoveredState, WalRecord};
-use piql_engine::{Database, Prepared};
+use piql_engine::{Database, Prepared, QueryResult};
 use piql_kv::testkit::swap;
 use piql_kv::{
     BulkFeed, KvEntry, KvRequest, KvResponse, KvStore, LiveCluster, LiveConfig, NsBalance, NsId,
@@ -32,8 +32,8 @@ use piql_server::protocol::ok_response;
 use piql_server::server::respond;
 use piql_server::testkit::linear_predictor;
 use piql_server::{
-    decode_page, BinaryConn, BinaryWire, Envelope, JsonWire, Reply, Request, SloConfig,
-    StatementRegistry, Wire,
+    decode_page, BinaryConn, BinaryWire, Dispatch, Envelope, JsonConn, JsonWire, Reply, Request,
+    SloConfig, StatementRegistry, Wire,
 };
 use piql_workloads::scadr::{self, ScadrConfig};
 use piql_workloads::tpcw;
@@ -568,6 +568,7 @@ fn page_views(table: &mut Table) {
     for (layer, made) in layers.iter().zip(stages) {
         table.row("v2 page view", layer, MEASURED as u64, made);
     }
+    tagged_page_views(table, &registry, &frames);
     // each read alone, its answer handed back as a connection hands it
     // back once printed
     let users: Vec<Vec<ParamValue>> = (0..PAGE_VIEW_USERS).map(page_view_user).collect();
@@ -589,8 +590,43 @@ fn page_views(table: &mut Table) {
     ok_is_one_block(table);
 }
 
+/// The same page views as tagged requests on a connection whose dispatch
+/// has no workers, so each one's decode and its job — the dispatch hop,
+/// `respond`, printing the answer and handing its buffers back — run on
+/// this thread, inside `handle_frame`, the job as a worker runs it. The store's sample sink is
+/// emptied before the measured views, as a re-validation sweep empties it,
+/// so no sample buffer grows among them: what is left is the server's path.
+fn tagged_page_views(table: &mut Table, registry: &Arc<StatementRegistry>, frames: &[Vec<u8>]) {
+    const WARM: usize = 400;
+    const MEASURED: usize = 400;
+    let dispatch = Arc::new(Dispatch::new(registry.clone(), 0));
+    let mut conn = JsonConn::new(registry.clone(), dispatch, 0);
+    let ids: Vec<String> = (0..frames.len())
+        .map(|i| format!("{{\"id\":{i},\"ok\":true"))
+        .collect();
+    let mut out = Vec::new();
+    let mut serve = |n: usize| {
+        for i in 0..n {
+            conn.handle_frame(&frames[i % frames.len()]);
+            out.clear();
+            conn.take_output(&mut out);
+            assert!(out.starts_with(ids[i % frames.len()].as_bytes()));
+        }
+    };
+    serve(WARM);
+    registry.db().cluster().sample_sink().drain();
+    let ((), made) = counted(|| serve(MEASURED));
+    assert_eq!(made.allocs, 0, "a warm tagged page view allocates");
+    table.row(
+        "v2 page view, tagged",
+        "handle_frame",
+        MEASURED as u64,
+        made,
+    );
+}
+
 /// The second page of a paginated scan of a user's thoughts, resumed from
-/// the first page's cursor, its answer handed back.
+/// the first page's cursor, its answer and its cursor handed back.
 fn second_pages(table: &mut Table, registry: &StatementRegistry, users: &[Vec<ParamValue>]) {
     const MEASURED: usize = 400;
     let sql = "SELECT * FROM thoughts WHERE owner = <u> ORDER BY timestamp DESC PAGINATE 4";
@@ -607,9 +643,16 @@ fn second_pages(table: &mut Table, registry: &StatementRegistry, users: &[Vec<Pa
         for i in 0..n {
             let (params, cursor) = (users[i % users.len()].as_slice(), &cursors[i % users.len()]);
             let outcome = registry.execute_governed(&mut session, "pages", params, Some(cursor));
-            let result = outcome.unwrap().result;
-            assert_eq!(result.rows.len(), 4);
-            piql_engine::exec::give_back(result.rows);
+            let QueryResult { rows, cursor } = outcome.unwrap().result;
+            assert_eq!(rows.len(), 4);
+            // handed back as a connection hands back an answer it printed
+            let degraded = false;
+            Reply::Rows {
+                rows,
+                cursor,
+                degraded,
+            }
+            .give_back();
         }
     };
     run(MEASURED);
