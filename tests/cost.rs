@@ -15,6 +15,15 @@
 //! the same for 1, 10 and 100 rows, and so does a range answer; a decoded
 //! page view is freed whole; a test-and-set keeps the request's buffer as
 //! its entry; and a rebalance after set-up moves nothing.
+//!
+//! The table's store section — what one execution of each statement
+//! spends at the store, beside its plan's bound — is pinned by
+//! `read_cost.rs` and `write_bound.rs`, from the module `store_rows`, which
+//! also holds the page-view SCADr and TPC-W set-up those rows share with
+//! the allocation rows here. Its durable section, pinned here, is the log
+//! records and fsyncs of a write acknowledged on a durable stack's ordered
+//! lane; that test counts no allocations, so `lock-order` builds run it
+//! too.
 
 use piql_core::catalog::Catalog;
 use piql_core::plan::params::{ParamValue, Params};
@@ -32,8 +41,8 @@ use piql_server::protocol::ok_response;
 use piql_server::server::respond;
 use piql_server::testkit::linear_predictor;
 use piql_server::{
-    decode_page, BinaryConn, BinaryWire, Dispatch, Envelope, JsonConn, JsonWire, Reply, Request,
-    SloConfig, StatementRegistry, Wire,
+    decode_page, open_durable, BinaryConn, BinaryWire, Dispatch, DurableOptions, Envelope,
+    JsonConn, JsonWire, Reply, Request, StatementRegistry, Wire,
 };
 use piql_workloads::scadr::{self, ScadrConfig};
 use piql_workloads::tpcw;
@@ -45,6 +54,12 @@ use std::ops::{AddAssign, Sub};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
+
+mod store_rows;
+use store_rows::{
+    assert_pinned, golden, page_view_registry, page_view_user, scadr_registry, tpcw_registry,
+    ADMIT_ALL, PAGE_VIEW_READS, PAGE_VIEW_USERS,
+};
 
 // ------------------------------------------------------------ counting
 
@@ -137,28 +152,14 @@ fn counted<T>(f: impl FnOnce() -> T) -> (T, Counts) {
 
 #[test]
 fn the_allocator_counts_calls_bytes_and_what_is_held() {
+    let all = |c: Counts| (c.allocs, c.bytes, c.held);
     let (mut v, made) = counted(|| Vec::<u64>::with_capacity(10));
-    assert_eq!(
-        made,
-        Counts {
-            allocs: 1,
-            bytes: 80,
-            held: 80
-        }
-    );
+    assert_eq!(all(made), (1, 80, 80));
     v.extend(0..10);
     let ((), grown) = counted(|| v.push(10));
-    assert_eq!((grown.allocs, grown.bytes), (1, 160), "a grow is one call");
-    assert_eq!(grown.held, 80);
+    assert_eq!(all(grown), (1, 160, 80), "a grow is one call");
     let ((), freed) = counted(|| drop(v));
-    assert_eq!(
-        freed,
-        Counts {
-            allocs: 0,
-            bytes: 0,
-            held: -160
-        }
-    );
+    assert_eq!(all(freed), (0, 0, -160));
 }
 
 // --------------------------------------------------------------- table
@@ -169,6 +170,11 @@ struct Table(String);
 impl Table {
     fn section(&mut self, title: &str) {
         let _ = writeln!(self.0, "\n== {title}");
+    }
+
+    /// The name column's header, then `columns`, lined up with the rows.
+    fn header(&mut self, columns: &str) {
+        let _ = writeln!(self.0, "{:<54} {columns}", "shape · layer");
     }
 
     /// `n` requests of `shape` cost `layer` `counts` in all.
@@ -197,55 +203,33 @@ impl Table {
     ignore = "lock-order tracking allocates by design"
 )]
 fn every_cost_row_is_pinned() {
-    let mut table = Table(format!(
-        "{:<54} {:>6} {:>7} {:>10} {:>10}\n",
-        "shape · layer", "n", "allocs", "bytes", "held"
-    ));
+    let mut table = Table(String::new());
+    table.header("     n  allocs      bytes       held");
     server_rows(&mut table);
     engine_rows(&mut table);
     kv_rows(&mut table);
     durability_rows(&mut table);
     model_rows(&mut table);
     setup_rows(&mut table);
-    let (actual, expected) = (table.0, include_str!("cost_golden.txt"));
-    if actual != expected {
-        let first = actual
-            .lines()
-            .zip(expected.lines())
-            .position(|(a, e)| a != e)
-            .unwrap_or(actual.lines().count().min(expected.lines().count()));
-        panic!(
-            "costs moved; first differing line {}:\n  expected: {:?}\n  actual:   {:?}\n\
-             full table:\n{actual}",
-            first + 1,
-            expected.lines().nth(first),
-            actual.lines().nth(first),
-        );
-    }
+    assert_pinned(&table.0, golden(None, Some("store")));
 }
 
-// -------------------------------------------------------------- server
-
-/// A registry over SCADr on a `LiveCluster` of `nodes` nodes that admits
-/// everything.
-fn scadr_registry(config: &ScadrConfig, nodes: usize) -> Arc<StatementRegistry> {
-    let db = Arc::new(Database::new(Arc::new(LiveCluster::new(
-        LiveConfig::default(),
-    ))));
-    scadr::setup(&db, config, nodes).unwrap();
-    registry(db)
-}
-
-/// SCADr on two nodes of 20 users, and its `post_thought` INSERT.
-fn small_scadr() -> (Arc<StatementRegistry>, String) {
-    let config = ScadrConfig {
+/// SCADr of 20 users a node.
+fn small_config() -> ScadrConfig {
+    ScadrConfig {
         users_per_node: 20,
         thoughts_per_user: 5,
         subscriptions_per_user: 4,
         ..Default::default()
-    };
+    }
+}
+
+/// SCADr on two nodes of 20 users, and its `post_thought` INSERT.
+fn small_scadr() -> (Arc<StatementRegistry>, String) {
+    let config = small_config();
     let sql = scadr::queries(&config).post_thought;
-    (scadr_registry(&config, 2), sql)
+    let store = LiveCluster::new(LiveConfig::default());
+    (scadr_registry(store, &config, 2), sql)
 }
 
 /// `frame` served as a JSON connection serves it: decoded into the
@@ -304,19 +288,6 @@ fn serve_json_stages(
 /// The three stages of serving a JSON request, as the table names them.
 const JSON_STAGES: [&str; 3] = ["decode_envelope", "respond", "encode_reply"];
 
-fn registry(db: Arc<Database<LiveCluster>>) -> Arc<StatementRegistry> {
-    let slo = SloConfig {
-        slo_ms: 1e9,
-        interval_confidence: 1.0,
-        allow_degrade: false,
-    };
-    Arc::new(StatementRegistry::new(
-        db,
-        linear_predictor(200, 100, 2),
-        slo,
-    ))
-}
-
 /// `request` as the server's read loop delivers it on a v3 connection: a
 /// frame's body, without its length.
 fn binary_frame(request: Request) -> Vec<u8> {
@@ -325,10 +296,10 @@ fn binary_frame(request: Request) -> Vec<u8> {
     frame.split_off(4)
 }
 
-/// Request `id` as the server's read loop delivers it on a JSON
-/// connection: a line, without its newline.
-fn json_line(id: usize, request: Request) -> Vec<u8> {
-    let id = Some((id as i64).into());
+/// Request `id` (untagged: `None`) as the server's read loop delivers it
+/// on a JSON connection: a line, without its newline.
+fn json_line(id: Option<usize>, request: Request) -> Vec<u8> {
+    let id = id.map(|id| (id as i64).into());
     let mut line = Vec::new();
     JsonWire.encode_envelope(&Envelope { id, request }, &mut line);
     line.pop();
@@ -420,7 +391,7 @@ fn json_point_reads(table: &mut Table) {
                 params: vec![Value::Varchar(scadr::username(i % 40)).into()],
                 cursor: None,
             };
-            json_line(i, request)
+            json_line(Some(i), request)
         })
         .collect();
     let stages = serve_json_stages(&registry, &frames, WARM, |i, out| {
@@ -470,7 +441,7 @@ fn json_inserts(table: &mut Table) {
     const MEASURED: usize = 2_000;
     let (registry, sql) = small_scadr();
     let frames: Vec<Vec<u8>> = (0..WARM + MEASURED)
-        .map(|i| json_line(i, post(&sql, i)))
+        .map(|i| json_line(Some(i), post(&sql, i)))
         .collect();
     let stages = serve_json_stages(&registry, &frames, WARM, |i, out| {
         assert_eq!(out, format!("{{\"id\":{i},\"ok\":true}}\n").as_bytes());
@@ -480,44 +451,13 @@ fn json_inserts(table: &mut Table) {
     }
 }
 
-/// The four SCADr reads a page view makes, in the order it makes them.
-const PAGE_VIEW_READS: [&str; 4] = [
-    "find_user",
-    "users_followed",
-    "recent_thoughts",
-    "thoughtstream",
-];
-const PAGE_VIEW_USERS: usize = 40;
-
-fn page_view_user(i: usize) -> Vec<ParamValue> {
-    let user = scadr::username(i % PAGE_VIEW_USERS);
-    vec![ParamValue::Scalar(Value::Varchar(user))]
-}
-
-/// A JSON page view — a `batch` of the four SCADr reads for a user with 10
-/// subscriptions and 10 thoughts, answering 1 + 10 + 10 + 10 rows — stage
-/// by stage, the application's decode of the response included; then each
-/// read alone through `execute_governed`.
+/// A JSON page view — a `batch` of the four SCADr reads, answering
+/// 1 + 10 + 10 + 10 rows — stage by stage, the application's decode of the
+/// response included; then each read alone through `execute_governed`.
 fn page_views(table: &mut Table) {
     const WARM: usize = 400;
     const MEASURED: usize = 400;
-    let config = ScadrConfig {
-        users_per_node: PAGE_VIEW_USERS,
-        thoughts_per_user: 10,
-        subscriptions_per_user: 10,
-        ..Default::default()
-    };
-    let registry = scadr_registry(&config, 1);
-    let q = scadr::queries(&config);
-    let sql = [
-        &q.find_user,
-        &q.users_followed,
-        &q.recent_thoughts,
-        &q.thoughtstream,
-    ];
-    for (name, sql) in PAGE_VIEW_READS.iter().zip(sql) {
-        assert!(registry.register(name, sql).unwrap().is_admitted());
-    }
+    let registry = page_view_registry(LiveCluster::new(LiveConfig::default()));
     let frames: Vec<Vec<u8>> = (0..PAGE_VIEW_USERS)
         .map(|i| {
             let requests = PAGE_VIEW_READS.iter().map(|name| Request::Execute {
@@ -526,7 +466,7 @@ fn page_views(table: &mut Table) {
                 cursor: None,
             });
             let requests = requests.collect();
-            json_line(i, Request::Batch { requests })
+            json_line(Some(i), Request::Batch { requests })
         })
         .collect();
     let (mut session, mut kept, mut out) = (Session::new(), fresh_envelope(), Vec::new());
@@ -573,15 +513,7 @@ fn page_views(table: &mut Table) {
     // back once printed
     let users: Vec<Vec<ParamValue>> = (0..PAGE_VIEW_USERS).map(page_view_user).collect();
     for name in PAGE_VIEW_READS {
-        let mut run = |n: usize| {
-            for i in 0..n {
-                let params = users[i % PAGE_VIEW_USERS].as_slice();
-                let outcome = registry.execute_governed(&mut session, name, params, None);
-                piql_engine::exec::give_back(outcome.unwrap().result.rows);
-            }
-        };
-        run(WARM);
-        let ((), made) = counted(|| run(MEASURED));
+        let made = governed(&registry, name, &users, MEASURED);
         let shape = format!("page view {name}");
         table.row(&shape, "execute_governed", MEASURED as u64, made);
     }
@@ -715,62 +647,40 @@ fn ok_is_one_block(table: &mut Table) {
     table.row("v3 ok answer", "client decode_response", 1, made);
 }
 
-/// Each TPC-W Table-1 read through `execute_governed`, warm, in
-/// `tpcw::TABLE1_SQL` order, each answering rows.
+/// Each TPC-W Table-1 read through `execute_governed`, warm, each
+/// answering rows.
 fn tpcw_reads(table: &mut Table) {
-    const WARM: usize = 100;
     const MEASURED: usize = 100;
-    let db = Arc::new(Database::new(Arc::new(LiveCluster::new(
-        LiveConfig::default(),
-    ))));
-    let config = tpcw::TpcwConfig {
-        items: 400,
-        customers_per_node: 30,
-        ..Default::default()
-    };
-    let (_, _, orders) = tpcw::setup(&db, &config, 1).unwrap();
-    let registry = registry(db);
-    let text = |s: &str| vec![ParamValue::Scalar(Value::Varchar(s.into()))];
-    let int = |i: i32| vec![ParamValue::Scalar(Value::Int(i))];
-    let customer = text(&tpcw::customer_uname(11));
-    let promotions = [3, 77, 150, 399, 4_000].map(Value::Int).to_vec();
-    let params = [
-        customer.clone(),
-        vec![ParamValue::Collection(promotions)],
-        text(tpcw::SUBJECTS[2]),
-        int(42),
-        text(tpcw::SURNAMES[5]),
-        text(tpcw::TITLE_WORDS[9]),
-        customer.clone(),
-        customer,
-        int(tpcw::initial_order_id(5, orders)),
-        // a seeded cart: `setup` spreads 64 of them over the id space
-        int((3 * (i32::MAX as i64 / 65)) as i32),
-    ];
-    let mut session = Session::new();
-    for ((label, sql), params) in tpcw::TABLE1_SQL.iter().zip(&params) {
-        assert!(
-            registry.register(label, sql).unwrap().is_admitted(),
-            "{label}"
-        );
-        let mut run = |n: usize| {
-            for _ in 0..n {
-                let outcome =
-                    registry.execute_governed(&mut session, label, params.as_slice(), None);
-                let rows = outcome.unwrap().result.rows;
-                assert!(!rows.is_empty(), "{label}");
-                piql_engine::exec::give_back(rows);
-            }
-        };
-        run(WARM);
-        let ((), made) = counted(|| run(MEASURED));
-        table.row(
-            &format!("tpcw {label}"),
-            "execute_governed",
-            MEASURED as u64,
-            made,
-        );
+    let (registry, params) = tpcw_registry(LiveCluster::new(LiveConfig::default()));
+    for ((label, _), params) in tpcw::TABLE1_SQL.iter().zip(params) {
+        let made = governed(&registry, label, &[params], MEASURED);
+        let shape = format!("tpcw {label}");
+        table.row(&shape, "execute_governed", MEASURED as u64, made);
     }
+}
+
+/// What the registered read `name` costs through `execute_governed` over
+/// `n` runs, after `n` uncounted, for each of `params` in turn, each
+/// answering rows that are handed back as a connection hands them back
+/// once printed.
+fn governed<S: KvStore>(
+    registry: &StatementRegistry<S>,
+    name: &str,
+    params: &[Vec<ParamValue>],
+    n: usize,
+) -> Counts {
+    let mut session = Session::new();
+    let mut run = |n: usize| {
+        for i in 0..n {
+            let params = params[i % params.len()].as_slice();
+            let outcome = registry.execute_governed(&mut session, name, params, None);
+            let rows = outcome.unwrap().result.rows;
+            assert!(!rows.is_empty(), "{name}");
+            piql_engine::exec::give_back(rows);
+        }
+    };
+    run(n);
+    counted(|| run(n)).1
 }
 
 // -------------------------------------------------------------- engine
@@ -1672,4 +1582,72 @@ fn setup_rows(table: &mut Table) {
         entries(laid_out),
         "a rebalance moved entries"
     );
+}
+
+// ------------------------------------------------------------- durable
+
+/// `post_thought` INSERTs on a durable stack's ordered lane, as a v3
+/// connection and as untagged JSON lines: the log records each appends
+/// and the fsyncs its acknowledgement waits for.
+fn durable_rows(table: &mut Table) {
+    const WRITES: usize = 40;
+    table.section("durable: post_thought on open_durable's ordered lane, per write");
+    table.header("     n wal records fsyncs");
+    let dir = temp_dir("durable");
+    let mut options = DurableOptions::new(&dir);
+    options.slo = ADMIT_ALL;
+    let config = small_config();
+    let sql = scadr::queries(&config).post_thought;
+    let stack = open_durable(options, linear_predictor(200, 100, 2), |db| {
+        scadr::setup(db, &config, 2).map(|_| ())
+    })
+    .unwrap();
+    let registry = stack.registry.clone();
+    let mut binary = BinaryConn::new(registry.clone());
+    let dispatch = Arc::new(Dispatch::new(registry.clone(), 0));
+    let mut json = JsonConn::new(registry, dispatch, 0);
+    let (mut next, mut out, mut done) = (0, Vec::new(), Vec::new());
+    BinaryWire.encode_reply(None, &Reply::Done, &mut done);
+    let lanes: [(&str, &mut dyn FnMut(Request)); 2] = [
+        ("v3 insert, durable", &mut |request| {
+            binary.handle_frame(&binary_frame(request));
+            assert_eq!(binary.output(), done);
+            binary.clear_output();
+        }),
+        ("v2 insert, durable, untagged", &mut |request| {
+            json.handle_frame(&json_line(None, request));
+            out.clear();
+            json.take_output(&mut out);
+            assert_eq!(out, b"{\"ok\":true}\n");
+        }),
+    ];
+    for (shape, serve) in lanes {
+        // the first write of a lane compiles its plan
+        serve(post(&sql, next));
+        let before = stack.durability.health();
+        for i in next + 1..next + 1 + WRITES {
+            serve(post(&sql, i));
+        }
+        next += 1 + WRITES;
+        let after = stack.durability.health();
+        let per_write = |n: u64| format!("{:.2}", n as f64 / WRITES as f64);
+        let _ = writeln!(
+            table.0,
+            "{:<54} {WRITES:>6} {:>11} {:>6}",
+            format!("{shape} · handle_frame"),
+            per_write(after.wal_records - before.wal_records),
+            per_write(after.fsyncs - before.fsyncs),
+        );
+    }
+    stack.close();
+    drop(stack);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn every_durable_row_is_pinned() {
+    let mut table = Table(String::new());
+    durable_rows(&mut table);
+    println!("{}", table.0);
+    assert_pinned(&table.0, golden(Some("durable"), None));
 }
