@@ -29,14 +29,11 @@
 
 /// `Server` accept loop's registry of live connection streams.
 pub const SERVER_STREAMS: u32 = 5;
-/// The `Gate` of a JSON connection's backpressure window (decoded but not
-/// yet written requests). Taken with nothing else held by both the reader
-/// (enter, or park while full) and the writer (leave, or close).
-pub const SERVER_INFLIGHT: u32 = 8;
-/// `Outbox.printed`: a JSON connection's answers printed and not yet
-/// written. Taken with nothing else held by the threads that print an
-/// answer into it and by the writer, which takes the bytes and writes
-/// them with it released.
+/// `Outbox.gate`: a JSON connection's decode window and its answers
+/// printed and not yet written. Taken with nothing else held by the reader
+/// (enter, or park while the window is full), by the threads that print an
+/// answer into it, and by the writer, which takes the bytes, writes them
+/// with it released, then leaves the window or closes it.
 pub const SERVER_OUTBOX: u32 = 9;
 
 // ---- statement registry, and the checkpoint that reads it ----

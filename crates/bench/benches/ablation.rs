@@ -1,4 +1,4 @@
-//! Ablation studies for the design choices DESIGN.md calls out:
+//! Ablation studies for the design choices the paper calls out:
 //!
 //! 1. **Limit-hint prefetch** (§7.1): one bounded range request vs
 //!    tuple-at-a-time fetching for a single IndexScan.
@@ -24,7 +24,7 @@ use std::sync::Arc;
 fn main() {
     header(
         "ablation",
-        "design-choice ablations (DESIGN.md §4)",
+        "design-choice ablations",
         "p99 (ms) with the mechanism on vs off",
     );
     let executions = scaled(1_500, 150) as usize;

@@ -1,7 +1,6 @@
 //! Shared infrastructure for the figure/table harnesses.
 //!
-//! Every harness prints a self-describing, machine-readable table so
-//! EXPERIMENTS.md can be refreshed by re-running `cargo bench`. Set
+//! Every harness prints a self-describing, machine-readable table. Set
 //! `PIQL_QUICK=1` to shrink runs (CI) — shapes survive, absolute noise
 //! grows.
 
@@ -48,9 +47,7 @@ pub fn header(id: &str, paper_ref: &str, what: &str) {
     println!("### {id} — {paper_ref}");
     println!("# {what}");
     if quick() {
-        println!(
-            "# MODE: quick (PIQL_QUICK=1) — reduced sizes; see EXPERIMENTS.md for full-run numbers"
-        );
+        println!("# MODE: quick (PIQL_QUICK=1) — reduced sizes");
     }
 }
 

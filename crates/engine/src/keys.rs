@@ -357,7 +357,7 @@ pub fn encode_probe_component(
 }
 
 /// Whether a stored row of `arity` values is a full row of `table`.
-fn check_arity(table: &TableDef, arity: usize) -> Result<(), KeyError> {
+pub(crate) fn check_arity(table: &TableDef, arity: usize) -> Result<(), KeyError> {
     if arity != table.columns.len() {
         return Err(KeyError::RowShape(format!(
             "row for {} has {} values, expected {}",
@@ -369,15 +369,9 @@ fn check_arity(table: &TableDef, arity: usize) -> Result<(), KeyError> {
     Ok(())
 }
 
-/// Decode a full-row tuple from a primary-index entry's value bytes.
-pub fn decode_row(table: &TableDef, bytes: &[u8]) -> Result<Tuple, KeyError> {
-    let t = row_codec::decode_tuple(bytes)?;
-    check_arity(table, t.len())?;
-    Ok(t)
-}
-
-/// [`decode_row`] as values borrowed from `bytes`: one vector, and no
-/// string copied — what a write reads the row it replaces as.
+/// A row of `table` from a record's bytes, as values borrowed from them:
+/// one vector, no string copied — how a write reads the row it replaces,
+/// and the index sweep the record it checks.
 pub(crate) fn decode_values<'b>(
     table: &TableDef,
     bytes: &'b [u8],
@@ -392,8 +386,8 @@ pub(crate) fn decode_values<'b>(
     Ok(values)
 }
 
-/// [`decode_row`] straight into the pending row of `out`: nothing is
-/// allocated, a string is copied once, into the block's text.
+/// A row of `table` from a record's bytes, into the pending row of `out`:
+/// nothing is allocated, a string is copied once, into the block's text.
 pub fn decode_row_into(
     out: &mut RowsBuilder,
     table: &TableDef,
@@ -596,11 +590,8 @@ mod tests {
             assert_eq!(entry.capacity(), entry.len(), "no slack for the store");
             let (k, r) = entry.split_at(key_len);
             assert_eq!((k, r), (key.as_slice(), record.as_slice()));
-            assert_eq!(decode_row(&t, r).unwrap(), row);
         }
         let null_key = Tuple::new(vec![Value::Null, Value::Timestamp(1), Value::Null]);
         assert!(record_entry(&t, RecordKey::Columns(&pk), &null_key).is_err());
-        let short = row_codec::encode_tuple(&Tuple::new(vec![Value::Int(1)]));
-        assert!(decode_row(&t, &short).is_err());
     }
 }

@@ -10,7 +10,8 @@
 use crate::exec::{aggregate_rows, compare_rows, ExecError};
 use crate::keys;
 use piql_core::ast::SelectStmt;
-use piql_core::catalog::{Catalog, TableId};
+use piql_core::catalog::{Catalog, TableDef, TableId};
+use piql_core::codec::row as row_codec;
 use piql_core::plan::logical::LogicalPlan;
 use piql_core::plan::params::ParamsRef;
 use piql_core::plan::{bind, BoundPredicate, RelationSource};
@@ -67,7 +68,7 @@ impl<'a> ReferenceExecutor<'a> {
                 })?
                 .entries()?;
             for (_, v) in entries {
-                rows.push(keys::decode_row(table, v)?);
+                rows.push(decode_row(table, v)?);
             }
             if let Some((k, _)) = entries.last() {
                 start.clear();
@@ -207,5 +208,39 @@ impl RefEval<'_, '_> {
             .map(|(a, b)| if a.is_null() { b.clone() } else { a.clone() })
             .collect();
         Tuple::new(vals)
+    }
+}
+
+/// Decode a full-row tuple from a primary-index entry's value bytes.
+fn decode_row(table: &TableDef, bytes: &[u8]) -> Result<Tuple, keys::KeyError> {
+    let t = row_codec::decode_tuple(bytes)?;
+    keys::check_arity(table, t.len())?;
+    Ok(t)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use piql_core::value::{DataType, Value};
+
+    /// A stored record decodes to the row it was stored from, and one
+    /// with fewer values than its table has columns is refused.
+    #[test]
+    fn a_record_decodes_to_its_row_and_a_short_one_is_refused() {
+        let t = TableDef::builder("thoughts")
+            .column("owner", DataType::Varchar(32))
+            .column("timestamp", DataType::Timestamp)
+            .column("text", DataType::Varchar(140))
+            .primary_key(&["owner", "timestamp"])
+            .build();
+        let row = Tuple::new(vec![
+            Value::Varchar("amy".into()),
+            Value::Timestamp(7),
+            Value::Null,
+        ]);
+        let record = row_codec::encode_tuple(&row);
+        assert_eq!(decode_row(&t, &record).unwrap(), row);
+        let short = row_codec::encode_tuple(&Tuple::new(vec![Value::Int(1)]));
+        assert!(decode_row(&t, &short).is_err());
     }
 }

@@ -723,8 +723,8 @@ impl<'a> Writer<'a> {
                         let dangling = match row.into_value()? {
                             Some(bytes) => {
                                 // entry must still be derivable from the record
-                                let rec = keys::decode_row(table, &bytes)?;
-                                !keys::derives(&idx.parts, &rec, entry_key, &mut scratch)?
+                                let rec = keys::decode_values(table, &bytes)?;
+                                !keys::derives(&idx.parts, &rec[..], entry_key, &mut scratch)?
                             }
                             None => true, // record gone entirely
                         };

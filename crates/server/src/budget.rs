@@ -110,7 +110,7 @@ fn decide(door: &Door<BudgetPolicy>) -> Step {
     let in_band = door
         .cap
         .is_some_and(|cap| door.held < cap.saturating_mul(2).max(cap.saturating_add(1)));
-    match door.rule {
+    match door.state {
         _ if door.has_room() => Step::Go,
         BudgetPolicy::Reject => Step::Refuse,
         BudgetPolicy::Shed if in_band => Step::Shed,
@@ -150,7 +150,7 @@ impl TenantBudget {
     pub fn configure(&self, capacity: Option<u32>, policy: BudgetPolicy) {
         self.gate.reset(|door| {
             door.cap = capacity;
-            door.rule = policy;
+            door.state = policy;
             self.unlimited.store(capacity.is_none(), Ordering::Release);
         });
     }
@@ -217,7 +217,7 @@ impl TenantBudget {
         BudgetSnapshot {
             tenant: self.name.clone(),
             capacity: door.cap,
-            policy: door.rule.name(),
+            policy: door.state.name(),
             in_flight: door.held,
             admitted: self.admitted.load(Ordering::Relaxed),
             rejected: self.rejected.load(Ordering::Relaxed),
@@ -287,15 +287,15 @@ mod tests {
             ("cap removed while parked", 6, None, 1, [Go, Go, Go]),
         ];
         for (name, held, cap, waiting, steps) in rows {
-            for (rule, expected) in policies.into_iter().zip(steps) {
+            for (state, expected) in policies.into_iter().zip(steps) {
                 let door = Door {
                     held,
                     waiting,
                     closed: false,
                     cap,
-                    rule,
+                    state,
                 };
-                assert_eq!(decide(&door), expected, "{name} under {}", rule.name());
+                assert_eq!(decide(&door), expected, "{name} under {}", state.name());
             }
         }
     }
@@ -314,7 +314,7 @@ mod tests {
             let policy = BudgetPolicy::Queue { max_wait };
             budget.configure(Some(0), policy);
             let door = budget.gate.lock();
-            assert_eq!(door.rule, policy);
+            assert_eq!(door.state, policy);
             assert_eq!(decide(&door), Step::Park(max_wait));
         }
     }

@@ -1,8 +1,8 @@
 //! The one counting gate overload control is built on: a tenant's
 //! admission budget and a JSON connection's decode window both let at most
 //! `cap` in at once and park or turn away the rest. The [`Door`] is that
-//! state as plain data with no clock; [`Gate::wait`] is the only clock
-//! overload control reads.
+//! state as plain data with no clock, with its owner's under the same lock;
+//! [`Gate::wait`] is the only clock overload control reads.
 
 use piql_analysis::ordered::{Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
@@ -18,8 +18,9 @@ pub struct Door<R> {
     pub closed: bool,
     /// How many may be inside at once; `None` = no limit.
     pub cap: Option<u32>,
-    /// The owner's rule for an arrival at a full door.
-    pub rule: R,
+    /// What the owner keeps under the same lock: a budget's policy for an
+    /// arrival at a full door, a connection's printed answers.
+    pub state: R,
 }
 
 impl<R> Door<R> {
@@ -39,13 +40,13 @@ pub struct Gate<R> {
 impl<R> Gate<R> {
     /// An open, empty gate; `rank` and `name` place its lock in the rank
     /// table.
-    pub fn new(rank: u32, name: &'static str, cap: Option<u32>, rule: R) -> Self {
+    pub fn new(rank: u32, name: &'static str, cap: Option<u32>, state: R) -> Self {
         let door = Door {
             held: 0,
             waiting: 0,
             closed: false,
             cap,
-            rule,
+            state,
         };
         Gate {
             door: Mutex::new(rank, name, door),

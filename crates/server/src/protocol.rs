@@ -154,6 +154,13 @@ impl Envelope {
         };
         id + spare_in(&self.request)
     }
+
+    /// Whether a connection keeps this envelope, just decoded from a frame
+    /// of `frame_len` bytes, for its next request: only while its spare room
+    /// fits in that frame, so one large parameter is not kept for good.
+    pub fn worth_keeping(&self, frame_len: usize) -> bool {
+        self.spare_bytes() <= frame_len
+    }
 }
 
 fn slack(s: &String) -> usize {

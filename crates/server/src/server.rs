@@ -33,7 +33,9 @@
 //! connection also has a **writer** thread that only writes bytes: it
 //! takes everything printed so far and writes it with no lock held, so a
 //! pipelined burst coalesces into few syscalls — and no thread doing work
-//! ever blocks on a slow socket.
+//! ever blocks on a slow socket. The buffer's lock is also the connection's
+//! decode window (`ServerTuning::max_in_flight_per_conn`): the reader enters
+//! it per frame, the writer leaves it per write or closes it on an error.
 //!
 //! All state a client needs to resume — registered statement names and
 //! pagination cursors — lives either in the shared registry or in the
@@ -58,7 +60,7 @@
 //! session's own thread.
 
 use crate::binary::{self, BinaryWire, OP_EXECUTE, OP_RESPONSE};
-use crate::gate::Gate;
+use crate::gate::{Door, Gate};
 use crate::json::Json;
 use crate::protocol::{
     budget_exceeded_response, err_response, ok_response, parse_request, Envelope, ProtoError,
@@ -269,24 +271,6 @@ impl<S: KvStore + 'static> Drop for PiqlServer<S> {
     }
 }
 
-/// Reader side of a JSON connection's backpressure window: take a place
-/// before dispatching a frame, parking while the window is full (one stall
-/// per park; TCP flow control then pushes back on the client). The writer
-/// leaves once per response, and every frame gets one. `false` once the
-/// writer closed the window on a socket error: stop decoding.
-fn enter_window(window: &Gate<()>, stalls: &AtomicU64) -> bool {
-    let mut door = window.lock();
-    if !door.has_room() && !door.closed {
-        stalls.fetch_add(1, Ordering::Relaxed);
-        door = window.wait(door, None);
-    }
-    if door.closed {
-        return false;
-    }
-    door.held += 1;
-    true
-}
-
 /// [`respond`] with panic containment: a handler panic becomes an error
 /// response instead of wedging the connection's lane or killing a pool
 /// worker. Every input a client can send is meant to get a typed answer,
@@ -351,21 +335,27 @@ fn serve_connection<S: KvStore + 'static>(
         return serve_binary(reader, stream, registry);
     }
     let conn = JsonConn::new(registry, dispatch, max_in_flight);
-    serve_lanes(reader, stream, conn, max_in_flight)
+    serve_lanes(reader, stream, conn)
 }
 
-/// A JSON connection's answers on their way to its writer: the thread that
-/// computes an answer prints it here, and the writer takes what is printed
-/// whole and writes it.
+/// A JSON connection's decode window and its answers on their way to its
+/// writer: the reader enters the gate before it decodes a frame, the thread
+/// that computes an answer prints it here, and the writer takes what is
+/// printed whole, writes it and leaves the window by that many answers.
 struct Outbox {
-    printed: Mutex<Printed>,
+    /// The window (`cap`; `None`: none) and the printed answers under one
+    /// lock, closed by the writer on a socket error.
+    gate: Gate<Printed>,
     /// Where the writer waits for an answer, or for the end.
     ready: Condvar,
+    /// The window has a cap; without one, no lock is taken for it.
+    windowed: bool,
     /// Most envelopes `Printed::spares` keeps.
     spare_limit: usize,
 }
 
-/// What an [`Outbox`] holds, read and changed only under its lock.
+/// What an [`Outbox`] holds beside its window, read and changed only under
+/// its gate's lock.
 struct Printed {
     /// Answers printed and not yet taken, one line each.
     bytes: Vec<u8>,
@@ -375,8 +365,6 @@ struct Printed {
     owed: u32,
     /// The reader has stopped: no request is still to come.
     done: bool,
-    /// The writer has stopped on a socket error: answers are dropped.
-    closed: bool,
     /// The writer is parked on `ready`.
     waiting: bool,
     /// Envelopes of tagged requests answered, for the reader to decode
@@ -390,13 +378,15 @@ impl Printed {
     fn writable(&self) -> bool {
         self.answers > 0 || (self.done && self.owed == 0)
     }
+}
 
+impl Door<Printed> {
     /// Print `reply` as the answer carrying `id`, unless the writer has
     /// stopped.
     fn print(&mut self, id: Option<&RequestId>, reply: &Reply) {
         if !self.closed {
-            JsonWire.encode_reply(id, reply, &mut self.bytes);
-            self.answers += 1;
+            JsonWire.encode_reply(id, reply, &mut self.state.bytes);
+            self.state.answers += 1;
         }
     }
 }
@@ -408,34 +398,54 @@ impl Outbox {
     /// requests are out at once, or without one, one more than the pool's
     /// width.
     fn new(max_in_flight: usize, dispatch_width: usize) -> Self {
-        let spare_limit = match max_in_flight {
-            0 => dispatch_width + 1,
-            window => window,
+        let (cap, spare_limit) = match max_in_flight {
+            0 => (None, dispatch_width + 1),
+            window => (Some(u32::try_from(window).unwrap_or(u32::MAX)), window),
         };
         let printed = Printed {
             bytes: Vec::new(),
             answers: 0,
             owed: 0,
             done: false,
-            closed: false,
             waiting: false,
             spares: Vec::new(),
         };
         Outbox {
-            printed: Mutex::new(rank::SERVER_OUTBOX, "server.conn.outbox", printed),
+            gate: Gate::new(rank::SERVER_OUTBOX, "server.conn.outbox", cap, printed),
             ready: Condvar::new(),
+            windowed: cap.is_some(),
             spare_limit,
         }
     }
 
+    /// The reader's place in the window, taken before it decodes a frame:
+    /// park while the window is full (one stall per park; TCP flow control
+    /// then pushes back on the client). `false` once the writer has closed
+    /// the door on a socket error: stop decoding.
+    fn enter(&self, stalls: &AtomicU64) -> bool {
+        if !self.windowed {
+            return true;
+        }
+        let mut door = self.gate.lock();
+        if !door.has_room() && !door.closed {
+            stalls.fetch_add(1, Ordering::Relaxed);
+            door = self.gate.wait(door, None);
+        }
+        if door.closed {
+            return false;
+        }
+        door.held += 1;
+        true
+    }
+
     /// Change what is printed, and wake the writer if it waits for what
     /// the change brought.
-    fn update<T>(&self, change: impl FnOnce(&mut Printed) -> T) -> T {
-        let mut printed = self.printed.lock();
-        let value = change(&mut printed);
-        if printed.waiting && printed.writable() {
-            printed.waiting = false;
-            drop(printed);
+    fn update<T>(&self, change: impl FnOnce(&mut Door<Printed>) -> T) -> T {
+        let mut door = self.gate.lock();
+        let value = change(&mut door);
+        if door.state.waiting && door.state.writable() {
+            door.state.waiting = false;
+            drop(door);
             self.ready.notify_one();
         }
         value
@@ -444,21 +454,21 @@ impl Outbox {
     /// Print `reply` as the answer carrying `id`, unless the writer has
     /// stopped; then hand its blocks back to this thread.
     fn print(&self, id: Option<&RequestId>, reply: Reply) {
-        self.update(|printed| printed.print(id, &reply));
+        self.update(|door| door.print(id, &reply));
         reply.give_back();
     }
 
     /// Print `reply` as the answer to the tagged request `env`, owed since
     /// its dispatch from a frame of `frame_len` bytes, and keep `env` for
-    /// the reader if it holds no more spare room than that frame and the
-    /// spares have room; then hand the reply's blocks back to this thread.
+    /// the reader if it is worth keeping and the spares have room; then
+    /// hand the reply's blocks back to this thread.
     fn print_tagged(&self, env: Envelope, reply: Reply, frame_len: usize) {
-        let keep = env.spare_bytes() <= frame_len;
-        let let_go = self.update(|printed| {
-            printed.owed -= 1;
-            printed.print(env.id.as_ref(), &reply);
-            if keep && printed.spares.len() < self.spare_limit {
-                printed.spares.push(env);
+        let keep = env.worth_keeping(frame_len);
+        let let_go = self.update(|door| {
+            door.state.owed -= 1;
+            door.print(env.id.as_ref(), &reply);
+            if keep && door.state.spares.len() < self.spare_limit {
+                door.state.spares.push(env);
                 None
             } else {
                 Some(env)
@@ -551,9 +561,9 @@ impl<S: KvStore + 'static> JsonConn<S> {
     pub fn handle_frame(&mut self, frame: &[u8]) {
         match JsonWire.decode_into(frame, &mut self.kept) {
             Ok(()) if self.kept.id.is_some() => {
-                let spare = self.outbox.update(|printed| {
-                    printed.owed += 1;
-                    printed.spares.pop()
+                let spare = self.outbox.update(|door| {
+                    door.state.owed += 1;
+                    door.state.spares.pop()
                 });
                 let env = std::mem::replace(&mut self.kept, spare.unwrap_or_else(Envelope::empty));
                 let outbox = self.outbox.clone();
@@ -576,7 +586,7 @@ impl<S: KvStore + 'static> JsonConn<S> {
                 self.outbox.print(id.as_ref(), reply);
             }
         }
-        if self.kept.spare_bytes() > frame.len() {
+        if !self.kept.worth_keeping(frame.len()) {
             self.kept = Envelope::empty();
         }
     }
@@ -585,9 +595,9 @@ impl<S: KvStore + 'static> JsonConn<S> {
     /// `out` — what the connection's writer does, for a caller that serves
     /// the connection without one.
     pub fn take_output(&self, out: &mut Vec<u8>) {
-        self.outbox.update(|printed| {
-            out.append(&mut printed.bytes);
-            printed.answers = 0;
+        self.outbox.update(|door| {
+            out.append(&mut door.state.bytes);
+            door.state.answers = 0;
         });
     }
 }
@@ -595,46 +605,33 @@ impl<S: KvStore + 'static> JsonConn<S> {
 /// The pipelined reader/writer lanes of a JSON connection. Every request
 /// line gets exactly one response line; protocol errors are answered (not
 /// fatal) so a client bug cannot wedge the connection out from under its
-/// own pipeline. This thread is the *reader*: it hands each line to `conn`
-/// ([`JsonConn::handle_frame`]), then joins the writer — which writes every
-/// answer still owed — before returning.
+/// own pipeline. This thread is the *reader*: it enters the window and
+/// hands each line to `conn` ([`JsonConn::handle_frame`]), then joins the
+/// writer — which writes every answer still owed — before returning.
 fn serve_lanes<S: KvStore + 'static>(
     mut reader: BufReader<&TcpStream>,
     stream: &TcpStream,
     mut conn: JsonConn<S>,
-    max_in_flight: usize,
 ) -> io::Result<()> {
-    // cap 0 = unlimited: no window at all, the lanes behave exactly as
-    // before the backpressure control existed
-    let window = (max_in_flight > 0).then(|| {
-        let cap = u32::try_from(max_in_flight).unwrap_or(u32::MAX);
-        Gate::new(rank::SERVER_INFLIGHT, "server.conn.window", Some(cap), ())
-    });
     let outbox = conn.outbox.clone();
     std::thread::scope(|scope| {
         let writer_thread = std::thread::Builder::new()
             .name("piql-conn-writer".into())
-            .spawn_scoped(scope, || write_loop(stream, &outbox, window.as_ref()))?;
+            .spawn_scoped(scope, || write_loop(stream, &outbox))?;
         let read_result: io::Result<()> = (|| {
             let mut frame = Vec::new();
-            // once the writer has stopped, it shut the socket's read side,
-            // so reading ends with the lines already buffered
-            while JsonWire.read_frame(&mut reader, &mut frame)? {
-                // backpressure: park until the in-flight window has room (a
-                // full window means the client outran the server — TCP stops
-                // reading new bytes while we park, pushing back upstream)
-                if let Some(window) = &window {
-                    let stalls = &conn.registry.counters.backpressure_stalls;
-                    if !enter_window(window, stalls) {
-                        break;
-                    }
-                }
+            // once the writer has stopped, it shut the socket's read side
+            // and closed the door, so reading ends with the lines already
+            // buffered, or at once for a reader parked at a full window
+            while JsonWire.read_frame(&mut reader, &mut frame)?
+                && outbox.enter(&conn.registry.counters.backpressure_stalls)
+            {
                 conn.handle_frame(&frame);
             }
             Ok(())
         })();
         // the writer exits once every answer owed is written
-        outbox.update(|printed| printed.done = true);
+        outbox.update(|door| door.state.done = true);
         let _ = writer_thread.join();
         read_result
     })
@@ -644,38 +641,33 @@ fn serve_lanes<S: KvStore + 'static>(
 /// go, holding no lock while the socket takes it — a pipelined burst leaves
 /// in few write syscalls, and no thread computing an answer ever waits on
 /// the socket. The taken buffer and the outbox's trade places, so both are
-/// reused. A socket error shuts the socket's read side, so the reader stops
-/// accepting work whose answers would be discarded.
-fn write_loop(mut stream: &TcpStream, outbox: &Outbox, window: Option<&Gate<()>>) {
+/// reused. The written answers leave the window in one step. A socket error
+/// shuts the socket's read side and closes the door, so the reader stops
+/// accepting work whose answers would be discarded, parked or not.
+fn write_loop(mut stream: &TcpStream, outbox: &Outbox) {
     let mut taken = Vec::new();
     loop {
         let answers = {
-            let mut printed = outbox.printed.lock();
-            while !printed.writable() {
-                printed.waiting = true;
-                printed = outbox.ready.wait(printed);
+            let mut door = outbox.gate.lock();
+            while !door.state.writable() {
+                door.state.waiting = true;
+                door = outbox.ready.wait(door);
             }
-            printed.waiting = false;
-            if printed.answers == 0 {
+            door.state.waiting = false;
+            if door.state.answers == 0 {
                 return;
             }
-            std::mem::swap(&mut printed.bytes, &mut taken);
-            std::mem::take(&mut printed.answers)
+            std::mem::swap(&mut door.state.bytes, &mut taken);
+            std::mem::take(&mut door.state.answers)
         };
         if stream.write_all(&taken).is_err() {
             let _ = stream.shutdown(Shutdown::Read);
-            outbox.update(|printed| printed.closed = true);
-            // a reader parked on a full window must wake up and exit, not
-            // wait for responses that will never be written
-            if let Some(window) = window {
-                window.reset(|door| door.closed = true);
-            }
+            outbox.gate.reset(|door| door.closed = true);
             return;
         }
         taken.clear();
-        // every answer written leaves the backpressure window
-        if let Some(window) = window {
-            (0..answers).for_each(|_| window.leave());
+        if outbox.windowed {
+            outbox.gate.reset(|door| door.held -= answers);
         }
     }
 }
@@ -738,11 +730,10 @@ pub struct BinaryConn<S: KvStore + 'static> {
     /// Byte offsets (into the request payload) of each scalar parameter's
     /// tagged value, re-scanned per fast-path attempt.
     param_offsets: Vec<usize>,
-    /// The last request the general path decoded; the next one is decoded
-    /// into its buffers ([`Wire::decode_into`]). It keeps no more
-    /// spare room than the frame it was just decoded from: past that it is
-    /// dropped, so one large parameter is not held for the connection's
-    /// lifetime. Boxed, so a connection is no larger to hold or move.
+    /// The last request the general path decoded, while it is
+    /// [`Envelope::worth_keeping`]; the next one is decoded into its buffers
+    /// ([`Wire::decode_into`]). Boxed, so a connection is no larger to hold
+    /// or move.
     request: Box<Envelope>,
 }
 
@@ -861,7 +852,7 @@ impl<S: KvStore + 'static> BinaryConn<S> {
                 wire.encode_reply(id.as_ref(), &reply, &mut self.out);
             }
         }
-        if self.request.spare_bytes() > frame.len() {
+        if !self.request.worth_keeping(frame.len()) {
             *self.request = Envelope::empty();
         }
     }
@@ -1374,12 +1365,18 @@ mod tests {
         assert!(!conn.output().is_empty());
     }
 
-    /// `lines` sent at once to a JSON connection on a dispatch pool of
-    /// `width` workers, over a store whose every request takes 2 ms, then
-    /// the client's write side shut: the answers, and the spare envelopes
-    /// the connection's outbox holds once it has answered them all, with
-    /// their limit.
-    fn serve_burst(lines: &[String], width: usize) -> (Vec<String>, Vec<Envelope>, usize) {
+    /// A JSON connection served on a thread of its own, and its client.
+    struct BurstConn {
+        client: TcpStream,
+        registry: Arc<StatementRegistry<LiveCluster>>,
+        outbox: Arc<Outbox>,
+        served: JoinHandle<io::Result<()>>,
+    }
+
+    /// A JSON connection on a dispatch pool of `width` workers with a
+    /// window of `window` (`0`: none), over a store whose every request
+    /// takes 2 ms.
+    fn burst_conn(width: usize, window: usize) -> BurstConn {
         let store = LiveCluster::new(LiveConfig {
             request_delay_us: 2_000,
             pool_threads: 0,
@@ -1401,23 +1398,76 @@ mod tests {
             .register("q", "SELECT * FROM t WHERE k = <k>")
             .unwrap();
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let mut client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        // a connection the server wedges fails its test, not hangs it
+        client
+            .set_read_timeout(Some(Duration::from_secs(20)))
+            .unwrap();
         let (conn, _) = listener.accept().unwrap();
         let dispatch = Arc::new(Dispatch::new(registry.clone(), width));
-        let json = JsonConn::new(registry, dispatch, 0);
+        let json = JsonConn::new(registry.clone(), dispatch, window);
         let outbox = json.outbox.clone();
-        let served = std::thread::spawn(move || serve_lanes(BufReader::new(&conn), &conn, json, 0));
-        client
-            .write_all(format!("{}\n", lines.join("\n")).as_bytes())
-            .unwrap();
-        client.shutdown(Shutdown::Write).unwrap();
-        let answers = BufReader::new(&client)
-            .lines()
-            .map(Result::unwrap)
-            .collect();
-        served.join().unwrap().unwrap();
-        let spares = std::mem::take(&mut outbox.printed.lock().spares);
-        (answers, spares, outbox.spare_limit)
+        let served = std::thread::spawn(move || serve_lanes(BufReader::new(&conn), &conn, json));
+        BurstConn {
+            client,
+            registry,
+            outbox,
+            served,
+        }
+    }
+
+    /// What [`serve_burst`] saw.
+    struct Burst {
+        answers: Vec<String>,
+        /// The spare envelopes the outbox holds once it has answered every
+        /// line, and their limit.
+        spares: Vec<Envelope>,
+        spare_limit: usize,
+        /// The most requests ever decoded and not yet written, as the
+        /// window counts them or as the owed and printed answers show them.
+        most_out: u32,
+        /// What the window still counted once every answer was written.
+        held_after: u32,
+        stalls: u64,
+    }
+
+    /// `lines` sent at once to a [`burst_conn`], then the client's write
+    /// side shut and every answer read.
+    fn serve_burst(lines: &[String], width: usize, window: usize) -> Burst {
+        let mut conn = burst_conn(width, window);
+        let done = Arc::new(AtomicBool::new(false));
+        let probe = {
+            let (outbox, done) = (conn.outbox.clone(), done.clone());
+            std::thread::spawn(move || {
+                let mut most = 0;
+                while !done.load(Ordering::SeqCst) {
+                    let door = outbox.gate.lock();
+                    let shown = door.state.owed + door.state.answers;
+                    most = most.max(door.held).max(shown);
+                    drop(door);
+                    std::thread::yield_now();
+                }
+                most
+            })
+        };
+        let lines = format!("{}\n", lines.join("\n"));
+        conn.client.write_all(lines.as_bytes()).unwrap();
+        conn.client.shutdown(Shutdown::Write).unwrap();
+        let answers = BufReader::new(&conn.client).lines();
+        let answers = answers.map(Result::unwrap).collect();
+        conn.served.join().unwrap().unwrap();
+        done.store(true, Ordering::SeqCst);
+        let most_out = probe.join().unwrap();
+        let mut door = conn.outbox.gate.lock();
+        let stalls = &conn.registry.counters.backpressure_stalls;
+        Burst {
+            answers,
+            spares: std::mem::take(&mut door.state.spares),
+            spare_limit: conn.outbox.spare_limit,
+            most_out,
+            held_after: door.held,
+            stalls: stalls.load(Ordering::Relaxed),
+        }
     }
 
     fn tagged_read(id: usize) -> String {
@@ -1432,13 +1482,10 @@ mod tests {
     #[test]
     fn a_burst_of_tagged_requests_leaves_no_more_spare_envelopes_than_the_limit() {
         let burst: Vec<String> = (0..12).map(tagged_read).collect();
-        let (answers, spares, limit) = serve_burst(&burst, 2);
-        assert_eq!((answers.len(), limit), (12, 3));
-        assert!(
-            !spares.is_empty() && spares.len() <= limit,
-            "{}",
-            spares.len()
-        );
+        let seen = serve_burst(&burst, 2, 0);
+        assert_eq!((seen.answers.len(), seen.spare_limit), (12, 3));
+        let spares = seen.spares.len();
+        assert!(spares > 0 && spares <= seen.spare_limit, "{spares}");
 
         // an untagged request for a long name, answered in the reader's
         // envelope; the next line, tagged, is decoded into that envelope
@@ -1447,11 +1494,65 @@ mod tests {
             r#"{{"cmd":"execute","name":"{}","params":[]}}"#,
             "x".repeat(1 << 16)
         );
-        let (answers, spares, _) = serve_burst(&[long, tagged_read(1), tagged_read(2)], 2);
+        let Burst {
+            answers, spares, ..
+        } = serve_burst(&[long, tagged_read(1), tagged_read(2)], 2, 0);
         assert_eq!(answers.len(), 3);
         assert!(answers[0].contains("unknown"), "{}", answers[0]);
         assert_eq!(spares.len(), 1, "only the short request's envelope is kept");
         assert!(spares[0].spare_bytes() <= tagged_read(2).len());
+    }
+
+    /// The window, not the dispatch width, bounds a burst: over a pool
+    /// twice as wide as the window, a tagged burst never has more requests
+    /// decoded and unwritten than the window, the reader stalls at it, and
+    /// once every answer is written the window is empty again.
+    #[test]
+    fn a_tagged_burst_never_has_more_out_than_the_window() {
+        let burst: Vec<String> = (0..32).map(tagged_read).collect();
+        let seen = serve_burst(&burst, 8, 4);
+        assert_eq!(seen.answers.len(), 32);
+        assert!(seen.most_out <= 4, "{} out at once", seen.most_out);
+        assert!(seen.stalls >= 1, "the reader never parked at the window");
+        assert_eq!(seen.held_after, 0, "every written answer left the window");
+    }
+
+    /// A reader parked at a full window returns once its writer's socket
+    /// fails: the client pipelines past the window, reads nothing, and
+    /// resets the connection (it closes with answers unread) while the
+    /// reader waits for room.
+    #[test]
+    fn a_reader_parked_at_a_full_window_returns_once_its_socket_fails() {
+        let BurstConn {
+            mut client,
+            registry,
+            outbox,
+            served,
+        } = burst_conn(4, 2);
+        // slow enough that the reader is parked when the next answers come
+        registry.db().cluster().set_request_delay_us(100_000);
+        let burst: Vec<String> = (0..8).map(tagged_read).collect();
+        let lines = format!("{}\n", burst.join("\n"));
+        client.write_all(lines.as_bytes()).unwrap();
+        // the first answers are written and left unread ...
+        client.peek(&mut [0]).unwrap();
+        let deadline = Instant::now() + Duration::from_secs(20);
+        let parked = || {
+            let door = outbox.gate.lock();
+            door.waiting == 1 && door.held == 2
+        };
+        while !parked() {
+            assert!(Instant::now() < deadline, "the reader never parked");
+            std::thread::yield_now();
+        }
+        // ... so closing resets the connection
+        drop(client);
+        while !served.is_finished() {
+            assert!(Instant::now() < deadline, "the reader never returned");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert!(served.join().is_ok());
+        assert!(outbox.gate.lock().closed);
     }
 
     /// A store whose rounds panic while armed: what an engine or backend

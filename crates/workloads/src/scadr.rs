@@ -16,7 +16,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 /// SCADr sizing (defaults scaled down from the paper's 60k users/server so
-/// laptop-size sweeps stay in memory; shapes are unaffected, see DESIGN.md).
+/// laptop-size sweeps stay in memory; shapes are unaffected).
 #[derive(Debug, Clone)]
 pub struct ScadrConfig {
     pub users_per_node: usize,

@@ -7,7 +7,7 @@
 //! approximated over these interactions so that ~30% of interactions
 //! perform updates (cart and order creation).
 //!
-//! Schema notes (deviations recorded in DESIGN.md/EXPERIMENTS.md):
+//! Schema notes (deviations from the benchmark's specification):
 //! * the paper's one required modification — a cardinality constraint on
 //!   shopping-cart size — appears on `shopping_cart_line(scl_sc_id)`, and
 //!   its mirror on `order_line(ol_o_id)`;

@@ -249,7 +249,7 @@ fn serve_json(
     out.clear();
     let ((), encoded) = counted(|| JsonWire.encode_reply(kept.id.as_ref(), &reply, out));
     reply.give_back();
-    if kept.spare_bytes() > frame.len() {
+    if !kept.worth_keeping(frame.len()) {
         *kept = fresh_envelope();
     }
     [decoded, handled, encoded]
