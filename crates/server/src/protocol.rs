@@ -1049,8 +1049,8 @@ impl Reply {
 // The JSON codec's response encoder: the text `reply.into_json()` prints
 // as, with `id` attached, written without the tree. Object keys go out in
 // sorted order, as a `JsonMap` holds them, which for the fixed envelopes is
-// spelled out below. Pinned byte for byte against the tree's printer by
-// `tests/reply_props.rs`.
+// spelled out below. Pinned byte for byte against the tree's printer and a
+// reference printer by `tests/codec_props.rs`, on both codecs.
 
 fn write_id(id: &RequestId, out: &mut Vec<u8>) {
     match id {

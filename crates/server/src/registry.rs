@@ -1376,11 +1376,7 @@ mod tests {
         let db = Database::new(Arc::new(store));
         db.execute_ddl("CREATE TABLE t (k INT NOT NULL, PRIMARY KEY (k))")
             .expect("creates");
-        let slo = SloConfig {
-            slo_ms: 1e9,
-            interval_confidence: 1.0,
-            allow_degrade: false,
-        };
+        let slo = crate::testkit::permissive_slo();
         let predictor = crate::testkit::linear_predictor(200, 100, 2);
         let registry = StatementRegistry::new(Arc::new(db), predictor, slo);
         registry

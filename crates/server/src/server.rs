@@ -1297,8 +1297,7 @@ fn stats_response<S: KvStore>(registry: &StatementRegistry<S>) -> Json {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testkit::linear_predictor;
-    use crate::SloConfig;
+    use crate::testkit::{linear_predictor, permissive_slo};
     use piql_core::plan::params::ParamValue;
     use piql_core::rows::Rows;
     use piql_core::value::Value;
@@ -1344,11 +1343,7 @@ mod tests {
         let registry = Arc::new(StatementRegistry::new(
             db,
             linear_predictor(200, 100, 2),
-            SloConfig {
-                slo_ms: 1e9,
-                interval_confidence: 1.0,
-                allow_degrade: false,
-            },
+            permissive_slo(),
         ));
         let mut conn = BinaryConn::new(registry);
         let large = dml_frame(&"x".repeat(1 << 20));
@@ -1388,11 +1383,7 @@ mod tests {
         let registry = Arc::new(StatementRegistry::new(
             db,
             linear_predictor(200, 100, 2),
-            SloConfig {
-                slo_ms: 1e9,
-                interval_confidence: 1.0,
-                allow_degrade: false,
-            },
+            permissive_slo(),
         ));
         registry
             .register("q", "SELECT * FROM t WHERE k = <k>")
@@ -1598,11 +1589,7 @@ mod tests {
         let registry = Arc::new(StatementRegistry::new(
             db,
             linear_predictor(200, 100, 2),
-            SloConfig {
-                slo_ms: 1e9,
-                interval_confidence: 1.0,
-                allow_degrade: false,
-            },
+            permissive_slo(),
         ));
         let q = "SELECT * FROM t WHERE o = 1 AND k = <k>";
         registry.register("q", q).unwrap();

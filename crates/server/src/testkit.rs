@@ -9,6 +9,7 @@
 //! then exact functions of a query's compiled bounds — which is the
 //! property the success-tolerance tests pin down.
 
+use piql_predict::advisor::SloConfig;
 use piql_predict::{ModelStore, SloPredictor};
 
 /// Build a [`SloPredictor`] whose predicted latency for an operator
@@ -16,6 +17,16 @@ use piql_predict::{ModelStore, SloPredictor};
 /// histogram spread), identical across `intervals` intervals.
 pub fn linear_predictor(base_us: u64, per_row_us: u64, intervals: usize) -> SloPredictor {
     SloPredictor::new(linear_model_store(base_us, per_row_us, intervals))
+}
+
+/// An SLO every statement meets, so none is degraded or refused for its
+/// predicted latency: for harnesses that test something else.
+pub fn permissive_slo() -> SloConfig {
+    SloConfig {
+        slo_ms: 1e9,
+        interval_confidence: 1.0,
+        allow_degrade: false,
+    }
 }
 
 /// The underlying store of [`linear_predictor`].

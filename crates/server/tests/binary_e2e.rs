@@ -11,9 +11,9 @@ use piql_core::value::Value;
 use piql_engine::Database;
 use piql_kv::{ClusterConfig, KvStore, LiveCluster, LiveConfig, Session, SimCluster};
 use piql_server::server::handle_request;
-use piql_server::testkit::linear_predictor;
+use piql_server::testkit::{linear_predictor, permissive_slo};
 use piql_server::{
-    BinaryConn, BinaryWire, Client, Envelope, Json, PiqlServer, Request, RequestId, SloConfig,
+    BinaryConn, BinaryWire, Client, Envelope, Json, PiqlServer, Request, RequestId,
     StatementRegistry, Wire,
 };
 use piql_workloads::scadr::{self, ScadrConfig};
@@ -22,14 +22,6 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 const POINT: &str = "SELECT * FROM users WHERE username = <u>";
-
-fn permissive_slo() -> SloConfig {
-    SloConfig {
-        slo_ms: 1e9,
-        interval_confidence: 1.0,
-        allow_degrade: false,
-    }
-}
 
 fn scadr_config() -> ScadrConfig {
     ScadrConfig {

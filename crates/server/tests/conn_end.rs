@@ -8,8 +8,8 @@
 
 use piql_engine::Database;
 use piql_server::binary::{self, MAGIC, MAX_FRAME};
-use piql_server::testkit::linear_predictor;
-use piql_server::{BinaryWire, LiveCluster, LiveConfig, PiqlServer, SloConfig, Wire};
+use piql_server::testkit::{linear_predictor, permissive_slo};
+use piql_server::{BinaryWire, LiveCluster, LiveConfig, PiqlServer, Wire};
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -26,11 +26,7 @@ fn serial() -> MutexGuard<'static, ()> {
 /// A server over an empty store: every case here is about the socket.
 fn start() -> PiqlServer {
     let db = Database::new(Arc::new(LiveCluster::new(LiveConfig::default())));
-    let slo = SloConfig {
-        slo_ms: 1e9,
-        interval_confidence: 1.0,
-        allow_degrade: false,
-    };
+    let slo = permissive_slo();
     PiqlServer::start(
         Arc::new(db),
         linear_predictor(200, 100, 2),

@@ -8,8 +8,8 @@ use piql_core::value::Value;
 use piql_engine::Database;
 use piql_kv::{LiveCluster, LiveConfig, Session};
 use piql_server::protocol::row_to_json;
-use piql_server::testkit::linear_predictor;
-use piql_server::{Client, Json, PiqlServer, SloConfig};
+use piql_server::testkit::{linear_predictor, permissive_slo};
+use piql_server::{Client, Json, PiqlServer};
 use piql_workloads::scadr::{self, ScadrConfig};
 use piql_workloads::tpcw::{self, TpcwConfig};
 use std::sync::Arc;
@@ -68,11 +68,7 @@ fn table1_queries_differential_tcp_vs_direct() {
     let server = PiqlServer::start(
         db.clone(),
         linear_predictor(150, 40, 2),
-        SloConfig {
-            slo_ms: 1e9,
-            interval_confidence: 1.0,
-            allow_degrade: false,
-        },
+        permissive_slo(),
         "127.0.0.1:0",
     )
     .unwrap();

@@ -8,7 +8,7 @@
 
 use piql_engine::Database;
 use piql_kv::{LiveCluster, LiveConfig};
-use piql_server::testkit::linear_predictor;
+use piql_server::testkit::{linear_predictor, permissive_slo};
 use piql_server::{Client, Json, PiqlServer, SloConfig};
 use piql_workloads::scadr::{self, ScadrConfig};
 use std::sync::Arc;
@@ -272,11 +272,7 @@ fn a_saturated_bound_is_still_a_document() {
     let server = PiqlServer::start(
         db,
         linear_predictor(200, 100, 2),
-        SloConfig {
-            slo_ms: 1e9,
-            interval_confidence: 1.0,
-            allow_degrade: false,
-        },
+        permissive_slo(),
         "127.0.0.1:0",
     )
     .unwrap();

@@ -11,8 +11,8 @@ use piql_engine::{Database, Prepared};
 use piql_kv::{LiveCluster, LiveConfig, ModelKey, OpKind, Session};
 use piql_predict::plan_thetas;
 use piql_server::server::handle_line;
-use piql_server::testkit::linear_predictor;
-use piql_server::{BinaryConn, BinaryWire, Envelope, Request, SloConfig, StatementRegistry, Wire};
+use piql_server::testkit::{linear_predictor, permissive_slo};
+use piql_server::{BinaryConn, BinaryWire, Envelope, Request, StatementRegistry, Wire};
 use piql_workloads::{scadr, tpcw};
 use std::sync::Arc;
 
@@ -119,11 +119,7 @@ fn every_workload_read_is_sampled_under_the_keys_it_was_predicted_at() {
 fn point_reads_are_sampled_under_the_predicted_key_on_both_codecs() {
     let db = live_db();
     scadr::setup(&db, &scadr::ScadrConfig::default(), 1).unwrap();
-    let slo = SloConfig {
-        slo_ms: 1e9,
-        interval_confidence: 1.0,
-        allow_degrade: false,
-    };
+    let slo = permissive_slo();
     let registry = Arc::new(StatementRegistry::new(
         db.clone(),
         linear_predictor(200, 100, 2),

@@ -10,22 +10,14 @@ use piql_core::value::Value;
 use piql_engine::Database;
 use piql_kv::{LiveCluster, LiveConfig, Session};
 use piql_server::protocol::{envelope_to_line, request_to_line};
-use piql_server::testkit::linear_predictor;
+use piql_server::testkit::{linear_predictor, permissive_slo};
 use piql_server::{
-    decode_page, Client, Envelope, Json, PiqlServer, Request, RequestId, ServerTuning, SloConfig,
+    decode_page, Client, Envelope, Json, PiqlServer, Request, RequestId, ServerTuning,
     StatementRegistry,
 };
 use piql_workloads::scadr::{self, ScadrConfig};
 use std::io::Write;
 use std::sync::Arc;
-
-fn permissive_slo() -> SloConfig {
-    SloConfig {
-        slo_ms: 1e9,
-        interval_confidence: 1.0,
-        allow_degrade: false,
-    }
-}
 
 fn start_server() -> (Arc<LiveCluster>, PiqlServer) {
     start_server_with_dispatch(8)

@@ -13,9 +13,9 @@
 use piql_engine::Database;
 use piql_kv::{LiveCluster, LiveConfig, Session};
 use piql_server::server::handle_line;
-use piql_server::testkit::linear_predictor;
+use piql_server::testkit::{linear_predictor, permissive_slo};
 use piql_server::Json;
-use piql_server::{BinaryConn, SloConfig, StatementRegistry};
+use piql_server::{BinaryConn, StatementRegistry};
 use piql_workloads::scadr::{self, ScadrConfig};
 use std::sync::{Arc, Barrier};
 use std::thread;
@@ -42,11 +42,7 @@ fn registry() -> Arc<StatementRegistry<LiveCluster>> {
     Arc::new(StatementRegistry::new(
         db,
         linear_predictor(200, 100, 2),
-        SloConfig {
-            slo_ms: 1e9,
-            interval_confidence: 1.0,
-            allow_degrade: false,
-        },
+        permissive_slo(),
     ))
 }
 

@@ -12,19 +12,11 @@ use piql_core::value::Value;
 use piql_engine::Database;
 use piql_kv::{LiveCluster, LiveConfig};
 use piql_server::protocol::request_to_line;
-use piql_server::testkit::linear_predictor;
-use piql_server::{Client, Json, PiqlServer, Request, SloConfig};
+use piql_server::testkit::{linear_predictor, permissive_slo};
+use piql_server::{Client, Json, PiqlServer, Request};
 use piql_workloads::scadr::{self, ScadrConfig};
 use std::io::Write;
 use std::sync::Arc;
-
-fn permissive_slo() -> SloConfig {
-    SloConfig {
-        slo_ms: 1e9,
-        interval_confidence: 1.0,
-        allow_degrade: false,
-    }
-}
 
 /// A SCADr-loaded server on an ephemeral port; pool at its default width.
 fn start_server() -> (Arc<Database<LiveCluster>>, PiqlServer) {

@@ -7,8 +7,8 @@ use piql_core::plan::params::ParamValue;
 use piql_core::value::Value;
 use piql_engine::Database;
 use piql_kv::{KvRequest, KvResponse, KvStore, LiveCluster, LiveConfig, NsBalance, NsId, Session};
-use piql_server::testkit::linear_predictor;
-use piql_server::{Client, Json, PiqlServer, Request, SloConfig};
+use piql_server::testkit::{linear_predictor, permissive_slo};
+use piql_server::{Client, Json, PiqlServer, Request};
 use piql_workloads::scadr::{self, ScadrConfig};
 use piql_workloads::tpcw::{self, TpcwConfig};
 use rand::rngs::StdRng;
@@ -16,14 +16,6 @@ use rand::{Rng, SeedableRng};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
-
-fn permissive_slo() -> SloConfig {
-    SloConfig {
-        slo_ms: 1e9,
-        interval_confidence: 1.0,
-        allow_degrade: false,
-    }
-}
 
 fn start_scadr_server() -> (Arc<Database<LiveCluster>>, PiqlServer) {
     let cluster = Arc::new(LiveCluster::new(LiveConfig::default()));

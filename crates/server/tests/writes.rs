@@ -8,22 +8,14 @@ use piql_core::value::Value;
 use piql_engine::{Database, WRITE_PLAN_CACHE_CAP};
 use piql_kv::{KvStore, LiveCluster, LiveConfig, Session};
 use piql_server::server::{handle_line, respond};
-use piql_server::testkit::linear_predictor;
+use piql_server::testkit::{linear_predictor, permissive_slo};
 use piql_server::{
     open_durable, BinaryConn, BinaryWire, DurableOptions, Envelope, Json, JsonWire, Request,
-    SloConfig, StatementRegistry, Wire,
+    StatementRegistry, Wire,
 };
 use piql_workloads::scadr::{self, ScadrConfig};
 use piql_workloads::tpcw::{self, TpcwConfig};
 use std::sync::Arc;
-
-fn permissive_slo() -> SloConfig {
-    SloConfig {
-        slo_ms: 1e9,
-        interval_confidence: 1.0,
-        allow_degrade: false,
-    }
-}
 
 fn scadr_config() -> ScadrConfig {
     ScadrConfig {

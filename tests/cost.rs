@@ -39,7 +39,7 @@ use piql_kv::{
 use piql_predict::{LatencyHistogram, ModelKey, ModelStore, OpKind, SharedModelStore};
 use piql_server::protocol::ok_response;
 use piql_server::server::respond;
-use piql_server::testkit::linear_predictor;
+use piql_server::testkit::{linear_predictor, permissive_slo};
 use piql_server::{
     decode_page, open_durable, BinaryConn, BinaryWire, Dispatch, DurableOptions, Envelope,
     JsonConn, JsonWire, Reply, Request, StatementRegistry, Wire,
@@ -58,7 +58,7 @@ use std::time::Duration;
 mod store_rows;
 use store_rows::{
     assert_pinned, golden, page_view_registry, page_view_user, scadr_registry, tpcw_registry,
-    ADMIT_ALL, PAGE_VIEW_READS, PAGE_VIEW_USERS,
+    PAGE_VIEW_READS, PAGE_VIEW_USERS,
 };
 
 // ------------------------------------------------------------ counting
@@ -1595,7 +1595,7 @@ fn durable_rows(table: &mut Table) {
     table.header("     n wal records fsyncs");
     let dir = temp_dir("durable");
     let mut options = DurableOptions::new(&dir);
-    options.slo = ADMIT_ALL;
+    options.slo = permissive_slo();
     let config = small_config();
     let sql = scadr::queries(&config).post_thought;
     let stack = open_durable(options, linear_predictor(200, 100, 2), |db| {

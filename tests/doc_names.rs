@@ -1,10 +1,11 @@
-//! ARCHITECTURE.md names only what exists.
+//! ARCHITECTURE.md and PROTOCOL.md name only what exists.
 //!
-//! Every backticked Rust path in the document (`Type::item`,
+//! Every backticked Rust path in ARCHITECTURE.md (`Type::item`,
 //! `module::item`, `piql_crate::module::Type`) must resolve, segment by
 //! segment, to items defined under `crates/*/src`, and every backticked
-//! `*.rs` file must exist in the tree; a `file.rs::name` span must also
-//! define `fn name` in that file. A few std names are skipped.
+//! `*.rs` file in either document must exist in the tree; a
+//! `file.rs::name` span must also define `fn name` in that file. A few std
+//! names are skipped.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
@@ -287,29 +288,42 @@ fn path_of(span: &str) -> Option<Vec<&str>> {
     (init.iter().all(|s| is_ident(s)) && (is_ident(last) || list_ok)).then_some(segs)
 }
 
+/// The spans of `doc` that name a file (`*.rs`, or `file.rs::name`), and
+/// why each that does not exist fails: no such file, or no `fn name` in it.
+fn missing_files<'d>(tree: &Tree, doc: &'d str) -> (Vec<&'d str>, Vec<String>) {
+    let (mut files, mut missing) = (Vec::new(), Vec::new());
+    for span in spans(doc) {
+        let (file, item) = span
+            .split_once(".rs::")
+            .map_or((span, None), |(f, i)| (&span[..f.len() + 3], Some(i)));
+        if !file.ends_with(".rs") || file.contains(' ') {
+            continue;
+        }
+        files.push(span);
+        let found = tree.files_named(file);
+        if found.is_empty() {
+            missing.push(format!("`{span}`: no such file"));
+        } else if let Some(item) = item {
+            let defined = found.iter().any(|f| {
+                let text = fs::read_to_string(f).unwrap();
+                text.contains(&format!("fn {item}("))
+            });
+            if !defined {
+                missing.push(format!("`{span}`: no `fn {item}` in `{file}`"));
+            }
+        }
+    }
+    (files, missing)
+}
+
 #[test]
 fn architecture_names_only_what_exists() {
     let tree = Tree::load();
     let doc = fs::read_to_string(tree.root.join("ARCHITECTURE.md")).unwrap();
-    let (mut paths, mut files, mut missing) = (0, 0, Vec::new());
+    let (files, mut missing) = missing_files(&tree, &doc);
+    let mut paths = 0;
     for span in spans(&doc) {
-        let (file, item) = span
-            .split_once(".rs::")
-            .map_or((span, None), |(f, i)| (&span[..f.len() + 3], Some(i)));
-        if file.ends_with(".rs") && !file.contains(' ') {
-            files += 1;
-            let found = tree.files_named(file);
-            if found.is_empty() {
-                missing.push(format!("`{span}`: no such file"));
-            } else if let Some(item) = item {
-                let defined = found.iter().any(|f| {
-                    let text = fs::read_to_string(f).unwrap();
-                    text.contains(&format!("fn {item}("))
-                });
-                if !defined {
-                    missing.push(format!("`{span}`: no `fn {item}` in `{file}`"));
-                }
-            }
+        if files.contains(&span) {
             continue;
         }
         let Some(segs) = path_of(span) else { continue };
@@ -322,12 +336,27 @@ fn architecture_names_only_what_exists() {
         }
     }
     assert!(
-        paths > 0 && files > 0,
-        "no names found: {paths} paths, {files} files"
+        paths > 0 && !files.is_empty(),
+        "no names found: {paths} paths, {} files",
+        files.len()
     );
     assert!(
         missing.is_empty(),
         "ARCHITECTURE.md names what does not exist:\n{}",
+        missing.join("\n")
+    );
+}
+
+/// PROTOCOL.md cites the codecs and the suites that pin them by file.
+#[test]
+fn protocol_names_only_files_that_exist() {
+    let tree = Tree::load();
+    let doc = fs::read_to_string(tree.root.join("PROTOCOL.md")).unwrap();
+    let (files, missing) = missing_files(&tree, &doc);
+    assert!(!files.is_empty(), "PROTOCOL.md names no file");
+    assert!(
+        missing.is_empty(),
+        "PROTOCOL.md names what does not exist:\n{}",
         missing.join("\n")
     );
 }

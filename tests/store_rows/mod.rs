@@ -25,8 +25,8 @@ use piql_core::Rows;
 use piql_engine::{Database, DbError, WriteError};
 use piql_kv::testkit::{self, Participant, Schedule};
 use piql_kv::{ClusterConfig, KvRequest, KvStore, LiveCluster, LiveConfig, Session, SimCluster};
-use piql_server::testkit::linear_predictor;
-use piql_server::{SloConfig, StatementRegistry};
+use piql_server::testkit::{linear_predictor, permissive_slo};
+use piql_server::StatementRegistry;
 use piql_workloads::scadr::{self, ScadrConfig};
 use piql_workloads::tpcw;
 use std::sync::Arc;
@@ -68,18 +68,11 @@ pub fn assert_pinned(actual: &str, expected: &str) {
 
 // -------------------------------------------------------------- set-up
 
-/// A service level every statement meets.
-pub const ADMIT_ALL: SloConfig = SloConfig {
-    slo_ms: 1e9,
-    interval_confidence: 1.0,
-    allow_degrade: false,
-};
-
 pub fn registry<S: KvStore + 'static>(db: Arc<Database<S>>) -> Arc<StatementRegistry<S>> {
     Arc::new(StatementRegistry::new(
         db,
         linear_predictor(200, 100, 2),
-        ADMIT_ALL,
+        permissive_slo(),
     ))
 }
 
