@@ -4,30 +4,19 @@
 //! the SLO is rejected (or degraded) **without issuing a single storage
 //! operation** — `LiveCluster::op_count` must not move on rejection.
 
+mod common;
+
+use common::scadr_db;
 use piql_engine::Database;
-use piql_kv::{LiveCluster, LiveConfig, Session};
+use piql_kv::{LiveCluster, Session};
 use piql_server::testkit::linear_predictor;
 use piql_server::{Admission, SloConfig, StatementRegistry};
-use piql_workloads::scadr::{self, ScadrConfig};
+use piql_workloads::scadr;
 use std::sync::Arc;
 
 const THOUGHTSTREAM: &str = "SELECT thoughts.* FROM subscriptions s JOIN thoughts \
      WHERE thoughts.owner = s.target AND s.owner = <u> AND s.approved = true \
      ORDER BY thoughts.timestamp DESC LIMIT 10";
-
-fn scadr_db(max_subscriptions: u64) -> (Arc<LiveCluster>, Arc<Database<LiveCluster>>) {
-    let cluster = Arc::new(LiveCluster::new(LiveConfig::default()));
-    let db = Arc::new(Database::new(cluster.clone()));
-    let config = ScadrConfig {
-        users_per_node: 30,
-        thoughts_per_user: 12,
-        subscriptions_per_user: 5,
-        max_subscriptions,
-        ..Default::default()
-    };
-    scadr::setup(&db, &config, 2).unwrap();
-    (cluster, db)
-}
 
 /// With a 0.1 ms/row linear model: find_user costs ~0.4ms, the
 /// thoughtstream with a 100-subscription constraint costs ~110ms.

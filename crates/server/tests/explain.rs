@@ -6,6 +6,9 @@
 //! diagnosis (problem / relation / suggestions) instead of a bare
 //! string.
 
+mod common;
+
+use common::scadr_db;
 use piql_engine::Database;
 use piql_kv::{LiveCluster, LiveConfig};
 use piql_server::testkit::{linear_predictor, permissive_slo};
@@ -19,26 +22,12 @@ const THOUGHTSTREAM: &str = "SELECT thoughts.* FROM subscriptions s JOIN thought
 
 const UNBOUNDED: &str = "SELECT * FROM thoughts WHERE text = <t>";
 
-fn scadr_db() -> Arc<Database<LiveCluster>> {
-    let cluster = Arc::new(LiveCluster::new(LiveConfig::default()));
-    let db = Arc::new(Database::new(cluster));
-    let config = ScadrConfig {
-        users_per_node: 30,
-        thoughts_per_user: 12,
-        subscriptions_per_user: 5,
-        max_subscriptions: 100,
-        ..Default::default()
-    };
-    scadr::setup(&db, &config, 2).unwrap();
-    db
-}
-
 /// ~0.1 ms/row linear model: the thoughtstream with a 100-subscription
 /// constraint predicts ~110ms, so it is feasible at 500ms and
 /// SLO-infeasible at 50ms.
 fn start_server(slo_ms: f64) -> PiqlServer {
     PiqlServer::start(
-        scadr_db(),
+        scadr_db(100).1,
         linear_predictor(200, 100, 2),
         SloConfig {
             slo_ms,
@@ -207,7 +196,7 @@ fn cli_report_and_protocol_explain_are_the_same_value() {
     // The audit CLI prints `report.to_json()`; the `explain` verb ships
     // `audit.to_json()` — one builder, one tree, so the statement entry of
     // a workload report equals the protocol's answer for the same SQL.
-    let db = scadr_db();
+    let db = scadr_db(100).1;
     let slo = SloConfig {
         slo_ms: 50.0,
         interval_confidence: 1.0,
@@ -249,7 +238,7 @@ fn a_saturated_bound_is_still_a_document() {
     // Integers on the wire saturate at 2^63-1 instead.
     const HUGE: &str = "SELECT * FROM thoughts WHERE owner = <u> \
          ORDER BY timestamp DESC LIMIT 9223372036854775807";
-    let db = scadr_db();
+    let db = scadr_db(100).1;
     // the CLI's path
     let audit = piql_audit::audit_statement(
         &db.catalog(),
@@ -302,7 +291,7 @@ fn predictions_never_fall_as_the_limit_grows() {
     // model store used to answer with the *cheapest* point it held, so
     // LIMIT 51 predicted 13 ms where LIMIT 50 predicted 638 ms — and
     // was admitted. It now saturates at the dearest trained point.
-    let db = scadr_db();
+    let db = scadr_db(100).1;
     let predictor = linear_predictor(200, 100, 2);
     let server = PiqlServer::start(
         db.clone(),

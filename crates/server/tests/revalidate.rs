@@ -4,14 +4,17 @@
 //! store drifts, **without restarting the server**, and recover when the
 //! store speeds back up.
 
+mod common;
+
+use common::scadr_db;
 use piql_core::plan::params::{ParamValue, Params};
 use piql_core::value::Value;
 use piql_engine::Database;
-use piql_kv::{KvStore, LiveCluster, LiveConfig, OpKind, Session};
+use piql_kv::{KvStore, LiveCluster, OpKind, Session};
 use piql_predict::plan_thetas;
 use piql_server::testkit::linear_predictor;
 use piql_server::{Admission, Client, DriftAction, PiqlServer, SloConfig, StatementRegistry};
-use piql_workloads::scadr::{self, ScadrConfig};
+use piql_workloads::scadr;
 use std::net::SocketAddr;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -19,20 +22,6 @@ use std::sync::Arc;
 const FIND_USER: &str = "SELECT * FROM users WHERE username = <u>";
 const RECENT_THOUGHTS: &str =
     "SELECT * FROM thoughts WHERE owner = <u> ORDER BY timestamp DESC LIMIT 100";
-
-fn scadr_db() -> (Arc<LiveCluster>, Arc<Database<LiveCluster>>) {
-    let cluster = Arc::new(LiveCluster::new(LiveConfig::default()));
-    let db = Arc::new(Database::new(cluster.clone()));
-    let config = ScadrConfig {
-        users_per_node: 30,
-        thoughts_per_user: 12,
-        subscriptions_per_user: 5,
-        max_subscriptions: 100,
-        ..Default::default()
-    };
-    scadr::setup(&db, &config, 2).unwrap();
-    (cluster, db)
-}
 
 fn registry(db: Arc<Database<LiveCluster>>, slo_ms: f64) -> Arc<StatementRegistry<LiveCluster>> {
     Arc::new(StatementRegistry::new(
@@ -60,7 +49,7 @@ fn drift_flags_statement_over_tcp_without_restart() {
 }
 
 fn drift_flags_statement_over(connect: fn(SocketAddr) -> std::io::Result<Client>) {
-    let (cluster, db) = scadr_db();
+    let (cluster, db) = scadr_db(100);
     let reg = registry(db, 20.0);
     let server = PiqlServer::start_with_registry(reg.clone(), "127.0.0.1:0").unwrap();
     let mut client = connect(server.local_addr()).unwrap();
@@ -165,7 +154,7 @@ fn drift_flags_statement_over(connect: fn(SocketAddr) -> std::io::Result<Client>
 /// original bound.
 #[test]
 fn drift_redegrades_then_relaxes_bounded_statement() {
-    let (_cluster, db) = scadr_db();
+    let (_cluster, db) = scadr_db(100);
     let reg = registry(db, 50.0);
     let verdict = reg.register("recent", RECENT_THOUGHTS).unwrap();
     assert!(
@@ -281,7 +270,7 @@ fn drift_redegrades_then_relaxes_bounded_statement() {
 /// kind, and each one books its own executions.
 #[test]
 fn statements_report_their_root_operator_kind() {
-    let (_cluster, db) = scadr_db();
+    let (_cluster, db) = scadr_db(100);
     let reg = registry(db, 1_000.0);
     const THOUGHTSTREAM: &str = "SELECT thoughts.* FROM subscriptions s JOIN thoughts \
          WHERE thoughts.owner = s.target AND s.owner = <u> AND s.approved = true \
@@ -318,7 +307,7 @@ fn statements_report_their_root_operator_kind() {
 /// `revalidate`.
 #[test]
 fn background_revalidator_flags_drift_unprompted() {
-    let (cluster, db) = scadr_db();
+    let (cluster, db) = scadr_db(100);
     let reg = registry(db, 20.0);
     let mut server = PiqlServer::start_with_registry(reg.clone(), "127.0.0.1:0").unwrap();
     server.enable_revalidation(std::time::Duration::from_millis(40));
@@ -349,7 +338,7 @@ fn background_revalidator_flags_drift_unprompted() {
 /// is pure compile + predict, like admission itself.
 #[test]
 fn steady_sweep_issues_no_storage_operations() {
-    let (cluster, db) = scadr_db();
+    let (cluster, db) = scadr_db(100);
     let reg = registry(db, 50.0);
     reg.register("find_user", FIND_USER).unwrap();
     let ops_before = cluster.op_count();
@@ -372,7 +361,7 @@ fn steady_sweep_issues_no_storage_operations() {
 /// a `LiveCluster` buffers tagged operator samples that a sweep consumes.
 #[test]
 fn live_execution_fills_and_sweep_drains_the_sink() {
-    let (cluster, db) = scadr_db();
+    let (cluster, db) = scadr_db(100);
     let reg = registry(db, 1_000.0);
     reg.register("find_user", FIND_USER).unwrap();
     let mut session = Session::new();
@@ -436,7 +425,7 @@ fn fresh_prepare(reg: &StatementRegistry<LiveCluster>, name: &str, sql: &str) ->
 /// the feedback loop must hand out the page a fresh `prepare` would.
 #[test]
 fn a_sweep_is_a_reregistration_not_a_walk_from_the_installed_bound() {
-    let (_cluster, db) = scadr_db();
+    let (_cluster, db) = scadr_db(100);
     let reg = registry(db, 20.0);
     let verdict = reg.register("recent", RECENT_THOUGHTS).unwrap();
     assert!(matches!(verdict, Admission::Admitted { .. }), "{verdict:?}");
@@ -507,7 +496,7 @@ mod props {
                 1..6,
             )
         ) {
-            let (_cluster, db) = scadr_db();
+            let (_cluster, db) = scadr_db(100);
             let reg = registry(db, 150.0);
             for (name, sql) in STATEMENTS {
                 let verdict = reg.register(name, sql).unwrap();
