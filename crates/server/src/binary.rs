@@ -33,8 +33,8 @@
 
 use crate::json::{Json, Member, TreeBuilder, MAX_JSON_DEPTH};
 use crate::protocol::{
-    set_str, take_text_and_params, write_cursor_hex, Envelope, ParamSlots, ProtoError, Reply,
-    Request, RequestId,
+    batch_slots, put_request, set_str, take_text_and_params, write_cursor_hex, Envelope,
+    ParamSlots, ProtoError, Reply, Request, RequestId, Stash,
 };
 use crate::wire::Wire;
 use piql_core::plan::params::ParamValue;
@@ -566,21 +566,24 @@ fn checked_capacity(cur: &Cur<'_>, count: u32) -> Result<usize, ProtoError> {
 }
 
 /// Decode a parameter section over `params` ([`ParamSlots`]).
-fn read_params_into(cur: &mut Cur<'_>, params: &mut Vec<ParamValue>) -> Result<(), ProtoError> {
+fn read_params_into(
+    cur: &mut Cur<'_>,
+    params: &mut Vec<ParamValue>,
+    stash: &mut Stash,
+) -> Result<(), ProtoError> {
     let raw_count = cur.u32()?;
     let count = checked_capacity(cur, raw_count)?;
-    let mut slots = ParamSlots::new(params, count);
+    let mut slots = ParamSlots::new(params, count, stash);
     for _ in 0..count {
         match cur.u8()? {
             P_SCALAR => slots.scalar(read_value_ref(cur)?),
             P_COLLECTION => {
                 let raw_n = cur.u32()?;
                 let n = checked_capacity(cur, raw_n)?;
-                let mut vs = Vec::with_capacity(n);
+                let mut values = slots.collection(n);
                 for _ in 0..n {
-                    vs.push(read_value_ref(cur)?.to_value());
+                    values.value(read_value_ref(cur)?);
                 }
-                slots.collection(vs);
             }
             other => {
                 return Err(ProtoError::Malformed(format!(
@@ -648,19 +651,21 @@ fn read_cursor(cur: &mut Cur<'_>) -> Result<Option<Cursor>, ProtoError> {
 
 /// Decode one request body over `req`. An `execute` or `dml` keeps the
 /// slot's text and parameter vector ([`take_text_and_params`]), a `batch`
-/// its vector of sub-requests, each decoded over the one at its position;
-/// any other request replaces the slot.
+/// its vector of sub-requests, each decoded over the one at its position
+/// ([`batch_slots`]); any other request replaces the slot, whose buffers go
+/// to the stash.
 fn read_body_into(
     cur: &mut Cur<'_>,
     opcode: u8,
     nested: bool,
     req: &mut Request,
+    stash: &mut Stash,
 ) -> Result<(), ProtoError> {
     match opcode {
         OP_EXECUTE | OP_CURSOR_NEXT => {
-            let (mut name, mut params) = take_text_and_params(req);
+            let (mut name, mut params) = take_text_and_params(req, stash);
             set_str(&mut name, cur.str()?);
-            read_params_into(cur, &mut params)?;
+            read_params_into(cur, &mut params, stash)?;
             let cursor = read_cursor(cur)?;
             if opcode == OP_CURSOR_NEXT && cursor.is_none() {
                 return Err(ProtoError::Malformed(
@@ -674,21 +679,22 @@ fn read_body_into(
             };
         }
         OP_DML => {
-            let (mut sql, mut params) = take_text_and_params(req);
+            let (mut sql, mut params) = take_text_and_params(req, stash);
             set_str(&mut sql, cur.str()?);
-            read_params_into(cur, &mut params)?;
+            read_params_into(cur, &mut params, stash)?;
             *req = Request::Dml { sql, params };
         }
         OP_PREPARE => {
-            *req = Request::Prepare {
+            let prepare = Request::Prepare {
                 name: cur.str()?.to_string(),
                 sql: cur.str()?.to_string(),
-            }
+            };
+            put_request(req, prepare, stash);
         }
-        OP_STATS => *req = Request::Stats,
-        OP_REVALIDATE => *req = Request::Revalidate,
-        OP_REBALANCE => *req = Request::Rebalance,
-        OP_SNAPSHOT => *req = Request::Snapshot,
+        OP_STATS => put_request(req, Request::Stats, stash),
+        OP_REVALIDATE => put_request(req, Request::Revalidate, stash),
+        OP_REBALANCE => put_request(req, Request::Rebalance, stash),
+        OP_SNAPSHOT => put_request(req, Request::Snapshot, stash),
         OP_EXPLAIN => {
             let name = read_opt_str(cur)?;
             let sql = read_opt_str(cur)?;
@@ -697,7 +703,7 @@ fn read_body_into(
                     "explain requires exactly one of 'name' or 'sql'".into(),
                 ));
             }
-            *req = Request::Explain { name, sql };
+            put_request(req, Request::Explain { name, sql }, stash);
         }
         OP_BATCH => {
             if nested {
@@ -705,18 +711,10 @@ fn read_body_into(
             }
             let raw_count = cur.u32()?;
             let count = checked_capacity(cur, raw_count)?;
-            let mut requests = match std::mem::replace(req, Request::Stats) {
-                Request::Batch { requests } => requests,
-                _ => Vec::new(),
-            };
-            requests.truncate(count);
-            requests.reserve_exact(count - requests.len());
-            for i in 0..count {
-                if i == requests.len() {
-                    requests.push(Request::Stats);
-                }
+            let mut requests = batch_slots(req, count, stash);
+            for sub in &mut requests {
                 let op = cur.u8()?;
-                read_body_into(cur, op, true, &mut requests[i])?;
+                read_body_into(cur, op, true, sub, stash)?;
             }
             *req = Request::Batch { requests };
         }
@@ -899,7 +897,7 @@ impl Wire for BinaryWire {
         let mut cur = Cur::new(frame);
         let opcode = cur.u8()?;
         read_id_into(&mut cur, &mut env.id)?;
-        read_body_into(&mut cur, opcode, false, &mut env.request)?;
+        Stash::with(|stash| read_body_into(&mut cur, opcode, false, &mut env.request, stash))?;
         cur.done()
     }
 

@@ -38,7 +38,8 @@ use crate::json::{
 use piql_core::plan::params::ParamValue;
 use piql_core::rows::{RowRef, Rows};
 use piql_core::value::{Value, ValueRef};
-use piql_engine::Cursor;
+use piql_engine::exec::SCRATCH_CEILING_BYTES;
+use piql_engine::{Cursor, CursorState};
 use std::borrow::Cow;
 use std::cell::Cell;
 use std::fmt;
@@ -143,51 +144,79 @@ impl Envelope {
         }
     }
 
-    /// Heap bytes the envelope holds beyond what its contents use: the
-    /// room a kept request keeps from the larger frames decoded into it
-    /// before. Only the slots the codecs' `decode_into` write in place can
-    /// hold any; every other part is decoded afresh, exactly sized.
-    pub fn spare_bytes(&self) -> usize {
+    /// Heap bytes the envelope holds, in use or spare: what a connection
+    /// keeps by keeping it for its next request.
+    pub fn held_bytes(&self) -> usize {
         let id = match &self.id {
-            Some(RequestId::Str(s)) => slack(s),
+            Some(RequestId::Str(s)) => s.capacity(),
             _ => 0,
         };
-        id + spare_in(&self.request)
+        id + request_bytes(&self.request)
     }
 
-    /// Whether a connection keeps this envelope, just decoded from a frame
-    /// of `frame_len` bytes, for its next request: only while its spare room
-    /// fits in that frame, so one large parameter is not kept for good.
-    pub fn worth_keeping(&self, frame_len: usize) -> bool {
-        self.spare_bytes() <= frame_len
+    /// Whether a connection that keeps no other envelope keeps this one
+    /// for its next request: only while it holds no more than
+    /// [`KEPT_ENVELOPE_BYTES`], so one large request is not kept for good.
+    pub fn worth_keeping(&self) -> bool {
+        self.held_bytes() <= KEPT_ENVELOPE_BYTES
     }
 }
 
-fn slack(s: &String) -> usize {
-    s.capacity() - s.len()
+/// The most a connection's kept envelopes hold together: half of
+/// [`SCRATCH_CEILING_BYTES`]. Its decoding thread's decode stash may hold the
+/// other half ([`DECODE_STASH_BYTES`]), so all that a connection keeps for
+/// decoding stays within that one ceiling.
+pub const KEPT_ENVELOPE_BYTES: usize = SCRATCH_CEILING_BYTES / 2;
+
+/// The most a decoding thread's decode stash holds: what decoding in place
+/// leaves unused, for a later request of another shape
+/// ([`Wire::decode_into`](crate::wire::Wire::decode_into)).
+pub const DECODE_STASH_BYTES: usize = SCRATCH_CEILING_BYTES - KEPT_ENVELOPE_BYTES;
+
+fn value_bytes(value: &Value) -> usize {
+    match value {
+        Value::Varchar(s) => s.capacity(),
+        _ => 0,
+    }
 }
 
-fn spare_in(request: &Request) -> usize {
+fn values_bytes(values: &Vec<Value>) -> usize {
+    values.capacity() * size_of::<Value>() + values.iter().map(value_bytes).sum::<usize>()
+}
+
+fn params_bytes(params: &Vec<ParamValue>) -> usize {
+    let each = params.iter().map(|p| match p {
+        ParamValue::Scalar(value) => value_bytes(value),
+        ParamValue::Collection(values) => values_bytes(values),
+    });
+    params.capacity() * size_of::<ParamValue>() + each.sum::<usize>()
+}
+
+fn cursor_bytes(cursor: &Cursor) -> usize {
+    match &cursor.state {
+        CursorState::ScanAfter { last_key } => last_key.capacity(),
+        CursorState::SortedJoinAfter { suffix, full_key } => {
+            suffix.capacity() + full_key.capacity()
+        }
+    }
+}
+
+fn request_bytes(request: &Request) -> usize {
+    let text = |s: &Option<String>| s.as_ref().map_or(0, String::capacity);
     match request {
         Request::Execute {
-            name: text, params, ..
-        }
-        | Request::Dml { sql: text, params } => {
-            let strings: usize = (params.iter())
-                .map(|p| match p {
-                    ParamValue::Scalar(Value::Varchar(v)) => slack(v),
-                    _ => 0,
-                })
-                .sum();
-            slack(text)
-                + (params.capacity() - params.len()) * std::mem::size_of::<ParamValue>()
-                + strings
-        }
+            name,
+            params,
+            cursor,
+        } => name.capacity() + params_bytes(params) + cursor.as_ref().map_or(0, cursor_bytes),
+        Request::Dml { sql, params } => sql.capacity() + params_bytes(params),
+        Request::Prepare { name, sql } => name.capacity() + sql.capacity(),
+        Request::Explain { name, sql } => text(name) + text(sql),
         Request::Batch { requests } => {
-            (requests.capacity() - requests.len()) * std::mem::size_of::<Request>()
-                + requests.iter().map(spare_in).sum::<usize>()
+            requests.capacity() * size_of::<Request>()
+                + requests.iter().map(request_bytes).sum::<usize>()
         }
-        _ => 0,
+        Request::Stats | Request::Revalidate | Request::Rebalance | Request::Snapshot => 0,
     }
 }
 
@@ -203,61 +232,346 @@ pub(crate) fn set_str(slot: &mut String, s: &str) {
     }
 }
 
+/// What decoding in place leaves unused, kept on the decoding thread for a
+/// later request of another shape: the `execute` and `dml` slots past a
+/// shorter batch's end, with their texts and parameter vectors (their
+/// parameters kept apart, as below); the buffer of a
+/// `Varchar` that an `Int` now stands in; the vector of a collection that
+/// a scalar now stands in; and the vector of a batch that a lone request
+/// now stands in. Both codecs' decoders take from it what a request needs
+/// before they allocate, so a connection decodes any shape it has decoded
+/// before without allocating, whichever of its envelopes the request
+/// lands in. It never holds more than [`DECODE_STASH_BYTES`]: what would
+/// take it past that is let go.
+#[derive(Debug, Default)]
+pub(crate) struct Stash {
+    /// The text and emptied parameter vector of `execute` and `dml` slots.
+    slots: Vec<(String, Vec<ParamValue>)>,
+    /// Emptied `Varchar` buffers.
+    strings: Vec<String>,
+    /// Emptied collection vectors.
+    collections: Vec<Vec<Value>>,
+    /// An emptied batch vector.
+    batch: Vec<Request>,
+    /// What the kept items hold on the heap, beside the lists' own room.
+    held: usize,
+}
+
+thread_local! {
+    /// The stash of the requests this thread decodes.
+    static STASH: Cell<Stash> = const { Cell::new(Stash::new()) };
+}
+
+/// Heap bytes the calling thread's decode [`Stash`] holds.
+#[cfg(test)]
+pub(crate) fn decode_stash_bytes() -> usize {
+    Stash::with(|stash| stash.bytes())
+}
+
+impl Stash {
+    const fn new() -> Stash {
+        Stash {
+            slots: Vec::new(),
+            strings: Vec::new(),
+            collections: Vec::new(),
+            batch: Vec::new(),
+            held: 0,
+        }
+    }
+
+    /// Run `decode` with the calling thread's stash.
+    pub(crate) fn with<R>(decode: impl FnOnce(&mut Stash) -> R) -> R {
+        // `try_with`: TLS may already be torn down during thread exit
+        let mut stash = STASH.try_with(Cell::take).unwrap_or_default();
+        let decoded = decode(&mut stash);
+        let _ = STASH.try_with(|kept| kept.set(stash));
+        decoded
+    }
+
+    /// Heap bytes the stash holds, its lists' room included.
+    fn bytes(&self) -> usize {
+        self.held
+            + self.slots.capacity() * size_of::<(String, Vec<ParamValue>)>()
+            + self.batch.capacity() * size_of::<Request>()
+            + self.strings.capacity() * size_of::<String>()
+            + self.collections.capacity() * size_of::<Vec<Value>>()
+    }
+
+    /// Put `item`, which holds `heap` bytes, on `list` if a stash of
+    /// `bytes` then still holds no more than [`DECODE_STASH_BYTES`]; else
+    /// let it go.
+    fn shelve<T>(bytes: usize, held: &mut usize, list: &mut Vec<T>, item: T, heap: usize) {
+        let room = if list.len() == list.capacity() {
+            list.capacity().max(4)
+        } else {
+            0
+        };
+        if bytes + heap + room * size_of::<T>() <= DECODE_STASH_BYTES {
+            list.reserve_exact(room);
+            list.push(item);
+            *held += heap;
+        }
+    }
+
+    fn keep_string(&mut self, mut text: String) {
+        if text.capacity() > 0 {
+            text.clear();
+            let (bytes, heap) = (self.bytes(), text.capacity());
+            Self::shelve(bytes, &mut self.held, &mut self.strings, text, heap);
+        }
+    }
+
+    fn keep_values(&mut self, mut values: Vec<Value>) {
+        for value in values.drain(..) {
+            if let Value::Varchar(text) = value {
+                self.keep_string(text);
+            }
+        }
+        if values.capacity() > 0 {
+            let (bytes, heap) = (self.bytes(), values_bytes(&values));
+            Self::shelve(bytes, &mut self.held, &mut self.collections, values, heap);
+        }
+    }
+
+    fn keep_param(&mut self, param: ParamValue) {
+        match param {
+            ParamValue::Scalar(Value::Varchar(text)) => self.keep_string(text),
+            ParamValue::Collection(values) => self.keep_values(values),
+            ParamValue::Scalar(_) => {}
+        }
+    }
+
+    /// Keep what a request slot holds for the requests to come: an
+    /// `execute` or `dml` as a slot of its text and emptied parameter
+    /// vector, each parameter kept apart and its cursor let go; a batch's
+    /// slots each so, and its vector if it is larger than the one kept.
+    /// Any other request is let go.
+    fn keep_request(&mut self, request: Request) {
+        match request {
+            Request::Execute {
+                name: text,
+                mut params,
+                ..
+            }
+            | Request::Dml {
+                sql: text,
+                mut params,
+            } => {
+                for param in params.drain(..) {
+                    self.keep_param(param);
+                }
+                let heap = text.capacity() + params_bytes(&params);
+                let bytes = self.bytes();
+                Self::shelve(bytes, &mut self.held, &mut self.slots, (text, params), heap);
+            }
+            Request::Batch { mut requests } => {
+                for sub in requests.drain(..) {
+                    self.keep_request(sub);
+                }
+                let (had, has) = (self.batch.capacity(), requests.capacity());
+                if has > had
+                    && self.bytes() + (has - had) * size_of::<Request>() <= DECODE_STASH_BYTES
+                {
+                    self.batch = requests;
+                }
+            }
+            _ => {}
+        }
+    }
+
+    /// An emptied `Varchar` buffer: the largest of the last few kept, or a
+    /// new one. A buffer too short for its next text is replaced by one of
+    /// exactly that text's size, so handing out the largest at hand lets
+    /// every buffer reach the longest text of its kind sooner (given the
+    /// last one kept, a warm pool of five envelopes still allocated 2 in
+    /// 2,000 `tpcw mix` decodes).
+    fn string(&mut self) -> String {
+        let recent = self.strings.len().saturating_sub(8)..self.strings.len();
+        let largest = recent.max_by_key(|&i| self.strings[i].capacity());
+        let text = largest.map_or_else(String::new, |i| self.strings.swap_remove(i));
+        self.held -= text.capacity();
+        text
+    }
+
+    /// An emptied collection vector: the last one kept, or a new one.
+    fn values(&mut self) -> Vec<Value> {
+        let values = self.collections.pop().unwrap_or_default();
+        self.held -= values_bytes(&values);
+        values
+    }
+
+    /// The text and parameter vector of the last slot kept, or new ones.
+    fn text_and_params(&mut self) -> (String, Vec<ParamValue>) {
+        let (text, params) = self.slots.pop().unwrap_or_default();
+        self.held -= text.capacity() + params_bytes(&params);
+        (text, params)
+    }
+}
+
+/// Write `request` over `slot`, keeping in the stash what the slot held.
+pub(crate) fn put_request(slot: &mut Request, request: Request, stash: &mut Stash) {
+    stash.keep_request(std::mem::replace(slot, request));
+}
+
 /// The text and parameter vector a request slot holds — an `execute`'s
 /// name or a `dml`'s SQL — taken out for the `execute` or `dml` decoded
-/// next into the slot, whichever of the two it is; empty ones from any
-/// other slot. The slot is left holding `stats`.
-pub(crate) fn take_text_and_params(slot: &mut Request) -> (String, Vec<ParamValue>) {
+/// next into the slot, whichever of the two it is; from any other slot,
+/// whatever it holds goes to the stash, and a kept slot's (or new ones)
+/// come out of it. The slot is left holding `stats`.
+pub(crate) fn take_text_and_params(
+    slot: &mut Request,
+    stash: &mut Stash,
+) -> (String, Vec<ParamValue>) {
     match std::mem::replace(slot, Request::Stats) {
         Request::Execute {
             name: text, params, ..
         }
         | Request::Dml { sql: text, params } => (text, params),
-        _ => Default::default(),
+        other => {
+            stash.keep_request(other);
+            stash.text_and_params()
+        }
     }
 }
 
+/// The slots a batch of `count` sub-requests is decoded over, one by one:
+/// the vector `slot` holds if it is a batch, else the stash's, cut to
+/// `count` (the slots past that go to the stash) and filled up to it with
+/// `stats`, which take their buffers from the stash as they are decoded
+/// into ([`take_text_and_params`]). The slot is left holding `stats`.
+pub(crate) fn batch_slots(slot: &mut Request, count: usize, stash: &mut Stash) -> Vec<Request> {
+    let mut requests = match std::mem::replace(slot, Request::Stats) {
+        Request::Batch { requests } => requests,
+        other => {
+            stash.keep_request(other);
+            std::mem::take(&mut stash.batch)
+        }
+    };
+    for surplus in requests.drain(count.min(requests.len())..) {
+        stash.keep_request(surplus);
+    }
+    requests.reserve_exact(count - requests.len());
+    requests.resize_with(count, || Request::Stats);
+    requests
+}
+
+/// Write `value` over `slot`, keeping a `Varchar`'s buffer: a text over a
+/// text is set in place ([`set_str`]), a text over anything else takes a
+/// buffer from the stash, and anything else over a text leaves its buffer
+/// there.
+fn set_value(slot: &mut Value, value: ValueRef<'_>, stash: &mut Stash) {
+    match (slot, value) {
+        (Value::Varchar(old), ValueRef::Varchar(text)) => set_str(old, text),
+        (slot, ValueRef::Varchar(text)) => {
+            let mut buffer = stash.string();
+            set_str(&mut buffer, text);
+            *slot = Value::Varchar(buffer);
+        }
+        (slot, value) => {
+            if let Value::Varchar(old) = std::mem::replace(slot, value.to_value()) {
+                stash.keep_string(old);
+            }
+        }
+    }
+}
+
+/// The slot at `next` in `list`, a new `fill` past its end; `next` moves
+/// on.
+fn next_slot<'l, T>(list: &'l mut Vec<T>, next: &mut usize, fill: impl FnOnce() -> T) -> &'l mut T {
+    if *next == list.len() {
+        list.push(fill());
+    }
+    *next += 1;
+    &mut list[*next - 1]
+}
+
 /// A parameter list decoded over a kept one, slot by slot — the in-place
-/// reader both codecs feed: the vector keeps its capacity, and a scalar
-/// `Varchar` landing on a scalar `Varchar` keeps its buffer ([`set_str`]);
-/// any other slot is replaced.
+/// reader both codecs feed: the vector keeps its capacity, a scalar is
+/// written over the scalar at its position ([`set_value`]) and a
+/// collection over the collection there ([`ValueSlots`]); what a slot of
+/// the other kind held, and the slots past the list's end, go to the
+/// stash, and a slot past the old list's end takes from it.
 pub(crate) struct ParamSlots<'p> {
     params: &'p mut Vec<ParamValue>,
+    stash: &'p mut Stash,
     next: usize,
 }
 
 impl<'p> ParamSlots<'p> {
     /// Ready to write `count` parameters over `params`, which is cut to
     /// that length and given room for exactly that many.
-    pub(crate) fn new(params: &'p mut Vec<ParamValue>, count: usize) -> Self {
-        params.truncate(count);
+    pub(crate) fn new(params: &'p mut Vec<ParamValue>, count: usize, stash: &'p mut Stash) -> Self {
+        for surplus in params.drain(count.min(params.len())..) {
+            stash.keep_param(surplus);
+        }
         params.reserve_exact(count - params.len());
-        ParamSlots { params, next: 0 }
+        ParamSlots {
+            params,
+            stash,
+            next: 0,
+        }
     }
 
     /// The next parameter is the scalar `value`.
     pub(crate) fn scalar(&mut self, value: ValueRef<'_>) {
-        if let (Some(ParamValue::Scalar(Value::Varchar(old))), ValueRef::Varchar(s)) =
-            (self.params.get_mut(self.next), value)
-        {
-            set_str(old, s);
-            self.next += 1;
-            return;
+        let slot = next_slot(self.params, &mut self.next, || {
+            ParamValue::Scalar(Value::Null)
+        });
+        if let ParamValue::Collection(values) = slot {
+            self.stash.keep_values(std::mem::take(values));
+            *slot = ParamValue::Scalar(Value::Null);
         }
-        self.put(ParamValue::Scalar(value.to_value()));
+        if let ParamValue::Scalar(old) = slot {
+            set_value(old, value, self.stash);
+        }
     }
 
-    /// The next parameter is a collection of `values`.
-    pub(crate) fn collection(&mut self, values: Vec<Value>) {
-        self.put(ParamValue::Collection(values));
+    /// The next parameter is a collection of `count` values, written one
+    /// by one through what this returns.
+    pub(crate) fn collection(&mut self, count: usize) -> ValueSlots<'_> {
+        let slot = next_slot(self.params, &mut self.next, || {
+            ParamValue::Collection(self.stash.values())
+        });
+        if let ParamValue::Scalar(old) = slot {
+            if let Value::Varchar(text) = std::mem::replace(old, Value::Null) {
+                self.stash.keep_string(text);
+            }
+            *slot = ParamValue::Collection(self.stash.values());
+        }
+        let ParamValue::Collection(values) = slot else {
+            unreachable!("a scalar slot was just made a collection")
+        };
+        ValueSlots::new(values, count, self.stash)
+    }
+}
+
+/// A collection parameter decoded over a kept one, value by value, as
+/// [`ParamSlots`] decodes a parameter list.
+pub(crate) struct ValueSlots<'v> {
+    values: &'v mut Vec<Value>,
+    stash: &'v mut Stash,
+    next: usize,
+}
+
+impl<'v> ValueSlots<'v> {
+    fn new(values: &'v mut Vec<Value>, count: usize, stash: &'v mut Stash) -> Self {
+        for surplus in values.drain(count.min(values.len())..) {
+            if let Value::Varchar(text) = surplus {
+                stash.keep_string(text);
+            }
+        }
+        values.reserve_exact(count - values.len());
+        ValueSlots {
+            values,
+            stash,
+            next: 0,
+        }
     }
 
-    fn put(&mut self, param: ParamValue) {
-        match self.params.get_mut(self.next) {
-            Some(slot) => *slot = param,
-            None => self.params.push(param),
-        }
-        self.next += 1;
+    /// The next value is `value`.
+    pub(crate) fn value(&mut self, value: ValueRef<'_>) {
+        let slot = next_slot(self.values, &mut self.next, || Value::Null);
+        set_value(slot, value, self.stash);
     }
 }
 
@@ -470,7 +784,7 @@ pub(crate) fn read_envelope(line: &str, env: &mut Envelope) -> Result<(), ProtoE
     let line = line.trim();
     let fields = scan_line(line)?;
     read_id_into(line, fields.id, &mut env.id)?;
-    read_request_into(line, &fields, false, &mut env.request)
+    Stash::with(|stash| read_request_into(line, &fields, false, &mut env.request, stash))
 }
 
 /// Best-effort `id` recovery from a line that failed [`parse_envelope`]:
@@ -682,9 +996,10 @@ fn read_params_into(
     line: &str,
     at: Option<usize>,
     params: &mut Vec<ParamValue>,
+    stash: &mut Stash,
 ) -> Result<(), ProtoError> {
     let Some(at) = at else {
-        params.clear();
+        ParamSlots::new(params, 0, stash);
         return Ok(());
     };
     let Some(mut s) = enter_array(line, at) else {
@@ -693,15 +1008,14 @@ fn read_params_into(
             quoted(line, at)?
         )));
     };
-    let mut slots = ParamSlots::new(params, count_items(line, at)?);
+    let mut slots = ParamSlots::new(params, count_items(line, at)?, stash);
     while s.next_item()? {
         if s.peek() == Some(b'[') {
-            let mut values = Vec::with_capacity(count_items(line, s.pos())?);
+            let mut values = slots.collection(count_items(line, s.pos())?);
             s.begin_array()?;
             while s.next_item()? {
-                values.push(read_value(line, &mut s, |value| value.to_value())?);
+                read_value(line, &mut s, |value| values.value(value))?;
             }
-            slots.collection(values);
         } else {
             read_value(line, &mut s, |value| slots.scalar(value))?;
         }
@@ -730,29 +1044,31 @@ fn read_cursor(line: &str, at: Option<usize>) -> Result<Option<Cursor>, ProtoErr
 /// Write the request whose fields were found at `fields` over `slot`. An
 /// `execute` or `dml` keeps the slot's text and parameter vector
 /// ([`take_text_and_params`]), a `batch` its vector of sub-requests, each
-/// decoded over the one at its position; any other request replaces the
-/// slot. `nested` is true inside a `batch`, where further batches (and
-/// per-sub-request ids) are malformed. On an error the slot holds
-/// whatever was written so far.
+/// decoded over the one at its position ([`batch_slots`]); any other
+/// request replaces the slot, whose buffers go to the stash. `nested` is
+/// true inside a `batch`, where further batches (and per-sub-request ids)
+/// are malformed. On an error the slot holds whatever was written so far.
 fn read_request_into(
     line: &str,
     fields: &Fields,
     nested: bool,
     slot: &mut Request,
+    stash: &mut Stash,
 ) -> Result<(), ProtoError> {
     let cmd =
         read_str(line, fields.cmd)?.ok_or_else(|| ProtoError::Malformed("missing 'cmd'".into()))?;
     match &*cmd {
         "prepare" => {
-            *slot = Request::Prepare {
+            let prepare = Request::Prepare {
                 name: required_str(line, fields.name, "name")?.into_owned(),
                 sql: required_str(line, fields.sql, "sql")?.into_owned(),
-            }
+            };
+            put_request(slot, prepare, stash);
         }
         "execute" => {
-            let (mut name, mut params) = take_text_and_params(slot);
+            let (mut name, mut params) = take_text_and_params(slot, stash);
             set_str(&mut name, &required_str(line, fields.name, "name")?);
-            read_params_into(line, fields.params, &mut params)?;
+            read_params_into(line, fields.params, &mut params, stash)?;
             let cursor = read_cursor(line, fields.cursor)?;
             *slot = Request::Execute {
                 name,
@@ -764,9 +1080,9 @@ fn read_request_into(
         "cursor-next" => {
             let cursor = read_cursor(line, fields.cursor)?
                 .ok_or_else(|| ProtoError::Malformed("cursor-next requires a 'cursor'".into()))?;
-            let (mut name, mut params) = take_text_and_params(slot);
+            let (mut name, mut params) = take_text_and_params(slot, stash);
             set_str(&mut name, &required_str(line, fields.name, "name")?);
-            read_params_into(line, fields.params, &mut params)?;
+            read_params_into(line, fields.params, &mut params, stash)?;
             *slot = Request::Execute {
                 name,
                 params,
@@ -774,15 +1090,15 @@ fn read_request_into(
             };
         }
         "dml" => {
-            let (mut sql, mut params) = take_text_and_params(slot);
+            let (mut sql, mut params) = take_text_and_params(slot, stash);
             set_str(&mut sql, &required_str(line, fields.sql, "sql")?);
-            read_params_into(line, fields.params, &mut params)?;
+            read_params_into(line, fields.params, &mut params, stash)?;
             *slot = Request::Dml { sql, params };
         }
-        "stats" => *slot = Request::Stats,
-        "revalidate" => *slot = Request::Revalidate,
-        "rebalance" => *slot = Request::Rebalance,
-        "snapshot" => *slot = Request::Snapshot,
+        "stats" => put_request(slot, Request::Stats, stash),
+        "revalidate" => put_request(slot, Request::Revalidate, stash),
+        "rebalance" => put_request(slot, Request::Rebalance, stash),
+        "snapshot" => put_request(slot, Request::Snapshot, stash),
         "explain" => {
             let field = |key: &str, at: Option<usize>| -> Result<Option<String>, ProtoError> {
                 let Some(at) = present(line, at) else {
@@ -803,22 +1119,18 @@ fn read_request_into(
                     "explain requires exactly one of 'name' or 'sql'".into(),
                 ));
             }
-            *slot = Request::Explain { name, sql };
+            put_request(slot, Request::Explain { name, sql }, stash);
         }
         "batch" => {
             if nested {
                 return Err(ProtoError::Malformed("batch cannot contain a batch".into()));
             }
-            let mut s = fields
-                .requests
-                .and_then(|at| enter_array(line, at))
+            let (at, mut s) = (fields.requests)
+                .and_then(|at| Some((at, enter_array(line, at)?)))
                 .ok_or_else(|| ProtoError::Malformed("batch requires a 'requests' array".into()))?;
-            let mut requests = match std::mem::replace(slot, Request::Stats) {
-                Request::Batch { requests } => requests,
-                _ => Vec::new(),
-            };
-            let mut count = 0;
-            while s.next_item()? {
+            let mut requests = batch_slots(slot, count_items(line, at)?, stash);
+            for sub_slot in &mut requests {
+                s.next_item()?;
                 let sub = scan_fields(&mut s)?;
                 // mirror the envelope rule: `"id":null` means absent
                 if present(line, sub.id).is_some() {
@@ -826,13 +1138,8 @@ fn read_request_into(
                         "batch sub-requests are positional and must not carry 'id'".into(),
                     ));
                 }
-                if count == requests.len() {
-                    requests.push(Request::Stats);
-                }
-                read_request_into(line, &sub, true, &mut requests[count])?;
-                count += 1;
+                read_request_into(line, &sub, true, sub_slot, stash)?;
             }
-            requests.truncate(count);
             *slot = Request::Batch { requests };
         }
         other => return Err(ProtoError::Malformed(format!("unknown cmd '{other}'"))),

@@ -64,7 +64,7 @@ use crate::gate::{Door, Gate};
 use crate::json::Json;
 use crate::protocol::{
     budget_exceeded_response, err_response, ok_response, parse_request, Envelope, ProtoError,
-    Reply, Request, RequestId,
+    Reply, Request, RequestId, KEPT_ENVELOPE_BYTES,
 };
 use crate::registry::{
     Admission, FastKeyPart, RegistryError, Revalidator, Run, SloConfig, StatementRegistry,
@@ -350,7 +350,7 @@ struct Outbox {
     ready: Condvar,
     /// The window has a cap; without one, no lock is taken for it.
     windowed: bool,
-    /// Most envelopes `Printed::spares` keeps.
+    /// Most envelopes `Printed::spares` keeps, however little they hold.
     spare_limit: usize,
 }
 
@@ -370,6 +370,10 @@ struct Printed {
     /// Envelopes of tagged requests answered, for the reader to decode
     /// its next lines into.
     spares: Vec<Envelope>,
+    /// Heap bytes the connection's kept envelopes hold: the spares, and
+    /// the reader's own as it last counted it (`JsonConn::counted`). Never
+    /// more than [`KEPT_ENVELOPE_BYTES`].
+    kept_bytes: usize,
 }
 
 impl Printed {
@@ -377,6 +381,19 @@ impl Printed {
     /// to wait for.
     fn writable(&self) -> bool {
         self.answers > 0 || (self.done && self.owed == 0)
+    }
+
+    /// Count an envelope that holds `held` bytes among the kept ones, in
+    /// place of the `counted` bytes it was counted at, if the kept
+    /// envelopes then hold no more than [`KEPT_ENVELOPE_BYTES`] together;
+    /// else stop counting it. Whether it is kept.
+    fn count_kept(&mut self, counted: usize, held: usize) -> bool {
+        self.kept_bytes -= counted;
+        let keep = self.kept_bytes + held <= KEPT_ENVELOPE_BYTES;
+        if keep {
+            self.kept_bytes += held;
+        }
+        keep
     }
 }
 
@@ -396,7 +413,8 @@ impl Outbox {
     /// none) on a dispatch pool of `dispatch_width` workers. It keeps as
     /// many spare envelopes as the window, which bounds how many tagged
     /// requests are out at once, or without one, one more than the pool's
-    /// width.
+    /// width — and, with the reader's own, no more bytes than
+    /// [`KEPT_ENVELOPE_BYTES`].
     fn new(max_in_flight: usize, dispatch_width: usize) -> Self {
         let (cap, spare_limit) = match max_in_flight {
             0 => (None, dispatch_width + 1),
@@ -409,6 +427,7 @@ impl Outbox {
             done: false,
             waiting: false,
             spares: Vec::new(),
+            kept_bytes: 0,
         };
         Outbox {
             gate: Gate::new(rank::SERVER_OUTBOX, "server.conn.outbox", cap, printed),
@@ -451,23 +470,35 @@ impl Outbox {
         value
     }
 
-    /// Print `reply` as the answer carrying `id`, unless the writer has
-    /// stopped; then hand its blocks back to this thread.
-    fn print(&self, id: Option<&RequestId>, reply: Reply) {
-        self.update(|door| door.print(id, &reply));
+    /// Print `reply` as the reader's answer carrying `id`, unless the
+    /// writer has stopped, and count the reader's envelope, now holding
+    /// `held` bytes, among the kept ones in place of its `counted` bytes
+    /// ([`Printed::count_kept`]); then hand the reply's blocks back to this
+    /// thread. Whether the reader keeps its envelope.
+    fn print_ordered(
+        &self,
+        id: Option<&RequestId>,
+        reply: Reply,
+        counted: usize,
+        held: usize,
+    ) -> bool {
+        let keep = self.update(|door| {
+            door.print(id, &reply);
+            door.state.count_kept(counted, held)
+        });
         reply.give_back();
+        keep
     }
 
-    /// Print `reply` as the answer to the tagged request `env`, owed since
-    /// its dispatch from a frame of `frame_len` bytes, and keep `env` for
-    /// the reader if it is worth keeping and the spares have room; then
-    /// hand the reply's blocks back to this thread.
-    fn print_tagged(&self, env: Envelope, reply: Reply, frame_len: usize) {
-        let keep = env.worth_keeping(frame_len);
+    /// Print `reply` as the answer to the tagged request `env`, and keep
+    /// `env` for the reader if the spares have room for it, in number and
+    /// in bytes; then hand the reply's blocks back to this thread.
+    fn print_tagged(&self, env: Envelope, reply: Reply) {
+        let held = env.held_bytes();
         let let_go = self.update(|door| {
             door.state.owed -= 1;
             door.print(env.id.as_ref(), &reply);
-            if keep && door.state.spares.len() < self.spare_limit {
+            if door.state.spares.len() < self.spare_limit && door.state.count_kept(0, held) {
                 door.state.spares.push(env);
                 None
             } else {
@@ -480,14 +511,12 @@ impl Outbox {
     }
 }
 
-/// A tagged request on its way to a dispatch worker: its envelope, the
-/// outbox its answer goes to, and the length of the frame it was decoded
-/// from. It moves into the dispatch queue as a value, so the hop allocates
-/// nothing once the queue has grown.
+/// A tagged request on its way to a dispatch worker: its envelope and the
+/// outbox its answer goes to. It moves into the dispatch queue as a value,
+/// so the hop allocates nothing once the queue has grown.
 struct Job {
     env: Envelope,
     outbox: Arc<Outbox>,
-    frame_len: usize,
 }
 
 /// The server-wide dispatch: the workers that answer tagged requests, each
@@ -508,7 +537,7 @@ impl Dispatch {
             "server.dispatch.queue",
             move |job: Job| {
                 let reply = run_handler(&job.env.request, &mut Session::new(), &registry);
-                job.outbox.print_tagged(job.env, reply, job.frame_len);
+                job.outbox.print_tagged(job.env, reply);
             },
         ))
     }
@@ -526,9 +555,12 @@ impl Dispatch {
 /// envelope to the dispatch workers as a `Job`, which hands it back
 /// among the outbox's spares as it prints the answer, and the reader keeps
 /// a spare in its place, if there is one, from the same update that counts
-/// the answer owed. Like [`BinaryConn`]'s, a kept envelope holds no more
-/// spare room than the frame just decoded into it. Every answer is printed
-/// into the connection's outbox, for its writer to write.
+/// the answer owed. The reader's envelope and the spares together hold no
+/// more than [`KEPT_ENVELOPE_BYTES`] between requests, counted under the
+/// outbox's lock in the updates that print or owe an answer; what a
+/// request of another shape leaves unused waits in the reader thread's
+/// decode stash. Every answer is printed into the connection's outbox, for
+/// its writer to write.
 pub struct JsonConn<S: KvStore + 'static> {
     registry: Arc<StatementRegistry<S>>,
     dispatch: Arc<Dispatch>,
@@ -536,6 +568,9 @@ pub struct JsonConn<S: KvStore + 'static> {
     /// The ordered venue's session.
     session: Session,
     kept: Envelope,
+    /// The bytes `kept` is counted at among the kept envelopes
+    /// (`Printed::kept_bytes`).
+    counted: usize,
 }
 
 impl<S: KvStore + 'static> JsonConn<S> {
@@ -553,41 +588,47 @@ impl<S: KvStore + 'static> JsonConn<S> {
             outbox,
             session: Session::new(),
             kept: Envelope::empty(),
+            counted: 0,
         }
     }
 
     /// Handle one request line (without its newline): exactly one answer
     /// is printed for it, here or on a dispatch worker.
     pub fn handle_frame(&mut self, frame: &[u8]) {
-        match JsonWire.decode_into(frame, &mut self.kept) {
+        let (id, reply) = match JsonWire.decode_into(frame, &mut self.kept) {
             Ok(()) if self.kept.id.is_some() => {
+                // the envelope leaves for a job: no longer counted as kept,
+                // while a spare that takes its place stays counted
+                let counted = self.counted;
                 let spare = self.outbox.update(|door| {
                     door.state.owed += 1;
+                    door.state.kept_bytes -= counted;
                     door.state.spares.pop()
                 });
-                let env = std::mem::replace(&mut self.kept, spare.unwrap_or_else(Envelope::empty));
+                let spare = spare.unwrap_or_else(Envelope::empty);
+                self.counted = spare.held_bytes();
+                let env = std::mem::replace(&mut self.kept, spare);
                 let outbox = self.outbox.clone();
-                let frame_len = frame.len();
-                self.dispatch.0.push(Job {
-                    env,
-                    outbox,
-                    frame_len,
-                });
+                self.dispatch.0.push(Job { env, outbox });
                 return;
             }
             // the ordered venue: answered here, in arrival order, a line
             // that did not decode in its place
-            Ok(()) => {
-                let reply = run_handler(&self.kept.request, &mut self.session, &self.registry);
-                self.outbox.print(None, reply);
-            }
-            Err(e) => {
-                let (id, reply) = undecodable(&JsonWire, frame, e);
-                self.outbox.print(id.as_ref(), reply);
-            }
-        }
-        if !self.kept.worth_keeping(frame.len()) {
+            Ok(()) => (
+                None,
+                run_handler(&self.kept.request, &mut self.session, &self.registry),
+            ),
+            Err(e) => undecodable(&JsonWire, frame, e),
+        };
+        let held = self.kept.held_bytes();
+        if self
+            .outbox
+            .print_ordered(id.as_ref(), reply, self.counted, held)
+        {
+            self.counted = held;
+        } else {
             self.kept = Envelope::empty();
+            self.counted = 0;
         }
     }
 
@@ -731,9 +772,9 @@ pub struct BinaryConn<S: KvStore + 'static> {
     /// tagged value, re-scanned per fast-path attempt.
     param_offsets: Vec<usize>,
     /// The last request the general path decoded, while it is
-    /// [`Envelope::worth_keeping`]; the next one is decoded into its buffers
-    /// ([`Wire::decode_into`]). Boxed, so a connection is no larger to hold
-    /// or move.
+    /// [`Envelope::worth_keeping`] as the connection's one kept envelope;
+    /// the next one is decoded into its buffers ([`Wire::decode_into`]).
+    /// Boxed, so a connection is no larger to hold or move.
     request: Box<Envelope>,
 }
 
@@ -852,7 +893,7 @@ impl<S: KvStore + 'static> BinaryConn<S> {
                 wire.encode_reply(id.as_ref(), &reply, &mut self.out);
             }
         }
-        if !self.request.worth_keeping(frame.len()) {
+        if !self.request.worth_keeping() {
             *self.request = Envelope::empty();
         }
     }
@@ -1331,12 +1372,35 @@ mod tests {
         }
     }
 
-    /// The bound on what a connection keeps: after each frame its request
-    /// holds no more spare room than that frame's bytes, which the frame
-    /// buffer already holds — so one large parameter is not kept for the
-    /// connection's lifetime, while frames alike reuse the buffers.
+    /// `request`, untagged, as `wire`'s read loop delivers it.
+    fn frame_of(wire: &dyn Wire, request: Request) -> Vec<u8> {
+        let mut frame = Vec::new();
+        wire.encode_envelope(&Envelope { id: None, request }, &mut frame);
+        match wire.version() {
+            2 => frame[..frame.len() - 1].to_vec(),
+            _ => frame.split_off(4),
+        }
+    }
+
+    /// A batch of `n` `dml`s, each over a text of `len` bytes.
+    fn batch_of_texts(n: usize, len: usize) -> Request {
+        let dml = |i: usize| Request::Dml {
+            sql: format!("{i:0len$}"),
+            params: vec![ParamValue::Scalar(Value::Varchar(format!("{i}")))],
+        };
+        Request::Batch {
+            requests: (0..n).map(dml).collect(),
+        }
+    }
+
+    /// The bound on what a connection keeps for decoding: a request that
+    /// holds more than `KEPT_ENVELOPE_BYTES` is let go once answered, while
+    /// frames alike reuse one kept request's buffers; and what a shorter
+    /// batch leaves waits in the thread's decode stash only up to
+    /// `DECODE_STASH_BYTES`, on both codecs.
     #[test]
-    fn a_kept_request_holds_no_more_spare_room_than_the_frame_just_read() {
+    fn a_kept_request_and_the_decode_stash_stay_within_their_byte_bounds() {
+        use crate::protocol::{decode_stash_bytes, DECODE_STASH_BYTES};
         let db = Arc::new(Database::new(Arc::new(LiveCluster::new(
             LiveConfig::default(),
         ))));
@@ -1348,16 +1412,35 @@ mod tests {
         let mut conn = BinaryConn::new(registry);
         let large = dml_frame(&"x".repeat(1 << 20));
         conn.handle_frame(&large);
-        assert_eq!(conn.request.spare_bytes(), 0, "all of it in use");
+        assert_eq!(conn.request.held_bytes(), 0, "the large request is let go");
         let small = dml_frame("a short thought");
-        for _ in 0..3 {
-            conn.handle_frame(&small);
-            assert!(conn.request.spare_bytes() <= small.len());
-        }
+        conn.handle_frame(&small);
+        let held = conn.request.held_bytes();
+        assert!(held > 0 && held <= KEPT_ENVELOPE_BYTES, "{held}");
         let kept = text_buffer(&conn.request);
         conn.handle_frame(&dml_frame("another thought"));
         assert_eq!(text_buffer(&conn.request), kept, "a frame alike reuses it");
         assert!(!conn.output().is_empty());
+
+        // 200 slots of 1 KiB each, left by a batch of one: more than the
+        // stash may hold, so it keeps what fits and lets the rest go
+        for wire in [&JsonWire as &dyn Wire, &BinaryWire] {
+            let mut env = Envelope::empty();
+            let big = frame_of(wire, batch_of_texts(200, 1 << 10));
+            wire.decode_into(&big, &mut env).unwrap();
+            assert!(env.held_bytes() > 2 * DECODE_STASH_BYTES);
+            wire.decode_into(&frame_of(wire, batch_of_texts(1, 8)), &mut env)
+                .unwrap();
+            let stashed = decode_stash_bytes();
+            assert!(
+                stashed > DECODE_STASH_BYTES / 2 && stashed <= DECODE_STASH_BYTES,
+                "v{}: {stashed} bytes stashed",
+                wire.version()
+            );
+            // and the next batch as long takes its slots back
+            wire.decode_into(&big, &mut env).unwrap();
+            assert!(decode_stash_bytes() < stashed, "v{}", wire.version());
+        }
     }
 
     /// A JSON connection served on a thread of its own, and its client.
@@ -1414,6 +1497,8 @@ mod tests {
         /// line, and their limit.
         spares: Vec<Envelope>,
         spare_limit: usize,
+        /// What the outbox counted its kept envelopes at, once done.
+        kept_bytes: usize,
         /// The most requests ever decoded and not yet written, as the
         /// window counts them or as the owed and printed answers show them.
         most_out: u32,
@@ -1455,6 +1540,7 @@ mod tests {
             answers,
             spares: std::mem::take(&mut door.state.spares),
             spare_limit: conn.outbox.spare_limit,
+            kept_bytes: door.state.kept_bytes,
             most_out,
             held_after: door.held,
             stalls: stalls.load(Ordering::Relaxed),
@@ -1468,8 +1554,8 @@ mod tests {
     /// The bound on what a JSON connection keeps: after a burst of tagged
     /// requests, more than its limit of envelopes out at once, it holds no
     /// more spares than the limit — one more than the dispatch pool's width
-    /// — and none that holds more spare room than the frame it was last
-    /// decoded from.
+    /// — and its kept envelopes, the reader's among them, hold no more than
+    /// `KEPT_ENVELOPE_BYTES` together; an envelope past that is let go.
     #[test]
     fn a_burst_of_tagged_requests_leaves_no_more_spare_envelopes_than_the_limit() {
         let burst: Vec<String> = (0..12).map(tagged_read).collect();
@@ -1478,20 +1564,42 @@ mod tests {
         let spares = seen.spares.len();
         assert!(spares > 0 && spares <= seen.spare_limit, "{spares}");
 
-        // an untagged request for a long name, answered in the reader's
-        // envelope; the next line, tagged, is decoded into that envelope
-        // and takes it to the dispatch task, which lets it go
+        // requests under ids of 24 KiB: three such spares would hold more
+        // than the bound, so the connection keeps fewer
+        let long_id = |k: usize| format!("{k}{}", "x".repeat(24 << 10));
+        let long_ids: Vec<String> = (0..12)
+            .map(|k| {
+                let id = long_id(k);
+                format!(r#"{{"cmd":"execute","id":"{id}","name":"q","params":[{{"int":{k}}}]}}"#)
+            })
+            .collect();
+        let seen = serve_burst(&long_ids, 2, 0);
+        assert_eq!(seen.answers.len(), 12);
+        let held: usize = seen.spares.iter().map(Envelope::held_bytes).sum();
+        assert!(!seen.spares.is_empty(), "none kept");
+        assert!(
+            held <= seen.kept_bytes && seen.kept_bytes <= KEPT_ENVELOPE_BYTES,
+            "{} spares hold {held} bytes of {} counted",
+            seen.spares.len(),
+            seen.kept_bytes
+        );
+
+        // an untagged request for a name longer than the bound, answered
+        // in the reader's envelope and then let go; the tagged lines after
+        // it are decoded into envelopes of their own size
         let long = format!(
             r#"{{"cmd":"execute","name":"{}","params":[]}}"#,
-            "x".repeat(1 << 16)
+            "x".repeat(KEPT_ENVELOPE_BYTES)
         );
         let Burst {
             answers, spares, ..
         } = serve_burst(&[long, tagged_read(1), tagged_read(2)], 2, 0);
         assert_eq!(answers.len(), 3);
         assert!(answers[0].contains("unknown"), "{}", answers[0]);
-        assert_eq!(spares.len(), 1, "only the short request's envelope is kept");
-        assert!(spares[0].spare_bytes() <= tagged_read(2).len());
+        assert!(!spares.is_empty());
+        for spare in &spares {
+            assert!(spare.held_bytes() < 1 << 10, "{}", spare.held_bytes());
+        }
     }
 
     /// The window, not the dispatch width, bounds a burst: over a pool

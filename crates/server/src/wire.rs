@@ -56,14 +56,20 @@ pub trait Wire: Send + Sync {
     /// Decode a frame produced by [`Wire::encode_envelope`] over `env` —
     /// the codec's one request decoder. A connection that keeps its last
     /// request decodes the next one into its buffers: a statement text that
-    /// has not changed is not rewritten; the parameter vector and each
-    /// scalar `Varchar` keep their capacity; a `batch` keeps its vector and
-    /// decodes each sub-request over the one at its position; and a slot
-    /// keeps its text and parameter vector when it switches between
-    /// `execute` and `dml`. So a warm `execute`, `dml` or batch of them
-    /// allocates nothing here. On success `env` equals what
-    /// [`Wire::decode_envelope`] returns; on error its contents are
-    /// unspecified (the next successful decode overwrites them all).
+    /// has not changed is not rewritten; the parameter vector, each
+    /// `Varchar` and each collection keep their capacity; a `batch` keeps
+    /// its vector and decodes each sub-request over the one at its
+    /// position; and a slot keeps its text and parameter vector when it
+    /// switches between `execute` and `dml`. What a request of another
+    /// shape leaves unused — the slots past a shorter batch's end, the
+    /// buffer of a `Varchar` an `Int` now stands in, a collection's vector —
+    /// goes to the decoding thread's stash (at most
+    /// [`DECODE_STASH_BYTES`](crate::protocol::DECODE_STASH_BYTES)), and
+    /// what a larger one needs comes out of it. So a warm `execute`, `dml`
+    /// or batch of them allocates nothing here, whichever shape `env` held
+    /// before. On success `env` equals what [`Wire::decode_envelope`]
+    /// returns; on error its contents are unspecified (the next successful
+    /// decode overwrites them all).
     fn decode_into(&self, frame: &[u8], env: &mut Envelope) -> Result<(), ProtoError>;
 
     /// [`Wire::decode_into`] on a fresh envelope.

@@ -1794,28 +1794,88 @@ fn body_in_sequence(wire: &'static dyn Codec) -> impl Strategy<Value = Vec<u8>> 
     })
 }
 
-/// Decoding into one reused envelope, request after request — `execute`
-/// and `dml` switching, batches growing and shrinking, longer and shorter
-/// parameter lists, a slot turning from scalar to collection to `Varchar`,
-/// an id present then absent, malformed requests between — gives after
+/// The parameters of an `execute` or `dml`.
+fn params_of(request: &mut Request) -> &mut Vec<ParamValue> {
+    match request {
+        Request::Execute { params, .. } | Request::Dml { params, .. } => params,
+        other => panic!("{other:?} has no parameters"),
+    }
+}
+
+/// A batch, then the same batch with one parameter switched in place —
+/// from an `Int` to a `Varchar` or back, then from a scalar to a
+/// collection or back — then cut to its first request and grown back: what
+/// each slot of a kept batch meets when the requests it carries change
+/// shape.
+fn switching_batches(wire: &'static dyn Codec) -> impl Strategy<Value = Vec<Request>> {
+    let requests = prop::collection::vec(in_place_request(wire), 1..6);
+    (requests, any::<Index>(), any::<Index>(), string_content()).prop_map(
+        |(requests, at_request, at_param, text)| {
+            let mut turned = requests.clone();
+            let r = at_request.index(turned.len());
+            if params_of(&mut turned[r]).is_empty() {
+                params_of(&mut turned[r]).push(ParamValue::Scalar(Value::Int(7)));
+            }
+            let p = at_param.index(params_of(&mut turned[r]).len());
+            let mut batches = vec![requests.clone()];
+            let param = &mut params_of(&mut turned[r])[p];
+            *param = match param {
+                ParamValue::Scalar(Value::Varchar(_)) => ParamValue::Scalar(Value::Int(7)),
+                _ => ParamValue::Scalar(Value::Varchar(text.clone())),
+            };
+            batches.push(turned.clone());
+            let param = &mut params_of(&mut turned[r])[p];
+            *param = match param {
+                ParamValue::Collection(_) => ParamValue::Scalar(Value::Int(7)),
+                ParamValue::Scalar(_) => {
+                    ParamValue::Collection(vec![Value::Varchar(text), Value::Null])
+                }
+            };
+            batches.extend([turned[..1].to_vec(), turned, requests]);
+            batches
+                .into_iter()
+                .map(|requests| Request::Batch { requests })
+                .collect()
+        },
+    )
+}
+
+/// Decoding request after request — `execute` and `dml` switching,
+/// batches growing and shrinking, longer and shorter parameter lists, a
+/// slot turning from scalar to collection to `Varchar`, an id present then
+/// absent, malformed requests between, then `switching` — into one reused
+/// envelope, and into
+/// envelopes taken from a pool of three in the order `picks` gives, as a
+/// JSON reader takes the spares its dispatch workers hand back, gives after
 /// each what decoding it alone gives, the error included.
 fn decodes_into_a_kept_request_as_afresh(
     wire: &dyn Codec,
     bodies: &[Vec<u8>],
+    switching: &[Request],
+    picks: &[Index],
 ) -> Result<(), TestCaseError> {
     let mut reused = Envelope {
         id: None,
         request: Request::Stats,
     };
-    for body in bodies {
-        let into = wire.decode_into(body, &mut reused).map(|()| reused.clone());
-        let fresh = wire.decode_envelope(body);
-        prop_assert_eq!(
-            answer(into),
-            answer(fresh),
-            "request: {:?}",
-            String::from_utf8_lossy(body)
-        );
+    let mut pool = vec![reused.clone(); 3];
+    let switched = switching.iter().map(|request| {
+        let request = request.clone();
+        body(wire, &Envelope { id: None, request })
+    });
+    let bodies: Vec<Vec<u8>> = bodies.iter().cloned().chain(switched).collect();
+    for (i, body) in bodies.iter().enumerate() {
+        let picked = &mut pool[picks[i % picks.len()].index(3)];
+        for kept in [&mut reused, picked] {
+            let into = wire.decode_into(body, kept).map(|()| kept.clone());
+            let fresh = wire.decode_envelope(body);
+            prop_assert_eq!(
+                answer(into),
+                answer(fresh),
+                "request: {:?}",
+                String::from_utf8_lossy(body)
+            );
+        }
     }
     Ok(())
 }
@@ -2080,8 +2140,10 @@ macro_rules! codec_properties {
                 #[test]
                 fn decoding_into_a_reused_request_is_decoding_afresh(
                     bodies in prop::collection::vec(body_in_sequence(WIRE), 1..16),
+                    switching in switching_batches(WIRE),
+                    picks in prop::collection::vec(any::<Index>(), 1..16),
                 ) {
-                    decodes_into_a_kept_request_as_afresh(WIRE, &bodies)?;
+                    decodes_into_a_kept_request_as_afresh(WIRE, &bodies, &switching, &picks)?;
                 }
 
                 #[test]

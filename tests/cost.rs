@@ -46,6 +46,8 @@ use piql_server::{
 };
 use piql_workloads::scadr::{self, ScadrConfig};
 use piql_workloads::tpcw;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::collections::BTreeMap;
@@ -233,10 +235,11 @@ fn small_scadr() -> (Arc<StatementRegistry>, String) {
 }
 
 /// `frame` served as a JSON connection serves it: decoded into the
-/// envelope the connection keeps (`kept`, let go when it holds more spare
-/// room than the frame, as the server's reader lets go of one), its answer
-/// printed into `out` and its result blocks then handed back to this
-/// thread. What decoding, `respond` and `encode_reply` cost.
+/// envelope the connection keeps (`kept`, its one kept envelope, let go
+/// once it holds more than the connection may keep,
+/// [`Envelope::worth_keeping`], as the server's reader lets go of one),
+/// its answer printed into `out` and its result blocks then handed back to
+/// this thread. What decoding, `respond` and `encode_reply` cost.
 fn serve_json(
     registry: &StatementRegistry,
     session: &mut Session,
@@ -249,7 +252,7 @@ fn serve_json(
     out.clear();
     let ((), encoded) = counted(|| JsonWire.encode_reply(kept.id.as_ref(), &reply, out));
     reply.give_back();
-    if !kept.worth_keeping(frame.len()) {
+    if !kept.worth_keeping() {
         *kept = fresh_envelope();
     }
     [decoded, handled, encoded]
@@ -326,6 +329,7 @@ fn server_rows(table: &mut Table) {
     json_inserts(table);
     page_views(table);
     tpcw_reads(table);
+    tpcw_decodes(table);
 }
 
 /// The v3 fast lane: decode → registry lookup → `point_get` → encode, zero
@@ -656,6 +660,108 @@ fn tpcw_reads(table: &mut Table) {
         let made = governed(&registry, label, &[params], MEASURED);
         let shape = format!("tpcw {label}");
         table.row(&shape, "execute_governed", MEASURED as u64, made);
+    }
+}
+
+/// One TPC-W interaction of the ordering mix, as the benchmark's client
+/// sends it: a `batch` of its statements, parameters drawn by `rng`.
+/// `card` is its place on the mix's 0..100 deck.
+fn tpcw_interaction(card: u32, rng: &mut StdRng) -> Request {
+    let execute = |name: &str, params: Vec<ParamValue>| Request::Execute {
+        name: name.to_string(),
+        params,
+        cursor: None,
+    };
+    let dml = |sql: &str, params: Vec<ParamValue>| Request::Dml {
+        sql: sql.to_string(),
+        params,
+    };
+    let int = |v: i32| -> ParamValue { Value::Int(v).into() };
+    let text = |s: String| -> ParamValue { Value::Varchar(s).into() };
+    let uname = text(tpcw::customer_uname(rng.gen_range(0..40_000)));
+    let item = |rng: &mut StdRng| rng.gen_range(0..10_000);
+    let word = |rng: &mut StdRng, words: &[&str]| text(words[rng.gen_range(0..words.len())].into());
+    let requests = match card {
+        0..=13 => {
+            let promos = (0..5).map(|_| Value::Int(item(rng))).collect::<Vec<_>>();
+            vec![
+                execute("home_customer", vec![uname]),
+                execute("home_promotions", vec![promos.into()]),
+            ]
+        }
+        14..=24 => vec![execute("new_products", vec![word(rng, &tpcw::SUBJECTS)])],
+        25..=40 => vec![execute("product_detail", vec![int(item(rng))])],
+        41..=49 => vec![execute("search_author", vec![word(rng, &tpcw::SURNAMES)])],
+        50..=58 => vec![execute("search_title", vec![word(rng, &tpcw::TITLE_WORDS)])],
+        59..=71 => vec![
+            execute("od_customer", vec![uname.clone()]),
+            execute("od_last_order", vec![uname]),
+            execute("od_lines", vec![int(rng.gen_range(1..i32::MAX))]),
+        ],
+        _ => {
+            let (cart, order) = (rng.gen_range(1..i32::MAX), rng.gen_range(1..i32::MAX));
+            let now: ParamValue = Value::Timestamp(rng.gen_range(0..i64::MAX)).into();
+            let items: Vec<i32> = (0..rng.gen_range(1..4)).map(|_| item(rng)).collect();
+            let mut requests = vec![dml(tpcw::INSERT_CART, vec![int(cart), now.clone()])];
+            for &i in &items {
+                let qty = rng.gen_range(1..4);
+                requests.push(dml(
+                    tpcw::INSERT_CART_LINE,
+                    vec![int(cart), int(i), int(qty)],
+                ));
+            }
+            requests.push(execute("buy_cart", vec![int(cart)]));
+            requests.push(dml(tpcw::INSERT_ORDER, vec![int(order), uname, now]));
+            for (l, &i) in items.iter().enumerate() {
+                let line = vec![int(order), int(l as i32), int(i)];
+                requests.push(dml(tpcw::INSERT_ORDER_LINE, line));
+            }
+            requests
+        }
+    };
+    Request::Batch { requests }
+}
+
+/// The ordering mix's seven interactions as tagged JSON lines, dealt from
+/// shuffled decks of 100 that hold each interaction's share of the mix, as
+/// the benchmark deals them; then a JSON reader's decode of them: into the
+/// one envelope it keeps, and into envelopes drawn from a pool of five in
+/// a seeded order, as the dispatch workers' completion order hands spares
+/// back to it. Either way a warm decode allocates nothing, whichever shape
+/// the envelope held before.
+fn tpcw_decodes(table: &mut Table) {
+    const WARM: usize = 2_000;
+    const MEASURED: usize = 2_000;
+    const POOL: usize = 5;
+    let mut rng = StdRng::seed_from_u64(62);
+    let mut deck = Vec::new();
+    let frames: Vec<Vec<u8>> = (0..WARM + MEASURED)
+        .map(|i| {
+            if deck.is_empty() {
+                deck = (0..100).collect();
+                for j in (1..deck.len()).rev() {
+                    deck.swap(j, rng.gen_range(0..j + 1));
+                }
+            }
+            let card = deck.pop().unwrap();
+            json_line(Some(i), tpcw_interaction(card, &mut rng))
+        })
+        .collect();
+    let draws: Vec<usize> = frames.iter().map(|_| rng.gen_range(0..POOL)).collect();
+    for (shape, pool) in [("tpcw mix", 1), ("tpcw mix, pool of 5 envelopes", POOL)] {
+        let mut envelopes: Vec<Envelope> = (0..pool).map(|_| fresh_envelope()).collect();
+        let mut decode = |i: usize| {
+            let kept = &mut envelopes[draws[i] % pool];
+            JsonWire.decode_into(&frames[i], kept).unwrap();
+            assert_eq!(kept.id, Some((i as i64).into()));
+            if !kept.worth_keeping() {
+                *kept = fresh_envelope();
+            }
+        };
+        (0..WARM).for_each(&mut decode);
+        let ((), made) = counted(|| (WARM..WARM + MEASURED).for_each(&mut decode));
+        assert_eq!(made.allocs, 0, "{shape}: a warm decode allocates");
+        table.row(shape, "decode_envelope", MEASURED as u64, made);
     }
 }
 
