@@ -36,8 +36,6 @@ pub struct ClusterConfig {
     pub replication: usize,
     /// Concurrent ops one node can service before queueing.
     pub node_concurrency: usize,
-    /// Partitions per namespace ≈ `nodes * partitions_per_node`.
-    pub partitions_per_node: usize,
     pub seed: u64,
     pub latency: LatencyConfig,
     pub interference: InterferenceConfig,
@@ -51,7 +49,6 @@ impl Default for ClusterConfig {
             nodes: 4,
             replication: 2,
             node_concurrency: 8,
-            partitions_per_node: 1,
             seed: 0xC0FFEE,
             latency: LatencyConfig::default(),
             interference: InterferenceConfig::default(),
@@ -68,7 +65,6 @@ impl ClusterConfig {
             nodes,
             replication: 2.min(nodes),
             node_concurrency: 8,
-            partitions_per_node: 1,
             seed: 1,
             latency: LatencyConfig::zero(),
             interference: InterferenceConfig::none(),
@@ -392,10 +388,11 @@ impl SimCluster {
         self.namespaces.get(ns).data.len()
     }
 
-    /// Recompute partition split points from current data and spread
-    /// partitions over the nodes — the SCADS Director's job.
+    /// Recompute partition split points from current data, one partition
+    /// per node, and spread the partitions over the nodes — the SCADS
+    /// Director's job.
     pub fn rebalance(&self) {
-        let parts = (self.config.nodes * self.config.partitions_per_node).max(1);
+        let parts = self.config.nodes.max(1);
         for (_, ns) in self.namespaces.all() {
             let splits = ns.data.split_points(parts);
             let data = ns.data.clone();
@@ -598,36 +595,6 @@ impl KvStore for SimCluster {
 mod tests {
     use super::*;
 
-    fn instant_cluster() -> SimCluster {
-        SimCluster::new(ClusterConfig::instant(4))
-    }
-
-    #[test]
-    fn basic_round_trip() {
-        let c = instant_cluster();
-        let ns = c.namespace("t/users");
-        let mut s = Session::new();
-        c.execute_round(
-            &mut s,
-            vec![KvRequest::Put {
-                ns,
-                key: b"alice".to_vec(),
-                value: b"row".to_vec(),
-            }],
-        );
-        let r = c.execute_round(
-            &mut s,
-            vec![KvRequest::Get {
-                ns,
-                key: b"alice".to_vec(),
-            }],
-        );
-        assert_eq!(r[0].expect_value(), Some(b"row".as_slice()));
-        assert_eq!(s.stats.rounds, 2);
-        assert_eq!(s.stats.logical_requests, 2);
-        assert!(s.stats.physical_requests >= 2, "writes hit both replicas");
-    }
-
     #[test]
     fn parallel_round_advances_to_max() {
         let mut cfg = ClusterConfig::instant(4);
@@ -652,96 +619,6 @@ mod tests {
             c.execute_round(&mut s2, vec![KvRequest::Get { ns, key: vec![i] }]);
         }
         assert!(s2.now >= 8000, "serial rounds accumulate: {}", s2.now);
-    }
-
-    #[test]
-    fn range_scan_spans_partitions() {
-        let c = instant_cluster();
-        let ns = c.namespace("t/items");
-        for i in 0..100u8 {
-            c.bulk_put(ns, vec![i], vec![i]);
-        }
-        c.rebalance();
-        let mut s = Session::new();
-        let r = c.execute_round(
-            &mut s,
-            vec![KvRequest::GetRange {
-                ns,
-                start: vec![10],
-                end: Some(vec![90]),
-                limit: None,
-                reverse: false,
-            }],
-        );
-        let entries = r[0].expect_entries().to_vec();
-        assert_eq!(entries.len(), 80);
-        assert!(entries.windows(2).all(|w| w[0].0 < w[1].0));
-        assert!(
-            s.stats.physical_requests > 1,
-            "range crossed partitions: {}",
-            s.stats.physical_requests
-        );
-        // limited scan stops at the first partition that fills it
-        let mut s2 = Session::new();
-        let r = c.execute_round(
-            &mut s2,
-            vec![KvRequest::GetRange {
-                ns,
-                start: vec![10],
-                end: None,
-                limit: Some(5),
-                reverse: false,
-            }],
-        );
-        assert_eq!(r[0].expect_entries().len(), 5);
-        assert_eq!(s2.stats.physical_requests, 1);
-    }
-
-    #[test]
-    fn reverse_range_scan() {
-        let c = instant_cluster();
-        let ns = c.namespace("r");
-        for i in 0..50u8 {
-            c.bulk_put(ns, vec![i], vec![i]);
-        }
-        c.rebalance();
-        let mut s = Session::new();
-        let r = c.execute_round(
-            &mut s,
-            vec![KvRequest::GetRange {
-                ns,
-                start: vec![0],
-                end: None,
-                limit: Some(10),
-                reverse: true,
-            }],
-        );
-        let entries = r[0].expect_entries().to_vec();
-        assert_eq!(entries.len(), 10);
-        assert_eq!(entries[0].0, vec![49]);
-        assert!(entries.windows(2).all(|w| w[0].0 > w[1].0));
-    }
-
-    #[test]
-    fn count_and_tas() {
-        let c = instant_cluster();
-        let ns = c.namespace("cnt");
-        for i in 0..30u8 {
-            c.bulk_put(ns, vec![i], vec![i]);
-        }
-        c.rebalance();
-        let mut s = Session::new();
-        let r = c.execute_round(
-            &mut s,
-            vec![KvRequest::CountRange {
-                ns,
-                start: vec![5],
-                end: Some(vec![15]),
-            }],
-        );
-        assert_eq!(r[0].expect_count(), 10);
-        let r = c.execute_round(&mut s, vec![crate::testkit::swap(ns, &[5], &[99], None)]);
-        assert!(matches!(r[0], KvResponse::TasResult { success: false, .. }));
     }
 
     #[test]

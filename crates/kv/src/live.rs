@@ -1340,103 +1340,6 @@ mod tests {
         })
     }
 
-    /// `key(i)` → `[i]` for every byte `i`, stored as the first batch of
-    /// `ns`, which [`small`] lays out in 4 parts of 64 keys.
-    fn first_batch(c: &LiveCluster, ns: NsId, key: impl Fn(u8) -> Vec<u8>) {
-        c.bulk_put_all(ns, &mut |push| {
-            for i in 0..=255u8 {
-                let joined = key(i);
-                let key_len = joined.len();
-                push([joined, vec![i]].concat(), key_len);
-            }
-        });
-        assert_eq!(c.balance()[0].entries, [64; 4]);
-    }
-
-    #[test]
-    fn point_ops_roundtrip() {
-        let c = small();
-        let ns = c.namespace("t");
-        let mut s = Session::new();
-        c.execute_round(
-            &mut s,
-            vec![KvRequest::Put {
-                ns,
-                key: b"k".to_vec(),
-                value: b"v".to_vec(),
-            }],
-        );
-        let r = c.execute_round(
-            &mut s,
-            vec![KvRequest::Get {
-                ns,
-                key: b"k".to_vec(),
-            }],
-        );
-        assert_eq!(r[0].expect_value(), Some(b"v".as_slice()));
-        c.execute_round(
-            &mut s,
-            vec![KvRequest::Delete {
-                ns,
-                key: b"k".to_vec(),
-            }],
-        );
-        let r = c.execute_round(
-            &mut s,
-            vec![KvRequest::Get {
-                ns,
-                key: b"k".to_vec(),
-            }],
-        );
-        assert_eq!(r[0].expect_value(), None);
-        assert_eq!(c.op_count(), 4);
-        assert_eq!(s.stats.rounds, 4);
-    }
-
-    #[test]
-    fn ranges_cross_shards_in_order() {
-        let c = small();
-        let ns = c.namespace("r");
-        first_batch(&c, ns, |i| vec![i, 1]);
-        let mut s = Session::new();
-        let r = c.execute_round(
-            &mut s,
-            vec![KvRequest::GetRange {
-                ns,
-                start: vec![10],
-                end: Some(vec![250]),
-                limit: None,
-                reverse: false,
-            }],
-        );
-        let entries = r[0].expect_entries().to_vec();
-        assert_eq!(entries.len(), 240);
-        assert!(entries.windows(2).all(|w| w[0].0 < w[1].0));
-        let r = c.execute_round(
-            &mut s,
-            vec![KvRequest::GetRange {
-                ns,
-                start: vec![0],
-                end: None,
-                limit: Some(7),
-                reverse: true,
-            }],
-        );
-        let entries = r[0].expect_entries().to_vec();
-        assert_eq!(entries.len(), 7);
-        assert_eq!(entries[0].0, vec![255, 1]);
-        assert!(entries.windows(2).all(|w| w[0].0 > w[1].0));
-        let r = c.execute_round(
-            &mut s,
-            vec![KvRequest::CountRange {
-                ns,
-                start: vec![10],
-                end: Some(vec![20]),
-            }],
-        );
-        assert_eq!(r[0].expect_count(), 10);
-    }
-
     #[test]
     fn tas_is_atomic_under_contention() {
         let c = Arc::new(small());
@@ -1478,186 +1381,6 @@ mod tests {
         let stored = shard.get(&b"key"[..]).expect("stored");
         assert_eq!(stored.parts(), (&b"key"[..], &b"record"[..]));
         assert_eq!(stored.ptr.as_ptr().cast_const(), sent, "kept as it is");
-    }
-
-    #[test]
-    fn multi_shard_scans_count_per_shard_physical_ops() {
-        let c = small();
-        let ns = c.namespace("phys");
-        first_batch(&c, ns, |i| vec![i]);
-        let before = c.stats_snapshot();
-        let mut s = Session::new();
-        // full-keyspace scan touches all 4 shards: 1 logical, 4 physical
-        c.execute_round(
-            &mut s,
-            vec![KvRequest::GetRange {
-                ns,
-                start: vec![],
-                end: None,
-                limit: None,
-                reverse: false,
-            }],
-        );
-        assert_eq!(s.stats.logical_requests, 1);
-        assert_eq!(s.stats.physical_requests, 4, "one op per shard visited");
-        let after = c.stats_snapshot();
-        assert_eq!(after.ops - before.ops, 1);
-        assert_eq!(after.physical_ops - before.physical_ops, 4);
-
-        // a limited scan that fills from the first shard visits just one
-        let mut s2 = Session::new();
-        c.execute_round(
-            &mut s2,
-            vec![KvRequest::CountRange {
-                ns,
-                start: vec![10],
-                end: Some(vec![20]),
-            }],
-        );
-        assert_eq!(s2.stats.physical_requests, 1, "count within one shard");
-    }
-
-    #[test]
-    fn delayed_round_completes_at_slowest_not_sum() {
-        let c = LiveCluster::new(LiveConfig {
-            shards_per_namespace: 4,
-            pool_threads: 8,
-            request_delay_us: 10_000, // 10 ms per request
-        });
-        let ns = c.namespace("slow");
-        let mut s = Session::new();
-        let t0 = Instant::now();
-        let round: RequestRound = (0..8u8)
-            .map(|i| KvRequest::Get { ns, key: vec![i] })
-            .collect();
-        c.execute_round(&mut s, round);
-        let elapsed = t0.elapsed();
-        // 8 × 10 ms sequentially is 80 ms; fanned out it is ~10 ms
-        assert!(
-            elapsed < std::time::Duration::from_millis(40),
-            "round should complete at ~max request latency, took {elapsed:?}"
-        );
-    }
-
-    #[test]
-    fn zero_thread_pool_still_conforms_sequentially() {
-        let c = LiveCluster::new(LiveConfig {
-            shards_per_namespace: 4,
-            pool_threads: 0,
-            request_delay_us: 0,
-        });
-        let ns = c.namespace("seq");
-        let mut s = Session::new();
-        let responses = c.execute_round(
-            &mut s,
-            vec![
-                KvRequest::Put {
-                    ns,
-                    key: b"a".to_vec(),
-                    value: b"1".to_vec(),
-                },
-                KvRequest::Get {
-                    ns,
-                    key: b"a".to_vec(),
-                },
-            ],
-        );
-        assert_eq!(responses.len(), 2);
-        assert_eq!(c.pool().worker_count(), 0);
-    }
-
-    #[test]
-    fn exclusive_end_on_shard_boundary_stays_left() {
-        // 4 parts cut at [64], [128], [192]; an exclusive end exactly on
-        // a boundary must not visit the shard to its right
-        let c = small();
-        let ns = c.namespace("edge");
-        first_batch(&c, ns, |i| vec![i]);
-        let mut s = Session::new();
-        let r = c.execute_round(
-            &mut s,
-            vec![KvRequest::CountRange {
-                ns,
-                start: vec![0],
-                end: Some(vec![64]),
-            }],
-        );
-        assert_eq!(r[0].expect_count(), 64);
-        assert_eq!(s.stats.physical_requests, 1, "[0, [64]) lives in shard 0");
-        let mut s2 = Session::new();
-        let r = c.execute_round(
-            &mut s2,
-            vec![KvRequest::GetRange {
-                ns,
-                start: vec![64],
-                end: Some(vec![128]),
-                limit: None,
-                reverse: false,
-            }],
-        );
-        assert_eq!(r[0].expect_entries().len(), 64);
-        assert_eq!(s2.stats.physical_requests, 1, "one full part, one shard");
-        // an end past the boundary still visits the next shard
-        let mut s3 = Session::new();
-        c.execute_round(
-            &mut s3,
-            vec![KvRequest::CountRange {
-                ns,
-                start: vec![0],
-                end: Some(vec![64, 0]),
-            }],
-        );
-        assert_eq!(s3.stats.physical_requests, 2);
-    }
-
-    #[test]
-    fn rebalance_learns_quantile_splits_and_keeps_results() {
-        let c = small();
-        let ns = c.namespace("skew");
-        // 90% of keys under leading byte 0xAA, put one by one into a
-        // namespace of one part
-        let mut expected: Vec<(Vec<u8>, Vec<u8>)> = Vec::new();
-        for i in 0..400u16 {
-            let mut key = if i % 10 != 0 {
-                vec![0xAA, 0xAA]
-            } else {
-                vec![(i % 251) as u8]
-            };
-            key.extend_from_slice(&i.to_be_bytes());
-            expected.push((key.clone(), i.to_be_bytes().to_vec()));
-            c.bulk_put(ns, key, i.to_be_bytes().to_vec());
-        }
-        expected.sort();
-        let before = c.balance();
-        let skewed = &before[0];
-        assert_eq!(skewed.entries, [400], "single puts lay nothing out");
-
-        c.rebalance();
-
-        let after = c.balance();
-        let even = &after[0];
-        assert_eq!(even.name, "skew");
-        assert!(
-            even.max_entry_share() <= 2.0 / even.shards as f64,
-            "quantile splits even the shards out: {:?}",
-            even.entries
-        );
-        assert_eq!(c.stats_snapshot().rebalances, 1);
-        assert_eq!(even.ops.iter().sum::<u64>(), 0, "new layout, fresh ops");
-
-        // results are bitwise identical to the pre-rebalance contents
-        let mut s = Session::new();
-        let r = c.execute_round(
-            &mut s,
-            vec![KvRequest::GetRange {
-                ns,
-                start: vec![],
-                end: None,
-                limit: None,
-                reverse: false,
-            }],
-        );
-        assert_eq!(r[0].expect_entries().to_vec(), expected);
     }
 
     #[test]
@@ -1740,57 +1463,6 @@ mod tests {
         drop(table);
         merge.join().unwrap();
         assert_eq!(ns.len(), 401);
-    }
-
-    #[test]
-    fn rebalance_of_empty_namespace_is_harmless() {
-        let c = small();
-        let ns = c.namespace("empty");
-        c.rebalance();
-        let mut s = Session::new();
-        let r = c.execute_round(
-            &mut s,
-            vec![KvRequest::Get {
-                ns,
-                key: b"k".to_vec(),
-            }],
-        );
-        assert_eq!(r[0].expect_value(), None);
-        c.execute_round(
-            &mut s,
-            vec![KvRequest::Put {
-                ns,
-                key: b"k".to_vec(),
-                value: b"v".to_vec(),
-            }],
-        );
-        assert_eq!(c.ns_len(ns), 1);
-    }
-
-    #[test]
-    fn point_get_matches_single_get_range_round_accounting() {
-        let c = small();
-        let ns = c.namespace("pg");
-        c.bulk_put(ns, b"hit".to_vec(), b"value".to_vec());
-        let before = c.stats_snapshot();
-        let mut s = Session::new();
-        let mut out = Vec::new();
-        assert_eq!(c.point_get(&mut s, ns, b"hit", &mut out), Some(true));
-        assert_eq!(out, b"value");
-        assert_eq!(s.stats.rounds, 1);
-        assert_eq!(s.stats.logical_requests, 1);
-        assert_eq!(s.stats.physical_requests, 1);
-        assert_eq!(s.stats.entries, 1);
-        assert_eq!(s.stats.bytes, (b"hit".len() + b"value".len()) as u64);
-        let after = c.stats_snapshot();
-        assert_eq!(after.ops - before.ops, 1);
-        assert_eq!(after.physical_ops - before.physical_ops, 1);
-        // a miss still counts the round but ships no entry
-        out.clear();
-        assert_eq!(c.point_get(&mut s, ns, b"absent", &mut out), Some(false));
-        assert!(out.is_empty());
-        assert_eq!(s.stats.entries, 1);
-        assert_eq!(s.stats.rounds, 2);
     }
 
     #[test]

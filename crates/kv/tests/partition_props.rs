@@ -1,9 +1,8 @@
 //! Property tests for partition routing: every key routes to exactly one
-//! partition, ranges cover exactly the partitions their keys live in, and
-//! simulated scans agree with a flat reference store.
+//! partition, and ranges cover exactly the partitions their keys live in.
+//! What the stores answer over those partitions is `conformance.rs`'s.
 
 use piql_kv::partition::SplitPoints;
-use piql_kv::{ClusterConfig, KvRequest, KvStore, Session, SimCluster};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 
@@ -91,47 +90,5 @@ proptest! {
             .parts_for_range(start, end.map(|e| e.as_slice()))
             .collect();
         prop_assert_eq!(visited, holding);
-    }
-
-    #[test]
-    fn cluster_scans_agree_with_flat_reference(
-        entries in prop::collection::btree_map(
-            prop::collection::vec(any::<u8>(), 1..6),
-            any::<u8>(),
-            0..40,
-        ),
-        start in prop::collection::vec(any::<u8>(), 0..4),
-        limit in 1u64..20,
-        reverse in any::<bool>(),
-    ) {
-        let cluster = SimCluster::new(ClusterConfig::instant(4));
-        let ns = cluster.namespace("p");
-        for (k, v) in &entries {
-            cluster.bulk_put(ns, k.clone(), vec![*v]);
-        }
-        cluster.rebalance();
-        let mut session = Session::new();
-        let got = cluster.execute_round(
-            &mut session,
-            vec![KvRequest::GetRange {
-                ns,
-                start: start.clone(),
-                end: None,
-                limit: Some(limit),
-                reverse,
-            }],
-        );
-        let got = got[0].expect_entries().to_vec();
-        // flat reference
-        let mut expect: Vec<(Vec<u8>, Vec<u8>)> = entries
-            .iter()
-            .filter(|(k, _)| k.as_slice() >= start.as_slice())
-            .map(|(k, v)| (k.clone(), vec![*v]))
-            .collect();
-        if reverse {
-            expect.reverse();
-        }
-        expect.truncate(limit as usize);
-        prop_assert_eq!(got, expect);
     }
 }
