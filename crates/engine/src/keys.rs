@@ -12,6 +12,7 @@ use piql_core::rows::{Row, RowRef, RowsBuilder, RowsError};
 use piql_core::text;
 use piql_core::tuple::Tuple;
 use piql_core::value::{DataType, ValueRef};
+use piql_kv::spare;
 use std::fmt;
 use std::ops::{ControlFlow, Range};
 
@@ -132,11 +133,12 @@ pub enum RecordKey<'k> {
 }
 
 /// The entry a write stores for `row`: its key, then its record, in one
-/// buffer of exactly their size, and where the key ends — what a
-/// test-and-set carries and a bulk feed pushes, and what the store keeps
-/// as it is. Every column is read, in column order, before anything is
-/// encoded, so a row that does not validate fails on its first bad
-/// column and builds nothing.
+/// buffer with room for exactly their size or more — the smallest the
+/// thread's spare has ([`piql_kv::spare::take`]), which a store that
+/// copies entries hands its buffers back to — and where the key ends:
+/// what a test-and-set carries and a bulk feed pushes. Every column is
+/// read, in column order, before anything is encoded, so a row that does
+/// not validate fails on its first bad column and builds nothing.
 pub fn record_entry<R: RowSource + ?Sized>(
     table: &TableDef,
     key: RecordKey<'_>,
@@ -150,7 +152,7 @@ pub fn record_entry<R: RowSource + ?Sized>(
     let mut entry = match key {
         RecordKey::Columns(pk) => primary_key_with_room(table, pk, row, record_len)?,
         RecordKey::Stored(key) => {
-            let mut entry = Vec::with_capacity(key.len() + record_len);
+            let mut entry = spare::take(key.len() + record_len);
             entry.extend_from_slice(key);
             entry
         }
@@ -163,8 +165,9 @@ pub fn record_entry<R: RowSource + ?Sized>(
     Ok((entry, key_len))
 }
 
-/// [`primary_key_from`] in a buffer with room for exactly `room` more
-/// bytes: the record [`record_entry`] writes behind the key.
+/// [`primary_key_from`] in a buffer from the thread's spare with room for
+/// at least `room` more bytes: the record [`record_entry`] writes behind
+/// the key.
 fn primary_key_with_room<R: RowSource + ?Sized>(
     table: &TableDef,
     pk: &[ColumnId],
@@ -181,7 +184,7 @@ fn primary_key_with_room<R: RowSource + ?Sized>(
         }
         len += v.encoded_len();
     }
-    let mut out = Vec::with_capacity(len);
+    let mut out = spare::take(len);
     for &c in pk {
         key::encode_component_ref(&mut out, row.value(c)?, Dir::Asc).map_err(KeyError::from)?;
     }
@@ -190,7 +193,8 @@ fn primary_key_with_room<R: RowSource + ?Sized>(
 
 /// Hand every index-entry key of `row` under the key layout `parts` to
 /// `emit` (several when a TOKEN part expands, none when it has no tokens),
-/// sorted and each once, every key in a buffer of exactly its size.
+/// sorted and each once, every key in a buffer from the thread's spare
+/// with room for at least its size ([`piql_kv::spare::take`]).
 pub fn entry_keys<R: RowSource + ?Sized>(
     parts: &[KeyPart],
     row: &R,
@@ -225,7 +229,7 @@ pub fn entry_keys_in<R: RowSource + ?Sized>(
         for part in parts {
             len += row.value(part.col)?.encoded_len();
         }
-        let mut out = Vec::with_capacity(len);
+        let mut out = spare::take(len);
         for part in parts {
             key::encode_component_ref(&mut out, row.value(part.col)?, part.dir)
                 .map_err(KeyError::from)?;
@@ -269,7 +273,7 @@ pub fn entry_keys_in<R: RowSource + ?Sized>(
     pick.clear();
     pick.extend(spans.iter().map(|span| span.start));
     loop {
-        let mut key = Vec::with_capacity(pick.iter().map(|&c| comps[c].len()).sum());
+        let mut key = spare::take(pick.iter().map(|&c| comps[c].len()).sum());
         for &c in pick.iter() {
             key.extend_from_slice(&bytes[comps[c].clone()]);
         }

@@ -384,8 +384,9 @@ pub(crate) fn check_arity(table: &TableDef, values: usize) -> Result<(), WriteEr
 
 /// What a bulk load's feed pushes its rows into ([`Writer::bulk_load`]).
 /// Each value is conformed to its column once, and the row's entry
-/// ([`keys::record_entry`]) goes to the store as it is: one allocation a
-/// row, and one a secondary-index entry.
+/// ([`keys::record_entry`]) goes to the store as one buffer, which a
+/// `LiveCluster` copies and hands back to the thread's spare for the next
+/// row; a secondary-index entry is one buffer too.
 pub struct Loader<'a> {
     target: &'a TableWrite,
     store: &'a mut dyn FnMut(Vec<u8>, usize),

@@ -502,8 +502,10 @@ impl SimCluster {
                 let mut out = Entries::new();
                 let mut t = start;
                 let want = limit.unwrap_or(u64::MAX);
-                for part in parts {
-                    if out.len() as u64 >= want {
+                for (visit, part) in parts.into_iter().enumerate() {
+                    // the first partition is visited even for a limit of
+                    // zero: every request costs at least one visit
+                    if visit > 0 && out.len() as u64 >= want {
                         break;
                     }
                     // continuation to the next partition is sequential

@@ -53,6 +53,7 @@ pub mod partition;
 pub mod pool;
 pub mod sample;
 pub mod session;
+pub mod spare;
 pub mod store;
 pub mod testkit;
 pub mod time;

@@ -14,6 +14,16 @@
 //!   `RwLock`. Point operations binary-search the split points and touch
 //!   exactly one shard; range scans walk the overlapping shards in key
 //!   order, so scan semantics stay identical to a single ordered map.
+//! * A shard's entries live in **its own arena**: chunks that grow from a
+//!   small size by doubling up to a cap, filled by bump allocation. A
+//!   put, a swap, and each entry of a batch or a recovered snapshot are
+//!   copied in, and an entry is a 16-byte slot pointing into a chunk that
+//!   frees and clones nothing of its own. A write request's emptied
+//!   buffers go to the serving thread's [`spare`], which the engine's key
+//!   builders take from, so a warm write allocates no buffer for its
+//!   entries. A replaced or deleted entry's bytes are dead; once a shard's
+//!   dead bytes pass its live ones it is compacted into one chunk of
+//!   exactly its live bytes, under the write lock its writer holds.
 //! * A namespace is laid out one way: cut into `shards_per_namespace`
 //!   parts at the quantiles of the entries it holds when it is laid out
 //!   — the live-path analog of the SCADS Director the simulator models —
@@ -25,9 +35,11 @@
 //!   rebalance atomically swaps it in behind an `Arc`'d routing table.
 //!   Readers route through the generation they loaded; writers briefly
 //!   serialize on the swap; concurrent sessions never observe a missing
-//!   key. A rebalance **moves** the entries when no reader holds the old
-//!   generation and **copies** them only when one does, and a namespace
-//!   whose learned split points are the ones it has keeps its generation.
+//!   key. Each new shard's run is copied into one chunk of exactly its
+//!   size. A rebalance frees each old shard as soon as its entries are
+//!   copied when no reader holds the old generation, and leaves them all
+//!   to the reader when one does; a namespace whose learned split points
+//!   are the ones it has keeps its generation.
 //! * A later bulk batch is sorted and cut into per-shard runs by the
 //!   cutter a new generation is built with, one binary search per split
 //!   point, and each shard takes its run in one step under its write
@@ -63,11 +75,14 @@ use crate::partition::{quantiles, SplitPoints};
 use crate::pool::{default_pool_threads, RoundPool};
 use crate::sample::{LiveSampleSink, OpSample};
 use crate::session::{Session, SessionStats};
+use crate::spare;
 use crate::store::byte_range;
 use crate::wal::WalSink;
 use piql_analysis::ordered::RwLock;
 use piql_analysis::rank;
+use std::alloc::Layout;
 use std::borrow::Borrow;
+use std::cell::Cell;
 use std::collections::BTreeSet;
 use std::ptr::NonNull;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -179,71 +194,176 @@ impl WalHook<'_> {
     }
 }
 
-/// One stored entry: the key and then the value in one exactly-sized heap
-/// allocation, which the entry owns. Its shard slot holds where that
-/// allocation starts, how long it is and where the key ends — 16 bytes,
-/// where a `(Vec<u8>, Vec<u8>)` pair took a 48-byte slot and two
-/// allocations. With the key's length in the slot, a search compares keys
-/// without first reading anything else from the heap.
+/// Size of the first chunk a shard's arena grows by: each later one is
+/// twice the last, up to [`CHUNK_CAP`], so a shard that takes a few puts
+/// reserves little.
+const FIRST_CHUNK: usize = 4 * 1024;
+
+/// The largest chunk an arena grows by. An entry longer than the chunk the
+/// arena would grow by gets a chunk of exactly its size.
+const CHUNK_CAP: usize = 64 * 1024;
+
+/// One block of memory that entries are copied into: allocated whole,
+/// written only past the bytes already handed out, and freed whole.
+struct Chunk {
+    ptr: NonNull<u8>,
+    cap: usize,
+}
+
+// SAFETY: a chunk is memory its arena owns alone; sending the arena moves
+// that ownership, and sharing it only reads what was handed out.
+unsafe impl Send for Chunk {}
+// SAFETY: as above.
+unsafe impl Sync for Chunk {}
+
+impl Chunk {
+    /// `cap` uninitialised bytes; `cap` is not zero.
+    fn new(cap: usize) -> Chunk {
+        let layout = Chunk::layout(cap);
+        // SAFETY: `layout` has a non-zero size: an arena makes no chunk
+        // for nothing
+        let ptr = unsafe { std::alloc::alloc(layout) };
+        let ptr = NonNull::new(ptr).unwrap_or_else(|| std::alloc::handle_alloc_error(layout));
+        Chunk { ptr, cap }
+    }
+
+    fn layout(cap: usize) -> Layout {
+        debug_assert!(cap > 0, "no chunk is made for nothing");
+        Layout::array::<u8>(cap).expect("a chunk fits the address space")
+    }
+}
+
+impl Drop for Chunk {
+    fn drop(&mut self) {
+        // SAFETY: `ptr` came from `alloc` with this layout in `Chunk::new`,
+        // and is given back once, here
+        unsafe { std::alloc::dealloc(self.ptr.as_ptr(), Chunk::layout(self.cap)) }
+    }
+}
+
+/// The chunks one shard's entries live in, filled by bump allocation: an
+/// entry is copied to the end of the last chunk, and when it does not fit
+/// there, into a new chunk — [`FIRST_CHUNK`], then each twice the last up
+/// to [`CHUNK_CAP`], or exactly the entry's size when that is larger. The
+/// end a full chunk leaves unused is dead, as a replaced or deleted
+/// entry's bytes are; nothing in an arena is freed before the whole arena
+/// is.
+#[derive(Default)]
+struct Arena {
+    chunks: Vec<Chunk>,
+    /// Bytes handed out of the last chunk.
+    used: usize,
+    /// The size of the last chunk the arena grew by; 0 before the first.
+    grown: usize,
+}
+
+impl Arena {
+    /// An arena of one chunk of exactly `bytes` (none for nothing).
+    fn with_room(bytes: usize) -> Arena {
+        Arena {
+            chunks: if bytes > 0 {
+                vec![Chunk::new(bytes)]
+            } else {
+                Vec::new()
+            },
+            ..Arena::default()
+        }
+    }
+
+    /// Bytes left at the end of the last chunk.
+    fn room(&self) -> usize {
+        self.chunks.last().map_or(0, |chunk| chunk.cap - self.used)
+    }
+
+    /// Bytes the arena's chunks hold.
+    #[cfg(test)]
+    fn bytes(&self) -> usize {
+        self.chunks.iter().map(|chunk| chunk.cap).sum()
+    }
+
+    /// `key` then `value`, copied into the arena: the entry that points at
+    /// them, and the bytes at the end of the last chunk that were skipped
+    /// because they could not hold it (now dead).
+    fn copy(&mut self, key: &[u8], value: &[u8]) -> (Entry, usize) {
+        let len = key.len() + value.len();
+        let stored = u32::try_from(len)
+            .expect("a stored entry is under 4 GiB: requests arrive in frames of at most 64 MiB");
+        if len == 0 {
+            let entry = Entry {
+                ptr: Cell::new(NonNull::dangling()),
+                len: 0,
+                key_len: 0,
+            };
+            return (entry, 0);
+        }
+        let mut skipped = 0;
+        if self.room() < len {
+            skipped = self.room();
+            self.grown = (2 * self.grown).clamp(FIRST_CHUNK, CHUNK_CAP);
+            self.chunks.push(Chunk::new(self.grown.max(len)));
+            self.used = 0;
+        }
+        let chunk = self.chunks.last().expect("a chunk with room");
+        // `key` and `value` are borrowed from elsewhere (a request, another
+        // arena, or bytes of this one already handed out), so they do not
+        // overlap the bytes written.
+        // SAFETY: `used + len <= cap`, so the `len` bytes from `start` lie
+        // inside the chunk, past every byte handed out of it before: no
+        // entry's bytes are written over
+        let start = unsafe {
+            let start = chunk.ptr.as_ptr().add(self.used);
+            std::ptr::copy_nonoverlapping(key.as_ptr(), start, key.len());
+            std::ptr::copy_nonoverlapping(value.as_ptr(), start.add(key.len()), value.len());
+            start
+        };
+        self.used += len;
+        let entry = Entry {
+            ptr: Cell::new(NonNull::new(start).expect("inside a chunk")),
+            len: stored,
+            // at most `len`, which fits
+            key_len: key.len() as u32,
+        };
+        (entry, skipped)
+    }
+}
+
+/// One stored entry: where its key and then its value lie, back to back in
+/// a chunk of the [`Arena`] that holds it, how long they are, and where the
+/// key ends — 16 bytes, where a `(Vec<u8>, Vec<u8>)` pair took a 48-byte
+/// slot and two allocations. With the key's length in the slot, a search
+/// compares keys without first reading anything else from the chunk. An
+/// entry owns nothing: it is freed with its arena, and never cloned.
 ///
 /// An entry is equal to, ordered like and borrowed as its key alone, so a
 /// shard is a set of entries that answers every key-slice lookup and range
 /// a map keyed by `Vec<u8>` did; the value never takes part in the order.
 struct Entry {
-    /// Start of the `len` bytes that [`Entry::joined`] took from a
-    /// `Box<[u8]>`; owned by this entry and never written again.
-    ptr: NonNull<u8>,
+    /// Start of the entry's `len` bytes. Moved only by [`Shard::compact`],
+    /// which holds the shard alone, to the same bytes in another chunk.
+    ptr: Cell<NonNull<u8>>,
     len: u32,
     key_len: u32,
 }
 
 const _: () = assert!(std::mem::size_of::<Entry>() == 16);
 
-// SAFETY: an entry owns its bytes alone, as the `Box<[u8]>` they came from
-// did, and never writes them after construction: sending it moves that
-// ownership, and sharing it only reads.
+// SAFETY: an entry points into an arena that whoever holds the entry holds
+// too (the shard or batch both belong to), and its bytes are never written
+// after they are handed out: sending it sends a reference to them.
 unsafe impl Send for Entry {}
-// SAFETY: as above.
+// SAFETY: as above for its bytes; its `ptr` cell is set only by
+// `Shard::compact`, through `&mut Shard`, when nothing else can reach the
+// entry.
 unsafe impl Sync for Entry {}
 
 impl Entry {
-    /// `key`'s own buffer, grown in place to hold the entry: room for
-    /// exactly `value` is reserved, so building it costs that one growth
-    /// (none for an empty value) and no copy of the key into a fresh
-    /// buffer.
-    fn new(mut key: Vec<u8>, value: &[u8]) -> Entry {
-        let key_len = key.len();
-        key.reserve_exact(value.len());
-        key.extend_from_slice(value);
-        Entry::joined(key, key_len)
-    }
-
-    /// The entry whose key is `bytes[..key_len]` and whose value is the
-    /// rest, in `bytes`' own buffer: nothing is allocated or copied when
-    /// the buffer is exactly full.
-    fn joined(bytes: Vec<u8>, key_len: usize) -> Entry {
-        let len = u32::try_from(bytes.len())
-            .expect("a stored entry is under 4 GiB: requests arrive in frames of at most 64 MiB");
-        assert!(key_len <= bytes.len(), "an entry's key ends inside it");
-        let bytes: &'static mut [u8] = Box::leak(bytes.into_boxed_slice());
-        Entry {
-            ptr: NonNull::from(bytes).cast(),
-            len,
-            // at most `len`, which fits
-            key_len: key_len as u32,
-        }
-    }
-
-    /// An entry copied from borrowed bytes: one allocation, sized exactly.
-    fn copied(key: &[u8], value: &[u8]) -> Entry {
-        Entry::joined([key, value].concat(), key.len())
-    }
-
-    /// `(key, value)`, both slices of the one allocation.
+    /// `(key, value)`, both slices of the entry's bytes.
     fn parts(&self) -> (&[u8], &[u8]) {
-        // SAFETY: `ptr` starts the `len` initialised bytes `joined` leaked,
-        // which this entry owns until `drop` and nothing writes
-        let bytes = unsafe { std::slice::from_raw_parts(self.ptr.as_ptr(), self.len as usize) };
+        let (start, len) = (self.ptr.get().as_ptr(), self.len as usize);
+        // SAFETY: `start` begins the `len` bytes the arena copied this entry
+        // into, allocated and unwritten while the arena lives, which is as
+        // long as any borrow of an entry it holds
+        let bytes = unsafe { std::slice::from_raw_parts(start, len) };
         bytes.split_at(self.key_len as usize)
     }
 
@@ -253,22 +373,6 @@ impl Entry {
 
     fn value(&self) -> &[u8] {
         self.parts().1
-    }
-}
-
-impl Drop for Entry {
-    fn drop(&mut self) {
-        let bytes = std::ptr::slice_from_raw_parts_mut(self.ptr.as_ptr(), self.len as usize);
-        // SAFETY: `bytes` is the whole `Box<[u8]>` `joined` leaked, owned by
-        // this entry alone and given back once, here
-        drop(unsafe { Box::from_raw(bytes) });
-    }
-}
-
-impl Clone for Entry {
-    fn clone(&self) -> Entry {
-        let (key, value) = self.parts();
-        Entry::copied(key, value)
     }
 }
 
@@ -298,8 +402,158 @@ impl Ord for Entry {
     }
 }
 
-/// One shard's entries, in key order.
-type Shard = BTreeSet<Entry>;
+/// A bulk batch or a recovered snapshot on its way into a namespace: each
+/// entry copied into an arena of the batch's own as it arrives — so the
+/// buffer a feed pushed it in can go straight back to the writer's spare —
+/// and the entries in arrival order until [`Batch::normalise`] sorts them.
+#[derive(Default)]
+struct Batch {
+    arena: Arena,
+    entries: Vec<Entry>,
+}
+
+impl Batch {
+    fn push(&mut self, key: &[u8], value: &[u8]) {
+        self.entries.push(self.arena.copy(key, value).0);
+    }
+
+    /// Put the entries as the store takes them, in strictly increasing key
+    /// order: stable sorted, and of equal keys the last kept, as if they
+    /// were put one by one in order.
+    fn normalise(&mut self) {
+        self.entries.sort();
+        // `dedup_by` drops `later` and keeps `kept`: swapping first keeps
+        // the later value in the earlier slot
+        self.entries.dedup_by(|later, kept| {
+            later == kept && {
+                std::mem::swap(later, kept);
+                true
+            }
+        });
+    }
+}
+
+/// One shard's entries, in key order, and the arena they live in. `live`
+/// counts the key and value bytes of the entries in `set`; `dead` counts
+/// the arena's bytes no entry points at any more — replaced and deleted
+/// entries, and the unused ends of full chunks. Once a write leaves more
+/// dead bytes than live ones, the shard is compacted into one chunk of
+/// exactly its live bytes, under the write lock its writer holds; so its
+/// arena never holds more than twice its live bytes and one chunk.
+#[derive(Default)]
+struct Shard {
+    set: BTreeSet<Entry>,
+    arena: Arena,
+    live: usize,
+    dead: usize,
+}
+
+impl Shard {
+    /// A shard holding `run`, entries in strictly increasing key order,
+    /// copied into one chunk of exactly their size and bulk-built into a
+    /// set of full B-tree leaves.
+    fn of_sorted(run: &[Entry]) -> Shard {
+        let bytes = run.iter().map(|entry| entry.len as usize).sum();
+        let mut built = Run::with_room((run.len(), bytes));
+        for entry in run {
+            let (key, value) = entry.parts();
+            built.push(key, value);
+        }
+        built.shard()
+    }
+
+    fn len(&self) -> usize {
+        self.set.len()
+    }
+
+    fn is_empty(&self) -> bool {
+        self.set.is_empty()
+    }
+
+    fn get(&self, key: &[u8]) -> Option<&Entry> {
+        self.set.get(key)
+    }
+
+    /// Store a copy of `key` → `value`, over any entry the key has.
+    fn put(&mut self, key: &[u8], value: &[u8]) {
+        let (entry, skipped) = self.arena.copy(key, value);
+        self.live += entry.len as usize;
+        self.dead += skipped;
+        if let Some(old) = self.set.replace(entry) {
+            self.live -= old.len as usize;
+            self.dead += old.len as usize;
+        }
+        self.reclaim();
+    }
+
+    fn remove(&mut self, key: &[u8]) {
+        if let Some(old) = self.set.take(key) {
+            self.live -= old.len as usize;
+            self.dead += old.len as usize;
+            self.reclaim();
+        }
+    }
+
+    fn reclaim(&mut self) {
+        if self.dead > self.live {
+            self.compact();
+        }
+    }
+
+    /// Copy every entry, in key order, into one chunk of exactly the live
+    /// bytes, moving each entry's pointer to its copy in place (the order
+    /// of the set does not change: the keys are the same bytes), and free
+    /// the old chunks once no entry points into them.
+    fn compact(&mut self) {
+        let mut arena = Arena::with_room(self.live);
+        for entry in &self.set {
+            let (key, value) = entry.parts();
+            let (copy, _) = arena.copy(key, value);
+            entry.ptr.set(copy.ptr.get());
+        }
+        self.arena = arena;
+        self.dead = 0;
+    }
+}
+
+/// A shard being built from entries in strictly increasing key order,
+/// each copied into the one chunk sized for all of them up front.
+struct Run {
+    entries: Vec<Entry>,
+    arena: Arena,
+    live: usize,
+}
+
+impl Run {
+    /// Room for `entries` entries of `bytes` key and value bytes in all.
+    fn with_room((entries, bytes): (usize, usize)) -> Run {
+        Run {
+            entries: Vec::with_capacity(entries),
+            arena: Arena::with_room(bytes),
+            live: 0,
+        }
+    }
+
+    fn push(&mut self, key: &[u8], value: &[u8]) {
+        let (entry, _) = self.arena.copy(key, value);
+        self.live += entry.len as usize;
+        self.entries.push(entry);
+    }
+
+    /// The shard: its entries bulk-built into a set of full B-tree leaves.
+    fn shard(self) -> Shard {
+        debug_assert!(
+            self.entries.windows(2).all(|pair| pair[0] < pair[1]),
+            "a run's entries arrive in key order"
+        );
+        Shard {
+            set: self.entries.into_iter().collect(),
+            arena: self.arena,
+            live: self.live,
+            dead: 0,
+        }
+    }
+}
 
 /// One immutable routing generation of a namespace: explicit split points
 /// and the shards they route to — the same [`SplitPoints`] the
@@ -323,46 +577,55 @@ struct ShardSet {
 
 impl ShardSet {
     /// Hand `each` every part of `splits` in turn, with the run of `sorted`
-    /// — entries in strictly increasing key order — that part holds,
-    /// bulk-built into a shard of full B-tree leaves. Each run is found by
-    /// one binary search for the split point that ends it. The one cutter
-    /// of a new generation ([`ShardSet::laid_out`]) and of a batch
-    /// ([`ShardSet::merge`]).
-    fn runs(splits: &SplitPoints, sorted: Vec<Entry>, mut each: impl FnMut(usize, Shard)) {
+    /// — entries in strictly increasing key order — that part holds. Each
+    /// run is found by one binary search for the split point that ends it.
+    /// The one cutter of a new generation ([`ShardSet::laid_out`]) and of a
+    /// batch ([`ShardSet::merge`]).
+    fn runs(splits: &SplitPoints, sorted: &[Entry], mut each: impl FnMut(usize, &[Entry])) {
         debug_assert!(
             sorted.windows(2).all(|pair| pair[0] < pair[1]),
             "cut entries arrive in key order"
         );
-        let mut entries = sorted.into_iter();
+        let mut rest = sorted;
         for part in 0..splits.parts() {
-            let len = splits.run_len(part, entries.as_slice());
-            each(part, entries.by_ref().take(len).collect());
+            let (run, after) = rest.split_at(splits.run_len(part, rest));
+            each(part, run);
+            rest = after;
         }
     }
 
-    /// A generation holding `sorted`, entries in strictly increasing key
-    /// order, laid out by the one rule every layout follows: cut into
-    /// `parts` at its own quantiles ([`split_positions`]), or kept whole
-    /// while it holds fewer entries than that, so a namespace holding
-    /// nothing is one part. Each shard has served one operation per entry
-    /// it took. A first batch, a recovered snapshot and a rebalance that
-    /// moves entries all build their generation here.
-    fn laid_out(sorted: Vec<Entry>, parts: usize) -> Self {
-        let splits = split_positions(sorted.len(), parts)
-            .map(|at| sorted[at].key().to_vec())
+    /// A generation of `shards` cut at `splits`, each shard having served
+    /// one operation per entry it took.
+    fn of_shards(splits: SplitPoints, shards: Vec<Shard>) -> Self {
+        let ops = (shards.iter())
+            .map(|shard| AtomicU64::new(shard.len() as u64))
             .collect();
-        let splits = SplitPoints::new(splits);
-        let mut shards = Vec::with_capacity(splits.parts());
-        let mut ops = Vec::with_capacity(splits.parts());
-        ShardSet::runs(&splits, sorted, |_, run| {
-            ops.push(AtomicU64::new(run.len() as u64));
-            shards.push(RwLock::new(rank::KV_SHARD, "kv.shard", run));
-        });
+        let shards = (shards.into_iter())
+            .map(|shard| RwLock::new(rank::KV_SHARD, "kv.shard", shard))
+            .collect();
         ShardSet {
             splits,
             shards,
             ops,
         }
+    }
+
+    /// A generation holding copies of `sorted`, entries in strictly
+    /// increasing key order, laid out by the one rule every layout follows:
+    /// cut into `parts` at its own quantiles ([`split_positions`]), or kept
+    /// whole while it holds fewer entries than that, so a namespace holding
+    /// nothing is one part. Each shard's run is copied into one chunk of
+    /// exactly its size. A first batch and a recovered snapshot build their
+    /// generation here, and a rebalance that moves entries builds its own
+    /// by the same rule ([`ShardSet::relaid`]).
+    fn laid_out(sorted: &[Entry], parts: usize) -> Self {
+        let splits = split_positions(sorted.len(), parts)
+            .map(|at| sorted[at].key().to_vec())
+            .collect();
+        let splits = SplitPoints::new(splits);
+        let mut shards = Vec::with_capacity(splits.parts());
+        ShardSet::runs(&splits, sorted, |_, run| shards.push(Shard::of_sorted(run)));
+        ShardSet::of_shards(splits, shards)
     }
 
     /// The split points a rebalance would cut this generation's entries at
@@ -376,7 +639,7 @@ impl ShardSet {
         let mut first = 0;
         for shard in &self.shards {
             let shard = shard.read();
-            let mut keys = shard.iter().map(Entry::key);
+            let mut keys = shard.set.iter().map(Entry::key);
             // the position of `keys`' next entry
             let mut next = first;
             while let Some(at) = picks.next_if(|&at| at < first + shard.len()) {
@@ -389,26 +652,54 @@ impl ShardSet {
         SplitPoints::new(splits)
     }
 
-    /// Every entry of `retired`, a retiring generation, in key order: its
-    /// shards in index order, shards being contiguous ranges. The entries
-    /// **move** when nobody else holds `retired`, and are **copied** when a
-    /// reader does (so that reader still finds them).
-    fn retired_entries(retired: &mut Arc<ShardSet>) -> Vec<Entry> {
-        let mut entries = Vec::with_capacity(retired.len());
-        match Arc::get_mut(retired) {
-            // the shard locks are uncontended: nobody else holds this set
-            Some(unshared) => {
-                for shard in &unshared.shards {
-                    entries.extend(std::mem::take(&mut *shard.write()));
-                }
-            }
-            None => {
-                for shard in &retired.shards {
-                    entries.extend(shard.read().iter().cloned());
-                }
+    /// A generation cut at `splits` holding every entry of `retired`, a
+    /// retiring generation frozen under the table's write lock: each new
+    /// shard's run is sized by a first walk over the old shards, then
+    /// copied into one chunk of exactly that size by a second. When nobody
+    /// else holds `retired`, each old shard is taken out and freed as soon
+    /// as its entries are copied, so the rebalance holds at most one old
+    /// shard beside the new generation; when a reader does, the old shards
+    /// are only read, and that reader keeps finding every key.
+    fn relaid(retired: &mut Arc<ShardSet>, splits: SplitPoints) -> Self {
+        let unshared = Arc::get_mut(retired).is_some();
+        // per new part: its entries, and their key and value bytes
+        let mut sizes = vec![(0, 0); splits.parts()];
+        for shard in &retired.shards {
+            for entry in &shard.read().set {
+                let size = &mut sizes[splits.part_of(entry.key())];
+                *size = (size.0 + 1, size.1 + entry.len as usize);
             }
         }
-        entries
+        let mut shards = Vec::with_capacity(sizes.len());
+        // the run of part `shards.len()`, once its first entry arrives
+        let mut filling: Option<Run> = None;
+        let close = |shards: &mut Vec<Shard>, filling: &mut Option<Run>| {
+            let run = filling.take();
+            shards.push(run.map_or_else(Shard::default, Run::shard));
+        };
+        let mut copy = |entry: &Entry| {
+            let part = splits.part_of(entry.key());
+            while shards.len() < part {
+                close(&mut shards, &mut filling);
+            }
+            let run = filling.get_or_insert_with(|| Run::with_room(sizes[part]));
+            let (key, value) = entry.parts();
+            run.push(key, value);
+        };
+        for shard in &retired.shards {
+            if unshared {
+                // nobody else holds the set, so its shard locks are
+                // uncontended: the old shard is freed once copied
+                let old = std::mem::take(&mut *shard.write());
+                old.set.iter().for_each(&mut copy);
+            } else {
+                shard.read().set.iter().for_each(&mut copy);
+            }
+        }
+        while shards.len() < splits.parts() {
+            close(&mut shards, &mut filling);
+        }
+        ShardSet::of_shards(splits, shards)
     }
 
     fn touch(&self, idx: usize) {
@@ -460,7 +751,7 @@ impl ShardSet {
             }
             visited += 1;
             let shard = visit(if reverse { last - step } else { first + step });
-            let entries = shard.range::<[u8], _>(bounds).map(Entry::parts);
+            let entries = shard.set.range::<[u8], _>(bounds).map(Entry::parts);
             let room = want - found;
             let mut hand = |(key, value): (&[u8], &[u8])| {
                 found += 1;
@@ -486,24 +777,24 @@ impl ShardSet {
         (entries, bytes)
     }
 
-    fn insert(&self, entry: Entry, wal: Option<WalHook<'_>>) {
-        let idx = self.splits.part_of(entry.key());
+    fn insert(&self, key: &[u8], value: &[u8], wal: Option<WalHook<'_>>) {
+        let idx = self.splits.part_of(key);
         self.touch(idx);
         let mut shard = self.shards[idx].write();
         // append while holding the shard lock so the log observes per-key
         // effects in memory order (see crate::wal); the sink only buffers
         if let Some(hook) = wal {
-            hook.log(entry.key(), Some(entry.value()));
+            hook.log(key, Some(value));
         }
-        shard.replace(entry);
+        shard.put(key, value);
     }
 
-    /// Store `sorted`, a batch in strictly increasing key order: each shard
-    /// takes the run its split points give it under its write lock, logged
-    /// first, one put per entry. An empty shard has the run swapped in; any
-    /// other replaces the run's entries one by one, as
-    /// [`ShardSet::insert`] does.
-    fn merge(&self, sorted: Vec<Entry>, wal: Option<WalHook<'_>>) {
+    /// Store copies of `sorted`, a batch in strictly increasing key order:
+    /// each shard takes the run its split points give it under its write
+    /// lock, logged first, one put per entry. An empty shard is replaced by
+    /// one built from the run ([`Shard::of_sorted`]); any other puts the
+    /// run's entries one by one, as [`ShardSet::insert`] does.
+    fn merge(&self, sorted: &[Entry], wal: Option<WalHook<'_>>) {
         ShardSet::runs(&self.splits, sorted, |idx, run| {
             if run.is_empty() {
                 return;
@@ -511,15 +802,15 @@ impl ShardSet {
             self.ops[idx].fetch_add(run.len() as u64, Ordering::Relaxed);
             let mut shard = self.shards[idx].write();
             if let Some(hook) = wal {
-                for entry in &run {
+                for entry in run {
                     hook.log(entry.key(), Some(entry.value()));
                 }
             }
             if shard.is_empty() {
-                *shard = run;
+                *shard = Shard::of_sorted(run);
             } else {
                 for entry in run {
-                    shard.replace(entry);
+                    shard.put(entry.key(), entry.value());
                 }
             }
         });
@@ -535,28 +826,29 @@ impl ShardSet {
         shard.remove(key);
     }
 
-    /// Store `entry` iff the value stored under its key is `expect`
-    /// (absent for `None`): `(true, None)` when it is — the caller holds
-    /// the value it sent — else `(false, a copy of the stored value)`.
+    /// Store a copy of `key` → `value` iff the value stored under `key` is
+    /// `expect` (absent for `None`): `(true, None)` when it is — the caller
+    /// holds the value it sent — else `(false, a copy of the stored
+    /// value)`.
     fn test_and_set(
         &self,
-        entry: Entry,
+        (key, value): (&[u8], &[u8]),
         expect: Option<&[u8]>,
         wal: Option<WalHook<'_>>,
     ) -> (bool, Option<Vec<u8>>) {
-        let idx = self.splits.part_of(entry.key());
+        let idx = self.splits.part_of(key);
         self.touch(idx);
         let mut shard = self.shards[idx].write();
-        let stored = shard.get(entry.key()).map(Entry::value);
+        let stored = shard.get(key).map(Entry::value);
         if stored != expect {
             return (false, stored.map(<[u8]>::to_vec));
         }
         // only the *effect* of a successful TAS is logged — replay applies
         // it as a plain put without re-checking the expectation
         if let Some(hook) = wal {
-            hook.log(entry.key(), Some(entry.value()));
+            hook.log(key, Some(value));
         }
-        shard.replace(entry);
+        shard.put(key, value);
         (true, None)
     }
 
@@ -573,7 +865,7 @@ impl ShardSet {
             .map(|idx| {
                 visited += 1;
                 self.touch(idx);
-                self.shards[idx].read().range::<[u8], _>(bounds).count() as u64
+                self.shards[idx].read().set.range::<[u8], _>(bounds).count() as u64
             })
             .sum();
         (total, visited)
@@ -606,7 +898,7 @@ impl ShardSet {
         for shard in &self.shards {
             let shard = shard.read();
             out.reserve_exact(shard.len());
-            let copies = shard.iter().map(Entry::parts);
+            let copies = shard.set.iter().map(Entry::parts);
             out.extend(copies.map(|(key, value)| (key.to_vec(), value.to_vec())));
         }
         out
@@ -630,10 +922,11 @@ impl ShardSet {
 ///   generation is frozen, and asks `Arc::get_mut` whether anyone else
 ///   holds it. Nobody can start to — a new reference is only taken under
 ///   the read lock — so the answer stands until the swap: **moved** when
-///   unshared (the retired generation is left empty, and nothing can ever
-///   read it), **copied** when a reader holds it (that reader keeps
-///   finding every key). It learns the split points first, moving
-///   nothing; when they are the ones the generation has, it keeps it.
+///   unshared (each retired shard is freed as soon as its entries are
+///   copied, and nothing can ever read it), **copied** when a reader holds
+///   it (that reader keeps finding every key). It learns the split points
+///   first, moving nothing; when they are the ones the generation has, it
+///   keeps it.
 /// * **The first batch** into a namespace whose shards are all empty is
 ///   swapped in as a generation of its own, under the table write lock,
 ///   like a rebalance's: no write can land in the empty one meanwhile.
@@ -645,7 +938,7 @@ struct LiveNamespace {
 impl LiveNamespace {
     /// A namespace holding nothing, so one part.
     fn new(id: NsId) -> Self {
-        let empty = Arc::new(ShardSet::laid_out(Vec::new(), 1));
+        let empty = Arc::new(ShardSet::laid_out(&[], 1));
         LiveNamespace {
             id,
             table: RwLock::new(rank::KV_TABLE, "kv.ns.table", empty),
@@ -663,10 +956,10 @@ impl LiveNamespace {
         self.table.read().clone()
     }
 
-    fn insert(&self, wal: &WalSlot, entry: Entry) {
+    fn insert(&self, wal: &WalSlot, key: &[u8], value: &[u8]) {
         let sink = wal.read();
         // hold the table read lock across the mutation (see the struct doc)
-        self.table.read().insert(entry, self.hook(&sink));
+        self.table.read().insert(key, value, self.hook(&sink));
     }
 
     /// Store a batch in key order, under the same locks as
@@ -676,7 +969,7 @@ impl LiveNamespace {
     /// entry, and swapped in cut at its own quantiles
     /// ([`ShardSet::laid_out`]) under the table write lock, which is where
     /// the namespace's emptiness is decided.
-    fn merge(&self, wal: &WalSlot, sorted: Vec<Entry>, parts: usize) {
+    fn merge(&self, wal: &WalSlot, sorted: &[Entry], parts: usize) {
         let sink = wal.read();
         let hook = self.hook(&sink);
         {
@@ -691,7 +984,7 @@ impl LiveNamespace {
             return table.merge(sorted, hook);
         }
         if let Some(hook) = hook {
-            for entry in &sorted {
+            for entry in sorted {
                 hook.log(entry.key(), Some(entry.value()));
             }
         }
@@ -706,7 +999,7 @@ impl LiveNamespace {
     fn test_and_set(
         &self,
         wal: &WalSlot,
-        entry: Entry,
+        entry: (&[u8], &[u8]),
         expect: Option<&[u8]>,
     ) -> (bool, Option<Vec<u8>>) {
         let sink = wal.read();
@@ -740,13 +1033,13 @@ impl LiveNamespace {
     /// Re-learn this namespace's split points at quantiles of its current
     /// keys. When they are the ones it has, the generation stays; otherwise
     /// the retiring one's entries — moved or copied, see the struct doc —
-    /// are laid out afresh ([`ShardSet::laid_out`]) and atomically
+    /// are laid out afresh at them ([`ShardSet::relaid`]) and atomically
     /// published. Either way the op counters restart at zero.
     fn rebalance(&self, parts: usize) {
         let mut table = self.table.write();
-        if table.learned_splits(parts) != table.splits {
-            let entries = ShardSet::retired_entries(&mut table);
-            *table = Arc::new(ShardSet::laid_out(entries, parts));
+        let splits = table.learned_splits(parts);
+        if splits != table.splits {
+            *table = Arc::new(ShardSet::relaid(&mut table, splits));
         }
         for ops in &table.ops {
             ops.store(0, Ordering::Relaxed);
@@ -907,14 +1200,12 @@ impl LiveCluster {
     }
 
     /// Store a copy of `key` → `value` outside any timed session:
-    /// [`KvStore::bulk_put`] from borrowed bytes, in the one allocation the
-    /// entry is, committed before it returns. Recovery loads logged puts
+    /// [`KvStore::bulk_put`] from borrowed bytes, copied into the shard's
+    /// arena and committed before it returns. Recovery loads logged puts
     /// with it.
     pub fn bulk_load(&self, ns: NsId, key: &[u8], value: &[u8]) {
         self.stats.book(WRITE);
-        self.namespaces
-            .get(ns)
-            .insert(&self.wal, Entry::copied(key, value));
+        self.namespaces.get(ns).insert(&self.wal, key, value);
         self.commit_barrier();
     }
 
@@ -931,16 +1222,17 @@ impl LiveCluster {
     /// as a first batch of them would be (`ShardSet::laid_out`).
     /// Recovery loads a snapshot's namespace with it, so rows that were
     /// deleted pre-snapshot (and so appear in neither snapshot nor WAL)
-    /// cannot be resurrected by an embedder's boot-time seed data. Each
-    /// entry is one allocation; of equal keys the last one wins.
+    /// cannot be resurrected by an embedder's boot-time seed data. The
+    /// entries are copied into a batch and each shard's run into one chunk
+    /// of exactly its size; of equal keys the last one wins.
     pub fn load_namespace(&self, ns: NsId, entries: &[KvEntry]) {
-        let batch = (entries.iter())
-            .map(|(key, value)| {
-                self.stats.book(WRITE);
-                Entry::copied(key, value)
-            })
-            .collect();
-        let set = ShardSet::laid_out(normalised(batch), self.config.shards_per_namespace);
+        let mut batch = Batch::default();
+        for (key, value) in entries {
+            self.stats.book(WRITE);
+            batch.push(key, value);
+        }
+        batch.normalise();
+        let set = ShardSet::laid_out(&batch.entries, self.config.shards_per_namespace);
         *self.namespaces.get(ns).table.write() = Arc::new(set);
     }
 }
@@ -960,23 +1252,6 @@ const fn share(physical: u64, entries: u64, bytes: u64) -> SessionStats {
 
 /// A write's [`share`]: one shard, nothing shipped back.
 const WRITE: SessionStats = share(1, 0, 0);
-
-/// `batch` as the store takes it, in strictly increasing key order: stable
-/// sorted, and of equal keys the last kept, as if its entries were put one
-/// by one in order. Bulk batches and recovered snapshots both go through
-/// it.
-fn normalised(mut batch: Vec<Entry>) -> Vec<Entry> {
-    batch.sort();
-    // `dedup_by` drops `later` and keeps `kept`: swapping first keeps the
-    // later value in the earlier slot
-    batch.dedup_by(|later, kept| {
-        later.key() == kept.key() && {
-            std::mem::swap(later, kept);
-            true
-        }
-    });
-    batch
-}
 
 /// Serve the read `probe` from `table`, handing `each` what it finds, and
 /// book it on `stats`; answers its [`share`]. A range ships the keys and
@@ -1074,9 +1349,10 @@ impl LiveCluster {
 
 /// Serve one request against its namespace. Free-standing (not `&self`) so
 /// rounds can scatter it across pool threads. Takes the request **by
-/// value**: a round owns its requests, so the keys and payloads of writes
-/// move into the shard instead of being copied. Returns the response and
-/// the request's [`share`]. A range's answer is sized, then copied: its
+/// value**: a round owns its requests, so once a write's key and payload
+/// are copied into the shard's arena, its emptied buffers go to the
+/// serving thread's [`spare`] for the next write built there. Returns the
+/// response and the request's [`share`]. A range's answer is sized, then copied: its
 /// entries are found once to count and sum them, room for exactly that is
 /// made, and they are found again and copied — two allocations however
 /// many shards it spans. A write between the two finds may cost one
@@ -1098,11 +1374,14 @@ fn execute_request(
             (KvResponse::Value(value), served)
         }
         KvRequest::Put { key, value, .. } => {
-            data.insert(wal, Entry::new(key, &value));
+            data.insert(wal, &key, &value);
+            spare::keep(key);
+            spare::keep(value);
             (KvResponse::Done, stats.book(WRITE))
         }
         KvRequest::Delete { key, .. } => {
             data.remove(wal, &key);
+            spare::keep(key);
             (KvResponse::Done, stats.book(WRITE))
         }
         KvRequest::TestAndSet {
@@ -1111,8 +1390,11 @@ fn execute_request(
             expect,
             ..
         } => {
-            let entry = Entry::joined(entry, key_len);
-            let (success, current) = data.test_and_set(wal, entry, expect.as_deref());
+            assert!(key_len <= entry.len(), "an entry's key ends inside it");
+            let parts = entry.split_at(key_len);
+            let (success, current) = data.test_and_set(wal, parts, expect.as_deref());
+            spare::keep(entry);
+            expect.into_iter().for_each(spare::keep);
             let response = KvResponse::TasResult { success, current };
             (response, stats.book(WRITE))
         }
@@ -1278,33 +1560,44 @@ impl KvStore for LiveCluster {
         Some(found)
     }
 
+    /// The key and value are copied into the shard's arena, and their
+    /// buffers go to this thread's [`spare`].
     fn bulk_put(&self, ns: NsId, key: Vec<u8>, value: Vec<u8>) {
         self.stats.book(WRITE);
-        self.namespaces
-            .get(ns)
-            .insert(&self.wal, Entry::new(key, &value));
+        self.namespaces.get(ns).insert(&self.wal, &key, &value);
+        spare::keep(key);
+        spare::keep(value);
         self.commit_barrier();
     }
 
-    /// Each buffer becomes its entry as it is pushed, as it is; the batch
-    /// is booked as one write per buffer, `normalised`, and each shard
-    /// takes its run in one locked step (`LiveNamespace::merge`), rather
-    /// than taking the locks and descending the B-tree once per entry. The
-    /// first batch of an empty namespace lays out its shards at its own
-    /// quantiles. The batch is committed before this returns.
+    /// Each buffer is copied into the batch's own arena as it is pushed and
+    /// goes to this thread's [`spare`], so a feed that builds its entries
+    /// from the spare builds them all in a few buffers. The batch is booked
+    /// as one write per entry, normalised, and each shard takes its run in
+    /// one locked step (`LiveNamespace::merge`), rather than taking the
+    /// locks and descending the B-tree once per entry. The first batch of
+    /// an empty namespace lays out its shards at its own quantiles, each
+    /// run copied into one chunk of exactly its size. The batch is
+    /// committed before this returns.
     fn bulk_put_all(&self, ns: NsId, feed: &mut BulkFeed<'_>) {
-        let mut batch = Vec::new();
-        feed(&mut |bytes, key_len| batch.push(Entry::joined(bytes, key_len)));
-        let writes = batch.len() as u64;
+        let mut batch = Batch::default();
+        feed(&mut |bytes, key_len| {
+            assert!(key_len <= bytes.len(), "an entry's key ends inside it");
+            let (key, value) = bytes.split_at(key_len);
+            batch.push(key, value);
+            spare::keep(bytes);
+        });
+        let writes = batch.entries.len() as u64;
         (self.stats).book(SessionStats {
             logical_requests: writes,
             physical_requests: writes,
             ..WRITE
         });
+        batch.normalise();
         let parts = self.config.shards_per_namespace;
         self.namespaces
             .get(ns)
-            .merge(&self.wal, normalised(batch), parts);
+            .merge(&self.wal, &batch.entries, parts);
         self.commit_barrier();
     }
 
@@ -1366,21 +1659,75 @@ mod tests {
     }
 
     #[test]
-    fn a_swap_stores_its_requests_buffer() {
+    fn a_swaps_buffer_comes_back_to_the_writers_thread() {
         let c = small();
         let ns = c.namespace("swap");
         let request = crate::testkit::swap(ns, b"key", b"record", None);
         let KvRequest::TestAndSet { entry, .. } = &request else {
             unreachable!("a swap is a test-and-set")
         };
-        let sent = entry.as_ptr();
+        let (sent, room) = (entry.as_ptr(), entry.capacity());
         let r = c.execute_one(&mut Session::new(), request);
         assert_eq!(r.tas().unwrap(), (true, None));
         let table = c.namespaces.get(ns).load();
         let shard = table.shards[table.splits.part_of(b"key")].read();
-        let stored = shard.get(&b"key"[..]).expect("stored");
+        let stored = shard.get(b"key").expect("stored");
         assert_eq!(stored.parts(), (&b"key"[..], &b"record"[..]));
-        assert_eq!(stored.ptr.as_ptr().cast_const(), sent, "kept as it is");
+        assert_ne!(stored.ptr.get().as_ptr().cast_const(), sent, "a copy");
+        assert_eq!(crate::spare::held(), (1, room));
+        let taken = crate::spare::take(room);
+        assert_eq!(
+            (taken.as_ptr(), taken.len()),
+            (sent, 0),
+            "the request's, emptied"
+        );
+    }
+
+    /// The one shard of a one-part namespace.
+    fn only_shard(ns: &LiveNamespace) -> (usize, usize, usize) {
+        let table = ns.load();
+        let shard = table.shards[0].read();
+        (shard.arena.bytes(), shard.live, shard.dead)
+    }
+
+    #[test]
+    fn a_shard_whose_dead_bytes_pass_its_live_ones_is_compacted() {
+        let ns = LiveNamespace::new(NsId(0));
+        let wal: WalSlot = RwLock::new(rank::KV_CLUSTER_WAL, "kv.cluster.wal", None);
+        let key = |i: u8| [b"key-".as_slice(), &[i]].concat();
+        let mut written = 0;
+        for round in 0..100u8 {
+            for i in 0..100 {
+                ns.insert(&wal, &key(i), &[round; 100]);
+                written += 105;
+            }
+        }
+        for i in (0..100).step_by(2) {
+            ns.remove(&wal, &key(i));
+        }
+        let (bytes, live, dead) = only_shard(&ns);
+        assert_eq!(live, 50 * 105);
+        assert!(dead <= live, "{dead} dead bytes over {live} live ones");
+        assert!(
+            bytes <= 2 * live + CHUNK_CAP,
+            "the arena holds {bytes} bytes for {live} live ones ({written} written)"
+        );
+        for i in 0..100 {
+            let mut found = Vec::new();
+            ns.load()
+                .find(Probe::Get(&key(i)), false, |_, v| found.push(v.to_vec()));
+            let expected = if i % 2 == 0 {
+                vec![]
+            } else {
+                vec![vec![99; 100]]
+            };
+            assert_eq!(found, expected, "key {i}");
+        }
+        // deleting the rest leaves nothing held
+        for i in (1..100).step_by(2) {
+            ns.remove(&wal, &key(i));
+        }
+        assert_eq!(only_shard(&ns), (0, 0, 0));
     }
 
     #[test]
@@ -1397,7 +1744,7 @@ mod tests {
             })
             .collect();
         for (key, value) in &expected {
-            ns.insert(&wal, Entry::new(key.clone(), value));
+            ns.insert(&wal, key, value);
         }
         let held = ns.load();
         ns.rebalance(4);
@@ -1432,10 +1779,11 @@ mod tests {
     fn a_rebalance_that_moves_nothing_keeps_its_generation() {
         let ns = LiveNamespace::new(NsId(0));
         let wal: WalSlot = RwLock::new(rank::KV_CLUSTER_WAL, "kv.cluster.wal", None);
-        let batch: Vec<Entry> = (0..400u16)
-            .map(|i| Entry::new([&[0x03][..], &i.to_be_bytes()].concat(), &[1]))
-            .collect();
-        ns.merge(&wal, batch, 4);
+        let mut batch = Batch::default();
+        for i in 0..400u16 {
+            batch.push(&[0x03, (i >> 8) as u8, i as u8], &[1]);
+        }
+        ns.merge(&wal, &batch.entries, 4);
         let laid_out = ns.load();
         assert_eq!(laid_out.entries_per_shard(), [100; 4]);
         assert_eq!(laid_out.ops_per_shard(), [100; 4]);
@@ -1451,15 +1799,18 @@ mod tests {
         let wal = Arc::new(RwLock::new(rank::KV_CLUSTER_WAL, "kv.cluster.wal", None));
         let key = |i: u16| [&[0x03][..], &i.to_be_bytes()].concat();
         let table = ns.table.read();
-        let batch: Vec<Entry> = (0..400).map(|i| Entry::new(key(2 * i), &[])).collect();
+        let mut batch = Batch::default();
+        for i in 0..400 {
+            batch.push(&key(2 * i), &[]);
+        }
         let merge = {
             let (ns, wal) = (ns.clone(), wal.clone());
-            std::thread::spawn(move || ns.merge(&wal, batch, 4))
+            std::thread::spawn(move || ns.merge(&wal, &batch.entries, 4))
         };
         // the batch finds the namespace empty and waits for the write lock;
         // a write the held read lock lets through lands meanwhile
         std::thread::sleep(std::time::Duration::from_millis(20));
-        table.insert(Entry::new(key(1), &[]), None);
+        table.insert(&key(1), &[], None);
         drop(table);
         merge.join().unwrap();
         assert_eq!(ns.len(), 401);

@@ -46,7 +46,8 @@ pub enum KvRequest {
     /// Atomically store `entry` — its key, `entry[..key_len]`, then its
     /// value — iff the key's current value equals `expect`; `expect = None`
     /// requires absence. The entry is one buffer, as a bulk feed pushes
-    /// one ([`BulkFeed`]), which a `LiveCluster` keeps as it is.
+    /// one ([`BulkFeed`]); a `LiveCluster` copies it into the shard and
+    /// hands the buffer back to the writer's thread ([`crate::spare`]).
     TestAndSet {
         ns: NsId,
         entry: Vec<u8>,
@@ -81,8 +82,9 @@ pub type KvEntry = (Vec<u8>, Vec<u8>);
 
 /// A bulk batch ([`crate::KvStore::bulk_put_all`]), pushed: called once, it
 /// hands the sink each entry as one buffer — the key, then the value — and
-/// where the key ends. A `LiveCluster` entry lays out its bytes so, and
-/// adopts a buffer sized exactly as it is.
+/// where the key ends. A `LiveCluster` entry lays out its bytes so: the
+/// store copies each into its arena and hands the buffer back to the
+/// feeding thread's spare ([`crate::spare`]).
 pub type BulkFeed<'a> = dyn FnMut(&mut dyn FnMut(Vec<u8>, usize)) + 'a;
 
 /// The entries of one range answer, in scan order, packed: every key and

@@ -161,6 +161,7 @@ on_each_venue!(
         concurrent_sessions_never_cross_talk,
         the_venue_fans_out_as_named,
         empty_rounds_are_free,
+        a_range_of_limit_zero_still_visits_a_part,
     ]
     properties: [
         ranges_answer_as_the_reference(range_input),
@@ -799,6 +800,31 @@ fn empty_rounds_are_free(venue: Venue) {
     assert_eq!(accounted, free, "{venue}: not accounted, no time consumed");
 }
 
+/// A range with a limit of zero answers nothing, yet is a request like any
+/// other: a round of it alone books at least one shard or partition visit
+/// per request, as the round contract's "physical ≥ logical" asks.
+fn a_range_of_limit_zero_still_visits_a_part(venue: Venue) {
+    let store = venue.store();
+    let stored: Vec<KvEntry> = (0..64u8).map(|i| (vec![i], vec![i; 8])).collect();
+    let ns = load(&*store, stored.iter().map(|(k, v)| (k, v)), true);
+    for reverse in [false, true] {
+        let limited = || range(ns, &[], None, Some(0), reverse);
+        let (answers, stats, booked) = store.measured(|s| store.execute_round(s, vec![limited()]));
+        assert_eq!(answers, [KvResponse::Entries(Entries::new())], "{venue}");
+        assert_eq!(stats.logical_requests, 1, "{venue}");
+        assert!(
+            stats.physical_requests >= stats.logical_requests,
+            "{venue}: {stats:?}"
+        );
+        let (answer, one, _) = store.measured(|s| store.execute_one(s, limited()));
+        assert_eq!(answer, KvResponse::Entries(Entries::new()), "{venue}");
+        assert_eq!(one, stats, "{venue}: a round of one, either way");
+        if store.live().is_some() {
+            assert_eq!(booked, [1, 1], "{venue}: booked by the store");
+        }
+    }
+}
+
 // ------------------------------------------- properties every store owes
 
 type RangeInput = (Held, Vec<u8>, Option<Vec<u8>>, Option<u64>, bool);
@@ -834,8 +860,7 @@ fn ranges_answer_as_the_reference(
         "{}",
         venue
     );
-    // a limit of zero is left out: a `SimCluster` visits nothing for it
-    if end.as_ref().is_some_and(|end| *end <= start) && limit != Some(0) {
+    if end.as_ref().is_some_and(|end| *end <= start) {
         prop_assert_eq!(stats.physical_requests, 2, "{}: one visit each", venue);
     }
     Ok(())
@@ -1605,6 +1630,131 @@ fn concurrent_sessions_survive_repeated_rebalances_without_lost_keys() {
         "final count = preload + acknowledged writes"
     );
     assert_eq!(cluster.stats_snapshot().rebalances, u64::from(REBALANCES));
+}
+
+/// Key `k` of [`readers_racing_compactions_and_rebalances_see_whole_values`].
+fn churned_key(k: u16) -> Vec<u8> {
+    [&b"churn/"[..], &k.to_be_bytes()].concat()
+}
+
+/// The value the writer stores under key `k` at `version`: its key and
+/// version, then a fill byte derived from both, at a length that changes
+/// with the version — so a torn, shifted or misplaced value cannot pass
+/// for a whole one.
+fn versioned(k: u16, version: u16) -> Vec<u8> {
+    let mut value = [k.to_be_bytes(), version.to_be_bytes()].concat();
+    value.resize(4 + usize::from(version % 61), (k as u8) ^ (version as u8));
+    value
+}
+
+/// The version of `value`, found under `key`, after checking that it is a
+/// whole value [`versioned`] made for that key.
+fn whole_version(key: &[u8], value: &[u8]) -> u16 {
+    let k = u16::from_be_bytes([key[6], key[7]]);
+    assert_eq!(key, churned_key(k), "a key the writer wrote");
+    let version = u16::from_be_bytes([value[2], value[3]]);
+    assert_eq!(value, versioned(k, version), "a whole value under {k}");
+    version
+}
+
+/// Point and range readers run while a writer overwrites and deletes a
+/// sliding window of keys — every shard's dead bytes pass its live ones
+/// again and again, so each is compacted over and over — and rebalances
+/// the namespace as the window moves. Every value read is one the writer
+/// wrote whole, for the key it is read under, and a point reader never
+/// sees a key's version go back.
+#[test]
+fn readers_racing_compactions_and_rebalances_see_whole_values() {
+    const WINDOW: u16 = 300;
+    const ROUNDS: u16 = 120;
+    let cluster = live(4, 0, 0);
+    let ns = cluster.namespace("churn");
+    let done = AtomicBool::new(false);
+    let reads = AtomicU64::new(0);
+    std::thread::scope(|scope| {
+        let point_reader = scope.spawn(|| {
+            let (mut seen, mut s, mut out) = (
+                vec![0u16; usize::from(WINDOW + ROUNDS * 2)],
+                Session::new(),
+                Vec::new(),
+            );
+            let mut k = 0u16;
+            while !done.load(Ordering::Acquire) {
+                k = (k + 97) % (WINDOW + ROUNDS * 2);
+                let key = churned_key(k);
+                out.clear();
+                let got = if k.is_multiple_of(2) {
+                    let found = cluster.point_get(&mut s, ns, &key, &mut out).unwrap();
+                    found.then_some(&out[..])
+                } else {
+                    match one(&cluster, &mut s, get(ns, &key)) {
+                        KvResponse::Value(value) => {
+                            out = value.unwrap_or_default();
+                            (!out.is_empty()).then_some(&out[..])
+                        }
+                        other => panic!("{other:?}"),
+                    }
+                };
+                if let Some(value) = got {
+                    let version = whole_version(&key, value);
+                    let last = &mut seen[usize::from(k)];
+                    assert!(version >= *last, "key {k}: version {version} after {last}");
+                    *last = version;
+                }
+                reads.fetch_add(1, Ordering::Relaxed);
+            }
+        });
+        let range_reader = scope.spawn(|| {
+            let mut s = Session::new();
+            while !done.load(Ordering::Acquire) {
+                for reverse in [false, true] {
+                    let scan = range(ns, b"churn/", None, Some(200), reverse);
+                    let found = one(&cluster, &mut s, scan).into_entries().unwrap();
+                    for (key, value) in &found {
+                        whole_version(key, value);
+                    }
+                    let mut keys: Vec<&Vec<u8>> = found.iter().map(|(key, _)| key).collect();
+                    if reverse {
+                        keys.reverse();
+                    }
+                    assert!(keys.windows(2).all(|w| w[0] < w[1]), "scan order");
+                }
+                reads.fetch_add(1, Ordering::Relaxed);
+            }
+        });
+        let mut s = Session::new();
+        for round in 1..=ROUNDS {
+            // the window [2 * round, 2 * round + WINDOW): every key in it is
+            // overwritten, and the two that left it deleted
+            let first = 2 * round;
+            for k in first..first + WINDOW {
+                one(
+                    &cluster,
+                    &mut s,
+                    put(ns, &churned_key(k), &versioned(k, round)),
+                );
+            }
+            for k in first - 2..first {
+                one(
+                    &cluster,
+                    &mut s,
+                    KvRequest::Delete {
+                        ns,
+                        key: churned_key(k),
+                    },
+                );
+            }
+            if round.is_multiple_of(20) {
+                cluster.rebalance();
+            }
+        }
+        done.store(true, Ordering::Release);
+        point_reader.join().unwrap();
+        range_reader.join().unwrap();
+    });
+    assert!(reads.load(Ordering::Relaxed) > 0);
+    assert_eq!(cluster.ns_len(ns), usize::from(WINDOW));
+    assert!(cluster.balance()[0].shards > 1, "rebalanced into parts");
 }
 
 /// `entries` keys put one by one into a fresh namespace of a store that

@@ -360,3 +360,99 @@ fn protocol_names_only_files_that_exist() {
         missing.join("\n")
     );
 }
+
+/// A row of `tests/cost_golden.txt`'s allocation sections, by its
+/// `shape · layer` name: requests, allocations and bytes asked for.
+fn golden_rows(golden: &str) -> BTreeMap<String, [u64; 3]> {
+    let allocations = golden.split("\n== store").next().unwrap();
+    let mut rows = BTreeMap::new();
+    for line in allocations.lines() {
+        let fields: Vec<&str> = line.split_whitespace().collect();
+        let Some(at) = fields.len().checked_sub(4) else {
+            continue;
+        };
+        let numbers: Vec<u64> = fields[at..at + 3]
+            .iter()
+            .filter_map(|f| f.parse().ok())
+            .collect();
+        if let [n, allocs, bytes] = numbers[..] {
+            rows.insert(fields[..at].join(" "), [n, allocs, bytes]);
+        }
+    }
+    rows
+}
+
+/// The number at the start of `text`, its thousands separated by commas.
+fn leading_count(text: &str) -> Option<(u64, &str)> {
+    let end = text
+        .find(|c: char| !(c.is_ascii_digit() || c == ','))
+        .unwrap_or(text.len());
+    let digits = text[..end].replace(',', "");
+    Some((digits.parse().ok()?, &text[end..]))
+}
+
+/// Every backticked cost-row name in ARCHITECTURE.md (a `shape · layer`
+/// span, wrapped lines joined) that is followed by a count in parentheses
+/// cites that row as it is in `tests/cost_golden.txt`: the count is its
+/// allocations — its bytes when the word after it is `bytes` — and an
+/// `over N` after it is its requests.
+#[test]
+fn cited_cost_rows_match_the_golden() {
+    let tree = Tree::load();
+    let doc = fs::read_to_string(tree.root.join("ARCHITECTURE.md")).unwrap();
+    let golden = fs::read_to_string(tree.root.join("tests/cost_golden.txt")).unwrap();
+    let rows = golden_rows(&golden);
+    let (mut cited, mut wrong) = (0, Vec::new());
+    for part in doc.split("```").step_by(2) {
+        let pieces: Vec<&str> = part.split('`').collect();
+        for (span, after) in pieces
+            .iter()
+            .skip(1)
+            .step_by(2)
+            .zip(pieces.iter().skip(2).step_by(2))
+        {
+            let name = span.split_whitespace().collect::<Vec<_>>().join(" ");
+            let Some(parenthesised) = after.trim_start().strip_prefix('(') else {
+                continue;
+            };
+            let (Some((count, rest)), true) = (leading_count(parenthesised), name.contains(" · "))
+            else {
+                continue;
+            };
+            cited += 1;
+            let Some(&[n, allocs, bytes]) = rows.get(&name) else {
+                wrong.push(format!("`{name}`: no such row"));
+                continue;
+            };
+            let rest = rest.split_whitespace().collect::<Vec<_>>().join(" ");
+            let (column, golden) = if rest.starts_with("bytes") {
+                ("bytes", bytes)
+            } else {
+                ("allocations", allocs)
+            };
+            if count != golden {
+                wrong.push(format!(
+                    "`{name}`: cited {count} {column}, the golden has {golden}"
+                ));
+            }
+            let over = rest
+                .strip_prefix("allocations ")
+                .unwrap_or(&rest)
+                .strip_prefix("over ")
+                .and_then(leading_count);
+            if let Some((requests, _)) = over {
+                if requests != n {
+                    wrong.push(format!(
+                        "`{name}`: cited over {requests}, the golden has {n}"
+                    ));
+                }
+            }
+        }
+    }
+    assert!(cited > 0, "ARCHITECTURE.md cites no cost row");
+    assert!(
+        wrong.is_empty(),
+        "ARCHITECTURE.md cites cost rows the golden does not have:\n{}",
+        wrong.join("\n")
+    );
+}
